@@ -355,7 +355,7 @@ def _fmt(x: float) -> str:
 
 
 def run_single(config: RunConfig, problem: Problem | None = None,
-               workers: int = 1, shared: dict | None = None) -> RunResult:
+               shared: dict | None = None) -> RunResult:
     """Offline build, online solve, error report and estimator for one
     config.  shared may carry u_ref/E_star/u_B_ref/space_donor from a
     previous run on the same meshes and fields."""
@@ -365,8 +365,7 @@ def run_single(config: RunConfig, problem: Problem | None = None,
     shared = shared or {}
     space = globalsolve.build_space(
         problem.coarse, problem.fine, problem.A, problem.degrees,
-        config.rel_tol, workers=workers,
-        interface_from=shared.get("space_donor"))
+        config.rel_tol, interface_from=shared.get("space_donor"))
     systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
     solution = globalsolve.solve_coarse(systems, config.rel_tol)
     if "u_ref" in shared:
@@ -398,8 +397,8 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def cmd_solve(config: RunConfig, out: str | None = None,
-              workers: int = 1, timing: bool = False) -> int:
-    result = run_single(config, workers=workers)
+              timing: bool = False) -> int:
+    result = run_single(config)
     _emit([CSV_HEADER, result.row(timing)], out)
     return 0
 
@@ -414,8 +413,7 @@ def _failed_row(config: RunConfig, exc: Exception) -> str:
 
 
 def cmd_sweep(config: RunConfig, axis: str, values: list[float],
-              out: str | None = None, workers: int = 1,
-              timing: bool = False) -> int:
+              out: str | None = None, timing: bool = False) -> int:
     """One row per value along the axis; offline work shared where the
     meshes and coefficient stay fixed.  Failed rows are recorded and the
     sweep continues."""
@@ -436,14 +434,13 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
             cfg0 = _with(config, N=int(max(values)), M=0)
             shared["space_donor"] = globalsolve.build_space(
                 problem.coarse, problem.fine, problem.A,
-                _degrees_of(cfg0, problem.coarse), config.rel_tol,
-                workers=workers)
+                _degrees_of(cfg0, problem.coarse), config.rel_tol)
         for v in values:
             cfg = _with(config, **{axis: int(v)})
             try:
                 res = run_single(cfg, _reprob(problem,
                                               _degrees_of(cfg, problem.coarse)),
-                                 workers, shared)
+                                 shared)
                 shared.setdefault("u_ref", res.u_ref)
                 shared.setdefault("E_star", res.E_star)
                 if res.u_B_ref is not None:
@@ -475,7 +472,7 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
                 if cfg.n_sub < 2:
                     raise ConfigError(f"H={v!r} leaves fewer than 2 "
                                       "subdivisions")
-                rows.append(run_single(cfg, workers=workers).row(timing))
+                rows.append(run_single(cfg).row(timing))
             except (ConfigError, finefem.SolverDivergenceError,
                     np.linalg.LinAlgError, ValueError) as exc:
                 rows.append(_failed_row(cfg or config, exc))
@@ -490,7 +487,7 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
                         coefficient={"type": "periodic_benchmark",
                                      "eps": float(v)})
             try:
-                rows.append(run_single(cfg, workers=workers).row(timing))
+                rows.append(run_single(cfg).row(timing))
             except (finefem.SolverDivergenceError, np.linalg.LinAlgError,
                     ValueError) as exc:
                 rows.append(_failed_row(cfg, exc))
@@ -509,13 +506,12 @@ def _reprob(problem: Problem, degrees: mesh.DegreeAssignment) -> Problem:
                    degrees, problem.gamma)
 
 
-def cmd_errmap(config: RunConfig, out: str | None = None,
-               workers: int = 1) -> int:
+def cmd_errmap(config: RunConfig, out: str | None = None) -> int:
     """Per-edge localized error and estimator with their log10 ratio.
     Interface mode only: bubble degrees must be zero everywhere."""
     if _column_degree(config.M) != 0:
         raise ConfigError("errmap requires M = 0 (interface localization)")
-    result = run_single(config, workers=workers)
+    result = run_single(config)
     est_map = estimator.localize(result.est, result.problem.coarse)
     try:
         err_map, _ = errors.interface_error_map(result.solution, result.u_ref,
@@ -539,7 +535,7 @@ def cmd_errmap(config: RunConfig, out: str | None = None,
 
 
 def cmd_basis_dump(config: RunConfig, selector: str,
-                   out: str | None = None, workers: int = 1) -> int:
+                   out: str | None = None) -> int:
     """Point cloud of one catalog entry: nodal:V, edge:E:K or bubble:K:I."""
     parts = selector.split(":")
     forms = {"nodal": 2, "edge": 3, "bubble": 3}
@@ -553,8 +549,7 @@ def cmd_basis_dump(config: RunConfig, selector: str,
                           "indices must be integers") from None
     problem = build_problem(config)
     space = globalsolve.build_space(problem.coarse, problem.fine, problem.A,
-                                    problem.degrees, config.rel_tol,
-                                    workers=workers)
+                                    problem.degrees, config.rel_tol)
     for bf in space.catalog:
         if bf.kind == parts[0] and bf.key == key:
             pts = localbasis.dump_points(bf, problem.fine)
@@ -600,6 +595,17 @@ def cmd_selftest() -> int:
 # Entry point
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, "
+                                         f"got {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="legmsfem",
                                 description="Multiscale FEM benchmark runner")
@@ -610,7 +616,8 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--out", default=None, help="output CSV path "
                         "(default stdout)")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=_positive_int, default=1,
+                        help="accepted for compatibility; has no effect")
         sp.add_argument("--strict", action="store_true",
                         help="fail instead of warn on unresolved scales")
         sp.add_argument("--rel-tol", type=float, default=None)
@@ -651,17 +658,16 @@ def main(argv: list[str] | None = None) -> int:
             config.eta = args.eta
         out = args.out if args.out is not None else config.out
         if args.command == "solve":
-            return cmd_solve(config, out, args.workers, args.timing)
+            return cmd_solve(config, out, args.timing)
         if args.command == "sweep":
             try:
                 values = [float(v) for v in args.values.split(",") if v]
             except ValueError:
                 raise ConfigError(f"bad --values {args.values!r}") from None
-            return cmd_sweep(config, args.axis, values, out, args.workers,
-                             args.timing)
+            return cmd_sweep(config, args.axis, values, out, args.timing)
         if args.command == "errmap":
-            return cmd_errmap(config, out, args.workers)
-        return cmd_basis_dump(config, args.basis, out, args.workers)
+            return cmd_errmap(config, out)
+        return cmd_basis_dump(config, args.basis, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

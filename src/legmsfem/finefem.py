@@ -8,10 +8,12 @@ triangle's centroid by default, optionally the 3-point edge-midpoint rule
 (quad_order=3).  Energies use the same rule as assembly, so the Galerkin
 identity energy(u) = -1/2 rhs.u holds at solver accuracy.
 
-Geometry and eliminated stiffness blocks are cached per patch: every local
-solve on an element reuses one factor-free CSR pair (free-free, free-fixed),
-so repeated solves with different boundary data only rebuild the right-hand
-side.
+Geometry and quadrature points are cached per patch; stiffness is not,
+so two coefficient fields never share a matrix.  Per-triangle element
+matrices come from one routine: `assemble` builds the eliminated CSR system
+from them for the iterative solves (the fine reference, the bubble
+reference), and the offline patch solves in `localbasis` build dense
+lattice-row blocks from them.
 """
 
 from __future__ import annotations
@@ -151,7 +153,6 @@ class TriGeometry:
         g[:, 2, 1] = (p1[:, 0] - p0[:, 0]) / det
         self.grads = g
         self._quad: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._stiff: dict[tuple[str, int], tuple] = {}
 
     @property
     def n_vertices(self) -> int:
@@ -186,17 +187,22 @@ class TriGeometry:
         nt = len(self.tris)
         return (vals[:nt] + vals[nt:2 * nt] + vals[2 * nt:]) / 3.0
 
+    def element_matrices(self, A: CoefficientField, order: int = 1
+                         ) -> np.ndarray:
+        """Per-triangle P1 stiffness matrices, shape (nt, 3, 3), exactly
+        symmetric."""
+        AW = self.areas[:, None, None] * self.coefficient_at_triangles(A, order)
+        g = self.grads
+        # grad_i^T A grad_j term by term: faster than a three-operand einsum,
+        # same sums in the same order.
+        gA = g[:, :, :1] * AW[:, None, 0, :] + g[:, :, 1:] * AW[:, None, 1, :]
+        Kt = (gA[:, :, None, 0] * g[:, None, :, 0]
+              + gA[:, :, None, 1] * g[:, None, :, 1])
+        return 0.5 * (Kt + Kt.transpose(0, 2, 1))
+
     def _eliminated(self, A: CoefficientField, order: int):
-        """Cached (K_ff, K_fc, free_loc, fixed_loc, diag) for this patch."""
-        key = (A.name, order)
-        try:
-            return self._stiff[key]
-        except KeyError:
-            pass
-        Abar = self.coefficient_at_triangles(A, order)
-        Kt = np.einsum("tid,tde,tje->tij", self.grads,
-                       self.areas[:, None, None] * Abar, self.grads)
-        Kt = 0.5 * (Kt + Kt.transpose(0, 2, 1))
+        """(K_ff, K_fc, free_loc, fixed_loc, diag) for this patch."""
+        Kt = self.element_matrices(A, order)
         rows = np.repeat(self.tris, 3, axis=1).ravel()
         cols = np.tile(self.tris, (1, 3)).ravel()
         n = self.n_vertices
@@ -209,9 +215,7 @@ class TriGeometry:
         free = np.flatnonzero(mask)
         K_ff = K[free][:, free].tocsr()
         K_fc = K[free][:, fixed].tocsr()
-        out = (K_ff, K_fc, free, fixed, K_ff.diagonal())
-        self._stiff[key] = out
-        return out
+        return K_ff, K_fc, free, fixed, K_ff.diagonal()
 
 
 def global_geometry(fine) -> TriGeometry:

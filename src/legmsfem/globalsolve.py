@@ -63,23 +63,24 @@ def expected_dof_count(coarse: CoarseMesh, degrees: DegreeAssignment,
 
 def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
                 degrees: DegreeAssignment, rel_tol: float = 1e-12,
-                quad_order: int = 1, workers: int = 1,
                 interface_from: EnrichedSpace | None = None) -> EnrichedSpace:
     """Run the offline solves and assemble the catalog.
 
+    The offline patch solves are direct, so rel_tol has no effect here; it
+    is accepted so callers can pass one tolerance for the whole run.
     interface_from reuses the interface part of an existing space built on
-    the same meshes and coefficient with edgewise degrees at least as large;
-    only bubbles are recomputed.  Degrees beyond the donor raise.
+    the same meshes and the same coefficient object with edgewise degrees at
+    least as large; only bubbles are recomputed.  Degrees beyond the donor
+    raise.
     """
     degrees.validate(coarse)
     if interface_from is None:
-        catalog = localbasis.compute_all(coarse, fine, A, degrees, rel_tol,
-                                         quad_order, workers)
+        catalog = localbasis.compute_all(coarse, fine, A, degrees)
         n_if = sum(1 for bf in catalog if bf.kind != "bubble")
-        return EnrichedSpace(coarse, fine, A, degrees, catalog, n_if, quad_order)
+        return EnrichedSpace(coarse, fine, A, degrees, catalog, n_if)
     if interface_from.coarse is not coarse or interface_from.fine is not fine:
         raise ValueError("interface reuse requires the same mesh pair")
-    if interface_from.A.name != A.name:
+    if interface_from.A is not A:
         raise ValueError("interface reuse requires the same coefficient")
     keep = []
     for bf in interface_from.catalog[:interface_from.n_interface]:
@@ -89,10 +90,8 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     n_if, _ = expected_dof_count(coarse, degrees, lambda M: 0)
     if len(keep) != n_if:
         raise ValueError("donor space is missing requested edge degrees")
-    bubbles = localbasis.compute_all(coarse, fine, A, degrees, rel_tol,
-                                     quad_order, workers, which="bubble")
-    return EnrichedSpace(coarse, fine, A, degrees, keep + bubbles,
-                         len(keep), quad_order)
+    bubbles = localbasis.compute_all(coarse, fine, A, degrees, which="bubble")
+    return EnrichedSpace(coarse, fine, A, degrees, keep + bubbles, len(keep))
 
 
 @dataclass

@@ -133,19 +133,44 @@ def _lagrange_matrix(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tri_monomial_gram(M: int, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Exact Gram of monomials x^p y^q on the unit right triangle:
-    integral of x^a y^b = a! b! / (a+b+2)!."""
-    G = np.empty((len(pairs), len(pairs)))
-    for i, (p, q) in enumerate(pairs):
-        for j, (r, s) in enumerate(pairs):
-            a, b = p + r, q + s
-            G[i, j] = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-    return G
+@lru_cache(maxsize=None)
+def _tri_orthonormalizer(pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Rows: coefficients of the monomials x^p y^q, (p, q) in pairs, of an
+    orthonormal basis of their span on the unit right triangle.
 
-# Raw monomial Grams are Hilbert-like; the exact Cholesky below keeps the
-# orthonormalized basis well conditioned for the small M used here (cond of
-# the raw Gram stays under 1e12 for M <= 8, checked in tests).
+    The monomial Gram (integral of x^a y^b = a! b! / (a+b+2)!) is
+    Hilbert-like, condition 1.4e15 at M = 8, so a floating-point Cholesky
+    loses up to 1e-5 of orthonormality.  Here G = L D L^T is factored in
+    exact rationals and C = D^{-1/2} L^{-1} is rounded once at the end.
+    """
+    # Imported here: only triangle bubbles need it, and it would add to the
+    # start-up time of every run.
+    from fractions import Fraction
+
+    n = len(pairs)
+    G = [[Fraction(math.factorial(p + r) * math.factorial(q + s),
+                   math.factorial(p + r + q + s + 2))
+          for r, s in pairs] for p, q in pairs]
+    L = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    D = []
+    for j in range(n):
+        D.append(G[j][j] - sum(L[j][k] ** 2 * D[k] for k in range(j)))
+        for i in range(j + 1, n):
+            L[i][j] = (G[i][j] - sum(L[i][k] * L[j][k] * D[k]
+                                     for k in range(j))) / D[j]
+    # Forward substitution for L^{-1}, unit lower triangular.
+    Linv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            Linv[i][j] = -sum(L[i][k] * Linv[k][j] for k in range(j, i))
+    C = np.array([[float(Linv[i][j]) for j in range(n)] for i in range(n)])
+    C /= np.sqrt([float(d) for d in D])[:, None]
+    C.flags.writeable = False  # shared by every basis of this degree
+    return C
+
+
+# Accuracy of the orthonormalized triangle basis is limited by evaluating
+# monomials in floating point: 1.6e-11 off orthonormality at M = 8.
 MAX_TRIANGLE_DEGREE = 8
 
 
@@ -155,8 +180,8 @@ class BulkPolyBasis:
     Quads: tensor products of 1D Lagrange polynomials at the (M+1)-point
     Gauss-Lobatto nodes, spanning partial degree <= M, dimension (M+1)^2.
     Triangles: monomials of total degree <= M orthonormalized on the unit
-    right triangle through the exact Gram's Cholesky factor, dimension
-    (M+1)(M+2)/2.
+    right triangle through an exact-rational LDL^T of their Gram matrix,
+    dimension (M+1)(M+2)/2.
     """
 
     def __init__(self, kind: str, M: int):
@@ -175,8 +200,7 @@ class BulkPolyBasis:
                 raise ValueError(f"triangle bulk degree capped at {MAX_TRIANGLE_DEGREE}")
             self.dim = (M + 1) * (M + 2) // 2
             self._pairs = [(d - q, q) for d in range(M + 1) for q in range(d + 1)]
-            G = _tri_monomial_gram(M, self._pairs)
-            self._C = np.linalg.inv(np.linalg.cholesky(G))
+            self._C = _tri_orthonormalizer(tuple(self._pairs))
 
     def eval_ref(self, ref_points: np.ndarray) -> np.ndarray:
         """Basis values at reference coordinates, shape (npoints, dim)."""

@@ -139,6 +139,19 @@ def test_solve_writes_header_and_row(tmp_path, capsys):
     assert len(lines) == 2 and len(lines[1].split(",")) == 11
 
 
+def test_workers_flag_accepted_without_effect(tmp_path):
+    path = write_cfg(tmp_path, N=3, M=1)
+    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+    assert cli.main(["solve", "--config", path, "--out", str(plain)]) == 0
+    assert cli.main(["solve", "--config", path, "--workers", "4",
+                     "--out", str(flagged)]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
+    for bad in ("0", "-1", "two"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--config", path, "--workers", bad])
+        assert exc.value.code == 2
+
+
 def test_exit_codes(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"

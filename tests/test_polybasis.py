@@ -128,7 +128,7 @@ def test_bulk_basis_quad_first_function():
 
 
 def test_bulk_basis_triangle_orthonormal(rng):
-    for M in (1, 3, 5):
+    for M in (1, 3, 5, pb.MAX_TRIANGLE_DEGREE):
         b = pb.BulkPolyBasis("triangle", M)
         assert b.dim == (M + 1) * (M + 2) // 2
         # Monte-Carlo-free check: Gram via a dense product Gauss rule mapped
