@@ -202,11 +202,6 @@ class RunConfig:
                               f"{exc.msg}") from None
         return cls.from_dict(d)
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
     @property
     def eps(self) -> float | None:
         if self.coefficient.get("type") == "periodic_benchmark":
@@ -365,7 +360,7 @@ def run_single(config: RunConfig, problem: Problem | None = None,
     shared = shared or {}
     space = globalsolve.build_space(
         problem.coarse, problem.fine, problem.A, problem.degrees,
-        config.rel_tol, interface_from=shared.get("space_donor"))
+        interface_from=shared.get("space_donor"))
     systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
     solution = globalsolve.solve_coarse(systems, config.rel_tol)
     if "u_ref" in shared:
@@ -434,7 +429,7 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
             cfg0 = _with(config, N=int(max(values)), M=0)
             shared["space_donor"] = globalsolve.build_space(
                 problem.coarse, problem.fine, problem.A,
-                _degrees_of(cfg0, problem.coarse), config.rel_tol)
+                _degrees_of(cfg0, problem.coarse))
         for v in values:
             cfg = _with(config, **{axis: int(v)})
             try:
@@ -549,7 +544,7 @@ def cmd_basis_dump(config: RunConfig, selector: str,
                           "indices must be integers") from None
     problem = build_problem(config)
     space = globalsolve.build_space(problem.coarse, problem.fine, problem.A,
-                                    problem.degrees, config.rel_tol)
+                                    problem.degrees)
     for bf in space.catalog:
         if bf.kind == parts[0] and bf.key == key:
             pts = localbasis.dump_points(bf, problem.fine)
@@ -668,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "errmap":
             return cmd_errmap(config, out)
         return cmd_basis_dump(config, args.basis, out)
-    except ConfigError as exc:
+    except (ConfigError, finefem.CoefficientBoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (finefem.SolverDivergenceError, np.linalg.LinAlgError) as exc:

@@ -38,7 +38,7 @@ class ErrorReport:
 
 def reference_solve(fine: FineMesh, A: finefem.CoefficientField,
                     f: finefem.RhsField, rel_tol: float = 1e-12,
-                    quad_order: int = 1, eps: float | None = None,
+                    eps: float | None = None,
                     strict: bool = False) -> tuple[finefem.FineFunction, float]:
     """Fine solve of the full problem and its energy E*.
 
@@ -53,9 +53,8 @@ def reference_solve(fine: FineMesh, A: finefem.CoefficientField,
             raise ValueError(msg)
         warnings.warn(msg)
     geom = finefem.global_geometry(fine)
-    u = finefem.solve_spd(finefem.assemble(geom, A, f, 0.0, quad_order),
-                          rel_tol)
-    return u, finefem.energy(u, A, f, quad_order)
+    u = finefem.solve_spd(finefem.assemble(geom, A, f), rel_tol)
+    return u, finefem.energy(u, A, f)
 
 
 def relative_from_energies(E_num: float, E_star: float) -> float:
@@ -70,21 +69,20 @@ def relative_energy_error(u_H: globalsolve.CoarseSolution, E_star: float
     """Relative energy error of the coarse solution via the identity."""
     space = u_H.space
     u = globalsolve.reconstruct(u_H, "total")
-    E_num = finefem.energy(u, space.A, u_H.f, space.quad_order)
+    E_num = finefem.energy(u, space.A, u_H.f)
     return relative_from_energies(E_num, E_star)
 
 
 def bubble_reference(fine: FineMesh, A: finefem.CoefficientField,
-                     f: finefem.RhsField, rel_tol: float = 1e-12,
-                     quad_order: int = 1) -> finefem.FineFunction:
+                     f: finefem.RhsField, rel_tol: float = 1e-12
+                     ) -> finefem.FineFunction:
     """Elementwise zero-trace solves of the full problem, glued into one
     global field (the bubble part of the reference solution)."""
     geom = finefem.global_geometry(fine)
     values = np.zeros(len(geom.points))
     for K in range(len(fine.coarse.elements)):
         egeom = finefem.element_geometry(fine, K)
-        sol = finefem.solve_spd(
-            finefem.assemble(egeom, A, f, 0.0, quad_order), rel_tol)
+        sol = finefem.solve_spd(finefem.assemble(egeom, A, f), rel_tol)
         values[egeom.vids] = sol.values
     return finefem.FineFunction(geom, values)
 
@@ -104,15 +102,14 @@ def interface_relative_error(u_H: globalsolve.CoarseSolution,
         raise ValueError("interface error is defined for bubble-free "
                          "spaces; this solution has bubble DOFs")
     if u_B_ref is None:
-        u_B_ref = bubble_reference(space.fine, space.A, u_H.f, rel_tol,
-                                   space.quad_order)
-    E_B = finefem.energy(u_B_ref, space.A, u_H.f, space.quad_order)
+        u_B_ref = bubble_reference(space.fine, space.A, u_H.f, rel_tol)
+    E_B = finefem.energy(u_B_ref, space.A, u_H.f)
     E_gamma_star = E_star - E_B
     if not E_gamma_star < -1e-15 * abs(E_star):
         raise ValueError("interface reference energy is not negative; "
                          "the interface part is (numerically) zero")
     u = globalsolve.reconstruct(u_H, "total")
-    E_num = finefem.energy(u, space.A, u_H.f, space.quad_order)
+    E_num = finefem.energy(u, space.A, u_H.f)
     return relative_from_energies(E_num, E_gamma_star)
 
 
@@ -126,8 +123,7 @@ def direct_relative_error(u_H: globalsolve.CoarseSolution,
         raise ValueError("reference and reconstruction live on different "
                          "fine meshes")
     V = np.stack([u_ref.values - u.values, u_ref.values])
-    M = finefem.energy_inner_matrix(V, u.geom, space.A,
-                                    quad_order=space.quad_order)
+    M = finefem.energy_inner_matrix(V, u.geom, space.A)
     return float(np.sqrt(M[0, 0] / M[1, 1]))
 
 
@@ -144,7 +140,7 @@ def decomposition_check(u_H: globalsolve.CoarseSolution,
     total = globalsolve.reconstruct(u_H, "total")
     d = u_ref.values - total.values
     M = finefem.energy_inner_matrix(np.stack([d, d_B, d_G]), u_ref.geom,
-                                    space.A, quad_order=space.quad_order)
+                                    space.A)
     lhs = M[0, 0]
     rhs = M[1, 1] + M[2, 2]
     if lhs <= 0:
@@ -172,8 +168,7 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
     for K in range(len(coarse.elements)):
         egeom = finefem.element_geometry(space.fine, K)
         V = np.stack([d_G[egeom.vids], ref_G[egeom.vids]])
-        M = finefem.energy_inner_matrix(V, egeom, space.A,
-                                        quad_order=space.quad_order)
+        M = finefem.energy_inner_matrix(V, egeom, space.A)
         err2[K] = M[0, 0]
         denom2 += M[1, 1]
     if denom2 <= 0:
@@ -202,10 +197,10 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
     if not u_H.space.n_bubble:
         if u_B_ref is None:
             u_B_ref = bubble_reference(u_H.space.fine, u_H.space.A, u_H.f,
-                                       rel_tol, u_H.space.quad_order)
+                                       rel_tol)
         gamma = interface_relative_error(u_H, E_star, u_B_ref, rel_tol)
     if u_B_ref is not None:
         resid = decomposition_check(u_H, u_ref, u_B_ref)
     u = globalsolve.reconstruct(u_H, "total")
-    E_num = finefem.energy(u, u_H.space.A, u_H.f, u_H.space.quad_order)
+    E_num = finefem.energy(u, u_H.space.A, u_H.f)
     return ErrorReport(E_star, float(E_num), E_rel, direct, gamma, resid)

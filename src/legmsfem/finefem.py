@@ -34,6 +34,10 @@ class SolverDivergenceError(RuntimeError):
         self.residual = residual
 
 
+class CoefficientBoundsError(ValueError):
+    """A coefficient value is not finite or leaves its declared bounds."""
+
+
 # ---------------------------------------------------------------------------
 # coefficient and right-hand-side fields
 
@@ -47,8 +51,23 @@ class CoefficientField:
     fn: Callable[[np.ndarray], np.ndarray]
 
     def matrix_at(self, points: np.ndarray) -> np.ndarray:
-        """A at each row of points, shape (n, 2, 2)."""
-        return self.fn(np.atleast_2d(np.asarray(points, dtype=float)))
+        """A at each row of points, shape (n, 2, 2).  Raises
+        CoefficientBoundsError unless the closed-form eigenvalues of each
+        symmetric part are finite and in [alpha_min, alpha_max] (to
+        rounding); NaN and inf fail the comparisons."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        v = self.fn(pts)
+        mean = 0.5 * (v[:, 0, 0] + v[:, 1, 1])
+        rad = np.hypot(0.5 * (v[:, 0, 0] - v[:, 1, 1]),
+                       0.5 * (v[:, 0, 1] + v[:, 1, 0]))
+        lo, hi = self.alpha_min, self.alpha_max
+        ok = (mean - rad >= lo - 1e-12 * hi) & (mean + rad <= hi * (1 + 1e-12))
+        if not ok.all():
+            x, y = pts[np.argmin(ok)]
+            raise CoefficientBoundsError(
+                f"coefficient {self.name} at ({x:.6g}, {y:.6g}) is not "
+                f"finite or leaves its declared bounds [{lo:g}, {hi:g}]")
+        return v
 
     def matrix(self, x: float, y: float) -> np.ndarray:
         return self.matrix_at(np.array([[x, y]]))[0]

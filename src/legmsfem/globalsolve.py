@@ -32,7 +32,6 @@ class EnrichedSpace:
     degrees: DegreeAssignment
     catalog: list[localbasis.BasisFunction]
     n_interface: int
-    quad_order: int = 1
     element_dofs: list[list[int]] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -62,12 +61,10 @@ def expected_dof_count(coarse: CoarseMesh, degrees: DegreeAssignment,
 
 
 def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
-                degrees: DegreeAssignment, rel_tol: float = 1e-12,
+                degrees: DegreeAssignment,
                 interface_from: EnrichedSpace | None = None) -> EnrichedSpace:
     """Run the offline solves and assemble the catalog.
 
-    The offline patch solves are direct, so rel_tol has no effect here; it
-    is accepted so callers can pass one tolerance for the whole run.
     interface_from reuses the interface part of an existing space built on
     the same meshes and the same coefficient object with edgewise degrees at
     least as large; only bubbles are recomputed.  Degrees beyond the donor
@@ -126,12 +123,10 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
         dofs = space.element_dofs[K]
         iface = np.array([p for p in dofs if p < n_if], dtype=int)
         bub = np.array([p for p in dofs if p >= n_if], dtype=int)
-        b_loc = finefem.load_vector(geom, f, space.quad_order) \
-            if f is not None else None
+        b_loc = finefem.load_vector(geom, f) if f is not None else None
         if iface.size:
             V = np.stack([space.catalog[p].values[K] for p in iface])
-            M = finefem.energy_inner_matrix(V, geom, A,
-                                            quad_order=space.quad_order)
+            M = finefem.energy_inner_matrix(V, geom, A)
             ii, jj = np.meshgrid(iface, iface, indexing="ij")
             rows.append(ii.ravel())
             cols.append(jj.ravel())
@@ -140,13 +135,11 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
                 rhs[iface] += V @ b_loc
         if bub.size:
             Vb = np.stack([space.catalog[p].values[K] for p in bub])
-            Mb = finefem.energy_inner_matrix(Vb, geom, A,
-                                             quad_order=space.quad_order)
+            Mb = finefem.energy_inner_matrix(Vb, geom, A)
             bb = Vb @ b_loc if b_loc is not None else np.zeros(bub.size)
             blocks.append((bub, Mb, bb))
             if with_cross and iface.size:
-                G = finefem.energy_inner_matrix(Vb, geom, A, V,
-                                                space.quad_order)
+                G = finefem.energy_inner_matrix(Vb, geom, A, V)
                 cross[np.ix_(bub - n_if, iface)] += G
     if rows:
         K_if = sp.coo_matrix(

@@ -9,6 +9,9 @@ element.  Neighbouring elements therefore see bit-identical fine vertices on
 a shared coarse edge, and all local problems downstream restrict this single
 fine mesh.
 
+Fine triangles are stored per lattice cell in row-major order, lower one
+first, so every fine adjacency query is closed-form index arithmetic.
+
 Vertex coordinates are always computed as x0 + (i/n)*(x1-x0) with the integer
 division done first, so lattice points of the n and 2n grids coincide exactly
 and coarse vertices coincide exactly with their fine counterparts.
@@ -147,7 +150,6 @@ class CoarseMesh:
             ids[key] = len(self.edges)
             self.edges.append(Edge(len(self.edges), v0, v1,
                                    tuple(sorted(adjacency[key])), length))
-        self.edge_id_by_vertices = ids
         self.element_edges = [tuple(ids[k] for k in sides[el.id]) for el in self.elements]
         self.interior_edge_ids = np.array(
             [e.id for e in self.edges if not e.boundary], dtype=int)
@@ -236,11 +238,8 @@ class FineMesh:
         counts = np.bincount(tags, minlength=len(coarse.elements))
         self._elem_tris = np.split(order, np.cumsum(counts)[:-1])
 
-        hx, hy = (x1 - x0) / self.nfx, (y1 - y0) / self.nfy
-        self.hx, self.hy = hx, hy
-        self.h = math.hypot(hx, hy)
+        self.hx, self.hy = (x1 - x0) / self.nfx, (y1 - y0) / self.nfy
         self._patch_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._edge_tri_map: dict[tuple[int, int], list[int]] | None = None
         self._geom_cache: dict = {}  # populated by finefem
 
     @property
@@ -249,12 +248,6 @@ class FineMesh:
 
     def _vid(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         return iy * (self.nfx + 1) + ix
-
-    def _cell_origin(self, elem_id: int) -> tuple[int, int, int]:
-        """Fine-lattice origin of the coarse cell containing element elem_id."""
-        nx, ns = self.coarse.nx, self.n_sub
-        cell = elem_id if self.coarse.kind == "quad" else elem_id // 2
-        return (cell % nx) * ns, (cell // nx) * ns, cell
 
     def element_triangle_ids(self, elem_id: int) -> np.ndarray:
         return self._elem_tris[elem_id]
@@ -273,7 +266,8 @@ class FineMesh:
         except KeyError:
             pass
         ns = self.n_sub
-        ox, oy, _ = self._cell_origin(elem_id)
+        cell = elem_id if self.coarse.kind == "quad" else elem_id // 2
+        ox, oy = (cell % self.coarse.nx) * ns, (cell // self.coarse.nx) * ns
         LX, LY = np.meshgrid(np.arange(ns + 1), np.arange(ns + 1))
         if self.coarse.kind == "quad":
             keep = np.ones_like(LX, dtype=bool)
@@ -306,28 +300,29 @@ class FineMesh:
         mask = (IX == 0) | (IX == self.nfx) | (IY == 0) | (IY == self.nfy)
         return self._vid(IX[mask], IY[mask])
 
-    def edge_segment_triangles(self, edge_id: int) -> list[tuple[int, int]]:
-        """Per fine segment of an interior coarse edge, the adjacent fine
-        triangles ordered (lower-id element side, higher-id element side)."""
+    def edge_segment_triangles(self, edge_id: int) -> np.ndarray:
+        """Per fine segment of an interior coarse edge, the two adjacent fine
+        triangles as an (n_sub, 2) array, lower-id element side first.
+
+        Cell c = cy*nfx + cx holds triangles 2c (lower) and 2c+1 (upper).
+        The lower-id element lies below or left of the edge: a horizontal
+        segment pairs the upper triangle below with the lower one above, a
+        vertical one the lower triangle on the left with the upper one on
+        the right, a diagonal the two triangles of its own cell.
+        """
         e = self.coarse.edges[edge_id]
         if e.boundary:
             raise ValueError(f"edge {edge_id} is a boundary edge")
-        if self._edge_tri_map is None:
-            m: dict[tuple[int, int], list[int]] = {}
-            for t, tri in enumerate(self.triangles):
-                for i in range(3):
-                    a, b = tri[i], tri[(i + 1) % 3]
-                    m.setdefault((min(a, b), max(a, b)), []).append(t)
-            self._edge_tri_map = m
-        chain = self.edge_vertex_chain(edge_id)
-        lo = e.element_ids[0]
-        out = []
-        for a, b in zip(chain[:-1], chain[1:]):
-            t1, t2 = self._edge_tri_map[(min(a, b), max(a, b))]
-            if self.tri_elem[t1] != lo:
-                t1, t2 = t2, t1
-            out.append((t1, t2))
-        return out
+        chain = self.edge_vertex_chain(edge_id)[:-1]
+        ix, iy = chain % (self.nfx + 1), chain // (self.nfx + 1)
+        cell = iy * self.nfx + ix
+        if e.v1 - e.v0 == 1:  # horizontal
+            first, second = 2 * (cell - self.nfx) + 1, 2 * cell
+        elif e.v1 - e.v0 == self.coarse.nx + 1:  # vertical
+            first, second = 2 * (cell - 1), 2 * cell + 1
+        else:  # SW-NE diagonal
+            first, second = 2 * cell, 2 * cell + 1
+        return np.column_stack([first, second])
 
 
 def refine_to_fine(coarse: CoarseMesh, n_sub: int) -> FineMesh:

@@ -184,7 +184,7 @@ def test_criterion_07_linear_msfem_equivalence():
     A = finefem.periodic_benchmark(EPS)
     f = finefem.constant_rhs(-1.0)
     degrees = mesh.DegreeAssignment.uniform(coarse, 1, 0)
-    space = globalsolve.build_space(coarse, fine, A, degrees, rel_tol=1e-13)
+    space = globalsolve.build_space(coarse, fine, A, degrees)
     ours = globalsolve.solve_coarse(
         globalsolve.assemble_coarse(space, A, f), rel_tol=1e-13).coeffs
 
@@ -246,7 +246,7 @@ def test_criterion_08_identity_triangle_degeneracy():
     A = finefem.identity_field()
     f = finefem.constant_rhs(-1.0)
     degrees = mesh.DegreeAssignment.uniform(coarse, 1, 0)
-    space = globalsolve.build_space(coarse, fine, A, degrees, rel_tol=1e-13)
+    space = globalsolve.build_space(coarse, fine, A, degrees)
     sol = globalsolve.solve_coarse(
         globalsolve.assemble_coarse(space, A, f), rel_tol=1e-13)
     u_H = globalsolve.reconstruct(sol)

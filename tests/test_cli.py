@@ -169,6 +169,27 @@ def test_exit_codes(tmp_path):
                      "--out", str(out)]) == 3
 
 
+def test_coefficient_bounds_checked(tmp_path):
+    outside = {"type": "expression", "expr": "log(x)",
+               "alpha_min": 0.1, "alpha_max": 1.0}
+    path = write_cfg(tmp_path, "log.json", n_sub=4, N=1, coefficient=outside)
+    out = tmp_path / "log.csv"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    inside = {"type": "expression", "expr": "1 + x",
+              "alpha_min": 1.0, "alpha_max": 2.0}
+    path = write_cfg(tmp_path, "lin.json", n_sub=4, N=1, coefficient=inside)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "lin.csv")]) == 0
+    # inside a sweep the row is marked failed and the sweep goes on
+    cfg = cli.RunConfig.from_dict(cfg_dict(n_sub=4, N=1, coefficient=outside))
+    out = tmp_path / "sweep.csv"
+    assert cli.cmd_sweep(cfg, "H", [0.25, 0.5], str(out)) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(r.split(",")[5:9] == ["0", "nan", "nan", "nan"] for r in rows)
+
+
 def test_sweep_N_reuse_matches_fresh_runs(tmp_path):
     cfg = cli.RunConfig.from_dict(cfg_dict())
     out = tmp_path / "sweep.csv"

@@ -80,12 +80,12 @@ def test_interface_error_degenerate_denominator():
 
 
 def test_decomposition_exact_with_loose_tolerance(small_bench_bubbles):
-    # the offline solves are direct: a loose iterative tolerance must not
-    # leak into the bubble/interface orthogonality or the error split
+    # the offline solves are direct and take no tolerance: the
+    # bubble/interface orthogonality and the error split hold to rounding
     res = small_bench_bubbles
     space = res.solution.space
     loose = globalsolve.build_space(space.coarse, space.fine, space.A,
-                                    space.degrees, rel_tol=1e-3)
+                                    space.degrees)
     systems = globalsolve.assemble_coarse(loose, space.A, res.problem.f,
                                           with_cross=True)
     d_if = systems.interface_K.diagonal()

@@ -74,6 +74,36 @@ def test_jump_norm_manufactured_kink():
     mid = int(coarse.interior_edge_ids[0])
     J = estimator.jump_norm(fine, mid, v, finefem.identity_field())
     assert abs(J - 1.0) < 1e-14
+    # v = 3 min(y, 1/2) under A = 2I on a 1x2 mesh: flux jump 6 along the
+    # unit-length middle edge
+    coarse = mesh.build_coarse("quad", 1, 2)
+    fine = mesh.refine_to_fine(coarse, 4)
+    geom = finefem.global_geometry(fine)
+    v = finefem.FineFunction(geom, 3.0 * np.minimum(geom.points[:, 1], 0.5))
+    two = finefem.scalar_field("two", lambda x, y: np.full_like(x, 2.0),
+                               2.0, 2.0)
+    (mid,) = coarse.interior_edge_ids
+    assert coarse.edges[mid].v1 - coarse.edges[mid].v0 == 1  # horizontal
+    J = estimator.jump_norm(fine, int(mid), v, two)
+    assert abs(J - 6.0) < 1e-13
+    # v = max(y - x, 0) on one triangle cell: gradient (-1, 1) above the
+    # diagonal, flux jump sqrt(2) over length sqrt(2), so J = 2^(3/4)
+    coarse = mesh.build_coarse("triangle", 1, 1)
+    fine = mesh.refine_to_fine(coarse, 4)
+    geom = finefem.global_geometry(fine)
+    v = finefem.FineFunction(
+        geom, np.maximum(geom.points[:, 1] - geom.points[:, 0], 0.0))
+    (diag,) = coarse.interior_edge_ids
+    J = estimator.jump_norm(fine, int(diag), v, finefem.identity_field())
+    assert abs(J - 2.0 ** 0.75) < 1e-13
+
+
+def test_global_estimate_jump_norms_match_per_edge(small_bench):
+    space = small_bench.solution.space
+    u_G = globalsolve.reconstruct(small_bench.solution, "interface")
+    for eid, J in small_bench.est.jump_norms.items():
+        one = estimator.jump_norm(space.fine, eid, u_G, space.A)
+        assert abs(one - J) <= 1e-13 * J
 
 
 def test_jump_norm_guards(quad44, fine_quad44):

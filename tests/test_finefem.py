@@ -41,6 +41,22 @@ def test_periodic_benchmark(rng):
         finefem.periodic_benchmark(0.0)
 
 
+def test_coefficient_bounds_checked():
+    pts = np.array([[0.25, 0.5], [0.75, 0.5]])
+    # anisotropic 2x2 with eigenvalues 1 and 3
+    aniso = lambda p: np.tile([[2.0, 1.0], [1.0, 2.0]], (len(p), 1, 1))
+    ok = finefem.CoefficientField("aniso", 1.0, 3.0, aniso)
+    assert ok.matrix_at(pts).shape == (2, 2, 2)
+    for lo, hi in ((1.5, 3.0), (1.0, 2.5)):
+        with pytest.raises(finefem.CoefficientBoundsError, match="aniso"):
+            finefem.CoefficientField("aniso", lo, hi, aniso).matrix_at(pts)
+    nan = finefem.scalar_field(
+        "nan", lambda x, y: np.where(x > 0.5, np.nan, 1.0), 0.5, 2.0)
+    with pytest.raises(finefem.CoefficientBoundsError, match="0.75"):
+        nan.matrix_at(pts)
+    assert issubclass(finefem.CoefficientBoundsError, ValueError)
+
+
 def test_rhs_fields(rng):
     f = finefem.constant_rhs(-1.0)
     x = rng.random(10)

@@ -116,6 +116,38 @@ def test_edge_vertex_chain_geometry(quad44, fine_quad44):
     assert np.abs(fine_quad44.vertices[chain] - expect).max() < 1e-15
 
 
+def brute_force_segment_map(fine):
+    """Fine edge -> adjacent fine triangles, from every triangle's sides."""
+    m = {}
+    for t, tri in enumerate(fine.triangles):
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            m.setdefault((min(a, b), max(a, b)), []).append(t)
+    return m
+
+
+@pytest.mark.parametrize("coarse_name,fine_name", [
+    ("quad44", "fine_quad44"), ("tri44", "fine_tri44")])
+def test_edge_segment_triangles_match_brute_force(coarse_name, fine_name,
+                                                  request):
+    coarse = request.getfixturevalue(coarse_name)
+    fine = request.getfixturevalue(fine_name)
+    ref = brute_force_segment_map(fine)
+    diagonals = 0
+    for eid in coarse.interior_edge_ids:
+        e = coarse.edges[eid]
+        chain = fine.edge_vertex_chain(eid)
+        segs = fine.edge_segment_triangles(eid)
+        assert segs.shape == (fine.n_sub, 2)
+        lo, hi = e.element_ids
+        for (a, b), (t_lo, t_hi) in zip(zip(chain[:-1], chain[1:]), segs):
+            assert sorted(ref[(min(a, b), max(a, b))]) == sorted([t_lo, t_hi])
+            assert fine.tri_elem[t_lo] == lo
+            assert fine.tri_elem[t_hi] == hi
+        diagonals += e.v1 - e.v0 == coarse.nx + 2
+    assert diagonals == (16 if coarse.kind == "triangle" else 0)
+
+
 def test_edge_segment_triangles(quad44, fine_quad44):
     eid = int(quad44.interior_edge_ids[0])
     e = quad44.edges[eid]
