@@ -373,8 +373,7 @@ def run_single(config: RunConfig, problem: Problem | None = None,
     if u_B_ref is None and space.n_bubble == 0:
         u_B_ref = errors.bubble_reference(problem.fine, problem.A, problem.f,
                                           config.rel_tol)
-    report = errors.evaluate(solution, E_star, u_ref, u_B_ref,
-                             config.rel_tol)
+    report = errors.evaluate(solution, E_star, u_ref, u_B_ref)
     est = estimator.global_estimate(solution, problem.f, problem.degrees,
                                     config.eta, config.ell)
     ms = int(round(1000 * (time.perf_counter() - t0)))
@@ -663,7 +662,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "errmap":
             return cmd_errmap(config, out)
         return cmd_basis_dump(config, args.basis, out)
-    except (ConfigError, finefem.CoefficientBoundsError) as exc:
+    except (ConfigError, finefem.CoefficientBoundsError,
+            globalsolve.UnresolvedDegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (finefem.SolverDivergenceError, np.linalg.LinAlgError) as exc:

@@ -8,8 +8,9 @@ relative energy error can be evaluated from energies alone:
 
 The interface variant subtracts the bubble-reference energy first, since
 the full reference splits energy-orthogonally into bubble and interface
-parts.  A direct norm-quotient evaluation is kept alongside as a
-cross-check on the identity.
+parts.  `evaluate` is the one place that scores a solution: it also
+reports the direct norm quotient, a cross-check on the identity, and the
+residual of the error split.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .mesh import FineMesh
 
 @dataclass
 class ErrorReport:
-    """Error numbers for one run; gamma entries only when there are no
-    bubble DOFs."""
+    """Error numbers for one run.  The decomposition residual needs the
+    bubble reference; E_rel_gamma also needs a bubble-free space and a
+    nonvanishing interface part."""
 
     E_star: float
     E_num: float
@@ -64,88 +66,17 @@ def relative_from_energies(E_num: float, E_star: float) -> float:
     return float(np.sqrt(max(E_num - E_star, 0.0) / (-E_star)))
 
 
-def relative_energy_error(u_H: globalsolve.CoarseSolution, E_star: float
-                          ) -> float:
-    """Relative energy error of the coarse solution via the identity."""
-    space = u_H.space
-    u = globalsolve.reconstruct(u_H, "total")
-    E_num = finefem.energy(u, space.A, u_H.f)
-    return relative_from_energies(E_num, E_star)
-
-
 def bubble_reference(fine: FineMesh, A: finefem.CoefficientField,
                      f: finefem.RhsField, rel_tol: float = 1e-12
                      ) -> finefem.FineFunction:
-    """Elementwise zero-trace solves of the full problem, glued into one
-    global field (the bubble part of the reference solution)."""
-    geom = finefem.global_geometry(fine)
-    values = np.zeros(len(geom.points))
-    for K in range(len(fine.coarse.elements)):
-        egeom = finefem.element_geometry(fine, K)
-        sol = finefem.solve_spd(finefem.assemble(egeom, A, f), rel_tol)
-        values[egeom.vids] = sol.values
-    return finefem.FineFunction(geom, values)
-
-
-def interface_relative_error(u_H: globalsolve.CoarseSolution,
-                             E_star: float,
-                             u_B_ref: finefem.FineFunction | None = None,
-                             rel_tol: float = 1e-12) -> float:
-    """Relative energy error against the interface part of the reference.
-
-    Only meaningful for a bubble-free coarse space.  The interface
-    reference energy is E* minus the bubble part's energy; a vanishing
-    denominator (no interface energy to approximate) raises.
-    """
-    space = u_H.space
-    if space.n_bubble:
-        raise ValueError("interface error is defined for bubble-free "
-                         "spaces; this solution has bubble DOFs")
-    if u_B_ref is None:
-        u_B_ref = bubble_reference(space.fine, space.A, u_H.f, rel_tol)
-    E_B = finefem.energy(u_B_ref, space.A, u_H.f)
-    E_gamma_star = E_star - E_B
-    if not E_gamma_star < -1e-15 * abs(E_star):
-        raise ValueError("interface reference energy is not negative; "
-                         "the interface part is (numerically) zero")
-    u = globalsolve.reconstruct(u_H, "total")
-    E_num = finefem.energy(u, space.A, u_H.f)
-    return relative_from_energies(E_num, E_gamma_star)
-
-
-def direct_relative_error(u_H: globalsolve.CoarseSolution,
-                          u_ref: finefem.FineFunction) -> float:
-    """Norm-quotient evaluation ||u_ref - u_H||_E / ||u_ref||_E, used to
-    cross-check the energy identity."""
-    space = u_H.space
-    u = globalsolve.reconstruct(u_H, "total")
-    if u.geom is not u_ref.geom:
-        raise ValueError("reference and reconstruction live on different "
-                         "fine meshes")
-    V = np.stack([u_ref.values - u.values, u_ref.values])
-    M = finefem.energy_inner_matrix(V, u.geom, space.A)
-    return float(np.sqrt(M[0, 0] / M[1, 1]))
-
-
-def decomposition_check(u_H: globalsolve.CoarseSolution,
-                        u_ref: finefem.FineFunction,
-                        u_B_ref: finefem.FineFunction) -> float:
-    """Relative residual of the error split
-    a(u-u_H, u-u_H) = a(uB-uB_H, uB-uB_H) + a(uG-uG_H, uG-uG_H)."""
-    space = u_H.space
-    u_B = globalsolve.reconstruct(u_H, "bubble")
-    u_G = globalsolve.reconstruct(u_H, "interface")
-    d_B = u_B_ref.values - u_B.values
-    d_G = (u_ref.values - u_B_ref.values) - u_G.values
-    total = globalsolve.reconstruct(u_H, "total")
-    d = u_ref.values - total.values
-    M = finefem.energy_inner_matrix(np.stack([d, d_B, d_G]), u_ref.geom,
-                                    space.A)
-    lhs = M[0, 0]
-    rhs = M[1, 1] + M[2, 2]
-    if lhs <= 0:
-        return 0.0
-    return float(abs(lhs - rhs) / lhs)
+    """The bubble part of the reference solution: one fine solve of the full
+    problem with every fine vertex of the coarse skeleton held at zero.  The
+    skeleton cuts the system into independent element blocks, so this is
+    the elementwise zero-trace solves glued into one global field."""
+    u = finefem.solve_spd(
+        finefem.assemble(finefem.skeleton_geometry(fine), A, f), rel_tol)
+    return finefem.FineFunction(finefem.global_geometry(fine), u.values,
+                                u.cg_iters)
 
 
 def interface_error_map(u_H: globalsolve.CoarseSolution,
@@ -187,20 +118,43 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
 
 def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
              u_ref: finefem.FineFunction,
-             u_B_ref: finefem.FineFunction | None = None,
-             rel_tol: float = 1e-12) -> ErrorReport:
-    """Full error report for one run; gamma error only when bubble-free."""
-    E_rel = relative_energy_error(u_H, E_star)
-    direct = direct_relative_error(u_H, u_ref)
+             u_B_ref: finefem.FineFunction | None = None) -> ErrorReport:
+    """Full error report for one run from one reconstruction of each part,
+    one Gram matrix and one load vector.
+
+    The rows u, u_ref - u and u_ref give E_num, E_rel from the energy
+    identity and the direct quotient ||u_ref - u||_E / ||u_ref||_E.  With
+    the bubble reference u_B_ref, the rows u_B_ref, d_B = u_B_ref - u_B and
+    d_G = (u_ref - u_B_ref) - u_G add the relative residual of the error
+    split a(d, d) = a(d_B, d_B) + a(d_G, d_G) and, for a bubble-free space,
+    the interface error against E* - E(u_B_ref).  That interface reference
+    energy must be negative; when it is not (no interface part, as on one
+    element) E_rel_gamma stays None.
+    """
+    space = u_H.space
+    u_B = globalsolve.reconstruct(u_H, "bubble")
+    u_G = globalsolve.reconstruct(u_H, "interface")
+    geom = u_B.geom
+    if any(r is not None and r.geom is not geom for r in (u_ref, u_B_ref)):
+        raise ValueError("reference and reconstruction live on different "
+                         "fine meshes")
+    u = u_B.values + u_G.values
+    rows = [u, u_ref.values - u, u_ref.values]
+    if u_B_ref is not None:
+        rows += [u_B_ref.values, u_B_ref.values - u_B.values,
+                 (u_ref.values - u_B_ref.values) - u_G.values]
+    M = finefem.energy_inner_matrix(np.stack(rows), geom, space.A)
+    b = finefem.load_vector(geom, u_H.f)
+    E_num = 0.5 * float(M[0, 0]) - float(b @ u)
+    E_rel = relative_from_energies(E_num, E_star)
+    direct = float(np.sqrt(M[1, 1] / M[2, 2]))
     gamma = None
     resid = None
-    if not u_H.space.n_bubble:
-        if u_B_ref is None:
-            u_B_ref = bubble_reference(u_H.space.fine, u_H.space.A, u_H.f,
-                                       rel_tol)
-        gamma = interface_relative_error(u_H, E_star, u_B_ref, rel_tol)
     if u_B_ref is not None:
-        resid = decomposition_check(u_H, u_ref, u_B_ref)
-    u = globalsolve.reconstruct(u_H, "total")
-    E_num = finefem.energy(u, u_H.space.A, u_H.f)
-    return ErrorReport(E_star, float(E_num), E_rel, direct, gamma, resid)
+        resid = 0.0 if M[1, 1] <= 0 else \
+            float(abs(M[1, 1] - (M[4, 4] + M[5, 5])) / M[1, 1])
+        E_gamma_star = E_star - (0.5 * float(M[3, 3])
+                                 - float(b @ u_B_ref.values))
+        if not space.n_bubble and E_gamma_star < -1e-15 * abs(E_star):
+            gamma = relative_from_energies(E_num, E_gamma_star)
+    return ErrorReport(E_star, E_num, E_rel, direct, gamma, resid)

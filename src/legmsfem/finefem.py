@@ -11,13 +11,14 @@ identity energy(u) = -1/2 rhs.u holds at solver accuracy.
 Geometry and quadrature points are cached per patch; stiffness is not,
 so two coefficient fields never share a matrix.  Per-triangle element
 matrices come from one routine: `assemble` builds the eliminated CSR system
-from them for the iterative solves (the fine reference, the bubble
-reference), and the offline patch solves in `localbasis` build dense
-lattice-row blocks from them.
+from them for the iterative solves (the fine reference, and the bubble
+reference with the whole coarse skeleton fixed), and the offline patch
+solves in `localbasis` build dense lattice-row blocks from them.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -222,8 +223,11 @@ class TriGeometry:
     def _eliminated(self, A: CoefficientField, order: int):
         """(K_ff, K_fc, free_loc, fixed_loc, diag) for this patch."""
         Kt = self.element_matrices(A, order)
-        rows = np.repeat(self.tris, 3, axis=1).ravel()
-        cols = np.tile(self.tris, (1, 3)).ravel()
+        # int32 is scipy's own index type, so COO-to-CSR copies no index
+        # array (a third of the peak of a global assembly).
+        tris = self.tris.astype(np.int32)
+        rows = np.repeat(tris, 3, axis=1).ravel()
+        cols = np.tile(tris, (1, 3)).ravel()
         n = self.n_vertices
         K = sp.coo_matrix((Kt.ravel(), (rows, cols)), shape=(n, n)).tocsr()
         # Mirror through the transpose so symmetry is exact by construction.
@@ -246,6 +250,17 @@ def global_geometry(fine) -> TriGeometry:
     geom = TriGeometry(fine.vertices, fine.triangles, np.arange(n),
                        fine.boundary_vertex_ids(), "global fine mesh")
     fine._geom_cache["global"] = geom
+    return geom
+
+
+def skeleton_geometry(fine) -> TriGeometry:
+    """The global fine mesh with every fine vertex of the coarse skeleton
+    (all coarse edges, the domain boundary included) fixed; a shallow copy
+    that shares the global geometry's arrays."""
+    geom = copy.copy(global_geometry(fine))
+    geom.boundary_local = np.unique(np.concatenate(
+        [fine.edge_vertex_chain(e) for e in range(len(fine.coarse.edges))]))
+    geom.label = "fine mesh with the coarse skeleton fixed"
     return geom
 
 
@@ -394,18 +409,21 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
 
     This is the single code path for coefficient-weighted inner products:
     scalar energies, coarse-system blocks and localized errors all call it.
+    Triangles go in blocks of about 2**16 / rows, so the gathered nodal
+    values of a stack of global fields never exist all at once.
     """
     V = np.atleast_2d(V)
-    Abar = geom.coefficient_at_triangles(A, quad_order)
-    AW = geom.areas[:, None, None] * Abar
-    gV = np.einsum("bti,tid->btd", V[:, geom.tris], geom.grads)
-    if W is None:
-        gW = gV
-    else:
-        W = np.atleast_2d(W)
-        gW = np.einsum("bti,tid->btd", W[:, geom.tris], geom.grads)
-    M = np.einsum("btd,tde,cte->bc", gV, AW, gW)
-    if W is None:
+    W = V if W is None else np.atleast_2d(W)
+    AW = geom.areas[:, None, None] * geom.coefficient_at_triangles(A,
+                                                                   quad_order)
+    M = np.zeros((len(V), len(W)))
+    step = max(1, (1 << 16) // (len(V) + len(W)))
+    for s in range(0, len(geom.tris), step):
+        tris, grads = geom.tris[s:s + step], geom.grads[s:s + step]
+        gV = np.einsum("bti,tid->btd", V[:, tris], grads)
+        gW = gV if W is V else np.einsum("bti,tid->btd", W[:, tris], grads)
+        M += np.einsum("btd,tde,cte->bc", gV, AW[s:s + step], gW)
+    if W is V:
         M = 0.5 * (M + M.T)
     return M
 

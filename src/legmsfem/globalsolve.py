@@ -50,6 +50,30 @@ class EnrichedSpace:
         return len(self.catalog) - self.n_interface
 
 
+class UnresolvedDegreeError(ValueError):
+    """An enrichment degree asks for more functions than the fine lattice
+    can carry independently, which would make a coarse system singular."""
+
+
+def _check_resolved(fine: FineMesh, degrees: DegreeAssignment) -> None:
+    """Edge degree N puts N - 1 enrichments on the n_sub - 1 interior fine
+    vertices of an edge; an element's bubbles may not outnumber its
+    interior fine vertices either."""
+    for e, n in sorted(degrees.N.items()):
+        if n > fine.n_sub:
+            raise UnresolvedDegreeError(
+                f"edge {e}: degree N={n} exceeds n_sub={fine.n_sub}")
+    for K, m in sorted(degrees.M.items()):
+        if not m:
+            continue
+        free = (len(fine.element_vertex_ids(K))
+                - len(fine.element_boundary_vertex_ids(K)))
+        if polybasis.BulkPolyBasis(fine.coarse.kind, m).dim > free:
+            raise UnresolvedDegreeError(
+                f"element {K}: bubble degree M={m} needs more than its "
+                f"{free} interior fine vertices")
+
+
 def expected_dof_count(coarse: CoarseMesh, degrees: DegreeAssignment,
                        bulk_dim) -> tuple[int, int]:
     """(interface, bubble) DOF counts implied by the degree assignment."""
@@ -68,9 +92,10 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     interface_from reuses the interface part of an existing space built on
     the same meshes and the same coefficient object with edgewise degrees at
     least as large; only bubbles are recomputed.  Degrees beyond the donor
-    raise.
+    raise, and so do degrees the fine lattice cannot resolve.
     """
     degrees.validate(coarse)
+    _check_resolved(fine, degrees)
     if interface_from is None:
         catalog = localbasis.compute_all(coarse, fine, A, degrees)
         n_if = sum(1 for bf in catalog if bf.kind != "bubble")

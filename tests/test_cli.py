@@ -169,6 +169,44 @@ def test_exit_codes(tmp_path):
                      "--out", str(out)]) == 3
 
 
+def test_single_element_has_no_interface_error(tmp_path):
+    # one element: the skeleton is the boundary and the interface part of
+    # the reference vanishes, so E_rel_gamma prints nan and errmap is empty
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "quad", "nx": 1,
+                                "ny": 1, "n_sub": 8, "N": 1, "M": 0}))
+    out = tmp_path / "row.csv"
+    assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["E_rel_gamma"] == "nan" and cells["E_rel"] == "1"
+    emap = tmp_path / "map.csv"
+    assert cli.main(["errmap", "--config", str(path), "--out",
+                     str(emap)]) == 0
+    assert emap.read_text().splitlines() == [cli.ERRMAP_HEADER]
+
+
+def test_unresolved_degrees_are_config_errors(tmp_path, capsys):
+    # two fine segments per coarse edge carry one edge enrichment (N <= 2)
+    # and one interior vertex per quad, too few for the four M=1 bubbles
+    for patch, needle in (({"N": 3}, "exceeds n_sub=2"),
+                          ({"N": 1, "M": 1}, "1 interior fine vertices")):
+        path = write_cfg(tmp_path, n_sub=2, coefficient={"type": "identity"},
+                         **patch)
+        assert cli.main(["solve", "--config", path]) == 2
+        assert needle in capsys.readouterr().err
+    # an N sweep builds its donor space at the largest N before any row;
+    # an M sweep marks the unresolved row failed and goes on
+    path = write_cfg(tmp_path, n_sub=2, N=1, coefficient={"type": "identity"})
+    assert cli.main(["sweep", "--config", path, "--axis", "N",
+                     "--values", "1,2,3"]) == 2
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", path, "--axis", "M",
+                     "--values", "0,1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[6] == "nan" for r in rows] == [False, True]
+
+
 def test_coefficient_bounds_checked(tmp_path):
     outside = {"type": "expression", "expr": "log(x)",
                "alpha_min": 0.1, "alpha_max": 1.0}

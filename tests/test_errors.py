@@ -58,10 +58,60 @@ def test_bubble_reference_vanishes_on_skeleton(small_bench):
     assert not u_B.values[fine.boundary_vertex_ids()].any()
 
 
-def test_interface_error_requires_bubble_free(small_bench_bubbles):
-    with pytest.raises(ValueError, match="bubble-free"):
-        errors.interface_relative_error(small_bench_bubbles.solution,
-                                        small_bench_bubbles.E_star)
+@pytest.mark.parametrize("kind,n_sub", [("quad", 2), ("quad", 4),
+                                         ("triangle", 2), ("triangle", 3),
+                                         ("triangle", 6)])
+def test_bubble_reference_matches_patch_solves(kind, n_sub):
+    # the fixed skeleton splits the global system into element blocks, so
+    # the one global solve is the elementwise zero-trace patch solves glued
+    # together; triangle n_sub=2 patches have no interior vertex at all
+    coarse = mesh.build_coarse(kind, 3, 2)
+    fine = mesh.refine_to_fine(coarse, n_sub)
+    A = finefem.periodic_benchmark(0.25)
+    f = finefem.gaussian_rhs()
+    patchwise = np.zeros(fine.n_vertices)
+    for K in range(len(coarse.elements)):
+        egeom = finefem.element_geometry(fine, K)
+        patchwise[egeom.vids] = finefem.solve_spd(
+            finefem.assemble(egeom, A, f)).values
+    u_B = errors.bubble_reference(fine, A, f)
+    assert u_B.geom is finefem.global_geometry(fine)
+    scale = np.abs(patchwise).max()
+    assert (scale > 0) == (kind == "quad" or n_sub > 2)
+    assert np.abs(u_B.values - patchwise).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("run", ["small_bench", "small_bench_bubbles"])
+def test_evaluate_matches_separate_formulas(run, request):
+    # the one-Gram report against the formulas of the separate helpers it
+    # replaces, each on its own reconstruction and energy call
+    res = request.getfixturevalue(run)
+    sol, A, f = res.solution, res.solution.space.A, res.problem.f
+    u_ref, E_star = res.u_ref, res.E_star
+    u_B_ref = errors.bubble_reference(res.problem.fine, A, f)
+    report = errors.evaluate(sol, E_star, u_ref, u_B_ref)
+    u = globalsolve.reconstruct(sol, "total")
+    E_num = finefem.energy(u, A, f)
+    E_rel = errors.relative_from_energies(E_num, E_star)
+    M = finefem.energy_inner_matrix(
+        np.stack([u_ref.values - u.values, u_ref.values]), u.geom, A)
+    direct = math.sqrt(M[0, 0] / M[1, 1])
+    d_B = u_B_ref.values - globalsolve.reconstruct(sol, "bubble").values
+    d_G = (u_ref.values - u_B_ref.values) \
+        - globalsolve.reconstruct(sol, "interface").values
+    M = finefem.energy_inner_matrix(
+        np.stack([u_ref.values - u.values, d_B, d_G]), u.geom, A)
+    resid = abs(M[0, 0] - (M[1, 1] + M[2, 2])) / M[0, 0]
+    for got, want in ((report.E_num, E_num), (report.E_rel, E_rel),
+                      (report.E_rel_direct, direct)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(report.decomposition_residual - resid) <= 1e-12
+    if sol.space.n_bubble:
+        assert report.E_rel_gamma is None
+    else:
+        gamma = errors.relative_from_energies(
+            E_num, E_star - finefem.energy(u_B_ref, A, f))
+        assert abs(report.E_rel_gamma - gamma) <= 1e-12 * gamma
 
 
 def test_interface_error_degenerate_denominator():
@@ -74,9 +124,11 @@ def test_interface_error_degenerate_denominator():
     space = globalsolve.build_space(coarse, fine, A, degrees)
     assert space.n_dofs == 0
     sol = globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
-    _, E_star = errors.reference_solve(fine, A, f)
-    with pytest.raises(ValueError, match="not negative"):
-        errors.interface_relative_error(sol, E_star)
+    u_ref, E_star = errors.reference_solve(fine, A, f)
+    u_B_ref = errors.bubble_reference(fine, A, f)
+    report = errors.evaluate(sol, E_star, u_ref, u_B_ref)
+    assert report.E_rel_gamma is None
+    assert report.E_rel == 1.0
 
 
 def test_decomposition_exact_with_loose_tolerance(small_bench_bubbles):
@@ -93,9 +145,10 @@ def test_decomposition_exact_with_loose_tolerance(small_bench_bubbles):
     cross = np.abs(systems.cross_gram / np.sqrt(np.outer(d_b, d_if))).max()
     assert cross <= 1e-12
     sol = globalsolve.solve_coarse(systems)
-    resid = errors.decomposition_check(sol, res.u_ref,
-                                       errors.bubble_reference(
-                                           space.fine, space.A, res.problem.f))
+    resid = errors.evaluate(sol, res.E_star, res.u_ref,
+                            errors.bubble_reference(
+                                space.fine, space.A, res.problem.f)
+                            ).decomposition_residual
     assert resid <= 1e-12
 
 
@@ -103,9 +156,9 @@ def test_zero_solution_has_unit_error(small_bench):
     space = small_bench.solution.space
     zero = globalsolve.CoarseSolution(space, small_bench.problem.f,
                                       np.zeros(space.n_dofs), 0)
-    assert errors.relative_energy_error(zero, small_bench.E_star) == 1.0
-    direct = errors.direct_relative_error(zero, small_bench.u_ref)
-    assert abs(direct - 1.0) < 1e-14
+    report = errors.evaluate(zero, small_bench.E_star, small_bench.u_ref)
+    assert report.E_rel == 1.0
+    assert abs(report.E_rel_direct - 1.0) < 1e-14
 
 
 def test_interface_error_map_consistency(small_bench):
@@ -131,7 +184,7 @@ def test_direct_error_rejects_foreign_reference(small_bench):
     geom = finefem.global_geometry(other)
     fake = finefem.FineFunction(geom, np.zeros(geom.n_vertices))
     with pytest.raises(ValueError, match="different"):
-        errors.direct_relative_error(small_bench.solution, fake)
+        errors.evaluate(small_bench.solution, small_bench.E_star, fake)
 
 
 def test_reference_energy_vs_series():

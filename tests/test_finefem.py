@@ -233,6 +233,23 @@ def test_energy_inner_matrix_pairwise(fine_quad44, rng):
             assert abs(M[i, j] - pair) < 1e-13 * max(1.0, abs(pair))
 
 
+def test_energy_inner_matrix_blocks_match_one_pass(fine_quad44, rng):
+    # 40 rows on 2048 triangles go in three triangle blocks; the one-pass
+    # sum over all triangles is the reference
+    A = finefem.periodic_benchmark(0.25)
+    geom = finefem.global_geometry(fine_quad44)
+    V = rng.standard_normal((40, geom.n_vertices))
+    W = rng.standard_normal((5, geom.n_vertices))
+    AW = geom.areas[:, None, None] * geom.coefficient_at_triangles(A)
+    gV = np.einsum("bti,tid->btd", V[:, geom.tris], geom.grads)
+    gW = np.einsum("bti,tid->btd", W[:, geom.tris], geom.grads)
+    for got, want in ((finefem.energy_inner_matrix(V, geom, A),
+                       np.einsum("btd,tde,cte->bc", gV, AW, gV)),
+                      (finefem.energy_inner_matrix(V, geom, A, W=W),
+                       np.einsum("btd,tde,cte->bc", gV, AW, gW))):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_energy_inner_rejects_mixed_meshes(fine_quad44):
     A = finefem.identity_field()
     g0 = finefem.element_geometry(fine_quad44, 0)
