@@ -85,7 +85,7 @@ def _jump_norms(fine: FineMesh, edge_ids: list[int], v: finefem.FineFunction,
     if not edge_ids:
         return []
     tris = np.concatenate([fine.edge_segment_triangles(e) for e in edge_ids])
-    chains = np.stack([fine.edge_vertex_chain(e) for e in edge_ids])
+    chains = fine.edge_vertex_chains(edge_ids)
     pa = geom.points[chains[:, :-1].ravel()]
     pb = geom.points[chains[:, 1:].ravel()]
     d = pb - pa
@@ -109,8 +109,7 @@ def bubble_residual(fine: FineMesh, elem_id: int, f: finefem.RhsField,
     zero approximation, i.e. ||f||_{L2(K)}.
     """
     element = fine.coarse.elements[elem_id]
-    geom = finefem.element_geometry(fine, elem_id)
-    pts, w = geom.quad_points()
+    pts, w = finefem.element_quadrature(fine, elem_id)
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     if basis is not None and len(coeffs):
         fv = fv - basis.eval_ref(element.to_ref(pts)) @ np.asarray(coeffs)
@@ -122,8 +121,7 @@ def _f_norms(fine: FineMesh, elem_id: int, f: finefem.RhsField | None,
     """(||f||_{L2(K)}, ||f||_{H^ell(K)}); ell in {0, 1}, 1 needs f.grad."""
     if f is None:
         return 0.0, 0.0
-    geom = finefem.element_geometry(fine, elem_id)
-    pts, w = geom.quad_points()
+    pts, w = finefem.element_quadrature(fine, elem_id)
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     l2sq = float(w @ fv**2)
     if ell == 0:
@@ -171,7 +169,9 @@ def global_estimate(u_H: globalsolve.CoarseSolution,
         lK = ell_of(K)
         f_l2, f_sob = _f_norms(fine, K, f, lK if M >= 1 else 0)
         if M >= 1:
-            basis = bases.setdefault(M, polybasis.BulkPolyBasis(coarse.kind, M))
+            if M not in bases:
+                bases[M] = polybasis.BulkPolyBasis(coarse.kind, M)
+            basis = bases[M]
             resid = bubble_residual(fine, K, f, u_H.bubble_coeffs(K), basis) \
                 if f is not None else 0.0
             ratio = el.diameter ** min(lK, M + 1) / M ** lK

@@ -14,6 +14,13 @@ matrices come from one routine: `assemble` builds the eliminated CSR system
 from them for the iterative solves (the fine reference, and the bubble
 reference with the whole coarse skeleton fixed), and the offline patch
 solves in `localbasis` build dense lattice-row blocks from them.
+
+Element patches of one shape are lattice translates of each other
+(`patch_groups` checks it), so `localbasis` and the coarse assembly work on
+a whole `PatchGroup` at once: the template's local triangulation serves
+every member, and per-triangle data is gathered from the global geometry
+with one coefficient evaluation per chunk.  Every coefficient-weighted
+inner product goes through `gram_blocks`.
 """
 
 from __future__ import annotations
@@ -145,6 +152,64 @@ def gaussian_rhs() -> RhsField:
 # ---------------------------------------------------------------------------
 # P1 geometry over a triangle subset
 
+def _stiffness(g: np.ndarray, AW: np.ndarray) -> np.ndarray:
+    """P1 stiffness matrices (..., nt, 3, 3) from gradients g (..., nt, 3, 2)
+    and area-weighted coefficients AW (..., nt, 2, 2), exactly symmetric."""
+    # grad_i^T A grad_j term by term: faster than a three-operand einsum,
+    # same sums in the same order.  Triangles run along the last axis, so
+    # every elementwise loop is long.
+    g = np.ascontiguousarray(np.moveaxis(g, -3, -1))    # (..., 3, 2, nt)
+    AW = np.ascontiguousarray(np.moveaxis(AW, -3, -1))  # (..., 2, 2, nt)
+    gA = (g[..., :1, :] * AW[..., None, 0, :, :]
+          + g[..., 1:, :] * AW[..., None, 1, :, :])
+    Kt = (gA[..., :, None, 0, :] * g[..., None, :, 0, :]
+          + gA[..., :, None, 1, :] * g[..., None, :, 1, :])
+    return np.moveaxis(0.5 * (Kt + np.swapaxes(Kt, -2, -3)), -1, -3)
+
+
+def _scatter(tris: np.ndarray, contrib: np.ndarray, n: int) -> np.ndarray:
+    """Add contrib (E, nt) to the three vertices of each triangle of tris
+    (nt, 3): (E, n), summed vertex slot by vertex slot in triangle order."""
+    E, nt = contrib.shape
+    idx = np.arange(E)[:, None, None] * n + tris.T
+    w = np.broadcast_to(contrib[:, None, :], (E, 3, nt))
+    return np.bincount(idx.ravel(), weights=w.ravel(),
+                       minlength=E * n).reshape(E, n)
+
+
+def gram_blocks(V: np.ndarray, tris: np.ndarray, grads: np.ndarray,
+                AW: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
+    """Gram blocks a(V_i, W_j) of a stack of patches on one local
+    triangulation: the one quadrature of coefficient-weighted inner
+    products, called by energy_inner_matrix and by the coarse assembly.
+
+    V (E, b, n) and W (E, c, n) are nodal values on the local vertices of
+    tris (nt, 3); grads (E, nt, 3, 2) are the P1 gradients and AW
+    (E, nt, 2, 2) the area-weighted coefficient of each patch.  Returns
+    (E, b, c), exactly symmetric when W is None.
+    """
+    # Triangles run along the last axis, as in _stiffness.
+    gT = np.ascontiguousarray(np.moveaxis(grads, 1, -1))  # (E, 3, 2, nt)
+    AT = np.ascontiguousarray(np.moveaxis(AW, 1, -1))     # (E, 2, 2, nt)
+
+    def gradients(X):  # (E, rows, 2, nt)
+        Xt = X[:, :, tris.T]
+        return (Xt[:, :, 0, None] * gT[:, None, 0]
+                + Xt[:, :, 1, None] * gT[:, None, 1]
+                + Xt[:, :, 2, None] * gT[:, None, 2])
+
+    gV = gradients(V)
+    gW = gV if W is None else gradients(W)
+    AgW = (gW[:, :, None, 0] * AT[:, None, :, 0]
+           + gW[:, :, None, 1] * AT[:, None, :, 1])
+    E, b, c = len(gV), gV.shape[1], gW.shape[1]
+    M = np.matmul(gV.reshape(E, b, -1),
+                  AgW.reshape(E, c, -1).transpose(0, 2, 1))
+    if W is None:
+        M = 0.5 * (M + M.transpose(0, 2, 1))
+    return M
+
+
 class TriGeometry:
     """P1 data for a set of fine triangles: a patch of one coarse element or
     the whole fine mesh.  Vertex indexing is local; vids maps back to global
@@ -212,13 +277,7 @@ class TriGeometry:
         """Per-triangle P1 stiffness matrices, shape (nt, 3, 3), exactly
         symmetric."""
         AW = self.areas[:, None, None] * self.coefficient_at_triangles(A, order)
-        g = self.grads
-        # grad_i^T A grad_j term by term: faster than a three-operand einsum,
-        # same sums in the same order.
-        gA = g[:, :, :1] * AW[:, None, 0, :] + g[:, :, 1:] * AW[:, None, 1, :]
-        Kt = (gA[:, :, None, 0] * g[:, None, :, 0]
-              + gA[:, :, None, 1] * g[:, None, :, 1])
-        return 0.5 * (Kt + Kt.transpose(0, 2, 1))
+        return _stiffness(self.grads, AW)
 
     def _eliminated(self, A: CoefficientField, order: int):
         """(K_ff, K_fc, free_loc, fixed_loc, diag) for this patch."""
@@ -258,8 +317,8 @@ def skeleton_geometry(fine) -> TriGeometry:
     (all coarse edges, the domain boundary included) fixed; a shallow copy
     that shares the global geometry's arrays."""
     geom = copy.copy(global_geometry(fine))
-    geom.boundary_local = np.unique(np.concatenate(
-        [fine.edge_vertex_chain(e) for e in range(len(fine.coarse.edges))]))
+    geom.boundary_local = np.unique(
+        fine.edge_vertex_chains(np.arange(len(fine.coarse.edges))))
     geom.label = "fine mesh with the coarse skeleton fixed"
     return geom
 
@@ -276,6 +335,95 @@ def element_geometry(fine, elem_id: int) -> TriGeometry:
                        f"element {elem_id} patch")
     fine._geom_cache[elem_id] = geom
     return geom
+
+
+def element_quadrature(fine, elem_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """element_geometry(fine, elem_id).quad_points(), gathered from the
+    global geometry without building the patch geometry."""
+    geom = global_geometry(fine)
+    ids = fine.element_triangle_ids(elem_id)
+    return geom.centroids[ids], geom.areas[ids]
+
+
+@dataclass(frozen=True)
+class PatchGroup:
+    """Element patches that are lattice translates of one template patch.
+
+    The template's local triangles and boundary serve every member; the
+    per-triangle data of a member is gathered from the global fine mesh,
+    which reproduces the member's own patch geometry bitwise.  Built by
+    patch_groups.
+    """
+
+    fine: object
+    template: TriGeometry
+    elements: np.ndarray  # coarse element ids
+    shifts: np.ndarray    # member fine vertex ids minus the template's
+    tri_ids: np.ndarray   # (E, nt) global fine triangles, template order
+
+    def chunks(self, doubles_per_element: int):
+        """(slice, sub-group) pairs of consecutive members whose temporaries
+        hold about 2**18 doubles, given what one element needs."""
+        step = max(1, (1 << 18) // max(1, doubles_per_element))
+        for s in range(0, len(self.elements), step):
+            sl = slice(s, s + step)
+            yield sl, PatchGroup(self.fine, self.template, self.elements[sl],
+                                 self.shifts[sl], self.tri_ids[sl])
+
+    def weights(self, A: CoefficientField) -> tuple[np.ndarray, np.ndarray]:
+        """(grads, AW): P1 gradients (E, nt, 3, 2) and the area-weighted
+        coefficient (E, nt, 2, 2) at the centroids, from one evaluation."""
+        geom = global_geometry(self.fine)
+        ids = self.tri_ids
+        Ac = A.matrix_at(geom.centroids[ids.ravel()]).reshape(ids.shape
+                                                               + (2, 2))
+        return geom.grads[ids], geom.areas[ids][..., None, None] * Ac
+
+    def element_matrices(self, A: CoefficientField) -> np.ndarray:
+        """Per-triangle stiffness of every member, (E, nt, 3, 3)."""
+        return _stiffness(*self.weights(A))
+
+    def load_vectors(self, f) -> np.ndarray:
+        """P1 load vector of f on every member, (E, n), as load_vector."""
+        geom = global_geometry(self.fine)
+        pts = geom.centroids[self.tri_ids.ravel()]
+        fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+        return _scatter(self.template.tris,
+                        geom.areas[self.tri_ids] * fv.reshape(
+                            self.tri_ids.shape) / 3.0,
+                        self.template.n_vertices)
+
+
+def patch_groups(fine, elem_ids) -> list[PatchGroup]:
+    """Element patches grouped by shape (fine.patch_shape), in order of
+    first appearance.  The first element of a shape is its template, and
+    every other member must be its lattice translate: the same vertex,
+    boundary and triangle lists shifted by one vertex offset, triangle
+    vertex order included.  Raises ValueError otherwise.
+    """
+    shapes: dict[int, list[int]] = {}
+    for K in elem_ids:
+        shapes.setdefault(fine.patch_shape(int(K)), []).append(int(K))
+    groups = []
+    for members in shapes.values():
+        t = element_geometry(fine, members[0])
+        parts = [fine.element_patch(K) + (fine.element_triangle_ids(K),)
+                 for K in members]
+        sizes = (len(t.vids), len(t.boundary_local), len(t.tris))
+        ok = [tuple(map(len, p)) == sizes for p in parts]
+        if all(ok):
+            vids, bnd, tri_ids = map(np.stack, zip(*parts))
+            shifts = vids[:, 0] - t.vids[0]
+            ok = ((vids - shifts[:, None] == t.vids).all(1)
+                  & (bnd - shifts[:, None] == t.vids[t.boundary_local]).all(1)
+                  & (fine.triangles[tri_ids] - shifts[:, None, None]
+                     == t.vids[t.tris]).all((1, 2)))
+        if not all(ok):
+            raise ValueError(f"element {members[int(np.argmin(ok))]} patch "
+                             "is not a lattice translate of element "
+                             f"{members[0]}")
+        groups.append(PatchGroup(fine, t, np.array(members), shifts, tri_ids))
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +453,18 @@ class SparseSpdSystem:
 
 def load_vector(geom: TriGeometry, f, quad_order: int = 1) -> np.ndarray:
     """P1 load vector of f by the composite rule, full local length."""
-    b = np.zeros(geom.n_vertices)
     pts, w = geom.quad_points(quad_order)
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    nt = len(geom.tris)
     if quad_order == 1:
-        contrib = w * fv / 3.0
+        return _scatter(geom.tris, (w * fv / 3.0)[None], geom.n_vertices)[0]
+    b = np.zeros(geom.n_vertices)
+    nt = len(geom.tris)
+    # Midpoint opposite vertex i carries hat values (0, 1/2, 1/2).
+    for block in range(3):
+        fw = w[block * nt:(block + 1) * nt] * fv[block * nt:(block + 1) * nt]
         for i in range(3):
-            np.add.at(b, geom.tris[:, i], contrib)
-    else:
-        # Midpoint opposite vertex i carries hat values (0, 1/2, 1/2).
-        for block in range(3):
-            fw = w[block * nt:(block + 1) * nt] * fv[block * nt:(block + 1) * nt]
-            for i in range(3):
-                if i != block:
-                    np.add.at(b, geom.tris[:, i], fw / 2.0)
+            if i != block:
+                np.add.at(b, geom.tris[:, i], fw / 2.0)
     return b
 
 
@@ -327,25 +472,16 @@ def assemble(geom: TriGeometry, A: CoefficientField, f=None,
              dirichlet=0.0, quad_order: int = 1) -> SparseSpdSystem:
     """Assemble the Dirichlet-eliminated system on a patch or the global mesh.
 
-    dirichlet is either one value for the whole patch boundary or a map
-    {global fine vertex id: value} that must cover exactly the boundary.
+    dirichlet is either one value for the whole boundary or an array of
+    values aligned with geom.boundary_local.
     """
     K_ff, K_fc, free, fixed, diag = geom._eliminated(A, quad_order)
-    if isinstance(dirichlet, dict):
-        fixed_gids = geom.vids[fixed]
-        missing = set(map(int, fixed_gids)) - set(dirichlet)
-        if missing:
-            raise ValueError(
-                f"{geom.label}: no Dirichlet data for boundary vertices "
-                f"{sorted(missing)[:5]}{'...' if len(missing) > 5 else ''}")
-        unknown = set(dirichlet) - set(map(int, fixed_gids))
-        if unknown:
-            raise ValueError(
-                f"{geom.label}: Dirichlet data for non-boundary vertices "
-                f"{sorted(unknown)[:5]}")
-        xc = np.array([dirichlet[int(g)] for g in fixed_gids])
-    else:
-        xc = np.full(len(fixed), float(dirichlet))
+    xc = np.asarray(dirichlet, dtype=float)
+    if xc.ndim == 0:
+        xc = np.full(len(fixed), float(xc))
+    elif xc.shape != fixed.shape:
+        raise ValueError(f"{geom.label}: {xc.size} Dirichlet values for "
+                         f"{len(fixed)} boundary vertices")
     b = load_vector(geom, f, quad_order) if f is not None else np.zeros(geom.n_vertices)
     rhs = b[free]
     if len(fixed) and np.any(xc != 0.0):
@@ -407,24 +543,21 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
                         ) -> np.ndarray:
     """Gram matrix a(V_i, W_j) of nodal-value rows over one geometry.
 
-    This is the single code path for coefficient-weighted inner products:
-    scalar energies, coarse-system blocks and localized errors all call it.
-    Triangles go in blocks of about 2**16 / rows, so the gathered nodal
+    Scalar energies and the error report call it; it sums gram_blocks
+    over blocks of about 2**16 / rows triangles, so the gathered nodal
     values of a stack of global fields never exist all at once.
     """
     V = np.atleast_2d(V)
-    W = V if W is None else np.atleast_2d(W)
+    W = None if W is None or W is V else np.atleast_2d(W)[None]
+    V = V[None]
     AW = geom.areas[:, None, None] * geom.coefficient_at_triangles(A,
                                                                    quad_order)
-    M = np.zeros((len(V), len(W)))
-    step = max(1, (1 << 16) // (len(V) + len(W)))
+    M = np.zeros((V.shape[1], V.shape[1] if W is None else W.shape[1]))
+    step = max(1, (1 << 16) // (V.shape[1] + len(M[0])))
     for s in range(0, len(geom.tris), step):
-        tris, grads = geom.tris[s:s + step], geom.grads[s:s + step]
-        gV = np.einsum("bti,tid->btd", V[:, tris], grads)
-        gW = gV if W is V else np.einsum("bti,tid->btd", W[:, tris], grads)
-        M += np.einsum("btd,tde,cte->bc", gV, AW[s:s + step], gW)
-    if W is V:
-        M = 0.5 * (M + M.T)
+        M += gram_blocks(V, geom.tris[s:s + step],
+                         geom.grads[None, s:s + step], AW[None, s:s + step],
+                         W)[0]
     return M
 
 

@@ -4,7 +4,9 @@ The space splits into an interface part (nodal plus edge enrichments,
 coupled across elements) and a bubble part (per-element, zero trace).  The
 two parts are orthogonal in the energy inner product, so the global solve
 decouples into one sparse SPD system for the interface coefficients and
-small dense SPD systems per element for the bubbles.
+small dense SPD systems per element for the bubbles.  Assembly takes the
+element Gram blocks of a whole chunk of same-shape patches at once
+(finefem.patch_groups and finefem.gram_blocks).
 """
 
 from __future__ import annotations
@@ -63,12 +65,14 @@ def _check_resolved(fine: FineMesh, degrees: DegreeAssignment) -> None:
         if n > fine.n_sub:
             raise UnresolvedDegreeError(
                 f"edge {e}: degree N={n} exceeds n_sub={fine.n_sub}")
+    dims = {m: polybasis.BulkPolyBasis(fine.coarse.kind, m).dim
+            for m in set(degrees.M.values()) if m}
     for K, m in sorted(degrees.M.items()):
         if not m:
             continue
         free = (len(fine.element_vertex_ids(K))
                 - len(fine.element_boundary_vertex_ids(K)))
-        if polybasis.BulkPolyBasis(fine.coarse.kind, m).dim > free:
+        if dims[m] > free:
             raise UnresolvedDegreeError(
                 f"element {K}: bubble degree M={m} needs more than its "
                 f"{free} interior fine vertices")
@@ -131,48 +135,71 @@ class CoarseSystems:
 def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
                     f: finefem.RhsField | None, with_cross: bool = False
                     ) -> CoarseSystems:
-    """Element-by-element Galerkin assembly in the enriched space.
+    """Galerkin assembly in the enriched space, batched over patches of one
+    shape.
 
-    with_cross also accumulates the bubble-interface energy Gram block,
-    which is zero up to solver tolerance; it exists for diagnostics only.
+    Each element contributes the Gram block of its own DOF stack, interface
+    rows first and bubble rows after, each part padded with zero rows to
+    the longest in its group; finefem.gram_blocks computes the blocks of a
+    whole chunk of same-shape elements at once.  with_cross also
+    accumulates the bubble-interface energy Gram block, which is zero up to
+    solver tolerance; it exists for diagnostics only.
     """
     n_if = space.n_interface
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
     rhs = np.zeros(n_if)
-    blocks = []
+    blocks = {}
     cross = np.zeros((space.n_dofs - n_if, n_if)) if with_cross else None
-    for K in range(len(space.coarse.elements)):
-        geom = finefem.element_geometry(space.fine, K)
-        dofs = space.element_dofs[K]
-        iface = np.array([p for p in dofs if p < n_if], dtype=int)
-        bub = np.array([p for p in dofs if p >= n_if], dtype=int)
-        b_loc = finefem.load_vector(geom, f) if f is not None else None
-        if iface.size:
-            V = np.stack([space.catalog[p].values[K] for p in iface])
-            M = finefem.energy_inner_matrix(V, geom, A)
-            ii, jj = np.meshgrid(iface, iface, indexing="ij")
-            rows.append(ii.ravel())
-            cols.append(jj.ravel())
-            vals.append(M.ravel())
-            if b_loc is not None:
-                rhs[iface] += V @ b_loc
-        if bub.size:
-            Vb = np.stack([space.catalog[p].values[K] for p in bub])
-            Mb = finefem.energy_inner_matrix(Vb, geom, A)
-            bb = Vb @ b_loc if b_loc is not None else np.zeros(bub.size)
-            blocks.append((bub, Mb, bb))
-            if with_cross and iface.size:
-                G = finefem.energy_inner_matrix(Vb, geom, A, V)
-                cross[np.ix_(bub - n_if, iface)] += G
+    used = [K for K, dofs in enumerate(space.element_dofs) if dofs]
+    for group in finefem.patch_groups(space.fine, used):
+        parts = [([p for p in space.element_dofs[K] if p < n_if],
+                  [p for p in space.element_dofs[K] if p >= n_if])
+                 for K in group.elements]
+        n_i = max(len(a) for a, _ in parts)
+        dofs = np.full((len(parts), n_i + max(len(b) for _, b in parts)), -1)
+        for e, (a, b) in enumerate(parts):
+            dofs[e, :len(a)] = a
+            dofs[e, n_i:n_i + len(b)] = b
+        tris = group.template.tris
+        for sl, sub in group.chunks(dofs.shape[1] * len(tris) * 3):
+            ids = dofs[sl]
+            V = np.zeros(ids.shape + (group.template.n_vertices,))
+            for e, (K, row) in enumerate(zip(sub.elements.tolist(),
+                                             ids.tolist())):
+                for r, p in enumerate(row):
+                    if p >= 0:
+                        V[e, r] = space.catalog[p].values[K]
+            G = finefem.gram_blocks(V, tris, *sub.weights(A))
+            Vb = (np.matmul(V, sub.load_vectors(f)[..., None])[..., 0]
+                  if f is not None else np.zeros(ids.shape))
+            iface, bub = ids[:, :n_i], ids[:, n_i:]
+            pair = (iface[:, :, None] >= 0) & (iface[:, None, :] >= 0)
+            rows.append(np.broadcast_to(iface[:, :, None], pair.shape)[pair])
+            cols.append(np.broadcast_to(iface[:, None, :], pair.shape)[pair])
+            vals.append(G[:, :n_i, :n_i][pair])
+            np.add.at(rhs, iface[iface >= 0], Vb[:, :n_i][iface >= 0])
+            for e, (K, (_, b)) in enumerate(zip(sub.elements.tolist(),
+                                                parts[sl])):
+                if b:
+                    nb = len(b)
+                    blocks[K] = (bub[e, :nb], G[e, n_i:n_i + nb, n_i:n_i + nb],
+                                 Vb[e, n_i:n_i + nb])
+            if with_cross:
+                pair = (bub[:, :, None] >= 0) & (iface[:, None, :] >= 0)
+                np.add.at(cross, (
+                    np.broadcast_to(bub[:, :, None], pair.shape)[pair] - n_if,
+                    np.broadcast_to(iface[:, None, :], pair.shape)[pair]),
+                    G[:, n_i:, :n_i][pair])
     if rows:
         K_if = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n_if, n_if)).tocsr()
     else:
         K_if = sp.csr_matrix((n_if, n_if))
-    return CoarseSystems(space, f, K_if, rhs, blocks, cross)
+    return CoarseSystems(space, f, K_if, rhs,
+                         [blocks[K] for K in sorted(blocks)], cross)
 
 
 @dataclass
@@ -224,12 +251,12 @@ def reconstruct(solution: CoarseSolution, which: str = "total"
     values = np.zeros(len(geom.points))
     n_if = space.n_interface
     for K in range(len(space.coarse.elements)):
-        egeom = finefem.element_geometry(space.fine, K)
-        acc = np.zeros(len(egeom.points))
+        vids = space.fine.element_vertex_ids(K)
+        acc = np.zeros(len(vids))
         for p in space.element_dofs[K]:
             if (p < n_if) == (which == "interface"):
                 acc += solution.coeffs[p] * space.catalog[p].values[K]
         # Edge traces are edge-canonical, so both writes of a shared fine
         # vertex produce the same float and plain assignment is safe.
-        values[egeom.vids] = acc
+        values[vids] = acc
     return finefem.FineFunction(geom, values, solution.cg_iters)

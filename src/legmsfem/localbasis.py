@@ -3,10 +3,14 @@ enrichments with internal Legendre traces, and per-element bubbles.
 
 Every basis function is a collection of fine nodal fields, one per support
 element, living on the shared fine mesh restricted to that element.  The
-offline work is grouped by element: every trace and every bubble load on
-one patch becomes a column of one right-hand side, and a single direct
-block-tridiagonal sweep over the patch's fine-lattice rows solves them all
-(a P1 stiffness on the structured lattice couples only adjacent rows).
+offline work is grouped by patch shape: every trace and every bubble load
+on a patch becomes a row of its right-hand side, the patches of one shape
+are lattice translates of one template (finefem.patch_groups checks it),
+and one direct block-tridiagonal sweep over the template's fine-lattice
+rows solves a whole chunk of them (a P1 stiffness on the structured
+lattice couples only adjacent rows).  The sweep's matrices carry a leading
+element axis, and every element and every row is its own LAPACK or BLAS
+call, so a field comes out bitwise the same whatever is solved with it.
 Traces on coarse edges are sampled at the fine vertices of the edge chain,
 always through the edge's own orientation (v0 to v1) and from one
 evaluation per (n_sub, degree), so the two adjacent patches impose
@@ -57,35 +61,66 @@ def _eta_trace(n: int, k: int) -> np.ndarray:
         k, -1.0 + 2.0 * _edge_parameters(n)))
 
 
-def _edge_positions(coarse: CoarseMesh, fine: FineMesh,
-                    geom: finefem.TriGeometry, elem_id: int
-                    ) -> list[np.ndarray]:
-    """Local patch indices of each edge chain, in element_edges order.
+def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
+                    sides: np.ndarray) -> np.ndarray:
+    """Template-local indices of each edge chain, in element_edges order
+    (sides holds each member's edge ids), shape (sides, n_sub + 1).
 
-    The chains must cover exactly the patch boundary, so every column built
-    from them is complete Dirichlet data."""
-    chains = [fine.edge_vertex_chain(eid)
-              for eid in coarse.element_edges[elem_id]]
-    gids = np.concatenate(chains)
-    loc = np.minimum(np.searchsorted(geom.vids, gids), len(geom.vids) - 1)
-    if (not np.array_equal(geom.vids[loc], gids)
-            or not np.array_equal(np.unique(loc), geom.boundary_local)):
-        raise ValueError(f"{geom.label}: edge chains do not cover exactly "
+    The chains must cover exactly the template boundary, so every row built
+    from them is complete Dirichlet data, and every member's chains must be
+    the template's shifted by the member's vertex offset."""
+    t = group.template
+    chains = fine.edge_vertex_chains(sides) - group.shifts[:, None, None]
+    same = (chains == chains[0]).all((1, 2))
+    if not same.all():
+        raise ValueError(f"element {group.elements[np.argmin(same)]}: edge "
+                         "chains are not a translate of those of element "
+                         f"{group.elements[0]}")
+    loc = np.minimum(np.searchsorted(t.vids, chains[0]), len(t.vids) - 1)
+    if (not np.array_equal(t.vids[loc], chains[0])
+            or not np.array_equal(np.unique(loc), t.boundary_local)):
+        raise ValueError(f"{t.label}: edge chains do not cover exactly "
                          "the patch boundary")
-    ends = np.cumsum([len(c) for c in chains])
-    return [loc[e - len(c):e] for e, c in zip(ends, chains)]
+    return loc
 
 
-def _row_blocks(fine: FineMesh, geom: finefem.TriGeometry, Kt: np.ndarray,
-                is_free: np.ndarray) -> tuple[list, list, np.ndarray]:
-    """K_ff as dense lattice-row blocks, built from the per-triangle
-    matrices Kt.
+@dataclass(frozen=True)
+class _RowBlocks:
+    """K_ff of a template patch as dense lattice-row blocks.
 
-    Returns (D, E, widths): D[i] couples free row block i with itself,
-    E[i] couples block i with block i-1 (E[0] is empty), widths[i] is the
-    number of free vertices in block i.  Free vertices are in local order,
-    which is lattice-row-major because vids are sorted.
+    Free vertices are in local order, which is lattice-row-major because
+    vids are sorted; widths[i] is the number of free vertices in block i
+    and prev[i] that of block i - 1.  Entry keep of the per-triangle
+    matrices lands at position flat of the packed blocks of an element.
     """
+
+    keep: np.ndarray
+    flat: np.ndarray
+    widths: np.ndarray
+    prev: np.ndarray
+    offsets: np.ndarray
+    size: int
+
+    def split(self, Kt: np.ndarray) -> tuple[list, list]:
+        """(D, E) from per-triangle matrices Kt (elements, nt, 3, 3): D[i]
+        couples block i with itself, E[i] block i with block i-1 (E[0] is
+        empty), each with a leading element axis."""
+        n_el = len(Kt)
+        idx = np.arange(n_el)[:, None] * self.size + self.flat
+        data = np.bincount(idx.ravel(), weights=Kt[:, self.keep].ravel(),
+                           minlength=n_el * self.size).reshape(n_el, -1)
+        D, E = [], []
+        for o, w, p in zip(self.offsets, self.widths, self.prev):
+            D.append(data[:, o:o + w * w].reshape(n_el, w, w))
+            E.append(data[:, o + w * w:o + w * (w + p)].reshape(n_el, w, p))
+        return D, E
+
+
+def _row_blocks(fine: FineMesh, geom: finefem.TriGeometry,
+                is_free: np.ndarray) -> _RowBlocks:
+    """The lattice-row block layout of K_ff on one patch; raises
+    ValueError if a triangle couples free vertices of rows that are not
+    adjacent, which would break the block-tridiagonal structure."""
     n = geom.n_vertices
     row = geom.vids // (fine.nfx + 1)
     free = np.flatnonzero(is_free)
@@ -113,34 +148,31 @@ def _row_blocks(fine: FineMesh, geom: finefem.TriGeometry, Kt: np.ndarray,
     flat = (d_off[ba] + gap * d_size[ba]
             + pos[geom.tris][:, :, None] * widths.take(ba - gap, mode="clip")
             + pos[geom.tris][:, None, :])
-    data = np.bincount(flat[keep], weights=Kt[keep],
-                       minlength=int(d_off[-1] + d_size[-1]
-                                     + widths[-1] * prev[-1]))
-    D, E = [], []
-    for o, w, p in zip(d_off, widths, prev):
-        D.append(data[o:o + w * w].reshape(w, w))
-        E.append(data[o + w * w:o + w * (w + p)].reshape(w, p))
-    return D, E, widths
+    return _RowBlocks(keep, flat[keep], widths, prev, d_off,
+                      int(d_off[-1] + d_size[-1] + widths[-1] * prev[-1]))
 
 
 def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """M @ v for each row v of V as separate matrix-vector products.
+    """M[e] @ v for each row v of V[e], as separate matrix-vector products.
 
     A BLAS matrix-matrix product can round a column differently depending
     on how many columns ride along; one product per field keeps every basis
     function bitwise independent of what else its patch solves, so sweeps
     that reuse a donor space match fresh runs exactly."""
-    return np.matmul(M, V[:, :, None])[:, :, 0]
+    return np.matmul(M[:, None], V[..., None])[..., 0]
 
 
 def _block_tridiagonal_solve(D: list, E: list, R: list) -> list:
-    """Solve the SPD block-tridiagonal system with diagonal blocks D[i],
-    sub-diagonal blocks E[i] (block i against block i-1) for a stack of
-    right-hand sides: R[i] has shape (fields, len(D[i])).
+    """Solve SPD block-tridiagonal systems with diagonal blocks D[i],
+    sub-diagonal blocks E[i] (block i against block i-1), one system per
+    element of the leading axis, for a stack of right-hand sides: R[i] has
+    shape (elements, fields, len(D[i][0])).
 
     Block elimination from the first row down, then back substitution up
     (Golub & Van Loan, block tridiagonal systems).  The Schur complements
-    depend only on the matrix; the fields go through _matvecs."""
+    depend only on the matrices; the fields go through _matvecs.  Every
+    element is its own LAPACK or BLAS call, so its fields do not depend on
+    the other elements of the stack."""
     nb = len(D)
     S_inv: list = [None] * nb
     G: list = [None] * nb  # S_i^{-1} E[i+1]^T
@@ -148,7 +180,7 @@ def _block_tridiagonal_solve(D: list, E: list, R: list) -> list:
     for i in range(nb):
         S_inv[i] = np.linalg.inv(S)
         if i + 1 < nb:
-            G[i] = S_inv[i] @ E[i + 1].T
+            G[i] = S_inv[i] @ E[i + 1].transpose(0, 2, 1)
             S = D[i + 1] - E[i + 1] @ G[i]
     g = [_matvecs(S_inv[0], R[0])]
     for i in range(1, nb):
@@ -159,61 +191,123 @@ def _block_tridiagonal_solve(D: list, E: list, R: list) -> list:
     return x[::-1]
 
 
-def _element_fields(coarse: CoarseMesh, fine: FineMesh,
-                    A: finefem.CoefficientField, elem_id: int,
-                    hats=(), etas=(), basis: polybasis.BulkPolyBasis | None = None,
-                    bubbles=()) -> np.ndarray:
-    """All requested local fields on one element patch, one row each.
+def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
+                group: finefem.PatchGroup, requests: dict, n_tr: int
+                ) -> np.ndarray:
+    """Dirichlet rows of every member, (elements, n_tr, n): the hat at each
+    requested vertex, then eta_k on each requested (edge, k), zero rows
+    after.  The rows are gathered from one table on the template, written
+    edge by edge in element_edges order (corner values agree)."""
+    sides = np.array([coarse.element_edges[K] for K in group.elements])
+    pos = _edge_positions(fine, group, sides)
+    k_max = max([k for K in group.elements for _, k in requests[K][1]],
+                default=1)
+    corner_ids = np.unique(pos[:, [0, -1]])
+    # The hat row of the start and of the end of each side's chain.
+    hat_row = np.searchsorted(corner_ids, pos[:, [0, -1]])
+    n_hat, n_eta = len(corner_ids), len(pos) * (k_max - 1)
+    table = np.zeros((n_hat + n_eta + 1, group.template.n_vertices))
+    t = _edge_parameters(fine.n_sub)
+    for j, loc in enumerate(pos):
+        table[hat_row[j, 0], loc] = 1.0 - t
+        table[hat_row[j, 1], loc] = t
+        for k in range(2, k_max + 1):
+            table[n_hat + j * (k_max - 1) + k - 2, loc] = _eta_trace(
+                fine.n_sub, k)
+    index = []
+    hat_row = hat_row.ravel().tolist()
+    side_ends = coarse.edge_ends[sides].reshape(len(sides), -1).tolist()
+    for K, ends in zip(group.elements.tolist(), side_ends):
+        hats, etas = requests[K][:2]
+        corner = dict(zip(ends, hat_row))
+        side = {eid: j for j, eid in enumerate(coarse.element_edges[K])}
+        index.append([corner[v] for v in hats]
+                     + [n_hat + side[eid] * (k_max - 1) + k - 2
+                        for eid, k in etas]
+                     + [len(table) - 1] * (n_tr - len(hats) - len(etas)))
+    return table[np.array(index)]
 
-    Row order: the hat at each vertex of hats, eta_k on each (edge, k) of
-    etas (zero on the rest of the boundary), then the zero-trace solve with
-    load P_i of basis for each i of bubbles.  All rows are solved by one
-    block sweep over the patch's lattice rows, and each row comes out the
-    same whatever other rows are requested with it.
+
+def _group_fields(coarse: CoarseMesh, fine: FineMesh,
+                  A: finefem.CoefficientField, group: finefem.PatchGroup,
+                  requests: dict) -> dict[int, list[np.ndarray]]:
+    """All requested fields on the patches of one group, batched.
+
+    requests[K] = (hats, etas, basis, bubbles): the hat at each vertex of
+    hats, eta_k on each (edge, k) of etas (zero on the rest of the
+    boundary), then the zero-trace solve with load P_i of basis for each i
+    of bubbles.  Members with fewer rows are padded with zero rows.  Every
+    chunk of members is solved by one block sweep over the template's
+    lattice rows, and each row comes out the same whatever other rows and
+    members are solved with it.
     """
-    geom = finefem.element_geometry(fine, elem_id)
-    n, n_tr = geom.n_vertices, len(hats) + len(etas)
-    m = n_tr + len(bubbles)
-    X = np.zeros((m, n))
+    t = group.template
+    n, tris = t.n_vertices, t.tris
+    reqs = [requests[K] for K in group.elements]
+    n_tr = max(len(h) + len(e) for h, e, _, _ in reqs)
+    m = n_tr + max(len(b) for *_, b in reqs)
+    X = np.zeros((len(group.elements), m, n))
     if n_tr:
-        t = _edge_parameters(fine.n_sub)
-        positions = _edge_positions(coarse, fine, geom, elem_id)
-        # Written edge by edge in element_edges order; corner values agree.
-        for eid, loc in zip(coarse.element_edges[elem_id], positions):
-            e = coarse.edges[eid]
-            for c, v in enumerate(hats):
-                if v == e.v0:
-                    X[c, loc] = 1.0 - t
-                elif v == e.v1:
-                    X[c, loc] = t
-            for c, (edge, k) in enumerate(etas, start=len(hats)):
-                if edge == eid:
-                    X[c, loc] = _eta_trace(fine.n_sub, k)
-
+        X[:, :n_tr] = _trace_rows(coarse, fine, group, requests, n_tr)
     is_free = np.ones(n, dtype=bool)
-    is_free[geom.boundary_local] = False
+    is_free[t.boundary_local] = False
     free = np.flatnonzero(is_free)
-    if not len(free) or not m:
-        return X
-    Kt = geom.element_matrices(A)
-    # Right-hand sides F - K X, per triangle in a fixed order, then
-    # scattered to the vertices in one pass.
-    W = np.empty((m, len(geom.tris), 3))
-    Xt = X[:n_tr, geom.tris]
-    W[:n_tr] = -(Kt[:, :, 0] * Xt[:, :, 0, None] + Kt[:, :, 1] * Xt[:, :, 1, None]
-                 + Kt[:, :, 2] * Xt[:, :, 2, None])
-    if bubbles:
-        el = coarse.elements[elem_id]
-        P = basis.eval_ref(el.to_ref(geom.centroids))[:, [i - 1 for i in bubbles]]
-        W[n_tr:] = (geom.areas[:, None] * P / 3.0).T[:, :, None]
-    idx = np.arange(m)[:, None, None] * n + geom.tris
-    R = np.bincount(idx.ravel(), weights=W.ravel(),
-                    minlength=m * n).reshape(m, n)[:, free]
-    D, E, widths = _row_blocks(fine, geom, Kt, is_free)
-    ends = np.cumsum(widths)
-    X[:, free] = np.concatenate(_block_tridiagonal_solve(
-        D, E, [R[:, e - w:e] for e, w in zip(ends, widths)]), axis=1)
-    return X
+    if len(free):
+        blocks = _row_blocks(fine, t, is_free)
+        glob = finefem.global_geometry(fine)
+        ends = np.cumsum(blocks.widths)
+        for sl, sub in group.chunks(max(m * len(tris) * 3, blocks.size)):
+            Kt = sub.element_matrices(A)
+            Xc = X[sl]
+            n_el = len(Xc)
+            # Right-hand sides F - K X per triangle vertex slot i, as
+            # -(K_i0 x_0 + K_i1 x_1 + K_i2 x_2), laid out (triangle, slot,
+            # row, element) so the element axis is the long inner loop,
+            # then scattered to the vertices in one pass; each vertex
+            # still sums its triangles in triangle order.
+            KT = np.ascontiguousarray(np.moveaxis(Kt, 0, -1))
+            XT = np.ascontiguousarray(Xc[:, :n_tr].T)[tris]
+            W = np.zeros((len(tris), 3, m, n_el))
+            Wt = W[:, :, :n_tr]
+            tmp = np.empty(Wt.shape)
+            np.multiply(KT[:, :, 0, None], XT[:, None, 0], out=Wt)
+            Wt += np.multiply(KT[:, :, 1, None], XT[:, None, 1], out=tmp)
+            Wt += np.multiply(KT[:, :, 2, None], XT[:, None, 2], out=tmp)
+            np.negative(Wt, out=Wt)
+            for e, K in enumerate(sub.elements):
+                _, _, basis, bubbles = requests[K]
+                if bubbles:
+                    ids = sub.tri_ids[e]
+                    P = basis.eval_ref(coarse.elements[K].to_ref(
+                        glob.centroids[ids]))[:, [i - 1 for i in bubbles]]
+                    W[:, :, n_tr:n_tr + len(bubbles), e] = (
+                        glob.areas[ids][:, None] * P / 3.0)[:, None]
+            idx = (np.arange(n_el * m).reshape(n_el, m).T * n
+                   + tris[..., None, None])
+            R = np.bincount(idx.ravel(), weights=W.ravel(),
+                            minlength=n_el * m * n).reshape(n_el, m, n)
+            R = R[..., free]
+            D, E = blocks.split(Kt)
+            Xc[..., free] = np.concatenate(_block_tridiagonal_solve(
+                D, E, [R[..., e - w:e] for e, w in zip(ends, blocks.widths)]),
+                axis=-1)
+    out = {}
+    for e, (K, (hats, etas, _, bubbles)) in enumerate(zip(group.elements,
+                                                          reqs)):
+        out[int(K)] = (list(X[e, :len(hats) + len(etas)])
+                       + list(X[e, n_tr:n_tr + len(bubbles)]))
+    return out
+
+
+def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
+                  A: finefem.CoefficientField, requests: dict
+                  ) -> dict[int, list[np.ndarray]]:
+    """The fields of _group_fields for every requested element, one list of
+    rows per element, in request order (hats, etas, bubbles)."""
+    out: dict[int, list[np.ndarray]] = {}
+    for group in finefem.patch_groups(fine, requests):
+        out.update(_group_fields(coarse, fine, A, group, requests))
+    return out
 
 
 def compute_nodal(vertex: int, coarse: CoarseMesh, fine: FineMesh,
@@ -224,8 +318,9 @@ def compute_nodal(vertex: int, coarse: CoarseMesh, fine: FineMesh,
         raise ValueError(f"vertex {vertex} is on the domain boundary; "
                          "no basis function is attached there")
     support = tuple(sorted(coarse.vertex_elements[vertex]))
-    values = {K: _element_fields(coarse, fine, A, K, hats=[vertex])[0]
-              for K in support}
+    fields = _patch_fields(coarse, fine, A,
+                           {K: ([vertex], [], None, []) for K in support})
+    values = {K: fields[K][0] for K in support}
     return BasisFunction("nodal", (vertex,), support, values,
                          f"hat at vertex {vertex}")
 
@@ -240,8 +335,9 @@ def compute_edge_enrichment(edge_id: int, k: int, coarse: CoarseMesh,
         raise ValueError(f"edge {edge_id} is a boundary edge")
     if k < 2:
         raise ValueError("edge enrichment degrees start at 2")
-    values = {K: _element_fields(coarse, fine, A, K, etas=[(edge_id, k)])[0]
-              for K in e.element_ids}
+    fields = _patch_fields(coarse, fine, A, {K: ([], [(edge_id, k)], None, [])
+                                             for K in e.element_ids})
+    values = {K: fields[K][0] for K in e.element_ids}
     return BasisFunction("edge", (edge_id, k), tuple(e.element_ids), values,
                          f"eta_{k} on edge {edge_id}")
 
@@ -255,8 +351,8 @@ def compute_bubble(elem_id: int, i: int, coarse: CoarseMesh, fine: FineMesh,
         raise ValueError("bubbles need bulk degree M >= 1")
     if not 1 <= i <= basis.dim:
         raise ValueError(f"bubble index {i} outside 1..{basis.dim}")
-    field = _element_fields(coarse, fine, A, elem_id, basis=basis,
-                            bubbles=[i])[0]
+    field = _patch_fields(coarse, fine, A,
+                          {elem_id: ([], [], basis, [i])})[elem_id][0]
     return BasisFunction("bubble", (elem_id, i), (elem_id,),
                          {elem_id: field}, "zero")
 
@@ -269,53 +365,58 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
 
     which selects "interface", "bubble" or "all" (sweeps reuse the interface
     part across bubble degrees).  Each element patch is solved once, for all
-    of its traces and bubble loads together.
+    of its traces and bubble loads together, and the patches of one shape
+    in batches.
     """
     degrees.validate(coarse)
     interface = which in ("all", "interface")
     bubble = which in ("all", "bubble")
     bases: dict[int, polybasis.BulkPolyBasis] = {}
-    rows: dict[tuple, np.ndarray] = {}
-    bubbles_out = []
+    requests: dict[int, tuple] = {}
+    on_boundary = coarse.boundary_vertex_mask.tolist()
     for el in coarse.elements:
         K = el.id
         hats, etas, bubbles, basis = [], [], [], None
         if interface:
-            hats = [v for v in el.vertex_ids
-                    if not coarse.boundary_vertex_mask[v]]
+            hats = [v for v in el.vertex_ids if not on_boundary[v]]
             etas = [(eid, k) for eid in coarse.element_edges[K]
                     if not coarse.edges[eid].boundary
                     for k in range(2, degrees.N[eid] + 1)]
         M = degrees.M[K]
         if bubble and M >= 1:
-            basis = bases.setdefault(M, polybasis.BulkPolyBasis(coarse.kind, M))
+            if M not in bases:
+                bases[M] = polybasis.BulkPolyBasis(coarse.kind, M)
+            basis = bases[M]
             bubbles = list(range(1, basis.dim + 1))
-        if not (hats or etas or bubbles):
-            continue
-        fields = _element_fields(coarse, fine, A, K, hats, etas, basis,
-                                 bubbles)
+        if hats or etas or bubbles:
+            requests[K] = (hats, etas, basis, bubbles)
+    nodal: dict[int, dict] = {}
+    edge: dict[tuple, dict] = {}
+    bubbles_out = []
+    solved = _patch_fields(coarse, fine, A, requests)
+    # Requests run in element order, so every values dict comes out in
+    # support order.
+    for K, (hats, etas, _, bubbles) in requests.items():
+        fields = iter(solved[K])
         for v, field in zip(hats, fields):
-            rows["nodal", v, K] = field
-        for key, field in zip(etas, fields[len(hats):]):
-            rows["edge", key, K] = field
-        for i, field in zip(bubbles, fields[len(hats) + len(etas):]):
+            nodal.setdefault(v, {})[K] = field
+        for key, field in zip(etas, fields):
+            edge.setdefault(key, {})[K] = field
+        for i, field in zip(bubbles, fields):
             bubbles_out.append(BasisFunction("bubble", (K, i), (K,),
                                              {K: field}, "zero"))
 
     catalog = []
     if interface:
         for v in map(int, coarse.interior_vertex_ids):
-            support = tuple(sorted(coarse.vertex_elements[v]))
             catalog.append(BasisFunction(
-                "nodal", (v,), support,
-                {K: rows["nodal", v, K] for K in support},
-                f"hat at vertex {v}"))
+                "nodal", (v,), tuple(sorted(coarse.vertex_elements[v])),
+                nodal[v], f"hat at vertex {v}"))
         for eid in map(int, coarse.interior_edge_ids):
             support = tuple(coarse.edges[eid].element_ids)
             for k in range(2, degrees.N[eid] + 1):
                 catalog.append(BasisFunction(
-                    "edge", (eid, k), support,
-                    {K: rows["edge", (eid, k), K] for K in support},
+                    "edge", (eid, k), support, edge[eid, k],
                     f"eta_{k} on edge {eid}"))
     return catalog + bubbles_out
 

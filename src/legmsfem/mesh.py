@@ -151,6 +151,7 @@ class CoarseMesh:
             self.edges.append(Edge(len(self.edges), v0, v1,
                                    tuple(sorted(adjacency[key])), length))
         self.element_edges = [tuple(ids[k] for k in sides[el.id]) for el in self.elements]
+        self.edge_ends = np.array([(e.v0, e.v1) for e in self.edges])
         self.interior_edge_ids = np.array(
             [e.id for e in self.edges if not e.boundary], dtype=int)
         self.vertex_edges: dict[int, list[int]] = {}
@@ -239,6 +240,7 @@ class FineMesh:
         self._elem_tris = np.split(order, np.cumsum(counts)[:-1])
 
         self.hx, self.hy = (x1 - x0) / self.nfx, (y1 - y0) / self.nfy
+        self._shape_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._patch_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._geom_cache: dict = {}  # populated by finefem
 
@@ -254,42 +256,65 @@ class FineMesh:
 
     def element_vertex_ids(self, elem_id: int) -> np.ndarray:
         """Sorted global fine vertex ids of the closed element patch."""
-        return self._patch(elem_id)[0]
+        return self.element_patch(elem_id)[0]
 
     def element_boundary_vertex_ids(self, elem_id: int) -> np.ndarray:
         """Fine vertices on the element boundary, sorted."""
-        return self._patch(elem_id)[1]
+        return self.element_patch(elem_id)[1]
 
-    def _patch(self, elem_id: int) -> tuple[np.ndarray, np.ndarray]:
+    def patch_shape(self, elem_id: int) -> int:
+        """Shape of an element patch: 0 for every quad, 0 (lower) or 1
+        (upper) for triangles.  Patches of one shape are lattice translates
+        of each other."""
+        return 0 if self.coarse.kind == "quad" else elem_id % 2
+
+    def element_patch(self, elem_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """(element_vertex_ids, element_boundary_vertex_ids): the shape's
+        lattice pattern, built once per shape, shifted to the element's
+        cell origin."""
         try:
             return self._patch_cache[elem_id]
         except KeyError:
             pass
         ns = self.n_sub
+        shape = self.patch_shape(elem_id)
+        if shape not in self._shape_cache:
+            LX, LY = np.meshgrid(np.arange(ns + 1), np.arange(ns + 1))
+            if self.coarse.kind == "quad":
+                keep = np.ones_like(LX, dtype=bool)
+                on_bnd = (LX == 0) | (LX == ns) | (LY == 0) | (LY == ns)
+            elif shape == 0:  # lower triangle: ly <= lx
+                keep = LY <= LX
+                on_bnd = (LY == 0) | (LX == ns) | (LX == LY)
+            else:  # upper triangle: ly >= lx
+                keep = LY >= LX
+                on_bnd = (LX == 0) | (LY == ns) | (LX == LY)
+            self._shape_cache[shape] = (
+                np.sort(self._vid(LX[keep], LY[keep])),
+                np.sort(self._vid(LX[keep & on_bnd], LY[keep & on_bnd])))
+        ids, bnd = self._shape_cache[shape]
         cell = elem_id if self.coarse.kind == "quad" else elem_id // 2
-        ox, oy = (cell % self.coarse.nx) * ns, (cell // self.coarse.nx) * ns
-        LX, LY = np.meshgrid(np.arange(ns + 1), np.arange(ns + 1))
-        if self.coarse.kind == "quad":
-            keep = np.ones_like(LX, dtype=bool)
-            on_bnd = (LX == 0) | (LX == ns) | (LY == 0) | (LY == ns)
-        elif elem_id % 2 == 0:  # lower triangle: ly <= lx
-            keep = LY <= LX
-            on_bnd = (LY == 0) | (LX == ns) | (LX == LY)
-        else:  # upper triangle: ly >= lx
-            keep = LY >= LX
-            on_bnd = (LX == 0) | (LY == ns) | (LX == LY)
-        ids = self._vid(ox + LX[keep], oy + LY[keep])
-        bnd = self._vid(ox + LX[keep & on_bnd], oy + LY[keep & on_bnd])
-        out = (np.sort(ids), np.sort(bnd))
+        origin = self._vid((cell % self.coarse.nx) * ns,
+                           (cell // self.coarse.nx) * ns)
+        out = (ids + origin, bnd + origin)
         self._patch_cache[elem_id] = out
         return out
 
     def edge_vertex_chain(self, edge_id: int) -> np.ndarray:
         """Fine vertex ids along a coarse edge, ordered from v0 to v1."""
-        nx, ns = self.coarse.nx, self.n_sub
         e = self.coarse.edges[edge_id]
-        ax, ay = e.v0 % (nx + 1), e.v0 // (nx + 1)
-        bx, by = e.v1 % (nx + 1), e.v1 // (nx + 1)
+        return self._chain(e.v0, e.v1)
+
+    def edge_vertex_chains(self, edge_ids) -> np.ndarray:
+        """The chains of an array of coarse edges, one per row (the shape
+        of edge_ids plus a last axis of n_sub + 1 vertices)."""
+        ends = self.coarse.edge_ends[np.asarray(edge_ids, dtype=int)]
+        return self._chain(ends[..., :1], ends[..., 1:])
+
+    def _chain(self, v0, v1) -> np.ndarray:
+        nx, ns = self.coarse.nx, self.n_sub
+        ax, ay = v0 % (nx + 1), v0 // (nx + 1)
+        bx, by = v1 % (nx + 1), v1 // (nx + 1)
         t = np.arange(ns + 1)
         return self._vid(ax * ns + t * (bx - ax), ay * ns + t * (by - ay))
 

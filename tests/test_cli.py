@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,3 +422,16 @@ def test_selftest(capsys):
     assert cli.main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+def test_cli_import_leaves_out_scipy_solvers():
+    # scipy.sparse.linalg alone costs about 10 MB of resident memory,
+    # which every run would pay
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, legmsfem.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -118,31 +118,62 @@ def test_assemble_quad_order3(fine_quad44):
     assert np.abs((s1.K - s3.K).toarray()).max() > 0.0
 
 
-def test_dirichlet_dict_validation(fine_quad44):
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_patch_groups_reproduce_each_patch(kind):
+    # every member's gathered stiffness and load equal those of its own
+    # patch geometry bitwise; triangles come in a lower and an upper shape
+    coarse = mesh.build_coarse(kind, 3, 2)
+    fine = mesh.refine_to_fine(coarse, 4)
+    A, f = finefem.periodic_benchmark(0.25), finefem.gaussian_rhs()
+    groups = finefem.patch_groups(fine, range(len(coarse.elements)))
+    assert len(groups) == (1 if kind == "quad" else 2)
+    assert sorted(K for g in groups for K in g.elements) == \
+        list(range(len(coarse.elements)))
+    for g in groups:
+        Kt, b = g.element_matrices(A), g.load_vectors(f)
+        for e, K in enumerate(g.elements):
+            geom = finefem.element_geometry(fine, K)
+            assert np.array_equal(geom.vids, g.template.vids + g.shifts[e])
+            assert np.array_equal(geom.tris, g.template.tris)
+            assert np.array_equal(Kt[e], geom.element_matrices(A))
+            assert np.array_equal(b[e], finefem.load_vector(geom, f))
+
+
+def test_patch_groups_reject_non_translates(tri44):
+    # an upper triangle labelled with the lower shape has the same sizes
+    # but other offsets
+    fine = mesh.refine_to_fine(tri44, 4)
+    fine.patch_shape = lambda K: 0
+    with pytest.raises(ValueError, match="element 1 patch is not a lattice "
+                                         "translate of element 0"):
+        finefem.patch_groups(fine, [0, 2, 1])
+    # a member listing its triangles in another order
+    fine = mesh.refine_to_fine(tri44, 4)
+    fine._elem_tris[4] = fine._elem_tris[4][::-1]
+    with pytest.raises(ValueError, match="element 4 patch is not a lattice "
+                                         "translate of element 0"):
+        finefem.patch_groups(fine, range(8))
+
+
+def test_dirichlet_array_validation(fine_quad44):
+    # boundary data is one value per entry of boundary_local, no more, no less
     A = finefem.identity_field()
     geom = finefem.element_geometry(fine_quad44, 0)
-    bnd = [int(g) for g in fine_quad44.element_boundary_vertex_ids(0)]
-    data = {g: 0.0 for g in bnd}
-    incomplete = dict(data)
-    incomplete.pop(bnd[3])
-    with pytest.raises(ValueError, match="no Dirichlet data"):
-        finefem.assemble(geom, A, dirichlet=incomplete)
-    extra = dict(data)
-    interior = next(int(g) for g in geom.vids if g not in data)
-    extra[interior] = 1.0
-    with pytest.raises(ValueError, match="non-boundary"):
-        finefem.assemble(geom, A, dirichlet=extra)
+    data = np.zeros(len(geom.boundary_local))
+    with pytest.raises(ValueError, match="31 Dirichlet values for 32"):
+        finefem.assemble(geom, A, dirichlet=data[1:])
+    with pytest.raises(ValueError, match="33 Dirichlet values for 32"):
+        finefem.assemble(geom, A, dirichlet=np.append(data, 1.0))
 
 
 def test_affine_dirichlet_reproduced(fine_quad44):
     # P1 with constant A solves affine boundary data exactly
     A = finefem.identity_field()
     geom = finefem.element_geometry(fine_quad44, 5)
-    lin = lambda p: 2.0 * p[0] + 3.0 * p[1] - 1.0
-    data = {int(g): lin(fine_quad44.vertices[g])
-            for g in fine_quad44.element_boundary_vertex_ids(5)}
+    lin = lambda p: 2.0 * p[:, 0] + 3.0 * p[:, 1] - 1.0
+    data = lin(geom.points[geom.boundary_local])
     u = finefem.solve_spd(finefem.assemble(geom, A, dirichlet=data))
-    expect = 2.0 * geom.points[:, 0] + 3.0 * geom.points[:, 1] - 1.0
+    expect = lin(geom.points)
     assert np.abs(u.values - expect).max() < 1e-12
 
 

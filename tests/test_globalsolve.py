@@ -154,3 +154,61 @@ def test_triangle_space_smoke(tri44, fine_tri44):
     sol = globalsolve.solve_coarse(systems)
     u = globalsolve.reconstruct(sol)
     assert np.isfinite(u.values).all() and np.abs(u.values).max() > 0
+
+
+@pytest.mark.parametrize("kind, n, n_sub", [("triangle", 3, 4),
+                                             ("quad", 2, 64)])
+def test_batched_assembly_matches_per_element_grams(kind, n, n_sub):
+    # the coarse systems against one energy_inner_matrix call and one
+    # load_vector per element; quad patches of 8,192 triangles are split
+    # over several chunks
+    coarse = mesh.build_coarse(kind, n, n)
+    fine = mesh.refine_to_fine(coarse, n_sub)
+    A, f = finefem.periodic_benchmark(0.25), finefem.gaussian_rhs()
+    degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
+    degrees.M[0] = 0
+    space = globalsolve.build_space(coarse, fine, A, degrees)
+    systems = globalsolve.assemble_coarse(space, A, f, with_cross=True)
+    n_if = space.n_interface
+    K = np.zeros((space.n_dofs, space.n_dofs))
+    b = np.zeros(space.n_dofs)
+    for e in range(len(coarse.elements)):
+        geom = finefem.element_geometry(fine, e)
+        dofs = np.array(space.element_dofs[e])
+        V = np.stack([space.catalog[p].values[e] for p in dofs])
+        K[np.ix_(dofs, dofs)] += finefem.energy_inner_matrix(V, geom, A)
+        b[dofs] += V @ finefem.load_vector(geom, f)
+
+    def close(got, want, scale=None):
+        scale = np.abs(want).max() if scale is None else scale
+        return np.abs(got - want).max() <= 1e-13 * scale
+
+    assert close(systems.interface_K.toarray(), K[:n_if, :n_if])
+    assert close(systems.interface_rhs, b[:n_if])
+    # one block per element with bubbles, in element order
+    bubbles = [[p for p in dofs if p >= n_if] for dofs in space.element_dofs]
+    assert [list(ids) for ids, _, _ in systems.bubble_blocks] == \
+        [ids for ids in bubbles if ids]
+    assert not bubbles[0] and all(bubbles[1:])
+    for ids, Mb, bb in systems.bubble_blocks:
+        assert close(Mb, K[np.ix_(ids, ids)])
+        assert close(bb, b[ids])
+    # the cross Gram vanishes to solver accuracy, so it is measured
+    # against the scale of the whole matrix
+    assert close(systems.cross_gram, K[n_if:, :n_if], np.abs(K).max())
+
+
+def test_check_resolved_builds_one_basis_per_degree(monkeypatch, tri44,
+                                                    fine_tri44):
+    built = []
+    real = polybasis.BulkPolyBasis
+
+    def counting(kind, M):
+        built.append(M)
+        return real(kind, M)
+
+    monkeypatch.setattr(polybasis, "BulkPolyBasis", counting)
+    degrees = mesh.DegreeAssignment.uniform(tri44, 1, 2)
+    degrees.M.update({0: 1, 5: 1, 7: 0})
+    globalsolve._check_resolved(fine_tri44, degrees)
+    assert sorted(built) == [1, 2]

@@ -154,8 +154,8 @@ def test_compute_all_which_split(quad44, fine_quad44, A_osc):
 
 
 def reference_trace(coarse, fine, elem_id, bf):
-    """Dirichlet data of an interface function on one element boundary, as
-    a {fine vertex: value} map built edge by edge."""
+    """Dirichlet data of an interface function on one element boundary,
+    built edge by edge and aligned with the patch's boundary_local."""
     t = np.arange(fine.n_sub + 1) / fine.n_sub
     data = {}
     for eid in coarse.element_edges[elem_id]:
@@ -168,7 +168,18 @@ def reference_trace(coarse, fine, elem_id, bf):
         else:
             vals = np.zeros_like(t)
         data.update(zip(map(int, fine.edge_vertex_chain(eid)), vals))
-    return data
+    return np.array([data[int(g)]
+                     for g in fine.element_boundary_vertex_ids(elem_id)])
+
+
+def entry_point(bf, coarse, fine, A, basis):
+    """The catalog function bf computed again through its public entry
+    point, on its own."""
+    if bf.kind == "nodal":
+        return localbasis.compute_nodal(bf.key[0], coarse, fine, A)
+    if bf.kind == "edge":
+        return localbasis.compute_edge_enrichment(*bf.key, coarse, fine, A)
+    return localbasis.compute_bubble(*bf.key, coarse, fine, A, basis)
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
@@ -186,14 +197,7 @@ def test_compute_all_matches_iterative_reference(kind, A_osc):
                             + len(coarse.elements) * basis.dim)
     worst = 0.0
     for bf in catalog:
-        if bf.kind == "nodal":
-            single = localbasis.compute_nodal(bf.key[0], coarse, fine, A_osc)
-        elif bf.kind == "edge":
-            single = localbasis.compute_edge_enrichment(*bf.key, coarse, fine,
-                                                        A_osc)
-        else:
-            single = localbasis.compute_bubble(*bf.key, coarse, fine, A_osc,
-                                               basis)
+        single = entry_point(bf, coarse, fine, A_osc, basis)
         assert single.support == bf.support
         for K in bf.support:
             assert np.array_equal(single.values[K], bf.values[K])
@@ -215,6 +219,47 @@ def test_compute_all_matches_iterative_reference(kind, A_osc):
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize("kind, n, n_sub", [("triangle", 3, 4),
+                                             ("quad", 2, 64)])
+def test_batched_catalog_matches_entry_points(kind, n, n_sub, A_osc,
+                                              monkeypatch):
+    # whole patch groups against groups of one: both triangle shapes, and
+    # quad patches of 8,192 triangles that go in chunks of one element
+    coarse = mesh.build_coarse(kind, n, n)
+    fine = mesh.refine_to_fine(coarse, n_sub)
+    degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
+    basis = polybasis.BulkPolyBasis(kind, 1)
+    chunks = []
+    real = finefem.PatchGroup.chunks
+
+    def counted(self, size):
+        parts = list(real(self, size))
+        chunks.append(len(parts))
+        return iter(parts)
+
+    monkeypatch.setattr(finefem.PatchGroup, "chunks", counted)
+    catalog = localbasis.compute_all(coarse, fine, A_osc, degrees)
+    assert len(chunks) == (2 if kind == "triangle" else 1)
+    assert max(chunks) == (1 if kind == "triangle" else 4)
+    for bf in catalog:
+        single = entry_point(bf, coarse, fine, A_osc, basis)
+        assert single.support == bf.support
+        for K in bf.support:
+            assert np.array_equal(single.values[K], bf.values[K])
+
+
+def test_edge_chains_must_be_translates(A_osc):
+    # element 5 lists its edges in another order than its template
+    coarse = mesh.build_coarse("quad", 3, 3)
+    fine = mesh.refine_to_fine(coarse, 4)
+    edges = coarse.element_edges[5]
+    coarse.element_edges[5] = edges[1:] + edges[:1]
+    with pytest.raises(ValueError, match="element 5: edge chains are not a "
+                                         "translate of those of element 0"):
+        localbasis.compute_all(coarse, fine, A_osc,
+                               mesh.DegreeAssignment.uniform(coarse, 2, 0))
+
+
 def test_row_blocks_reject_distant_lattice_rows():
     # a triangle joining lattice rows 0 and 2 breaks the block-tridiagonal
     # structure of the patch solve, so assembly must refuse it
@@ -224,7 +269,7 @@ def test_row_blocks_reject_distant_lattice_rows():
                                np.array([], dtype=int), "skewed patch")
     Kt = geom.element_matrices(finefem.identity_field())
     with pytest.raises(ValueError, match="not adjacent"):
-        localbasis._row_blocks(fine, geom, Kt, np.ones(3, dtype=bool))
+        localbasis._row_blocks(fine, geom, np.ones(3, dtype=bool))
 
 
 def test_dump_points(quad44, fine_quad44, A_osc):
