@@ -42,7 +42,8 @@ def reference_solve(fine: FineMesh, A: finefem.CoefficientField,
                     f: finefem.RhsField, rel_tol: float = 1e-12,
                     eps: float | None = None,
                     strict: bool = False) -> tuple[finefem.FineFunction, float]:
-    """Fine solve of the full problem and its energy E*.
+    """Fine solve of the full problem and its energy E*, by
+    multigrid-preconditioned CG (finefem.solve_spd) to rel_tol.
 
     For an oscillatory coefficient with period eps the fine lattice must
     resolve it: cell size <= eps/8, else warn (or raise under strict).
@@ -72,7 +73,9 @@ def bubble_reference(fine: FineMesh, A: finefem.CoefficientField,
     """The bubble part of the reference solution: one fine solve of the full
     problem with every fine vertex of the coarse skeleton held at zero.  The
     skeleton cuts the system into independent element blocks, so this is
-    the elementwise zero-trace solves glued into one global field."""
+    the elementwise zero-trace solves glued into one global field.  It is
+    solved like the reference; its multigrid coarsens while the skeleton
+    stays on the coarse lattice (n_sub even at that level)."""
     u = finefem.solve_spd(
         finefem.assemble(finefem.skeleton_geometry(fine), A, f), rel_tol)
     return finefem.FineFunction(finefem.global_geometry(fine), u.values,
@@ -88,20 +91,25 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
 
     Element error energies are split evenly among the element's interior
     edges; the relative map divides by the interface reference energy norm.
+    The element energies of the error and of the interface reference come
+    from one Gram block per element, taken for a chunk of same-shape
+    patches at once (finefem.patch_groups and finefem.gram_blocks).
     """
     space = u_H.space
     coarse = space.coarse
     u_G = globalsolve.reconstruct(u_H, "interface")
-    d_G = (u_ref.values - u_B_ref.values) - u_G.values
     ref_G = u_ref.values - u_B_ref.values
-    err2 = np.zeros(len(coarse.elements))
-    denom2 = 0.0
-    for K in range(len(coarse.elements)):
-        egeom = finefem.element_geometry(space.fine, K)
-        V = np.stack([d_G[egeom.vids], ref_G[egeom.vids]])
-        M = finefem.energy_inner_matrix(V, egeom, space.A)
-        err2[K] = M[0, 0]
-        denom2 += M[1, 1]
+    d_G = ref_G - u_G.values
+    energies = np.zeros((len(coarse.elements), 2))
+    for group in finefem.patch_groups(space.fine, range(len(coarse.elements))):
+        tris = group.template.tris
+        for _, sub in group.chunks(2 * len(tris) * 3):
+            vids = group.template.vids + sub.shifts[:, None]
+            G = finefem.gram_blocks(np.stack([d_G[vids], ref_G[vids]], 1),
+                                    tris, *sub.weights(space.A))
+            energies[sub.elements] = np.diagonal(G, axis1=1, axis2=2)
+    err2 = energies[:, 0]
+    denom2 = float(energies[:, 1].sum())
     if denom2 <= 0:
         raise ValueError("interface reference norm vanishes")
     edge_map: dict[int, float] = {}

@@ -220,15 +220,14 @@ class CoarseSolution:
 
 def solve_coarse(systems: CoarseSystems, rel_tol: float = 1e-12
                  ) -> CoarseSolution:
-    """Solve the decoupled systems: PCG on the interface block, dense
+    """Solve the decoupled systems: Jacobi-PCG on the interface block, dense
     Cholesky-sized solves per bubble block."""
     space = systems.space
     coeffs = np.zeros(space.n_dofs)
     iters = 0
     if space.n_interface:
-        diag = systems.interface_K.diagonal()
         x, iters = finefem.pcg(systems.interface_K, systems.interface_rhs,
-                               rel_tol, diag)
+                               rel_tol)
         coeffs[:space.n_interface] = x
     for ids, Mb, bb in systems.bubble_blocks:
         coeffs[ids] = np.linalg.solve(Mb, bb)

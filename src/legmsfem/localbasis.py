@@ -152,45 +152,6 @@ def _row_blocks(fine: FineMesh, geom: finefem.TriGeometry,
                       int(d_off[-1] + d_size[-1] + widths[-1] * prev[-1]))
 
 
-def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """M[e] @ v for each row v of V[e], as separate matrix-vector products.
-
-    A BLAS matrix-matrix product can round a column differently depending
-    on how many columns ride along; one product per field keeps every basis
-    function bitwise independent of what else its patch solves, so sweeps
-    that reuse a donor space match fresh runs exactly."""
-    return np.matmul(M[:, None], V[..., None])[..., 0]
-
-
-def _block_tridiagonal_solve(D: list, E: list, R: list) -> list:
-    """Solve SPD block-tridiagonal systems with diagonal blocks D[i],
-    sub-diagonal blocks E[i] (block i against block i-1), one system per
-    element of the leading axis, for a stack of right-hand sides: R[i] has
-    shape (elements, fields, len(D[i][0])).
-
-    Block elimination from the first row down, then back substitution up
-    (Golub & Van Loan, block tridiagonal systems).  The Schur complements
-    depend only on the matrices; the fields go through _matvecs.  Every
-    element is its own LAPACK or BLAS call, so its fields do not depend on
-    the other elements of the stack."""
-    nb = len(D)
-    S_inv: list = [None] * nb
-    G: list = [None] * nb  # S_i^{-1} E[i+1]^T
-    S = D[0]
-    for i in range(nb):
-        S_inv[i] = np.linalg.inv(S)
-        if i + 1 < nb:
-            G[i] = S_inv[i] @ E[i + 1].transpose(0, 2, 1)
-            S = D[i + 1] - E[i + 1] @ G[i]
-    g = [_matvecs(S_inv[0], R[0])]
-    for i in range(1, nb):
-        g.append(_matvecs(S_inv[i], R[i] - _matvecs(E[i], g[-1])))
-    x = [g[-1]]
-    for i in range(nb - 2, -1, -1):
-        x.append(g[i] - _matvecs(G[i], x[-1]))
-    return x[::-1]
-
-
 def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
                 group: finefem.PatchGroup, requests: dict, n_tr: int
                 ) -> np.ndarray:
@@ -288,8 +249,10 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                             minlength=n_el * m * n).reshape(n_el, m, n)
             R = R[..., free]
             D, E = blocks.split(Kt)
-            Xc[..., free] = np.concatenate(_block_tridiagonal_solve(
-                D, E, [R[..., e - w:e] for e, w in zip(ends, blocks.widths)]),
+            Xc[..., free] = np.concatenate(
+                finefem.block_tridiagonal_substitute(
+                    finefem.block_tridiagonal_factor(D, E), E,
+                    [R[..., e - w:e] for e, w in zip(ends, blocks.widths)]),
                 axis=-1)
     out = {}
     for e, (K, (hats, etas, _, bubbles)) in enumerate(zip(group.elements,

@@ -189,6 +189,19 @@ def build_coarse(kind: str, nx: int, ny: int,
     return CoarseMesh(kind, nx, ny, domain)
 
 
+def lattice_triangles(nx: int, ny: int) -> np.ndarray:
+    """Triangles of an nx-by-ny cell lattice with vertex iy*(nx+1) + ix,
+    every cell split along its SW-NE diagonal: cell c = cy*nx + cx holds
+    triangle 2c (lower: SW, SE, NE) and 2c + 1 (upper: SW, NE, NW)."""
+    cx, cy = np.meshgrid(np.arange(nx), np.arange(ny))
+    sw = (cy * (nx + 1) + cx).ravel()
+    se, ne, nw = sw + 1, sw + nx + 2, sw + nx + 1
+    tris = np.empty((2 * len(sw), 3), dtype=int)
+    tris[0::2] = np.column_stack([sw, se, ne])  # lower
+    tris[1::2] = np.column_stack([sw, ne, nw])  # upper
+    return tris
+
+
 class FineMesh:
     """Global fine triangulation shared by all coarse elements.
 
@@ -212,18 +225,13 @@ class FineMesh:
         X, Y = np.meshgrid(xs, ys)
         self.vertices = np.column_stack([X.ravel(), Y.ravel()])
 
+        self.triangles = lattice_triangles(self.nfx, self.nfy)
+
         cx, cy = np.meshgrid(np.arange(self.nfx), np.arange(self.nfy))
         cx, cy = cx.ravel(), cy.ravel()
-        sw = cy * (self.nfx + 1) + cx
-        se, ne, nw = sw + 1, sw + self.nfx + 2, sw + self.nfx + 1
-        tris = np.empty((2 * len(sw), 3), dtype=int)
-        tris[0::2] = np.column_stack([sw, se, ne])  # lower
-        tris[1::2] = np.column_stack([sw, ne, nw])  # upper
-        self.triangles = tris
-
         Cx, Cy = cx // ns, cy // ns
         cell_elem = Cy * nx + Cx
-        tags = np.empty(2 * len(sw), dtype=int)
+        tags = np.empty(2 * len(cx), dtype=int)
         if coarse.kind == "quad":
             tags[0::2] = cell_elem
             tags[1::2] = cell_elem

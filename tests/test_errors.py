@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import fourier_poisson_integral
-from legmsfem import errors, finefem, globalsolve, mesh
+from legmsfem import cli, errors, finefem, globalsolve, mesh
 
 
 def test_relative_from_energies():
@@ -217,3 +217,59 @@ def test_same_name_coefficients_never_share_a_matrix():
     with pytest.raises(ValueError, match="same coefficient"):
         globalsolve.build_space(coarse, fine, ten, degrees,
                                 interface_from=donor)
+
+
+def run_config(kind, nx, n_sub, N, M, eps=2.0):
+    return cli.run_single(cli.RunConfig.from_dict({
+        "schema": 1, "kind": kind, "nx": nx, "ny": nx, "n_sub": n_sub,
+        "coefficient": {"type": "periodic_benchmark", "eps": eps},
+        "rhs": {"type": "gaussian_benchmark"}, "N": N, "M": M}))
+
+
+@pytest.mark.parametrize("kind,nx,n_sub", [("quad", 5, 32),
+                                           ("triangle", 3, 4)])
+def test_interface_error_map_matches_per_element_grams(kind, nx, n_sub):
+    # the batched element energies against one energy_inner_matrix call
+    # per element patch geometry, split over the edges as documented; the
+    # 25 quads go in two chunks, the triangles in two shapes
+    res = run_config(kind, nx, n_sub, 2, 0)
+    space = res.solution.space
+    coarse = space.coarse
+    edge_map, abs_err = errors.interface_error_map(res.solution, res.u_ref,
+                                                   res.u_B_ref)
+    ref_G = res.u_ref.values - res.u_B_ref.values
+    d_G = ref_G - globalsolve.reconstruct(res.solution, "interface").values
+    err2 = np.zeros(len(coarse.elements))
+    denom2 = 0.0
+    for K in range(len(coarse.elements)):
+        egeom = finefem.element_geometry(space.fine, K)
+        M = finefem.energy_inner_matrix(
+            np.stack([d_G[egeom.vids], ref_G[egeom.vids]]), egeom, space.A)
+        err2[K] = M[0, 0]
+        denom2 += M[1, 1]
+    assert set(edge_map) == {int(e) for e in coarse.interior_edge_ids}
+    for eid, got in edge_map.items():
+        acc = sum(err2[K] / sum(not coarse.edges[g].boundary
+                                for g in coarse.element_edges[K])
+                  for K in coarse.edges[eid].element_ids)
+        want = math.sqrt(acc / denom2)
+        assert abs(got - want) <= 1e-13 * want
+    assert abs(abs_err - math.sqrt(err2.sum())) <= 1e-13 * abs_err
+
+
+@pytest.mark.parametrize("kind,n_sub,N", [("triangle", 4, 4),
+                                          ("quad", 3, 3)])
+def test_space_as_large_as_fine_space_reproduces_reference(kind, n_sub, N):
+    # N - 1 edge enrichments fill the n_sub - 1 interior vertices of each
+    # edge and the M = 1 bubbles span each element's interior vertices,
+    # so the enriched space is the whole fine P1 space: the offline direct
+    # solves and the multigrid reference must give the same energy
+    res = run_config(kind, 2, n_sub, N, 1)
+    fine, space = res.problem.fine, res.solution.space
+    assert space.n_dofs == len(finefem.global_geometry(fine).vids) \
+        - len(fine.boundary_vertex_ids())
+    system = finefem.assemble(finefem.global_geometry(fine), space.A,
+                              f=res.problem.f)
+    assert len(finefem.Multigrid(system).levels) > 1
+    report = res.report
+    assert abs(report.E_num - report.E_star) <= 1e-12 * abs(report.E_star)

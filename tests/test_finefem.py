@@ -302,3 +302,153 @@ def test_poisson_center_value_vs_series():
         (fine.vertices[:, 0] == 0.5) & (fine.vertices[:, 1] == 0.5))[0])
     exact = fourier_poisson_center()
     assert abs(u.values[center] - exact) / exact < 2e-3
+
+
+def interpolation_matrix(coarse_geom, fine_geom):
+    """P1 interpolation of the coarse lattice hats at the fine lattice
+    vertices, (fine vertices, coarse vertices), by point location in
+    coarse cell units: the lower triangle (SW, SE, NE) of a cell holds
+    t <= s, the upper one (SW, NE, NW) t >= s."""
+    ncx, ncy = coarse_geom.lattice
+    (x0, y0), (x1, y1) = coarse_geom.points[0], coarse_geom.points[-1]
+    u = (fine_geom.points[:, 0] - x0) / (x1 - x0) * ncx
+    v = (fine_geom.points[:, 1] - y0) / (y1 - y0) * ncy
+    cx = np.minimum(np.floor(u), ncx - 1).astype(int)
+    cy = np.minimum(np.floor(v), ncy - 1).astype(int)
+    s, t = u - cx, v - cy
+    sw = cy * (ncx + 1) + cx
+    se, ne, nw = sw + 1, sw + ncx + 2, sw + ncx + 1
+    lower = t <= s
+    P = np.zeros((fine_geom.n_vertices, coarse_geom.n_vertices))
+    rows = np.arange(fine_geom.n_vertices)
+    for cols, w in ((sw, np.where(lower, 1 - s, 1 - t)),
+                    (se, np.where(lower, s - t, 0.0)),
+                    (ne, np.where(lower, t, s)),
+                    (nw, np.where(lower, 0.0, t - s))):
+        np.add.at(P, (rows, cols), w)
+    return P
+
+
+def hierarchy_geometries(geom, AW):
+    """The lattice geometries of every level below geom, via _coarsen."""
+    out = [geom]
+    while (coarser := finefem._coarsen(out[-1], AW)) is not None:
+        out.append(coarser[0])
+        AW = coarser[1]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+@pytest.mark.parametrize("fixed", ["boundary", "skeleton"])
+def test_coarse_operators_are_galerkin_products(kind, fixed):
+    # every coarse operator equals P^T K P of the level above with an
+    # explicit interpolation matrix; 2x1 coarse cells on 32x16 fine cells
+    # (non-square cells), three levels or more
+    coarse = mesh.build_coarse(kind, 2, 1)
+    fine = mesh.refine_to_fine(coarse, 16)
+    geom = (finefem.global_geometry(fine) if fixed == "boundary"
+            else finefem.skeleton_geometry(fine))
+    system = finefem.assemble(geom, finefem.periodic_benchmark(0.25))
+    mg = finefem.Multigrid(system)
+    geoms = hierarchy_geometries(geom, system.AW)
+    assert len(mg.levels) == len(geoms) >= 3
+    for lev_f, lev_c, gf, gc in zip(mg.levels, mg.levels[1:], geoms,
+                                    geoms[1:]):
+        P = interpolation_matrix(gc, gf)[np.ix_(lev_f.free, lev_c.free)]
+        want = P.T @ lev_f.K.toarray() @ P
+        got = lev_c.K.toarray()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # and the hierarchy's own transfer is that interpolation
+        xc = np.random.default_rng(3).standard_normal(len(lev_c.free))
+        Uf = finefem._prolong(lev_c.on_lattice(xc)).ravel()
+        assert np.abs(Uf[lev_f.free] - P @ xc).max() <= 1e-15
+        assert not Uf[np.setdiff1d(np.arange(gf.n_vertices), lev_f.free)].any()
+        rf = np.random.default_rng(4).standard_normal(len(lev_f.free))
+        rc = finefem._restrict(lev_f.on_lattice(rf)).ravel()[lev_c.free]
+        assert np.abs(rc - P.T @ rf).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind,nx,n_sub,boundary_levels,skeleton_levels", [
+    ("quad", 4, 16, 6, 4),      # 64 cells down to 2; n_sub 16 down to 2
+    ("quad", 4, 6, 4, 2),       # n_sub 3 is odd one level down
+    ("quad", 4, 7, 3, 1),       # 28 cells to 7; an odd skeleton
+    ("quad", 5, 3, 1, 1),       # 15 cells
+    ("triangle", 2, 4, 3, 1)])  # triangles with n_sub 2 have no interior
+def test_coarsening_stops(kind, nx, n_sub, boundary_levels, skeleton_levels):
+    # at an odd cell count, before a level without free vertices, and for
+    # the skeleton where n_sub turns odd
+    fine = mesh.refine_to_fine(mesh.build_coarse(kind, nx, nx), n_sub)
+    A = finefem.identity_field()
+    for geom, levels in ((finefem.global_geometry(fine), boundary_levels),
+                         (finefem.skeleton_geometry(fine), skeleton_levels)):
+        mg = finefem.Multigrid(finefem.assemble(geom, A))
+        assert len(mg.levels) == levels
+
+
+def test_prolongation_reproduces_linear_functions():
+    coarse = mesh.build_coarse("triangle", 2, 2)
+    fine = mesh.refine_to_fine(coarse, 8)
+    geoms = hierarchy_geometries(finefem.global_geometry(fine),
+                                 np.ones((2 * 16 * 16, 2, 2)))
+    for gf, gc in zip(geoms, geoms[1:]):
+        lin = lambda p: 2.0 * p[:, 0] + 3.0 * p[:, 1] - 1.0
+        ncx, ncy = gc.lattice
+        Uf = finefem._prolong(lin(gc.points).reshape(ncy + 1, ncx + 1))
+        assert np.array_equal(Uf.ravel(), lin(gf.points))
+
+
+@pytest.mark.parametrize("nx,n_sub", [(3, 5), (1, 3), (2, 67)])
+@pytest.mark.parametrize("skeleton", [False, True])
+def test_lattice_that_cannot_coarsen_runs_jacobi_pcg(skeleton, nx, n_sub):
+    # an odd number of fine cells, or (2x2 quads, n_sub 67) a coarsest
+    # level of 67x67 cells whose rows of 66 are too wide to factor: one
+    # level, never factored however few its free vertices, so the V-cycle
+    # is the inverse diagonal and pcg runs bitwise as Jacobi-PCG
+    fine = mesh.refine_to_fine(mesh.build_coarse("quad", nx, nx), n_sub)
+    geom = (finefem.skeleton_geometry(fine) if skeleton
+            else finefem.global_geometry(fine))
+    system = finefem.assemble(geom, finefem.periodic_benchmark(0.25),
+                              f=finefem.constant_rhs(-1.0))
+    mg = finefem.Multigrid(system)
+    assert len(mg.levels) == 1
+    x_mg, it_mg = finefem.pcg(system.K, system.rhs, 1e-12, mg)
+    x_j, it_j = finefem.pcg(system.K, system.rhs, 1e-12)
+    assert it_mg == it_j > 1
+    assert np.array_equal(x_mg, x_j)
+    u = finefem.solve_spd(system)
+    assert u.cg_iters == it_j
+    assert np.array_equal(u.values[system.free_loc], x_j)
+
+
+@pytest.mark.parametrize("kind,nx,n_sub,skeleton,levels", [
+    ("quad", 2, 33, False, 2),      # 32 rows of 32 on 33x33 cells
+    ("quad", 2, 4, True, 2),        # bottom rows 1 and 3 do not couple
+    ("triangle", 2, 4, False, 3)])  # down to the one free vertex of 2x2
+def test_coarsest_level_is_solved_exactly(kind, nx, n_sub, skeleton, levels):
+    fine = mesh.refine_to_fine(mesh.build_coarse(kind, nx, nx), n_sub)
+    geom = (finefem.skeleton_geometry(fine) if skeleton
+            else finefem.global_geometry(fine))
+    system = finefem.assemble(geom, finefem.periodic_benchmark(0.5),
+                              f=finefem.gaussian_rhs())
+    mg = finefem.Multigrid(system)
+    assert len(mg.levels) == levels
+    bottom = mg.levels[-1]
+    r = np.random.default_rng(5).standard_normal(len(bottom.free))
+    want = np.linalg.solve(bottom.K.toarray(), r)
+    got = mg._cycle(levels - 1, r)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_multigrid_pcg_matches_jacobi_pcg():
+    # the preconditioner changes the path, not the solution: 64x64 fine
+    # cells coarsen down to 2x2
+    fine = mesh.refine_to_fine(mesh.build_coarse("quad", 4, 4), 16)
+    A = finefem.periodic_benchmark(0.125)
+    system = finefem.assemble(finefem.global_geometry(fine), A,
+                              f=finefem.constant_rhs(-1.0))
+    mg = finefem.Multigrid(system)
+    assert len(mg.levels) == 6
+    x_mg, it_mg = finefem.pcg(system.K, system.rhs, 1e-12, mg)
+    x_j, it_j = finefem.pcg(system.K, system.rhs, 1e-12)
+    assert it_mg <= 20 < it_j
+    assert np.abs(x_mg - x_j).max() <= 1e-11 * np.abs(x_j).max()
