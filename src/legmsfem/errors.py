@@ -74,8 +74,10 @@ def bubble_reference(fine: FineMesh, A: finefem.CoefficientField,
     problem with every fine vertex of the coarse skeleton held at zero.  The
     skeleton cuts the system into independent element blocks, so this is
     the elementwise zero-trace solves glued into one global field.  It is
-    solved like the reference; its multigrid coarsens while the skeleton
-    stays on the coarse lattice (n_sub even at that level)."""
+    solved like the reference, on the reference's own stencil (the
+    skeleton geometry shares it) with the skeleton masked out; its
+    multigrid coarsens while the skeleton stays on the coarse lattice
+    (n_sub even at that level)."""
     u = finefem.solve_spd(
         finefem.assemble(finefem.skeleton_geometry(fine), A, f), rel_tol)
     return finefem.FineFunction(finefem.global_geometry(fine), u.values,

@@ -8,12 +8,17 @@ triangle's centroid by default, optionally the 3-point edge-midpoint rule
 (quad_order=3).  Energies use the same rule as assembly, so the Galerkin
 identity energy(u) = -1/2 rhs.u holds at solver accuracy.
 
-Geometry and quadrature points are cached per patch; stiffness is not,
-so two coefficient fields never share a matrix.  Per-triangle element
-matrices come from one routine: `assemble` builds the eliminated CSR system
-from them for the iterative solves (the fine reference, and the bubble
-reference with the whole coarse skeleton fixed), and the offline patch
-solves in `localbasis` build dense lattice-row blocks from them.
+Every geometry here is a set of triangles of the SW-NE fine lattice, so
+its stiffness is a 7-point stencil (centre, E/W, N/S, NE/SW) on the box of
+lattice vertices that holds it.  Per-triangle element matrices come from
+one routine: `assemble` scatters them once into the stencil of the
+iterative solves (the fine reference, and the bubble reference with the
+whole coarse skeleton fixed) and masks the Dirichlet vertices out of it,
+and the offline patch solves in `localbasis` build dense lattice-row
+blocks from them.  Geometry and quadrature points are cached per patch;
+a geometry keeps the stencil of the last coefficient object it assembled
+(keyed by identity), so the two fine references share one assembly and
+two coefficient fields never share a matrix.  Only numpy is needed.
 
 `solve_spd` preconditions CG with one geometric multigrid V-cycle
 (`Multigrid`).  The fine lattice is nested: coarsening it every other
@@ -42,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import lattice_triangles
 
@@ -230,7 +234,8 @@ class TriGeometry:
 
     def __init__(self, points: np.ndarray, tris: np.ndarray, vids: np.ndarray,
                  boundary_local: np.ndarray, label: str,
-                 lattice: tuple[int, int] | None = None):
+                 lattice: tuple[int, int] | None = None,
+                 box: tuple[tuple[int, int], np.ndarray] | None = None):
         self.points = points
         self.tris = tris
         self.vids = vids
@@ -239,6 +244,13 @@ class TriGeometry:
         # (nx, ny) when this is a whole nx-by-ny cell lattice in the vertex
         # and triangle order of mesh.lattice_triangles; multigrid needs it.
         self.lattice = lattice
+        # The vertex lattice holding the geometry, ((rows, columns), the
+        # row-major position of each local vertex in it): the fine systems
+        # are stencils on it.  A whole lattice is its own box; None for a
+        # geometry off the lattice, which cannot be assembled.
+        if box is None and lattice is not None:
+            box = ((lattice[1] + 1, lattice[0] + 1), np.arange(len(points)))
+        self.box = box
         p0, p1, p2 = points[tris[:, 0]], points[tris[:, 1]], points[tris[:, 2]]
         det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
                - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
@@ -255,6 +267,8 @@ class TriGeometry:
         g[:, 2, 1] = (p1[:, 0] - p0[:, 0]) / det
         self.grads = g
         self._quad: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # quad order -> (coefficient, AW, Stencil); shallow copies share it.
+        self._stencils: dict[int, tuple] = {}
 
     @property
     def n_vertices(self) -> int:
@@ -301,34 +315,146 @@ class TriGeometry:
         symmetric."""
         return _stiffness(self.grads, self.area_weighted(A, order))
 
-    def _eliminated(self, A: CoefficientField, order: int):
-        """(K_ff, K_fc, free_loc, fixed_loc, AW) for this patch, AW the
-        area-weighted coefficient the stiffness is built from."""
-        AW = self.area_weighted(A, order)
-        return _eliminate(self, AW) + (self.boundary_local, AW)
+    def stencil(self, A: CoefficientField, order: int = 1
+                ) -> tuple[np.ndarray, Stencil]:
+        """(AW, stencil) of the stiffness of A on this geometry, built once
+        per coefficient object.  The entry of a quadrature order is kept
+        until another coefficient replaces it; the key compares the
+        coefficient by identity, never by name.  Shallow copies (the
+        skeleton geometry) share the entry, so the fine reference and the
+        bubble reference assemble one operator."""
+        hit = self._stencils.get(order)
+        if hit is None or hit[0] is not A:
+            AW = self.area_weighted(A, order)
+            hit = self._stencils[order] = (A, AW, Stencil.of(self, AW))
+        return hit[1], hit[2]
 
 
-def _eliminate(geom: TriGeometry, AW: np.ndarray):
-    """(K_ff, K_fc, free_loc): the CSR stiffness on geom with area-weighted
-    coefficient AW, split into free rows against free and against fixed
-    (geom.boundary_local) columns."""
-    # int32 is scipy's own index type, so COO-to-CSR copies no index
-    # array.  The COO arrays live only in this one statement, so neither
-    # they nor the strided stiffness their entries are copied from
-    # outlive the conversion (the peak of a global assembly).
-    tris = geom.tris.astype(np.int32)
-    n = geom.n_vertices
-    K = sp.coo_matrix((_stiffness(geom.grads, AW).ravel(),
-                       (np.repeat(tris, 3, axis=1).ravel(),
-                        np.tile(tris, (1, 3)).ravel())),
-                      shape=(n, n)).tocsr()
-    # Mirror through the transpose so symmetry is exact by construction.
-    K = (K + K.T) * 0.5
-    mask = np.ones(n, dtype=bool)
-    mask[geom.boundary_local] = False
-    free = np.flatnonzero(mask)
-    K_f = K[free]
-    return K_f[:, free].tocsr(), K_f[:, geom.boundary_local].tocsr(), free
+class Stencil:
+    """The P1 stiffness of a lattice geometry as a 7-point stencil on its
+    vertex box: flat row-major arrays of the centre coefficient and of the
+    couplings of each box position with its east, north and north-east
+    neighbours (the west, south and south-west ones are those of the
+    neighbour).  Each coupling is one entry of an exactly symmetric element
+    matrix applied both ways, so the operator is exactly symmetric by
+    construction.  Positions outside the geometry carry zeros, so does a
+    coupling across the end of a box row."""
+
+    def __init__(self, grid: tuple[int, int], centre: np.ndarray,
+                 east: np.ndarray, north: np.ndarray, northeast: np.ndarray):
+        self.grid = grid
+        self.centre = centre
+        self.east = east
+        self.north = north
+        self.northeast = northeast
+        # (coefficients, flat offset of the neighbour) of each direction
+        # with a nonzero coupling: a scalar coefficient gives the diagonal
+        # of a right triangle none, and apply skips what would add zeros.
+        cols = grid[1]
+        self.couplings = [(c, k) for c, k in ((east, 1), (north, cols),
+                                              (northeast, cols + 1))
+                          if c.any()]
+
+    @classmethod
+    def of(cls, geom: TriGeometry, AW: np.ndarray) -> Stencil:
+        """The stencil of _stiffness(geom.grads, AW), every element entry
+        scattered to its box position once, in triangle order.  Raises
+        ValueError unless every triangle is the lower (SW, SE, NE) or the
+        upper (SW, NE, NW) half of a box cell."""
+        if geom.box is None:
+            raise ValueError(f"{geom.label}: not on a lattice")
+        (rows, cols), slots = geom.box
+        n = rows * cols
+        s = slots[geom.tris]
+        lower = (s[:, 1] == s[:, 0] + 1) & (s[:, 2] == s[:, 0] + cols + 1)
+        upper = (s[:, 1] == s[:, 0] + cols + 1) & (s[:, 2] == s[:, 0] + cols)
+        if not (lower | upper).all():
+            raise ValueError(f"{geom.label}: triangle "
+                             f"{int(np.argmin(lower | upper))} is not half "
+                             "of a lattice cell")
+        Ke = _stiffness(geom.grads, AW)
+        k01, k02, k12 = Ke[:, 0, 1], Ke[:, 0, 2], Ke[:, 1, 2]
+        # Lower: SW-SE east of SW, SE-NE north of SE, SW-NE.  Upper: NW-NE
+        # east of NW, SW-NW north of SW, SW-NE.
+        return cls((rows, cols),
+                   np.bincount(s.ravel(), Ke.reshape(-1, 9)[:, ::4].ravel(),
+                               n),
+                   np.bincount(np.where(lower, s[:, 0], s[:, 2]),
+                               np.where(lower, k01, k12), n),
+                   np.bincount(np.where(lower, s[:, 1], s[:, 0]),
+                               np.where(lower, k12, k02), n),
+                   np.bincount(s[:, 0], np.where(lower, k02, k01), n))
+
+    def restricted(self, m: np.ndarray) -> Stencil:
+        """The stencil with every coefficient that touches a box position
+        off the boolean mask m set to zero."""
+        out = [self.centre * m]
+        for coef, k in ((self.east, 1), (self.north, self.grid[1]),
+                        (self.northeast, self.grid[1] + 1)):
+            c = coef * m
+            c[:-k] *= m[k:]
+            out.append(c)
+        return Stencil(self.grid, *out)
+
+    def apply(self, U: np.ndarray, out: np.ndarray, tmp: np.ndarray
+              ) -> np.ndarray:
+        """out = K U on flat box arrays, with tmp as scratch."""
+        np.multiply(self.centre, U, out=out)
+        for coef, k in self.couplings:
+            t = tmp[:-k]
+            np.multiply(coef[:-k], U[k:], out=t)
+            out[:-k] += t
+            np.multiply(coef[:-k], U[:-k], out=t)
+            out[k:] += t
+        return out
+
+
+class LatticeOperator:
+    """K_ff of a lattice system: the stencil restricted to the free box
+    positions (the boolean mask), Dirichlet and off-geometry positions
+    masked out.  As a matrix it acts on vectors over the free positions in
+    row-major order (slots); apply_box acts on whole box arrays that
+    vanish off them, with preallocated scratch.  shape, diagonal() and nnz
+    (nonzero entries, as a sparse matrix would store them) are those of
+    K_ff."""
+
+    def __init__(self, stencil: Stencil, mask: np.ndarray):
+        self.mask = mask
+        self.stencil = stencil.restricted(mask)
+        self.slots = np.flatnonzero(mask)
+        self.shape = (len(self.slots), len(self.slots))
+        self._U = np.zeros(len(mask))  # zero off the mask for good
+        self._Y = np.empty(len(mask))
+        self._tmp = np.empty(len(mask))
+
+    def apply_box(self, U: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self.stencil.apply(U, out, self._tmp)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # Boolean scatter and gather take about half the time of indexing
+        # by slots on 257^2 vertices.
+        self._U[self.mask] = x
+        return self.apply_box(self._U, self._Y)[self.mask]
+
+    def diagonal(self) -> np.ndarray:
+        return self.stencil.centre[self.mask]
+
+    @property
+    def nnz(self) -> int:
+        st = self.stencil
+        return int(np.count_nonzero(st.centre)
+                   + 2 * sum(np.count_nonzero(c) for c, _ in st.couplings))
+
+
+def _eliminate(geom: TriGeometry, stencil: Stencil
+               ) -> tuple[LatticeOperator, np.ndarray]:
+    """(K_ff, free_loc): the stencil of geom restricted to the vertices off
+    geom.boundary_local, and those vertices."""
+    free = np.ones(geom.n_vertices, dtype=bool)
+    free[geom.boundary_local] = False
+    mask = np.zeros(len(stencil.centre), dtype=bool)
+    mask[geom.box[1][free]] = True
+    return LatticeOperator(stencil, mask), np.flatnonzero(free)
 
 
 def global_geometry(fine) -> TriGeometry:
@@ -363,8 +489,12 @@ def element_geometry(fine, elem_id: int) -> TriGeometry:
     vids = fine.element_vertex_ids(elem_id)
     tris = np.searchsorted(vids, fine.triangles[fine.element_triangle_ids(elem_id)])
     bnd = np.searchsorted(vids, fine.element_boundary_vertex_ids(elem_id))
+    ix, iy = vids % (fine.nfx + 1), vids // (fine.nfx + 1)
+    ix, iy = ix - ix.min(), iy - iy.min()
+    cols = int(ix.max()) + 1
     geom = TriGeometry(fine.vertices[vids], tris, vids, bnd,
-                       f"element {elem_id} patch")
+                       f"element {elem_id} patch",
+                       box=((int(iy.max()) + 1, cols), iy * cols + ix))
     fine._geom_cache[elem_id] = geom
     return geom
 
@@ -472,11 +602,12 @@ class FineFunction:
 
 @dataclass
 class SparseSpdSystem:
-    """Eliminated SPD system: free-DOF matrix, lifted right-hand side, the
-    template carrying the Dirichlet values, and the per-triangle
-    area-weighted coefficient K is built from (multigrid coarsens it)."""
+    """Eliminated SPD system: the free-vertex stiffness as a lattice
+    stencil, the lifted right-hand side, the template carrying the
+    Dirichlet values, and the per-triangle area-weighted coefficient K is
+    built from (multigrid coarsens it)."""
 
-    K: sp.csr_matrix
+    K: LatticeOperator
     rhs: np.ndarray
     free_loc: np.ndarray
     values0: np.ndarray
@@ -506,9 +637,15 @@ def assemble(geom: TriGeometry, A: CoefficientField, f=None,
     """Assemble the Dirichlet-eliminated system on a patch or the global mesh.
 
     dirichlet is either one value for the whole boundary or an array of
-    values aligned with geom.boundary_local.
+    values aligned with geom.boundary_local.  The stencil comes from
+    geom.stencil, so a second system of the same coefficient object on the
+    same lattice (another fixed set) reuses it; the fixed vertices are
+    masked out of it, and the Dirichlet lift is the full stencil applied to
+    the Dirichlet values.
     """
-    K_ff, K_fc, free, fixed, AW = geom._eliminated(A, quad_order)
+    AW, stencil = geom.stencil(A, quad_order)
+    K_ff, free = _eliminate(geom, stencil)
+    fixed = geom.boundary_local
     xc = np.asarray(dirichlet, dtype=float)
     if xc.ndim == 0:
         xc = np.full(len(fixed), float(xc))
@@ -517,10 +654,13 @@ def assemble(geom: TriGeometry, A: CoefficientField, f=None,
                          f"{len(fixed)} boundary vertices")
     b = load_vector(geom, f, quad_order) if f is not None else np.zeros(geom.n_vertices)
     rhs = b[free]
-    if len(fixed) and np.any(xc != 0.0):
-        rhs = rhs - K_fc @ xc
     values0 = np.zeros(geom.n_vertices)
     values0[fixed] = xc
+    if len(fixed) and np.any(xc != 0.0):
+        U = np.zeros(len(K_ff.mask))
+        U[geom.box[1]] = values0
+        rhs = rhs - stencil.apply(U, np.empty_like(U),
+                                  np.empty_like(U))[K_ff.mask]
     return SparseSpdSystem(K_ff, rhs, free, values0, geom, AW)
 
 
@@ -686,29 +826,34 @@ def _coarsen(geom: TriGeometry, AW: np.ndarray
     return coarse, np.stack([lower, upper], axis=2).reshape(-1, 2, 2)
 
 
-@dataclass(frozen=True)
 class _Level:
-    """One level of a hierarchy: its free-vertex system, and the lattice
-    (rows, columns) of vertices its free vertices index, if any."""
+    """One level of a hierarchy: its free-vertex operator on the vertex
+    lattice (rows, columns), and the damped-Jacobi smoother on box arrays
+    that vanish off the free vertices."""
 
-    K: sp.csr_matrix
-    dinv: np.ndarray
-    free: np.ndarray
-    shape: tuple[int, int] | None
+    def __init__(self, K: LatticeOperator):
+        self.K = K
+        self.shape = K.stencil.grid
+        # The damped inverse diagonal, zero off the free vertices.
+        self.wdinv = np.zeros(len(K.mask))
+        self.wdinv[K.slots] = SMOOTHING_WEIGHT / K.diagonal()
+        self._t = np.empty(len(K.mask))
 
-    def smooth(self, x: np.ndarray, r: np.ndarray) -> None:
-        """One damped-Jacobi sweep on K x = r, in place."""
-        t = self.K @ x
-        np.subtract(r, t, out=t)
-        t *= self.dinv
-        t *= SMOOTHING_WEIGHT
-        x += t
+    @property
+    def free(self) -> np.ndarray:
+        """The free vertices, row-major lattice positions."""
+        return self.K.slots
 
-    def on_lattice(self, x: np.ndarray) -> np.ndarray:
-        """x at the free vertices, zero at the fixed ones, (rows, columns)."""
-        U = np.zeros(self.shape[0] * self.shape[1])
-        U[self.free] = x
-        return U.reshape(self.shape)
+    def residual(self, X: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """R - K X into the level's scratch array."""
+        t = self.K.apply_box(X, self._t)
+        return np.subtract(R, t, out=t)
+
+    def smooth(self, X: np.ndarray, R: np.ndarray) -> None:
+        """One damped-Jacobi sweep on K X = R, in place."""
+        t = self.residual(X, R)
+        t *= self.wdinv
+        X += t
 
 
 class Multigrid:
@@ -717,9 +862,10 @@ class Multigrid:
     Schueller, Multigrid, 2001; Alcouffe, Brandt, Dendy and Painter, SIAM
     J. Sci. Stat. Comput. 2, 1981, on rough coefficients).
 
-    Level 0 is the system's own matrix; each coarser level comes from
-    _coarsen and is assembled like the fine system.  The cycle runs
-    SMOOTHING_SWEEPS damped-Jacobi sweeps before and after each coarse
+    Level 0 is the system's own operator; each coarser level comes from
+    _coarsen and is assembled like the fine system.  The cycle runs on
+    whole lattice arrays, zero off the free vertices of each level, and
+    runs SMOOTHING_SWEEPS damped-Jacobi sweeps before and after each coarse
     correction, so it is symmetric.  The coarsest level is factored by
     block elimination over its lattice rows.  Where a row of it holds
     more than BOTTOM_DIRECT free vertices the coarse levels are dropped:
@@ -734,17 +880,12 @@ class Multigrid:
 
     def __init__(self, system: SparseSpdSystem):
         geom, AW = system.geom, system.AW
-        K, free = system.K, system.free_loc
-        self.levels: list[_Level] = []
-        while True:
-            shape = (None if geom.lattice is None
-                     else (geom.lattice[1] + 1, geom.lattice[0] + 1))
-            self.levels.append(_Level(K, 1.0 / K.diagonal(), free, shape))
-            coarser = _coarsen(geom, AW)
-            if coarser is None:
-                break
+        self._jacobi = _jacobi(system.K)
+        self.levels: list[_Level] = [_Level(system.K)]
+        while (coarser := _coarsen(geom, AW)) is not None:
             geom, AW = coarser
-            K, _, free = _eliminate(geom, AW)
+            K, _ = _eliminate(geom, Stencil.of(geom, AW))
+            self.levels.append(_Level(K))
         self._factor = None
         if len(self.levels) > 1 and not self._factor_bottom():
             del self.levels[1:]
@@ -753,47 +894,70 @@ class Multigrid:
         """Block elimination of the coarsest level over its lattice rows,
         unless a row holds more than BOTTOM_DIRECT free vertices; whether
         it was factored.  Free vertices are in lattice-row order, so each
-        row is a slice of them, and the stiffness couples only adjacent
-        lattice rows."""
-        bottom = self.levels[-1]
-        rows = bottom.free // bottom.shape[1]
+        row is a slice of them, and the stencil couples only adjacent
+        lattice rows: the diagonal block of a row is tridiagonal, from the
+        centre and east coefficients, and its block against the row below
+        comes from the north and north-east ones."""
+        K = self.levels[-1].K
+        st, cols, slots = K.stencil, K.stencil.grid[1], K.slots
+        rows = slots // cols
         if np.bincount(rows).max() > BOTTOM_DIRECT:
             return False
         ends = np.append(np.flatnonzero(np.diff(rows)) + 1, len(rows))
         self._blocks = [slice(a, b)
                         for a, b in zip(np.append(0, ends[:-1]), ends)]
-        slabs = [bottom.K[b] for b in self._blocks]
-        self._E = [s[:, a].toarray()[None] for s, a in
-                   zip(slabs, [slice(0, 0)] + self._blocks[:-1])]
-        self._factor = block_tridiagonal_factor(
-            [s[:, b].toarray()[None] for s, b in zip(slabs, self._blocks)],
-            self._E)
+        D, self._E = [], []
+        prev = np.zeros(0, dtype=int)
+        for b in self._blocks:
+            s = slots[b]
+            Dk = np.diag(st.centre[s])
+            i = np.flatnonzero(np.diff(s) == 1)
+            Dk[i, i + 1] = Dk[i + 1, i] = st.east[s[i]]
+            Ek = np.zeros((len(s), len(prev)))
+            if len(prev) and prev[0] // cols + 1 == s[0] // cols:
+                at = np.full(cols, -1)
+                at[prev % cols] = np.arange(len(prev))
+                for coef, dc in ((st.north, 0), (st.northeast, 1)):
+                    j = np.where(s % cols >= dc, at[s % cols - dc], -1)
+                    k = np.flatnonzero(j >= 0)
+                    Ek[k, j[k]] = coef[s[k] - cols - dc]
+            D.append(Dk[None])
+            self._E.append(Ek[None])
+            prev = s
+        self._factor = block_tridiagonal_factor(D, self._E)
         return True
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self._cycle(0, r)
+    def _bottom(self, r: np.ndarray) -> np.ndarray:
+        """Solve the factored coarsest level for r over its free
+        vertices."""
+        x = block_tridiagonal_substitute(
+            self._factor, self._E, [r[b][None, None] for b in self._blocks])
+        return np.concatenate(x, axis=-1)[0, 0]
 
-    def _cycle(self, l: int, r: np.ndarray) -> np.ndarray:
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        if self._factor is None:
+            return self._jacobi(r)
+        mask = self.levels[0].K.mask
+        R = np.zeros(len(mask))
+        R[mask] = r
+        return self._cycle(0, R)[mask]
+
+    def _cycle(self, l: int, R: np.ndarray) -> np.ndarray:
         lev = self.levels[l]
         if l + 1 == len(self.levels):
-            if self._factor is None:
-                return lev.dinv * r
-            x = block_tridiagonal_substitute(
-                self._factor, self._E, [r[b][None, None] for b in self._blocks])
-            return np.concatenate(x, axis=-1)[0, 0]
+            X = np.zeros_like(R)
+            X[lev.free] = self._bottom(R[lev.free])
+            return X
         coarse = self.levels[l + 1]
-        x = lev.dinv * r
-        x *= SMOOTHING_WEIGHT
+        X = lev.wdinv * R
         for _ in range(SMOOTHING_SWEEPS - 1):
-            lev.smooth(x, r)
-        t = lev.K @ x
-        np.subtract(r, t, out=t)
-        rc = _restrict(lev.on_lattice(t)).ravel()[coarse.free]
-        x += _prolong(coarse.on_lattice(self._cycle(l + 1, rc))
-                      ).ravel()[lev.free]
+            lev.smooth(X, R)
+        Rc = _restrict(lev.residual(X, R).reshape(lev.shape)).ravel()
+        Rc *= coarse.K.mask
+        X += _prolong(self._cycle(l + 1, Rc).reshape(coarse.shape)).ravel()
         for _ in range(SMOOTHING_SWEEPS):
-            lev.smooth(x, r)
-        return x
+            lev.smooth(X, R)
+        return X
 
 
 def _jacobi(K) -> Callable[[np.ndarray], np.ndarray]:

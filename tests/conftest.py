@@ -55,6 +55,12 @@ def rng():
     return np.random.default_rng(20260819)
 
 
+def dense(op) -> np.ndarray:
+    """A matrix-free operator (a fine lattice stencil or the interface
+    operator) as a dense matrix, one product per unit column."""
+    return np.column_stack([op @ e for e in np.eye(op.shape[1])])
+
+
 def fourier_poisson_center(terms: int = 400) -> float:
     """Series value at the center of the unit square for -lap v = 1."""
     s = 0.0

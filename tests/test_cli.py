@@ -424,14 +424,24 @@ def test_selftest(capsys):
     assert out.count("PASS") == 4 and "FAIL" not in out
 
 
-def test_cli_import_leaves_out_scipy_solvers():
-    # scipy.sparse.linalg alone costs about 10 MB of resident memory,
-    # which every run would pay
+def test_cli_import_leaves_out_scipy_solvers(tmp_path):
+    # the runtime is numpy only: importing scipy.sparse alone cost about
+    # 0.25 s and 22 MB of every run.  No scipy module may load on import,
+    # nor lazily during a solve (fine reference, bubble reference and the
+    # online interface CG all run here).
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, legmsfem.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.sparse.linalg', 'scipy.linalg'))))")
+    path = write_cfg(tmp_path, n_sub=4, N=2)
+    code = ("import sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "from legmsfem import cli\n"
+            "print(scipy_modules())\n"
+            f"code = cli.main(['solve', '--config', {path!r}, "
+            f"'--out', {str(tmp_path / 'row.csv')!r}])\n"
+            "print(code, scipy_modules())\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "0 []"]
+    assert len((tmp_path / "row.csv").read_text().splitlines()) == 2

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 
-from conftest import fourier_poisson_center
-from legmsfem import finefem, mesh
+from conftest import dense, fourier_poisson_center
+from legmsfem import errors, finefem, mesh
 
 
 def dense_stiffness(geom, A):
@@ -102,10 +102,11 @@ def test_assemble_matches_dense(fine_quad44):
     sys_ = finefem.assemble(geom, A, f=finefem.constant_rhs(-1.0))
     Kd = dense_stiffness(geom, A)
     free = sys_.free_loc
-    diff = np.abs(sys_.K.toarray() - Kd[np.ix_(free, free)]).max()
+    K = dense(sys_.K)
+    diff = np.abs(K - Kd[np.ix_(free, free)]).max()
     assert diff < 1e-15 * np.abs(Kd).max()
     # symmetry is exact, not approximate
-    assert np.abs((sys_.K - sys_.K.T).toarray()).max() == 0.0
+    assert np.abs(K - K.T).max() == 0.0
 
 
 def test_assemble_quad_order3(fine_quad44):
@@ -114,8 +115,9 @@ def test_assemble_quad_order3(fine_quad44):
     geom = finefem.element_geometry(fine_quad44, 6)
     s1 = finefem.assemble(geom, A, quad_order=1)
     s3 = finefem.assemble(geom, A, quad_order=3)
-    assert np.abs((s3.K - s3.K.T).toarray()).max() == 0.0
-    assert np.abs((s1.K - s3.K).toarray()).max() > 0.0
+    K1, K3 = dense(s1.K), dense(s3.K)
+    assert np.abs(K3 - K3.T).max() == 0.0
+    assert np.abs(K1 - K3).max() > 0.0
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
@@ -182,7 +184,7 @@ def test_pcg_matches_direct(fine_quad44):
     geom = finefem.global_geometry(fine_quad44)
     sys_ = finefem.assemble(geom, A, f=finefem.constant_rhs(-1.0))
     u = finefem.solve_spd(sys_, rel_tol=1e-13)
-    x_direct = spla.spsolve(sys_.K.tocsc(), sys_.rhs)
+    x_direct = np.linalg.solve(dense(sys_.K), sys_.rhs)
     rel = np.abs(u.values[sys_.free_loc] - x_direct).max() / np.abs(x_direct).max()
     assert rel < 1e-9
     assert u.cg_iters > 0
@@ -329,6 +331,14 @@ def interpolation_matrix(coarse_geom, fine_geom):
     return P
 
 
+def on_lattice(level, x):
+    """Free-vertex values of a level as its lattice array, zero at the
+    fixed vertices."""
+    U = np.zeros(level.shape[0] * level.shape[1])
+    U[level.free] = x
+    return U.reshape(level.shape)
+
+
 def hierarchy_geometries(geom, AW):
     """The lattice geometries of every level below geom, via _coarsen."""
     out = [geom]
@@ -355,16 +365,16 @@ def test_coarse_operators_are_galerkin_products(kind, fixed):
     for lev_f, lev_c, gf, gc in zip(mg.levels, mg.levels[1:], geoms,
                                     geoms[1:]):
         P = interpolation_matrix(gc, gf)[np.ix_(lev_f.free, lev_c.free)]
-        want = P.T @ lev_f.K.toarray() @ P
-        got = lev_c.K.toarray()
+        want = P.T @ dense(lev_f.K) @ P
+        got = dense(lev_c.K)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # and the hierarchy's own transfer is that interpolation
         xc = np.random.default_rng(3).standard_normal(len(lev_c.free))
-        Uf = finefem._prolong(lev_c.on_lattice(xc)).ravel()
+        Uf = finefem._prolong(on_lattice(lev_c, xc)).ravel()
         assert np.abs(Uf[lev_f.free] - P @ xc).max() <= 1e-15
         assert not Uf[np.setdiff1d(np.arange(gf.n_vertices), lev_f.free)].any()
         rf = np.random.default_rng(4).standard_normal(len(lev_f.free))
-        rc = finefem._restrict(lev_f.on_lattice(rf)).ravel()[lev_c.free]
+        rc = finefem._restrict(on_lattice(lev_f, rf)).ravel()[lev_c.free]
         assert np.abs(rc - P.T @ rf).max() <= 1e-14
 
 
@@ -420,22 +430,27 @@ def test_lattice_that_cannot_coarsen_runs_jacobi_pcg(skeleton, nx, n_sub):
     assert np.array_equal(u.values[system.free_loc], x_j)
 
 
-@pytest.mark.parametrize("kind,nx,n_sub,skeleton,levels", [
-    ("quad", 2, 33, False, 2),      # 32 rows of 32 on 33x33 cells
-    ("quad", 2, 4, True, 2),        # bottom rows 1 and 3 do not couple
-    ("triangle", 2, 4, False, 3)])  # down to the one free vertex of 2x2
-def test_coarsest_level_is_solved_exactly(kind, nx, n_sub, skeleton, levels):
+@pytest.mark.parametrize("kind,nx,n_sub,skeleton,levels,A", [
+    ("quad", 2, 33, False, 2, "periodic"),   # 32 rows of 32 on 33x33 cells
+    ("quad", 2, 4, True, 2, "periodic"),     # bottom rows 1 and 3 do not couple
+    ("triangle", 2, 4, False, 3, "periodic"),  # the one free vertex of 2x2
+    ("quad", 4, 6, True, 2, "anisotropic")],  # NE-SW couplings across rows
+    ids=["quad-2-33-False-2", "quad-2-4-True-2", "triangle-2-4-False-3",
+         "quad-4-6-True-2-anisotropic"])
+def test_coarsest_level_is_solved_exactly(kind, nx, n_sub, skeleton, levels,
+                                          A):
     fine = mesh.refine_to_fine(mesh.build_coarse(kind, nx, nx), n_sub)
     geom = (finefem.skeleton_geometry(fine) if skeleton
             else finefem.global_geometry(fine))
-    system = finefem.assemble(geom, finefem.periodic_benchmark(0.5),
-                              f=finefem.gaussian_rhs())
+    A = (finefem.periodic_benchmark(0.5) if A == "periodic"
+         else anisotropic_field())
+    system = finefem.assemble(geom, A, f=finefem.gaussian_rhs())
     mg = finefem.Multigrid(system)
     assert len(mg.levels) == levels
     bottom = mg.levels[-1]
     r = np.random.default_rng(5).standard_normal(len(bottom.free))
-    want = np.linalg.solve(bottom.K.toarray(), r)
-    got = mg._cycle(levels - 1, r)
+    want = np.linalg.solve(dense(bottom.K), r)
+    got = mg._bottom(r)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -452,3 +467,129 @@ def test_multigrid_pcg_matches_jacobi_pcg():
     x_j, it_j = finefem.pcg(system.K, system.rhs, 1e-12)
     assert it_mg <= 20 < it_j
     assert np.abs(x_mg - x_j).max() <= 1e-11 * np.abs(x_j).max()
+
+
+# ---------------------------------------------------------------------------
+# the lattice operator against an independent sparse assembly
+
+
+def anisotropic_field():
+    """A full-tensor SPD coefficient: its off-diagonal entries give the
+    SW-NE diagonal of every triangle a nonzero coupling, which a scalar
+    coefficient never does.  Eigenvalues lie in [0.4, 3.1]."""
+
+    def fn(p):
+        x, y = p[:, 0], p[:, 1]
+        out = np.empty((len(p), 2, 2))
+        out[:, 0, 0] = 2.0 + 0.5 * np.sin(2 * np.pi * x)
+        out[:, 1, 1] = 1.5 + 0.5 * np.cos(2 * np.pi * y)
+        out[:, 0, 1] = out[:, 1, 0] = 0.4 * np.sin(2 * np.pi * (x + y))
+        return out
+
+    return finefem.CoefficientField("anisotropic", 0.3, 3.5, fn)
+
+
+def element_csr(geom, Ke):
+    """K_ff of geom from element matrices Ke (nt, 3, 3) as a scipy CSR
+    matrix: duplicate entries summed in triangle order (np.unique and
+    bincount; scipy's own duplicate sum orders a row by an unstable sort,
+    which can move a diagonal sum by an ulp), mirrored through the
+    transpose, free rows and columns sliced out."""
+    n = geom.n_vertices
+    keys = (np.repeat(geom.tris, 3, axis=1) * n
+            + np.tile(geom.tris, (1, 3))).ravel()
+    uniq, inv = np.unique(keys, return_inverse=True)
+    K = sp.csr_matrix((np.bincount(inv.ravel(), Ke.ravel()),
+                       (uniq // n, uniq % n)), shape=(n, n))
+    K = (K + K.T) * 0.5
+    free = np.setdiff1d(np.arange(n), geom.boundary_local)
+    return K[free][:, free]
+
+
+def assert_operator_matches(op, K):
+    assert op.shape == K.shape
+    assert np.array_equal(op.diagonal(), K.diagonal())
+    assert op.nnz == K.nnz
+    x = np.random.default_rng(11).standard_normal(K.shape[0])
+    want = K @ x
+    assert np.abs(op @ x - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("coef", ["periodic", "anisotropic"])
+@pytest.mark.parametrize("case", ["global", "skeleton", "quad patch",
+                                  "triangle patch"])
+def test_lattice_operator_matches_element_csr(case, coef, fine_quad44,
+                                              fine_tri44):
+    A = (finefem.periodic_benchmark(0.25) if coef == "periodic"
+         else anisotropic_field())
+    geom = {"global": lambda: finefem.global_geometry(fine_quad44),
+            "skeleton": lambda: finefem.skeleton_geometry(fine_tri44),
+            "quad patch": lambda: finefem.element_geometry(fine_quad44, 6),
+            "triangle patch": lambda: finefem.element_geometry(fine_tri44,
+                                                               5)}[case]()
+    system = finefem.assemble(geom, A)
+    assert_operator_matches(system.K, element_csr(geom,
+                                                  geom.element_matrices(A)))
+    assert (len(system.K.stencil.couplings) == 3) == (coef == "anisotropic")
+
+
+@pytest.mark.parametrize("kind,n_sub,fixed", [("quad", 8, "boundary"),
+                                              ("triangle", 16, "skeleton")])
+def test_multigrid_levels_match_element_csr(kind, n_sub, fixed):
+    # every level's operator is the stencil of the summed coefficients of
+    # its coarse triangles, on 2x2 coarse cells
+    fine = mesh.refine_to_fine(mesh.build_coarse(kind, 2, 2), n_sub)
+    geom = (finefem.global_geometry(fine) if fixed == "boundary"
+            else finefem.skeleton_geometry(fine))
+    system = finefem.assemble(geom, anisotropic_field())
+    mg = finefem.Multigrid(system)
+    assert len(mg.levels) >= 3
+    AW = system.AW
+    for l, lev in enumerate(mg.levels):
+        if l:
+            geom, AW = finefem._coarsen(geom, AW)
+        assert_operator_matches(
+            lev.K, element_csr(geom, finefem._stiffness(geom.grads, AW)))
+
+
+def test_assemble_needs_a_lattice_geometry():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    geom = finefem.TriGeometry(pts, np.array([[0, 1, 2]]), np.arange(3),
+                               np.array([], dtype=int), "loose triangle")
+    with pytest.raises(ValueError, match="not on a lattice"):
+        finefem.assemble(geom, finefem.identity_field())
+    skewed = finefem.TriGeometry(pts, np.array([[0, 1, 2]]), np.arange(3),
+                                 np.array([], dtype=int), "skewed",
+                                 box=((2, 2), np.array([0, 1, 2])))
+    with pytest.raises(ValueError, match="not half of a lattice cell"):
+        finefem.assemble(skewed, finefem.identity_field())
+
+
+def test_same_name_coefficients_get_their_own_operators():
+    # the operator is kept per coefficient object, compared by identity:
+    # two fields that share a name must never share a matrix
+    fine = mesh.refine_to_fine(mesh.build_coarse("quad", 2, 2), 8)
+    geom = finefem.global_geometry(fine)
+    f = finefem.constant_rhs(-1.0)
+    A1 = finefem.scalar_field("twin", lambda x, y: 1.0 + x, 1.0, 2.0)
+    A2 = finefem.scalar_field("twin", lambda x, y: 2.0 - x, 1.0, 2.0)
+    s1, s2 = finefem.assemble(geom, A1, f), finefem.assemble(geom, A2, f)
+    assert not np.array_equal(s1.K.diagonal(), s2.K.diagonal())
+    u1, u2 = finefem.solve_spd(s1), finefem.solve_spd(s2)
+    assert np.abs(u1.values - u2.values).max() > 1e-3 * np.abs(u1.values).max()
+    # back to A1 after A2: rebuilt, not stale
+    assert np.array_equal(finefem.assemble(geom, A1, f).K.diagonal(),
+                          s1.K.diagonal())
+    # one object, one stencil, shared by the skeleton geometry
+    st = geom.stencil(A1)[1]
+    assert geom.stencil(A1)[1] is st
+    assert finefem.skeleton_geometry(fine).stencil(A1)[1] is st
+    # the cached references answer as on a fresh mesh
+    fresh = mesh.refine_to_fine(mesh.build_coarse("quad", 2, 2), 8)
+    for A in (A1, A2):
+        E = errors.reference_solve(fine, A, f)[1]
+        assert E == errors.reference_solve(fresh, A, f)[1]
+        assert np.array_equal(errors.bubble_reference(fine, A, f).values,
+                              errors.bubble_reference(fresh, A, f).values)
+    assert errors.reference_solve(fine, A1, f)[1] != \
+        errors.reference_solve(fine, A2, f)[1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dense
 from legmsfem import finefem, globalsolve, mesh, polybasis
 
 
@@ -25,9 +26,9 @@ def test_dof_bookkeeping(small_bench_bubbles):
 def test_interface_matrix_spd(small_bench):
     space = small_bench.solution.space
     systems = globalsolve.assemble_coarse(space, space.A, small_bench.problem.f)
-    K = systems.interface_K
-    assert np.abs((K - K.T).toarray()).max() == 0.0
-    w = np.linalg.eigvalsh(K.toarray())
+    K = dense(systems.interface_K)
+    assert np.abs(K - K.T).max() == 0.0
+    w = np.linalg.eigvalsh(K)
     assert w.min() > 0
 
 
@@ -161,12 +162,15 @@ def test_triangle_space_smoke(tri44, fine_tri44):
 def test_batched_assembly_matches_per_element_grams(kind, n, n_sub):
     # the coarse systems against one energy_inner_matrix call and one
     # load_vector per element; quad patches of 8,192 triangles are split
-    # over several chunks
+    # over several chunks, and one edge of degree 4 gives the elements of
+    # one shape different interface counts, so the interface blocks are
+    # padded
     coarse = mesh.build_coarse(kind, n, n)
     fine = mesh.refine_to_fine(coarse, n_sub)
     A, f = finefem.periodic_benchmark(0.25), finefem.gaussian_rhs()
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
     degrees.M[0] = 0
+    degrees.N[int(coarse.interior_edge_ids[0])] = 4
     space = globalsolve.build_space(coarse, fine, A, degrees)
     systems = globalsolve.assemble_coarse(space, A, f, with_cross=True)
     n_if = space.n_interface
@@ -183,7 +187,12 @@ def test_batched_assembly_matches_per_element_grams(kind, n, n_sub):
         scale = np.abs(want).max() if scale is None else scale
         return np.abs(got - want).max() <= 1e-13 * scale
 
-    assert close(systems.interface_K.toarray(), K[:n_if, :n_if])
+    op = systems.interface_K
+    assert close(dense(op), K[:n_if, :n_if])
+    assert close(op.diagonal(), np.diag(K)[:n_if], np.abs(K[:n_if]).max())
+    counts = [sum(p < n_if for p in dofs) for dofs in space.element_dofs]
+    assert len(set(counts)) > 1
+    assert op.nnz == sum(c * c for c in counts)
     assert close(systems.interface_rhs, b[:n_if])
     # one block per element with bubbles, in element order
     bubbles = [[p for p in dofs if p >= n_if] for dofs in space.element_dofs]
@@ -212,3 +221,4 @@ def test_check_resolved_builds_one_basis_per_degree(monkeypatch, tri44,
     degrees.M.update({0: 1, 5: 1, 7: 0})
     globalsolve._check_resolved(fine_tri44, degrees)
     assert sorted(built) == [1, 2]
+
