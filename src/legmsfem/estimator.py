@@ -4,10 +4,16 @@ Three ingredients per run: an element residual term driven by how well the
 bubble right-hand sides capture f (with bulk degree 0 it degenerates to
 H_K^2 ||f||^2), an element term weighted by the edge degrees through
 H_e H_K / (N_e^(1-2 eta) p_e), and flux-jump terms of the interface part
-across interior edges, taken for all edges in one array pass over their
-fine segments.  The reported value is the square root of the sum; the
-unknown analytic prefactor is taken as 1, so absolute reliability is a
+across interior edges.  The reported value is the square root of the sum;
+the unknown analytic prefactor is taken as 1, so absolute reliability is a
 matter of one calibrated constant while trends and localization are exact.
+
+Every term is an array pass over all elements or all interior edges, with
+no loop over either: p_e is a min-reduction over the coarse side tables
+(CoarseMesh.element_edge_ids and edge_element_ids), ||f|| comes from one
+evaluation of f at the fine centroids summed per element, the bubble
+residuals take one bulk-basis evaluation per degree and patch shape, and
+the jumps take one lookup of the fine segments of all edges.
 
 The divergence of the discrete bubble part is evaluated through the
 defining property of the bubble functions (their negative flux divergence
@@ -48,20 +54,27 @@ class EstimatorReport:
     leftover_element_terms: dict[int, float] | None = None
 
 
+def _p_values(coarse: CoarseMesh, edge_ids, degrees: DegreeAssignment
+              ) -> np.ndarray:
+    """p_e of each interior edge of edge_ids: the minimum of the edge
+    degrees over the interior sides of the edge's two elements, by
+    min-reductions over the side tables."""
+    sides = coarse.element_edge_ids[coarse.edge_element_ids[edge_ids]]
+    used = np.zeros(len(coarse.edges), dtype=bool)
+    used[sides] = True
+    used = np.flatnonzero(used & (coarse.edge_element_ids[:, 1] >= 0))
+    N = np.full(len(coarse.edges), np.iinfo(int).max)
+    N[used] = [degrees.N[g] for g in used.tolist()]
+    return N[sides].min(axis=(-2, -1))
+
+
 def compute_p_e(coarse: CoarseMesh, edge_id: int,
                 degrees: DegreeAssignment) -> int:
     """Minimum edge degree over all interior edges of the two elements
     sharing the edge."""
-    e = coarse.edges[edge_id]
-    if e.boundary:
+    if coarse.edges[edge_id].boundary:
         raise ValueError(f"edge {edge_id} is a boundary edge")
-    p = None
-    for K in e.element_ids:
-        for g in coarse.element_edges[K]:
-            if not coarse.edges[g].boundary:
-                n = degrees.N[int(g)]
-                p = n if p is None else min(p, n)
-    return int(p)
+    return int(_p_values(coarse, [edge_id], degrees)[0])
 
 
 def jump_norm(fine: FineMesh, edge_id: int, v: finefem.FineFunction,
@@ -71,7 +84,7 @@ def jump_norm(fine: FineMesh, edge_id: int, v: finefem.FineFunction,
     return _jump_norms(fine, [edge_id], v, A)[0]
 
 
-def _jump_norms(fine: FineMesh, edge_ids: list[int], v: finefem.FineFunction,
+def _jump_norms(fine: FineMesh, edge_ids, v: finefem.FineFunction,
                 A: finefem.CoefficientField) -> list[float]:
     """jump_norm for each of edge_ids in one array pass.
 
@@ -82,9 +95,9 @@ def _jump_norms(fine: FineMesh, edge_ids: list[int], v: finefem.FineFunction,
     geom = finefem.global_geometry(fine)
     if v.geom is not geom:
         raise ValueError("jump norms need the field on the global fine mesh")
-    if not edge_ids:
+    if not len(edge_ids):
         return []
-    tris = np.concatenate([fine.edge_segment_triangles(e) for e in edge_ids])
+    tris = fine.edge_segment_triangles(edge_ids).reshape(-1, 2)
     chains = fine.edge_vertex_chains(edge_ids)
     pa = geom.points[chains[:, :-1].ravel()]
     pb = geom.points[chains[:, 1:].ravel()]
@@ -116,23 +129,56 @@ def bubble_residual(fine: FineMesh, elem_id: int, f: finefem.RhsField,
     return float(np.sqrt(w @ fv**2))
 
 
-def _f_norms(fine: FineMesh, elem_id: int, f: finefem.RhsField | None,
-             ell: int) -> tuple[float, float]:
-    """(||f||_{L2(K)}, ||f||_{H^ell(K)}); ell in {0, 1}, 1 needs f.grad."""
+def _f_norms(fine: FineMesh, f: finefem.RhsField | None, ell: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(||f||_{L2(K)}, ||f||_{H^ell(K)}) of every element K, ell in {0, 1}
+    per element (1 needs f.grad), and f at every fine centroid: one
+    evaluation on the global quadrature, summed per element."""
+    n = len(fine.coarse.elements)
     if f is None:
-        return 0.0, 0.0
-    pts, w = finefem.element_quadrature(fine, elem_id)
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    l2sq = float(w @ fv**2)
-    if ell == 0:
-        return float(np.sqrt(l2sq)), float(np.sqrt(l2sq))
-    if ell != 1:
-        raise ValueError("f smoothness above 1 is not supported")
-    if f.grad is None:
+        return np.zeros(n), np.zeros(n), None
+    bad = (ell != 0) & ((ell != 1) | (f.grad is None))
+    if bad.any():
+        if ell[np.argmax(bad)] != 1:
+            raise ValueError("f smoothness above 1 is not supported")
         raise ValueError("smoothness 1 declared but f has no gradient")
-    gx, gy = f.grad(pts[:, 0], pts[:, 1])
-    h1sq = l2sq + float(w @ (np.asarray(gx)**2 + np.asarray(gy)**2))
-    return float(np.sqrt(l2sq)), float(np.sqrt(h1sq))
+    geom = finefem.global_geometry(fine)
+    x, y = geom.centroids.T
+    fv = np.asarray(f(x, y), dtype=float)
+    l2sq = np.bincount(fine.tri_elem, geom.areas * fv**2, n)
+    f_l2 = np.sqrt(l2sq)
+    if not ell.any():
+        return f_l2, f_l2, fv
+    gx, gy = f.grad(x, y)
+    h1sq = l2sq + np.bincount(fine.tri_elem, geom.areas * (
+        np.asarray(gx)**2 + np.asarray(gy)**2), n)
+    return f_l2, np.where(ell == 1, np.sqrt(h1sq), f_l2), fv
+
+
+def _bubble_residuals(u_H: globalsolve.CoarseSolution, fv: np.ndarray,
+                      M: np.ndarray) -> np.ndarray:
+    """bubble_residual of every element with M >= 1 (zero elsewhere) from f
+    at the fine centroids, per bulk degree and patch shape: the bulk basis
+    is evaluated once at the template's reference centroids, which every
+    member of the group shares, and the squares are summed per element."""
+    coarse, fine = u_H.space.coarse, u_H.space.fine
+    areas = finefem.global_geometry(fine).areas
+    resid = np.zeros(len(M))
+    for m in sorted(set(M[M >= 1].tolist())):
+        basis = polybasis.BulkPolyBasis(coarse.kind, m)
+        for group in finefem.patch_groups(fine, np.flatnonzero(M == m)):
+            t = group.template
+            P = basis.eval_ref(coarse.elements[group.elements[0]].to_ref(
+                t.centroids))
+            C = np.zeros((len(group.elements), basis.dim))
+            for e, K in enumerate(group.elements.tolist()):
+                c = u_H.bubble_coeffs(K)
+                if len(c):
+                    C[e] = c
+            r = fv[group.tri_ids] - C @ P.T
+            resid[group.elements] = np.sqrt(
+                np.einsum("et,et->e", areas[group.tri_ids], r * r))
+    return resid
 
 
 def global_estimate(u_H: globalsolve.CoarseSolution,
@@ -141,7 +187,8 @@ def global_estimate(u_H: globalsolve.CoarseSolution,
                     eta: float = 0.0,
                     ell: int | dict[int, int] | None = None
                     ) -> EstimatorReport:
-    """Assemble the estimator for a solved coarse solution.
+    """Assemble the estimator for a solved coarse solution, every term for
+    all elements or all interior edges at once.
 
     ell declares the smoothness of f per element (int for uniform, dict
     with default 0); degrees default to the solution's own.
@@ -152,53 +199,57 @@ def global_estimate(u_H: globalsolve.CoarseSolution,
         f = u_H.f
     if degrees is None:
         degrees = space.degrees
-    ell_of = (lambda K: ell.get(K, 0)) if isinstance(ell, dict) \
-        else (lambda K: int(ell or 0))
+    n = len(coarse.elements)
+    M = np.array([degrees.M[K] for K in range(n)])
+    if isinstance(ell, dict):
+        ell_K = np.array([ell.get(K, 0) for K in range(n)])
+    else:
+        ell_K = np.full(n, int(ell or 0))
+    H = coarse.diameters
 
-    p_table = {int(e): compute_p_e(coarse, int(e), degrees)
-               for e in coarse.interior_edge_ids}
-
+    edges = coarse.interior_edge_ids
+    p = _p_values(coarse, edges, degrees)
     u_G = globalsolve.reconstruct(u_H, "interface")
-    bases: dict[int, polybasis.BulkPolyBasis] = {}
-    residuals: dict[int, float] = {}
-    bubble_terms: dict[int, float] = {}
-    element_terms: dict[int, float] = {}
-    for el in coarse.elements:
-        K = el.id
-        M = degrees.M[K]
-        lK = ell_of(K)
-        f_l2, f_sob = _f_norms(fine, K, f, lK if M >= 1 else 0)
-        if M >= 1:
-            if M not in bases:
-                bases[M] = polybasis.BulkPolyBasis(coarse.kind, M)
-            basis = bases[M]
-            resid = bubble_residual(fine, K, f, u_H.bubble_coeffs(K), basis) \
-                if f is not None else 0.0
-            ratio = el.diameter ** min(lK, M + 1) / M ** lK
-            bubble_terms[K] = el.diameter**2 * ratio * resid * f_sob
-        else:
-            resid = f_l2
-            bubble_terms[K] = el.diameter**2 * f_l2**2
-        residuals[K] = resid
-        s = 0.0
-        for g in coarse.element_edges[K]:
-            if int(g) in p_table:
-                He = coarse.edges[g].length
-                Ne = degrees.N[int(g)]
-                s += He * el.diameter / (Ne ** (1.0 - 2.0 * eta) * p_table[int(g)])
-        element_terms[K] = f_l2**2 * s
 
-    jump_norms = dict(zip(p_table, _jump_norms(fine, list(p_table), u_G, A)))
-    jump_terms = {e: coarse.edges[e].length / p_table[e] * J**2
-                  for e, J in jump_norms.items()}
+    # Residual terms: with bubbles H^2 (H^min(l, M+1) / M^l) r ||f||_{H^l},
+    # without H^2 ||f||^2.
+    bubbly = M >= 1
+    f_l2, f_sob, fv = _f_norms(fine, f, np.where(bubbly, ell_K, 0))
+    residuals = f_l2.copy()
+    bubble_terms = H**2 * f_l2**2
+    if bubbly.any():
+        if fv is not None:
+            residuals[bubbly] = _bubble_residuals(u_H, fv, M)[bubbly]
+        Hb, Mb, lb = H[bubbly], M[bubbly], ell_K[bubbly]
+        ratio = Hb ** np.minimum(lb, Mb + 1) / Mb.astype(float) ** lb
+        bubble_terms[bubbly] = (Hb**2 * ratio * residuals[bubbly]
+                                * f_sob[bubbly])
 
-    S1 = sum(bubble_terms[K] for K in sorted(bubble_terms))
-    S2 = sum(element_terms[K] for K in sorted(element_terms))
-    S3 = sum(jump_terms[e] for e in sorted(jump_terms))
+    # Element terms: f_l2^2 times the sum over the element's interior sides
+    # of H_e H_K / (N_e^(1-2 eta) p_e), side by side.
+    denom = np.full(len(coarse.edges), np.inf)  # no term on the boundary
+    denom[edges] = np.array([degrees.N[e] for e in edges.tolist()],
+                            dtype=float) ** (1.0 - 2.0 * eta) * p
+    s = np.zeros(n)
+    for side in coarse.element_edge_ids.T:
+        s += coarse.edge_lengths[side] * H / denom[side]
+    element_terms = f_l2**2 * s
+
+    J = np.array(_jump_norms(fine, edges, u_G, A))
+    jump_terms = coarse.edge_lengths[edges] / p * J**2
+
+    S1, S2, S3 = (sum(t.tolist()) for t in (bubble_terms, element_terms,
+                                              jump_terms))
     value = float(np.sqrt(S1 + S2 + S3))
     value_gamma = float(np.sqrt(S2 + S3)) if space.n_bubble == 0 else None
-    return EstimatorReport(value, value_gamma, eta, residuals, bubble_terms,
-                           element_terms, jump_norms, jump_terms, p_table)
+    # One set of key objects for all the dicts of a kind.
+    elements, edges = list(range(n)), edges.tolist()
+    per_element = lambda a: dict(zip(elements, a.tolist()))
+    per_edge = lambda a: dict(zip(edges, a.tolist()))
+    return EstimatorReport(value, value_gamma, eta, per_element(residuals),
+                           per_element(bubble_terms),
+                           per_element(element_terms), per_edge(J),
+                           per_edge(jump_terms), per_edge(p))
 
 
 def localize(report: EstimatorReport, coarse: CoarseMesh) -> dict[int, float]:
@@ -208,20 +259,20 @@ def localize(report: EstimatorReport, coarse: CoarseMesh) -> dict[int, float]:
     if report.value_gamma is None:
         raise ValueError("localization applies to the bubble-free "
                          "interface estimator only")
-    shares = np.zeros(len(coarse.edges))
-    leftover: dict[int, float] = {}
-    for el in coarse.elements:
-        K = el.id
-        interior = [int(g) for g in coarse.element_edges[K]
-                    if not coarse.edges[g].boundary]
-        if not interior:
-            if report.element_terms[K]:
-                leftover[K] = report.element_terms[K]
-            continue
-        for g in interior:
-            shares[g] += report.element_terms[K] / len(interior)
-    localized = {e: float(np.sqrt(report.jump_terms[e] + shares[e]))
-                 for e in sorted(report.jump_terms)}
+    terms = np.array([report.element_terms[K]
+                      for K in range(len(coarse.elements))])
+    sides = coarse.element_edge_ids
+    interior = coarse.edge_element_ids[sides, 1] >= 0
+    count = interior.sum(axis=1)
+    # Element by element, side by side, as the shares add up in a loop.
+    share = terms / np.maximum(count, 1)
+    shares = np.bincount(sides[interior], np.broadcast_to(
+        share[:, None], sides.shape)[interior], len(coarse.edges))
+    left = np.flatnonzero((count == 0) & (terms != 0))
+    leftover = dict(zip(left.tolist(), terms[left].tolist()))
+    edges = sorted(report.jump_terms)
+    localized = dict(zip(edges, np.sqrt(
+        [report.jump_terms[e] for e in edges] + shares[edges]).tolist()))
     report.localized = localized
     report.leftover_element_terms = leftover
     return localized

@@ -184,6 +184,23 @@ def _stiffness(g: np.ndarray, AW: np.ndarray) -> np.ndarray:
     return np.moveaxis(0.5 * (Kt + np.swapaxes(Kt, -2, -3)), -1, -3)
 
 
+def _stiffness_entries(g: np.ndarray, AW: np.ndarray) -> tuple:
+    """The entries of _stiffness(g, AW) that a lattice stencil reads, from
+    the same products and sums: the diagonals (3, nt) and the couplings
+    (K01, K02, K12), for g (nt, 3, 2) and AW (nt, 2, 2)."""
+    g = np.ascontiguousarray(np.moveaxis(g, -3, -1))    # (3, 2, nt)
+    AW = np.ascontiguousarray(np.moveaxis(AW, -3, -1))  # (2, 2, nt)
+    gA = g[:, :1] * AW[None, 0] + g[:, 1:] * AW[None, 1]
+
+    def k(i, j):  # K_ij = (Kt_ij + Kt_ji) / 2, Kt_ij = (A grad_i) . grad_j
+        kij = gA[i, 0] * g[j, 0] + gA[i, 1] * g[j, 1]
+        kji = kij if i == j else gA[j, 0] * g[i, 0] + gA[j, 1] * g[i, 1]
+        return 0.5 * (kij + kji)
+
+    return (np.stack([k(0, 0), k(1, 1), k(2, 2)]),
+            (k(0, 1), k(0, 2), k(1, 2)))
+
+
 def _scatter(tris: np.ndarray, contrib: np.ndarray, n: int) -> np.ndarray:
     """Add contrib (E, nt) to the three vertices of each triangle of tris
     (nt, 3): (E, n), summed vertex slot by vertex slot in triangle order."""
@@ -209,16 +226,18 @@ def gram_blocks(V: np.ndarray, tris: np.ndarray, grads: np.ndarray,
     gT = np.ascontiguousarray(np.moveaxis(grads, 1, -1))  # (E, 3, 2, nt)
     AT = np.ascontiguousarray(np.moveaxis(AW, 1, -1))     # (E, 2, 2, nt)
 
-    def gradients(X):  # (E, rows, 2, nt)
-        Xt = X[:, :, tris.T]
-        return (Xt[:, :, 0, None] * gT[:, None, 0]
-                + Xt[:, :, 1, None] * gT[:, None, 1]
-                + Xt[:, :, 2, None] * gT[:, None, 2])
+    def gradients(X):  # (E, rows, 2, nt), one vertex slot at a time
+        g = X[:, :, None, tris[:, 0]] * gT[:, None, 0]
+        tmp = np.empty_like(g)
+        for k in (1, 2):
+            g += np.multiply(X[:, :, None, tris[:, k]], gT[:, None, k],
+                             out=tmp)
+        return g
 
     gV = gradients(V)
     gW = gV if W is None else gradients(W)
-    AgW = (gW[:, :, None, 0] * AT[:, None, :, 0]
-           + gW[:, :, None, 1] * AT[:, None, :, 1])
+    AgW = gW[:, :, None, 0] * AT[:, None, :, 0]
+    AgW += gW[:, :, None, 1] * AT[:, None, :, 1]
     E, b, c = len(gV), gV.shape[1], gW.shape[1]
     M = np.matmul(gV.reshape(E, b, -1),
                   AgW.reshape(E, c, -1).transpose(0, 2, 1))
@@ -358,7 +377,8 @@ class Stencil:
     @classmethod
     def of(cls, geom: TriGeometry, AW: np.ndarray) -> Stencil:
         """The stencil of _stiffness(geom.grads, AW), every element entry
-        scattered to its box position once, in triangle order.  Raises
+        scattered to its box position once, in triangle order; only the
+        six distinct entries of each element matrix are formed.  Raises
         ValueError unless every triangle is the lower (SW, SE, NE) or the
         upper (SW, NE, NW) half of a box cell."""
         if geom.box is None:
@@ -372,13 +392,11 @@ class Stencil:
             raise ValueError(f"{geom.label}: triangle "
                              f"{int(np.argmin(lower | upper))} is not half "
                              "of a lattice cell")
-        Ke = _stiffness(geom.grads, AW)
-        k01, k02, k12 = Ke[:, 0, 1], Ke[:, 0, 2], Ke[:, 1, 2]
+        diag, (k01, k02, k12) = _stiffness_entries(geom.grads, AW)
         # Lower: SW-SE east of SW, SE-NE north of SE, SW-NE.  Upper: NW-NE
         # east of NW, SW-NW north of SW, SW-NE.
         return cls((rows, cols),
-                   np.bincount(s.ravel(), Ke.reshape(-1, 9)[:, ::4].ravel(),
-                               n),
+                   np.bincount(s.ravel(), diag.T.ravel(), n),
                    np.bincount(np.where(lower, s[:, 0], s[:, 2]),
                                np.where(lower, k01, k12), n),
                    np.bincount(np.where(lower, s[:, 1], s[:, 0]),

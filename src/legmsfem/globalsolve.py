@@ -8,11 +8,18 @@ small dense SPD systems per element for the bubbles.  Assembly takes the
 element Gram blocks of a whole chunk of same-shape patches at once
 (finefem.patch_groups and finefem.gram_blocks); the interface system is
 kept as those blocks and applied element by element.
+
+Assembly and reconstruction see the basis fields of each patch shape as
+an (elements, DOFs) table of rows of the offline field stacks
+(localbasis.FieldStack), built once per space; they index those stacks
+and never copy the catalog.  A reconstruction is then a few array passes
+per shape and one scatter into the global field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +33,9 @@ class EnrichedSpace:
 
     Catalog order is the DOF order: interface functions first (nodal by
     vertex, then edge by (edge, k)), bubbles after (by element, then index).
+    stacks are the offline field stacks the catalog's values are views of,
+    with each row's owner at its catalog position; without them (a catalog
+    built some other way) the fields are stacked once, on first use.
     """
 
     coarse: CoarseMesh
@@ -34,6 +44,7 @@ class EnrichedSpace:
     degrees: DegreeAssignment
     catalog: list[localbasis.BasisFunction]
     n_interface: int
+    stacks: list[localbasis.FieldStack] | None = None
     element_dofs: list[list[int]] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -50,6 +61,103 @@ class EnrichedSpace:
     @property
     def n_bubble(self) -> int:
         return len(self.catalog) - self.n_interface
+
+    @cached_property
+    def _fields(self) -> list[tuple[finefem.PatchGroup, _Fields, _Fields]]:
+        """(group, interface fields, bubble fields) for each patch shape,
+        over the elements that carry DOFs, indexing the field stacks (a
+        catalog given without them is stacked here once)."""
+        stacks = self.stacks
+        if stacks is None:
+            stacks = _stacked(self.catalog)
+        # Every (element, DOF) pair with the stack and row of its field,
+        # sorted by element, then DOF: the order of element_dofs.
+        cols: list[list[np.ndarray]] = [[], [], [], []]
+        for i, st in enumerate(stacks):
+            u = st.owner >= 0
+            for col, a in zip(cols, (st.element[u], st.owner[u],
+                                     np.full(u.sum(), i), np.flatnonzero(u))):
+                col.append(a)
+        K, P, S, R = (np.concatenate(col + [np.zeros(0, dtype=int)])
+                      for col in cols)
+        order = np.lexsort((P, K))
+        K, P, S, R = K[order], P[order], S[order], R[order]
+        n_el = len(self.coarse.elements)
+        count = np.array([len(d) for d in self.element_dofs])
+        if not (np.array_equal(K, np.repeat(np.arange(n_el), count))
+                and np.array_equal(P, [p for d in self.element_dofs
+                                       for p in d])):
+            raise ValueError("field stacks do not match the catalog")
+        first = np.cumsum(count) - count
+        n_if = np.bincount(K[P < self.n_interface], minlength=n_el)
+        out = []
+        for group in finefem.patch_groups(self.fine, np.flatnonzero(count)):
+            E, n = group.elements, group.template.n_vertices
+            out.append((group,
+                        _Fields.of(stacks, S, R, P, first[E], n_if[E], n),
+                        _Fields.of(stacks, S, R, P, first[E] + n_if[E],
+                                   count[E] - n_if[E], n)))
+        return out
+
+
+def _stacked(catalog: list[localbasis.BasisFunction]
+             ) -> list[localbasis.FieldStack]:
+    """Field stacks holding copies of the catalog's fields, one per field
+    length, for catalogs not built with stacks."""
+    by_length: dict[int, list] = {}
+    for p, bf in enumerate(catalog):
+        for K in bf.support:
+            by_length.setdefault(len(bf.values[K]), []).append(
+                (bf.values[K], K, p))
+    return [localbasis.FieldStack(np.stack(v), np.array(K), np.array(p))
+            for v, K, p in (zip(*f) for f in by_length.values())]
+
+
+@dataclass(frozen=True)
+class _Fields:
+    """The fields of one part of the DOFs on the members of a patch group:
+    dofs (E, d) holds each member's catalog ids in element_dofs order,
+    padded with -1, and field i of member e is row rows[e, i] of stack
+    (row 0 at padding)."""
+
+    dofs: np.ndarray
+    stack: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, stacks: list[localbasis.FieldStack], S: np.ndarray,
+           R: np.ndarray, P: np.ndarray, first: np.ndarray,
+           count: np.ndarray, n: int) -> _Fields:
+        """The fields of pairs first[e] .. first[e] + count[e] - 1 of member
+        e, pair j being DOF P[j] in row R[j] of stack S[j]; all fields of
+        a part of a patch shape come from one stack."""
+        d = int(count.max(initial=0))
+        mask = np.arange(d) < count[:, None]
+        if not mask.any():
+            return cls(np.full(mask.shape, -1), np.zeros((1, n)),
+                       np.zeros(mask.shape, dtype=int))
+        j = np.where(mask, first[:, None] + np.arange(d), 0)
+        sid = S[j[mask]]
+        if sid.min() != sid.max():
+            raise ValueError("fields of one patch shape span several stacks")
+        return cls(np.where(mask, P[j], -1), stacks[sid[0]].rows,
+                   np.where(mask, R[j], 0))
+
+    def gather(self, sl: slice = slice(None)) -> np.ndarray:
+        """The fields of members sl, (E, d, n), zero rows at padding."""
+        V = self.stack[self.rows[sl]]
+        V[self.dofs[sl] < 0] = 0.0
+        return V
+
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_i coeffs[dofs[e, i]] * field i of each member e, (E, n),
+        added up field by field in DOF order as a loop over the fields of
+        one element would (padding adds zeros)."""
+        c = np.append(coeffs, 0.0)[self.dofs]
+        acc = np.zeros((len(self.dofs), self.stack.shape[1]))
+        for i in range(self.dofs.shape[1]):
+            acc += c[:, i, None] * self.stack[self.rows[:, i]]
+        return acc
 
 
 class UnresolvedDegreeError(ValueError):
@@ -101,23 +209,35 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     degrees.validate(coarse)
     _check_resolved(fine, degrees)
     if interface_from is None:
-        catalog = localbasis.compute_all(coarse, fine, A, degrees)
+        stacks: list[localbasis.FieldStack] = []
+        catalog = localbasis.compute_all(coarse, fine, A, degrees,
+                                         stacks=stacks)
         n_if = sum(1 for bf in catalog if bf.kind != "bubble")
-        return EnrichedSpace(coarse, fine, A, degrees, catalog, n_if)
+        return EnrichedSpace(coarse, fine, A, degrees, catalog, n_if, stacks)
     if interface_from.coarse is not coarse or interface_from.fine is not fine:
         raise ValueError("interface reuse requires the same mesh pair")
     if interface_from.A is not A:
         raise ValueError("interface reuse requires the same coefficient")
-    keep = []
-    for bf in interface_from.catalog[:interface_from.n_interface]:
-        if bf.kind == "edge" and bf.key[1] > degrees.N[bf.key[0]]:
-            continue
-        keep.append(bf)
+    kept = [q for q, bf in enumerate(
+        interface_from.catalog[:interface_from.n_interface])
+        if not (bf.kind == "edge" and bf.key[1] > degrees.N[bf.key[0]])]
+    keep = [interface_from.catalog[q] for q in kept]
     n_if, _ = expected_dof_count(coarse, degrees, lambda M: 0)
     if len(keep) != n_if:
         raise ValueError("donor space is missing requested edge degrees")
-    bubbles = localbasis.compute_all(coarse, fine, A, degrees, which="bubble")
-    return EnrichedSpace(coarse, fine, A, degrees, keep + bubbles, len(keep))
+    solved: list[localbasis.FieldStack] = []
+    bubbles = localbasis.compute_all(coarse, fine, A, degrees, which="bubble",
+                                     stacks=solved)
+    stacks = None
+    if interface_from.stacks is not None:
+        # Donor positions move to those of the kept functions, or drop.
+        position = np.full(interface_from.n_dofs, -1)
+        position[kept] = np.arange(n_if)
+        stacks = ([st.renumbered(position) for st in interface_from.stacks]
+                  + [st.renumbered(np.arange(len(bubbles)) + n_if)
+                     for st in solved])
+    return EnrichedSpace(coarse, fine, A, degrees, keep + bubbles, n_if,
+                         stacks)
 
 
 class InterfaceOperator:
@@ -196,25 +316,14 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
     rhs = np.zeros(n_if)
     blocks = {}
     cross = np.zeros((space.n_dofs - n_if, n_if)) if with_cross else None
-    used = [K for K, dofs in enumerate(space.element_dofs) if dofs]
-    for group in finefem.patch_groups(space.fine, used):
-        parts = [([p for p in space.element_dofs[K] if p < n_if],
-                  [p for p in space.element_dofs[K] if p >= n_if])
-                 for K in group.elements]
-        n_i = max(len(a) for a, _ in parts)
-        dofs = np.full((len(parts), n_i + max(len(b) for _, b in parts)), -1)
-        for e, (a, b) in enumerate(parts):
-            dofs[e, :len(a)] = a
-            dofs[e, n_i:n_i + len(b)] = b
+    for group, iface_fields, bub_fields in space._fields:
+        n_i = iface_fields.dofs.shape[1]
+        dofs = np.concatenate([iface_fields.dofs, bub_fields.dofs], axis=1)
         tris = group.template.tris
         for sl, sub in group.chunks(dofs.shape[1] * len(tris) * 3):
             ids = dofs[sl]
-            V = np.zeros(ids.shape + (group.template.n_vertices,))
-            for e, (K, row) in enumerate(zip(sub.elements.tolist(),
-                                             ids.tolist())):
-                for r, p in enumerate(row):
-                    if p >= 0:
-                        V[e, r] = space.catalog[p].values[K]
+            V = np.concatenate([iface_fields.gather(sl),
+                                bub_fields.gather(sl)], axis=1)
             G = finefem.gram_blocks(V, tris, *sub.weights(A))
             Vb = (np.matmul(V, sub.load_vectors(f)[..., None])[..., 0]
                   if f is not None else np.zeros(ids.shape))
@@ -222,12 +331,11 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
             if_ids.append(iface)
             if_blocks.append(G[:, :n_i, :n_i])
             np.add.at(rhs, iface[iface >= 0], Vb[:, :n_i][iface >= 0])
-            for e, (K, (_, b)) in enumerate(zip(sub.elements.tolist(),
-                                                parts[sl])):
+            for e, (K, b) in enumerate(zip(sub.elements.tolist(),
+                                           (bub >= 0).sum(axis=1).tolist())):
                 if b:
-                    nb = len(b)
-                    blocks[K] = (bub[e, :nb], G[e, n_i:n_i + nb, n_i:n_i + nb],
-                                 Vb[e, n_i:n_i + nb])
+                    blocks[K] = (bub[e, :b], G[e, n_i:n_i + b, n_i:n_i + b],
+                                 Vb[e, n_i:n_i + b])
             if with_cross:
                 pair = (bub[:, :, None] >= 0) & (iface[:, None, :] >= 0)
                 np.add.at(cross, (
@@ -273,7 +381,13 @@ def solve_coarse(systems: CoarseSystems, rel_tol: float = 1e-12
 def reconstruct(solution: CoarseSolution, which: str = "total"
                 ) -> finefem.FineFunction:
     """Fine nodal field of the solution part: "interface", "bubble" or
-    "total" (the exact nodal sum of the two)."""
+    "total" (the exact nodal sum of the two).
+
+    For each patch shape, every member element sums coefficient times
+    field over its DOFs of the part, DOF slot by DOF slot for all members
+    at once, in element_dofs order; the fields are read from the offline
+    stacks in place.  The sums are then scattered into the global field.
+    Bitwise the same as a loop over the elements and their DOFs."""
     if which == "total":
         u_b = reconstruct(solution, "bubble")
         u_g = reconstruct(solution, "interface")
@@ -282,16 +396,12 @@ def reconstruct(solution: CoarseSolution, which: str = "total"
     if which not in ("interface", "bubble"):
         raise ValueError(f"unknown part {which!r}")
     space = solution.space
-    geom = finefem.global_geometry(space.fine)
-    values = np.zeros(len(geom.points))
-    n_if = space.n_interface
-    for K in range(len(space.coarse.elements)):
-        vids = space.fine.element_vertex_ids(K)
-        acc = np.zeros(len(vids))
-        for p in space.element_dofs[K]:
-            if (p < n_if) == (which == "interface"):
-                acc += solution.coeffs[p] * space.catalog[p].values[K]
-        # Edge traces are edge-canonical, so both writes of a shared fine
-        # vertex produce the same float and plain assignment is safe.
-        values[vids] = acc
-    return finefem.FineFunction(geom, values, solution.cg_iters)
+    values = np.zeros(space.fine.n_vertices)
+    for group, *parts in space._fields:
+        # Edge traces are edge-canonical and every element sums its fields
+        # in DOF order, so both writes of a shared fine vertex produce the
+        # same float and plain assignment is safe.
+        values[group.template.vids + group.shifts[:, None]] = \
+            parts[which == "bubble"].combine(solution.coeffs)
+    return finefem.FineFunction(finefem.global_geometry(space.fine), values,
+                                solution.cg_iters)

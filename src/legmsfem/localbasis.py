@@ -43,6 +43,24 @@ class BasisFunction:
     trace: str
 
 
+@dataclass(frozen=True)
+class FieldStack:
+    """The fields of one batched offline solve (one patch group): row i of
+    rows is the field on element[i] of the catalog entry at position
+    owner[i], -1 for a row no entry uses.  Catalog values are views of
+    these rows, so batched consumers index rows instead of copying."""
+
+    rows: np.ndarray
+    element: np.ndarray
+    owner: np.ndarray
+
+    def renumbered(self, position: np.ndarray) -> FieldStack:
+        """The stack with each owner p moved to position[p] (-1 drops
+        it)."""
+        return FieldStack(self.rows, self.element, np.where(
+            self.owner >= 0, position[self.owner], -1))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -191,8 +209,10 @@ def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
 
 def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, group: finefem.PatchGroup,
-                  requests: dict) -> dict[int, list[np.ndarray]]:
-    """All requested fields on the patches of one group, batched.
+                  requests: dict) -> tuple[FieldStack, int]:
+    """All requested fields on the patches of one group, batched: their
+    stack (owners unset) and the row of the first bubble of a member
+    within its block of rows.
 
     requests[K] = (hats, etas, basis, bubbles): the hat at each vertex of
     hats, eta_k on each (edge, k) of etas (zero on the rest of the
@@ -254,23 +274,34 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                     finefem.block_tridiagonal_factor(D, E), E,
                     [R[..., e - w:e] for e, w in zip(ends, blocks.widths)]),
                 axis=-1)
-    out = {}
-    for e, (K, (hats, etas, _, bubbles)) in enumerate(zip(group.elements,
-                                                          reqs)):
-        out[int(K)] = (list(X[e, :len(hats) + len(etas)])
-                       + list(X[e, n_tr:n_tr + len(bubbles)]))
-    return out
+    return FieldStack(X.reshape(-1, n), np.repeat(group.elements, m),
+                      np.full(len(group.elements) * m, -1)), n_tr
 
 
 def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, requests: dict
-                  ) -> dict[int, list[np.ndarray]]:
-    """The fields of _group_fields for every requested element, one list of
-    rows per element, in request order (hats, etas, bubbles)."""
-    out: dict[int, list[np.ndarray]] = {}
+                  ) -> tuple[list[FieldStack], dict[int, tuple[int, int, int]]]:
+    """The stacks of _group_fields for all requested elements and, for each
+    element, (stack, first row, first bubble row): its traces are the rows
+    from the first row on, in request order, its bubbles those from the
+    first bubble row on."""
+    stacks, where = [], {}
     for group in finefem.patch_groups(fine, requests):
-        out.update(_group_fields(coarse, fine, A, group, requests))
-    return out
+        stack, n_tr = _group_fields(coarse, fine, A, group, requests)
+        m = len(stack.rows) // len(group.elements)
+        for e, K in enumerate(group.elements.tolist()):
+            where[K] = (len(stacks), e * m, e * m + n_tr)
+        stacks.append(stack)
+    return stacks, where
+
+
+def _first_field(coarse: CoarseMesh, fine: FineMesh,
+                 A: finefem.CoefficientField, requests: dict
+                 ) -> dict[int, np.ndarray]:
+    """The one requested field of each element of requests."""
+    stacks, where = _patch_fields(coarse, fine, A, requests)
+    return {K: stacks[s].rows[b if requests[K][3] else a]
+            for K, (s, a, b) in where.items()}
 
 
 def compute_nodal(vertex: int, coarse: CoarseMesh, fine: FineMesh,
@@ -281,9 +312,9 @@ def compute_nodal(vertex: int, coarse: CoarseMesh, fine: FineMesh,
         raise ValueError(f"vertex {vertex} is on the domain boundary; "
                          "no basis function is attached there")
     support = tuple(sorted(coarse.vertex_elements[vertex]))
-    fields = _patch_fields(coarse, fine, A,
-                           {K: ([vertex], [], None, []) for K in support})
-    values = {K: fields[K][0] for K in support}
+    fields = _first_field(coarse, fine, A,
+                          {K: ([vertex], [], None, []) for K in support})
+    values = {K: fields[K] for K in support}
     return BasisFunction("nodal", (vertex,), support, values,
                          f"hat at vertex {vertex}")
 
@@ -298,9 +329,9 @@ def compute_edge_enrichment(edge_id: int, k: int, coarse: CoarseMesh,
         raise ValueError(f"edge {edge_id} is a boundary edge")
     if k < 2:
         raise ValueError("edge enrichment degrees start at 2")
-    fields = _patch_fields(coarse, fine, A, {K: ([], [(edge_id, k)], None, [])
-                                             for K in e.element_ids})
-    values = {K: fields[K][0] for K in e.element_ids}
+    fields = _first_field(coarse, fine, A, {K: ([], [(edge_id, k)], None, [])
+                                            for K in e.element_ids})
+    values = {K: fields[K] for K in e.element_ids}
     return BasisFunction("edge", (edge_id, k), tuple(e.element_ids), values,
                          f"eta_{k} on edge {edge_id}")
 
@@ -314,14 +345,15 @@ def compute_bubble(elem_id: int, i: int, coarse: CoarseMesh, fine: FineMesh,
         raise ValueError("bubbles need bulk degree M >= 1")
     if not 1 <= i <= basis.dim:
         raise ValueError(f"bubble index {i} outside 1..{basis.dim}")
-    field = _patch_fields(coarse, fine, A,
-                          {elem_id: ([], [], basis, [i])})[elem_id][0]
+    field = _first_field(coarse, fine, A,
+                         {elem_id: ([], [], basis, [i])})[elem_id]
     return BasisFunction("bubble", (elem_id, i), (elem_id,),
                          {elem_id: field}, "zero")
 
 
 def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
-                degrees: DegreeAssignment, which: str = "all"
+                degrees: DegreeAssignment, which: str = "all",
+                stacks: list[FieldStack] | None = None
                 ) -> list[BasisFunction]:
     """Full enrichment catalog in deterministic order: nodal functions by
     vertex id, edge enrichments by (edge id, k), bubbles by (element id, i).
@@ -329,7 +361,8 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     which selects "interface", "bubble" or "all" (sweeps reuse the interface
     part across bubble degrees).  Each element patch is solved once, for all
     of its traces and bubble loads together, and the patches of one shape
-    in batches.
+    in batches.  A stacks list receives the field stacks that the values
+    are views of, each row's owner set to its catalog position.
     """
     degrees.validate(coarse)
     interface = which in ("all", "interface")
@@ -353,21 +386,35 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
             bubbles = list(range(1, basis.dim + 1))
         if hats or etas or bubbles:
             requests[K] = (hats, etas, basis, bubbles)
+    # Catalog positions: nodal functions by vertex, then edge enrichments
+    # by (edge, k), then bubbles in request order.
+    n_nodal = len(coarse.interior_vertex_ids)
+    nodal_at = np.full(coarse.n_vertices, -1)
+    nodal_at[coarse.interior_vertex_ids] = np.arange(n_nodal)
+    counts = [degrees.N[e] - 1 for e in coarse.interior_edge_ids.tolist()]
+    edge_at = np.zeros(len(coarse.edges), dtype=int)
+    edge_at[coarse.interior_edge_ids] = n_nodal + np.cumsum([0] + counts[:-1])
+    n_if = n_nodal + sum(counts) if interface else 0
+
     nodal: dict[int, dict] = {}
     edge: dict[tuple, dict] = {}
     bubbles_out = []
-    solved = _patch_fields(coarse, fine, A, requests)
+    solved, where = _patch_fields(coarse, fine, A, requests)
     # Requests run in element order, so every values dict comes out in
     # support order.
     for K, (hats, etas, _, bubbles) in requests.items():
-        fields = iter(solved[K])
-        for v, field in zip(hats, fields):
-            nodal.setdefault(v, {})[K] = field
-        for key, field in zip(etas, fields):
-            edge.setdefault(key, {})[K] = field
-        for i, field in zip(bubbles, fields):
+        s, first, first_bubble = where[K]
+        rows, owner = solved[s].rows, solved[s].owner
+        for r, v in enumerate(hats, first):
+            nodal.setdefault(v, {})[K] = rows[r]
+            owner[r] = nodal_at[v]
+        for r, key in enumerate(etas, first + len(hats)):
+            edge.setdefault(key, {})[K] = rows[r]
+            owner[r] = edge_at[key[0]] + key[1] - 2
+        for r, i in enumerate(bubbles, first_bubble):
+            owner[r] = n_if + len(bubbles_out)
             bubbles_out.append(BasisFunction("bubble", (K, i), (K,),
-                                             {K: field}, "zero"))
+                                             {K: rows[r]}, "zero"))
 
     catalog = []
     if interface:
@@ -381,6 +428,8 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
                 catalog.append(BasisFunction(
                     "edge", (eid, k), support, edge[eid, k],
                     f"eta_{k} on edge {eid}"))
+    if stacks is not None:
+        stacks.extend(solved)
     return catalog + bubbles_out
 
 

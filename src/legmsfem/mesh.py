@@ -96,19 +96,13 @@ class CoarseMesh:
         X, Y = np.meshgrid(xs, ys)
         self.vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-        self.elements: list[Element] = []
-        vid = lambda ix, iy: iy * (nx + 1) + ix
-        for cy in range(ny):
-            for cx in range(nx):
-                sw, se = vid(cx, cy), vid(cx + 1, cy)
-                ne, nw = vid(cx + 1, cy + 1), vid(cx, cy + 1)
-                if kind == "quad":
-                    self._add_element((sw, se, ne, nw))
-                else:
-                    # Cell diagonal runs SW to NE; lower triangle first.
-                    self._add_element((sw, se, ne))
-                    self._add_element((sw, ne, nw))
-
+        # Element vertex table, cells in row-major order: the lattice
+        # triangles of the cells (split SW to NE, lower one first), or each
+        # cell's lower triangle closed by its NW corner, CCW from SW.
+        tris = lattice_triangles(nx, ny)
+        self.element_vertices = (tris if kind == "triangle" else
+                                 np.column_stack([tris[0::2], tris[1::2, 2]]))
+        self._build_elements()
         self._build_edges()
         bx = np.isin(np.arange(nx + 1), [0, nx])
         by = np.isin(np.arange(ny + 1), [0, ny])
@@ -116,52 +110,95 @@ class CoarseMesh:
         self.boundary_vertex_mask = (BX | BY).ravel()
         self.interior_vertex_ids = np.flatnonzero(~self.boundary_vertex_mask)
 
-    def _add_element(self, vids: tuple[int, ...]) -> None:
-        pts = self.vertices[list(vids)]
-        p0 = pts[0]
-        if len(vids) == 4:
-            B = np.diag([pts[1, 0] - p0[0], pts[3, 1] - p0[1]])
+    def _build_elements(self) -> None:
+        """The affine maps of all elements as stacked arrays B, Binv,
+        offsets and diameters (element by element), and the Element
+        objects as views into them."""
+        pts = self.vertices[self.element_vertices]  # (E, corners, 2)
+        p0 = pts[:, 0]
+        B = np.zeros((len(pts), 2, 2))
+        if self.kind == "quad":
+            B[:, 0, 0] = pts[:, 1, 0] - p0[:, 0]
+            B[:, 1, 1] = pts[:, 3, 1] - p0[:, 1]
         else:
-            B = np.column_stack([pts[1] - p0, pts[2] - p0])
-        det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-        if det <= 0:
+            B[:, :, 0] = pts[:, 1] - p0
+            B[:, :, 1] = pts[:, 2] - p0
+        det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+        if np.any(det <= 0):
+            vids = tuple(self.element_vertices[np.argmax(det <= 0)].tolist())
             raise ValueError(f"degenerate element with vertices {vids}")
-        Binv = np.array([[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]]) / det
-        diam = max(np.linalg.norm(a - b) for i, a in enumerate(pts) for b in pts[i + 1:])
-        self.elements.append(Element(len(self.elements), vids, B, Binv, p0, diam))
+        Binv = np.stack([np.stack([B[:, 1, 1], -B[:, 0, 1]], -1),
+                         np.stack([-B[:, 1, 0], B[:, 0, 0]], -1)], -2)
+        Binv /= det[:, None, None]
+        # Distances of every corner pair; vecdot takes the dot product that
+        # np.linalg.norm of one vector takes, so the values agree bitwise.
+        i, j = np.triu_indices(pts.shape[1], 1)
+        d = pts[:, i] - pts[:, j]
+        self.B, self.Binv, self.offsets = B, Binv, p0
+        self.diameters = np.sqrt(np.vecdot(d, d)).max(axis=1)
+        for arr in (B, Binv, p0, self.diameters):
+            arr.flags.writeable = False
+        self.elements: list[Element] = [
+            Element(K, tuple(v), B[K], Binv[K], p0[K], diam)
+            for K, v, diam in zip(range(len(pts)),
+                                  self.element_vertices.tolist(),
+                                  self.diameters.tolist())]
 
     def _build_edges(self) -> None:
-        adjacency: dict[tuple[int, int], list[int]] = {}
-        sides: dict[int, list[tuple[int, int]]] = {}
-        for el in self.elements:
-            v = el.vertex_ids
-            loc = []
-            for i in range(len(v)):
-                a, b = v[i], v[(i + 1) % len(v)]
-                key = (min(a, b), max(a, b))
-                adjacency.setdefault(key, []).append(el.id)
-                loc.append(key)
-            sides[el.id] = loc
-        self.edges: list[Edge] = []
-        ids: dict[tuple[int, int], int] = {}
-        for key in sorted(adjacency):
-            v0, v1 = key
-            length = float(np.linalg.norm(self.vertices[v1] - self.vertices[v0]))
-            ids[key] = len(self.edges)
-            self.edges.append(Edge(len(self.edges), v0, v1,
-                                   tuple(sorted(adjacency[key])), length))
-        self.element_edges = [tuple(ids[k] for k in sides[el.id]) for el in self.elements]
-        self.edge_ends = np.array([(e.v0, e.v1) for e in self.edges])
-        self.interior_edge_ids = np.array(
-            [e.id for e in self.edges if not e.boundary], dtype=int)
-        self.vertex_edges: dict[int, list[int]] = {}
-        for e in self.edges:
-            self.vertex_edges.setdefault(e.v0, []).append(e.id)
-            self.vertex_edges.setdefault(e.v1, []).append(e.id)
-        self.vertex_elements: dict[int, list[int]] = {}
-        for el in self.elements:
-            for v in el.vertex_ids:
-                self.vertex_elements.setdefault(v, []).append(el.id)
+        """Edges from one stable sort of the sorted vertex pairs of all
+        element sides, an np.unique that also groups the sides by edge:
+        edge ids follow (v0, v1) order, element_ids are ascending and
+        element_edges keeps each element's side order.
+
+        Next to the Edge objects and the lists and dicts of the mesh it
+        keeps two plain tables: element_edge_ids (elements, sides), the
+        edge of each side, and edge_element_ids (edges, 2), the elements of
+        each edge in ascending order, -1 in the second column on the
+        boundary."""
+        ev = self.element_vertices
+        n_el, n_sides = ev.shape
+        a, b = ev, np.roll(ev, -1, axis=1)
+        side_keys = (np.minimum(a, b) * self.n_vertices
+                     + np.maximum(a, b)).ravel()
+        # By hand, not np.unique: its sort would load code that no other
+        # step of a run uses (about 0.4 MB of peak RSS).
+        order = np.argsort(side_keys, kind="stable")
+        first = np.flatnonzero(np.diff(side_keys[order], prepend=-1))
+        keys = side_keys[order[first]]
+        counts = np.diff(np.append(first, len(order)))
+        side_edges = np.empty_like(order)
+        side_edges[order] = np.repeat(np.arange(len(keys)), counts)
+        self.element_edge_ids = side_edges.reshape(n_el, n_sides)
+        self.edge_ends = np.column_stack([keys // self.n_vertices,
+                                          keys % self.n_vertices])
+        owner = order // n_sides
+        two = counts == 2
+        self.edge_element_ids = np.full((len(keys), 2), -1)
+        self.edge_element_ids[:, 0] = owner[first]
+        self.edge_element_ids[two, 1] = owner[first[two] + 1]
+        d = (self.vertices[self.edge_ends[:, 1]]
+             - self.vertices[self.edge_ends[:, 0]])
+        self.edge_lengths = np.sqrt(np.vecdot(d, d))
+        for arr in (self.element_edge_ids, self.edge_ends,
+                    self.edge_element_ids, self.edge_lengths):
+            arr.flags.writeable = False
+        # The lists and dicts below share one int object per edge and per
+        # element, the ids of the Edge and Element objects.
+        self.edges: list[Edge] = [
+            Edge(i, v0, v1, (e0,) if e1 < 0 else (e0, e1), length)
+            for i, (v0, v1), (e0, e1), length in zip(
+                range(len(keys)), self.edge_ends.tolist(),
+                self.edge_element_ids.tolist(), self.edge_lengths.tolist())]
+        edge_ids = [e.id for e in self.edges]
+        element_ids = [el.id for el in self.elements]
+        self.element_edges = [tuple(map(edge_ids.__getitem__, r))
+                              for r in self.element_edge_ids.tolist()]
+        self.interior_edge_ids = np.flatnonzero(two)
+        self.vertex_edges = _incidence(
+            self.edge_ends.ravel(), np.repeat(np.arange(len(keys)), 2),
+            edge_ids)
+        self.vertex_elements = _incidence(
+            ev.ravel(), np.repeat(np.arange(n_el), n_sides), element_ids)
 
     @property
     def n_vertices(self) -> int:
@@ -180,6 +217,21 @@ class CoarseMesh:
             lines.append(f"s {ed.id} {ed.v0} {ed.v1} {tag} " +
                          " ".join(map(str, ed.element_ids)))
         return "\n".join(lines)
+
+
+def _incidence(keys: np.ndarray, items: np.ndarray, ids: list[int]
+               ) -> dict[int, list[int]]:
+    """{key: [ids[item] in order]} over the pairs (keys[i], items[i]), keys
+    in order of first appearance: the dict that appending item by item
+    would build."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    ends = np.append(starts[1:], len(keys))
+    flat = list(map(ids.__getitem__, items[order].tolist()))
+    # A stable sort puts each key's first appearance first in its run.
+    runs = [(int(keys[order[a]]), a, b)
+            for a, b in zip(starts.tolist(), ends.tolist())]
+    return {k: flat[a:b] for k, a, b in sorted(runs, key=lambda r: order[r[1]])}
 
 
 def build_coarse(kind: str, nx: int, ny: int,
@@ -243,9 +295,11 @@ class FineMesh:
             tags[1::2] = 2 * cell_elem + (ly >= lx)
         self.tri_elem = tags
 
+        # Triangle ids of each element, ascending: slices of one argsort.
         order = np.argsort(tags, kind="stable")
-        counts = np.bincount(tags, minlength=len(coarse.elements))
-        self._elem_tris = np.split(order, np.cumsum(counts)[:-1])
+        ends = np.cumsum(np.bincount(tags, minlength=len(coarse.elements)))
+        self._elem_tris = [order[a:b] for a, b in zip([0, *ends[:-1].tolist()],
+                                                      ends.tolist())]
 
         self.hx, self.hy = (x1 - x0) / self.nfx, (y1 - y0) / self.nfy
         self._shape_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -333,9 +387,12 @@ class FineMesh:
         mask = (IX == 0) | (IX == self.nfx) | (IY == 0) | (IY == self.nfy)
         return self._vid(IX[mask], IY[mask])
 
-    def edge_segment_triangles(self, edge_id: int) -> np.ndarray:
-        """Per fine segment of an interior coarse edge, the two adjacent fine
-        triangles as an (n_sub, 2) array, lower-id element side first.
+    def edge_segment_triangles(self, edge_ids) -> np.ndarray:
+        """Per fine segment of interior coarse edges, the two adjacent fine
+        triangles, lower-id element side first: (n_sub, 2) for one edge
+        id, the shape of edge_ids plus (n_sub, 2) for an array of them, as
+        edge_vertex_chains.  Raises ValueError if any edge is a boundary
+        edge.
 
         Cell c = cy*nfx + cx holds triangles 2c (lower) and 2c+1 (upper).
         The lower-id element lies below or left of the edge: a horizontal
@@ -343,19 +400,20 @@ class FineMesh:
         vertical one the lower triangle on the left with the upper one on
         the right, a diagonal the two triangles of its own cell.
         """
-        e = self.coarse.edges[edge_id]
-        if e.boundary:
-            raise ValueError(f"edge {edge_id} is a boundary edge")
-        chain = self.edge_vertex_chain(edge_id)[:-1]
-        ix, iy = chain % (self.nfx + 1), chain // (self.nfx + 1)
-        cell = iy * self.nfx + ix
-        if e.v1 - e.v0 == 1:  # horizontal
-            first, second = 2 * (cell - self.nfx) + 1, 2 * cell
-        elif e.v1 - e.v0 == self.coarse.nx + 1:  # vertical
-            first, second = 2 * (cell - 1), 2 * cell + 1
-        else:  # SW-NE diagonal
-            first, second = 2 * cell, 2 * cell + 1
-        return np.column_stack([first, second])
+        ids = np.asarray(edge_ids, dtype=int)
+        boundary = self.coarse.edge_element_ids[ids, 1] < 0
+        if boundary.any():
+            raise ValueError(f"edge {ids[boundary].flat[0]} is a boundary "
+                             "edge")
+        chain = self.edge_vertex_chains(ids)[..., :-1]
+        cell = (chain // (self.nfx + 1)) * self.nfx + chain % (self.nfx + 1)
+        ends = self.coarse.edge_ends[ids]
+        step = (ends[..., 1] - ends[..., 0])[..., None]
+        horizontal, vertical = step == 1, step == self.coarse.nx + 1
+        first = np.where(horizontal, 2 * (cell - self.nfx) + 1,
+                         np.where(vertical, 2 * (cell - 1), 2 * cell))
+        second = np.where(horizontal, 2 * cell, 2 * cell + 1)
+        return np.stack([first, second], axis=-1)
 
 
 def refine_to_fine(coarse: CoarseMesh, n_sub: int) -> FineMesh:
@@ -367,19 +425,18 @@ def check_regularity(coarse: CoarseMesh) -> float:
     """Shape-regularity constant of the mesh.
 
     Returns max over elements of max(||B||*diam(K_ref)/H_K,
-    ||B^-1||*H_K/diam(K_ref)).  With K_ref the unit square or unit right
-    triangle (diameter sqrt(2)) a uniform square mesh reports exactly 1.0 and
-    a uniform right-triangle mesh the golden ratio.
+    ||B^-1||*H_K/diam(K_ref)), with the singular values of every B from
+    one batched SVD.  With K_ref the unit square or unit right triangle
+    (diameter sqrt(2)) a uniform square mesh reports exactly 1.0 and a
+    uniform right-triangle mesh the golden ratio.
     """
-    gamma = 0.0
-    for el in coarse.elements:
-        s = np.linalg.svd(el.B, compute_uv=False)
-        if s[-1] <= 0 or not np.isfinite(s).all():
-            raise ValueError(f"degenerate element {el.id}")
-        gamma = max(gamma,
-                    s[0] * REF_DIAMETER / el.diameter,
-                    (1.0 / s[-1]) * el.diameter / REF_DIAMETER)
-    return float(gamma)
+    s = np.linalg.svd(coarse.B, compute_uv=False)
+    bad = (s[:, -1] <= 0) | ~np.isfinite(s).all(axis=1)
+    if bad.any():
+        raise ValueError(f"degenerate element {int(np.argmax(bad))}")
+    H = coarse.diameters
+    return float(max(0.0, (s[:, 0] * REF_DIAMETER / H).max(),
+                     ((1.0 / s[:, -1]) * H / REF_DIAMETER).max()))
 
 
 @dataclass
@@ -411,15 +468,16 @@ def check_degree_compat(coarse: CoarseMesh, degrees: DegreeAssignment,
     """List edge pairs sharing a vertex whose degrees violate
     N_e/sqrt(gamma) <= N_e' <= sqrt(gamma)*N_e.  Empty list means pass."""
     root = math.sqrt(gamma)
-    interior = set(int(e) for e in coarse.interior_edge_ids)
-    violations = []
-    for v, eids in sorted(coarse.vertex_edges.items()):
-        eids = [e for e in eids if e in interior]
-        for i, e in enumerate(eids):
-            for ep in eids[i + 1:]:
-                ne, nep = degrees.N[e], degrees.N[ep]
-                if ne > root * nep + 1e-12 or nep > root * ne + 1e-12:
-                    pair = (min(e, ep), max(e, ep))
-                    if pair not in violations:
-                        violations.append(pair)
-    return sorted(violations)
+    interior = coarse.interior_edge_ids
+    N = np.array([degrees.N[e] for e in interior.tolist()], dtype=int)
+    # Interior edge ends grouped by vertex; every pair within a group.
+    v = coarse.edge_ends[interior].ravel()
+    order = np.argsort(v, kind="stable")
+    v, e = v[order], np.repeat(np.arange(len(interior)), 2)[order]
+    widest = np.bincount(v).max() if len(v) else 0
+    pairs = np.concatenate([np.zeros((0, 2), dtype=int)] + [
+        np.column_stack([e[:-k], e[k:]])[v[:-k] == v[k:]]
+        for k in range(1, widest)])
+    ne, nep = N[pairs[:, 0]], N[pairs[:, 1]]
+    bad = (ne > root * nep + 1e-12) | (nep > root * ne + 1e-12)
+    return sorted(set(map(tuple, np.sort(interior[pairs[bad]], 1).tolist())))

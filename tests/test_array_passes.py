@@ -1,0 +1,557 @@
+"""The array passes of the mesh set-up, the estimator and the reconstruction
+against the element-by-element and edge-by-edge loops they replaced, kept
+here as reference code, and counters that keep those loops from coming
+back."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from legmsfem import (cli, errors, estimator, finefem, globalsolve,
+                      localbasis, mesh, polybasis)
+
+
+# ---------------------------------------------------------------------------
+# reference loops
+
+def loop_elements(coarse):
+    """Element fields and vertex ids as the per-element constructor built
+    them."""
+    nx, ny = coarse.nx, coarse.ny
+    vid = lambda ix, iy: iy * (nx + 1) + ix
+    cells = []
+    for cy in range(ny):
+        for cx in range(nx):
+            sw, se = vid(cx, cy), vid(cx + 1, cy)
+            ne, nw = vid(cx + 1, cy + 1), vid(cx, cy + 1)
+            if coarse.kind == "quad":
+                cells.append((sw, se, ne, nw))
+            else:
+                cells += [(sw, se, ne), (sw, ne, nw)]
+    out = []
+    for vids in cells:
+        pts = coarse.vertices[list(vids)]
+        p0 = pts[0]
+        if len(vids) == 4:
+            B = np.diag([pts[1, 0] - p0[0], pts[3, 1] - p0[1]])
+        else:
+            B = np.column_stack([pts[1] - p0, pts[2] - p0])
+        det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
+        Binv = np.array([[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]]) / det
+        diam = max(np.linalg.norm(a - b)
+                   for i, a in enumerate(pts) for b in pts[i + 1:])
+        out.append((vids, B, Binv, p0, diam))
+    return out
+
+
+def loop_edges(coarse):
+    """(edges as (v0, v1, element_ids, length), element_edges,
+    vertex_edges, vertex_elements) from the dict-based edge builder."""
+    adjacency, sides = {}, {}
+    for el in coarse.elements:
+        v = el.vertex_ids
+        loc = []
+        for i in range(len(v)):
+            a, b = v[i], v[(i + 1) % len(v)]
+            key = (min(a, b), max(a, b))
+            adjacency.setdefault(key, []).append(el.id)
+            loc.append(key)
+        sides[el.id] = loc
+    edges, ids = [], {}
+    for key in sorted(adjacency):
+        v0, v1 = key
+        ids[key] = len(edges)
+        edges.append((v0, v1, tuple(sorted(adjacency[key])),
+                      float(np.linalg.norm(coarse.vertices[v1]
+                                           - coarse.vertices[v0]))))
+    element_edges = [tuple(ids[k] for k in sides[el.id])
+                     for el in coarse.elements]
+    vertex_edges, vertex_elements = {}, {}
+    for i, (v0, v1, _, _) in enumerate(edges):
+        vertex_edges.setdefault(v0, []).append(i)
+        vertex_edges.setdefault(v1, []).append(i)
+    for el in coarse.elements:
+        for v in el.vertex_ids:
+            vertex_elements.setdefault(v, []).append(el.id)
+    return edges, element_edges, vertex_edges, vertex_elements
+
+
+def loop_segment_triangles(fine, edge_id):
+    """edge_segment_triangles of one edge, as the per-edge method did it."""
+    e = fine.coarse.edges[edge_id]
+    chain = fine.edge_vertex_chain(edge_id)[:-1]
+    ix, iy = chain % (fine.nfx + 1), chain // (fine.nfx + 1)
+    cell = iy * fine.nfx + ix
+    if e.v1 - e.v0 == 1:
+        first, second = 2 * (cell - fine.nfx) + 1, 2 * cell
+    elif e.v1 - e.v0 == fine.coarse.nx + 1:
+        first, second = 2 * (cell - 1), 2 * cell + 1
+    else:
+        first, second = 2 * cell, 2 * cell + 1
+    return np.column_stack([first, second])
+
+
+def loop_p_e(coarse, edge_id, degrees):
+    p = None
+    for K in coarse.edges[edge_id].element_ids:
+        for g in coarse.element_edges[K]:
+            if not coarse.edges[g].boundary:
+                n = degrees.N[int(g)]
+                p = n if p is None else min(p, n)
+    return int(p)
+
+
+def loop_f_norms(fine, K, f, ell):
+    if f is None:
+        return 0.0, 0.0
+    pts, w = finefem.element_quadrature(fine, K)
+    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+    l2sq = float(w @ fv**2)
+    if ell == 0:
+        return math.sqrt(l2sq), math.sqrt(l2sq)
+    gx, gy = f.grad(pts[:, 0], pts[:, 1])
+    h1sq = l2sq + float(w @ (np.asarray(gx)**2 + np.asarray(gy)**2))
+    return math.sqrt(l2sq), math.sqrt(h1sq)
+
+
+def loop_estimate(u_H, f, degrees, eta, ell):
+    """global_estimate element by element and edge by edge; the jump norms
+    are checked against jump_norm elsewhere and taken edge by edge here."""
+    space = u_H.space
+    coarse, fine = space.coarse, space.fine
+    ell_of = (lambda K: ell.get(K, 0)) if isinstance(ell, dict) \
+        else (lambda K: int(ell or 0))
+    p_table = {int(e): loop_p_e(coarse, int(e), degrees)
+               for e in coarse.interior_edge_ids}
+    u_G = finefem.FineFunction(finefem.global_geometry(fine),
+                               loop_reconstruct(u_H, "interface"))
+    residuals, bubble_terms, element_terms = {}, {}, {}
+    for el in coarse.elements:
+        K, M, lK = el.id, degrees.M[el.id], ell_of(el.id)
+        f_l2, f_sob = loop_f_norms(fine, K, f, lK if M >= 1 else 0)
+        if M >= 1:
+            basis = polybasis.BulkPolyBasis(coarse.kind, M)
+            resid = estimator.bubble_residual(
+                fine, K, f, u_H.bubble_coeffs(K), basis) \
+                if f is not None else 0.0
+            ratio = el.diameter ** min(lK, M + 1) / M ** lK
+            bubble_terms[K] = el.diameter**2 * ratio * resid * f_sob
+        else:
+            resid = f_l2
+            bubble_terms[K] = el.diameter**2 * f_l2**2
+        residuals[K] = resid
+        s = 0.0
+        for g in coarse.element_edges[K]:
+            if int(g) in p_table:
+                s += (coarse.edges[g].length * el.diameter
+                      / (degrees.N[int(g)] ** (1.0 - 2.0 * eta)
+                         * p_table[int(g)]))
+        element_terms[K] = f_l2**2 * s
+    jump_norms = {e: estimator.jump_norm(fine, e, u_G, space.A)
+                  for e in p_table}
+    jump_terms = {e: coarse.edges[e].length / p_table[e] * J**2
+                  for e, J in jump_norms.items()}
+    S = [sum(d[k] for k in sorted(d))
+         for d in (bubble_terms, element_terms, jump_terms)]
+    return (math.sqrt(sum(S)),
+            math.sqrt(S[1] + S[2]) if space.n_bubble == 0 else None,
+            dict(element_residuals=residuals, bubble_terms=bubble_terms,
+                 element_terms=element_terms, jump_norms=jump_norms,
+                 jump_terms=jump_terms, p_table=p_table))
+
+
+def loop_reconstruct(solution, which):
+    """reconstruct element by element, DOF by DOF."""
+    if which == "total":
+        return (loop_reconstruct(solution, "bubble")
+                + loop_reconstruct(solution, "interface"))
+    space = solution.space
+    values = np.zeros(space.fine.n_vertices)
+    for K in range(len(space.coarse.elements)):
+        vids = space.fine.element_vertex_ids(K)
+        acc = np.zeros(len(vids))
+        for p in space.element_dofs[K]:
+            if (p < space.n_interface) == (which == "interface"):
+                acc += solution.coeffs[p] * space.catalog[p].values[K]
+        values[vids] = acc
+    return values
+
+
+def loop_localize(report, coarse):
+    shares = np.zeros(len(coarse.edges))
+    leftover = {}
+    for el in coarse.elements:
+        K = el.id
+        interior = [int(g) for g in coarse.element_edges[K]
+                    if not coarse.edges[g].boundary]
+        if not interior:
+            if report.element_terms[K]:
+                leftover[K] = report.element_terms[K]
+            continue
+        for g in interior:
+            shares[g] += report.element_terms[K] / len(interior)
+    return ({e: float(np.sqrt(report.jump_terms[e] + shares[e]))
+             for e in sorted(report.jump_terms)}, leftover)
+
+
+def loop_interface_error_map(u_H, u_ref, u_B_ref):
+    """interface_error_map with the per-edge shares counted element by
+    element."""
+    space = u_H.space
+    coarse = space.coarse
+    ref_G = u_ref.values - u_B_ref.values
+    d_G = ref_G - loop_reconstruct(u_H, "interface")
+    energies = np.zeros((len(coarse.elements), 2))
+    for group in finefem.patch_groups(space.fine, range(len(coarse.elements))):
+        tris = group.template.tris
+        for _, sub in group.chunks(2 * len(tris) * 3):
+            vids = group.template.vids + sub.shifts[:, None]
+            G = finefem.gram_blocks(np.stack([d_G[vids], ref_G[vids]], 1),
+                                    tris, *sub.weights(space.A))
+            energies[sub.elements] = np.diagonal(G, axis1=1, axis2=2)
+    err2, denom2 = energies[:, 0], float(energies[:, 1].sum())
+    edge_map = {}
+    for eid in coarse.interior_edge_ids:
+        acc = 0.0
+        for K in coarse.edges[eid].element_ids:
+            n_int = sum(1 for g in coarse.element_edges[K]
+                        if not coarse.edges[g].boundary)
+            acc += err2[K] / n_int
+        edge_map[int(eid)] = float(np.sqrt(acc / denom2))
+    return edge_map, float(np.sqrt(err2.sum()))
+
+
+def bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# mesh set-up
+
+MESHES = [(kind, nx, ny) for kind in ("quad", "triangle")
+          for nx, ny in ((1, 1), (3, 2), (5, 4))]
+
+
+@pytest.mark.parametrize("kind,nx,ny", MESHES)
+@pytest.mark.parametrize("domain", [(0.0, 1.0, 0.0, 1.0),
+                                    (-0.3, 2.1, 0.7, 1.9)])
+def test_coarse_mesh_matches_loops(kind, nx, ny, domain):
+    coarse = mesh.build_coarse(kind, nx, ny, domain)
+    ref = loop_elements(coarse)
+    assert len(coarse.elements) == len(ref)
+    for el, (vids, B, Binv, p0, diam) in zip(coarse.elements, ref):
+        assert el.vertex_ids == vids
+        assert all(type(v) is int for v in el.vertex_ids)
+        assert bitwise(el.B, B) and bitwise(el.Binv, Binv)
+        assert bitwise(el.offset, p0)
+        assert bitwise(el.diameter, diam)
+    edges, element_edges, vertex_edges, vertex_elements = loop_edges(coarse)
+    assert [(e.id, e.v0, e.v1, e.element_ids) for e in coarse.edges] == [
+        (i, v0, v1, els) for i, (v0, v1, els, _) in enumerate(edges)]
+    assert all(bitwise(e.length, r[3]) for e, r in zip(coarse.edges, edges))
+    assert coarse.element_edges == element_edges
+    assert bitwise(coarse.edge_ends,
+                   np.array([(v0, v1) for v0, v1, _, _ in edges]))
+    assert bitwise(coarse.interior_edge_ids, np.array(
+        [i for i, r in enumerate(edges) if len(r[2]) == 2], dtype=int))
+    # dict contents and key order
+    assert list(coarse.vertex_edges.items()) == list(vertex_edges.items())
+    assert (list(coarse.vertex_elements.items())
+            == list(vertex_elements.items()))
+    # the two plain tables
+    assert coarse.element_edge_ids.tolist() == [list(t) for t in element_edges]
+    assert coarse.edge_element_ids.tolist() == [
+        list(r[2]) + [-1] * (2 - len(r[2])) for r in edges]
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_batched_regularity_matches_loop(kind):
+    coarse = mesh.build_coarse(kind, 5, 4, (0.0, 3.0, 0.0, 1.0))
+    gamma = 0.0
+    for el in coarse.elements:
+        s = np.linalg.svd(el.B, compute_uv=False)
+        gamma = max(gamma, s[0] * mesh.REF_DIAMETER / el.diameter,
+                    (1.0 / s[-1]) * el.diameter / mesh.REF_DIAMETER)
+    assert mesh.check_regularity(coarse) == gamma
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_array_segment_triangles_match_per_edge(kind):
+    coarse = mesh.build_coarse(kind, 4, 3)
+    fine = mesh.refine_to_fine(coarse, 4)
+    ids = coarse.interior_edge_ids
+    steps = set((coarse.edge_ends[ids, 1] - coarse.edge_ends[ids, 0]).tolist())
+    # horizontal, vertical and (triangles) diagonal edges all present
+    assert steps == ({1, 5} if kind == "quad" else {1, 5, 6})
+    stacked = np.stack([loop_segment_triangles(fine, e) for e in ids])
+    assert bitwise(fine.edge_segment_triangles(ids), stacked)
+    grid = ids[:6].reshape(2, 3)
+    assert bitwise(fine.edge_segment_triangles(grid), stacked[:6].reshape(
+        2, 3, fine.n_sub, 2))
+    for e in ids[:5]:
+        assert bitwise(fine.edge_segment_triangles(int(e)),
+                       loop_segment_triangles(fine, int(e)))
+    assert fine.edge_segment_triangles(ids[:0]).shape == (0, fine.n_sub, 2)
+    bnd = next(e.id for e in coarse.edges if e.boundary)
+    with pytest.raises(ValueError, match=f"edge {bnd} is a boundary"):
+        fine.edge_segment_triangles(np.append(ids[:3], bnd))
+
+
+# ---------------------------------------------------------------------------
+# stencil entries
+
+def scattered_stencil(geom, AW):
+    """Stencil.of from the full element matrices of _stiffness."""
+    (rows, cols), slots = geom.box
+    n = rows * cols
+    s = slots[geom.tris]
+    lower = (s[:, 1] == s[:, 0] + 1) & (s[:, 2] == s[:, 0] + cols + 1)
+    Ke = finefem._stiffness(geom.grads, AW)
+    k01, k02, k12 = Ke[:, 0, 1], Ke[:, 0, 2], Ke[:, 1, 2]
+    return [np.bincount(s.ravel(), Ke.reshape(-1, 9)[:, ::4].ravel(), n),
+            np.bincount(np.where(lower, s[:, 0], s[:, 2]),
+                        np.where(lower, k01, k12), n),
+            np.bincount(np.where(lower, s[:, 1], s[:, 0]),
+                        np.where(lower, k12, k02), n),
+            np.bincount(s[:, 0], np.where(lower, k02, k01), n)]
+
+
+def test_stencil_matches_scattered_element_matrices():
+    coarse = mesh.build_coarse("triangle", 3, 2)
+    fine = mesh.refine_to_fine(coarse, 6)
+    A = finefem.periodic_benchmark(0.125)
+    geoms = [finefem.global_geometry(fine), finefem.skeleton_geometry(fine),
+             finefem.element_geometry(fine, 2),   # lower triangle patch
+             finefem.element_geometry(fine, 3)]   # upper triangle patch
+    for geom in geoms:
+        for order in (1, 3):
+            AW = geom.area_weighted(A, order)
+            st = finefem.Stencil.of(geom, AW)
+            got = [st.centre, st.east, st.north, st.northeast]
+            assert all(bitwise(a, b)
+                       for a, b in zip(got, scattered_stencil(geom, AW)))
+
+
+def loop_degree_compat(coarse, degrees, gamma):
+    root = math.sqrt(gamma)
+    interior = set(int(e) for e in coarse.interior_edge_ids)
+    violations = []
+    for v, eids in sorted(coarse.vertex_edges.items()):
+        eids = [e for e in eids if e in interior]
+        for i, e in enumerate(eids):
+            for ep in eids[i + 1:]:
+                ne, nep = degrees.N[e], degrees.N[ep]
+                if ne > root * nep + 1e-12 or nep > root * ne + 1e-12:
+                    pair = (min(e, ep), max(e, ep))
+                    if pair not in violations:
+                        violations.append(pair)
+    return sorted(violations)
+
+
+@pytest.mark.parametrize("kind,nx,ny", MESHES)
+def test_degree_compat_matches_loop(kind, nx, ny, rng):
+    coarse = mesh.build_coarse(kind, nx, ny)
+    degrees = mesh.DegreeAssignment.uniform(coarse, 1, 0)
+    for e in coarse.interior_edge_ids.tolist():
+        degrees.N[e] = int(rng.integers(1, 5))
+    for gamma in (1.0, 2.0, 5.0):
+        got = mesh.check_degree_compat(coarse, degrees, gamma)
+        assert got == loop_degree_compat(coarse, degrees, gamma)
+        assert all(type(a) is int and type(b) is int for a, b in got)
+
+
+# ---------------------------------------------------------------------------
+# estimator, localization, reconstruction
+
+def solved(kind, nx, ny, n_sub, N, M, f=None, A=None, eps=0.25):
+    """A solved problem; N and M are ints or callables of the edge or
+    element id."""
+    coarse = mesh.build_coarse(kind, nx, ny)
+    fine = mesh.refine_to_fine(coarse, n_sub)
+    A = A or finefem.periodic_benchmark(eps)
+    f = f or finefem.gaussian_rhs()
+    deg = mesh.DegreeAssignment(
+        N={e: N(e) if callable(N) else N
+           for e in coarse.interior_edge_ids.tolist()},
+        M={K: M(K) if callable(M) else M for K in range(len(coarse.elements))})
+    space = globalsolve.build_space(coarse, fine, A, deg)
+    return globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
+
+
+def close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b)) + 1e-300
+
+
+ESTIMATES = {
+    "quad mixed N, M, ell dict, eta": (
+        ("quad", 3, 3, 8, lambda e: 2 + e % 2, lambda K: K % 3),
+        dict(eta=0.3, ell={0: 1, 1: 1, 4: 1, 5: 0})),
+    "triangle mixed N, M >= 1, uniform ell": (
+        ("triangle", 3, 2, 8, lambda e: 1 + e % 3, 1), dict(eta=0.1, ell=1)),
+    "triangle M = 0": (("triangle", 4, 3, 4, lambda e: 1 + e % 2, 0),
+                       dict(eta=0.25, ell=None)),
+    "one quad": (("quad", 1, 1, 8, 1, 0), dict(eta=0.0, ell=None)),
+    "one quad with bubbles": (("quad", 1, 1, 8, 1, 1), dict(eta=0.2, ell=1)),
+    "one cell of triangles": (("triangle", 1, 1, 8, 2, 0),
+                              dict(eta=0.0, ell=0)),
+}
+
+
+@pytest.mark.parametrize("name", list(ESTIMATES))
+def test_estimate_matches_loops(name):
+    args, kw = ESTIMATES[name]
+    sol = solved(*args)
+    f, degrees = sol.f, sol.space.degrees
+    got = estimator.global_estimate(sol, f, degrees, kw["eta"], kw["ell"])
+    value, value_gamma, dicts = loop_estimate(sol, f, degrees, kw["eta"],
+                                              kw["ell"])
+    assert close(got.value, value)
+    assert (got.value_gamma is None) == (value_gamma is None)
+    if value_gamma is not None:
+        assert close(got.value_gamma, value_gamma)
+    assert got.p_table == dicts["p_table"]
+    for key, ref in dicts.items():
+        mine = getattr(got, key)
+        assert list(mine) == list(ref), key
+        assert all(close(mine[k], ref[k]) for k in ref), key
+    for e in got.p_table:
+        assert (estimator.compute_p_e(sol.space.coarse, e, degrees)
+                == loop_p_e(sol.space.coarse, e, degrees))
+
+
+def test_estimate_without_load_matches_loops():
+    # no load at all: every smoothness declaration is accepted
+    sol = solved("quad", 2, 2, 8, 2, 1)
+    sol.f = None
+    got = estimator.global_estimate(sol, eta=0.1, ell=2)
+    value, _, dicts = loop_estimate(sol, None, sol.space.degrees, 0.1, 2)
+    assert close(got.value, value)
+    assert got.bubble_terms == dicts["bubble_terms"]
+    assert not any(got.bubble_terms.values())
+
+
+def test_localize_matches_loop():
+    sol = solved("triangle", 3, 3, 4, lambda e: 1 + e % 2, 0)
+    rep = estimator.global_estimate(sol, eta=0.2)
+    coarse = sol.space.coarse
+    assert estimator.localize(rep, coarse) == loop_localize(rep, coarse)[0]
+    assert rep.leftover_element_terms == {}
+    # an element term with no interior edge to take it is left over
+    one = mesh.build_coarse("quad", 1, 1)
+    fake = estimator.EstimatorReport(1.0, 1.0, 0.0, {}, {}, {0: 0.5}, {},
+                                     {}, {})
+    assert estimator.localize(fake, one) == {}
+    assert fake.leftover_element_terms == {0: 0.5} == loop_localize(fake,
+                                                                    one)[1]
+
+
+def test_interface_error_map_matches_loop():
+    cfg = cli.RunConfig.from_dict({
+        "schema": 1, "kind": "triangle", "nx": 3, "ny": 2, "n_sub": 8,
+        "coefficient": {"type": "periodic_benchmark", "eps": 0.5},
+        "rhs": {"type": "gaussian_benchmark"},
+        "N": {"default": 2, "overrides": {4: 1}}, "M": 0})
+    res = cli.run_single(cfg)
+    got = errors.interface_error_map(res.solution, res.u_ref, res.u_B_ref)
+    ref = loop_interface_error_map(res.solution, res.u_ref, res.u_B_ref)
+    assert list(got[0].items()) == list(ref[0].items())
+    assert got[1] == ref[1]
+
+
+def test_errmap_bytes_repeat(tmp_path):
+    cfg = tmp_path / "tri.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "kind": "triangle", "nx": 4, "ny": 3, "n_sub": 4,
+        "coefficient": {"type": "identity"}, "N": 2, "M": 0}))
+    outs = [tmp_path / f"map{i}.csv" for i in range(2)]
+    for out in outs:
+        assert cli.main(["errmap", "--config", str(cfg), "--out",
+                         str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()) == 1 + 29
+
+
+def with_copied_fields(space):
+    """The same space with its fields copied out of the offline stacks."""
+    catalog = [localbasis.BasisFunction(
+        bf.kind, bf.key, bf.support,
+        {K: v.copy() for K, v in bf.values.items()}, bf.trace)
+        for bf in space.catalog]
+    return globalsolve.EnrichedSpace(space.coarse, space.fine, space.A,
+                                     space.degrees, catalog,
+                                     space.n_interface)
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_reconstruct_matches_loop(kind):
+    coarse = mesh.build_coarse(kind, 3, 2)
+    fine = mesh.refine_to_fine(coarse, 8)
+    A, f = finefem.periodic_benchmark(0.25), finefem.gaussian_rhs()
+    donor = globalsolve.build_space(
+        coarse, fine, A, mesh.DegreeAssignment.uniform(coarse, 3, 0))
+    degrees = mesh.DegreeAssignment(
+        N={e: 1 + e % 3 for e in coarse.interior_edge_ids.tolist()},
+        M={K: K % 3 for K in range(len(coarse.elements))})
+    spaces = [globalsolve.build_space(coarse, fine, A, degrees),
+              globalsolve.build_space(coarse, fine, A, degrees,
+                                      interface_from=donor)]
+    spaces.append(with_copied_fields(spaces[0]))
+    for space in spaces:
+        systems = globalsolve.assemble_coarse(space, A, f)
+        sol = globalsolve.solve_coarse(systems)
+        for which in ("interface", "bubble", "total"):
+            got = globalsolve.reconstruct(sol, which).values
+            assert bitwise(got, loop_reconstruct(sol, which)), which
+    # the copied fields assemble the same systems bitwise
+    a, b = (globalsolve.assemble_coarse(s, A, f, with_cross=True)
+            for s in (spaces[0], spaces[2]))
+    assert bitwise(a.interface_K._blocks, b.interface_K._blocks)
+    assert bitwise(a.interface_rhs, b.interface_rhs)
+    assert bitwise(a.cross_gram, b.cross_gram)
+    assert all(bitwise(x, y) for p, q in zip(a.bubble_blocks, b.bubble_blocks)
+               for x, y in zip(p, q))
+
+
+def test_fields_index_the_offline_stacks():
+    sol = solved("triangle", 3, 2, 4, 2, 1)
+    for group, *parts in sol.space._fields:
+        for part in parts:
+            first = sol.space.catalog[int(part.dofs[0, 0])]
+            # a 2-D view of the offline stack, not a copy
+            assert part.stack.base is first.values[
+                int(group.elements[0])].base
+
+
+# ---------------------------------------------------------------------------
+# loop-regression guard
+
+def test_no_per_element_or_per_edge_loops(monkeypatch):
+    """On 24x24 triangles the estimator takes no per-element quadrature
+    and one segment lookup, and the reconstruction builds no patch vertex
+    lists."""
+    sol = solved("triangle", 24, 24, 2, 1, 0, f=finefem.constant_rhs(-1.0),
+                 eps=1 / 12)
+    calls = {"element_quadrature": 0, "edge_segment_triangles": 0,
+             "element_vertex_ids": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(finefem, "element_quadrature")
+    counted(mesh.FineMesh, "edge_segment_triangles")
+    counted(mesh.FineMesh, "element_vertex_ids")
+    for which in ("interface", "bubble", "total"):
+        globalsolve.reconstruct(sol, which)
+    assert calls["element_vertex_ids"] == 0
+    estimator.global_estimate(sol)
+    assert calls["element_quadrature"] == 0
+    assert calls["edge_segment_triangles"] <= 1
+    assert calls["element_vertex_ids"] == 0
