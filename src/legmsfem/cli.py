@@ -352,33 +352,45 @@ def _fmt(x: float) -> str:
 def run_single(config: RunConfig, problem: Problem | None = None,
                shared: dict | None = None) -> RunResult:
     """Offline build, online solve, error report and estimator for one
-    config.  shared may carry u_ref/E_star/u_B_ref/space_donor from a
-    previous run on the same meshes and fields."""
+    config.  shared may carry u_ref/E_star/space_donor from a previous run
+    on the same meshes and fields.
+
+    The bubble reference comes out of the offline sweep (build_space with
+    the load): it is asked for where E_rel_gamma needs it, a bubble-free
+    space, and taken wherever the donor already carries it."""
     t0 = time.perf_counter()
     if problem is None:
         problem = build_problem(config)
     shared = shared or {}
-    space = globalsolve.build_space(
-        problem.coarse, problem.fine, problem.A, problem.degrees,
-        interface_from=shared.get("space_donor"))
-    systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
-    solution = globalsolve.solve_coarse(systems, config.rel_tol)
+    # The fine reference goes first, while nothing else is held: its
+    # assembly sets the peak memory of a run.  Degrees are checked before
+    # it, so a config the lattice cannot resolve fails without it.
+    globalsolve.check_degrees(problem.fine, problem.degrees)
     if "u_ref" in shared:
         u_ref, E_star = shared["u_ref"], shared["E_star"]
     else:
         u_ref, E_star = errors.reference_solve(
             problem.fine, problem.A, problem.f, config.rel_tol,
             eps=config.eps, strict=config.strict)
-    u_B_ref = shared.get("u_B_ref")
-    if u_B_ref is None and space.n_bubble == 0:
-        u_B_ref = errors.bubble_reference(problem.fine, problem.A, problem.f,
-                                          config.rel_tol)
+    donor = shared.get("space_donor")
+    with_reference = (_bubble_free(problem.degrees)
+                      or (donor is not None and donor.f is problem.f))
+    space = globalsolve.build_space(
+        problem.coarse, problem.fine, problem.A, problem.degrees,
+        interface_from=donor, f=problem.f if with_reference else None)
+    systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
+    solution = globalsolve.solve_coarse(systems, config.rel_tol)
+    u_B_ref = space.bubble_reference
     report = errors.evaluate(solution, E_star, u_ref, u_B_ref)
     est = estimator.global_estimate(solution, problem.f, problem.degrees,
                                     config.eta, config.ell)
     ms = int(round(1000 * (time.perf_counter() - t0)))
     return RunResult(config, problem, solution, u_ref, E_star, report, est,
                      u_B_ref, ms)
+
+
+def _bubble_free(degrees: mesh.DegreeAssignment) -> bool:
+    return not any(degrees.M.values())
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -428,7 +440,8 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
             cfg0 = _with(config, N=int(max(values)), M=0)
             shared["space_donor"] = globalsolve.build_space(
                 problem.coarse, problem.fine, problem.A,
-                _degrees_of(cfg0, problem.coarse))
+                _degrees_of(cfg0, problem.coarse),
+                f=problem.f if _bubble_free(problem.degrees) else None)
         for v in values:
             cfg = _with(config, **{axis: int(v)})
             try:
@@ -437,8 +450,6 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
                                  shared)
                 shared.setdefault("u_ref", res.u_ref)
                 shared.setdefault("E_star", res.E_star)
-                if res.u_B_ref is not None:
-                    shared.setdefault("u_B_ref", res.u_B_ref)
                 if axis == "M" and "space_donor" not in shared:
                     shared["space_donor"] = res.solution.space
                 rows.append(res.row(timing))

@@ -8,7 +8,11 @@ relative energy error can be evaluated from energies alone:
 
 The interface variant subtracts the bubble-reference energy first, since
 the full reference splits energy-orthogonally into bubble and interface
-parts.  `evaluate` is the one place that scores a solution: it also
+parts.  The fine reference is one multigrid-preconditioned CG solve; the
+bubble reference is the zero-trace solve with the load on every element,
+which the offline patch sweep produces next to the basis
+(globalsolve.build_space with the load) and `bubble_reference` runs
+alone.  `evaluate` is the one place that scores a solution: it also
 reports the direct norm quotient, a cross-check on the identity, and the
 residual of the error split.
 """
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import finefem, globalsolve
+from . import finefem, globalsolve, localbasis
 from .mesh import FineMesh
 
 
@@ -68,20 +72,17 @@ def relative_from_energies(E_num: float, E_star: float) -> float:
 
 
 def bubble_reference(fine: FineMesh, A: finefem.CoefficientField,
-                     f: finefem.RhsField, rel_tol: float = 1e-12
-                     ) -> finefem.FineFunction:
-    """The bubble part of the reference solution: one fine solve of the full
-    problem with every fine vertex of the coarse skeleton held at zero.  The
-    skeleton cuts the system into independent element blocks, so this is
-    the elementwise zero-trace solves glued into one global field.  It is
-    solved like the reference, on the reference's own stencil (the
-    skeleton geometry shares it) with the skeleton masked out; its
-    multigrid coarsens while the skeleton stays on the coarse lattice
-    (n_sub even at that level)."""
-    u = finefem.solve_spd(
-        finefem.assemble(finefem.skeleton_geometry(fine), A, f), rel_tol)
-    return finefem.FineFunction(finefem.global_geometry(fine), u.values,
-                                u.cg_iters)
+                     f: finefem.RhsField) -> finefem.FineFunction:
+    """The bubble part of the reference solution: the fine solution with
+    every fine vertex of the coarse skeleton held at zero.  The skeleton
+    cuts that system into independent element blocks, so it is the
+    zero-trace solve with load f on every element patch, glued into one
+    global field.  Those are the load rows of the offline block sweep
+    (localbasis.load_solves) run alone, so the field is bitwise the one
+    globalsolve.build_space keeps for the same load."""
+    return finefem.FineFunction(
+        finefem.global_geometry(fine),
+        localbasis.load_solves(fine.coarse, fine, A, f))
 
 
 def interface_error_map(u_H: globalsolve.CoarseSolution,

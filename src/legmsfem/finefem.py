@@ -12,13 +12,13 @@ Every geometry here is a set of triangles of the SW-NE fine lattice, so
 its stiffness is a 7-point stencil (centre, E/W, N/S, NE/SW) on the box of
 lattice vertices that holds it.  Per-triangle element matrices come from
 one routine: `assemble` scatters them once into the stencil of the
-iterative solves (the fine reference, and the bubble reference with the
-whole coarse skeleton fixed) and masks the Dirichlet vertices out of it,
-and the offline patch solves in `localbasis` build dense lattice-row
-blocks from them.  Geometry and quadrature points are cached per patch;
-a geometry keeps the stencil of the last coefficient object it assembled
-(keyed by identity), so the two fine references share one assembly and
-two coefficient fields never share a matrix.  Only numpy is needed.
+iterative solves (the fine reference) and masks the Dirichlet vertices
+out of it, and the offline patch solves in `localbasis` (the basis and the
+bubble reference) build dense lattice-row blocks from them.  Geometry and
+quadrature points are cached per patch; a geometry keeps the stencil of
+the last coefficient object it assembled (keyed by identity), so repeated
+systems of one coefficient share one assembly and two coefficient fields
+never share a matrix.  Only numpy is needed.
 
 `solve_spd` preconditions CG with one geometric multigrid V-cycle
 (`Multigrid`).  The fine lattice is nested: coarsening it every other
@@ -41,7 +41,6 @@ inner product goes through `gram_blocks`.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -286,7 +285,7 @@ class TriGeometry:
         g[:, 2, 1] = (p1[:, 0] - p0[:, 0]) / det
         self.grads = g
         self._quad: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # quad order -> (coefficient, AW, Stencil); shallow copies share it.
+        # quad order -> (coefficient, AW, Stencil).
         self._stencils: dict[int, tuple] = {}
 
     @property
@@ -339,9 +338,8 @@ class TriGeometry:
         """(AW, stencil) of the stiffness of A on this geometry, built once
         per coefficient object.  The entry of a quadrature order is kept
         until another coefficient replaces it; the key compares the
-        coefficient by identity, never by name.  Shallow copies (the
-        skeleton geometry) share the entry, so the fine reference and the
-        bubble reference assemble one operator."""
+        coefficient by identity, never by name, so two coefficient fields
+        never share an operator."""
         hit = self._stencils.get(order)
         if hit is None or hit[0] is not A:
             AW = self.area_weighted(A, order)
@@ -488,17 +486,6 @@ def global_geometry(fine) -> TriGeometry:
     return geom
 
 
-def skeleton_geometry(fine) -> TriGeometry:
-    """The global fine mesh with every fine vertex of the coarse skeleton
-    (all coarse edges, the domain boundary included) fixed; a shallow copy
-    that shares the global geometry's arrays."""
-    geom = copy.copy(global_geometry(fine))
-    geom.boundary_local = np.unique(
-        fine.edge_vertex_chains(np.arange(len(fine.coarse.edges))))
-    geom.label = "fine mesh with the coarse skeleton fixed"
-    return geom
-
-
 def element_geometry(fine, elem_id: int) -> TriGeometry:
     try:
         return fine._geom_cache[elem_id]
@@ -576,10 +563,11 @@ class PatchGroup:
 
 def patch_groups(fine, elem_ids) -> list[PatchGroup]:
     """Element patches grouped by shape (fine.patch_shape), in order of
-    first appearance.  The first element of a shape is its template, and
-    every other member must be its lattice translate: the same vertex,
-    boundary and triangle lists shifted by one vertex offset, triangle
-    vertex order included.  Raises ValueError otherwise.
+    first appearance.  The first element of a shape is its template; every
+    member's vertices and boundary are the shape's pattern at the member's
+    origin, so they are the template's shifted by the difference of the
+    origins, and its triangle list must be the template's shifted the same
+    way, triangle vertex order included.  Raises ValueError otherwise.
     """
     shapes: dict[int, list[int]] = {}
     for K in elem_ids:
@@ -587,22 +575,20 @@ def patch_groups(fine, elem_ids) -> list[PatchGroup]:
     groups = []
     for members in shapes.values():
         t = element_geometry(fine, members[0])
-        parts = [fine.element_patch(K) + (fine.element_triangle_ids(K),)
-                 for K in members]
-        sizes = (len(t.vids), len(t.boundary_local), len(t.tris))
-        ok = [tuple(map(len, p)) == sizes for p in parts]
-        if all(ok):
-            vids, bnd, tri_ids = map(np.stack, zip(*parts))
-            shifts = vids[:, 0] - t.vids[0]
-            ok = ((vids - shifts[:, None] == t.vids).all(1)
-                  & (bnd - shifts[:, None] == t.vids[t.boundary_local]).all(1)
-                  & (fine.triangles[tri_ids] - shifts[:, None, None]
-                     == t.vids[t.tris]).all((1, 2)))
-        if not all(ok):
+        elements = np.array(members)
+        shifts = fine.element_origin(elements) - fine.element_origin(
+            members[0])
+        parts = [fine.element_triangle_ids(K) for K in members]
+        ok = np.array([len(p) for p in parts]) == len(t.tris)
+        if ok.all():
+            tri_ids = np.stack(parts)
+            ok = (fine.triangles[tri_ids] - shifts[:, None, None]
+                  == t.vids[t.tris]).all((1, 2))
+        if not ok.all():
             raise ValueError(f"element {members[int(np.argmin(ok))]} patch "
                              "is not a lattice translate of element "
                              f"{members[0]}")
-        groups.append(PatchGroup(fine, t, np.array(members), shifts, tri_ids))
+        groups.append(PatchGroup(fine, t, elements, shifts, tri_ids))
     return groups
 
 

@@ -35,7 +35,10 @@ class EnrichedSpace:
     vertex, then edge by (edge, k)), bubbles after (by element, then index).
     stacks are the offline field stacks the catalog's values are views of,
     with each row's owner at its catalog position; without them (a catalog
-    built some other way) the fields are stacked once, on first use.
+    built some other way) the fields are stacked once, on first use.  A
+    space built for a load f keeps it with its bubble reference, the
+    zero-trace solves with load f glued over the mesh (errors.evaluate
+    scores the interface error against it).
     """
 
     coarse: CoarseMesh
@@ -45,6 +48,8 @@ class EnrichedSpace:
     catalog: list[localbasis.BasisFunction]
     n_interface: int
     stacks: list[localbasis.FieldStack] | None = None
+    f: finefem.RhsField | None = None
+    bubble_reference: finefem.FineFunction | None = None
     element_dofs: list[list[int]] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -165,6 +170,13 @@ class UnresolvedDegreeError(ValueError):
     can carry independently, which would make a coarse system singular."""
 
 
+def check_degrees(fine: FineMesh, degrees: DegreeAssignment) -> None:
+    """Raise ValueError unless every degree is assigned, and
+    UnresolvedDegreeError unless the fine lattice resolves it."""
+    degrees.validate(fine.coarse)
+    _check_resolved(fine, degrees)
+
+
 def _check_resolved(fine: FineMesh, degrees: DegreeAssignment) -> None:
     """Edge degree N puts N - 1 enrichments on the n_sub - 1 interior fine
     vertices of an edge; an element's bubbles may not outnumber its
@@ -198,22 +210,30 @@ def expected_dof_count(coarse: CoarseMesh, degrees: DegreeAssignment,
 
 def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
                 degrees: DegreeAssignment,
-                interface_from: EnrichedSpace | None = None) -> EnrichedSpace:
+                interface_from: EnrichedSpace | None = None,
+                f: finefem.RhsField | None = None) -> EnrichedSpace:
     """Run the offline solves and assemble the catalog.
 
     interface_from reuses the interface part of an existing space built on
     the same meshes and the same coefficient object with edgewise degrees at
     least as large; only bubbles are recomputed.  Degrees beyond the donor
     raise, and so do degrees the fine lattice cannot resolve.
+
+    Given the load f, the space also carries the bubble reference of f:
+    the donor's when the donor was built for the same load object (compared
+    by identity, like the coefficient), else one more row per patch in the
+    offline sweep, so every patch is still eliminated once.
     """
-    degrees.validate(coarse)
-    _check_resolved(fine, degrees)
+    check_degrees(fine, degrees)
+    reference: list[np.ndarray] = []
     if interface_from is None:
         stacks: list[localbasis.FieldStack] = []
         catalog = localbasis.compute_all(coarse, fine, A, degrees,
-                                         stacks=stacks)
+                                         stacks=stacks, f=f,
+                                         reference=reference)
         n_if = sum(1 for bf in catalog if bf.kind != "bubble")
-        return EnrichedSpace(coarse, fine, A, degrees, catalog, n_if, stacks)
+        return EnrichedSpace(coarse, fine, A, degrees, catalog, n_if, stacks,
+                             f, _reference(fine, reference))
     if interface_from.coarse is not coarse or interface_from.fine is not fine:
         raise ValueError("interface reuse requires the same mesh pair")
     if interface_from.A is not A:
@@ -225,9 +245,12 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     n_if, _ = expected_dof_count(coarse, degrees, lambda M: 0)
     if len(keep) != n_if:
         raise ValueError("donor space is missing requested edge degrees")
+    inherited = f is not None and interface_from.f is f
     solved: list[localbasis.FieldStack] = []
     bubbles = localbasis.compute_all(coarse, fine, A, degrees, which="bubble",
-                                     stacks=solved)
+                                     stacks=solved,
+                                     f=None if inherited else f,
+                                     reference=reference)
     stacks = None
     if interface_from.stacks is not None:
         # Donor positions move to those of the kept functions, or drop.
@@ -237,7 +260,17 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
                   + [st.renumbered(np.arange(len(bubbles)) + n_if)
                      for st in solved])
     return EnrichedSpace(coarse, fine, A, degrees, keep + bubbles, n_if,
-                         stacks)
+                         stacks, f,
+                         interface_from.bubble_reference if inherited
+                         else _reference(fine, reference))
+
+
+def _reference(fine: FineMesh, glued: list[np.ndarray]
+               ) -> finefem.FineFunction | None:
+    """The bubble reference from compute_all's reference list, if any."""
+    if not glued:
+        return None
+    return finefem.FineFunction(finefem.global_geometry(fine), glued[0])
 
 
 class InterfaceOperator:

@@ -8,9 +8,15 @@ on a patch becomes a row of its right-hand side, the patches of one shape
 are lattice translates of one template (finefem.patch_groups checks it),
 and one direct block-tridiagonal sweep over the template's fine-lattice
 rows solves a whole chunk of them (a P1 stiffness on the structured
-lattice couples only adjacent rows).  The sweep's matrices carry a leading
-element axis, and every element and every row is its own LAPACK or BLAS
-call, so a field comes out bitwise the same whatever is solved with it.
+lattice couples only adjacent rows).  A trace row's right-hand side -K X
+is formed on the triangles that touch the patch boundary only, where X
+is nonzero.  Given the problem's load f, the sweep also solves one
+zero-trace row with load f per patch; glued over the mesh, these rows are
+the bubble part of the fine reference solution (the error report's
+bubble reference), so every patch is eliminated once per run.  The
+sweep's matrices carry a leading element axis, and every element and
+every row is its own LAPACK or BLAS call, so a field comes out bitwise the
+same whatever is solved with it.
 Traces on coarse edges are sampled at the fine vertices of the edge chain,
 always through the edge's own orientation (v0 to v1) and from one
 evaluation per (n_sub, degree), so the two adjacent patches impose
@@ -79,6 +85,14 @@ def _eta_trace(n: int, k: int) -> np.ndarray:
         k, -1.0 + 2.0 * _edge_parameters(n)))
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of an array of nonnegative integers, ascending.
+    By hand, not np.unique: called without return arrays it asks
+    np.ma.is_masked, which imports numpy.ma (about 17 ms) on every run."""
+    s = np.sort(a, axis=None)
+    return s[np.diff(s, prepend=-1) != 0]
+
+
 def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
                     sides: np.ndarray) -> np.ndarray:
     """Template-local indices of each edge chain, in element_edges order
@@ -96,7 +110,7 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
                          f"{group.elements[0]}")
     loc = np.minimum(np.searchsorted(t.vids, chains[0]), len(t.vids) - 1)
     if (not np.array_equal(t.vids[loc], chains[0])
-            or not np.array_equal(np.unique(loc), t.boundary_local)):
+            or not np.array_equal(_sorted_unique(loc), t.boundary_local)):
         raise ValueError(f"{t.label}: edge chains do not cover exactly "
                          "the patch boundary")
     return loc
@@ -181,7 +195,7 @@ def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
     pos = _edge_positions(fine, group, sides)
     k_max = max([k for K in group.elements for _, k in requests[K][1]],
                 default=1)
-    corner_ids = np.unique(pos[:, [0, -1]])
+    corner_ids = _sorted_unique(pos[:, [0, -1]])
     # The hat row of the start and of the end of each side's chain.
     hat_row = np.searchsorted(corner_ids, pos[:, [0, -1]])
     n_hat, n_eta = len(corner_ids), len(pos) * (k_max - 1)
@@ -207,27 +221,99 @@ def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
     return table[np.array(index)]
 
 
+def _trace_loads(Kt: np.ndarray, X: np.ndarray, tris: np.ndarray
+                 ) -> np.ndarray:
+    """-K X of the trace rows X (elements, rows, n), from the per-triangle
+    matrices Kt (elements, nt, 3, 3) of the triangles tris (nt, 3) that
+    touch the boundary, (elements, rows, n).
+
+    Each triangle slot i gives -(K_i0 x_0 + K_i1 x_1 + K_i2 x_2), laid out
+    (triangle, slot, row, element) so the element axis is the long inner
+    loop, and one bincount scatters them to the vertices, each vertex
+    summing its triangles in triangle order.  X vanishes off the boundary,
+    so every other triangle would add only products +-0, which leave the
+    sums bitwise unchanged."""
+    n_el, rows, n = X.shape
+    KT = np.ascontiguousarray(np.moveaxis(Kt, 0, -1))
+    XT = np.ascontiguousarray(X.T)[tris]
+    W = np.multiply(KT[:, :, 0, None], XT[:, None, 0])
+    tmp = np.empty(W.shape)
+    W += np.multiply(KT[:, :, 1, None], XT[:, None, 1], out=tmp)
+    W += np.multiply(KT[:, :, 2, None], XT[:, None, 2], out=tmp)
+    np.negative(W, out=W)
+    return _scatter_rows(W, tris, n)
+
+
+def _scatter_rows(W: np.ndarray, tris: np.ndarray, n: int) -> np.ndarray:
+    """Sum W (nt, 3, rows, elements), the share of each triangle slot in
+    each row, to the n vertices, (elements, rows, n), each vertex summing
+    its triangles in triangle order."""
+    rows, n_el = W.shape[2:]
+    idx = (np.arange(n_el * rows).reshape(n_el, rows).T * n
+           + tris[..., None, None])
+    return np.bincount(idx.ravel(), weights=W.ravel(),
+                       minlength=n_el * rows * n).reshape(n_el, rows, n)
+
+
+def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup, reqs: list,
+                  n_b: int, f: finefem.RhsField | None) -> np.ndarray:
+    """The P1 loads of the members of sub by the centroid rule, as the
+    share area * value / 3 of each triangle, (nt, n_b + (f given),
+    elements): the bulk polynomials of each member's bubbles (zero rows
+    after), then f.  The polynomials are evaluated once for all members
+    with the same basis and bubbles, at reference points stacked from the
+    coarse mesh's affine maps."""
+    glob = finefem.global_geometry(sub.fine)
+    ids = sub.tri_ids
+    areas = glob.areas[ids]
+    out = np.zeros((ids.shape[1], n_b + (f is not None), len(ids)))
+    alike: dict[tuple, list[int]] = {}
+    for e, (_, _, basis, bubbles) in enumerate(reqs):
+        if bubbles:
+            alike.setdefault((basis, tuple(bubbles)), []).append(e)
+    for (basis, bubbles), es in alike.items():
+        K = sub.elements[es]
+        ref = np.matmul(glob.centroids[ids[es]] - coarse.offsets[K][:, None],
+                        coarse.Binv[K].transpose(0, 2, 1))
+        P = basis.eval_ref(ref.reshape(-1, 2)).reshape(len(es), -1,
+                                                       basis.dim)
+        P = P[..., [i - 1 for i in bubbles]]
+        out[:, :len(bubbles), es] = (areas[es][..., None] * P
+                                     / 3.0).transpose(1, 2, 0)
+    if f is not None:
+        pts = glob.centroids[ids.ravel()]
+        fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+        out[:, -1] = (areas * fv.reshape(ids.shape) / 3.0).T
+    return out
+
+
 def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, group: finefem.PatchGroup,
-                  requests: dict) -> tuple[FieldStack, int]:
+                  requests: dict, f: finefem.RhsField | None = None
+                  ) -> tuple[FieldStack, int, np.ndarray | None]:
     """All requested fields on the patches of one group, batched: their
-    stack (owners unset) and the row of the first bubble of a member
-    within its block of rows.
+    stack (owners unset), the row of the first bubble of a member within
+    its block of rows and, given the load f, the zero-trace solve with
+    load f on every member, (elements, n), else None.
 
     requests[K] = (hats, etas, basis, bubbles): the hat at each vertex of
     hats, eta_k on each (edge, k) of etas (zero on the rest of the
     boundary), then the zero-trace solve with load P_i of basis for each i
     of bubbles.  Members with fewer rows are padded with zero rows.  Every
     chunk of members is solved by one block sweep over the template's
-    lattice rows, and each row comes out the same whatever other rows and
-    members are solved with it.
+    lattice rows, the load f riding along as one more row that is kept
+    out of the stack, and each row comes out the same whatever other rows
+    and members are solved with it.
     """
     t = group.template
     n, tris = t.n_vertices, t.tris
     reqs = [requests[K] for K in group.elements]
     n_tr = max(len(h) + len(e) for h, e, _, _ in reqs)
-    m = n_tr + max(len(b) for *_, b in reqs)
+    n_b = max(len(b) for *_, b in reqs)
+    m = n_tr + n_b
+    m_all = m + (f is not None)
     X = np.zeros((len(group.elements), m, n))
+    L = None if f is None else np.zeros((len(group.elements), n))
     if n_tr:
         X[:, :n_tr] = _trace_rows(coarse, fine, group, requests, n_tr)
     is_free = np.ones(n, dtype=bool)
@@ -235,71 +321,76 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     free = np.flatnonzero(is_free)
     if len(free):
         blocks = _row_blocks(fine, t, is_free)
-        glob = finefem.global_geometry(fine)
         ends = np.cumsum(blocks.widths)
-        for sl, sub in group.chunks(max(m * len(tris) * 3, blocks.size)):
+        edge = np.flatnonzero(~is_free[tris].all(axis=1))
+        per_element = 3 * (n_tr * len(edge) + (m_all - n_tr) * len(tris))
+        for sl, sub in group.chunks(max(per_element, blocks.size)):
             Kt = sub.element_matrices(A)
             Xc = X[sl]
-            n_el = len(Xc)
-            # Right-hand sides F - K X per triangle vertex slot i, as
-            # -(K_i0 x_0 + K_i1 x_1 + K_i2 x_2), laid out (triangle, slot,
-            # row, element) so the element axis is the long inner loop,
-            # then scattered to the vertices in one pass; each vertex
-            # still sums its triangles in triangle order.
-            KT = np.ascontiguousarray(np.moveaxis(Kt, 0, -1))
-            XT = np.ascontiguousarray(Xc[:, :n_tr].T)[tris]
-            W = np.zeros((len(tris), 3, m, n_el))
-            Wt = W[:, :, :n_tr]
-            tmp = np.empty(Wt.shape)
-            np.multiply(KT[:, :, 0, None], XT[:, None, 0], out=Wt)
-            Wt += np.multiply(KT[:, :, 1, None], XT[:, None, 1], out=tmp)
-            Wt += np.multiply(KT[:, :, 2, None], XT[:, None, 2], out=tmp)
-            np.negative(Wt, out=Wt)
-            for e, K in enumerate(sub.elements):
-                _, _, basis, bubbles = requests[K]
-                if bubbles:
-                    ids = sub.tri_ids[e]
-                    P = basis.eval_ref(coarse.elements[K].to_ref(
-                        glob.centroids[ids]))[:, [i - 1 for i in bubbles]]
-                    W[:, :, n_tr:n_tr + len(bubbles), e] = (
-                        glob.areas[ids][:, None] * P / 3.0)[:, None]
-            idx = (np.arange(n_el * m).reshape(n_el, m).T * n
-                   + tris[..., None, None])
-            R = np.bincount(idx.ravel(), weights=W.ravel(),
-                            minlength=n_el * m * n).reshape(n_el, m, n)
-            R = R[..., free]
+            R = np.empty((len(Xc), m_all, len(free)))
+            if n_tr:
+                R[:, :n_tr] = _trace_loads(Kt[:, edge], Xc[:, :n_tr],
+                                           tris[edge])[..., free]
+            if m_all > n_tr:
+                w = _load_weights(coarse, sub, reqs[sl], n_b, f)
+                R[:, n_tr:] = _scatter_rows(
+                    np.broadcast_to(w[:, None], (len(tris), 3) + w.shape[1:]),
+                    tris, n)[..., free]
             D, E = blocks.split(Kt)
-            Xc[..., free] = np.concatenate(
+            Y = np.concatenate(
                 finefem.block_tridiagonal_substitute(
                     finefem.block_tridiagonal_factor(D, E), E,
                     [R[..., e - w:e] for e, w in zip(ends, blocks.widths)]),
                 axis=-1)
+            Xc[..., free] = Y[:, :m]
+            if L is not None:
+                L[sl, free] = Y[:, m]
     return FieldStack(X.reshape(-1, n), np.repeat(group.elements, m),
-                      np.full(len(group.elements) * m, -1)), n_tr
+                      np.full(len(group.elements) * m, -1)), n_tr, L
 
 
 def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
-                  A: finefem.CoefficientField, requests: dict
-                  ) -> tuple[list[FieldStack], dict[int, tuple[int, int, int]]]:
-    """The stacks of _group_fields for all requested elements and, for each
+                  A: finefem.CoefficientField, requests: dict,
+                  f: finefem.RhsField | None = None
+                  ) -> tuple[list[FieldStack], dict[int, tuple[int, int, int]],
+                             np.ndarray | None]:
+    """The stacks of _group_fields for all requested elements; for each
     element, (stack, first row, first bubble row): its traces are the rows
     from the first row on, in request order, its bubbles those from the
-    first bubble row on."""
+    first bubble row on; and, given the load f (every element must then be
+    requested), the zero-trace solves with load f glued into one global
+    field, else None."""
     stacks, where = [], {}
+    glued = None if f is None else np.zeros(fine.n_vertices)
     for group in finefem.patch_groups(fine, requests):
-        stack, n_tr = _group_fields(coarse, fine, A, group, requests)
+        stack, n_tr, loads = _group_fields(coarse, fine, A, group, requests,
+                                           f)
         m = len(stack.rows) // len(group.elements)
         for e, K in enumerate(group.elements.tolist()):
             where[K] = (len(stacks), e * m, e * m + n_tr)
         stacks.append(stack)
-    return stacks, where
+        if loads is not None:
+            # Every member's solve is zero on its boundary, so the shared
+            # skeleton vertices get zero whichever member writes last.
+            glued[group.template.vids + group.shifts[:, None]] = loads
+    return stacks, where, glued
+
+
+def load_solves(coarse: CoarseMesh, fine: FineMesh,
+                A: finefem.CoefficientField, f: finefem.RhsField
+                ) -> np.ndarray:
+    """The zero-trace solves with load f on every element, glued into one
+    global fine field: the load rows of compute_all alone, so the field is
+    bitwise the one compute_all hands back for f."""
+    requests = {K: ([], [], None, []) for K in range(len(coarse.elements))}
+    return _patch_fields(coarse, fine, A, requests, f)[2]
 
 
 def _first_field(coarse: CoarseMesh, fine: FineMesh,
                  A: finefem.CoefficientField, requests: dict
                  ) -> dict[int, np.ndarray]:
     """The one requested field of each element of requests."""
-    stacks, where = _patch_fields(coarse, fine, A, requests)
+    stacks, where, _ = _patch_fields(coarse, fine, A, requests)
     return {K: stacks[s].rows[b if requests[K][3] else a]
             for K, (s, a, b) in where.items()}
 
@@ -353,7 +444,9 @@ def compute_bubble(elem_id: int, i: int, coarse: CoarseMesh, fine: FineMesh,
 
 def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
                 degrees: DegreeAssignment, which: str = "all",
-                stacks: list[FieldStack] | None = None
+                stacks: list[FieldStack] | None = None,
+                f: finefem.RhsField | None = None,
+                reference: list[np.ndarray] | None = None
                 ) -> list[BasisFunction]:
     """Full enrichment catalog in deterministic order: nodal functions by
     vertex id, edge enrichments by (edge id, k), bubbles by (element id, i).
@@ -362,7 +455,10 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     part across bubble degrees).  Each element patch is solved once, for all
     of its traces and bubble loads together, and the patches of one shape
     in batches.  A stacks list receives the field stacks that the values
-    are views of, each row's owner set to its catalog position.
+    are views of, each row's owner set to its catalog position.  Given the
+    load f, every patch also solves the zero-trace problem with load f in
+    the same sweep, and a reference list receives those solves glued into
+    one global fine field, the bubble part of the fine reference solution.
     """
     degrees.validate(coarse)
     interface = which in ("all", "interface")
@@ -384,7 +480,7 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
                 bases[M] = polybasis.BulkPolyBasis(coarse.kind, M)
             basis = bases[M]
             bubbles = list(range(1, basis.dim + 1))
-        if hats or etas or bubbles:
+        if hats or etas or bubbles or f is not None:
             requests[K] = (hats, etas, basis, bubbles)
     # Catalog positions: nodal functions by vertex, then edge enrichments
     # by (edge, k), then bubbles in request order.
@@ -399,7 +495,7 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     nodal: dict[int, dict] = {}
     edge: dict[tuple, dict] = {}
     bubbles_out = []
-    solved, where = _patch_fields(coarse, fine, A, requests)
+    solved, where, glued = _patch_fields(coarse, fine, A, requests, f)
     # Requests run in element order, so every values dict comes out in
     # support order.
     for K, (hats, etas, _, bubbles) in requests.items():
@@ -430,6 +526,8 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
                     f"eta_{k} on edge {eid}"))
     if stacks is not None:
         stacks.extend(solved)
+    if reference is not None and glued is not None:
+        reference.append(glued)
     return catalog + bubbles_out
 
 

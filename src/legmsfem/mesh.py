@@ -303,7 +303,6 @@ class FineMesh:
 
         self.hx, self.hy = (x1 - x0) / self.nfx, (y1 - y0) / self.nfy
         self._shape_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._patch_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._geom_cache: dict = {}  # populated by finefem
 
     @property
@@ -332,12 +331,8 @@ class FineMesh:
 
     def element_patch(self, elem_id: int) -> tuple[np.ndarray, np.ndarray]:
         """(element_vertex_ids, element_boundary_vertex_ids): the shape's
-        lattice pattern, built once per shape, shifted to the element's
-        cell origin."""
-        try:
-            return self._patch_cache[elem_id]
-        except KeyError:
-            pass
+        lattice pattern, built once per shape, shifted by the element's
+        origin."""
         ns = self.n_sub
         shape = self.patch_shape(elem_id)
         if shape not in self._shape_cache:
@@ -355,12 +350,16 @@ class FineMesh:
                 np.sort(self._vid(LX[keep], LY[keep])),
                 np.sort(self._vid(LX[keep & on_bnd], LY[keep & on_bnd])))
         ids, bnd = self._shape_cache[shape]
-        cell = elem_id if self.coarse.kind == "quad" else elem_id // 2
-        origin = self._vid((cell % self.coarse.nx) * ns,
-                           (cell // self.coarse.nx) * ns)
-        out = (ids + origin, bnd + origin)
-        self._patch_cache[elem_id] = out
-        return out
+        origin = self.element_origin(elem_id)
+        return ids + origin, bnd + origin
+
+    def element_origin(self, elem_ids):
+        """Fine vertex id of the SW corner of the cell of each element (an
+        int or an array of ids): the offset of its patch from the shape
+        pattern."""
+        cell = elem_ids if self.coarse.kind == "quad" else elem_ids // 2
+        return self._vid((cell % self.coarse.nx) * self.n_sub,
+                         (cell // self.coarse.nx) * self.n_sub)
 
     def edge_vertex_chain(self, edge_id: int) -> np.ndarray:
         """Fine vertex ids along a coarse edge, ordered from v0 to v1."""

@@ -4,6 +4,8 @@ Everything here is deterministic, so session scope is safe; tests only
 read from these objects (geometry caches fill in lazily, which is fine).
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,19 @@ def dense(op) -> np.ndarray:
     """A matrix-free operator (a fine lattice stencil or the interface
     operator) as a dense matrix, one product per unit column."""
     return np.column_stack([op @ e for e in np.eye(op.shape[1])])
+
+
+def skeleton_geometry(fine) -> finefem.TriGeometry:
+    """The global fine mesh with every fine vertex of the coarse skeleton
+    (all coarse edges, the domain boundary included) fixed: a shallow copy
+    of the global geometry, sharing its arrays and its stencil.  Its one
+    fine solve is the bubble reference as first defined; the multigrid
+    tests use it for a fixed set off the domain boundary."""
+    geom = copy.copy(finefem.global_geometry(fine))
+    chains = fine.edge_vertex_chains(np.arange(len(fine.coarse.edges)))
+    geom.boundary_local = np.unique(chains)
+    geom.label = "fine mesh with the coarse skeleton fixed"
+    return geom
 
 
 def fourier_poisson_center(terms: int = 400) -> float:

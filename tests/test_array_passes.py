@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import skeleton_geometry
 from legmsfem import (cli, errors, estimator, finefem, globalsolve,
                       localbasis, mesh, polybasis)
 
@@ -323,7 +324,7 @@ def test_stencil_matches_scattered_element_matrices():
     coarse = mesh.build_coarse("triangle", 3, 2)
     fine = mesh.refine_to_fine(coarse, 6)
     A = finefem.periodic_benchmark(0.125)
-    geoms = [finefem.global_geometry(fine), finefem.skeleton_geometry(fine),
+    geoms = [finefem.global_geometry(fine), skeleton_geometry(fine),
              finefem.element_geometry(fine, 2),   # lower triangle patch
              finefem.element_geometry(fine, 3)]   # upper triangle patch
     for geom in geoms:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from legmsfem import cli, estimator, mesh
+from legmsfem import cli, estimator, finefem, globalsolve, localbasis, mesh
 
 BASE = {"schema": 1, "kind": "quad", "nx": 4, "ny": 4, "n_sub": 8,
         "coefficient": {"type": "periodic_benchmark", "eps": 0.25},
@@ -428,20 +428,67 @@ def test_cli_import_leaves_out_scipy_solvers(tmp_path):
     # the runtime is numpy only: importing scipy.sparse alone cost about
     # 0.25 s and 22 MB of every run.  No scipy module may load on import,
     # nor lazily during a solve (fine reference, bubble reference and the
-    # online interface CG all run here).
+    # online interface CG all run here) or an N sweep.  Nor may numpy.ma,
+    # which a bare np.unique imports (about 17 ms).
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
     path = write_cfg(tmp_path, n_sub=4, N=2)
     code = ("import sys\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "def unwanted():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.startswith('scipy') or m == 'numpy.ma'\n"
+            "                  or m.startswith('numpy.ma.'))\n"
             "from legmsfem import cli\n"
-            "print(scipy_modules())\n"
+            "print(unwanted())\n"
             f"code = cli.main(['solve', '--config', {path!r}, "
             f"'--out', {str(tmp_path / 'row.csv')!r}])\n"
-            "print(code, scipy_modules())\n")
+            "print(code, unwanted())\n"
+            f"code = cli.main(['sweep', '--config', {path!r}, '--axis', 'N', "
+            f"'--values', '1,2', '--out', {str(tmp_path / 'rows.csv')!r}])\n"
+            "print(code, unwanted())\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["[]", "0 []"]
+    assert out.stdout.splitlines() == ["[]", "0 []", "0 []"]
     assert len((tmp_path / "row.csv").read_text().splitlines()) == 2
+    assert len((tmp_path / "rows.csv").read_text().splitlines()) == 3
+
+
+def test_bubble_free_solve_runs_one_fine_solve(monkeypatch):
+    # the fine reference is the only iterative fine solve; the bubble
+    # reference comes out of the offline sweep
+    calls = []
+    real = finefem.solve_spd
+
+    def counted(system, *args, **kw):
+        calls.append(system.geom.label)
+        return real(system, *args, **kw)
+
+    monkeypatch.setattr(finefem, "solve_spd", counted)
+    res = cli.run_single(cli.RunConfig.from_dict(cfg_dict(N=2, M=0)))
+    assert calls == ["global fine mesh"]
+    assert res.u_B_ref is res.solution.space.bubble_reference
+    assert res.report.E_rel_gamma is not None
+
+
+def test_sweep_N_rows_run_no_patch_elimination(monkeypatch, tmp_path):
+    # the rows of an N sweep take their basis and their bubble reference
+    # from the donor space, so the donor's sweep is the only elimination
+    swept = []
+    real = localbasis._group_fields
+
+    def counted(*args, **kw):
+        swept.append(args[3].template.label)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(localbasis, "_group_fields", counted)
+    cfg = cli.RunConfig.from_dict(cfg_dict(kind="triangle"))
+    assert cli.cmd_sweep(cfg, "N", [1, 2, 3], str(tmp_path / "s.csv")) == 0
+    assert len(tmp_path.joinpath("s.csv").read_text().splitlines()) == 4
+    assert len(swept) == 2  # the two triangle patch shapes, once
+    problem = cli.build_problem(cli.RunConfig.from_dict(
+        cfg_dict(kind="triangle", N=3)))
+    swept.clear()
+    globalsolve.build_space(problem.coarse, problem.fine, problem.A,
+                            problem.degrees, f=problem.f)
+    assert len(swept) == 2

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import fourier_poisson_integral
+from conftest import dense, fourier_poisson_integral, skeleton_geometry
 from legmsfem import cli, errors, finefem, globalsolve, mesh
 
 
@@ -62,9 +62,9 @@ def test_bubble_reference_vanishes_on_skeleton(small_bench):
                                          ("triangle", 2), ("triangle", 3),
                                          ("triangle", 6)])
 def test_bubble_reference_matches_patch_solves(kind, n_sub):
-    # the fixed skeleton splits the global system into element blocks, so
-    # the one global solve is the elementwise zero-trace patch solves glued
-    # together; triangle n_sub=2 patches have no interior vertex at all
+    # the elementwise zero-trace patch solves glued together, each solved
+    # here by a dense direct solve of its assembled system; triangle
+    # n_sub=2 patches have no interior vertex at all
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, n_sub)
     A = finefem.periodic_benchmark(0.25)
@@ -72,13 +72,85 @@ def test_bubble_reference_matches_patch_solves(kind, n_sub):
     patchwise = np.zeros(fine.n_vertices)
     for K in range(len(coarse.elements)):
         egeom = finefem.element_geometry(fine, K)
-        patchwise[egeom.vids] = finefem.solve_spd(
-            finefem.assemble(egeom, A, f)).values
+        system = finefem.assemble(egeom, A, f)
+        if len(system.rhs):
+            patchwise[egeom.vids[system.free_loc]] = np.linalg.solve(
+                dense(system.K), system.rhs)
     u_B = errors.bubble_reference(fine, A, f)
     assert u_B.geom is finefem.global_geometry(fine)
     scale = np.abs(patchwise).max()
     assert (scale > 0) == (kind == "quad" or n_sub > 2)
     assert np.abs(u_B.values - patchwise).max() <= 1e-12 * scale
+
+
+BUBBLE_CASES = [("quad", 3, 2, 6, 2, 0), ("triangle", 3, 2, 4, 3, 0),
+                ("quad", 2, 2, 5, 2, 2), ("triangle", 2, 1, 5, 1, 1),
+                ("quad", 1, 1, 4, 1, 0)]
+BUBBLE_IDS = ["quad-N2", "triangle-N3", "quad-N2-M2", "triangle-N1-M1",
+              "quad-1x1-no-dofs"]
+
+
+def bubble_problem(kind, nx, ny, n_sub):
+    coarse = mesh.build_coarse(kind, nx, ny, (0.0, 1.0, 0.0, 0.8))
+    fine = mesh.refine_to_fine(coarse, n_sub)
+    A = finefem.scalar_field(
+        "rough", lambda x, y: 2.0 + np.sin(9.0 * x) * np.cos(7.0 * y),
+        1.0, 3.0)
+    return coarse, fine, A, finefem.gaussian_rhs()
+
+
+@pytest.mark.parametrize("kind,nx,ny,n_sub,N,M", BUBBLE_CASES,
+                         ids=BUBBLE_IDS)
+def test_offline_bubble_reference_is_the_standalone_one(kind, nx, ny, n_sub,
+                                                        N, M):
+    # the load rows ride along with the basis rows of the offline sweep,
+    # and come out bitwise as when they are solved alone
+    coarse, fine, A, f = bubble_problem(kind, nx, ny, n_sub)
+    space = globalsolve.build_space(coarse, fine, A,
+                                    mesh.DegreeAssignment.uniform(coarse, N,
+                                                                  M), f=f)
+    assert (space.n_dofs == 0) == (nx * ny == 1)
+    assert space.f is f
+    alone = errors.bubble_reference(fine, A, f)
+    assert space.bubble_reference.geom is alone.geom
+    assert space.bubble_reference.geom is finefem.global_geometry(fine)
+    assert np.array_equal(space.bubble_reference.values, alone.values)
+    assert np.abs(alone.values).max() > 0
+
+
+@pytest.mark.parametrize("kind,nx,ny,n_sub,N,M", BUBBLE_CASES,
+                         ids=BUBBLE_IDS)
+def test_bubble_reference_is_the_skeleton_solve(kind, nx, ny, n_sub, N, M):
+    # its first definition: one global fine solve with every fine vertex of
+    # the coarse skeleton held at zero, solved by multigrid CG here
+    coarse, fine, A, f = bubble_problem(kind, nx, ny, n_sub)
+    old = finefem.solve_spd(finefem.assemble(skeleton_geometry(fine), A, f))
+    new = errors.bubble_reference(fine, A, f)
+    d = new.values - old.values
+    G = finefem.energy_inner_matrix(np.stack([d, old.values]), new.geom, A)
+    assert G[0, 0] <= 1e-20 * G[1, 1]
+    E_old, E_new = finefem.energy(old, A, f), finefem.energy(new, A, f)
+    assert abs(E_new - E_old) <= 1e-10 * abs(E_old)
+
+
+def test_built_space_keeps_the_donor_reference():
+    # the same load object takes the donor's reference and solves nothing;
+    # another load object, or none, gets its own
+    coarse, fine, A, f = bubble_problem("quad", 3, 2, 6)
+    donor = globalsolve.build_space(
+        coarse, fine, A, mesh.DegreeAssignment.uniform(coarse, 3, 0), f=f)
+    low = mesh.DegreeAssignment.uniform(coarse, 1, 0)
+    reused = globalsolve.build_space(coarse, fine, A, low,
+                                     interface_from=donor, f=f)
+    assert reused.bubble_reference is donor.bubble_reference
+    g = finefem.constant_rhs(-1.0)
+    other = globalsolve.build_space(coarse, fine, A, low,
+                                    interface_from=donor, f=g)
+    assert other.f is g
+    assert np.array_equal(other.bubble_reference.values,
+                          errors.bubble_reference(fine, A, g).values)
+    none = globalsolve.build_space(coarse, fine, A, low, interface_from=donor)
+    assert none.f is None and none.bubble_reference is None
 
 
 @pytest.mark.parametrize("run", ["small_bench", "small_bench_bubbles"])

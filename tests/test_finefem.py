@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import dense, fourier_poisson_center
+from conftest import dense, fourier_poisson_center, skeleton_geometry
 from legmsfem import errors, finefem, mesh
 
 
@@ -155,6 +155,28 @@ def test_patch_groups_reject_non_translates(tri44):
     with pytest.raises(ValueError, match="element 4 patch is not a lattice "
                                          "translate of element 0"):
         finefem.patch_groups(fine, range(8))
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_patch_groups_broadcast_the_template(kind):
+    # member vertices and boundaries are the template's at the member's
+    # shift, which is each element's own patch, and the triangle ids are
+    # each element's own; the mesh keeps one pattern per shape and no
+    # per-element arrays
+    coarse = mesh.build_coarse(kind, 4, 3)
+    fine = mesh.refine_to_fine(coarse, 5)
+    groups = finefem.patch_groups(fine, range(len(coarse.elements)))
+    assert sum(len(g.elements) for g in groups) == len(coarse.elements)
+    for g in groups:
+        t = g.template
+        for K, shift, tri_ids in zip(g.elements, g.shifts, g.tri_ids):
+            vids, bnd = fine.element_patch(int(K))
+            assert np.array_equal(t.vids + shift, vids)
+            assert np.array_equal(t.vids[t.boundary_local] + shift, bnd)
+            assert np.array_equal(tri_ids, fine.element_triangle_ids(int(K)))
+    assert len(fine._shape_cache) == len(groups)
+    assert not any(isinstance(v, dict) and len(v) >= len(coarse.elements)
+                   for v in vars(fine).values())
 
 
 def test_dirichlet_array_validation(fine_quad44):
@@ -357,7 +379,7 @@ def test_coarse_operators_are_galerkin_products(kind, fixed):
     coarse = mesh.build_coarse(kind, 2, 1)
     fine = mesh.refine_to_fine(coarse, 16)
     geom = (finefem.global_geometry(fine) if fixed == "boundary"
-            else finefem.skeleton_geometry(fine))
+            else skeleton_geometry(fine))
     system = finefem.assemble(geom, finefem.periodic_benchmark(0.25))
     mg = finefem.Multigrid(system)
     geoms = hierarchy_geometries(geom, system.AW)
@@ -390,7 +412,7 @@ def test_coarsening_stops(kind, nx, n_sub, boundary_levels, skeleton_levels):
     fine = mesh.refine_to_fine(mesh.build_coarse(kind, nx, nx), n_sub)
     A = finefem.identity_field()
     for geom, levels in ((finefem.global_geometry(fine), boundary_levels),
-                         (finefem.skeleton_geometry(fine), skeleton_levels)):
+                         (skeleton_geometry(fine), skeleton_levels)):
         mg = finefem.Multigrid(finefem.assemble(geom, A))
         assert len(mg.levels) == levels
 
@@ -415,7 +437,7 @@ def test_lattice_that_cannot_coarsen_runs_jacobi_pcg(skeleton, nx, n_sub):
     # level, never factored however few its free vertices, so the V-cycle
     # is the inverse diagonal and pcg runs bitwise as Jacobi-PCG
     fine = mesh.refine_to_fine(mesh.build_coarse("quad", nx, nx), n_sub)
-    geom = (finefem.skeleton_geometry(fine) if skeleton
+    geom = (skeleton_geometry(fine) if skeleton
             else finefem.global_geometry(fine))
     system = finefem.assemble(geom, finefem.periodic_benchmark(0.25),
                               f=finefem.constant_rhs(-1.0))
@@ -440,7 +462,7 @@ def test_lattice_that_cannot_coarsen_runs_jacobi_pcg(skeleton, nx, n_sub):
 def test_coarsest_level_is_solved_exactly(kind, nx, n_sub, skeleton, levels,
                                           A):
     fine = mesh.refine_to_fine(mesh.build_coarse(kind, nx, nx), n_sub)
-    geom = (finefem.skeleton_geometry(fine) if skeleton
+    geom = (skeleton_geometry(fine) if skeleton
             else finefem.global_geometry(fine))
     A = (finefem.periodic_benchmark(0.5) if A == "periodic"
          else anisotropic_field())
@@ -523,7 +545,7 @@ def test_lattice_operator_matches_element_csr(case, coef, fine_quad44,
     A = (finefem.periodic_benchmark(0.25) if coef == "periodic"
          else anisotropic_field())
     geom = {"global": lambda: finefem.global_geometry(fine_quad44),
-            "skeleton": lambda: finefem.skeleton_geometry(fine_tri44),
+            "skeleton": lambda: skeleton_geometry(fine_tri44),
             "quad patch": lambda: finefem.element_geometry(fine_quad44, 6),
             "triangle patch": lambda: finefem.element_geometry(fine_tri44,
                                                                5)}[case]()
@@ -540,7 +562,7 @@ def test_multigrid_levels_match_element_csr(kind, n_sub, fixed):
     # its coarse triangles, on 2x2 coarse cells
     fine = mesh.refine_to_fine(mesh.build_coarse(kind, 2, 2), n_sub)
     geom = (finefem.global_geometry(fine) if fixed == "boundary"
-            else finefem.skeleton_geometry(fine))
+            else skeleton_geometry(fine))
     system = finefem.assemble(geom, anisotropic_field())
     mg = finefem.Multigrid(system)
     assert len(mg.levels) >= 3
@@ -583,7 +605,7 @@ def test_same_name_coefficients_get_their_own_operators():
     # one object, one stencil, shared by the skeleton geometry
     st = geom.stencil(A1)[1]
     assert geom.stencil(A1)[1] is st
-    assert finefem.skeleton_geometry(fine).stencil(A1)[1] is st
+    assert skeleton_geometry(fine).stencil(A1)[1] is st
     # the cached references answer as on a fresh mesh
     fresh = mesh.refine_to_fine(mesh.build_coarse("quad", 2, 2), 8)
     for A in (A1, A2):

@@ -297,3 +297,135 @@ def test_frozen_interior_probe():
     assert np.array_equal(fine.vertices[2095], [0.2421875, 0.125])
     got = bf.values[0][pos]
     assert abs(got - (-0.53184199398854248)) < 1e-9 * 0.53184199398854248
+
+
+# ---------------------------------------------------------------------------
+# right-hand sides of the offline sweep against the loops they replaced
+
+def full_tensor_field():
+    """A full-tensor coefficient, so every element matrix entry is
+    nonzero; eigenvalues in [0.6, 2.9]."""
+
+    def fn(p):
+        x, y = p[:, 0], p[:, 1]
+        out = np.empty((len(p), 2, 2))
+        out[:, 0, 0] = 2.0 + 0.5 * np.sin(5 * x)
+        out[:, 1, 1] = 1.5 + 0.5 * np.cos(3 * y)
+        out[:, 0, 1] = out[:, 1, 0] = 0.3 * np.sin(4 * (x + y))
+        return out
+
+    return finefem.CoefficientField("full tensor", 0.5, 3.0, fn)
+
+
+def requests_of(coarse, degrees):
+    """The per-element requests compute_all builds for "all"."""
+    bases = {M: polybasis.BulkPolyBasis(coarse.kind, M)
+             for M in set(degrees.M.values()) if M}
+    out = {}
+    for el in coarse.elements:
+        K = el.id
+        hats = [v for v in el.vertex_ids
+                if not coarse.boundary_vertex_mask[v]]
+        etas = [(eid, k) for eid in coarse.element_edges[K]
+                if not coarse.edges[eid].boundary
+                for k in range(2, degrees.N[eid] + 1)]
+        basis = bases.get(degrees.M[K])
+        out[K] = (hats, etas, basis,
+                  list(range(1, basis.dim + 1)) if basis else [])
+    return out
+
+
+def all_triangle_trace_loads(Kt, X, tris):
+    """-K X of trace rows over every triangle of the patch, as the sweep
+    formed it before it skipped the triangles off the boundary."""
+    n_el, rows, n = X.shape
+    KT = np.ascontiguousarray(np.moveaxis(Kt, 0, -1))
+    XT = np.ascontiguousarray(X.T)[tris]
+    W = np.zeros((len(tris), 3, rows, n_el))
+    tmp = np.empty(W.shape)
+    np.multiply(KT[:, :, 0, None], XT[:, None, 0], out=W)
+    W += np.multiply(KT[:, :, 1, None], XT[:, None, 1], out=tmp)
+    W += np.multiply(KT[:, :, 2, None], XT[:, None, 2], out=tmp)
+    np.negative(W, out=W)
+    idx = (np.arange(n_el * rows).reshape(n_el, rows).T * n
+           + tris[..., None, None])
+    return np.bincount(idx.ravel(), weights=W.ravel(),
+                       minlength=n_el * rows * n).reshape(n_el, rows, n)
+
+
+@pytest.mark.parametrize("kind,n_sub,N", [("quad", 6, 3), ("triangle", 5, 3),
+                                          ("triangle", 2, 2), ("quad", 9, 1)])
+def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
+    # triangles off the boundary add products +-0 only, so leaving them
+    # out keeps every sum bitwise, on every vertex
+    coarse = mesh.build_coarse(kind, 3, 3)
+    fine = mesh.refine_to_fine(coarse, n_sub)
+    A = full_tensor_field()
+    requests = requests_of(coarse, mesh.DegreeAssignment.uniform(coarse, N,
+                                                                 0))
+    for group in finefem.patch_groups(fine, requests):
+        t = group.template
+        n_tr = max(len(h) + len(e) for h, e, _, _ in requests.values())
+        X = localbasis._trace_rows(coarse, fine, group, requests, n_tr)
+        Kt = group.element_matrices(A)
+        edge = np.isin(t.tris, t.boundary_local).any(axis=1)
+        assert edge.sum() < len(t.tris) or n_sub == 2
+        got = localbasis._trace_loads(Kt[:, edge], X, t.tris[edge])
+        want = all_triangle_trace_loads(Kt, X, t.tris)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def loop_load_weights(coarse, sub, reqs, n_b):
+    """The bubble loads of the sweep, one to_ref and eval_ref per
+    element, as the sweep formed them before it batched them."""
+    glob = finefem.global_geometry(sub.fine)
+    out = np.zeros((sub.tri_ids.shape[1], n_b, len(sub.elements)))
+    for e, K in enumerate(sub.elements):
+        _, _, basis, bubbles = reqs[e]
+        if bubbles:
+            ids = sub.tri_ids[e]
+            P = basis.eval_ref(coarse.elements[K].to_ref(
+                glob.centroids[ids]))[:, [i - 1 for i in bubbles]]
+            out[:, :len(bubbles), e] = glob.areas[ids][:, None] * P / 3.0
+    return out
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
+    # mixed bulk degrees (M = 0 to 3, so members of one chunk use
+    # different bases) and single-bubble requests; the batched loads are
+    # bitwise the loop's, and so are the bubble fields solved from them
+    coarse = mesh.build_coarse(kind, 3, 2, (0.0, 1.5, -0.5, 0.5))
+    fine = mesh.refine_to_fine(coarse, 6)
+    A = full_tensor_field()
+    degrees = mesh.DegreeAssignment.uniform(coarse, 2, 2)
+    degrees.M.update({0: 1, 3: 3, 4: 0})
+    requests = requests_of(coarse, degrees)
+    K1 = 5 if kind == "quad" else 9
+    requests[K1] = requests[K1][:3] + ([2],)
+    f = finefem.gaussian_rhs()
+    glob = finefem.global_geometry(fine)
+    for group in finefem.patch_groups(fine, requests):
+        reqs = [requests[K] for K in group.elements]
+        n_b = max(len(r[3]) for r in reqs)
+        got = localbasis._load_weights(coarse, group, reqs, n_b, f)
+        assert np.array_equal(got[:, :n_b],
+                              loop_load_weights(coarse, group, reqs, n_b))
+        pts = glob.centroids[group.tri_ids]
+        fv = f(pts[..., 0], pts[..., 1])
+        assert np.array_equal(got[:, n_b], (glob.areas[group.tri_ids] * fv
+                                            / 3.0).T)
+    batched = localbasis.compute_all(coarse, fine, A, degrees,
+                                     which="bubble")
+    monkeypatch.setattr(
+        localbasis, "_load_weights",
+        lambda coarse, sub, reqs, n_b, f: loop_load_weights(coarse, sub,
+                                                            reqs, n_b))
+    looped = localbasis.compute_all(coarse, fine, A, degrees, which="bubble")
+    assert [bf.key for bf in batched] == [bf.key for bf in looped]
+    assert len(batched) == sum(
+        polybasis.BulkPolyBasis(kind, M).dim for M in degrees.M.values() if M)
+    for a, b in zip(batched, looped):
+        assert all(np.array_equal(a.values[K], b.values[K])
+                   for K in a.support)
