@@ -39,6 +39,8 @@ _SAFE_NAMES = {
 
 def _expression(expr: str, where: str):
     """Compile a scalar expression of x and y over a numeric whitelist."""
+    if not isinstance(expr, str):
+        raise ConfigError(f"{where}: must be a string")
     try:
         code = compile(expr, where, "eval")
     except SyntaxError as exc:
@@ -64,10 +66,18 @@ def _check_keys(d: dict, allowed: set[str], required: set[str], where: str) -> N
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _integer(v) -> bool:
+    """Whether a JSON value is an integer; true and false are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    """Whether a JSON value is a number; true and false are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _degrees_field(raw, where: str, minimum: int):
-    if isinstance(raw, bool):
-        raise ConfigError(f"{where}: expected integer or table")
-    if isinstance(raw, int):
+    if _integer(raw):
         if raw < minimum:
             raise ConfigError(f"{where}: must be >= {minimum}, got {raw}")
         return raw
@@ -75,7 +85,9 @@ def _degrees_field(raw, where: str, minimum: int):
         _check_keys(raw, {"default", "overrides"}, {"default"}, where)
         default = raw["default"]
         overrides = raw.get("overrides", {})
-        if not isinstance(default, int) or default < minimum:
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{where}.overrides: must be an object")
+        if not _integer(default) or default < minimum:
             raise ConfigError(f"{where}.default: must be an integer "
                               f">= {minimum}")
         table = {"default": default, "overrides": {}}
@@ -85,13 +97,13 @@ def _degrees_field(raw, where: str, minimum: int):
             except ValueError:
                 raise ConfigError(f"{where}.overrides: non-integer id "
                                   f"{k!r}") from None
-            if not isinstance(v, int) or v < minimum:
+            if not _integer(v) or v < minimum:
                 raise ConfigError(f"{where}.overrides[{k}]: must be an "
                                   f"integer >= {minimum}")
             table["overrides"][key] = v
         return table
     raise ConfigError(f"{where}: expected integer or "
-                      "{{default, overrides}} table")
+                      "{default, overrides} table")
 
 
 @dataclass
@@ -124,9 +136,10 @@ class RunConfig:
         if not isinstance(d, dict):
             raise ConfigError("config: top level must be an object")
         _check_keys(d, cls._ALLOWED, set(), "config")
-        if d.get("schema", 1) != 1:
+        schema = d.get("schema", 1)
+        if not _integer(schema) or schema != 1:
             raise ConfigError(f"config.schema: unsupported version "
-                              f"{d.get('schema')!r}")
+                              f"{schema!r}")
         c = cls()
         c.kind = d.get("kind", c.kind)
         if c.kind not in ("quad", "triangle"):
@@ -134,37 +147,40 @@ class RunConfig:
                               f"got {c.kind!r}")
         for key in ("nx", "ny", "n_sub"):
             val = d.get(key, getattr(c, key))
-            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+            if not _integer(val) or val < 1:
                 raise ConfigError(f"config.{key}: must be a positive integer")
             setattr(c, key, val)
         dom = d.get("domain", list(c.domain))
         if (not isinstance(dom, (list, tuple)) or len(dom) != 4
-                or not all(isinstance(v, (int, float)) for v in dom)):
+                or not all(_number(v) for v in dom)):
             raise ConfigError("config.domain: must be [x0, x1, y0, y1]")
         c.domain = tuple(float(v) for v in dom)
         if not (c.domain[0] < c.domain[1] and c.domain[2] < c.domain[3]):
             raise ConfigError("config.domain: must be increasing per axis")
-        c.coefficient = dict(d.get("coefficient", c.coefficient))
-        c.rhs = dict(d.get("rhs", c.rhs))
+        c.coefficient = d.get("coefficient", c.coefficient)
+        c.rhs = d.get("rhs", c.rhs)
         _coefficient_field(c.coefficient)
         _rhs_field(c.rhs)
+        c.coefficient, c.rhs = dict(c.coefficient), dict(c.rhs)
         c.N = _degrees_field(d.get("N", c.N), "config.N", 1)
         c.M = _degrees_field(d.get("M", c.M), "config.M", 0)
         for key, lo, hi in (("rel_tol", 0.0, 1.0), ("eta", 0.0, 0.5)):
             val = d.get(key, getattr(c, key))
-            if not isinstance(val, (int, float)) or not lo <= val < hi:
+            if not _number(val) or not lo <= val < hi:
                 raise ConfigError(f"config.{key}: must be a number in "
                                   f"[{lo}, {hi})")
             setattr(c, key, float(val))
         if c.rel_tol == 0.0:
             raise ConfigError("config.rel_tol: must be positive")
         ell = d.get("ell", c.ell)
-        if not isinstance(ell, int) or isinstance(ell, bool) or ell < 0:
+        if not _integer(ell) or ell < 0:
             raise ConfigError("config.ell: must be a non-negative integer")
         c.ell = ell
-        c.strict = bool(d.get("strict", c.strict))
+        c.strict = d.get("strict", c.strict)
+        if not isinstance(c.strict, bool):
+            raise ConfigError("config.strict: must be true or false")
         seed = d.get("seed", c.seed)
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not _integer(seed):
             raise ConfigError("config.seed: must be an integer")
         c.seed = seed
         out = d.get("out", c.out)
@@ -220,7 +236,7 @@ def _coefficient_field(spec: dict) -> finefem.CoefficientField:
         _check_keys(spec, {"type", "eps"}, {"type", "eps"},
                     "config.coefficient")
         eps = spec["eps"]
-        if not isinstance(eps, (int, float)) or eps <= 0:
+        if not _number(eps) or eps <= 0:
             raise ConfigError("config.coefficient.eps: must be positive")
         return finefem.periodic_benchmark(float(eps))
     if t == "expression":
@@ -228,8 +244,7 @@ def _coefficient_field(spec: dict) -> finefem.CoefficientField:
                     {"type", "expr", "alpha_min", "alpha_max"},
                     "config.coefficient")
         lo, hi = spec["alpha_min"], spec["alpha_max"]
-        if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))
-                and 0 < lo <= hi):
+        if not (_number(lo) and _number(hi) and 0 < lo <= hi):
             raise ConfigError("config.coefficient: need 0 < alpha_min "
                               "<= alpha_max")
         fn = _expression(spec["expr"], "config.coefficient.expr")
@@ -244,7 +259,7 @@ def _rhs_field(spec: dict) -> finefem.RhsField:
     t = spec["type"]
     if t == "constant":
         _check_keys(spec, {"type", "value"}, {"type", "value"}, "config.rhs")
-        if not isinstance(spec["value"], (int, float)):
+        if not _number(spec["value"]):
             raise ConfigError("config.rhs.value: must be a number")
         return finefem.constant_rhs(float(spec["value"]))
     if t == "gaussian_benchmark":

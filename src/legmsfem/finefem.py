@@ -2,23 +2,25 @@
 
 Stiffness and load assembly against an SPD coefficient field, Dirichlet
 elimination with lifting, a deterministic preconditioned CG, and the
-energies everything downstream is phrased in.  Coefficient-weighted integrals
-use a composite rule over the fine triangles: the coefficient at each
-triangle's centroid by default, optionally the 3-point edge-midpoint rule
-(quad_order=3).  Energies use the same rule as assembly, so the Galerkin
-identity energy(u) = -1/2 rhs.u holds at solver accuracy.
+energies everything downstream is phrased in.  Coefficient-weighted
+integrals use the centroid rule over the fine triangles, and energies use
+the same rule as assembly, so the Galerkin identity energy(u) = -1/2 rhs.u
+holds at solver accuracy.
 
 Every geometry here is a set of triangles of the SW-NE fine lattice, so
 its stiffness is a 7-point stencil (centre, E/W, N/S, NE/SW) on the box of
-lattice vertices that holds it.  Per-triangle element matrices come from
-one routine: `assemble` scatters them once into the stencil of the
-iterative solves (the fine reference) and masks the Dirichlet vertices
-out of it, and the offline patch solves in `localbasis` (the basis and the
-bubble reference) build dense lattice-row blocks from them.  Geometry and
-quadrature points are cached per patch; a geometry keeps the stencil of
-the last coefficient object it assembled (keyed by identity), so repeated
-systems of one coefficient share one assembly and two coefficient fields
-never share a matrix.  Only numpy is needed.
+lattice vertices that holds it, scattered from the per-triangle element
+entries (`Stencil.of`, also for a stack of congruent patches at once).
+The stencil is the one form of every fine stiffness: `assemble` masks the
+Dirichlet vertices out of it for the iterative solves (the fine
+reference), and `RowBlocks`, the one block layout of K_ff over lattice
+rows, gathers from it the blocks of the direct block-tridiagonal
+elimination that the offline patch solves in `localbasis` and the
+coarsest multigrid level run.  A geometry keeps the area-weighted
+coefficient of the last coefficient object it was asked for (keyed by
+identity, never by name), so a run evaluates the coefficient on the fine
+triangles once and two coefficient fields never share a matrix.  Only
+numpy is needed.
 
 `solve_spd` preconditions CG with one geometric multigrid V-cycle
 (`Multigrid`).  The fine lattice is nested: coarsening it every other
@@ -26,17 +28,15 @@ vertex gives the lattice whose red refinement it is, with the same SW-NE
 diagonals, so each coarse operator is the same assembly on the coarse
 lattice, with the summed area-weighted coefficient of each coarse
 triangle's four children.  The coarsest level is factored by the block
-elimination over lattice rows that the offline solves use.  A system that
-cannot coarsen (an odd number of cells, or a patch), or whose coarsest
-level has rows too wide to factor, runs Jacobi-PCG.  The online interface
-CG stays Jacobi.
+elimination over lattice rows.  A system that cannot coarsen (an odd
+number of cells, or a patch), or whose coarsest level has rows too wide
+to factor, runs Jacobi-PCG.  The online interface CG stays Jacobi.
 
 Element patches of one shape are lattice translates of each other
 (`patch_groups` checks it), so `localbasis` and the coarse assembly work on
 a whole `PatchGroup` at once: the template's local triangulation serves
-every member, and per-triangle data is gathered from the global geometry
-with one coefficient evaluation per chunk.  Every coefficient-weighted
-inner product goes through `gram_blocks`.
+every member, and per-triangle data is gathered from the global geometry.
+Every coefficient-weighted inner product goes through `gram_blocks`.
 """
 
 from __future__ import annotations
@@ -168,36 +168,40 @@ def gaussian_rhs() -> RhsField:
 # ---------------------------------------------------------------------------
 # P1 geometry over a triangle subset
 
-def _stiffness(g: np.ndarray, AW: np.ndarray) -> np.ndarray:
-    """P1 stiffness matrices (..., nt, 3, 3) from gradients g (..., nt, 3, 2)
-    and area-weighted coefficients AW (..., nt, 2, 2), exactly symmetric."""
-    # grad_i^T A grad_j term by term: faster than a three-operand einsum,
-    # same sums in the same order.  Triangles run along the last axis, so
-    # every elementwise loop is long.
+def _stiffness_entries(g: np.ndarray, AW: np.ndarray) -> tuple:
+    """The six distinct entries of the P1 stiffness matrices of triangles
+    with gradients g (..., nt, 3, 2) and area-weighted coefficients AW
+    (..., nt, 2, 2): the diagonals (..., 3, nt) and the couplings (K01,
+    K02, K12), each (..., nt).  K_ij is the mean of (A grad_i) . grad_j
+    and (A grad_j) . grad_i, so the matrices are exactly symmetric."""
+    # grad_i^T A grad_j term by term: faster than a three-operand einsum.
+    # Triangles run along the last axis, so every elementwise loop is long.
     g = np.ascontiguousarray(np.moveaxis(g, -3, -1))    # (..., 3, 2, nt)
     AW = np.ascontiguousarray(np.moveaxis(AW, -3, -1))  # (..., 2, 2, nt)
     gA = (g[..., :1, :] * AW[..., None, 0, :, :]
           + g[..., 1:, :] * AW[..., None, 1, :, :])
-    Kt = (gA[..., :, None, 0, :] * g[..., None, :, 0, :]
-          + gA[..., :, None, 1, :] * g[..., None, :, 1, :])
-    return np.moveaxis(0.5 * (Kt + np.swapaxes(Kt, -2, -3)), -1, -3)
 
-
-def _stiffness_entries(g: np.ndarray, AW: np.ndarray) -> tuple:
-    """The entries of _stiffness(g, AW) that a lattice stencil reads, from
-    the same products and sums: the diagonals (3, nt) and the couplings
-    (K01, K02, K12), for g (nt, 3, 2) and AW (nt, 2, 2)."""
-    g = np.ascontiguousarray(np.moveaxis(g, -3, -1))    # (3, 2, nt)
-    AW = np.ascontiguousarray(np.moveaxis(AW, -3, -1))  # (2, 2, nt)
-    gA = g[:, :1] * AW[None, 0] + g[:, 1:] * AW[None, 1]
-
-    def k(i, j):  # K_ij = (Kt_ij + Kt_ji) / 2, Kt_ij = (A grad_i) . grad_j
-        kij = gA[i, 0] * g[j, 0] + gA[i, 1] * g[j, 1]
-        kji = kij if i == j else gA[j, 0] * g[i, 0] + gA[j, 1] * g[i, 1]
+    def k(i, j):
+        kij = (gA[..., i, 0, :] * g[..., j, 0, :]
+               + gA[..., i, 1, :] * g[..., j, 1, :])
+        kji = kij if i == j else (gA[..., j, 0, :] * g[..., i, 0, :]
+                                  + gA[..., j, 1, :] * g[..., i, 1, :])
         return 0.5 * (kij + kji)
 
-    return (np.stack([k(0, 0), k(1, 1), k(2, 2)]),
+    return (np.stack([k(0, 0), k(1, 1), k(2, 2)], axis=-2),
             (k(0, 1), k(0, 2), k(1, 2)))
+
+
+def _stiffness(g: np.ndarray, AW: np.ndarray) -> np.ndarray:
+    """The P1 stiffness matrices (..., nt, 3, 3) of _stiffness_entries(g,
+    AW)."""
+    diag, (k01, k02, k12) = _stiffness_entries(g, AW)
+    K = np.empty(k01.shape + (3, 3))
+    K[..., [0, 1, 2], [0, 1, 2]] = np.moveaxis(diag, -2, -1)
+    K[..., 0, 1] = K[..., 1, 0] = k01
+    K[..., 0, 2] = K[..., 2, 0] = k02
+    K[..., 1, 2] = K[..., 2, 1] = k12
+    return K
 
 
 def _scatter(tris: np.ndarray, contrib: np.ndarray, n: int) -> np.ndarray:
@@ -285,8 +289,10 @@ class TriGeometry:
         g[:, 2, 1] = (p1[:, 0] - p0[:, 0]) / det
         self.grads = g
         self._quad: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # quad order -> (coefficient, AW, Stencil).
-        self._stencils: dict[int, tuple] = {}
+        # [coefficient, AW] of the last coefficient asked for; a list, so
+        # a shallow copy (another fixed set on the same triangles) shares
+        # it.
+        self._weights: list = [None, None]
 
     @property
     def n_vertices(self) -> int:
@@ -311,40 +317,16 @@ class TriGeometry:
         self._quad[order] = out
         return out
 
-    def coefficient_at_triangles(self, A: CoefficientField, order: int = 1) -> np.ndarray:
-        """Per-triangle coefficient matrix for the composite rule (the mean
-        of the point values for the 3-point rule)."""
-        if order == 1:
-            return A.matrix_at(self.centroids)
-        pts, _ = self.quad_points(3)
-        vals = A.matrix_at(pts)
-        nt = len(self.tris)
-        return (vals[:nt] + vals[nt:2 * nt] + vals[2 * nt:]) / 3.0
-
-    def area_weighted(self, A: CoefficientField, order: int = 1
-                      ) -> np.ndarray:
-        """Per-triangle area times coefficient, shape (nt, 2, 2)."""
-        return self.areas[:, None, None] * self.coefficient_at_triangles(A,
-                                                                        order)
-
-    def element_matrices(self, A: CoefficientField, order: int = 1
-                         ) -> np.ndarray:
-        """Per-triangle P1 stiffness matrices, shape (nt, 3, 3), exactly
-        symmetric."""
-        return _stiffness(self.grads, self.area_weighted(A, order))
-
-    def stencil(self, A: CoefficientField, order: int = 1
-                ) -> tuple[np.ndarray, Stencil]:
-        """(AW, stencil) of the stiffness of A on this geometry, built once
-        per coefficient object.  The entry of a quadrature order is kept
-        until another coefficient replaces it; the key compares the
-        coefficient by identity, never by name, so two coefficient fields
-        never share an operator."""
-        hit = self._stencils.get(order)
-        if hit is None or hit[0] is not A:
-            AW = self.area_weighted(A, order)
-            hit = self._stencils[order] = (A, AW, Stencil.of(self, AW))
-        return hit[1], hit[2]
+    def area_weighted(self, A: CoefficientField) -> np.ndarray:
+        """Per-triangle area times the coefficient at the centroid, shape
+        (nt, 2, 2), evaluated once per coefficient object: kept until
+        another coefficient replaces it, the key comparing the coefficient
+        by identity, never by name, so two coefficient fields never share
+        a matrix."""
+        if self._weights[0] is not A:
+            self._weights[:] = [A, self.areas[:, None, None]
+                                * A.matrix_at(self.centroids)]
+        return self._weights[1]
 
 
 class Stencil:
@@ -352,33 +334,43 @@ class Stencil:
     vertex box: flat row-major arrays of the centre coefficient and of the
     couplings of each box position with its east, north and north-east
     neighbours (the west, south and south-west ones are those of the
-    neighbour).  Each coupling is one entry of an exactly symmetric element
-    matrix applied both ways, so the operator is exactly symmetric by
-    construction.  Positions outside the geometry carry zeros, so does a
-    coupling across the end of a box row."""
+    neighbour), the rows (centre, east, north, northeast) of coef
+    (..., 4, box positions).  Each coupling is one entry of an exactly
+    symmetric element matrix applied both ways, so the operator is exactly
+    symmetric by construction.  Positions outside the geometry carry
+    zeros, so does a coupling across the end of a box row.  A leading axis
+    of coef holds the stencils of a stack of congruent patches."""
 
-    def __init__(self, grid: tuple[int, int], centre: np.ndarray,
-                 east: np.ndarray, north: np.ndarray, northeast: np.ndarray):
+    def __init__(self, grid: tuple[int, int], coef: np.ndarray):
         self.grid = grid
-        self.centre = centre
-        self.east = east
-        self.north = north
-        self.northeast = northeast
+        self.coef = coef
+        self.centre, self.east, self.north, self.northeast = np.moveaxis(
+            coef, -2, 0)
         # (coefficients, flat offset of the neighbour) of each direction
         # with a nonzero coupling: a scalar coefficient gives the diagonal
         # of a right triangle none, and apply skips what would add zeros.
-        cols = grid[1]
-        self.couplings = [(c, k) for c, k in ((east, 1), (north, cols),
-                                              (northeast, cols + 1))
+        self.couplings = [(c, k) for c, k in zip(coef[..., 1:, :],
+                                                 self.offsets)
                           if c.any()]
 
+    @property
+    def offsets(self) -> tuple[int, int, int]:
+        """The flat offsets of the east, north and north-east
+        neighbours."""
+        cols = self.grid[1]
+        return 1, cols, cols + 1
+
     @classmethod
-    def of(cls, geom: TriGeometry, AW: np.ndarray) -> Stencil:
-        """The stencil of _stiffness(geom.grads, AW), every element entry
-        scattered to its box position once, in triangle order; only the
-        six distinct entries of each element matrix are formed.  Raises
-        ValueError unless every triangle is the lower (SW, SE, NE) or the
-        upper (SW, NE, NW) half of a box cell."""
+    def of(cls, geom: TriGeometry, AW: np.ndarray,
+           grads: np.ndarray | None = None) -> Stencil:
+        """The stencil of _stiffness(grads, AW) on the triangles of geom,
+        with geom.grads by default, every element entry scattered to its
+        box position once, in triangle order; only the six distinct
+        entries of each element matrix are formed.  Given grads
+        (E, nt, 3, 2) and AW (E, nt, 2, 2) of a stack of patches with the
+        triangulation of geom, one scatter gives the stencil of each.
+        Raises ValueError unless every triangle is the lower (SW, SE, NE)
+        or the upper (SW, NE, NW) half of a box cell."""
         if geom.box is None:
             raise ValueError(f"{geom.label}: not on a lattice")
         (rows, cols), slots = geom.box
@@ -390,27 +382,34 @@ class Stencil:
             raise ValueError(f"{geom.label}: triangle "
                              f"{int(np.argmin(lower | upper))} is not half "
                              "of a lattice cell")
-        diag, (k01, k02, k12) = _stiffness_entries(geom.grads, AW)
+        diag, (k01, k02, k12) = _stiffness_entries(
+            geom.grads if grads is None else grads, AW)
+        lead = AW.shape[:-3]
+        m = math.prod(lead)
+        first = np.arange(m)[:, None] * n
+
+        def scatter(at, w):  # w (..., len(at)) summed at box positions at
+            return np.bincount((first + at).ravel(), w.reshape(m, -1).ravel(),
+                               m * n).reshape(m, n)
+
         # Lower: SW-SE east of SW, SE-NE north of SE, SW-NE.  Upper: NW-NE
         # east of NW, SW-NW north of SW, SW-NE.
-        return cls((rows, cols),
-                   np.bincount(s.ravel(), diag.T.ravel(), n),
-                   np.bincount(np.where(lower, s[:, 0], s[:, 2]),
-                               np.where(lower, k01, k12), n),
-                   np.bincount(np.where(lower, s[:, 1], s[:, 0]),
-                               np.where(lower, k12, k02), n),
-                   np.bincount(s[:, 0], np.where(lower, k02, k01), n))
+        coef = np.stack([
+            scatter(s.ravel(), np.swapaxes(diag, -1, -2)),
+            scatter(np.where(lower, s[:, 0], s[:, 2]),
+                    np.where(lower, k01, k12)),
+            scatter(np.where(lower, s[:, 1], s[:, 0]),
+                    np.where(lower, k12, k02)),
+            scatter(s[:, 0], np.where(lower, k02, k01))], axis=1)
+        return cls((rows, cols), coef.reshape(lead + (4, n)))
 
     def restricted(self, m: np.ndarray) -> Stencil:
         """The stencil with every coefficient that touches a box position
         off the boolean mask m set to zero."""
-        out = [self.centre * m]
-        for coef, k in ((self.east, 1), (self.north, self.grid[1]),
-                        (self.northeast, self.grid[1] + 1)):
-            c = coef * m
+        coef = self.coef * m
+        for c, k in zip(coef[1:], self.offsets):
             c[:-k] *= m[k:]
-            out.append(c)
-        return Stencil(self.grid, *out)
+        return Stencil(self.grid, coef)
 
     def apply(self, U: np.ndarray, out: np.ndarray, tmp: np.ndarray
               ) -> np.ndarray:
@@ -539,16 +538,10 @@ class PatchGroup:
 
     def weights(self, A: CoefficientField) -> tuple[np.ndarray, np.ndarray]:
         """(grads, AW): P1 gradients (E, nt, 3, 2) and the area-weighted
-        coefficient (E, nt, 2, 2) at the centroids, from one evaluation."""
+        coefficient (E, nt, 2, 2) at the centroids, gathered from the
+        global geometry."""
         geom = global_geometry(self.fine)
-        ids = self.tri_ids
-        Ac = A.matrix_at(geom.centroids[ids.ravel()]).reshape(ids.shape
-                                                               + (2, 2))
-        return geom.grads[ids], geom.areas[ids][..., None, None] * Ac
-
-    def element_matrices(self, A: CoefficientField) -> np.ndarray:
-        """Per-triangle stiffness of every member, (E, nt, 3, 3)."""
-        return _stiffness(*self.weights(A))
+        return geom.grads[self.tri_ids], geom.area_weighted(A)[self.tri_ids]
 
     def load_vectors(self, f) -> np.ndarray:
         """P1 load vector of f on every member, (E, n), as load_vector."""
@@ -619,35 +612,26 @@ class SparseSpdSystem:
     AW: np.ndarray
 
 
-def load_vector(geom: TriGeometry, f, quad_order: int = 1) -> np.ndarray:
-    """P1 load vector of f by the composite rule, full local length."""
-    pts, w = geom.quad_points(quad_order)
+def load_vector(geom: TriGeometry, f) -> np.ndarray:
+    """P1 load vector of f by the centroid rule, full local length."""
+    pts, w = geom.quad_points()
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    if quad_order == 1:
-        return _scatter(geom.tris, (w * fv / 3.0)[None], geom.n_vertices)[0]
-    b = np.zeros(geom.n_vertices)
-    nt = len(geom.tris)
-    # Midpoint opposite vertex i carries hat values (0, 1/2, 1/2).
-    for block in range(3):
-        fw = w[block * nt:(block + 1) * nt] * fv[block * nt:(block + 1) * nt]
-        for i in range(3):
-            if i != block:
-                np.add.at(b, geom.tris[:, i], fw / 2.0)
-    return b
+    return _scatter(geom.tris, (w * fv / 3.0)[None], geom.n_vertices)[0]
 
 
 def assemble(geom: TriGeometry, A: CoefficientField, f=None,
-             dirichlet=0.0, quad_order: int = 1) -> SparseSpdSystem:
+             dirichlet=0.0) -> SparseSpdSystem:
     """Assemble the Dirichlet-eliminated system on a patch or the global mesh.
 
     dirichlet is either one value for the whole boundary or an array of
-    values aligned with geom.boundary_local.  The stencil comes from
-    geom.stencil, so a second system of the same coefficient object on the
-    same lattice (another fixed set) reuses it; the fixed vertices are
-    masked out of it, and the Dirichlet lift is the full stencil applied to
-    the Dirichlet values.
+    values aligned with geom.boundary_local.  The stencil is built from
+    geom.area_weighted, so a second system of the same coefficient object
+    on the same triangles (another fixed set) evaluates no coefficient; the
+    fixed vertices are masked out of it, and the Dirichlet lift is the full
+    stencil applied to the Dirichlet values.
     """
-    AW, stencil = geom.stencil(A, quad_order)
+    AW = geom.area_weighted(A)
+    stencil = Stencil.of(geom, AW)
     K_ff, free = _eliminate(geom, stencil)
     fixed = geom.boundary_local
     xc = np.asarray(dirichlet, dtype=float)
@@ -656,7 +640,7 @@ def assemble(geom: TriGeometry, A: CoefficientField, f=None,
     elif xc.shape != fixed.shape:
         raise ValueError(f"{geom.label}: {xc.size} Dirichlet values for "
                          f"{len(fixed)} boundary vertices")
-    b = load_vector(geom, f, quad_order) if f is not None else np.zeros(geom.n_vertices)
+    b = load_vector(geom, f) if f is not None else np.zeros(geom.n_vertices)
     rhs = b[free]
     values0 = np.zeros(geom.n_vertices)
     values0[fixed] = xc
@@ -756,6 +740,87 @@ def block_tridiagonal_substitute(factor: tuple[list, list], E: list,
     for i in range(len(S_inv) - 2, -1, -1):
         x.append(g[i] - _matvecs(G[i], x[-1]))
     return x[::-1]
+
+
+class RowBlocks:
+    """K_ff of a lattice system in blocks of lattice rows: the one block
+    layout of the direct elimination, built once per vertex set and
+    applied to any stack of stencils on its box.
+
+    slots are the box positions of the free vertices, ascending, on a box
+    of grid (rows, columns); block i holds the free vertices of one
+    lattice row, the slice blocks[i] of them.  The stencil couples only
+    adjacent lattice rows, so K_ff is block tridiagonal: the diagonal
+    block of a row is tridiagonal, from the centre and east coefficients,
+    and its block against the previous row (zero unless that row is the
+    adjacent one) comes from the north and north-east ones.  The blocks
+    are packed element by element, block i at offsets[i], its diagonal
+    block and then its sub-diagonal one, size doubles in all."""
+
+    def __init__(self, slots: np.ndarray, grid: tuple[int, int]):
+        cols = grid[1]
+        n = self._n = grid[0] * cols
+        starts = np.flatnonzero(np.diff(slots // cols, prepend=-1))
+        w = self.widths = np.diff(np.append(starts, len(slots)))
+        self.blocks = [slice(a, a + b)
+                       for a, b in zip(starts.tolist(), w.tolist())]
+        p = self.prev = np.append(0, w[:-1])
+        ends = np.cumsum(w * (w + p))
+        self.offsets = ends - w * (w + p)
+        self.size = int(ends[-1]) if len(ends) else 0
+        # Each free vertex's block, its position there, and where its row
+        # of the diagonal and of the sub-diagonal block starts.
+        blk = np.repeat(np.arange(len(w)), w)
+        pos = np.arange(len(slots)) - starts[blk]
+        diag = self.offsets[blk] + pos * w[blk]
+        sub = self.offsets[blk] + w[blk] ** 2 + pos * p[blk]
+        at = np.full(n + 1, -1)  # the free vertex at each box position
+        at[slots] = np.arange(len(slots))
+        # (destination, source) of every entry: the centre of each free
+        # vertex a, the east coupling of a with b both ways, then the north
+        # and north-east couplings of b with a, b in the row below.
+        dst, src = [diag + pos], [slots]
+        b = np.where(slots % cols < cols - 1, at[slots + 1], -1)
+        a = np.flatnonzero(b >= 0)
+        b = b[a]
+        dst += [diag[a] + pos[b], diag[b] + pos[a]]
+        src += [slots[a] + n] * 2
+        for d, k in ((2, cols), (3, cols + 1)):
+            b = np.where((slots >= k) & (slots % cols >= k - cols),
+                         at[slots - k], -1)
+            a = np.flatnonzero(b >= 0)
+            b = b[a]
+            dst.append(sub[a] + pos[b])
+            src.append(slots[b] + d * n)
+        self._dst = np.concatenate(dst)
+        self._src = np.concatenate(src)
+
+    def split(self, st: Stencil) -> tuple[list, list]:
+        """(D, E) of a stencil or a stack of them, gathered in one pass:
+        D[i] couples block i with itself, E[i] block i with block i - 1
+        (E[0] is empty), each with a leading element axis."""
+        coef = st.coef.reshape(-1, 4 * self._n)
+        m = len(coef)
+        data = np.zeros((m, self.size))
+        data[:, self._dst] = coef[:, self._src]
+        D, E = [], []
+        for o, w, p in zip(self.offsets, self.widths, self.prev):
+            D.append(data[:, o:o + w * w].reshape(m, w, w))
+            E.append(data[:, o + w * w:o + w * (w + p)].reshape(m, w, p))
+        return D, E
+
+    def factor(self, st: Stencil) -> tuple:
+        """The block elimination of the stencils st, and their sub-diagonal
+        blocks, for solve."""
+        D, E = self.split(st)
+        return block_tridiagonal_factor(D, E), E
+
+    def solve(self, factored: tuple, R: np.ndarray) -> np.ndarray:
+        """The solutions, over the free vertices, of the factored systems
+        for right-hand sides R (elements, fields, free vertices)."""
+        factor, E = factored
+        return np.concatenate(block_tridiagonal_substitute(
+            factor, E, [R[..., b] for b in self.blocks]), axis=-1)
 
 
 SMOOTHING_WEIGHT = 0.8  # damped Jacobi
@@ -895,48 +960,21 @@ class Multigrid:
             del self.levels[1:]
 
     def _factor_bottom(self) -> bool:
-        """Block elimination of the coarsest level over its lattice rows,
-        unless a row holds more than BOTTOM_DIRECT free vertices; whether
-        it was factored.  Free vertices are in lattice-row order, so each
-        row is a slice of them, and the stencil couples only adjacent
-        lattice rows: the diagonal block of a row is tridiagonal, from the
-        centre and east coefficients, and its block against the row below
-        comes from the north and north-east ones."""
+        """Block elimination of the coarsest level over its lattice rows
+        (RowBlocks), unless a row holds more than BOTTOM_DIRECT free
+        vertices; whether it was factored."""
         K = self.levels[-1].K
-        st, cols, slots = K.stencil, K.stencil.grid[1], K.slots
-        rows = slots // cols
-        if np.bincount(rows).max() > BOTTOM_DIRECT:
+        blocks = RowBlocks(K.slots, K.stencil.grid)
+        if blocks.widths.max() > BOTTOM_DIRECT:
             return False
-        ends = np.append(np.flatnonzero(np.diff(rows)) + 1, len(rows))
-        self._blocks = [slice(a, b)
-                        for a, b in zip(np.append(0, ends[:-1]), ends)]
-        D, self._E = [], []
-        prev = np.zeros(0, dtype=int)
-        for b in self._blocks:
-            s = slots[b]
-            Dk = np.diag(st.centre[s])
-            i = np.flatnonzero(np.diff(s) == 1)
-            Dk[i, i + 1] = Dk[i + 1, i] = st.east[s[i]]
-            Ek = np.zeros((len(s), len(prev)))
-            if len(prev) and prev[0] // cols + 1 == s[0] // cols:
-                at = np.full(cols, -1)
-                at[prev % cols] = np.arange(len(prev))
-                for coef, dc in ((st.north, 0), (st.northeast, 1)):
-                    j = np.where(s % cols >= dc, at[s % cols - dc], -1)
-                    k = np.flatnonzero(j >= 0)
-                    Ek[k, j[k]] = coef[s[k] - cols - dc]
-            D.append(Dk[None])
-            self._E.append(Ek[None])
-            prev = s
-        self._factor = block_tridiagonal_factor(D, self._E)
+        self._blocks = blocks
+        self._factor = blocks.factor(K.stencil)
         return True
 
     def _bottom(self, r: np.ndarray) -> np.ndarray:
         """Solve the factored coarsest level for r over its free
         vertices."""
-        x = block_tridiagonal_substitute(
-            self._factor, self._E, [r[b][None, None] for b in self._blocks])
-        return np.concatenate(x, axis=-1)[0, 0]
+        return self._blocks.solve(self._factor, r[None, None])[0, 0]
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         if self._factor is None:
@@ -981,8 +1019,7 @@ def solve_spd(system: SparseSpdSystem, rel_tol: float = 1e-12) -> FineFunction:
 
 
 def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
-                        W: np.ndarray | None = None, quad_order: int = 1
-                        ) -> np.ndarray:
+                        W: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix a(V_i, W_j) of nodal-value rows over one geometry.
 
     Scalar energies and the error report call it; it sums gram_blocks
@@ -992,8 +1029,7 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
     V = np.atleast_2d(V)
     W = None if W is None or W is V else np.atleast_2d(W)[None]
     V = V[None]
-    AW = geom.areas[:, None, None] * geom.coefficient_at_triangles(A,
-                                                                   quad_order)
+    AW = geom.area_weighted(A)
     M = np.zeros((V.shape[1], V.shape[1] if W is None else W.shape[1]))
     step = max(1, (1 << 16) // (V.shape[1] + len(M[0])))
     for s in range(0, len(geom.tris), step):
@@ -1003,21 +1039,19 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
     return M
 
 
-def energy_inner(v: FineFunction, w: FineFunction, A: CoefficientField,
-                 quad_order: int = 1) -> float:
+def energy_inner(v: FineFunction, w: FineFunction, A: CoefficientField
+                 ) -> float:
     """a(v, w) = integral of (grad v)^T A grad w."""
     if v.geom is not w.geom:
         raise ValueError("energy_inner: functions live on different meshes "
                          f"({v.geom.label} vs {w.geom.label})")
     return float(energy_inner_matrix(v.values[None, :], v.geom, A,
-                                     W=w.values[None, :], quad_order=quad_order)[0, 0])
+                                     W=w.values[None, :])[0, 0])
 
 
-def energy(v: FineFunction, A: CoefficientField, f=None,
-           quad_order: int = 1) -> float:
+def energy(v: FineFunction, A: CoefficientField, f=None) -> float:
     """E(v) = 1/2 a(v,v) - integral of f v, same quadrature as assemble."""
-    e = 0.5 * float(energy_inner_matrix(v.values[None, :], v.geom, A,
-                                        quad_order=quad_order)[0, 0])
+    e = 0.5 * float(energy_inner_matrix(v.values[None, :], v.geom, A)[0, 0])
     if f is not None:
-        e -= float(load_vector(v.geom, f, quad_order) @ v.values)
+        e -= float(load_vector(v.geom, f) @ v.values)
     return e

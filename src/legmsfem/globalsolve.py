@@ -34,11 +34,10 @@ class EnrichedSpace:
     Catalog order is the DOF order: interface functions first (nodal by
     vertex, then edge by (edge, k)), bubbles after (by element, then index).
     stacks are the offline field stacks the catalog's values are views of,
-    with each row's owner at its catalog position; without them (a catalog
-    built some other way) the fields are stacked once, on first use.  A
-    space built for a load f keeps it with its bubble reference, the
-    zero-trace solves with load f glued over the mesh (errors.evaluate
-    scores the interface error against it).
+    with each row's owner at its catalog position.  A space built for a
+    load f keeps it with its bubble reference, the zero-trace solves with
+    load f glued over the mesh (errors.evaluate scores the interface error
+    against it).
     """
 
     coarse: CoarseMesh
@@ -47,7 +46,7 @@ class EnrichedSpace:
     degrees: DegreeAssignment
     catalog: list[localbasis.BasisFunction]
     n_interface: int
-    stacks: list[localbasis.FieldStack] | None = None
+    stacks: list[localbasis.FieldStack]
     f: finefem.RhsField | None = None
     bubble_reference: finefem.FineFunction | None = None
     element_dofs: list[list[int]] = field(init=False)
@@ -70,11 +69,8 @@ class EnrichedSpace:
     @cached_property
     def _fields(self) -> list[tuple[finefem.PatchGroup, _Fields, _Fields]]:
         """(group, interface fields, bubble fields) for each patch shape,
-        over the elements that carry DOFs, indexing the field stacks (a
-        catalog given without them is stacked here once)."""
+        over the elements that carry DOFs, indexing the field stacks."""
         stacks = self.stacks
-        if stacks is None:
-            stacks = _stacked(self.catalog)
         # Every (element, DOF) pair with the stack and row of its field,
         # sorted by element, then DOF: the order of element_dofs.
         cols: list[list[np.ndarray]] = [[], [], [], []]
@@ -103,19 +99,6 @@ class EnrichedSpace:
                         _Fields.of(stacks, S, R, P, first[E] + n_if[E],
                                    count[E] - n_if[E], n)))
         return out
-
-
-def _stacked(catalog: list[localbasis.BasisFunction]
-             ) -> list[localbasis.FieldStack]:
-    """Field stacks holding copies of the catalog's fields, one per field
-    length, for catalogs not built with stacks."""
-    by_length: dict[int, list] = {}
-    for p, bf in enumerate(catalog):
-        for K in bf.support:
-            by_length.setdefault(len(bf.values[K]), []).append(
-                (bf.values[K], K, p))
-    return [localbasis.FieldStack(np.stack(v), np.array(K), np.array(p))
-            for v, K, p in (zip(*f) for f in by_length.values())]
 
 
 @dataclass(frozen=True)
@@ -251,14 +234,12 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
                                      stacks=solved,
                                      f=None if inherited else f,
                                      reference=reference)
-    stacks = None
-    if interface_from.stacks is not None:
-        # Donor positions move to those of the kept functions, or drop.
-        position = np.full(interface_from.n_dofs, -1)
-        position[kept] = np.arange(n_if)
-        stacks = ([st.renumbered(position) for st in interface_from.stacks]
-                  + [st.renumbered(np.arange(len(bubbles)) + n_if)
-                     for st in solved])
+    # Donor positions move to those of the kept functions, or drop.
+    position = np.full(interface_from.n_dofs, -1)
+    position[kept] = np.arange(n_if)
+    stacks = ([st.renumbered(position) for st in interface_from.stacks]
+              + [st.renumbered(np.arange(len(bubbles)) + n_if)
+                 for st in solved])
     return EnrichedSpace(coarse, fine, A, degrees, keep + bubbles, n_if,
                          stacks, f,
                          interface_from.bubble_reference if inherited

@@ -8,9 +8,12 @@ on a patch becomes a row of its right-hand side, the patches of one shape
 are lattice translates of one template (finefem.patch_groups checks it),
 and one direct block-tridiagonal sweep over the template's fine-lattice
 rows solves a whole chunk of them (a P1 stiffness on the structured
-lattice couples only adjacent rows).  A trace row's right-hand side -K X
-is formed on the triangles that touch the patch boundary only, where X
-is nonzero.  Given the problem's load f, the sweep also solves one
+lattice couples only adjacent rows).  The sweep's blocks come from the
+stencils of the chunk, formed in one scatter, through the template's
+finefem.RowBlocks, the block layout the coarsest multigrid level uses
+too.  A trace row's right-hand side -K X is formed from the full element
+matrices of the triangles that touch the patch boundary only, where X is
+nonzero.  Given the problem's load f, the sweep also solves one
 zero-trace row with load f per patch; glued over the mesh, these rows are
 the bubble part of the fine reference solution (the error report's
 bubble reference), so every patch is eliminated once per run.  The
@@ -114,74 +117,6 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
         raise ValueError(f"{t.label}: edge chains do not cover exactly "
                          "the patch boundary")
     return loc
-
-
-@dataclass(frozen=True)
-class _RowBlocks:
-    """K_ff of a template patch as dense lattice-row blocks.
-
-    Free vertices are in local order, which is lattice-row-major because
-    vids are sorted; widths[i] is the number of free vertices in block i
-    and prev[i] that of block i - 1.  Entry keep of the per-triangle
-    matrices lands at position flat of the packed blocks of an element.
-    """
-
-    keep: np.ndarray
-    flat: np.ndarray
-    widths: np.ndarray
-    prev: np.ndarray
-    offsets: np.ndarray
-    size: int
-
-    def split(self, Kt: np.ndarray) -> tuple[list, list]:
-        """(D, E) from per-triangle matrices Kt (elements, nt, 3, 3): D[i]
-        couples block i with itself, E[i] block i with block i-1 (E[0] is
-        empty), each with a leading element axis."""
-        n_el = len(Kt)
-        idx = np.arange(n_el)[:, None] * self.size + self.flat
-        data = np.bincount(idx.ravel(), weights=Kt[:, self.keep].ravel(),
-                           minlength=n_el * self.size).reshape(n_el, -1)
-        D, E = [], []
-        for o, w, p in zip(self.offsets, self.widths, self.prev):
-            D.append(data[:, o:o + w * w].reshape(n_el, w, w))
-            E.append(data[:, o + w * w:o + w * (w + p)].reshape(n_el, w, p))
-        return D, E
-
-
-def _row_blocks(fine: FineMesh, geom: finefem.TriGeometry,
-                is_free: np.ndarray) -> _RowBlocks:
-    """The lattice-row block layout of K_ff on one patch; raises
-    ValueError if a triangle couples free vertices of rows that are not
-    adjacent, which would break the block-tridiagonal structure."""
-    n = geom.n_vertices
-    row = geom.vids // (fine.nfx + 1)
-    free = np.flatnonzero(is_free)
-    starts = np.flatnonzero(np.diff(row[free], prepend=-1))
-    widths = np.diff(np.append(starts, len(free)))
-    blk = np.zeros(n, dtype=int)
-    pos = np.zeros(n, dtype=int)
-    blk[free] = np.repeat(np.arange(len(widths)), widths)
-    pos[free] = np.arange(len(free)) - starts[blk[free]]
-    prev = np.concatenate([[0], widths[:-1]])
-    d_size = widths * widths
-    d_off = np.concatenate([[0], np.cumsum(d_size + widths * prev)[:-1]])
-
-    # Entry (t, i, j) couples vertex a = tris[t, i] with b = tris[t, j].
-    r, f = row[geom.tris], is_free[geom.tris]
-    gap = r[:, :, None] - r[:, None, :]
-    both = f[:, :, None] & f[:, None, :]
-    if np.any(both & (np.abs(gap) > 1)):
-        raise ValueError(f"{geom.label}: stiffness couples fine-lattice rows "
-                         "that are not adjacent")
-    # Only the lower blocks are stored; the upper ones are their transposes.
-    # Adjacent free rows are adjacent blocks, so gap is also the block gap.
-    keep = both & (gap >= 0)
-    ba = blk[geom.tris][:, :, None]
-    flat = (d_off[ba] + gap * d_size[ba]
-            + pos[geom.tris][:, :, None] * widths.take(ba - gap, mode="clip")
-            + pos[geom.tris][:, None, :])
-    return _RowBlocks(keep, flat[keep], widths, prev, d_off,
-                      int(d_off[-1] + d_size[-1] + widths[-1] * prev[-1]))
 
 
 def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
@@ -320,28 +255,24 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     is_free[t.boundary_local] = False
     free = np.flatnonzero(is_free)
     if len(free):
-        blocks = _row_blocks(fine, t, is_free)
-        ends = np.cumsum(blocks.widths)
+        blocks = finefem.RowBlocks(t.box[1][free], t.box[0])
         edge = np.flatnonzero(~is_free[tris].all(axis=1))
         per_element = 3 * (n_tr * len(edge) + (m_all - n_tr) * len(tris))
         for sl, sub in group.chunks(max(per_element, blocks.size)):
-            Kt = sub.element_matrices(A)
+            grads, AW = sub.weights(A)
             Xc = X[sl]
             R = np.empty((len(Xc), m_all, len(free)))
             if n_tr:
-                R[:, :n_tr] = _trace_loads(Kt[:, edge], Xc[:, :n_tr],
-                                           tris[edge])[..., free]
+                R[:, :n_tr] = _trace_loads(
+                    finefem._stiffness(grads[:, edge], AW[:, edge]),
+                    Xc[:, :n_tr], tris[edge])[..., free]
             if m_all > n_tr:
                 w = _load_weights(coarse, sub, reqs[sl], n_b, f)
                 R[:, n_tr:] = _scatter_rows(
                     np.broadcast_to(w[:, None], (len(tris), 3) + w.shape[1:]),
                     tris, n)[..., free]
-            D, E = blocks.split(Kt)
-            Y = np.concatenate(
-                finefem.block_tridiagonal_substitute(
-                    finefem.block_tridiagonal_factor(D, E), E,
-                    [R[..., e - w:e] for e, w in zip(ends, blocks.widths)]),
-                axis=-1)
+            Y = blocks.solve(blocks.factor(
+                finefem.Stencil.of(t, AW, grads)), R)
             Xc[..., free] = Y[:, :m]
             if L is not None:
                 L[sl, free] = Y[:, m]

@@ -66,9 +66,10 @@ def dense(op) -> np.ndarray:
 def skeleton_geometry(fine) -> finefem.TriGeometry:
     """The global fine mesh with every fine vertex of the coarse skeleton
     (all coarse edges, the domain boundary included) fixed: a shallow copy
-    of the global geometry, sharing its arrays and its stencil.  Its one
-    fine solve is the bubble reference as first defined; the multigrid
-    tests use it for a fixed set off the domain boundary."""
+    of the global geometry, sharing its arrays and its area-weighted
+    coefficient.  Its one fine solve is the bubble reference as first
+    defined; the multigrid tests use it for a fixed set off the domain
+    boundary."""
     geom = copy.copy(finefem.global_geometry(fine))
     chains = fine.edge_vertex_chains(np.arange(len(fine.coarse.edges)))
     geom.boundary_local = np.unique(chains)

@@ -67,6 +67,44 @@ def test_config_validation(patch, needle):
         cli.RunConfig.from_dict(cfg_dict(**patch))
 
 
+@pytest.mark.parametrize("patch,needle", [
+    ({"strict": "false"}, "config.strict"),
+    ({"schema": True}, "config.schema"),
+    ({"N": {"default": True}}, "config.N.default"),
+    ({"M": {"default": True}}, "config.M.default"),
+    ({"N": {"default": 2, "overrides": {"11": True}}},
+     "config.N.overrides[11]"),
+    ({"M": {"default": 0, "overrides": {"5": True}}},
+     "config.M.overrides[5]"),
+    ({"domain": [0, True, 0, 1]}, "config.domain"),
+    ({"coefficient": {"type": "periodic_benchmark", "eps": True}},
+     "config.coefficient.eps"),
+    ({"coefficient": {"type": "expression", "expr": "1 + x",
+                      "alpha_min": True, "alpha_max": 2.0}},
+     "config.coefficient: need 0 < alpha_min"),
+    ({"coefficient": {"type": "expression", "expr": "1",
+                      "alpha_min": 0.5, "alpha_max": True}},
+     "config.coefficient: need 0 < alpha_min"),
+    ({"rhs": {"type": "constant", "value": True}}, "config.rhs.value"),
+    ({"N": {"default": 2, "overrides": [[11, 3]]}},
+     "config.N.overrides: must be an object"),
+    ({"coefficient": [["type", "identity"]]}, "config.coefficient"),
+    ({"rhs": "constant"}, "config.rhs"),
+    ({"rhs": {"type": "expression", "expr": 1}}, "config.rhs.expr"),
+    ({"eta": False}, "config.eta")],
+    ids=["strict", "schema", "N.default", "M.default", "N.overrides", "M.overrides",
+         "domain", "eps", "alpha_min", "alpha_max", "rhs.value",
+         "overrides-list", "coefficient-pairs", "rhs-string", "expr-number",
+         "eta"])
+def test_config_values_of_the_wrong_json_type(tmp_path, capsys, patch,
+                                               needle):
+    # a JSON string or boolean is not read as a boolean or a number, nor a
+    # list or a string as an object
+    path = write_cfg(tmp_path, **patch)
+    assert cli.main(["solve", "--config", path]) == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_load_reports_json_position(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{\n  "kind": quad\n}\n')
@@ -492,3 +530,27 @@ def test_sweep_N_rows_run_no_patch_elimination(monkeypatch, tmp_path):
     globalsolve.build_space(problem.coarse, problem.fine, problem.A,
                             problem.degrees, f=problem.f)
     assert len(swept) == 2
+
+
+def test_solve_evaluates_the_coefficient_once_on_the_fine_triangles(
+        monkeypatch, tmp_path):
+    # the reference assembly, its energy, the offline sweep, the coarse
+    # assembly and the error report all read one evaluation at the global
+    # fine centroids; the estimator's edge midpoints are no centroids
+    fine = mesh.refine_to_fine(mesh.build_coarse("quad", 4, 4), 8)
+    centroids = finefem.global_geometry(fine).centroids
+    known = set(map(tuple, centroids.tolist()))
+    calls = []
+    real = finefem.CoefficientField.matrix_at
+
+    def counted(self, points):
+        calls.append(np.array(points))
+        return real(self, points)
+
+    monkeypatch.setattr(finefem.CoefficientField, "matrix_at", counted)
+    path = write_cfg(tmp_path, M=1)
+    assert cli.main(["solve", "--config", path,
+                     "--out", str(tmp_path / "row.csv")]) == 0
+    at = [sum(p in known for p in map(tuple, c.tolist())) for c in calls]
+    assert sum(at) == len(centroids)
+    assert any(np.array_equal(c, centroids) for c in calls)

@@ -10,7 +10,7 @@ def dense_stiffness(geom, A):
     """Triangle-by-triangle dense assembly, the slow reference."""
     n = geom.n_vertices
     K = np.zeros((n, n))
-    Abar = geom.coefficient_at_triangles(A)
+    Abar = A.matrix_at(geom.centroids)
     for t, tri in enumerate(geom.tris):
         for i in range(3):
             for j in range(3):
@@ -109,17 +109,6 @@ def test_assemble_matches_dense(fine_quad44):
     assert np.abs(K - K.T).max() == 0.0
 
 
-def test_assemble_quad_order3(fine_quad44):
-    # the 3-point rule changes the coefficient averaging but keeps symmetry
-    A = finefem.periodic_benchmark(0.25)
-    geom = finefem.element_geometry(fine_quad44, 6)
-    s1 = finefem.assemble(geom, A, quad_order=1)
-    s3 = finefem.assemble(geom, A, quad_order=3)
-    K1, K3 = dense(s1.K), dense(s3.K)
-    assert np.abs(K3 - K3.T).max() == 0.0
-    assert np.abs(K1 - K3).max() > 0.0
-
-
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
 def test_patch_groups_reproduce_each_patch(kind):
     # every member's gathered stiffness and load equal those of its own
@@ -132,13 +121,34 @@ def test_patch_groups_reproduce_each_patch(kind):
     assert sorted(K for g in groups for K in g.elements) == \
         list(range(len(coarse.elements)))
     for g in groups:
-        Kt, b = g.element_matrices(A), g.load_vectors(f)
+        Kt, b = finefem._stiffness(*g.weights(A)), g.load_vectors(f)
         for e, K in enumerate(g.elements):
             geom = finefem.element_geometry(fine, K)
             assert np.array_equal(geom.vids, g.template.vids + g.shifts[e])
             assert np.array_equal(geom.tris, g.template.tris)
-            assert np.array_equal(Kt[e], geom.element_matrices(A))
+            assert np.array_equal(Kt[e], finefem._stiffness(
+                geom.grads, geom.area_weighted(A)))
             assert np.array_equal(b[e], finefem.load_vector(geom, f))
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_batched_stencils_match_each_patch(kind):
+    # one scatter over a stack of congruent patches gives each member the
+    # stencil of its own patch geometry, bitwise, with the north-east
+    # couplings of a full-tensor coefficient
+    coarse = mesh.build_coarse(kind, 3, 2)
+    fine = mesh.refine_to_fine(coarse, 5)
+    A = anisotropic_field()
+    for g in finefem.patch_groups(fine, range(len(coarse.elements))):
+        grads, AW = g.weights(A)
+        st = finefem.Stencil.of(g.template, AW, grads)
+        assert st.coef.shape == (len(g.elements), 4,
+                                 g.template.box[0][0] * g.template.box[0][1])
+        assert st.northeast.any()
+        for e, K in enumerate(g.elements):
+            geom = finefem.element_geometry(fine, K)
+            one = finefem.Stencil.of(geom, geom.area_weighted(A))
+            assert one.coef.tobytes() == st.coef[e].tobytes()
 
 
 def test_patch_groups_reject_non_translates(tri44):
@@ -249,18 +259,8 @@ def test_cg_deterministic(fine_quad44):
 
 def test_load_vector_constant(fine_quad44):
     geom = finefem.element_geometry(fine_quad44, 9)
-    for order in (1, 3):
-        b = finefem.load_vector(geom, finefem.constant_rhs(-1.0), order)
-        assert abs(b.sum() + 1 / 16) < 1e-15
-
-
-def test_load_vector_midpoint_rule_exact():
-    # one unit right triangle, f = x: entries are (1/24, 1/12, 1/24)
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    geom = finefem.TriGeometry(pts, np.array([[0, 1, 2]]), np.arange(3),
-                               np.array([], dtype=int), "unit tri")
-    b = finefem.load_vector(geom, lambda x, y: x, quad_order=3)
-    assert np.abs(b - [1 / 24, 1 / 12, 1 / 24]).max() < 1e-15
+    b = finefem.load_vector(geom, finefem.constant_rhs(-1.0))
+    assert abs(b.sum() + 1 / 16) < 1e-15
 
 
 def test_energy_galerkin_identity(fine_quad44):
@@ -295,7 +295,7 @@ def test_energy_inner_matrix_blocks_match_one_pass(fine_quad44, rng):
     geom = finefem.global_geometry(fine_quad44)
     V = rng.standard_normal((40, geom.n_vertices))
     W = rng.standard_normal((5, geom.n_vertices))
-    AW = geom.areas[:, None, None] * geom.coefficient_at_triangles(A)
+    AW = geom.areas[:, None, None] * A.matrix_at(geom.centroids)
     gV = np.einsum("bti,tid->btd", V[:, geom.tris], geom.grads)
     gW = np.einsum("bti,tid->btd", W[:, geom.tris], geom.grads)
     for got, want in ((finefem.energy_inner_matrix(V, geom, A),
@@ -476,6 +476,64 @@ def test_coarsest_level_is_solved_exactly(kind, nx, n_sub, skeleton, levels,
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def row_loop_bottom_blocks(K):
+    """(D, E) of the coarsest level K built lattice row by lattice row, as
+    Multigrid did before its blocks came from finefem.RowBlocks; kept as
+    reference."""
+    st, cols, slots = K.stencil, K.stencil.grid[1], K.slots
+    rows = slots // cols
+    ends = np.append(np.flatnonzero(np.diff(rows)) + 1, len(rows))
+    D, E = [], []
+    prev = np.zeros(0, dtype=int)
+    for a, b in zip(np.append(0, ends[:-1]), ends):
+        s = slots[a:b]
+        Dk = np.diag(st.centre[s])
+        i = np.flatnonzero(np.diff(s) == 1)
+        Dk[i, i + 1] = Dk[i + 1, i] = st.east[s[i]]
+        Ek = np.zeros((len(s), len(prev)))
+        if len(prev) and prev[0] // cols + 1 == s[0] // cols:
+            at = np.full(cols, -1)
+            at[prev % cols] = np.arange(len(prev))
+            for coef, dc in ((st.north, 0), (st.northeast, 1)):
+                j = np.where(s % cols >= dc, at[s % cols - dc], -1)
+                k = np.flatnonzero(j >= 0)
+                Ek[k, j[k]] = coef[s[k] - cols - dc]
+        D.append(Dk[None])
+        E.append(Ek[None])
+        prev = s
+    return D, E
+
+
+@pytest.mark.parametrize("kind,nx,n_sub,skeleton,A", [
+    ("quad", 4, 6, True, "anisotropic"),    # north-east couplings
+    ("quad", 2, 4, True, "periodic"),       # lattice row 2 has no free vertex
+    ("triangle", 2, 8, False, "anisotropic"),
+    ("quad", 2, 33, False, "periodic")])    # 32 rows of 32
+def test_bottom_blocks_match_the_row_loop(kind, nx, n_sub, skeleton, A):
+    # the coarsest level's blocks and their factor are bitwise those of the
+    # per-row loop
+    fine = mesh.refine_to_fine(mesh.build_coarse(kind, nx, nx), n_sub)
+    geom = (skeleton_geometry(fine) if skeleton
+            else finefem.global_geometry(fine))
+    A = (finefem.periodic_benchmark(0.5) if A == "periodic"
+         else anisotropic_field())
+    mg = finefem.Multigrid(finefem.assemble(geom, A))
+    assert len(mg.levels) > 1
+    K = mg.levels[-1].K
+    rows = np.unique(K.slots // K.stencil.grid[1])
+    if nx == 2 and n_sub == 4:
+        assert len(rows) < rows[-1] - rows[0] + 1
+    D0, E0 = row_loop_bottom_blocks(K)
+    D, E = finefem.RowBlocks(K.slots, K.stencil.grid).split(K.stencil)
+    assert len(D) == len(D0) == len(rows)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in zip(D + E, D0 + E0))
+    (S_inv, G), _ = mg._factor
+    S0, G0 = finefem.block_tridiagonal_factor(D0, E0)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(S_inv, S0))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(G[:-1], G0[:-1]))
+
+
 def test_multigrid_pcg_matches_jacobi_pcg():
     # the preconditioner changes the path, not the solution: 64x64 fine
     # cells coarsen down to 2x2
@@ -550,8 +608,8 @@ def test_lattice_operator_matches_element_csr(case, coef, fine_quad44,
             "triangle patch": lambda: finefem.element_geometry(fine_tri44,
                                                                5)}[case]()
     system = finefem.assemble(geom, A)
-    assert_operator_matches(system.K, element_csr(geom,
-                                                  geom.element_matrices(A)))
+    assert_operator_matches(system.K, element_csr(
+        geom, finefem._stiffness(geom.grads, geom.area_weighted(A))))
     assert (len(system.K.stencil.couplings) == 3) == (coef == "anisotropic")
 
 
@@ -602,10 +660,12 @@ def test_same_name_coefficients_get_their_own_operators():
     # back to A1 after A2: rebuilt, not stale
     assert np.array_equal(finefem.assemble(geom, A1, f).K.diagonal(),
                           s1.K.diagonal())
-    # one object, one stencil, shared by the skeleton geometry
-    st = geom.stencil(A1)[1]
-    assert geom.stencil(A1)[1] is st
-    assert skeleton_geometry(fine).stencil(A1)[1] is st
+    # one object, one coefficient evaluation, shared by the skeleton
+    # geometry
+    AW = geom.area_weighted(A1)
+    assert geom.area_weighted(A1) is AW
+    assert skeleton_geometry(fine).area_weighted(A1) is AW
+    assert finefem.assemble(skeleton_geometry(fine), A1).AW is AW
     # the cached references answer as on a fresh mesh
     fresh = mesh.refine_to_fine(mesh.build_coarse("quad", 2, 2), 8)
     for A in (A1, A2):

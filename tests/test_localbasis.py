@@ -1,4 +1,4 @@
-import types
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -265,14 +265,15 @@ def test_edge_chains_must_be_translates(A_osc):
 
 def test_row_blocks_reject_distant_lattice_rows():
     # a triangle joining lattice rows 0 and 2 breaks the block-tridiagonal
-    # structure of the patch solve, so assembly must refuse it
-    fine = types.SimpleNamespace(nfx=2)  # three vertices per lattice row
+    # structure of the patch solve, so the stencil its blocks are gathered
+    # from must refuse it
     geom = finefem.TriGeometry(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                                np.array([[0, 1, 2]]), np.array([0, 1, 6]),
-                               np.array([], dtype=int), "skewed patch")
-    Kt = geom.element_matrices(finefem.identity_field())
-    with pytest.raises(ValueError, match="not adjacent"):
-        localbasis._row_blocks(fine, geom, np.ones(3, dtype=bool))
+                               np.array([], dtype=int), "skewed patch",
+                               box=((3, 3), np.array([0, 1, 6])))
+    with pytest.raises(ValueError, match="not half of a lattice cell"):
+        finefem.Stencil.of(geom,
+                           geom.area_weighted(finefem.identity_field()))
 
 
 def test_dump_points(quad44, fine_quad44, A_osc):
@@ -367,7 +368,7 @@ def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
         t = group.template
         n_tr = max(len(h) + len(e) for h, e, _, _ in requests.values())
         X = localbasis._trace_rows(coarse, fine, group, requests, n_tr)
-        Kt = group.element_matrices(A)
+        Kt = finefem._stiffness(*group.weights(A))
         edge = np.isin(t.tris, t.boundary_local).any(axis=1)
         assert edge.sum() < len(t.tris) or n_sub == 2
         got = localbasis._trace_loads(Kt[:, edge], X, t.tris[edge])
@@ -429,3 +430,101 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
     for a, b in zip(batched, looped):
         assert all(np.array_equal(a.values[K], b.values[K])
                    for K in a.support)
+
+
+# ---------------------------------------------------------------------------
+# the row-block layout against the one packed from element matrices
+
+
+@dataclass(frozen=True)
+class ElementRowBlocks:
+    """K_ff of a template patch as dense lattice-row blocks, packed from
+    per-triangle matrices: the layout the offline sweep built before its
+    blocks came from the stencil (finefem.RowBlocks), kept as reference.
+
+    Free vertices are in local order, which is lattice-row-major because
+    vids are sorted; widths[i] is the number of free vertices in block i
+    and prev[i] that of block i - 1.  Entry keep of the per-triangle
+    matrices lands at position flat of the packed blocks of an element.
+    """
+
+    keep: np.ndarray
+    flat: np.ndarray
+    widths: np.ndarray
+    prev: np.ndarray
+    offsets: np.ndarray
+    size: int
+
+    def split(self, Kt):
+        """(D, E) from per-triangle matrices Kt (elements, nt, 3, 3)."""
+        n_el = len(Kt)
+        idx = np.arange(n_el)[:, None] * self.size + self.flat
+        data = np.bincount(idx.ravel(), weights=Kt[:, self.keep].ravel(),
+                           minlength=n_el * self.size).reshape(n_el, -1)
+        D, E = [], []
+        for o, w, p in zip(self.offsets, self.widths, self.prev):
+            D.append(data[:, o:o + w * w].reshape(n_el, w, w))
+            E.append(data[:, o + w * w:o + w * (w + p)].reshape(n_el, w, p))
+        return D, E
+
+
+def element_row_blocks(fine, geom, is_free):
+    """The ElementRowBlocks of K_ff on one patch."""
+    n = geom.n_vertices
+    row = geom.vids // (fine.nfx + 1)
+    free = np.flatnonzero(is_free)
+    starts = np.flatnonzero(np.diff(row[free], prepend=-1))
+    widths = np.diff(np.append(starts, len(free)))
+    blk = np.zeros(n, dtype=int)
+    pos = np.zeros(n, dtype=int)
+    blk[free] = np.repeat(np.arange(len(widths)), widths)
+    pos[free] = np.arange(len(free)) - starts[blk[free]]
+    prev = np.concatenate([[0], widths[:-1]])
+    d_size = widths * widths
+    d_off = np.concatenate([[0], np.cumsum(d_size + widths * prev)[:-1]])
+    r, f = row[geom.tris], is_free[geom.tris]
+    gap = r[:, :, None] - r[:, None, :]
+    both = f[:, :, None] & f[:, None, :]
+    assert not np.any(both & (np.abs(gap) > 1))
+    keep = both & (gap >= 0)
+    ba = blk[geom.tris][:, :, None]
+    flat = (d_off[ba] + gap * d_size[ba]
+            + pos[geom.tris][:, :, None] * widths.take(ba - gap, mode="clip")
+            + pos[geom.tris][:, None, :])
+    return ElementRowBlocks(keep, flat[keep], widths, prev, d_off,
+                            int(d_off[-1] + d_size[-1]
+                                + widths[-1] * prev[-1]))
+
+
+def bitwise(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind,n_sub", [("quad", 5), ("quad", 2),
+                                        ("triangle", 6), ("triangle", 3)])
+def test_row_blocks_match_the_element_matrix_layout(kind, n_sub):
+    # the blocks gathered from a stack of stencils are bitwise those packed
+    # from the per-triangle matrices, on the quad template and on the lower
+    # and upper triangle templates; the full-tensor coefficient couples
+    # north-east neighbours; n_sub 2 and 3 leave one free vertex a patch
+    coarse = mesh.build_coarse(kind, 3, 2)
+    fine = mesh.refine_to_fine(coarse, n_sub)
+    A = full_tensor_field()
+    groups = finefem.patch_groups(fine, range(len(coarse.elements)))
+    assert len(groups) == (1 if kind == "quad" else 2)
+    for g in groups:
+        t = g.template
+        is_free = np.ones(t.n_vertices, dtype=bool)
+        is_free[t.boundary_local] = False
+        grads, AW = g.weights(A)
+        blocks = finefem.RowBlocks(t.box[1][is_free], t.box[0])
+        want = element_row_blocks(fine, t, is_free)
+        assert blocks.size == want.size
+        assert np.array_equal(blocks.widths, want.widths)
+        assert [b.stop for b in blocks.blocks] == \
+            np.cumsum(want.widths).tolist()
+        D, E = blocks.split(finefem.Stencil.of(t, AW, grads))
+        D0, E0 = want.split(finefem._stiffness(grads, AW))
+        assert len(D) == len(D0) == len(E) == len(E0)
+        assert all(bitwise(a, b) for a, b in zip(D + E, D0 + E0))
+        assert len(D) == 1 or any(e.any() for e in E[1:])
