@@ -274,18 +274,22 @@ def _rhs_field(spec: dict) -> finefem.RhsField:
 
 def _degrees_of(config: RunConfig, coarse: mesh.CoarseMesh
                 ) -> mesh.DegreeAssignment:
+    """The degree arrays of a config: the defaults, with the overrides
+    scattered in once each id is checked to be an interior edge (N) or an
+    element (M)."""
     n_def = config.N if isinstance(config.N, int) else config.N["default"]
     m_def = config.M if isinstance(config.M, int) else config.M["default"]
     deg = mesh.DegreeAssignment.uniform(coarse, n_def, m_def)
     if isinstance(config.N, dict):
+        interior = coarse.edge_element_ids[:, 1] >= 0
         for k, v in config.N["overrides"].items():
-            if k not in deg.N:
+            if not (0 <= k < len(interior) and interior[k]):
                 raise ConfigError(f"config.N.overrides: {k} is not an "
                                   "interior edge")
             deg.N[k] = v
     if isinstance(config.M, dict):
         for k, v in config.M["overrides"].items():
-            if not 0 <= k < len(coarse.elements):
+            if not 0 <= k < len(deg.M):
                 raise ConfigError(f"config.M.overrides: {k} is not an "
                                   "element id")
             deg.M[k] = v
@@ -405,7 +409,7 @@ def run_single(config: RunConfig, problem: Problem | None = None,
 
 
 def _bubble_free(degrees: mesh.DegreeAssignment) -> bool:
-    return not any(degrees.M.values())
+    return not degrees.M.any()
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -532,23 +536,22 @@ def cmd_errmap(config: RunConfig, out: str | None = None) -> int:
     if _column_degree(config.M) != 0:
         raise ConfigError("errmap requires M = 0 (interface localization)")
     result = run_single(config)
-    est_map = estimator.localize(result.est, result.problem.coarse)
+    coarse = result.problem.coarse
+    est_map = estimator.localize(result.est, coarse)
     try:
         err_map, _ = errors.interface_error_map(result.solution, result.u_ref,
                                                 result.u_B_ref)
     except ValueError:
-        err_map = {e: 0.0 for e in est_map}
+        err_map = np.zeros(len(est_map))
     ratios, _ = estimator.effectivity_map(est_map, err_map)
-    coarse = result.problem.coarse
     rows = [ERRMAP_HEADER]
     with np.errstate(divide="ignore"):
-        for eid in sorted(est_map):
-            e = coarse.edges[eid]
-            p0, p1 = coarse.vertices[e.v0], coarse.vertices[e.v1]
+        for i, eid in enumerate(coarse.interior_edge_ids.tolist()):
+            p0, p1 = coarse.vertices[coarse.edge_ends[eid]]
             rows.append(",".join([
                 str(eid), _fmt(p0[0]), _fmt(p0[1]), _fmt(p1[0]), _fmt(p1[1]),
-                _fmt(err_map[eid]), _fmt(est_map[eid]),
-                _fmt(np.log10(ratios[eid]) if ratios[eid] > 0
+                _fmt(err_map[i]), _fmt(est_map[i]),
+                _fmt(np.log10(ratios[i]) if ratios[i] > 0
                      else float("-inf"))]))
     _emit(rows, out)
     return 0
@@ -556,29 +559,33 @@ def cmd_errmap(config: RunConfig, out: str | None = None) -> int:
 
 def cmd_basis_dump(config: RunConfig, selector: str,
                    out: str | None = None) -> int:
-    """Point cloud of one catalog entry: nodal:V, edge:E:K or bubble:K:I."""
-    parts = selector.split(":")
-    forms = {"nodal": 2, "edge": 3, "bubble": 3}
-    if not parts or parts[0] not in forms or len(parts) != forms[parts[0]]:
+    """Point cloud of one basis function, nodal:V, edge:E:K or bubble:K:I,
+    from the solves on its support alone."""
+    name, *ids = selector.split(":")
+    kinds = {"nodal": localbasis.NODAL, "edge": localbasis.EDGE,
+             "bubble": localbasis.BUBBLE}
+    if name not in kinds or len(ids) != 1 + (name != "nodal"):
         raise ConfigError(f"bad basis selector {selector!r}; use nodal:V, "
                           "edge:E:K or bubble:K:I")
     try:
-        key = tuple(int(p) for p in parts[1:])
+        select = (kinds[name], *(int(i) for i in ids), 0)[:3]
     except ValueError:
         raise ConfigError(f"bad basis selector {selector!r}: "
                           "indices must be integers") from None
     problem = build_problem(config)
-    space = globalsolve.build_space(problem.coarse, problem.fine, problem.A,
-                                    problem.degrees)
-    for bf in space.catalog:
-        if bf.kind == parts[0] and bf.key == key:
-            pts = localbasis.dump_points(bf, problem.fine)
-            rows = ["x,y,value"]
-            rows += [",".join(_fmt(v) for v in row) for row in pts]
-            _emit(rows, out)
-            return 0
-    raise ConfigError(f"selector {selector!r} matches no basis function "
-                      "in this configuration")
+    globalsolve.check_degrees(problem.fine, problem.degrees)
+    stacks: list[np.ndarray] = []
+    table = localbasis.compute_all(problem.coarse, problem.fine, problem.A,
+                                   problem.degrees, stacks=stacks,
+                                   support_of=select)
+    dof = table.find(*select)
+    if dof < 0:
+        raise ConfigError(f"selector {selector!r} matches no basis function "
+                          "in this configuration")
+    pts = localbasis.dump_points(table, stacks, dof, problem.fine)
+    rows = ["x,y,value"] + [",".join(_fmt(v) for v in row) for row in pts]
+    _emit(rows, out)
+    return 0
 
 
 def cmd_selftest() -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import finefem, globalsolve, localbasis
-from .mesh import FineMesh
+from .mesh import DegreeAssignment, FineMesh
 
 
 @dataclass
@@ -78,19 +78,22 @@ def bubble_reference(fine: FineMesh, A: finefem.CoefficientField,
     cuts that system into independent element blocks, so it is the
     zero-trace solve with load f on every element patch, glued into one
     global field.  Those are the load rows of the offline block sweep
-    (localbasis.load_solves) run alone, so the field is bitwise the one
-    globalsolve.build_space keeps for the same load."""
-    return finefem.FineFunction(
-        finefem.global_geometry(fine),
-        localbasis.load_solves(fine.coarse, fine, A, f))
+    (localbasis.compute_all with the load and no DOFs) run alone, so the
+    field is bitwise the one globalsolve.build_space keeps for the same
+    load."""
+    glued: list[np.ndarray] = []
+    localbasis.compute_all(fine.coarse, fine, A,
+                           DegreeAssignment.uniform(fine.coarse, 1, 0),
+                           which="bubble", f=f, reference=glued)
+    return finefem.FineFunction(finefem.global_geometry(fine), glued[0])
 
 
 def interface_error_map(u_H: globalsolve.CoarseSolution,
                         u_ref: finefem.FineFunction,
                         u_B_ref: finefem.FineFunction
-                        ) -> tuple[dict[int, float], float]:
-    """Per-edge localized relative interface error and the global absolute
-    interface error.
+                        ) -> tuple[np.ndarray, float]:
+    """Per-edge localized relative interface error over the interior edges
+    (in interior_edge_ids order) and the global absolute interface error.
 
     Element error energies are split evenly among the element's interior
     edges; the relative map divides by the interface reference energy norm.
@@ -121,8 +124,7 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
     acc = np.zeros(len(edges))
     for K in coarse.edge_element_ids[edges].T:
         acc += err2[K] / count[K]
-    edge_map = dict(zip(edges.tolist(), np.sqrt(acc / denom2).tolist()))
-    return edge_map, float(np.sqrt(err2.sum()))
+    return np.sqrt(acc / denom2), float(np.sqrt(err2.sum()))
 
 
 def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,

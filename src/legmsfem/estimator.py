@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import finefem, globalsolve, polybasis
+from . import finefem, globalsolve, localbasis, polybasis
 from .mesh import CoarseMesh, DegreeAssignment, FineMesh
 
 
@@ -35,23 +35,26 @@ class EstimatorReport:
     """Global estimator value with its per-element and per-edge pieces.
 
     bubble_terms/element_terms/jump_terms are the squared summands of the
-    three sums; element_residuals and jump_norms are the raw norms.
-    localized (set by localize) holds per-edge values whose squares sum
-    back to value_gamma^2, leftover_element_terms any unattributable
-    element shares (elements without interior edges).
+    three sums; element_residuals and jump_norms are the raw norms.  The
+    element arrays are indexed by element id, the edge arrays (jump_norms,
+    jump_terms, p_table) by edge id, zero on boundary edges.  localized
+    (set by localize) holds the per-edge values over the interior edges
+    whose squares sum back to value_gamma^2, leftover_element_terms the
+    unattributable element shares (nonzero only on elements without
+    interior edges).
     """
 
     value: float
     value_gamma: float | None
     eta: float
-    element_residuals: dict[int, float]
-    bubble_terms: dict[int, float]
-    element_terms: dict[int, float]
-    jump_norms: dict[int, float]
-    jump_terms: dict[int, float]
-    p_table: dict[int, int]
-    localized: dict[int, float] | None = None
-    leftover_element_terms: dict[int, float] | None = None
+    element_residuals: np.ndarray
+    bubble_terms: np.ndarray
+    element_terms: np.ndarray
+    jump_norms: np.ndarray
+    jump_terms: np.ndarray
+    p_table: np.ndarray
+    localized: np.ndarray | None = None
+    leftover_element_terms: np.ndarray | None = None
 
 
 def _p_values(coarse: CoarseMesh, edge_ids, degrees: DegreeAssignment
@@ -60,21 +63,9 @@ def _p_values(coarse: CoarseMesh, edge_ids, degrees: DegreeAssignment
     degrees over the interior sides of the edge's two elements, by
     min-reductions over the side tables."""
     sides = coarse.element_edge_ids[coarse.edge_element_ids[edge_ids]]
-    used = np.zeros(len(coarse.edges), dtype=bool)
-    used[sides] = True
-    used = np.flatnonzero(used & (coarse.edge_element_ids[:, 1] >= 0))
-    N = np.full(len(coarse.edges), np.iinfo(int).max)
-    N[used] = [degrees.N[g] for g in used.tolist()]
+    N = np.where(coarse.edge_element_ids[:, 1] >= 0, degrees.N,
+                 np.iinfo(int).max)
     return N[sides].min(axis=(-2, -1))
-
-
-def compute_p_e(coarse: CoarseMesh, edge_id: int,
-                degrees: DegreeAssignment) -> int:
-    """Minimum edge degree over all interior edges of the two elements
-    sharing the edge."""
-    if coarse.edges[edge_id].boundary:
-        raise ValueError(f"edge {edge_id} is a boundary edge")
-    return int(_p_values(coarse, [edge_id], degrees)[0])
 
 
 def jump_norm(fine: FineMesh, edge_id: int, v: finefem.FineFunction,
@@ -163,19 +154,21 @@ def _bubble_residuals(u_H: globalsolve.CoarseSolution, fv: np.ndarray,
     member of the group shares, and the squares are summed per element."""
     coarse, fine = u_H.space.coarse, u_H.space.fine
     areas = finefem.global_geometry(fine).areas
+    dofs = u_H.space.dofs
+    bubble = dofs.kind == localbasis.BUBBLE
+    K, i = dofs.key[bubble].T
     resid = np.zeros(len(M))
     for m in sorted(set(M[M >= 1].tolist())):
         basis = polybasis.BulkPolyBasis(coarse.kind, m)
+        # The bubble coefficients of the elements of degree m, by (K, i).
+        C = np.zeros((len(M), basis.dim))
+        at = M[K] == m
+        C[K[at], i[at] - 1] = u_H.coeffs[bubble][at]
         for group in finefem.patch_groups(fine, np.flatnonzero(M == m)):
             t = group.template
             P = basis.eval_ref(coarse.elements[group.elements[0]].to_ref(
                 t.centroids))
-            C = np.zeros((len(group.elements), basis.dim))
-            for e, K in enumerate(group.elements.tolist()):
-                c = u_H.bubble_coeffs(K)
-                if len(c):
-                    C[e] = c
-            r = fv[group.tri_ids] - C @ P.T
+            r = fv[group.tri_ids] - C[group.elements] @ P.T
             resid[group.elements] = np.sqrt(
                 np.einsum("et,et->e", areas[group.tri_ids], r * r))
     return resid
@@ -200,7 +193,7 @@ def global_estimate(u_H: globalsolve.CoarseSolution,
     if degrees is None:
         degrees = space.degrees
     n = len(coarse.elements)
-    M = np.array([degrees.M[K] for K in range(n)])
+    M = degrees.M
     if isinstance(ell, dict):
         ell_K = np.array([ell.get(K, 0) for K in range(n)])
     else:
@@ -228,8 +221,7 @@ def global_estimate(u_H: globalsolve.CoarseSolution,
     # Element terms: f_l2^2 times the sum over the element's interior sides
     # of H_e H_K / (N_e^(1-2 eta) p_e), side by side.
     denom = np.full(len(coarse.edges), np.inf)  # no term on the boundary
-    denom[edges] = np.array([degrees.N[e] for e in edges.tolist()],
-                            dtype=float) ** (1.0 - 2.0 * eta) * p
+    denom[edges] = degrees.N[edges].astype(float) ** (1.0 - 2.0 * eta) * p
     s = np.zeros(n)
     for side in coarse.element_edge_ids.T:
         s += coarse.edge_lengths[side] * H / denom[side]
@@ -242,25 +234,26 @@ def global_estimate(u_H: globalsolve.CoarseSolution,
                                               jump_terms))
     value = float(np.sqrt(S1 + S2 + S3))
     value_gamma = float(np.sqrt(S2 + S3)) if space.n_bubble == 0 else None
-    # One set of key objects for all the dicts of a kind.
-    elements, edges = list(range(n)), edges.tolist()
-    per_element = lambda a: dict(zip(elements, a.tolist()))
-    per_edge = lambda a: dict(zip(edges, a.tolist()))
-    return EstimatorReport(value, value_gamma, eta, per_element(residuals),
-                           per_element(bubble_terms),
-                           per_element(element_terms), per_edge(J),
-                           per_edge(jump_terms), per_edge(p))
+
+    def per_edge(a):
+        out = np.zeros(len(coarse.edges), dtype=a.dtype)
+        out[edges] = a
+        return out
+
+    return EstimatorReport(value, value_gamma, eta, residuals, bubble_terms,
+                           element_terms, per_edge(J), per_edge(jump_terms),
+                           per_edge(p))
 
 
-def localize(report: EstimatorReport, coarse: CoarseMesh) -> dict[int, float]:
-    """Per-edge split of the interface estimator: each element term shared
-    evenly among the element's interior edges, jump terms kept in place.
-    Squares sum back to value_gamma^2 exactly (up to roundoff)."""
+def localize(report: EstimatorReport, coarse: CoarseMesh) -> np.ndarray:
+    """Per-edge split of the interface estimator over the interior edges:
+    each element term shared evenly among the element's interior edges,
+    jump terms kept in place.  Squares sum back to value_gamma^2 exactly
+    (up to roundoff)."""
     if report.value_gamma is None:
         raise ValueError("localization applies to the bubble-free "
                          "interface estimator only")
-    terms = np.array([report.element_terms[K]
-                      for K in range(len(coarse.elements))])
+    terms = report.element_terms
     sides = coarse.element_edge_ids
     interior = coarse.edge_element_ids[sides, 1] >= 0
     count = interior.sum(axis=1)
@@ -268,32 +261,23 @@ def localize(report: EstimatorReport, coarse: CoarseMesh) -> dict[int, float]:
     share = terms / np.maximum(count, 1)
     shares = np.bincount(sides[interior], np.broadcast_to(
         share[:, None], sides.shape)[interior], len(coarse.edges))
-    left = np.flatnonzero((count == 0) & (terms != 0))
-    leftover = dict(zip(left.tolist(), terms[left].tolist()))
-    edges = sorted(report.jump_terms)
-    localized = dict(zip(edges, np.sqrt(
-        [report.jump_terms[e] for e in edges] + shares[edges]).tolist()))
-    report.localized = localized
-    report.leftover_element_terms = leftover
-    return localized
+    edges = coarse.interior_edge_ids
+    report.localized = np.sqrt(report.jump_terms[edges] + shares[edges])
+    report.leftover_element_terms = np.where(count == 0, terms, 0.0)
+    return report.localized
 
 
-def effectivity_map(est_map: dict[int, float], err_map: dict[int, float]
-                    ) -> tuple[dict[int, float], list[int]]:
-    """Per-edge ratio of actual localized error to localized estimator.
+def effectivity_map(est_map: np.ndarray, err_map: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge ratio of actual localized error to localized estimator,
+    both over the same edges.
 
-    Returns the ratios and the list of edges where the estimator vanishes
+    Returns the ratios and the positions where the estimator vanishes
     under a nonzero error (ratio set to inf)."""
-    if set(est_map) != set(err_map):
+    est, err = np.asarray(est_map), np.asarray(err_map)
+    if est.shape != err.shape:
         raise ValueError("estimator and error maps cover different edges")
-    ratios: dict[int, float] = {}
-    flagged: list[int] = []
-    for e in sorted(est_map):
-        est, err = est_map[e], err_map[e]
-        if est == 0.0:
-            ratios[e] = 0.0 if err == 0.0 else float("inf")
-            if err != 0.0:
-                flagged.append(e)
-        else:
-            ratios[e] = err / est
-    return ratios, flagged
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(est == 0.0, np.where(err == 0.0, 0.0, np.inf),
+                          err / est)
+    return ratios, np.flatnonzero((est == 0.0) & (err != 0.0))

@@ -10,15 +10,15 @@ element Gram blocks of a whole chunk of same-shape patches at once
 kept as those blocks and applied element by element.
 
 Assembly and reconstruction see the basis fields of each patch shape as
-an (elements, DOFs) table of rows of the offline field stacks
-(localbasis.FieldStack), built once per space; they index those stacks
-and never copy the catalog.  A reconstruction is then a few array passes
-per shape and one scatter into the global field.
+an (elements, DOFs) table of rows of the offline field stacks, built once
+per space from its DOF table (localbasis.DofTable); they index those
+stacks in place.  A reconstruction is then a few array passes per shape
+and one scatter into the global field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,74 +29,56 @@ from .mesh import CoarseMesh, DegreeAssignment, FineMesh
 
 @dataclass
 class EnrichedSpace:
-    """Enrichment catalog with its degree bookkeeping.
+    """The DOF table of an enriched space with its degrees.
 
-    Catalog order is the DOF order: interface functions first (nodal by
-    vertex, then edge by (edge, k)), bubbles after (by element, then index).
-    stacks are the offline field stacks the catalog's values are views of,
-    with each row's owner at its catalog position.  A space built for a
-    load f keeps it with its bubble reference, the zero-trace solves with
-    load f glued over the mesh (errors.evaluate scores the interface error
-    against it).
+    DOF order is that of localbasis.DofTable: interface functions first
+    (nodal by vertex, then edge by (edge, k)), bubbles after (by element,
+    then index).  stacks are the offline field stacks the table's rows
+    index.  A space built for a load f keeps it with its bubble reference,
+    the zero-trace solves with load f glued over the mesh (errors.evaluate
+    scores the interface error against it).
     """
 
     coarse: CoarseMesh
     fine: FineMesh
     A: finefem.CoefficientField
     degrees: DegreeAssignment
-    catalog: list[localbasis.BasisFunction]
-    n_interface: int
-    stacks: list[localbasis.FieldStack]
+    dofs: localbasis.DofTable
+    stacks: list[np.ndarray]
     f: finefem.RhsField | None = None
     bubble_reference: finefem.FineFunction | None = None
-    element_dofs: list[list[int]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        dofs: list[list[int]] = [[] for _ in self.coarse.elements]
-        for p, bf in enumerate(self.catalog):
-            for K in bf.support:
-                dofs[K].append(p)
-        self.element_dofs = dofs
 
     @property
     def n_dofs(self) -> int:
-        return len(self.catalog)
+        return len(self.dofs)
+
+    @property
+    def n_interface(self) -> int:
+        return int(np.count_nonzero(self.dofs.kind != localbasis.BUBBLE))
 
     @property
     def n_bubble(self) -> int:
-        return len(self.catalog) - self.n_interface
+        return self.n_dofs - self.n_interface
 
     @cached_property
     def _fields(self) -> list[tuple[finefem.PatchGroup, _Fields, _Fields]]:
         """(group, interface fields, bubble fields) for each patch shape,
         over the elements that carry DOFs, indexing the field stacks."""
-        stacks = self.stacks
-        # Every (element, DOF) pair with the stack and row of its field,
-        # sorted by element, then DOF: the order of element_dofs.
-        cols: list[list[np.ndarray]] = [[], [], [], []]
-        for i, st in enumerate(stacks):
-            u = st.owner >= 0
-            for col, a in zip(cols, (st.element[u], st.owner[u],
-                                     np.full(u.sum(), i), np.flatnonzero(u))):
-                col.append(a)
-        K, P, S, R = (np.concatenate(col + [np.zeros(0, dtype=int)])
-                      for col in cols)
-        order = np.lexsort((P, K))
-        K, P, S, R = K[order], P[order], S[order], R[order]
+        t = self.dofs
+        # Every (element, DOF) pair sorted by element, then DOF.
+        order = np.lexsort((t.dof, t.element))
+        K, P = t.element[order], t.dof[order]
+        S, R = t.stack[order], t.row[order]
         n_el = len(self.coarse.elements)
-        count = np.array([len(d) for d in self.element_dofs])
-        if not (np.array_equal(K, np.repeat(np.arange(n_el), count))
-                and np.array_equal(P, [p for d in self.element_dofs
-                                       for p in d])):
-            raise ValueError("field stacks do not match the catalog")
+        count = np.bincount(K, minlength=n_el)
         first = np.cumsum(count) - count
         n_if = np.bincount(K[P < self.n_interface], minlength=n_el)
         out = []
         for group in finefem.patch_groups(self.fine, np.flatnonzero(count)):
             E, n = group.elements, group.template.n_vertices
             out.append((group,
-                        _Fields.of(stacks, S, R, P, first[E], n_if[E], n),
-                        _Fields.of(stacks, S, R, P, first[E] + n_if[E],
+                        _Fields.of(self.stacks, S, R, P, first[E], n_if[E], n),
+                        _Fields.of(self.stacks, S, R, P, first[E] + n_if[E],
                                    count[E] - n_if[E], n)))
         return out
 
@@ -104,16 +86,16 @@ class EnrichedSpace:
 @dataclass(frozen=True)
 class _Fields:
     """The fields of one part of the DOFs on the members of a patch group:
-    dofs (E, d) holds each member's catalog ids in element_dofs order,
-    padded with -1, and field i of member e is row rows[e, i] of stack
-    (row 0 at padding)."""
+    dofs (E, d) holds each member's DOFs in ascending order, padded with
+    -1, and field i of member e is row rows[e, i] of stack (row 0 at
+    padding)."""
 
     dofs: np.ndarray
     stack: np.ndarray
     rows: np.ndarray
 
     @classmethod
-    def of(cls, stacks: list[localbasis.FieldStack], S: np.ndarray,
+    def of(cls, stacks: list[np.ndarray], S: np.ndarray,
            R: np.ndarray, P: np.ndarray, first: np.ndarray,
            count: np.ndarray, n: int) -> _Fields:
         """The fields of pairs first[e] .. first[e] + count[e] - 1 of member
@@ -128,7 +110,7 @@ class _Fields:
         sid = S[j[mask]]
         if sid.min() != sid.max():
             raise ValueError("fields of one patch shape span several stacks")
-        return cls(np.where(mask, P[j], -1), stacks[sid[0]].rows,
+        return cls(np.where(mask, P[j], -1), stacks[sid[0]],
                    np.where(mask, R[j], 0))
 
     def gather(self, sl: slice = slice(None)) -> np.ndarray:
@@ -154,30 +136,28 @@ class UnresolvedDegreeError(ValueError):
 
 
 def check_degrees(fine: FineMesh, degrees: DegreeAssignment) -> None:
-    """Raise ValueError unless every degree is assigned, and
-    UnresolvedDegreeError unless the fine lattice resolves it."""
+    """Raise ValueError unless the degree arrays fit the mesh and their
+    bounds, and UnresolvedDegreeError unless the fine lattice resolves
+    every degree: edge degree N puts N - 1 enrichments on the n_sub - 1
+    interior fine vertices of an edge, and an element's bubbles may not
+    outnumber its interior fine vertices either."""
     degrees.validate(fine.coarse)
-    _check_resolved(fine, degrees)
-
-
-def _check_resolved(fine: FineMesh, degrees: DegreeAssignment) -> None:
-    """Edge degree N puts N - 1 enrichments on the n_sub - 1 interior fine
-    vertices of an edge; an element's bubbles may not outnumber its
-    interior fine vertices either."""
-    for e, n in sorted(degrees.N.items()):
-        if n > fine.n_sub:
-            raise UnresolvedDegreeError(
-                f"edge {e}: degree N={n} exceeds n_sub={fine.n_sub}")
-    dims = {m: polybasis.BulkPolyBasis(fine.coarse.kind, m).dim
-            for m in set(degrees.M.values()) if m}
-    for K, m in sorted(degrees.M.items()):
-        if not m:
-            continue
+    inner = fine.coarse.interior_edge_ids
+    N = degrees.N[inner]
+    if (N > fine.n_sub).any():
+        e = int(np.argmax(N > fine.n_sub))
+        raise UnresolvedDegreeError(
+            f"edge {inner[e]}: degree N={N[e]} exceeds n_sub={fine.n_sub}")
+    M = degrees.M
+    dims = np.zeros(M.max(initial=0) + 1, dtype=int)
+    for m in set(M[M > 0].tolist()):
+        dims[m] = polybasis.BulkPolyBasis(fine.coarse.kind, m).dim
+    for K in np.flatnonzero(M).tolist():
         free = (len(fine.element_vertex_ids(K))
                 - len(fine.element_boundary_vertex_ids(K)))
-        if dims[m] > free:
+        if dims[M[K]] > free:
             raise UnresolvedDegreeError(
-                f"element {K}: bubble degree M={m} needs more than its "
+                f"element {K}: bubble degree M={M[K]} needs more than its "
                 f"{free} interior fine vertices")
 
 
@@ -185,9 +165,9 @@ def expected_dof_count(coarse: CoarseMesh, degrees: DegreeAssignment,
                        bulk_dim) -> tuple[int, int]:
     """(interface, bubble) DOF counts implied by the degree assignment."""
     n_if = len(coarse.interior_vertex_ids)
-    n_if += sum(degrees.N[int(e)] - 1 for e in coarse.interior_edge_ids)
-    n_b = sum(bulk_dim(degrees.M[el.id]) for el in coarse.elements
-              if degrees.M[el.id] >= 1)
+    n_if += int((degrees.N[coarse.interior_edge_ids] - 1).sum())
+    M = degrees.M
+    n_b = sum(bulk_dim(m) * int((M == m).sum()) for m in set(M[M > 0].tolist()))
     return n_if, n_b
 
 
@@ -195,7 +175,7 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
                 degrees: DegreeAssignment,
                 interface_from: EnrichedSpace | None = None,
                 f: finefem.RhsField | None = None) -> EnrichedSpace:
-    """Run the offline solves and assemble the catalog.
+    """Run the offline solves and build the DOF table.
 
     interface_from reuses the interface part of an existing space built on
     the same meshes and the same coefficient object with edgewise degrees at
@@ -209,40 +189,42 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     """
     check_degrees(fine, degrees)
     reference: list[np.ndarray] = []
+    stacks: list[np.ndarray] = []
     if interface_from is None:
-        stacks: list[localbasis.FieldStack] = []
-        catalog = localbasis.compute_all(coarse, fine, A, degrees,
-                                         stacks=stacks, f=f,
-                                         reference=reference)
-        n_if = sum(1 for bf in catalog if bf.kind != "bubble")
-        return EnrichedSpace(coarse, fine, A, degrees, catalog, n_if, stacks,
-                             f, _reference(fine, reference))
-    if interface_from.coarse is not coarse or interface_from.fine is not fine:
+        dofs = localbasis.compute_all(coarse, fine, A, degrees, stacks=stacks,
+                                      f=f, reference=reference)
+        return EnrichedSpace(coarse, fine, A, degrees, dofs, stacks, f,
+                             _reference(fine, reference))
+    donor = interface_from
+    if donor.coarse is not coarse or donor.fine is not fine:
         raise ValueError("interface reuse requires the same mesh pair")
-    if interface_from.A is not A:
+    if donor.A is not A:
         raise ValueError("interface reuse requires the same coefficient")
-    kept = [q for q, bf in enumerate(
-        interface_from.catalog[:interface_from.n_interface])
-        if not (bf.kind == "edge" and bf.key[1] > degrees.N[bf.key[0]])]
-    keep = [interface_from.catalog[q] for q in kept]
+    # The donor's interface DOFs that the degrees still ask for, in order.
+    d = donor.dofs
+    keep = d.kind != localbasis.BUBBLE
+    edge = d.kind == localbasis.EDGE
+    keep[edge] = d.key[edge, 1] <= degrees.N[d.key[edge, 0]]
     n_if, _ = expected_dof_count(coarse, degrees, lambda M: 0)
-    if len(keep) != n_if:
+    if np.count_nonzero(keep) != n_if:
         raise ValueError("donor space is missing requested edge degrees")
-    inherited = f is not None and interface_from.f is f
-    solved: list[localbasis.FieldStack] = []
+    inherited = f is not None and donor.f is f
     bubbles = localbasis.compute_all(coarse, fine, A, degrees, which="bubble",
-                                     stacks=solved,
+                                     stacks=stacks,
                                      f=None if inherited else f,
                                      reference=reference)
-    # Donor positions move to those of the kept functions, or drop.
-    position = np.full(interface_from.n_dofs, -1)
-    position[kept] = np.arange(n_if)
-    stacks = ([st.renumbered(position) for st in interface_from.stacks]
-              + [st.renumbered(np.arange(len(bubbles)) + n_if)
-                 for st in solved])
-    return EnrichedSpace(coarse, fine, A, degrees, keep + bubbles, n_if,
-                         stacks, f,
-                         interface_from.bubble_reference if inherited
+    position = np.cumsum(keep) - 1
+    pair = keep[d.dof]
+    dofs = localbasis.DofTable(
+        np.concatenate([d.kind[keep], bubbles.kind]),
+        np.concatenate([d.key[keep], bubbles.key]),
+        np.concatenate([d.element[pair], bubbles.element]),
+        np.concatenate([position[d.dof[pair]], bubbles.dof + n_if]),
+        np.concatenate([d.stack[pair], bubbles.stack + len(donor.stacks)]),
+        np.concatenate([d.row[pair], bubbles.row]))
+    return EnrichedSpace(coarse, fine, A, degrees, dofs,
+                         donor.stacks + stacks, f,
+                         donor.bubble_reference if inherited
                          else _reference(fine, reference))
 
 
@@ -362,7 +344,7 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
 
 @dataclass
 class CoarseSolution:
-    """Coefficients of the discrete solution in catalog order."""
+    """Coefficients of the discrete solution in DOF order."""
 
     space: EnrichedSpace
     f: finefem.RhsField | None
@@ -371,9 +353,9 @@ class CoarseSolution:
 
     def bubble_coeffs(self, elem_id: int) -> np.ndarray:
         """Bubble coefficients of one element, in bulk basis order."""
-        ids = [p for p in self.space.element_dofs[elem_id]
-               if p >= self.space.n_interface]
-        return self.coeffs[ids]
+        t = self.space.dofs
+        return self.coeffs[(t.kind == localbasis.BUBBLE)
+                           & (t.key[:, 0] == elem_id)]
 
 
 def solve_coarse(systems: CoarseSystems, rel_tol: float = 1e-12
@@ -399,7 +381,7 @@ def reconstruct(solution: CoarseSolution, which: str = "total"
 
     For each patch shape, every member element sums coefficient times
     field over its DOFs of the part, DOF slot by DOF slot for all members
-    at once, in element_dofs order; the fields are read from the offline
+    at once, in ascending DOF order; the fields are read from the offline
     stacks in place.  The sums are then scattered into the global field.
     Bitwise the same as a loop over the elements and their DOFs."""
     if which == "total":

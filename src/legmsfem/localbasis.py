@@ -1,8 +1,11 @@
 """Offline enrichment basis: coefficient-adapted nodal functions, edge
 enrichments with internal Legendre traces, and per-element bubbles.
 
-Every basis function is a collection of fine nodal fields, one per support
-element, living on the shared fine mesh restricted to that element.  The
+Every DOF is fixed by its kind and key (a vertex, an (edge, k) or an
+(element, i)) and has one fine nodal field per support element, on the
+shared fine mesh restricted to that element.  DofTable lists the DOFs as
+int arrays and points each (element, DOF) pair at a row of a field stack,
+the only store of the fields; no Python object is built per DOF.  The
 offline work is grouped by patch shape: every trace and every bubble load
 on a patch becomes a row of its right-hand side, the patches of one shape
 are lattice translates of one template (finefem.patch_groups checks it),
@@ -37,37 +40,47 @@ from . import finefem, polybasis
 from .mesh import CoarseMesh, DegreeAssignment, FineMesh
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """One enrichment function as per-element fine nodal fields.
-
-    kind/key: ("nodal", (vertex,)), ("edge", (edge_id, k)) or
-    ("bubble", (elem_id, i)) with i starting at 1.
-    """
-
-    kind: str
-    key: tuple
-    support: tuple[int, ...]
-    values: dict[int, np.ndarray]
-    trace: str
+NODAL, EDGE, BUBBLE = 0, 1, 2  # the kind codes of DofTable
 
 
 @dataclass(frozen=True)
-class FieldStack:
-    """The fields of one batched offline solve (one patch group): row i of
-    rows is the field on element[i] of the catalog entry at position
-    owner[i], -1 for a row no entry uses.  Catalog values are views of
-    these rows, so batched consumers index rows instead of copying."""
+class DofTable:
+    """The DOFs of an enriched space and the field stack rows that hold
+    their fields: the one description of a space's basis.
 
-    rows: np.ndarray
+    DOF d is of kind[d] with key[d] = (vertex, 0) for NODAL, (edge, k) with
+    2 <= k <= N_e for EDGE, or (element, i) with i from 1 for BUBBLE; the
+    nodal functions come first by vertex, then the edge enrichments by
+    (edge, k), then the bubbles by (element, i).  Pair j puts DOF dof[j] on
+    element element[j], where its field is row row[j] of field stack
+    stack[j], over the element patch's fine vertices in ascending order.
+    The pairs come in no particular order."""
+
+    kind: np.ndarray
+    key: np.ndarray
     element: np.ndarray
-    owner: np.ndarray
+    dof: np.ndarray
+    stack: np.ndarray
+    row: np.ndarray
 
-    def renumbered(self, position: np.ndarray) -> FieldStack:
-        """The stack with each owner p moved to position[p] (-1 drops
-        it)."""
-        return FieldStack(self.rows, self.element, np.where(
-            self.owner >= 0, position[self.owner], -1))
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def find(self, kind: int, i: int, k: int) -> int:
+        """The DOF of kind with key (i, k), -1 if there is none."""
+        return _find(self.kind, self.key, (kind, i, k))
+
+
+def _find(kinds: np.ndarray, keys: np.ndarray, select: tuple) -> int:
+    hit = np.flatnonzero((kinds == select[0]) & (keys == select[1:]).all(1))
+    return int(hit[0]) if len(hit) else -1
+
+
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(run, rank) of the items of consecutive runs of the given lengths:
+    the run of each item and its position within the run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -98,8 +111,8 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 
 def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
                     sides: np.ndarray) -> np.ndarray:
-    """Template-local indices of each edge chain, in element_edges order
-    (sides holds each member's edge ids), shape (sides, n_sub + 1).
+    """Template-local indices of each edge chain, in element_edge_ids
+    order (sides holds each member's edge ids), shape (sides, n_sub + 1).
 
     The chains must cover exactly the template boundary, so every row built
     from them is complete Dirichlet data, and every member's chains must be
@@ -120,40 +133,37 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
 
 
 def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
-                group: finefem.PatchGroup, requests: dict, n_tr: int
+                group: finefem.PatchGroup, codes: np.ndarray, stride: int
                 ) -> np.ndarray:
-    """Dirichlet rows of every member, (elements, n_tr, n): the hat at each
-    requested vertex, then eta_k on each requested (edge, k), zero rows
-    after.  The rows are gathered from one table on the template, written
-    edge by edge in element_edges order (corner values agree)."""
-    sides = np.array([coarse.element_edges[K] for K in group.elements])
+    """Dirichlet rows of every member, (elements, rows, n), one for each of
+    its trace codes (elements, rows), a zero row for -1.  Code c below the
+    corner count is the hat at corner c of the element, code
+    corners + j * stride + k - 2 is eta_k on its side j.  The rows are
+    gathered from one table on the template, written edge by edge in
+    element_edge_ids order (corner values agree)."""
+    sides = coarse.element_edge_ids[group.elements]
     pos = _edge_positions(fine, group, sides)
-    k_max = max([k for K in group.elements for _, k in requests[K][1]],
-                default=1)
     corner_ids = _sorted_unique(pos[:, [0, -1]])
     # The hat row of the start and of the end of each side's chain.
     hat_row = np.searchsorted(corner_ids, pos[:, [0, -1]])
-    n_hat, n_eta = len(corner_ids), len(pos) * (k_max - 1)
-    table = np.zeros((n_hat + n_eta + 1, group.template.n_vertices))
+    n_hat = len(corner_ids)
+    table = np.zeros((n_hat + len(pos) * stride + 1,
+                      group.template.n_vertices))
     t = _edge_parameters(fine.n_sub)
     for j, loc in enumerate(pos):
         table[hat_row[j, 0], loc] = 1.0 - t
         table[hat_row[j, 1], loc] = t
-        for k in range(2, k_max + 1):
-            table[n_hat + j * (k_max - 1) + k - 2, loc] = _eta_trace(
-                fine.n_sub, k)
-    index = []
-    hat_row = hat_row.ravel().tolist()
-    side_ends = coarse.edge_ends[sides].reshape(len(sides), -1).tolist()
-    for K, ends in zip(group.elements.tolist(), side_ends):
-        hats, etas = requests[K][:2]
-        corner = dict(zip(ends, hat_row))
-        side = {eid: j for j, eid in enumerate(coarse.element_edges[K])}
-        index.append([corner[v] for v in hats]
-                     + [n_hat + side[eid] * (k_max - 1) + k - 2
-                        for eid, k in etas]
-                     + [len(table) - 1] * (n_tr - len(hats) - len(etas)))
-    return table[np.array(index)]
+        for k in range(2, stride + 2):
+            table[n_hat + j * stride + k - 2, loc] = _eta_trace(fine.n_sub, k)
+    # The table row of each code of each member, the zero row last; a
+    # corner is the start or the end of one of the member's sides.
+    ends = coarse.edge_ends[sides].reshape(len(sides), 1, -1)
+    at_corner = coarse.element_vertices[group.elements][..., None] == ends
+    row = np.concatenate([
+        hat_row.ravel()[np.argmax(at_corner, axis=-1)],
+        np.broadcast_to(n_hat + np.arange(len(pos) * stride + 1),
+                        (len(sides), len(pos) * stride + 1))], axis=1)
+    return table[np.take_along_axis(row, codes, axis=1)]
 
 
 def _trace_loads(Kt: np.ndarray, X: np.ndarray, tris: np.ndarray
@@ -190,31 +200,29 @@ def _scatter_rows(W: np.ndarray, tris: np.ndarray, n: int) -> np.ndarray:
                        minlength=n_el * rows * n).reshape(n_el, rows, n)
 
 
-def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup, reqs: list,
-                  n_b: int, f: finefem.RhsField | None) -> np.ndarray:
+def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
+                  M: np.ndarray, bases: dict, n_b: int,
+                  f: finefem.RhsField | None) -> np.ndarray:
     """The P1 loads of the members of sub by the centroid rule, as the
     share area * value / 3 of each triangle, (nt, n_b + (f given),
-    elements): the bulk polynomials of each member's bubbles (zero rows
-    after), then f.  The polynomials are evaluated once for all members
-    with the same basis and bubbles, at reference points stacked from the
-    coarse mesh's affine maps."""
+    elements): the bulk polynomials P_1..P_dim of each member's bulk degree
+    M (the basis bases[M], none for 0; zero rows after), then f.  The
+    polynomials are evaluated once for all members of one degree, at
+    reference points stacked from the coarse mesh's affine maps."""
     glob = finefem.global_geometry(sub.fine)
     ids = sub.tri_ids
     areas = glob.areas[ids]
     out = np.zeros((ids.shape[1], n_b + (f is not None), len(ids)))
-    alike: dict[tuple, list[int]] = {}
-    for e, (_, _, basis, bubbles) in enumerate(reqs):
-        if bubbles:
-            alike.setdefault((basis, tuple(bubbles)), []).append(e)
-    for (basis, bubbles), es in alike.items():
+    for m in _sorted_unique(M[M > 0]).tolist():
+        es = np.flatnonzero(M == m)
+        basis = bases[m]
         K = sub.elements[es]
         ref = np.matmul(glob.centroids[ids[es]] - coarse.offsets[K][:, None],
                         coarse.Binv[K].transpose(0, 2, 1))
         P = basis.eval_ref(ref.reshape(-1, 2)).reshape(len(es), -1,
                                                        basis.dim)
-        P = P[..., [i - 1 for i in bubbles]]
-        out[:, :len(bubbles), es] = (areas[es][..., None] * P
-                                     / 3.0).transpose(1, 2, 0)
+        out[:, :basis.dim, es] = (areas[es][..., None] * P
+                                  / 3.0).transpose(1, 2, 0)
     if f is not None:
         pts = glob.centroids[ids.ravel()]
         fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
@@ -224,33 +232,32 @@ def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup, reqs: list,
 
 def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, group: finefem.PatchGroup,
-                  requests: dict, f: finefem.RhsField | None = None
-                  ) -> tuple[FieldStack, int, np.ndarray | None]:
+                  codes: np.ndarray, stride: int, M: np.ndarray,
+                  bases: dict, f: finefem.RhsField | None = None
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """All requested fields on the patches of one group, batched: their
-    stack (owners unset), the row of the first bubble of a member within
-    its block of rows and, given the load f, the zero-trace solve with
-    load f on every member, (elements, n), else None.
+    stack, a block of rows per member, and, given the load f, the
+    zero-trace solve with load f on every member, (elements, n), else None.
 
-    requests[K] = (hats, etas, basis, bubbles): the hat at each vertex of
-    hats, eta_k on each (edge, k) of etas (zero on the rest of the
-    boundary), then the zero-trace solve with load P_i of basis for each i
-    of bubbles.  Members with fewer rows are padded with zero rows.  Every
-    chunk of members is solved by one block sweep over the template's
-    lattice rows, the load f riding along as one more row that is kept
-    out of the stack, and each row comes out the same whatever other rows
-    and members are solved with it.
+    Member e asks for the trace of each of its codes codes[e] (see
+    _trace_rows; -1 for a zero row), zero on the rest of the boundary, then
+    for the zero-trace solve with load P_i for each P_i of its bulk basis
+    bases[M[e]] (none for M[e] = 0).  Members with fewer bubbles are padded
+    with zero rows.  Every chunk of members is solved by one block sweep
+    over the template's lattice rows, the load f riding along as one more
+    row that is kept out of the stack, and each row comes out the same
+    whatever other rows and members are solved with it.
     """
     t = group.template
     n, tris = t.n_vertices, t.tris
-    reqs = [requests[K] for K in group.elements]
-    n_tr = max(len(h) + len(e) for h, e, _, _ in reqs)
-    n_b = max(len(b) for *_, b in reqs)
+    n_tr = codes.shape[1]
+    n_b = max([b.dim for m, b in bases.items() if (M == m).any()], default=0)
     m = n_tr + n_b
     m_all = m + (f is not None)
     X = np.zeros((len(group.elements), m, n))
     L = None if f is None else np.zeros((len(group.elements), n))
     if n_tr:
-        X[:, :n_tr] = _trace_rows(coarse, fine, group, requests, n_tr)
+        X[:, :n_tr] = _trace_rows(coarse, fine, group, codes, stride)
     is_free = np.ones(n, dtype=bool)
     is_free[t.boundary_local] = False
     free = np.flatnonzero(is_free)
@@ -267,7 +274,7 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                     finefem._stiffness(grads[:, edge], AW[:, edge]),
                     Xc[:, :n_tr], tris[edge])[..., free]
             if m_all > n_tr:
-                w = _load_weights(coarse, sub, reqs[sl], n_b, f)
+                w = _load_weights(coarse, sub, M[sl], bases, n_b, f)
                 R[:, n_tr:] = _scatter_rows(
                     np.broadcast_to(w[:, None], (len(tris), 3) + w.shape[1:]),
                     tris, n)[..., free]
@@ -276,30 +283,34 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
             Xc[..., free] = Y[:, :m]
             if L is not None:
                 L[sl, free] = Y[:, m]
-    return FieldStack(X.reshape(-1, n), np.repeat(group.elements, m),
-                      np.full(len(group.elements) * m, -1)), n_tr, L
+    return X.reshape(-1, n), L
 
 
 def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
-                  A: finefem.CoefficientField, requests: dict,
-                  f: finefem.RhsField | None = None
-                  ) -> tuple[list[FieldStack], dict[int, tuple[int, int, int]],
-                             np.ndarray | None]:
-    """The stacks of _group_fields for all requested elements; for each
-    element, (stack, first row, first bubble row): its traces are the rows
-    from the first row on, in request order, its bubbles those from the
+                  A: finefem.CoefficientField, elements: np.ndarray,
+                  codes: np.ndarray, stride: int, M: np.ndarray,
+                  bases: dict, f: finefem.RhsField | None = None
+                  ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
+    """The stacks of _group_fields for the given elements, with the
+    requests codes and M of every element of the mesh; for each element,
+    (stack, first row, first bubble row), -1 where it is not solved: its
+    traces are the rows from the first row on, its bubbles those from the
     first bubble row on; and, given the load f (every element must then be
-    requested), the zero-trace solves with load f glued into one global
-    field, else None."""
-    stacks, where = [], {}
+    solved), the zero-trace solves with load f glued into one global
+    field, else None.  The codes of a group are cut to its members'
+    longest list, so no group solves a row that none of them asks for."""
+    stacks = []
+    where = np.full((len(codes), 3), -1)
     glued = None if f is None else np.zeros(fine.n_vertices)
-    for group in finefem.patch_groups(fine, requests):
-        stack, n_tr, loads = _group_fields(coarse, fine, A, group, requests,
-                                           f)
-        m = len(stack.rows) // len(group.elements)
-        for e, K in enumerate(group.elements.tolist()):
-            where[K] = (len(stacks), e * m, e * m + n_tr)
-        stacks.append(stack)
+    for group in finefem.patch_groups(fine, elements):
+        E = group.elements
+        n_tr = int((codes[E] >= 0).sum(axis=1).max(initial=0))
+        rows, loads = _group_fields(coarse, fine, A, group, codes[E, :n_tr],
+                                    stride, M[E], bases, f)
+        where[E, 0] = len(stacks)
+        where[E, 1] = np.arange(len(E)) * (len(rows) // len(E))
+        where[E, 2] = where[E, 1] + n_tr
+        stacks.append(rows)
         if loads is not None:
             # Every member's solve is zero on its boundary, so the shared
             # skeleton vertices get zero whichever member writes last.
@@ -307,166 +318,90 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
     return stacks, where, glued
 
 
-def load_solves(coarse: CoarseMesh, fine: FineMesh,
-                A: finefem.CoefficientField, f: finefem.RhsField
-                ) -> np.ndarray:
-    """The zero-trace solves with load f on every element, glued into one
-    global fine field: the load rows of compute_all alone, so the field is
-    bitwise the one compute_all hands back for f."""
-    requests = {K: ([], [], None, []) for K in range(len(coarse.elements))}
-    return _patch_fields(coarse, fine, A, requests, f)[2]
-
-
-def _first_field(coarse: CoarseMesh, fine: FineMesh,
-                 A: finefem.CoefficientField, requests: dict
-                 ) -> dict[int, np.ndarray]:
-    """The one requested field of each element of requests."""
-    stacks, where, _ = _patch_fields(coarse, fine, A, requests)
-    return {K: stacks[s].rows[b if requests[K][3] else a]
-            for K, (s, a, b) in where.items()}
-
-
-def compute_nodal(vertex: int, coarse: CoarseMesh, fine: FineMesh,
-                  A: finefem.CoefficientField) -> BasisFunction:
-    """Coefficient-adapted nodal function: on each element touching the
-    vertex, the homogeneous solve with the hat trace on the boundary."""
-    if coarse.boundary_vertex_mask[vertex]:
-        raise ValueError(f"vertex {vertex} is on the domain boundary; "
-                         "no basis function is attached there")
-    support = tuple(sorted(coarse.vertex_elements[vertex]))
-    fields = _first_field(coarse, fine, A,
-                          {K: ([vertex], [], None, []) for K in support})
-    values = {K: fields[K] for K in support}
-    return BasisFunction("nodal", (vertex,), support, values,
-                         f"hat at vertex {vertex}")
-
-
-def compute_edge_enrichment(edge_id: int, k: int, coarse: CoarseMesh,
-                            fine: FineMesh, A: finefem.CoefficientField
-                            ) -> BasisFunction:
-    """Edge enrichment: homogeneous solves on the two elements sharing the
-    edge, trace eta_k on the edge and zero elsewhere."""
-    e = coarse.edges[edge_id]
-    if e.boundary:
-        raise ValueError(f"edge {edge_id} is a boundary edge")
-    if k < 2:
-        raise ValueError("edge enrichment degrees start at 2")
-    fields = _first_field(coarse, fine, A, {K: ([], [(edge_id, k)], None, [])
-                                            for K in e.element_ids})
-    values = {K: fields[K] for K in e.element_ids}
-    return BasisFunction("edge", (edge_id, k), tuple(e.element_ids), values,
-                         f"eta_{k} on edge {edge_id}")
-
-
-def compute_bubble(elem_id: int, i: int, coarse: CoarseMesh, fine: FineMesh,
-                   A: finefem.CoefficientField, basis: polybasis.BulkPolyBasis
-                   ) -> BasisFunction:
-    """Bubble enrichment: zero-trace solve on one element with the i-th bulk
-    polynomial (mapped from reference coordinates) as right-hand side."""
-    if basis.M < 1:
-        raise ValueError("bubbles need bulk degree M >= 1")
-    if not 1 <= i <= basis.dim:
-        raise ValueError(f"bubble index {i} outside 1..{basis.dim}")
-    field = _first_field(coarse, fine, A,
-                         {elem_id: ([], [], basis, [i])})[elem_id]
-    return BasisFunction("bubble", (elem_id, i), (elem_id,),
-                         {elem_id: field}, "zero")
-
-
 def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
                 degrees: DegreeAssignment, which: str = "all",
-                stacks: list[FieldStack] | None = None,
+                stacks: list[np.ndarray] | None = None,
                 f: finefem.RhsField | None = None,
-                reference: list[np.ndarray] | None = None
-                ) -> list[BasisFunction]:
-    """Full enrichment catalog in deterministic order: nodal functions by
-    vertex id, edge enrichments by (edge id, k), bubbles by (element id, i).
+                reference: list[np.ndarray] | None = None,
+                support_of: tuple[int, int, int] | None = None) -> DofTable:
+    """The DOF table of the enrichment (see DofTable for its order), with
+    the offline solves of its fields.
 
     which selects "interface", "bubble" or "all" (sweeps reuse the interface
     part across bubble degrees).  Each element patch is solved once, for all
     of its traces and bubble loads together, and the patches of one shape
-    in batches.  A stacks list receives the field stacks that the values
-    are views of, each row's owner set to its catalog position.  Given the
-    load f, every patch also solves the zero-trace problem with load f in
-    the same sweep, and a reference list receives those solves glued into
-    one global fine field, the bubble part of the fine reference solution.
+    in batches.  A stacks list receives the field stacks the table's rows
+    index.  support_of, a (kind, id, k) key, restricts the solves to the
+    elements of that DOF: every DOF stays listed, but only the pairs on
+    those elements are (none if there is no such DOF).  Given the load f,
+    every patch also solves the zero-trace problem with load f in the same
+    sweep, and a reference list receives those solves glued into one
+    global fine field, the bubble part of the fine reference solution.
     """
     degrees.validate(coarse)
-    interface = which in ("all", "interface")
-    bubble = which in ("all", "bubble")
-    bases: dict[int, polybasis.BulkPolyBasis] = {}
-    requests: dict[int, tuple] = {}
-    on_boundary = coarse.boundary_vertex_mask.tolist()
-    for el in coarse.elements:
-        K = el.id
-        hats, etas, bubbles, basis = [], [], [], None
-        if interface:
-            hats = [v for v in el.vertex_ids if not on_boundary[v]]
-            etas = [(eid, k) for eid in coarse.element_edges[K]
-                    if not coarse.edges[eid].boundary
-                    for k in range(2, degrees.N[eid] + 1)]
-        M = degrees.M[K]
-        if bubble and M >= 1:
-            if M not in bases:
-                bases[M] = polybasis.BulkPolyBasis(coarse.kind, M)
-            basis = bases[M]
-            bubbles = list(range(1, basis.dim + 1))
-        if hats or etas or bubbles or f is not None:
-            requests[K] = (hats, etas, basis, bubbles)
-    # Catalog positions: nodal functions by vertex, then edge enrichments
-    # by (edge, k), then bubbles in request order.
-    n_nodal = len(coarse.interior_vertex_ids)
+    ev, sides = coarse.element_vertices, coarse.element_edge_ids
+    n_el = len(ev)
+    verts = np.zeros(0, dtype=int)
+    n_eta = np.zeros(len(coarse.edges), dtype=int)
+    M = degrees.M if which in ("all", "bubble") else np.zeros(n_el, dtype=int)
+    if which in ("all", "interface"):
+        verts, inner = coarse.interior_vertex_ids, coarse.interior_edge_ids
+        n_eta[inner] = degrees.N[inner] - 1
+    bases = {m: polybasis.BulkPolyBasis(coarse.kind, m)
+             for m in _sorted_unique(M[M > 0]).tolist()}
+    n_b = np.zeros(n_el, dtype=int)
+    for m, basis in bases.items():
+        n_b[M == m] = basis.dim
+    # The DOFs: nodal by vertex, eta_k on edge e for k = 2..N_e, then
+    # bubbles i = 1..dim M_K on element K.
+    edge, k = _runs(n_eta)
+    bubble_el, i = _runs(n_b)
+    kinds = np.repeat([NODAL, EDGE, BUBBLE], [len(verts), len(k), len(i)])
+    keys = np.column_stack([np.concatenate([verts, edge, bubble_el]),
+                            np.concatenate([0 * verts, k + 2, i + 1])])
+    # The DOF of each row of each element: first its trace codes (see
+    # _trace_rows), the hats of its interior corners and eta_k on its
+    # sides, moved to the front in code order, then its bubbles.
     nodal_at = np.full(coarse.n_vertices, -1)
-    nodal_at[coarse.interior_vertex_ids] = np.arange(n_nodal)
-    counts = [degrees.N[e] - 1 for e in coarse.interior_edge_ids.tolist()]
-    edge_at = np.zeros(len(coarse.edges), dtype=int)
-    edge_at[coarse.interior_edge_ids] = n_nodal + np.cumsum([0] + counts[:-1])
-    n_if = n_nodal + sum(counts) if interface else 0
-
-    nodal: dict[int, dict] = {}
-    edge: dict[tuple, dict] = {}
-    bubbles_out = []
-    solved, where, glued = _patch_fields(coarse, fine, A, requests, f)
-    # Requests run in element order, so every values dict comes out in
-    # support order.
-    for K, (hats, etas, _, bubbles) in requests.items():
-        s, first, first_bubble = where[K]
-        rows, owner = solved[s].rows, solved[s].owner
-        for r, v in enumerate(hats, first):
-            nodal.setdefault(v, {})[K] = rows[r]
-            owner[r] = nodal_at[v]
-        for r, key in enumerate(etas, first + len(hats)):
-            edge.setdefault(key, {})[K] = rows[r]
-            owner[r] = edge_at[key[0]] + key[1] - 2
-        for r, i in enumerate(bubbles, first_bubble):
-            owner[r] = n_if + len(bubbles_out)
-            bubbles_out.append(BasisFunction("bubble", (K, i), (K,),
-                                             {K: rows[r]}, "zero"))
-
-    catalog = []
-    if interface:
-        for v in map(int, coarse.interior_vertex_ids):
-            catalog.append(BasisFunction(
-                "nodal", (v,), tuple(sorted(coarse.vertex_elements[v])),
-                nodal[v], f"hat at vertex {v}"))
-        for eid in map(int, coarse.interior_edge_ids):
-            support = tuple(coarse.edges[eid].element_ids)
-            for k in range(2, degrees.N[eid] + 1):
-                catalog.append(BasisFunction(
-                    "edge", (eid, k), support, edge[eid, k],
-                    f"eta_{k} on edge {eid}"))
+    nodal_at[verts] = np.arange(len(verts))
+    stride = int(n_eta.max(initial=0))
+    step = np.arange(stride)
+    eta_at = len(verts) + np.cumsum(n_eta) - n_eta
+    dof = np.concatenate([nodal_at[ev], np.where(
+        step < n_eta[sides][..., None], eta_at[sides][..., None] + step,
+        -1).reshape(n_el, -1)], axis=1)
+    codes = np.argsort(dof < 0, axis=1, kind="stable")
+    n_tr = int((dof >= 0).sum(axis=1).max(initial=0))
+    dof = np.take_along_axis(dof, codes[:, :n_tr], axis=1)
+    step = np.arange(n_b.max(initial=0))
+    bubble_at = len(verts) + len(k) + np.cumsum(n_b) - n_b
+    slots = np.concatenate([dof, np.where(
+        step < n_b[:, None], bubble_at[:, None] + step, -1)], axis=1)
+    solve = (slots >= 0).any(axis=1) | (f is not None)
+    if support_of is not None:
+        d = _find(kinds, keys, support_of)
+        solve &= (slots == d).any(axis=1) & (d >= 0)
+    solved, where, glued = _patch_fields(
+        coarse, fine, A, np.flatnonzero(solve),
+        np.where(dof >= 0, codes[:, :n_tr], -1), stride, M, bases, f)
+    K, col = np.nonzero((slots >= 0) & solve[:, None])
     if stacks is not None:
         stacks.extend(solved)
     if reference is not None and glued is not None:
         reference.append(glued)
-    return catalog + bubbles_out
+    return DofTable(kinds, keys, K, slots[K, col], where[K, 0], np.where(
+        col < n_tr, where[K, 1] + col, where[K, 2] + col - n_tr))
 
 
-def dump_points(bf: BasisFunction, fine: FineMesh) -> np.ndarray:
-    """(x, y, value) rows over the support, one row per fine vertex."""
-    rows: dict[int, tuple[float, float, float]] = {}
-    for K in bf.support:
-        geom = finefem.element_geometry(fine, K)
-        for g, p, val in zip(geom.vids, geom.points, bf.values[K]):
-            rows[int(g)] = (float(p[0]), float(p[1]), float(val))
-    return np.array([rows[g] for g in sorted(rows)])
+def dump_points(table: DofTable, stacks: list[np.ndarray], dof: int,
+                fine: FineMesh) -> np.ndarray:
+    """(x, y, value) rows over the support of DOF dof, one row per fine
+    vertex, by vertex id."""
+    values = np.zeros(fine.n_vertices)
+    on = np.zeros(fine.n_vertices, dtype=bool)
+    for j in np.flatnonzero(table.dof == dof).tolist():
+        vids = fine.element_vertex_ids(table.element[j])
+        values[vids] = stacks[table.stack[j]][table.row[j]]
+        on[vids] = True
+    ids = np.flatnonzero(on)
+    return np.column_stack([fine.vertices[ids], values[ids]])

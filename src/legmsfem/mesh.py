@@ -20,7 +20,7 @@ and coarse vertices coincide exactly with their fine counterparts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,14 +147,13 @@ class CoarseMesh:
     def _build_edges(self) -> None:
         """Edges from one stable sort of the sorted vertex pairs of all
         element sides, an np.unique that also groups the sides by edge:
-        edge ids follow (v0, v1) order, element_ids are ascending and
-        element_edges keeps each element's side order.
+        edge ids follow (v0, v1) order and element_ids are ascending.
 
-        Next to the Edge objects and the lists and dicts of the mesh it
-        keeps two plain tables: element_edge_ids (elements, sides), the
-        edge of each side, and edge_element_ids (edges, 2), the elements of
-        each edge in ascending order, -1 in the second column on the
-        boundary."""
+        Next to the Edge objects it keeps two plain tables:
+        element_edge_ids (elements, sides), the edge of each side in the
+        element's side order, and edge_element_ids (edges, 2), the
+        elements of each edge in ascending order, -1 in the second column
+        on the boundary."""
         ev = self.element_vertices
         n_el, n_sides = ev.shape
         a, b = ev, np.roll(ev, -1, axis=1)
@@ -182,23 +181,12 @@ class CoarseMesh:
         for arr in (self.element_edge_ids, self.edge_ends,
                     self.edge_element_ids, self.edge_lengths):
             arr.flags.writeable = False
-        # The lists and dicts below share one int object per edge and per
-        # element, the ids of the Edge and Element objects.
         self.edges: list[Edge] = [
             Edge(i, v0, v1, (e0,) if e1 < 0 else (e0, e1), length)
             for i, (v0, v1), (e0, e1), length in zip(
                 range(len(keys)), self.edge_ends.tolist(),
                 self.edge_element_ids.tolist(), self.edge_lengths.tolist())]
-        edge_ids = [e.id for e in self.edges]
-        element_ids = [el.id for el in self.elements]
-        self.element_edges = [tuple(map(edge_ids.__getitem__, r))
-                              for r in self.element_edge_ids.tolist()]
         self.interior_edge_ids = np.flatnonzero(two)
-        self.vertex_edges = _incidence(
-            self.edge_ends.ravel(), np.repeat(np.arange(len(keys)), 2),
-            edge_ids)
-        self.vertex_elements = _incidence(
-            ev.ravel(), np.repeat(np.arange(n_el), n_sides), element_ids)
 
     @property
     def n_vertices(self) -> int:
@@ -217,21 +205,6 @@ class CoarseMesh:
             lines.append(f"s {ed.id} {ed.v0} {ed.v1} {tag} " +
                          " ".join(map(str, ed.element_ids)))
         return "\n".join(lines)
-
-
-def _incidence(keys: np.ndarray, items: np.ndarray, ids: list[int]
-               ) -> dict[int, list[int]]:
-    """{key: [ids[item] in order]} over the pairs (keys[i], items[i]), keys
-    in order of first appearance: the dict that appending item by item
-    would build."""
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    ends = np.append(starts[1:], len(keys))
-    flat = list(map(ids.__getitem__, items[order].tolist()))
-    # A stable sort puts each key's first appearance first in its run.
-    runs = [(int(keys[order[a]]), a, b)
-            for a, b in zip(starts.tolist(), ends.tolist())]
-    return {k: flat[a:b] for k, a, b in sorted(runs, key=lambda r: order[r[1]])}
 
 
 def build_coarse(kind: str, nx: int, ny: int,
@@ -361,14 +334,10 @@ class FineMesh:
         return self._vid((cell % self.coarse.nx) * self.n_sub,
                          (cell // self.coarse.nx) * self.n_sub)
 
-    def edge_vertex_chain(self, edge_id: int) -> np.ndarray:
-        """Fine vertex ids along a coarse edge, ordered from v0 to v1."""
-        e = self.coarse.edges[edge_id]
-        return self._chain(e.v0, e.v1)
-
     def edge_vertex_chains(self, edge_ids) -> np.ndarray:
-        """The chains of an array of coarse edges, one per row (the shape
-        of edge_ids plus a last axis of n_sub + 1 vertices)."""
+        """Fine vertex ids along coarse edges, each from v0 to v1: the shape
+        of edge_ids (an id or an array of them) plus a last axis of
+        n_sub + 1 vertices."""
         ends = self.coarse.edge_ends[np.asarray(edge_ids, dtype=int)]
         return self._chain(ends[..., :1], ends[..., 1:])
 
@@ -440,26 +409,35 @@ def check_regularity(coarse: CoarseMesh) -> float:
 
 @dataclass
 class DegreeAssignment:
-    """Enrichment degrees: N per interior edge (>= 1), M per element (>= 0,
-    where 0 means no bubbles on that element)."""
+    """Enrichment degrees as int arrays: N over the edges (>= 1 on every
+    interior edge; a boundary edge carries no enrichment and its entry is
+    never read) and M over the elements (>= 0, where 0 means no bubbles on
+    that element)."""
 
-    N: dict[int, int] = field(default_factory=dict)
-    M: dict[int, int] = field(default_factory=dict)
+    N: np.ndarray
+    M: np.ndarray
 
     @classmethod
     def uniform(cls, coarse: CoarseMesh, N: int, M: int) -> "DegreeAssignment":
-        return cls(N={int(e): int(N) for e in coarse.interior_edge_ids},
-                   M={el.id: int(M) for el in coarse.elements})
+        return cls(np.full(len(coarse.edges), int(N)),
+                   np.full(len(coarse.elements), int(M)))
 
     def validate(self, coarse: CoarseMesh) -> None:
-        for e in coarse.interior_edge_ids:
-            n = self.N.get(int(e))
-            if n is None or n < 1:
-                raise ValueError(f"edge {e}: N must be assigned and >= 1, got {n}")
-        for el in coarse.elements:
-            m = self.M.get(el.id)
-            if m is None or m < 0:
-                raise ValueError(f"element {el.id}: M must be assigned and >= 0, got {m}")
+        for a, n, name, what in (
+                (self.N, len(coarse.edges), "N", "edge"),
+                (self.M, len(coarse.elements), "M", "element")):
+            if not (isinstance(a, np.ndarray) and a.shape == (n,)
+                    and np.issubdtype(a.dtype, np.integer)):
+                raise ValueError(f"degrees: {name} must be an int array "
+                                 f"with one integer per {what}")
+        inner = coarse.interior_edge_ids
+        bad = self.N[inner] < 1
+        if bad.any():
+            e = inner[np.argmax(bad)]
+            raise ValueError(f"edge {e}: N must be >= 1, got {self.N[e]}")
+        if (self.M < 0).any():
+            K = int(np.argmax(self.M < 0))
+            raise ValueError(f"element {K}: M must be >= 0, got {self.M[K]}")
 
 
 def check_degree_compat(coarse: CoarseMesh, degrees: DegreeAssignment,
@@ -468,7 +446,7 @@ def check_degree_compat(coarse: CoarseMesh, degrees: DegreeAssignment,
     N_e/sqrt(gamma) <= N_e' <= sqrt(gamma)*N_e.  Empty list means pass."""
     root = math.sqrt(gamma)
     interior = coarse.interior_edge_ids
-    N = np.array([degrees.N[e] for e in interior.tolist()], dtype=int)
+    N = degrees.N[interior]
     # Interior edge ends grouped by vertex; every pair within a group.
     v = coarse.edge_ends[interior].ravel()
     order = np.argsort(v, kind="stable")

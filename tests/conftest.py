@@ -94,3 +94,45 @@ def fourier_poisson_integral(terms: int = 800) -> float:
         for n in range(1, terms, 2):
             s += 64.0 / (np.pi**6 * m * m * n * n * (m * m + n * n))
     return s
+
+
+def edge_vertex_chain(fine, edge_id) -> np.ndarray:
+    """Fine vertex ids along one coarse edge, ordered from v0 to v1, walked
+    lattice step by lattice step: the per-edge method that the array
+    FineMesh.edge_vertex_chains replaced, kept as reference."""
+    e = fine.coarse.edges[edge_id]
+    nx1, ns = fine.coarse.nx + 1, fine.n_sub
+    (ax, ay), (bx, by) = divmod(e.v0, nx1)[::-1], divmod(e.v1, nx1)[::-1]
+    return np.array([(ay * ns + t * (by - ay)) * (fine.nfx + 1)
+                     + ax * ns + t * (bx - ax) for t in range(ns + 1)])
+
+
+def table_fields(table, stacks, dof) -> dict:
+    """{element: field} of one DOF of a localbasis.DofTable, by element."""
+    at = np.flatnonzero(table.dof == dof)
+    return {int(table.element[j]): stacks[table.stack[j]][table.row[j]]
+            for j in at[np.argsort(table.element[at])]}
+
+
+def space_fields(space, dof) -> dict:
+    """{element: field} of one DOF of an enriched space."""
+    return table_fields(space.dofs, space.stacks, dof)
+
+
+def element_dofs(space) -> list[list[int]]:
+    """The DOFs of each element of a space, ascending."""
+    dofs = [[] for _ in space.coarse.elements]
+    for K, d in sorted(zip(space.dofs.element.tolist(),
+                           space.dofs.dof.tolist())):
+        dofs[K].append(d)
+    return dofs
+
+
+def vertex_elements(coarse, v) -> list[int]:
+    """The elements around a coarse vertex, ascending."""
+    return np.flatnonzero((coarse.element_vertices == v).any(axis=1)).tolist()
+
+
+def vertex_edges(coarse, v) -> list[int]:
+    """The edges at a coarse vertex, ascending."""
+    return np.flatnonzero((coarse.edge_ends == v).any(axis=1)).tolist()

@@ -16,6 +16,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import vertex_elements
 from legmsfem import (cli, errors, estimator, finefem, globalsolve,
                       localbasis, mesh, polybasis)
 
@@ -217,7 +218,7 @@ def test_criterion_07_linear_msfem_equivalence():
     basis_fields = []
     for v in coarse.interior_vertex_ids:
         field = np.zeros(n)
-        for K_el in coarse.vertex_elements[int(v)]:
+        for K_el in vertex_elements(coarse, int(v)):
             el = coarse.elements[K_el]
             patch = fine.element_vertex_ids(K_el)
             bnd = fine.element_boundary_vertex_ids(K_el)
@@ -299,8 +300,7 @@ def test_criterion_09_estimator_trends(estimator_grid):
     for res in grid.values():
         rep = res.est
         loc = estimator.localize(rep, res.problem.coarse)
-        total = sum(v * v for v in loc.values()) \
-            + sum(rep.leftover_element_terms.values())
+        total = (loc * loc).sum() + rep.leftover_element_terms.sum()
         worst_local = max(worst_local,
                           abs(total - rep.value_gamma**2) / rep.value_gamma**2)
         _, abs_err = errors.interface_error_map(res.solution, res.u_ref,

@@ -9,9 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import skeleton_geometry
-from legmsfem import (cli, errors, estimator, finefem, globalsolve,
-                      localbasis, mesh, polybasis)
+import conftest
+from conftest import (edge_vertex_chain, element_dofs, skeleton_geometry,
+                      space_fields)
+from legmsfem import (cli, errors, estimator, finefem, globalsolve, mesh,
+                      polybasis)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +84,7 @@ def loop_edges(coarse):
 def loop_segment_triangles(fine, edge_id):
     """edge_segment_triangles of one edge, as the per-edge method did it."""
     e = fine.coarse.edges[edge_id]
-    chain = fine.edge_vertex_chain(edge_id)[:-1]
+    chain = edge_vertex_chain(fine, edge_id)[:-1]
     ix, iy = chain % (fine.nfx + 1), chain // (fine.nfx + 1)
     cell = iy * fine.nfx + ix
     if e.v1 - e.v0 == 1:
@@ -97,7 +99,7 @@ def loop_segment_triangles(fine, edge_id):
 def loop_p_e(coarse, edge_id, degrees):
     p = None
     for K in coarse.edges[edge_id].element_ids:
-        for g in coarse.element_edges[K]:
+        for g in coarse.element_edge_ids[K]:
             if not coarse.edges[g].boundary:
                 n = degrees.N[int(g)]
                 p = n if p is None else min(p, n)
@@ -144,7 +146,7 @@ def loop_estimate(u_H, f, degrees, eta, ell):
             bubble_terms[K] = el.diameter**2 * f_l2**2
         residuals[K] = resid
         s = 0.0
-        for g in coarse.element_edges[K]:
+        for g in coarse.element_edge_ids[K]:
             if int(g) in p_table:
                 s += (coarse.edges[g].length * el.diameter
                       / (degrees.N[int(g)] ** (1.0 - 2.0 * eta)
@@ -173,9 +175,9 @@ def loop_reconstruct(solution, which):
     for K in range(len(space.coarse.elements)):
         vids = space.fine.element_vertex_ids(K)
         acc = np.zeros(len(vids))
-        for p in space.element_dofs[K]:
+        for p in element_dofs(space)[K]:
             if (p < space.n_interface) == (which == "interface"):
-                acc += solution.coeffs[p] * space.catalog[p].values[K]
+                acc += solution.coeffs[p] * space_fields(space, p)[K]
         values[vids] = acc
     return values
 
@@ -185,7 +187,7 @@ def loop_localize(report, coarse):
     leftover = {}
     for el in coarse.elements:
         K = el.id
-        interior = [int(g) for g in coarse.element_edges[K]
+        interior = [int(g) for g in coarse.element_edge_ids[K]
                     if not coarse.edges[g].boundary]
         if not interior:
             if report.element_terms[K]:
@@ -194,7 +196,7 @@ def loop_localize(report, coarse):
         for g in interior:
             shares[g] += report.element_terms[K] / len(interior)
     return ({e: float(np.sqrt(report.jump_terms[e] + shares[e]))
-             for e in sorted(report.jump_terms)}, leftover)
+             for e in coarse.interior_edge_ids.tolist()}, leftover)
 
 
 def loop_interface_error_map(u_H, u_ref, u_B_ref):
@@ -217,7 +219,7 @@ def loop_interface_error_map(u_H, u_ref, u_B_ref):
     for eid in coarse.interior_edge_ids:
         acc = 0.0
         for K in coarse.edges[eid].element_ids:
-            n_int = sum(1 for g in coarse.element_edges[K]
+            n_int = sum(1 for g in coarse.element_edge_ids[K]
                         if not coarse.edges[g].boundary)
             acc += err2[K] / n_int
         edge_map[int(eid)] = float(np.sqrt(acc / denom2))
@@ -253,15 +255,16 @@ def test_coarse_mesh_matches_loops(kind, nx, ny, domain):
     assert [(e.id, e.v0, e.v1, e.element_ids) for e in coarse.edges] == [
         (i, v0, v1, els) for i, (v0, v1, els, _) in enumerate(edges)]
     assert all(bitwise(e.length, r[3]) for e, r in zip(coarse.edges, edges))
-    assert coarse.element_edges == element_edges
     assert bitwise(coarse.edge_ends,
                    np.array([(v0, v1) for v0, v1, _, _ in edges]))
     assert bitwise(coarse.interior_edge_ids, np.array(
         [i for i, r in enumerate(edges) if len(r[2]) == 2], dtype=int))
-    # dict contents and key order
-    assert list(coarse.vertex_edges.items()) == list(vertex_edges.items())
-    assert (list(coarse.vertex_elements.items())
-            == list(vertex_elements.items()))
+    # the incidences of each vertex, from the tables
+    assert sorted(vertex_edges) == sorted(vertex_elements) == list(
+        range(coarse.n_vertices))
+    assert all(vertex_edges[v] == conftest.vertex_edges(coarse, v)
+               and vertex_elements[v] == conftest.vertex_elements(coarse, v)
+               for v in vertex_edges)
     # the two plain tables
     assert coarse.element_edge_ids.tolist() == [list(t) for t in element_edges]
     assert coarse.edge_element_ids.tolist() == [
@@ -339,8 +342,8 @@ def loop_degree_compat(coarse, degrees, gamma):
     root = math.sqrt(gamma)
     interior = set(int(e) for e in coarse.interior_edge_ids)
     violations = []
-    for v, eids in sorted(coarse.vertex_edges.items()):
-        eids = [e for e in eids if e in interior]
+    for v in range(coarse.n_vertices):
+        eids = [e for e in conftest.vertex_edges(coarse, v) if e in interior]
         for i, e in enumerate(eids):
             for ep in eids[i + 1:]:
                 ne, nep = degrees.N[e], degrees.N[ep]
@@ -374,9 +377,10 @@ def solved(kind, nx, ny, n_sub, N, M, f=None, A=None, eps=0.25):
     A = A or finefem.periodic_benchmark(eps)
     f = f or finefem.gaussian_rhs()
     deg = mesh.DegreeAssignment(
-        N={e: N(e) if callable(N) else N
-           for e in coarse.interior_edge_ids.tolist()},
-        M={K: M(K) if callable(M) else M for K in range(len(coarse.elements))})
+        np.array([N(e) if callable(N) else N
+                  for e in range(len(coarse.edges))]),
+        np.array([M(K) if callable(M) else M
+                  for K in range(len(coarse.elements))]))
     space = globalsolve.build_space(coarse, fine, A, deg)
     return globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
 
@@ -412,14 +416,20 @@ def test_estimate_matches_loops(name):
     assert (got.value_gamma is None) == (value_gamma is None)
     if value_gamma is not None:
         assert close(got.value_gamma, value_gamma)
-    assert got.p_table == dicts["p_table"]
+    coarse = sol.space.coarse
+    edges = coarse.interior_edge_ids.tolist()
+    assert got.p_table[edges].tolist() == list(dicts["p_table"].values())
     for key, ref in dicts.items():
         mine = getattr(got, key)
-        assert list(mine) == list(ref), key
+        # per-edge arrays by edge id, zero on the boundary; per-element
+        # arrays by element id
+        on_edges = key in ("jump_norms", "jump_terms", "p_table")
+        assert list(ref) == (edges if on_edges
+                             else list(range(len(coarse.elements)))), key
+        assert len(mine) == len(coarse.edges if on_edges
+                                else coarse.elements), key
         assert all(close(mine[k], ref[k]) for k in ref), key
-    for e in got.p_table:
-        assert (estimator.compute_p_e(sol.space.coarse, e, degrees)
-                == loop_p_e(sol.space.coarse, e, degrees))
+        assert not np.delete(mine, list(ref)).any(), key
 
 
 def test_estimate_without_load_matches_loops():
@@ -429,23 +439,25 @@ def test_estimate_without_load_matches_loops():
     got = estimator.global_estimate(sol, eta=0.1, ell=2)
     value, _, dicts = loop_estimate(sol, None, sol.space.degrees, 0.1, 2)
     assert close(got.value, value)
-    assert got.bubble_terms == dicts["bubble_terms"]
-    assert not any(got.bubble_terms.values())
+    assert got.bubble_terms.tolist() == list(dicts["bubble_terms"].values())
+    assert not got.bubble_terms.any()
 
 
 def test_localize_matches_loop():
     sol = solved("triangle", 3, 3, 4, lambda e: 1 + e % 2, 0)
     rep = estimator.global_estimate(sol, eta=0.2)
     coarse = sol.space.coarse
-    assert estimator.localize(rep, coarse) == loop_localize(rep, coarse)[0]
-    assert rep.leftover_element_terms == {}
+    assert (estimator.localize(rep, coarse).tolist()
+            == list(loop_localize(rep, coarse)[0].values()))
+    assert not rep.leftover_element_terms.any()
     # an element term with no interior edge to take it is left over
     one = mesh.build_coarse("quad", 1, 1)
-    fake = estimator.EstimatorReport(1.0, 1.0, 0.0, {}, {}, {0: 0.5}, {},
-                                     {}, {})
-    assert estimator.localize(fake, one) == {}
-    assert fake.leftover_element_terms == {0: 0.5} == loop_localize(fake,
-                                                                    one)[1]
+    fake = estimator.EstimatorReport(1.0, 1.0, 0.0, np.zeros(1), np.zeros(1),
+                                     np.array([0.5]), np.zeros(4),
+                                     np.zeros(4), np.zeros(4, dtype=int))
+    assert estimator.localize(fake, one).tolist() == []
+    assert fake.leftover_element_terms.tolist() == [0.5]
+    assert loop_localize(fake, one)[1] == {0: 0.5}
 
 
 def test_interface_error_map_matches_loop():
@@ -457,7 +469,8 @@ def test_interface_error_map_matches_loop():
     res = cli.run_single(cfg)
     got = errors.interface_error_map(res.solution, res.u_ref, res.u_B_ref)
     ref = loop_interface_error_map(res.solution, res.u_ref, res.u_B_ref)
-    assert list(got[0].items()) == list(ref[0].items())
+    assert got[0].tolist() == list(ref[0].values())
+    assert list(ref[0]) == res.problem.coarse.interior_edge_ids.tolist()
     assert got[1] == ref[1]
 
 
@@ -476,11 +489,9 @@ def test_errmap_bytes_repeat(tmp_path):
 
 def with_copied_fields(space):
     """The same space with copies of its offline stacks."""
-    stacks = [localbasis.FieldStack(st.rows.copy(), st.element, st.owner)
-              for st in space.stacks]
     return globalsolve.EnrichedSpace(space.coarse, space.fine, space.A,
-                                     space.degrees, space.catalog,
-                                     space.n_interface, stacks)
+                                     space.degrees, space.dofs,
+                                     [st.copy() for st in space.stacks])
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
@@ -490,9 +501,8 @@ def test_reconstruct_matches_loop(kind):
     A, f = finefem.periodic_benchmark(0.25), finefem.gaussian_rhs()
     donor = globalsolve.build_space(
         coarse, fine, A, mesh.DegreeAssignment.uniform(coarse, 3, 0))
-    degrees = mesh.DegreeAssignment(
-        N={e: 1 + e % 3 for e in coarse.interior_edge_ids.tolist()},
-        M={K: K % 3 for K in range(len(coarse.elements))})
+    degrees = mesh.DegreeAssignment(1 + np.arange(len(coarse.edges)) % 3,
+                                    np.arange(len(coarse.elements)) % 3)
     spaces = [globalsolve.build_space(coarse, fine, A, degrees),
               globalsolve.build_space(coarse, fine, A, degrees,
                                       interface_from=donor)]
@@ -517,10 +527,8 @@ def test_fields_index_the_offline_stacks():
     sol = solved("triangle", 3, 2, 4, 2, 1)
     for group, *parts in sol.space._fields:
         for part in parts:
-            first = sol.space.catalog[int(part.dofs[0, 0])]
-            # a 2-D view of the offline stack, not a copy
-            assert part.stack.base is first.values[
-                int(group.elements[0])].base
+            # the offline stack itself, not a copy
+            assert any(part.stack is st for st in sol.space.stacks)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import vertex_elements
 from legmsfem import cli, estimator, finefem, globalsolve, localbasis, mesh
 
 BASE = {"schema": 1, "kind": "quad", "nx": 4, "ny": 4, "n_sub": 8,
@@ -134,7 +135,7 @@ def test_expression_rejects_unknown_names():
                 cfg_dict(rhs={"type": "expression", "expr": expr}))
 
 
-def test_degree_override_must_hit_interior_edge():
+def test_degree_override_must_hit_interior_edge(tmp_path, capsys):
     cfg = cli.RunConfig.from_dict(
         cfg_dict(N={"default": 2, "overrides": {"0": 3}}))
     with pytest.raises(cli.ConfigError, match="not an interior edge"):
@@ -143,6 +144,22 @@ def test_degree_override_must_hit_interior_edge():
         cfg_dict(M={"default": 0, "overrides": {"99": 1}}))
     with pytest.raises(cli.ConfigError, match="not an element id"):
         cli.build_problem(cfg)
+    # edge 2 is a boundary edge whose id equals the default degree 2, so a
+    # test of value membership in the degree array would let it through;
+    # a negative id would index the arrays from the end
+    coarse = mesh.build_coarse("quad", 4, 4)
+    assert coarse.edges[2].boundary
+    bad = [("N", {"default": 2, "overrides": {"2": 3}}, "not an interior edge"),
+           ("N", {"default": 2, "overrides": {"-1": 3}}, "not an interior edge"),
+           ("N", {"default": 2, "overrides": {"40": 3}}, "not an interior edge"),
+           ("M", {"default": 0, "overrides": {"16": 1}}, "not an element id"),
+           ("M", {"default": 0, "overrides": {"-1": 1}}, "not an element id")]
+    for key, table, needle in bad:
+        path = write_cfg(tmp_path, **{key: table})
+        capsys.readouterr()
+        assert cli.main(["solve", "--config", path,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert needle in capsys.readouterr().err
 
 
 def test_row_format(small_bench):
@@ -381,7 +398,7 @@ def test_errmap_localization_consistency(tmp_path, small_bench):
     est = small_bench.est
     loc = estimator.localize(est, small_bench.problem.coarse)
     got = sorted(v for _, v in table.values())
-    expect = sorted(loc.values())
+    expect = sorted(loc.tolist())
     assert np.abs(np.array(got) - np.array(expect)).max() < 1e-12
 
 
@@ -395,7 +412,7 @@ def test_basis_dump_nodal_hat_is_linear(tmp_path):
             for line in out.read_text().splitlines()[1:]]
     coarse = mesh.build_coarse("triangle", 2, 2)
     lam = {}
-    for K in coarse.vertex_elements[4]:
+    for K in vertex_elements(coarse, 4):
         el = coarse.elements[K]
         V = np.column_stack([np.ones(3), coarse.vertices[list(el.vertex_ids)]])
         rhs = np.array([1.0 if v == 4 else 0.0 for v in el.vertex_ids])
@@ -450,10 +467,74 @@ def test_basis_dump_bubble_vs_series(tmp_path):
 
 
 def test_basis_dump_selector_errors(tmp_path):
-    path = write_cfg(tmp_path, n_sub=4, N=2)
-    for sel in ("bubble:0", "edge:x:2", "what:1", "edge:999:2", "nodal:0"):
+    # malformed selectors, ids out of range, a boundary vertex, a boundary
+    # edge, edge degrees below 2 and above N, and a bubble index beyond the
+    # bulk basis (M = 1 on quads: four bubbles per element)
+    path = write_cfg(tmp_path, n_sub=4, N=2, M=1)
+    for sel in ("bubble:0", "edge:x:2", "what:1", "edge:999:2", "nodal:0",
+                "nodal:99", "edge:0:2", "edge:3:1", "edge:3:3", "bubble:2:5",
+                "bubble:2:0", "bubble:16:1"):
         assert cli.main(["basis-dump", "--config", path, "--basis", sel,
-                         "--out", str(tmp_path / "x.csv")]) == 2
+                         "--out", str(tmp_path / "x.csv")]) == 2, sel
+    assert cli.main(["basis-dump", "--config", path, "--basis", "bubble:2:4",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+
+
+DUMP_CFG = dict(kind="triangle", nx=3, ny=3, n_sub=6,
+                N={"default": 2, "overrides": {"5": 4, "10": 1}},
+                M={"default": 1, "overrides": {"0": 0, "3": 2}})
+DUMP_SELECTORS = ("nodal:5", "edge:5:4", "edge:5:2", "edge:12:2",
+                  "bubble:3:6", "bubble:7:2")
+
+
+def test_basis_dump_bytes_match_the_full_table(tmp_path):
+    # the support-only solve prints the rows of the same function in a
+    # table built for every element and degree, byte for byte
+    path = write_cfg(tmp_path, **DUMP_CFG)
+    problem = cli.build_problem(cli.RunConfig.load(path))
+    space = globalsolve.build_space(problem.coarse, problem.fine, problem.A,
+                                    problem.degrees)
+    kinds = {"nodal": localbasis.NODAL, "edge": localbasis.EDGE,
+             "bubble": localbasis.BUBBLE}
+    for sel in DUMP_SELECTORS:
+        out = tmp_path / "dump.csv"
+        assert cli.main(["basis-dump", "--config", path, "--basis", sel,
+                         "--out", str(out)]) == 0
+        name, i, *k = sel.split(":")
+        dof = space.dofs.find(kinds[name], int(i), int(k[0]) if k else 0)
+        assert dof >= 0
+        rows = localbasis.dump_points(space.dofs, space.stacks, dof,
+                                      problem.fine)
+        want = "\n".join(["x,y,value"] + [",".join("%.17g" % v for v in r)
+                                          for r in rows]) + "\n"
+        assert out.read_bytes() == want.encode(), sel
+
+
+def test_basis_dump_solves_only_the_support(tmp_path, monkeypatch):
+    path = write_cfg(tmp_path, **DUMP_CFG)
+    coarse = mesh.build_coarse("triangle", 3, 3)
+    seen = []
+    real = localbasis._group_fields
+
+    def counted(coarse, fine, A, group, *args, **kw):
+        seen.extend(group.elements.tolist())
+        return real(coarse, fine, A, group, *args, **kw)
+
+    monkeypatch.setattr(localbasis, "_group_fields", counted)
+    support = {"nodal:5": vertex_elements(coarse, 5),
+               "edge:5:4": coarse.edges[5].element_ids,
+               "edge:12:2": coarse.edges[12].element_ids,
+               "bubble:3:6": [3]}
+    for sel, elements in support.items():
+        seen.clear()
+        assert cli.main(["basis-dump", "--config", path, "--basis", sel,
+                         "--out", str(tmp_path / "x.csv")]) == 0
+        assert sorted(seen) == sorted(elements), sel
+    # a selector that matches nothing solves nothing
+    seen.clear()
+    assert cli.main(["basis-dump", "--config", path, "--basis", "edge:10:2",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    assert seen == []
 
 
 def test_selftest(capsys):

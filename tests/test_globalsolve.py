@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import dense
+from conftest import (dense, edge_vertex_chain, element_dofs, space_fields,
+                      vertex_elements)
 from legmsfem import finefem, globalsolve, mesh, polybasis
+from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
 
 def test_dof_bookkeeping(small_bench_bubbles):
@@ -13,14 +15,16 @@ def test_dof_bookkeeping(small_bench_bubbles):
     n_if, n_b = globalsolve.expected_dof_count(
         space.coarse, space.degrees, lambda M: (M + 1) ** 2)
     assert (n_if, n_b) == (33, 64)
-    # element DOF lists are ascending and complete
-    seen = set()
-    for K, dofs in enumerate(space.element_dofs):
-        assert dofs == sorted(dofs)
-        seen.update(dofs)
-        for p in dofs:
-            assert K in space.catalog[p].support
-    assert seen == set(range(97))
+    # every DOF sits on exactly the elements of its support, once each
+    coarse, t = space.coarse, space.dofs
+    pairs = list(zip(t.element.tolist(), t.dof.tolist()))
+    assert len(set(pairs)) == len(pairs)
+    for K, p in pairs:
+        kind, i = t.kind[p], int(t.key[p, 0])
+        support = {NODAL: vertex_elements(coarse, i), BUBBLE: [i],
+                   EDGE: coarse.edges[i].element_ids}[kind]
+        assert K in support
+    assert set(t.dof.tolist()) == set(range(97))
 
 
 def test_interface_matrix_spd(small_bench):
@@ -58,8 +62,8 @@ def test_decoupled_matches_monolithic(small_bench_bubbles):
     b = np.zeros(n)
     for e in range(len(space.coarse.elements)):
         geom = finefem.element_geometry(space.fine, e)
-        dofs = np.array(space.element_dofs[e])
-        V = np.stack([space.catalog[p].values[e] for p in dofs])
+        dofs = np.array(element_dofs(space)[e])
+        V = np.stack([space_fields(space, p)[e] for p in dofs])
         K[np.ix_(dofs, dofs)] += finefem.energy_inner_matrix(V, geom, space.A)
         b[dofs] += V @ finefem.load_vector(geom, f)
     mono = np.linalg.solve(K, b)
@@ -86,8 +90,8 @@ def test_reconstruct_interface_consistent_across_patches(small_bench):
     for K in range(len(space.coarse.elements)):
         geom = finefem.element_geometry(space.fine, K)
         acc = np.zeros(len(geom.points))
-        for p in space.element_dofs[K]:
-            acc += sol.coeffs[p] * space.catalog[p].values[K]
+        for p in element_dofs(space)[K]:
+            acc += sol.coeffs[p] * space_fields(space, p)[K]
         assert np.array_equal(u.values[geom.vids], acc)
 
 
@@ -97,7 +101,7 @@ def test_bubble_reconstruct_vanishes_on_skeleton(small_bench_bubbles):
     coarse = sol.space.coarse
     fine = sol.space.fine
     for eid in range(len(coarse.edges)):
-        assert not u_b.values[fine.edge_vertex_chain(eid)].any()
+        assert not u_b.values[edge_vertex_chain(fine, eid)].any()
 
 
 def test_zero_rhs_gives_zero_solution(quad44, fine_quad44):
@@ -120,10 +124,12 @@ def test_interface_reuse_matches_fresh(quad44, fine_quad44):
     fresh = globalsolve.build_space(quad44, fine_quad44, A, deg2)
     assert reused.n_interface == fresh.n_interface
     assert reused.n_bubble == fresh.n_bubble
-    for a, b in zip(reused.catalog, fresh.catalog):
-        assert a.kind == b.kind and a.key == b.key
-        for K in a.support:
-            assert np.array_equal(a.values[K], b.values[K])
+    assert np.array_equal(reused.dofs.kind, fresh.dofs.kind)
+    assert np.array_equal(reused.dofs.key, fresh.dofs.key)
+    for p in range(fresh.n_dofs):
+        a, b = space_fields(reused, p), space_fields(fresh, p)
+        assert list(a) == list(b)
+        assert all(np.array_equal(a[K], b[K]) for K in a)
 
 
 def test_interface_reuse_guards(quad44, fine_quad44):
@@ -178,8 +184,8 @@ def test_batched_assembly_matches_per_element_grams(kind, n, n_sub):
     b = np.zeros(space.n_dofs)
     for e in range(len(coarse.elements)):
         geom = finefem.element_geometry(fine, e)
-        dofs = np.array(space.element_dofs[e])
-        V = np.stack([space.catalog[p].values[e] for p in dofs])
+        dofs = np.array(element_dofs(space)[e])
+        V = np.stack([space_fields(space, p)[e] for p in dofs])
         K[np.ix_(dofs, dofs)] += finefem.energy_inner_matrix(V, geom, A)
         b[dofs] += V @ finefem.load_vector(geom, f)
 
@@ -190,12 +196,12 @@ def test_batched_assembly_matches_per_element_grams(kind, n, n_sub):
     op = systems.interface_K
     assert close(dense(op), K[:n_if, :n_if])
     assert close(op.diagonal(), np.diag(K)[:n_if], np.abs(K[:n_if]).max())
-    counts = [sum(p < n_if for p in dofs) for dofs in space.element_dofs]
+    counts = [sum(p < n_if for p in dofs) for dofs in element_dofs(space)]
     assert len(set(counts)) > 1
     assert op.nnz == sum(c * c for c in counts)
     assert close(systems.interface_rhs, b[:n_if])
     # one block per element with bubbles, in element order
-    bubbles = [[p for p in dofs if p >= n_if] for dofs in space.element_dofs]
+    bubbles = [[p for p in dofs if p >= n_if] for dofs in element_dofs(space)]
     assert [list(ids) for ids, _, _ in systems.bubble_blocks] == \
         [ids for ids in bubbles if ids]
     assert not bubbles[0] and all(bubbles[1:])
@@ -218,7 +224,7 @@ def test_check_resolved_builds_one_basis_per_degree(monkeypatch, tri44,
 
     monkeypatch.setattr(polybasis, "BulkPolyBasis", counting)
     degrees = mesh.DegreeAssignment.uniform(tri44, 1, 2)
-    degrees.M.update({0: 1, 5: 1, 7: 0})
-    globalsolve._check_resolved(fine_tri44, degrees)
+    degrees.M[[0, 5, 7]] = [1, 1, 0]
+    globalsolve.check_degrees(fine_tri44, degrees)
     assert sorted(built) == [1, 2]
 

@@ -3,7 +3,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conftest import (edge_vertex_chain, table_fields, vertex_edges,
+                      vertex_elements)
 from legmsfem import finefem, localbasis, mesh, polybasis
+from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
 
 @pytest.fixture(scope="module")
@@ -11,37 +14,110 @@ def A_osc():
     return finefem.periodic_benchmark(0.25)
 
 
-def chain_values(bf, fine, elem_id, edge_id):
+# ---------------------------------------------------------------------------
+# one basis function solved on its own, through the same patch sweep: the
+# entry points the DOF table replaced, kept as reference
+
+def first_field(coarse, fine, A, support, codes, stride=0, M=None,
+                bases=None):
+    """{element: field} of the one function requested on each support
+    element, by _patch_fields: one trace code per element of the mesh
+    (see localbasis._trace_rows), or a single bulk load when M and bases
+    are given."""
+    n_el = len(coarse.elements)
+    M = np.zeros(n_el, dtype=int) if M is None else M
+    stacks, where, _ = localbasis._patch_fields(
+        coarse, fine, A, np.array(support), codes, stride, M, bases or {})
+    return {K: stacks[s][b if M[K] else a]
+            for K, (s, a, b) in zip(support, where[support].tolist())}
+
+
+def compute_nodal(vertex, coarse, fine, A):
+    """The coefficient-adapted nodal function of an interior vertex: on
+    each element touching it, the homogeneous solve with the hat trace on
+    the boundary."""
+    assert not coarse.boundary_vertex_mask[vertex]
+    at = coarse.element_vertices == vertex
+    return first_field(coarse, fine, A, np.flatnonzero(at.any(axis=1)),
+                       np.where(at.any(axis=1), at.argmax(axis=1), -1)[:, None])
+
+
+def compute_edge_enrichment(edge_id, k, coarse, fine, A):
+    """eta_k on an interior edge: the homogeneous solves on the two elements
+    sharing it, trace eta_k on the edge and zero elsewhere."""
+    assert coarse.edge_element_ids[edge_id, 1] >= 0 and k >= 2
+    corners = coarse.element_vertices.shape[1]
+    at = coarse.element_edge_ids == edge_id
+    codes = np.where(at.any(axis=1),
+                     corners + at.argmax(axis=1) * (k - 1) + k - 2, -1)
+    return first_field(coarse, fine, A,
+                       coarse.edge_element_ids[edge_id].tolist(),
+                       codes[:, None], k - 1)
+
+
+@dataclass(frozen=True)
+class OnePolynomial:
+    """P_i of a bulk basis alone, as a basis of dimension one."""
+
+    basis: polybasis.BulkPolyBasis
+    i: int
+    dim: int = 1
+
+    def eval_ref(self, pts):
+        return self.basis.eval_ref(pts)[:, [self.i - 1]]
+
+
+def compute_bubble(elem_id, i, coarse, fine, A, basis):
+    """Bubble i of one element: the zero-trace solve with the i-th bulk
+    polynomial (mapped from reference coordinates) as right-hand side."""
+    assert basis.M >= 1 and 1 <= i <= basis.dim
+    n_el = len(coarse.elements)
+    M = np.zeros(n_el, dtype=int)
+    M[elem_id] = 1
+    return first_field(coarse, fine, A, [elem_id],
+                       np.zeros((n_el, 0), dtype=int), 0, M,
+                       {1: OnePolynomial(basis, i)})
+
+
+def entry_point(kind, key, coarse, fine, A, basis):
+    """The DOF of kind and key computed again on its own."""
+    if kind == NODAL:
+        return compute_nodal(key[0], coarse, fine, A)
+    if kind == EDGE:
+        return compute_edge_enrichment(*key, coarse, fine, A)
+    return compute_bubble(*key, coarse, fine, A, basis)
+
+
+def chain_values(fields, fine, elem_id, edge_id):
     geom = finefem.element_geometry(fine, elem_id)
-    loc = np.searchsorted(geom.vids, fine.edge_vertex_chain(edge_id))
-    return bf.values[elem_id][loc]
+    loc = np.searchsorted(geom.vids, edge_vertex_chain(fine, edge_id))
+    return fields[elem_id][loc]
 
 
 def test_nodal_trace_is_exact_hat(quad44, fine_quad44, A_osc):
     v = int(quad44.interior_vertex_ids[0])
-    bf = localbasis.compute_nodal(v, quad44, fine_quad44, A_osc)
-    assert bf.kind == "nodal" and bf.key == (v,)
-    assert bf.support == tuple(sorted(quad44.vertex_elements[v]))
+    fields = compute_nodal(v, quad44, fine_quad44, A_osc)
+    assert list(fields) == sorted(vertex_elements(quad44, v))
     t = np.arange(9) / 8
-    for K in bf.support:
-        for eid in quad44.element_edges[K]:
+    for K in fields:
+        for eid in quad44.element_edge_ids[K]:
             e = quad44.edges[eid]
             h0 = 1.0 if e.v0 == v else 0.0
             h1 = 1.0 if e.v1 == v else 0.0
-            got = chain_values(bf, fine_quad44, K, eid)
+            got = chain_values(fields, fine_quad44, K, eid)
             assert np.array_equal(got, h0 * (1 - t) + h1 * t)
 
 
 def test_edge_trace_is_exact_eta(quad44, fine_quad44, A_osc):
     eid = int(quad44.interior_edge_ids[2])
-    bf = localbasis.compute_edge_enrichment(eid, 3, quad44, fine_quad44, A_osc)
+    fields = compute_edge_enrichment(eid, 3, quad44, fine_quad44, A_osc)
     t = np.arange(9) / 8
     eta = polybasis.internal_basis_eval(3, -1.0 + 2.0 * t)
-    for K in bf.support:
-        assert np.array_equal(chain_values(bf, fine_quad44, K, eid), eta)
-        for other in quad44.element_edges[K]:
+    for K in fields:
+        assert np.array_equal(chain_values(fields, fine_quad44, K, eid), eta)
+        for other in quad44.element_edge_ids[K]:
             if other != eid:
-                assert not chain_values(bf, fine_quad44, K, other).any()
+                assert not chain_values(fields, fine_quad44, K, other).any()
 
 
 def test_shared_edge_bitwise_agreement(quad44, fine_quad44, A_osc):
@@ -50,49 +126,36 @@ def test_shared_edge_bitwise_agreement(quad44, fine_quad44, A_osc):
     eid = int(quad44.interior_edge_ids[5])
     e = quad44.edges[eid]
     for k in (2, 4):
-        bf = localbasis.compute_edge_enrichment(eid, k, quad44, fine_quad44, A_osc)
-        a = chain_values(bf, fine_quad44, e.element_ids[0], eid)
-        b = chain_values(bf, fine_quad44, e.element_ids[1], eid)
+        fields = compute_edge_enrichment(eid, k, quad44, fine_quad44, A_osc)
+        a = chain_values(fields, fine_quad44, e.element_ids[0], eid)
+        b = chain_values(fields, fine_quad44, e.element_ids[1], eid)
         assert np.array_equal(a, b)
 
 
 def test_nodal_shared_edge_agreement(quad44, fine_quad44, A_osc):
     v = int(quad44.interior_vertex_ids[4])
-    bf = localbasis.compute_nodal(v, quad44, fine_quad44, A_osc)
-    for eid in quad44.vertex_edges[v]:
+    fields = compute_nodal(v, quad44, fine_quad44, A_osc)
+    for eid in vertex_edges(quad44, v):
         e = quad44.edges[eid]
-        if e.boundary or not set(e.element_ids) <= set(bf.support):
+        if e.boundary or not set(e.element_ids) <= set(fields):
             continue
-        a = chain_values(bf, fine_quad44, e.element_ids[0], eid)
-        b = chain_values(bf, fine_quad44, e.element_ids[1], eid)
+        a = chain_values(fields, fine_quad44, e.element_ids[0], eid)
+        b = chain_values(fields, fine_quad44, e.element_ids[1], eid)
         assert np.array_equal(a, b)
-
-
-def test_constructor_guards(quad44, fine_quad44, A_osc):
-    bvid = int(np.flatnonzero(quad44.boundary_vertex_mask)[0])
-    with pytest.raises(ValueError, match="boundary"):
-        localbasis.compute_nodal(bvid, quad44, fine_quad44, A_osc)
-    bedge = next(e.id for e in quad44.edges if e.boundary)
-    with pytest.raises(ValueError, match="boundary"):
-        localbasis.compute_edge_enrichment(bedge, 2, quad44, fine_quad44, A_osc)
-    eid = int(quad44.interior_edge_ids[0])
-    with pytest.raises(ValueError, match="start at 2"):
-        localbasis.compute_edge_enrichment(eid, 1, quad44, fine_quad44, A_osc)
 
 
 def test_discrete_harmonicity(quad44, fine_quad44, A_osc):
     # interface functions solve the homogeneous interior problem: the free
     # rows of the patch stiffness annihilate them up to rounding
     v = int(quad44.interior_vertex_ids[0])
-    bf = localbasis.compute_nodal(v, quad44, fine_quad44, A_osc)
-    K = bf.support[0]
+    fields = compute_nodal(v, quad44, fine_quad44, A_osc)
+    K, u = next(iter(fields.items()))
     geom = finefem.element_geometry(fine_quad44, K)
     # with the function's own boundary values as Dirichlet data, the
     # lifted right-hand side is -K_fc times them
-    system = finefem.assemble(geom, A_osc,
-                              dirichlet=bf.values[K][geom.boundary_local])
-    r = system.K @ bf.values[K][system.free_loc] - system.rhs
-    scale = np.abs(system.K.diagonal()).max() * np.abs(bf.values[K]).max()
+    system = finefem.assemble(geom, A_osc, dirichlet=u[geom.boundary_local])
+    r = system.K @ u[system.free_loc] - system.rhs
+    scale = np.abs(system.K.diagonal()).max() * np.abs(u).max()
     assert np.abs(r).max() < 1e-10 * scale
 
 
@@ -100,15 +163,15 @@ def test_bubble_galerkin_identity(quad44, fine_quad44, A_osc, rng):
     # a_K(phi_B, w) = (P_i, w)_K for every w vanishing on the patch boundary
     elem_id, i, M = 6, 3, 1
     basis = polybasis.BulkPolyBasis("quad", M)
-    bf = localbasis.compute_bubble(elem_id, i, quad44, fine_quad44, A_osc,
-                                   basis)
+    u = compute_bubble(elem_id, i, quad44, fine_quad44, A_osc,
+                       basis)[elem_id]
     geom = finefem.element_geometry(fine_quad44, elem_id)
     el = quad44.elements[elem_id]
     w = np.zeros(geom.n_vertices)
     mask = np.ones(geom.n_vertices, dtype=bool)
     mask[geom.boundary_local] = False
     w[mask] = rng.standard_normal(mask.sum())
-    lhs = finefem.energy_inner_matrix(bf.values[elem_id][None, :], geom, A_osc,
+    lhs = finefem.energy_inner_matrix(u[None, :], geom, A_osc,
                                       W=w[None, :])[0, 0]
 
     def P_i(x, y):
@@ -119,30 +182,38 @@ def test_bubble_galerkin_identity(quad44, fine_quad44, A_osc, rng):
     assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), abs(rhs))
 
 
-def test_bubble_zero_trace_and_guards(quad44, fine_quad44, A_osc):
+def test_bubble_zero_trace(quad44, fine_quad44, A_osc):
     basis = polybasis.BulkPolyBasis("quad", 1)
-    bf = localbasis.compute_bubble(2, 1, quad44, fine_quad44, A_osc, basis)
+    u = compute_bubble(2, 1, quad44, fine_quad44, A_osc, basis)[2]
     geom = finefem.element_geometry(fine_quad44, 2)
-    assert not bf.values[2][geom.boundary_local].any()
-    with pytest.raises(ValueError, match="M >= 1"):
-        localbasis.compute_bubble(2, 1, quad44, fine_quad44, A_osc,
-                                  polybasis.BulkPolyBasis("quad", 0))
-    with pytest.raises(ValueError, match="outside"):
-        localbasis.compute_bubble(2, 5, quad44, fine_quad44, A_osc, basis)
+    assert not u[geom.boundary_local].any()
+    assert u.any()
 
 
 def test_compute_all_order_and_counts(quad44, fine_quad44, A_osc):
     degrees = mesh.DegreeAssignment.uniform(quad44, 2, 1)
-    catalog = localbasis.compute_all(quad44, fine_quad44, A_osc, degrees)
-    assert len(catalog) == 9 + 24 + 16 * 4
-    kinds = [bf.kind for bf in catalog]
-    assert kinds == ["nodal"] * 9 + ["edge"] * 24 + ["bubble"] * 64
-    assert [bf.key[0] for bf in catalog[:9]] == \
-        [int(v) for v in quad44.interior_vertex_ids]
-    assert [bf.key for bf in catalog[9:33]] == \
-        [(int(e), 2) for e in quad44.interior_edge_ids]
-    assert [bf.key for bf in catalog[33:41]] == \
-        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (1, 4)]
+    table = localbasis.compute_all(quad44, fine_quad44, A_osc, degrees)
+    assert len(table) == 9 + 24 + 16 * 4
+    assert table.kind.tolist() == [NODAL] * 9 + [EDGE] * 24 + [BUBBLE] * 64
+    assert table.key[:9].tolist() == \
+        [[int(v), 0] for v in quad44.interior_vertex_ids]
+    assert table.key[9:33].tolist() == \
+        [[int(e), 2] for e in quad44.interior_edge_ids]
+    assert table.key[33:41].tolist() == \
+        [[0, 1], [0, 2], [0, 3], [0, 4], [1, 1], [1, 2], [1, 3], [1, 4]]
+    # every DOF on each of its support elements, once
+    pairs = sorted(zip(table.dof.tolist(), table.element.tolist()))
+    assert len(set(pairs)) == len(pairs) == 9 * 4 + 24 * 2 + 64
+    for d, K in pairs:
+        kind, (i, _) = table.kind[d], table.key[d]
+        if kind == NODAL:
+            assert K in vertex_elements(quad44, i)
+        elif kind == EDGE:
+            assert K in quad44.edges[i].element_ids
+        else:
+            assert K == i
+    assert table.find(EDGE, int(quad44.interior_edge_ids[3]), 2) == 12
+    assert table.find(EDGE, int(quad44.interior_edge_ids[3]), 3) == -1
 
 
 def test_compute_all_which_split(quad44, fine_quad44, A_osc):
@@ -151,74 +222,68 @@ def test_compute_all_which_split(quad44, fine_quad44, A_osc):
                                    which="interface")
     bub = localbasis.compute_all(quad44, fine_quad44, A_osc, degrees,
                                  which="bubble")
-    assert all(bf.kind != "bubble" for bf in iface)
-    assert all(bf.kind == "bubble" for bf in bub)
+    assert (iface.kind != BUBBLE).all()
+    assert (bub.kind == BUBBLE).all()
     assert len(iface) + len(bub) == 9 + 24 + 64
 
 
-def reference_trace(coarse, fine, elem_id, bf):
+def reference_trace(coarse, fine, elem_id, kind, key):
     """Dirichlet data of an interface function on one element boundary,
     built edge by edge and aligned with the patch's boundary_local."""
     t = np.arange(fine.n_sub + 1) / fine.n_sub
     data = {}
-    for eid in coarse.element_edges[elem_id]:
+    for eid in coarse.element_edge_ids[elem_id]:
         e = coarse.edges[eid]
-        if bf.kind == "nodal":
-            v = bf.key[0]
+        if kind == NODAL:
+            v = key[0]
             vals = (float(e.v0 == v) * (1.0 - t) + float(e.v1 == v) * t)
-        elif eid == bf.key[0]:
-            vals = polybasis.internal_basis_eval(bf.key[1], -1.0 + 2.0 * t)
+        elif eid == key[0]:
+            vals = polybasis.internal_basis_eval(key[1], -1.0 + 2.0 * t)
         else:
             vals = np.zeros_like(t)
-        data.update(zip(map(int, fine.edge_vertex_chain(eid)), vals))
+        data.update(zip(map(int, edge_vertex_chain(fine, eid)), vals))
     return np.array([data[int(g)]
                      for g in fine.element_boundary_vertex_ids(elem_id)])
-
-
-def entry_point(bf, coarse, fine, A, basis):
-    """The catalog function bf computed again through its public entry
-    point, on its own."""
-    if bf.kind == "nodal":
-        return localbasis.compute_nodal(bf.key[0], coarse, fine, A)
-    if bf.kind == "edge":
-        return localbasis.compute_edge_enrichment(*bf.key, coarse, fine, A)
-    return localbasis.compute_bubble(*bf.key, coarse, fine, A, basis)
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
 def test_compute_all_matches_iterative_reference(kind, A_osc):
     # every field of the direct block sweep against one tight Jacobi-PCG
-    # solve per basis function and element; the public entry points must
-    # reproduce the catalog bitwise, whatever else the patch solved
+    # solve per basis function and element; a function solved on its own
+    # must reproduce the table's rows bitwise, whatever else the patch
+    # solved
     coarse = mesh.build_coarse(kind, 4, 4)
     fine = mesh.refine_to_fine(coarse, 8)
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 2)
     basis = polybasis.BulkPolyBasis(kind, 2)
-    catalog = localbasis.compute_all(coarse, fine, A_osc, degrees)
-    assert len(catalog) == (len(coarse.interior_vertex_ids)
-                            + 2 * len(coarse.interior_edge_ids)
-                            + len(coarse.elements) * basis.dim)
+    stacks = []
+    table = localbasis.compute_all(coarse, fine, A_osc, degrees,
+                                   stacks=stacks)
+    assert len(table) == (len(coarse.interior_vertex_ids)
+                          + 2 * len(coarse.interior_edge_ids)
+                          + len(coarse.elements) * basis.dim)
     worst = 0.0
-    for bf in catalog:
-        single = entry_point(bf, coarse, fine, A_osc, basis)
-        assert single.support == bf.support
-        for K in bf.support:
-            assert np.array_equal(single.values[K], bf.values[K])
+    for d, (dof_kind, key) in enumerate(zip(table.kind, table.key.tolist())):
+        fields = table_fields(table, stacks, d)
+        single = entry_point(dof_kind, key, coarse, fine, A_osc, basis)
+        assert list(single) == list(fields)
+        for K, u in fields.items():
+            assert np.array_equal(single[K], u)
             geom = finefem.element_geometry(fine, K)
-            if bf.kind == "bubble":
+            if dof_kind == BUBBLE:
                 el = coarse.elements[K]
 
-                def load(x, y, i=bf.key[1], el=el):
+                def load(x, y, i=key[1], el=el):
                     pts = np.column_stack([np.ravel(x), np.ravel(y)])
                     return basis.eval_ref(el.to_ref(pts))[:, i - 1]
 
                 system = finefem.assemble(geom, A_osc, load, 0.0)
             else:
                 system = finefem.assemble(
-                    geom, A_osc, None, reference_trace(coarse, fine, K, bf))
+                    geom, A_osc, None,
+                    reference_trace(coarse, fine, K, dof_kind, key))
             ref = finefem.solve_spd(system, 1e-13).values
-            worst = max(worst, np.abs(bf.values[K] - ref).max()
-                        / np.abs(ref).max())
+            worst = max(worst, np.abs(u - ref).max() / np.abs(ref).max())
     assert worst < 1e-10
 
 
@@ -241,22 +306,26 @@ def test_batched_catalog_matches_entry_points(kind, n, n_sub, A_osc,
         return iter(parts)
 
     monkeypatch.setattr(finefem.PatchGroup, "chunks", counted)
-    catalog = localbasis.compute_all(coarse, fine, A_osc, degrees)
+    stacks = []
+    table = localbasis.compute_all(coarse, fine, A_osc, degrees,
+                                   stacks=stacks)
     assert len(chunks) == (2 if kind == "triangle" else 1)
     assert max(chunks) == (1 if kind == "triangle" else 4)
-    for bf in catalog:
-        single = entry_point(bf, coarse, fine, A_osc, basis)
-        assert single.support == bf.support
-        for K in bf.support:
-            assert np.array_equal(single.values[K], bf.values[K])
+    for d, (dof_kind, key) in enumerate(zip(table.kind, table.key.tolist())):
+        fields = table_fields(table, stacks, d)
+        single = entry_point(dof_kind, key, coarse, fine, A_osc, basis)
+        assert list(single) == list(fields)
+        for K, u in fields.items():
+            assert np.array_equal(single[K], u)
 
 
 def test_edge_chains_must_be_translates(A_osc):
     # element 5 lists its edges in another order than its template
     coarse = mesh.build_coarse("quad", 3, 3)
     fine = mesh.refine_to_fine(coarse, 4)
-    edges = coarse.element_edges[5]
-    coarse.element_edges[5] = edges[1:] + edges[:1]
+    sides = coarse.element_edge_ids.copy()
+    sides[5] = np.roll(sides[5], -1)
+    coarse.element_edge_ids = sides
     with pytest.raises(ValueError, match="element 5: edge chains are not a "
                                          "translate of those of element 0"):
         localbasis.compute_all(coarse, fine, A_osc,
@@ -278,9 +347,15 @@ def test_row_blocks_reject_distant_lattice_rows():
 
 def test_dump_points(quad44, fine_quad44, A_osc):
     v = int(quad44.interior_vertex_ids[0])
-    bf = localbasis.compute_nodal(v, quad44, fine_quad44, A_osc)
-    rows = localbasis.dump_points(bf, fine_quad44)
-    assert rows.shape[1] == 3
+    stacks = []
+    table = localbasis.compute_all(quad44, fine_quad44, A_osc,
+                                   mesh.DegreeAssignment.uniform(quad44, 2, 0),
+                                   stacks=stacks, support_of=(NODAL, v, 0))
+    rows = localbasis.dump_points(table, stacks, table.find(NODAL, v, 0),
+                                  fine_quad44)
+    assert rows.shape == (len(np.unique(np.concatenate([
+        fine_quad44.element_vertex_ids(K)
+        for K in vertex_elements(quad44, v)]))), 3)
     # the vertex itself appears with value one
     at_v = np.flatnonzero((rows[:, 0] == quad44.vertices[v][0])
                           & (rows[:, 1] == quad44.vertices[v][1]))
@@ -291,12 +366,12 @@ def test_frozen_interior_probe():
     coarse = mesh.build_coarse("quad", 4, 4)
     fine = mesh.refine_to_fine(coarse, 32)
     A = finefem.periodic_benchmark(1.0 / 16.0)
-    bf = localbasis.compute_edge_enrichment(3, 2, coarse, fine, A)
+    fields = compute_edge_enrichment(3, 2, coarse, fine, A)
     geom = finefem.element_geometry(fine, 0)
     pos = int(np.searchsorted(geom.vids, 2095))
     assert geom.vids[pos] == 2095
     assert np.array_equal(fine.vertices[2095], [0.2421875, 0.125])
-    got = bf.values[0][pos]
+    got = fields[0][pos]
     assert abs(got - (-0.53184199398854248)) < 1e-9 * 0.53184199398854248
 
 
@@ -319,21 +394,25 @@ def full_tensor_field():
 
 
 def requests_of(coarse, degrees):
-    """The per-element requests compute_all builds for "all"."""
+    """The trace codes (see localbasis._trace_rows) with their stride, the
+    bulk degrees and the bulk bases that compute_all requests for "all",
+    element by element; codes in ascending order, -1 after."""
+    ev, sides = coarse.element_vertices, coarse.element_edge_ids
+    corners = ev.shape[1]
+    stride = int(degrees.N[coarse.interior_edge_ids].max()) - 1
+    codes = []
+    for K in range(len(ev)):
+        codes.append([c for c, v in enumerate(ev[K].tolist())
+                      if not coarse.boundary_vertex_mask[v]])
+        for j, e in enumerate(sides[K].tolist()):
+            if not coarse.edges[e].boundary:
+                codes[-1] += [corners + j * stride + k - 2
+                              for k in range(2, int(degrees.N[e]) + 1)]
+    width = max(map(len, codes))
+    codes = np.array([c + [-1] * (width - len(c)) for c in codes])
     bases = {M: polybasis.BulkPolyBasis(coarse.kind, M)
-             for M in set(degrees.M.values()) if M}
-    out = {}
-    for el in coarse.elements:
-        K = el.id
-        hats = [v for v in el.vertex_ids
-                if not coarse.boundary_vertex_mask[v]]
-        etas = [(eid, k) for eid in coarse.element_edges[K]
-                if not coarse.edges[eid].boundary
-                for k in range(2, degrees.N[eid] + 1)]
-        basis = bases.get(degrees.M[K])
-        out[K] = (hats, etas, basis,
-                  list(range(1, basis.dim + 1)) if basis else [])
-    return out
+             for M in set(degrees.M.tolist()) if M}
+    return codes, stride, degrees.M, bases
 
 
 def all_triangle_trace_loads(Kt, X, tris):
@@ -362,12 +441,12 @@ def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
     coarse = mesh.build_coarse(kind, 3, 3)
     fine = mesh.refine_to_fine(coarse, n_sub)
     A = full_tensor_field()
-    requests = requests_of(coarse, mesh.DegreeAssignment.uniform(coarse, N,
-                                                                 0))
-    for group in finefem.patch_groups(fine, requests):
+    codes, stride, _, _ = requests_of(
+        coarse, mesh.DegreeAssignment.uniform(coarse, N, 0))
+    for group in finefem.patch_groups(fine, range(len(coarse.elements))):
         t = group.template
-        n_tr = max(len(h) + len(e) for h, e, _, _ in requests.values())
-        X = localbasis._trace_rows(coarse, fine, group, requests, n_tr)
+        X = localbasis._trace_rows(coarse, fine, group,
+                                   codes[group.elements], stride)
         Kt = finefem._stiffness(*group.weights(A))
         edge = np.isin(t.tris, t.boundary_local).any(axis=1)
         assert edge.sum() < len(t.tris) or n_sub == 2
@@ -377,59 +456,63 @@ def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def loop_load_weights(coarse, sub, reqs, n_b):
+def loop_load_weights(coarse, sub, M, bases, n_b):
     """The bubble loads of the sweep, one to_ref and eval_ref per
     element, as the sweep formed them before it batched them."""
     glob = finefem.global_geometry(sub.fine)
     out = np.zeros((sub.tri_ids.shape[1], n_b, len(sub.elements)))
     for e, K in enumerate(sub.elements):
-        _, _, basis, bubbles = reqs[e]
-        if bubbles:
+        if M[e]:
+            basis = bases[M[e]]
             ids = sub.tri_ids[e]
-            P = basis.eval_ref(coarse.elements[K].to_ref(
-                glob.centroids[ids]))[:, [i - 1 for i in bubbles]]
-            out[:, :len(bubbles), e] = glob.areas[ids][:, None] * P / 3.0
+            P = basis.eval_ref(coarse.elements[K].to_ref(glob.centroids[ids]))
+            out[:, :basis.dim, e] = glob.areas[ids][:, None] * P / 3.0
     return out
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
 def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
     # mixed bulk degrees (M = 0 to 3, so members of one chunk use
-    # different bases) and single-bubble requests; the batched loads are
-    # bitwise the loop's, and so are the bubble fields solved from them
+    # different bases); the batched loads are bitwise the loop's, and so
+    # are the bubble fields solved from them
     coarse = mesh.build_coarse(kind, 3, 2, (0.0, 1.5, -0.5, 0.5))
     fine = mesh.refine_to_fine(coarse, 6)
     A = full_tensor_field()
     degrees = mesh.DegreeAssignment.uniform(coarse, 2, 2)
-    degrees.M.update({0: 1, 3: 3, 4: 0})
-    requests = requests_of(coarse, degrees)
-    K1 = 5 if kind == "quad" else 9
-    requests[K1] = requests[K1][:3] + ([2],)
+    degrees.M[[0, 3, 4]] = [1, 3, 0]
+    _, _, M, bases = requests_of(coarse, degrees)
     f = finefem.gaussian_rhs()
     glob = finefem.global_geometry(fine)
-    for group in finefem.patch_groups(fine, requests):
-        reqs = [requests[K] for K in group.elements]
-        n_b = max(len(r[3]) for r in reqs)
-        got = localbasis._load_weights(coarse, group, reqs, n_b, f)
+    for group in finefem.patch_groups(fine, range(len(coarse.elements))):
+        Mg = M[group.elements]
+        n_b = max(bases[m].dim for m in Mg.tolist() if m)
+        got = localbasis._load_weights(coarse, group, Mg, bases, n_b, f)
         assert np.array_equal(got[:, :n_b],
-                              loop_load_weights(coarse, group, reqs, n_b))
+                              loop_load_weights(coarse, group, Mg, bases,
+                                                n_b))
         pts = glob.centroids[group.tri_ids]
         fv = f(pts[..., 0], pts[..., 1])
         assert np.array_equal(got[:, n_b], (glob.areas[group.tri_ids] * fv
                                             / 3.0).T)
-    batched = localbasis.compute_all(coarse, fine, A, degrees,
-                                     which="bubble")
-    monkeypatch.setattr(
-        localbasis, "_load_weights",
-        lambda coarse, sub, reqs, n_b, f: loop_load_weights(coarse, sub,
-                                                            reqs, n_b))
-    looped = localbasis.compute_all(coarse, fine, A, degrees, which="bubble")
-    assert [bf.key for bf in batched] == [bf.key for bf in looped]
+    runs = []
+    for loop in (False, True):
+        if loop:
+            monkeypatch.setattr(
+                localbasis, "_load_weights",
+                lambda coarse, sub, M, bases, n_b, f: loop_load_weights(
+                    coarse, sub, M, bases, n_b))
+        stacks = []
+        table = localbasis.compute_all(coarse, fine, A, degrees,
+                                       which="bubble", stacks=stacks)
+        runs.append((table, [table_fields(table, stacks, d)
+                             for d in range(len(table))]))
+    (batched, a), (looped, b) = runs
+    assert np.array_equal(batched.key, looped.key)
     assert len(batched) == sum(
-        polybasis.BulkPolyBasis(kind, M).dim for M in degrees.M.values() if M)
-    for a, b in zip(batched, looped):
-        assert all(np.array_equal(a.values[K], b.values[K])
-                   for K in a.support)
+        polybasis.BulkPolyBasis(kind, M).dim for M in degrees.M.tolist() if M)
+    for x, y in zip(a, b):
+        assert list(x) == list(y)
+        assert all(np.array_equal(x[K], y[K]) for K in x)
 
 
 # ---------------------------------------------------------------------------

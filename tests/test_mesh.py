@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import edge_vertex_chain
 from legmsfem import mesh
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -53,7 +54,7 @@ def test_element_edges_are_sides(quad44):
     for el in quad44.elements:
         vids = el.vertex_ids
         n = len(vids)
-        for i, eid in enumerate(quad44.element_edges[el.id]):
+        for i, eid in enumerate(quad44.element_edge_ids[el.id]):
             e = quad44.edges[eid]
             pair = {vids[i], vids[(i + 1) % n]}
             assert {e.v0, e.v1} == pair
@@ -61,7 +62,7 @@ def test_element_edges_are_sides(quad44):
 
 def test_coarse_vertices_exactly_on_fine_lattice(quad44, fine_quad44):
     for e in quad44.edges:
-        chain = fine_quad44.edge_vertex_chain(e.id)
+        chain = edge_vertex_chain(fine_quad44, e.id)
         assert np.array_equal(fine_quad44.vertices[chain[0]],
                               quad44.vertices[e.v0])
         assert np.array_equal(fine_quad44.vertices[chain[-1]],
@@ -108,12 +109,17 @@ def test_patch_boundary_vertices(quad44, fine_quad44, tri44, fine_tri44):
 def test_edge_vertex_chain_geometry(quad44, fine_quad44):
     eid = int(quad44.interior_edge_ids[0])
     e = quad44.edges[eid]
-    chain = fine_quad44.edge_vertex_chain(eid)
+    chain = edge_vertex_chain(fine_quad44, eid)
     assert len(chain) == 9
     t = np.arange(9) / 8
     expect = (quad44.vertices[e.v0][None, :] * (1 - t[:, None])
               + quad44.vertices[e.v1][None, :] * t[:, None])
     assert np.abs(fine_quad44.vertices[chain] - expect).max() < 1e-15
+    # the array form gives every chain at once, and one for one id
+    chains = fine_quad44.edge_vertex_chains(np.arange(len(quad44.edges)))
+    assert np.array_equal(chains, [edge_vertex_chain(fine_quad44, g)
+                                   for g in range(len(quad44.edges))])
+    assert np.array_equal(fine_quad44.edge_vertex_chains(eid), chain)
 
 
 def brute_force_segment_map(fine):
@@ -136,7 +142,7 @@ def test_edge_segment_triangles_match_brute_force(coarse_name, fine_name,
     diagonals = 0
     for eid in coarse.interior_edge_ids:
         e = coarse.edges[eid]
-        chain = fine.edge_vertex_chain(eid)
+        chain = edge_vertex_chain(fine, eid)
         segs = fine.edge_segment_triangles(eid)
         assert segs.shape == (fine.n_sub, 2)
         lo, hi = e.element_ids
@@ -173,13 +179,27 @@ def test_regularity_values(quad44, tri44):
 def test_degree_assignment_validation(quad44):
     deg = mesh.DegreeAssignment.uniform(quad44, 2, 0)
     deg.validate(quad44)
-    bad = mesh.DegreeAssignment(N=dict(deg.N), M=dict(deg.M))
+    # a boundary edge carries no enrichment, so its entry is never read
+    deg.N[next(e.id for e in quad44.edges if e.boundary)] = 0
+    deg.validate(quad44)
+    bad = mesh.DegreeAssignment(deg.N.copy(), deg.M.copy())
     bad.N[int(quad44.interior_edge_ids[0])] = 0
     with pytest.raises(ValueError, match="N must be"):
         bad.validate(quad44)
-    missing = mesh.DegreeAssignment(N={}, M=dict(deg.M))
-    with pytest.raises(ValueError):
+    bad = mesh.DegreeAssignment(deg.N.copy(), deg.M.copy())
+    bad.M[3] = -1
+    with pytest.raises(ValueError, match="element 3: M must be"):
+        bad.validate(quad44)
+    missing = mesh.DegreeAssignment(deg.N[:-1], deg.M)
+    with pytest.raises(ValueError, match="one integer per edge"):
         missing.validate(quad44)
+    # a fractional degree would be cut to an integer without a word
+    fractional = mesh.DegreeAssignment(deg.N + 0.5, deg.M)
+    with pytest.raises(ValueError, match="one integer per edge"):
+        fractional.validate(quad44)
+    listed = mesh.DegreeAssignment(deg.N.tolist(), deg.M)
+    with pytest.raises(ValueError, match="int array"):
+        listed.validate(quad44)
 
 
 def test_degree_compat(quad44):

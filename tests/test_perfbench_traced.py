@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from legmsfem import finefem, globalsolve
+from legmsfem import finefem, globalsolve, localbasis
 
 TRACED_PY = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -54,3 +54,14 @@ def test_traced_info_reads_fine_and_interface_operators(small_bench_bubbles):
     # the cross-Gram invariant of a run with bubbles goes through
     # interface_K.diagonal() as well
     assert traced.invariants(res)["cross_gram"] <= 1e-8
+
+
+def test_traced_info_counts_the_dofs_of_compute_all(small_bench_bubbles):
+    # INFO["localbasis.compute_all"] reads len() of the DOF table that
+    # compute_all returns: the localbasis.functions metric
+    traced = load_traced()
+    space = small_bench_bubbles.solution.space
+    table = localbasis.compute_all(space.coarse, space.fine, space.A,
+                                   space.degrees)
+    info = traced.INFO["localbasis.compute_all"]((), table)
+    assert info == {"functions": space.n_dofs} == {"functions": 97}
