@@ -706,12 +706,32 @@ def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.matmul(M[:, None], V[..., None])[..., 0]
 
 
-def block_tridiagonal_factor(D: list, E: list) -> tuple[list, list]:
+def _couple(C: tuple, X: np.ndarray, axis: int) -> np.ndarray:
+    """The product of the sub-diagonal block E held by the couplings
+    C = (cols, vals) with X, element by element: E X for axis -2, X E^T
+    for axis -1.  Row r of E holds vals[:, k, r] in column cols[k, r], for
+    each k < len(cols), so each product is a gather: O(w^2) against the
+    O(w^3) of a dense one, and with one coupling per row every entry is
+    the one product a dense matmul would round."""
+    cols, vals = C
+
+    def term(k):
+        v = vals[:, k, :, None] if axis == -2 else vals[:, None, k]
+        return np.take(X, cols[k], axis=axis) * v
+
+    out = term(0)
+    for k in range(1, len(cols)):
+        out += term(k)
+    return out
+
+
+def block_tridiagonal_factor(D: list, C: list) -> tuple[list, list]:
     """Block elimination of SPD block-tridiagonal systems with diagonal
-    blocks D[i] and sub-diagonal blocks E[i] (block i against block i-1),
-    one system per element of the leading axis, from the first block row
-    down (Golub & Van Loan, block tridiagonal systems): the inverse Schur
-    complements S_i^{-1} and G_i = S_i^{-1} E[i+1]^T."""
+    blocks D[i] and sub-diagonal blocks E[i] (block i against block i-1)
+    held as the couplings C[i] of _couple, one system per element of the
+    leading axis, from the first block row down (Golub & Van Loan, block
+    tridiagonal systems): the inverse Schur complements S_i^{-1} and
+    G_i = S_i^{-1} E[i+1]^T."""
     nb = len(D)
     S_inv: list = [None] * nb
     G: list = [None] * nb
@@ -719,12 +739,12 @@ def block_tridiagonal_factor(D: list, E: list) -> tuple[list, list]:
     for i in range(nb):
         S_inv[i] = np.linalg.inv(S)
         if i + 1 < nb:
-            G[i] = S_inv[i] @ E[i + 1].transpose(0, 2, 1)
-            S = D[i + 1] - E[i + 1] @ G[i]
+            G[i] = _couple(C[i + 1], S_inv[i], -1)
+            S = D[i + 1] - _couple(C[i + 1], G[i], -2)
     return S_inv, G
 
 
-def block_tridiagonal_substitute(factor: tuple[list, list], E: list,
+def block_tridiagonal_substitute(factor: tuple[list, list], C: list,
                                  R: list) -> list:
     """Solve the systems of block_tridiagonal_factor for a stack of
     right-hand sides, R[i] of shape (elements, fields, len(D[i][0])):
@@ -735,7 +755,7 @@ def block_tridiagonal_substitute(factor: tuple[list, list], E: list,
     S_inv, G = factor
     g = [_matvecs(S_inv[0], R[0])]
     for i in range(1, len(S_inv)):
-        g.append(_matvecs(S_inv[i], R[i] - _matvecs(E[i], g[-1])))
+        g.append(_matvecs(S_inv[i], R[i] - _couple(C[i], g[-1], -1)))
     x = [g[-1]]
     for i in range(len(S_inv) - 2, -1, -1):
         x.append(g[i] - _matvecs(G[i], x[-1]))
@@ -750,77 +770,85 @@ class RowBlocks:
     slots are the box positions of the free vertices, ascending, on a box
     of grid (rows, columns); block i holds the free vertices of one
     lattice row, the slice blocks[i] of them.  The stencil couples only
-    adjacent lattice rows, so K_ff is block tridiagonal: the diagonal
-    block of a row is tridiagonal, from the centre and east coefficients,
-    and its block against the previous row (zero unless that row is the
-    adjacent one) comes from the north and north-east ones.  The blocks
-    are packed element by element, block i at offsets[i], its diagonal
-    block and then its sub-diagonal one, size doubles in all."""
+    adjacent lattice rows, so K_ff is block tridiagonal.  The diagonal
+    block of a row is tridiagonal, from the centre and east coefficients;
+    the diagonal blocks are packed element by element, block i at
+    offsets[i].  The block of a row against the previous one (zero unless
+    that row is the adjacent one) holds at most two entries per row: the
+    north coefficient of the vertex below and the north-east one of the
+    vertex below-left.  It is kept as those stencil vectors, the couplings
+    of _couple, packed after the diagonal blocks, size doubles in all."""
 
     def __init__(self, slots: np.ndarray, grid: tuple[int, int]):
         cols = grid[1]
         n = self._n = grid[0] * cols
+        nf = len(slots)
         starts = np.flatnonzero(np.diff(slots // cols, prepend=-1))
-        w = self.widths = np.diff(np.append(starts, len(slots)))
+        w = self.widths = np.diff(np.append(starts, nf))
         self.blocks = [slice(a, a + b)
                        for a, b in zip(starts.tolist(), w.tolist())]
-        p = self.prev = np.append(0, w[:-1])
-        ends = np.cumsum(w * (w + p))
-        self.offsets = ends - w * (w + p)
-        self.size = int(ends[-1]) if len(ends) else 0
+        ends = np.cumsum(w * w)
+        self.offsets = ends - w * w
+        self._diagonal = int(ends[-1]) if len(ends) else 0
+        self.size = self._diagonal + 2 * nf
         # Each free vertex's block, its position there, and where its row
-        # of the diagonal and of the sub-diagonal block starts.
+        # of the diagonal block starts.
         blk = np.repeat(np.arange(len(w)), w)
-        pos = np.arange(len(slots)) - starts[blk]
+        pos = np.arange(nf) - starts[blk]
         diag = self.offsets[blk] + pos * w[blk]
-        sub = self.offsets[blk] + w[blk] ** 2 + pos * p[blk]
         at = np.full(n + 1, -1)  # the free vertex at each box position
-        at[slots] = np.arange(len(slots))
+        at[slots] = np.arange(nf)
         # (destination, source) of every entry: the centre of each free
         # vertex a, the east coupling of a with b both ways, then the north
-        # and north-east couplings of b with a, b in the row below.
+        # and north-east couplings of b with a, b in the row below; the
+        # column of b in its block, 0 where a has no such b (and a zero
+        # coupling).
         dst, src = [diag + pos], [slots]
         b = np.where(slots % cols < cols - 1, at[slots + 1], -1)
         a = np.flatnonzero(b >= 0)
         b = b[a]
         dst += [diag[a] + pos[b], diag[b] + pos[a]]
         src += [slots[a] + n] * 2
-        for d, k in ((2, cols), (3, cols + 1)):
+        self._cols = np.zeros((2, nf), dtype=int)
+        for j, (d, k) in enumerate(((2, cols), (3, cols + 1))):
             b = np.where((slots >= k) & (slots % cols >= k - cols),
                          at[slots - k], -1)
             a = np.flatnonzero(b >= 0)
             b = b[a]
-            dst.append(sub[a] + pos[b])
+            self._cols[j, a] = pos[b]
+            dst.append(self._diagonal + j * nf + a)
             src.append(slots[b] + d * n)
         self._dst = np.concatenate(dst)
         self._src = np.concatenate(src)
 
     def split(self, st: Stencil) -> tuple[list, list]:
-        """(D, E) of a stencil or a stack of them, gathered in one pass:
-        D[i] couples block i with itself, E[i] block i with block i - 1
-        (E[0] is empty), each with a leading element axis."""
+        """(D, C) of a stencil or a stack of them, gathered in one pass:
+        D[i] couples block i with itself, C[i] holds the couplings of block
+        i with block i - 1 (those of C[0] are zero), each with a leading
+        element axis.  The north-east couplings are left out where the
+        stack has none, as for a scalar coefficient."""
         coef = st.coef.reshape(-1, 4 * self._n)
         m = len(coef)
         data = np.zeros((m, self.size))
         data[:, self._dst] = coef[:, self._src]
-        D, E = [], []
-        for o, w, p in zip(self.offsets, self.widths, self.prev):
-            D.append(data[:, o:o + w * w].reshape(m, w, w))
-            E.append(data[:, o + w * w:o + w * (w + p)].reshape(m, w, p))
-        return D, E
+        D = [data[:, o:o + w * w].reshape(m, w, w)
+             for o, w in zip(self.offsets, self.widths)]
+        vals = data[:, self._diagonal:].reshape(m, 2, -1)
+        k = 2 if vals[:, 1].any() else 1
+        return D, [(self._cols[:k, b], vals[:, :k, b]) for b in self.blocks]
 
     def factor(self, st: Stencil) -> tuple:
-        """The block elimination of the stencils st, and their sub-diagonal
-        blocks, for solve."""
-        D, E = self.split(st)
-        return block_tridiagonal_factor(D, E), E
+        """The block elimination of the stencils st, and their couplings
+        between blocks, for solve."""
+        D, C = self.split(st)
+        return block_tridiagonal_factor(D, C), C
 
     def solve(self, factored: tuple, R: np.ndarray) -> np.ndarray:
         """The solutions, over the free vertices, of the factored systems
         for right-hand sides R (elements, fields, free vertices)."""
-        factor, E = factored
+        factor, C = factored
         return np.concatenate(block_tridiagonal_substitute(
-            factor, E, [R[..., b] for b in self.blocks]), axis=-1)
+            factor, C, [R[..., b] for b in self.blocks]), axis=-1)
 
 
 SMOOTHING_WEIGHT = 0.8  # damped Jacobi

@@ -3,8 +3,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import (edge_vertex_chain, table_fields, vertex_edges,
-                      vertex_elements)
+from conftest import (anisotropic_field, check_against_dense,
+                      dense_couplings, edge_vertex_chain, table_fields,
+                      vertex_edges, vertex_elements)
 from legmsfem import finefem, localbasis, mesh, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
@@ -602,12 +603,41 @@ def test_row_blocks_match_the_element_matrix_layout(kind, n_sub):
         grads, AW = g.weights(A)
         blocks = finefem.RowBlocks(t.box[1][is_free], t.box[0])
         want = element_row_blocks(fine, t, is_free)
-        assert blocks.size == want.size
         assert np.array_equal(blocks.widths, want.widths)
         assert [b.stop for b in blocks.blocks] == \
             np.cumsum(want.widths).tolist()
-        D, E = blocks.split(finefem.Stencil.of(t, AW, grads))
+        D, C = blocks.split(finefem.Stencil.of(t, AW, grads))
+        E = dense_couplings(C, blocks.widths)
         D0, E0 = want.split(finefem._stiffness(grads, AW))
         assert len(D) == len(D0) == len(E) == len(E0)
         assert all(bitwise(a, b) for a, b in zip(D + E, D0 + E0))
         assert len(D) == 1 or any(e.any() for e in E[1:])
+
+
+@pytest.mark.parametrize("kind,nx,n_sub", [("quad", 1, 64),
+                                           ("triangle", 2, 8)])
+@pytest.mark.parametrize("coefficient", ["periodic", "anisotropic"])
+def test_coupling_elimination_matches_dense(kind, nx, n_sub, coefficient):
+    # the offline sweep's elimination, its row couplings kept as stencil
+    # vectors, against the dense one: bitwise for a scalar coefficient (one
+    # coupling per row), to rounding with north-east couplings, on the
+    # quad n_sub 64 template (63 rows of 63) and on triangle templates
+    # whose rows shrink
+    coarse = mesh.build_coarse(kind, nx, nx)
+    fine = mesh.refine_to_fine(coarse, n_sub)
+    A = (finefem.periodic_benchmark(0.25) if coefficient == "periodic"
+         else anisotropic_field())
+    for g in finefem.patch_groups(fine, range(len(coarse.elements))):
+        t = g.template
+        is_free = np.ones(t.n_vertices, dtype=bool)
+        is_free[t.boundary_local] = False
+        blocks = finefem.RowBlocks(t.box[1][is_free], t.box[0])
+        assert len(set(blocks.widths.tolist())) == (1 if kind == "quad"
+                                                    else len(blocks.widths))
+        grads, AW = g.weights(A)
+        st = finefem.Stencil.of(t, AW, grads)
+        D, C = blocks.split(st)
+        assert len(C[-1][0]) == (1 if coefficient == "periodic" else 2)
+        check_against_dense(blocks, blocks.factor(st), D,
+                            dense_couplings(C, blocks.widths),
+                            exact=coefficient == "periodic")
