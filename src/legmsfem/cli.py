@@ -574,15 +574,16 @@ def cmd_basis_dump(config: RunConfig, selector: str,
                           "indices must be integers") from None
     problem = build_problem(config)
     globalsolve.check_degrees(problem.fine, problem.degrees)
-    stacks: list[np.ndarray] = []
+    solved: list[tuple] = []
     table = localbasis.compute_all(problem.coarse, problem.fine, problem.A,
-                                   problem.degrees, stacks=stacks,
+                                   problem.degrees, stacks=solved,
                                    support_of=select)
     dof = table.find(*select)
     if dof < 0:
         raise ConfigError(f"selector {selector!r} matches no basis function "
                           "in this configuration")
-    pts = localbasis.dump_points(table, stacks, dof, problem.fine)
+    pts = localbasis.dump_points(table, [x for x, _ in solved], dof,
+                                 problem.fine)
     rows = ["x,y,value"] + [",".join(_fmt(v) for v in row) for row in pts]
     _emit(rows, out)
     return 0

@@ -99,7 +99,8 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
     edges; the relative map divides by the interface reference energy norm.
     The element energies of the error and of the interface reference come
     from one Gram block per element, taken for a chunk of same-shape
-    patches at once (finefem.patch_groups and finefem.gram_blocks).
+    patches at once with the chunk's patch stencils
+    (finefem.patch_groups and finefem.patch_grams).
     """
     space = u_H.space
     coarse = space.coarse
@@ -108,11 +109,12 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
     d_G = ref_G - u_G.values
     energies = np.zeros((len(coarse.elements), 2))
     for group in finefem.patch_groups(space.fine, range(len(coarse.elements))):
-        tris = group.template.tris
-        for _, sub in group.chunks(2 * len(tris) * 3):
-            vids = group.template.vids + sub.shifts[:, None]
-            G = finefem.gram_blocks(np.stack([d_G[vids], ref_G[vids]], 1),
-                                    tris, *sub.weights(space.A))
+        t = group.template
+        for _, sub in group.chunks(2 * 3 * t.n_vertices):
+            vids = t.vids + sub.shifts[:, None]
+            grads, AW = sub.weights(space.A)
+            G = finefem.patch_grams(t, finefem.Stencil.of(t, AW, grads),
+                                    np.stack([d_G[vids], ref_G[vids]], 1))
             energies[sub.elements] = np.diagonal(G, axis1=1, axis2=2)
     err2 = energies[:, 0]
     denom2 = float(energies[:, 1].sum())
@@ -131,7 +133,9 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
              u_ref: finefem.FineFunction,
              u_B_ref: finefem.FineFunction | None = None) -> ErrorReport:
     """Full error report for one run from one reconstruction of each part,
-    one Gram matrix and one load vector.
+    one Gram matrix and one load vector, every sum over the fine vertices
+    in a fixed order (finefem.energy_inner_matrix and finefem.dot), so the
+    report does not depend on the BLAS thread count.
 
     The rows u, u_ref - u and u_ref give E_num, E_rel from the energy
     identity and the direct quotient ||u_ref - u||_E / ||u_ref||_E.  With
@@ -156,7 +160,7 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
                  (u_ref.values - u_B_ref.values) - u_G.values]
     M = finefem.energy_inner_matrix(np.stack(rows), geom, space.A)
     b = finefem.load_vector(geom, u_H.f)
-    E_num = 0.5 * float(M[0, 0]) - float(b @ u)
+    E_num = 0.5 * float(M[0, 0]) - finefem.dot(b, u)
     E_rel = relative_from_energies(E_num, E_star)
     direct = float(np.sqrt(M[1, 1] / M[2, 2]))
     gamma = None
@@ -165,7 +169,7 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
         resid = 0.0 if M[1, 1] <= 0 else \
             float(abs(M[1, 1] - (M[4, 4] + M[5, 5])) / M[1, 1])
         E_gamma_star = E_star - (0.5 * float(M[3, 3])
-                                 - float(b @ u_B_ref.values))
+                                 - finefem.dot(b, u_B_ref.values))
         if not space.n_bubble and E_gamma_star < -1e-15 * abs(E_star):
             gamma = relative_from_energies(E_num, E_gamma_star)
     return ErrorReport(E_star, E_num, E_rel, direct, gamma, resid)

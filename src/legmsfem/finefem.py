@@ -36,7 +36,15 @@ Element patches of one shape are lattice translates of each other
 (`patch_groups` checks it), so `localbasis` and the coarse assembly work on
 a whole `PatchGroup` at once: the template's local triangulation serves
 every member, and per-triangle data is gathered from the global geometry.
-Every coefficient-weighted inner product goes through `gram_blocks`.
+
+Every coefficient-weighted inner product a(u, v) is u^T (K v) with the
+stencil of its geometry (`Stencil.apply_full`): `energy_inner_matrix` and
+`energy` with the one stencil a geometry keeps per coefficient, the same
+one `assemble` uses, and `patch_grams` with the stencils of a chunk of
+patches, which the offline sweep forms for its elimination anyway.  The
+sums over the fine vertices that reach an output run in a fixed order
+(`dot`, einsum without BLAS), so no result depends on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -214,41 +222,6 @@ def _scatter(tris: np.ndarray, contrib: np.ndarray, n: int) -> np.ndarray:
                        minlength=E * n).reshape(E, n)
 
 
-def gram_blocks(V: np.ndarray, tris: np.ndarray, grads: np.ndarray,
-                AW: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
-    """Gram blocks a(V_i, W_j) of a stack of patches on one local
-    triangulation: the one quadrature of coefficient-weighted inner
-    products, called by energy_inner_matrix and by the coarse assembly.
-
-    V (E, b, n) and W (E, c, n) are nodal values on the local vertices of
-    tris (nt, 3); grads (E, nt, 3, 2) are the P1 gradients and AW
-    (E, nt, 2, 2) the area-weighted coefficient of each patch.  Returns
-    (E, b, c), exactly symmetric when W is None.
-    """
-    # Triangles run along the last axis, as in _stiffness.
-    gT = np.ascontiguousarray(np.moveaxis(grads, 1, -1))  # (E, 3, 2, nt)
-    AT = np.ascontiguousarray(np.moveaxis(AW, 1, -1))     # (E, 2, 2, nt)
-
-    def gradients(X):  # (E, rows, 2, nt), one vertex slot at a time
-        g = X[:, :, None, tris[:, 0]] * gT[:, None, 0]
-        tmp = np.empty_like(g)
-        for k in (1, 2):
-            g += np.multiply(X[:, :, None, tris[:, k]], gT[:, None, k],
-                             out=tmp)
-        return g
-
-    gV = gradients(V)
-    gW = gV if W is None else gradients(W)
-    AgW = gW[:, :, None, 0] * AT[:, None, :, 0]
-    AgW += gW[:, :, None, 1] * AT[:, None, :, 1]
-    E, b, c = len(gV), gV.shape[1], gW.shape[1]
-    M = np.matmul(gV.reshape(E, b, -1),
-                  AgW.reshape(E, c, -1).transpose(0, 2, 1))
-    if W is None:
-        M = 0.5 * (M + M.transpose(0, 2, 1))
-    return M
-
-
 class TriGeometry:
     """P1 data for a set of fine triangles: a patch of one coarse element or
     the whole fine mesh.  Vertex indexing is local; vids maps back to global
@@ -273,6 +246,8 @@ class TriGeometry:
         if box is None and lattice is not None:
             box = ((lattice[1] + 1, lattice[0] + 1), np.arange(len(points)))
         self.box = box
+        self._fills_box = box is not None and np.array_equal(
+            box[1], np.arange(math.prod(box[0])))
         p0, p1, p2 = points[tris[:, 0]], points[tris[:, 1]], points[tris[:, 2]]
         det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
                - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
@@ -289,10 +264,12 @@ class TriGeometry:
         g[:, 2, 1] = (p1[:, 0] - p0[:, 0]) / det
         self.grads = g
         self._quad: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # [coefficient, AW] of the last coefficient asked for; a list, so
-        # a shallow copy (another fixed set on the same triangles) shares
-        # it.
-        self._weights: list = [None, None]
+        # [coefficient, AW, stencil or None] of the last coefficient asked
+        # for, and [load, load vector] of the last load; lists, so a
+        # shallow copy (another fixed set on the same triangles) shares
+        # them.
+        self._weights: list = [None, None, None]
+        self._load: list = [None, None]
 
     @property
     def n_vertices(self) -> int:
@@ -325,8 +302,33 @@ class TriGeometry:
         a matrix."""
         if self._weights[0] is not A:
             self._weights[:] = [A, self.areas[:, None, None]
-                                * A.matrix_at(self.centroids)]
+                                * A.matrix_at(self.centroids), None]
         return self._weights[1]
+
+    def stencil(self, A: CoefficientField) -> Stencil:
+        """The Stencil of the full stiffness of A (no vertex fixed), kept
+        next to area_weighted(A) under the same key, so assembly and every
+        energy product of one coefficient share one stencil.  Raises
+        ValueError off the lattice, like Stencil.of."""
+        AW = self.area_weighted(A)
+        if self._weights[2] is None:
+            self._weights[2] = Stencil.of(self, AW)
+        return self._weights[2]
+
+    def to_box(self, V: np.ndarray) -> np.ndarray:
+        """Nodal values V (..., n) on the flat positions of the vertex box,
+        zero off the geometry: V itself where the geometry fills its box."""
+        if self._fills_box:
+            return V
+        (rows, cols), slots = self.box
+        U = np.zeros(V.shape[:-1] + (rows * cols,))
+        U[..., slots] = V
+        return U
+
+    def from_box(self, U: np.ndarray) -> np.ndarray:
+        """The values of box arrays U (..., box positions) at the local
+        vertices, the inverse of to_box, C-contiguous like U."""
+        return U if self._fills_box else U.take(self.box[1], axis=-1)
 
 
 class Stencil:
@@ -338,8 +340,10 @@ class Stencil:
     (..., 4, box positions).  Each coupling is one entry of an exactly
     symmetric element matrix applied both ways, so the operator is exactly
     symmetric by construction.  Positions outside the geometry carry
-    zeros, so does a coupling across the end of a box row.  A leading axis
-    of coef holds the stencils of a stack of congruent patches."""
+    zeros, so does a coupling across the end of a box row.  Leading axes
+    of coef hold the stencils of a stack of congruent patches; every
+    operation acts along the last axis, the box positions, and broadcasts
+    over the others."""
 
     def __init__(self, grid: tuple[int, int], coef: np.ndarray):
         self.grid = grid
@@ -349,9 +353,9 @@ class Stencil:
         # (coefficients, flat offset of the neighbour) of each direction
         # with a nonzero coupling: a scalar coefficient gives the diagonal
         # of a right triangle none, and apply skips what would add zeros.
-        self.couplings = [(c, k) for c, k in zip(coef[..., 1:, :],
-                                                 self.offsets)
-                          if c.any()]
+        self.couplings = [(c, k) for c, k in zip(
+            (self.east, self.north, self.northeast), self.offsets)
+            if c.any()]
 
     @property
     def offsets(self) -> tuple[int, int, int]:
@@ -407,20 +411,45 @@ class Stencil:
         """The stencil with every coefficient that touches a box position
         off the boolean mask m set to zero."""
         coef = self.coef * m
-        for c, k in zip(coef[1:], self.offsets):
-            c[:-k] *= m[k:]
+        for k, c in zip(self.offsets, np.moveaxis(coef, -2, 0)[1:]):
+            c[..., :-k] *= m[k:]
         return Stencil(self.grid, coef)
 
-    def apply(self, U: np.ndarray, out: np.ndarray, tmp: np.ndarray
-              ) -> np.ndarray:
-        """out = K U on flat box arrays, with tmp as scratch."""
+    def apply(self, U: np.ndarray, out: np.ndarray | None = None,
+              tmp: np.ndarray | None = None) -> np.ndarray:
+        """out = K U on flat box arrays (..., box positions), with tmp as
+        scratch; both have the shape of the product and are allocated if
+        not given.  A stack of stencils applies member by member to a
+        stack of fields along the leading axes."""
+        shape = np.broadcast_shapes(self.centre.shape, U.shape)
+        out = np.empty(shape) if out is None else out
+        tmp = np.empty(shape) if tmp is None else tmp
         np.multiply(self.centre, U, out=out)
         for coef, k in self.couplings:
-            t = tmp[:-k]
-            np.multiply(coef[:-k], U[k:], out=t)
-            out[:-k] += t
-            np.multiply(coef[:-k], U[:-k], out=t)
-            out[k:] += t
+            t = tmp[..., :-k]
+            np.multiply(coef[..., :-k], U[..., k:], out=t)
+            out[..., :-k] += t
+            np.multiply(coef[..., :-k], U[..., :-k], out=t)
+            out[..., k:] += t
+        return out
+
+    def apply_full(self, U: np.ndarray) -> np.ndarray:
+        """K U for the stiffness of a whole geometry, no vertex fixed,
+        whose rows sum to zero: sum_j k_ij (U_j - U_i) over the neighbours
+        j, the form of every energy product, broadcast like apply.  The
+        centre coefficient does not enter.  Neighbouring values of a
+        smooth field are close, so their differences are exact and K U
+        keeps the digits that centre * U_i + sum_j k_ij U_j loses to
+        cancellation: u^T K u of the sweep-tri-N fine reference agrees
+        with a long-double evaluation of the triangle gradients to
+        rounding, where the centre form is 2e-15 relative off."""
+        shape = np.broadcast_shapes(self.centre.shape, U.shape)
+        out, tmp = np.zeros(shape), np.empty(shape)
+        for coef, k in self.couplings:
+            t = np.subtract(U[..., k:], U[..., :-k], out=tmp[..., :-k])
+            t *= coef[..., :-k]
+            out[..., :-k] += t
+            out[..., k:] -= t
         return out
 
 
@@ -613,10 +642,17 @@ class SparseSpdSystem:
 
 
 def load_vector(geom: TriGeometry, f) -> np.ndarray:
-    """P1 load vector of f by the centroid rule, full local length."""
-    pts, w = geom.quad_points()
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    return _scatter(geom.tris, (w * fv / 3.0)[None], geom.n_vertices)[0]
+    """P1 load vector of f by the centroid rule, full local length,
+    read-only.  geom keeps the vector of the last load object it was asked
+    for, compared by identity like the coefficient, so the assembly of a
+    fine system and the energies of its solution make one triangle pass."""
+    if geom._load[0] is not f:
+        pts, w = geom.quad_points()
+        fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+        b = _scatter(geom.tris, (w * fv / 3.0)[None], geom.n_vertices)[0]
+        b.flags.writeable = False
+        geom._load[:] = [f, b]
+    return geom._load[1]
 
 
 def assemble(geom: TriGeometry, A: CoefficientField, f=None,
@@ -624,14 +660,14 @@ def assemble(geom: TriGeometry, A: CoefficientField, f=None,
     """Assemble the Dirichlet-eliminated system on a patch or the global mesh.
 
     dirichlet is either one value for the whole boundary or an array of
-    values aligned with geom.boundary_local.  The stencil is built from
-    geom.area_weighted, so a second system of the same coefficient object
-    on the same triangles (another fixed set) evaluates no coefficient; the
+    values aligned with geom.boundary_local.  The stencil is geom.stencil,
+    so a second system of the same coefficient object on the same
+    triangles (another fixed set) and every energy product share it; the
     fixed vertices are masked out of it, and the Dirichlet lift is the full
     stencil applied to the Dirichlet values.
     """
     AW = geom.area_weighted(A)
-    stencil = Stencil.of(geom, AW)
+    stencil = geom.stencil(A)
     K_ff, free = _eliminate(geom, stencil)
     fixed = geom.boundary_local
     xc = np.asarray(dirichlet, dtype=float)
@@ -645,11 +681,15 @@ def assemble(geom: TriGeometry, A: CoefficientField, f=None,
     values0 = np.zeros(geom.n_vertices)
     values0[fixed] = xc
     if len(fixed) and np.any(xc != 0.0):
-        U = np.zeros(len(K_ff.mask))
-        U[geom.box[1]] = values0
-        rhs = rhs - stencil.apply(U, np.empty_like(U),
-                                  np.empty_like(U))[K_ff.mask]
+        rhs = rhs - stencil.apply(geom.to_box(values0))[K_ff.mask]
     return SparseSpdSystem(K_ff, rhs, free, values0, geom, AW)
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two vectors, summed in a fixed order (numpy's pairwise
+    add.reduce of the products), not by BLAS, whose sum depends on its
+    thread count and is less accurate over long vectors."""
+    return float(np.add.reduce(a * b))
 
 
 def pcg(K, b: np.ndarray, rel_tol: float,
@@ -660,11 +700,12 @@ def pcg(K, b: np.ndarray, rel_tol: float,
     precond maps a residual to its search direction and must be SPD;
     Jacobi, the inverse diagonal of K, by default.  Stops at
     ||r|| <= rel_tol*||b||; raises SolverDivergenceError past the
-    iteration cap (default 50*sqrt(n))."""
+    iteration cap (default 50*sqrt(n)).  Dots and norms go through dot,
+    so the iterates do not depend on the BLAS thread count."""
     n = K.shape[0]
     if n == 0:
         return np.zeros(0), 0
-    nb = np.linalg.norm(b)
+    nb = float(np.sqrt(dot(b, b)))
     if nb == 0.0:
         return np.zeros(n), 0
     if cap is None:
@@ -675,17 +716,17 @@ def pcg(K, b: np.ndarray, rel_tol: float,
     r = b.copy()
     z = precond(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = dot(r, z)
     for it in range(1, cap + 1):
         Kp = K @ p
-        alpha = rz / float(p @ Kp)
+        alpha = rz / dot(p, Kp)
         x += alpha * p
         r -= alpha * Kp
-        res = np.linalg.norm(r)
+        res = float(np.sqrt(dot(r, r)))
         if res <= rel_tol * nb:
             return x, it
         z = precond(r)
-        rz_new = float(r @ z)
+        rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverDivergenceError(
@@ -716,8 +757,9 @@ def _couple(C: tuple, X: np.ndarray, axis: int) -> np.ndarray:
     cols, vals = C
 
     def term(k):
-        v = vals[:, k, :, None] if axis == -2 else vals[:, None, k]
-        return np.take(X, cols[k], axis=axis) * v
+        t = np.take(X, cols[k], axis=axis)
+        t *= vals[:, k, :, None] if axis == -2 else vals[:, None, k]
+        return t
 
     out = term(0)
     for k in range(1, len(cols)):
@@ -740,7 +782,8 @@ def block_tridiagonal_factor(D: list, C: list) -> tuple[list, list]:
         S_inv[i] = np.linalg.inv(S)
         if i + 1 < nb:
             G[i] = _couple(C[i + 1], S_inv[i], -1)
-            S = D[i + 1] - _couple(C[i + 1], G[i], -2)
+            S = _couple(C[i + 1], G[i], -2)
+            np.subtract(D[i + 1], S, out=S)
     return S_inv, G
 
 
@@ -1046,25 +1089,42 @@ def solve_spd(system: SparseSpdSystem, rel_tol: float = 1e-12) -> FineFunction:
     return FineFunction(system.geom, values, iters)
 
 
+def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray,
+                W: np.ndarray | None = None) -> np.ndarray:
+    """Gram blocks a(V_i, W_j) = V_i^T K W_j of a stack of congruent
+    patches with the triangulation of geom: V (E, b, n) and W (E, c, n)
+    are nodal values on its local vertices and stencil holds the members'
+    stencils, Stencil.of(geom, AW, grads).  Each member's stencil applies
+    to its fields in one pass (Stencil.apply_full), and einsum, without
+    BLAS, sums each entry over the vertices in one fixed order whatever
+    other fields and members ride along, so a donor space's blocks are
+    bitwise those of a fresh sweep.  Returns (E, b, c), exactly symmetric
+    when W is None."""
+    member = Stencil(stencil.grid, stencil.coef[:, None])
+    KW = geom.from_box(member.apply_full(geom.to_box(V if W is None else W)))
+    M = np.einsum("eik,ejk->eij", V, KW)
+    return M if W is not None else 0.5 * (M + M.transpose(0, 2, 1))
+
+
 def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
                         W: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix a(V_i, W_j) of nodal-value rows over one geometry.
+    """Gram matrix a(V_i, W_j) = V_i^T K W_j of nodal-value rows over one
+    geometry, with the stencil K = geom.stencil(A) that assembly shares,
+    applied by Stencil.apply_full.
 
-    Scalar energies and the error report call it; it sums gram_blocks
-    over blocks of about 2**16 / rows triangles, so the gathered nodal
-    values of a stack of global fields never exist all at once.
+    Scalar energies and the error report call it.  K applies to one row
+    of W at a time, so a stack of global fields needs no temporaries of
+    its size, and each entry sums over the vertices in a fixed order
+    (dot), so it does not depend on the BLAS thread count.  Exactly
+    symmetric when W is None; raises ValueError on a geometry off the
+    lattice, like assemble.
     """
+    st = geom.stencil(A)
     V = np.atleast_2d(V)
-    W = None if W is None or W is V else np.atleast_2d(W)[None]
-    V = V[None]
-    AW = geom.area_weighted(A)
-    M = np.zeros((V.shape[1], V.shape[1] if W is None else W.shape[1]))
-    step = max(1, (1 << 16) // (V.shape[1] + len(M[0])))
-    for s in range(0, len(geom.tris), step):
-        M += gram_blocks(V, geom.tris[s:s + step],
-                         geom.grads[None, s:s + step], AW[None, s:s + step],
-                         W)[0]
-    return M
+    KW = (geom.from_box(st.apply_full(geom.to_box(w)))
+          for w in (V if W is None else np.atleast_2d(W)))
+    M = np.array([[dot(v, Kw) for v in V] for Kw in KW]).T
+    return M if W is not None else 0.5 * (M + M.T)
 
 
 def energy_inner(v: FineFunction, w: FineFunction, A: CoefficientField
@@ -1078,8 +1138,9 @@ def energy_inner(v: FineFunction, w: FineFunction, A: CoefficientField
 
 
 def energy(v: FineFunction, A: CoefficientField, f=None) -> float:
-    """E(v) = 1/2 a(v,v) - integral of f v, same quadrature as assemble."""
+    """E(v) = 1/2 a(v,v) - integral of f v, same quadrature and stencil as
+    assemble, every sum in a fixed order (dot)."""
     e = 0.5 * float(energy_inner_matrix(v.values[None, :], v.geom, A)[0, 0])
     if f is not None:
-        e -= float(load_vector(v.geom, f) @ v.values)
+        e -= dot(load_vector(v.geom, f), v.values)
     return e

@@ -4,16 +4,18 @@ The space splits into an interface part (nodal plus edge enrichments,
 coupled across elements) and a bubble part (per-element, zero trace).  The
 two parts are orthogonal in the energy inner product, so the global solve
 decouples into one sparse SPD system for the interface coefficients and
-small dense SPD systems per element for the bubbles.  Assembly takes the
-element Gram blocks of a whole chunk of same-shape patches at once
-(finefem.patch_groups and finefem.gram_blocks); the interface system is
-kept as those blocks and applied element by element.
+small dense SPD systems per element for the bubbles.  The offline sweep
+already forms each patch's Gram blocks a(X_i, X_j) = X_i^T K X_j of its
+solved fields with the stencils it eliminates, so assembly gathers the
+element blocks from those through the DOF table and reads the fields
+only for the load right-hand side; the interface system is kept as the
+blocks and applied element by element.
 
 Assembly and reconstruction see the basis fields of each patch shape as
 an (elements, DOFs) table of rows of the offline field stacks, built once
 per space from its DOF table (localbasis.DofTable); they index those
-stacks in place.  A reconstruction is then a few array passes per shape
-and one scatter into the global field.
+stacks, and their Gram blocks, in place.  A reconstruction is then a few
+array passes per shape and one scatter into the global field.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ class EnrichedSpace:
     DOF order is that of localbasis.DofTable: interface functions first
     (nodal by vertex, then edge by (edge, k)), bubbles after (by element,
     then index).  stacks are the offline field stacks the table's rows
-    index.  A space built for a load f keeps it with its bubble reference,
+    index, and grams[s] the Gram blocks of stack s, (members, m, m) for a
+    stack of m rows per member, as localbasis.compute_all returns them.
+    A space built for a load f keeps it with its bubble reference,
     the zero-trace solves with load f glued over the mesh (errors.evaluate
     scores the interface error against it).
     """
@@ -45,6 +49,7 @@ class EnrichedSpace:
     degrees: DegreeAssignment
     dofs: localbasis.DofTable
     stacks: list[np.ndarray]
+    grams: list[np.ndarray]
     f: finefem.RhsField | None = None
     bubble_reference: finefem.FineFunction | None = None
 
@@ -77,8 +82,8 @@ class EnrichedSpace:
         for group in finefem.patch_groups(self.fine, np.flatnonzero(count)):
             E, n = group.elements, group.template.n_vertices
             out.append((group,
-                        _Fields.of(self.stacks, S, R, P, first[E], n_if[E], n),
-                        _Fields.of(self.stacks, S, R, P, first[E] + n_if[E],
+                        _Fields.of(self, S, R, P, first[E], n_if[E], n),
+                        _Fields.of(self, S, R, P, first[E] + n_if[E],
                                    count[E] - n_if[E], n)))
         return out
 
@@ -88,30 +93,46 @@ class _Fields:
     """The fields of one part of the DOFs on the members of a patch group:
     dofs (E, d) holds each member's DOFs in ascending order, padded with
     -1, and field i of member e is row rows[e, i] of stack (row 0 at
-    padding)."""
+    padding), whose Gram blocks are grams."""
 
     dofs: np.ndarray
     stack: np.ndarray
     rows: np.ndarray
+    grams: np.ndarray
 
     @classmethod
-    def of(cls, stacks: list[np.ndarray], S: np.ndarray,
+    def of(cls, space: EnrichedSpace, S: np.ndarray,
            R: np.ndarray, P: np.ndarray, first: np.ndarray,
            count: np.ndarray, n: int) -> _Fields:
         """The fields of pairs first[e] .. first[e] + count[e] - 1 of member
-        e, pair j being DOF P[j] in row R[j] of stack S[j]; all fields of
-        a part of a patch shape come from one stack."""
+        e, pair j being DOF P[j] in row R[j] of stack S[j] of the space;
+        all fields of a part of a patch shape come from one stack."""
         d = int(count.max(initial=0))
         mask = np.arange(d) < count[:, None]
         if not mask.any():
             return cls(np.full(mask.shape, -1), np.zeros((1, n)),
-                       np.zeros(mask.shape, dtype=int))
+                       np.zeros(mask.shape, dtype=int), np.zeros((1, 1, 1)))
         j = np.where(mask, first[:, None] + np.arange(d), 0)
         sid = S[j[mask]]
         if sid.min() != sid.max():
             raise ValueError("fields of one patch shape span several stacks")
-        return cls(np.where(mask, P[j], -1), stacks[sid[0]],
-                   np.where(mask, R[j], 0))
+        return cls(np.where(mask, P[j], -1), space.stacks[sid[0]],
+                   np.where(mask, R[j], 0), space.grams[sid[0]])
+
+    def gram(self, other: _Fields | None = None) -> np.ndarray | None:
+        """a(field i, field j of other) on each member, (E, d, d of
+        other), zero at padding, gathered from the Gram blocks of the
+        offline sweep; other defaults to these fields.  None when the two
+        parts come from different stacks, whose sweep formed no product of
+        the two (a donor's interface against fresh bubbles)."""
+        other = self if other is None else other
+        if other.stack is not self.stack:
+            return None
+        m = len(self.stack) // len(self.grams)
+        G = self.grams[self.rows[:, :, None] // m, self.rows[:, :, None] % m,
+                       other.rows[:, None, :] % m]
+        G[(self.dofs[:, :, None] < 0) | (other.dofs[:, None, :] < 0)] = 0.0
+        return G
 
     def gather(self, sl: slice = slice(None)) -> np.ndarray:
         """The fields of members sl, (E, d, n), zero rows at padding."""
@@ -179,7 +200,8 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
 
     interface_from reuses the interface part of an existing space built on
     the same meshes and the same coefficient object with edgewise degrees at
-    least as large; only bubbles are recomputed.  Degrees beyond the donor
+    least as large, its fields and their Gram blocks; only bubbles are
+    recomputed.  Degrees beyond the donor
     raise, and so do degrees the fine lattice cannot resolve.
 
     Given the load f, the space also carries the bubble reference of f:
@@ -189,12 +211,13 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     """
     check_degrees(fine, degrees)
     reference: list[np.ndarray] = []
-    stacks: list[np.ndarray] = []
+    solved: list[tuple] = []
     if interface_from is None:
-        dofs = localbasis.compute_all(coarse, fine, A, degrees, stacks=stacks,
+        dofs = localbasis.compute_all(coarse, fine, A, degrees, stacks=solved,
                                       f=f, reference=reference)
-        return EnrichedSpace(coarse, fine, A, degrees, dofs, stacks, f,
-                             _reference(fine, reference))
+        return EnrichedSpace(coarse, fine, A, degrees, dofs,
+                             [x for x, _ in solved], [g for _, g in solved],
+                             f, _reference(fine, reference))
     donor = interface_from
     if donor.coarse is not coarse or donor.fine is not fine:
         raise ValueError("interface reuse requires the same mesh pair")
@@ -210,7 +233,7 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
         raise ValueError("donor space is missing requested edge degrees")
     inherited = f is not None and donor.f is f
     bubbles = localbasis.compute_all(coarse, fine, A, degrees, which="bubble",
-                                     stacks=stacks,
+                                     stacks=solved,
                                      f=None if inherited else f,
                                      reference=reference)
     position = np.cumsum(keep) - 1
@@ -223,7 +246,8 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
         np.concatenate([d.stack[pair], bubbles.stack + len(donor.stacks)]),
         np.concatenate([d.row[pair], bubbles.row]))
     return EnrichedSpace(coarse, fine, A, degrees, dofs,
-                         donor.stacks + stacks, f,
+                         donor.stacks + [x for x, _ in solved],
+                         donor.grams + [g for _, g in solved], f,
                          donor.bubble_reference if inherited
                          else _reference(fine, reference))
 
@@ -298,14 +322,20 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
     """Galerkin assembly in the enriched space, batched over patches of one
     shape.
 
-    Each element contributes the Gram block of its own DOF stack, interface
-    rows first and bubble rows after, each part padded with zero rows to
-    the longest in its group; finefem.gram_blocks computes the blocks of a
-    whole chunk of same-shape elements at once.  The interface blocks make
-    the InterfaceOperator, unassembled.  with_cross also
-    accumulates the bubble-interface energy Gram block, which is zero up to
-    solver tolerance; it exists for diagnostics only.
+    Each element contributes the Gram block of its interface DOFs and that
+    of its bubble DOFs, each padded with zero rows to the longest in its
+    group, gathered from the Gram blocks of the offline sweep through the
+    DOF table (a donor lends its interface blocks), so no fine product is
+    formed; the load right-hand side is the one pass over the fields.  The
+    interface blocks make the InterfaceOperator, unassembled.  with_cross
+    also accumulates the bubble-interface energy Gram block, which is zero
+    up to solver tolerance; it exists for diagnostics only.  Where the two
+    parts come from different sweeps (bubbles on a donor's interface) it
+    is formed with the patch stencils (finefem.patch_grams).  A must be
+    the space's coefficient object.
     """
+    if A is not space.A:
+        raise ValueError("assemble_coarse: A is not the space's coefficient")
     n_if = space.n_interface
     if_ids: list[np.ndarray] = []
     if_blocks: list[np.ndarray] = []
@@ -313,31 +343,37 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
     blocks = {}
     cross = np.zeros((space.n_dofs - n_if, n_if)) if with_cross else None
     for group, iface_fields, bub_fields in space._fields:
-        n_i = iface_fields.dofs.shape[1]
-        dofs = np.concatenate([iface_fields.dofs, bub_fields.dofs], axis=1)
-        tris = group.template.tris
-        for sl, sub in group.chunks(dofs.shape[1] * len(tris) * 3):
-            ids = dofs[sl]
-            V = np.concatenate([iface_fields.gather(sl),
-                                bub_fields.gather(sl)], axis=1)
-            G = finefem.gram_blocks(V, tris, *sub.weights(A))
-            Vb = (np.matmul(V, sub.load_vectors(f)[..., None])[..., 0]
-                  if f is not None else np.zeros(ids.shape))
-            iface, bub = ids[:, :n_i], ids[:, n_i:]
-            if_ids.append(iface)
-            if_blocks.append(G[:, :n_i, :n_i])
-            np.add.at(rhs, iface[iface >= 0], Vb[:, :n_i][iface >= 0])
-            for e, (K, b) in enumerate(zip(sub.elements.tolist(),
-                                           (bub >= 0).sum(axis=1).tolist())):
-                if b:
-                    blocks[K] = (bub[e, :b], G[e, n_i:n_i + b, n_i:n_i + b],
-                                 Vb[e, n_i:n_i + b])
-            if with_cross:
-                pair = (bub[:, :, None] >= 0) & (iface[:, None, :] >= 0)
-                np.add.at(cross, (
-                    np.broadcast_to(bub[:, :, None], pair.shape)[pair] - n_if,
-                    np.broadcast_to(iface[:, None, :], pair.shape)[pair]),
-                    G[:, n_i:, :n_i][pair])
+        iface, bub = iface_fields.dofs, bub_fields.dofs
+        n_i, n = iface.shape[1], group.template.n_vertices
+        if_ids.append(iface)
+        if_blocks.append(iface_fields.gram())
+        Vb = np.zeros((len(iface), n_i + bub.shape[1]))
+        if f is not None:
+            for sl, sub in group.chunks(Vb.shape[1] * n):
+                V = np.concatenate([iface_fields.gather(sl),
+                                    bub_fields.gather(sl)], axis=1)
+                Vb[sl] = np.matmul(V, sub.load_vectors(f)[..., None])[..., 0]
+        np.add.at(rhs, iface[iface >= 0], Vb[:, :n_i][iface >= 0])
+        G_b = bub_fields.gram()
+        for e, (K, b) in enumerate(zip(group.elements.tolist(),
+                                       (bub >= 0).sum(axis=1).tolist())):
+            if b:
+                blocks[K] = (bub[e, :b], G_b[e, :b, :b], Vb[e, n_i:n_i + b])
+        if with_cross:
+            G_x = bub_fields.gram(iface_fields)
+            if G_x is None:
+                t = group.template
+                G_x = np.zeros(bub.shape + (n_i,))
+                for sl, sub in group.chunks(3 * Vb.shape[1] * n):
+                    grads, AW = sub.weights(A)
+                    G_x[sl] = finefem.patch_grams(
+                        t, finefem.Stencil.of(t, AW, grads),
+                        bub_fields.gather(sl), iface_fields.gather(sl))
+            pair = (bub[:, :, None] >= 0) & (iface[:, None, :] >= 0)
+            np.add.at(cross, (
+                np.broadcast_to(bub[:, :, None], pair.shape)[pair] - n_if,
+                np.broadcast_to(iface[:, None, :], pair.shape)[pair]),
+                G_x[pair])
     return CoarseSystems(space, f, InterfaceOperator(n_if, if_ids, if_blocks),
                          rhs, [blocks[K] for K in sorted(blocks)], cross)
 

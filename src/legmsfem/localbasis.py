@@ -14,7 +14,9 @@ rows solves a whole chunk of them (a P1 stiffness on the structured
 lattice couples only adjacent rows).  The sweep's blocks come from the
 stencils of the chunk, formed in one scatter, through the template's
 finefem.RowBlocks, the block layout the coarsest multigrid level uses
-too.  A trace row's right-hand side -K X is formed from the full element
+too; the same stencils then give each patch's Gram blocks a(X_i, X_j) of
+its solved fields (finefem.patch_grams), kept beside the field stack for
+the coarse assembly.  A trace row's right-hand side -K X is formed from the full element
 matrices of the triangles that touch the patch boundary only, where X is
 nonzero.  Given the problem's load f, the sweep also solves one
 zero-trace row with load f per patch; glued over the mesh, these rows are
@@ -31,6 +33,7 @@ bit-identical Dirichlet data and reconstructions glue exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -234,9 +237,10 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, group: finefem.PatchGroup,
                   codes: np.ndarray, stride: int, M: np.ndarray,
                   bases: dict, f: finefem.RhsField | None = None
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """All requested fields on the patches of one group, batched: their
-    stack, a block of rows per member, and, given the load f, the
+    stack, a block of rows per member; the Gram blocks a(X_i, X_j) of each
+    member's block, (elements, rows, rows); and, given the load f, the
     zero-trace solve with load f on every member, (elements, n), else None.
 
     Member e asks for the trace of each of its codes codes[e] (see
@@ -246,7 +250,9 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     with zero rows.  Every chunk of members is solved by one block sweep
     over the template's lattice rows, the load f riding along as one more
     row that is kept out of the stack, and each row comes out the same
-    whatever other rows and members are solved with it.
+    whatever other rows and members are solved with it.  The stencils the
+    sweep eliminates then give each member's Gram block of its solved
+    rows (finefem.patch_grams), so the coarse assembly reads no field.
     """
     t = group.template
     n, tris = t.n_vertices, t.tris
@@ -255,19 +261,25 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     m = n_tr + n_b
     m_all = m + (f is not None)
     X = np.zeros((len(group.elements), m, n))
+    G = np.zeros((len(group.elements), m, m))
     L = None if f is None else np.zeros((len(group.elements), n))
     if n_tr:
         X[:, :n_tr] = _trace_rows(coarse, fine, group, codes, stride)
     is_free = np.ones(n, dtype=bool)
     is_free[t.boundary_local] = False
     free = np.flatnonzero(is_free)
-    if len(free):
-        blocks = finefem.RowBlocks(t.box[1][free], t.box[0])
-        edge = np.flatnonzero(~is_free[tris].all(axis=1))
-        per_element = 3 * (n_tr * len(edge) + (m_all - n_tr) * len(tris))
-        for sl, sub in group.chunks(max(per_element, blocks.size)):
-            grads, AW = sub.weights(A)
-            Xc = X[sl]
+    blocks = finefem.RowBlocks(t.box[1][free], t.box[0])
+    edge = np.flatnonzero(~is_free[tris].all(axis=1))
+    # Doubles of the largest temporaries per member: the trace and load
+    # shares of the right-hand side, and the four box arrays of its Gram
+    # blocks.
+    per_element = (3 * (n_tr * len(edge) + (m_all - n_tr) * len(tris))
+                   + 4 * m * math.prod(t.box[0]))
+    for sl, sub in group.chunks(max(per_element, blocks.size)):
+        grads, AW = sub.weights(A)
+        st = finefem.Stencil.of(t, AW, grads)
+        Xc = X[sl]
+        if len(free):
             R = np.empty((len(Xc), m_all, len(free)))
             if n_tr:
                 R[:, :n_tr] = _trace_loads(
@@ -278,26 +290,27 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                 R[:, n_tr:] = _scatter_rows(
                     np.broadcast_to(w[:, None], (len(tris), 3) + w.shape[1:]),
                     tris, n)[..., free]
-            Y = blocks.solve(blocks.factor(
-                finefem.Stencil.of(t, AW, grads)), R)
+            Y = blocks.solve(blocks.factor(st), R)
             Xc[..., free] = Y[:, :m]
             if L is not None:
                 L[sl, free] = Y[:, m]
-    return X.reshape(-1, n), L
+        if m:
+            G[sl] = finefem.patch_grams(t, st, Xc)
+    return X.reshape(-1, n), G, L
 
 
 def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, elements: np.ndarray,
                   codes: np.ndarray, stride: int, M: np.ndarray,
                   bases: dict, f: finefem.RhsField | None = None
-                  ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
-    """The stacks of _group_fields for the given elements, with the
-    requests codes and M of every element of the mesh; for each element,
-    (stack, first row, first bubble row), -1 where it is not solved: its
-    traces are the rows from the first row on, its bubbles those from the
-    first bubble row on; and, given the load f (every element must then be
-    solved), the zero-trace solves with load f glued into one global
-    field, else None.  The codes of a group are cut to its members'
+                  ) -> tuple[list[tuple], np.ndarray, np.ndarray | None]:
+    """The (stack, Gram blocks) pairs of _group_fields for the given
+    elements, with the requests codes and M of every element of the mesh;
+    for each element, (stack, first row, first bubble row), -1 where it is
+    not solved: its traces are the rows from the first row on, its bubbles
+    those from the first bubble row on; and, given the load f (every
+    element must then be solved), the zero-trace solves with load f glued
+    into one global field, else None.  The codes of a group are cut to its members'
     longest list, so no group solves a row that none of them asks for."""
     stacks = []
     where = np.full((len(codes), 3), -1)
@@ -305,12 +318,13 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
     for group in finefem.patch_groups(fine, elements):
         E = group.elements
         n_tr = int((codes[E] >= 0).sum(axis=1).max(initial=0))
-        rows, loads = _group_fields(coarse, fine, A, group, codes[E, :n_tr],
-                                    stride, M[E], bases, f)
+        rows, grams, loads = _group_fields(coarse, fine, A, group,
+                                           codes[E, :n_tr], stride, M[E],
+                                           bases, f)
         where[E, 0] = len(stacks)
         where[E, 1] = np.arange(len(E)) * (len(rows) // len(E))
         where[E, 2] = where[E, 1] + n_tr
-        stacks.append(rows)
+        stacks.append((rows, grams))
         if loads is not None:
             # Every member's solve is zero on its boundary, so the shared
             # skeleton vertices get zero whichever member writes last.
@@ -330,8 +344,10 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     which selects "interface", "bubble" or "all" (sweeps reuse the interface
     part across bubble degrees).  Each element patch is solved once, for all
     of its traces and bubble loads together, and the patches of one shape
-    in batches.  A stacks list receives the field stacks the table's rows
-    index.  support_of, a (kind, id, k) key, restricts the solves to the
+    in batches.  A stacks list receives one (field stack, Gram blocks) pair
+    per patch shape solved: the stack the table's rows index, a block of m
+    rows per member, and the Gram blocks a(X_i, X_j) of each member's
+    block, (members, m, m), which the coarse assembly gathers.  support_of, a (kind, id, k) key, restricts the solves to the
     elements of that DOF: every DOF stays listed, but only the pairs on
     those elements are (none if there is no such DOF).  Given the load f,
     every patch also solves the zero-trace problem with load f in the same

@@ -199,21 +199,53 @@ def loop_localize(report, coarse):
              for e in coarse.interior_edge_ids.tolist()}, leftover)
 
 
+def gram_blocks(V, tris, grads, AW, W=None):
+    """Gram blocks a(V_i, W_j) of a stack of patches on one local
+    triangulation from the P1 gradients of every field on every triangle:
+    the quadrature finefem.patch_grams and energy_inner_matrix replaced,
+    kept as reference.
+
+    V (E, b, n) and W (E, c, n) are nodal values on the local vertices of
+    tris (nt, 3); grads (E, nt, 3, 2) are the P1 gradients and AW
+    (E, nt, 2, 2) the area-weighted coefficient of each patch.  Returns
+    (E, b, c), exactly symmetric when W is None.
+    """
+    gT = np.ascontiguousarray(np.moveaxis(grads, 1, -1))  # (E, 3, 2, nt)
+    AT = np.ascontiguousarray(np.moveaxis(AW, 1, -1))     # (E, 2, 2, nt)
+
+    def gradients(X):  # (E, rows, 2, nt), one vertex slot at a time
+        g = X[:, :, None, tris[:, 0]] * gT[:, None, 0]
+        for k in (1, 2):
+            g += X[:, :, None, tris[:, k]] * gT[:, None, k]
+        return g
+
+    gV = gradients(V)
+    gW = gV if W is None else gradients(W)
+    AgW = gW[:, :, None, 0] * AT[:, None, :, 0]
+    AgW += gW[:, :, None, 1] * AT[:, None, :, 1]
+    E, b, c = len(gV), gV.shape[1], gW.shape[1]
+    M = np.matmul(gV.reshape(E, b, -1),
+                  AgW.reshape(E, c, -1).transpose(0, 2, 1))
+    if W is None:
+        M = 0.5 * (M + M.transpose(0, 2, 1))
+    return M
+
+
 def loop_interface_error_map(u_H, u_ref, u_B_ref):
-    """interface_error_map with the per-edge shares counted element by
-    element."""
+    """interface_error_map with the element energies and the per-edge
+    shares counted element by element."""
     space = u_H.space
     coarse = space.coarse
     ref_G = u_ref.values - u_B_ref.values
     d_G = ref_G - loop_reconstruct(u_H, "interface")
     energies = np.zeros((len(coarse.elements), 2))
-    for group in finefem.patch_groups(space.fine, range(len(coarse.elements))):
-        tris = group.template.tris
-        for _, sub in group.chunks(2 * len(tris) * 3):
-            vids = group.template.vids + sub.shifts[:, None]
-            G = finefem.gram_blocks(np.stack([d_G[vids], ref_G[vids]], 1),
-                                    tris, *sub.weights(space.A))
-            energies[sub.elements] = np.diagonal(G, axis1=1, axis2=2)
+    for K in range(len(coarse.elements)):
+        geom = finefem.element_geometry(space.fine, K)
+        st = finefem.Stencil.of(geom, geom.area_weighted(space.A))
+        G = finefem.patch_grams(geom, finefem.Stencil(st.grid, st.coef[None]),
+                                np.stack([d_G[geom.vids],
+                                          ref_G[geom.vids]])[None])[0]
+        energies[K] = np.diag(G)
     err2, denom2 = energies[:, 0], float(energies[:, 1].sum())
     edge_map = {}
     for eid in coarse.interior_edge_ids:
@@ -336,6 +368,75 @@ def test_stencil_matches_scattered_element_matrices():
         got = [st.centre, st.east, st.north, st.northeast]
         assert all(bitwise(a, b)
                    for a, b in zip(got, scattered_stencil(geom, AW)))
+
+
+def rel_close(got, want, scale=None):
+    scale = np.abs(want).max() if scale is None else scale
+    return got.shape == want.shape and \
+        np.abs(got - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+@pytest.mark.parametrize("coefficient", ["periodic", "anisotropic"])
+def test_stencil_products_match_gram_blocks(kind, coefficient, rng):
+    # every energy product u^T K v on the stencil against the triangle
+    # gradients of gram_blocks: the patch Gram blocks of fields that are
+    # nonzero on the patch boundary, of one stack and of two, and the
+    # global energy_inner_matrix
+    coarse = mesh.build_coarse(kind, 3, 2)
+    fine = mesh.refine_to_fine(coarse, 6)
+    A = (finefem.periodic_benchmark(0.25) if coefficient == "periodic"
+         else conftest.anisotropic_field())
+    for g in finefem.patch_groups(fine, range(len(coarse.elements))):
+        t = g.template
+        grads, AW = g.weights(A)
+        st = finefem.Stencil.of(t, AW, grads)
+        assert st.northeast.any() == (coefficient == "anisotropic")
+        V = rng.standard_normal((len(g.elements), 5, t.n_vertices))
+        W = rng.standard_normal((len(g.elements), 3, t.n_vertices))
+        got = finefem.patch_grams(t, st, V)
+        assert np.array_equal(got, got.transpose(0, 2, 1))
+        assert rel_close(got, gram_blocks(V, t.tris, grads, AW))
+        assert rel_close(finefem.patch_grams(t, st, V, W),
+                         gram_blocks(V, t.tris, grads, AW, W))
+    geom = finefem.global_geometry(fine)
+    V = rng.standard_normal((4, geom.n_vertices))
+    W = rng.standard_normal((2, geom.n_vertices))
+    ref = (geom.tris, geom.grads[None], geom.area_weighted(A)[None])
+    got = finefem.energy_inner_matrix(V, geom, A)
+    assert np.array_equal(got, got.T)
+    assert rel_close(got, gram_blocks(V[None], *ref)[0])
+    assert rel_close(finefem.energy_inner_matrix(V, geom, A, W=W),
+                     gram_blocks(V[None], *ref, W[None])[0])
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_space_grams_match_gram_blocks(kind):
+    # the Gram blocks of the offline sweep, gathered for each part of each
+    # patch shape with zero padding (one edge of degree 4 gives the
+    # elements of a shape different interface counts, element 0 has no
+    # bubbles), against gram_blocks of the gathered fields; the cross
+    # block vanishes, so it is measured against the parts' scale
+    coarse = mesh.build_coarse(kind, 3, 3)
+    fine = mesh.refine_to_fine(coarse, 6)
+    A = conftest.anisotropic_field()
+    degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
+    degrees.N[int(coarse.interior_edge_ids[0])] = 4
+    degrees.M[0] = 0
+    space = globalsolve.build_space(coarse, fine, A, degrees)
+    padded = []
+    for group, iface, bub in space._fields:
+        tris = group.template.tris
+        grads, AW = group.weights(A)
+        want = [gram_blocks(p.gather(), tris, grads, AW) for p in (iface, bub)]
+        for part, G in zip((iface, bub), want):
+            padded.append((part.dofs < 0).any())
+            assert rel_close(part.gram(), G)
+        assert rel_close(bub.gram(iface),
+                         gram_blocks(bub.gather(), tris, grads, AW,
+                                     iface.gather()),
+                         max(np.abs(G).max() for G in want))
+    assert sum(padded) >= 2
 
 
 def loop_degree_compat(coarse, degrees, gamma):
@@ -488,10 +589,12 @@ def test_errmap_bytes_repeat(tmp_path):
 
 
 def with_copied_fields(space):
-    """The same space with copies of its offline stacks."""
+    """The same space with copies of its offline stacks and their Gram
+    blocks."""
     return globalsolve.EnrichedSpace(space.coarse, space.fine, space.A,
                                      space.degrees, space.dofs,
-                                     [st.copy() for st in space.stacks])
+                                     [st.copy() for st in space.stacks],
+                                     [g.copy() for g in space.grams])
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])

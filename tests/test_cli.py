@@ -635,3 +635,32 @@ def test_solve_evaluates_the_coefficient_once_on_the_fine_triangles(
     at = [sum(p in known for p in map(tuple, c.tolist())) for c in calls]
     assert sum(at) == len(centroids)
     assert any(np.array_equal(c, centroids) for c in calls)
+
+
+def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every sum that reaches a CSV column runs in a fixed order, so one
+    # config writes the same bytes under 1 and 2 BLAS threads (never
+    # more).  The 129^2-vertex fine lattice is long enough for a BLAS dot
+    # to split its sum over two threads, which moved E_rel and E_post
+    # here when the energies and the CG dots went through BLAS.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "schema": 1, "kind": "quad", "nx": 4, "ny": 4, "n_sub": 32,
+        "coefficient": {"type": "periodic_benchmark", "eps": 0.0625},
+        "rhs": {"type": "constant", "value": -1.0}, "N": 2, "M": 1}))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]),
+            OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "legmsfem.cli", "solve", "--config",
+             str(path), "--out", str(out)], env=env, capture_output=True,
+            text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 2

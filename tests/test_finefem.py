@@ -96,6 +96,15 @@ def test_geometry_caches(fine_quad44):
         finefem.element_geometry(fine_quad44, 2)
     assert finefem.global_geometry(fine_quad44) is \
         finefem.global_geometry(fine_quad44)
+    # the load vector is kept per load object, read-only
+    geom = finefem.element_geometry(fine_quad44, 2)
+    f, g = finefem.gaussian_rhs(), finefem.gaussian_rhs()
+    b = finefem.load_vector(geom, f)
+    assert finefem.load_vector(geom, f) is b and not b.flags.writeable
+    assert finefem.load_vector(geom, g) is not b
+    assert np.array_equal(finefem.load_vector(geom, g), b)
+    assert abs(finefem.load_vector(geom, finefem.constant_rhs(2.0)).sum()
+               - 2.0 * geom.areas.sum()) < 1e-15
 
 
 def test_assemble_matches_dense(fine_quad44):
@@ -151,6 +160,36 @@ def test_batched_stencils_match_each_patch(kind):
             geom = finefem.element_geometry(fine, K)
             one = finefem.Stencil.of(geom, geom.area_weighted(A))
             assert one.coef.tobytes() == st.coef[e].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_stacked_stencil_applies_member_by_member(kind, rng):
+    # a stack of stencils applies along the box positions, each member to
+    # its own fields, bitwise as the member's stencil alone; the
+    # full-tensor coefficient makes the north-east couplings nonzero
+    coarse = mesh.build_coarse(kind, 3, 2)
+    fine = mesh.refine_to_fine(coarse, 4)
+    A = anisotropic_field()
+    for g in finefem.patch_groups(fine, range(len(coarse.elements))):
+        grads, AW = g.weights(A)
+        st = finefem.Stencil.of(g.template, AW, grads)
+        assert [k for _, k in st.couplings] == list(st.offsets)
+        U = rng.standard_normal(st.centre.shape)
+        out = st.apply(U)
+        stacked = finefem.Stencil(st.grid, st.coef[:, None])
+        U3 = rng.standard_normal((len(U), 2, U.shape[1]))
+        out3, full3 = stacked.apply(U3), stacked.apply_full(U3)
+        for e in range(len(U)):
+            one = finefem.Stencil(st.grid, st.coef[e])
+            assert out[e].tobytes() == one.apply(U[e]).tobytes()
+            for i in range(2):
+                assert out3[e, i].tobytes() == one.apply(U3[e, i]).tobytes()
+                assert full3[e, i].tobytes() == \
+                    one.apply_full(U3[e, i]).tobytes()
+            # the difference form is the same operator, its rows summing
+            # to zero
+            assert np.abs(full3[e] - out3[e]).max() <= \
+                1e-13 * np.abs(out3[e]).max()
 
 
 def test_patch_groups_reject_non_translates(tri44):
@@ -274,6 +313,17 @@ def test_energy_galerkin_identity(fine_quad44):
     a_uu = finefem.energy_inner(u, u, A)
     E = finefem.energy(u, A, f=f)
     assert abs(E + 0.5 * a_uu) < 1e-10 * abs(a_uu)
+
+
+def test_energy_is_minus_half_the_load_work(fine_quad44):
+    # at the solution, E(u) = -1/2 b . u with the load vector b of the
+    # same quadrature, to solver tolerance
+    A = finefem.periodic_benchmark(0.25)
+    f = finefem.gaussian_rhs()
+    geom = finefem.global_geometry(fine_quad44)
+    u = finefem.solve_spd(finefem.assemble(geom, A, f=f), rel_tol=1e-13)
+    b_u = finefem.dot(finefem.load_vector(geom, f), u.values)
+    assert abs(finefem.energy(u, A, f=f) + 0.5 * b_u) < 1e-11 * abs(b_u)
 
 
 def test_energy_inner_matrix_pairwise(fine_quad44, rng):
@@ -627,6 +677,9 @@ def test_assemble_needs_a_lattice_geometry():
                                np.array([], dtype=int), "loose triangle")
     with pytest.raises(ValueError, match="not on a lattice"):
         finefem.assemble(geom, finefem.identity_field())
+    with pytest.raises(ValueError, match="not on a lattice"):
+        finefem.energy_inner_matrix(np.ones((1, 3)), geom,
+                                    finefem.identity_field())
     skewed = finefem.TriGeometry(pts, np.array([[0, 1, 2]]), np.arange(3),
                                  np.array([], dtype=int), "skewed",
                                  box=((2, 2), np.array([0, 1, 2])))
@@ -655,6 +708,13 @@ def test_same_name_coefficients_get_their_own_operators():
     assert geom.area_weighted(A1) is AW
     assert skeleton_geometry(fine).area_weighted(A1) is AW
     assert finefem.assemble(skeleton_geometry(fine), A1).AW is AW
+    # and one stencil next to it, for assembly and the energies alike
+    st = geom.stencil(A1)
+    assert geom.stencil(A1) is st
+    assert skeleton_geometry(fine).stencil(A1) is st
+    assert geom.stencil(A2) is not st
+    assert not np.array_equal(geom.stencil(A2).coef, st.coef)
+    assert np.array_equal(geom.stencil(A1).coef, st.coef)
     # the cached references answer as on a fresh mesh
     fresh = mesh.refine_to_fine(mesh.build_coarse("quad", 2, 2), 8)
     for A in (A1, A2):

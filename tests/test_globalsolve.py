@@ -132,6 +132,46 @@ def test_interface_reuse_matches_fresh(quad44, fine_quad44):
         assert all(np.array_equal(a[K], b[K]) for K in a)
 
 
+def test_space_grams_match_element_energies(quad44, fine_quad44):
+    # the Gram blocks a space gathers from its sweeps, its own and, after
+    # reuse, the donor's interface blocks next to fresh bubble blocks,
+    # against energy_inner_matrix of each element's fields on its patch
+    A = finefem.periodic_benchmark(0.25)
+    donor = globalsolve.build_space(
+        quad44, fine_quad44, A, mesh.DegreeAssignment.uniform(quad44, 3, 1))
+    reused = globalsolve.build_space(
+        quad44, fine_quad44, A, mesh.DegreeAssignment.uniform(quad44, 2, 2),
+        interface_from=donor)
+    for space in (donor, reused):
+        for group, iface, bub in space._fields:
+            for part in (iface, bub):
+                G, V = part.gram(), part.gather()
+                for e, K in enumerate(group.elements.tolist()):
+                    geom = finefem.element_geometry(fine_quad44, K)
+                    want = finefem.energy_inner_matrix(V[e], geom, A)
+                    assert np.abs(G[e] - want).max() <= \
+                        1e-13 * np.abs(want).max()
+            assert (bub.gram(iface) is None) == (space is reused)
+    # the cross block of the reused space comes from the patch stencils
+    fresh = globalsolve.build_space(
+        quad44, fine_quad44, A, mesh.DegreeAssignment.uniform(quad44, 2, 2))
+    f = finefem.constant_rhs(-1.0)
+    a, b = (globalsolve.assemble_coarse(s, A, f, with_cross=True)
+            for s in (reused, fresh))
+    scale = np.abs(b.interface_K.diagonal()).max()
+    assert np.abs(a.cross_gram - b.cross_gram).max() <= 1e-13 * scale
+    assert np.abs(a.cross_gram).max() <= 1e-10 * scale
+
+
+def test_assembly_needs_the_space_coefficient(quad44, fine_quad44):
+    A = finefem.periodic_benchmark(0.25)
+    space = globalsolve.build_space(
+        quad44, fine_quad44, A, mesh.DegreeAssignment.uniform(quad44, 2, 0))
+    with pytest.raises(ValueError, match="not the space's coefficient"):
+        globalsolve.assemble_coarse(space, finefem.periodic_benchmark(0.25),
+                                    None)
+
+
 def test_interface_reuse_guards(quad44, fine_quad44):
     A = finefem.periodic_benchmark(0.25)
     donor = globalsolve.build_space(

@@ -27,9 +27,9 @@ def first_field(coarse, fine, A, support, codes, stride=0, M=None,
     are given."""
     n_el = len(coarse.elements)
     M = np.zeros(n_el, dtype=int) if M is None else M
-    stacks, where, _ = localbasis._patch_fields(
+    solved, where, _ = localbasis._patch_fields(
         coarse, fine, A, np.array(support), codes, stride, M, bases or {})
-    return {K: stacks[s][b if M[K] else a]
+    return {K: solved[s][0][b if M[K] else a]
             for K, (s, a, b) in zip(support, where[support].tolist())}
 
 
@@ -257,9 +257,10 @@ def test_compute_all_matches_iterative_reference(kind, A_osc):
     fine = mesh.refine_to_fine(coarse, 8)
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 2)
     basis = polybasis.BulkPolyBasis(kind, 2)
-    stacks = []
+    solved = []
     table = localbasis.compute_all(coarse, fine, A_osc, degrees,
-                                   stacks=stacks)
+                                   stacks=solved)
+    stacks = [x for x, _ in solved]
     assert len(table) == (len(coarse.interior_vertex_ids)
                           + 2 * len(coarse.interior_edge_ids)
                           + len(coarse.elements) * basis.dim)
@@ -307,9 +308,10 @@ def test_batched_catalog_matches_entry_points(kind, n, n_sub, A_osc,
         return iter(parts)
 
     monkeypatch.setattr(finefem.PatchGroup, "chunks", counted)
-    stacks = []
+    solved = []
     table = localbasis.compute_all(coarse, fine, A_osc, degrees,
-                                   stacks=stacks)
+                                   stacks=solved)
+    stacks = [x for x, _ in solved]
     assert len(chunks) == (2 if kind == "triangle" else 1)
     assert max(chunks) == (1 if kind == "triangle" else 4)
     for d, (dof_kind, key) in enumerate(zip(table.kind, table.key.tolist())):
@@ -348,10 +350,11 @@ def test_row_blocks_reject_distant_lattice_rows():
 
 def test_dump_points(quad44, fine_quad44, A_osc):
     v = int(quad44.interior_vertex_ids[0])
-    stacks = []
+    solved = []
     table = localbasis.compute_all(quad44, fine_quad44, A_osc,
                                    mesh.DegreeAssignment.uniform(quad44, 2, 0),
-                                   stacks=stacks, support_of=(NODAL, v, 0))
+                                   stacks=solved, support_of=(NODAL, v, 0))
+    stacks = [x for x, _ in solved]
     rows = localbasis.dump_points(table, stacks, table.find(NODAL, v, 0),
                                   fine_quad44)
     assert rows.shape == (len(np.unique(np.concatenate([
@@ -502,9 +505,10 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
                 localbasis, "_load_weights",
                 lambda coarse, sub, M, bases, n_b, f: loop_load_weights(
                     coarse, sub, M, bases, n_b))
-        stacks = []
+        solved = []
         table = localbasis.compute_all(coarse, fine, A, degrees,
-                                       which="bubble", stacks=stacks)
+                                       which="bubble", stacks=solved)
+        stacks = [x for x, _ in solved]
         runs.append((table, [table_fields(table, stacks, d)
                              for d in range(len(table))]))
     (batched, a), (looped, b) = runs
