@@ -16,12 +16,12 @@ stencils of the chunk, formed in one scatter, through the template's
 finefem.RowBlocks, the block layout the coarsest multigrid level uses
 too; the same stencils then give each patch's Gram blocks a(X_i, X_j) of
 its solved fields (finefem.patch_grams), kept beside the field stack for
-the coarse assembly.  A trace row's right-hand side -K X is formed from the full element
-matrices of the triangles that touch the patch boundary only, where X is
-nonzero.  Given the problem's load f, the sweep also solves one
-zero-trace row with load f per patch; glued over the mesh, these rows are
-the bubble part of the fine reference solution (the error report's
-bubble reference), so every patch is eliminated once per run.  The
+the coarse assembly.  A trace row's right-hand side -K X is formed from
+the full element matrices of the triangles that touch the patch boundary
+only, where X is nonzero.  Given the problem's load f, the sweep also
+solves one zero-trace row with load f per patch; glued over the mesh,
+these rows are the bubble part of the fine reference solution (the error
+report's bubble reference), so every patch is eliminated once per run.  The
 sweep's matrices carry a leading element axis, and every element and
 every row is its own LAPACK or BLAS call, so a field comes out bitwise the
 same whatever is solved with it.
@@ -252,7 +252,8 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     row that is kept out of the stack, and each row comes out the same
     whatever other rows and members are solved with it.  The stencils the
     sweep eliminates then give each member's Gram block of its solved
-    rows (finefem.patch_grams), so the coarse assembly reads no field.
+    rows (finefem.patch_grams), so the coarse assembly forms no fine
+    product.
     """
     t = group.template
     n, tris = t.n_vertices, t.tris
@@ -304,14 +305,14 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
                   codes: np.ndarray, stride: int, M: np.ndarray,
                   bases: dict, f: finefem.RhsField | None = None
                   ) -> tuple[list[tuple], np.ndarray, np.ndarray | None]:
-    """The (stack, Gram blocks) pairs of _group_fields for the given
-    elements, with the requests codes and M of every element of the mesh;
-    for each element, (stack, first row, first bubble row), -1 where it is
-    not solved: its traces are the rows from the first row on, its bubbles
-    those from the first bubble row on; and, given the load f (every
-    element must then be solved), the zero-trace solves with load f glued
-    into one global field, else None.  The codes of a group are cut to its members'
-    longest list, so no group solves a row that none of them asks for."""
+    """The (stack, Gram blocks) pairs of _group_fields for the given elements,
+    with the requests codes and M of every element of the mesh; for each
+    element, (stack, first row, first bubble row), -1 where it is not solved:
+    its traces are the rows from the first row on, its bubbles those from the
+    first bubble row on; and, given the load f (every element must then be
+    solved), the zero-trace solves with load f glued into one global field,
+    else None.  The codes of a group are cut to its members' longest list, so
+    no group solves a row that none of them asks for."""
     stacks = []
     where = np.full((len(codes), 3), -1)
     glued = None if f is None else np.zeros(fine.n_vertices)
@@ -347,12 +348,13 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     in batches.  A stacks list receives one (field stack, Gram blocks) pair
     per patch shape solved: the stack the table's rows index, a block of m
     rows per member, and the Gram blocks a(X_i, X_j) of each member's
-    block, (members, m, m), which the coarse assembly gathers.  support_of, a (kind, id, k) key, restricts the solves to the
-    elements of that DOF: every DOF stays listed, but only the pairs on
-    those elements are (none if there is no such DOF).  Given the load f,
-    every patch also solves the zero-trace problem with load f in the same
-    sweep, and a reference list receives those solves glued into one
-    global fine field, the bubble part of the fine reference solution.
+    block, (members, m, m), which the coarse assembly gathers.  support_of,
+    a (kind, id, k) key, restricts the solves to the elements of that DOF:
+    every DOF stays listed, but only the pairs on those elements are (none
+    if there is no such DOF).  Given the load f, every patch also solves the
+    zero-trace problem with load f in the same sweep, and a reference list
+    receives those solves glued into one global fine field, the bubble part
+    of the fine reference solution.
     """
     degrees.validate(coarse)
     ev, sides = coarse.element_vertices, coarse.element_edge_ids
