@@ -112,8 +112,7 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
         t = group.template
         for _, sub in group.chunks(2 * 3 * t.n_vertices):
             vids = t.vids + sub.shifts[:, None]
-            grads, AW = sub.weights(space.A)
-            G = finefem.patch_grams(t, finefem.Stencil.of(t, AW, grads),
+            G = finefem.patch_grams(t, sub.stencil(space.A),
                                     np.stack([d_G[vids], ref_G[vids]], 1))
             energies[sub.elements] = np.diagonal(G, axis1=1, axis2=2)
     err2 = energies[:, 0]
@@ -133,9 +132,9 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
              u_ref: finefem.FineFunction,
              u_B_ref: finefem.FineFunction | None = None) -> ErrorReport:
     """Full error report for one run from one reconstruction of each part,
-    one Gram matrix and one load vector, every sum over the fine vertices
-    in a fixed order (finefem.energy_inner_matrix and finefem.dot), so the
-    report does not depend on the BLAS thread count.
+    the energies of the rows below and one load vector, every sum over the
+    fine vertices in a fixed order (finefem.energy_inner_matrix and
+    finefem.dot), so the report does not depend on the BLAS thread count.
 
     The rows u, u_ref - u and u_ref give E_num, E_rel from the energy
     identity and the direct quotient ||u_ref - u||_E / ||u_ref||_E.  With
@@ -158,17 +157,17 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
     if u_B_ref is not None:
         rows += [u_B_ref.values, u_B_ref.values - u_B.values,
                  (u_ref.values - u_B_ref.values) - u_G.values]
-    M = finefem.energy_inner_matrix(np.stack(rows), geom, space.A)
+    a = finefem.energy_inner_matrix(np.stack(rows), geom, space.A,
+                                    diagonal=True).tolist()
     b = finefem.load_vector(geom, u_H.f)
-    E_num = 0.5 * float(M[0, 0]) - finefem.dot(b, u)
+    E_num = 0.5 * a[0] - finefem.dot(b, u)
     E_rel = relative_from_energies(E_num, E_star)
-    direct = float(np.sqrt(M[1, 1] / M[2, 2]))
+    direct = float(np.sqrt(a[1] / a[2]))
     gamma = None
     resid = None
     if u_B_ref is not None:
-        resid = 0.0 if M[1, 1] <= 0 else \
-            float(abs(M[1, 1] - (M[4, 4] + M[5, 5])) / M[1, 1])
-        E_gamma_star = E_star - (0.5 * float(M[3, 3])
+        resid = 0.0 if a[1] <= 0 else abs(a[1] - (a[4] + a[5])) / a[1]
+        E_gamma_star = E_star - (0.5 * a[3]
                                  - finefem.dot(b, u_B_ref.values))
         if not space.n_bubble and E_gamma_star < -1e-15 * abs(E_star):
             gamma = relative_from_energies(E_num, E_gamma_star)

@@ -79,9 +79,10 @@ def _jump_norms(fine: FineMesh, edge_ids, v: finefem.FineFunction,
                 A: finefem.CoefficientField) -> list[float]:
     """jump_norm for each of edge_ids in one array pass.
 
-    Per fine segment the gradient is constant on each side and A is taken
-    at the segment midpoint; sides are ordered lower-id element first (the
-    sign squares away).
+    Per fine segment the gradient is constant on each side, from the
+    gradient pattern of a lower or an upper lattice triangle
+    (finefem.cell_gradients), and A is taken at the segment midpoint;
+    sides are ordered lower-id element first (the sign squares away).
     """
     geom = finefem.global_geometry(fine)
     if v.geom is not geom:
@@ -96,8 +97,9 @@ def _jump_norms(fine: FineMesh, edge_ids, v: finefem.FineFunction,
     L = np.hypot(d[:, 0], d[:, 1])
     nu = np.column_stack([d[:, 1], -d[:, 0]]) / L[:, None]
     Anu = np.einsum("sij,sj->si", A.matrix_at(0.5 * (pa + pb)), nu)
+    # Triangle 2c of lattice cell c is its lower one, 2c + 1 the upper.
     grad = np.einsum("sti,stid->std", v.values[geom.tris[tris]],
-                     geom.grads[tris])
+                     finefem.cell_gradients(geom.spacing)[tris % 2])
     flux = np.einsum("std,sd->st", grad, Anu)
     acc = np.bincount(np.repeat(np.arange(len(chains)), fine.n_sub),
                       L * (flux[:, 0] - flux[:, 1]) ** 2)

@@ -9,28 +9,34 @@ holds at solver accuracy.
 
 Every geometry here is a set of triangles of the SW-NE fine lattice, so
 its stiffness is a 7-point stencil (centre, E/W, N/S, NE/SW) on the box of
-lattice vertices that holds it, scattered from the per-triangle element
-entries (`Stencil.of`, also for a stack of congruent patches at once).
-The stencil is the one form of every fine stiffness: `assemble` masks the
-Dirichlet vertices out of it for the iterative solves (the fine
-reference), and `RowBlocks`, the one block layout of K_ff over lattice
-rows, gathers from it the blocks of the direct block-tridiagonal
-elimination that the offline patch solves in `localbasis` and the
-coarsest multigrid level run.  A geometry keeps the area-weighted
-coefficient of the last coefficient object it was asked for (keyed by
-identity, never by name), so a run evaluates the coefficient on the fine
-triangles once and two coefficient fields never share a matrix.  Only
-numpy is needed.
+lattice vertices that holds it, and its P1 loads are box arrays.  Both
+come from per-cell arrays on the box by lattice formulas: the lower (SW,
+SE, NE) and upper (SW, NE, NW) triangle of every cell have two constant
+gradient patterns (`cell_gradients`), and each box position sums the
+element entries or load shares of the cells at its corners in shifted
+slices (`Stencil.of`, `box_loads`), in the order a scatter over the
+triangles would, with zeros off the geometry (a triangle patch in its
+box), for a whole stack of congruent patches at once.  The stencil is the
+one form of every fine stiffness: `assemble` masks the Dirichlet vertices
+out of it for the iterative solves (the fine reference), and `RowBlocks`,
+the one block layout of K_ff over lattice rows, gathers from it the blocks
+of the direct block-tridiagonal elimination that the offline patch solves
+in `localbasis` and the coarsest multigrid level run.  A geometry keeps
+the area-weighted coefficient of the last coefficient object it was asked
+for (keyed by identity, never by name), so a run evaluates the coefficient
+on the fine triangles once and two coefficient fields never share a
+matrix.  Only numpy is needed.
 
 `solve_spd` preconditions CG with one geometric multigrid V-cycle
-(`Multigrid`).  The fine lattice is nested: coarsening it every other
-vertex gives the lattice whose red refinement it is, with the same SW-NE
-diagonals, so each coarse operator is the same assembly on the coarse
-lattice, with the summed area-weighted coefficient of each coarse
-triangle's four children.  The coarsest level is factored by the block
-elimination over lattice rows.  A system that cannot coarsen (an odd
-number of cells, or a patch), or whose coarsest level has rows too wide
-to factor, runs Jacobi-PCG.  The online interface CG stays Jacobi.
+(`Multigrid`), both on box arrays that vanish off the free vertices (the
+stencil with a mask).  The fine lattice is nested: coarsening it every other vertex gives the
+lattice whose red refinement it is, with the same SW-NE diagonals, so each
+coarse operator is the same lattice formula on the coarse lattice, with
+the summed area-weighted coefficient of each coarse triangle's four
+children.  The coarsest level is factored by the block elimination over
+lattice rows.  A system that cannot coarsen (an odd number of cells, or a
+patch), or whose coarsest level has rows too wide to factor, runs
+Jacobi-PCG.  The online interface CG stays Jacobi.
 
 Element patches of one shape are lattice translates of each other
 (`patch_groups` checks it), so `localbasis` and the coarse assembly work on
@@ -50,12 +56,11 @@ count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-
-from .mesh import lattice_triangles
 
 
 class SolverDivergenceError(RuntimeError):
@@ -134,8 +139,8 @@ def periodic_benchmark(eps: float) -> CoefficientField:
 
     def a(x, y):
         X, Y = 2 * np.pi * x / eps, 2 * np.pi * y / eps
-        return ((2 + 1.8 * np.sin(X)) / (2 + 1.8 * np.cos(Y))
-                + (2 + np.sin(Y)) / (2 + 1.8 * np.sin(X)))
+        sx = 2 + 1.8 * np.sin(X)
+        return sx / (2 + 1.8 * np.cos(Y)) + (2 + np.sin(Y)) / sx
 
     return scalar_field(f"periodic_benchmark(eps={eps:.12g})", a, 1.2, 20.0)
 
@@ -176,50 +181,82 @@ def gaussian_rhs() -> RhsField:
 # ---------------------------------------------------------------------------
 # P1 geometry over a triangle subset
 
+def cell_gradients(spacing: tuple[float, float]) -> np.ndarray:
+    """The P1 gradients (2, 3, 2) of the lower (SW, SE, NE) and the upper
+    (SW, NE, NW) triangle of a lattice cell of the given (width, height),
+    vertex by vertex, by the formula of any triangle from its corners
+    (determinant hx * hy, differences 0, +-hx, +-hy): bitwise those of a
+    cell whose corners step by exactly the spacing (a power of two)."""
+    hx, hy = spacing
+    a, b = hy / (hx * hy), hx / (hx * hy)
+    return np.array([[[-a, 0.0], [a, -b], [0.0, b]],
+                     [[0.0, -b], [a, 0.0], [-a, b]]])
+
+
 def _stiffness_entries(g: np.ndarray, AW: np.ndarray) -> tuple:
     """The six distinct entries of the P1 stiffness matrices of triangles
-    with gradients g (..., nt, 3, 2) and area-weighted coefficients AW
-    (..., nt, 2, 2): the diagonals (..., 3, nt) and the couplings (K01,
-    K02, K12), each (..., nt).  K_ij is the mean of (A grad_i) . grad_j
-    and (A grad_j) . grad_i, so the matrices are exactly symmetric."""
-    # grad_i^T A grad_j term by term: faster than a three-operand einsum.
-    # Triangles run along the last axis, so every elementwise loop is long.
-    g = np.ascontiguousarray(np.moveaxis(g, -3, -1))    # (..., 3, 2, nt)
-    AW = np.ascontiguousarray(np.moveaxis(AW, -3, -1))  # (..., 2, 2, nt)
-    gA = (g[..., :1, :] * AW[..., None, 0, :, :]
-          + g[..., 1:, :] * AW[..., None, 1, :, :])
+    with the gradients g (3, 2) and area-weighted coefficients AW (..., 2,
+    2): the diagonals (K00, K11, K22) and the couplings (K01, K02, K12),
+    each (...).  K_ij is the mean of (A grad_i) . grad_j and (A grad_j) .
+    grad_i, so the matrices are exactly symmetric."""
+
+    def lin(c0, v0, c1, v1):
+        # c0 v0 + c1 v1; a zero gradient component (two of the six of a
+        # lattice triangle) would add +-0 only, so it is left out.
+        out = c0 * v0 if c0 else c1 * v1
+        if c0 and c1:
+            out += c1 * v1
+        return out
+
+    gA = [[lin(g[i, 0], AW[..., 0, d], g[i, 1], AW[..., 1, d])
+           for d in (0, 1)] for i in range(3)]
 
     def k(i, j):
-        kij = (gA[..., i, 0, :] * g[..., j, 0, :]
-               + gA[..., i, 1, :] * g[..., j, 1, :])
-        kji = kij if i == j else (gA[..., j, 0, :] * g[..., i, 0, :]
-                                  + gA[..., j, 1, :] * g[..., i, 1, :])
-        return 0.5 * (kij + kji)
+        kij = lin(g[j, 0], gA[i][0], g[j, 1], gA[i][1])
+        if i == j:
+            return kij  # the mean of kij and itself, exactly
+        kij += lin(g[i, 0], gA[j][0], g[i, 1], gA[j][1])
+        kij *= 0.5
+        return kij
 
-    return (np.stack([k(0, 0), k(1, 1), k(2, 2)], axis=-2),
-            (k(0, 1), k(0, 2), k(1, 2)))
-
-
-def _stiffness(g: np.ndarray, AW: np.ndarray) -> np.ndarray:
-    """The P1 stiffness matrices (..., nt, 3, 3) of _stiffness_entries(g,
-    AW)."""
-    diag, (k01, k02, k12) = _stiffness_entries(g, AW)
-    K = np.empty(k01.shape + (3, 3))
-    K[..., [0, 1, 2], [0, 1, 2]] = np.moveaxis(diag, -2, -1)
-    K[..., 0, 1] = K[..., 1, 0] = k01
-    K[..., 0, 2] = K[..., 2, 0] = k02
-    K[..., 1, 2] = K[..., 2, 1] = k12
-    return K
+    return (k(0, 0), k(1, 1), k(2, 2)), (k(0, 1), k(0, 2), k(1, 2))
 
 
-def _scatter(tris: np.ndarray, contrib: np.ndarray, n: int) -> np.ndarray:
-    """Add contrib (E, nt) to the three vertices of each triangle of tris
-    (nt, 3): (E, n), summed vertex slot by vertex slot in triangle order."""
-    E, nt = contrib.shape
-    idx = np.arange(E)[:, None, None] * n + tris.T
-    w = np.broadcast_to(contrib[:, None, :], (E, 3, nt))
-    return np.bincount(idx.ravel(), weights=w.ravel(),
-                       minlength=E * n).reshape(E, n)
+# The triangle vertices at a box position, each (di, dj, t, s): corner
+# (di, dj) of the cell di rows down and dj columns left of the position,
+# its lower (t = 0: SW, SE, NE) or upper (t = 1: SW, NE, NW) triangle, and
+# the vertex's slot s in it; in the order a scatter over the triangles adds
+# them there, triangle by triangle (cells in row-major order, lower first)
+# or slot by slot (all first vertices, then all second and all third ones,
+# as load_vector adds its shares).
+BY_TRIANGLE = ((1, 1, 0, 2), (1, 1, 1, 1), (1, 0, 1, 2), (0, 1, 0, 1),
+               (0, 0, 0, 0), (0, 0, 1, 0))
+BY_SLOT = ((0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1), (0, 1, 0, 1),
+           (1, 1, 0, 2), (1, 0, 1, 2))
+
+
+def _add_at_corners(out: np.ndarray, terms) -> np.ndarray:
+    """Add each per-cell array V (..., rows - 1, columns - 1) of terms
+    (di, dj, V), in turn, to the lattice array out (..., rows, columns) at
+    corner (di, dj) of every cell, in place."""
+    cy, cx = out.shape[-2] - 1, out.shape[-1] - 1
+    for di, dj, v in terms:
+        out[..., di:di + cy, dj:dj + cx] += v
+    return out
+
+
+def box_loads(geom: TriGeometry, shares: np.ndarray,
+              order: tuple = BY_SLOT) -> np.ndarray:
+    """P1 load vectors on the vertex box of geom, (..., box positions),
+    from the share (..., nt) of each triangle at each of its vertices
+    (area * value / 3 by the centroid rule), each position adding those
+    of its triangles in the given order (BY_SLOT or BY_TRIANGLE)."""
+    (rows, cols), _ = geom.box
+    lead = shares.shape[:-1]
+    S = geom.to_cells(shares).reshape(lead + (rows - 1, cols - 1, 2))
+    out = _add_at_corners(np.zeros(lead + (rows, cols)),
+                          [(di, dj, S[..., t]) for di, dj, t, _ in order])
+    return out.reshape(lead + (rows * cols,))
 
 
 class TriGeometry:
@@ -230,7 +267,8 @@ class TriGeometry:
     def __init__(self, points: np.ndarray, tris: np.ndarray, vids: np.ndarray,
                  boundary_local: np.ndarray, label: str,
                  lattice: tuple[int, int] | None = None,
-                 box: tuple[tuple[int, int], np.ndarray] | None = None):
+                 box: tuple[tuple[int, int], np.ndarray] | None = None,
+                 spacing: tuple[float, float] | None = None):
         self.points = points
         self.tris = tris
         self.vids = vids
@@ -240,12 +278,14 @@ class TriGeometry:
         # and triangle order of mesh.lattice_triangles; multigrid needs it.
         self.lattice = lattice
         # The vertex lattice holding the geometry, ((rows, columns), the
-        # row-major position of each local vertex in it): the fine systems
-        # are stencils on it.  A whole lattice is its own box; None for a
+        # row-major position of each local vertex in it), and the (width,
+        # height) of its cells: the fine systems are stencils and load
+        # vectors on it.  A whole lattice is its own box; None for a
         # geometry off the lattice, which cannot be assembled.
         if box is None and lattice is not None:
             box = ((lattice[1] + 1, lattice[0] + 1), np.arange(len(points)))
         self.box = box
+        self.spacing = spacing
         self._fills_box = box is not None and np.array_equal(
             box[1], np.arange(math.prod(box[0])))
         p0, p1, p2 = points[tris[:, 0]], points[tris[:, 1]], points[tris[:, 2]]
@@ -255,15 +295,6 @@ class TriGeometry:
             raise ValueError(f"{label}: degenerate or misoriented triangle")
         self.areas = 0.5 * det
         self.centroids = (p0 + p1 + p2) / 3.0
-        g = np.empty((len(tris), 3, 2))
-        g[:, 0, 0] = (p1[:, 1] - p2[:, 1]) / det
-        g[:, 0, 1] = (p2[:, 0] - p1[:, 0]) / det
-        g[:, 1, 0] = (p2[:, 1] - p0[:, 1]) / det
-        g[:, 1, 1] = (p0[:, 0] - p2[:, 0]) / det
-        g[:, 2, 0] = (p0[:, 1] - p1[:, 1]) / det
-        g[:, 2, 1] = (p1[:, 0] - p0[:, 0]) / det
-        self.grads = g
-        self._quad: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # [coefficient, AW, stencil or None] of the last coefficient asked
         # for, and [load, load vector] of the last load; lists, so a
         # shallow copy (another fixed set on the same triangles) shares
@@ -275,23 +306,40 @@ class TriGeometry:
     def n_vertices(self) -> int:
         return len(self.points)
 
-    def quad_points(self, order: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Composite quadrature: (points, weights) with sum(weights) = area."""
-        try:
-            return self._quad[order]
-        except KeyError:
-            pass
-        if order == 1:
-            out = (self.centroids, self.areas)
-        elif order == 3:
-            p = self.points[self.tris]  # (nt, 3, 2)
-            mids = np.concatenate([(p[:, 1] + p[:, 2]) / 2,
-                                   (p[:, 0] + p[:, 2]) / 2,
-                                   (p[:, 0] + p[:, 1]) / 2])
-            out = (mids, np.tile(self.areas / 3.0, 3))
-        else:
-            raise ValueError("quad_order must be 1 or 3")
-        self._quad[order] = out
+    @cached_property
+    def cells(self) -> np.ndarray | None:
+        """The place of each triangle among those of the box cells, two per
+        cell, row-major, lower (SW, SE, NE) first; None where the two lists
+        coincide (a whole lattice, a quad patch).  ValueError off the
+        lattice or for a triangle that is not half of a box cell."""
+        if self.box is None:
+            raise ValueError(f"{self.label}: not on a lattice")
+        if self.lattice is not None:
+            return None
+        (rows, cols), slots = self.box
+        s = slots[self.tris]
+        sw = s[:, 0]
+        upper = (s[:, 1] == sw + cols + 1) & (s[:, 2] == sw + cols)
+        ok = upper | ((s[:, 1] == sw + 1) & (s[:, 2] == sw + cols + 1))
+        ok &= sw % cols < cols - 1
+        if not ok.all():
+            raise ValueError(f"{self.label}: triangle {int(np.argmin(ok))} "
+                             "is not half of a lattice cell")
+        cells = 2 * (sw - sw // cols) + upper
+        if np.array_equal(cells, np.arange(2 * (rows - 1) * (cols - 1))):
+            return None
+        return cells
+
+    def to_cells(self, V: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Per-triangle values V, triangles along axis, on the triangles of
+        the box cells (see cells), zero off the geometry: V itself where
+        the geometry's triangles are those of its box."""
+        if self.cells is None:
+            return V
+        shape = list(V.shape)
+        shape[axis] = 2 * (self.box[0][0] - 1) * (self.box[0][1] - 1)
+        out = np.zeros(shape)
+        out[(slice(None),) * (axis % V.ndim) + (self.cells,)] = V
         return out
 
     def area_weighted(self, A: CoefficientField) -> np.ndarray:
@@ -299,10 +347,13 @@ class TriGeometry:
         (nt, 2, 2), evaluated once per coefficient object: kept until
         another coefficient replaces it, the key comparing the coefficient
         by identity, never by name, so two coefficient fields never share
-        a matrix."""
+        a matrix.  Each entry is contiguous over the triangles."""
         if self._weights[0] is not A:
-            self._weights[:] = [A, self.areas[:, None, None]
-                                * A.matrix_at(self.centroids), None]
+            v = A.matrix_at(self.centroids)
+            AW = np.empty((2, 2, len(v)))
+            for a, b in np.ndindex(2, 2):
+                np.multiply(self.areas, v[:, a, b], out=AW[a, b])
+            self._weights[:] = [A, AW.transpose(2, 0, 1), None]
         return self._weights[1]
 
     def stencil(self, A: CoefficientField) -> Stencil:
@@ -365,55 +416,39 @@ class Stencil:
         return 1, cols, cols + 1
 
     @classmethod
-    def of(cls, geom: TriGeometry, AW: np.ndarray,
-           grads: np.ndarray | None = None) -> Stencil:
-        """The stencil of _stiffness(grads, AW) on the triangles of geom,
-        with geom.grads by default, every element entry scattered to its
-        box position once, in triangle order; only the six distinct
-        entries of each element matrix are formed.  Given grads
-        (E, nt, 3, 2) and AW (E, nt, 2, 2) of a stack of patches with the
-        triangulation of geom, one scatter gives the stencil of each.
-        Raises ValueError unless every triangle is the lower (SW, SE, NE)
-        or the upper (SW, NE, NW) half of a box cell."""
-        if geom.box is None:
-            raise ValueError(f"{geom.label}: not on a lattice")
-        (rows, cols), slots = geom.box
-        n = rows * cols
-        s = slots[geom.tris]
-        lower = (s[:, 1] == s[:, 0] + 1) & (s[:, 2] == s[:, 0] + cols + 1)
-        upper = (s[:, 1] == s[:, 0] + cols + 1) & (s[:, 2] == s[:, 0] + cols)
-        if not (lower | upper).all():
-            raise ValueError(f"{geom.label}: triangle "
-                             f"{int(np.argmin(lower | upper))} is not half "
-                             "of a lattice cell")
-        diag, (k01, k02, k12) = _stiffness_entries(
-            geom.grads if grads is None else grads, AW)
-        lead = AW.shape[:-3]
-        m = math.prod(lead)
-        first = np.arange(m)[:, None] * n
+    def of(cls, geom: TriGeometry, AW: np.ndarray) -> Stencil:
+        """of_cells of the area-weighted coefficient AW (..., nt, 2, 2) on
+        the triangles of geom, a stack of stencils for a stack of patches
+        with its triangulation; ValueError where geom.cells raises it."""
+        W = geom.to_cells(AW, axis=-3)
+        return cls.of_cells(geom.box[0], W, geom.spacing)
 
-        def scatter(at, w):  # w (..., len(at)) summed at box positions at
-            return np.bincount((first + at).ravel(), w.reshape(m, -1).ravel(),
-                               m * n).reshape(m, n)
-
-        # Lower: SW-SE east of SW, SE-NE north of SE, SW-NE.  Upper: NW-NE
-        # east of NW, SW-NW north of SW, SW-NE.
-        coef = np.stack([
-            scatter(s.ravel(), np.swapaxes(diag, -1, -2)),
-            scatter(np.where(lower, s[:, 0], s[:, 2]),
-                    np.where(lower, k01, k12)),
-            scatter(np.where(lower, s[:, 1], s[:, 0]),
-                    np.where(lower, k12, k02)),
-            scatter(s[:, 0], np.where(lower, k02, k01))], axis=1)
-        return cls((rows, cols), coef.reshape(lead + (4, n)))
-
-    def restricted(self, m: np.ndarray) -> Stencil:
-        """The stencil with every coefficient that touches a box position
-        off the boolean mask m set to zero."""
-        coef = self.coef * m
-        for k, c in zip(self.offsets, np.moveaxis(coef, -2, 0)[1:]):
-            c[..., :-k] *= m[k:]
-        return Stencil(self.grid, coef)
+    @classmethod
+    def of_cells(cls, grid: tuple[int, int], W: np.ndarray,
+                 spacing: tuple[float, float]) -> Stencil:
+        """The stencil on a vertex box of grid (rows, columns) whose cells
+        of the given spacing carry the area-weighted coefficients W (...,
+        2 per cell, 2, 2) of their triangles, row-major, lower first (zero
+        off the geometry): the element entries from the gradient patterns
+        (cell_gradients), summed at each box position in triangle order
+        (BY_TRIANGLE), as one scatter over the triangles would."""
+        rows, cols = grid
+        lead = W.shape[:-3]
+        W = W.reshape(lead + (rows - 1, cols - 1, 2, 2, 2))
+        entries = [_stiffness_entries(g, W[..., t, :, :])
+                   for t, g in enumerate(cell_gradients(spacing))]
+        (_, (L01, L02, L12)), (_, (U01, U02, U12)) = entries
+        coef = np.zeros(lead + (4, rows, cols))
+        # A coupling sits at the west or south end of its edge: lower
+        # SW-SE and upper NW-NE east, lower SE-NE and upper SW-NW north,
+        # both SW-NE north-east.
+        for c, terms in zip(np.moveaxis(coef, -3, 0), (
+                [(di, dj, entries[t][0][s]) for di, dj, t, s in BY_TRIANGLE],
+                [(1, 0, U12), (0, 0, L01)],
+                [(0, 1, L12), (0, 0, U02)],
+                [(0, 0, L02), (0, 0, U01)])):
+            _add_at_corners(c, terms)
+        return cls(grid, coef.reshape(lead + (4, rows * cols)))
 
     def apply(self, U: np.ndarray, out: np.ndarray | None = None,
               tmp: np.ndarray | None = None) -> np.ndarray:
@@ -454,46 +489,55 @@ class Stencil:
 
 
 class LatticeOperator:
-    """K_ff of a lattice system: the stencil restricted to the free box
-    positions (the boolean mask), Dirichlet and off-geometry positions
-    masked out.  As a matrix it acts on vectors over the free positions in
-    row-major order (slots); apply_box acts on whole box arrays that
-    vanish off them, with preallocated scratch.  shape, diagonal() and nnz
-    (nonzero entries, as a sparse matrix would store them) are those of
-    K_ff."""
+    """K_ff of a lattice system: the stencil of its geometry and the mask
+    of the free box positions (Dirichlet and off-geometry positions are
+    off it).  It acts on whole box arrays that vanish off the free
+    positions, giving such an array (the form pcg and Multigrid iterate
+    in), and, as the matrix K_ff, on vectors over the free positions in
+    row-major order (slots); shape, diagonal() and nnz (nonzero entries,
+    as a sparse matrix would store them) are those of K_ff."""
 
     def __init__(self, stencil: Stencil, mask: np.ndarray):
+        self.stencil = stencil
         self.mask = mask
-        self.stencil = stencil.restricted(mask)
         self.slots = np.flatnonzero(mask)
         self.shape = (len(self.slots), len(self.slots))
-        self._U = np.zeros(len(mask))  # zero off the mask for good
-        self._Y = np.empty(len(mask))
+        self._on = mask.astype(float)
         self._tmp = np.empty(len(mask))
 
-    def apply_box(self, U: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return self.stencil.apply(U, out, self._tmp)
+    def box(self, x: np.ndarray) -> np.ndarray:
+        """Values x over the free positions as a box array, zero off them."""
+        U = np.zeros(len(self.mask))
+        U[self.mask] = x
+        return U
+
+    def apply_box(self, U: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """K U of a box array U that vanishes off the free positions, zero
+        off them, into out if given."""
+        out = self.stencil.apply(U, out, self._tmp)
+        out *= self._on
+        return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        # Boolean scatter and gather take about half the time of indexing
-        # by slots on 257^2 vertices.
-        self._U[self.mask] = x
-        return self.apply_box(self._U, self._Y)[self.mask]
+        if len(x) == len(self.mask):  # a box array (the same, if all free)
+            return self.apply_box(x)
+        return self.apply_box(self.box(x))[self.mask]
 
     def diagonal(self) -> np.ndarray:
         return self.stencil.centre[self.mask]
 
     @property
     def nnz(self) -> int:
-        st = self.stencil
-        return int(np.count_nonzero(st.centre)
-                   + 2 * sum(np.count_nonzero(c) for c, _ in st.couplings))
+        st, m = self.stencil, self.mask
+        return int(np.count_nonzero(st.centre[m]) + 2 * sum(
+            np.count_nonzero(c[:-k][m[:-k] & m[k:]]) for c, k in st.couplings))
 
 
 def _eliminate(geom: TriGeometry, stencil: Stencil
                ) -> tuple[LatticeOperator, np.ndarray]:
-    """(K_ff, free_loc): the stencil of geom restricted to the vertices off
-    geom.boundary_local, and those vertices."""
+    """(K_ff, free_loc): the stencil of geom with the mask of the vertices
+    off geom.boundary_local, and those vertices."""
     free = np.ones(geom.n_vertices, dtype=bool)
     free[geom.boundary_local] = False
     mask = np.zeros(len(stencil.centre), dtype=bool)
@@ -509,7 +553,7 @@ def global_geometry(fine) -> TriGeometry:
     n = fine.n_vertices
     geom = TriGeometry(fine.vertices, fine.triangles, np.arange(n),
                        fine.boundary_vertex_ids(), "global fine mesh",
-                       (fine.nfx, fine.nfy))
+                       (fine.nfx, fine.nfy), spacing=(fine.hx, fine.hy))
     fine._geom_cache["global"] = geom
     return geom
 
@@ -527,14 +571,16 @@ def element_geometry(fine, elem_id: int) -> TriGeometry:
     cols = int(ix.max()) + 1
     geom = TriGeometry(fine.vertices[vids], tris, vids, bnd,
                        f"element {elem_id} patch",
-                       box=((int(iy.max()) + 1, cols), iy * cols + ix))
+                       box=((int(iy.max()) + 1, cols), iy * cols + ix),
+                       spacing=(fine.hx, fine.hy))
     fine._geom_cache[elem_id] = geom
     return geom
 
 
 def element_quadrature(fine, elem_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """element_geometry(fine, elem_id).quad_points(), gathered from the
-    global geometry without building the patch geometry."""
+    """The centroids and areas of the triangles of element_geometry(fine,
+    elem_id), gathered from the global geometry without building the
+    patch geometry."""
     geom = global_geometry(fine)
     ids = fine.element_triangle_ids(elem_id)
     return geom.centroids[ids], geom.areas[ids]
@@ -565,22 +611,21 @@ class PatchGroup:
             yield sl, PatchGroup(self.fine, self.template, self.elements[sl],
                                  self.shifts[sl], self.tri_ids[sl])
 
-    def weights(self, A: CoefficientField) -> tuple[np.ndarray, np.ndarray]:
-        """(grads, AW): P1 gradients (E, nt, 3, 2) and the area-weighted
-        coefficient (E, nt, 2, 2) at the centroids, gathered from the
-        global geometry."""
-        geom = global_geometry(self.fine)
-        return geom.grads[self.tri_ids], geom.area_weighted(A)[self.tri_ids]
+    def stencil(self, A: CoefficientField) -> Stencil:
+        """The stencils of A on every member, coef (E, 4, box positions),
+        from the area-weighted coefficient of its triangles gathered from
+        the global geometry (Stencil.of)."""
+        AW = global_geometry(self.fine).area_weighted(A)
+        return Stencil.of(self.template, AW[self.tri_ids])
 
     def load_vectors(self, f) -> np.ndarray:
         """P1 load vector of f on every member, (E, n), as load_vector."""
         geom = global_geometry(self.fine)
         pts = geom.centroids[self.tri_ids.ravel()]
         fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        return _scatter(self.template.tris,
-                        geom.areas[self.tri_ids] * fv.reshape(
-                            self.tri_ids.shape) / 3.0,
-                        self.template.n_vertices)
+        return self.template.from_box(box_loads(
+            self.template,
+            geom.areas[self.tri_ids] * fv.reshape(self.tri_ids.shape) / 3.0))
 
 
 def patch_groups(fine, elem_ids) -> list[PatchGroup]:
@@ -647,9 +692,9 @@ def load_vector(geom: TriGeometry, f) -> np.ndarray:
     for, compared by identity like the coefficient, so the assembly of a
     fine system and the energies of its solution make one triangle pass."""
     if geom._load[0] is not f:
-        pts, w = geom.quad_points()
-        fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        b = _scatter(geom.tris, (w * fv / 3.0)[None], geom.n_vertices)[0]
+        x, y = geom.centroids.T
+        fv = np.asarray(f(x, y), dtype=float)
+        b = geom.from_box(box_loads(geom, geom.areas * fv / 3.0))
         b.flags.writeable = False
         geom._load[:] = [f, b]
     return geom._load[1]
@@ -697,22 +742,23 @@ def pcg(K, b: np.ndarray, rel_tol: float,
         cap: int | None = None) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients, deterministic.
 
-    precond maps a residual to its search direction and must be SPD;
-    Jacobi, the inverse diagonal of K, by default.  Stops at
+    The iterates are vectors like b, box arrays or vectors over the free
+    positions for a LatticeOperator.  precond maps a residual to its
+    search direction and must be SPD; by default Jacobi, 1 / K.diagonal(),
+    which for a LatticeOperator takes the free positions only.  Stops at
     ||r|| <= rel_tol*||b||; raises SolverDivergenceError past the
-    iteration cap (default 50*sqrt(n)).  Dots and norms go through dot,
-    so the iterates do not depend on the BLAS thread count."""
+    iteration cap (default 50*sqrt(n), n = K.shape[0]).  Dots and norms
+    go through dot, so the iterates do not depend on the BLAS thread
+    count."""
     n = K.shape[0]
-    if n == 0:
-        return np.zeros(0), 0
-    nb = float(np.sqrt(dot(b, b)))
+    nb = float(np.sqrt(dot(b, b))) if n else 0.0
     if nb == 0.0:
-        return np.zeros(n), 0
+        return np.zeros_like(b), 0
     if cap is None:
         cap = int(math.ceil(50.0 * math.sqrt(n)))
     if precond is None:
         precond = _jacobi(K)
-    x = np.zeros(n)
+    x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
     p = z.copy()
@@ -925,13 +971,15 @@ def _restrict(Rf: np.ndarray) -> np.ndarray:
     return Rc
 
 
-def _coarsen(geom: TriGeometry, AW: np.ndarray
-             ) -> tuple[TriGeometry, np.ndarray] | None:
-    """The next coarser level of a lattice geometry with area-weighted
-    coefficient AW: (geometry, AW) on the lattice of every other vertex,
-    or None where coarsening stops.
+def _coarsen(fixed: np.ndarray, W: np.ndarray, spacing: tuple[float, float]
+             ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]] | None:
+    """The next coarser level of a whole lattice whose vertices are fixed
+    where the boolean lattice array fixed (rows, columns) is set, with
+    area-weighted coefficient W (2 per cell, 2, 2) in triangle order and
+    cells of the given spacing: (fixed, W, spacing) on the lattice of every
+    other vertex, or None where coarsening stops.
 
-    Each coarse triangle is the union of four fine ones, and its AW is
+    Each coarse triangle is the union of four fine ones, and its W is
     their sum.  With one coefficient per triangle and coarse hat gradients
     constant on each coarse triangle, the coarse stiffness is then the
     Galerkin product P^T K P of the P1 prolongation _prolong, without
@@ -942,28 +990,22 @@ def _coarsen(geom: TriGeometry, AW: np.ndarray
     the coarse lattice, the coarse skeleton when n_sub is odd at this
     level.
     """
-    if geom.lattice is None or geom.lattice[0] % 2 or geom.lattice[1] % 2:
+    ny, nx = fixed.shape[0] - 1, fixed.shape[1] - 1
+    if nx % 2 or ny % 2:
         return None
-    nx, ny = geom.lattice
-    fixed = np.zeros((ny + 1) * (nx + 1), dtype=bool)
-    fixed[geom.boundary_local] = True
-    fixed = fixed.reshape(ny + 1, nx + 1)
     free_c = ~fixed[::2, ::2]
     if not free_c.any() or _prolong(free_c.astype(float))[fixed].any():
         return None
     nxc, nyc = nx // 2, ny // 2
-    points = geom.points.reshape(ny + 1, nx + 1, 2)[::2, ::2].reshape(-1, 2)
-    coarse = TriGeometry(points, lattice_triangles(nxc, nyc),
-                         np.arange(len(points)), np.flatnonzero(~free_c),
-                         f"{geom.label} on {nxc}x{nyc} cells", (nxc, nyc))
     # Axes: coarse row, fine row in it, coarse column, fine column in it,
     # lower/upper fine triangle.
-    W = AW.reshape(nyc, 2, nxc, 2, 2, 2, 2)
+    W = W.reshape(nyc, 2, nxc, 2, 2, 2, 2)
     lower = (W[:, 0, :, 0, 0] + W[:, 0, :, 1, 0] + W[:, 0, :, 1, 1]
              + W[:, 1, :, 1, 0])
     upper = (W[:, 0, :, 0, 1] + W[:, 1, :, 0, 0] + W[:, 1, :, 0, 1]
              + W[:, 1, :, 1, 1])
-    return coarse, np.stack([lower, upper], axis=2).reshape(-1, 2, 2)
+    return (~free_c, np.stack([lower, upper], axis=2).reshape(-1, 2, 2),
+            (2 * spacing[0], 2 * spacing[1]))
 
 
 class _Level:
@@ -1003,11 +1045,12 @@ class Multigrid:
     J. Sci. Stat. Comput. 2, 1981, on rough coefficients).
 
     Level 0 is the system's own operator; each coarser level comes from
-    _coarsen and is assembled like the fine system.  The cycle runs on
-    whole lattice arrays, zero off the free vertices of each level, and
-    runs SMOOTHING_SWEEPS damped-Jacobi sweeps before and after each coarse
-    correction, so it is symmetric.  The coarsest level is factored by
-    block elimination over its lattice rows.  Where a row of it holds
+    _coarsen, its stencil by the same lattice formula as the fine one
+    (Stencil.of_cells).  The cycle runs on whole lattice arrays, zero off
+    the free vertices of each level, and runs SMOOTHING_SWEEPS
+    damped-Jacobi sweeps before and after each coarse correction, so it is
+    symmetric.  The coarsest level is factored by block elimination over
+    its lattice rows.  Where a row of it holds
     more than BOTTOM_DIRECT free vertices the coarse levels are dropped:
     with only its inverse diagonal at the bottom, the V-cycle takes
     about a quarter of the Jacobi iterations at six times their cost
@@ -1019,16 +1062,21 @@ class Multigrid:
     """
 
     def __init__(self, system: SparseSpdSystem):
-        geom, AW = system.geom, system.AW
-        self._jacobi = _jacobi(system.K)
-        self.levels: list[_Level] = [_Level(system.K)]
-        while (coarser := _coarsen(geom, AW)) is not None:
-            geom, AW = coarser
-            K, _ = _eliminate(geom, Stencil.of(geom, AW))
-            self.levels.append(_Level(K))
+        K = system.K
+        self.levels: list[_Level] = [_Level(K)]
+        if system.geom.lattice is not None:
+            level = (~K.mask.reshape(K.stencil.grid), system.AW,
+                     system.geom.spacing)
+            while (level := _coarsen(*level)) is not None:
+                fixed, W, spacing = level
+                self.levels.append(_Level(LatticeOperator(
+                    Stencil.of_cells(fixed.shape, W, spacing),
+                    ~fixed.ravel())))
         self._factor = None
         if len(self.levels) > 1 and not self._factor_bottom():
             del self.levels[1:]
+        if self._factor is None:  # the V-cycle is the inverse diagonal
+            self._dinv = K.box(1.0 / K.diagonal())
 
     def _factor_bottom(self) -> bool:
         """Block elimination of the coarsest level over its lattice rows
@@ -1049,11 +1097,8 @@ class Multigrid:
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         if self._factor is None:
-            return self._jacobi(r)
-        mask = self.levels[0].K.mask
-        R = np.zeros(len(mask))
-        R[mask] = r
-        return self._cycle(0, R)[mask]
+            return self._dinv * r
+        return self._cycle(0, r)
 
     def _cycle(self, l: int, R: np.ndarray) -> np.ndarray:
         lev = self.levels[l]
@@ -1080,12 +1125,14 @@ def _jacobi(K) -> Callable[[np.ndarray], np.ndarray]:
 
 def solve_spd(system: SparseSpdSystem, rel_tol: float = 1e-12) -> FineFunction:
     """Solve the eliminated system by pcg with one multigrid V-cycle as the
-    preconditioner, and return the full nodal field."""
+    preconditioner, both on box arrays, and return the full nodal
+    field."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    x, iters = pcg(system.K, system.rhs, rel_tol, Multigrid(system))
+    K = system.K
+    x, iters = pcg(K, K.box(system.rhs), rel_tol, Multigrid(system))
     values = system.values0.copy()
-    values[system.free_loc] = x
+    values[system.free_loc] = x[K.mask]
     return FineFunction(system.geom, values, iters)
 
 
@@ -1094,7 +1141,7 @@ def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray,
     """Gram blocks a(V_i, W_j) = V_i^T K W_j of a stack of congruent
     patches with the triangulation of geom: V (E, b, n) and W (E, c, n)
     are nodal values on its local vertices and stencil holds the members'
-    stencils, Stencil.of(geom, AW, grads).  Each member's stencil applies
+    stencils (PatchGroup.stencil).  Each member's stencil applies
     to its fields in one pass (Stencil.apply_full), and einsum, without
     BLAS, sums each entry over the vertices in one fixed order whatever
     other fields and members ride along, so a donor space's blocks are
@@ -1107,10 +1154,13 @@ def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray,
 
 
 def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
-                        W: np.ndarray | None = None) -> np.ndarray:
+                        W: np.ndarray | None = None,
+                        diagonal: bool = False) -> np.ndarray:
     """Gram matrix a(V_i, W_j) = V_i^T K W_j of nodal-value rows over one
     geometry, with the stencil K = geom.stencil(A) that assembly shares,
-    applied by Stencil.apply_full.
+    applied by Stencil.apply_full; with diagonal, only its diagonal
+    a(V_i, W_i), (rows,), the energies a(V_i, V_i) when W is None, bitwise
+    the entries of the matrix.
 
     Scalar energies and the error report call it.  K applies to one row
     of W at a time, so a stack of global fields needs no temporaries of
@@ -1123,6 +1173,8 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
     V = np.atleast_2d(V)
     KW = (geom.from_box(st.apply_full(geom.to_box(w)))
           for w in (V if W is None else np.atleast_2d(W)))
+    if diagonal:
+        return np.array([dot(v, Kv) for v, Kv in zip(V, KW)])
     M = np.array([[dot(v, Kw) for v in V] for Kw in KW]).T
     return M if W is not None else 0.5 * (M + M.T)
 
@@ -1140,7 +1192,8 @@ def energy_inner(v: FineFunction, w: FineFunction, A: CoefficientField
 def energy(v: FineFunction, A: CoefficientField, f=None) -> float:
     """E(v) = 1/2 a(v,v) - integral of f v, same quadrature and stencil as
     assemble, every sum in a fixed order (dot)."""
-    e = 0.5 * float(energy_inner_matrix(v.values[None, :], v.geom, A)[0, 0])
+    e = 0.5 * float(energy_inner_matrix(v.values[None, :], v.geom, A,
+                                        diagonal=True)[0])
     if f is not None:
         e -= dot(load_vector(v.geom, f), v.values)
     return e

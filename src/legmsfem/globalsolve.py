@@ -365,10 +365,9 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
                 t = group.template
                 G_x = np.zeros(bub.shape + (n_i,))
                 for sl, sub in group.chunks(3 * Vb.shape[1] * n):
-                    grads, AW = sub.weights(A)
                     G_x[sl] = finefem.patch_grams(
-                        t, finefem.Stencil.of(t, AW, grads),
-                        bub_fields.gather(sl), iface_fields.gather(sl))
+                        t, sub.stencil(A), bub_fields.gather(sl),
+                        iface_fields.gather(sl))
             pair = (bub[:, :, None] >= 0) & (iface[:, None, :] >= 0)
             np.add.at(cross, (
                 np.broadcast_to(bub[:, :, None], pair.shape)[pair] - n_if,

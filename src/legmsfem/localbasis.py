@@ -12,19 +12,19 @@ are lattice translates of one template (finefem.patch_groups checks it),
 and one direct block-tridiagonal sweep over the template's fine-lattice
 rows solves a whole chunk of them (a P1 stiffness on the structured
 lattice couples only adjacent rows).  The sweep's blocks come from the
-stencils of the chunk, formed in one scatter, through the template's
-finefem.RowBlocks, the block layout the coarsest multigrid level uses
-too; the same stencils then give each patch's Gram blocks a(X_i, X_j) of
-its solved fields (finefem.patch_grams), kept beside the field stack for
-the coarse assembly.  A trace row's right-hand side -K X is formed from
-the full element matrices of the triangles that touch the patch boundary
-only, where X is nonzero.  Given the problem's load f, the sweep also
-solves one zero-trace row with load f per patch; glued over the mesh,
-these rows are the bubble part of the fine reference solution (the error
-report's bubble reference), so every patch is eliminated once per run.  The
-sweep's matrices carry a leading element axis, and every element and
-every row is its own LAPACK or BLAS call, so a field comes out bitwise the
-same whatever is solved with it.
+stencils of the chunk, formed by the lattice formula in one pass
+(finefem.PatchGroup.stencil), through the template's finefem.RowBlocks,
+the block layout the coarsest multigrid level uses too; the same stencils
+give a trace row's right-hand side -K X and then each patch's Gram blocks
+a(X_i, X_j) of its solved fields (finefem.patch_grams), kept beside the
+field stack for the coarse assembly.  The bubble loads are box arrays
+from the lattice formula too (finefem.box_loads).  Given the problem's
+load f, the sweep also solves one zero-trace row with load f per patch;
+glued over the mesh, these rows are the bubble part of the fine reference
+solution (the error report's bubble reference), so every patch is
+eliminated once per run.  The sweep's matrices carry a leading element
+axis, and every element and every row is its own LAPACK or BLAS call, so a
+field comes out bitwise the same whatever is solved with it.
 Traces on coarse edges are sampled at the fine vertices of the edge chain,
 always through the edge's own orientation (v0 to v1) and from one
 evaluation per (n_sub, degree), so the two adjacent patches impose
@@ -169,40 +169,6 @@ def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
     return table[np.take_along_axis(row, codes, axis=1)]
 
 
-def _trace_loads(Kt: np.ndarray, X: np.ndarray, tris: np.ndarray
-                 ) -> np.ndarray:
-    """-K X of the trace rows X (elements, rows, n), from the per-triangle
-    matrices Kt (elements, nt, 3, 3) of the triangles tris (nt, 3) that
-    touch the boundary, (elements, rows, n).
-
-    Each triangle slot i gives -(K_i0 x_0 + K_i1 x_1 + K_i2 x_2), laid out
-    (triangle, slot, row, element) so the element axis is the long inner
-    loop, and one bincount scatters them to the vertices, each vertex
-    summing its triangles in triangle order.  X vanishes off the boundary,
-    so every other triangle would add only products +-0, which leave the
-    sums bitwise unchanged."""
-    n_el, rows, n = X.shape
-    KT = np.ascontiguousarray(np.moveaxis(Kt, 0, -1))
-    XT = np.ascontiguousarray(X.T)[tris]
-    W = np.multiply(KT[:, :, 0, None], XT[:, None, 0])
-    tmp = np.empty(W.shape)
-    W += np.multiply(KT[:, :, 1, None], XT[:, None, 1], out=tmp)
-    W += np.multiply(KT[:, :, 2, None], XT[:, None, 2], out=tmp)
-    np.negative(W, out=W)
-    return _scatter_rows(W, tris, n)
-
-
-def _scatter_rows(W: np.ndarray, tris: np.ndarray, n: int) -> np.ndarray:
-    """Sum W (nt, 3, rows, elements), the share of each triangle slot in
-    each row, to the n vertices, (elements, rows, n), each vertex summing
-    its triangles in triangle order."""
-    rows, n_el = W.shape[2:]
-    idx = (np.arange(n_el * rows).reshape(n_el, rows).T * n
-           + tris[..., None, None])
-    return np.bincount(idx.ravel(), weights=W.ravel(),
-                       minlength=n_el * rows * n).reshape(n_el, rows, n)
-
-
 def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
                   M: np.ndarray, bases: dict, n_b: int,
                   f: finefem.RhsField | None) -> np.ndarray:
@@ -256,7 +222,7 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     product.
     """
     t = group.template
-    n, tris = t.n_vertices, t.tris
+    n = t.n_vertices
     n_tr = codes.shape[1]
     n_b = max([b.dim for m, b in bases.items() if (M == m).any()], default=0)
     m = n_tr + n_b
@@ -269,28 +235,26 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     is_free = np.ones(n, dtype=bool)
     is_free[t.boundary_local] = False
     free = np.flatnonzero(is_free)
-    blocks = finefem.RowBlocks(t.box[1][free], t.box[0])
-    edge = np.flatnonzero(~is_free[tris].all(axis=1))
-    # Doubles of the largest temporaries per member: the trace and load
-    # shares of the right-hand side, and the four box arrays of its Gram
-    # blocks.
-    per_element = (3 * (n_tr * len(edge) + (m_all - n_tr) * len(tris))
-                   + 4 * m * math.prod(t.box[0]))
+    slots = t.box[1][free]
+    blocks = finefem.RowBlocks(slots, t.box[0])
+    # Doubles of the largest temporaries per member: three box arrays of
+    # each right-hand side row (-K X of the traces, the loads from their
+    # triangle shares), and the four box arrays of its Gram blocks.
+    per_element = (3 * m_all + 4 * m) * math.prod(t.box[0])
     for sl, sub in group.chunks(max(per_element, blocks.size)):
-        grads, AW = sub.weights(A)
-        st = finefem.Stencil.of(t, AW, grads)
+        st = sub.stencil(A)
         Xc = X[sl]
         if len(free):
             R = np.empty((len(Xc), m_all, len(free)))
             if n_tr:
-                R[:, :n_tr] = _trace_loads(
-                    finefem._stiffness(grads[:, edge], AW[:, edge]),
-                    Xc[:, :n_tr], tris[edge])[..., free]
+                member = finefem.Stencil(st.grid, st.coef[:, None])
+                R[:, :n_tr] = np.negative(
+                    member.apply(t.to_box(Xc[:, :n_tr]))[..., slots])
             if m_all > n_tr:
                 w = _load_weights(coarse, sub, M[sl], bases, n_b, f)
-                R[:, n_tr:] = _scatter_rows(
-                    np.broadcast_to(w[:, None], (len(tris), 3) + w.shape[1:]),
-                    tris, n)[..., free]
+                R[:, n_tr:] = finefem.box_loads(
+                    t, w.T,
+                    finefem.BY_TRIANGLE)[..., slots]
             Y = blocks.solve(blocks.factor(st), R)
             Xc[..., free] = Y[:, :m]
             if L is not None:

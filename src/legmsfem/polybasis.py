@@ -1,5 +1,5 @@
-"""Legendre polynomials, the internal edge basis, Gauss-Lobatto rules, and
-L2 projections on elements and edges.
+"""Legendre polynomials, the internal edge basis, Gauss-Lobatto rules, the
+bulk polynomial bases of the bubbles, and L2 projections on edges.
 
 Everything here lives on reference coordinates: [-1,1] for edges, the unit
 square or unit right triangle for element interiors.  The internal functions
@@ -213,29 +213,6 @@ class BulkPolyBasis:
         mono = np.column_stack([pts[:, 0] ** p * pts[:, 1] ** q
                                 for p, q in self._pairs])
         return mono @ self._C.T
-
-
-def l2_project_element(f, element, geom, M: int, quad_order: int = 1
-                       ) -> tuple[np.ndarray, BulkPolyBasis]:
-    """L2 projection of f onto the degree-M bulk space of one element.
-
-    Solves the Gram system G c = b with both sides computed by the composite
-    fine-patch quadrature in `geom` (a finefem.TriGeometry restricted to the
-    element), so the residual f - sum c_i P_i is orthogonal to the basis in
-    the discrete inner product.  Returns (coefficients, basis).
-    """
-    basis = BulkPolyBasis(element.kind, M)
-    pts, w = geom.quad_points(quad_order)
-    P = basis.eval_ref(element.to_ref(pts))
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    G = P.T @ (w[:, None] * P)
-    b = P.T @ (w * fv)
-    try:
-        c = np.linalg.solve(G, b)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular bulk Gram matrix on element {element.id}") from exc
-    return c, basis
 
 
 def l2_project_edge_zero(g, N: int, n_quad: int = 64) -> np.ndarray:

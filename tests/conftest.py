@@ -9,7 +9,7 @@ import copy
 import numpy as np
 import pytest
 
-from legmsfem import cli, finefem, mesh
+from legmsfem import cli, finefem, mesh, polybasis
 
 
 @pytest.fixture(scope="session")
@@ -222,3 +222,232 @@ def check_against_dense(blocks, factored, D, E, exact):
     else:
         assert all(np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
                    for a, b in pairs)
+
+
+# ---------------------------------------------------------------------------
+# Per-triangle reference code: the fine layer as it was before its stencils
+# and loads became lattice formulas on per-cell arrays, and the test-only
+# quadrature API.
+
+
+def triangle_gradients(geom) -> np.ndarray:
+    """The P1 gradients (nt, 3, 2) of every triangle of geom from its own
+    corners (TriGeometry.grads before finefem.cell_gradients)."""
+    p = geom.points
+    p0, p1, p2 = p[geom.tris[:, 0]], p[geom.tris[:, 1]], p[geom.tris[:, 2]]
+    det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+           - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    g = np.empty((len(geom.tris), 3, 2))
+    g[:, 0, 0] = (p1[:, 1] - p2[:, 1]) / det
+    g[:, 0, 1] = (p2[:, 0] - p1[:, 0]) / det
+    g[:, 1, 0] = (p2[:, 1] - p0[:, 1]) / det
+    g[:, 1, 1] = (p0[:, 0] - p2[:, 0]) / det
+    g[:, 2, 0] = (p0[:, 1] - p1[:, 1]) / det
+    g[:, 2, 1] = (p1[:, 0] - p0[:, 0]) / det
+    return g
+
+
+def pattern_gradients(geom) -> np.ndarray:
+    """The P1 gradients (nt, 3, 2) of the triangles of a lattice geometry
+    from the two patterns of finefem.cell_gradients, lower or upper: what
+    the lattice formulas use in place of triangle_gradients, bitwise the
+    same where the lattice spacing is a power of two."""
+    (_, cols), slots = geom.box
+    s = slots[geom.tris]
+    upper = s[:, 1] == s[:, 0] + cols + 1
+    return finefem.cell_gradients(geom.spacing)[upper.astype(int)]
+
+
+def group_weights(group, A):
+    """(grads, AW) of every member of a patch group, (E, nt, 3, 2) and
+    (E, nt, 2, 2), gathered from the global geometry."""
+    geom = finefem.global_geometry(group.fine)
+    return (triangle_gradients(geom)[group.tri_ids],
+            geom.area_weighted(A)[group.tri_ids])
+
+
+def stiffness_entries(g, AW):
+    """The six distinct entries of the P1 stiffness matrices of triangles
+    with gradients g (..., nt, 3, 2) and area-weighted coefficients AW
+    (..., nt, 2, 2): the diagonals (..., 3, nt) and the couplings (K01,
+    K02, K12), each (..., nt), as finefem formed them per triangle."""
+    g = np.ascontiguousarray(np.moveaxis(g, -3, -1))    # (..., 3, 2, nt)
+    AW = np.ascontiguousarray(np.moveaxis(AW, -3, -1))  # (..., 2, 2, nt)
+    gA = (g[..., :1, :] * AW[..., None, 0, :, :]
+          + g[..., 1:, :] * AW[..., None, 1, :, :])
+
+    def k(i, j):
+        kij = (gA[..., i, 0, :] * g[..., j, 0, :]
+               + gA[..., i, 1, :] * g[..., j, 1, :])
+        kji = kij if i == j else (gA[..., j, 0, :] * g[..., i, 0, :]
+                                  + gA[..., j, 1, :] * g[..., i, 1, :])
+        return 0.5 * (kij + kji)
+
+    return (np.stack([k(0, 0), k(1, 1), k(2, 2)], axis=-2),
+            (k(0, 1), k(0, 2), k(1, 2)))
+
+
+def stiffness(g, AW) -> np.ndarray:
+    """The P1 stiffness matrices (..., nt, 3, 3) of stiffness_entries."""
+    diag, (k01, k02, k12) = stiffness_entries(g, AW)
+    K = np.empty(k01.shape + (3, 3))
+    K[..., [0, 1, 2], [0, 1, 2]] = np.moveaxis(diag, -2, -1)
+    K[..., 0, 1] = K[..., 1, 0] = k01
+    K[..., 0, 2] = K[..., 2, 0] = k02
+    K[..., 1, 2] = K[..., 2, 1] = k12
+    return K
+
+
+def scatter(tris, contrib, n) -> np.ndarray:
+    """Add contrib (E, nt) to the three vertices of each triangle of tris
+    (nt, 3): (E, n), summed vertex slot by vertex slot in triangle order
+    (finefem._scatter, the load vectors' scatter)."""
+    E, nt = contrib.shape
+    idx = np.arange(E)[:, None, None] * n + tris.T
+    w = np.broadcast_to(contrib[:, None, :], (E, 3, nt))
+    return np.bincount(idx.ravel(), weights=w.ravel(),
+                       minlength=E * n).reshape(E, n)
+
+
+def scatter_rows(W, tris, n) -> np.ndarray:
+    """Sum W (nt, 3, rows, elements), the share of each triangle slot in
+    each row, to the n vertices, (elements, rows, n), each vertex summing
+    its triangles in triangle order (localbasis._scatter_rows, the bubble
+    loads' scatter)."""
+    rows, n_el = W.shape[2:]
+    idx = (np.arange(n_el * rows).reshape(n_el, rows).T * n
+           + tris[..., None, None])
+    return np.bincount(idx.ravel(), weights=W.ravel(),
+                       minlength=n_el * rows * n).reshape(n_el, rows, n)
+
+
+def trace_loads(Kt, X, tris) -> np.ndarray:
+    """-K X of the trace rows X (elements, rows, n) from the per-triangle
+    matrices Kt (elements, nt, 3, 3) of the triangles tris (nt, 3) that
+    touch the boundary, (elements, rows, n): localbasis._trace_loads
+    before the sweep took -K X from the chunk stencil."""
+    n_el, rows, n = X.shape
+    KT = np.ascontiguousarray(np.moveaxis(Kt, 0, -1))
+    XT = np.ascontiguousarray(X.T)[tris]
+    W = np.multiply(KT[:, :, 0, None], XT[:, None, 0])
+    tmp = np.empty(W.shape)
+    W += np.multiply(KT[:, :, 1, None], XT[:, None, 1], out=tmp)
+    W += np.multiply(KT[:, :, 2, None], XT[:, None, 2], out=tmp)
+    np.negative(W, out=W)
+    return scatter_rows(W, tris, n)
+
+
+def reference_load_vector(geom, f) -> np.ndarray:
+    """P1 load vector of f by the centroid rule, scattered from the
+    triangles (finefem.load_vector before box_loads)."""
+    fv = np.asarray(f(geom.centroids[:, 0], geom.centroids[:, 1]),
+                    dtype=float)
+    return scatter(geom.tris, (geom.areas * fv / 3.0)[None],
+                   geom.n_vertices)[0]
+
+
+def reference_stencil(geom, AW, grads=None) -> finefem.Stencil:
+    """The stencil of the element entries of grads (triangle_gradients of
+    geom by default) and AW on the triangles of geom, each scattered to
+    its box position once, in triangle order (finefem.Stencil.of before
+    the lattice formula); a stack of patches with grads (E, nt, 3, 2) and
+    AW (E, nt, 2, 2)."""
+    (rows, cols), slots = geom.box
+    n = rows * cols
+    s = slots[geom.tris]
+    lower = (s[:, 1] == s[:, 0] + 1) & (s[:, 2] == s[:, 0] + cols + 1)
+    assert (lower | ((s[:, 1] == s[:, 0] + cols + 1)
+                     & (s[:, 2] == s[:, 0] + cols))).all()
+    diag, (k01, k02, k12) = stiffness_entries(
+        triangle_gradients(geom) if grads is None else grads, AW)
+    lead = AW.shape[:-3]
+    m = int(np.prod(lead, dtype=int))
+    first = np.arange(m)[:, None] * n
+
+    def scatter_at(at, w):
+        return np.bincount((first + at).ravel(), w.reshape(m, -1).ravel(),
+                           m * n).reshape(m, n)
+
+    coef = np.stack([
+        scatter_at(s.ravel(), np.swapaxes(diag, -1, -2)),
+        scatter_at(np.where(lower, s[:, 0], s[:, 2]),
+                   np.where(lower, k01, k12)),
+        scatter_at(np.where(lower, s[:, 1], s[:, 0]),
+                   np.where(lower, k12, k02)),
+        scatter_at(s[:, 0], np.where(lower, k02, k01))], axis=1)
+    return finefem.Stencil((rows, cols), coef.reshape(lead + (4, n)))
+
+
+def restricted(st, m) -> finefem.Stencil:
+    """The stencil with every coefficient that touches a box position off
+    the boolean mask m set to zero (the copy LatticeOperator kept before
+    it kept the mask)."""
+    coef = st.coef * m
+    for k, c in zip(st.offsets, np.moveaxis(coef, -2, 0)[1:]):
+        c[..., :-k] *= m[k:]
+    return finefem.Stencil(st.grid, coef)
+
+
+def coarsen(geom, AW):
+    """The next coarser level of a lattice geometry with area-weighted
+    coefficient AW as a geometry of its own, (geometry, AW), or None:
+    finefem._coarsen before its levels became lattice arrays."""
+    if geom.lattice is None or geom.lattice[0] % 2 or geom.lattice[1] % 2:
+        return None
+    nx, ny = geom.lattice
+    fixed = np.zeros((ny + 1) * (nx + 1), dtype=bool)
+    fixed[geom.boundary_local] = True
+    fixed = fixed.reshape(ny + 1, nx + 1)
+    free_c = ~fixed[::2, ::2]
+    if not free_c.any() or finefem._prolong(
+            free_c.astype(float))[fixed].any():
+        return None
+    nxc, nyc = nx // 2, ny // 2
+    points = geom.points.reshape(ny + 1, nx + 1, 2)[::2, ::2].reshape(-1, 2)
+    spacing = None if geom.spacing is None else (2 * geom.spacing[0],
+                                                 2 * geom.spacing[1])
+    coarse = finefem.TriGeometry(points, mesh.lattice_triangles(nxc, nyc),
+                                 np.arange(len(points)),
+                                 np.flatnonzero(~free_c),
+                                 f"{geom.label} on {nxc}x{nyc} cells",
+                                 (nxc, nyc), spacing=spacing)
+    W = AW.reshape(nyc, 2, nxc, 2, 2, 2, 2)
+    lower = (W[:, 0, :, 0, 0] + W[:, 0, :, 1, 0] + W[:, 0, :, 1, 1]
+             + W[:, 1, :, 1, 0])
+    upper = (W[:, 0, :, 0, 1] + W[:, 1, :, 0, 0] + W[:, 1, :, 0, 1]
+             + W[:, 1, :, 1, 1])
+    return coarse, np.stack([lower, upper], axis=2).reshape(-1, 2, 2)
+
+
+def quad_points(geom, order: int = 1):
+    """Composite quadrature on the triangles of geom, (points, weights)
+    with sum(weights) = area: the centroid rule (order 1) or the edge
+    midpoint rule (order 3)."""
+    if order == 1:
+        return geom.centroids, geom.areas
+    if order == 3:
+        p = geom.points[geom.tris]  # (nt, 3, 2)
+        mids = np.concatenate([(p[:, 1] + p[:, 2]) / 2,
+                               (p[:, 0] + p[:, 2]) / 2,
+                               (p[:, 0] + p[:, 1]) / 2])
+        return mids, np.tile(geom.areas / 3.0, 3)
+    raise ValueError("quad_order must be 1 or 3")
+
+
+def l2_project_element(f, element, geom, M: int, quad_order: int = 1):
+    """L2 projection of f onto the degree-M bulk space of one element,
+    (coefficients, basis): the Gram system G c = b with both sides by the
+    composite fine-patch quadrature of geom, so the residual is orthogonal
+    to the basis in the discrete inner product."""
+    basis = polybasis.BulkPolyBasis(element.kind, M)
+    pts, w = quad_points(geom, quad_order)
+    P = basis.eval_ref(element.to_ref(pts))
+    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+    G = P.T @ (w[:, None] * P)
+    b = P.T @ (w * fv)
+    try:
+        c = np.linalg.solve(G, b)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"singular bulk Gram matrix on element {element.id}") from exc
+    return c, basis

@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import vertex_elements
+from conftest import l2_project_element, quad_points, vertex_elements
 from legmsfem import (cli, errors, estimator, finefem, globalsolve,
                       localbasis, mesh, polybasis)
 
@@ -336,9 +336,8 @@ def test_criterion_10_projection_and_quadrature_kernel():
             total = 0.0
             for el in coarse.elements:
                 geom = finefem.element_geometry(fine, el.id)
-                c, basis = polybasis.l2_project_element(f, el, geom, M,
-                                                        quad_order=3)
-                pts, wts = geom.quad_points(3)
+                c, basis = l2_project_element(f, el, geom, M, quad_order=3)
+                pts, wts = quad_points(geom, 3)
                 resid = f(pts[:, 0], pts[:, 1]) \
                     - basis.eval_ref(el.to_ref(pts)) @ c
                 total += float(wts @ resid**2)

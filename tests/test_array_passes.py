@@ -340,12 +340,13 @@ def test_array_segment_triangles_match_per_edge(kind):
 # stencil entries
 
 def scattered_stencil(geom, AW):
-    """Stencil.of from the full element matrices of _stiffness."""
+    """Stencil.of from the full element matrices of the gradient patterns
+    of each triangle, scattered."""
     (rows, cols), slots = geom.box
     n = rows * cols
     s = slots[geom.tris]
     lower = (s[:, 1] == s[:, 0] + 1) & (s[:, 2] == s[:, 0] + cols + 1)
-    Ke = finefem._stiffness(geom.grads, AW)
+    Ke = conftest.stiffness(conftest.pattern_gradients(geom), AW)
     k01, k02, k12 = Ke[:, 0, 1], Ke[:, 0, 2], Ke[:, 1, 2]
     return [np.bincount(s.ravel(), Ke.reshape(-1, 9)[:, ::4].ravel(), n),
             np.bincount(np.where(lower, s[:, 0], s[:, 2]),
@@ -389,8 +390,8 @@ def test_stencil_products_match_gram_blocks(kind, coefficient, rng):
          else conftest.anisotropic_field())
     for g in finefem.patch_groups(fine, range(len(coarse.elements))):
         t = g.template
-        grads, AW = g.weights(A)
-        st = finefem.Stencil.of(t, AW, grads)
+        grads, AW = conftest.group_weights(g, A)
+        st = g.stencil(A)
         assert st.northeast.any() == (coefficient == "anisotropic")
         V = rng.standard_normal((len(g.elements), 5, t.n_vertices))
         W = rng.standard_normal((len(g.elements), 3, t.n_vertices))
@@ -402,7 +403,8 @@ def test_stencil_products_match_gram_blocks(kind, coefficient, rng):
     geom = finefem.global_geometry(fine)
     V = rng.standard_normal((4, geom.n_vertices))
     W = rng.standard_normal((2, geom.n_vertices))
-    ref = (geom.tris, geom.grads[None], geom.area_weighted(A)[None])
+    ref = (geom.tris, conftest.triangle_gradients(geom)[None],
+           geom.area_weighted(A)[None])
     got = finefem.energy_inner_matrix(V, geom, A)
     assert np.array_equal(got, got.T)
     assert rel_close(got, gram_blocks(V[None], *ref)[0])
@@ -427,7 +429,7 @@ def test_space_grams_match_gram_blocks(kind):
     padded = []
     for group, iface, bub in space._fields:
         tris = group.template.tris
-        grads, AW = group.weights(A)
+        grads, AW = conftest.group_weights(group, A)
         want = [gram_blocks(p.gather(), tris, grads, AW) for p in (iface, bub)]
         for part, G in zip((iface, bub), want):
             padded.append((part.dofs < 0).any())

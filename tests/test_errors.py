@@ -187,6 +187,53 @@ def test_evaluate_matches_separate_formulas(run, request):
         assert abs(report.E_rel_gamma - gamma) <= 1e-12 * gamma
 
 
+def full_matrix_evaluate(u_H, E_star, u_ref, u_B_ref=None):
+    """errors.evaluate as it was before it formed only the energies it
+    reads: the whole symmetric Gram matrix of its rows, of which it read
+    the diagonal."""
+    space = u_H.space
+    u_B = globalsolve.reconstruct(u_H, "bubble")
+    u_G = globalsolve.reconstruct(u_H, "interface")
+    geom = u_B.geom
+    u = u_B.values + u_G.values
+    rows = [u, u_ref.values - u, u_ref.values]
+    if u_B_ref is not None:
+        rows += [u_B_ref.values, u_B_ref.values - u_B.values,
+                 (u_ref.values - u_B_ref.values) - u_G.values]
+    M = finefem.energy_inner_matrix(np.stack(rows), geom, space.A)
+    b = finefem.load_vector(geom, u_H.f)
+    E_num = 0.5 * float(M[0, 0]) - finefem.dot(b, u)
+    E_rel = errors.relative_from_energies(E_num, E_star)
+    direct = float(np.sqrt(M[1, 1] / M[2, 2]))
+    gamma = None
+    resid = None
+    if u_B_ref is not None:
+        resid = 0.0 if M[1, 1] <= 0 else \
+            float(abs(M[1, 1] - (M[4, 4] + M[5, 5])) / M[1, 1])
+        E_gamma_star = E_star - (0.5 * float(M[3, 3])
+                                 - finefem.dot(b, u_B_ref.values))
+        if not space.n_bubble and E_gamma_star < -1e-15 * abs(E_star):
+            gamma = errors.relative_from_energies(E_num, E_gamma_star)
+    return errors.ErrorReport(E_star, E_num, E_rel, direct, gamma, resid)
+
+
+@pytest.mark.parametrize("run", ["small_bench", "small_bench_bubbles"])
+@pytest.mark.parametrize("with_bubble_reference", [False, True])
+def test_evaluate_is_the_full_matrix_report_bitwise(run, request,
+                                                    with_bubble_reference):
+    # each diagonal entry of the symmetrised matrix is the one dot product
+    # a(r_i, r_i), so forming only the six energies changes no digit
+    res = request.getfixturevalue(run)
+    sol, A, f = res.solution, res.solution.space.A, res.problem.f
+    u_B_ref = (errors.bubble_reference(res.problem.fine, A, f)
+               if with_bubble_reference else None)
+    got = errors.evaluate(sol, res.E_star, res.u_ref, u_B_ref)
+    assert got == full_matrix_evaluate(sol, res.E_star, res.u_ref, u_B_ref)
+    assert (got.decomposition_residual is None) != with_bubble_reference
+    assert (got.E_rel_gamma is not None) == (
+        with_bubble_reference and not sol.space.n_bubble)
+
+
 def test_interface_error_degenerate_denominator():
     # a single element has no interface: the bubble part is everything
     coarse = mesh.build_coarse("quad", 1, 1)

@@ -1,0 +1,165 @@
+"""The lattice formulas of the fine layer against the per-triangle code they
+replaced (kept in conftest.py): gradients from the corners of every
+triangle, element matrices and the triangle-corner bincount scatters.
+
+Stencils and the estimator's segment gradients come from two constant
+gradient patterns, so they are bitwise the per-triangle ones where the
+lattice spacing is a power of two (h = 1/32 here) and within 1e-14 of
+their scale where it is not (h = 1/96, the sweep-tri-N spacing).  Loads
+take no gradient and are bitwise at both.  Every case runs on quads and
+triangles: the global mesh, the skeleton (the coarse edges fixed), the
+quad and the lower and upper triangle patch stacks of the offline sweep,
+and every multigrid level, with the periodic and the full-tensor
+coefficient.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import (anisotropic_field, coarsen, group_weights,
+                      reference_load_vector, reference_stencil, restricted,
+                      scatter, scatter_rows, skeleton_geometry,
+                      triangle_gradients)
+from legmsfem import estimator, finefem, localbasis, mesh, polybasis
+
+# (kind, coarse cells per side, n_sub): h = 1/32 and h = 1/96.
+MESHES = [("quad", 2, 16), ("triangle", 2, 16), ("quad", 3, 32),
+          ("triangle", 3, 32)]
+MESH_IDS = ["quad-h32", "triangle-h32", "quad-h96", "triangle-h96"]
+
+
+@pytest.fixture(scope="module", params=MESHES, ids=MESH_IDS)
+def fine(request):
+    kind, nx, n_sub = request.param
+    return mesh.refine_to_fine(mesh.build_coarse(kind, nx, nx), n_sub)
+
+
+@pytest.fixture(params=["periodic", "anisotropic"])
+def A(request):
+    return (finefem.periodic_benchmark(0.25) if request.param == "periodic"
+            else anisotropic_field())
+
+
+def dyadic(fine) -> bool:
+    return fine.nfx & (fine.nfx - 1) == 0
+
+
+def agree(got, want, exact):
+    """Bitwise where exact, else within 1e-14 of the scale of want."""
+    if got.shape != want.shape:
+        return False
+    if exact:
+        return got.tobytes() == want.tobytes()
+    return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_cell_gradients_are_the_triangle_gradients(fine):
+    geom = finefem.global_geometry(fine)
+    got = finefem.cell_gradients(geom.spacing)[np.arange(len(geom.tris)) % 2]
+    assert agree(got, triangle_gradients(geom), dyadic(fine))
+
+
+@pytest.mark.parametrize("which", ["global", "skeleton"])
+def test_global_stencil_and_operator(fine, A, which, rng):
+    # the stencil of the whole lattice, and K_ff of its two fixed sets
+    # against the restricted copy of the scattered stencil
+    geom = (finefem.global_geometry(fine) if which == "global"
+            else skeleton_geometry(fine))
+    st = geom.stencil(A)
+    want = reference_stencil(geom, geom.area_weighted(A))
+    assert agree(st.coef, want.coef, dyadic(fine))
+    K = finefem.assemble(geom, A).K
+    assert K.stencil is st
+    ref = restricted(want, K.mask)
+    assert agree(K.diagonal(), ref.centre[K.mask], dyadic(fine))
+    x = rng.standard_normal(K.shape[0])
+    assert agree(K @ x, ref.apply(K.box(x))[K.mask], dyadic(fine))
+
+
+def test_patch_stack_stencils(fine, A):
+    # one stencil per member of every patch shape, from the member's
+    # triangles gathered off the global geometry
+    groups = finefem.patch_groups(fine, range(len(fine.coarse.elements)))
+    assert len(groups) == (1 if fine.coarse.kind == "quad" else 2)
+    for g in groups:
+        grads, AW = group_weights(g, A)
+        want = reference_stencil(g.template, AW, grads)
+        assert agree(g.stencil(A).coef, want.coef, dyadic(fine))
+
+
+@pytest.mark.parametrize("which", ["global", "skeleton"])
+def test_multigrid_level_stencils(fine, A, which):
+    # every level below the fine one: the summed coefficients of the coarse
+    # triangles on a lattice geometry of their own, scattered
+    geom = (finefem.global_geometry(fine) if which == "global"
+            else skeleton_geometry(fine))
+    mg = finefem.Multigrid(finefem.assemble(geom, A))
+    AW = geom.area_weighted(A)
+    assert len(mg.levels) >= 2
+    for l, lev in enumerate(mg.levels):
+        if l:
+            geom, AW = coarsen(geom, AW)
+        want = reference_stencil(geom, AW)
+        assert agree(lev.K.stencil.coef, want.coef, dyadic(fine))
+        free = np.ones(geom.n_vertices, dtype=bool)
+        free[geom.boundary_local] = False
+        assert np.array_equal(lev.K.mask, free)
+
+
+def test_loads(fine):
+    # the load vector of the global mesh and of every patch, alone and
+    # for a patch stack, slot by slot; the offline bubble loads triangle
+    # by triangle: bitwise at any spacing
+    f = finefem.gaussian_rhs()
+    geom = finefem.global_geometry(fine)
+    assert np.array_equal(finefem.load_vector(geom, f),
+                          reference_load_vector(geom, f))
+    coarse = fine.coarse
+    bases = {m: polybasis.BulkPolyBasis(coarse.kind, m) for m in (1, 2)}
+    for g in finefem.patch_groups(fine, range(len(coarse.elements))):
+        t = g.template
+        for K in g.elements:
+            egeom = finefem.element_geometry(fine, K)
+            assert np.array_equal(finefem.load_vector(egeom, f),
+                                  reference_load_vector(egeom, f))
+        pts = geom.centroids[g.tri_ids]
+        shares = geom.areas[g.tri_ids] * f(pts[..., 0], pts[..., 1]) / 3.0
+        assert np.array_equal(g.load_vectors(f),
+                              scatter(t.tris, shares, t.n_vertices))
+        M = np.arange(len(g.elements)) % 3
+        w = localbasis._load_weights(coarse, g, M, bases, bases[2].dim, f)
+        got = t.from_box(finefem.box_loads(t, w.T, finefem.BY_TRIANGLE))
+        want = scatter_rows(np.broadcast_to(w[:, None], (len(t.tris), 3)
+                                            + w.shape[1:]),
+                            t.tris, t.n_vertices)
+        assert got.tobytes() == want.tobytes()
+
+
+def reference_jump_norms(fine, edge_ids, v, A):
+    """estimator._jump_norms with the gradients of every segment triangle
+    from its corners."""
+    geom = finefem.global_geometry(fine)
+    tris = fine.edge_segment_triangles(edge_ids).reshape(-1, 2)
+    chains = fine.edge_vertex_chains(edge_ids)
+    pa = geom.points[chains[:, :-1].ravel()]
+    pb = geom.points[chains[:, 1:].ravel()]
+    d = pb - pa
+    L = np.hypot(d[:, 0], d[:, 1])
+    nu = np.column_stack([d[:, 1], -d[:, 0]]) / L[:, None]
+    Anu = np.einsum("sij,sj->si", A.matrix_at(0.5 * (pa + pb)), nu)
+    grad = np.einsum("sti,stid->std", v.values[geom.tris[tris]],
+                     triangle_gradients(geom)[tris])
+    flux = np.einsum("std,sd->st", grad, Anu)
+    acc = np.bincount(np.repeat(np.arange(len(chains)), fine.n_sub),
+                      L * (flux[:, 0] - flux[:, 1]) ** 2)
+    return np.sqrt(acc)
+
+
+def test_segment_gradients(fine, A, rng):
+    # the flux jumps of a field across every interior coarse edge, from
+    # the gradient patterns against the corners of each segment triangle
+    geom = finefem.global_geometry(fine)
+    v = finefem.FineFunction(geom, rng.standard_normal(geom.n_vertices))
+    edges = fine.coarse.interior_edge_ids
+    got = np.array(estimator._jump_norms(fine, edges, v, A))
+    assert agree(got, reference_jump_norms(fine, edges, v, A), dyadic(fine))

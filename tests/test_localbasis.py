@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import (anisotropic_field, check_against_dense,
-                      dense_couplings, edge_vertex_chain, table_fields,
-                      vertex_edges, vertex_elements)
+                      dense_couplings, edge_vertex_chain, group_weights,
+                      pattern_gradients, stiffness, table_fields,
+                      trace_loads, vertex_edges, vertex_elements)
 from legmsfem import finefem, localbasis, mesh, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
@@ -441,7 +442,8 @@ def all_triangle_trace_loads(Kt, X, tris):
                                           ("triangle", 2, 2), ("quad", 9, 1)])
 def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
     # triangles off the boundary add products +-0 only, so leaving them
-    # out keeps every sum bitwise, on every vertex
+    # out keeps every sum bitwise, on every vertex; the -K X the sweep
+    # takes from the chunk stencil agrees with both to rounding
     coarse = mesh.build_coarse(kind, 3, 3)
     fine = mesh.refine_to_fine(coarse, n_sub)
     A = full_tensor_field()
@@ -451,13 +453,19 @@ def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
         t = group.template
         X = localbasis._trace_rows(coarse, fine, group,
                                    codes[group.elements], stride)
-        Kt = finefem._stiffness(*group.weights(A))
+        Kt = stiffness(*group_weights(group, A))
         edge = np.isin(t.tris, t.boundary_local).any(axis=1)
         assert edge.sum() < len(t.tris) or n_sub == 2
-        got = localbasis._trace_loads(Kt[:, edge], X, t.tris[edge])
+        got = trace_loads(Kt[:, edge], X, t.tris[edge])
         want = all_triangle_trace_loads(Kt, X, t.tris)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        st = group.stencil(A)
+        KX = t.from_box(finefem.Stencil(st.grid, st.coef[:, None]).apply(
+            t.to_box(X)))
+        free = np.setdiff1d(np.arange(t.n_vertices), t.boundary_local)
+        assert not len(free) or np.abs(
+            KX[..., free] + want[..., free]).max() <= 1e-14 * np.abs(want).max()
 
 
 def loop_load_weights(coarse, sub, M, bases, n_b):
@@ -592,7 +600,8 @@ def bitwise(a, b):
                                         ("triangle", 6), ("triangle", 3)])
 def test_row_blocks_match_the_element_matrix_layout(kind, n_sub):
     # the blocks gathered from a stack of stencils are bitwise those packed
-    # from the per-triangle matrices, on the quad template and on the lower
+    # from the per-triangle matrices (of the lattice gradient patterns,
+    # which the stencils use), on the quad template and on the lower
     # and upper triangle templates; the full-tensor coefficient couples
     # north-east neighbours; n_sub 2 and 3 leave one free vertex a patch
     coarse = mesh.build_coarse(kind, 3, 2)
@@ -604,15 +613,16 @@ def test_row_blocks_match_the_element_matrix_layout(kind, n_sub):
         t = g.template
         is_free = np.ones(t.n_vertices, dtype=bool)
         is_free[t.boundary_local] = False
-        grads, AW = g.weights(A)
+        AW = group_weights(g, A)[1]
+        grads = np.broadcast_to(pattern_gradients(t), AW.shape[:2] + (3, 2))
         blocks = finefem.RowBlocks(t.box[1][is_free], t.box[0])
         want = element_row_blocks(fine, t, is_free)
         assert np.array_equal(blocks.widths, want.widths)
         assert [b.stop for b in blocks.blocks] == \
             np.cumsum(want.widths).tolist()
-        D, C = blocks.split(finefem.Stencil.of(t, AW, grads))
+        D, C = blocks.split(g.stencil(A))
         E = dense_couplings(C, blocks.widths)
-        D0, E0 = want.split(finefem._stiffness(grads, AW))
+        D0, E0 = want.split(stiffness(grads, AW))
         assert len(D) == len(D0) == len(E) == len(E0)
         assert all(bitwise(a, b) for a, b in zip(D + E, D0 + E0))
         assert len(D) == 1 or any(e.any() for e in E[1:])
@@ -638,8 +648,7 @@ def test_coupling_elimination_matches_dense(kind, nx, n_sub, coefficient):
         blocks = finefem.RowBlocks(t.box[1][is_free], t.box[0])
         assert len(set(blocks.widths.tolist())) == (1 if kind == "quad"
                                                     else len(blocks.widths))
-        grads, AW = g.weights(A)
-        st = finefem.Stencil.of(t, AW, grads)
+        st = g.stencil(A)
         D, C = blocks.split(st)
         assert len(C[-1][0]) == (1 if coefficient == "periodic" else 2)
         check_against_dense(blocks, blocks.factor(st), D,

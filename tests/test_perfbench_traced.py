@@ -39,7 +39,8 @@ def test_traced_info_reads_fine_and_interface_operators(small_bench_bubbles):
     space = res.solution.space
     system = finefem.assemble(finefem.global_geometry(space.fine), space.A,
                               res.problem.f)
-    args = (system.K, system.rhs, 1e-10, finefem.Multigrid(system))
+    args = (system.K, system.K.box(system.rhs), 1e-10,
+            finefem.Multigrid(system))
     out = finefem.pcg(*args)
     assert info(args, out) == {"iters": out[1], "nnz": system.K.nnz}
     assert system.K.nnz > system.K.shape[0] > 0

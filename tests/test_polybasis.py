@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import l2_project_element, quad_points
 from legmsfem import polybasis as pb
 from legmsfem import finefem, mesh
 
@@ -157,8 +158,8 @@ def test_l2_project_element_orthogonality(quad44, fine_quad44):
     geom = finefem.element_geometry(fine_quad44, 5)
     el = quad44.elements[5]
     f = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
-    c, basis = pb.l2_project_element(f, el, geom, 2)
-    pts, w = geom.quad_points(1)
+    c, basis = l2_project_element(f, el, geom, 2)
+    pts, w = quad_points(geom, 1)
     P = basis.eval_ref(el.to_ref(pts))
     resid = f(pts[:, 0], pts[:, 1]) - P @ c
     scale = np.abs(w * f(pts[:, 0], pts[:, 1])).sum()
@@ -170,8 +171,8 @@ def test_l2_project_element_reproduces_polys(quad44, fine_quad44):
     geom = finefem.element_geometry(fine_quad44, 5)
     el = quad44.elements[5]
     f = lambda x, y: 1.0 + 2.0 * x - 3.0 * y + x * y
-    c, basis = pb.l2_project_element(f, el, geom, 1)
-    pts, _ = geom.quad_points(1)
+    c, basis = l2_project_element(f, el, geom, 1)
+    pts, _ = quad_points(geom, 1)
     P = basis.eval_ref(el.to_ref(pts))
     assert np.abs(P @ c - f(pts[:, 0], pts[:, 1])).max() < 1e-11
 
