@@ -9,34 +9,31 @@ holds at solver accuracy.
 
 Every geometry here is a set of triangles of the SW-NE fine lattice, so
 its stiffness is a 7-point stencil (centre, E/W, N/S, NE/SW) on the box of
-lattice vertices that holds it, and its P1 loads are box arrays.  Both
-come from per-cell arrays on the box by lattice formulas: the lower (SW,
-SE, NE) and upper (SW, NE, NW) triangle of every cell have two constant
-gradient patterns (`cell_gradients`), and each box position sums the
-element entries or load shares of the cells at its corners in shifted
-slices (`Stencil.of`, `box_loads`), in the order a scatter over the
-triangles would, with zeros off the geometry (a triangle patch in its
-box), for a whole stack of congruent patches at once.  The stencil is the
-one form of every fine stiffness: `assemble` masks the Dirichlet vertices
-out of it for the iterative solves (the fine reference), and `RowBlocks`,
-the one block layout of K_ff over lattice rows, gathers from it the blocks
-of the direct block-tridiagonal elimination that the offline patch solves
-in `localbasis` and the coarsest multigrid level run.  A geometry keeps
-the area-weighted coefficient of the last coefficient object it was asked
-for (keyed by identity, never by name), so a run evaluates the coefficient
-on the fine triangles once and two coefficient fields never share a
-matrix.  Only numpy is needed.
+lattice vertices that holds it, and its P1 loads are box arrays, both
+summed from per-cell arrays in shifted slices (`Stencil.of`, `box_loads`,
+also for a stack of congruent patches): the lower (SW, SE, NE) and upper
+(SW, NE, NW) triangle of a cell have two constant gradient patterns
+(`cell_gradients`), and a triangle off the geometry a zero coefficient and
+load.  The stencil is the one form of every fine stiffness: `assemble`
+masks the Dirichlet vertices out of it for the iterative solves (the fine
+reference), and `RowBlocks`, the one block layout of K_ff over lattice
+rows, gathers from it the blocks of the direct block-tridiagonal
+elimination that the offline patch solves in `localbasis` and the coarsest
+multigrid level run.  A geometry keeps the area-weighted coefficient of
+the last coefficient object it was asked for (keyed by identity, never by
+name), so a run evaluates the coefficient on the fine triangles once and
+two coefficient fields never share a matrix.  Only numpy is needed.
 
 `solve_spd` preconditions CG with one geometric multigrid V-cycle
 (`Multigrid`), both on box arrays that vanish off the free vertices (the
-stencil with a mask).  The fine lattice is nested: coarsening it every other vertex gives the
-lattice whose red refinement it is, with the same SW-NE diagonals, so each
-coarse operator is the same lattice formula on the coarse lattice, with
-the summed area-weighted coefficient of each coarse triangle's four
-children.  The coarsest level is factored by the block elimination over
-lattice rows.  A system that cannot coarsen (an odd number of cells, or a
-patch), or whose coarsest level has rows too wide to factor, runs
-Jacobi-PCG.  The online interface CG stays Jacobi.
+stencil with a mask).  The fine lattice is nested: coarsening it every
+other vertex gives the lattice whose red refinement it is, with the same
+SW-NE diagonals, so each coarse operator is the same lattice formula on
+the coarse lattice, with the summed area-weighted coefficient of each
+coarse triangle's four children.  The coarsest level is factored by the
+block elimination over lattice rows.  A system that cannot coarsen (an odd
+number of cells, or a patch), or whose coarsest level has rows too wide to
+factor, runs Jacobi-PCG.  The online interface CG stays Jacobi.
 
 Element patches of one shape are lattice translates of each other
 (`patch_groups` checks it), so `localbasis` and the coarse assembly work on
@@ -197,27 +194,30 @@ def _stiffness_entries(g: np.ndarray, AW: np.ndarray) -> tuple:
     """The six distinct entries of the P1 stiffness matrices of triangles
     with the gradients g (3, 2) and area-weighted coefficients AW (..., 2,
     2): the diagonals (K00, K11, K22) and the couplings (K01, K02, K12),
-    each (...).  K_ij is the mean of (A grad_i) . grad_j and (A grad_j) .
-    grad_i, so the matrices are exactly symmetric."""
+    each (...), None where zero.  K_ij is the mean of (A grad_i) . grad_j
+    and (A grad_j) . grad_i, so the matrices are exactly symmetric."""
 
-    def lin(c0, v0, c1, v1):
-        # c0 v0 + c1 v1; a zero gradient component (two of the six of a
-        # lattice triangle) would add +-0 only, so it is left out.
-        out = c0 * v0 if c0 else c1 * v1
-        if c0 and c1:
-            out += c1 * v1
-        return out
+    def lin(*pairs):
+        # The sum of c v over the (c, v) pairs in order, without the terms
+        # that would add +-0 only: a zero gradient component (two of the
+        # six of a lattice triangle) or an all-zero array, None (the
+        # off-diagonal entries of a scalar coefficient).
+        terms = [c * v for c, v in pairs if c and v is not None]
+        for t in terms[1:]:
+            terms[0] += t
+        return terms[0] if terms else None
 
-    gA = [[lin(g[i, 0], AW[..., 0, d], g[i, 1], AW[..., 1, d])
-           for d in (0, 1)] for i in range(3)]
+    AW = [[v if v.any() else None for v in (AW[..., a, 0], AW[..., a, 1])]
+          for a in (0, 1)]
+    gA = [[lin((g[i, 0], AW[0][d]), (g[i, 1], AW[1][d])) for d in (0, 1)]
+          for i in range(3)]
 
     def k(i, j):
-        kij = lin(g[j, 0], gA[i][0], g[j, 1], gA[i][1])
+        kij = lin((g[j, 0], gA[i][0]), (g[j, 1], gA[i][1]))
         if i == j:
             return kij  # the mean of kij and itself, exactly
-        kij += lin(g[i, 0], gA[j][0], g[i, 1], gA[j][1])
-        kij *= 0.5
-        return kij
+        kji = lin((g[i, 0], gA[j][0]), (g[i, 1], gA[j][1]))
+        return lin((0.5, kij), (0.5, kji))  # halving is exact
 
     return (k(0, 0), k(1, 1), k(2, 2)), (k(0, 1), k(0, 2), k(1, 2))
 
@@ -238,10 +238,11 @@ BY_SLOT = ((0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1), (0, 1, 0, 1),
 def _add_at_corners(out: np.ndarray, terms) -> np.ndarray:
     """Add each per-cell array V (..., rows - 1, columns - 1) of terms
     (di, dj, V), in turn, to the lattice array out (..., rows, columns) at
-    corner (di, dj) of every cell, in place."""
+    corner (di, dj) of every cell, in place; None adds nothing."""
     cy, cx = out.shape[-2] - 1, out.shape[-1] - 1
     for di, dj, v in terms:
-        out[..., di:di + cy, dj:dj + cx] += v
+        if v is not None:
+            out[..., di:di + cy, dj:dj + cx] += v
     return out
 
 
@@ -428,26 +429,32 @@ class Stencil:
                  spacing: tuple[float, float]) -> Stencil:
         """The stencil on a vertex box of grid (rows, columns) whose cells
         of the given spacing carry the area-weighted coefficients W (...,
-        2 per cell, 2, 2) of their triangles, row-major, lower first (zero
-        off the geometry): the element entries from the gradient patterns
-        (cell_gradients), summed at each box position in triangle order
-        (BY_TRIANGLE), as one scatter over the triangles would."""
+        2 per cell, 2, 2) of their triangles, row-major, lower first: the
+        element entries of the gradient patterns (cell_gradients) summed
+        at each box position in triangle order (BY_TRIANGLE)."""
         rows, cols = grid
         lead = W.shape[:-3]
         W = W.reshape(lead + (rows - 1, cols - 1, 2, 2, 2))
-        entries = [_stiffness_entries(g, W[..., t, :, :])
-                   for t, g in enumerate(cell_gradients(spacing))]
-        (_, (L01, L02, L12)), (_, (U01, U02, U12)) = entries
+        g = cell_gradients(spacing)
         coef = np.zeros(lead + (4, rows, cols))
-        # A coupling sits at the west or south end of its edge: lower
-        # SW-SE and upper NW-NE east, lower SE-NE and upper SW-NW north,
-        # both SW-NE north-east.
-        for c, terms in zip(np.moveaxis(coef, -3, 0), (
-                [(di, dj, entries[t][0][s]) for di, dj, t, s in BY_TRIANGLE],
-                [(1, 0, U12), (0, 0, L01)],
-                [(0, 1, L12), (0, 0, U02)],
-                [(0, 0, L02), (0, 0, U01)])):
-            _add_at_corners(c, terms)
+        # Blocks of cell rows that fit the cache, in order: a vertex row
+        # two blocks share gets the lower one's terms first, as BY_TRIANGLE.
+        step = max(1, (1 << 12) // ((cols - 1) * math.prod(lead)))
+        for r in range(0, rows - 1, step):
+            entries = [_stiffness_entries(g[t], W[..., r:r + step, :, t, :, :])
+                       for t in (0, 1)]
+            (_, (L01, L02, L12)), (_, (U01, U02, U12)) = entries
+            # A coupling sits at the west or south end of its edge: lower
+            # SW-SE and upper NW-NE east, lower SE-NE and upper SW-NW
+            # north, both SW-NE north-east.
+            for c, terms in zip(np.moveaxis(coef[..., r:r + step + 1, :],
+                                            -3, 0), (
+                    [(di, dj, entries[t][0][s])
+                     for di, dj, t, s in BY_TRIANGLE],
+                    [(1, 0, U12), (0, 0, L01)],
+                    [(0, 1, L12), (0, 0, U02)],
+                    [(0, 0, L02), (0, 0, U01)])):
+                _add_at_corners(c, terms)
         return cls(grid, coef.reshape(lead + (4, rows * cols)))
 
     def apply(self, U: np.ndarray, out: np.ndarray | None = None,
@@ -578,9 +585,8 @@ def element_geometry(fine, elem_id: int) -> TriGeometry:
 
 
 def element_quadrature(fine, elem_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """The centroids and areas of the triangles of element_geometry(fine,
-    elem_id), gathered from the global geometry without building the
-    patch geometry."""
+    """The centroids and areas of element_geometry(fine, elem_id), gathered
+    from the global geometry without building the patch geometry."""
     geom = global_geometry(fine)
     ids = fine.element_triangle_ids(elem_id)
     return geom.centroids[ids], geom.areas[ids]
@@ -742,14 +748,13 @@ def pcg(K, b: np.ndarray, rel_tol: float,
         cap: int | None = None) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients, deterministic.
 
-    The iterates are vectors like b, box arrays or vectors over the free
-    positions for a LatticeOperator.  precond maps a residual to its
-    search direction and must be SPD; by default Jacobi, 1 / K.diagonal(),
-    which for a LatticeOperator takes the free positions only.  Stops at
-    ||r|| <= rel_tol*||b||; raises SolverDivergenceError past the
-    iteration cap (default 50*sqrt(n), n = K.shape[0]).  Dots and norms
-    go through dot, so the iterates do not depend on the BLAS thread
-    count."""
+    The iterates are vectors like b (box arrays, or vectors over the free
+    positions, for a LatticeOperator).  precond maps a residual to its
+    search direction and must be SPD; Jacobi, 1 / K.diagonal(), by
+    default.  Stops at ||r|| <= rel_tol*||b||; raises
+    SolverDivergenceError past the iteration cap (default 50*sqrt(n)).
+    Dots and norms go through dot, so the iterates do not depend on the
+    BLAS thread count."""
     n = K.shape[0]
     nb = float(np.sqrt(dot(b, b))) if n else 0.0
     if nb == 0.0:

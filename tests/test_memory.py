@@ -6,7 +6,7 @@ the largest of the three benchmark workloads.
 tracemalloc starts just before each call, so its peak is what the call
 allocates on top of the memory held when it starts.  The bounds lie
 between the peaks measured before the fine layer took its stencils and
-loads from lattice formulas (43.3 MB and 16.4 MB) and after (22.3 MB and
+loads from lattice formulas (43.3 MB and 16.4 MB) and after (21.7 MB and
 7.7 MB): a return of the per-triangle arrays fails here.
 """
 
