@@ -439,7 +439,7 @@ class Stencil:
         coef = np.zeros(lead + (4, rows, cols))
         # Blocks of cell rows that fit the cache, in order: a vertex row
         # two blocks share gets the lower one's terms first, as BY_TRIANGLE.
-        step = max(1, (1 << 12) // ((cols - 1) * math.prod(lead)))
+        step = max(1, (1 << 12) // max(1, (cols - 1) * math.prod(lead)))
         for r in range(0, rows - 1, step):
             entries = [_stiffness_entries(g[t], W[..., r:r + step, :, t, :, :])
                        for t in (0, 1)]
