@@ -428,9 +428,11 @@ def cmd_solve(config: RunConfig, out: str | None = None,
     return 0
 
 
-def _failed_row(config: RunConfig, exc: Exception) -> str:
+def _failed_row(config: RunConfig, exc: Exception,
+                H: float | None = None) -> str:
+    """The CSV row of a failed run of config, its own H unless given."""
     c = config
-    H = (c.domain[1] - c.domain[0]) / c.nx
+    H = (c.domain[1] - c.domain[0]) / c.nx if H is None else H
     print(f"warning: row failed: {exc}", file=sys.stderr)
     return ",".join([_fmt(c.eps or 0.0), _fmt(H), c.kind,
                      str(_column_degree(c.N)), str(_column_degree(c.M)),
@@ -499,7 +501,7 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
                 rows.append(run_single(cfg).row(timing))
             except (ConfigError, finefem.SolverDivergenceError,
                     np.linalg.LinAlgError, ValueError) as exc:
-                rows.append(_failed_row(cfg or config, exc))
+                rows.append(_failed_row(cfg or config, exc, H=v))
     else:
         if config.coefficient.get("type") != "periodic_benchmark":
             raise ConfigError("eps sweep needs the periodic_benchmark "

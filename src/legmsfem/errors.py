@@ -111,7 +111,7 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
     for group in finefem.patch_groups(space.fine, range(len(coarse.elements))):
         t = group.template
         for _, sub in group.chunks(2 * 3 * t.n_vertices):
-            vids = t.vids + sub.shifts[:, None]
+            vids = t.vids + sub.origins[:, None]
             G = finefem.patch_grams(t, sub.stencil(space.A),
                                     np.stack([d_G[vids], ref_G[vids]], 1))
             energies[sub.elements] = np.diagonal(G, axis1=1, axis2=2)

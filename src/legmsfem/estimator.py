@@ -97,9 +97,12 @@ def _jump_norms(fine: FineMesh, edge_ids, v: finefem.FineFunction,
     L = np.hypot(d[:, 0], d[:, 1])
     nu = np.column_stack([d[:, 1], -d[:, 0]]) / L[:, None]
     Anu = np.einsum("sij,sj->si", A.matrix_at(0.5 * (pa + pb)), nu)
-    # Triangle 2c of lattice cell c is its lower one, 2c + 1 the upper.
-    grad = np.einsum("sti,stid->std", v.values[geom.tris[tris]],
-                     finefem.cell_gradients(geom.spacing)[tris % 2])
+    # Triangle 2c of lattice cell c is its lower one (SW, SE, NE), 2c + 1
+    # the upper (SW, NE, NW); sw is the cell's SW vertex.
+    upper, sw = tris % 2, tris // 2 + tris // (2 * fine.nfx)
+    corners = np.array([[0, 1, fine.nfx + 2], [0, fine.nfx + 2, fine.nfx + 1]])
+    grad = np.einsum("sti,stid->std", v.values[sw[..., None] + corners[upper]],
+                     finefem.cell_gradients(geom.spacing)[upper])
     flux = np.einsum("std,sd->st", grad, Anu)
     acc = np.bincount(np.repeat(np.arange(len(chains)), fine.n_sub),
                       L * (flux[:, 0] - flux[:, 1]) ** 2)
@@ -115,7 +118,8 @@ def bubble_residual(fine: FineMesh, elem_id: int, f: finefem.RhsField,
     zero approximation, i.e. ||f||_{L2(K)}.
     """
     element = fine.coarse.elements[elem_id]
-    pts, w = finefem.element_quadrature(fine, elem_id)
+    geom = finefem.element_geometry(fine, elem_id)
+    pts, w = geom.centroids, geom.areas
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     if basis is not None and len(coeffs):
         fv = fv - basis.eval_ref(element.to_ref(pts)) @ np.asarray(coeffs)
@@ -138,12 +142,19 @@ def _f_norms(fine: FineMesh, f: finefem.RhsField | None, ell: np.ndarray
     geom = finefem.global_geometry(fine)
     x, y = geom.centroids.T
     fv = np.asarray(f(x, y), dtype=float)
-    l2sq = np.bincount(fine.tri_elem, geom.areas * fv**2, n)
+    # The element of each fine triangle: that of its coarse cell, for
+    # triangles the upper one where the upper shape's cell mask holds it.
+    ns = fine.n_sub
+    cy, cx = np.ogrid[:fine.nfy, :fine.nfx]
+    cell = ((cy // ns) * fine.coarse.nx + cx // ns)[..., None]
+    tags = (np.repeat(cell, 2, axis=-1) if fine.coarse.kind == "quad" else
+            2 * cell + fine.shape_pattern(1)[2][cy % ns, cx % ns]).ravel()
+    l2sq = np.bincount(tags, geom.areas * fv**2, n)
     f_l2 = np.sqrt(l2sq)
     if not ell.any():
         return f_l2, f_l2, fv
     gx, gy = f.grad(x, y)
-    h1sq = l2sq + np.bincount(fine.tri_elem, geom.areas * (
+    h1sq = l2sq + np.bincount(tags, geom.areas * (
         np.asarray(gx)**2 + np.asarray(gy)**2), n)
     return f_l2, np.where(ell == 1, np.sqrt(h1sq), f_l2), fv
 
@@ -152,8 +163,9 @@ def _bubble_residuals(u_H: globalsolve.CoarseSolution, fv: np.ndarray,
                       M: np.ndarray) -> np.ndarray:
     """bubble_residual of every element with M >= 1 (zero elsewhere) from f
     at the fine centroids, per bulk degree and patch shape: the bulk basis
-    is evaluated once at the template's reference centroids, which every
-    member of the group shares, and the squares are summed per element."""
+    is evaluated once at the reference centroids of the group's first
+    member, which every member shares, and the squares are summed per
+    element."""
     coarse, fine = u_H.space.coarse, u_H.space.fine
     areas = finefem.global_geometry(fine).areas
     dofs = u_H.space.dofs
@@ -167,12 +179,12 @@ def _bubble_residuals(u_H: globalsolve.CoarseSolution, fv: np.ndarray,
         at = M[K] == m
         C[K[at], i[at] - 1] = u_H.coeffs[bubble][at]
         for group in finefem.patch_groups(fine, np.flatnonzero(M == m)):
-            t = group.template
-            P = basis.eval_ref(coarse.elements[group.elements[0]].to_ref(
-                t.centroids))
-            r = fv[group.tri_ids] - C[group.elements] @ P.T
+            K0 = group.elements[0]
+            P = basis.eval_ref(coarse.elements[K0].to_ref(
+                finefem.element_geometry(fine, K0).centroids))
+            r = group.gather(fv) - C[group.elements] @ P.T
             resid[group.elements] = np.sqrt(
-                np.einsum("et,et->e", areas[group.tri_ids], r * r))
+                np.einsum("et,et->e", group.gather(areas), r * r))
     return resid
 
 

@@ -7,9 +7,11 @@ integrals use the centroid rule over the fine triangles, and energies use
 the same rule as assembly, so the Galerkin identity energy(u) = -1/2 rhs.u
 holds at solver accuracy.
 
-Every geometry here is a set of triangles of the SW-NE fine lattice, so
-its stiffness is a 7-point stencil (centre, E/W, N/S, NE/SW) on the box of
-lattice vertices that holds it, and its P1 loads are box arrays, both
+Every geometry here is a set of triangles of the SW-NE fine lattice: a box
+of lattice vertices and a mask of the cell triangles it holds, its areas
+and centroids per cell from the box's coordinate vectors.  So its
+stiffness is a 7-point stencil (centre, E/W, N/S, NE/SW) on its box, and
+its P1 loads are box arrays, both
 summed from per-cell arrays in shifted slices (`Stencil.of`, `box_loads`,
 also for a stack of congruent patches): the lower (SW, SE, NE) and upper
 (SW, NE, NW) triangle of a cell have two constant gradient patterns
@@ -35,10 +37,11 @@ block elimination over lattice rows.  A system that cannot coarsen (an odd
 number of cells, or a patch), or whose coarsest level has rows too wide to
 factor, runs Jacobi-PCG.  The online interface CG stays Jacobi.
 
-Element patches of one shape are lattice translates of each other
-(`patch_groups` checks it), so `localbasis` and the coarse assembly work on
-a whole `PatchGroup` at once: the template's local triangulation serves
-every member, and per-triangle data is gathered from the global geometry.
+Element patches of one shape are lattice translates of each other, so
+`localbasis` and the coarse assembly work on a whole `PatchGroup` at once:
+each member is the lattice window at its origin, the template's box and
+cell mask serve every member, and a member's per-triangle data is its
+masked window of the global geometry's per-cell arrays.
 
 Every coefficient-weighted inner product a(u, v) is u^T (K v) with the
 stencil of its geometry (`Stencil.apply_full`): `energy_inner_matrix` and
@@ -54,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -263,39 +265,46 @@ def box_loads(geom: TriGeometry, shares: np.ndarray,
 class TriGeometry:
     """P1 data for a set of fine triangles: a patch of one coarse element or
     the whole fine mesh.  Vertex indexing is local; vids maps back to global
-    fine vertex ids."""
+    fine vertex ids.  The triangles are those of the box cells, row-major,
+    lower (SW, SE, NE) before upper (SW, NE, NW), that the boolean mask
+    (rows - 1, columns - 1, 2) holds, all where it is None."""
 
-    def __init__(self, points: np.ndarray, tris: np.ndarray, vids: np.ndarray,
+    def __init__(self, points: np.ndarray, vids: np.ndarray,
                  boundary_local: np.ndarray, label: str,
-                 lattice: tuple[int, int] | None = None,
-                 box: tuple[tuple[int, int], np.ndarray] | None = None,
-                 spacing: tuple[float, float] | None = None):
+                 box: tuple[tuple[int, int], np.ndarray],
+                 spacing: tuple[float, float],
+                 mask: np.ndarray | None = None,
+                 lattice: tuple[int, int] | None = None):
         self.points = points
-        self.tris = tris
         self.vids = vids
         self.boundary_local = boundary_local
         self.label = label
-        # (nx, ny) when this is a whole nx-by-ny cell lattice in the vertex
-        # and triangle order of mesh.lattice_triangles; multigrid needs it.
+        # (nx, ny) when this is a whole nx-by-ny cell lattice whose vertices
+        # are its box positions; multigrid needs it.
         self.lattice = lattice
         # The vertex lattice holding the geometry, ((rows, columns), the
         # row-major position of each local vertex in it), and the (width,
         # height) of its cells: the fine systems are stencils and load
-        # vectors on it.  A whole lattice is its own box; None for a
-        # geometry off the lattice, which cannot be assembled.
-        if box is None and lattice is not None:
-            box = ((lattice[1] + 1, lattice[0] + 1), np.arange(len(points)))
+        # vectors on it.
         self.box = box
         self.spacing = spacing
-        self._fills_box = box is not None and np.array_equal(
-            box[1], np.arange(math.prod(box[0])))
-        p0, p1, p2 = points[tris[:, 0]], points[tris[:, 1]], points[tris[:, 2]]
-        det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-               - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
-        if np.any(det <= 0):
-            raise ValueError(f"{label}: degenerate or misoriented triangle")
-        self.areas = 0.5 * det
-        self.centroids = (p0 + p1 + p2) / 3.0
+        self.mask = None if mask is None or mask.all() else mask
+        (rows, cols), slots = box
+        self._fills_box = np.array_equal(slots, np.arange(rows * cols))
+        # Per cell, from the box's coordinate vectors (every box row and
+        # column holds a vertex): 2 * area = dx * dy for either triangle
+        # and centroid = (p0 + p1 + p2) / 3, bitwise the corner formulas.
+        x, y = np.zeros(cols), np.zeros(rows)
+        x[slots % cols], y[slots // cols] = points[:, 0], points[:, 1]
+        areas = np.repeat((0.5 * (np.diff(x) * np.diff(y)[:, None]))
+                          [..., None], 2, axis=-1)
+        cx = np.stack([x[:-1] + x[1:] + x[1:], x[:-1] + x[1:] + x[:-1]], -1)
+        cy = np.stack([y[:-1] + y[:-1] + y[1:], y[:-1] + y[1:] + y[1:]], -1)
+        centroids = np.stack(np.broadcast_arrays(cx, cy[:, None]), -1) / 3.0
+        m = self.mask
+        self.areas = areas.ravel() if m is None else areas[m]
+        self.centroids = (centroids.reshape(-1, 2) if m is None
+                          else centroids[m])
         # [coefficient, AW, stencil or None] of the last coefficient asked
         # for, and [load, load vector] of the last load; lists, so a
         # shallow copy (another fixed set on the same triangles) shares
@@ -307,40 +316,16 @@ class TriGeometry:
     def n_vertices(self) -> int:
         return len(self.points)
 
-    @cached_property
-    def cells(self) -> np.ndarray | None:
-        """The place of each triangle among those of the box cells, two per
-        cell, row-major, lower (SW, SE, NE) first; None where the two lists
-        coincide (a whole lattice, a quad patch).  ValueError off the
-        lattice or for a triangle that is not half of a box cell."""
-        if self.box is None:
-            raise ValueError(f"{self.label}: not on a lattice")
-        if self.lattice is not None:
-            return None
-        (rows, cols), slots = self.box
-        s = slots[self.tris]
-        sw = s[:, 0]
-        upper = (s[:, 1] == sw + cols + 1) & (s[:, 2] == sw + cols)
-        ok = upper | ((s[:, 1] == sw + 1) & (s[:, 2] == sw + cols + 1))
-        ok &= sw % cols < cols - 1
-        if not ok.all():
-            raise ValueError(f"{self.label}: triangle {int(np.argmin(ok))} "
-                             "is not half of a lattice cell")
-        cells = 2 * (sw - sw // cols) + upper
-        if np.array_equal(cells, np.arange(2 * (rows - 1) * (cols - 1))):
-            return None
-        return cells
-
     def to_cells(self, V: np.ndarray, axis: int = -1) -> np.ndarray:
         """Per-triangle values V, triangles along axis, on the triangles of
-        the box cells (see cells), zero off the geometry: V itself where
-        the geometry's triangles are those of its box."""
-        if self.cells is None:
+        all box cells, zero off the mask: V itself where the mask holds
+        every one."""
+        if self.mask is None:
             return V
         shape = list(V.shape)
-        shape[axis] = 2 * (self.box[0][0] - 1) * (self.box[0][1] - 1)
+        shape[axis] = self.mask.size
         out = np.zeros(shape)
-        out[(slice(None),) * (axis % V.ndim) + (self.cells,)] = V
+        out[(slice(None),) * (axis % V.ndim) + (self.mask.ravel(),)] = V
         return out
 
     def area_weighted(self, A: CoefficientField) -> np.ndarray:
@@ -360,8 +345,7 @@ class TriGeometry:
     def stencil(self, A: CoefficientField) -> Stencil:
         """The Stencil of the full stiffness of A (no vertex fixed), kept
         next to area_weighted(A) under the same key, so assembly and every
-        energy product of one coefficient share one stencil.  Raises
-        ValueError off the lattice, like Stencil.of."""
+        energy product of one coefficient share one stencil."""
         AW = self.area_weighted(A)
         if self._weights[2] is None:
             self._weights[2] = Stencil.of(self, AW)
@@ -420,7 +404,7 @@ class Stencil:
     def of(cls, geom: TriGeometry, AW: np.ndarray) -> Stencil:
         """of_cells of the area-weighted coefficient AW (..., nt, 2, 2) on
         the triangles of geom, a stack of stencils for a stack of patches
-        with its triangulation; ValueError where geom.cells raises it."""
+        with its triangulation."""
         W = geom.to_cells(AW, axis=-3)
         return cls.of_cells(geom.box[0], W, geom.spacing)
 
@@ -553,60 +537,48 @@ def _eliminate(geom: TriGeometry, stencil: Stencil
 
 
 def global_geometry(fine) -> TriGeometry:
-    try:
+    if "global" in fine._geom_cache:
         return fine._geom_cache["global"]
-    except KeyError:
-        pass
     n = fine.n_vertices
-    geom = TriGeometry(fine.vertices, fine.triangles, np.arange(n),
-                       fine.boundary_vertex_ids(), "global fine mesh",
-                       (fine.nfx, fine.nfy), spacing=(fine.hx, fine.hy))
+    geom = TriGeometry(fine.vertices, np.arange(n), fine.boundary_vertex_ids(),
+                       "global fine mesh",
+                       ((fine.nfy + 1, fine.nfx + 1), np.arange(n)),
+                       (fine.hx, fine.hy), lattice=(fine.nfx, fine.nfy))
     fine._geom_cache["global"] = geom
     return geom
 
 
 def element_geometry(fine, elem_id: int) -> TriGeometry:
-    try:
+    """The patch of one element: the window of n_sub-by-n_sub cells at its
+    origin with the pattern and cell mask of its shape."""
+    if elem_id in fine._geom_cache:
         return fine._geom_cache[elem_id]
-    except KeyError:
-        pass
-    vids = fine.element_vertex_ids(elem_id)
-    tris = np.searchsorted(vids, fine.triangles[fine.element_triangle_ids(elem_id)])
-    bnd = np.searchsorted(vids, fine.element_boundary_vertex_ids(elem_id))
-    ix, iy = vids % (fine.nfx + 1), vids // (fine.nfx + 1)
-    ix, iy = ix - ix.min(), iy - iy.min()
-    cols = int(ix.max()) + 1
-    geom = TriGeometry(fine.vertices[vids], tris, vids, bnd,
+    ids, bnd, mask = fine.shape_pattern(fine.patch_shape(elem_id))
+    iy, ix = np.divmod(ids, fine.nfx + 1)
+    side = fine.n_sub + 1
+    vids = ids + fine.element_origin(elem_id)
+    geom = TriGeometry(fine.vertices[vids], vids, np.searchsorted(ids, bnd),
                        f"element {elem_id} patch",
-                       box=((int(iy.max()) + 1, cols), iy * cols + ix),
-                       spacing=(fine.hx, fine.hy))
+                       ((side, side), iy * side + ix), (fine.hx, fine.hy),
+                       mask)
     fine._geom_cache[elem_id] = geom
     return geom
 
 
-def element_quadrature(fine, elem_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """The centroids and areas of element_geometry(fine, elem_id), gathered
-    from the global geometry without building the patch geometry."""
-    geom = global_geometry(fine)
-    ids = fine.element_triangle_ids(elem_id)
-    return geom.centroids[ids], geom.areas[ids]
-
-
 @dataclass(frozen=True)
 class PatchGroup:
-    """Element patches that are lattice translates of one template patch.
-
-    The template's local triangles and boundary serve every member; the
-    per-triangle data of a member is gathered from the global fine mesh,
-    which reproduces the member's own patch geometry bitwise.  Built by
-    patch_groups.
-    """
+    """Element patches of one shape, built by patch_groups: each member is
+    the fine lattice window at its origin, and the template, whose local
+    vertices, boundary and cell mask serve every member, is the shape's
+    patch at origin 0, so a member's fine vertex ids are template.vids +
+    its origin.  A member's per-triangle data is the masked window of the
+    global geometry's per-cell arrays (gather), bitwise what its own patch
+    geometry holds."""
 
     fine: object
     template: TriGeometry
     elements: np.ndarray  # coarse element ids
-    shifts: np.ndarray    # member fine vertex ids minus the template's
-    tri_ids: np.ndarray   # (E, nt) global fine triangles, template order
+    origins: np.ndarray   # fine vertex id of each member's SW window corner
 
     def chunks(self, doubles_per_element: int):
         """(slice, sub-group) pairs of consecutive members whose temporaries
@@ -615,54 +587,49 @@ class PatchGroup:
         for s in range(0, len(self.elements), step):
             sl = slice(s, s + step)
             yield sl, PatchGroup(self.fine, self.template, self.elements[sl],
-                                 self.shifts[sl], self.tri_ids[sl])
+                                 self.origins[sl])
+
+    def gather(self, V: np.ndarray) -> np.ndarray:
+        """Per-triangle values V (nt, ...) of the global geometry on the
+        triangles of every member, (E, template triangles, ...), in the
+        template's order: each member's window, the block of its coarse
+        cell in the per-cell layout of V, masked."""
+        fine, ns = self.fine, self.fine.n_sub
+        blocks = V.reshape((fine.coarse.ny, ns, fine.coarse.nx, ns, 2)
+                           + V.shape[1:])
+        row, col = np.divmod(self.origins, fine.nfx + 1)
+        W = blocks[row // ns, :, col // ns]
+        mask = self.template.mask
+        return (W.reshape((len(W), -1) + V.shape[1:]) if mask is None
+                else W[:, mask])
 
     def stencil(self, A: CoefficientField) -> Stencil:
         """The stencils of A on every member, coef (E, 4, box positions),
         from the area-weighted coefficient of its triangles gathered from
         the global geometry (Stencil.of)."""
         AW = global_geometry(self.fine).area_weighted(A)
-        return Stencil.of(self.template, AW[self.tri_ids])
+        return Stencil.of(self.template, self.gather(AW))
 
     def load_vectors(self, f) -> np.ndarray:
         """P1 load vector of f on every member, (E, n), as load_vector."""
         geom = global_geometry(self.fine)
-        pts = geom.centroids[self.tri_ids.ravel()]
+        pts = self.gather(geom.centroids).reshape(-1, 2)
         fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+        areas = self.gather(geom.areas)
         return self.template.from_box(box_loads(
-            self.template,
-            geom.areas[self.tri_ids] * fv.reshape(self.tri_ids.shape) / 3.0))
+            self.template, areas * fv.reshape(areas.shape) / 3.0))
 
 
 def patch_groups(fine, elem_ids) -> list[PatchGroup]:
     """Element patches grouped by shape (fine.patch_shape), in order of
-    first appearance.  The first element of a shape is its template; every
-    member's vertices and boundary are the shape's pattern at the member's
-    origin, so they are the template's shifted by the difference of the
-    origins, and its triangle list must be the template's shifted the same
-    way, triangle vertex order included.  Raises ValueError otherwise.
-    """
+    first appearance.  The template of shape s is the patch of element s,
+    whose window is that of the first coarse cell."""
     shapes: dict[int, list[int]] = {}
     for K in elem_ids:
         shapes.setdefault(fine.patch_shape(int(K)), []).append(int(K))
-    groups = []
-    for members in shapes.values():
-        t = element_geometry(fine, members[0])
-        elements = np.array(members)
-        shifts = fine.element_origin(elements) - fine.element_origin(
-            members[0])
-        parts = [fine.element_triangle_ids(K) for K in members]
-        ok = np.array([len(p) for p in parts]) == len(t.tris)
-        if ok.all():
-            tri_ids = np.stack(parts)
-            ok = (fine.triangles[tri_ids] - shifts[:, None, None]
-                  == t.vids[t.tris]).all((1, 2))
-        if not ok.all():
-            raise ValueError(f"element {members[int(np.argmin(ok))]} patch "
-                             "is not a lattice translate of element "
-                             f"{members[0]}")
-        groups.append(PatchGroup(fine, t, elements, shifts, tri_ids))
-    return groups
+    return [PatchGroup(fine, element_geometry(fine, s), np.array(members),
+                       fine.element_origin(np.array(members)))
+            for s, members in shapes.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -1171,8 +1138,7 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
     of W at a time, so a stack of global fields needs no temporaries of
     its size, and each entry sums over the vertices in a fixed order
     (dot), so it does not depend on the BLAS thread count.  Exactly
-    symmetric when W is None; raises ValueError on a geometry off the
-    lattice, like assemble.
+    symmetric when W is None.
     """
     st = geom.stencil(A)
     V = np.atleast_2d(V)

@@ -173,13 +173,18 @@ def check_degrees(fine: FineMesh, degrees: DegreeAssignment) -> None:
     dims = np.zeros(M.max(initial=0) + 1, dtype=int)
     for m in set(M[M > 0].tolist()):
         dims[m] = polybasis.BulkPolyBasis(fine.coarse.kind, m).dim
-    for K in np.flatnonzero(M).tolist():
-        free = (len(fine.element_vertex_ids(K))
-                - len(fine.element_boundary_vertex_ids(K)))
-        if dims[M[K]] > free:
-            raise UnresolvedDegreeError(
-                f"element {K}: bubble degree M={M[K]} needs more than its "
-                f"{free} interior fine vertices")
+    # The interior fine vertices of each element with bubbles, counted once
+    # per patch shape from its vertex and boundary patterns.
+    K = np.flatnonzero(M)
+    shape = fine.patch_shape(K)
+    free = np.array([len(ids) - len(bnd) for ids, bnd, _ in map(
+        fine.shape_pattern, range(shape.max(initial=0) + 1))])[shape]
+    bad = np.flatnonzero(dims[M[K]] > free)
+    if len(bad):
+        K, free = K[bad[0]], free[bad[0]]
+        raise UnresolvedDegreeError(
+            f"element {K}: bubble degree M={M[K]} needs more than its "
+            f"{free} interior fine vertices")
 
 
 def expected_dof_count(coarse: CoarseMesh, degrees: DegreeAssignment,
@@ -432,7 +437,7 @@ def reconstruct(solution: CoarseSolution, which: str = "total"
         # Edge traces are edge-canonical and every element sums its fields
         # in DOF order, so both writes of a shared fine vertex produce the
         # same float and plain assignment is safe.
-        values[group.template.vids + group.shifts[:, None]] = \
+        values[group.template.vids + group.origins[:, None]] = \
             parts[which == "bubble"].combine(solution.coeffs)
     return finefem.FineFunction(finefem.global_geometry(space.fine), values,
                                 solution.cg_iters)

@@ -8,7 +8,7 @@ int arrays and points each (element, DOF) pair at a row of a field stack,
 the only store of the fields; no Python object is built per DOF.  The
 offline work is grouped by patch shape: every trace and every bubble load
 on a patch becomes a row of its right-hand side, the patches of one shape
-are lattice translates of one template (finefem.patch_groups checks it),
+are lattice translates of one template (finefem.patch_groups),
 and one direct block-tridiagonal sweep over the template's fine-lattice
 rows solves a whole chunk of them (a P1 stiffness on the structured
 lattice couples only adjacent rows).  The sweep's blocks come from the
@@ -119,9 +119,9 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
 
     The chains must cover exactly the template boundary, so every row built
     from them is complete Dirichlet data, and every member's chains must be
-    the template's shifted by the member's vertex offset."""
+    the template's shifted by the member's origin."""
     t = group.template
-    chains = fine.edge_vertex_chains(sides) - group.shifts[:, None, None]
+    chains = fine.edge_vertex_chains(sides) - group.origins[:, None, None]
     same = (chains == chains[0]).all((1, 2))
     if not same.all():
         raise ValueError(f"element {group.elements[np.argmin(same)]}: edge "
@@ -179,23 +179,23 @@ def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
     polynomials are evaluated once for all members of one degree, at
     reference points stacked from the coarse mesh's affine maps."""
     glob = finefem.global_geometry(sub.fine)
-    ids = sub.tri_ids
-    areas = glob.areas[ids]
-    out = np.zeros((ids.shape[1], n_b + (f is not None), len(ids)))
+    areas = sub.gather(glob.areas)
+    centroids = sub.gather(glob.centroids)
+    out = np.zeros((areas.shape[1], n_b + (f is not None), len(areas)))
     for m in _sorted_unique(M[M > 0]).tolist():
         es = np.flatnonzero(M == m)
         basis = bases[m]
         K = sub.elements[es]
-        ref = np.matmul(glob.centroids[ids[es]] - coarse.offsets[K][:, None],
+        ref = np.matmul(centroids[es] - coarse.offsets[K][:, None],
                         coarse.Binv[K].transpose(0, 2, 1))
         P = basis.eval_ref(ref.reshape(-1, 2)).reshape(len(es), -1,
                                                        basis.dim)
         out[:, :basis.dim, es] = (areas[es][..., None] * P
                                   / 3.0).transpose(1, 2, 0)
     if f is not None:
-        pts = glob.centroids[ids.ravel()]
+        pts = centroids.reshape(-1, 2)
         fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        out[:, -1] = (areas * fv.reshape(ids.shape) / 3.0).T
+        out[:, -1] = (areas * fv.reshape(areas.shape) / 3.0).T
     return out
 
 
@@ -293,7 +293,7 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
         if loads is not None:
             # Every member's solve is zero on its boundary, so the shared
             # skeleton vertices get zero whichever member writes last.
-            glued[group.template.vids + group.shifts[:, None]] = loads
+            glued[group.template.vids + group.origins[:, None]] = loads
     return stacks, where, glued
 
 

@@ -9,8 +9,10 @@ element.  Neighbouring elements therefore see bit-identical fine vertices on
 a shared coarse edge, and all local problems downstream restrict this single
 fine mesh.
 
-Fine triangles are stored per lattice cell in row-major order, lower one
-first, so every fine adjacency query is closed-form index arithmetic.
+No table is kept per fine triangle: the triangles are those of the lattice
+cells in row-major order, lower one first, an element patch is the lattice
+window at its origin with one cell mask per patch shape, and every fine
+adjacency query is closed-form index arithmetic.
 
 Vertex coordinates are always computed as x0 + (i/n)*(x1-x0) with the integer
 division done first, so lattice points of the n and 2n grids coincide exactly
@@ -231,9 +233,9 @@ class FineMesh:
     """Global fine triangulation shared by all coarse elements.
 
     Every fine cell of the (nx*n_sub)-by-(ny*n_sub) grid is split along its
-    SW-NE diagonal.  tri_elem tags each fine triangle with the coarse element
-    containing it; the patch accessors below slice the global arrays, so two
-    patches never duplicate a fine vertex.
+    SW-NE diagonal.  An element patch is the lattice window of n_sub by
+    n_sub cells at the element's origin with the pattern of its shape
+    (shape_pattern), so two patches never duplicate a fine vertex.
     """
 
     def __init__(self, coarse: CoarseMesh, n_sub: int):
@@ -250,32 +252,8 @@ class FineMesh:
         X, Y = np.meshgrid(xs, ys)
         self.vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-        self.triangles = lattice_triangles(self.nfx, self.nfy)
-
-        cx, cy = np.meshgrid(np.arange(self.nfx), np.arange(self.nfy))
-        cx, cy = cx.ravel(), cy.ravel()
-        Cx, Cy = cx // ns, cy // ns
-        cell_elem = Cy * nx + Cx
-        tags = np.empty(2 * len(cx), dtype=int)
-        if coarse.kind == "quad":
-            tags[0::2] = cell_elem
-            tags[1::2] = cell_elem
-        else:
-            # Fine cells on the coarse diagonal (lx == ly) contribute their
-            # lower triangle to the lower coarse triangle and vice versa.
-            lx, ly = cx % ns, cy % ns
-            tags[0::2] = 2 * cell_elem + (ly > lx)
-            tags[1::2] = 2 * cell_elem + (ly >= lx)
-        self.tri_elem = tags
-
-        # Triangle ids of each element, ascending: slices of one argsort.
-        order = np.argsort(tags, kind="stable")
-        ends = np.cumsum(np.bincount(tags, minlength=len(coarse.elements)))
-        self._elem_tris = [order[a:b] for a, b in zip([0, *ends[:-1].tolist()],
-                                                      ends.tolist())]
-
         self.hx, self.hy = (x1 - x0) / self.nfx, (y1 - y0) / self.nfy
-        self._shape_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._shape_cache: dict[int, tuple] = {}
         self._geom_cache: dict = {}  # populated by finefem
 
     @property
@@ -285,46 +263,48 @@ class FineMesh:
     def _vid(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         return iy * (self.nfx + 1) + ix
 
-    def element_triangle_ids(self, elem_id: int) -> np.ndarray:
-        return self._elem_tris[elem_id]
-
     def element_vertex_ids(self, elem_id: int) -> np.ndarray:
-        """Sorted global fine vertex ids of the closed element patch."""
-        return self.element_patch(elem_id)[0]
+        """Sorted global fine vertex ids of the closed element patch: its
+        shape's pattern at the element's origin."""
+        return (self.shape_pattern(self.patch_shape(elem_id))[0]
+                + self.element_origin(elem_id))
 
     def element_boundary_vertex_ids(self, elem_id: int) -> np.ndarray:
         """Fine vertices on the element boundary, sorted."""
-        return self.element_patch(elem_id)[1]
+        return (self.shape_pattern(self.patch_shape(elem_id))[1]
+                + self.element_origin(elem_id))
 
-    def patch_shape(self, elem_id: int) -> int:
-        """Shape of an element patch: 0 for every quad, 0 (lower) or 1
-        (upper) for triangles.  Patches of one shape are lattice translates
-        of each other."""
-        return 0 if self.coarse.kind == "quad" else elem_id % 2
+    def patch_shape(self, elem_ids):
+        """Shape of element patches (an id or an array of ids): 0 for every
+        quad, 0 (lower) or 1 (upper) for triangles.  Patches of one shape
+        are lattice translates of each other."""
+        return 0 * elem_ids if self.coarse.kind == "quad" else elem_ids % 2
 
-    def element_patch(self, elem_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """(element_vertex_ids, element_boundary_vertex_ids): the shape's
-        lattice pattern, built once per shape, shifted by the element's
-        origin."""
-        ns = self.n_sub
-        shape = self.patch_shape(elem_id)
+    def shape_pattern(self, shape: int) -> tuple[np.ndarray, ...]:
+        """(vertex ids, boundary vertex ids, cell mask) of a patch shape at
+        origin 0, sorted ids, built once per shape.  The mask (n_sub, n_sub,
+        2) says whether the shape holds the lower (SW, SE, NE) and the
+        upper (SW, NE, NW) triangle of each window cell; on the diagonal of
+        a coarse triangle, the lower one goes to the lower element."""
         if shape not in self._shape_cache:
+            ns = self.n_sub
             LX, LY = np.meshgrid(np.arange(ns + 1), np.arange(ns + 1))
+            # Each cell's column, and its row plus 1 for the upper triangle.
+            CX, CY = LX[:-1, :-1, None], LY[:-1, :-1, None] + [0, 1]
             if self.coarse.kind == "quad":
-                keep = np.ones_like(LX, dtype=bool)
+                keep, mask = LX >= 0, CY >= 0
                 on_bnd = (LX == 0) | (LX == ns) | (LY == 0) | (LY == ns)
             elif shape == 0:  # lower triangle: ly <= lx
-                keep = LY <= LX
+                keep, mask = LY <= LX, CY <= CX
                 on_bnd = (LY == 0) | (LX == ns) | (LX == LY)
             else:  # upper triangle: ly >= lx
-                keep = LY >= LX
+                keep, mask = LY >= LX, CY > CX
                 on_bnd = (LX == 0) | (LY == ns) | (LX == LY)
-            self._shape_cache[shape] = (
-                np.sort(self._vid(LX[keep], LY[keep])),
-                np.sort(self._vid(LX[keep & on_bnd], LY[keep & on_bnd])))
-        ids, bnd = self._shape_cache[shape]
-        origin = self.element_origin(elem_id)
-        return ids + origin, bnd + origin
+            # Row-major lattice order is ascending vertex id order.
+            bnd = keep & on_bnd
+            self._shape_cache[shape] = (self._vid(LX[keep], LY[keep]),
+                                        self._vid(LX[bnd], LY[bnd]), mask)
+        return self._shape_cache[shape]
 
     def element_origin(self, elem_ids):
         """Fine vertex id of the SW corner of the cell of each element (an

@@ -225,6 +225,65 @@ def check_against_dense(blocks, factored, D, E, exact):
 
 
 # ---------------------------------------------------------------------------
+# Triangle tables: what the fine mesh and its geometries listed per
+# triangle before a geometry became a lattice box with a cell mask, built
+# here from the mask or kept as reference.
+
+
+def local_triangles(geom) -> np.ndarray:
+    """The local vertex triples (nt, 3) of the triangles of a geometry, in
+    its triangle order: mesh.lattice_triangles of its box, masked, in local
+    vertex numbering (TriGeometry.tris before the cell mask)."""
+    (rows, cols), slots = geom.box
+    local = np.full(rows * cols, -1)
+    local[slots] = np.arange(len(slots))
+    tris = mesh.lattice_triangles(cols - 1, rows - 1)
+    return local[tris if geom.mask is None else tris[geom.mask.ravel()]]
+
+
+def member_triangle_ids(group) -> np.ndarray:
+    """The global fine triangles (E, nt) of every member of a patch group,
+    template order: the masked windows of the triangle ids
+    (PatchGroup.tri_ids before the window origins)."""
+    fine = group.fine
+    return group.gather(np.arange(2 * fine.nfx * fine.nfy))
+
+
+def triangle_elements(fine) -> np.ndarray:
+    """The coarse element of each fine triangle of
+    mesh.lattice_triangles(nfx, nfy), from the cell of its SW vertex
+    (FineMesh.tri_elem before the patch masks, kept as reference): on the
+    diagonal of a coarse triangle, the lower fine triangle goes to the
+    lower element and the upper one to the upper element."""
+    tris = mesh.lattice_triangles(fine.nfx, fine.nfy)
+    cy, cx = np.divmod(tris[:, 0], fine.nfx + 1)
+    ns = fine.n_sub
+    cell_elem = (cy // ns) * fine.coarse.nx + cx // ns
+    if fine.coarse.kind == "quad":
+        return cell_elem
+    lx, ly = cx % ns, cy % ns
+    upper = np.arange(len(tris)) % 2 == 1
+    return 2 * cell_elem + np.where(upper, ly >= lx, ly > lx)
+
+
+def element_triangle_ids(fine, elem_id) -> np.ndarray:
+    """The fine triangles of one element, ascending, from
+    triangle_elements (FineMesh.element_triangle_ids)."""
+    return np.flatnonzero(triangle_elements(fine) == elem_id)
+
+
+def corner_areas_centroids(geom) -> tuple[np.ndarray, np.ndarray]:
+    """The areas and centroids of the triangles of geom gathered from
+    their corners (TriGeometry.__init__ before the per-cell formulas)."""
+    tris = local_triangles(geom)
+    p = geom.points
+    p0, p1, p2 = p[tris[:, 0]], p[tris[:, 1]], p[tris[:, 2]]
+    det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+           - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    return 0.5 * det, (p0 + p1 + p2) / 3.0
+
+
+# ---------------------------------------------------------------------------
 # Per-triangle reference code: the fine layer as it was before its stencils
 # and loads became lattice formulas on per-cell arrays, and the test-only
 # quadrature API.
@@ -233,11 +292,11 @@ def check_against_dense(blocks, factored, D, E, exact):
 def triangle_gradients(geom) -> np.ndarray:
     """The P1 gradients (nt, 3, 2) of every triangle of geom from its own
     corners (TriGeometry.grads before finefem.cell_gradients)."""
-    p = geom.points
-    p0, p1, p2 = p[geom.tris[:, 0]], p[geom.tris[:, 1]], p[geom.tris[:, 2]]
+    p, tris = geom.points, local_triangles(geom)
+    p0, p1, p2 = p[tris[:, 0]], p[tris[:, 1]], p[tris[:, 2]]
     det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
            - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
-    g = np.empty((len(geom.tris), 3, 2))
+    g = np.empty((len(tris), 3, 2))
     g[:, 0, 0] = (p1[:, 1] - p2[:, 1]) / det
     g[:, 0, 1] = (p2[:, 0] - p1[:, 0]) / det
     g[:, 1, 0] = (p2[:, 1] - p0[:, 1]) / det
@@ -253,7 +312,7 @@ def pattern_gradients(geom) -> np.ndarray:
     the lattice formulas use in place of triangle_gradients, bitwise the
     same where the lattice spacing is a power of two."""
     (_, cols), slots = geom.box
-    s = slots[geom.tris]
+    s = slots[local_triangles(geom)]
     upper = s[:, 1] == s[:, 0] + cols + 1
     return finefem.cell_gradients(geom.spacing)[upper.astype(int)]
 
@@ -262,8 +321,8 @@ def group_weights(group, A):
     """(grads, AW) of every member of a patch group, (E, nt, 3, 2) and
     (E, nt, 2, 2), gathered from the global geometry."""
     geom = finefem.global_geometry(group.fine)
-    return (triangle_gradients(geom)[group.tri_ids],
-            geom.area_weighted(A)[group.tri_ids])
+    ids = member_triangle_ids(group)
+    return triangle_gradients(geom)[ids], geom.area_weighted(A)[ids]
 
 
 def stiffness_entries(g, AW):
@@ -342,7 +401,7 @@ def reference_load_vector(geom, f) -> np.ndarray:
     triangles (finefem.load_vector before box_loads)."""
     fv = np.asarray(f(geom.centroids[:, 0], geom.centroids[:, 1]),
                     dtype=float)
-    return scatter(geom.tris, (geom.areas * fv / 3.0)[None],
+    return scatter(local_triangles(geom), (geom.areas * fv / 3.0)[None],
                    geom.n_vertices)[0]
 
 
@@ -354,7 +413,7 @@ def reference_stencil(geom, AW, grads=None) -> finefem.Stencil:
     AW (E, nt, 2, 2)."""
     (rows, cols), slots = geom.box
     n = rows * cols
-    s = slots[geom.tris]
+    s = slots[local_triangles(geom)]
     lower = (s[:, 1] == s[:, 0] + 1) & (s[:, 2] == s[:, 0] + cols + 1)
     assert (lower | ((s[:, 1] == s[:, 0] + cols + 1)
                      & (s[:, 2] == s[:, 0] + cols))).all()
@@ -404,13 +463,12 @@ def coarsen(geom, AW):
         return None
     nxc, nyc = nx // 2, ny // 2
     points = geom.points.reshape(ny + 1, nx + 1, 2)[::2, ::2].reshape(-1, 2)
-    spacing = None if geom.spacing is None else (2 * geom.spacing[0],
-                                                 2 * geom.spacing[1])
-    coarse = finefem.TriGeometry(points, mesh.lattice_triangles(nxc, nyc),
-                                 np.arange(len(points)),
+    spacing = (2 * geom.spacing[0], 2 * geom.spacing[1])
+    coarse = finefem.TriGeometry(points, np.arange(len(points)),
                                  np.flatnonzero(~free_c),
                                  f"{geom.label} on {nxc}x{nyc} cells",
-                                 (nxc, nyc), spacing=spacing)
+                                 ((nyc + 1, nxc + 1), np.arange(len(points))),
+                                 spacing, lattice=(nxc, nyc))
     W = AW.reshape(nyc, 2, nxc, 2, 2, 2, 2)
     lower = (W[:, 0, :, 0, 0] + W[:, 0, :, 1, 0] + W[:, 0, :, 1, 1]
              + W[:, 1, :, 1, 0])
@@ -426,7 +484,7 @@ def quad_points(geom, order: int = 1):
     if order == 1:
         return geom.centroids, geom.areas
     if order == 3:
-        p = geom.points[geom.tris]  # (nt, 3, 2)
+        p = geom.points[local_triangles(geom)]  # (nt, 3, 2)
         mids = np.concatenate([(p[:, 1] + p[:, 2]) / 2,
                                (p[:, 0] + p[:, 2]) / 2,
                                (p[:, 0] + p[:, 1]) / 2])

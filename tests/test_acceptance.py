@@ -16,7 +16,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import l2_project_element, quad_points, vertex_elements
+from conftest import (l2_project_element, local_triangles, quad_points,
+                      vertex_elements)
 from legmsfem import (cli, errors, estimator, finefem, globalsolve,
                       localbasis, mesh, polybasis)
 
@@ -192,7 +193,8 @@ def test_criterion_07_linear_msfem_equivalence():
 
     # independent path: raw global fine stiffness, direct sparse patch
     # solves for the hat liftings, dense Galerkin system
-    pts, tris = fine.vertices, fine.triangles
+    pts = fine.vertices
+    tris = local_triangles(finefem.global_geometry(fine))
     p0, p1, p2 = pts[tris[:, 0]], pts[tris[:, 1]], pts[tris[:, 2]]
     det = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
            - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))

@@ -109,7 +109,8 @@ def loop_p_e(coarse, edge_id, degrees):
 def loop_f_norms(fine, K, f, ell):
     if f is None:
         return 0.0, 0.0
-    pts, w = finefem.element_quadrature(fine, K)
+    geom = finefem.element_geometry(fine, K)
+    pts, w = geom.centroids, geom.areas
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     l2sq = float(w @ fv**2)
     if ell == 0:
@@ -344,7 +345,7 @@ def scattered_stencil(geom, AW):
     of each triangle, scattered."""
     (rows, cols), slots = geom.box
     n = rows * cols
-    s = slots[geom.tris]
+    s = slots[conftest.local_triangles(geom)]
     lower = (s[:, 1] == s[:, 0] + 1) & (s[:, 2] == s[:, 0] + cols + 1)
     Ke = conftest.stiffness(conftest.pattern_gradients(geom), AW)
     k01, k02, k12 = Ke[:, 0, 1], Ke[:, 0, 2], Ke[:, 1, 2]
@@ -391,19 +392,21 @@ def test_stencil_products_match_gram_blocks(kind, coefficient, rng):
     for g in finefem.patch_groups(fine, range(len(coarse.elements))):
         t = g.template
         grads, AW = conftest.group_weights(g, A)
+        tris = conftest.local_triangles(t)
         st = g.stencil(A)
         assert st.northeast.any() == (coefficient == "anisotropic")
         V = rng.standard_normal((len(g.elements), 5, t.n_vertices))
         W = rng.standard_normal((len(g.elements), 3, t.n_vertices))
         got = finefem.patch_grams(t, st, V)
         assert np.array_equal(got, got.transpose(0, 2, 1))
-        assert rel_close(got, gram_blocks(V, t.tris, grads, AW))
+        assert rel_close(got, gram_blocks(V, tris, grads, AW))
         assert rel_close(finefem.patch_grams(t, st, V, W),
-                         gram_blocks(V, t.tris, grads, AW, W))
+                         gram_blocks(V, tris, grads, AW, W))
     geom = finefem.global_geometry(fine)
     V = rng.standard_normal((4, geom.n_vertices))
     W = rng.standard_normal((2, geom.n_vertices))
-    ref = (geom.tris, conftest.triangle_gradients(geom)[None],
+    ref = (conftest.local_triangles(geom),
+           conftest.triangle_gradients(geom)[None],
            geom.area_weighted(A)[None])
     got = finefem.energy_inner_matrix(V, geom, A)
     assert np.array_equal(got, got.T)
@@ -428,7 +431,7 @@ def test_space_grams_match_gram_blocks(kind):
     space = globalsolve.build_space(coarse, fine, A, degrees)
     padded = []
     for group, iface, bub in space._fields:
-        tris = group.template.tris
+        tris = conftest.local_triangles(group.template)
         grads, AW = conftest.group_weights(group, A)
         want = [gram_blocks(p.gather(), tris, grads, AW) for p in (iface, bub)]
         for part, G in zip((iface, bub), want):
@@ -640,13 +643,11 @@ def test_fields_index_the_offline_stacks():
 # loop-regression guard
 
 def test_no_per_element_or_per_edge_loops(monkeypatch):
-    """On 24x24 triangles the estimator takes no per-element quadrature
-    and one segment lookup, and the reconstruction builds no patch vertex
-    lists."""
+    """On 24x24 triangles the estimator takes one segment lookup, and
+    neither it nor the reconstruction builds patch vertex lists."""
     sol = solved("triangle", 24, 24, 2, 1, 0, f=finefem.constant_rhs(-1.0),
                  eps=1 / 12)
-    calls = {"element_quadrature": 0, "edge_segment_triangles": 0,
-             "element_vertex_ids": 0}
+    calls = {"edge_segment_triangles": 0, "element_vertex_ids": 0}
 
     def counted(owner, name):
         real = getattr(owner, name)
@@ -656,13 +657,11 @@ def test_no_per_element_or_per_edge_loops(monkeypatch):
             return real(*args, **kw)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(finefem, "element_quadrature")
     counted(mesh.FineMesh, "edge_segment_triangles")
     counted(mesh.FineMesh, "element_vertex_ids")
     for which in ("interface", "bubble", "total"):
         globalsolve.reconstruct(sol, which)
     assert calls["element_vertex_ids"] == 0
     estimator.global_estimate(sol)
-    assert calls["element_quadrature"] == 0
     assert calls["edge_segment_triangles"] <= 1
     assert calls["element_vertex_ids"] == 0

@@ -330,6 +330,7 @@ def test_sweep_H_failed_row_continues(tmp_path, capsys):
     assert len(lines) == 3
     bad = lines[1].split(",")
     assert bad[6] == "nan" and bad[5] == "0"
+    assert bad[1] == "%.17g" % 0.3  # the H asked for, not the base one
     good = lines[2].split(",")
     assert good[1] == "%.17g" % 0.25 and good[6] != "nan"
     assert "row failed" in capsys.readouterr().err

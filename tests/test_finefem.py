@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (anisotropic_field, check_against_dense, coarsen, dense,
-                      dense_couplings, fourier_poisson_center, group_weights,
-                      quad_points, skeleton_geometry, stiffness,
-                      triangle_gradients)
-from legmsfem import errors, finefem, mesh
+                      dense_couplings, element_triangle_ids,
+                      fourier_poisson_center, group_weights, local_triangles,
+                      member_triangle_ids, quad_points, skeleton_geometry,
+                      stiffness, triangle_gradients)
+from legmsfem import errors, finefem, localbasis, mesh
 
 
 def dense_stiffness(geom, A):
@@ -15,7 +16,7 @@ def dense_stiffness(geom, A):
     K = np.zeros((n, n))
     Abar = A.matrix_at(geom.centroids)
     grads = triangle_gradients(geom)
-    for t, tri in enumerate(geom.tris):
+    for t, tri in enumerate(local_triangles(geom)):
         for i in range(3):
             for j in range(3):
                 K[tri[i], tri[j]] += geom.areas[t] * (
@@ -76,13 +77,6 @@ def test_rhs_fields(rng):
     assert np.abs(gy - fdy).max() < 1e-5 * scale
 
 
-def test_geometry_rejects_misoriented():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="misoriented"):
-        finefem.TriGeometry(pts, np.array([[0, 2, 1]]), np.arange(3),
-                            np.array([], dtype=int), "bad")
-
-
 def test_quad_points_sum_to_area(fine_quad44, fine_tri44):
     for fine, area in ((fine_quad44, 1 / 16), (fine_tri44, 1 / 32)):
         geom = finefem.element_geometry(fine, 3)
@@ -137,8 +131,9 @@ def test_patch_groups_reproduce_each_patch(kind):
         Kt, b = stiffness(*group_weights(g, A)), g.load_vectors(f)
         for e, K in enumerate(g.elements):
             geom = finefem.element_geometry(fine, K)
-            assert np.array_equal(geom.vids, g.template.vids + g.shifts[e])
-            assert np.array_equal(geom.tris, g.template.tris)
+            assert np.array_equal(geom.vids, g.template.vids + g.origins[e])
+            assert np.array_equal(local_triangles(geom),
+                                  local_triangles(g.template))
             assert np.array_equal(Kt[e], stiffness(
                 triangle_gradients(geom), geom.area_weighted(A)))
             assert np.array_equal(b[e], finefem.load_vector(geom, f))
@@ -192,26 +187,22 @@ def test_stacked_stencil_applies_member_by_member(kind, rng):
                 1e-13 * np.abs(out3[e]).max()
 
 
-def test_patch_groups_reject_non_translates(tri44):
-    # an upper triangle labelled with the lower shape has the same sizes
-    # but other offsets
+def test_sweep_rejects_a_mislabelled_patch_shape(tri44):
+    # an upper triangle labelled with the lower shape gets the lower
+    # shape's window mask: its edge chains are not the template's shifted,
+    # so the offline sweep refuses it before solving anything
     fine = mesh.refine_to_fine(tri44, 4)
-    fine.patch_shape = lambda K: 0
-    with pytest.raises(ValueError, match="element 1 patch is not a lattice "
-                                         "translate of element 0"):
-        finefem.patch_groups(fine, [0, 2, 1])
-    # a member listing its triangles in another order
-    fine = mesh.refine_to_fine(tri44, 4)
-    fine._elem_tris[4] = fine._elem_tris[4][::-1]
-    with pytest.raises(ValueError, match="element 4 patch is not a lattice "
-                                         "translate of element 0"):
-        finefem.patch_groups(fine, range(8))
+    fine.patch_shape = lambda K: 0 * K
+    with pytest.raises(ValueError, match="element 1: edge chains are not a "
+                                         "translate of those of element 0"):
+        localbasis.compute_all(tri44, fine, finefem.identity_field(),
+                               mesh.DegreeAssignment.uniform(tri44, 1, 0))
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
 def test_patch_groups_broadcast_the_template(kind):
     # member vertices and boundaries are the template's at the member's
-    # shift, which is each element's own patch, and the triangle ids are
+    # origin, which is each element's own patch, and the triangle ids are
     # each element's own; the mesh keeps one pattern per shape and no
     # per-element arrays
     coarse = mesh.build_coarse(kind, 4, 3)
@@ -220,11 +211,13 @@ def test_patch_groups_broadcast_the_template(kind):
     assert sum(len(g.elements) for g in groups) == len(coarse.elements)
     for g in groups:
         t = g.template
-        for K, shift, tri_ids in zip(g.elements, g.shifts, g.tri_ids):
-            vids, bnd = fine.element_patch(int(K))
-            assert np.array_equal(t.vids + shift, vids)
-            assert np.array_equal(t.vids[t.boundary_local] + shift, bnd)
-            assert np.array_equal(tri_ids, fine.element_triangle_ids(int(K)))
+        for K, origin, tri_ids in zip(g.elements, g.origins,
+                                      member_triangle_ids(g)):
+            vids = fine.element_vertex_ids(int(K))
+            bnd = fine.element_boundary_vertex_ids(int(K))
+            assert np.array_equal(t.vids + origin, vids)
+            assert np.array_equal(t.vids[t.boundary_local] + origin, bnd)
+            assert np.array_equal(tri_ids, element_triangle_ids(fine, int(K)))
     assert len(fine._shape_cache) == len(groups)
     assert not any(isinstance(v, dict) and len(v) >= len(coarse.elements)
                    for v in vars(fine).values())
@@ -348,9 +341,9 @@ def test_energy_inner_matrix_blocks_match_one_pass(fine_quad44, rng):
     V = rng.standard_normal((40, geom.n_vertices))
     W = rng.standard_normal((5, geom.n_vertices))
     AW = geom.areas[:, None, None] * A.matrix_at(geom.centroids)
-    grads = triangle_gradients(geom)
-    gV = np.einsum("bti,tid->btd", V[:, geom.tris], grads)
-    gW = np.einsum("bti,tid->btd", W[:, geom.tris], grads)
+    grads, tris = triangle_gradients(geom), local_triangles(geom)
+    gV = np.einsum("bti,tid->btd", V[:, tris], grads)
+    gW = np.einsum("bti,tid->btd", W[:, tris], grads)
     for got, want in ((finefem.energy_inner_matrix(V, geom, A),
                        np.einsum("btd,tde,cte->bc", gV, AW, gV)),
                       (finefem.energy_inner_matrix(V, geom, A, W=W),
@@ -619,9 +612,8 @@ def element_csr(geom, Ke):
     bincount; scipy's own duplicate sum orders a row by an unstable sort,
     which can move a diagonal sum by an ulp), mirrored through the
     transpose, free rows and columns sliced out."""
-    n = geom.n_vertices
-    keys = (np.repeat(geom.tris, 3, axis=1) * n
-            + np.tile(geom.tris, (1, 3))).ravel()
+    n, tris = geom.n_vertices, local_triangles(geom)
+    keys = (np.repeat(tris, 3, axis=1) * n + np.tile(tris, (1, 3))).ravel()
     uniq, inv = np.unique(keys, return_inverse=True)
     K = sp.csr_matrix((np.bincount(inv.ravel(), Ke.ravel()),
                        (uniq // n, uniq % n)), shape=(n, n))
@@ -674,22 +666,6 @@ def test_multigrid_levels_match_element_csr(kind, n_sub, fixed):
             geom, AW = coarsen(geom, AW)
         assert_operator_matches(
             lev.K, element_csr(geom, stiffness(triangle_gradients(geom), AW)))
-
-
-def test_assemble_needs_a_lattice_geometry():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    geom = finefem.TriGeometry(pts, np.array([[0, 1, 2]]), np.arange(3),
-                               np.array([], dtype=int), "loose triangle")
-    with pytest.raises(ValueError, match="not on a lattice"):
-        finefem.assemble(geom, finefem.identity_field())
-    with pytest.raises(ValueError, match="not on a lattice"):
-        finefem.energy_inner_matrix(np.ones((1, 3)), geom,
-                                    finefem.identity_field())
-    skewed = finefem.TriGeometry(pts, np.array([[0, 1, 2]]), np.arange(3),
-                                 np.array([], dtype=int), "skewed",
-                                 box=((2, 2), np.array([0, 1, 2])))
-    with pytest.raises(ValueError, match="not half of a lattice cell"):
-        finefem.assemble(skewed, finefem.identity_field())
 
 
 def test_same_name_coefficients_get_their_own_operators():

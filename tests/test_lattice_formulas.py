@@ -1,24 +1,27 @@
 """The lattice formulas of the fine layer against the per-triangle code they
-replaced (kept in conftest.py): gradients from the corners of every
-triangle, element matrices and the triangle-corner bincount scatters.
+replaced (kept in conftest.py): gradients, areas and centroids from the
+corners of every triangle, element matrices, the triangle-corner bincount
+scatters and the element tags of the fine triangles.
 
 Stencils and the estimator's segment gradients come from two constant
 gradient patterns, so they are bitwise the per-triangle ones where the
 lattice spacing is a power of two (h = 1/32 here) and within 1e-14 of
-their scale where it is not (h = 1/96, the sweep-tri-N spacing).  Loads
-take no gradient and are bitwise at both.  Every case runs on quads and
-triangles: the global mesh, the skeleton (the coarse edges fixed), the
-quad and the lower and upper triangle patch stacks of the offline sweep,
-and every multigrid level, with the periodic and the full-tensor
-coefficient.
+their scale where it is not (h = 1/96, the sweep-tri-N spacing).  Loads,
+areas, centroids and the masked patch windows are bitwise at both.  Every
+case runs on quads and triangles: the global mesh, the skeleton (the
+coarse edges fixed), the quad and the lower and upper triangle patch
+stacks of the offline sweep, and every multigrid level, with the periodic
+and the full-tensor coefficient.
 """
 
 import numpy as np
 import pytest
 
-from conftest import (anisotropic_field, coarsen, group_weights,
-                      reference_load_vector, reference_stencil, restricted,
-                      scatter, scatter_rows, skeleton_geometry,
+from conftest import (anisotropic_field, coarsen, corner_areas_centroids,
+                      group_weights, local_triangles,
+                      member_triangle_ids, reference_load_vector,
+                      reference_stencil, restricted, scatter, scatter_rows,
+                      skeleton_geometry, triangle_elements,
                       triangle_gradients)
 from legmsfem import estimator, finefem, localbasis, mesh, polybasis
 
@@ -55,8 +58,42 @@ def agree(got, want, exact):
 
 def test_cell_gradients_are_the_triangle_gradients(fine):
     geom = finefem.global_geometry(fine)
-    got = finefem.cell_gradients(geom.spacing)[np.arange(len(geom.tris)) % 2]
+    got = finefem.cell_gradients(geom.spacing)[np.arange(len(geom.areas)) % 2]
     assert agree(got, triangle_gradients(geom), dyadic(fine))
+
+
+def test_areas_and_centroids_are_the_corner_formulas(fine):
+    # per cell from the lattice's coordinate vectors, bitwise the corner
+    # gathers of every triangle at any spacing: the global mesh, every
+    # patch of every shape, and the same lattice on a non-unit, offset
+    # domain
+    coarse = fine.coarse
+    shifted = mesh.refine_to_fine(mesh.build_coarse(
+        coarse.kind, coarse.nx, coarse.ny, (-0.3, 1.2, 0.1, 2.6)),
+        fine.n_sub)
+    for fm in (fine, shifted):
+        geoms = [finefem.global_geometry(fm)] + [
+            finefem.element_geometry(fm, K) for K in range(len(
+                coarse.elements))]
+        for geom in geoms:
+            areas, centroids = corner_areas_centroids(geom)
+            assert geom.areas.tobytes() == areas.tobytes()
+            assert geom.centroids.tobytes() == centroids.tobytes()
+
+
+def test_masked_windows_are_the_tagged_triangles(fine):
+    # every member's masked window holds exactly the fine triangles the
+    # old element tags gave its element, in the same order, and the masks
+    # of the shapes partition the lattice
+    groups = finefem.patch_groups(fine, range(len(fine.coarse.elements)))
+    tags = triangle_elements(fine)
+    seen = np.zeros(len(tags), dtype=int)
+    for g in groups:
+        ids = member_triangle_ids(g)
+        for K, tri_ids in zip(g.elements, ids):
+            assert np.array_equal(tri_ids, np.flatnonzero(tags == K))
+        seen[ids] += 1
+    assert (seen == 1).all()
 
 
 @pytest.mark.parametrize("which", ["global", "skeleton"])
@@ -122,16 +159,17 @@ def test_loads(fine):
             egeom = finefem.element_geometry(fine, K)
             assert np.array_equal(finefem.load_vector(egeom, f),
                                   reference_load_vector(egeom, f))
-        pts = geom.centroids[g.tri_ids]
-        shares = geom.areas[g.tri_ids] * f(pts[..., 0], pts[..., 1]) / 3.0
+        tri_ids, tris = member_triangle_ids(g), local_triangles(t)
+        pts = geom.centroids[tri_ids]
+        shares = geom.areas[tri_ids] * f(pts[..., 0], pts[..., 1]) / 3.0
         assert np.array_equal(g.load_vectors(f),
-                              scatter(t.tris, shares, t.n_vertices))
+                              scatter(tris, shares, t.n_vertices))
         M = np.arange(len(g.elements)) % 3
         w = localbasis._load_weights(coarse, g, M, bases, bases[2].dim, f)
         got = t.from_box(finefem.box_loads(t, w.T, finefem.BY_TRIANGLE))
-        want = scatter_rows(np.broadcast_to(w[:, None], (len(t.tris), 3)
+        want = scatter_rows(np.broadcast_to(w[:, None], (len(tris), 3)
                                             + w.shape[1:]),
-                            t.tris, t.n_vertices)
+                            tris, t.n_vertices)
         assert got.tobytes() == want.tobytes()
 
 
@@ -147,7 +185,7 @@ def reference_jump_norms(fine, edge_ids, v, A):
     L = np.hypot(d[:, 0], d[:, 1])
     nu = np.column_stack([d[:, 1], -d[:, 0]]) / L[:, None]
     Anu = np.einsum("sij,sj->si", A.matrix_at(0.5 * (pa + pb)), nu)
-    grad = np.einsum("sti,stid->std", v.values[geom.tris[tris]],
+    grad = np.einsum("sti,stid->std", v.values[local_triangles(geom)[tris]],
                      triangle_gradients(geom)[tris])
     flux = np.einsum("std,sd->st", grad, Anu)
     acc = np.bincount(np.repeat(np.arange(len(chains)), fine.n_sub),

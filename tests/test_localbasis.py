@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (anisotropic_field, check_against_dense,
                       dense_couplings, edge_vertex_chain, group_weights,
+                      local_triangles, member_triangle_ids,
                       pattern_gradients, stiffness, table_fields,
                       trace_loads, vertex_edges, vertex_elements)
 from legmsfem import finefem, localbasis, mesh, polybasis
@@ -336,19 +337,6 @@ def test_edge_chains_must_be_translates(A_osc):
                                mesh.DegreeAssignment.uniform(coarse, 2, 0))
 
 
-def test_row_blocks_reject_distant_lattice_rows():
-    # a triangle joining lattice rows 0 and 2 breaks the block-tridiagonal
-    # structure of the patch solve, so the stencil its blocks are gathered
-    # from must refuse it
-    geom = finefem.TriGeometry(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                               np.array([[0, 1, 2]]), np.array([0, 1, 6]),
-                               np.array([], dtype=int), "skewed patch",
-                               box=((3, 3), np.array([0, 1, 6])))
-    with pytest.raises(ValueError, match="not half of a lattice cell"):
-        finefem.Stencil.of(geom,
-                           geom.area_weighted(finefem.identity_field()))
-
-
 def test_dump_points(quad44, fine_quad44, A_osc):
     v = int(quad44.interior_vertex_ids[0])
     solved = []
@@ -454,10 +442,11 @@ def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
         X = localbasis._trace_rows(coarse, fine, group,
                                    codes[group.elements], stride)
         Kt = stiffness(*group_weights(group, A))
-        edge = np.isin(t.tris, t.boundary_local).any(axis=1)
-        assert edge.sum() < len(t.tris) or n_sub == 2
-        got = trace_loads(Kt[:, edge], X, t.tris[edge])
-        want = all_triangle_trace_loads(Kt, X, t.tris)
+        tris = local_triangles(t)
+        edge = np.isin(tris, t.boundary_local).any(axis=1)
+        assert edge.sum() < len(tris) or n_sub == 2
+        got = trace_loads(Kt[:, edge], X, tris[edge])
+        want = all_triangle_trace_loads(Kt, X, tris)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         st = group.stencil(A)
@@ -472,11 +461,12 @@ def loop_load_weights(coarse, sub, M, bases, n_b):
     """The bubble loads of the sweep, one to_ref and eval_ref per
     element, as the sweep formed them before it batched them."""
     glob = finefem.global_geometry(sub.fine)
-    out = np.zeros((sub.tri_ids.shape[1], n_b, len(sub.elements)))
+    tri_ids = member_triangle_ids(sub)
+    out = np.zeros((tri_ids.shape[1], n_b, len(sub.elements)))
     for e, K in enumerate(sub.elements):
         if M[e]:
             basis = bases[M[e]]
-            ids = sub.tri_ids[e]
+            ids = tri_ids[e]
             P = basis.eval_ref(coarse.elements[K].to_ref(glob.centroids[ids]))
             out[:, :basis.dim, e] = glob.areas[ids][:, None] * P / 3.0
     return out
@@ -502,9 +492,10 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
         assert np.array_equal(got[:, :n_b],
                               loop_load_weights(coarse, group, Mg, bases,
                                                 n_b))
-        pts = glob.centroids[group.tri_ids]
+        tri_ids = member_triangle_ids(group)
+        pts = glob.centroids[tri_ids]
         fv = f(pts[..., 0], pts[..., 1])
-        assert np.array_equal(got[:, n_b], (glob.areas[group.tri_ids] * fv
+        assert np.array_equal(got[:, n_b], (glob.areas[tri_ids] * fv
                                             / 3.0).T)
     runs = []
     for loop in (False, True):
@@ -578,15 +569,16 @@ def element_row_blocks(fine, geom, is_free):
     prev = np.concatenate([[0], widths[:-1]])
     d_size = widths * widths
     d_off = np.concatenate([[0], np.cumsum(d_size + widths * prev)[:-1]])
-    r, f = row[geom.tris], is_free[geom.tris]
+    tris = local_triangles(geom)
+    r, f = row[tris], is_free[tris]
     gap = r[:, :, None] - r[:, None, :]
     both = f[:, :, None] & f[:, None, :]
     assert not np.any(both & (np.abs(gap) > 1))
     keep = both & (gap >= 0)
-    ba = blk[geom.tris][:, :, None]
+    ba = blk[tris][:, :, None]
     flat = (d_off[ba] + gap * d_size[ba]
-            + pos[geom.tris][:, :, None] * widths.take(ba - gap, mode="clip")
-            + pos[geom.tris][:, None, :])
+            + pos[tris][:, :, None] * widths.take(ba - gap, mode="clip")
+            + pos[tris][:, None, :])
     return ElementRowBlocks(keep, flat[keep], widths, prev, d_off,
                             int(d_off[-1] + d_size[-1]
                                 + widths[-1] * prev[-1]))

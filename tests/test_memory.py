@@ -1,18 +1,24 @@
 """Memory guard of the fine layer: the traced peak of the fine reference
 solve and of the coarse assembly on the solve-quad-fine benchmark config
 (4x4 quads on 256x256 fine cells, N = 1), the run whose peak memory is
-the largest of the three benchmark workloads.
+the largest of the three benchmark workloads, and of building its fine
+mesh and global geometry.
 
 tracemalloc starts just before each call, so its peak is what the call
-allocates on top of the memory held when it starts.  The bounds lie
-between the peaks measured before the fine layer took its stencils and
-loads from lattice formulas (43.3 MB and 16.4 MB) and after (21.7 MB and
-7.7 MB): a return of the per-triangle arrays fails here.
+allocates on top of the memory held when it starts.  The first two bounds
+lie between the peaks measured before the fine layer took its stencils
+and loads from lattice formulas (43.3 MB and 16.4 MB) and after (21.7 MB
+and 7.7 MB): a return of the per-triangle arrays fails here.  The third
+lies between the peak of mesh.refine_to_fine plus
+finefem.global_geometry while the fine mesh kept triangle index tables
+and the geometry gathered the corners of every triangle (17.9 MB) and
+since the geometry is the lattice with per-cell formulas (5.3 MB): a
+return of a per-triangle table or corner gather fails here.
 """
 
 import tracemalloc
 
-from legmsfem import cli, errors, globalsolve
+from legmsfem import cli, errors, finefem, globalsolve, mesh
 
 FINE_CONFIG = {
     "schema": 1, "kind": "quad", "nx": 4, "ny": 4, "n_sub": 64,
@@ -20,6 +26,7 @@ FINE_CONFIG = {
     "rhs": {"type": "constant", "value": -1.0}, "N": 1, "M": 0}
 REFERENCE_PEAK_MB = 32.0
 ASSEMBLE_COARSE_PEAK_MB = 12.0
+FINE_GEOMETRY_PEAK_MB = 10.0
 
 
 def traced_peak_mb(fn, *args, **kw):
@@ -47,3 +54,11 @@ def test_fine_layer_traced_peaks():
                                   p.f)
     assert coarse_mb <= ASSEMBLE_COARSE_PEAK_MB
     assert u_ref.cg_iters > 0 and E_star < 0
+
+
+def test_fine_mesh_and_geometry_traced_peak():
+    coarse = mesh.build_coarse("quad", FINE_CONFIG["nx"], FINE_CONFIG["ny"])
+    geom, mb = traced_peak_mb(lambda: finefem.global_geometry(
+        mesh.refine_to_fine(coarse, FINE_CONFIG["n_sub"])))
+    assert mb <= FINE_GEOMETRY_PEAK_MB
+    assert len(geom.areas) == 2 * 256 * 256

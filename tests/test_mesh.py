@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import edge_vertex_chain
-from legmsfem import mesh
+from conftest import (edge_vertex_chain, element_triangle_ids,
+                      local_triangles, triangle_elements)
+from legmsfem import finefem, mesh
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -78,20 +79,21 @@ def test_refinement_nesting_bitwise(quad44):
 
 
 def test_fine_counts_and_tags(quad44, fine_quad44):
-    assert len(fine_quad44.triangles) == 16 * 2 * 8 * 8
+    assert len(local_triangles(finefem.global_geometry(fine_quad44))) == \
+        16 * 2 * 8 * 8
     for el in quad44.elements:
-        assert len(fine_quad44.element_triangle_ids(el.id)) == 2 * 8 * 8
+        assert len(element_triangle_ids(fine_quad44, el.id)) == 2 * 8 * 8
 
 
 def test_triangle_patch_tags(tri44, fine_tri44):
     # every coarse triangle receives n_sub^2 similar fine triangles
     for el in tri44.elements:
-        tris = fine_tri44.element_triangle_ids(el.id)
+        tris = element_triangle_ids(fine_tri44, el.id)
         assert len(tris) == 8 * 8
     # tags partition all fine triangles
-    total = sum(len(fine_tri44.element_triangle_ids(el.id))
+    total = sum(len(element_triangle_ids(fine_tri44, el.id))
                 for el in tri44.elements)
-    assert total == len(fine_tri44.triangles)
+    assert total == len(local_triangles(finefem.global_geometry(fine_tri44)))
 
 
 def test_patch_boundary_vertices(quad44, fine_quad44, tri44, fine_tri44):
@@ -125,7 +127,7 @@ def test_edge_vertex_chain_geometry(quad44, fine_quad44):
 def brute_force_segment_map(fine):
     """Fine edge -> adjacent fine triangles, from every triangle's sides."""
     m = {}
-    for t, tri in enumerate(fine.triangles):
+    for t, tri in enumerate(local_triangles(finefem.global_geometry(fine))):
         for i in range(3):
             a, b = tri[i], tri[(i + 1) % 3]
             m.setdefault((min(a, b), max(a, b)), []).append(t)
@@ -139,6 +141,7 @@ def test_edge_segment_triangles_match_brute_force(coarse_name, fine_name,
     coarse = request.getfixturevalue(coarse_name)
     fine = request.getfixturevalue(fine_name)
     ref = brute_force_segment_map(fine)
+    tags = triangle_elements(fine)
     diagonals = 0
     for eid in coarse.interior_edge_ids:
         e = coarse.edges[eid]
@@ -148,8 +151,8 @@ def test_edge_segment_triangles_match_brute_force(coarse_name, fine_name,
         lo, hi = e.element_ids
         for (a, b), (t_lo, t_hi) in zip(zip(chain[:-1], chain[1:]), segs):
             assert sorted(ref[(min(a, b), max(a, b))]) == sorted([t_lo, t_hi])
-            assert fine.tri_elem[t_lo] == lo
-            assert fine.tri_elem[t_hi] == hi
+            assert tags[t_lo] == lo
+            assert tags[t_hi] == hi
         diagonals += e.v1 - e.v0 == coarse.nx + 2
     assert diagonals == (16 if coarse.kind == "triangle" else 0)
 
@@ -160,9 +163,10 @@ def test_edge_segment_triangles(quad44, fine_quad44):
     segs = fine_quad44.edge_segment_triangles(eid)
     assert len(segs) == 8
     lo, hi = e.element_ids
+    tags = triangle_elements(fine_quad44)
     for t_lo, t_hi in segs:
-        assert fine_quad44.tri_elem[t_lo] == lo
-        assert fine_quad44.tri_elem[t_hi] == hi
+        assert tags[t_lo] == lo
+        assert tags[t_hi] == hi
     bdry = next(e.id for e in quad44.edges if e.boundary)
     with pytest.raises(ValueError):
         fine_quad44.edge_segment_triangles(bdry)
