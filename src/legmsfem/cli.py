@@ -348,20 +348,23 @@ class RunResult:
     runtime_ms: int
 
     def row(self, timing: bool = False) -> str:
-        c = self.config
-        H = (c.domain[1] - c.domain[0]) / c.nx
-        cells = [_fmt(c.eps or 0.0), _fmt(H), c.kind,
-                 str(_column_degree(c.N)), str(_column_degree(c.M)),
-                 str(self.solution.space.n_dofs), _fmt(self.report.E_rel),
-                 _fmt(self.report.E_rel_gamma
-                      if self.report.E_rel_gamma is not None
-                      else float("nan")),
-                 _fmt(self.est.value_gamma
-                      if self.est.value_gamma is not None
-                      else self.est.value),
-                 str(self.runtime_ms if timing else 0),
-                 str(self.solution.cg_iters)]
+        cells = _lead_cells(self.config) + [
+            str(self.solution.space.n_dofs), _fmt(self.report.E_rel),
+            _fmt(self.report.E_rel_gamma
+                 if self.report.E_rel_gamma is not None else float("nan")),
+            _fmt(self.est.value_gamma
+                 if self.est.value_gamma is not None else self.est.value),
+            str(self.runtime_ms if timing else 0),
+            str(self.solution.cg_iters)]
         return ",".join(cells)
+
+
+def _lead_cells(c: RunConfig, H: float | None = None) -> list[str]:
+    """The first five cells of a row of config c (eps, H, kind, N, M), at
+    its own H unless given."""
+    H = (c.domain[1] - c.domain[0]) / c.nx if H is None else H
+    return [_fmt(c.eps or 0.0), _fmt(H), c.kind, str(_column_degree(c.N)),
+            str(_column_degree(c.M))]
 
 
 def _fmt(x: float) -> str:
@@ -401,8 +404,7 @@ def run_single(config: RunConfig, problem: Problem | None = None,
     solution = globalsolve.solve_coarse(systems, config.rel_tol)
     u_B_ref = space.bubble_reference
     report = errors.evaluate(solution, E_star, u_ref, u_B_ref)
-    est = estimator.global_estimate(solution, problem.f, problem.degrees,
-                                    config.eta, config.ell)
+    est = estimator.global_estimate(solution, config.eta, config.ell)
     ms = int(round(1000 * (time.perf_counter() - t0)))
     return RunResult(config, problem, solution, u_ref, E_star, report, est,
                      u_B_ref, ms)
@@ -431,94 +433,91 @@ def cmd_solve(config: RunConfig, out: str | None = None,
 def _failed_row(config: RunConfig, exc: Exception,
                 H: float | None = None) -> str:
     """The CSV row of a failed run of config, its own H unless given."""
-    c = config
-    H = (c.domain[1] - c.domain[0]) / c.nx if H is None else H
     print(f"warning: row failed: {exc}", file=sys.stderr)
-    return ",".join([_fmt(c.eps or 0.0), _fmt(H), c.kind,
-                     str(_column_degree(c.N)), str(_column_degree(c.M)),
-                     "0", "nan", "nan", "nan", "0", "0"])
+    return ",".join(_lead_cells(config, H)
+                    + ["0", "nan", "nan", "nan", "0", "0"])
 
 
 def cmd_sweep(config: RunConfig, axis: str, values: list[float],
               out: str | None = None, timing: bool = False) -> int:
     """One row per value along the axis; offline work shared where the
-    meshes and coefficient stay fixed.  Failed rows are recorded and the
-    sweep continues."""
+    meshes and coefficient stay fixed.  The values are checked before any
+    row runs; failed rows are recorded and the sweep continues."""
     if axis not in ("H", "N", "M", "eps"):
         raise ConfigError(f"sweep axis must be H, N, M or eps, got {axis!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    rows = [CSV_HEADER]
-
     if axis in ("N", "M"):
-        for v in values:
-            if v != int(v) or int(v) < (1 if axis == "N" else 0):
-                raise ConfigError(f"sweep {axis} values must be integers "
-                                  f">= {1 if axis == 'N' else 0}")
+        lo = 1 if axis == "N" else 0
+        if any(not float(v).is_integer() or v < lo for v in values):
+            raise ConfigError(f"sweep {axis} values must be integers >= {lo}")
+    if axis == "eps":
+        if config.coefficient.get("type") != "periodic_benchmark":
+            raise ConfigError("eps sweep needs the periodic_benchmark "
+                              "coefficient")
+        if not all(v > 0 for v in values):
+            raise ConfigError("eps values must be positive")
+
+    problem, shared = None, {}
+    if axis in ("N", "M"):
         problem = build_problem(config)
-        shared: dict = {}
         if axis == "N":
             cfg0 = _with(config, N=int(max(values)), M=0)
             shared["space_donor"] = globalsolve.build_space(
                 problem.coarse, problem.fine, problem.A,
                 _degrees_of(cfg0, problem.coarse),
                 f=problem.f if _bubble_free(problem.degrees) else None)
-        for v in values:
-            cfg = _with(config, **{axis: int(v)})
-            try:
-                res = run_single(cfg, _reprob(problem,
-                                              _degrees_of(cfg, problem.coarse)),
-                                 shared)
+
+    # An H row builds its own meshes, so a ConfigError there (an H that
+    # does not tile the domain, an override the new mesh lacks) is the
+    # row's; on the other axes the meshes are the config's own.
+    failures = (finefem.SolverDivergenceError, np.linalg.LinAlgError,
+                ValueError) + ((ConfigError,) if axis == "H" else ())
+    rows = [CSV_HEADER]
+    for v in values:
+        cfg = config
+        try:
+            if axis == "H":
+                cfg = _h_config(config, v)
+            elif axis == "eps":
+                cfg = _with(config, coefficient={"type": "periodic_benchmark",
+                                                 "eps": float(v)})
+            else:
+                cfg = _with(config, **{axis: int(v)})
+            if problem is None:
+                res = run_single(cfg)
+            else:
+                res = run_single(cfg, _reprob(
+                    problem, _degrees_of(cfg, problem.coarse)), shared)
                 shared.setdefault("u_ref", res.u_ref)
                 shared.setdefault("E_star", res.E_star)
                 if axis == "M" and "space_donor" not in shared:
                     shared["space_donor"] = res.solution.space
-                rows.append(res.row(timing))
-            except (finefem.SolverDivergenceError, np.linalg.LinAlgError,
-                    ValueError) as exc:
-                rows.append(_failed_row(cfg, exc))
-    elif axis == "H":
-        Lx = config.domain[1] - config.domain[0]
-        Ly = config.domain[3] - config.domain[2]
-        fine_cells = config.nx * config.n_sub
-        for v in values:
-            nx = round(Lx / v)
-            ny = round(Ly / v)
-            cfg = None
-            try:
-                if abs(Lx / v - nx) > 1e-9 * nx or nx < 1 or ny < 1:
-                    raise ConfigError(f"H={v!r} does not tile the domain")
-                if fine_cells % nx:
-                    raise ConfigError(f"H={v!r} does not preserve the fine "
-                                      f"grid of {fine_cells} cells per side")
-                if ny * (fine_cells // nx) != config.ny * config.n_sub:
-                    raise ConfigError(f"H={v!r} cannot keep the fine grid "
-                                      "on both axes")
-                cfg = _with(config, nx=nx, ny=ny, n_sub=fine_cells // nx)
-                if cfg.n_sub < 2:
-                    raise ConfigError(f"H={v!r} leaves fewer than 2 "
-                                      "subdivisions")
-                rows.append(run_single(cfg).row(timing))
-            except (ConfigError, finefem.SolverDivergenceError,
-                    np.linalg.LinAlgError, ValueError) as exc:
-                rows.append(_failed_row(cfg or config, exc, H=v))
-    else:
-        if config.coefficient.get("type") != "periodic_benchmark":
-            raise ConfigError("eps sweep needs the periodic_benchmark "
-                              "coefficient")
-        for v in values:
-            if not v > 0:
-                raise ConfigError("eps values must be positive")
-            cfg = _with(config,
-                        coefficient={"type": "periodic_benchmark",
-                                     "eps": float(v)})
-            try:
-                rows.append(run_single(cfg).row(timing))
-            except (finefem.SolverDivergenceError, np.linalg.LinAlgError,
-                    ValueError) as exc:
-                rows.append(_failed_row(cfg, exc))
+            rows.append(res.row(timing))
+        except failures as exc:
+            rows.append(_failed_row(cfg, exc, H=v if axis == "H" else None))
     _emit(rows, out)
     return 0
+
+
+def _h_config(config: RunConfig, H: float) -> RunConfig:
+    """config on the coarse mesh of size H over the same fine grid;
+    ConfigError where there is none."""
+    Lx = config.domain[1] - config.domain[0]
+    Ly = config.domain[3] - config.domain[2]
+    fine_cells = config.nx * config.n_sub
+    nx, ny = (round(Lx / H), round(Ly / H)) if H > 0 else (0, 0)
+    if nx < 1 or ny < 1 or abs(Lx / H - nx) > 1e-9 * nx:
+        raise ConfigError(f"H={H!r} does not tile the domain")
+    if fine_cells % nx:
+        raise ConfigError(f"H={H!r} does not preserve the fine grid of "
+                          f"{fine_cells} cells per side")
+    if ny * (fine_cells // nx) != config.ny * config.n_sub:
+        raise ConfigError(f"H={H!r} cannot keep the fine grid on both axes")
+    cfg = _with(config, nx=nx, ny=ny, n_sub=fine_cells // nx)
+    if cfg.n_sub < 2:
+        raise ConfigError(f"H={H!r} leaves fewer than 2 subdivisions")
+    return cfg
 
 
 def _with(config: RunConfig, **kw) -> RunConfig:
@@ -604,7 +603,7 @@ def cmd_selftest() -> int:
 
     coarse = mesh.build_coarse("quad", 4, 4)
     checks.append(("structured quad mesh counts",
-                   len(coarse.elements) == 16 and len(coarse.edges) == 40))
+                   coarse.n_elements == 16 and coarse.n_edges == 40))
 
     cfg = RunConfig.from_dict({"schema": 1, "kind": "triangle", "nx": 4,
                                "ny": 4, "n_sub": 4, "N": 1, "M": 0})

@@ -107,8 +107,8 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
     u_G = globalsolve.reconstruct(u_H, "interface")
     ref_G = u_ref.values - u_B_ref.values
     d_G = ref_G - u_G.values
-    energies = np.zeros((len(coarse.elements), 2))
-    for group in finefem.patch_groups(space.fine, range(len(coarse.elements))):
+    energies = np.zeros((coarse.n_elements, 2))
+    for group in finefem.patch_groups(space.fine, range(coarse.n_elements)):
         t = group.template
         for _, sub in group.chunks(2 * 3 * t.n_vertices):
             vids = t.vids + sub.origins[:, None]

@@ -109,29 +109,12 @@ def _jump_norms(fine: FineMesh, edge_ids, v: finefem.FineFunction,
     return np.sqrt(acc).tolist()
 
 
-def bubble_residual(fine: FineMesh, elem_id: int, f: finefem.RhsField,
-                    coeffs: np.ndarray, basis: polybasis.BulkPolyBasis | None
-                    ) -> float:
-    """||f - sum_i c_i P_i||_{L2(K)} by fine quadrature.
-
-    With no bubble coefficients (basis None) this is the residual of the
-    zero approximation, i.e. ||f||_{L2(K)}.
-    """
-    element = fine.coarse.elements[elem_id]
-    geom = finefem.element_geometry(fine, elem_id)
-    pts, w = geom.centroids, geom.areas
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-    if basis is not None and len(coeffs):
-        fv = fv - basis.eval_ref(element.to_ref(pts)) @ np.asarray(coeffs)
-    return float(np.sqrt(w @ fv**2))
-
-
 def _f_norms(fine: FineMesh, f: finefem.RhsField | None, ell: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(||f||_{L2(K)}, ||f||_{H^ell(K)}) of every element K, ell in {0, 1}
     per element (1 needs f.grad), and f at every fine centroid: one
     evaluation on the global quadrature, summed per element."""
-    n = len(fine.coarse.elements)
+    n = fine.coarse.n_elements
     if f is None:
         return np.zeros(n), np.zeros(n), None
     bad = (ell != 0) & ((ell != 1) | (f.grad is None))
@@ -161,8 +144,9 @@ def _f_norms(fine: FineMesh, f: finefem.RhsField | None, ell: np.ndarray
 
 def _bubble_residuals(u_H: globalsolve.CoarseSolution, fv: np.ndarray,
                       M: np.ndarray) -> np.ndarray:
-    """bubble_residual of every element with M >= 1 (zero elsewhere) from f
-    at the fine centroids, per bulk degree and patch shape: the bulk basis
+    """||f - sum_i c_i P_i||_{L2(K)} by fine quadrature, of every element
+    K with M >= 1 (zero elsewhere), the c_i its bubble coefficients, from
+    f at the fine centroids, per bulk degree and patch shape: the bulk basis
     is evaluated once at the reference centroids of the group's first
     member, which every member shares, and the squares are summed per
     element."""
@@ -180,33 +164,28 @@ def _bubble_residuals(u_H: globalsolve.CoarseSolution, fv: np.ndarray,
         C[K[at], i[at] - 1] = u_H.coeffs[bubble][at]
         for group in finefem.patch_groups(fine, np.flatnonzero(M == m)):
             K0 = group.elements[0]
-            P = basis.eval_ref(coarse.elements[K0].to_ref(
-                finefem.element_geometry(fine, K0).centroids))
+            x = finefem.element_geometry(fine, K0).centroids
+            P = basis.eval_ref((x - coarse.offsets[K0]) @ coarse.Binv[K0].T)
             r = group.gather(fv) - C[group.elements] @ P.T
             resid[group.elements] = np.sqrt(
                 np.einsum("et,et->e", group.gather(areas), r * r))
     return resid
 
 
-def global_estimate(u_H: globalsolve.CoarseSolution,
-                    f: finefem.RhsField | None = None,
-                    degrees: DegreeAssignment | None = None,
-                    eta: float = 0.0,
+def global_estimate(u_H: globalsolve.CoarseSolution, eta: float = 0.0,
                     ell: int | dict[int, int] | None = None
                     ) -> EstimatorReport:
-    """Assemble the estimator for a solved coarse solution, every term for
-    all elements or all interior edges at once.
+    """Assemble the estimator for a solved coarse solution with its own
+    load and degrees, every term for all elements or all interior edges
+    at once.
 
     ell declares the smoothness of f per element (int for uniform, dict
-    with default 0); degrees default to the solution's own.
+    with default 0).
     """
     space = u_H.space
     coarse, fine, A = space.coarse, space.fine, space.A
-    if f is None:
-        f = u_H.f
-    if degrees is None:
-        degrees = space.degrees
-    n = len(coarse.elements)
+    f, degrees = u_H.f, space.degrees
+    n = coarse.n_elements
     M = degrees.M
     if isinstance(ell, dict):
         ell_K = np.array([ell.get(K, 0) for K in range(n)])
@@ -234,7 +213,7 @@ def global_estimate(u_H: globalsolve.CoarseSolution,
 
     # Element terms: f_l2^2 times the sum over the element's interior sides
     # of H_e H_K / (N_e^(1-2 eta) p_e), side by side.
-    denom = np.full(len(coarse.edges), np.inf)  # no term on the boundary
+    denom = np.full(coarse.n_edges, np.inf)  # no term on the boundary
     denom[edges] = degrees.N[edges].astype(float) ** (1.0 - 2.0 * eta) * p
     s = np.zeros(n)
     for side in coarse.element_edge_ids.T:
@@ -250,7 +229,7 @@ def global_estimate(u_H: globalsolve.CoarseSolution,
     value_gamma = float(np.sqrt(S2 + S3)) if space.n_bubble == 0 else None
 
     def per_edge(a):
-        out = np.zeros(len(coarse.edges), dtype=a.dtype)
+        out = np.zeros(coarse.n_edges, dtype=a.dtype)
         out[edges] = a
         return out
 
@@ -274,7 +253,7 @@ def localize(report: EstimatorReport, coarse: CoarseMesh) -> np.ndarray:
     # Element by element, side by side, as the shares add up in a loop.
     share = terms / np.maximum(count, 1)
     shares = np.bincount(sides[interior], np.broadcast_to(
-        share[:, None], sides.shape)[interior], len(coarse.edges))
+        share[:, None], sides.shape)[interior], coarse.n_edges)
     edges = coarse.interior_edge_ids
     report.localized = np.sqrt(report.jump_terms[edges] + shares[edges])
     report.leftover_element_terms = np.where(count == 0, terms, 0.0)

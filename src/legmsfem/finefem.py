@@ -105,9 +105,6 @@ class CoefficientField:
                 f"finite or leaves its declared bounds [{lo:g}, {hi:g}]")
         return v
 
-    def matrix(self, x: float, y: float) -> np.ndarray:
-        return self.matrix_at(np.array([[x, y]]))[0]
-
 
 def scalar_field(name: str, a, alpha_min: float, alpha_max: float) -> CoefficientField:
     """Coefficient a(x,y)*I from a vectorized scalar function."""
@@ -1126,38 +1123,24 @@ def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray,
 
 
 def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
-                        W: np.ndarray | None = None,
                         diagonal: bool = False) -> np.ndarray:
-    """Gram matrix a(V_i, W_j) = V_i^T K W_j of nodal-value rows over one
+    """Gram matrix a(V_i, V_j) = V_i^T K V_j of nodal-value rows over one
     geometry, with the stencil K = geom.stencil(A) that assembly shares,
-    applied by Stencil.apply_full; with diagonal, only its diagonal
-    a(V_i, W_i), (rows,), the energies a(V_i, V_i) when W is None, bitwise
-    the entries of the matrix.
+    applied by Stencil.apply_full; with diagonal, only the energies
+    a(V_i, V_i), (rows,), bitwise the diagonal of the matrix.
 
     Scalar energies and the error report call it.  K applies to one row
-    of W at a time, so a stack of global fields needs no temporaries of
-    its size, and each entry sums over the vertices in a fixed order
-    (dot), so it does not depend on the BLAS thread count.  Exactly
-    symmetric when W is None.
+    at a time, so a stack of global fields needs no temporaries of its
+    size, and each entry sums over the vertices in a fixed order (dot),
+    so it does not depend on the BLAS thread count.  Exactly symmetric.
     """
     st = geom.stencil(A)
     V = np.atleast_2d(V)
-    KW = (geom.from_box(st.apply_full(geom.to_box(w)))
-          for w in (V if W is None else np.atleast_2d(W)))
+    KV = (geom.from_box(st.apply_full(geom.to_box(v))) for v in V)
     if diagonal:
-        return np.array([dot(v, Kv) for v, Kv in zip(V, KW)])
-    M = np.array([[dot(v, Kw) for v in V] for Kw in KW]).T
-    return M if W is not None else 0.5 * (M + M.T)
-
-
-def energy_inner(v: FineFunction, w: FineFunction, A: CoefficientField
-                 ) -> float:
-    """a(v, w) = integral of (grad v)^T A grad w."""
-    if v.geom is not w.geom:
-        raise ValueError("energy_inner: functions live on different meshes "
-                         f"({v.geom.label} vs {w.geom.label})")
-    return float(energy_inner_matrix(v.values[None, :], v.geom, A,
-                                     W=w.values[None, :])[0, 0])
+        return np.array([dot(v, Kv) for v, Kv in zip(V, KV)])
+    M = np.array([[dot(v, Kw) for v in V] for Kw in KV]).T
+    return 0.5 * (M + M.T)
 
 
 def energy(v: FineFunction, A: CoefficientField, f=None) -> float:

@@ -74,7 +74,7 @@ class EnrichedSpace:
         order = np.lexsort((t.dof, t.element))
         K, P = t.element[order], t.dof[order]
         S, R = t.stack[order], t.row[order]
-        n_el = len(self.coarse.elements)
+        n_el = self.coarse.n_elements
         count = np.bincount(K, minlength=n_el)
         first = np.cumsum(count) - count
         n_if = np.bincount(K[P < self.n_interface], minlength=n_el)
@@ -390,12 +390,6 @@ class CoarseSolution:
     f: finefem.RhsField | None
     coeffs: np.ndarray
     cg_iters: int
-
-    def bubble_coeffs(self, elem_id: int) -> np.ndarray:
-        """Bubble coefficients of one element, in bulk basis order."""
-        t = self.space.dofs
-        return self.coeffs[(t.kind == localbasis.BUBBLE)
-                           & (t.key[:, 0] == elem_id)]
 
 
 def solve_coarse(systems: CoarseSystems, rel_tol: float = 1e-12

@@ -324,7 +324,7 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     ev, sides = coarse.element_vertices, coarse.element_edge_ids
     n_el = len(ev)
     verts = np.zeros(0, dtype=int)
-    n_eta = np.zeros(len(coarse.edges), dtype=int)
+    n_eta = np.zeros(coarse.n_edges, dtype=int)
     M = degrees.M if which in ("all", "bubble") else np.zeros(n_el, dtype=int)
     if which in ("all", "interface"):
         verts, inner = coarse.interior_vertex_ids, coarse.interior_edge_ids

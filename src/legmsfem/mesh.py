@@ -30,53 +30,15 @@ import numpy as np
 REF_DIAMETER = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class Element:
-    """One coarse element with its affine reference map x = B @ xhat + offset.
-
-    The reference element is the unit square (quads) or the unit right
-    triangle with vertices (0,0), (1,0), (0,1).  vertex_ids are CCW; for
-    triangles the first vertex is the SW cell corner.
-    """
-
-    id: int
-    vertex_ids: tuple[int, ...]
-    B: np.ndarray
-    Binv: np.ndarray
-    offset: np.ndarray
-    diameter: float
-
-    @property
-    def kind(self) -> str:
-        return "triangle" if len(self.vertex_ids) == 3 else "quad"
-
-    def from_ref(self, xhat: np.ndarray) -> np.ndarray:
-        return np.asarray(xhat) @ self.B.T + self.offset
-
-    def to_ref(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x) - self.offset) @ self.Binv.T
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Coarse edge with orientation fixed by global vertex order v0 < v1."""
-
-    id: int
-    v0: int
-    v1: int
-    element_ids: tuple[int, ...]
-    length: float
-
-    @property
-    def boundary(self) -> bool:
-        return len(self.element_ids) == 1
-
-
 class CoarseMesh:
     """Structured coarse mesh of quads or right triangles on a rectangle.
 
-    Use :func:`build_coarse` to construct one.  Immutable after construction;
-    safe to share across workers.
+    Use :func:`build_coarse` to construct one.  Immutable after
+    construction.  Elements are the rows of element_vertices, CCW (for
+    triangles from the SW cell corner), with the affine reference maps
+    x = B @ xhat + offset onto the unit square or the unit right triangle
+    with vertices (0,0), (1,0), (0,1) stacked in B, Binv and offsets.
+    Edges are the rows of edge_ends, oriented by v0 < v1.
     """
 
     def __init__(self, kind: str, nx: int, ny: int,
@@ -114,8 +76,7 @@ class CoarseMesh:
 
     def _build_elements(self) -> None:
         """The affine maps of all elements as stacked arrays B, Binv,
-        offsets and diameters (element by element), and the Element
-        objects as views into them."""
+        offsets and diameters, element by element."""
         pts = self.vertices[self.element_vertices]  # (E, corners, 2)
         p0 = pts[:, 0]
         B = np.zeros((len(pts), 2, 2))
@@ -140,22 +101,17 @@ class CoarseMesh:
         self.diameters = np.sqrt(np.vecdot(d, d)).max(axis=1)
         for arr in (B, Binv, p0, self.diameters):
             arr.flags.writeable = False
-        self.elements: list[Element] = [
-            Element(K, tuple(v), B[K], Binv[K], p0[K], diam)
-            for K, v, diam in zip(range(len(pts)),
-                                  self.element_vertices.tolist(),
-                                  self.diameters.tolist())]
 
     def _build_edges(self) -> None:
         """Edges from one stable sort of the sorted vertex pairs of all
         element sides, an np.unique that also groups the sides by edge:
-        edge ids follow (v0, v1) order and element_ids are ascending.
+        edge ids follow (v0, v1) order.
 
-        Next to the Edge objects it keeps two plain tables:
-        element_edge_ids (elements, sides), the edge of each side in the
-        element's side order, and edge_element_ids (edges, 2), the
-        elements of each edge in ascending order, -1 in the second column
-        on the boundary."""
+        The tables: edge_ends (edges, 2), the vertices (v0, v1) of each
+        edge; edge_lengths; element_edge_ids (elements, sides), the edge of
+        each side in the element's side order; and edge_element_ids
+        (edges, 2), the elements of each edge in ascending order, -1 in the
+        second column on the boundary."""
         ev = self.element_vertices
         n_el, n_sides = ev.shape
         a, b = ev, np.roll(ev, -1, axis=1)
@@ -183,30 +139,19 @@ class CoarseMesh:
         for arr in (self.element_edge_ids, self.edge_ends,
                     self.edge_element_ids, self.edge_lengths):
             arr.flags.writeable = False
-        self.edges: list[Edge] = [
-            Edge(i, v0, v1, (e0,) if e1 < 0 else (e0, e1), length)
-            for i, (v0, v1), (e0, e1), length in zip(
-                range(len(keys)), self.edge_ends.tolist(),
-                self.edge_element_ids.tolist(), self.edge_lengths.tolist())]
         self.interior_edge_ids = np.flatnonzero(two)
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def dump(self) -> str:
-        """Plain-text listing for debugging; not a stable format."""
-        lines = [f"coarse {self.kind} mesh {self.nx}x{self.ny} on {self.domain}"]
-        for i, p in enumerate(self.vertices):
-            tag = "b" if self.boundary_vertex_mask[i] else "i"
-            lines.append(f"v {i} {p[0]:.6g} {p[1]:.6g} {tag}")
-        for el in self.elements:
-            lines.append(f"e {el.id} " + " ".join(map(str, el.vertex_ids)))
-        for ed in self.edges:
-            tag = "b" if ed.boundary else "i"
-            lines.append(f"s {ed.id} {ed.v0} {ed.v1} {tag} " +
-                         " ".join(map(str, ed.element_ids)))
-        return "\n".join(lines)
+    @property
+    def n_elements(self) -> int:
+        return len(self.element_vertices)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edge_ends)
 
 
 def build_coarse(kind: str, nx: int, ny: int,
@@ -267,11 +212,6 @@ class FineMesh:
         """Sorted global fine vertex ids of the closed element patch: its
         shape's pattern at the element's origin."""
         return (self.shape_pattern(self.patch_shape(elem_id))[0]
-                + self.element_origin(elem_id))
-
-    def element_boundary_vertex_ids(self, elem_id: int) -> np.ndarray:
-        """Fine vertices on the element boundary, sorted."""
-        return (self.shape_pattern(self.patch_shape(elem_id))[1]
                 + self.element_origin(elem_id))
 
     def patch_shape(self, elem_ids):
@@ -399,13 +339,13 @@ class DegreeAssignment:
 
     @classmethod
     def uniform(cls, coarse: CoarseMesh, N: int, M: int) -> "DegreeAssignment":
-        return cls(np.full(len(coarse.edges), int(N)),
-                   np.full(len(coarse.elements), int(M)))
+        return cls(np.full(coarse.n_edges, int(N)),
+                   np.full(coarse.n_elements, int(M)))
 
     def validate(self, coarse: CoarseMesh) -> None:
         for a, n, name, what in (
-                (self.N, len(coarse.edges), "N", "edge"),
-                (self.M, len(coarse.elements), "M", "element")):
+                (self.N, coarse.n_edges, "N", "edge"),
+                (self.M, coarse.n_elements, "M", "element")):
             if not (isinstance(a, np.ndarray) and a.shape == (n,)
                     and np.issubdtype(a.dtype, np.integer)):
                 raise ValueError(f"degrees: {name} must be an int array "

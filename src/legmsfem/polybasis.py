@@ -1,5 +1,5 @@
-"""Legendre polynomials, the internal edge basis, Gauss-Lobatto rules, the
-bulk polynomial bases of the bubbles, and L2 projections on edges.
+"""Legendre polynomials, the internal edge basis, Gauss-Lobatto rules and
+the bulk polynomial bases of the bubbles.
 
 Everything here lives on reference coordinates: [-1,1] for edges, the unit
 square or unit right triangle for element interiors.  The internal functions
@@ -57,35 +57,6 @@ def internal_basis_eval(k: int, x) -> np.ndarray:
         raise ValueError("internal functions start at degree 2")
     c = 1.0 / math.sqrt(2 * (2 * k - 1))
     return c * (legendre_eval(k, x) - legendre_eval(k - 2, x))
-
-
-def internal_basis_deriv(k: int, x) -> np.ndarray:
-    if k < 2:
-        raise ValueError("internal functions start at degree 2")
-    return math.sqrt((2 * k - 1) / 2.0) * legendre_eval(k - 1, x)
-
-
-@dataclass(frozen=True)
-class Polynomial1D:
-    """Polynomial on [-1,1] stored by Legendre coefficients."""
-
-    coeffs: np.ndarray
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, c in enumerate(self.coeffs):
-            if c != 0.0:
-                out += c * legendre_eval(k, x)
-        return out
-
-    def deriv(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for k, c in enumerate(self.coeffs):
-            if c != 0.0 and k > 0:
-                out += c * legendre_deriv(k, x)
-        return out
 
 
 @dataclass(frozen=True)
@@ -213,21 +184,3 @@ class BulkPolyBasis:
         mono = np.column_stack([pts[:, 0] ** p * pts[:, 1] ** q
                                 for p, q in self._pairs])
         return mono @ self._C.T
-
-
-def l2_project_edge_zero(g, N: int, n_quad: int = 64) -> np.ndarray:
-    """L2(-1,1) projection of a trace onto span{eta_2..eta_N}.
-
-    g is a callable of the edge coordinate in [-1,1].  Returns the N-1
-    coefficients (empty for N = 1, where the internal space is empty).  A
-    dense Gauss-Legendre rule stands in for exact integration.
-    """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if N == 1:
-        return np.zeros(0)
-    x, w = np.polynomial.legendre.leggauss(max(n_quad, 2 * N))
-    E = np.column_stack([internal_basis_eval(k, x) for k in range(2, N + 1)])
-    G = E.T @ (w[:, None] * E)
-    b = E.T @ (w * np.asarray(g(x), dtype=float))
-    return np.linalg.solve(G, b)

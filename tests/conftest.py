@@ -9,7 +9,7 @@ import copy
 import numpy as np
 import pytest
 
-from legmsfem import cli, finefem, mesh, polybasis
+from legmsfem import cli, finefem, localbasis, mesh, polybasis
 
 
 @pytest.fixture(scope="session")
@@ -71,7 +71,7 @@ def skeleton_geometry(fine) -> finefem.TriGeometry:
     defined; the multigrid tests use it for a fixed set off the domain
     boundary."""
     geom = copy.copy(finefem.global_geometry(fine))
-    chains = fine.edge_vertex_chains(np.arange(len(fine.coarse.edges)))
+    chains = fine.edge_vertex_chains(np.arange(fine.coarse.n_edges))
     geom.boundary_local = np.unique(chains)
     geom.label = "fine mesh with the coarse skeleton fixed"
     return geom
@@ -100,9 +100,9 @@ def edge_vertex_chain(fine, edge_id) -> np.ndarray:
     """Fine vertex ids along one coarse edge, ordered from v0 to v1, walked
     lattice step by lattice step: the per-edge method that the array
     FineMesh.edge_vertex_chains replaced, kept as reference."""
-    e = fine.coarse.edges[edge_id]
+    v0, v1 = fine.coarse.edge_ends[edge_id].tolist()
     nx1, ns = fine.coarse.nx + 1, fine.n_sub
-    (ax, ay), (bx, by) = divmod(e.v0, nx1)[::-1], divmod(e.v1, nx1)[::-1]
+    (ax, ay), (bx, by) = divmod(v0, nx1)[::-1], divmod(v1, nx1)[::-1]
     return np.array([(ay * ns + t * (by - ay)) * (fine.nfx + 1)
                      + ax * ns + t * (bx - ax) for t in range(ns + 1)])
 
@@ -121,11 +121,82 @@ def space_fields(space, dof) -> dict:
 
 def element_dofs(space) -> list[list[int]]:
     """The DOFs of each element of a space, ascending."""
-    dofs = [[] for _ in space.coarse.elements]
+    dofs = [[] for _ in range(space.coarse.n_elements)]
     for K, d in sorted(zip(space.dofs.element.tolist(),
                            space.dofs.dof.tolist())):
         dofs[K].append(d)
     return dofs
+
+
+def to_ref(coarse, elem_id, x) -> np.ndarray:
+    """Reference coordinates of the points x of one coarse element: the
+    inverse of its affine map x = B @ xhat + offset."""
+    return (np.asarray(x) - coarse.offsets[elem_id]) @ coarse.Binv[elem_id].T
+
+
+def from_ref(coarse, elem_id, xhat) -> np.ndarray:
+    """Physical coordinates of the reference points xhat of one element."""
+    return np.asarray(xhat) @ coarse.B[elem_id].T + coarse.offsets[elem_id]
+
+
+def edge_elements(coarse, edge_id) -> tuple[int, ...]:
+    """The elements of one coarse edge, ascending: one on the boundary."""
+    return tuple(K for K in coarse.edge_element_ids[edge_id].tolist()
+                 if K >= 0)
+
+
+def is_boundary_edge(coarse, edge_id) -> bool:
+    return bool(coarse.edge_element_ids[edge_id, 1] < 0)
+
+
+def element_boundary_vertex_ids(fine, elem_id) -> np.ndarray:
+    """Fine vertices on the boundary of an element patch, sorted: its
+    shape's boundary pattern at the element's origin."""
+    return (fine.shape_pattern(fine.patch_shape(elem_id))[1]
+            + fine.element_origin(elem_id))
+
+
+def energy_products(V, geom, A, W) -> np.ndarray:
+    """a(V_i, W_j) = V_i^T K W_j of two stacks of nodal-value rows over one
+    geometry, K = geom.stencil(A) applied to one row of W at a time and
+    each entry summed over the vertices by finefem.dot: the two-stack form
+    of finefem.energy_inner_matrix, kept as reference."""
+    st = geom.stencil(A)
+    KW = [geom.from_box(st.apply_full(geom.to_box(w)))
+          for w in np.atleast_2d(W)]
+    return np.array([[finefem.dot(v, Kw) for v in np.atleast_2d(V)]
+                     for Kw in KW]).T
+
+
+def energy_inner(v, w, A) -> float:
+    """a(v, w) = integral of (grad v)^T A grad w of two fine functions on
+    one geometry."""
+    if v.geom is not w.geom:
+        raise ValueError("energy_inner: functions live on different meshes "
+                         f"({v.geom.label} vs {w.geom.label})")
+    return float(energy_products(v.values, v.geom, A, w.values)[0, 0])
+
+
+def bubble_residual(fine, elem_id, f, coeffs, basis) -> float:
+    """||f - sum_i c_i P_i||_{L2(K)} by fine quadrature on one element;
+    with no bubble coefficients (basis None) ||f||_{L2(K)}: the
+    per-element form of the estimator's bubble residuals, kept as
+    reference."""
+    geom = finefem.element_geometry(fine, elem_id)
+    pts, w = geom.centroids, geom.areas
+    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+    if basis is not None and len(coeffs):
+        fv = fv - (basis.eval_ref(to_ref(fine.coarse, elem_id, pts))
+                   @ np.asarray(coeffs))
+    return float(np.sqrt(w @ fv**2))
+
+
+def bubble_coeffs(solution, elem_id) -> np.ndarray:
+    """Bubble coefficients of one element of a coarse solution, in bulk
+    basis order."""
+    t = solution.space.dofs
+    return solution.coeffs[(t.kind == localbasis.BUBBLE)
+                           & (t.key[:, 0] == elem_id)]
 
 
 def vertex_elements(coarse, v) -> list[int]:
@@ -492,14 +563,15 @@ def quad_points(geom, order: int = 1):
     raise ValueError("quad_order must be 1 or 3")
 
 
-def l2_project_element(f, element, geom, M: int, quad_order: int = 1):
+def l2_project_element(f, coarse, elem_id, geom, M: int,
+                       quad_order: int = 1):
     """L2 projection of f onto the degree-M bulk space of one element,
     (coefficients, basis): the Gram system G c = b with both sides by the
     composite fine-patch quadrature of geom, so the residual is orthogonal
     to the basis in the discrete inner product."""
-    basis = polybasis.BulkPolyBasis(element.kind, M)
+    basis = polybasis.BulkPolyBasis(coarse.kind, M)
     pts, w = quad_points(geom, quad_order)
-    P = basis.eval_ref(element.to_ref(pts))
+    P = basis.eval_ref(to_ref(coarse, elem_id, pts))
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     G = P.T @ (w[:, None] * P)
     b = P.T @ (w * fv)
@@ -507,5 +579,5 @@ def l2_project_element(f, element, geom, M: int, quad_order: int = 1):
         c = np.linalg.solve(G, b)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
-            f"singular bulk Gram matrix on element {element.id}") from exc
+            f"singular bulk Gram matrix on element {elem_id}") from exc
     return c, basis

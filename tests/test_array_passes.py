@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import (edge_vertex_chain, element_dofs, skeleton_geometry,
-                      space_fields)
+from conftest import (bubble_coeffs, bubble_residual, edge_elements,
+                      edge_vertex_chain, element_dofs, is_boundary_edge,
+                      skeleton_geometry, space_fields)
 from legmsfem import (cli, errors, estimator, finefem, globalsolve, mesh,
                       polybasis)
 
@@ -53,15 +54,15 @@ def loop_edges(coarse):
     """(edges as (v0, v1, element_ids, length), element_edges,
     vertex_edges, vertex_elements) from the dict-based edge builder."""
     adjacency, sides = {}, {}
-    for el in coarse.elements:
-        v = el.vertex_ids
+    elements = coarse.element_vertices.tolist()
+    for K, v in enumerate(elements):
         loc = []
         for i in range(len(v)):
             a, b = v[i], v[(i + 1) % len(v)]
             key = (min(a, b), max(a, b))
-            adjacency.setdefault(key, []).append(el.id)
+            adjacency.setdefault(key, []).append(K)
             loc.append(key)
-        sides[el.id] = loc
+        sides[K] = loc
     edges, ids = [], {}
     for key in sorted(adjacency):
         v0, v1 = key
@@ -69,27 +70,27 @@ def loop_edges(coarse):
         edges.append((v0, v1, tuple(sorted(adjacency[key])),
                       float(np.linalg.norm(coarse.vertices[v1]
                                            - coarse.vertices[v0]))))
-    element_edges = [tuple(ids[k] for k in sides[el.id])
-                     for el in coarse.elements]
+    element_edges = [tuple(ids[k] for k in sides[K])
+                     for K in range(len(elements))]
     vertex_edges, vertex_elements = {}, {}
     for i, (v0, v1, _, _) in enumerate(edges):
         vertex_edges.setdefault(v0, []).append(i)
         vertex_edges.setdefault(v1, []).append(i)
-    for el in coarse.elements:
-        for v in el.vertex_ids:
-            vertex_elements.setdefault(v, []).append(el.id)
+    for K, vids in enumerate(elements):
+        for v in vids:
+            vertex_elements.setdefault(v, []).append(K)
     return edges, element_edges, vertex_edges, vertex_elements
 
 
 def loop_segment_triangles(fine, edge_id):
     """edge_segment_triangles of one edge, as the per-edge method did it."""
-    e = fine.coarse.edges[edge_id]
+    v0, v1 = fine.coarse.edge_ends[edge_id]
     chain = edge_vertex_chain(fine, edge_id)[:-1]
     ix, iy = chain % (fine.nfx + 1), chain // (fine.nfx + 1)
     cell = iy * fine.nfx + ix
-    if e.v1 - e.v0 == 1:
+    if v1 - v0 == 1:
         first, second = 2 * (cell - fine.nfx) + 1, 2 * cell
-    elif e.v1 - e.v0 == fine.coarse.nx + 1:
+    elif v1 - v0 == fine.coarse.nx + 1:
         first, second = 2 * (cell - 1), 2 * cell + 1
     else:
         first, second = 2 * cell, 2 * cell + 1
@@ -98,9 +99,9 @@ def loop_segment_triangles(fine, edge_id):
 
 def loop_p_e(coarse, edge_id, degrees):
     p = None
-    for K in coarse.edges[edge_id].element_ids:
+    for K in edge_elements(coarse, edge_id):
         for g in coarse.element_edge_ids[K]:
-            if not coarse.edges[g].boundary:
+            if not is_boundary_edge(coarse, g):
                 n = degrees.N[int(g)]
                 p = n if p is None else min(p, n)
     return int(p)
@@ -132,30 +133,29 @@ def loop_estimate(u_H, f, degrees, eta, ell):
     u_G = finefem.FineFunction(finefem.global_geometry(fine),
                                loop_reconstruct(u_H, "interface"))
     residuals, bubble_terms, element_terms = {}, {}, {}
-    for el in coarse.elements:
-        K, M, lK = el.id, degrees.M[el.id], ell_of(el.id)
+    for K, diameter in enumerate(coarse.diameters.tolist()):
+        M, lK = degrees.M[K], ell_of(K)
         f_l2, f_sob = loop_f_norms(fine, K, f, lK if M >= 1 else 0)
         if M >= 1:
             basis = polybasis.BulkPolyBasis(coarse.kind, M)
-            resid = estimator.bubble_residual(
-                fine, K, f, u_H.bubble_coeffs(K), basis) \
-                if f is not None else 0.0
-            ratio = el.diameter ** min(lK, M + 1) / M ** lK
-            bubble_terms[K] = el.diameter**2 * ratio * resid * f_sob
+            resid = bubble_residual(fine, K, f, bubble_coeffs(u_H, K),
+                                    basis) if f is not None else 0.0
+            ratio = diameter ** min(lK, M + 1) / M ** lK
+            bubble_terms[K] = diameter**2 * ratio * resid * f_sob
         else:
             resid = f_l2
-            bubble_terms[K] = el.diameter**2 * f_l2**2
+            bubble_terms[K] = diameter**2 * f_l2**2
         residuals[K] = resid
         s = 0.0
         for g in coarse.element_edge_ids[K]:
             if int(g) in p_table:
-                s += (coarse.edges[g].length * el.diameter
+                s += (coarse.edge_lengths[g] * diameter
                       / (degrees.N[int(g)] ** (1.0 - 2.0 * eta)
                          * p_table[int(g)]))
         element_terms[K] = f_l2**2 * s
     jump_norms = {e: estimator.jump_norm(fine, e, u_G, space.A)
                   for e in p_table}
-    jump_terms = {e: coarse.edges[e].length / p_table[e] * J**2
+    jump_terms = {e: coarse.edge_lengths[e] / p_table[e] * J**2
                   for e, J in jump_norms.items()}
     S = [sum(d[k] for k in sorted(d))
          for d in (bubble_terms, element_terms, jump_terms)]
@@ -173,7 +173,7 @@ def loop_reconstruct(solution, which):
                 + loop_reconstruct(solution, "interface"))
     space = solution.space
     values = np.zeros(space.fine.n_vertices)
-    for K in range(len(space.coarse.elements)):
+    for K in range(space.coarse.n_elements):
         vids = space.fine.element_vertex_ids(K)
         acc = np.zeros(len(vids))
         for p in element_dofs(space)[K]:
@@ -184,12 +184,11 @@ def loop_reconstruct(solution, which):
 
 
 def loop_localize(report, coarse):
-    shares = np.zeros(len(coarse.edges))
+    shares = np.zeros(coarse.n_edges)
     leftover = {}
-    for el in coarse.elements:
-        K = el.id
+    for K in range(coarse.n_elements):
         interior = [int(g) for g in coarse.element_edge_ids[K]
-                    if not coarse.edges[g].boundary]
+                    if not is_boundary_edge(coarse, g)]
         if not interior:
             if report.element_terms[K]:
                 leftover[K] = report.element_terms[K]
@@ -239,8 +238,8 @@ def loop_interface_error_map(u_H, u_ref, u_B_ref):
     coarse = space.coarse
     ref_G = u_ref.values - u_B_ref.values
     d_G = ref_G - loop_reconstruct(u_H, "interface")
-    energies = np.zeros((len(coarse.elements), 2))
-    for K in range(len(coarse.elements)):
+    energies = np.zeros((coarse.n_elements, 2))
+    for K in range(coarse.n_elements):
         geom = finefem.element_geometry(space.fine, K)
         st = finefem.Stencil.of(geom, geom.area_weighted(space.A))
         G = finefem.patch_grams(geom, finefem.Stencil(st.grid, st.coef[None]),
@@ -251,9 +250,9 @@ def loop_interface_error_map(u_H, u_ref, u_B_ref):
     edge_map = {}
     for eid in coarse.interior_edge_ids:
         acc = 0.0
-        for K in coarse.edges[eid].element_ids:
+        for K in edge_elements(coarse, eid):
             n_int = sum(1 for g in coarse.element_edge_ids[K]
-                        if not coarse.edges[g].boundary)
+                        if not is_boundary_edge(coarse, g))
             acc += err2[K] / n_int
         edge_map[int(eid)] = float(np.sqrt(acc / denom2))
     return edge_map, float(np.sqrt(err2.sum()))
@@ -277,17 +276,20 @@ MESHES = [(kind, nx, ny) for kind in ("quad", "triangle")
 def test_coarse_mesh_matches_loops(kind, nx, ny, domain):
     coarse = mesh.build_coarse(kind, nx, ny, domain)
     ref = loop_elements(coarse)
-    assert len(coarse.elements) == len(ref)
-    for el, (vids, B, Binv, p0, diam) in zip(coarse.elements, ref):
-        assert el.vertex_ids == vids
-        assert all(type(v) is int for v in el.vertex_ids)
-        assert bitwise(el.B, B) and bitwise(el.Binv, Binv)
-        assert bitwise(el.offset, p0)
-        assert bitwise(el.diameter, diam)
+    assert coarse.n_elements == len(ref)
+    assert np.issubdtype(coarse.element_vertices.dtype, np.integer)
+    for K, (vids, B, Binv, p0, diam) in enumerate(ref):
+        assert tuple(coarse.element_vertices[K].tolist()) == vids
+        assert bitwise(coarse.B[K], B) and bitwise(coarse.Binv[K], Binv)
+        assert bitwise(coarse.offsets[K], p0)
+        assert bitwise(coarse.diameters[K], diam)
     edges, element_edges, vertex_edges, vertex_elements = loop_edges(coarse)
-    assert [(e.id, e.v0, e.v1, e.element_ids) for e in coarse.edges] == [
-        (i, v0, v1, els) for i, (v0, v1, els, _) in enumerate(edges)]
-    assert all(bitwise(e.length, r[3]) for e, r in zip(coarse.edges, edges))
+    assert coarse.n_edges == len(edges)
+    assert [(v0, v1, edge_elements(coarse, i)) for i, (v0, v1) in
+            enumerate(coarse.edge_ends.tolist())] == [
+        (v0, v1, els) for v0, v1, els, _ in edges]
+    assert all(bitwise(coarse.edge_lengths[i], r[3])
+               for i, r in enumerate(edges))
     assert bitwise(coarse.edge_ends,
                    np.array([(v0, v1) for v0, v1, _, _ in edges]))
     assert bitwise(coarse.interior_edge_ids, np.array(
@@ -308,10 +310,10 @@ def test_coarse_mesh_matches_loops(kind, nx, ny, domain):
 def test_batched_regularity_matches_loop(kind):
     coarse = mesh.build_coarse(kind, 5, 4, (0.0, 3.0, 0.0, 1.0))
     gamma = 0.0
-    for el in coarse.elements:
-        s = np.linalg.svd(el.B, compute_uv=False)
-        gamma = max(gamma, s[0] * mesh.REF_DIAMETER / el.diameter,
-                    (1.0 / s[-1]) * el.diameter / mesh.REF_DIAMETER)
+    for B, diameter in zip(coarse.B, coarse.diameters.tolist()):
+        s = np.linalg.svd(B, compute_uv=False)
+        gamma = max(gamma, s[0] * mesh.REF_DIAMETER / diameter,
+                    (1.0 / s[-1]) * diameter / mesh.REF_DIAMETER)
     assert mesh.check_regularity(coarse) == gamma
 
 
@@ -332,7 +334,7 @@ def test_array_segment_triangles_match_per_edge(kind):
         assert bitwise(fine.edge_segment_triangles(int(e)),
                        loop_segment_triangles(fine, int(e)))
     assert fine.edge_segment_triangles(ids[:0]).shape == (0, fine.n_sub, 2)
-    bnd = next(e.id for e in coarse.edges if e.boundary)
+    bnd = int(np.argmax(coarse.edge_element_ids[:, 1] < 0))
     with pytest.raises(ValueError, match=f"edge {bnd} is a boundary"):
         fine.edge_segment_triangles(np.append(ids[:3], bnd))
 
@@ -389,7 +391,7 @@ def test_stencil_products_match_gram_blocks(kind, coefficient, rng):
     fine = mesh.refine_to_fine(coarse, 6)
     A = (finefem.periodic_benchmark(0.25) if coefficient == "periodic"
          else conftest.anisotropic_field())
-    for g in finefem.patch_groups(fine, range(len(coarse.elements))):
+    for g in finefem.patch_groups(fine, range(coarse.n_elements)):
         t = g.template
         grads, AW = conftest.group_weights(g, A)
         tris = conftest.local_triangles(t)
@@ -411,7 +413,7 @@ def test_stencil_products_match_gram_blocks(kind, coefficient, rng):
     got = finefem.energy_inner_matrix(V, geom, A)
     assert np.array_equal(got, got.T)
     assert rel_close(got, gram_blocks(V[None], *ref)[0])
-    assert rel_close(finefem.energy_inner_matrix(V, geom, A, W=W),
+    assert rel_close(conftest.energy_products(V, geom, A, W),
                      gram_blocks(V[None], *ref, W[None])[0])
 
 
@@ -484,9 +486,9 @@ def solved(kind, nx, ny, n_sub, N, M, f=None, A=None, eps=0.25):
     f = f or finefem.gaussian_rhs()
     deg = mesh.DegreeAssignment(
         np.array([N(e) if callable(N) else N
-                  for e in range(len(coarse.edges))]),
+                  for e in range(coarse.n_edges)]),
         np.array([M(K) if callable(M) else M
-                  for K in range(len(coarse.elements))]))
+                  for K in range(coarse.n_elements)]))
     space = globalsolve.build_space(coarse, fine, A, deg)
     return globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
 
@@ -515,7 +517,7 @@ def test_estimate_matches_loops(name):
     args, kw = ESTIMATES[name]
     sol = solved(*args)
     f, degrees = sol.f, sol.space.degrees
-    got = estimator.global_estimate(sol, f, degrees, kw["eta"], kw["ell"])
+    got = estimator.global_estimate(sol, kw["eta"], kw["ell"])
     value, value_gamma, dicts = loop_estimate(sol, f, degrees, kw["eta"],
                                               kw["ell"])
     assert close(got.value, value)
@@ -531,9 +533,9 @@ def test_estimate_matches_loops(name):
         # arrays by element id
         on_edges = key in ("jump_norms", "jump_terms", "p_table")
         assert list(ref) == (edges if on_edges
-                             else list(range(len(coarse.elements)))), key
-        assert len(mine) == len(coarse.edges if on_edges
-                                else coarse.elements), key
+                             else list(range(coarse.n_elements))), key
+        assert len(mine) == (coarse.n_edges if on_edges
+                             else coarse.n_elements), key
         assert all(close(mine[k], ref[k]) for k in ref), key
         assert not np.delete(mine, list(ref)).any(), key
 
@@ -609,8 +611,8 @@ def test_reconstruct_matches_loop(kind):
     A, f = finefem.periodic_benchmark(0.25), finefem.gaussian_rhs()
     donor = globalsolve.build_space(
         coarse, fine, A, mesh.DegreeAssignment.uniform(coarse, 3, 0))
-    degrees = mesh.DegreeAssignment(1 + np.arange(len(coarse.edges)) % 3,
-                                    np.arange(len(coarse.elements)) % 3)
+    degrees = mesh.DegreeAssignment(1 + np.arange(coarse.n_edges) % 3,
+                                    np.arange(coarse.n_elements) % 3)
     spaces = [globalsolve.build_space(coarse, fine, A, degrees),
               globalsolve.build_space(coarse, fine, A, degrees,
                                       interface_from=donor)]

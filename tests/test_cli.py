@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import vertex_elements
+from conftest import edge_elements, is_boundary_edge, to_ref, vertex_elements
 from legmsfem import cli, estimator, finefem, globalsolve, localbasis, mesh
 
 BASE = {"schema": 1, "kind": "quad", "nx": 4, "ny": 4, "n_sub": 8,
@@ -148,7 +148,7 @@ def test_degree_override_must_hit_interior_edge(tmp_path, capsys):
     # test of value membership in the degree array would let it through;
     # a negative id would index the arrays from the end
     coarse = mesh.build_coarse("quad", 4, 4)
-    assert coarse.edges[2].boundary
+    assert is_boundary_edge(coarse, 2)
     bad = [("N", {"default": 2, "overrides": {"2": 3}}, "not an interior edge"),
            ("N", {"default": 2, "overrides": {"-1": 3}}, "not an interior edge"),
            ("N", {"default": 2, "overrides": {"40": 3}}, "not an interior edge"),
@@ -322,6 +322,31 @@ def test_sweep_guards():
         cli.cmd_sweep(ident, "eps", [0.5])
 
 
+def test_sweep_values_checked_before_any_row(tmp_path, capsys,
+                                             monkeypatch):
+    # a bad value anywhere in the list is a config error: exit 2 before
+    # the first row runs, and no output file
+    calls = []
+    real = cli.run_single
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, "run_single", counted)
+    path = write_cfg(tmp_path)
+    out = tmp_path / "sweep.csv"
+    for axis, values, needle in (("eps", "0.1,-1", "eps values"),
+                                 ("N", "2,0", "N values"),
+                                 ("N", "1,inf", "N values"),
+                                 ("M", "1,nan", "M values"),
+                                 ("M", "1,-1", "M values")):
+        assert cli.main(["sweep", "--config", path, "--axis", axis,
+                         "--values", values, "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        assert needle in capsys.readouterr().err
+
+
 def test_sweep_H_failed_row_continues(tmp_path, capsys):
     cfg = cli.RunConfig.from_dict(cfg_dict(N=1))
     out = tmp_path / "hsweep.csv"
@@ -334,6 +359,10 @@ def test_sweep_H_failed_row_continues(tmp_path, capsys):
     good = lines[2].split(",")
     assert good[1] == "%.17g" % 0.25 and good[6] != "nan"
     assert "row failed" in capsys.readouterr().err
+    # H = 0 tiles nothing: a failed row, not a division by zero
+    assert cli.cmd_sweep(cfg, "H", [0.0], str(out)) == 0
+    assert out.read_text().splitlines()[1].split(",")[5:7] == ["0", "nan"]
+    assert "does not tile" in capsys.readouterr().err
 
 
 def test_sweep_H_preserves_fine_lattice(tmp_path):
@@ -414,14 +443,14 @@ def test_basis_dump_nodal_hat_is_linear(tmp_path):
     coarse = mesh.build_coarse("triangle", 2, 2)
     lam = {}
     for K in vertex_elements(coarse, 4):
-        el = coarse.elements[K]
-        V = np.column_stack([np.ones(3), coarse.vertices[list(el.vertex_ids)]])
-        rhs = np.array([1.0 if v == 4 else 0.0 for v in el.vertex_ids])
+        vids = coarse.element_vertices[K]
+        V = np.column_stack([np.ones(3), coarse.vertices[vids]])
+        rhs = np.array([1.0 if v == 4 else 0.0 for v in vids])
         lam[K] = np.linalg.solve(V, rhs)
     for x, y, val in rows:
         hit = False
         for K, c in lam.items():
-            ref = coarse.elements[K].to_ref(np.array([[x, y]]))[0]
+            ref = to_ref(coarse, K, np.array([[x, y]]))[0]
             if ref.min() > -1e-12 and ref.sum() < 1 + 1e-12:
                 assert abs(val - (c[0] + c[1] * x + c[2] * y)) < 1e-10
                 hit = True
@@ -523,8 +552,8 @@ def test_basis_dump_solves_only_the_support(tmp_path, monkeypatch):
 
     monkeypatch.setattr(localbasis, "_group_fields", counted)
     support = {"nodal:5": vertex_elements(coarse, 5),
-               "edge:5:4": coarse.edges[5].element_ids,
-               "edge:12:2": coarse.edges[12].element_ids,
+               "edge:5:4": edge_elements(coarse, 5),
+               "edge:12:2": edge_elements(coarse, 12),
                "bubble:3:6": [3]}
     for sel, elements in support.items():
         seen.clear()

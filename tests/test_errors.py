@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (dense, edge_vertex_chain, fourier_poisson_integral,
+from conftest import (dense, edge_elements, edge_vertex_chain,
+                      fourier_poisson_integral, is_boundary_edge,
                       skeleton_geometry)
 from legmsfem import cli, errors, finefem, globalsolve, mesh
 
@@ -54,7 +55,7 @@ def test_report_shape(small_bench, small_bench_bubbles):
 def test_bubble_reference_vanishes_on_skeleton(small_bench):
     u_B = small_bench.u_B_ref
     fine = small_bench.problem.fine
-    for eid in range(len(small_bench.problem.coarse.edges)):
+    for eid in range(small_bench.problem.coarse.n_edges):
         assert not u_B.values[edge_vertex_chain(fine, eid)].any()
     assert not u_B.values[fine.boundary_vertex_ids()].any()
 
@@ -71,7 +72,7 @@ def test_bubble_reference_matches_patch_solves(kind, n_sub):
     A = finefem.periodic_benchmark(0.25)
     f = finefem.gaussian_rhs()
     patchwise = np.zeros(fine.n_vertices)
-    for K in range(len(coarse.elements)):
+    for K in range(coarse.n_elements):
         egeom = finefem.element_geometry(fine, K)
         system = finefem.assemble(egeom, A, f)
         if len(system.rhs):
@@ -359,9 +360,9 @@ def test_interface_error_map_matches_per_element_grams(kind, nx, n_sub):
                                                    res.u_B_ref)
     ref_G = res.u_ref.values - res.u_B_ref.values
     d_G = ref_G - globalsolve.reconstruct(res.solution, "interface").values
-    err2 = np.zeros(len(coarse.elements))
+    err2 = np.zeros(coarse.n_elements)
     denom2 = 0.0
-    for K in range(len(coarse.elements)):
+    for K in range(coarse.n_elements):
         egeom = finefem.element_geometry(space.fine, K)
         M = finefem.energy_inner_matrix(
             np.stack([d_G[egeom.vids], ref_G[egeom.vids]]), egeom, space.A)
@@ -369,9 +370,9 @@ def test_interface_error_map_matches_per_element_grams(kind, nx, n_sub):
         denom2 += M[1, 1]
     assert edge_map.shape == coarse.interior_edge_ids.shape
     for eid, got in zip(coarse.interior_edge_ids.tolist(), edge_map):
-        acc = sum(err2[K] / sum(not coarse.edges[g].boundary
+        acc = sum(err2[K] / sum(not is_boundary_edge(coarse, g)
                                 for g in coarse.element_edge_ids[K])
-                  for K in coarse.edges[eid].element_ids)
+                  for K in edge_elements(coarse, eid))
         want = math.sqrt(acc / denom2)
         assert abs(got - want) <= 1e-13 * want
     assert abs(abs_err - math.sqrt(err2.sum())) <= 1e-13 * abs_err

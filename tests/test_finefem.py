@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (anisotropic_field, check_against_dense, coarsen, dense,
-                      dense_couplings, element_triangle_ids,
+                      dense_couplings, element_boundary_vertex_ids,
+                      element_triangle_ids, energy_inner, energy_products,
                       fourier_poisson_center, group_weights, local_triangles,
                       member_triangle_ids, quad_points, skeleton_geometry,
                       stiffness, triangle_gradients)
@@ -30,7 +31,7 @@ def test_identity_field():
     M = A.matrix_at(np.array([[0.3, 0.4], [0.1, 0.9]]))
     assert M.shape == (2, 2, 2)
     assert np.array_equal(M[0], np.eye(2))
-    assert np.array_equal(A.matrix(0.3, 0.4), np.eye(2))
+    assert np.array_equal(A.matrix_at([0.3, 0.4])[0], np.eye(2))
 
 
 def test_periodic_benchmark(rng):
@@ -123,10 +124,10 @@ def test_patch_groups_reproduce_each_patch(kind):
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, 4)
     A, f = finefem.periodic_benchmark(0.25), finefem.gaussian_rhs()
-    groups = finefem.patch_groups(fine, range(len(coarse.elements)))
+    groups = finefem.patch_groups(fine, range(coarse.n_elements))
     assert len(groups) == (1 if kind == "quad" else 2)
     assert sorted(K for g in groups for K in g.elements) == \
-        list(range(len(coarse.elements)))
+        list(range(coarse.n_elements))
     for g in groups:
         Kt, b = stiffness(*group_weights(g, A)), g.load_vectors(f)
         for e, K in enumerate(g.elements):
@@ -147,7 +148,7 @@ def test_batched_stencils_match_each_patch(kind):
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, 5)
     A = anisotropic_field()
-    for g in finefem.patch_groups(fine, range(len(coarse.elements))):
+    for g in finefem.patch_groups(fine, range(coarse.n_elements)):
         st = g.stencil(A)
         assert st.coef.shape == (len(g.elements), 4,
                                  g.template.box[0][0] * g.template.box[0][1])
@@ -166,7 +167,7 @@ def test_stacked_stencil_applies_member_by_member(kind, rng):
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, 4)
     A = anisotropic_field()
-    for g in finefem.patch_groups(fine, range(len(coarse.elements))):
+    for g in finefem.patch_groups(fine, range(coarse.n_elements)):
         st = g.stencil(A)
         assert [k for _, k in st.couplings] == list(st.offsets)
         U = rng.standard_normal(st.centre.shape)
@@ -207,19 +208,19 @@ def test_patch_groups_broadcast_the_template(kind):
     # per-element arrays
     coarse = mesh.build_coarse(kind, 4, 3)
     fine = mesh.refine_to_fine(coarse, 5)
-    groups = finefem.patch_groups(fine, range(len(coarse.elements)))
-    assert sum(len(g.elements) for g in groups) == len(coarse.elements)
+    groups = finefem.patch_groups(fine, range(coarse.n_elements))
+    assert sum(len(g.elements) for g in groups) == coarse.n_elements
     for g in groups:
         t = g.template
         for K, origin, tri_ids in zip(g.elements, g.origins,
                                       member_triangle_ids(g)):
             vids = fine.element_vertex_ids(int(K))
-            bnd = fine.element_boundary_vertex_ids(int(K))
+            bnd = element_boundary_vertex_ids(fine, int(K))
             assert np.array_equal(t.vids + origin, vids)
             assert np.array_equal(t.vids[t.boundary_local] + origin, bnd)
             assert np.array_equal(tri_ids, element_triangle_ids(fine, int(K)))
     assert len(fine._shape_cache) == len(groups)
-    assert not any(isinstance(v, dict) and len(v) >= len(coarse.elements)
+    assert not any(isinstance(v, dict) and len(v) >= coarse.n_elements
                    for v in vars(fine).values())
 
 
@@ -303,7 +304,7 @@ def test_energy_galerkin_identity(fine_quad44):
     f = finefem.constant_rhs(-1.0)
     geom = finefem.global_geometry(fine_quad44)
     u = finefem.solve_spd(finefem.assemble(geom, A, f=f), rel_tol=1e-13)
-    a_uu = finefem.energy_inner(u, u, A)
+    a_uu = energy_inner(u, u, A)
     E = finefem.energy(u, A, f=f)
     assert abs(E + 0.5 * a_uu) < 1e-10 * abs(a_uu)
 
@@ -329,7 +330,7 @@ def test_energy_inner_matrix_pairwise(fine_quad44, rng):
         for j in range(3):
             vi = finefem.FineFunction(geom, V[i])
             vj = finefem.FineFunction(geom, V[j])
-            pair = finefem.energy_inner(vi, vj, A)
+            pair = energy_inner(vi, vj, A)
             assert abs(M[i, j] - pair) < 1e-13 * max(1.0, abs(pair))
 
 
@@ -346,7 +347,7 @@ def test_energy_inner_matrix_blocks_match_one_pass(fine_quad44, rng):
     gW = np.einsum("bti,tid->btd", W[:, tris], grads)
     for got, want in ((finefem.energy_inner_matrix(V, geom, A),
                        np.einsum("btd,tde,cte->bc", gV, AW, gV)),
-                      (finefem.energy_inner_matrix(V, geom, A, W=W),
+                      (energy_products(V, geom, A, W),
                        np.einsum("btd,tde,cte->bc", gV, AW, gW))):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -358,7 +359,7 @@ def test_energy_inner_rejects_mixed_meshes(fine_quad44):
     v = finefem.FineFunction(g0, np.zeros(g0.n_vertices))
     w = finefem.FineFunction(g1, np.zeros(g1.n_vertices))
     with pytest.raises(ValueError, match="different meshes"):
-        finefem.energy_inner(v, w, A)
+        energy_inner(v, w, A)
 
 
 def test_poisson_center_value_vs_series():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (dense, edge_vertex_chain, element_dofs, space_fields,
-                      vertex_elements)
+from conftest import (dense, edge_elements, edge_vertex_chain, element_dofs,
+                      space_fields, vertex_elements)
 from legmsfem import finefem, globalsolve, mesh, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
@@ -22,7 +22,7 @@ def test_dof_bookkeeping(small_bench_bubbles):
     for K, p in pairs:
         kind, i = t.kind[p], int(t.key[p, 0])
         support = {NODAL: vertex_elements(coarse, i), BUBBLE: [i],
-                   EDGE: coarse.edges[i].element_ids}[kind]
+                   EDGE: edge_elements(coarse, i)}[kind]
         assert K in support
     assert set(t.dof.tolist()) == set(range(97))
 
@@ -60,7 +60,7 @@ def test_decoupled_matches_monolithic(small_bench_bubbles):
     n = space.n_dofs
     K = np.zeros((n, n))
     b = np.zeros(n)
-    for e in range(len(space.coarse.elements)):
+    for e in range(space.coarse.n_elements):
         geom = finefem.element_geometry(space.fine, e)
         dofs = np.array(element_dofs(space)[e])
         V = np.stack([space_fields(space, p)[e] for p in dofs])
@@ -87,7 +87,7 @@ def test_reconstruct_interface_consistent_across_patches(small_bench):
     sol = small_bench.solution
     space = sol.space
     u = globalsolve.reconstruct(sol, "interface")
-    for K in range(len(space.coarse.elements)):
+    for K in range(space.coarse.n_elements):
         geom = finefem.element_geometry(space.fine, K)
         acc = np.zeros(len(geom.points))
         for p in element_dofs(space)[K]:
@@ -100,7 +100,7 @@ def test_bubble_reconstruct_vanishes_on_skeleton(small_bench_bubbles):
     u_b = globalsolve.reconstruct(sol, "bubble")
     coarse = sol.space.coarse
     fine = sol.space.fine
-    for eid in range(len(coarse.edges)):
+    for eid in range(coarse.n_edges):
         assert not u_b.values[edge_vertex_chain(fine, eid)].any()
 
 
@@ -222,7 +222,7 @@ def test_batched_assembly_matches_per_element_grams(kind, n, n_sub):
     n_if = space.n_interface
     K = np.zeros((space.n_dofs, space.n_dofs))
     b = np.zeros(space.n_dofs)
-    for e in range(len(coarse.elements)):
+    for e in range(coarse.n_elements):
         geom = finefem.element_geometry(fine, e)
         dofs = np.array(element_dofs(space)[e])
         V = np.stack([space_fields(space, p)[e] for p in dofs])

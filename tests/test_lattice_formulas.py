@@ -73,8 +73,8 @@ def test_areas_and_centroids_are_the_corner_formulas(fine):
         fine.n_sub)
     for fm in (fine, shifted):
         geoms = [finefem.global_geometry(fm)] + [
-            finefem.element_geometry(fm, K) for K in range(len(
-                coarse.elements))]
+            finefem.element_geometry(fm, K)
+            for K in range(coarse.n_elements)]
         for geom in geoms:
             areas, centroids = corner_areas_centroids(geom)
             assert geom.areas.tobytes() == areas.tobytes()
@@ -85,7 +85,7 @@ def test_masked_windows_are_the_tagged_triangles(fine):
     # every member's masked window holds exactly the fine triangles the
     # old element tags gave its element, in the same order, and the masks
     # of the shapes partition the lattice
-    groups = finefem.patch_groups(fine, range(len(fine.coarse.elements)))
+    groups = finefem.patch_groups(fine, range(fine.coarse.n_elements))
     tags = triangle_elements(fine)
     seen = np.zeros(len(tags), dtype=int)
     for g in groups:
@@ -116,7 +116,7 @@ def test_global_stencil_and_operator(fine, A, which, rng):
 def test_patch_stack_stencils(fine, A):
     # one stencil per member of every patch shape, from the member's
     # triangles gathered off the global geometry
-    groups = finefem.patch_groups(fine, range(len(fine.coarse.elements)))
+    groups = finefem.patch_groups(fine, range(fine.coarse.n_elements))
     assert len(groups) == (1 if fine.coarse.kind == "quad" else 2)
     for g in groups:
         grads, AW = group_weights(g, A)
@@ -153,7 +153,7 @@ def test_loads(fine):
                           reference_load_vector(geom, f))
     coarse = fine.coarse
     bases = {m: polybasis.BulkPolyBasis(coarse.kind, m) for m in (1, 2)}
-    for g in finefem.patch_groups(fine, range(len(coarse.elements))):
+    for g in finefem.patch_groups(fine, range(coarse.n_elements)):
         t = g.template
         for K in g.elements:
             egeom = finefem.element_geometry(fine, K)

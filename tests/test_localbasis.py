@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import (anisotropic_field, check_against_dense,
-                      dense_couplings, edge_vertex_chain, group_weights,
-                      local_triangles, member_triangle_ids,
-                      pattern_gradients, stiffness, table_fields,
-                      trace_loads, vertex_edges, vertex_elements)
+                      dense_couplings, edge_elements, edge_vertex_chain,
+                      element_boundary_vertex_ids, energy_products,
+                      group_weights, is_boundary_edge, local_triangles,
+                      member_triangle_ids, pattern_gradients, stiffness,
+                      table_fields, to_ref, trace_loads, vertex_edges,
+                      vertex_elements)
 from legmsfem import finefem, localbasis, mesh, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
@@ -27,7 +29,7 @@ def first_field(coarse, fine, A, support, codes, stride=0, M=None,
     element, by _patch_fields: one trace code per element of the mesh
     (see localbasis._trace_rows), or a single bulk load when M and bases
     are given."""
-    n_el = len(coarse.elements)
+    n_el = coarse.n_elements
     M = np.zeros(n_el, dtype=int) if M is None else M
     solved, where, _ = localbasis._patch_fields(
         coarse, fine, A, np.array(support), codes, stride, M, bases or {})
@@ -74,7 +76,7 @@ def compute_bubble(elem_id, i, coarse, fine, A, basis):
     """Bubble i of one element: the zero-trace solve with the i-th bulk
     polynomial (mapped from reference coordinates) as right-hand side."""
     assert basis.M >= 1 and 1 <= i <= basis.dim
-    n_el = len(coarse.elements)
+    n_el = coarse.n_elements
     M = np.zeros(n_el, dtype=int)
     M[elem_id] = 1
     return first_field(coarse, fine, A, [elem_id],
@@ -104,9 +106,9 @@ def test_nodal_trace_is_exact_hat(quad44, fine_quad44, A_osc):
     t = np.arange(9) / 8
     for K in fields:
         for eid in quad44.element_edge_ids[K]:
-            e = quad44.edges[eid]
-            h0 = 1.0 if e.v0 == v else 0.0
-            h1 = 1.0 if e.v1 == v else 0.0
+            v0, v1 = quad44.edge_ends[eid]
+            h0 = 1.0 if v0 == v else 0.0
+            h1 = 1.0 if v1 == v else 0.0
             got = chain_values(fields, fine_quad44, K, eid)
             assert np.array_equal(got, h0 * (1 - t) + h1 * t)
 
@@ -127,11 +129,11 @@ def test_shared_edge_bitwise_agreement(quad44, fine_quad44, A_osc):
     # both support patches must impose identical data, so the glued function
     # is single-valued without any tolerance
     eid = int(quad44.interior_edge_ids[5])
-    e = quad44.edges[eid]
+    K0, K1 = edge_elements(quad44, eid)
     for k in (2, 4):
         fields = compute_edge_enrichment(eid, k, quad44, fine_quad44, A_osc)
-        a = chain_values(fields, fine_quad44, e.element_ids[0], eid)
-        b = chain_values(fields, fine_quad44, e.element_ids[1], eid)
+        a = chain_values(fields, fine_quad44, K0, eid)
+        b = chain_values(fields, fine_quad44, K1, eid)
         assert np.array_equal(a, b)
 
 
@@ -139,11 +141,11 @@ def test_nodal_shared_edge_agreement(quad44, fine_quad44, A_osc):
     v = int(quad44.interior_vertex_ids[4])
     fields = compute_nodal(v, quad44, fine_quad44, A_osc)
     for eid in vertex_edges(quad44, v):
-        e = quad44.edges[eid]
-        if e.boundary or not set(e.element_ids) <= set(fields):
+        elements = edge_elements(quad44, eid)
+        if is_boundary_edge(quad44, eid) or not set(elements) <= set(fields):
             continue
-        a = chain_values(fields, fine_quad44, e.element_ids[0], eid)
-        b = chain_values(fields, fine_quad44, e.element_ids[1], eid)
+        a = chain_values(fields, fine_quad44, elements[0], eid)
+        b = chain_values(fields, fine_quad44, elements[1], eid)
         assert np.array_equal(a, b)
 
 
@@ -169,17 +171,15 @@ def test_bubble_galerkin_identity(quad44, fine_quad44, A_osc, rng):
     u = compute_bubble(elem_id, i, quad44, fine_quad44, A_osc,
                        basis)[elem_id]
     geom = finefem.element_geometry(fine_quad44, elem_id)
-    el = quad44.elements[elem_id]
     w = np.zeros(geom.n_vertices)
     mask = np.ones(geom.n_vertices, dtype=bool)
     mask[geom.boundary_local] = False
     w[mask] = rng.standard_normal(mask.sum())
-    lhs = finefem.energy_inner_matrix(u[None, :], geom, A_osc,
-                                      W=w[None, :])[0, 0]
+    lhs = energy_products(u, geom, A_osc, w)[0, 0]
 
     def P_i(x, y):
         pts = np.column_stack([np.ravel(x), np.ravel(y)])
-        return basis.eval_ref(el.to_ref(pts))[:, i - 1]
+        return basis.eval_ref(to_ref(quad44, elem_id, pts))[:, i - 1]
 
     rhs = finefem.load_vector(geom, P_i) @ w
     assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), abs(rhs))
@@ -212,7 +212,7 @@ def test_compute_all_order_and_counts(quad44, fine_quad44, A_osc):
         if kind == NODAL:
             assert K in vertex_elements(quad44, i)
         elif kind == EDGE:
-            assert K in quad44.edges[i].element_ids
+            assert K in edge_elements(quad44, i)
         else:
             assert K == i
     assert table.find(EDGE, int(quad44.interior_edge_ids[3]), 2) == 12
@@ -236,17 +236,17 @@ def reference_trace(coarse, fine, elem_id, kind, key):
     t = np.arange(fine.n_sub + 1) / fine.n_sub
     data = {}
     for eid in coarse.element_edge_ids[elem_id]:
-        e = coarse.edges[eid]
+        v0, v1 = coarse.edge_ends[eid]
         if kind == NODAL:
             v = key[0]
-            vals = (float(e.v0 == v) * (1.0 - t) + float(e.v1 == v) * t)
+            vals = (float(v0 == v) * (1.0 - t) + float(v1 == v) * t)
         elif eid == key[0]:
             vals = polybasis.internal_basis_eval(key[1], -1.0 + 2.0 * t)
         else:
             vals = np.zeros_like(t)
         data.update(zip(map(int, edge_vertex_chain(fine, eid)), vals))
     return np.array([data[int(g)]
-                     for g in fine.element_boundary_vertex_ids(elem_id)])
+                     for g in element_boundary_vertex_ids(fine, elem_id)])
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
@@ -265,7 +265,7 @@ def test_compute_all_matches_iterative_reference(kind, A_osc):
     stacks = [x for x, _ in solved]
     assert len(table) == (len(coarse.interior_vertex_ids)
                           + 2 * len(coarse.interior_edge_ids)
-                          + len(coarse.elements) * basis.dim)
+                          + coarse.n_elements * basis.dim)
     worst = 0.0
     for d, (dof_kind, key) in enumerate(zip(table.kind, table.key.tolist())):
         fields = table_fields(table, stacks, d)
@@ -275,11 +275,9 @@ def test_compute_all_matches_iterative_reference(kind, A_osc):
             assert np.array_equal(single[K], u)
             geom = finefem.element_geometry(fine, K)
             if dof_kind == BUBBLE:
-                el = coarse.elements[K]
-
-                def load(x, y, i=key[1], el=el):
+                def load(x, y, i=key[1], K=K):
                     pts = np.column_stack([np.ravel(x), np.ravel(y)])
-                    return basis.eval_ref(el.to_ref(pts))[:, i - 1]
+                    return basis.eval_ref(to_ref(coarse, K, pts))[:, i - 1]
 
                 system = finefem.assemble(geom, A_osc, load, 0.0)
             else:
@@ -398,7 +396,7 @@ def requests_of(coarse, degrees):
         codes.append([c for c, v in enumerate(ev[K].tolist())
                       if not coarse.boundary_vertex_mask[v]])
         for j, e in enumerate(sides[K].tolist()):
-            if not coarse.edges[e].boundary:
+            if not is_boundary_edge(coarse, e):
                 codes[-1] += [corners + j * stride + k - 2
                               for k in range(2, int(degrees.N[e]) + 1)]
     width = max(map(len, codes))
@@ -437,7 +435,7 @@ def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
     A = full_tensor_field()
     codes, stride, _, _ = requests_of(
         coarse, mesh.DegreeAssignment.uniform(coarse, N, 0))
-    for group in finefem.patch_groups(fine, range(len(coarse.elements))):
+    for group in finefem.patch_groups(fine, range(coarse.n_elements)):
         t = group.template
         X = localbasis._trace_rows(coarse, fine, group,
                                    codes[group.elements], stride)
@@ -467,7 +465,7 @@ def loop_load_weights(coarse, sub, M, bases, n_b):
         if M[e]:
             basis = bases[M[e]]
             ids = tri_ids[e]
-            P = basis.eval_ref(coarse.elements[K].to_ref(glob.centroids[ids]))
+            P = basis.eval_ref(to_ref(coarse, K, glob.centroids[ids]))
             out[:, :basis.dim, e] = glob.areas[ids][:, None] * P / 3.0
     return out
 
@@ -485,7 +483,7 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
     _, _, M, bases = requests_of(coarse, degrees)
     f = finefem.gaussian_rhs()
     glob = finefem.global_geometry(fine)
-    for group in finefem.patch_groups(fine, range(len(coarse.elements))):
+    for group in finefem.patch_groups(fine, range(coarse.n_elements)):
         Mg = M[group.elements]
         n_b = max(bases[m].dim for m in Mg.tolist() if m)
         got = localbasis._load_weights(coarse, group, Mg, bases, n_b, f)
@@ -599,7 +597,7 @@ def test_row_blocks_match_the_element_matrix_layout(kind, n_sub):
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, n_sub)
     A = full_tensor_field()
-    groups = finefem.patch_groups(fine, range(len(coarse.elements)))
+    groups = finefem.patch_groups(fine, range(coarse.n_elements))
     assert len(groups) == (1 if kind == "quad" else 2)
     for g in groups:
         t = g.template
@@ -633,7 +631,7 @@ def test_coupling_elimination_matches_dense(kind, nx, n_sub, coefficient):
     fine = mesh.refine_to_fine(coarse, n_sub)
     A = (finefem.periodic_benchmark(0.25) if coefficient == "periodic"
          else anisotropic_field())
-    for g in finefem.patch_groups(fine, range(len(coarse.elements))):
+    for g in finefem.patch_groups(fine, range(coarse.n_elements)):
         t = g.template
         is_free = np.ones(t.n_vertices, dtype=bool)
         is_free[t.boundary_local] = False

@@ -3,71 +3,72 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (edge_vertex_chain, element_triangle_ids,
-                      local_triangles, triangle_elements)
+from conftest import (edge_elements, edge_vertex_chain,
+                      element_boundary_vertex_ids, element_triangle_ids,
+                      from_ref, is_boundary_edge, local_triangles, to_ref,
+                      triangle_elements)
 from legmsfem import finefem, mesh
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def test_quad_counts(quad44):
-    assert len(quad44.elements) == 16
+    assert quad44.n_elements == 16
     assert len(quad44.vertices) == 25
-    assert len(quad44.edges) == 40
+    assert quad44.n_edges == 40
     assert len(quad44.interior_edge_ids) == 24
     assert len(quad44.interior_vertex_ids) == 9
     assert int(quad44.boundary_vertex_mask.sum()) == 16
 
 
 def test_triangle_counts(tri44):
-    assert len(tri44.elements) == 32
+    assert tri44.n_elements == 32
     assert len(tri44.vertices) == 25
     # 2*4*5 axis-aligned edges plus one diagonal per cell
-    assert len(tri44.edges) == 56
+    assert tri44.n_edges == 56
     assert len(tri44.interior_edge_ids) == 40
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
 def test_elements_positively_oriented(kind):
     coarse = mesh.build_coarse(kind, 3, 5, (0.0, 2.0, -1.0, 1.0))
-    for el in coarse.elements:
-        assert np.linalg.det(el.B) > 0
-        assert el.kind == kind
+    assert (np.linalg.det(coarse.B) > 0).all()
+    assert coarse.element_vertices.shape == (
+        coarse.n_elements, 4 if kind == "quad" else 3)
 
 
 def test_affine_maps_roundtrip(quad44, rng):
-    el = quad44.elements[5]
     ref = rng.random((20, 2))
-    phys = el.from_ref(ref)
-    back = el.to_ref(phys)
+    phys = from_ref(quad44, 5, ref)
+    back = to_ref(quad44, 5, phys)
     assert np.abs(back - ref).max() < 1e-14
 
 
 def test_edge_orientation_and_boundary_flags(quad44):
-    for e in quad44.edges:
-        assert e.v0 < e.v1
-        assert e.boundary == (len(e.element_ids) == 1)
-    assert sum(e.boundary for e in quad44.edges) == 16
+    for e in range(quad44.n_edges):
+        v0, v1 = quad44.edge_ends[e]
+        assert v0 < v1
+        assert is_boundary_edge(quad44, e) == (
+            len(edge_elements(quad44, e)) == 1)
+    assert sum(is_boundary_edge(quad44, e) for e in range(40)) == 16
 
 
 def test_element_edges_are_sides(quad44):
     # each listed edge joins two consecutive vertices of the element
-    for el in quad44.elements:
-        vids = el.vertex_ids
+    for K, vids in enumerate(quad44.element_vertices.tolist()):
         n = len(vids)
-        for i, eid in enumerate(quad44.element_edge_ids[el.id]):
-            e = quad44.edges[eid]
+        for i, eid in enumerate(quad44.element_edge_ids[K]):
             pair = {vids[i], vids[(i + 1) % n]}
-            assert {e.v0, e.v1} == pair
+            assert set(quad44.edge_ends[eid].tolist()) == pair
 
 
 def test_coarse_vertices_exactly_on_fine_lattice(quad44, fine_quad44):
-    for e in quad44.edges:
-        chain = edge_vertex_chain(fine_quad44, e.id)
+    for e, (v0, v1) in enumerate(quad44.edge_ends):
+        chain = edge_vertex_chain(fine_quad44, e)
         assert np.array_equal(fine_quad44.vertices[chain[0]],
-                              quad44.vertices[e.v0])
+                              quad44.vertices[v0])
         assert np.array_equal(fine_quad44.vertices[chain[-1]],
-                              quad44.vertices[e.v1])
+                              quad44.vertices[v1])
 
 
 def test_refinement_nesting_bitwise(quad44):
@@ -81,28 +82,27 @@ def test_refinement_nesting_bitwise(quad44):
 def test_fine_counts_and_tags(quad44, fine_quad44):
     assert len(local_triangles(finefem.global_geometry(fine_quad44))) == \
         16 * 2 * 8 * 8
-    for el in quad44.elements:
-        assert len(element_triangle_ids(fine_quad44, el.id)) == 2 * 8 * 8
+    for K in range(quad44.n_elements):
+        assert len(element_triangle_ids(fine_quad44, K)) == 2 * 8 * 8
 
 
 def test_triangle_patch_tags(tri44, fine_tri44):
     # every coarse triangle receives n_sub^2 similar fine triangles
-    for el in tri44.elements:
-        tris = element_triangle_ids(fine_tri44, el.id)
+    for K in range(tri44.n_elements):
+        tris = element_triangle_ids(fine_tri44, K)
         assert len(tris) == 8 * 8
     # tags partition all fine triangles
-    total = sum(len(element_triangle_ids(fine_tri44, el.id))
-                for el in tri44.elements)
+    total = sum(len(element_triangle_ids(fine_tri44, K))
+                for K in range(tri44.n_elements))
     assert total == len(local_triangles(finefem.global_geometry(fine_tri44)))
 
 
 def test_patch_boundary_vertices(quad44, fine_quad44, tri44, fine_tri44):
-    assert len(fine_quad44.element_boundary_vertex_ids(0)) == 4 * 8
-    assert len(fine_tri44.element_boundary_vertex_ids(0)) == 3 * 8
+    assert len(element_boundary_vertex_ids(fine_quad44, 0)) == 4 * 8
+    assert len(element_boundary_vertex_ids(fine_tri44, 0)) == 3 * 8
     # boundary vertices lie on the patch hull
-    el = quad44.elements[5]
-    ids = fine_quad44.element_boundary_vertex_ids(5)
-    pts = el.to_ref(fine_quad44.vertices[ids])
+    ids = element_boundary_vertex_ids(fine_quad44, 5)
+    pts = to_ref(quad44, 5, fine_quad44.vertices[ids])
     on_hull = (np.isclose(pts, 0.0, atol=1e-12) |
                np.isclose(pts, 1.0, atol=1e-12)).any(axis=1)
     assert on_hull.all()
@@ -110,17 +110,17 @@ def test_patch_boundary_vertices(quad44, fine_quad44, tri44, fine_tri44):
 
 def test_edge_vertex_chain_geometry(quad44, fine_quad44):
     eid = int(quad44.interior_edge_ids[0])
-    e = quad44.edges[eid]
+    v0, v1 = quad44.edge_ends[eid]
     chain = edge_vertex_chain(fine_quad44, eid)
     assert len(chain) == 9
     t = np.arange(9) / 8
-    expect = (quad44.vertices[e.v0][None, :] * (1 - t[:, None])
-              + quad44.vertices[e.v1][None, :] * t[:, None])
+    expect = (quad44.vertices[v0][None, :] * (1 - t[:, None])
+              + quad44.vertices[v1][None, :] * t[:, None])
     assert np.abs(fine_quad44.vertices[chain] - expect).max() < 1e-15
     # the array form gives every chain at once, and one for one id
-    chains = fine_quad44.edge_vertex_chains(np.arange(len(quad44.edges)))
+    chains = fine_quad44.edge_vertex_chains(np.arange(quad44.n_edges))
     assert np.array_equal(chains, [edge_vertex_chain(fine_quad44, g)
-                                   for g in range(len(quad44.edges))])
+                                   for g in range(quad44.n_edges)])
     assert np.array_equal(fine_quad44.edge_vertex_chains(eid), chain)
 
 
@@ -144,30 +144,29 @@ def test_edge_segment_triangles_match_brute_force(coarse_name, fine_name,
     tags = triangle_elements(fine)
     diagonals = 0
     for eid in coarse.interior_edge_ids:
-        e = coarse.edges[eid]
         chain = edge_vertex_chain(fine, eid)
         segs = fine.edge_segment_triangles(eid)
         assert segs.shape == (fine.n_sub, 2)
-        lo, hi = e.element_ids
+        lo, hi = edge_elements(coarse, eid)
         for (a, b), (t_lo, t_hi) in zip(zip(chain[:-1], chain[1:]), segs):
             assert sorted(ref[(min(a, b), max(a, b))]) == sorted([t_lo, t_hi])
             assert tags[t_lo] == lo
             assert tags[t_hi] == hi
-        diagonals += e.v1 - e.v0 == coarse.nx + 2
+        v0, v1 = coarse.edge_ends[eid]
+        diagonals += v1 - v0 == coarse.nx + 2
     assert diagonals == (16 if coarse.kind == "triangle" else 0)
 
 
 def test_edge_segment_triangles(quad44, fine_quad44):
     eid = int(quad44.interior_edge_ids[0])
-    e = quad44.edges[eid]
     segs = fine_quad44.edge_segment_triangles(eid)
     assert len(segs) == 8
-    lo, hi = e.element_ids
+    lo, hi = edge_elements(quad44, eid)
     tags = triangle_elements(fine_quad44)
     for t_lo, t_hi in segs:
         assert tags[t_lo] == lo
         assert tags[t_hi] == hi
-    bdry = next(e.id for e in quad44.edges if e.boundary)
+    bdry = int(np.argmax(quad44.edge_element_ids[:, 1] < 0))
     with pytest.raises(ValueError):
         fine_quad44.edge_segment_triangles(bdry)
 
@@ -184,7 +183,7 @@ def test_degree_assignment_validation(quad44):
     deg = mesh.DegreeAssignment.uniform(quad44, 2, 0)
     deg.validate(quad44)
     # a boundary edge carries no enrichment, so its entry is never read
-    deg.N[next(e.id for e in quad44.edges if e.boundary)] = 0
+    deg.N[np.argmax(quad44.edge_element_ids[:, 1] < 0)] = 0
     deg.validate(quad44)
     bad = mesh.DegreeAssignment(deg.N.copy(), deg.M.copy())
     bad.N[int(quad44.interior_edge_ids[0])] = 0
@@ -223,6 +222,12 @@ def test_constructor_errors():
         mesh.refine_to_fine(mesh.build_coarse("quad", 2, 2), 1)
 
 
-def test_dump_mentions_counts(quad44):
-    text = quad44.dump()
-    assert "16" in text and "quad" in text
+def test_counts_are_table_lengths(quad44, tri44):
+    # the element and edge counts are the lengths of the tables every
+    # module reads
+    for coarse in (quad44, tri44):
+        assert coarse.n_elements == len(coarse.element_vertices) == len(
+            coarse.B) == len(coarse.element_edge_ids)
+        assert coarse.n_edges == len(coarse.edge_ends) == len(
+            coarse.edge_element_ids) == len(coarse.edge_lengths)
+        assert coarse.n_vertices == len(coarse.vertices) == 25

@@ -23,7 +23,7 @@ def configs(draw):
         if edges else {}}
     M = {"default": draw(st.integers(0, 2)), "overrides": {
         str(K): m for K, m in draw(st.dictionaries(
-            st.integers(0, len(coarse.elements) - 1),
+            st.integers(0, coarse.n_elements - 1),
             st.integers(0, 2))).items()}}
     return cli.RunConfig.from_dict({
         "schema": 1, "kind": kind, "nx": nx, "ny": ny,
