@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -72,8 +73,14 @@ def _integer(v) -> bool:
 
 
 def _number(v) -> bool:
-    """Whether a JSON value is a number; true and false are not."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """Whether a JSON value is a finite number; true and false are not,
+    nor NaN, Infinity or an integer beyond the float range."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _degrees_field(raw, where: str, minimum: int):
@@ -153,7 +160,8 @@ class RunConfig:
         dom = d.get("domain", list(c.domain))
         if (not isinstance(dom, (list, tuple)) or len(dom) != 4
                 or not all(_number(v) for v in dom)):
-            raise ConfigError("config.domain: must be [x0, x1, y0, y1]")
+            raise ConfigError("config.domain: must be [x0, x1, y0, y1], "
+                              "finite numbers")
         c.domain = tuple(float(v) for v in dom)
         if not (c.domain[0] < c.domain[1] and c.domain[2] < c.domain[3]):
             raise ConfigError("config.domain: must be increasing per axis")
@@ -167,7 +175,7 @@ class RunConfig:
         for key, lo, hi in (("rel_tol", 0.0, 1.0), ("eta", 0.0, 0.5)):
             val = d.get(key, getattr(c, key))
             if not _number(val) or not lo <= val < hi:
-                raise ConfigError(f"config.{key}: must be a number in "
+                raise ConfigError(f"config.{key}: must be a finite number in "
                                   f"[{lo}, {hi})")
             setattr(c, key, float(val))
         if c.rel_tol == 0.0:
@@ -237,7 +245,8 @@ def _coefficient_field(spec: dict) -> finefem.CoefficientField:
                     "config.coefficient")
         eps = spec["eps"]
         if not _number(eps) or eps <= 0:
-            raise ConfigError("config.coefficient.eps: must be positive")
+            raise ConfigError("config.coefficient.eps: must be a finite "
+                              "positive number")
         return finefem.periodic_benchmark(float(eps))
     if t == "expression":
         _check_keys(spec, {"type", "expr", "alpha_min", "alpha_max"},
@@ -260,7 +269,7 @@ def _rhs_field(spec: dict) -> finefem.RhsField:
     if t == "constant":
         _check_keys(spec, {"type", "value"}, {"type", "value"}, "config.rhs")
         if not _number(spec["value"]):
-            raise ConfigError("config.rhs.value: must be a number")
+            raise ConfigError("config.rhs.value: must be a finite number")
         return finefem.constant_rhs(float(spec["value"]))
     if t == "gaussian_benchmark":
         _check_keys(spec, {"type"}, {"type"}, "config.rhs")
@@ -698,7 +707,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_errmap(config, out)
         return cmd_basis_dump(config, args.basis, out)
     except (ConfigError, finefem.CoefficientBoundsError,
-            globalsolve.UnresolvedDegreeError) as exc:
+            finefem.LoadValueError, globalsolve.UnresolvedDegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (finefem.SolverDivergenceError, np.linalg.LinAlgError) as exc:

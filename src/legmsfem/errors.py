@@ -132,7 +132,8 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
              u_ref: finefem.FineFunction,
              u_B_ref: finefem.FineFunction | None = None) -> ErrorReport:
     """Full error report for one run from one reconstruction of each part,
-    the energies of the rows below and one load vector, every sum over the
+    the energies of the rows below, one row at a time, and one load
+    vector, every sum over the
     fine vertices in a fixed order (finefem.energy_inner_matrix and
     finefem.dot), so the report does not depend on the BLAS thread count.
 
@@ -153,11 +154,15 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
         raise ValueError("reference and reconstruction live on different "
                          "fine meshes")
     u = u_B.values + u_G.values
-    rows = [u, u_ref.values - u, u_ref.values]
-    if u_B_ref is not None:
-        rows += [u_B_ref.values, u_B_ref.values - u_B.values,
-                 (u_ref.values - u_B_ref.values) - u_G.values]
-    a = finefem.energy_inner_matrix(np.stack(rows), geom, space.A,
+
+    def rows():  # each formed when its energy is taken
+        yield from (u, u_ref.values - u, u_ref.values)
+        if u_B_ref is not None:
+            yield u_B_ref.values
+            yield u_B_ref.values - u_B.values
+            yield (u_ref.values - u_B_ref.values) - u_G.values
+
+    a = finefem.energy_inner_matrix(rows(), geom, space.A,
                                     diagonal=True).tolist()
     b = finefem.load_vector(geom, u_H.f)
     E_num = 0.5 * a[0] - finefem.dot(b, u)

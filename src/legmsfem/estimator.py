@@ -10,10 +10,10 @@ matter of one calibrated constant while trends and localization are exact.
 
 Every term is an array pass over all elements or all interior edges, with
 no loop over either: p_e is a min-reduction over the coarse side tables
-(CoarseMesh.element_edge_ids and edge_element_ids), ||f|| comes from one
-evaluation of f at the fine centroids summed per element, the bubble
-residuals take one bulk-basis evaluation per degree and patch shape, and
-the jumps take one lookup of the fine segments of all edges.
+(CoarseMesh.element_edge_ids and edge_element_ids), ||f|| comes from f at
+the fine centroids summed per element, block of cell rows by block, the
+bubble residuals take one bulk-basis evaluation per degree and patch
+shape, and the jumps take one lookup of the fine segments of all edges.
 
 The divergence of the discrete bubble part is evaluated through the
 defining property of the bubble functions (their negative flux divergence
@@ -110,48 +110,57 @@ def _jump_norms(fine: FineMesh, edge_ids, v: finefem.FineFunction,
 
 
 def _f_norms(fine: FineMesh, f: finefem.RhsField | None, ell: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+             ) -> tuple[np.ndarray, np.ndarray]:
     """(||f||_{L2(K)}, ||f||_{H^ell(K)}) of every element K, ell in {0, 1}
-    per element (1 needs f.grad), and f at every fine centroid: one
-    evaluation on the global quadrature, summed per element."""
+    per element (1 needs f.grad): f at the fine centroids of the global
+    lattice, block of cell rows by block (the cache-sized blocks of
+    finefem.load_vector), each triangle's terms added to its element's in
+    the order of the fine mesh, as one bincount over all of them would."""
     n = fine.coarse.n_elements
     if f is None:
-        return np.zeros(n), np.zeros(n), None
+        return np.zeros(n), np.zeros(n)
     bad = (ell != 0) & ((ell != 1) | (f.grad is None))
     if bad.any():
         if ell[np.argmax(bad)] != 1:
             raise ValueError("f smoothness above 1 is not supported")
         raise ValueError("smoothness 1 declared but f has no gradient")
     geom = finefem.global_geometry(fine)
-    x, y = geom.centroids.T
-    fv = np.asarray(f(x, y), dtype=float)
-    # The element of each fine triangle: that of its coarse cell, for
-    # triangles the upper one where the upper shape's cell mask holds it.
     ns = fine.n_sub
-    cy, cx = np.ogrid[:fine.nfy, :fine.nfx]
-    cell = ((cy // ns) * fine.coarse.nx + cx // ns)[..., None]
-    tags = (np.repeat(cell, 2, axis=-1) if fine.coarse.kind == "quad" else
-            2 * cell + fine.shape_pattern(1)[2][cy % ns, cx % ns]).ravel()
-    l2sq = np.bincount(tags, geom.areas * fv**2, n)
+    l2sq, h1sq = np.zeros(n), np.zeros(n)
+    step = max(1, (1 << 12) // fine.nfx)
+    for lo in range(0, fine.nfy, step):
+        hi = min(lo + step, fine.nfy)
+        areas, centroids = geom.cells(lo, hi)
+        x, y = centroids.reshape(-1, 2).T
+        fv = np.asarray(f(x, y), dtype=float)
+        # The element of each fine triangle: that of its coarse cell, for
+        # triangles the upper one where the upper shape's cell mask holds.
+        cy, cx = np.ogrid[lo:hi, :fine.nfx]
+        cell = ((cy // ns) * fine.coarse.nx + cx // ns)[..., None]
+        tags = (np.repeat(cell, 2, axis=-1) if fine.coarse.kind == "quad"
+                else 2 * cell + fine.shape_pattern(1)[2][cy % ns, cx % ns]
+                ).ravel()
+        areas = areas.ravel()
+        np.add.at(l2sq, tags, areas * fv**2)
+        if ell.any():
+            gx, gy = f.grad(x, y)
+            np.add.at(h1sq, tags, areas * (np.asarray(gx)**2
+                                           + np.asarray(gy)**2))
     f_l2 = np.sqrt(l2sq)
     if not ell.any():
-        return f_l2, f_l2, fv
-    gx, gy = f.grad(x, y)
-    h1sq = l2sq + np.bincount(tags, geom.areas * (
-        np.asarray(gx)**2 + np.asarray(gy)**2), n)
-    return f_l2, np.where(ell == 1, np.sqrt(h1sq), f_l2), fv
+        return f_l2, f_l2
+    return f_l2, np.where(ell == 1, np.sqrt(l2sq + h1sq), f_l2)
 
 
-def _bubble_residuals(u_H: globalsolve.CoarseSolution, fv: np.ndarray,
-                      M: np.ndarray) -> np.ndarray:
+def _bubble_residuals(u_H: globalsolve.CoarseSolution, M: np.ndarray
+                      ) -> np.ndarray:
     """||f - sum_i c_i P_i||_{L2(K)} by fine quadrature, of every element
     K with M >= 1 (zero elsewhere), the c_i its bubble coefficients, from
-    f at the fine centroids, per bulk degree and patch shape: the bulk basis
-    is evaluated once at the reference centroids of the group's first
-    member, which every member shares, and the squares are summed per
-    element."""
-    coarse, fine = u_H.space.coarse, u_H.space.fine
-    areas = finefem.global_geometry(fine).areas
+    f at the fine centroids of each patch window, per bulk degree and patch
+    shape: the bulk basis is evaluated once at the reference centroids of
+    the group's first member, which every member shares, and the squares
+    are summed per element."""
+    coarse, fine, f = u_H.space.coarse, u_H.space.fine, u_H.f
     dofs = u_H.space.dofs
     bubble = dofs.kind == localbasis.BUBBLE
     K, i = dofs.key[bubble].T
@@ -164,11 +173,13 @@ def _bubble_residuals(u_H: globalsolve.CoarseSolution, fv: np.ndarray,
         C[K[at], i[at] - 1] = u_H.coeffs[bubble][at]
         for group in finefem.patch_groups(fine, np.flatnonzero(M == m)):
             K0 = group.elements[0]
-            x = finefem.element_geometry(fine, K0).centroids
-            P = basis.eval_ref((x - coarse.offsets[K0]) @ coarse.Binv[K0].T)
-            r = group.gather(fv) - C[group.elements] @ P.T
+            areas, c = group.cells()
+            P = basis.eval_ref((c[0] - coarse.offsets[K0]) @ coarse.Binv[K0].T)
+            pts = c.reshape(-1, 2)
+            fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+            r = fv.reshape(areas.shape) - C[group.elements] @ P.T
             resid[group.elements] = np.sqrt(
-                np.einsum("et,et->e", group.gather(areas), r * r))
+                np.einsum("et,et->e", areas, r * r))
     return resid
 
 
@@ -200,12 +211,12 @@ def global_estimate(u_H: globalsolve.CoarseSolution, eta: float = 0.0,
     # Residual terms: with bubbles H^2 (H^min(l, M+1) / M^l) r ||f||_{H^l},
     # without H^2 ||f||^2.
     bubbly = M >= 1
-    f_l2, f_sob, fv = _f_norms(fine, f, np.where(bubbly, ell_K, 0))
+    f_l2, f_sob = _f_norms(fine, f, np.where(bubbly, ell_K, 0))
     residuals = f_l2.copy()
     bubble_terms = H**2 * f_l2**2
     if bubbly.any():
-        if fv is not None:
-            residuals[bubbly] = _bubble_residuals(u_H, fv, M)[bubbly]
+        if f is not None:
+            residuals[bubbly] = _bubble_residuals(u_H, M)[bubbly]
         Hb, Mb, lb = H[bubbly], M[bubbly], ell_K[bubbly]
         ratio = Hb ** np.minimum(lb, Mb + 1) / Mb.astype(float) ** lb
         bubble_terms[bubbly] = (Hb**2 * ratio * residuals[bubbly]

@@ -8,8 +8,9 @@ the same rule as assembly, so the Galerkin identity energy(u) = -1/2 rhs.u
 holds at solver accuracy.
 
 Every geometry here is a set of triangles of the SW-NE fine lattice: a box
-of lattice vertices and a mask of the cell triangles it holds, its areas
-and centroids per cell from the box's coordinate vectors.  So its
+of lattice vertices and a mask of the cell triangles it holds, the areas
+and centroids of any block of its cells formed from the box's coordinate
+vectors when a consumer takes them (`lattice_cells`).  So its
 stiffness is a 7-point stencil (centre, E/W, N/S, NE/SW) on its box, and
 its P1 loads are box arrays, both
 summed from per-cell arrays in shifted slices (`Stencil.of`, `box_loads`,
@@ -21,10 +22,11 @@ masks the Dirichlet vertices out of it for the iterative solves (the fine
 reference), and `RowBlocks`, the one block layout of K_ff over lattice
 rows, gathers from it the blocks of the direct block-tridiagonal
 elimination that the offline patch solves in `localbasis` and the coarsest
-multigrid level run.  A geometry keeps the area-weighted coefficient of
-the last coefficient object it was asked for (keyed by identity, never by
-name), so a run evaluates the coefficient on the fine triangles once and
-two coefficient fields never share a matrix.  Only numpy is needed.
+multigrid level run.  Per triangle a geometry stores only the
+area-weighted coefficient of the last coefficient object it was asked for
+(keyed by identity, never by name), so a run evaluates the coefficient on
+the fine triangles once and two coefficient fields never share a matrix.
+Only numpy is needed.
 
 `solve_spd` preconditions CG with one geometric multigrid V-cycle
 (`Multigrid`), both on box arrays that vanish off the free vertices (the
@@ -40,8 +42,9 @@ factor, runs Jacobi-PCG.  The online interface CG stays Jacobi.
 Element patches of one shape are lattice translates of each other, so
 `localbasis` and the coarse assembly work on a whole `PatchGroup` at once:
 each member is the lattice window at its origin, the template's box and
-cell mask serve every member, and a member's per-triangle data is its
-masked window of the global geometry's per-cell arrays.
+cell mask serve every member, a member's coefficient is its window of the
+global geometry's, and its areas and centroids are the lattice formula on
+its window.
 
 Every coefficient-weighted inner product a(u, v) is u^T (K v) with the
 stencil of its geometry (`Stencil.apply_full`): `energy_inner_matrix` and
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -72,6 +76,10 @@ class SolverDivergenceError(RuntimeError):
 
 class CoefficientBoundsError(ValueError):
     """A coefficient value is not finite or leaves its declared bounds."""
+
+
+class LoadValueError(ValueError):
+    """A load value is not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +158,18 @@ class RhsField:
     fn: Callable
     grad: Callable | None = None
 
-    def __call__(self, x, y):
-        return self.fn(x, y)
+    def __call__(self, x, y) -> np.ndarray:
+        """f at the points (x, y) as floats.  Raises LoadValueError, naming
+        the first such point, where a value is not finite."""
+        v = np.asarray(self.fn(x, y), dtype=float)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            i = np.argmax(bad)
+            px, py = (float(np.broadcast_to(c, v.shape).flat[i])
+                      for c in (x, y))
+            raise LoadValueError(f"load {self.name} at ({px:.6g}, {py:.6g}) "
+                                 "is not finite")
+        return v
 
 
 def constant_rhs(value: float) -> RhsField:
@@ -251,12 +269,44 @@ def box_loads(geom: TriGeometry, shares: np.ndarray,
     from the share (..., nt) of each triangle at each of its vertices
     (area * value / 3 by the centroid rule), each position adding those
     of its triangles in the given order (BY_SLOT or BY_TRIANGLE)."""
-    (rows, cols), _ = geom.box
+    rows, cols = geom.grid
     lead = shares.shape[:-1]
     S = geom.to_cells(shares).reshape(lead + (rows - 1, cols - 1, 2))
-    out = _add_at_corners(np.zeros(lead + (rows, cols)),
-                          [(di, dj, S[..., t]) for di, dj, t, _ in order])
+    out = np.zeros(lead + (rows, cols))
+    _add_rows(out, S, 0, 0, rows, order)
     return out.reshape(lead + (rows * cols,))
+
+
+def _add_rows(out: np.ndarray, S: np.ndarray, s0: int, v0: int, v1: int,
+              order: tuple) -> None:
+    """Add to the vertex rows v0 to v1 (exclusive) of the lattice arrays
+    out (..., rows, columns) the per-cell shares S (..., cell rows,
+    columns - 1, 2) of the cell rows from s0 on, term (di, dj, t) of order
+    by term, in place: vertex (i, j) takes S[..., i - di, j - dj, t] where
+    that cell row is in S."""
+    cx = out.shape[-1] - 1
+    for di, dj, t, _ in order:
+        a, b = max(v0, s0 + di), min(v1, s0 + S.shape[-3] + di)
+        if a < b:
+            out[..., a:b, dj:dj + cx] += S[..., a - di - s0:b - di - s0, :, t]
+
+
+def lattice_cells(x: np.ndarray, y: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(areas, centroids) of the lower and the upper triangle of every cell
+    of the lattice with the vertex coordinate vectors x (..., columns) and
+    y (..., rows), shapes (..., rows - 1, columns - 1, 2) and (..., rows -
+    1, columns - 1, 2, 2), leading axes broadcast: 2 * area = dx * dy for
+    either triangle and centroid = (p0 + p1 + p2) / 3, bitwise the
+    formulas of a triangle from its corners."""
+    dx, dy = np.diff(x), np.diff(y)
+    area = 0.5 * (dx[..., None, :] * dy[..., :, None])
+    x0, x1, y0, y1 = x[..., :-1], x[..., 1:], y[..., :-1], y[..., 1:]
+    cx = np.stack([x0 + x1 + x1, x0 + x1 + x0], -1)
+    cy = np.stack([y0 + y0 + y1, y0 + y1 + y1], -1)
+    centroids = np.stack(np.broadcast_arrays(cx[..., None, :, :],
+                                             cy[..., :, None, :]), -1) / 3.0
+    return np.repeat(area[..., None], 2, axis=-1), centroids
 
 
 class TriGeometry:
@@ -264,44 +314,44 @@ class TriGeometry:
     the whole fine mesh.  Vertex indexing is local; vids maps back to global
     fine vertex ids.  The triangles are those of the box cells, row-major,
     lower (SW, SE, NE) before upper (SW, NE, NW), that the boolean mask
-    (rows - 1, columns - 1, 2) holds, all where it is None."""
+    (rows - 1, columns - 1, 2) holds, all where it is None.  Nothing is
+    stored per triangle but the area-weighted coefficient: areas and
+    centroids come from the box's coordinate vectors x and y (cells), and
+    a geometry that fills its box, given None for vids and its box
+    positions (the whole fine mesh), keeps no index array either."""
 
-    def __init__(self, points: np.ndarray, vids: np.ndarray,
+    def __init__(self, points: np.ndarray, vids: np.ndarray | None,
                  boundary_local: np.ndarray, label: str,
-                 box: tuple[tuple[int, int], np.ndarray],
+                 box: tuple[tuple[int, int], np.ndarray | None],
                  spacing: tuple[float, float],
                  mask: np.ndarray | None = None,
                  lattice: tuple[int, int] | None = None):
         self.points = points
-        self.vids = vids
+        self._vids = vids
         self.boundary_local = boundary_local
         self.label = label
         # (nx, ny) when this is a whole nx-by-ny cell lattice whose vertices
         # are its box positions; multigrid needs it.
         self.lattice = lattice
-        # The vertex lattice holding the geometry, ((rows, columns), the
-        # row-major position of each local vertex in it), and the (width,
-        # height) of its cells: the fine systems are stencils and load
-        # vectors on it.
-        self.box = box
+        # The vertex lattice holding the geometry, (rows, columns), the
+        # row-major position of each local vertex in it (None where that
+        # is the identity), and the (width, height) of its cells: the fine
+        # systems are stencils and load vectors on it.
+        self.grid, slots = box
         self.spacing = spacing
         self.mask = None if mask is None or mask.all() else mask
-        (rows, cols), slots = box
-        self._fills_box = np.array_equal(slots, np.arange(rows * cols))
-        # Per cell, from the box's coordinate vectors (every box row and
-        # column holds a vertex): 2 * area = dx * dy for either triangle
-        # and centroid = (p0 + p1 + p2) / 3, bitwise the corner formulas.
-        x, y = np.zeros(cols), np.zeros(rows)
-        x[slots % cols], y[slots // cols] = points[:, 0], points[:, 1]
-        areas = np.repeat((0.5 * (np.diff(x) * np.diff(y)[:, None]))
-                          [..., None], 2, axis=-1)
-        cx = np.stack([x[:-1] + x[1:] + x[1:], x[:-1] + x[1:] + x[:-1]], -1)
-        cy = np.stack([y[:-1] + y[:-1] + y[1:], y[:-1] + y[1:] + y[1:]], -1)
-        centroids = np.stack(np.broadcast_arrays(cx, cy[:, None]), -1) / 3.0
-        m = self.mask
-        self.areas = areas.ravel() if m is None else areas[m]
-        self.centroids = (centroids.reshape(-1, 2) if m is None
-                          else centroids[m])
+        rows, cols = self.grid
+        if slots is not None and np.array_equal(slots,
+                                                np.arange(rows * cols)):
+            slots = None
+        self._slots = slots
+        # The coordinate vectors of the box (every box row and column
+        # holds a vertex).
+        if slots is None:
+            self.x, self.y = points[:cols, 0].copy(), points[::cols, 1].copy()
+        else:
+            self.x, self.y = np.zeros(cols), np.zeros(rows)
+            self.x[slots % cols], self.y[slots // cols] = points.T
         # [coefficient, AW, stencil or None] of the last coefficient asked
         # for, and [load, load vector] of the last load; lists, so a
         # shallow copy (another fixed set on the same triangles) shares
@@ -312,6 +362,40 @@ class TriGeometry:
     @property
     def n_vertices(self) -> int:
         return len(self.points)
+
+    @property
+    def vids(self) -> np.ndarray:
+        return np.arange(self.n_vertices) if self._vids is None else self._vids
+
+    @property
+    def box(self) -> tuple[tuple[int, int], np.ndarray]:
+        """(grid, the box position of each local vertex)."""
+        slots = self._slots
+        return self.grid, (np.arange(math.prod(self.grid)) if slots is None
+                           else slots)
+
+    def cells(self, lo: int = 0, hi: int | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """lattice_cells of the box cell rows lo to hi (exclusive; all by
+        default), the mask not applied."""
+        return lattice_cells(self.x, self.y[lo:None if hi is None else hi + 1])
+
+    @property
+    def areas(self) -> np.ndarray:
+        """The area of every triangle, (nt,), formed on each call."""
+        return self.on_mask(self.cells()[0])
+
+    @property
+    def centroids(self) -> np.ndarray:
+        """The centroid of every triangle, (nt, 2), formed on each call."""
+        return self.on_mask(self.cells()[1])
+
+    def on_mask(self, C: np.ndarray) -> np.ndarray:
+        """Per-cell values C (box cells, 2, ...) of all box cells on the
+        triangles of the geometry, (nt, ...)."""
+        if self.mask is None:
+            return C.reshape((-1,) + C.shape[3:])
+        return C[self.mask]
 
     def to_cells(self, V: np.ndarray, axis: int = -1) -> np.ndarray:
         """Per-triangle values V, triangles along axis, on the triangles of
@@ -327,15 +411,20 @@ class TriGeometry:
 
     def area_weighted(self, A: CoefficientField) -> np.ndarray:
         """Per-triangle area times the coefficient at the centroid, shape
-        (nt, 2, 2), evaluated once per coefficient object: kept until
-        another coefficient replaces it, the key comparing the coefficient
-        by identity, never by name, so two coefficient fields never share
-        a matrix.  Each entry is contiguous over the triangles."""
+        (nt, 2, 2), evaluated once per coefficient object, in one call at
+        all centroids: kept until another coefficient replaces it, the key
+        comparing the coefficient by identity, never by name, so two
+        coefficient fields never share a matrix.  Each entry is contiguous
+        over the triangles."""
         if self._weights[0] is not A:
-            v = A.matrix_at(self.centroids)
+            self._weights[:] = [None, None, None]
+            areas, centroids = self.cells()
+            v = A.matrix_at(self.on_mask(centroids))
+            del centroids
+            areas = self.on_mask(areas)
             AW = np.empty((2, 2, len(v)))
             for a, b in np.ndindex(2, 2):
-                np.multiply(self.areas, v[:, a, b], out=AW[a, b])
+                np.multiply(areas, v[:, a, b], out=AW[a, b])
             self._weights[:] = [A, AW.transpose(2, 0, 1), None]
         return self._weights[1]
 
@@ -351,17 +440,16 @@ class TriGeometry:
     def to_box(self, V: np.ndarray) -> np.ndarray:
         """Nodal values V (..., n) on the flat positions of the vertex box,
         zero off the geometry: V itself where the geometry fills its box."""
-        if self._fills_box:
+        if self._slots is None:
             return V
-        (rows, cols), slots = self.box
-        U = np.zeros(V.shape[:-1] + (rows * cols,))
-        U[..., slots] = V
+        U = np.zeros(V.shape[:-1] + (math.prod(self.grid),), dtype=V.dtype)
+        U[..., self._slots] = V
         return U
 
     def from_box(self, U: np.ndarray) -> np.ndarray:
         """The values of box arrays U (..., box positions) at the local
         vertices, the inverse of to_box, C-contiguous like U."""
-        return U if self._fills_box else U.take(self.box[1], axis=-1)
+        return U if self._slots is None else U.take(self._slots, axis=-1)
 
 
 class Stencil:
@@ -403,7 +491,7 @@ class Stencil:
         the triangles of geom, a stack of stencils for a stack of patches
         with its triangulation."""
         W = geom.to_cells(AW, axis=-3)
-        return cls.of_cells(geom.box[0], W, geom.spacing)
+        return cls.of_cells(geom.grid, W, geom.spacing)
 
     @classmethod
     def of_cells(cls, grid: tuple[int, int], W: np.ndarray,
@@ -488,10 +576,14 @@ class LatticeOperator:
     def __init__(self, stencil: Stencil, mask: np.ndarray):
         self.stencil = stencil
         self.mask = mask
-        self.slots = np.flatnonzero(mask)
-        self.shape = (len(self.slots), len(self.slots))
-        self._on = mask.astype(float)
+        n = int(np.count_nonzero(mask))
+        self.shape = (n, n)
         self._tmp = np.empty(len(mask))
+
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The free positions."""
+        return np.flatnonzero(self.mask)
 
     def box(self, x: np.ndarray) -> np.ndarray:
         """Values x over the free positions as a box array, zero off them."""
@@ -504,8 +596,7 @@ class LatticeOperator:
         """K U of a box array U that vanishes off the free positions, zero
         off them, into out if given."""
         out = self.stencil.apply(U, out, self._tmp)
-        out *= self._on
-        return out
+        return np.multiply(out, self.mask, out=out)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if len(x) == len(self.mask):  # a box array (the same, if all free)
@@ -524,22 +615,18 @@ class LatticeOperator:
 
 def _eliminate(geom: TriGeometry, stencil: Stencil
                ) -> tuple[LatticeOperator, np.ndarray]:
-    """(K_ff, free_loc): the stencil of geom with the mask of the vertices
-    off geom.boundary_local, and those vertices."""
+    """(K_ff, free): the stencil of geom with the mask of the vertices off
+    geom.boundary_local, and the boolean mask of those vertices."""
     free = np.ones(geom.n_vertices, dtype=bool)
     free[geom.boundary_local] = False
-    mask = np.zeros(len(stencil.centre), dtype=bool)
-    mask[geom.box[1][free]] = True
-    return LatticeOperator(stencil, mask), np.flatnonzero(free)
+    return LatticeOperator(stencil, geom.to_box(free)), free
 
 
 def global_geometry(fine) -> TriGeometry:
     if "global" in fine._geom_cache:
         return fine._geom_cache["global"]
-    n = fine.n_vertices
-    geom = TriGeometry(fine.vertices, np.arange(n), fine.boundary_vertex_ids(),
-                       "global fine mesh",
-                       ((fine.nfy + 1, fine.nfx + 1), np.arange(n)),
+    geom = TriGeometry(fine.vertices, None, fine.boundary_vertex_ids(),
+                       "global fine mesh", ((fine.nfy + 1, fine.nfx + 1), None),
                        (fine.hx, fine.hy), lattice=(fine.nfx, fine.nfy))
     fine._geom_cache["global"] = geom
     return geom
@@ -568,9 +655,10 @@ class PatchGroup:
     the fine lattice window at its origin, and the template, whose local
     vertices, boundary and cell mask serve every member, is the shape's
     patch at origin 0, so a member's fine vertex ids are template.vids +
-    its origin.  A member's per-triangle data is the masked window of the
-    global geometry's per-cell arrays (gather), bitwise what its own patch
-    geometry holds."""
+    its origin.  A member's per-cell data is its window of the global
+    geometry's (windows), its areas and centroids the lattice formula on
+    its window of the global coordinate vectors (cells), bitwise what its
+    own patch geometry holds."""
 
     fine: object
     template: TriGeometry
@@ -586,33 +674,52 @@ class PatchGroup:
             yield sl, PatchGroup(self.fine, self.template, self.elements[sl],
                                  self.origins[sl])
 
-    def gather(self, V: np.ndarray) -> np.ndarray:
+    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lattice row and column of every member's SW window corner."""
+        return np.divmod(self.origins, self.fine.nfx + 1)
+
+    def windows(self, V: np.ndarray) -> np.ndarray:
         """Per-triangle values V (nt, ...) of the global geometry on the
-        triangles of every member, (E, template triangles, ...), in the
-        template's order: each member's window, the block of its coarse
-        cell in the per-cell layout of V, masked."""
+        box cells of every member, (E, n_sub, n_sub, 2, ...), zero on the
+        triangles off the template's mask: each member's window, the block
+        of its coarse cell in the per-cell layout of V, copied once."""
         fine, ns = self.fine, self.fine.n_sub
         blocks = V.reshape((fine.coarse.ny, ns, fine.coarse.nx, ns, 2)
                            + V.shape[1:])
-        row, col = np.divmod(self.origins, fine.nfx + 1)
+        row, col = self._corners()
         W = blocks[row // ns, :, col // ns]
+        if self.template.mask is not None:
+            W[:, ~self.template.mask] = 0.0
+        return W
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(areas, centroids) of the triangles of every member, (E, nt) and
+        (E, nt, 2), in the template's order: lattice_cells of its window of
+        the global box's coordinate vectors, masked."""
+        glob = global_geometry(self.fine)
+        row, col = self._corners()
+        at = np.arange(self.fine.n_sub + 1)
+        areas, centroids = lattice_cells(glob.x[col[:, None] + at],
+                                         glob.y[row[:, None] + at])
         mask = self.template.mask
-        return (W.reshape((len(W), -1) + V.shape[1:]) if mask is None
-                else W[:, mask])
+        if mask is None:
+            return (areas.reshape(len(areas), -1),
+                    centroids.reshape(len(areas), -1, 2))
+        return areas[:, mask], centroids[:, mask]
 
     def stencil(self, A: CoefficientField) -> Stencil:
         """The stencils of A on every member, coef (E, 4, box positions),
-        from the area-weighted coefficient of its triangles gathered from
-        the global geometry (Stencil.of)."""
+        from the windows of the global geometry's area-weighted
+        coefficient (Stencil.of_cells)."""
         AW = global_geometry(self.fine).area_weighted(A)
-        return Stencil.of(self.template, self.gather(AW))
+        W = self.windows(AW).reshape(len(self.elements), -1, 2, 2)
+        return Stencil.of_cells(self.template.grid, W, self.template.spacing)
 
     def load_vectors(self, f) -> np.ndarray:
         """P1 load vector of f on every member, (E, n), as load_vector."""
-        geom = global_geometry(self.fine)
-        pts = self.gather(geom.centroids).reshape(-1, 2)
+        areas, centroids = self.cells()
+        pts = centroids.reshape(-1, 2)
         fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        areas = self.gather(geom.areas)
         return self.template.from_box(box_loads(
             self.template, areas * fv.reshape(areas.shape) / 3.0))
 
@@ -644,14 +751,15 @@ class FineFunction:
 @dataclass
 class SparseSpdSystem:
     """Eliminated SPD system: the free-vertex stiffness as a lattice
-    stencil, the lifted right-hand side, the template carrying the
-    Dirichlet values, and the per-triangle area-weighted coefficient K is
-    built from (multigrid coarsens it)."""
+    stencil, the lifted right-hand side, the boolean mask of the free
+    local vertices, the Dirichlet values at geom.boundary_local, and the
+    per-triangle area-weighted coefficient K is built from (multigrid
+    coarsens it)."""
 
     K: LatticeOperator
     rhs: np.ndarray
-    free_loc: np.ndarray
-    values0: np.ndarray
+    free: np.ndarray
+    dirichlet: np.ndarray
     geom: TriGeometry
     AW: np.ndarray
 
@@ -660,11 +768,32 @@ def load_vector(geom: TriGeometry, f) -> np.ndarray:
     """P1 load vector of f by the centroid rule, full local length,
     read-only.  geom keeps the vector of the last load object it was asked
     for, compared by identity like the coefficient, so the assembly of a
-    fine system and the energies of its solution make one triangle pass."""
+    fine system and the energies of its solution make one triangle pass.
+    The pass runs over blocks of cell rows, f evaluated once at the
+    centroids of each, and every vertex adds its shares in the order of
+    box_loads (BY_SLOT): a vertex row waits for the block above it."""
     if geom._load[0] is not f:
-        x, y = geom.centroids.T
-        fv = np.asarray(f(x, y), dtype=float)
-        b = geom.from_box(box_loads(geom, geom.areas * fv / 3.0))
+        geom._load[:] = [None, None]
+        rows, cols = geom.grid
+        out = np.zeros((rows, cols))
+        step = max(1, (1 << 12) // (cols - 1))  # as in Stencil.of_cells
+        S = np.zeros((0, cols - 1, 2))
+        for lo in range(0, rows - 1, step):
+            hi = min(lo + step, rows - 1)
+            areas, centroids = geom.cells(lo, hi)
+            m = None if geom.mask is None else geom.mask[lo:hi]
+            pts = centroids.reshape(-1, 2) if m is None else centroids[m]
+            fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+            if m is None:
+                shares = areas * fv.reshape(areas.shape) / 3.0
+            else:
+                shares = np.zeros(areas.shape)
+                shares[m] = areas[m] * fv / 3.0
+            # The last cell row of the block before, and this block's.
+            S = np.concatenate([S[-1:], shares])
+            _add_rows(out, S, lo - (lo > 0), lo,
+                      hi if hi < rows - 1 else rows, BY_SLOT)
+        b = geom.from_box(out.ravel())
         b.flags.writeable = False
         geom._load[:] = [f, b]
     return geom._load[1]
@@ -693,18 +822,20 @@ def assemble(geom: TriGeometry, A: CoefficientField, f=None,
                          f"{len(fixed)} boundary vertices")
     b = load_vector(geom, f) if f is not None else np.zeros(geom.n_vertices)
     rhs = b[free]
-    values0 = np.zeros(geom.n_vertices)
-    values0[fixed] = xc
     if len(fixed) and np.any(xc != 0.0):
-        rhs = rhs - stencil.apply(geom.to_box(values0))[K_ff.mask]
-    return SparseSpdSystem(K_ff, rhs, free, values0, geom, AW)
+        values = np.zeros(geom.n_vertices)
+        values[fixed] = xc
+        rhs = rhs - stencil.apply(geom.to_box(values))[K_ff.mask]
+    return SparseSpdSystem(K_ff, rhs, free, xc, geom, AW)
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> float:
+def dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+        ) -> float:
     """a . b of two vectors, summed in a fixed order (numpy's pairwise
     add.reduce of the products), not by BLAS, whose sum depends on its
-    thread count and is less accurate over long vectors."""
-    return float(np.add.reduce(a * b))
+    thread count and is less accurate over long vectors; the products go
+    to out if given."""
+    return float(np.add.reduce(np.multiply(a, b, out=out)))
 
 
 def pcg(K, b: np.ndarray, rel_tol: float,
@@ -716,11 +847,17 @@ def pcg(K, b: np.ndarray, rel_tol: float,
     positions, for a LatticeOperator).  precond maps a residual to its
     search direction and must be SPD; Jacobi, 1 / K.diagonal(), by
     default.  Stops at ||r|| <= rel_tol*||b||; raises
-    SolverDivergenceError past the iteration cap (default 50*sqrt(n)).
-    Dots and norms go through dot, so the iterates do not depend on the
-    BLAS thread count."""
+    SolverDivergenceError past the iteration cap (default 50*sqrt(n)), and
+    at once where ||b|| or the residual is not finite.  Dots and norms go
+    through dot, so the iterates do not depend on the BLAS thread count;
+    the updates run in place, through one scratch vector, and each
+    iteration drops its product and preconditioned residual before the
+    next forms them."""
     n = K.shape[0]
     nb = float(np.sqrt(dot(b, b))) if n else 0.0
+    if not math.isfinite(nb):
+        raise SolverDivergenceError(
+            f"CG right-hand side is not finite (norm {nb})", nb)
     if nb == 0.0:
         return np.zeros_like(b), 0
     if cap is None:
@@ -729,20 +866,26 @@ def pcg(K, b: np.ndarray, rel_tol: float,
         precond = _jacobi(K)
     x = np.zeros_like(b)
     r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = dot(r, z)
+    p = precond(r).copy()
+    t = np.empty_like(b)
+    rz = dot(r, p, t)
     for it in range(1, cap + 1):
         Kp = K @ p
-        alpha = rz / dot(p, Kp)
-        x += alpha * p
-        r -= alpha * Kp
-        res = float(np.sqrt(dot(r, r)))
+        alpha = rz / dot(p, Kp, t)
+        x += np.multiply(alpha, p, out=t)
+        r -= np.multiply(alpha, Kp, out=t)
+        del Kp
+        res = float(np.sqrt(dot(r, r, t)))
         if res <= rel_tol * nb:
             return x, it
+        if not math.isfinite(res):
+            raise SolverDivergenceError(
+                f"CG residual is not finite after {it} iterations", res / nb)
         z = precond(r)
-        rz_new = dot(r, z)
-        p = z + (rz_new / rz) * p
+        rz_new = dot(r, z, t)
+        p *= rz_new / rz
+        p += z
+        del z
         rz = rz_new
     raise SolverDivergenceError(
         f"CG did not reach {rel_tol:g} within {cap} iterations "
@@ -782,40 +925,25 @@ def _couple(C: tuple, X: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def block_tridiagonal_factor(D: list, C: list) -> tuple[list, list]:
-    """Block elimination of SPD block-tridiagonal systems with diagonal
-    blocks D[i] and sub-diagonal blocks E[i] (block i against block i-1)
-    held as the couplings C[i] of _couple, one system per element of the
-    leading axis, from the first block row down (Golub & Van Loan, block
-    tridiagonal systems): the inverse Schur complements S_i^{-1} and
-    G_i = S_i^{-1} E[i+1]^T."""
-    nb = len(D)
-    S_inv: list = [None] * nb
-    G: list = [None] * nb
-    S = D[0]
-    for i in range(nb):
-        S_inv[i] = np.linalg.inv(S)
-        if i + 1 < nb:
-            G[i] = _couple(C[i + 1], S_inv[i], -1)
-            S = _couple(C[i + 1], G[i], -2)
-            np.subtract(D[i + 1], S, out=S)
-    return S_inv, G
-
-
 def block_tridiagonal_substitute(factor: tuple[list, list], C: list,
                                  R: list) -> list:
-    """Solve the systems of block_tridiagonal_factor for a stack of
-    right-hand sides, R[i] of shape (elements, fields, len(D[i][0])):
-    forward substitution down, back substitution up.  The fields go
-    through _matvecs and every element is its own LAPACK or BLAS call, so
-    a field does not depend on the other fields and elements of the
-    stack."""
+    """Solve the systems of RowBlocks.factor for a stack of right-hand
+    sides, R[i] of shape (elements, fields, width of block i): forward
+    substitution down, back substitution up.  The fields go through
+    _matvecs and every element is its own LAPACK or BLAS call, so a field
+    does not depend on the other fields and elements of the stack."""
     S_inv, G = factor
     g = [_matvecs(S_inv[0], R[0])]
     for i in range(1, len(S_inv)):
         g.append(_matvecs(S_inv[i], R[i] - _couple(C[i], g[-1], -1)))
+    return _back_substitute(g, G)
+
+
+def _back_substitute(g: list, G: list) -> list:
+    """The solutions x_i = g_i - G_i x_{i+1}, from the last block up, of
+    the forward solutions g."""
     x = [g[-1]]
-    for i in range(len(S_inv) - 2, -1, -1):
+    for i in range(len(g) - 2, -1, -1):
         x.append(g[i] - _matvecs(G[i], x[-1]))
     return x[::-1]
 
@@ -823,19 +951,23 @@ def block_tridiagonal_substitute(factor: tuple[list, list], C: list,
 class RowBlocks:
     """K_ff of a lattice system in blocks of lattice rows: the one block
     layout of the direct elimination, built once per vertex set and
-    applied to any stack of stencils on its box.
+    applied to any stack of stencils on its box: eliminate solves systems
+    met once (the offline sweep), factor and solve keep the elimination of
+    one solved many times (the coarsest multigrid level).
 
     slots are the box positions of the free vertices, ascending, on a box
     of grid (rows, columns); block i holds the free vertices of one
     lattice row, the slice blocks[i] of them.  The stencil couples only
     adjacent lattice rows, so K_ff is block tridiagonal.  The diagonal
     block of a row is tridiagonal, from the centre and east coefficients;
-    the diagonal blocks are packed element by element, block i at
-    offsets[i].  The block of a row against the previous one (zero unless
-    that row is the adjacent one) holds at most two entries per row: the
-    north coefficient of the vertex below and the north-east one of the
-    vertex below-left.  It is kept as those stencil vectors, the couplings
-    of _couple, packed after the diagonal blocks, size doubles in all."""
+    its entries are addressed as if the diagonal blocks were packed
+    element by element, block i at offsets[i].  The block of a row against
+    the previous one (zero unless that row is the adjacent one) holds at
+    most two entries per row: the north coefficient of the vertex below
+    and the north-east one of the vertex below-left.  It is kept as those
+    stencil vectors, the couplings of _couple, addressed after the
+    diagonal blocks: size doubles in all, about what the elimination of
+    one element keeps."""
 
     def __init__(self, slots: np.ndarray, grid: tuple[int, int]):
         cols = grid[1]
@@ -876,30 +1008,57 @@ class RowBlocks:
             self._cols[j, a] = pos[b]
             dst.append(self._diagonal + j * nf + a)
             src.append(slots[b] + d * n)
-        self._dst = np.concatenate(dst)
-        self._src = np.concatenate(src)
+        # Sorted by destination (each is written once), so the entries of
+        # each diagonal block, and then the couplings, are one run.
+        dst = np.concatenate(dst)
+        order = np.argsort(dst, kind="stable")
+        self._dst, self._src = dst[order], np.concatenate(src)[order]
+        self._runs = np.searchsorted(
+            self._dst, np.append(self.offsets, self._diagonal)).tolist()
 
-    def split(self, st: Stencil) -> tuple[list, list]:
-        """(D, C) of a stencil or a stack of them, gathered in one pass:
-        D[i] couples block i with itself, C[i] holds the couplings of block
-        i with block i - 1 (those of C[0] are zero), each with a leading
-        element axis.  The north-east couplings are left out where the
-        stack has none, as for a scalar coefficient."""
-        coef = st.coef.reshape(-1, 4 * self._n)
-        m = len(coef)
-        data = np.zeros((m, self.size))
-        data[:, self._dst] = coef[:, self._src]
-        D = [data[:, o:o + w * w].reshape(m, w, w)
-             for o, w in zip(self.offsets, self.widths)]
-        vals = data[:, self._diagonal:].reshape(m, 2, -1)
+    def _diagonal_block(self, coef: np.ndarray, i: int) -> np.ndarray:
+        """D[i] of the stencils coef (elements, 4 * box positions)."""
+        w, a, b = int(self.widths[i]), self._runs[i], self._runs[i + 1]
+        D = np.zeros((len(coef), w * w))
+        D[:, self._dst[a:b] - self.offsets[i]] = coef[:, self._src[a:b]]
+        return D.reshape(-1, w, w)
+
+    def _couplings(self, coef: np.ndarray) -> list:
+        """C of the stencils coef (elements, 4 * box positions)."""
+        a = self._runs[-1]
+        vals = np.zeros((len(coef), self.size - self._diagonal))
+        vals[:, self._dst[a:] - self._diagonal] = coef[:, self._src[a:]]
+        vals = vals.reshape(len(coef), 2, -1)
         k = 2 if vals[:, 1].any() else 1
-        return D, [(self._cols[:k, b], vals[:, :k, b]) for b in self.blocks]
+        return [(self._cols[:k, b], vals[:, :k, b]) for b in self.blocks]
+
+    def _elimination(self, coef: np.ndarray, C: list):
+        """Block elimination of the SPD block-tridiagonal systems of the
+        stencils coef, one per element of the leading axis, from the first
+        block row down (Golub & Van Loan, block tridiagonal systems), each
+        diagonal block D[i] gathered when the sweep reaches it: yields the
+        inverse Schur complement S_i^{-1} and G_i = S_i^{-1} E[i+1]^T (None
+        for the last block) row by row, E[i] the sub-diagonal block held by
+        the couplings C[i]."""
+        nb = len(self.blocks)
+        S = self._diagonal_block(coef, 0)
+        for i in range(nb):
+            S_inv = np.linalg.inv(S)
+            if i + 1 == nb:
+                yield S_inv, None
+                return
+            G = _couple(C[i + 1], S_inv, -1)
+            S = _couple(C[i + 1], G, -2)
+            np.subtract(self._diagonal_block(coef, i + 1), S, out=S)
+            yield S_inv, G
 
     def factor(self, st: Stencil) -> tuple:
-        """The block elimination of the stencils st, and their couplings
-        between blocks, for solve."""
-        D, C = self.split(st)
-        return block_tridiagonal_factor(D, C), C
+        """The block elimination of the stencils st, ([S_i^{-1}], [G_i]),
+        and their couplings between blocks, for solve."""
+        coef = st.coef.reshape(-1, 4 * self._n)
+        C = self._couplings(coef)
+        S_inv, G = zip(*self._elimination(coef, C))
+        return (list(S_inv), list(G)), C
 
     def solve(self, factored: tuple, R: np.ndarray) -> np.ndarray:
         """The solutions, over the free vertices, of the factored systems
@@ -908,22 +1067,42 @@ class RowBlocks:
         return np.concatenate(block_tridiagonal_substitute(
             factor, C, [R[..., b] for b in self.blocks]), axis=-1)
 
+    def eliminate(self, st: Stencil, R: np.ndarray) -> np.ndarray:
+        """solve(factor(st), R), bitwise, for systems solved once: the
+        forward substitution runs beside the elimination, so of each
+        lattice row only G_i and the forward solutions are kept, one w-by-w
+        block, not S_i^{-1} as well."""
+        if not self.blocks:
+            return np.zeros(R.shape)
+        coef = st.coef.reshape(-1, 4 * self._n)
+        C = self._couplings(coef)
+        g: list = []
+        G: list = []
+        for i, (S_inv, G_i) in enumerate(self._elimination(coef, C)):
+            r = R[..., self.blocks[i]]
+            g.append(_matvecs(S_inv, r - _couple(C[i], g[-1], -1) if i
+                              else r))
+            G.append(G_i)
+        return np.concatenate(_back_substitute(g, G), axis=-1)
+
 
 SMOOTHING_WEIGHT = 0.8  # damped Jacobi
 SMOOTHING_SWEEPS = 2    # before and again after each coarse correction
 BOTTOM_DIRECT = 64      # widest lattice row of a coarsest level factored
 
 
-def _prolong(Uc: np.ndarray) -> np.ndarray:
+def _prolong(Uc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """P1 interpolation of the vertex values Uc (rows, columns) of a
     lattice onto its red refinement, (2 rows - 1, 2 columns - 1): an edge
     midpoint takes the mean of the edge's ends, a cell centre the mean of
-    the cell's SW and NE corners."""
-    Uf = np.empty((2 * Uc.shape[0] - 1, 2 * Uc.shape[1] - 1))
-    Uf[::2, ::2] = Uc
-    Uf[::2, 1::2] = 0.5 * (Uc[:, :-1] + Uc[:, 1:])
-    Uf[1::2, ::2] = 0.5 * (Uc[:-1] + Uc[1:])
-    Uf[1::2, 1::2] = 0.5 * (Uc[:-1, :-1] + Uc[1:, 1:])
+    the cell's SW and NE corners.  Added to out, in place, if given."""
+    Uf = np.empty((2 * Uc.shape[0] - 1, 2 * Uc.shape[1] - 1)) \
+        if out is None else out
+    put = np.copyto if out is None else (lambda a, v: np.add(a, v, out=a))
+    put(Uf[::2, ::2], Uc)
+    put(Uf[::2, 1::2], 0.5 * (Uc[:, :-1] + Uc[:, 1:]))
+    put(Uf[1::2, ::2], 0.5 * (Uc[:-1] + Uc[1:]))
+    put(Uf[1::2, 1::2], 0.5 * (Uc[:-1, :-1] + Uc[1:, 1:]))
     return Uf
 
 
@@ -987,7 +1166,7 @@ class _Level:
         self.shape = K.stencil.grid
         # The damped inverse diagonal, zero off the free vertices.
         self.wdinv = np.zeros(len(K.mask))
-        self.wdinv[K.slots] = SMOOTHING_WEIGHT / K.diagonal()
+        self.wdinv[K.mask] = SMOOTHING_WEIGHT / K.diagonal()
         self._t = np.empty(len(K.mask))
 
     @property
@@ -1081,7 +1260,8 @@ class Multigrid:
             lev.smooth(X, R)
         Rc = _restrict(lev.residual(X, R).reshape(lev.shape)).ravel()
         Rc *= coarse.K.mask
-        X += _prolong(self._cycle(l + 1, Rc).reshape(coarse.shape)).ravel()
+        _prolong(self._cycle(l + 1, Rc).reshape(coarse.shape),
+                 X.reshape(lev.shape))
         for _ in range(SMOOTHING_SWEEPS):
             lev.smooth(X, R)
         return X
@@ -1098,11 +1278,11 @@ def solve_spd(system: SparseSpdSystem, rel_tol: float = 1e-12) -> FineFunction:
     field."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
-    K = system.K
+    K, geom = system.K, system.geom
     x, iters = pcg(K, K.box(system.rhs), rel_tol, Multigrid(system))
-    values = system.values0.copy()
-    values[system.free_loc] = x[K.mask]
-    return FineFunction(system.geom, values, iters)
+    values = geom.from_box(x)
+    values[geom.boundary_local] = system.dirichlet
+    return FineFunction(geom, values, iters)
 
 
 def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray,
@@ -1127,7 +1307,8 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
     """Gram matrix a(V_i, V_j) = V_i^T K V_j of nodal-value rows over one
     geometry, with the stencil K = geom.stencil(A) that assembly shares,
     applied by Stencil.apply_full; with diagonal, only the energies
-    a(V_i, V_i), (rows,), bitwise the diagonal of the matrix.
+    a(V_i, V_i), (rows,), bitwise the diagonal of the matrix, and V may be
+    any iterable of rows, which are then taken one at a time.
 
     Scalar energies and the error report call it.  K applies to one row
     at a time, so a stack of global fields needs no temporaries of its
@@ -1135,10 +1316,12 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
     so it does not depend on the BLAS thread count.  Exactly symmetric.
     """
     st = geom.stencil(A)
-    V = np.atleast_2d(V)
-    KV = (geom.from_box(st.apply_full(geom.to_box(v))) for v in V)
+    if isinstance(V, np.ndarray):
+        V = np.atleast_2d(V)
     if diagonal:
-        return np.array([dot(v, Kv) for v, Kv in zip(V, KV)])
+        return np.array([dot(v, geom.from_box(st.apply_full(geom.to_box(v))))
+                         for v in V])
+    KV = (geom.from_box(st.apply_full(geom.to_box(v))) for v in V)
     M = np.array([[dot(v, Kw) for v in V] for Kw in KV]).T
     return 0.5 * (M + M.T)
 

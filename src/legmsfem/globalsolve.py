@@ -134,9 +134,12 @@ class _Fields:
         G[(self.dofs[:, :, None] < 0) | (other.dofs[:, None, :] < 0)] = 0.0
         return G
 
-    def gather(self, sl: slice = slice(None)) -> np.ndarray:
-        """The fields of members sl, (E, d, n), zero rows at padding."""
-        V = self.stack[self.rows[sl]]
+    def gather(self, sl: slice = slice(None), out: np.ndarray | None = None
+               ) -> np.ndarray:
+        """The fields of members sl, (E, d, n), zero rows at padding, into
+        out if given (the rows are in range; with mode "raise" numpy would
+        write through a copy of out)."""
+        V = np.take(self.stack, self.rows[sl], axis=0, out=out, mode="clip")
         V[self.dofs[sl] < 0] = 0.0
         return V
 
@@ -354,9 +357,12 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
         if_blocks.append(iface_fields.gram())
         Vb = np.zeros((len(iface), n_i + bub.shape[1]))
         if f is not None:
-            for sl, sub in group.chunks(Vb.shape[1] * n):
-                V = np.concatenate([iface_fields.gather(sl),
-                                    bub_fields.gather(sl)], axis=1)
+            # Per member: its fields, and the centroids, areas, load values
+            # and shares of its triangles (two per vertex) for its load.
+            for sl, sub in group.chunks((Vb.shape[1] + 10) * n):
+                V = np.empty((len(sub.elements), Vb.shape[1], n))
+                iface_fields.gather(sl, V[:, :n_i])
+                bub_fields.gather(sl, V[:, n_i:])
                 Vb[sl] = np.matmul(V, sub.load_vectors(f)[..., None])[..., 0]
         np.add.at(rhs, iface[iface >= 0], Vb[:, :n_i][iface >= 0])
         G_b = bub_fields.gram()

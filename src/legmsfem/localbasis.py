@@ -136,14 +136,14 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
 
 
 def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
-                group: finefem.PatchGroup, codes: np.ndarray, stride: int
-                ) -> np.ndarray:
-    """Dirichlet rows of every member, (elements, rows, n), one for each of
-    its trace codes (elements, rows), a zero row for -1.  Code c below the
-    corner count is the hat at corner c of the element, code
-    corners + j * stride + k - 2 is eta_k on its side j.  The rows are
-    gathered from one table on the template, written edge by edge in
-    element_edge_ids order (corner values agree)."""
+                group: finefem.PatchGroup, codes: np.ndarray, stride: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Dirichlet rows of every member, (elements, rows, n), into out if
+    given, one for each of its trace codes (elements, rows), a zero row
+    for -1.  Code c below the corner count is the hat at corner c of the
+    element, code corners + j * stride + k - 2 is eta_k on its side j.
+    The rows are gathered from one table on the template, written edge by
+    edge in element_edge_ids order (corner values agree)."""
     sides = coarse.element_edge_ids[group.elements]
     pos = _edge_positions(fine, group, sides)
     corner_ids = _sorted_unique(pos[:, [0, -1]])
@@ -166,7 +166,8 @@ def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
         hat_row.ravel()[np.argmax(at_corner, axis=-1)],
         np.broadcast_to(n_hat + np.arange(len(pos) * stride + 1),
                         (len(sides), len(pos) * stride + 1))], axis=1)
-    return table[np.take_along_axis(row, codes, axis=1)]
+    return np.take(table, np.take_along_axis(row, codes, axis=1), axis=0,
+                   out=out, mode="clip")
 
 
 def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
@@ -178,9 +179,7 @@ def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
     M (the basis bases[M], none for 0; zero rows after), then f.  The
     polynomials are evaluated once for all members of one degree, at
     reference points stacked from the coarse mesh's affine maps."""
-    glob = finefem.global_geometry(sub.fine)
-    areas = sub.gather(glob.areas)
-    centroids = sub.gather(glob.centroids)
+    areas, centroids = sub.cells()
     out = np.zeros((areas.shape[1], n_b + (f is not None), len(areas)))
     for m in _sorted_unique(M[M > 0]).tolist():
         es = np.flatnonzero(M == m)
@@ -231,16 +230,16 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     G = np.zeros((len(group.elements), m, m))
     L = None if f is None else np.zeros((len(group.elements), n))
     if n_tr:
-        X[:, :n_tr] = _trace_rows(coarse, fine, group, codes, stride)
+        _trace_rows(coarse, fine, group, codes, stride, X[:, :n_tr])
     is_free = np.ones(n, dtype=bool)
     is_free[t.boundary_local] = False
     free = np.flatnonzero(is_free)
     slots = t.box[1][free]
-    blocks = finefem.RowBlocks(slots, t.box[0])
+    blocks = finefem.RowBlocks(slots, t.grid)
     # Doubles of the largest temporaries per member: three box arrays of
     # each right-hand side row (-K X of the traces, the loads from their
     # triangle shares), and the four box arrays of its Gram blocks.
-    per_element = (3 * m_all + 4 * m) * math.prod(t.box[0])
+    per_element = (3 * m_all + 4 * m) * math.prod(t.grid)
     for sl, sub in group.chunks(max(per_element, blocks.size)):
         st = sub.stencil(A)
         Xc = X[sl]
@@ -255,7 +254,7 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                 R[:, n_tr:] = finefem.box_loads(
                     t, w.T,
                     finefem.BY_TRIANGLE)[..., slots]
-            Y = blocks.solve(blocks.factor(st), R)
+            Y = blocks.eliminate(st, R)
             Xc[..., free] = Y[:, :m]
             if L is not None:
                 L[sl, free] = Y[:, m]

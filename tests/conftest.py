@@ -227,8 +227,8 @@ def anisotropic_field():
 
 def dense_factor(D, E):
     """Block elimination with dense sub-diagonal blocks E[i] (elements, w,
-    p), every product a matmul: finefem.block_tridiagonal_factor before
-    its blocks became stencil couplings, kept as reference."""
+    p), every product a matmul: the elimination of finefem.RowBlocks
+    before its blocks became stencil couplings, kept as reference."""
     nb = len(D)
     S_inv, G = [None] * nb, [None] * nb
     S = D[0]
@@ -254,9 +254,21 @@ def dense_substitute(factor, E, R):
     return x[::-1]
 
 
+def split(blocks, st):
+    """(D, C) of a stencil or a stack of them on the row blocks of
+    finefem.RowBlocks: D[i] couples block i with itself, C[i] holds the
+    couplings of block i with block i - 1 (those of C[0] are zero), each
+    with a leading element axis, the north-east couplings left out where
+    the stack has none (RowBlocks.split before the elimination gathered
+    each diagonal block when it reached it)."""
+    coef = st.coef.reshape(-1, st.coef.shape[-2] * st.coef.shape[-1])
+    return ([blocks._diagonal_block(coef, i)
+             for i in range(len(blocks.blocks))], blocks._couplings(coef))
+
+
 def dense_couplings(C, widths):
     """The sub-diagonal blocks (elements, w_i, w_{i-1}) that the couplings
-    C of finefem.RowBlocks.split hold (E[0] is empty)."""
+    C of split hold (E[0] is empty)."""
     E = []
     for i, ((cols, vals), w) in enumerate(zip(C, widths)):
         p = widths[i - 1] if i else 0
@@ -312,12 +324,28 @@ def local_triangles(geom) -> np.ndarray:
     return local[tris if geom.mask is None else tris[geom.mask.ravel()]]
 
 
+def gather(group, V) -> np.ndarray:
+    """Per-triangle values V (nt, ...) of the global geometry on the
+    triangles of every member of a patch group, (E, template triangles,
+    ...), in the template's order: each member's window, the block of its
+    coarse cell in the per-cell layout of V, masked (PatchGroup.gather
+    before the group's consumers took windows and lattice cells)."""
+    fine, ns = group.fine, group.fine.n_sub
+    blocks = V.reshape((fine.coarse.ny, ns, fine.coarse.nx, ns, 2)
+                       + V.shape[1:])
+    row, col = np.divmod(group.origins, fine.nfx + 1)
+    W = blocks[row // ns, :, col // ns]
+    mask = group.template.mask
+    return (W.reshape((len(W), -1) + V.shape[1:]) if mask is None
+            else W[:, mask])
+
+
 def member_triangle_ids(group) -> np.ndarray:
     """The global fine triangles (E, nt) of every member of a patch group,
     template order: the masked windows of the triangle ids
     (PatchGroup.tri_ids before the window origins)."""
     fine = group.fine
-    return group.gather(np.arange(2 * fine.nfx * fine.nfy))
+    return gather(group, np.arange(2 * fine.nfx * fine.nfy))
 
 
 def triangle_elements(fine) -> np.ndarray:

@@ -211,6 +211,45 @@ def test_workers_flag_accepted_without_effect(tmp_path):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("patch,needle", [
+    ({"rhs": {"type": "constant", "value": math.nan}}, "config.rhs.value"),
+    ({"domain": [0, math.inf, 0, 1]}, "config.domain"),
+    ({"coefficient": {"type": "periodic_benchmark", "eps": math.inf}},
+     "config.coefficient.eps"),
+    ({"coefficient": {"type": "expression", "expr": "1 + x",
+                      "alpha_min": 1.0, "alpha_max": math.inf}},
+     "config.coefficient: need 0 < alpha_min")],
+    ids=["rhs-nan", "domain-inf", "eps-inf", "alpha_max-inf"])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, patch, needle):
+    # JSON NaN and Infinity are no numbers of a config: a NaN load used to
+    # run the reference CG on NaN to its iteration cap and an infinite
+    # domain to fail in an SVD, both exit 3, an infinite eps to run
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg_dict(**patch)))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_non_finite_load_exits_2_naming_a_point(tmp_path, capsys):
+    # a load that is NaN on part of the domain fails where it is
+    # evaluated, as the coefficient does, before any solve iterates on it
+    path = write_cfg(tmp_path, rhs={"type": "expression",
+                                    "expr": "sqrt(x - 0.5)"})
+    out = tmp_path / "row.csv"
+    with np.errstate(invalid="ignore"):
+        assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "load expression(sqrt(x - 0.5)) at (" in err
+    x = float(err.split(" at (")[1].split(",")[0])
+    assert x < 0.5 and "is not finite" in err
+    assert not out.exists()
+    f = cli._rhs_field({"type": "expression", "expr": "1 / (x - y)"})
+    with pytest.raises(finefem.LoadValueError, match=r"at \(0.5, 0.5\)"), \
+            np.errstate(divide="ignore"):
+        f(np.array([0.25, 0.5]), np.array([0.5, 0.5]))
+
+
 def test_exit_codes(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"

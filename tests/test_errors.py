@@ -76,7 +76,7 @@ def test_bubble_reference_matches_patch_solves(kind, n_sub):
         egeom = finefem.element_geometry(fine, K)
         system = finefem.assemble(egeom, A, f)
         if len(system.rhs):
-            patchwise[egeom.vids[system.free_loc]] = np.linalg.solve(
+            patchwise[egeom.vids[system.free]] = np.linalg.solve(
                 dense(system.K), system.rhs)
     u_B = errors.bubble_reference(fine, A, f)
     assert u_B.geom is finefem.global_geometry(fine)

@@ -7,7 +7,7 @@ from conftest import (anisotropic_field, check_against_dense, coarsen, dense,
                       element_triangle_ids, energy_inner, energy_products,
                       fourier_poisson_center, group_weights, local_triangles,
                       member_triangle_ids, quad_points, skeleton_geometry,
-                      stiffness, triangle_gradients)
+                      split, stiffness, triangle_gradients)
 from legmsfem import errors, finefem, localbasis, mesh
 
 
@@ -109,7 +109,7 @@ def test_assemble_matches_dense(fine_quad44):
     geom = finefem.element_geometry(fine_quad44, 6)
     sys_ = finefem.assemble(geom, A, f=finefem.constant_rhs(-1.0))
     Kd = dense_stiffness(geom, A)
-    free = sys_.free_loc
+    free = sys_.free
     K = dense(sys_.K)
     diff = np.abs(K - Kd[np.ix_(free, free)]).max()
     assert diff < 1e-15 * np.abs(Kd).max()
@@ -252,7 +252,7 @@ def test_pcg_matches_direct(fine_quad44):
     sys_ = finefem.assemble(geom, A, f=finefem.constant_rhs(-1.0))
     u = finefem.solve_spd(sys_, rel_tol=1e-13)
     x_direct = np.linalg.solve(dense(sys_.K), sys_.rhs)
-    rel = np.abs(u.values[sys_.free_loc] - x_direct).max() / np.abs(x_direct).max()
+    rel = np.abs(u.values[sys_.free] - x_direct).max() / np.abs(x_direct).max()
     assert rel < 1e-9
     assert u.cg_iters > 0
 
@@ -272,6 +272,36 @@ def test_pcg_divergence_reports_residual(fine_quad44):
     with pytest.raises(finefem.SolverDivergenceError) as exc:
         finefem.pcg(sys_.K, sys_.rhs, 1e-14, cap=1)
     assert exc.value.residual > 0.0 and np.isfinite(exc.value.residual)
+
+
+class CountedMatrix:
+    """A dense matrix for pcg that counts its products."""
+
+    def __init__(self, M):
+        self.M, self.shape, self.products = M, M.shape, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.M @ x
+
+    def diagonal(self):
+        return np.diag(self.M)
+
+
+def test_pcg_stops_at_once_on_non_finite_numbers():
+    # a right-hand side that is not finite fails before the first product,
+    # a residual that is not finite right after it, not at the cap
+    K = CountedMatrix(np.diag([2.0, 3.0, 4.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(finefem.SolverDivergenceError,
+                           match="right-hand side is not finite"):
+            finefem.pcg(K, np.array([1.0, bad, 1.0]), 1e-12, cap=1000)
+    assert K.products == 0
+    K = CountedMatrix(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+    with pytest.raises(finefem.SolverDivergenceError,
+                       match="residual is not finite after 1 iterations"):
+        finefem.pcg(K, np.ones(2), 1e-12, cap=1000)
+    assert K.products == 1
 
 
 def test_solve_spd_tol_validation(fine_quad44):
@@ -499,7 +529,7 @@ def test_lattice_that_cannot_coarsen_runs_jacobi_pcg(skeleton, nx, n_sub):
     assert np.array_equal(x_mg, x_j) and not x_j[~K.mask].any()
     u = finefem.solve_spd(system)
     assert u.cg_iters == it_j
-    assert np.array_equal(u.values[system.free_loc], x_j[K.mask])
+    assert np.array_equal(u.values[system.free], x_j[K.mask])
 
 
 @pytest.mark.parametrize("kind,nx,n_sub,skeleton,levels,A", [
@@ -574,7 +604,7 @@ def test_bottom_blocks_match_the_row_loop(kind, nx, n_sub, skeleton, A):
         assert len(rows) < rows[-1] - rows[0] + 1
     D0, E0 = row_loop_bottom_blocks(K)
     blocks = finefem.RowBlocks(K.slots, K.stencil.grid)
-    D, C = blocks.split(K.stencil)
+    D, C = split(blocks, K.stencil)
     E = dense_couplings(C, blocks.widths)
     assert len(D) == len(D0) == len(rows)
     assert all(a.shape == b.shape and a.tobytes() == b.tobytes()

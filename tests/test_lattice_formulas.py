@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import (anisotropic_field, coarsen, corner_areas_centroids,
-                      group_weights, local_triangles,
+                      gather, group_weights, local_triangles,
                       member_triangle_ids, reference_load_vector,
                       reference_stencil, restricted, scatter, scatter_rows,
                       skeleton_geometry, triangle_elements,
@@ -171,6 +171,30 @@ def test_loads(fine):
                                             + w.shape[1:]),
                             tris, t.n_vertices)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_loads_by_blocks_of_cell_rows(kind):
+    # load_vector runs over blocks of cell rows (three on this 96-cell
+    # lattice), a vertex row waiting for the block above it: bitwise the
+    # shares of all triangles at once, added slot by slot (box_loads),
+    # on the global mesh and on every patch; and the window formula of a
+    # patch stack is bitwise the masked windows of the global areas and
+    # centroids
+    fine = mesh.refine_to_fine(mesh.build_coarse(kind, 4, 4), 24)
+    f = finefem.RhsField("seeded", lambda x, y: -(0.9 + 0.4 * np.sin(
+        3 * np.pi * x + 0.7) * np.sin(2 * np.pi * y + 2.1)))
+    geom = finefem.global_geometry(fine)
+    assert 2 < fine.nfy / ((1 << 12) // fine.nfx) <= 3
+    for g in [geom] + [finefem.element_geometry(fine, K) for K in (0, 1)]:
+        pts = g.centroids
+        whole = g.from_box(finefem.box_loads(
+            g, g.areas * f(pts[:, 0], pts[:, 1]) / 3.0))
+        assert finefem.load_vector(g, f).tobytes() == whole.tobytes()
+    for grp in finefem.patch_groups(fine, range(fine.coarse.n_elements)):
+        areas, centroids = grp.cells()
+        assert areas.tobytes() == gather(grp, geom.areas).tobytes()
+        assert centroids.tobytes() == gather(grp, geom.centroids).tobytes()
 
 
 def reference_jump_norms(fine, edge_ids, v, A):

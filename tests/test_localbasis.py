@@ -7,9 +7,9 @@ from conftest import (anisotropic_field, check_against_dense,
                       dense_couplings, edge_elements, edge_vertex_chain,
                       element_boundary_vertex_ids, energy_products,
                       group_weights, is_boundary_edge, local_triangles,
-                      member_triangle_ids, pattern_gradients, stiffness,
-                      table_fields, to_ref, trace_loads, vertex_edges,
-                      vertex_elements)
+                      member_triangle_ids, pattern_gradients, split,
+                      stiffness, table_fields, to_ref, trace_loads,
+                      vertex_edges, vertex_elements)
 from legmsfem import finefem, localbasis, mesh, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
@@ -159,7 +159,7 @@ def test_discrete_harmonicity(quad44, fine_quad44, A_osc):
     # with the function's own boundary values as Dirichlet data, the
     # lifted right-hand side is -K_fc times them
     system = finefem.assemble(geom, A_osc, dirichlet=u[geom.boundary_local])
-    r = system.K @ u[system.free_loc] - system.rhs
+    r = system.K @ u[system.free] - system.rhs
     scale = np.abs(system.K.diagonal()).max() * np.abs(u).max()
     assert np.abs(r).max() < 1e-10 * scale
 
@@ -610,7 +610,7 @@ def test_row_blocks_match_the_element_matrix_layout(kind, n_sub):
         assert np.array_equal(blocks.widths, want.widths)
         assert [b.stop for b in blocks.blocks] == \
             np.cumsum(want.widths).tolist()
-        D, C = blocks.split(g.stencil(A))
+        D, C = split(blocks, g.stencil(A))
         E = dense_couplings(C, blocks.widths)
         D0, E0 = want.split(stiffness(grads, AW))
         assert len(D) == len(D0) == len(E) == len(E0)
@@ -639,8 +639,14 @@ def test_coupling_elimination_matches_dense(kind, nx, n_sub, coefficient):
         assert len(set(blocks.widths.tolist())) == (1 if kind == "quad"
                                                     else len(blocks.widths))
         st = g.stencil(A)
-        D, C = blocks.split(st)
+        D, C = split(blocks, st)
         assert len(C[-1][0]) == (1 if coefficient == "periodic" else 2)
         check_against_dense(blocks, blocks.factor(st), D,
                             dense_couplings(C, blocks.widths),
                             exact=coefficient == "periodic")
+        # the offline sweep's one pass, the forward substitution beside the
+        # elimination and only G kept, is bitwise the factor and the solve
+        R = np.random.default_rng(3).standard_normal(
+            (len(g.elements), 3, int(is_free.sum())))
+        assert bitwise(blocks.eliminate(st, R),
+                       blocks.solve(blocks.factor(st), R))
