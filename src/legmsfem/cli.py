@@ -479,7 +479,9 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
 
     # An H row builds its own meshes, so a ConfigError there (an H that
     # does not tile the domain, an override the new mesh lacks) is the
-    # row's; on the other axes the meshes are the config's own.
+    # row's; on the other axes the meshes are the config's own.  A load
+    # value that is not finite is never the row's own: every axis evaluates
+    # the load at the same fine centroids, so it ends the sweep.
     failures = (finefem.SolverDivergenceError, np.linalg.LinAlgError,
                 ValueError) + ((ConfigError,) if axis == "H" else ())
     rows = [CSV_HEADER]
@@ -503,6 +505,8 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
                 if axis == "M" and "space_donor" not in shared:
                     shared["space_donor"] = res.solution.space
             rows.append(res.row(timing))
+        except finefem.LoadValueError:
+            raise
         except failures as exc:
             rows.append(_failed_row(cfg, exc, H=v if axis == "H" else None))
     _emit(rows, out)
@@ -584,16 +588,13 @@ def cmd_basis_dump(config: RunConfig, selector: str,
                           "indices must be integers") from None
     problem = build_problem(config)
     globalsolve.check_degrees(problem.fine, problem.degrees)
-    solved: list[tuple] = []
     table = localbasis.compute_all(problem.coarse, problem.fine, problem.A,
-                                   problem.degrees, stacks=solved,
-                                   support_of=select)
+                                   problem.degrees, support_of=select)
     dof = table.find(*select)
     if dof < 0:
         raise ConfigError(f"selector {selector!r} matches no basis function "
                           "in this configuration")
-    pts = localbasis.dump_points(table, [x for x, _ in solved], dof,
-                                 problem.fine)
+    pts = localbasis.dump_points(table, dof, problem.fine)
     rows = ["x,y,value"] + [",".join(_fmt(v) for v in row) for row in pts]
     _emit(rows, out)
     return 0

@@ -81,11 +81,11 @@ def bubble_reference(fine: FineMesh, A: finefem.CoefficientField,
     (localbasis.compute_all with the load and no DOFs) run alone, so the
     field is bitwise the one globalsolve.build_space keeps for the same
     load."""
-    glued: list[np.ndarray] = []
-    localbasis.compute_all(fine.coarse, fine, A,
-                           DegreeAssignment.uniform(fine.coarse, 1, 0),
-                           which="bubble", f=f, reference=glued)
-    return finefem.FineFunction(finefem.global_geometry(fine), glued[0])
+    table = localbasis.compute_all(fine.coarse, fine, A,
+                                   DegreeAssignment.uniform(fine.coarse, 1, 0),
+                                   bubbles_only=True, f=f)
+    return finefem.FineFunction(finefem.global_geometry(fine),
+                                table.reference)
 
 
 def interface_error_map(u_H: globalsolve.CoarseSolution,

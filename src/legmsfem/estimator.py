@@ -127,7 +127,7 @@ def _f_norms(fine: FineMesh, f: finefem.RhsField | None, ell: np.ndarray
     geom = finefem.global_geometry(fine)
     ns = fine.n_sub
     l2sq, h1sq = np.zeros(n), np.zeros(n)
-    step = max(1, (1 << 12) // fine.nfx)
+    step = finefem.cache_rows(fine.nfx)
     for lo in range(0, fine.nfy, step):
         hi = min(lo + step, fine.nfy)
         areas, centroids = geom.cells(lo, hi)

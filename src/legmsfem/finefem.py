@@ -1,7 +1,7 @@
 """P1 finite elements on the shared fine mesh.
 
-Stiffness and load assembly against an SPD coefficient field, Dirichlet
-elimination with lifting, a deterministic preconditioned CG, and the
+Stiffness and load assembly against an SPD coefficient field, with the
+boundary vertices held at zero, a deterministic preconditioned CG, and the
 energies everything downstream is phrased in.  Coefficient-weighted
 integrals use the centroid rule over the fine triangles, and energies use
 the same rule as assembly, so the Galerkin identity energy(u) = -1/2 rhs.u
@@ -18,7 +18,7 @@ also for a stack of congruent patches): the lower (SW, SE, NE) and upper
 (SW, NE, NW) triangle of a cell have two constant gradient patterns
 (`cell_gradients`), and a triangle off the geometry a zero coefficient and
 load.  The stencil is the one form of every fine stiffness: `assemble`
-masks the Dirichlet vertices out of it for the iterative solves (the fine
+masks the boundary vertices out of it for the iterative solves (the fine
 reference), and `RowBlocks`, the one block layout of K_ff over lattice
 rows, gathers from it the blocks of the direct block-tridiagonal
 elimination that the offline patch solves in `localbasis` and the coarsest
@@ -380,16 +380,6 @@ class TriGeometry:
         default), the mask not applied."""
         return lattice_cells(self.x, self.y[lo:None if hi is None else hi + 1])
 
-    @property
-    def areas(self) -> np.ndarray:
-        """The area of every triangle, (nt,), formed on each call."""
-        return self.on_mask(self.cells()[0])
-
-    @property
-    def centroids(self) -> np.ndarray:
-        """The centroid of every triangle, (nt, 2), formed on each call."""
-        return self.on_mask(self.cells()[1])
-
     def on_mask(self, C: np.ndarray) -> np.ndarray:
         """Per-cell values C (box cells, 2, ...) of all box cells on the
         triangles of the geometry, (nt, ...)."""
@@ -452,6 +442,12 @@ class TriGeometry:
         return U if self._slots is None else U.take(self._slots, axis=-1)
 
 
+def cache_rows(per_row: int) -> int:
+    """The rows of per_row values in a cache-sized block: 2**12 values,
+    at least one row."""
+    return max(1, (1 << 12) // max(1, per_row))
+
+
 class Stencil:
     """The P1 stiffness of a lattice geometry as a 7-point stencil on its
     vertex box: flat row-major arrays of the centre coefficient and of the
@@ -506,9 +502,9 @@ class Stencil:
         W = W.reshape(lead + (rows - 1, cols - 1, 2, 2, 2))
         g = cell_gradients(spacing)
         coef = np.zeros(lead + (4, rows, cols))
-        # Blocks of cell rows that fit the cache, in order: a vertex row
-        # two blocks share gets the lower one's terms first, as BY_TRIANGLE.
-        step = max(1, (1 << 12) // max(1, (cols - 1) * math.prod(lead)))
+        # Blocks of cell rows, in order: a vertex row two blocks share gets
+        # the lower one's terms first, as BY_TRIANGLE.
+        step = cache_rows((cols - 1) * math.prod(lead))
         for r in range(0, rows - 1, step):
             entries = [_stiffness_entries(g[t], W[..., r:r + step, :, t, :, :])
                        for t in (0, 1)]
@@ -611,15 +607,6 @@ class LatticeOperator:
         st, m = self.stencil, self.mask
         return int(np.count_nonzero(st.centre[m]) + 2 * sum(
             np.count_nonzero(c[:-k][m[:-k] & m[k:]]) for c, k in st.couplings))
-
-
-def _eliminate(geom: TriGeometry, stencil: Stencil
-               ) -> tuple[LatticeOperator, np.ndarray]:
-    """(K_ff, free): the stencil of geom with the mask of the vertices off
-    geom.boundary_local, and the boolean mask of those vertices."""
-    free = np.ones(geom.n_vertices, dtype=bool)
-    free[geom.boundary_local] = False
-    return LatticeOperator(stencil, geom.to_box(free)), free
 
 
 def global_geometry(fine) -> TriGeometry:
@@ -750,16 +737,12 @@ class FineFunction:
 
 @dataclass
 class SparseSpdSystem:
-    """Eliminated SPD system: the free-vertex stiffness as a lattice
-    stencil, the lifted right-hand side, the boolean mask of the free
-    local vertices, the Dirichlet values at geom.boundary_local, and the
-    per-triangle area-weighted coefficient K is built from (multigrid
-    coarsens it)."""
+    """SPD system of the vertices off geom.boundary_local: their stiffness
+    as a lattice stencil, their load, and the per-triangle area-weighted
+    coefficient K is built from (multigrid coarsens it)."""
 
     K: LatticeOperator
     rhs: np.ndarray
-    free: np.ndarray
-    dirichlet: np.ndarray
     geom: TriGeometry
     AW: np.ndarray
 
@@ -776,7 +759,7 @@ def load_vector(geom: TriGeometry, f) -> np.ndarray:
         geom._load[:] = [None, None]
         rows, cols = geom.grid
         out = np.zeros((rows, cols))
-        step = max(1, (1 << 12) // (cols - 1))  # as in Stencil.of_cells
+        step = cache_rows(cols - 1)
         S = np.zeros((0, cols - 1, 2))
         for lo in range(0, rows - 1, step):
             hi = min(lo + step, rows - 1)
@@ -799,34 +782,18 @@ def load_vector(geom: TriGeometry, f) -> np.ndarray:
     return geom._load[1]
 
 
-def assemble(geom: TriGeometry, A: CoefficientField, f=None,
-             dirichlet=0.0) -> SparseSpdSystem:
-    """Assemble the Dirichlet-eliminated system on a patch or the global mesh.
-
-    dirichlet is either one value for the whole boundary or an array of
-    values aligned with geom.boundary_local.  The stencil is geom.stencil,
-    so a second system of the same coefficient object on the same
-    triangles (another fixed set) and every energy product share it; the
-    fixed vertices are masked out of it, and the Dirichlet lift is the full
-    stencil applied to the Dirichlet values.
-    """
-    AW = geom.area_weighted(A)
-    stencil = geom.stencil(A)
-    K_ff, free = _eliminate(geom, stencil)
-    fixed = geom.boundary_local
-    xc = np.asarray(dirichlet, dtype=float)
-    if xc.ndim == 0:
-        xc = np.full(len(fixed), float(xc))
-    elif xc.shape != fixed.shape:
-        raise ValueError(f"{geom.label}: {xc.size} Dirichlet values for "
-                         f"{len(fixed)} boundary vertices")
+def assemble(geom: TriGeometry, A: CoefficientField, f=None
+             ) -> SparseSpdSystem:
+    """Assemble the system on a patch or the global mesh with zero values
+    at geom.boundary_local.  The stencil is geom.stencil, so a second
+    system of the same coefficient object on the same triangles (another
+    fixed set) and every energy product share it; the fixed vertices are
+    masked out of it."""
+    free = np.ones(geom.n_vertices, dtype=bool)
+    free[geom.boundary_local] = False
     b = load_vector(geom, f) if f is not None else np.zeros(geom.n_vertices)
-    rhs = b[free]
-    if len(fixed) and np.any(xc != 0.0):
-        values = np.zeros(geom.n_vertices)
-        values[fixed] = xc
-        rhs = rhs - stencil.apply(geom.to_box(values))[K_ff.mask]
-    return SparseSpdSystem(K_ff, rhs, free, xc, geom, AW)
+    return SparseSpdSystem(LatticeOperator(geom.stencil(A), geom.to_box(free)),
+                           b[free], geom, geom.area_weighted(A))
 
 
 def dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
@@ -1281,7 +1248,7 @@ def solve_spd(system: SparseSpdSystem, rel_tol: float = 1e-12) -> FineFunction:
     K, geom = system.K, system.geom
     x, iters = pcg(K, K.box(system.rhs), rel_tol, Multigrid(system))
     values = geom.from_box(x)
-    values[geom.boundary_local] = system.dirichlet
+    values[geom.boundary_local] = 0.0
     return FineFunction(geom, values, iters)
 
 

@@ -35,12 +35,9 @@ class EnrichedSpace:
 
     DOF order is that of localbasis.DofTable: interface functions first
     (nodal by vertex, then edge by (edge, k)), bubbles after (by element,
-    then index).  stacks are the offline field stacks the table's rows
-    index, and grams[s] the Gram blocks of stack s, (members, m, m) for a
-    stack of m rows per member, as localbasis.compute_all returns them.
-    A space built for a load f keeps it with its bubble reference,
-    the zero-trace solves with load f glued over the mesh (errors.evaluate
-    scores the interface error against it).
+    then index); the table holds the offline field stacks its rows index
+    and their Gram blocks.  A space built for a load f keeps it, and its
+    table the bubble reference.
     """
 
     coarse: CoarseMesh
@@ -48,10 +45,16 @@ class EnrichedSpace:
     A: finefem.CoefficientField
     degrees: DegreeAssignment
     dofs: localbasis.DofTable
-    stacks: list[np.ndarray]
-    grams: list[np.ndarray]
     f: finefem.RhsField | None = None
-    bubble_reference: finefem.FineFunction | None = None
+
+    @cached_property
+    def bubble_reference(self) -> finefem.FineFunction | None:
+        """The zero-trace solves with load f glued over the mesh, None
+        without a load (errors.evaluate scores the interface error against
+        it)."""
+        glued = self.dofs.reference
+        return glued if glued is None else finefem.FineFunction(
+            finefem.global_geometry(self.fine), glued)
 
     @property
     def n_dofs(self) -> int:
@@ -116,8 +119,8 @@ class _Fields:
         sid = S[j[mask]]
         if sid.min() != sid.max():
             raise ValueError("fields of one patch shape span several stacks")
-        return cls(np.where(mask, P[j], -1), space.stacks[sid[0]],
-                   np.where(mask, R[j], 0), space.grams[sid[0]])
+        return cls(np.where(mask, P[j], -1), space.dofs.stacks[sid[0]],
+                   np.where(mask, R[j], 0), space.dofs.grams[sid[0]])
 
     def gram(self, other: _Fields | None = None) -> np.ndarray | None:
         """a(field i, field j of other) on each member, (E, d, d of
@@ -218,14 +221,10 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     offline sweep, so every patch is still eliminated once.
     """
     check_degrees(fine, degrees)
-    reference: list[np.ndarray] = []
-    solved: list[tuple] = []
     if interface_from is None:
-        dofs = localbasis.compute_all(coarse, fine, A, degrees, stacks=solved,
-                                      f=f, reference=reference)
-        return EnrichedSpace(coarse, fine, A, degrees, dofs,
-                             [x for x, _ in solved], [g for _, g in solved],
-                             f, _reference(fine, reference))
+        return EnrichedSpace(coarse, fine, A, degrees,
+                             localbasis.compute_all(coarse, fine, A, degrees,
+                                                    f=f), f)
     donor = interface_from
     if donor.coarse is not coarse or donor.fine is not fine:
         raise ValueError("interface reuse requires the same mesh pair")
@@ -240,10 +239,9 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     if np.count_nonzero(keep) != n_if:
         raise ValueError("donor space is missing requested edge degrees")
     inherited = f is not None and donor.f is f
-    bubbles = localbasis.compute_all(coarse, fine, A, degrees, which="bubble",
-                                     stacks=solved,
-                                     f=None if inherited else f,
-                                     reference=reference)
+    bubbles = localbasis.compute_all(coarse, fine, A, degrees,
+                                     bubbles_only=True,
+                                     f=None if inherited else f)
     position = np.cumsum(keep) - 1
     pair = keep[d.dof]
     dofs = localbasis.DofTable(
@@ -251,21 +249,11 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
         np.concatenate([d.key[keep], bubbles.key]),
         np.concatenate([d.element[pair], bubbles.element]),
         np.concatenate([position[d.dof[pair]], bubbles.dof + n_if]),
-        np.concatenate([d.stack[pair], bubbles.stack + len(donor.stacks)]),
-        np.concatenate([d.row[pair], bubbles.row]))
-    return EnrichedSpace(coarse, fine, A, degrees, dofs,
-                         donor.stacks + [x for x, _ in solved],
-                         donor.grams + [g for _, g in solved], f,
-                         donor.bubble_reference if inherited
-                         else _reference(fine, reference))
-
-
-def _reference(fine: FineMesh, glued: list[np.ndarray]
-               ) -> finefem.FineFunction | None:
-    """The bubble reference from compute_all's reference list, if any."""
-    if not glued:
-        return None
-    return finefem.FineFunction(finefem.global_geometry(fine), glued[0])
+        np.concatenate([d.stack[pair], bubbles.stack + len(d.stacks)]),
+        np.concatenate([d.row[pair], bubbles.row]),
+        d.stacks + bubbles.stacks, d.grams + bubbles.grams,
+        d.reference if inherited else bubbles.reference)
+    return EnrichedSpace(coarse, fine, A, degrees, dofs, f)
 
 
 class InterfaceOperator:
@@ -427,8 +415,7 @@ def reconstruct(solution: CoarseSolution, which: str = "total"
     if which == "total":
         u_b = reconstruct(solution, "bubble")
         u_g = reconstruct(solution, "interface")
-        return finefem.FineFunction(u_b.geom, u_b.values + u_g.values,
-                                    solution.cg_iters)
+        return finefem.FineFunction(u_b.geom, u_b.values + u_g.values)
     if which not in ("interface", "bubble"):
         raise ValueError(f"unknown part {which!r}")
     space = solution.space
@@ -439,5 +426,4 @@ def reconstruct(solution: CoarseSolution, which: str = "total"
         # same float and plain assignment is safe.
         values[group.template.vids + group.origins[:, None]] = \
             parts[which == "bubble"].combine(solution.coeffs)
-    return finefem.FineFunction(finefem.global_geometry(space.fine), values,
-                                solution.cg_iters)
+    return finefem.FineFunction(finefem.global_geometry(space.fine), values)

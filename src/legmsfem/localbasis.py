@@ -57,7 +57,10 @@ class DofTable:
     (edge, k), then the bubbles by (element, i).  Pair j puts DOF dof[j] on
     element element[j], where its field is row row[j] of field stack
     stack[j], over the element patch's fine vertices in ascending order.
-    The pairs come in no particular order."""
+    The pairs come in no particular order.  Stack s has a block of m rows
+    per member of one patch shape, grams[s] their Gram blocks a(X_i, X_j),
+    (members, m, m).  reference glues the zero-trace solves with the load
+    into one fine field, the bubble reference (None without a load)."""
 
     kind: np.ndarray
     key: np.ndarray
@@ -65,6 +68,9 @@ class DofTable:
     dof: np.ndarray
     stack: np.ndarray
     row: np.ndarray
+    stacks: list[np.ndarray]
+    grams: list[np.ndarray]
+    reference: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -267,8 +273,8 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, elements: np.ndarray,
                   codes: np.ndarray, stride: int, M: np.ndarray,
                   bases: dict, f: finefem.RhsField | None = None
-                  ) -> tuple[list[tuple], np.ndarray, np.ndarray | None]:
-    """The (stack, Gram blocks) pairs of _group_fields for the given elements,
+                  ) -> tuple[list, list, np.ndarray, np.ndarray | None]:
+    """The stacks and Gram blocks of _group_fields for the given elements,
     with the requests codes and M of every element of the mesh; for each
     element, (stack, first row, first bubble row), -1 where it is not solved:
     its traces are the rows from the first row on, its bubbles those from the
@@ -276,56 +282,51 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
     solved), the zero-trace solves with load f glued into one global field,
     else None.  The codes of a group are cut to its members' longest list, so
     no group solves a row that none of them asks for."""
-    stacks = []
+    stacks, grams = [], []
     where = np.full((len(codes), 3), -1)
     glued = None if f is None else np.zeros(fine.n_vertices)
     for group in finefem.patch_groups(fine, elements):
         E = group.elements
         n_tr = int((codes[E] >= 0).sum(axis=1).max(initial=0))
-        rows, grams, loads = _group_fields(coarse, fine, A, group,
-                                           codes[E, :n_tr], stride, M[E],
-                                           bases, f)
+        rows, G, loads = _group_fields(coarse, fine, A, group,
+                                       codes[E, :n_tr], stride, M[E],
+                                       bases, f)
         where[E, 0] = len(stacks)
         where[E, 1] = np.arange(len(E)) * (len(rows) // len(E))
         where[E, 2] = where[E, 1] + n_tr
-        stacks.append((rows, grams))
+        stacks.append(rows)
+        grams.append(G)
         if loads is not None:
             # Every member's solve is zero on its boundary, so the shared
             # skeleton vertices get zero whichever member writes last.
             glued[group.template.vids + group.origins[:, None]] = loads
-    return stacks, where, glued
+    return stacks, grams, where, glued
 
 
 def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
-                degrees: DegreeAssignment, which: str = "all",
-                stacks: list[np.ndarray] | None = None,
+                degrees: DegreeAssignment, bubbles_only: bool = False,
                 f: finefem.RhsField | None = None,
-                reference: list[np.ndarray] | None = None,
                 support_of: tuple[int, int, int] | None = None) -> DofTable:
     """The DOF table of the enrichment (see DofTable for its order), with
     the offline solves of its fields.
 
-    which selects "interface", "bubble" or "all" (sweeps reuse the interface
-    part across bubble degrees).  Each element patch is solved once, for all
-    of its traces and bubble loads together, and the patches of one shape
-    in batches.  A stacks list receives one (field stack, Gram blocks) pair
-    per patch shape solved: the stack the table's rows index, a block of m
-    rows per member, and the Gram blocks a(X_i, X_j) of each member's
-    block, (members, m, m), which the coarse assembly gathers.  support_of,
+    bubbles_only leaves out the interface DOFs (sweeps reuse the interface
+    part across bubble degrees).  Each element patch is solved once, for
+    all of its traces and bubble loads together, and the patches of one
+    shape in batches, one field stack per patch shape solved.  support_of,
     a (kind, id, k) key, restricts the solves to the elements of that DOF:
     every DOF stays listed, but only the pairs on those elements are (none
     if there is no such DOF).  Given the load f, every patch also solves the
-    zero-trace problem with load f in the same sweep, and a reference list
-    receives those solves glued into one global fine field, the bubble part
-    of the fine reference solution.
+    zero-trace problem with load f in the same sweep, and the table's
+    reference glues those solves into one global fine field.
     """
     degrees.validate(coarse)
     ev, sides = coarse.element_vertices, coarse.element_edge_ids
     n_el = len(ev)
     verts = np.zeros(0, dtype=int)
     n_eta = np.zeros(coarse.n_edges, dtype=int)
-    M = degrees.M if which in ("all", "bubble") else np.zeros(n_el, dtype=int)
-    if which in ("all", "interface"):
+    M = degrees.M
+    if not bubbles_only:
         verts, inner = coarse.interior_vertex_ids, coarse.interior_edge_ids
         n_eta[inner] = degrees.N[inner] - 1
     bases = {m: polybasis.BulkPolyBasis(coarse.kind, m)
@@ -362,27 +363,23 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     if support_of is not None:
         d = _find(kinds, keys, support_of)
         solve &= (slots == d).any(axis=1) & (d >= 0)
-    solved, where, glued = _patch_fields(
+    stacks, grams, where, glued = _patch_fields(
         coarse, fine, A, np.flatnonzero(solve),
         np.where(dof >= 0, codes[:, :n_tr], -1), stride, M, bases, f)
     K, col = np.nonzero((slots >= 0) & solve[:, None])
-    if stacks is not None:
-        stacks.extend(solved)
-    if reference is not None and glued is not None:
-        reference.append(glued)
     return DofTable(kinds, keys, K, slots[K, col], where[K, 0], np.where(
-        col < n_tr, where[K, 1] + col, where[K, 2] + col - n_tr))
+        col < n_tr, where[K, 1] + col, where[K, 2] + col - n_tr),
+        stacks, grams, glued)
 
 
-def dump_points(table: DofTable, stacks: list[np.ndarray], dof: int,
-                fine: FineMesh) -> np.ndarray:
+def dump_points(table: DofTable, dof: int, fine: FineMesh) -> np.ndarray:
     """(x, y, value) rows over the support of DOF dof, one row per fine
     vertex, by vertex id."""
     values = np.zeros(fine.n_vertices)
     on = np.zeros(fine.n_vertices, dtype=bool)
     for j in np.flatnonzero(table.dof == dof).tolist():
         vids = fine.element_vertex_ids(table.element[j])
-        values[vids] = stacks[table.stack[j]][table.row[j]]
+        values[vids] = table.stacks[table.stack[j]][table.row[j]]
         on[vids] = True
     ids = np.flatnonzero(on)
     return np.column_stack([fine.vertices[ids], values[ids]])

@@ -107,16 +107,31 @@ def edge_vertex_chain(fine, edge_id) -> np.ndarray:
                      + ax * ns + t * (bx - ax) for t in range(ns + 1)])
 
 
-def table_fields(table, stacks, dof) -> dict:
+def table_fields(table, dof) -> dict:
     """{element: field} of one DOF of a localbasis.DofTable, by element."""
     at = np.flatnonzero(table.dof == dof)
-    return {int(table.element[j]): stacks[table.stack[j]][table.row[j]]
+    return {int(table.element[j]): table.stacks[table.stack[j]][table.row[j]]
             for j in at[np.argsort(table.element[at])]}
 
 
 def space_fields(space, dof) -> dict:
     """{element: field} of one DOF of an enriched space."""
-    return table_fields(space.dofs, space.stacks, dof)
+    return table_fields(space.dofs, dof)
+
+
+def triangle_cells(geom) -> tuple[np.ndarray, np.ndarray]:
+    """(areas, centroids) of the triangles of geom, (nt,) and (nt, 2),
+    formed from its lattice cells."""
+    areas, centroids = geom.cells()
+    return geom.on_mask(areas), geom.on_mask(centroids)
+
+
+def free_vertices(geom) -> np.ndarray:
+    """The boolean mask of the vertices off geom.boundary_local: the
+    unknowns of finefem.assemble's system, in order."""
+    free = np.ones(geom.n_vertices, dtype=bool)
+    free[geom.boundary_local] = False
+    return free
 
 
 def element_dofs(space) -> list[list[int]]:
@@ -183,7 +198,7 @@ def bubble_residual(fine, elem_id, f, coeffs, basis) -> float:
     per-element form of the estimator's bubble residuals, kept as
     reference."""
     geom = finefem.element_geometry(fine, elem_id)
-    pts, w = geom.centroids, geom.areas
+    w, pts = triangle_cells(geom)
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     if basis is not None and len(coeffs):
         fv = fv - (basis.eval_ref(to_ref(fine.coarse, elem_id, pts))
@@ -498,9 +513,9 @@ def trace_loads(Kt, X, tris) -> np.ndarray:
 def reference_load_vector(geom, f) -> np.ndarray:
     """P1 load vector of f by the centroid rule, scattered from the
     triangles (finefem.load_vector before box_loads)."""
-    fv = np.asarray(f(geom.centroids[:, 0], geom.centroids[:, 1]),
-                    dtype=float)
-    return scatter(local_triangles(geom), (geom.areas * fv / 3.0)[None],
+    areas, centroids = triangle_cells(geom)
+    fv = np.asarray(f(centroids[:, 0], centroids[:, 1]), dtype=float)
+    return scatter(local_triangles(geom), (areas * fv / 3.0)[None],
                    geom.n_vertices)[0]
 
 
@@ -580,14 +595,15 @@ def quad_points(geom, order: int = 1):
     """Composite quadrature on the triangles of geom, (points, weights)
     with sum(weights) = area: the centroid rule (order 1) or the edge
     midpoint rule (order 3)."""
+    areas, centroids = triangle_cells(geom)
     if order == 1:
-        return geom.centroids, geom.areas
+        return centroids, areas
     if order == 3:
         p = geom.points[local_triangles(geom)]  # (nt, 3, 2)
         mids = np.concatenate([(p[:, 1] + p[:, 2]) / 2,
                                (p[:, 0] + p[:, 2]) / 2,
                                (p[:, 0] + p[:, 1]) / 2])
-        return mids, np.tile(geom.areas / 3.0, 3)
+        return mids, np.tile(areas / 3.0, 3)
     raise ValueError("quad_order must be 1 or 3")
 
 

@@ -3,6 +3,7 @@ against the element-by-element and edge-by-edge loops they replaced, kept
 here as reference code, and counters that keep those loops from coming
 back."""
 
+import dataclasses
 import json
 import math
 
@@ -12,7 +13,7 @@ import pytest
 import conftest
 from conftest import (bubble_coeffs, bubble_residual, edge_elements,
                       edge_vertex_chain, element_dofs, is_boundary_edge,
-                      skeleton_geometry, space_fields)
+                      skeleton_geometry, space_fields, triangle_cells)
 from legmsfem import (cli, errors, estimator, finefem, globalsolve, mesh,
                       polybasis)
 
@@ -110,8 +111,7 @@ def loop_p_e(coarse, edge_id, degrees):
 def loop_f_norms(fine, K, f, ell):
     if f is None:
         return 0.0, 0.0
-    geom = finefem.element_geometry(fine, K)
-    pts, w = geom.centroids, geom.areas
+    w, pts = triangle_cells(finefem.element_geometry(fine, K))
     fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
     l2sq = float(w @ fv**2)
     if ell == 0:
@@ -598,10 +598,11 @@ def test_errmap_bytes_repeat(tmp_path):
 def with_copied_fields(space):
     """The same space with copies of its offline stacks and their Gram
     blocks."""
+    t = space.dofs
+    dofs = dataclasses.replace(t, stacks=[st.copy() for st in t.stacks],
+                               grams=[g.copy() for g in t.grams])
     return globalsolve.EnrichedSpace(space.coarse, space.fine, space.A,
-                                     space.degrees, space.dofs,
-                                     [st.copy() for st in space.stacks],
-                                     [g.copy() for g in space.grams])
+                                     space.degrees, dofs)
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
@@ -638,7 +639,7 @@ def test_fields_index_the_offline_stacks():
     for group, *parts in sol.space._fields:
         for part in parts:
             # the offline stack itself, not a copy
-            assert any(part.stack is st for st in sol.space.stacks)
+            assert any(part.stack is st for st in sol.space.dofs.stacks)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import edge_elements, is_boundary_edge, to_ref, vertex_elements
+from conftest import (edge_elements, is_boundary_edge, to_ref,
+                      triangle_cells, vertex_elements)
 from legmsfem import cli, estimator, finefem, globalsolve, localbasis, mesh
 
 BASE = {"schema": 1, "kind": "quad", "nx": 4, "ny": 4, "n_sub": 8,
@@ -250,6 +251,23 @@ def test_non_finite_load_exits_2_naming_a_point(tmp_path, capsys):
         f(np.array([0.25, 0.5]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("N", "1,2"), ("M", "0,1"), ("H", "0.5,0.25"), ("eps", "0.25,0.5")])
+def test_non_finite_load_ends_every_sweep(axis, values, tmp_path, capsys):
+    # every axis evaluates the load at the same fine centroids, so a value
+    # that is not finite is no row's own failure: exit 2 and no rows, as
+    # solve does
+    path = write_cfg(tmp_path, rhs={"type": "expression",
+                                    "expr": "sqrt(x - 0.5)"})
+    out = tmp_path / "sweep.csv"
+    with np.errstate(invalid="ignore"):
+        assert cli.main(["sweep", "--config", path, "--axis", axis,
+                         "--values", values, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "is not finite" in err and "row failed" not in err
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -326,14 +344,22 @@ def test_coefficient_bounds_checked(tmp_path):
     assert all(r.split(",")[5:9] == ["0", "nan", "nan", "nan"] for r in rows)
 
 
-def test_sweep_N_reuse_matches_fresh_runs(tmp_path):
+@pytest.mark.parametrize("axis, values", [
+    ("N", [1, 2, 3]), ("M", [0, 1, 2]), ("H", [0.5, 0.25, 0.125])],
+    ids=["N", "M", "H"])
+def test_sweep_reuse_matches_fresh_runs(axis, values, tmp_path):
+    # every row that shares work (a donor's interface fields, the fine
+    # reference) equals a fresh run of its own config byte for byte; an
+    # H row keeps the 32 fine cells per side
     cfg = cli.RunConfig.from_dict(cfg_dict())
     out = tmp_path / "sweep.csv"
-    assert cli.cmd_sweep(cfg, "N", [1, 2, 3], str(out)) == 0
+    assert cli.cmd_sweep(cfg, axis, values, str(out)) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == cli.CSV_HEADER and len(lines) == 4
-    for v, line in zip([1, 2, 3], lines[1:]):
-        fresh = cli.run_single(cli.RunConfig.from_dict(cfg_dict(N=v)))
+    assert lines[0] == cli.CSV_HEADER and len(lines) == 1 + len(values)
+    for v, line in zip(values, lines[1:]):
+        own = ({"nx": round(1 / v), "ny": round(1 / v), "n_sub": round(32 * v)}
+               if axis == "H" else {axis: v})
+        fresh = cli.run_single(cli.RunConfig.from_dict(cfg_dict(**own)))
         assert line == fresh.row()
 
 
@@ -572,8 +598,7 @@ def test_basis_dump_bytes_match_the_full_table(tmp_path):
         name, i, *k = sel.split(":")
         dof = space.dofs.find(kinds[name], int(i), int(k[0]) if k else 0)
         assert dof >= 0
-        rows = localbasis.dump_points(space.dofs, space.stacks, dof,
-                                      problem.fine)
+        rows = localbasis.dump_points(space.dofs, dof, problem.fine)
         want = "\n".join(["x,y,value"] + [",".join("%.17g" % v for v in r)
                                           for r in rows]) + "\n"
         assert out.read_bytes() == want.encode(), sel
@@ -688,7 +713,7 @@ def test_solve_evaluates_the_coefficient_once_on_the_fine_triangles(
     # assembly and the error report all read one evaluation at the global
     # fine centroids; the estimator's edge midpoints are no centroids
     fine = mesh.refine_to_fine(mesh.build_coarse("quad", 4, 4), 8)
-    centroids = finefem.global_geometry(fine).centroids
+    _, centroids = triangle_cells(finefem.global_geometry(fine))
     known = set(map(tuple, centroids.tolist()))
     calls = []
     real = finefem.CoefficientField.matrix_at

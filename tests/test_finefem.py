@@ -5,9 +5,10 @@ import scipy.sparse as sp
 from conftest import (anisotropic_field, check_against_dense, coarsen, dense,
                       dense_couplings, element_boundary_vertex_ids,
                       element_triangle_ids, energy_inner, energy_products,
-                      fourier_poisson_center, group_weights, local_triangles,
-                      member_triangle_ids, quad_points, skeleton_geometry,
-                      split, stiffness, triangle_gradients)
+                      fourier_poisson_center, free_vertices, group_weights,
+                      local_triangles, member_triangle_ids, quad_points,
+                      skeleton_geometry, split, stiffness, triangle_cells,
+                      triangle_gradients)
 from legmsfem import errors, finefem, localbasis, mesh
 
 
@@ -15,12 +16,13 @@ def dense_stiffness(geom, A):
     """Triangle-by-triangle dense assembly, the slow reference."""
     n = geom.n_vertices
     K = np.zeros((n, n))
-    Abar = A.matrix_at(geom.centroids)
+    areas, centroids = triangle_cells(geom)
+    Abar = A.matrix_at(centroids)
     grads = triangle_gradients(geom)
     for t, tri in enumerate(local_triangles(geom)):
         for i in range(3):
             for j in range(3):
-                K[tri[i], tri[j]] += geom.areas[t] * (
+                K[tri[i], tri[j]] += areas[t] * (
                     grads[t, i] @ Abar[t] @ grads[t, j])
     return K
 
@@ -101,7 +103,7 @@ def test_geometry_caches(fine_quad44):
     assert finefem.load_vector(geom, g) is not b
     assert np.array_equal(finefem.load_vector(geom, g), b)
     assert abs(finefem.load_vector(geom, finefem.constant_rhs(2.0)).sum()
-               - 2.0 * geom.areas.sum()) < 1e-15
+               - 2.0 * triangle_cells(geom)[0].sum()) < 1e-15
 
 
 def test_assemble_matches_dense(fine_quad44):
@@ -109,7 +111,7 @@ def test_assemble_matches_dense(fine_quad44):
     geom = finefem.element_geometry(fine_quad44, 6)
     sys_ = finefem.assemble(geom, A, f=finefem.constant_rhs(-1.0))
     Kd = dense_stiffness(geom, A)
-    free = sys_.free
+    free = free_vertices(geom)
     K = dense(sys_.K)
     diff = np.abs(K - Kd[np.ix_(free, free)]).max()
     assert diff < 1e-15 * np.abs(Kd).max()
@@ -224,35 +226,14 @@ def test_patch_groups_broadcast_the_template(kind):
                    for v in vars(fine).values())
 
 
-def test_dirichlet_array_validation(fine_quad44):
-    # boundary data is one value per entry of boundary_local, no more, no less
-    A = finefem.identity_field()
-    geom = finefem.element_geometry(fine_quad44, 0)
-    data = np.zeros(len(geom.boundary_local))
-    with pytest.raises(ValueError, match="31 Dirichlet values for 32"):
-        finefem.assemble(geom, A, dirichlet=data[1:])
-    with pytest.raises(ValueError, match="33 Dirichlet values for 32"):
-        finefem.assemble(geom, A, dirichlet=np.append(data, 1.0))
-
-
-def test_affine_dirichlet_reproduced(fine_quad44):
-    # P1 with constant A solves affine boundary data exactly
-    A = finefem.identity_field()
-    geom = finefem.element_geometry(fine_quad44, 5)
-    lin = lambda p: 2.0 * p[:, 0] + 3.0 * p[:, 1] - 1.0
-    data = lin(geom.points[geom.boundary_local])
-    u = finefem.solve_spd(finefem.assemble(geom, A, dirichlet=data))
-    expect = lin(geom.points)
-    assert np.abs(u.values - expect).max() < 1e-12
-
-
 def test_pcg_matches_direct(fine_quad44):
     A = finefem.periodic_benchmark(0.25)
     geom = finefem.global_geometry(fine_quad44)
     sys_ = finefem.assemble(geom, A, f=finefem.constant_rhs(-1.0))
     u = finefem.solve_spd(sys_, rel_tol=1e-13)
     x_direct = np.linalg.solve(dense(sys_.K), sys_.rhs)
-    rel = np.abs(u.values[sys_.free] - x_direct).max() / np.abs(x_direct).max()
+    rel = (np.abs(u.values[free_vertices(geom)] - x_direct).max()
+           / np.abs(x_direct).max())
     assert rel < 1e-9
     assert u.cg_iters > 0
 
@@ -371,7 +352,8 @@ def test_energy_inner_matrix_blocks_match_one_pass(fine_quad44, rng):
     geom = finefem.global_geometry(fine_quad44)
     V = rng.standard_normal((40, geom.n_vertices))
     W = rng.standard_normal((5, geom.n_vertices))
-    AW = geom.areas[:, None, None] * A.matrix_at(geom.centroids)
+    areas, centroids = triangle_cells(geom)
+    AW = areas[:, None, None] * A.matrix_at(centroids)
     grads, tris = triangle_gradients(geom), local_triangles(geom)
     gV = np.einsum("bti,tid->btd", V[:, tris], grads)
     gW = np.einsum("bti,tid->btd", W[:, tris], grads)
@@ -529,7 +511,7 @@ def test_lattice_that_cannot_coarsen_runs_jacobi_pcg(skeleton, nx, n_sub):
     assert np.array_equal(x_mg, x_j) and not x_j[~K.mask].any()
     u = finefem.solve_spd(system)
     assert u.cg_iters == it_j
-    assert np.array_equal(u.values[system.free], x_j[K.mask])
+    assert np.array_equal(u.values[free_vertices(geom)], x_j[K.mask])
 
 
 @pytest.mark.parametrize("kind,nx,n_sub,skeleton,levels,A", [

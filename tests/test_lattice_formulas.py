@@ -21,7 +21,7 @@ from conftest import (anisotropic_field, coarsen, corner_areas_centroids,
                       gather, group_weights, local_triangles,
                       member_triangle_ids, reference_load_vector,
                       reference_stencil, restricted, scatter, scatter_rows,
-                      skeleton_geometry, triangle_elements,
+                      skeleton_geometry, triangle_cells, triangle_elements,
                       triangle_gradients)
 from legmsfem import estimator, finefem, localbasis, mesh, polybasis
 
@@ -58,7 +58,8 @@ def agree(got, want, exact):
 
 def test_cell_gradients_are_the_triangle_gradients(fine):
     geom = finefem.global_geometry(fine)
-    got = finefem.cell_gradients(geom.spacing)[np.arange(len(geom.areas)) % 2]
+    nt = len(triangle_cells(geom)[0])
+    got = finefem.cell_gradients(geom.spacing)[np.arange(nt) % 2]
     assert agree(got, triangle_gradients(geom), dyadic(fine))
 
 
@@ -77,8 +78,9 @@ def test_areas_and_centroids_are_the_corner_formulas(fine):
             for K in range(coarse.n_elements)]
         for geom in geoms:
             areas, centroids = corner_areas_centroids(geom)
-            assert geom.areas.tobytes() == areas.tobytes()
-            assert geom.centroids.tobytes() == centroids.tobytes()
+            got_areas, got_centroids = triangle_cells(geom)
+            assert got_areas.tobytes() == areas.tobytes()
+            assert got_centroids.tobytes() == centroids.tobytes()
 
 
 def test_masked_windows_are_the_tagged_triangles(fine):
@@ -151,6 +153,7 @@ def test_loads(fine):
     geom = finefem.global_geometry(fine)
     assert np.array_equal(finefem.load_vector(geom, f),
                           reference_load_vector(geom, f))
+    areas, centroids = triangle_cells(geom)
     coarse = fine.coarse
     bases = {m: polybasis.BulkPolyBasis(coarse.kind, m) for m in (1, 2)}
     for g in finefem.patch_groups(fine, range(coarse.n_elements)):
@@ -160,8 +163,8 @@ def test_loads(fine):
             assert np.array_equal(finefem.load_vector(egeom, f),
                                   reference_load_vector(egeom, f))
         tri_ids, tris = member_triangle_ids(g), local_triangles(t)
-        pts = geom.centroids[tri_ids]
-        shares = geom.areas[tri_ids] * f(pts[..., 0], pts[..., 1]) / 3.0
+        pts = centroids[tri_ids]
+        shares = areas[tri_ids] * f(pts[..., 0], pts[..., 1]) / 3.0
         assert np.array_equal(g.load_vectors(f),
                               scatter(tris, shares, t.n_vertices))
         M = np.arange(len(g.elements)) % 3
@@ -185,16 +188,17 @@ def test_loads_by_blocks_of_cell_rows(kind):
     f = finefem.RhsField("seeded", lambda x, y: -(0.9 + 0.4 * np.sin(
         3 * np.pi * x + 0.7) * np.sin(2 * np.pi * y + 2.1)))
     geom = finefem.global_geometry(fine)
-    assert 2 < fine.nfy / ((1 << 12) // fine.nfx) <= 3
+    assert 2 < fine.nfy / finefem.cache_rows(fine.nfx) <= 3
     for g in [geom] + [finefem.element_geometry(fine, K) for K in (0, 1)]:
-        pts = g.centroids
+        w, pts = triangle_cells(g)
         whole = g.from_box(finefem.box_loads(
-            g, g.areas * f(pts[:, 0], pts[:, 1]) / 3.0))
+            g, w * f(pts[:, 0], pts[:, 1]) / 3.0))
         assert finefem.load_vector(g, f).tobytes() == whole.tobytes()
+    glob_areas, glob_centroids = triangle_cells(geom)
     for grp in finefem.patch_groups(fine, range(fine.coarse.n_elements)):
         areas, centroids = grp.cells()
-        assert areas.tobytes() == gather(grp, geom.areas).tobytes()
-        assert centroids.tobytes() == gather(grp, geom.centroids).tobytes()
+        assert areas.tobytes() == gather(grp, glob_areas).tobytes()
+        assert centroids.tobytes() == gather(grp, glob_centroids).tobytes()
 
 
 def reference_jump_norms(fine, edge_ids, v, A):

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from conftest import (anisotropic_field, check_against_dense,
                       group_weights, is_boundary_edge, local_triangles,
                       member_triangle_ids, pattern_gradients, split,
                       stiffness, table_fields, to_ref, trace_loads,
-                      vertex_edges, vertex_elements)
+                      triangle_cells, vertex_edges, vertex_elements)
 from legmsfem import finefem, localbasis, mesh, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
@@ -31,9 +31,9 @@ def first_field(coarse, fine, A, support, codes, stride=0, M=None,
     are given."""
     n_el = coarse.n_elements
     M = np.zeros(n_el, dtype=int) if M is None else M
-    solved, where, _ = localbasis._patch_fields(
+    stacks, _, where, _ = localbasis._patch_fields(
         coarse, fine, A, np.array(support), codes, stride, M, bases or {})
-    return {K: solved[s][0][b if M[K] else a]
+    return {K: stacks[s][b if M[K] else a]
             for K, (s, a, b) in zip(support, where[support].tolist())}
 
 
@@ -156,10 +156,10 @@ def test_discrete_harmonicity(quad44, fine_quad44, A_osc):
     fields = compute_nodal(v, quad44, fine_quad44, A_osc)
     K, u = next(iter(fields.items()))
     geom = finefem.element_geometry(fine_quad44, K)
-    # with the function's own boundary values as Dirichlet data, the
-    # lifted right-hand side is -K_fc times them
-    system = finefem.assemble(geom, A_osc, dirichlet=u[geom.boundary_local])
-    r = system.K @ u[system.free] - system.rhs
+    # K_ff u_f minus the lifted right-hand side -K_fc u_c of its own
+    # boundary values: the free rows of the full stiffness times u
+    system = finefem.assemble(geom, A_osc)
+    r = geom.stencil(A_osc).apply(geom.to_box(u))[system.K.mask]
     scale = np.abs(system.K.diagonal()).max() * np.abs(u).max()
     assert np.abs(r).max() < 1e-10 * scale
 
@@ -220,11 +220,12 @@ def test_compute_all_order_and_counts(quad44, fine_quad44, A_osc):
 
 
 def test_compute_all_which_split(quad44, fine_quad44, A_osc):
+    # bubbles only, and the interface only from degrees without bubbles
     degrees = mesh.DegreeAssignment.uniform(quad44, 2, 1)
-    iface = localbasis.compute_all(quad44, fine_quad44, A_osc, degrees,
-                                   which="interface")
+    iface = localbasis.compute_all(quad44, fine_quad44, A_osc,
+                                   mesh.DegreeAssignment.uniform(quad44, 2, 0))
     bub = localbasis.compute_all(quad44, fine_quad44, A_osc, degrees,
-                                 which="bubble")
+                                 bubbles_only=True)
     assert (iface.kind != BUBBLE).all()
     assert (bub.kind == BUBBLE).all()
     assert len(iface) + len(bub) == 9 + 24 + 64
@@ -259,16 +260,13 @@ def test_compute_all_matches_iterative_reference(kind, A_osc):
     fine = mesh.refine_to_fine(coarse, 8)
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 2)
     basis = polybasis.BulkPolyBasis(kind, 2)
-    solved = []
-    table = localbasis.compute_all(coarse, fine, A_osc, degrees,
-                                   stacks=solved)
-    stacks = [x for x, _ in solved]
+    table = localbasis.compute_all(coarse, fine, A_osc, degrees)
     assert len(table) == (len(coarse.interior_vertex_ids)
                           + 2 * len(coarse.interior_edge_ids)
                           + coarse.n_elements * basis.dim)
     worst = 0.0
     for d, (dof_kind, key) in enumerate(zip(table.kind, table.key.tolist())):
-        fields = table_fields(table, stacks, d)
+        fields = table_fields(table, d)
         single = entry_point(dof_kind, key, coarse, fine, A_osc, basis)
         assert list(single) == list(fields)
         for K, u in fields.items():
@@ -279,12 +277,18 @@ def test_compute_all_matches_iterative_reference(kind, A_osc):
                     pts = np.column_stack([np.ravel(x), np.ravel(y)])
                     return basis.eval_ref(to_ref(coarse, K, pts))[:, i - 1]
 
-                system = finefem.assemble(geom, A_osc, load, 0.0)
+                system = finefem.assemble(geom, A_osc, load)
+                ref = finefem.solve_spd(system, 1e-13).values
             else:
-                system = finefem.assemble(
-                    geom, A_osc, None,
-                    reference_trace(coarse, fine, K, dof_kind, key))
-            ref = finefem.solve_spd(system, 1e-13).values
+                # the trace lifted: right-hand side -K_fc times it, and
+                # the trace added back to the zero-trace solve
+                trace = np.zeros(geom.n_vertices)
+                trace[geom.boundary_local] = reference_trace(
+                    coarse, fine, K, dof_kind, key)
+                system = finefem.assemble(geom, A_osc)
+                system = replace(system, rhs=-geom.stencil(A_osc).apply(
+                    geom.to_box(trace))[system.K.mask])
+                ref = finefem.solve_spd(system, 1e-13).values + trace
             worst = max(worst, np.abs(u - ref).max() / np.abs(ref).max())
     assert worst < 1e-10
 
@@ -308,14 +312,11 @@ def test_batched_catalog_matches_entry_points(kind, n, n_sub, A_osc,
         return iter(parts)
 
     monkeypatch.setattr(finefem.PatchGroup, "chunks", counted)
-    solved = []
-    table = localbasis.compute_all(coarse, fine, A_osc, degrees,
-                                   stacks=solved)
-    stacks = [x for x, _ in solved]
+    table = localbasis.compute_all(coarse, fine, A_osc, degrees)
     assert len(chunks) == (2 if kind == "triangle" else 1)
     assert max(chunks) == (1 if kind == "triangle" else 4)
     for d, (dof_kind, key) in enumerate(zip(table.kind, table.key.tolist())):
-        fields = table_fields(table, stacks, d)
+        fields = table_fields(table, d)
         single = entry_point(dof_kind, key, coarse, fine, A_osc, basis)
         assert list(single) == list(fields)
         for K, u in fields.items():
@@ -337,12 +338,10 @@ def test_edge_chains_must_be_translates(A_osc):
 
 def test_dump_points(quad44, fine_quad44, A_osc):
     v = int(quad44.interior_vertex_ids[0])
-    solved = []
     table = localbasis.compute_all(quad44, fine_quad44, A_osc,
                                    mesh.DegreeAssignment.uniform(quad44, 2, 0),
-                                   stacks=solved, support_of=(NODAL, v, 0))
-    stacks = [x for x, _ in solved]
-    rows = localbasis.dump_points(table, stacks, table.find(NODAL, v, 0),
+                                   support_of=(NODAL, v, 0))
+    rows = localbasis.dump_points(table, table.find(NODAL, v, 0),
                                   fine_quad44)
     assert rows.shape == (len(np.unique(np.concatenate([
         fine_quad44.element_vertex_ids(K)
@@ -458,15 +457,15 @@ def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
 def loop_load_weights(coarse, sub, M, bases, n_b):
     """The bubble loads of the sweep, one to_ref and eval_ref per
     element, as the sweep formed them before it batched them."""
-    glob = finefem.global_geometry(sub.fine)
+    areas, centroids = triangle_cells(finefem.global_geometry(sub.fine))
     tri_ids = member_triangle_ids(sub)
     out = np.zeros((tri_ids.shape[1], n_b, len(sub.elements)))
     for e, K in enumerate(sub.elements):
         if M[e]:
             basis = bases[M[e]]
             ids = tri_ids[e]
-            P = basis.eval_ref(to_ref(coarse, K, glob.centroids[ids]))
-            out[:, :basis.dim, e] = glob.areas[ids][:, None] * P / 3.0
+            P = basis.eval_ref(to_ref(coarse, K, centroids[ids]))
+            out[:, :basis.dim, e] = areas[ids][:, None] * P / 3.0
     return out
 
 
@@ -482,7 +481,7 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
     degrees.M[[0, 3, 4]] = [1, 3, 0]
     _, _, M, bases = requests_of(coarse, degrees)
     f = finefem.gaussian_rhs()
-    glob = finefem.global_geometry(fine)
+    areas, centroids = triangle_cells(finefem.global_geometry(fine))
     for group in finefem.patch_groups(fine, range(coarse.n_elements)):
         Mg = M[group.elements]
         n_b = max(bases[m].dim for m in Mg.tolist() if m)
@@ -491,10 +490,9 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
                               loop_load_weights(coarse, group, Mg, bases,
                                                 n_b))
         tri_ids = member_triangle_ids(group)
-        pts = glob.centroids[tri_ids]
+        pts = centroids[tri_ids]
         fv = f(pts[..., 0], pts[..., 1])
-        assert np.array_equal(got[:, n_b], (glob.areas[tri_ids] * fv
-                                            / 3.0).T)
+        assert np.array_equal(got[:, n_b], (areas[tri_ids] * fv / 3.0).T)
     runs = []
     for loop in (False, True):
         if loop:
@@ -502,11 +500,9 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
                 localbasis, "_load_weights",
                 lambda coarse, sub, M, bases, n_b, f: loop_load_weights(
                     coarse, sub, M, bases, n_b))
-        solved = []
         table = localbasis.compute_all(coarse, fine, A, degrees,
-                                       which="bubble", stacks=solved)
-        stacks = [x for x, _ in solved]
-        runs.append((table, [table_fields(table, stacks, d)
+                                       bubbles_only=True)
+        runs.append((table, [table_fields(table, d)
                              for d in range(len(table))]))
     (batched, a), (looped, b) = runs
     assert np.array_equal(batched.key, looped.key)
