@@ -39,7 +39,8 @@ _SAFE_NAMES = {
 
 
 def _expression(expr: str, where: str):
-    """Compile a scalar expression of x and y over a numeric whitelist."""
+    """Compile a scalar expression of x and y over a numeric whitelist;
+    on two probe points it must give one real number per point."""
     if not isinstance(expr, str):
         raise ConfigError(f"{where}: must be a string")
     try:
@@ -50,10 +51,23 @@ def _expression(expr: str, where: str):
         if name not in _SAFE_NAMES and name not in ("x", "y"):
             raise ConfigError(f"{where}: unknown name {name!r} in expression")
 
+    def values(x, y):
+        return eval(code, {"__builtins__": {}}, {"x": x, "y": y,
+                                                 **_SAFE_NAMES})
+
+    probe = np.array([0.25, 0.75])
+    try:
+        with np.errstate(all="ignore"):
+            v = np.asarray(values(probe, probe[::-1]))
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {expr!r} fails on points: {exc}"
+                          ) from None
+    if v.dtype.kind not in "biuf" or v.shape not in ((), (1,), probe.shape):
+        raise ConfigError(f"{where}: {expr!r} must give one real number "
+                          f"per point, got {v.dtype} of shape {v.shape}")
+
     def fn(x, y):
-        return np.broadcast_to(
-            eval(code, {"__builtins__": {}},
-                 {"x": x, "y": y, **_SAFE_NAMES}), np.shape(x)).astype(float)
+        return np.broadcast_to(values(x, y), np.shape(x)).astype(float)
 
     return fn
 
@@ -257,8 +271,8 @@ def _coefficient_field(spec: dict) -> finefem.CoefficientField:
             raise ConfigError("config.coefficient: need 0 < alpha_min "
                               "<= alpha_max")
         fn = _expression(spec["expr"], "config.coefficient.expr")
-        return finefem.scalar_field(f"expression({spec['expr']})", fn,
-                                    float(lo), float(hi))
+        return finefem.CoefficientField(f"expression({spec['expr']})",
+                                        float(lo), float(hi), fn)
     raise ConfigError(f"config.coefficient.type: unknown {t!r}")
 
 

@@ -96,7 +96,7 @@ def _jump_norms(fine: FineMesh, edge_ids, v: finefem.FineFunction,
     d = pb - pa
     L = np.hypot(d[:, 0], d[:, 1])
     nu = np.column_stack([d[:, 1], -d[:, 0]]) / L[:, None]
-    Anu = np.einsum("sij,sj->si", A.matrix_at(0.5 * (pa + pb)), nu)
+    Anu = A.at(0.5 * (pa + pb))[:, None] * nu
     # Triangle 2c of lattice cell c is its lower one (SW, SE, NE), 2c + 1
     # the upper (SW, NE, NW); sw is the cell's SW vertex.
     upper, sw = tris % 2, tris // 2 + tris // (2 * fine.nfx)

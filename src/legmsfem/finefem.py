@@ -10,11 +10,11 @@ holds at solver accuracy.
 Every geometry here is a set of triangles of the SW-NE fine lattice: a box
 of lattice vertices and a mask of the cell triangles it holds, the areas
 and centroids of any block of its cells formed from the box's coordinate
-vectors when a consumer takes them (`lattice_cells`).  So its
-stiffness is a 7-point stencil (centre, E/W, N/S, NE/SW) on its box, and
-its P1 loads are box arrays, both
-summed from per-cell arrays in shifted slices (`Stencil.of`, `box_loads`,
-also for a stack of congruent patches): the lower (SW, SE, NE) and upper
+vectors when a consumer takes them (`lattice_cells`).  The coefficient is
+a scalar field, a(x) I, so its stiffness is a 5-point stencil (centre,
+E/W, N/S) on its box, and its P1 loads are box arrays, both summed from
+per-cell arrays in shifted slices (`Stencil.of`, `box_loads`, also for a
+stack of congruent patches): the lower (SW, SE, NE) and upper
 (SW, NE, NW) triangle of a cell have two constant gradient patterns
 (`cell_gradients`), and a triangle off the geometry a zero coefficient and
 load.  The stencil is the one form of every fine stiffness: `assemble`
@@ -22,10 +22,11 @@ masks the boundary vertices out of it for the iterative solves (the fine
 reference), and `RowBlocks`, the one block layout of K_ff over lattice
 rows, gathers from it the blocks of the direct block-tridiagonal
 elimination that the offline patch solves in `localbasis` and the coarsest
-multigrid level run.  Per triangle a geometry stores only the
-area-weighted coefficient of the last coefficient object it was asked for
-(keyed by identity, never by name), so a run evaluates the coefficient on
-the fine triangles once and two coefficient fields never share a matrix.
+multigrid level run, with one coupling between adjacent lattice rows.
+Per triangle a geometry stores only one value, the area-weighted
+coefficient of the last coefficient object it was asked for (keyed by
+identity, never by name), so a run evaluates the coefficient on the fine
+triangles once and two coefficient fields never share a matrix.
 Only numpy is needed.
 
 `solve_spd` preconditions CG with one geometric multigrid V-cycle
@@ -67,7 +68,7 @@ import numpy as np
 
 
 class SolverDivergenceError(RuntimeError):
-    """CG failed to reach the requested residual within the iteration cap."""
+    """CG broke down or missed the requested residual within its cap."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -87,25 +88,23 @@ class LoadValueError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """SPD diffusion coefficient A(x), evaluated pointwise as a 2x2 matrix."""
+    """Scalar diffusion coefficient a(x, y) I, from vectorized fn(x, y)."""
 
     name: str
     alpha_min: float
     alpha_max: float
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def matrix_at(self, points: np.ndarray) -> np.ndarray:
-        """A at each row of points, shape (n, 2, 2).  Raises
-        CoefficientBoundsError unless the closed-form eigenvalues of each
-        symmetric part are finite and in [alpha_min, alpha_max] (to
-        rounding); NaN and inf fail the comparisons."""
+    def at(self, points: np.ndarray) -> np.ndarray:
+        """a at each row of points, shape (n,), a constant fn broadcast.
+        Raises CoefficientBoundsError unless each value is finite and in
+        [alpha_min, alpha_max] (to rounding); NaN and inf fail the
+        comparisons."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        v = self.fn(pts)
-        mean = 0.5 * (v[:, 0, 0] + v[:, 1, 1])
-        rad = np.hypot(0.5 * (v[:, 0, 0] - v[:, 1, 1]),
-                       0.5 * (v[:, 0, 1] + v[:, 1, 0]))
+        v = np.broadcast_to(np.asarray(self.fn(pts[:, 0], pts[:, 1]),
+                                       dtype=float), len(pts))
         lo, hi = self.alpha_min, self.alpha_max
-        ok = (mean - rad >= lo - 1e-12 * hi) & (mean + rad <= hi * (1 + 1e-12))
+        ok = (v >= lo - 1e-12 * hi) & (v <= hi * (1 + 1e-12))
         if not ok.all():
             x, y = pts[np.argmin(ok)]
             raise CoefficientBoundsError(
@@ -114,21 +113,8 @@ class CoefficientField:
         return v
 
 
-def scalar_field(name: str, a, alpha_min: float, alpha_max: float) -> CoefficientField:
-    """Coefficient a(x,y)*I from a vectorized scalar function."""
-
-    def fn(pts):
-        v = np.asarray(a(pts[:, 0], pts[:, 1]), dtype=float)
-        out = np.zeros((len(pts), 2, 2))
-        out[:, 0, 0] = v
-        out[:, 1, 1] = v
-        return out
-
-    return CoefficientField(name, alpha_min, alpha_max, fn)
-
-
 def identity_field() -> CoefficientField:
-    return scalar_field("identity", lambda x, y: np.ones_like(x), 1.0, 1.0)
+    return CoefficientField("identity", 1.0, 1.0, lambda x, y: np.ones_like(x))
 
 
 def periodic_benchmark(eps: float) -> CoefficientField:
@@ -146,7 +132,8 @@ def periodic_benchmark(eps: float) -> CoefficientField:
         sx = 2 + 1.8 * np.sin(X)
         return sx / (2 + 1.8 * np.cos(Y)) + (2 + np.sin(Y)) / sx
 
-    return scalar_field(f"periodic_benchmark(eps={eps:.12g})", a, 1.2, 20.0)
+    return CoefficientField(f"periodic_benchmark(eps={eps:.12g})", 1.2, 20.0,
+                            a)
 
 
 @dataclass(frozen=True)
@@ -207,34 +194,20 @@ def cell_gradients(spacing: tuple[float, float]) -> np.ndarray:
                      [[0.0, -b], [a, 0.0], [-a, b]]])
 
 
-def _stiffness_entries(g: np.ndarray, AW: np.ndarray) -> tuple:
+def _stiffness_entries(g: np.ndarray, w: np.ndarray) -> tuple:
     """The six distinct entries of the P1 stiffness matrices of triangles
-    with the gradients g (3, 2) and area-weighted coefficients AW (..., 2,
-    2): the diagonals (K00, K11, K22) and the couplings (K01, K02, K12),
-    each (...), None where zero.  K_ij is the mean of (A grad_i) . grad_j
-    and (A grad_j) . grad_i, so the matrices are exactly symmetric."""
+    with the gradients g (3, 2) and area-weighted coefficients w (...):
+    the diagonals (K00, K11, K22) and the couplings (K01, K02, K12), each
+    (...), None where zero.  K_ij sums g_jd (g_id w) over the d where both
+    gradients are nonzero: for i != j at most one d, with opposite signs,
+    so K_ij = K_ji exactly, and the SW-NE coupling is None."""
 
-    def lin(*pairs):
-        # The sum of c v over the (c, v) pairs in order, without the terms
-        # that would add +-0 only: a zero gradient component (two of the
-        # six of a lattice triangle) or an all-zero array, None (the
-        # off-diagonal entries of a scalar coefficient).
-        terms = [c * v for c, v in pairs if c and v is not None]
+    def k(i, j):
+        terms = [g[j, d] * (g[i, d] * w) for d in (0, 1)
+                 if g[i, d] and g[j, d]]
         for t in terms[1:]:
             terms[0] += t
         return terms[0] if terms else None
-
-    AW = [[v if v.any() else None for v in (AW[..., a, 0], AW[..., a, 1])]
-          for a in (0, 1)]
-    gA = [[lin((g[i, 0], AW[0][d]), (g[i, 1], AW[1][d])) for d in (0, 1)]
-          for i in range(3)]
-
-    def k(i, j):
-        kij = lin((g[j, 0], gA[i][0]), (g[j, 1], gA[i][1]))
-        if i == j:
-            return kij  # the mean of kij and itself, exactly
-        kji = lin((g[i, 0], gA[j][0]), (g[i, 1], gA[j][1]))
-        return lin((0.5, kij), (0.5, kji))  # halving is exact
 
     return (k(0, 0), k(1, 1), k(2, 2)), (k(0, 1), k(0, 2), k(1, 2))
 
@@ -255,11 +228,10 @@ BY_SLOT = ((0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1), (0, 1, 0, 1),
 def _add_at_corners(out: np.ndarray, terms) -> np.ndarray:
     """Add each per-cell array V (..., rows - 1, columns - 1) of terms
     (di, dj, V), in turn, to the lattice array out (..., rows, columns) at
-    corner (di, dj) of every cell, in place; None adds nothing."""
+    corner (di, dj) of every cell, in place."""
     cy, cx = out.shape[-2] - 1, out.shape[-1] - 1
     for di, dj, v in terms:
-        if v is not None:
-            out[..., di:di + cy, dj:dj + cx] += v
+        out[..., di:di + cy, dj:dj + cx] += v
     return out
 
 
@@ -387,35 +359,28 @@ class TriGeometry:
             return C.reshape((-1,) + C.shape[3:])
         return C[self.mask]
 
-    def to_cells(self, V: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Per-triangle values V, triangles along axis, on the triangles of
-        all box cells, zero off the mask: V itself where the mask holds
-        every one."""
+    def to_cells(self, V: np.ndarray) -> np.ndarray:
+        """Per-triangle values V (..., nt) on the triangles of all box
+        cells, zero off the mask: V itself where the mask holds every
+        one."""
         if self.mask is None:
             return V
-        shape = list(V.shape)
-        shape[axis] = self.mask.size
-        out = np.zeros(shape)
-        out[(slice(None),) * (axis % V.ndim) + (self.mask.ravel(),)] = V
+        out = np.zeros(V.shape[:-1] + (self.mask.size,))
+        out[..., self.mask.ravel()] = V
         return out
 
     def area_weighted(self, A: CoefficientField) -> np.ndarray:
         """Per-triangle area times the coefficient at the centroid, shape
-        (nt, 2, 2), evaluated once per coefficient object, in one call at
-        all centroids: kept until another coefficient replaces it, the key
+        (nt,), evaluated once per coefficient object, in one call at all
+        centroids: kept until another coefficient replaces it, the key
         comparing the coefficient by identity, never by name, so two
-        coefficient fields never share a matrix.  Each entry is contiguous
-        over the triangles."""
+        coefficient fields never share a matrix."""
         if self._weights[0] is not A:
             self._weights[:] = [None, None, None]
             areas, centroids = self.cells()
-            v = A.matrix_at(self.on_mask(centroids))
+            a = A.at(self.on_mask(centroids))
             del centroids
-            areas = self.on_mask(areas)
-            AW = np.empty((2, 2, len(v)))
-            for a, b in np.ndindex(2, 2):
-                np.multiply(areas, v[:, a, b], out=AW[a, b])
-            self._weights[:] = [A, AW.transpose(2, 0, 1), None]
+            self._weights[:] = [A, self.on_mask(areas) * a, None]
         return self._weights[1]
 
     def stencil(self, A: CoefficientField) -> Stencil:
@@ -449,78 +414,64 @@ def cache_rows(per_row: int) -> int:
 
 
 class Stencil:
-    """The P1 stiffness of a lattice geometry as a 7-point stencil on its
+    """The P1 stiffness of a lattice geometry as a 5-point stencil on its
     vertex box: flat row-major arrays of the centre coefficient and of the
-    couplings of each box position with its east, north and north-east
-    neighbours (the west, south and south-west ones are those of the
-    neighbour), the rows (centre, east, north, northeast) of coef
-    (..., 4, box positions).  Each coupling is one entry of an exactly
-    symmetric element matrix applied both ways, so the operator is exactly
-    symmetric by construction.  Positions outside the geometry carry
-    zeros, so does a coupling across the end of a box row.  Leading axes
-    of coef hold the stencils of a stack of congruent patches; every
-    operation acts along the last axis, the box positions, and broadcasts
-    over the others."""
+    couplings of each box position with its east and north neighbours
+    (the west and south ones are those of the neighbour), the rows
+    (centre, east, north) of coef (..., 3, box positions).  A scalar
+    coefficient couples no SW-NE diagonal (_stiffness_entries).  Each
+    coupling is one entry of an exactly symmetric element matrix applied
+    both ways, so the operator is exactly symmetric by construction.
+    Positions outside the geometry carry zeros, so does a coupling across
+    the end of a box row.  Leading axes of coef hold the stencils of a
+    stack of congruent patches; every operation acts along the last axis,
+    the box positions, and broadcasts over the others."""
 
     def __init__(self, grid: tuple[int, int], coef: np.ndarray):
         self.grid = grid
         self.coef = coef
-        self.centre, self.east, self.north, self.northeast = np.moveaxis(
-            coef, -2, 0)
-        # (coefficients, flat offset of the neighbour) of each direction
-        # with a nonzero coupling: a scalar coefficient gives the diagonal
-        # of a right triangle none, and apply skips what would add zeros.
-        self.couplings = [(c, k) for c, k in zip(
-            (self.east, self.north, self.northeast), self.offsets)
-            if c.any()]
-
-    @property
-    def offsets(self) -> tuple[int, int, int]:
-        """The flat offsets of the east, north and north-east
-        neighbours."""
-        cols = self.grid[1]
-        return 1, cols, cols + 1
+        self.centre, self.east, self.north = np.moveaxis(coef, -2, 0)
+        # (coefficients, flat offset of the neighbour) of each coupling.
+        self.couplings = [(self.east, 1), (self.north, grid[1])]
 
     @classmethod
     def of(cls, geom: TriGeometry, AW: np.ndarray) -> Stencil:
-        """of_cells of the area-weighted coefficient AW (..., nt, 2, 2) on
-        the triangles of geom, a stack of stencils for a stack of patches
-        with its triangulation."""
-        W = geom.to_cells(AW, axis=-3)
-        return cls.of_cells(geom.grid, W, geom.spacing)
+        """of_cells of the area-weighted coefficient AW (..., nt) on the
+        triangles of geom, a stack of stencils for a stack of patches with
+        its triangulation."""
+        return cls.of_cells(geom.grid, geom.to_cells(AW), geom.spacing)
 
     @classmethod
     def of_cells(cls, grid: tuple[int, int], W: np.ndarray,
                  spacing: tuple[float, float]) -> Stencil:
         """The stencil on a vertex box of grid (rows, columns) whose cells
         of the given spacing carry the area-weighted coefficients W (...,
-        2 per cell, 2, 2) of their triangles, row-major, lower first: the
+        2 per cell) of their triangles, row-major, lower first: the
         element entries of the gradient patterns (cell_gradients) summed
         at each box position in triangle order (BY_TRIANGLE)."""
         rows, cols = grid
-        lead = W.shape[:-3]
-        W = W.reshape(lead + (rows - 1, cols - 1, 2, 2, 2))
+        lead = W.shape[:-1]
+        W = W.reshape(lead + (rows - 1, cols - 1, 2))
         g = cell_gradients(spacing)
-        coef = np.zeros(lead + (4, rows, cols))
+        coef = np.zeros(lead + (3, rows, cols))
         # Blocks of cell rows, in order: a vertex row two blocks share gets
         # the lower one's terms first, as BY_TRIANGLE.
         step = cache_rows((cols - 1) * math.prod(lead))
         for r in range(0, rows - 1, step):
-            entries = [_stiffness_entries(g[t], W[..., r:r + step, :, t, :, :])
+            entries = [_stiffness_entries(g[t], W[..., r:r + step, :, t])
                        for t in (0, 1)]
-            (_, (L01, L02, L12)), (_, (U01, U02, U12)) = entries
+            (_, (L01, _, L12)), (_, (_, U02, U12)) = entries
             # A coupling sits at the west or south end of its edge: lower
             # SW-SE and upper NW-NE east, lower SE-NE and upper SW-NW
-            # north, both SW-NE north-east.
+            # north.
             for c, terms in zip(np.moveaxis(coef[..., r:r + step + 1, :],
                                             -3, 0), (
                     [(di, dj, entries[t][0][s])
                      for di, dj, t, s in BY_TRIANGLE],
                     [(1, 0, U12), (0, 0, L01)],
-                    [(0, 1, L12), (0, 0, U02)],
-                    [(0, 0, L02), (0, 0, U01)])):
+                    [(0, 1, L12), (0, 0, U02)])):
                 _add_at_corners(c, terms)
-        return cls(grid, coef.reshape(lead + (4, rows * cols)))
+        return cls(grid, coef.reshape(lead + (3, rows * cols)))
 
     def apply(self, U: np.ndarray, out: np.ndarray | None = None,
               tmp: np.ndarray | None = None) -> np.ndarray:
@@ -666,13 +617,12 @@ class PatchGroup:
         return np.divmod(self.origins, self.fine.nfx + 1)
 
     def windows(self, V: np.ndarray) -> np.ndarray:
-        """Per-triangle values V (nt, ...) of the global geometry on the
-        box cells of every member, (E, n_sub, n_sub, 2, ...), zero on the
-        triangles off the template's mask: each member's window, the block
-        of its coarse cell in the per-cell layout of V, copied once."""
+        """Per-triangle values V (nt,) of the global geometry on the box
+        cells of every member, (E, n_sub, n_sub, 2), zero on the triangles
+        off the template's mask: each member's window, the block of its
+        coarse cell in the per-cell layout of V, copied once."""
         fine, ns = self.fine, self.fine.n_sub
-        blocks = V.reshape((fine.coarse.ny, ns, fine.coarse.nx, ns, 2)
-                           + V.shape[1:])
+        blocks = V.reshape(fine.coarse.ny, ns, fine.coarse.nx, ns, 2)
         row, col = self._corners()
         W = blocks[row // ns, :, col // ns]
         if self.template.mask is not None:
@@ -695,11 +645,11 @@ class PatchGroup:
         return areas[:, mask], centroids[:, mask]
 
     def stencil(self, A: CoefficientField) -> Stencil:
-        """The stencils of A on every member, coef (E, 4, box positions),
+        """The stencils of A on every member, coef (E, 3, box positions),
         from the windows of the global geometry's area-weighted
         coefficient (Stencil.of_cells)."""
         AW = global_geometry(self.fine).area_weighted(A)
-        W = self.windows(AW).reshape(len(self.elements), -1, 2, 2)
+        W = self.windows(AW).reshape(len(self.elements), -1)
         return Stencil.of_cells(self.template.grid, W, self.template.spacing)
 
     def load_vectors(self, f) -> np.ndarray:
@@ -815,11 +765,12 @@ def pcg(K, b: np.ndarray, rel_tol: float,
     search direction and must be SPD; Jacobi, 1 / K.diagonal(), by
     default.  Stops at ||r|| <= rel_tol*||b||; raises
     SolverDivergenceError past the iteration cap (default 50*sqrt(n)), and
-    at once where ||b|| or the residual is not finite.  Dots and norms go
-    through dot, so the iterates do not depend on the BLAS thread count;
-    the updates run in place, through one scratch vector, and each
-    iteration drops its product and preconditioned residual before the
-    next forms them."""
+    at once where ||b|| or the residual is not finite or p.Kp is zero,
+    negative or infinite (a breakdown: K is not SPD, or p.Kp leaves the
+    float range).  Dots and norms go through dot, so the iterates do not
+    depend on the BLAS thread count; the updates run in place, through one
+    scratch vector, and each iteration drops its product and
+    preconditioned residual before the next forms them."""
     n = K.shape[0]
     nb = float(np.sqrt(dot(b, b))) if n else 0.0
     if not math.isfinite(nb):
@@ -836,9 +787,14 @@ def pcg(K, b: np.ndarray, rel_tol: float,
     p = precond(r).copy()
     t = np.empty_like(b)
     rz = dot(r, p, t)
+    res = nb
     for it in range(1, cap + 1):
         Kp = K @ p
-        alpha = rz / dot(p, Kp, t)
+        pKp = dot(p, Kp, t)
+        if pKp <= 0.0 or pKp == math.inf:
+            raise SolverDivergenceError(
+                f"CG breakdown: p.Kp = {pKp:g} at iteration {it}", res / nb)
+        alpha = rz / pKp
         x += np.multiply(alpha, p, out=t)
         r -= np.multiply(alpha, Kp, out=t)
         del Kp
@@ -875,21 +831,13 @@ def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 def _couple(C: tuple, X: np.ndarray, axis: int) -> np.ndarray:
     """The product of the sub-diagonal block E held by the couplings
     C = (cols, vals) with X, element by element: E X for axis -2, X E^T
-    for axis -1.  Row r of E holds vals[:, k, r] in column cols[k, r], for
-    each k < len(cols), so each product is a gather: O(w^2) against the
-    O(w^3) of a dense one, and with one coupling per row every entry is
-    the one product a dense matmul would round."""
+    for axis -1.  Row r of E holds its one entry vals[:, r] in column
+    cols[r], so each product is a gather: O(w^2) against the O(w^3) of a
+    dense one, every entry the one product a dense matmul would round."""
     cols, vals = C
-
-    def term(k):
-        t = np.take(X, cols[k], axis=axis)
-        t *= vals[:, k, :, None] if axis == -2 else vals[:, None, k]
-        return t
-
-    out = term(0)
-    for k in range(1, len(cols)):
-        out += term(k)
-    return out
+    t = np.take(X, cols, axis=axis)
+    t *= vals[:, :, None] if axis == -2 else vals[:, None]
+    return t
 
 
 def block_tridiagonal_substitute(factor: tuple[list, list], C: list,
@@ -930,11 +878,10 @@ class RowBlocks:
     its entries are addressed as if the diagonal blocks were packed
     element by element, block i at offsets[i].  The block of a row against
     the previous one (zero unless that row is the adjacent one) holds at
-    most two entries per row: the north coefficient of the vertex below
-    and the north-east one of the vertex below-left.  It is kept as those
-    stencil vectors, the couplings of _couple, addressed after the
-    diagonal blocks: size doubles in all, about what the elimination of
-    one element keeps."""
+    most one entry per row, the north coefficient of the vertex below.  It
+    is kept as that stencil vector, the couplings of _couple, addressed
+    after the diagonal blocks: size doubles in all, about what the
+    elimination of one element keeps."""
 
     def __init__(self, slots: np.ndarray, grid: tuple[int, int]):
         cols = grid[1]
@@ -947,7 +894,7 @@ class RowBlocks:
         ends = np.cumsum(w * w)
         self.offsets = ends - w * w
         self._diagonal = int(ends[-1]) if len(ends) else 0
-        self.size = self._diagonal + 2 * nf
+        self.size = self._diagonal + nf
         # Each free vertex's block, its position there, and where its row
         # of the diagonal block starts.
         blk = np.repeat(np.arange(len(w)), w)
@@ -957,24 +904,21 @@ class RowBlocks:
         at[slots] = np.arange(nf)
         # (destination, source) of every entry: the centre of each free
         # vertex a, the east coupling of a with b both ways, then the north
-        # and north-east couplings of b with a, b in the row below; the
-        # column of b in its block, 0 where a has no such b (and a zero
-        # coupling).
+        # coupling of b with a, b in the row below; the column of b in its
+        # block, 0 where a has no such b (and a zero coupling).
         dst, src = [diag + pos], [slots]
         b = np.where(slots % cols < cols - 1, at[slots + 1], -1)
         a = np.flatnonzero(b >= 0)
         b = b[a]
         dst += [diag[a] + pos[b], diag[b] + pos[a]]
         src += [slots[a] + n] * 2
-        self._cols = np.zeros((2, nf), dtype=int)
-        for j, (d, k) in enumerate(((2, cols), (3, cols + 1))):
-            b = np.where((slots >= k) & (slots % cols >= k - cols),
-                         at[slots - k], -1)
-            a = np.flatnonzero(b >= 0)
-            b = b[a]
-            self._cols[j, a] = pos[b]
-            dst.append(self._diagonal + j * nf + a)
-            src.append(slots[b] + d * n)
+        b = np.where(slots >= cols, at[slots - cols], -1)
+        a = np.flatnonzero(b >= 0)
+        b = b[a]
+        self._cols = np.zeros(nf, dtype=int)
+        self._cols[a] = pos[b]
+        dst.append(self._diagonal + a)
+        src.append(slots[b] + 2 * n)
         # Sorted by destination (each is written once), so the entries of
         # each diagonal block, and then the couplings, are one run.
         dst = np.concatenate(dst)
@@ -984,20 +928,18 @@ class RowBlocks:
             self._dst, np.append(self.offsets, self._diagonal)).tolist()
 
     def _diagonal_block(self, coef: np.ndarray, i: int) -> np.ndarray:
-        """D[i] of the stencils coef (elements, 4 * box positions)."""
+        """D[i] of the stencils coef (elements, 3 * box positions)."""
         w, a, b = int(self.widths[i]), self._runs[i], self._runs[i + 1]
         D = np.zeros((len(coef), w * w))
         D[:, self._dst[a:b] - self.offsets[i]] = coef[:, self._src[a:b]]
         return D.reshape(-1, w, w)
 
     def _couplings(self, coef: np.ndarray) -> list:
-        """C of the stencils coef (elements, 4 * box positions)."""
+        """C of the stencils coef (elements, 3 * box positions)."""
         a = self._runs[-1]
         vals = np.zeros((len(coef), self.size - self._diagonal))
         vals[:, self._dst[a:] - self._diagonal] = coef[:, self._src[a:]]
-        vals = vals.reshape(len(coef), 2, -1)
-        k = 2 if vals[:, 1].any() else 1
-        return [(self._cols[:k, b], vals[:, :k, b]) for b in self.blocks]
+        return [(self._cols[b], vals[:, b]) for b in self.blocks]
 
     def _elimination(self, coef: np.ndarray, C: list):
         """Block elimination of the SPD block-tridiagonal systems of the
@@ -1022,7 +964,7 @@ class RowBlocks:
     def factor(self, st: Stencil) -> tuple:
         """The block elimination of the stencils st, ([S_i^{-1}], [G_i]),
         and their couplings between blocks, for solve."""
-        coef = st.coef.reshape(-1, 4 * self._n)
+        coef = st.coef.reshape(-1, 3 * self._n)
         C = self._couplings(coef)
         S_inv, G = zip(*self._elimination(coef, C))
         return (list(S_inv), list(G)), C
@@ -1041,7 +983,7 @@ class RowBlocks:
         block, not S_i^{-1} as well."""
         if not self.blocks:
             return np.zeros(R.shape)
-        coef = st.coef.reshape(-1, 4 * self._n)
+        coef = st.coef.reshape(-1, 3 * self._n)
         C = self._couplings(coef)
         g: list = []
         G: list = []
@@ -1090,7 +1032,7 @@ def _coarsen(fixed: np.ndarray, W: np.ndarray, spacing: tuple[float, float]
              ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]] | None:
     """The next coarser level of a whole lattice whose vertices are fixed
     where the boolean lattice array fixed (rows, columns) is set, with
-    area-weighted coefficient W (2 per cell, 2, 2) in triangle order and
+    area-weighted coefficient W (2 per cell) in triangle order and
     cells of the given spacing: (fixed, W, spacing) on the lattice of every
     other vertex, or None where coarsening stops.
 
@@ -1114,12 +1056,12 @@ def _coarsen(fixed: np.ndarray, W: np.ndarray, spacing: tuple[float, float]
     nxc, nyc = nx // 2, ny // 2
     # Axes: coarse row, fine row in it, coarse column, fine column in it,
     # lower/upper fine triangle.
-    W = W.reshape(nyc, 2, nxc, 2, 2, 2, 2)
+    W = W.reshape(nyc, 2, nxc, 2, 2)
     lower = (W[:, 0, :, 0, 0] + W[:, 0, :, 1, 0] + W[:, 0, :, 1, 1]
              + W[:, 1, :, 1, 0])
     upper = (W[:, 0, :, 0, 1] + W[:, 1, :, 0, 0] + W[:, 1, :, 0, 1]
              + W[:, 1, :, 1, 1])
-    return (~free_c, np.stack([lower, upper], axis=2).reshape(-1, 2, 2),
+    return (~free_c, np.stack([lower, upper], axis=2).reshape(-1),
             (2 * spacing[0], 2 * spacing[1]))
 
 

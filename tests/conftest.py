@@ -224,20 +224,25 @@ def vertex_edges(coarse, v) -> list[int]:
     return np.flatnonzero((coarse.edge_ends == v).any(axis=1)).tolist()
 
 
-def anisotropic_field():
-    """A full-tensor SPD coefficient: its off-diagonal entries give the
-    SW-NE diagonal of every triangle a nonzero coupling, which a scalar
-    coefficient never does.  Eigenvalues lie in [0.4, 3.1]."""
+def contrast_field():
+    """A second scalar coefficient, with another pattern than the periodic
+    benchmark and a contrast of 100: 100 on the cells of a 5-by-3
+    checkerboard whose indices sum to an even number, 1 on the others.
+    Test ids still call its cases "anisotropic", after the full-tensor
+    field they ran before the coefficient became scalar."""
 
-    def fn(p):
-        x, y = p[:, 0], p[:, 1]
-        out = np.empty((len(p), 2, 2))
-        out[:, 0, 0] = 2.0 + 0.5 * np.sin(2 * np.pi * x)
-        out[:, 1, 1] = 1.5 + 0.5 * np.cos(2 * np.pi * y)
-        out[:, 0, 1] = out[:, 1, 0] = 0.4 * np.sin(2 * np.pi * (x + y))
-        return out
+    def fn(x, y):
+        even = (np.floor(5 * x) + np.floor(3 * y)) % 2 == 0
+        return np.where(even, 100.0, 1.0)
 
-    return finefem.CoefficientField("anisotropic", 0.3, 3.5, fn)
+    return finefem.CoefficientField("contrast", 1.0, 100.0, fn)
+
+
+def tensor(w) -> np.ndarray:
+    """Per-triangle scalars w (...) as the tensors w I, (..., 2, 2): the
+    form the per-triangle reference code below takes its coefficients
+    in."""
+    return np.asarray(w)[..., None, None] * np.eye(2)
 
 
 def dense_factor(D, E):
@@ -273,9 +278,8 @@ def split(blocks, st):
     """(D, C) of a stencil or a stack of them on the row blocks of
     finefem.RowBlocks: D[i] couples block i with itself, C[i] holds the
     couplings of block i with block i - 1 (those of C[0] are zero), each
-    with a leading element axis, the north-east couplings left out where
-    the stack has none (RowBlocks.split before the elimination gathered
-    each diagonal block when it reached it)."""
+    with a leading element axis (RowBlocks.split before the elimination
+    gathered each diagonal block when it reached it)."""
     coef = st.coef.reshape(-1, st.coef.shape[-2] * st.coef.shape[-1])
     return ([blocks._diagonal_block(coef, i)
              for i in range(len(blocks.blocks))], blocks._couplings(coef))
@@ -283,27 +287,26 @@ def split(blocks, st):
 
 def dense_couplings(C, widths):
     """The sub-diagonal blocks (elements, w_i, w_{i-1}) that the couplings
-    C of split hold (E[0] is empty)."""
+    C of split hold (E[0] is empty): row r of block i holds vals[:, r] in
+    column cols[r]."""
     E = []
     for i, ((cols, vals), w) in enumerate(zip(C, widths)):
         p = widths[i - 1] if i else 0
         Ei = np.zeros((len(vals), w, p))
         if p:
-            r = np.arange(w)
-            for k in range(len(cols)):
-                Ei[:, r, cols[k]] += vals[:, k]
+            Ei[:, np.arange(w), cols] = vals
         E.append(Ei)
     return E
 
 
-def check_against_dense(blocks, factored, D, E, exact):
+def check_against_dense(blocks, factored, D, E):
     """The elimination factored = blocks.factor(st) of finefem.RowBlocks
     against dense_factor and dense_substitute of the dense blocks (D, E)
-    of st, solving three random right-hand sides per element.  With one
-    coupling per row (exact) S_inv and the solutions are bitwise those of
-    the dense path and G equal in value (where a row has no coupling the
+    of st, solving three random right-hand sides per element.  With its
+    one coupling per row, S_inv and the solutions are bitwise those of the
+    dense path and G equal in value (where a row has no coupling the
     gather multiplies by a zero coupling, whose product may carry the sign
-    the dense sum drops); else all agree within 1e-14 relative."""
+    the dense sum drops)."""
     (S_inv, G), _ = factored
     S0, G0 = dense_factor(D, E)
     R = np.random.default_rng(7).standard_normal(
@@ -311,15 +314,11 @@ def check_against_dense(blocks, factored, D, E, exact):
     x = blocks.solve(factored, R)
     x0 = np.concatenate(dense_substitute(
         (S0, G0), E, [R[..., b] for b in blocks.blocks]), axis=-1)
-    pairs = list(zip(S_inv + G[:-1] + [x], S0 + G0[:-1] + [x0]))
-    assert all(a.shape == b.shape for a, b in pairs)
-    if exact:
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(S_inv, S0))
-        assert all(np.array_equal(a, b) for a, b in zip(G, G0))
-        assert x.tobytes() == x0.tobytes()
-    else:
-        assert all(np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
-                   for a, b in pairs)
+    assert all(a.shape == b.shape for a, b in zip(
+        S_inv + G[:-1] + [x], S0 + G0[:-1] + [x0]))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(S_inv, S0))
+    assert all(np.array_equal(a, b) for a, b in zip(G, G0))
+    assert x.tobytes() == x0.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +432,11 @@ def pattern_gradients(geom) -> np.ndarray:
 
 def group_weights(group, A):
     """(grads, AW) of every member of a patch group, (E, nt, 3, 2) and
-    (E, nt, 2, 2), gathered from the global geometry."""
+    (E, nt, 2, 2) (the tensors a I), gathered from the global geometry."""
     geom = finefem.global_geometry(group.fine)
     ids = member_triangle_ids(group)
-    return triangle_gradients(geom)[ids], geom.area_weighted(A)[ids]
+    return (triangle_gradients(geom)[ids],
+            tensor(geom.area_weighted(A)[ids]))
 
 
 def stiffness_entries(g, AW):
@@ -519,20 +519,38 @@ def reference_load_vector(geom, f) -> np.ndarray:
                    geom.n_vertices)[0]
 
 
-def reference_stencil(geom, AW, grads=None) -> finefem.Stencil:
-    """The stencil of the element entries of grads (triangle_gradients of
-    geom by default) and AW on the triangles of geom, each scattered to
-    its box position once, in triangle order (finefem.Stencil.of before
-    the lattice formula); a stack of patches with grads (E, nt, 3, 2) and
-    AW (E, nt, 2, 2)."""
-    (rows, cols), slots = geom.box
-    n = rows * cols
+def lower_triangles(geom) -> np.ndarray:
+    """Whether each triangle of a lattice geometry is the lower (SW, SE,
+    NE) triangle of its cell, not the upper (SW, NE, NW) one."""
+    (_, cols), slots = geom.box
     s = slots[local_triangles(geom)]
     lower = (s[:, 1] == s[:, 0] + 1) & (s[:, 2] == s[:, 0] + cols + 1)
     assert (lower | ((s[:, 1] == s[:, 0] + cols + 1)
                      & (s[:, 2] == s[:, 0] + cols))).all()
+    return lower
+
+
+def sw_ne_couplings(geom, Ke) -> np.ndarray:
+    """The SW-NE entry of the element matrices Ke (..., nt, 3, 3) of the
+    triangles of geom: K02 of a lower triangle, K01 of an upper one."""
+    return np.where(lower_triangles(geom), Ke[..., 0, 2], Ke[..., 0, 1])
+
+
+def reference_stencil(geom, AW, grads=None) -> finefem.Stencil:
+    """The stencil of the element entries of grads (triangle_gradients of
+    geom by default) and AW (tensors) on the triangles of geom, each
+    scattered to its box position once, in triangle order
+    (finefem.Stencil.of before the lattice formula); a stack of patches
+    with grads (E, nt, 3, 2) and AW (E, nt, 2, 2).  The element matrices
+    of a I couple no SW-NE diagonal, which is asserted, so the stencil is
+    the 5-point one."""
+    (rows, cols), slots = geom.box
+    n = rows * cols
+    s = slots[local_triangles(geom)]
+    lower = lower_triangles(geom)
     diag, (k01, k02, k12) = stiffness_entries(
         triangle_gradients(geom) if grads is None else grads, AW)
+    assert not np.where(lower, k02, k01).any()
     lead = AW.shape[:-3]
     m = int(np.prod(lead, dtype=int))
     first = np.arange(m)[:, None] * n
@@ -546,9 +564,8 @@ def reference_stencil(geom, AW, grads=None) -> finefem.Stencil:
         scatter_at(np.where(lower, s[:, 0], s[:, 2]),
                    np.where(lower, k01, k12)),
         scatter_at(np.where(lower, s[:, 1], s[:, 0]),
-                   np.where(lower, k12, k02)),
-        scatter_at(s[:, 0], np.where(lower, k02, k01))], axis=1)
-    return finefem.Stencil((rows, cols), coef.reshape(lead + (4, n)))
+                   np.where(lower, k12, k02))], axis=1)
+    return finefem.Stencil((rows, cols), coef.reshape(lead + (3, n)))
 
 
 def restricted(st, m) -> finefem.Stencil:
@@ -556,15 +573,15 @@ def restricted(st, m) -> finefem.Stencil:
     the boolean mask m set to zero (the copy LatticeOperator kept before
     it kept the mask)."""
     coef = st.coef * m
-    for k, c in zip(st.offsets, np.moveaxis(coef, -2, 0)[1:]):
+    for k, c in zip((1, st.grid[1]), np.moveaxis(coef, -2, 0)[1:]):
         c[..., :-k] *= m[k:]
     return finefem.Stencil(st.grid, coef)
 
 
 def coarsen(geom, AW):
     """The next coarser level of a lattice geometry with area-weighted
-    coefficient AW as a geometry of its own, (geometry, AW), or None:
-    finefem._coarsen before its levels became lattice arrays."""
+    coefficient AW (tensors) as a geometry of its own, (geometry, AW), or
+    None: finefem._coarsen before its levels became lattice arrays."""
     if geom.lattice is None or geom.lattice[0] % 2 or geom.lattice[1] % 2:
         return None
     nx, ny = geom.lattice

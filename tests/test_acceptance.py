@@ -205,7 +205,7 @@ def test_criterion_07_linear_msfem_equivalence():
     g[:, 1] = np.column_stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]])
     g[:, 2] = np.column_stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]])
     g /= det[:, None, None]
-    Abar = A.matrix_at((p0 + p1 + p2) / 3.0)
+    Abar = A.at((p0 + p1 + p2) / 3.0)[:, None, None] * np.eye(2)
     Kt = np.einsum("tid,tde,tje->tij", g, area[:, None, None] * Abar, g)
     n = len(pts)
     K = sp.coo_matrix((Kt.ravel(),

@@ -344,7 +344,8 @@ def test_array_segment_triangles_match_per_edge(kind):
 
 def scattered_stencil(geom, AW):
     """Stencil.of from the full element matrices of the gradient patterns
-    of each triangle, scattered."""
+    of each triangle and AW (tensors), scattered, with the SW-NE couplings
+    a 7-point stencil would hold last."""
     (rows, cols), slots = geom.box
     n = rows * cols
     s = slots[conftest.local_triangles(geom)]
@@ -369,9 +370,10 @@ def test_stencil_matches_scattered_element_matrices():
     for geom in geoms:
         AW = geom.area_weighted(A)
         st = finefem.Stencil.of(geom, AW)
-        got = [st.centre, st.east, st.north, st.northeast]
+        *want, sw_ne = scattered_stencil(geom, conftest.tensor(AW))
         assert all(bitwise(a, b)
-                   for a, b in zip(got, scattered_stencil(geom, AW)))
+                   for a, b in zip([st.centre, st.east, st.north], want))
+        assert not sw_ne.any()
 
 
 def rel_close(got, want, scale=None):
@@ -390,13 +392,16 @@ def test_stencil_products_match_gram_blocks(kind, coefficient, rng):
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, 6)
     A = (finefem.periodic_benchmark(0.25) if coefficient == "periodic"
-         else conftest.anisotropic_field())
+         else conftest.contrast_field())
     for g in finefem.patch_groups(fine, range(coarse.n_elements)):
         t = g.template
         grads, AW = conftest.group_weights(g, A)
         tris = conftest.local_triangles(t)
         st = g.stencil(A)
-        assert st.northeast.any() == (coefficient == "anisotropic")
+        # gram_blocks takes every entry of the element matrices, but those
+        # of the SW-NE diagonals are zero, as the 5-point stencil has it
+        assert not conftest.sw_ne_couplings(
+            t, conftest.stiffness(grads, AW)).any()
         V = rng.standard_normal((len(g.elements), 5, t.n_vertices))
         W = rng.standard_normal((len(g.elements), 3, t.n_vertices))
         got = finefem.patch_grams(t, st, V)
@@ -409,7 +414,7 @@ def test_stencil_products_match_gram_blocks(kind, coefficient, rng):
     W = rng.standard_normal((2, geom.n_vertices))
     ref = (conftest.local_triangles(geom),
            conftest.triangle_gradients(geom)[None],
-           geom.area_weighted(A)[None])
+           conftest.tensor(geom.area_weighted(A))[None])
     got = finefem.energy_inner_matrix(V, geom, A)
     assert np.array_equal(got, got.T)
     assert rel_close(got, gram_blocks(V[None], *ref)[0])
@@ -426,7 +431,7 @@ def test_space_grams_match_gram_blocks(kind):
     # block vanishes, so it is measured against the parts' scale
     coarse = mesh.build_coarse(kind, 3, 3)
     fine = mesh.refine_to_fine(coarse, 6)
-    A = conftest.anisotropic_field()
+    A = conftest.contrast_field()
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
     degrees.N[int(coarse.interior_edge_ids[0])] = 4
     degrees.M[0] = 0

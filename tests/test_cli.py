@@ -124,7 +124,7 @@ def test_expression_fields():
     cfg = cli.RunConfig.from_dict(d)
     problem = cli.build_problem(cfg)
     pts = np.array([[0.2, 0.7]])
-    got = problem.A.matrix_at(pts)[0, 0, 0]
+    got = problem.A.at(pts)[0]
     assert abs(got - (1 + 0.5 * math.sin(0.2) * math.sin(0.7))) < 1e-15
     assert abs(problem.f(0.2, 0.7) - math.exp(-0.14)) < 1e-15
 
@@ -134,6 +134,32 @@ def test_expression_rejects_unknown_names():
         with pytest.raises(cli.ConfigError, match="unknown name|bad expression"):
             cli.RunConfig.from_dict(
                 cfg_dict(rhs={"type": "expression", "expr": expr}))
+
+
+@pytest.mark.parametrize("key", ["coefficient", "rhs"])
+@pytest.mark.parametrize("expr", ["1+1j*x", "x*1j", "[x]", "x if x else y",
+                                  "'a'", "1/0"])
+def test_expression_must_give_one_real_number_per_point(expr, key, tmp_path,
+                                                        capsys):
+    # a complex value, a list, a string or a Python error is a config
+    # error at load, naming the key path; a complex coefficient does not
+    # run as its real part
+    spec = ({"type": "expression", "expr": expr, "alpha_min": 1.0,
+             "alpha_max": 2.0} if key == "coefficient"
+            else {"type": "expression", "expr": expr})
+    path = write_cfg(tmp_path, n_sub=4, N=1, **{key: spec})
+    out = tmp_path / "x.csv"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert f"config.{key}.expr" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_expression_of_bools_and_constants_loads():
+    for expr in ("x > 0.5", "2", "1 + 0*x"):
+        cli.RunConfig.from_dict(cfg_dict(
+            coefficient={"type": "expression", "expr": expr,
+                         "alpha_min": 0.5, "alpha_max": 3.0},
+            rhs={"type": "expression", "expr": expr}))
 
 
 def test_degree_override_must_hit_interior_edge(tmp_path, capsys):
@@ -283,6 +309,18 @@ def test_exit_codes(tmp_path):
     out = tmp_path / "x.csv"
     assert cli.main(["solve", "--config", coarse_cells, "--strict",
                      "--out", str(out)]) == 3
+
+
+def test_cg_breakdown_exits_3(tmp_path, capsys):
+    # a coefficient of 1e300 takes p.Kp of the fine reference CG out of
+    # the float range: a numerical failure, not a traceback
+    huge = {"type": "expression", "expr": "1e300", "alpha_min": 1e300,
+            "alpha_max": 1e300}
+    path = write_cfg(tmp_path, nx=2, ny=2, n_sub=4, N=1, coefficient=huge)
+    out = tmp_path / "x.csv"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 3
+    assert "CG breakdown" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_single_element_has_no_interface_error(tmp_path):
@@ -716,13 +754,13 @@ def test_solve_evaluates_the_coefficient_once_on_the_fine_triangles(
     _, centroids = triangle_cells(finefem.global_geometry(fine))
     known = set(map(tuple, centroids.tolist()))
     calls = []
-    real = finefem.CoefficientField.matrix_at
+    real = finefem.CoefficientField.at
 
     def counted(self, points):
         calls.append(np.array(points))
         return real(self, points)
 
-    monkeypatch.setattr(finefem.CoefficientField, "matrix_at", counted)
+    monkeypatch.setattr(finefem.CoefficientField, "at", counted)
     path = write_cfg(tmp_path, M=1)
     assert cli.main(["solve", "--config", path,
                      "--out", str(tmp_path / "row.csv")]) == 0

@@ -80,8 +80,8 @@ def test_jump_norm_manufactured_kink():
     fine = mesh.refine_to_fine(coarse, 4)
     geom = finefem.global_geometry(fine)
     v = finefem.FineFunction(geom, 3.0 * np.minimum(geom.points[:, 1], 0.5))
-    two = finefem.scalar_field("two", lambda x, y: np.full_like(x, 2.0),
-                               2.0, 2.0)
+    two = finefem.CoefficientField("two", 2.0, 2.0,
+                                   lambda x, y: np.full_like(x, 2.0))
     (mid,) = coarse.interior_edge_ids
     v0, v1 = coarse.edge_ends[mid]
     assert v1 - v0 == 1  # horizontal

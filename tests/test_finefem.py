@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import (anisotropic_field, check_against_dense, coarsen, dense,
+from conftest import (check_against_dense, coarsen, contrast_field, dense,
                       dense_couplings, element_boundary_vertex_ids,
                       element_triangle_ids, energy_inner, energy_products,
                       fourier_poisson_center, free_vertices, group_weights,
                       local_triangles, member_triangle_ids, quad_points,
-                      skeleton_geometry, split, stiffness, triangle_cells,
-                      triangle_gradients)
+                      skeleton_geometry, split, stiffness, sw_ne_couplings,
+                      tensor, triangle_cells, triangle_gradients)
 from legmsfem import errors, finefem, localbasis, mesh
 
 
@@ -17,7 +17,7 @@ def dense_stiffness(geom, A):
     n = geom.n_vertices
     K = np.zeros((n, n))
     areas, centroids = triangle_cells(geom)
-    Abar = A.matrix_at(centroids)
+    Abar = tensor(A.at(centroids))
     grads = triangle_gradients(geom)
     for t, tri in enumerate(local_triangles(geom)):
         for i in range(3):
@@ -30,20 +30,21 @@ def dense_stiffness(geom, A):
 def test_identity_field():
     A = finefem.identity_field()
     assert A.name == "identity"
-    M = A.matrix_at(np.array([[0.3, 0.4], [0.1, 0.9]]))
-    assert M.shape == (2, 2, 2)
-    assert np.array_equal(M[0], np.eye(2))
-    assert np.array_equal(A.matrix_at([0.3, 0.4])[0], np.eye(2))
+    a = A.at(np.array([[0.3, 0.4], [0.1, 0.9]]))
+    assert a.shape == (2,)
+    assert np.array_equal(a, [1.0, 1.0])
+    assert np.array_equal(A.at([0.3, 0.4]), [1.0])
+    # a function that returns one constant gives one value per point too
+    two = finefem.CoefficientField("two", 2.0, 2.0, lambda x, y: 2.0)
+    assert np.array_equal(two.at(np.zeros((3, 2))), [2.0, 2.0, 2.0])
 
 
 def test_periodic_benchmark(rng):
     A = finefem.periodic_benchmark(0.125)
     pts = rng.random((500, 2))
-    vals = A.matrix_at(pts)
-    diag = vals[:, 0, 0]
-    assert np.array_equal(vals[:, 1, 1], diag)
-    assert np.all(vals[:, 0, 1] == 0.0) and np.all(vals[:, 1, 0] == 0.0)
-    assert np.all(diag >= A.alpha_min) and np.all(diag <= A.alpha_max)
+    vals = A.at(pts)
+    assert vals.shape == (500,)
+    assert np.all(vals >= A.alpha_min) and np.all(vals <= A.alpha_max)
     assert "0.125" in A.name
     with pytest.raises(ValueError):
         finefem.periodic_benchmark(0.0)
@@ -51,17 +52,19 @@ def test_periodic_benchmark(rng):
 
 def test_coefficient_bounds_checked():
     pts = np.array([[0.25, 0.5], [0.75, 0.5]])
-    # anisotropic 2x2 with eigenvalues 1 and 3
-    aniso = lambda p: np.tile([[2.0, 1.0], [1.0, 2.0]], (len(p), 1, 1))
-    ok = finefem.CoefficientField("aniso", 1.0, 3.0, aniso)
-    assert ok.matrix_at(pts).shape == (2, 2, 2)
-    for lo, hi in ((1.5, 3.0), (1.0, 2.5)):
-        with pytest.raises(finefem.CoefficientBoundsError, match="aniso"):
-            finefem.CoefficientField("aniso", lo, hi, aniso).matrix_at(pts)
-    nan = finefem.scalar_field(
-        "nan", lambda x, y: np.where(x > 0.5, np.nan, 1.0), 0.5, 2.0)
-    with pytest.raises(finefem.CoefficientBoundsError, match="0.75"):
-        nan.matrix_at(pts)
+    # the values 1 and 3, each at one bound, and each once out of bounds
+    step = lambda x, y: np.where(x < 0.5, 1.0, 3.0)
+    ok = finefem.CoefficientField("step", 1.0, 3.0, step)
+    assert np.array_equal(ok.at(pts), [1.0, 3.0])
+    for lo, hi, x in ((1.5, 3.0, "0.25"), (1.0, 2.5, "0.75")):
+        with pytest.raises(finefem.CoefficientBoundsError,
+                           match=f"step at \\({x}"):
+            finefem.CoefficientField("step", lo, hi, step).at(pts)
+    for bad in (np.nan, np.inf):
+        field = finefem.CoefficientField(
+            "bad", 0.5, 2.0, lambda x, y: np.where(x > 0.5, bad, 1.0))
+        with pytest.raises(finefem.CoefficientBoundsError, match="0.75"):
+            field.at(pts)
     assert issubclass(finefem.CoefficientBoundsError, ValueError)
 
 
@@ -138,23 +141,22 @@ def test_patch_groups_reproduce_each_patch(kind):
             assert np.array_equal(local_triangles(geom),
                                   local_triangles(g.template))
             assert np.array_equal(Kt[e], stiffness(
-                triangle_gradients(geom), geom.area_weighted(A)))
+                triangle_gradients(geom), tensor(geom.area_weighted(A))))
             assert np.array_equal(b[e], finefem.load_vector(geom, f))
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
 def test_batched_stencils_match_each_patch(kind):
     # one scatter over a stack of congruent patches gives each member the
-    # stencil of its own patch geometry, bitwise, with the north-east
-    # couplings of a full-tensor coefficient
+    # stencil of its own patch geometry, bitwise, with the contrast
+    # coefficient: the 5-point stencil, no north-east couplings
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, 5)
-    A = anisotropic_field()
+    A = contrast_field()
     for g in finefem.patch_groups(fine, range(coarse.n_elements)):
         st = g.stencil(A)
-        assert st.coef.shape == (len(g.elements), 4,
+        assert st.coef.shape == (len(g.elements), 3,
                                  g.template.box[0][0] * g.template.box[0][1])
-        assert st.northeast.any()
         for e, K in enumerate(g.elements):
             geom = finefem.element_geometry(fine, K)
             one = finefem.Stencil.of(geom, geom.area_weighted(A))
@@ -164,14 +166,14 @@ def test_batched_stencils_match_each_patch(kind):
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
 def test_stacked_stencil_applies_member_by_member(kind, rng):
     # a stack of stencils applies along the box positions, each member to
-    # its own fields, bitwise as the member's stencil alone; the
-    # full-tensor coefficient makes the north-east couplings nonzero
+    # its own fields, bitwise as the member's stencil alone, the east and
+    # north couplings only
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, 4)
-    A = anisotropic_field()
+    A = contrast_field()
     for g in finefem.patch_groups(fine, range(coarse.n_elements)):
         st = g.stencil(A)
-        assert [k for _, k in st.couplings] == list(st.offsets)
+        assert [k for _, k in st.couplings] == [1, st.grid[1]]
         U = rng.standard_normal(st.centre.shape)
         out = st.apply(U)
         stacked = finefem.Stencil(st.grid, st.coef[:, None])
@@ -285,6 +287,23 @@ def test_pcg_stops_at_once_on_non_finite_numbers():
     assert K.products == 1
 
 
+@pytest.mark.parametrize("M,b", [
+    ([[1.0, 0.0], [0.0, -1.0]], [1.0, 1.0]),          # p.Kp = 0
+    ([[-1.0, 0.0], [0.0, -2.0]], [1.0, 1.0]),         # p.Kp < 0
+    ([[1e300, 0.0], [0.0, 1e300]], [1e10, 1e10])],    # p.Kp overflows
+    ids=["zero", "negative", "overflow"])
+def test_pcg_breakdown_stops_at_once(M, b):
+    # a search direction without positive finite energy stops CG at the
+    # first product with SolverDivergenceError, not a ZeroDivisionError or
+    # a run to the cap without progress
+    K = CountedMatrix(np.array(M))
+    with np.errstate(over="ignore"), pytest.raises(
+            finefem.SolverDivergenceError,
+            match="CG breakdown: p.Kp = .* at iteration 1"):
+        finefem.pcg(K, np.array(b), 1e-8, precond=lambda r: r, cap=1000)
+    assert K.products == 1
+
+
 def test_solve_spd_tol_validation(fine_quad44):
     A = finefem.identity_field()
     sys_ = finefem.assemble(finefem.element_geometry(fine_quad44, 0), A)
@@ -353,7 +372,7 @@ def test_energy_inner_matrix_blocks_match_one_pass(fine_quad44, rng):
     V = rng.standard_normal((40, geom.n_vertices))
     W = rng.standard_normal((5, geom.n_vertices))
     areas, centroids = triangle_cells(geom)
-    AW = areas[:, None, None] * A.matrix_at(centroids)
+    AW = tensor(areas * A.at(centroids))
     grads, tris = triangle_gradients(geom), local_triangles(geom)
     gV = np.einsum("bti,tid->btd", V[:, tris], grads)
     gW = np.einsum("bti,tid->btd", W[:, tris], grads)
@@ -441,7 +460,7 @@ def test_coarse_operators_are_galerkin_products(kind, fixed):
             else skeleton_geometry(fine))
     system = finefem.assemble(geom, finefem.periodic_benchmark(0.25))
     mg = finefem.Multigrid(system)
-    geoms = hierarchy_geometries(geom, system.AW)
+    geoms = hierarchy_geometries(geom, tensor(system.AW))
     assert len(mg.levels) == len(geoms) >= 3
     for lev_f, lev_c, gf, gc in zip(mg.levels, mg.levels[1:], geoms,
                                     geoms[1:]):
@@ -518,7 +537,7 @@ def test_lattice_that_cannot_coarsen_runs_jacobi_pcg(skeleton, nx, n_sub):
     ("quad", 2, 33, False, 2, "periodic"),   # 32 rows of 32 on 33x33 cells
     ("quad", 2, 4, True, 2, "periodic"),     # bottom rows 1 and 3 do not couple
     ("triangle", 2, 4, False, 3, "periodic"),  # the one free vertex of 2x2
-    ("quad", 4, 6, True, 2, "anisotropic")],  # NE-SW couplings across rows
+    ("quad", 4, 6, True, 2, "anisotropic")],  # the contrast coefficient
     ids=["quad-2-33-False-2", "quad-2-4-True-2", "triangle-2-4-False-3",
          "quad-4-6-True-2-anisotropic"])
 def test_coarsest_level_is_solved_exactly(kind, nx, n_sub, skeleton, levels,
@@ -527,7 +546,7 @@ def test_coarsest_level_is_solved_exactly(kind, nx, n_sub, skeleton, levels,
     geom = (skeleton_geometry(fine) if skeleton
             else finefem.global_geometry(fine))
     A = (finefem.periodic_benchmark(0.5) if A == "periodic"
-         else anisotropic_field())
+         else contrast_field())
     system = finefem.assemble(geom, A, f=finefem.gaussian_rhs())
     mg = finefem.Multigrid(system)
     assert len(mg.levels) == levels
@@ -556,10 +575,9 @@ def row_loop_bottom_blocks(K):
         if len(prev) and prev[0] // cols + 1 == s[0] // cols:
             at = np.full(cols, -1)
             at[prev % cols] = np.arange(len(prev))
-            for coef, dc in ((st.north, 0), (st.northeast, 1)):
-                j = np.where(s % cols >= dc, at[s % cols - dc], -1)
-                k = np.flatnonzero(j >= 0)
-                Ek[k, j[k]] = coef[s[k] - cols - dc]
+            j = at[s % cols]
+            k = np.flatnonzero(j >= 0)
+            Ek[k, j[k]] = st.north[s[k] - cols]
         D.append(Dk[None])
         E.append(Ek[None])
         prev = s
@@ -567,7 +585,7 @@ def row_loop_bottom_blocks(K):
 
 
 @pytest.mark.parametrize("kind,nx,n_sub,skeleton,A", [
-    ("quad", 4, 6, True, "anisotropic"),    # north-east couplings
+    ("quad", 4, 6, True, "anisotropic"),    # the contrast coefficient
     ("quad", 2, 4, True, "periodic"),       # lattice row 2 has no free vertex
     ("triangle", 2, 8, False, "anisotropic"),
     ("quad", 2, 33, False, "periodic")])    # 32 rows of 32
@@ -576,8 +594,8 @@ def test_bottom_blocks_match_the_row_loop(kind, nx, n_sub, skeleton, A):
     fine = mesh.refine_to_fine(mesh.build_coarse(kind, nx, nx), n_sub)
     geom = (skeleton_geometry(fine) if skeleton
             else finefem.global_geometry(fine))
-    scalar = A == "periodic"
-    A = finefem.periodic_benchmark(0.5) if scalar else anisotropic_field()
+    A = (finefem.periodic_benchmark(0.5) if A == "periodic"
+         else contrast_field())
     mg = finefem.Multigrid(finefem.assemble(geom, A))
     assert len(mg.levels) > 1
     K = mg.levels[-1].K
@@ -591,12 +609,11 @@ def test_bottom_blocks_match_the_row_loop(kind, nx, n_sub, skeleton, A):
     assert len(D) == len(D0) == len(rows)
     assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
                for a, b in zip(D + E, D0 + E0))
-    # the coupling-vector elimination against the dense one: bitwise with
-    # the scalar coefficient's one coupling per row, to rounding with two
-    # (the one free vertex of the triangle bottom has no north-east one)
-    one = len(C[-1][0]) == 1
-    assert one == (scalar or len(K.slots) == 1)
-    check_against_dense(blocks, mg._factor, D0, E0, exact=one)
+    # the coupling-vector elimination, one coupling per row, against the
+    # dense one: bitwise
+    assert all(cols.shape == vals.shape[1:] == (w,)
+               for (cols, vals), w in zip(C, blocks.widths))
+    check_against_dense(blocks, mg._factor, D0, E0)
 
 
 def test_multigrid_pcg_matches_jacobi_pcg():
@@ -650,16 +667,18 @@ def assert_operator_matches(op, K):
 def test_lattice_operator_matches_element_csr(case, coef, fine_quad44,
                                               fine_tri44):
     A = (finefem.periodic_benchmark(0.25) if coef == "periodic"
-         else anisotropic_field())
+         else contrast_field())
     geom = {"global": lambda: finefem.global_geometry(fine_quad44),
             "skeleton": lambda: skeleton_geometry(fine_tri44),
             "quad patch": lambda: finefem.element_geometry(fine_quad44, 6),
             "triangle patch": lambda: finefem.element_geometry(fine_tri44,
                                                                5)}[case]()
     system = finefem.assemble(geom, A)
-    assert_operator_matches(system.K, element_csr(
-        geom, stiffness(triangle_gradients(geom), geom.area_weighted(A))))
-    assert (len(system.K.stencil.couplings) == 3) == (coef == "anisotropic")
+    Ke = stiffness(triangle_gradients(geom), tensor(geom.area_weighted(A)))
+    # the element matrices couple no SW-NE diagonal, so the 5-point
+    # stencil holds every nonzero entry (nnz agree)
+    assert not sw_ne_couplings(geom, Ke).any()
+    assert_operator_matches(system.K, element_csr(geom, Ke))
 
 
 @pytest.mark.parametrize("kind,n_sub,fixed", [("quad", 8, "boundary"),
@@ -670,10 +689,10 @@ def test_multigrid_levels_match_element_csr(kind, n_sub, fixed):
     fine = mesh.refine_to_fine(mesh.build_coarse(kind, 2, 2), n_sub)
     geom = (finefem.global_geometry(fine) if fixed == "boundary"
             else skeleton_geometry(fine))
-    system = finefem.assemble(geom, anisotropic_field())
+    system = finefem.assemble(geom, contrast_field())
     mg = finefem.Multigrid(system)
     assert len(mg.levels) >= 3
-    AW = system.AW
+    AW = tensor(system.AW)
     for l, lev in enumerate(mg.levels):
         if l:
             geom, AW = coarsen(geom, AW)
@@ -687,8 +706,8 @@ def test_same_name_coefficients_get_their_own_operators():
     fine = mesh.refine_to_fine(mesh.build_coarse("quad", 2, 2), 8)
     geom = finefem.global_geometry(fine)
     f = finefem.constant_rhs(-1.0)
-    A1 = finefem.scalar_field("twin", lambda x, y: 1.0 + x, 1.0, 2.0)
-    A2 = finefem.scalar_field("twin", lambda x, y: 2.0 - x, 1.0, 2.0)
+    A1 = finefem.CoefficientField("twin", 1.0, 2.0, lambda x, y: 1.0 + x)
+    A2 = finefem.CoefficientField("twin", 1.0, 2.0, lambda x, y: 2.0 - x)
     s1, s2 = finefem.assemble(geom, A1, f), finefem.assemble(geom, A2, f)
     assert not np.array_equal(s1.K.diagonal(), s2.K.diagonal())
     u1, u2 = finefem.solve_spd(s1), finefem.solve_spd(s2)

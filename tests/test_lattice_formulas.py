@@ -11,18 +11,19 @@ areas, centroids and the masked patch windows are bitwise at both.  Every
 case runs on quads and triangles: the global mesh, the skeleton (the
 coarse edges fixed), the quad and the lower and upper triangle patch
 stacks of the offline sweep, and every multigrid level, with the periodic
-and the full-tensor coefficient.
+and the contrast coefficient (the per-triangle references take it as the
+tensor a I).
 """
 
 import numpy as np
 import pytest
 
-from conftest import (anisotropic_field, coarsen, corner_areas_centroids,
+from conftest import (coarsen, contrast_field, corner_areas_centroids,
                       gather, group_weights, local_triangles,
                       member_triangle_ids, reference_load_vector,
                       reference_stencil, restricted, scatter, scatter_rows,
-                      skeleton_geometry, triangle_cells, triangle_elements,
-                      triangle_gradients)
+                      skeleton_geometry, tensor, triangle_cells,
+                      triangle_elements, triangle_gradients)
 from legmsfem import estimator, finefem, localbasis, mesh, polybasis
 
 # (kind, coarse cells per side, n_sub): h = 1/32 and h = 1/96.
@@ -40,7 +41,7 @@ def fine(request):
 @pytest.fixture(params=["periodic", "anisotropic"])
 def A(request):
     return (finefem.periodic_benchmark(0.25) if request.param == "periodic"
-            else anisotropic_field())
+            else contrast_field())
 
 
 def dyadic(fine) -> bool:
@@ -105,7 +106,7 @@ def test_global_stencil_and_operator(fine, A, which, rng):
     geom = (finefem.global_geometry(fine) if which == "global"
             else skeleton_geometry(fine))
     st = geom.stencil(A)
-    want = reference_stencil(geom, geom.area_weighted(A))
+    want = reference_stencil(geom, tensor(geom.area_weighted(A)))
     assert agree(st.coef, want.coef, dyadic(fine))
     K = finefem.assemble(geom, A).K
     assert K.stencil is st
@@ -133,7 +134,7 @@ def test_multigrid_level_stencils(fine, A, which):
     geom = (finefem.global_geometry(fine) if which == "global"
             else skeleton_geometry(fine))
     mg = finefem.Multigrid(finefem.assemble(geom, A))
-    AW = geom.area_weighted(A)
+    AW = tensor(geom.area_weighted(A))
     assert len(mg.levels) >= 2
     for l, lev in enumerate(mg.levels):
         if l:
@@ -212,7 +213,7 @@ def reference_jump_norms(fine, edge_ids, v, A):
     d = pb - pa
     L = np.hypot(d[:, 0], d[:, 1])
     nu = np.column_stack([d[:, 1], -d[:, 0]]) / L[:, None]
-    Anu = np.einsum("sij,sj->si", A.matrix_at(0.5 * (pa + pb)), nu)
+    Anu = np.einsum("sij,sj->si", tensor(A.at(0.5 * (pa + pb))), nu)
     grad = np.einsum("sti,stid->std", v.values[local_triangles(geom)[tris]],
                      triangle_gradients(geom)[tris])
     flux = np.einsum("std,sd->st", grad, Anu)

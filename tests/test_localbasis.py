@@ -3,7 +3,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from conftest import (anisotropic_field, check_against_dense,
+from conftest import (check_against_dense, contrast_field,
                       dense_couplings, edge_elements, edge_vertex_chain,
                       element_boundary_vertex_ids, energy_products,
                       group_weights, is_boundary_edge, local_triangles,
@@ -368,21 +368,6 @@ def test_frozen_interior_probe():
 # ---------------------------------------------------------------------------
 # right-hand sides of the offline sweep against the loops they replaced
 
-def full_tensor_field():
-    """A full-tensor coefficient, so every element matrix entry is
-    nonzero; eigenvalues in [0.6, 2.9]."""
-
-    def fn(p):
-        x, y = p[:, 0], p[:, 1]
-        out = np.empty((len(p), 2, 2))
-        out[:, 0, 0] = 2.0 + 0.5 * np.sin(5 * x)
-        out[:, 1, 1] = 1.5 + 0.5 * np.cos(3 * y)
-        out[:, 0, 1] = out[:, 1, 0] = 0.3 * np.sin(4 * (x + y))
-        return out
-
-    return finefem.CoefficientField("full tensor", 0.5, 3.0, fn)
-
-
 def requests_of(coarse, degrees):
     """The trace codes (see localbasis._trace_rows) with their stride, the
     bulk degrees and the bulk bases that compute_all requests for "all",
@@ -431,7 +416,7 @@ def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
     # takes from the chunk stencil agrees with both to rounding
     coarse = mesh.build_coarse(kind, 3, 3)
     fine = mesh.refine_to_fine(coarse, n_sub)
-    A = full_tensor_field()
+    A = contrast_field()
     codes, stride, _, _ = requests_of(
         coarse, mesh.DegreeAssignment.uniform(coarse, N, 0))
     for group in finefem.patch_groups(fine, range(coarse.n_elements)):
@@ -476,7 +461,7 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
     # are the bubble fields solved from them
     coarse = mesh.build_coarse(kind, 3, 2, (0.0, 1.5, -0.5, 0.5))
     fine = mesh.refine_to_fine(coarse, 6)
-    A = full_tensor_field()
+    A = contrast_field()
     degrees = mesh.DegreeAssignment.uniform(coarse, 2, 2)
     degrees.M[[0, 3, 4]] = [1, 3, 0]
     _, _, M, bases = requests_of(coarse, degrees)
@@ -588,11 +573,13 @@ def test_row_blocks_match_the_element_matrix_layout(kind, n_sub):
     # the blocks gathered from a stack of stencils are bitwise those packed
     # from the per-triangle matrices (of the lattice gradient patterns,
     # which the stencils use), on the quad template and on the lower
-    # and upper triangle templates; the full-tensor coefficient couples
-    # north-east neighbours; n_sub 2 and 3 leave one free vertex a patch
+    # and upper triangle templates, with the contrast coefficient: the
+    # packed blocks hold the SW-NE entries of the element matrices, zero,
+    # where the coupling vectors hold none; n_sub 2 and 3 leave one free
+    # vertex a patch
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, n_sub)
-    A = full_tensor_field()
+    A = contrast_field()
     groups = finefem.patch_groups(fine, range(coarse.n_elements))
     assert len(groups) == (1 if kind == "quad" else 2)
     for g in groups:
@@ -619,14 +606,13 @@ def test_row_blocks_match_the_element_matrix_layout(kind, n_sub):
 @pytest.mark.parametrize("coefficient", ["periodic", "anisotropic"])
 def test_coupling_elimination_matches_dense(kind, nx, n_sub, coefficient):
     # the offline sweep's elimination, its row couplings kept as stencil
-    # vectors, against the dense one: bitwise for a scalar coefficient (one
-    # coupling per row), to rounding with north-east couplings, on the
-    # quad n_sub 64 template (63 rows of 63) and on triangle templates
-    # whose rows shrink
+    # vectors (one per row), against the dense one: bitwise, with the
+    # periodic and the contrast coefficient, on the quad n_sub 64 template
+    # (63 rows of 63) and on triangle templates whose rows shrink
     coarse = mesh.build_coarse(kind, nx, nx)
     fine = mesh.refine_to_fine(coarse, n_sub)
     A = (finefem.periodic_benchmark(0.25) if coefficient == "periodic"
-         else anisotropic_field())
+         else contrast_field())
     for g in finefem.patch_groups(fine, range(coarse.n_elements)):
         t = g.template
         is_free = np.ones(t.n_vertices, dtype=bool)
@@ -636,10 +622,10 @@ def test_coupling_elimination_matches_dense(kind, nx, n_sub, coefficient):
                                                     else len(blocks.widths))
         st = g.stencil(A)
         D, C = split(blocks, st)
-        assert len(C[-1][0]) == (1 if coefficient == "periodic" else 2)
+        assert all(cols.shape == vals.shape[1:] == (w,)
+                   for (cols, vals), w in zip(C, blocks.widths))
         check_against_dense(blocks, blocks.factor(st), D,
-                            dense_couplings(C, blocks.widths),
-                            exact=coefficient == "periodic")
+                            dense_couplings(C, blocks.widths))
         # the offline sweep's one pass, the forward substitution beside the
         # elimination and only G kept, is bitwise the factor and the solve
         R = np.random.default_rng(3).standard_normal(

@@ -13,7 +13,9 @@ and the peak after, so a return of what the change removed fails here:
 - the fine reference solve, 43.3 MB while the stencils and loads were
   formed per triangle, 21.7 while the geometry held per-triangle areas
   and centroids, the whole-lattice load pass ran and CG allocated on
-  every iteration, 14.2 since;
+  every iteration, 14.2 while the coefficient was a 2x2 tensor per
+  triangle (the area-weighted coefficient 4 MiB, its 7-point stencil
+  and the tensor bounds check on top), 10.3 since it is a scalar;
 - the offline build (build_space), 11.0 MB while the sweep kept S^-1 and
   the split blocks of every lattice row, 6.7 since it keeps only G;
 - the coarse assembly, 16.4, then 7.6 MB while the fields of a chunk were
@@ -22,13 +24,16 @@ and the peak after, so a return of what the change removed fails here:
 - the error report, 7.9 MB with six energy rows stacked, 3.2 one row at
   a time; the estimator, 4.2 MB with f and the element tags over all fine
   triangles at once, 2.2 block of cell rows by block;
-- the whole run, 22.6 MB, 14.2 since: at most 16 MB above its start;
+- the whole run, 22.6 MB, then 14.4 with the tensor coefficient, 10.5
+  since: at most 12 MB above its start;
 - mesh.refine_to_fine plus finefem.global_geometry, 17.9 MB while the
   fine mesh kept triangle index tables and the geometry gathered the
   corners of every triangle, 5.3 while the geometry held areas,
   centroids and identity index arrays, 2.3 since;
 - localbasis.compute_all on 2x2 quads with n_sub 128, 62.8 MB while the
   sweep kept S^-1 and the split blocks (16.4 MB each per patch), 25.3
+  with the tensor coefficient (four values a triangle in the global
+  area-weighted coefficient and in the patch windows of it), 21.5
   since.
 """
 
@@ -44,14 +49,14 @@ FINE_CONFIG = {
     "schema": 1, "kind": "quad", "nx": 4, "ny": 4, "n_sub": 64,
     "coefficient": {"type": "periodic_benchmark", "eps": 0.03125},
     "rhs": {"type": "constant", "value": -1.0}, "N": 1, "M": 0}
-REFERENCE_PEAK_MB = 18.0
+REFERENCE_PEAK_MB = 12.0
 BUILD_SPACE_PEAK_MB = 9.0
 ASSEMBLE_COARSE_PEAK_MB = 5.0
 EVALUATE_PEAK_MB = 5.5
 ESTIMATE_PEAK_MB = 3.5
-RUN_PEAK_MB = 16.0
+RUN_PEAK_MB = 12.0
 FINE_GEOMETRY_PEAK_MB = 4.0
-WIDE_PATCH_SWEEP_PEAK_MB = 36.0
+WIDE_PATCH_SWEEP_PEAK_MB = 23.0
 
 
 def traced_peak_mb(fn, *args, **kw):
