@@ -9,6 +9,7 @@ timing is requested, keeping repeated runs byte-identical.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import sys
@@ -37,19 +38,47 @@ _SAFE_NAMES = {
     "pi": np.pi,
 }
 
+# The syntax of an expression: numbers, names, calls of the whitelisted
+# functions, and arithmetic, comparison and boolean operators (and, or, not
+# and the elementwise &, |, ^, ~ of numpy).
+_SYNTAX = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call,
+           ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare,
+           ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
+           ast.Pow, ast.UAdd, ast.USub, ast.Not, ast.Invert, ast.BitAnd,
+           ast.BitOr, ast.BitXor, ast.And, ast.Or, ast.Eq, ast.NotEq,
+           ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
 
 def _expression(expr: str, where: str):
-    """Compile a scalar expression of x and y over a numeric whitelist;
-    on two probe points it must give one real number per point."""
+    """Compile a scalar expression of x and y over a numeric whitelist of
+    names and syntax (_SYNTAX); on two probe points it must give one real
+    number per point."""
     if not isinstance(expr, str):
         raise ConfigError(f"{where}: must be a string")
     try:
-        code = compile(expr, where, "eval")
+        tree = ast.parse(expr, where, "eval")
     except SyntaxError as exc:
         raise ConfigError(f"{where}: bad expression: {exc}") from None
-    for name in code.co_names:
-        if name not in _SAFE_NAMES and name not in ("x", "y"):
-            raise ConfigError(f"{where}: unknown name {name!r} in expression")
+    nodes = list(ast.walk(tree))
+    for node in nodes:
+        if isinstance(node, ast.Name) and node.id not in _SAFE_NAMES \
+                and node.id not in ("x", "y"):
+            raise ConfigError(f"{where}: unknown name {node.id!r} in "
+                              "expression")
+    for node in nodes:
+        if not isinstance(node, _SYNTAX) or (
+                isinstance(node, ast.Constant)
+                and type(node.value) not in (int, float)) or (
+                isinstance(node, ast.Call) and (
+                    not isinstance(node.func, ast.Name)
+                    or not callable(_SAFE_NAMES.get(node.func.id))
+                    or node.keywords)):
+            what = ast.unparse(node) or type(node).__name__
+            raise ConfigError(f"{where}: bad expression: {what!r} is not a "
+                              "number, x, y, a whitelisted name or call, or "
+                              "an arithmetic, comparison or boolean "
+                              "operation")
+    code = compile(tree, where, "eval")
 
     def values(x, y):
         return eval(code, {"__builtins__": {}}, {"x": x, "y": y,
@@ -464,8 +493,10 @@ def _failed_row(config: RunConfig, exc: Exception,
 def cmd_sweep(config: RunConfig, axis: str, values: list[float],
               out: str | None = None, timing: bool = False) -> int:
     """One row per value along the axis; offline work shared where the
-    meshes and coefficient stay fixed.  The values are checked before any
-    row runs; failed rows are recorded and the sweep continues."""
+    meshes and coefficient stay fixed, and the fine reference of the first
+    good row on every axis but eps (an H row keeps the fine lattice).  The
+    values are checked before any row runs; failed rows are recorded and
+    the sweep continues."""
     if axis not in ("H", "N", "M", "eps"):
         raise ConfigError(f"sweep axis must be H, N, M or eps, got {axis!r}")
     if not values:
@@ -509,15 +540,20 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
                                                  "eps": float(v)})
             else:
                 cfg = _with(config, **{axis: int(v)})
-            if problem is None:
+            if axis == "H":
+                row_problem = build_problem(cfg)
+                res = run_single(cfg, row_problem,
+                                 _on_lattice(shared, row_problem.fine))
+            elif problem is None:
                 res = run_single(cfg)
             else:
                 res = run_single(cfg, _reprob(
                     problem, _degrees_of(cfg, problem.coarse)), shared)
-                shared.setdefault("u_ref", res.u_ref)
-                shared.setdefault("E_star", res.E_star)
                 if axis == "M" and "space_donor" not in shared:
                     shared["space_donor"] = res.solution.space
+            if axis != "eps":
+                shared.setdefault("u_ref", res.u_ref)
+                shared.setdefault("E_star", res.E_star)
             rows.append(res.row(timing))
         except finefem.LoadValueError:
             raise
@@ -525,6 +561,18 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
             rows.append(_failed_row(cfg, exc, H=v if axis == "H" else None))
     _emit(rows, out)
     return 0
+
+
+def _on_lattice(shared: dict, fine: mesh.FineMesh) -> dict:
+    """shared with its fine reference put on the global geometry of fine,
+    another mesh over the same fine lattice (the reference depends on the
+    lattice, the coefficient and the load only, and errors.evaluate and
+    the estimator check the geometry by identity)."""
+    if "u_ref" not in shared:
+        return shared
+    u = shared["u_ref"]
+    return dict(shared, u_ref=finefem.FineFunction(
+        finefem.global_geometry(fine), u.values, u.cg_iters))
 
 
 def _h_config(config: RunConfig, H: float) -> RunConfig:

@@ -26,8 +26,11 @@ multigrid level run, with one coupling between adjacent lattice rows.
 Per triangle a geometry stores only one value, the area-weighted
 coefficient of the last coefficient object it was asked for (keyed by
 identity, never by name), so a run evaluates the coefficient on the fine
-triangles once and two coefficient fields never share a matrix.
-Only numpy is needed.
+triangles once and two coefficient fields never share a matrix.  A
+coefficient whose period spans a whole number of fine cells is evaluated
+on the cells of one period only, once per fine mesh, and every geometry
+cut from the mesh tiles that evaluation, so cells a whole number of
+periods apart carry bitwise equal values.  Only numpy is needed.
 
 `solve_spd` preconditions CG with one geometric multigrid V-cycle
 (`Multigrid`), both on box arrays that vanish off the free vertices (the
@@ -45,7 +48,9 @@ Element patches of one shape are lattice translates of each other, so
 each member is the lattice window at its origin, the template's box and
 cell mask serve every member, a member's coefficient is its window of the
 global geometry's, and its areas and centroids are the lattice formula on
-its window.
+its window.  Members whose windows are bitwise equal (a whole number of
+periods apart) have bitwise equal stencils, so the offline sweep
+eliminates one of them for all.
 
 Every coefficient-weighted inner product a(u, v) is u^T (K v) with the
 stencil of its geometry (`Stencil.apply_full`): `energy_inner_matrix` and
@@ -88,12 +93,14 @@ class LoadValueError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Scalar diffusion coefficient a(x, y) I, from vectorized fn(x, y)."""
+    """Scalar diffusion coefficient a(x, y) I, from vectorized fn(x, y),
+    with its period (px, py) in x and y where it has one."""
 
     name: str
     alpha_min: float
     alpha_max: float
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    period: tuple[float, float] | None = None
 
     def at(self, points: np.ndarray) -> np.ndarray:
         """a at each row of points, shape (n,), a constant fn broadcast.
@@ -133,7 +140,7 @@ def periodic_benchmark(eps: float) -> CoefficientField:
         return sx / (2 + 1.8 * np.cos(Y)) + (2 + np.sin(Y)) / sx
 
     return CoefficientField(f"periodic_benchmark(eps={eps:.12g})", 1.2, 20.0,
-                            a)
+                            a, (eps, eps))
 
 
 @dataclass(frozen=True)
@@ -271,14 +278,19 @@ def lattice_cells(x: np.ndarray, y: np.ndarray
     1, columns - 1, 2, 2), leading axes broadcast: 2 * area = dx * dy for
     either triangle and centroid = (p0 + p1 + p2) / 3, bitwise the
     formulas of a triangle from its corners."""
-    dx, dy = np.diff(x), np.diff(y)
-    area = 0.5 * (dx[..., None, :] * dy[..., :, None])
     x0, x1, y0, y1 = x[..., :-1], x[..., 1:], y[..., :-1], y[..., 1:]
     cx = np.stack([x0 + x1 + x1, x0 + x1 + x0], -1)
     cy = np.stack([y0 + y0 + y1, y0 + y1 + y1], -1)
     centroids = np.stack(np.broadcast_arrays(cx[..., None, :, :],
                                              cy[..., :, None, :]), -1) / 3.0
-    return np.repeat(area[..., None], 2, axis=-1), centroids
+    return lattice_areas(x, y), centroids
+
+
+def lattice_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The areas of lattice_cells alone."""
+    dx, dy = np.diff(x), np.diff(y)
+    area = 0.5 * (dx[..., None, :] * dy[..., :, None])
+    return np.repeat(area[..., None], 2, axis=-1)
 
 
 class TriGeometry:
@@ -290,15 +302,24 @@ class TriGeometry:
     stored per triangle but the area-weighted coefficient: areas and
     centroids come from the box's coordinate vectors x and y (cells), and
     a geometry that fills its box, given None for vids and its box
-    positions (the whole fine mesh), keeps no index array either."""
+    positions (the whole fine mesh), keeps no index array either.
+
+    A patch geometry knows the whole-lattice geometry it is cut from
+    (root) and the lattice cell of its box's SW corner (corner), so that
+    all geometries of one fine mesh read the one evaluation of a periodic
+    coefficient there (area_weighted)."""
 
     def __init__(self, points: np.ndarray, vids: np.ndarray | None,
                  boundary_local: np.ndarray, label: str,
                  box: tuple[tuple[int, int], np.ndarray | None],
                  spacing: tuple[float, float],
                  mask: np.ndarray | None = None,
-                 lattice: tuple[int, int] | None = None):
+                 lattice: tuple[int, int] | None = None,
+                 root: TriGeometry | None = None,
+                 corner: tuple[int, int] = (0, 0)):
         self.points = points
+        self._root = root
+        self.corner = corner
         self._vids = vids
         self.boundary_local = boundary_local
         self.label = label
@@ -325,11 +346,13 @@ class TriGeometry:
             self.x, self.y = np.zeros(cols), np.zeros(rows)
             self.x[slots % cols], self.y[slots // cols] = points.T
         # [coefficient, AW, stencil or None] of the last coefficient asked
-        # for, and [load, load vector] of the last load; lists, so a
+        # for, [load, load vector] of the last load and [coefficient, its
+        # values on one period or None] (period_cells); lists, so a
         # shallow copy (another fixed set on the same triangles) shares
         # them.
         self._weights: list = [None, None, None]
         self._load: list = [None, None]
+        self._period: list = [None, None]
 
     @property
     def n_vertices(self) -> int:
@@ -369,17 +392,52 @@ class TriGeometry:
         out[..., self.mask.ravel()] = V
         return out
 
+    def period_cells(self, A: CoefficientField) -> np.ndarray | None:
+        """A at the centroids of the cells of one period at the lattice
+        origin, (p_y, p_x, 2), in one call, where A has a period that spans
+        a whole number p of cells in each direction (to 1e-9 relative) and
+        fits in the lattice; else None.  Kept on the whole-lattice
+        geometry, under the same identity key as area_weighted, for every
+        geometry cut from it."""
+        root = self._root or self
+        if root._period[0] is not A:
+            root._period[:] = [A, None]
+            if A.period is not None and root.lattice is not None:
+                counts = [round(p / h) for p, h in zip(A.period,
+                                                       root.spacing)]
+                if all(1 <= c <= n and abs(p / h - c) <= 1e-9 * c
+                       for p, h, c, n in zip(A.period, root.spacing,
+                                             counts, root.lattice)):
+                    px, py = counts
+                    _, centroids = lattice_cells(root.x[:px + 1],
+                                                 root.y[:py + 1])
+                    root._period[1] = A.at(
+                        centroids.reshape(-1, 2)).reshape(py, px, 2)
+        return root._period[1]
+
     def area_weighted(self, A: CoefficientField) -> np.ndarray:
         """Per-triangle area times the coefficient at the centroid, shape
-        (nt,), evaluated once per coefficient object, in one call at all
-        centroids: kept until another coefficient replaces it, the key
-        comparing the coefficient by identity, never by name, so two
-        coefficient fields never share a matrix."""
+        (nt,), evaluated once per coefficient object: kept until another
+        coefficient replaces it, the key comparing the coefficient by
+        identity, never by name, so two coefficient fields never share a
+        matrix.  A periodic coefficient is evaluated once per fine mesh
+        (period_cells), each cell taking the value of its lattice cell
+        index modulo the period, so cells a whole number of periods apart
+        carry bitwise equal values; any other in one call at all
+        centroids.  Areas are the lattice formula either way."""
         if self._weights[0] is not A:
             self._weights[:] = [None, None, None]
-            areas, centroids = self.cells()
-            a = A.at(self.on_mask(centroids))
-            del centroids
+            tile = self.period_cells(A)
+            if tile is None:
+                areas, centroids = self.cells()
+                a = A.at(self.on_mask(centroids))
+                del centroids
+            else:
+                (rows, cols), (r, c) = self.grid, self.corner
+                areas = lattice_areas(self.x, self.y)
+                a = self.on_mask(tile[
+                    (r + np.arange(rows - 1))[:, None] % tile.shape[0],
+                    (c + np.arange(cols - 1)) % tile.shape[1]])
             self._weights[:] = [A, self.on_mask(areas) * a, None]
         return self._weights[1]
 
@@ -578,11 +636,13 @@ def element_geometry(fine, elem_id: int) -> TriGeometry:
     ids, bnd, mask = fine.shape_pattern(fine.patch_shape(elem_id))
     iy, ix = np.divmod(ids, fine.nfx + 1)
     side = fine.n_sub + 1
-    vids = ids + fine.element_origin(elem_id)
+    origin = fine.element_origin(elem_id)
+    vids = ids + origin
     geom = TriGeometry(fine.vertices[vids], vids, np.searchsorted(ids, bnd),
                        f"element {elem_id} patch",
                        ((side, side), iy * side + ix), (fine.hx, fine.hy),
-                       mask)
+                       mask, root=global_geometry(fine),
+                       corner=divmod(int(origin), fine.nfx + 1))
     fine._geom_cache[elem_id] = geom
     return geom
 
@@ -840,29 +900,6 @@ def _couple(C: tuple, X: np.ndarray, axis: int) -> np.ndarray:
     return t
 
 
-def block_tridiagonal_substitute(factor: tuple[list, list], C: list,
-                                 R: list) -> list:
-    """Solve the systems of RowBlocks.factor for a stack of right-hand
-    sides, R[i] of shape (elements, fields, width of block i): forward
-    substitution down, back substitution up.  The fields go through
-    _matvecs and every element is its own LAPACK or BLAS call, so a field
-    does not depend on the other fields and elements of the stack."""
-    S_inv, G = factor
-    g = [_matvecs(S_inv[0], R[0])]
-    for i in range(1, len(S_inv)):
-        g.append(_matvecs(S_inv[i], R[i] - _couple(C[i], g[-1], -1)))
-    return _back_substitute(g, G)
-
-
-def _back_substitute(g: list, G: list) -> list:
-    """The solutions x_i = g_i - G_i x_{i+1}, from the last block up, of
-    the forward solutions g."""
-    x = [g[-1]]
-    for i in range(len(g) - 2, -1, -1):
-        x.append(g[i] - _matvecs(G[i], x[-1]))
-    return x[::-1]
-
-
 class RowBlocks:
     """K_ff of a lattice system in blocks of lattice rows: the one block
     layout of the direct elimination, built once per vertex set and
@@ -872,7 +909,11 @@ class RowBlocks:
 
     slots are the box positions of the free vertices, ascending, on a box
     of grid (rows, columns); block i holds the free vertices of one
-    lattice row, the slice blocks[i] of them.  The stencil couples only
+    lattice row, the slice blocks[i] of the last axis of the right-hand
+    sides that solve and eliminate take.  That axis lists the free
+    vertices, or, given columns, any vertices among which the free ones
+    sit at the ascending columns, those of each lattice row in one run:
+    the other entries are left as they are.  The stencil couples only
     adjacent lattice rows, so K_ff is block tridiagonal.  The diagonal
     block of a row is tridiagonal, from the centre and east coefficients;
     its entries are addressed as if the diagonal blocks were packed
@@ -883,14 +924,21 @@ class RowBlocks:
     after the diagonal blocks: size doubles in all, about what the
     elimination of one element keeps."""
 
-    def __init__(self, slots: np.ndarray, grid: tuple[int, int]):
+    def __init__(self, slots: np.ndarray, grid: tuple[int, int],
+                 columns: np.ndarray | None = None):
         cols = grid[1]
         n = self._n = grid[0] * cols
         nf = len(slots)
         starts = np.flatnonzero(np.diff(slots // cols, prepend=-1))
         w = self.widths = np.diff(np.append(starts, nf))
+        first = starts if columns is None else columns[starts]
+        if columns is not None and not np.array_equal(
+                columns[starts + w - 1] - first, w - 1):
+            raise ValueError("the free vertices of a lattice row are not "
+                             "one run of columns")
         self.blocks = [slice(a, a + b)
-                       for a, b in zip(starts.tolist(), w.tolist())]
+                       for a, b in zip(first.tolist(), w.tolist())]
+        self._starts = starts.tolist()
         ends = np.cumsum(w * w)
         self.offsets = ends - w * w
         self._diagonal = int(ends[-1]) if len(ends) else 0
@@ -939,7 +987,8 @@ class RowBlocks:
         a = self._runs[-1]
         vals = np.zeros((len(coef), self.size - self._diagonal))
         vals[:, self._dst[a:] - self._diagonal] = coef[:, self._src[a:]]
-        return [(self._cols[b], vals[:, b]) for b in self.blocks]
+        return [(self._cols[a:a + w], vals[:, a:a + w])
+                for a, w in zip(self._starts, self.widths.tolist())]
 
     def _elimination(self, coef: np.ndarray, C: list):
         """Block elimination of the SPD block-tridiagonal systems of the
@@ -969,30 +1018,50 @@ class RowBlocks:
         S_inv, G = zip(*self._elimination(coef, C))
         return (list(S_inv), list(G)), C
 
+    def _forward(self, i: int, S_inv: np.ndarray, C: list,
+                 R: np.ndarray) -> None:
+        """Overwrite block i of R with its forward solution, from the one
+        of block i - 1 already there."""
+        r = R[..., self.blocks[i]]
+        r[...] = _matvecs(S_inv, r - _couple(C[i], R[..., self.blocks[i - 1]],
+                                             -1) if i else r)
+
+    def _back(self, G: list, R: np.ndarray) -> np.ndarray:
+        """Overwrite the forward solutions in R with the solutions x_i =
+        g_i - G_i x_{i+1}, from the last block up; returns R."""
+        for i in range(len(self.blocks) - 2, -1, -1):
+            r = R[..., self.blocks[i]]
+            r -= _matvecs(G[i], R[..., self.blocks[i + 1]])
+        return R
+
     def solve(self, factored: tuple, R: np.ndarray) -> np.ndarray:
         """The solutions, over the free vertices, of the factored systems
-        for right-hand sides R (elements, fields, free vertices)."""
-        factor, C = factored
-        return np.concatenate(block_tridiagonal_substitute(
-            factor, C, [R[..., b] for b in self.blocks]), axis=-1)
+        for right-hand sides R (elements, fields, free vertices), written
+        over R and returned: forward substitution down, back substitution
+        up.  The fields go through _matvecs and every element is its own
+        LAPACK or BLAS call, so a field does not depend on the other fields
+        and elements of the stack."""
+        (S_inv, G), C = factored
+        for i, S in enumerate(S_inv):
+            self._forward(i, S, C, R)
+        return self._back(G, R)
 
     def eliminate(self, st: Stencil, R: np.ndarray) -> np.ndarray:
-        """solve(factor(st), R), bitwise, for systems solved once: the
-        forward substitution runs beside the elimination, so of each
-        lattice row only G_i and the forward solutions are kept, one w-by-w
-        block, not S_i^{-1} as well."""
+        """solve(factor(st), R), bitwise and in place over R, for systems
+        solved once: the forward substitution runs beside the elimination,
+        overwriting each block of R as the sweep passes it, and the back
+        substitution overwrites it again, so of each lattice row only G_i
+        is kept, one w-by-w block, not S_i^{-1} as well, and the fields
+        need no storage beyond R."""
         if not self.blocks:
-            return np.zeros(R.shape)
+            return R
         coef = st.coef.reshape(-1, 3 * self._n)
         C = self._couplings(coef)
-        g: list = []
         G: list = []
         for i, (S_inv, G_i) in enumerate(self._elimination(coef, C)):
-            r = R[..., self.blocks[i]]
-            g.append(_matvecs(S_inv, r - _couple(C[i], g[-1], -1) if i
-                              else r))
+            self._forward(i, S_inv, C, R)
             G.append(G_i)
-        return np.concatenate(_back_substitute(g, G), axis=-1)
+        return self._back(G, R)
 
 
 SMOOTHING_WEIGHT = 0.8  # damped Jacobi

@@ -8,23 +8,26 @@ int arrays and points each (element, DOF) pair at a row of a field stack,
 the only store of the fields; no Python object is built per DOF.  The
 offline work is grouped by patch shape: every trace and every bubble load
 on a patch becomes a row of its right-hand side, the patches of one shape
-are lattice translates of one template (finefem.patch_groups),
-and one direct block-tridiagonal sweep over the template's fine-lattice
-rows solves a whole chunk of them (a P1 stiffness on the structured
-lattice couples only adjacent rows).  The sweep's blocks come from the
-stencils of the chunk, formed by the lattice formula in one pass
-(finefem.PatchGroup.stencil), through the template's finefem.RowBlocks,
-the block layout the coarsest multigrid level uses too; the same stencils
-give a trace row's right-hand side -K X and then each patch's Gram blocks
-a(X_i, X_j) of its solved fields (finefem.patch_grams), kept beside the
-field stack for the coarse assembly.  The bubble loads are box arrays
-from the lattice formula too (finefem.box_loads).  Given the problem's
-load f, the sweep also solves one zero-trace row with load f per patch;
-glued over the mesh, these rows are the bubble part of the fine reference
-solution (the error report's bubble reference), so every patch is
-eliminated once per run.  The sweep's matrices carry a leading element
-axis, and every element and every row is its own LAPACK or BLAS call, so a
-field comes out bitwise the same whatever is solved with it.
+are lattice translates of one template (finefem.patch_groups), and
+patches whose coefficient windows are bitwise equal (a periodic
+coefficient, H a whole number of periods) share one system.  One direct
+block-tridiagonal sweep over the template's fine-lattice rows solves a
+whole chunk of distinct windows in place, each carrying the rows of all
+its patches (a P1 stiffness on the structured lattice couples only
+adjacent rows).  The sweep's blocks come from the stencils of the chunk,
+formed by the lattice formula in one pass (finefem.PatchGroup.stencil),
+through the template's finefem.RowBlocks, the block layout the coarsest
+multigrid level uses too; the same stencils give a trace row's
+right-hand side -K X and then each patch's Gram blocks a(X_i, X_j) of its
+solved fields (finefem.patch_grams), kept beside the field stack for the
+coarse assembly.  The bubble loads are box arrays from the lattice
+formula too (finefem.box_loads).  Given the problem's load f, the sweep
+also solves one zero-trace row with load f per patch; glued over the
+mesh, these rows are the bubble part of the fine reference solution (the
+error report's bubble reference), so every distinct window is eliminated
+once per run.  The sweep's matrices carry a leading window axis, and
+every window and every row is its own LAPACK or BLAS call, so a field
+comes out bitwise the same whatever is solved with it.
 Traces on coarse edges are sampled at the fine vertices of the edge chain,
 always through the edge's own orientation (v0 to v1) and from one
 evaluation per (n_sub, degree), so the two adjacent patches impose
@@ -142,11 +145,10 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
 
 
 def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
-                group: finefem.PatchGroup, codes: np.ndarray, stride: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Dirichlet rows of every member, (elements, rows, n), into out if
-    given, one for each of its trace codes (elements, rows), a zero row
-    for -1.  Code c below the corner count is the hat at corner c of the
+                group: finefem.PatchGroup, codes: np.ndarray, stride: int
+                ) -> np.ndarray:
+    """Dirichlet rows of every member, (elements, rows, n), one for each
+    of its trace codes (elements, rows), a zero row for -1.  Code c below the corner count is the hat at corner c of the
     element, code corners + j * stride + k - 2 is eta_k on its side j.
     The rows are gathered from one table on the template, written edge by
     edge in element_edge_ids order (corner values agree)."""
@@ -173,7 +175,7 @@ def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
         np.broadcast_to(n_hat + np.arange(len(pos) * stride + 1),
                         (len(sides), len(pos) * stride + 1))], axis=1)
     return np.take(table, np.take_along_axis(row, codes, axis=1), axis=0,
-                   out=out, mode="clip")
+                   mode="clip")
 
 
 def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
@@ -204,6 +206,21 @@ def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
     return out
 
 
+def _distinct_windows(group: finefem.PatchGroup, AW: np.ndarray,
+                      step: int) -> np.ndarray:
+    """The distinct window of each member of group, numbered in order of
+    first appearance: members whose windows of the global area-weighted
+    coefficient AW (PatchGroup.windows) are bitwise equal share one.  The
+    bytes of each window are the key, so two coefficients never share a
+    window, taken chunk by chunk (chunks(step))."""
+    seen: dict[bytes, int] = {}
+    wid = np.empty(len(group.elements), dtype=int)
+    for sl, sub in group.chunks(step):
+        wid[sl] = [seen.setdefault(w.tobytes(), len(seen))
+                   for w in sub.windows(AW)]
+    return wid
+
+
 def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, group: finefem.PatchGroup,
                   codes: np.ndarray, stride: int, M: np.ndarray,
@@ -218,54 +235,95 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     _trace_rows; -1 for a zero row), zero on the rest of the boundary, then
     for the zero-trace solve with load P_i for each P_i of its bulk basis
     bases[M[e]] (none for M[e] = 0).  Members with fewer bubbles are padded
-    with zero rows.  Every chunk of members is solved by one block sweep
-    over the template's lattice rows, the load f riding along as one more
-    row that is kept out of the stack, and each row comes out the same
-    whatever other rows and members are solved with it.  The stencils the
-    sweep eliminates then give each member's Gram block of its solved
-    rows (finefem.patch_grams), so the coarse assembly forms no fine
+    with zero rows.  Members whose coefficient windows are bitwise equal
+    (_distinct_windows) share one system, so each distinct window is
+    eliminated once: the distinct windows are stacked in chunks, each
+    carrying the rows of all its members (padded with zero rows to the
+    largest share in the chunk), and one block sweep over the template's
+    lattice rows solves a chunk in place, the load f riding along as one
+    more row per member that is kept out of the stack.  Each row comes out
+    the same whatever other rows, members and windows are solved with it,
+    so a member's fields are bitwise those of its patch solved alone.  The
+    stencils the sweep eliminates then give each member's Gram block of its
+    solved rows (finefem.patch_grams), so the coarse assembly forms no fine
     product.
     """
     t = group.template
-    n = t.n_vertices
+    E, n = len(group.elements), t.n_vertices
     n_tr = codes.shape[1]
     n_b = max([b.dim for m, b in bases.items() if (M == m).any()], default=0)
     m = n_tr + n_b
     m_all = m + (f is not None)
-    X = np.zeros((len(group.elements), m, n))
-    G = np.zeros((len(group.elements), m, m))
-    L = None if f is None else np.zeros((len(group.elements), n))
-    if n_tr:
-        _trace_rows(coarse, fine, group, codes, stride, X[:, :n_tr])
     is_free = np.ones(n, dtype=bool)
     is_free[t.boundary_local] = False
     free = np.flatnonzero(is_free)
     slots = t.box[1][free]
-    blocks = finefem.RowBlocks(slots, t.grid)
+    blocks = finefem.RowBlocks(slots, t.grid, free)
     # Doubles of the largest temporaries per member: three box arrays of
     # each right-hand side row (-K X of the traces, the loads from their
     # triangle shares), and the four box arrays of its Gram blocks.
     per_element = (3 * m_all + 4 * m) * math.prod(t.grid)
-    for sl, sub in group.chunks(max(per_element, blocks.size)):
+    step = max(per_element, blocks.size)
+    wid = _distinct_windows(
+        group, finefem.global_geometry(fine).area_weighted(A), step)
+    # The members by window, and each member's rank among its window's.
+    counts = np.bincount(wid)
+    order = np.argsort(wid, kind="stable")
+    rank = np.empty_like(wid)
+    rank[order] = _runs(counts)[1]
+    first = order[np.cumsum(counts) - counts]
+    windows = finefem.PatchGroup(fine, t, group.elements[first],
+                                 group.origins[first])
+    G = np.zeros((E, m, m))
+    if len(counts) > 1:
+        X = np.zeros((E, m, n))
+        L = None if f is None else np.zeros((E, n))
+    for ws, sub in windows.chunks(step):
         st = sub.stencil(A)
-        Xc = X[sl]
-        if len(free):
-            R = np.empty((len(Xc), m_all, len(free)))
+        a, b = np.searchsorted(wid[order], [ws.start, ws.stop])
+        mem = order[a:b]
+        members = finefem.PatchGroup(fine, t, group.elements[mem],
+                                     group.origins[mem])
+        # The rows of window w: field j of its member of rank r at r * m +
+        # j, that member's load row at s * m + r, s the largest share.  Per
+        # chunk of members: their indices, windows in this chunk, field
+        # rows and load rows.
+        s = int(counts[ws].max())
+        parts = [(e, wid[e] - ws.start, rank[e][:, None] * m + np.arange(m),
+                  s * m + rank[e], msub)
+                 for e, msub in ((mem[ms], msub)
+                                 for ms, msub in members.chunks(step))]
+        R = np.zeros((len(st.coef), s * m_all, n))
+        for e, w, rows, load, msub in parts:
             if n_tr:
-                member = finefem.Stencil(st.grid, st.coef[:, None])
-                R[:, :n_tr] = np.negative(
-                    member.apply(t.to_box(Xc[:, :n_tr]))[..., slots])
+                T = _trace_rows(coarse, fine, msub, codes[e], stride)
+                member = finefem.Stencil(st.grid, st.coef[w][:, None])
+                T[..., free] = np.negative(member.apply(t.to_box(T))[...,
+                                                                     slots])
+                R[w[:, None], rows[:, :n_tr]] = T
             if m_all > n_tr:
-                w = _load_weights(coarse, sub, M[sl], bases, n_b, f)
-                R[:, n_tr:] = finefem.box_loads(
-                    t, w.T,
-                    finefem.BY_TRIANGLE)[..., slots]
-            Y = blocks.eliminate(st, R)
-            Xc[..., free] = Y[:, :m]
-            if L is not None:
-                L[sl, free] = Y[:, m]
+                lw = _load_weights(coarse, msub, M[e], bases, n_b, f)
+                Q = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[...,
+                                                                   slots]
+                R[w[:, None, None], rows[:, n_tr:, None], free] = Q[:, :n_b]
+                if f is not None:
+                    R[w[:, None], load[:, None], free] = Q[:, n_b]
+        # Solved in place: the free entries of each row become its field,
+        # the trace rows keeping their boundary values.
+        blocks.eliminate(st, R)
+        if len(counts) == 1:  # every member in one window: R is the stack
+            X = R[0, :E * m].reshape(E, m, n)
+            L = None if f is None else R[0, E * m:]
+        else:
+            for e, w, rows, load, _ in parts:
+                X[e] = R[w[:, None], rows]
+                if L is not None:
+                    L[e] = R[w, load]
+        del R
         if m:
-            G[sl] = finefem.patch_grams(t, st, Xc)
+            for e, w, *_ in parts:
+                G[e] = finefem.patch_grams(
+                    t, finefem.Stencil(st.grid, st.coef[w]), X[e])
     return X.reshape(-1, n), G, L
 
 

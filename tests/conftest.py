@@ -311,7 +311,7 @@ def check_against_dense(blocks, factored, D, E):
     S0, G0 = dense_factor(D, E)
     R = np.random.default_rng(7).standard_normal(
         (len(D[0]), 3, int(sum(len(d[0, 0]) for d in D))))
-    x = blocks.solve(factored, R)
+    x = blocks.solve(factored, R.copy())  # solves in place
     x0 = np.concatenate(dense_substitute(
         (S0, G0), E, [R[..., b] for b in blocks.blocks]), axis=-1)
     assert all(a.shape == b.shape for a, b in zip(

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import (edge_elements, is_boundary_edge, to_ref,
                       triangle_cells, vertex_elements)
-from legmsfem import cli, estimator, finefem, globalsolve, localbasis, mesh
+from legmsfem import (cli, errors, estimator, finefem, globalsolve,
+                      localbasis, mesh)
 
 BASE = {"schema": 1, "kind": "quad", "nx": 4, "ny": 4, "n_sub": 8,
         "coefficient": {"type": "periodic_benchmark", "eps": 0.25},
@@ -148,6 +149,27 @@ def test_expression_must_give_one_real_number_per_point(expr, key, tmp_path,
              "alpha_max": 2.0} if key == "coefficient"
             else {"type": "expression", "expr": expr})
     path = write_cfg(tmp_path, n_sub=4, N=1, **{key: spec})
+    out = tmp_path / "x.csv"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert f"config.{key}.expr" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["coefficient", "rhs"])
+@pytest.mark.parametrize("expr", ["1 + x[0]", "x[1:]", "(lambda: x)()",
+                                  "[x for _ in (1,)][0]", "sin(x, out=y)",
+                                  "x.real", "x in y"])
+def test_expression_syntax_outside_the_language_fails_at_load(
+        expr, key, tmp_path, capsys):
+    # a subscript, a slice, a lambda, a comprehension, a keyword, an
+    # attribute or a membership test is a config error naming the key
+    # path, exit 2 before any solve: "1 + x[0]" once ran as the constant
+    # 1 + x of the first point of each evaluation, and a lambda or a
+    # comprehension ended in a traceback
+    spec = ({"type": "expression", "expr": expr, "alpha_min": 1.0,
+             "alpha_max": 2.0} if key == "coefficient"
+            else {"type": "expression", "expr": expr})
+    path = write_cfg(tmp_path, nx=2, ny=2, n_sub=4, N=1, **{key: spec})
     out = tmp_path / "x.csv"
     assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
     assert f"config.{key}.expr" in capsys.readouterr().err
@@ -385,13 +407,24 @@ def test_coefficient_bounds_checked(tmp_path):
 @pytest.mark.parametrize("axis, values", [
     ("N", [1, 2, 3]), ("M", [0, 1, 2]), ("H", [0.5, 0.25, 0.125])],
     ids=["N", "M", "H"])
-def test_sweep_reuse_matches_fresh_runs(axis, values, tmp_path):
+def test_sweep_reuse_matches_fresh_runs(axis, values, tmp_path,
+                                       monkeypatch):
     # every row that shares work (a donor's interface fields, the fine
     # reference) equals a fresh run of its own config byte for byte; an
-    # H row keeps the 32 fine cells per side
+    # H row keeps the 32 fine cells per side, so the sweep solves the fine
+    # reference once on every axis
     cfg = cli.RunConfig.from_dict(cfg_dict())
     out = tmp_path / "sweep.csv"
+    solves = []
+    real = errors.reference_solve
+
+    def counted(*args, **kw):
+        solves.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(errors, "reference_solve", counted)
     assert cli.cmd_sweep(cfg, axis, values, str(out)) == 0
+    assert len(solves) == 1
     lines = out.read_text().splitlines()
     assert lines[0] == cli.CSV_HEADER and len(lines) == 1 + len(values)
     for v, line in zip(values, lines[1:]):
@@ -745,11 +778,10 @@ def test_sweep_N_rows_run_no_patch_elimination(monkeypatch, tmp_path):
     assert len(swept) == 2
 
 
-def test_solve_evaluates_the_coefficient_once_on_the_fine_triangles(
-        monkeypatch, tmp_path):
-    # the reference assembly, its energy, the offline sweep, the coarse
-    # assembly and the error report all read one evaluation at the global
-    # fine centroids; the estimator's edge midpoints are no centroids
+def fine_coefficient_calls(monkeypatch, tmp_path, **cfg):
+    """(the global fine centroids of the BASE mesh, the points of every
+    CoefficientField.at call of a solve of the config, and how many of
+    each call's points are fine centroids)."""
     fine = mesh.refine_to_fine(mesh.build_coarse("quad", 4, 4), 8)
     _, centroids = triangle_cells(finefem.global_geometry(fine))
     known = set(map(tuple, centroids.tolist()))
@@ -761,12 +793,36 @@ def test_solve_evaluates_the_coefficient_once_on_the_fine_triangles(
         return real(self, points)
 
     monkeypatch.setattr(finefem.CoefficientField, "at", counted)
-    path = write_cfg(tmp_path, M=1)
+    path = write_cfg(tmp_path, M=1, **cfg)
     assert cli.main(["solve", "--config", path,
                      "--out", str(tmp_path / "row.csv")]) == 0
-    at = [sum(p in known for p in map(tuple, c.tolist())) for c in calls]
+    return centroids, calls, [sum(p in known for p in map(tuple, c.tolist()))
+                              for c in calls]
+
+
+def test_solve_evaluates_the_coefficient_once_on_the_fine_triangles(
+        monkeypatch, tmp_path):
+    # the reference assembly, its energy, the offline sweep, the coarse
+    # assembly and the error report all read one evaluation at the global
+    # fine centroids of a coefficient without a period; the estimator's
+    # edge midpoints are no centroids
+    centroids, calls, at = fine_coefficient_calls(
+        monkeypatch, tmp_path, coefficient={
+            "type": "expression", "expr": "2 + sin(7*x)*cos(5*y)",
+            "alpha_min": 1, "alpha_max": 3})
     assert sum(at) == len(centroids)
     assert any(np.array_equal(c, centroids) for c in calls)
+
+
+def test_solve_evaluates_a_periodic_coefficient_once_on_one_period(
+        monkeypatch, tmp_path):
+    # the periodic coefficient of BASE (eps = 8 fine cells) is evaluated in
+    # one call at the centroids of the 8 x 8 cells of one period at the
+    # lattice origin, which every geometry tiles; no other fine centroid
+    centroids, calls, at = fine_coefficient_calls(monkeypatch, tmp_path)
+    period = centroids.reshape(32, 32, 2, 2)[:8, :8].reshape(-1, 2)
+    assert sorted(at) == [0] * (len(at) - 1) + [2 * 8 * 8]
+    assert np.array_equal(calls[at.index(2 * 8 * 8)], period)
 
 
 def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -50,6 +50,59 @@ def test_periodic_benchmark(rng):
         finefem.periodic_benchmark(0.0)
 
 
+@pytest.mark.parametrize("kind,n,n_sub,eps", [("quad", 4, 8, 0.25),
+                                               ("triangle", 24, 4, 1 / 12)])
+def test_periodic_coefficient_is_evaluated_on_one_period(kind, n, n_sub,
+                                                         eps):
+    # a period of eps = 8 fine cells: every geometry takes the value of
+    # cell (i, j) from cell (i mod 8, j mod 8) of the one evaluation, so
+    # the coefficient is bitwise periodic; it differs from evaluating every
+    # centroid only by the rounding of the oscillation's argument, whose
+    # size grows with x / eps: up to 6e-14 relative on the benchmark
+    # lattices
+    fine = mesh.refine_to_fine(mesh.build_coarse(kind, n, n), n_sub)
+    A = finefem.periodic_benchmark(eps)
+    geom = finefem.global_geometry(fine)
+    tile = geom.period_cells(A)
+    assert tile.shape == (8, 8, 2)
+    areas, centroids = triangle_cells(geom)
+    a = tile[np.arange(fine.nfy)[:, None] % 8, np.arange(fine.nfx) % 8]
+    AW = geom.area_weighted(A)
+    assert AW.tobytes() == (areas * a.reshape(-1)).tobytes()
+    direct = areas * A.at(centroids)
+    assert np.abs(AW - direct).max() <= 1e-13 * np.abs(direct).max()
+    if kind == "quad":  # a power-of-two spacing: equal areas as well
+        cells = AW.reshape(fine.nfy, fine.nfx, 2)
+        assert np.array_equal(cells[8:], cells[:-8])
+        assert np.array_equal(cells[:, 8:], cells[:, :-8])
+    # every geometry cut from the mesh reads the same evaluation: its
+    # cells are bitwise those of the global geometry
+    for K in (0, 2 * n + 3):
+        egeom = finefem.element_geometry(fine, K)
+        assert egeom.period_cells(A) is tile
+        g, = finefem.patch_groups(fine, [K])
+        assert np.array_equal(egeom.area_weighted(A),
+                              AW[member_triangle_ids(g)[0]])
+
+
+def test_period_off_the_lattice_is_evaluated_per_triangle():
+    # eps = 2.25 fine cells, or a period beyond the lattice: every centroid
+    # is evaluated, as for a coefficient without a period
+    fine = mesh.refine_to_fine(mesh.build_coarse("triangle", 3, 3), 6)
+    geom = finefem.global_geometry(fine)
+    areas, centroids = triangle_cells(geom)
+    for eps in (0.125, 2.0):
+        A = finefem.periodic_benchmark(eps)
+        assert geom.period_cells(A) is None
+        assert geom.area_weighted(A).tobytes() == \
+            (areas * A.at(centroids)).tobytes()
+    # the bounds check covers every value of one evaluation
+    A = finefem.CoefficientField("low", 2.0, 3.0, lambda x, y: 1.0 + x,
+                                 (1 / 6, 1 / 6))
+    with pytest.raises(finefem.CoefficientBoundsError, match="low at"):
+        geom.area_weighted(A)
+
+
 def test_coefficient_bounds_checked():
     pts = np.array([[0.25, 0.5], [0.75, 0.5]])
     # the values 1 and 3, each at one bound, and each once out of bounds

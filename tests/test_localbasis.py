@@ -297,30 +297,84 @@ def test_compute_all_matches_iterative_reference(kind, A_osc):
                                              ("quad", 2, 64)])
 def test_batched_catalog_matches_entry_points(kind, n, n_sub, A_osc,
                                               monkeypatch):
-    # whole patch groups against groups of one: both triangle shapes, and
-    # quad patches of 8,192 triangles that go in chunks of one element
+    # whole patch groups against groups of one: both triangle shapes, whose
+    # nine windows each are distinct (H is 4 cells, the period 3), and quad
+    # patches of 8,192 triangles whose four windows are equal (H is two
+    # periods), so one elimination carries the rows of all four
     coarse = mesh.build_coarse(kind, n, n)
     fine = mesh.refine_to_fine(coarse, n_sub)
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
     basis = polybasis.BulkPolyBasis(kind, 1)
-    chunks = []
-    real = finefem.PatchGroup.chunks
-
-    def counted(self, size):
-        parts = list(real(self, size))
-        chunks.append(len(parts))
-        return iter(parts)
-
-    monkeypatch.setattr(finefem.PatchGroup, "chunks", counted)
+    swept = eliminated_windows(monkeypatch)
     table = localbasis.compute_all(coarse, fine, A_osc, degrees)
-    assert len(chunks) == (2 if kind == "triangle" else 1)
-    assert max(chunks) == (1 if kind == "triangle" else 4)
+    assert swept == ([(9, 12)] * 2 if kind == "triangle" else [(1, 4 * 9)])
     for d, (dof_kind, key) in enumerate(zip(table.kind, table.key.tolist())):
         fields = table_fields(table, d)
         single = entry_point(dof_kind, key, coarse, fine, A_osc, basis)
         assert list(single) == list(fields)
         for K, u in fields.items():
             assert np.array_equal(single[K], u)
+
+
+def eliminated_windows(monkeypatch) -> list:
+    """The (windows, rows per window) of every block sweep of the offline
+    elimination that runs after the call."""
+    swept = []
+    real = finefem.RowBlocks.eliminate
+
+    def counted(self, st, R):
+        swept.append(R.shape[:2])
+        return real(self, st, R)
+
+    monkeypatch.setattr(finefem.RowBlocks, "eliminate", counted)
+    return swept
+
+
+@pytest.mark.parametrize("coefficient,windows", [
+    ("periodic", 1), ("expression", 16)])
+def test_each_distinct_window_is_eliminated_once(coefficient, windows,
+                                                 monkeypatch):
+    # the 16 patches of the solve-quad-fine config, H four periods: one
+    # window carries the five rows (four hats, the load) of every member;
+    # a coefficient without a period gives each member its own window
+    coarse = mesh.build_coarse("quad", 4, 4)
+    fine = mesh.refine_to_fine(coarse, 64)
+    A = (finefem.periodic_benchmark(1 / 32) if coefficient == "periodic"
+         else finefem.CoefficientField(
+             "2 + sin(7x) cos(5y)", 1.0, 3.0,
+             lambda x, y: 2 + np.sin(7 * x) * np.cos(5 * y)))
+    swept = eliminated_windows(monkeypatch)
+    table = localbasis.compute_all(coarse, fine, A,
+                                   mesh.DegreeAssignment.uniform(coarse, 1, 0),
+                                   f=finefem.constant_rhs(-1.0))
+    assert sum(w for w, _ in swept) == windows
+    assert sum(w * r for w, r in swept) == 16 * 5
+    assert len(table.element) == 4 * 9
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_shared_window_fields_match_each_patch_alone(kind, monkeypatch):
+    # eps is one coarse cell on a power-of-two lattice, so all members of
+    # a shape share one window; every field, bubble and load solve of a
+    # member, solved through it, is bitwise the field of that member's
+    # patch solved alone, with a load that differs from member to member
+    coarse = mesh.build_coarse(kind, 4, 4)
+    fine = mesh.refine_to_fine(coarse, 8)
+    A, f = finefem.periodic_benchmark(1 / 4), finefem.gaussian_rhs()
+    degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
+    swept = eliminated_windows(monkeypatch)
+    table = localbasis.compute_all(coarse, fine, A, degrees, f=f)
+    assert [w for w, _ in swept] == [1] * (2 if kind == "triangle" else 1)
+    for K in range(coarse.n_elements):
+        alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
+                                       support_of=(BUBBLE, K, 1))
+        assert len(alone.stacks) == 1
+        for d in np.unique(alone.dof):
+            assert table_fields(alone, d)[K].tobytes() == \
+                table_fields(table, d)[K].tobytes()
+        vids = fine.element_vertex_ids(K)
+        assert alone.reference[vids].tobytes() == \
+            table.reference[vids].tobytes()
 
 
 def test_edge_chains_must_be_translates(A_osc):
@@ -627,8 +681,10 @@ def test_coupling_elimination_matches_dense(kind, nx, n_sub, coefficient):
         check_against_dense(blocks, blocks.factor(st), D,
                             dense_couplings(C, blocks.widths))
         # the offline sweep's one pass, the forward substitution beside the
-        # elimination and only G kept, is bitwise the factor and the solve
+        # elimination and only G kept, is bitwise the factor and the solve;
+        # both overwrite their right-hand sides with the solutions
         R = np.random.default_rng(3).standard_normal(
             (len(g.elements), 3, int(is_free.sum())))
-        assert bitwise(blocks.eliminate(st, R),
-                       blocks.solve(blocks.factor(st), R))
+        x = R.copy()
+        assert blocks.eliminate(st, x) is x
+        assert bitwise(x, blocks.solve(blocks.factor(st), R))
