@@ -395,7 +395,7 @@ class TriGeometry:
     def period_cells(self, A: CoefficientField) -> np.ndarray | None:
         """A at the centroids of the cells of one period at the lattice
         origin, (p_y, p_x, 2), in one call, where A has a period that spans
-        a whole number p of cells in each direction (to 1e-9 relative) and
+        a whole number p of cells in each direction (to 1e-12 relative) and
         fits in the lattice; else None.  Kept on the whole-lattice
         geometry, under the same identity key as area_weighted, for every
         geometry cut from it."""
@@ -405,7 +405,7 @@ class TriGeometry:
             if A.period is not None and root.lattice is not None:
                 counts = [round(p / h) for p, h in zip(A.period,
                                                        root.spacing)]
-                if all(1 <= c <= n and abs(p / h - c) <= 1e-9 * c
+                if all(1 <= c <= n and abs(p / h - c) <= 1e-12 * c
                        for p, h, c, n in zip(A.period, root.spacing,
                                              counts, root.lattice)):
                     px, py = counts
@@ -669,8 +669,12 @@ class PatchGroup:
         step = max(1, (1 << 18) // max(1, doubles_per_element))
         for s in range(0, len(self.elements), step):
             sl = slice(s, s + step)
-            yield sl, PatchGroup(self.fine, self.template, self.elements[sl],
-                                 self.origins[sl])
+            yield sl, self.take(sl)
+
+    def take(self, index) -> "PatchGroup":
+        """The members at index (a slice or positions), as a group."""
+        return PatchGroup(self.fine, self.template, self.elements[index],
+                          self.origins[index])
 
     def _corners(self) -> tuple[np.ndarray, np.ndarray]:
         """The lattice row and column of every member's SW window corner."""
@@ -1046,22 +1050,25 @@ class RowBlocks:
             self._forward(i, S, C, R)
         return self._back(G, R)
 
-    def eliminate(self, st: Stencil, R: np.ndarray) -> np.ndarray:
-        """solve(factor(st), R), bitwise and in place over R, for systems
-        solved once: the forward substitution runs beside the elimination,
-        overwriting each block of R as the sweep passes it, and the back
-        substitution overwrites it again, so of each lattice row only G_i
-        is kept, one w-by-w block, not S_i^{-1} as well, and the fields
-        need no storage beyond R."""
+    def eliminate(self, st: Stencil, *R: np.ndarray) -> None:
+        """solve(factor(st), r) for each stack of right-hand sides r of R,
+        bitwise and in place over r, for systems solved once: the forward
+        substitution runs beside the elimination, overwriting each block of
+        every r as the sweep passes it, and the back substitution
+        overwrites it again, so of each lattice row only G_i is kept, one
+        w-by-w block, not S_i^{-1} as well, and the fields need no storage
+        beyond R."""
         if not self.blocks:
-            return R
+            return
         coef = st.coef.reshape(-1, 3 * self._n)
         C = self._couplings(coef)
         G: list = []
         for i, (S_inv, G_i) in enumerate(self._elimination(coef, C)):
-            self._forward(i, S_inv, C, R)
+            for r in R:
+                self._forward(i, S_inv, C, r)
             G.append(G_i)
-        return self._back(G, R)
+        for r in R:
+            self._back(G, r)
 
 
 SMOOTHING_WEIGHT = 0.8  # damped Jacobi

@@ -12,10 +12,12 @@ are lattice translates of one template (finefem.patch_groups), and
 patches whose coefficient windows are bitwise equal (a periodic
 coefficient, H a whole number of periods) share one system.  One direct
 block-tridiagonal sweep over the template's fine-lattice rows solves a
-whole chunk of distinct windows in place, each carrying the rows of all
-its patches (a P1 stiffness on the structured lattice couples only
-adjacent rows).  The sweep's blocks come from the stencils of the chunk,
-formed by the lattice formula in one pass (finefem.PatchGroup.stencil),
+whole chunk of distinct windows that are shared by equally many patches,
+each carrying the rows of all its patches, in place in the field stack,
+so every requested row is solved once and none is padding (a P1
+stiffness on the structured lattice couples only adjacent rows).  The
+sweep's blocks come from the stencils of the chunk, formed by the
+lattice formula in one pass (finefem.PatchGroup.stencil),
 through the template's finefem.RowBlocks, the block layout the coarsest
 multigrid level uses too; the same stencils give a trace row's
 right-hand side -K X and then each patch's Gram blocks a(X_i, X_j) of its
@@ -24,8 +26,9 @@ coarse assembly.  The bubble loads are box arrays from the lattice
 formula too (finefem.box_loads).  Given the problem's load f, the sweep
 also solves one zero-trace row with load f per patch; glued over the
 mesh, these rows are the bubble part of the fine reference solution (the
-error report's bubble reference), so every distinct window is eliminated
-once per run.  The sweep's matrices carry a leading window axis, and
+error report's bubble reference), solved beside the field stack in an
+array of their own, so every distinct window is eliminated once per run.
+The sweep's matrices carry a leading window axis, and
 every window and every row is its own LAPACK or BLAS call, so a field
 comes out bitwise the same whatever is solved with it.
 Traces on coarse edges are sampled at the fine vertices of the edge chain,
@@ -145,10 +148,11 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
 
 
 def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
-                group: finefem.PatchGroup, codes: np.ndarray, stride: int
-                ) -> np.ndarray:
-    """Dirichlet rows of every member, (elements, rows, n), one for each
-    of its trace codes (elements, rows), a zero row for -1.  Code c below the corner count is the hat at corner c of the
+                group: finefem.PatchGroup, codes: np.ndarray, stride: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Dirichlet rows of every member, (elements, rows, n), into out if
+    given, one for each of its trace codes (elements, rows), a zero row
+    for -1.  Code c below the corner count is the hat at corner c of the
     element, code corners + j * stride + k - 2 is eta_k on its side j.
     The rows are gathered from one table on the template, written edge by
     edge in element_edge_ids order (corner values agree)."""
@@ -175,7 +179,7 @@ def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
         np.broadcast_to(n_hat + np.arange(len(pos) * stride + 1),
                         (len(sides), len(pos) * stride + 1))], axis=1)
     return np.take(table, np.take_along_axis(row, codes, axis=1), axis=0,
-                   mode="clip")
+                   out=out, mode="clip")
 
 
 def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
@@ -225,11 +229,13 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, group: finefem.PatchGroup,
                   codes: np.ndarray, stride: int, M: np.ndarray,
                   bases: dict, f: finefem.RhsField | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
+                             np.ndarray]:
     """All requested fields on the patches of one group, batched: their
     stack, a block of rows per member; the Gram blocks a(X_i, X_j) of each
-    member's block, (elements, rows, rows); and, given the load f, the
-    zero-trace solve with load f on every member, (elements, n), else None.
+    member's block, (elements, rows, rows); given the load f, the
+    zero-trace solve with load f on every member, (elements, n), else None;
+    and the members in stack order, as positions in group.
 
     Member e asks for the trace of each of its codes codes[e] (see
     _trace_rows; -1 for a zero row), zero on the rest of the boundary, then
@@ -237,16 +243,18 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     bases[M[e]] (none for M[e] = 0).  Members with fewer bubbles are padded
     with zero rows.  Members whose coefficient windows are bitwise equal
     (_distinct_windows) share one system, so each distinct window is
-    eliminated once: the distinct windows are stacked in chunks, each
-    carrying the rows of all its members (padded with zero rows to the
-    largest share in the chunk), and one block sweep over the template's
-    lattice rows solves a chunk in place, the load f riding along as one
-    more row per member that is kept out of the stack.  Each row comes out
-    the same whatever other rows, members and windows are solved with it,
-    so a member's fields are bitwise those of its patch solved alone.  The
-    stencils the sweep eliminates then give each member's Gram block of its
-    solved rows (finefem.patch_grams), so the coarse assembly forms no fine
-    product.
+    eliminated once.  The stack lists the members by the share count of
+    their window, then by window, so a chunk of windows of one count,
+    with the rows of all their members, is one block of the stack: one
+    block sweep over the template's lattice rows solves it in place, with
+    no padding and no copy, with the same block of the load solves (kept
+    out of the stack), so the sweep solves one row per requested field
+    however the windows are shared.  Each row comes out the same
+    whatever other rows, members and windows are solved with it, so a
+    member's fields are bitwise those of its patch solved alone.  The
+    stencils the sweep eliminates then give each member's Gram block of
+    its solved rows (finefem.patch_grams), so the coarse assembly forms no
+    fine product.
     """
     t = group.template
     E, n = len(group.elements), t.n_vertices
@@ -266,65 +274,52 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     step = max(per_element, blocks.size)
     wid = _distinct_windows(
         group, finefem.global_geometry(fine).area_weighted(A), step)
-    # The members by window, and each member's rank among its window's.
     counts = np.bincount(wid)
-    order = np.argsort(wid, kind="stable")
-    rank = np.empty_like(wid)
-    rank[order] = _runs(counts)[1]
-    first = order[np.cumsum(counts) - counts]
-    windows = finefem.PatchGroup(fine, t, group.elements[first],
-                                 group.origins[first])
+    order = np.lexsort((wid, counts[wid]))
+    # Each window's first position in the stack and its share count, and
+    # the runs of windows of one count.
+    starts = np.flatnonzero(np.diff(wid[order], prepend=-1))
+    share = counts[wid[order[starts]]]
+    runs = np.flatnonzero(np.diff(share, prepend=-1, append=-1)).tolist()
+    windows, members = group.take(order[starts]), group.take(order)
+    X = np.zeros((E, m, n))
     G = np.zeros((E, m, m))
-    if len(counts) > 1:
-        X = np.zeros((E, m, n))
-        L = None if f is None else np.zeros((E, n))
-    for ws, sub in windows.chunks(step):
-        st = sub.stencil(A)
-        a, b = np.searchsorted(wid[order], [ws.start, ws.stop])
-        mem = order[a:b]
-        members = finefem.PatchGroup(fine, t, group.elements[mem],
-                                     group.origins[mem])
-        # The rows of window w: field j of its member of rank r at r * m +
-        # j, that member's load row at s * m + r, s the largest share.  Per
-        # chunk of members: their indices, windows in this chunk, field
-        # rows and load rows.
-        s = int(counts[ws].max())
-        parts = [(e, wid[e] - ws.start, rank[e][:, None] * m + np.arange(m),
-                  s * m + rank[e], msub)
-                 for e, msub in ((mem[ms], msub)
-                                 for ms, msub in members.chunks(step))]
-        R = np.zeros((len(st.coef), s * m_all, n))
-        for e, w, rows, load, msub in parts:
-            if n_tr:
-                T = _trace_rows(coarse, fine, msub, codes[e], stride)
-                member = finefem.Stencil(st.grid, st.coef[w][:, None])
-                T[..., free] = np.negative(member.apply(t.to_box(T))[...,
-                                                                     slots])
-                R[w[:, None], rows[:, :n_tr]] = T
-            if m_all > n_tr:
-                lw = _load_weights(coarse, msub, M[e], bases, n_b, f)
-                Q = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[...,
-                                                                   slots]
-                R[w[:, None, None], rows[:, n_tr:, None], free] = Q[:, :n_b]
-                if f is not None:
-                    R[w[:, None], load[:, None], free] = Q[:, n_b]
-        # Solved in place: the free entries of each row become its field,
-        # the trace rows keeping their boundary values.
-        blocks.eliminate(st, R)
-        if len(counts) == 1:  # every member in one window: R is the stack
-            X = R[0, :E * m].reshape(E, m, n)
-            L = None if f is None else R[0, E * m:]
-        else:
-            for e, w, rows, load, _ in parts:
-                X[e] = R[w[:, None], rows]
-                if L is not None:
-                    L[e] = R[w, load]
-        del R
-        if m:
-            for e, w, *_ in parts:
-                G[e] = finefem.patch_grams(
-                    t, finefem.Stencil(st.grid, st.coef[w]), X[e])
-    return X.reshape(-1, n), G, L
+    L = None if f is None else np.zeros((E, n))
+    if n_tr:
+        _trace_rows(coarse, fine, members, codes[order], stride, X[:, :n_tr])
+    for u, v in zip(runs[:-1], runs[1:]):
+        c = int(share[u])
+        for ws, sub in windows.take(slice(u, v)).chunks(step):
+            st = sub.stencil(A)
+            a = int(starts[u + ws.start])
+            b = a + c * len(sub.elements)
+            # Per chunk of members: their rows of the stack, and their
+            # windows in the chunk.
+            parts = [(slice(a + ms.start, a + ms.start + len(msub.elements)),
+                      msub, (ms.start + np.arange(len(msub.elements))) // c)
+                     for ms, msub in members.take(slice(a, b)).chunks(step)]
+            for sl, msub, w in parts:
+                if n_tr:
+                    member = finefem.Stencil(st.grid, st.coef[w][:, None])
+                    X[sl, :n_tr, free] = np.negative(member.apply(
+                        t.to_box(X[sl, :n_tr]))[..., slots])
+                if m_all > n_tr:
+                    lw = _load_weights(coarse, msub, M[order[sl]], bases, n_b,
+                                       f)
+                    Q = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[
+                        ..., slots]
+                    X[sl, n_tr:, free] = Q[:, :n_b]
+                    if L is not None:
+                        L[sl, free] = Q[:, n_b]
+            # Solved in place: the free entries of each row become its
+            # field, the trace rows keeping their boundary values.
+            blocks.eliminate(st, *(V[a:b].reshape(len(sub.elements), -1, n)
+                                   for V in (X, L) if V is not None))
+            if m:
+                for sl, _, w in parts:
+                    G[sl] = finefem.patch_grams(
+                        t, finefem.Stencil(st.grid, st.coef[w]), X[sl])
+    return X.reshape(-1, n), G, L, order
 
 
 def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
@@ -346,9 +341,10 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
     for group in finefem.patch_groups(fine, elements):
         E = group.elements
         n_tr = int((codes[E] >= 0).sum(axis=1).max(initial=0))
-        rows, G, loads = _group_fields(coarse, fine, A, group,
-                                       codes[E, :n_tr], stride, M[E],
-                                       bases, f)
+        rows, G, loads, order = _group_fields(coarse, fine, A, group,
+                                              codes[E, :n_tr], stride, M[E],
+                                              bases, f)
+        E = E[order]
         where[E, 0] = len(stacks)
         where[E, 1] = np.arange(len(E)) * (len(rows) // len(E))
         where[E, 2] = where[E, 1] + n_tr
@@ -357,7 +353,7 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
         if loads is not None:
             # Every member's solve is zero on its boundary, so the shared
             # skeleton vertices get zero whichever member writes last.
-            glued[group.template.vids + group.origins[:, None]] = loads
+            glued[group.template.vids + group.origins[order, None]] = loads
     return stacks, grams, where, glued
 
 

@@ -86,12 +86,16 @@ def test_periodic_coefficient_is_evaluated_on_one_period(kind, n, n_sub,
 
 
 def test_period_off_the_lattice_is_evaluated_per_triangle():
-    # eps = 2.25 fine cells, or a period beyond the lattice: every centroid
-    # is evaluated, as for a coefficient without a period
+    # eps = 2.25 fine cells, 2 (1 + 1e-11) fine cells (tiled with 2 cells,
+    # it would drift by a share of 1e-11 per period), or a period beyond
+    # the lattice: every centroid is evaluated, as for a coefficient
+    # without a period; 2 cells to rounding are tiled
     fine = mesh.refine_to_fine(mesh.build_coarse("triangle", 3, 3), 6)
     geom = finefem.global_geometry(fine)
     areas, centroids = triangle_cells(geom)
-    for eps in (0.125, 2.0):
+    assert geom.period_cells(finefem.periodic_benchmark(1 / 9)).shape == \
+        (2, 2, 2)
+    for eps in (0.125, (1 + 1e-11) / 9, 2.0):
         A = finefem.periodic_benchmark(eps)
         assert geom.period_cells(A) is None
         assert geom.area_weighted(A).tobytes() == \

@@ -322,9 +322,9 @@ def eliminated_windows(monkeypatch) -> list:
     swept = []
     real = finefem.RowBlocks.eliminate
 
-    def counted(self, st, R):
-        swept.append(R.shape[:2])
-        return real(self, st, R)
+    def counted(self, st, *R):
+        swept.append((len(st.coef), sum(r.shape[1] for r in R)))
+        real(self, st, *R)
 
     monkeypatch.setattr(finefem.RowBlocks, "eliminate", counted)
     return swept
@@ -350,6 +350,35 @@ def test_each_distinct_window_is_eliminated_once(coefficient, windows,
     assert sum(w for w, _ in swept) == windows
     assert sum(w * r for w, r in swept) == 16 * 5
     assert len(table.element) == 4 * 9
+
+
+def test_mixed_shares_solve_each_row_once(monkeypatch):
+    # the coefficient varies only on the 2 x 2 cells at the SW corner, so
+    # their windows are distinct and the other 60 members share one: the
+    # sweep solves each member's rows once, with no padding to the largest
+    # share, and a member's fields are still those of its patch alone
+    coarse = mesh.build_coarse("quad", 8, 8)
+    fine = mesh.refine_to_fine(coarse, 8)
+    A = finefem.CoefficientField(
+        "1 + 0.5 [x < 1/4] [y < 1/4] sin(40x) sin(40y)", 0.5, 1.5,
+        lambda x, y: 1 + 0.5 * (x < 0.25) * (y < 0.25)
+        * np.sin(40 * x) * np.sin(40 * y))
+    f = finefem.gaussian_rhs()
+    degrees = mesh.DegreeAssignment.uniform(coarse, 2, 1)
+    swept = eliminated_windows(monkeypatch)
+    table = localbasis.compute_all(coarse, fine, A, degrees, f=f)
+    (stack,) = table.stacks
+    rows = len(stack) // 64 + 1  # a member's fields and its load solve
+    assert swept == [(4, rows), (1, 60 * rows)]
+    for K in (0, 9, 10, 63):  # distinct, distinct, shared, shared
+        alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
+                                       support_of=(BUBBLE, K, 1))
+        for d in np.unique(alone.dof):
+            assert table_fields(alone, d)[K].tobytes() == \
+                table_fields(table, d)[K].tobytes()
+        vids = fine.element_vertex_ids(K)
+        assert alone.reference[vids].tobytes() == \
+            table.reference[vids].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
@@ -681,10 +710,13 @@ def test_coupling_elimination_matches_dense(kind, nx, n_sub, coefficient):
         check_against_dense(blocks, blocks.factor(st), D,
                             dense_couplings(C, blocks.widths))
         # the offline sweep's one pass, the forward substitution beside the
-        # elimination and only G kept, is bitwise the factor and the solve;
-        # both overwrite their right-hand sides with the solutions
+        # elimination and only G kept, is bitwise the factor and the solve,
+        # whether the rows come in one stack or in two; both overwrite their
+        # right-hand sides with the solutions
         R = np.random.default_rng(3).standard_normal(
             (len(g.elements), 3, int(is_free.sum())))
-        x = R.copy()
-        assert blocks.eliminate(st, x) is x
+        x, y, z = R.copy(), R[:, :2].copy(), R[:, 2:].copy()
+        blocks.eliminate(st, x)
+        blocks.eliminate(st, y, z)
         assert bitwise(x, blocks.solve(blocks.factor(st), R))
+        assert bitwise(x, np.concatenate([y, z], axis=1))
