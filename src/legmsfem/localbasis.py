@@ -147,15 +147,15 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
     return loc
 
 
-def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
-                group: finefem.PatchGroup, codes: np.ndarray, stride: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Dirichlet rows of every member, (elements, rows, n), into out if
-    given, one for each of its trace codes (elements, rows), a zero row
-    for -1.  Code c below the corner count is the hat at corner c of the
-    element, code corners + j * stride + k - 2 is eta_k on its side j.
-    The rows are gathered from one table on the template, written edge by
-    edge in element_edge_ids order (corner values agree)."""
+def _trace_table(coarse: CoarseMesh, fine: FineMesh,
+                 group: finefem.PatchGroup, codes: np.ndarray, stride: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The Dirichlet rows of a group, (table rows, n), and the table row of
+    each trace code of each member, (elements, codes), the zero row (the
+    last) for -1.  Code c below the corner count is the hat at corner c of
+    the element, code corners + j * stride + k - 2 is eta_k on its side j.
+    The table is written on the template, edge by edge in element_edge_ids
+    order (corner values agree), so a member's trace rows are table rows."""
     sides = coarse.element_edge_ids[group.elements]
     pos = _edge_positions(fine, group, sides)
     corner_ids = _sorted_unique(pos[:, [0, -1]])
@@ -178,8 +178,7 @@ def _trace_rows(coarse: CoarseMesh, fine: FineMesh,
         hat_row.ravel()[np.argmax(at_corner, axis=-1)],
         np.broadcast_to(n_hat + np.arange(len(pos) * stride + 1),
                         (len(sides), len(pos) * stride + 1))], axis=1)
-    return np.take(table, np.take_along_axis(row, codes, axis=1), axis=0,
-                   out=out, mode="clip")
+    return table, np.take_along_axis(row, codes, axis=1)
 
 
 def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
@@ -225,6 +224,34 @@ def _distinct_windows(group: finefem.PatchGroup, AW: np.ndarray,
     return wid
 
 
+def _first_of_each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of nonnegative integer keys: the position of the
+    first item of each distinct key, keys ascending, and the number of
+    each item's key among them."""
+    order = np.argsort(keys, kind="stable")
+    new = np.diff(keys[order], prepend=-1) != 0
+    inverse = np.empty(len(keys), dtype=int)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _load_keys(R: np.ndarray, wid: np.ndarray, shared: np.ndarray,
+               seen: dict, store: list) -> list:
+    """The number of each load row R[j] (rows, free vertices), of a member
+    of window wid[j], among the distinct load rows store, appending a copy
+    of each new one: a row of a window that several members share
+    (shared[j]) is keyed by its window and its bytes in seen, any other
+    row is new."""
+    keys = []
+    for j, (w, s) in enumerate(zip(wid.tolist(), shared.tolist())):
+        k = (seen.setdefault((w, R[j].tobytes()), len(store)) if s
+             else len(store))
+        if k == len(store):
+            store.append(R[j].copy())
+        keys.append(k)
+    return keys
+
+
 def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, group: finefem.PatchGroup,
                   codes: np.ndarray, stride: int, M: np.ndarray,
@@ -232,96 +259,162 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
                              np.ndarray]:
     """All requested fields on the patches of one group, batched: their
-    stack, a block of rows per member; the Gram blocks a(X_i, X_j) of each
-    member's block, (elements, rows, rows); given the load f, the
-    zero-trace solve with load f on every member, (elements, n), else None;
-    and the members in stack order, as positions in group.
+    stack, a block of rows per member, zero where it asks for none; the
+    Gram blocks a(X_i, X_j) of each member's block, (elements, rows,
+    rows); given the load f, the zero-trace solve with load f on every
+    member, (elements, n), else None; and the members in stack order, as
+    positions in group.  Each distinct right-hand side is solved once.
 
     Member e asks for the trace of each of its codes codes[e] (see
-    _trace_rows; -1 for a zero row), zero on the rest of the boundary, then
-    for the zero-trace solve with load P_i for each P_i of its bulk basis
-    bases[M[e]] (none for M[e] = 0).  Members with fewer bubbles are padded
-    with zero rows.  Members whose coefficient windows are bitwise equal
-    (_distinct_windows) share one system, so each distinct window is
-    eliminated once.  The stack lists the members by the share count of
-    their window, then by window, so a chunk of windows of one count,
-    with the rows of all their members, is one block of the stack: one
-    block sweep over the template's lattice rows solves it in place, with
-    no padding and no copy, with the same block of the load solves (kept
-    out of the stack), so the sweep solves one row per requested field
-    however the windows are shared.  Each row comes out the same
-    whatever other rows, members and windows are solved with it, so a
-    member's fields are bitwise those of its patch solved alone.  The
-    stencils the sweep eliminates then give each member's Gram block of
-    its solved rows (finefem.patch_grams), so the coarse assembly forms no
-    fine product.
+    _trace_table; -1 for none), zero on the rest of the boundary, then for
+    the zero-trace solve with load P_i for each P_i of its bulk basis
+    bases[M[e]] (none for M[e] = 0).  Members whose coefficient windows
+    are bitwise equal (_distinct_windows) share one system, and the
+    requests of the members of one window share one row where their
+    right-hand sides are equal: a trace by its table row, a load by its
+    bytes (a window of one member skips that keying).  The stack lists
+    the windows by their counts of trace, load and f rows, then by
+    window, each window's distinct rows traces first, by table row; a
+    chunk of windows of equal counts is one block of it, solved in place
+    by one block sweep over the template's lattice rows together with the
+    same block of the f solves (kept out of the stack), so the sweep
+    solves each distinct right-hand side once and no row is padding.
+    Each row comes out the same whatever other rows and windows are
+    solved with it, so a member's fields are bitwise those of its patch
+    solved alone.  The stencils the sweep eliminates then give each
+    window's Gram block of its rows (finefem.patch_grams), so the coarse
+    assembly forms no fine product.
     """
     t = group.template
     E, n = len(group.elements), t.n_vertices
     n_tr = codes.shape[1]
-    n_b = max([b.dim for m, b in bases.items() if (M == m).any()], default=0)
-    m = n_tr + n_b
-    m_all = m + (f is not None)
+    dims = np.zeros(E, dtype=int)
+    for m, basis in bases.items():
+        dims[M == m] = basis.dim
+    n_b = int(dims.max(initial=0))
     is_free = np.ones(n, dtype=bool)
     is_free[t.boundary_local] = False
     free = np.flatnonzero(is_free)
     slots = t.box[1][free]
     blocks = finefem.RowBlocks(slots, t.grid, free)
-    # Doubles of the largest temporaries per member: three box arrays of
-    # each right-hand side row (-K X of the traces, the loads from their
-    # triangle shares), and the four box arrays of its Gram blocks.
-    per_element = (3 * m_all + 4 * m) * math.prod(t.grid)
-    step = max(per_element, blocks.size)
+    box = math.prod(t.grid)
     wid = _distinct_windows(
-        group, finefem.global_geometry(fine).area_weighted(A), step)
-    counts = np.bincount(wid)
-    order = np.lexsort((wid, counts[wid]))
-    # Each window's first position in the stack and its share count, and
-    # the runs of windows of one count.
-    starts = np.flatnonzero(np.diff(wid[order], prepend=-1))
-    share = counts[wid[order[starts]]]
-    runs = np.flatnonzero(np.diff(share, prepend=-1, append=-1)).tolist()
-    windows, members = group.take(order[starts]), group.take(order)
-    X = np.zeros((E, m, n))
-    G = np.zeros((E, m, m))
-    L = None if f is None else np.zeros((E, n))
-    if n_tr:
-        _trace_rows(coarse, fine, members, codes[order], stride, X[:, :n_tr])
+        group, finefem.global_geometry(fine).area_weighted(A),
+        max(2 * box, blocks.size))
+    rep, _ = _first_of_each(wid)
+    W = len(rep)
+    shared = np.bincount(wid)[wid] > 1
+    table, tix = _trace_table(coarse, fine, group, codes, stride)
+    # The key of each request of each member: the table row of a trace,
+    # then len(table) + the number of a bubble load among the distinct
+    # ones; and the number of each member's f load among those.
+    key = np.full((E, n_tr + n_b), -1)
+    key[:, :n_tr] = np.where(codes >= 0, tix, -1)
+    loads: list = []
+    f_loads: list = []
+    f_key = np.zeros(E, dtype=int)
+    seen: tuple[dict, dict] = ({}, {})
+    if n_b or f is not None:
+        for sl, sub in group.chunks(3 * (n_b + 1) * box):
+            lw = _load_weights(coarse, sub, M[sl], bases, n_b, f)
+            Q = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[..., slots]
+            e, i = np.nonzero(np.arange(n_b) < dims[sl, None])
+            key[sl, n_tr:][e, i] = len(table) + np.array(_load_keys(
+                Q[e, i], wid[sl][e], shared[sl][e], seen[0], loads), dtype=int)
+            if f is not None:
+                f_key[sl] = _load_keys(Q[:, n_b], wid[sl], shared[sl],
+                                       seen[1], f_loads)
+    # The distinct (window, key) pairs, window by window, and their counts
+    # in each window: traces, loads, f loads.
+    n_key = len(table) + len(loads)
+    asked = key >= 0
+    pair = (wid[:, None] * n_key + key)[asked]
+    first, inverse = _first_of_each(pair)
+    pw, pk = np.divmod(pair[first], n_key)
+    f_first, f_inverse = _first_of_each(wid * len(f_loads) + f_key)
+    fw = wid[f_first] if f is not None else f_first[:0]
+    counts = np.array([np.bincount(pw[pk < len(table)], minlength=W),
+                       np.bincount(pw[pk >= len(table)], minlength=W),
+                       np.bincount(fw, minlength=W)])
+    worder = np.lexsort((np.arange(W),) + tuple(counts[::-1]))
+    rank = np.empty(W, dtype=int)
+    rank[worder] = np.arange(W)
+    rows = counts[0] + counts[1]
+    r_max = int(rows.max(initial=0))
+
+    def placed(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (the first stack row of each window, the position of each row
+        # there) for the distinct rows of windows w, window by window, in a
+        # stack that lists the windows in worder with c rows each.
+        start = np.empty(W, dtype=int)
+        start[worder] = np.cumsum(c[worder]) - c[worder]
+        return start, np.arange(len(w)) - (np.cumsum(c) - c)[w]
+
+    start, local = placed(pw, rows)
+    row = np.full(key.shape, -1)
+    gram = np.full(key.shape, -1)
+    row[asked] = (start[pw] + local)[inverse]
+    gram[asked] = (rank[pw] * r_max + local)[inverse]
+    X = np.zeros((len(pw), n))
+    stack_key = np.empty(len(pw), dtype=int)
+    stack_key[start[pw] + local] = pk
+    G = np.zeros((W, r_max, r_max))
+    L = f_row = None
+    if f is not None:
+        f_start, f_local = placed(fw, counts[2])
+        f_row = (f_start[fw] + f_local)[f_inverse]
+        L = np.zeros((len(fw), n))
+        f_stack_key = np.empty(len(fw), dtype=int)
+        f_stack_key[f_start[fw] + f_local] = f_key[f_first]
+    windows = group.take(rep[worder])
+    runs = np.flatnonzero((np.diff(counts[:, worder], axis=1, prepend=-1,
+                                   append=-1) != 0).any(axis=0)).tolist()
     for u, v in zip(runs[:-1], runs[1:]):
-        c = int(share[u])
+        c_tr, c_ld, c_f = counts[:, worder[u]].tolist()
+        r = c_tr + c_ld
+        if not r + c_f:
+            continue
+        step = max((3 * (r + c_f) + 4 * r) * box, blocks.size)
         for ws, sub in windows.take(slice(u, v)).chunks(step):
+            k, w0 = len(sub.elements), worder[u + ws.start]
             st = sub.stencil(A)
-            a = int(starts[u + ws.start])
-            b = a + c * len(sub.elements)
-            # Per chunk of members: their rows of the stack, and their
-            # windows in the chunk.
-            parts = [(slice(a + ms.start, a + ms.start + len(msub.elements)),
-                      msub, (ms.start + np.arange(len(msub.elements))) // c)
-                     for ms, msub in members.take(slice(a, b)).chunks(step)]
-            for sl, msub, w in parts:
-                if n_tr:
-                    member = finefem.Stencil(st.grid, st.coef[w][:, None])
-                    X[sl, :n_tr, free] = np.negative(member.apply(
-                        t.to_box(X[sl, :n_tr]))[..., slots])
-                if m_all > n_tr:
-                    lw = _load_weights(coarse, msub, M[order[sl]], bases, n_b,
-                                       f)
-                    Q = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[
-                        ..., slots]
-                    X[sl, n_tr:, free] = Q[:, :n_b]
-                    if L is not None:
-                        L[sl, free] = Q[:, n_b]
             # Solved in place: the free entries of each row become its
             # field, the trace rows keeping their boundary values.
-            blocks.eliminate(st, *(V[a:b].reshape(len(sub.elements), -1, n)
-                                   for V in (X, L) if V is not None))
-            if m:
-                for sl, _, w in parts:
-                    G[sl] = finefem.patch_grams(
-                        t, finefem.Stencil(st.grid, st.coef[w]), X[sl])
-    return X.reshape(-1, n), G, L, order
-
-
+            R = []
+            if r:
+                a = start[w0]
+                V = X[a:a + k * r].reshape(k, r, n)
+                keys = stack_key[a:a + k * r].reshape(k, r)
+                if c_tr:
+                    V[:, :c_tr] = table[keys[:, :c_tr]]
+                    member = finefem.Stencil(st.grid, st.coef[:, None])
+                    V[:, :c_tr, free] = np.negative(member.apply(
+                        t.to_box(V[:, :c_tr]))[..., slots])
+                for j in range(c_tr, r):
+                    V[:, j, free] = [loads[q] for q in
+                                     (keys[:, j] - len(table)).tolist()]
+                R.append(V)
+            if c_f:
+                a = f_start[w0]
+                U = L[a:a + k * c_f].reshape(k, c_f, n)
+                for j in range(c_f):
+                    U[:, j, free] = [f_loads[q] for q in
+                                     f_stack_key[a + j:a + k * c_f:c_f]
+                                     .tolist()]
+                R.append(U)
+            blocks.eliminate(st, *R)
+            if r:
+                G[rank[w0]:rank[w0] + k, :r, :r] = finefem.patch_grams(
+                    t, st, V)
+    # Each member's block of the stack: its rows in request order, zero
+    # where it asks for none, their Gram block, and its f solve.
+    X_e = np.zeros((E, n_tr + n_b, n))
+    X_e[asked] = X[row[asked]]
+    at = np.where(asked, gram - rank[wid][:, None] * r_max, 0)
+    G_e = G[rank[wid][:, None, None], at[:, :, None], at[:, None, :]]
+    G_e[~(asked[:, :, None] & asked[:, None, :])] = 0.0
+    return (X_e.reshape(-1, n), G_e, None if L is None else L[f_row],
+            np.arange(E))
 def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, elements: np.ndarray,
                   codes: np.ndarray, stride: int, M: np.ndarray,
@@ -396,7 +489,7 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     keys = np.column_stack([np.concatenate([verts, edge, bubble_el]),
                             np.concatenate([0 * verts, k + 2, i + 1])])
     # The DOF of each row of each element: first its trace codes (see
-    # _trace_rows), the hats of its interior corners and eta_k on its
+    # _trace_table), the hats of its interior corners and eta_k on its
     # sides, moved to the front in code order, then its bubbles.
     nodal_at = np.full(coarse.n_vertices, -1)
     nodal_at[verts] = np.arange(len(verts))

@@ -27,7 +27,7 @@ def first_field(coarse, fine, A, support, codes, stride=0, M=None,
                 bases=None):
     """{element: field} of the one function requested on each support
     element, by _patch_fields: one trace code per element of the mesh
-    (see localbasis._trace_rows), or a single bulk load when M and bases
+    (see localbasis._trace_table), or a single bulk load when M and bases
     are given."""
     n_el = coarse.n_elements
     M = np.zeros(n_el, dtype=int) if M is None else M
@@ -300,14 +300,17 @@ def test_batched_catalog_matches_entry_points(kind, n, n_sub, A_osc,
     # whole patch groups against groups of one: both triangle shapes, whose
     # nine windows each are distinct (H is 4 cells, the period 3), and quad
     # patches of 8,192 triangles whose four windows are equal (H is two
-    # periods), so one elimination carries the rows of all four
+    # periods), so one elimination carries the distinct rows of all four
     coarse = mesh.build_coarse(kind, n, n)
     fine = mesh.refine_to_fine(coarse, n_sub)
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
     basis = polybasis.BulkPolyBasis(kind, 1)
     swept = eliminated_windows(monkeypatch)
     table = localbasis.compute_all(coarse, fine, A_osc, degrees)
-    assert swept == ([(9, 12)] * 2 if kind == "triangle" else [(1, 4 * 9)])
+    assert sum(w for w, _, _ in swept) == (18 if kind == "triangle" else 1)
+    assert sum(w * r for w, r, _ in swept) == distinct_fields(table, fine,
+                                                              A_osc)
+    assert sum(rep for *_, rep in swept) == 0
     for d, (dof_kind, key) in enumerate(zip(table.kind, table.key.tolist())):
         fields = table_fields(table, d)
         single = entry_point(dof_kind, key, coarse, fine, A_osc, basis)
@@ -317,17 +320,42 @@ def test_batched_catalog_matches_entry_points(kind, n, n_sub, A_osc,
 
 
 def eliminated_windows(monkeypatch) -> list:
-    """The (windows, rows per window) of every block sweep of the offline
-    elimination that runs after the call."""
+    """The (windows, rows per window, repeats) of every block sweep of the
+    offline elimination that runs after the call: repeats counts the rows
+    whose right-hand side is bitwise that of another row of their window
+    in the sweep, each solved once more than needed."""
     swept = []
     real = finefem.RowBlocks.eliminate
 
     def counted(self, st, *R):
-        swept.append((len(st.coef), sum(r.shape[1] for r in R)))
+        rows = np.concatenate(R, axis=1) if R else np.zeros((len(st.coef), 0))
+        repeats = sum(len(w) - len({v.tobytes() for v in w}) for w in rows)
+        swept.append((len(st.coef), rows.shape[1], repeats))
         real(self, st, *R)
 
     monkeypatch.setattr(finefem.RowBlocks, "eliminate", counted)
     return swept
+
+
+def distinct_fields(table, fine, A) -> int:
+    """The distinct fields of a DOF table, the fewest rows its offline
+    sweep can solve: those of its (element, DOF) pairs and, given a load,
+    the load solve of every element, told apart by the patch shape and
+    the coefficient window of their element and by their bytes."""
+    AW = finefem.global_geometry(fine).area_weighted(A)
+    solved = (np.arange(fine.coarse.n_elements) if table.reference is not None
+              else np.unique(table.element))
+    window = {}
+    for group in finefem.patch_groups(fine, solved):
+        for K, w in zip(group.elements.tolist(), group.windows(AW)):
+            window[K] = (group.template.label, w.tobytes())
+    rows = {(window[K], table.stacks[s][r].tobytes()) for K, s, r in zip(
+        table.element.tolist(), table.stack.tolist(), table.row.tolist())}
+    if table.reference is not None:
+        rows |= {(window[K], "load",
+                  table.reference[fine.element_vertex_ids(K)].tobytes())
+                 for K in window}
+    return len(rows)
 
 
 @pytest.mark.parametrize("coefficient,windows", [
@@ -335,8 +363,11 @@ def eliminated_windows(monkeypatch) -> list:
 def test_each_distinct_window_is_eliminated_once(coefficient, windows,
                                                  monkeypatch):
     # the 16 patches of the solve-quad-fine config, H four periods: one
-    # window carries the five rows (four hats, the load) of every member;
-    # a coefficient without a period gives each member its own window
+    # window carries the five distinct rows of its members (the hats at
+    # four corners, the load, equal on every member); a coefficient without
+    # a period gives each member its own window, with its 1 to 4 hats and
+    # its load, and no member solves a zero row for a corner on the
+    # boundary
     coarse = mesh.build_coarse("quad", 4, 4)
     fine = mesh.refine_to_fine(coarse, 64)
     A = (finefem.periodic_benchmark(1 / 32) if coefficient == "periodic"
@@ -347,16 +378,18 @@ def test_each_distinct_window_is_eliminated_once(coefficient, windows,
     table = localbasis.compute_all(coarse, fine, A,
                                    mesh.DegreeAssignment.uniform(coarse, 1, 0),
                                    f=finefem.constant_rhs(-1.0))
-    assert sum(w for w, _ in swept) == windows
-    assert sum(w * r for w, r in swept) == 16 * 5
+    assert sum(w for w, _, _ in swept) == windows
+    assert sum(w * r for w, r, _ in swept) == (5 if windows == 1 else 36 + 16)
+    assert sum(w * r for w, r, _ in swept) == distinct_fields(table, fine, A)
+    assert sum(rep for *_, rep in swept) == 0
     assert len(table.element) == 4 * 9
 
 
 def test_mixed_shares_solve_each_row_once(monkeypatch):
     # the coefficient varies only on the 2 x 2 cells at the SW corner, so
     # their windows are distinct and the other 60 members share one: the
-    # sweep solves each member's rows once, with no padding to the largest
-    # share, and a member's fields are still those of its patch alone
+    # sweep solves each distinct row of a window once, with no padding,
+    # and a member's fields are still those of its patch alone
     coarse = mesh.build_coarse("quad", 8, 8)
     fine = mesh.refine_to_fine(coarse, 8)
     A = finefem.CoefficientField(
@@ -367,9 +400,12 @@ def test_mixed_shares_solve_each_row_once(monkeypatch):
     degrees = mesh.DegreeAssignment.uniform(coarse, 2, 1)
     swept = eliminated_windows(monkeypatch)
     table = localbasis.compute_all(coarse, fine, A, degrees, f=f)
-    (stack,) = table.stacks
-    rows = len(stack) // 64 + 1  # a member's fields and its load solve
-    assert swept == [(4, rows), (1, 60 * rows)]
+    # two of the shared window's distinct load rows, 3e-20 apart, solve to
+    # bitwise equal fields
+    assert sum(w for w, _, _ in swept) == 5
+    assert sum(w * r for w, r, _ in swept) == distinct_fields(table, fine,
+                                                              A) + 2
+    assert sum(rep for *_, rep in swept) == 0
     for K in (0, 9, 10, 63):  # distinct, distinct, shared, shared
         alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
                                        support_of=(BUBBLE, K, 1))
@@ -393,7 +429,8 @@ def test_shared_window_fields_match_each_patch_alone(kind, monkeypatch):
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
     swept = eliminated_windows(monkeypatch)
     table = localbasis.compute_all(coarse, fine, A, degrees, f=f)
-    assert [w for w, _ in swept] == [1] * (2 if kind == "triangle" else 1)
+    assert [w for w, _, _ in swept] == [1] * (2 if kind == "triangle" else 1)
+    assert sum(rep for *_, rep in swept) == 0
     for K in range(coarse.n_elements):
         alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
                                        support_of=(BUBBLE, K, 1))
@@ -452,7 +489,7 @@ def test_frozen_interior_probe():
 # right-hand sides of the offline sweep against the loops they replaced
 
 def requests_of(coarse, degrees):
-    """The trace codes (see localbasis._trace_rows) with their stride, the
+    """The trace codes (see localbasis._trace_table) with their stride, the
     bulk degrees and the bulk bases that compute_all requests for "all",
     element by element; codes in ascending order, -1 after."""
     ev, sides = coarse.element_vertices, coarse.element_edge_ids
@@ -504,8 +541,9 @@ def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
         coarse, mesh.DegreeAssignment.uniform(coarse, N, 0))
     for group in finefem.patch_groups(fine, range(coarse.n_elements)):
         t = group.template
-        X = localbasis._trace_rows(coarse, fine, group,
-                                   codes[group.elements], stride)
+        table, index = localbasis._trace_table(coarse, fine, group,
+                                               codes[group.elements], stride)
+        X = table[index]
         Kt = stiffness(*group_weights(group, A))
         tris = local_triangles(t)
         edge = np.isin(tris, t.boundary_local).any(axis=1)
