@@ -76,7 +76,7 @@ class EnrichedSpace:
         # Every (element, DOF) pair sorted by element, then DOF.
         order = np.lexsort((t.dof, t.element))
         K, P = t.element[order], t.dof[order]
-        S, R = t.stack[order], t.row[order]
+        S, R, Q = t.stack[order], t.row[order], t.gram[order]
         n_el = self.coarse.n_elements
         count = np.bincount(K, minlength=n_el)
         first = np.cumsum(count) - count
@@ -85,8 +85,8 @@ class EnrichedSpace:
         for group in finefem.patch_groups(self.fine, np.flatnonzero(count)):
             E, n = group.elements, group.template.n_vertices
             out.append((group,
-                        _Fields.of(self, S, R, P, first[E], n_if[E], n),
-                        _Fields.of(self, S, R, P, first[E] + n_if[E],
+                        _Fields.of(self, S, R, Q, P, first[E], n_if[E], n),
+                        _Fields.of(self, S, R, Q, P, first[E] + n_if[E],
                                    count[E] - n_if[E], n)))
         return out
 
@@ -96,31 +96,38 @@ class _Fields:
     """The fields of one part of the DOFs on the members of a patch group:
     dofs (E, d) holds each member's DOFs in ascending order, padded with
     -1, and field i of member e is row rows[e, i] of stack (row 0 at
-    padding), whose Gram blocks are grams."""
+    padding), a stack of distinct fields that members may share, and row
+    gram_rows[e, i] of the Gram blocks grams of its window, stacked in
+    blocks of r rows (row 0 at padding), where it is column
+    gram_rows[e, i] % r."""
 
     dofs: np.ndarray
     stack: np.ndarray
     rows: np.ndarray
+    gram_rows: np.ndarray
     grams: np.ndarray
 
     @classmethod
-    def of(cls, space: EnrichedSpace, S: np.ndarray,
-           R: np.ndarray, P: np.ndarray, first: np.ndarray,
+    def of(cls, space: EnrichedSpace, S: np.ndarray, R: np.ndarray,
+           Q: np.ndarray, P: np.ndarray, first: np.ndarray,
            count: np.ndarray, n: int) -> _Fields:
         """The fields of pairs first[e] .. first[e] + count[e] - 1 of member
-        e, pair j being DOF P[j] in row R[j] of stack S[j] of the space;
-        all fields of a part of a patch shape come from one stack."""
+        e, pair j being DOF P[j] in row R[j] of stack S[j] of the space,
+        with row Q[j] of its Gram blocks; all fields of a part of a patch
+        shape come from one stack."""
         d = int(count.max(initial=0))
         mask = np.arange(d) < count[:, None]
         if not mask.any():
-            return cls(np.full(mask.shape, -1), np.zeros((1, n)),
-                       np.zeros(mask.shape, dtype=int), np.zeros((1, 1, 1)))
+            zero = np.zeros(mask.shape, dtype=int)
+            return cls(np.full(mask.shape, -1), np.zeros((1, n)), zero, zero,
+                       np.zeros((1, 1)))
         j = np.where(mask, first[:, None] + np.arange(d), 0)
         sid = S[j[mask]]
         if sid.min() != sid.max():
             raise ValueError("fields of one patch shape span several stacks")
         return cls(np.where(mask, P[j], -1), space.dofs.stacks[sid[0]],
-                   np.where(mask, R[j], 0), space.dofs.grams[sid[0]])
+                   np.where(mask, R[j], 0), np.where(mask, Q[j], 0),
+                   space.dofs.grams[sid[0]])
 
     def gram(self, other: _Fields | None = None) -> np.ndarray | None:
         """a(field i, field j of other) on each member, (E, d, d of
@@ -131,9 +138,8 @@ class _Fields:
         other = self if other is None else other
         if other.stack is not self.stack:
             return None
-        m = len(self.stack) // len(self.grams)
-        G = self.grams[self.rows[:, :, None] // m, self.rows[:, :, None] % m,
-                       other.rows[:, None, :] % m]
+        G = self.grams[self.gram_rows[:, :, None],
+                       other.gram_rows[:, None, :] % self.grams.shape[1]]
         G[(self.dofs[:, :, None] < 0) | (other.dofs[:, None, :] < 0)] = 0.0
         return G
 
@@ -217,8 +223,9 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
 
     Given the load f, the space also carries the bubble reference of f:
     the donor's when the donor was built for the same load object (compared
-    by identity, like the coefficient), else one more row per patch in the
-    offline sweep, so every patch is still eliminated once.
+    by identity, like the coefficient), else the load solves of the
+    offline sweep, one row per distinct load row of a coefficient window,
+    so every window is still eliminated once.
     """
     check_degrees(fine, degrees)
     if interface_from is None:
@@ -251,6 +258,7 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
         np.concatenate([position[d.dof[pair]], bubbles.dof + n_if]),
         np.concatenate([d.stack[pair], bubbles.stack + len(d.stacks)]),
         np.concatenate([d.row[pair], bubbles.row]),
+        np.concatenate([d.gram[pair], bubbles.gram]),
         d.stacks + bubbles.stacks, d.grams + bubbles.grams,
         d.reference if inherited else bubbles.reference)
     return EnrichedSpace(coarse, fine, A, degrees, dofs, f)
@@ -312,6 +320,48 @@ class CoarseSystems:
     cross_gram: np.ndarray | None = None
 
 
+def _project_load(group: finefem.PatchGroup, iface: _Fields, bub: _Fields,
+                  f: finefem.RhsField, out: np.ndarray) -> None:
+    """The load vector of f on each member of group times each of its
+    interface, then bubble fields, into out (E, d), zero at padding.
+
+    Members whose fields are the same stack rows (a periodic coefficient)
+    share one (d, n) block of them, gathered once: the members are taken
+    by how many share their rows, then by rows, so the members of a chunk
+    of such blocks, each of equally many members, are one block of them,
+    with their loads (PatchGroup.load_vectors).  Each member's products
+    are one matrix-vector product of its block with its load, as for a
+    copy of its own fields, so they do not depend on which members share
+    a block."""
+    n_i = iface.dofs.shape[1]
+    rows = np.concatenate([np.where(p.dofs >= 0, p.rows, -1)
+                           for p in (iface, bub)], axis=1)
+    order = np.lexsort(rows.T)
+    new = np.diff(rows[order], axis=0, prepend=-2).any(axis=1)
+    kind = np.empty(len(rows), dtype=int)
+    kind[order] = np.cumsum(new) - 1
+    counts = np.bincount(kind)
+    order = np.lexsort((kind, counts[kind]))
+    first = order[np.flatnonzero(np.diff(kind[order], prepend=-1))]
+    share = counts[kind[first]]
+    runs = np.flatnonzero(np.diff(share, prepend=-1, append=-1)).tolist()
+    d, n = rows.shape[1], group.template.n_vertices
+    a = 0
+    for u, v in zip(runs[:-1], runs[1:]):
+        c = int(share[u])
+        for sl, sub in group.take(first[u:v]).chunks((d + 10 * c) * n):
+            k = len(sub.elements)
+            V = np.empty((k, d, n))
+            at = first[u:v][sl]
+            iface.gather(at, V[:, :n_i])
+            bub.gather(at, V[:, n_i:])
+            members = order[a:a + k * c]
+            loads = group.take(members).load_vectors(f).reshape(k, c, n)
+            out[members] = np.matmul(V[:, None], loads[..., None]).reshape(
+                k * c, d)
+            a += k * c
+
+
 def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
                     f: finefem.RhsField | None, with_cross: bool = False
                     ) -> CoarseSystems:
@@ -322,7 +372,8 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
     of its bubble DOFs, each padded with zero rows to the longest in its
     group, gathered from the Gram blocks of the offline sweep through the
     DOF table (a donor lends its interface blocks), so no fine product is
-    formed; the load right-hand side is the one pass over the fields.  The
+    formed; the load right-hand side is the one pass over the fields, each
+    block of fields that members share gathered once (_project_load).  The
     interface blocks make the InterfaceOperator, unassembled.  with_cross
     also accumulates the bubble-interface energy Gram block, which is zero
     up to solver tolerance; it exists for diagnostics only.  Where the two
@@ -344,14 +395,8 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
         if_ids.append(iface)
         if_blocks.append(iface_fields.gram())
         Vb = np.zeros((len(iface), n_i + bub.shape[1]))
-        if f is not None:
-            # Per member: its fields, and the centroids, areas, load values
-            # and shares of its triangles (two per vertex) for its load.
-            for sl, sub in group.chunks((Vb.shape[1] + 10) * n):
-                V = np.empty((len(sub.elements), Vb.shape[1], n))
-                iface_fields.gather(sl, V[:, :n_i])
-                bub_fields.gather(sl, V[:, n_i:])
-                Vb[sl] = np.matmul(V, sub.load_vectors(f)[..., None])[..., 0]
+        if f is not None and Vb.shape[1]:
+            _project_load(group, iface_fields, bub_fields, f, Vb)
         np.add.at(rhs, iface[iface >= 0], Vb[:, :n_i][iface >= 0])
         G_b = bub_fields.gram()
         for e, (K, b) in enumerate(zip(group.elements.tolist(),

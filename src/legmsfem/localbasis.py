@@ -7,30 +7,32 @@ shared fine mesh restricted to that element.  DofTable lists the DOFs as
 int arrays and points each (element, DOF) pair at a row of a field stack,
 the only store of the fields; no Python object is built per DOF.  The
 offline work is grouped by patch shape: every trace and every bubble load
-on a patch becomes a row of its right-hand side, the patches of one shape
-are lattice translates of one template (finefem.patch_groups), and
-patches whose coefficient windows are bitwise equal (a periodic
-coefficient, H a whole number of periods) share one system.  One direct
-block-tridiagonal sweep over the template's fine-lattice rows solves a
-whole chunk of distinct windows that are shared by equally many patches,
-each carrying the rows of all its patches, in place in the field stack,
-so every requested row is solved once and none is padding (a P1
-stiffness on the structured lattice couples only adjacent rows).  The
-sweep's blocks come from the stencils of the chunk, formed by the
-lattice formula in one pass (finefem.PatchGroup.stencil),
-through the template's finefem.RowBlocks, the block layout the coarsest
-multigrid level uses too; the same stencils give a trace row's
-right-hand side -K X and then each patch's Gram blocks a(X_i, X_j) of its
-solved fields (finefem.patch_grams), kept beside the field stack for the
-coarse assembly.  The bubble loads are box arrays from the lattice
-formula too (finefem.box_loads).  Given the problem's load f, the sweep
-also solves one zero-trace row with load f per patch; glued over the
-mesh, these rows are the bubble part of the fine reference solution (the
-error report's bubble reference), solved beside the field stack in an
-array of their own, so every distinct window is eliminated once per run.
-The sweep's matrices carry a leading window axis, and
-every window and every row is its own LAPACK or BLAS call, so a field
-comes out bitwise the same whatever is solved with it.
+on a patch is a right-hand side, the patches of one shape are lattice
+translates of one template (finefem.patch_groups), and patches whose
+coefficient windows are bitwise equal (a periodic coefficient, H a whole
+number of periods) share one system.  Within a window, requests with
+equal right-hand sides share one row: a trace by its row of the
+template's trace table, a load by its bytes, so each distinct local
+problem is formed, solved and stored once, and the DOF table points every
+patch that poses it at that row.  One direct block-tridiagonal sweep over
+the template's fine-lattice rows solves a chunk of windows with equally
+many distinct rows in place in the field stack (a P1 stiffness on the
+structured lattice couples only adjacent rows).  The sweep's blocks come
+from the stencils of the chunk, formed by the lattice formula in one pass
+(finefem.PatchGroup.stencil), through the template's finefem.RowBlocks,
+the block layout the coarsest multigrid level uses too; the same stencils
+give a trace row's right-hand side -K X and then each window's Gram
+block a(X_i, X_j) of its solved rows (finefem.patch_grams), kept beside
+the field stack for the coarse assembly.  The bubble loads are box
+arrays from the lattice formula too (finefem.box_loads).  Given the
+problem's load f, the sweep also solves the zero-trace problem with load
+f of every patch, once per distinct load row of a window; glued over the
+mesh, these solves are the bubble part of the fine reference solution
+(the error report's bubble reference), solved beside the field stack in
+an array of their own, so every distinct window is eliminated once per
+run.  The sweep's matrices carry a leading window axis, and every window
+and every row is its own LAPACK or BLAS call, so a field comes out
+bitwise the same whatever is solved with it.
 Traces on coarse edges are sampled at the fine vertices of the edge chain,
 always through the edge's own orientation (v0 to v1) and from one
 evaluation per (n_sub, degree), so the two adjacent patches impose
@@ -63,10 +65,14 @@ class DofTable:
     (edge, k), then the bubbles by (element, i).  Pair j puts DOF dof[j] on
     element element[j], where its field is row row[j] of field stack
     stack[j], over the element patch's fine vertices in ascending order.
-    The pairs come in no particular order.  Stack s has a block of m rows
-    per member of one patch shape, grams[s] their Gram blocks a(X_i, X_j),
-    (members, m, m).  reference glues the zero-trace solves with the load
-    into one fine field, the bubble reference (None without a load)."""
+    The pairs come in no particular order.  Stack s holds the distinct
+    fields of one patch shape, each once, however many pairs share it:
+    the rows of each distinct coefficient window in turn.  grams[s] holds
+    one Gram block a(X_i, X_j) per window over its rows, the blocks
+    stacked in rows of r (windows * r, r); the field of pair j is row
+    gram[j] there, column gram[j] % r of its block.  reference glues the
+    zero-trace solves with the load into one fine field, the bubble
+    reference (None without a load)."""
 
     kind: np.ndarray
     key: np.ndarray
@@ -74,6 +80,7 @@ class DofTable:
     dof: np.ndarray
     stack: np.ndarray
     row: np.ndarray
+    gram: np.ndarray
     stacks: list[np.ndarray]
     grams: list[np.ndarray]
     reference: np.ndarray | None = None
@@ -256,14 +263,15 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, group: finefem.PatchGroup,
                   codes: np.ndarray, stride: int, M: np.ndarray,
                   bases: dict, f: finefem.RhsField | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
-                             np.ndarray]:
-    """All requested fields on the patches of one group, batched: their
-    stack, a block of rows per member, zero where it asks for none; the
-    Gram blocks a(X_i, X_j) of each member's block, (elements, rows,
-    rows); given the load f, the zero-trace solve with load f on every
-    member, (elements, n), else None; and the members in stack order, as
-    positions in group.  Each distinct right-hand side is solved once.
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray | None, np.ndarray | None]:
+    """The requested fields on the patches of one group, each distinct
+    one solved and stored once: their stack (rows, n); one Gram block
+    a(X_i, X_j) per distinct window over its rows, the blocks stacked
+    (windows * r, r); the stack row and the Gram row of each request of
+    each member, (elements, codes + bubbles), -1 where it asks for none;
+    and, given the load f, the distinct zero-trace solves with load f,
+    (rows, n), and the row of each member there, else None twice.
 
     Member e asks for the trace of each of its codes codes[e] (see
     _trace_table; -1 for none), zero on the rest of the boundary, then for
@@ -406,48 +414,46 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
             if r:
                 G[rank[w0]:rank[w0] + k, :r, :r] = finefem.patch_grams(
                     t, st, V)
-    # Each member's block of the stack: its rows in request order, zero
-    # where it asks for none, their Gram block, and its f solve.
-    X_e = np.zeros((E, n_tr + n_b, n))
-    X_e[asked] = X[row[asked]]
-    at = np.where(asked, gram - rank[wid][:, None] * r_max, 0)
-    G_e = G[rank[wid][:, None, None], at[:, :, None], at[:, None, :]]
-    G_e[~(asked[:, :, None] & asked[:, None, :])] = 0.0
-    return (X_e.reshape(-1, n), G_e, None if L is None else L[f_row],
-            np.arange(E))
+    return X, G.reshape(W * r_max, r_max), row, gram, L, f_row
 def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, elements: np.ndarray,
                   codes: np.ndarray, stride: int, M: np.ndarray,
                   bases: dict, f: finefem.RhsField | None = None
-                  ) -> tuple[list, list, np.ndarray, np.ndarray | None]:
+                  ) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray,
+                             np.ndarray | None]:
     """The stacks and Gram blocks of _group_fields for the given elements,
-    with the requests codes and M of every element of the mesh; for each
-    element, (stack, first row, first bubble row), -1 where it is not solved:
-    its traces are the rows from the first row on, its bubbles those from the
-    first bubble row on; and, given the load f (every element must then be
-    solved), the zero-trace solves with load f glued into one global field,
-    else None.  The codes of a group are cut to its members' longest list, so
-    no group solves a row that none of them asks for."""
+    with the requests codes and M of every element of the mesh; the stack
+    of each element, -1 where it is not solved; the stack row and the Gram
+    row of each of its requests, (elements, codes + largest bulk basis),
+    its traces first, then its bubbles, -1 where it asks for none; and,
+    given the load f (every element must then be solved), the zero-trace
+    solves with load f glued into one global field, else None.  The codes
+    of a group are cut to its members' longest list, so no group solves a
+    row that none of them asks for."""
     stacks, grams = [], []
-    where = np.full((len(codes), 3), -1)
+    n_tr = codes.shape[1]
+    n_b = max([b.dim for b in bases.values()], default=0)
+    stack = np.full(len(codes), -1)
+    row = np.full((len(codes), n_tr + n_b), -1)
+    gram = row.copy()
     glued = None if f is None else np.zeros(fine.n_vertices)
     for group in finefem.patch_groups(fine, elements):
         E = group.elements
-        n_tr = int((codes[E] >= 0).sum(axis=1).max(initial=0))
-        rows, G, loads, order = _group_fields(coarse, fine, A, group,
-                                              codes[E, :n_tr], stride, M[E],
+        n = int((codes[E] >= 0).sum(axis=1).max(initial=0))
+        X, G, r, g, loads, at = _group_fields(coarse, fine, A, group,
+                                              codes[E, :n], stride, M[E],
                                               bases, f)
-        E = E[order]
-        where[E, 0] = len(stacks)
-        where[E, 1] = np.arange(len(E)) * (len(rows) // len(E))
-        where[E, 2] = where[E, 1] + n_tr
-        stacks.append(rows)
+        stack[E] = len(stacks)
+        cols = np.r_[:n, n_tr:n_tr + r.shape[1] - n]
+        row[E[:, None], cols] = r
+        gram[E[:, None], cols] = g
+        stacks.append(X)
         grams.append(G)
         if loads is not None:
             # Every member's solve is zero on its boundary, so the shared
             # skeleton vertices get zero whichever member writes last.
-            glued[group.template.vids + group.origins[order, None]] = loads
-    return stacks, grams, where, glued
+            glued[group.template.vids + group.origins[:, None]] = loads[at]
+    return stacks, grams, stack, row, gram, glued
 
 
 def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
@@ -458,9 +464,9 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     the offline solves of its fields.
 
     bubbles_only leaves out the interface DOFs (sweeps reuse the interface
-    part across bubble degrees).  Each element patch is solved once, for
-    all of its traces and bubble loads together, and the patches of one
-    shape in batches, one field stack per patch shape solved.  support_of,
+    part across bubble degrees).  Each distinct local problem of a patch
+    shape is solved once (_group_fields), all of them in batches, one
+    field stack of distinct fields per patch shape solved.  support_of,
     a (kind, id, k) key, restricts the solves to the elements of that DOF:
     every DOF stays listed, but only the pairs on those elements are (none
     if there is no such DOF).  Given the load f, every patch also solves the
@@ -510,13 +516,12 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
     if support_of is not None:
         d = _find(kinds, keys, support_of)
         solve &= (slots == d).any(axis=1) & (d >= 0)
-    stacks, grams, where, glued = _patch_fields(
+    stacks, grams, stack, row, gram, glued = _patch_fields(
         coarse, fine, A, np.flatnonzero(solve),
         np.where(dof >= 0, codes[:, :n_tr], -1), stride, M, bases, f)
     K, col = np.nonzero((slots >= 0) & solve[:, None])
-    return DofTable(kinds, keys, K, slots[K, col], where[K, 0], np.where(
-        col < n_tr, where[K, 1] + col, where[K, 2] + col - n_tr),
-        stacks, grams, glued)
+    return DofTable(kinds, keys, K, slots[K, col], stack[K], row[K, col],
+                    gram[K, col], stacks, grams, glued)
 
 
 def dump_points(table: DofTable, dof: int, fine: FineMesh) -> np.ndarray:

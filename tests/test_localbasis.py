@@ -31,10 +31,10 @@ def first_field(coarse, fine, A, support, codes, stride=0, M=None,
     are given."""
     n_el = coarse.n_elements
     M = np.zeros(n_el, dtype=int) if M is None else M
-    stacks, _, where, _ = localbasis._patch_fields(
+    stacks, _, stack, row, _, _ = localbasis._patch_fields(
         coarse, fine, A, np.array(support), codes, stride, M, bases or {})
-    return {K: stacks[s][b if M[K] else a]
-            for K, (s, a, b) in zip(support, where[support].tolist())}
+    col = codes.shape[1] if bases else 0
+    return {K: stacks[stack[K]][row[K, col]] for K in support}
 
 
 def compute_nodal(vertex, coarse, fine, A):
