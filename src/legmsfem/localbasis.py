@@ -12,9 +12,10 @@ translates of one template (finefem.patch_groups), and patches whose
 coefficient windows are bitwise equal (a periodic coefficient, H a whole
 number of periods) share one system.  Within a window, requests with
 equal right-hand sides share one row: a trace by its row of the
-template's trace table, a load by its bytes, so each distinct local
-problem is formed, solved and stored once, and the DOF table points every
-patch that poses it at that row.  One direct block-tridiagonal sweep over
+template's trace table, a bubble load by its class of affine maps (the
+loads of a class are formed once, on the template), a load f by its
+bytes, so each distinct local problem is formed, solved and stored once,
+and the DOF table points every patch that poses it at that row.  One direct block-tridiagonal sweep over
 the template's fine-lattice rows solves a chunk of windows with equally
 many distinct rows in place in the field stack (a P1 stiffness on the
 structured lattice couples only adjacent rows).  The sweep's blocks come
@@ -190,21 +191,24 @@ def _trace_table(coarse: CoarseMesh, fine: FineMesh,
 
 def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
                   M: np.ndarray, bases: dict, n_b: int,
-                  f: finefem.RhsField | None) -> np.ndarray:
+                  f: finefem.RhsField | None,
+                  offsets: np.ndarray | None = None) -> np.ndarray:
     """The P1 loads of the members of sub by the centroid rule, as the
     share area * value / 3 of each triangle, (nt, n_b + (f given),
     elements): the bulk polynomials P_1..P_dim of each member's bulk degree
     M (the basis bases[M], none for 0; zero rows after), then f.  The
     polynomials are evaluated once for all members of one degree, at
-    reference points stacked from the coarse mesh's affine maps."""
+    reference points stacked from the coarse mesh's affine maps, each
+    with the offset offsets[e] if given, else that of its element."""
     areas, centroids = sub.cells()
+    if offsets is None:
+        offsets = coarse.offsets[sub.elements]
     out = np.zeros((areas.shape[1], n_b + (f is not None), len(areas)))
     for m in _sorted_unique(M[M > 0]).tolist():
         es = np.flatnonzero(M == m)
         basis = bases[m]
-        K = sub.elements[es]
-        ref = np.matmul(centroids[es] - coarse.offsets[K][:, None],
-                        coarse.Binv[K].transpose(0, 2, 1))
+        ref = np.matmul(centroids[es] - offsets[es][:, None],
+                        coarse.Binv[sub.elements[es]].transpose(0, 2, 1))
         P = basis.eval_ref(ref.reshape(-1, 2)).reshape(len(es), -1,
                                                        basis.dim)
         out[:, :basis.dim, es] = (areas[es][..., None] * P
@@ -214,6 +218,37 @@ def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
         fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
         out[:, -1] = (areas * fv.reshape(areas.shape) / 3.0).T
     return out
+
+
+def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
+                  group: finefem.PatchGroup, M: np.ndarray, bases: dict,
+                  n_b: int, slots: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(class, loads): the bubble loads of the members of group, formed on
+    the template once per class of members with equal bulk degree, equal
+    Binv and equal offset of the affine map from the window origin (each a
+    translate of the others, its map the translate of theirs): loads[c,
+    i] holds the load of P_i of class c at the box positions slots,
+    (classes, n_b, slots), and class[e] the class of member e.  A member's
+    loads are then those of the template placed at its origin, whatever
+    other members are solved with it; they differ from the loads at the
+    member's own centroids by rounding only."""
+    E = len(group.elements)
+    local = coarse.offsets[group.elements] - group.fine.vertices[group.origins]
+    keys = np.column_stack([M, coarse.Binv[group.elements].reshape(E, -1)
+                            .view(np.int64), local.view(np.int64)])
+    order = np.lexsort(keys.T)
+    new = np.ones(E, dtype=bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    cls = np.empty(E, dtype=int)
+    cls[order] = np.cumsum(new) - 1
+    reps, _ = _first_of_each(cls)
+    t = group.template
+    at_origin = finefem.PatchGroup(fine, t, group.elements[reps],
+                                   np.zeros(len(reps), dtype=int))
+    lw = _load_weights(coarse, at_origin, M[reps], bases, n_b, None,
+                       fine.vertices[0] + local[reps])
+    return cls, finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[..., slots]
 
 
 def _distinct_windows(group: finefem.PatchGroup, AW: np.ndarray,
@@ -279,8 +314,9 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     bases[M[e]] (none for M[e] = 0).  Members whose coefficient windows
     are bitwise equal (_distinct_windows) share one system, and the
     requests of the members of one window share one row where their
-    right-hand sides are equal: a trace by its table row, a load by its
-    bytes (a window of one member skips that keying).  The stack lists
+    right-hand sides are equal: a trace by its table row, a bubble load by
+    its class (_bubble_loads, formed once per class on the template), an f
+    load by its bytes (a window of one member skips that keying).  The stack lists
     the windows by their counts of trace, load and f rows, then by
     window, each window's distinct rows traces first, by table row; a
     chunk of windows of equal counts is one block of it, solved in place
@@ -314,24 +350,25 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     shared = np.bincount(wid)[wid] > 1
     table, tix = _trace_table(coarse, fine, group, codes, stride)
     # The key of each request of each member: the table row of a trace,
-    # then len(table) + the number of a bubble load among the distinct
-    # ones; and the number of each member's f load among those.
+    # then len(table) + class * n_b + i for load P_i of its bubble class;
+    # and the number of each member's f load among the distinct ones.
     key = np.full((E, n_tr + n_b), -1)
     key[:, :n_tr] = np.where(codes >= 0, tix, -1)
-    loads: list = []
+    loads = np.zeros((0, n_b, len(free)))
+    if n_b:
+        cls, loads = _bubble_loads(coarse, fine, group, M, bases, n_b, slots)
+        key[:, n_tr:] = np.where(np.arange(n_b) < dims[:, None], len(table)
+                                 + cls[:, None] * n_b + np.arange(n_b), -1)
+    loads = loads.reshape(len(loads) * n_b, len(free))
     f_loads: list = []
     f_key = np.zeros(E, dtype=int)
-    seen: tuple[dict, dict] = ({}, {})
-    if n_b or f is not None:
-        for sl, sub in group.chunks(3 * (n_b + 1) * box):
-            lw = _load_weights(coarse, sub, M[sl], bases, n_b, f)
+    if f is not None:
+        seen: dict = {}
+        for sl, sub in group.chunks(3 * box):
+            lw = _load_weights(coarse, sub, 0 * M[sl], bases, 0, f)
             Q = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[..., slots]
-            e, i = np.nonzero(np.arange(n_b) < dims[sl, None])
-            key[sl, n_tr:][e, i] = len(table) + np.array(_load_keys(
-                Q[e, i], wid[sl][e], shared[sl][e], seen[0], loads), dtype=int)
-            if f is not None:
-                f_key[sl] = _load_keys(Q[:, n_b], wid[sl], shared[sl],
-                                       seen[1], f_loads)
+            f_key[sl] = _load_keys(Q[:, 0], wid[sl], shared[sl], seen,
+                                   f_loads)
     # The distinct (window, key) pairs, window by window, and their counts
     # in each window: traces, loads, f loads.
     n_key = len(table) + len(loads)
@@ -398,9 +435,7 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
                     member = finefem.Stencil(st.grid, st.coef[:, None])
                     V[:, :c_tr, free] = np.negative(member.apply(
                         t.to_box(V[:, :c_tr]))[..., slots])
-                for j in range(c_tr, r):
-                    V[:, j, free] = [loads[q] for q in
-                                     (keys[:, j] - len(table)).tolist()]
+                V[:, c_tr:, free] = loads[keys[:, c_tr:] - len(table)]
                 R.append(V)
             if c_f:
                 a = f_start[w0]
