@@ -8,9 +8,10 @@ the same rule as assembly, so the Galerkin identity energy(u) = -1/2 rhs.u
 holds at solver accuracy.
 
 Every geometry here is a set of triangles of the SW-NE fine lattice: a box
-of lattice vertices and a mask of the cell triangles it holds, the areas
-and centroids of any block of its cells formed from the box's coordinate
-vectors when a consumer takes them (`lattice_cells`).  The coefficient is
+of lattice vertices and a mask of the cell triangles it holds, the
+centroids of any block of its cells formed from the box's coordinate
+vectors when a consumer takes them, and the area of every triangle one
+value from the lattice spacing (`lattice_cells`).  The coefficient is
 a scalar field, a(x) I, so its stiffness is a 5-point stencil (centre,
 E/W, N/S) on its box, and its P1 loads are box arrays, both summed from
 per-cell arrays in shifted slices (`Stencil.of`, `box_loads`, also for a
@@ -47,8 +48,8 @@ Element patches of one shape are lattice translates of each other, so
 `localbasis` and the coarse assembly work on a whole `PatchGroup` at once:
 each member is the lattice window at its origin, the template's box and
 cell mask serve every member, a member's coefficient is its window of the
-global geometry's, and its areas and centroids are the lattice formula on
-its window.  Members whose windows are bitwise equal (a whole number of
+global geometry's, and its centroids are the lattice formula on its
+window.  Members whose windows are bitwise equal (a whole number of
 periods apart) have bitwise equal stencils, so the offline sweep
 eliminates one of them for all.
 
@@ -270,27 +271,33 @@ def _add_rows(out: np.ndarray, S: np.ndarray, s0: int, v0: int, v1: int,
             out[..., a:b, dj:dj + cx] += S[..., a - di - s0:b - di - s0, :, t]
 
 
-def lattice_cells(x: np.ndarray, y: np.ndarray
+def lattice_cells(x: np.ndarray, y: np.ndarray,
+                  spacing: tuple[float, float]
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(areas, centroids) of the lower and the upper triangle of every cell
     of the lattice with the vertex coordinate vectors x (..., columns) and
-    y (..., rows), shapes (..., rows - 1, columns - 1, 2) and (..., rows -
-    1, columns - 1, 2, 2), leading axes broadcast: 2 * area = dx * dy for
-    either triangle and centroid = (p0 + p1 + p2) / 3, bitwise the
-    formulas of a triangle from its corners."""
+    y (..., rows) and cells of the given (width, height), shapes (...,
+    rows - 1, columns - 1, 2) and (..., rows - 1, columns - 1, 2, 2),
+    leading axes broadcast: the areas of lattice_areas and centroid =
+    (p0 + p1 + p2) / 3, bitwise the formula of a triangle from its
+    corners."""
     x0, x1, y0, y1 = x[..., :-1], x[..., 1:], y[..., :-1], y[..., 1:]
     cx = np.stack([x0 + x1 + x1, x0 + x1 + x0], -1)
     cy = np.stack([y0 + y0 + y1, y0 + y1 + y1], -1)
     centroids = np.stack(np.broadcast_arrays(cx[..., None, :, :],
                                              cy[..., :, None, :]), -1) / 3.0
-    return lattice_areas(x, y), centroids
+    return lattice_areas(spacing, centroids.shape[:-1]), centroids
 
 
-def lattice_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The areas of lattice_cells alone."""
-    dx, dy = np.diff(x), np.diff(y)
-    area = 0.5 * (dx[..., None, :] * dy[..., :, None])
-    return np.repeat(area[..., None], 2, axis=-1)
+def lattice_areas(spacing: tuple[float, float], shape: tuple) -> np.ndarray:
+    """The area of every triangle of a lattice of cells of the given
+    (width, height), an array of the given shape: one value, hx * hy / 2,
+    for the whole lattice, so cells a whole number of periods apart weigh
+    a periodic coefficient bitwise alike whatever the spacing.  Where the
+    spacing is a power of two it is the formula of a triangle from its
+    corners (the coordinate differences are exact); elsewhere the two
+    differ by rounding."""
+    return np.full(shape, 0.5 * (spacing[0] * spacing[1]))
 
 
 class TriGeometry:
@@ -299,8 +306,9 @@ class TriGeometry:
     fine vertex ids.  The triangles are those of the box cells, row-major,
     lower (SW, SE, NE) before upper (SW, NE, NW), that the boolean mask
     (rows - 1, columns - 1, 2) holds, all where it is None.  Nothing is
-    stored per triangle but the area-weighted coefficient: areas and
-    centroids come from the box's coordinate vectors x and y (cells), and
+    stored per triangle but the area-weighted coefficient: centroids come
+    from the box's coordinate vectors x and y, areas from the spacing
+    (cells), and
     a geometry that fills its box, given None for vids and its box
     positions (the whole fine mesh), keeps no index array either.
 
@@ -373,7 +381,8 @@ class TriGeometry:
               ) -> tuple[np.ndarray, np.ndarray]:
         """lattice_cells of the box cell rows lo to hi (exclusive; all by
         default), the mask not applied."""
-        return lattice_cells(self.x, self.y[lo:None if hi is None else hi + 1])
+        return lattice_cells(self.x, self.y[lo:None if hi is None else hi + 1],
+                             self.spacing)
 
     def on_mask(self, C: np.ndarray) -> np.ndarray:
         """Per-cell values C (box cells, 2, ...) of all box cells on the
@@ -410,7 +419,8 @@ class TriGeometry:
                                              counts, root.lattice)):
                     px, py = counts
                     _, centroids = lattice_cells(root.x[:px + 1],
-                                                 root.y[:py + 1])
+                                                 root.y[:py + 1],
+                                                 root.spacing)
                     root._period[1] = A.at(
                         centroids.reshape(-1, 2)).reshape(py, px, 2)
         return root._period[1]
@@ -424,21 +434,21 @@ class TriGeometry:
         (period_cells), each cell taking the value of its lattice cell
         index modulo the period, so cells a whole number of periods apart
         carry bitwise equal values; any other in one call at all
-        centroids.  Areas are the lattice formula either way."""
+        centroids.  The area is the lattice's one value (lattice_areas)
+        either way."""
         if self._weights[0] is not A:
             self._weights[:] = [None, None, None]
             tile = self.period_cells(A)
             if tile is None:
-                areas, centroids = self.cells()
+                _, centroids = self.cells()
                 a = A.at(self.on_mask(centroids))
                 del centroids
             else:
                 (rows, cols), (r, c) = self.grid, self.corner
-                areas = lattice_areas(self.x, self.y)
                 a = self.on_mask(tile[
                     (r + np.arange(rows - 1))[:, None] % tile.shape[0],
                     (c + np.arange(cols - 1)) % tile.shape[1]])
-            self._weights[:] = [A, self.on_mask(areas) * a, None]
+            self._weights[:] = [A, lattice_areas(self.spacing, ()) * a, None]
         return self._weights[1]
 
     def stencil(self, A: CoefficientField) -> Stencil:
@@ -654,9 +664,9 @@ class PatchGroup:
     vertices, boundary and cell mask serve every member, is the shape's
     patch at origin 0, so a member's fine vertex ids are template.vids +
     its origin.  A member's per-cell data is its window of the global
-    geometry's (windows), its areas and centroids the lattice formula on
-    its window of the global coordinate vectors (cells), bitwise what its
-    own patch geometry holds."""
+    geometry's (windows), its centroids the lattice formula on its window
+    of the global coordinate vectors (cells), bitwise what its own patch
+    geometry holds."""
 
     fine: object
     template: TriGeometry
@@ -701,7 +711,8 @@ class PatchGroup:
         row, col = self._corners()
         at = np.arange(self.fine.n_sub + 1)
         areas, centroids = lattice_cells(glob.x[col[:, None] + at],
-                                         glob.y[row[:, None] + at])
+                                         glob.y[row[:, None] + at],
+                                         glob.spacing)
         mask = self.template.mask
         if mask is None:
             return (areas.reshape(len(areas), -1),

@@ -6,8 +6,10 @@ scatters and the element tags of the fine triangles.
 Stencils and the estimator's segment gradients come from two constant
 gradient patterns, so they are bitwise the per-triangle ones where the
 lattice spacing is a power of two (h = 1/32 here) and within 1e-14 of
-their scale where it is not (h = 1/96, the sweep-tri-N spacing).  Loads,
-areas, centroids and the masked patch windows are bitwise at both.  Every
+their scale where it is not (h = 1/96, the sweep-tri-N spacing).  Loads
+from the lattice areas, centroids and the masked patch windows are bitwise
+at both; the areas are one value per lattice, bitwise the corner formula
+at h = 1/32 and within rounding of it at h = 1/96.  Every
 case runs on quads and triangles: the global mesh, the skeleton (the
 coarse edges fixed), the quad and the lower and upper triangle patch
 stacks of the offline sweep, and every multigrid level, with the periodic
@@ -65,10 +67,12 @@ def test_cell_gradients_are_the_triangle_gradients(fine):
 
 
 def test_areas_and_centroids_are_the_corner_formulas(fine):
-    # per cell from the lattice's coordinate vectors, bitwise the corner
-    # gathers of every triangle at any spacing: the global mesh, every
-    # patch of every shape, and the same lattice on a non-unit, offset
-    # domain
+    # centroids per cell from the lattice's coordinate vectors, bitwise the
+    # corner gathers of every triangle at any spacing; areas one value per
+    # lattice, hx * hy / 2, bitwise the corner formula where the coordinate
+    # differences are exact (a power-of-two spacing on the unit square) and
+    # within their rounding elsewhere: the global mesh, every patch of
+    # every shape, and the same lattice on a non-unit, offset domain
     coarse = fine.coarse
     shifted = mesh.refine_to_fine(mesh.build_coarse(
         coarse.kind, coarse.nx, coarse.ny, (-0.3, 1.2, 0.1, 2.6)),
@@ -80,8 +84,13 @@ def test_areas_and_centroids_are_the_corner_formulas(fine):
         for geom in geoms:
             areas, centroids = corner_areas_centroids(geom)
             got_areas, got_centroids = triangle_cells(geom)
-            assert got_areas.tobytes() == areas.tobytes()
             assert got_centroids.tobytes() == centroids.tobytes()
+            assert (got_areas == 0.5 * (fm.hx * fm.hy)).all()
+            if dyadic(fine) and fm is fine:
+                assert got_areas.tobytes() == areas.tobytes()
+            # the coordinate differences carry the rounding of coordinates
+            # up to 3 (the offset domain), some 1e-14 of a spacing
+            assert np.abs(got_areas - areas).max() <= 1e-12 * areas.max()
 
 
 def test_masked_windows_are_the_tagged_triangles(fine):
