@@ -737,15 +737,20 @@ class PatchGroup:
 
 
 def patch_groups(fine, elem_ids) -> list[PatchGroup]:
-    """Element patches grouped by shape (fine.patch_shape), in order of
-    first appearance.  The template of shape s is the patch of element s,
-    whose window is that of the first coarse cell."""
-    shapes: dict[int, list[int]] = {}
-    for K in elem_ids:
-        shapes.setdefault(fine.patch_shape(int(K)), []).append(int(K))
-    return [PatchGroup(fine, element_geometry(fine, s), np.array(members),
-                       fine.element_origin(np.array(members)))
-            for s, members in shapes.items()]
+    """Element patches grouped by shape (fine.patch_shape, asked once for
+    all elements), the shapes in order of first appearance and the members
+    of each in input order.  The template of shape s is the patch of
+    element s, whose window is that of the first coarse cell."""
+    elem_ids = np.asarray(elem_ids, dtype=int)
+    shape = fine.patch_shape(elem_ids)
+    order = np.argsort(shape, kind="stable")
+    cuts = np.flatnonzero(np.diff(shape[order], prepend=-1,
+                                  append=-1)).tolist()
+    members = sorted((order[a:b] for a, b in zip(cuts[:-1], cuts[1:])),
+                     key=lambda m: int(m[0]))
+    return [PatchGroup(fine, element_geometry(fine, int(shape[m[0]])),
+                       elem_ids[m], fine.element_origin(elem_ids[m]))
+            for m in members]
 
 
 # ---------------------------------------------------------------------------

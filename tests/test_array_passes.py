@@ -306,6 +306,45 @@ def test_coarse_mesh_matches_loops(kind, nx, ny, domain):
         list(r[2]) + [-1] * (2 - len(r[2])) for r in edges]
 
 
+def loop_patch_groups(fine, elem_ids) -> list:
+    """(shape, members) of patch_groups, one patch_shape call per element,
+    as the grouping ran before it took the shapes of all elements at
+    once."""
+    shapes: dict[int, list[int]] = {}
+    for K in elem_ids:
+        shapes.setdefault(int(fine.patch_shape(int(K))), []).append(int(K))
+    return list(shapes.items())
+
+
+@pytest.mark.parametrize("kind", ["quad", "triangle"])
+def test_patch_groups_match_loop(kind, monkeypatch, rng):
+    # shapes in order of first appearance, members in input order, with
+    # one patch_shape call for the elements however many they are (and one
+    # per template the first time it is built)
+    fine = mesh.refine_to_fine(mesh.build_coarse(kind, 6, 5), 4)
+    n_el = fine.coarse.n_elements
+    calls = []
+    real = mesh.FineMesh.patch_shape
+
+    def counted(self, elem_ids):
+        calls.append(elem_ids)
+        return real(self, elem_ids)
+
+    for ids in (range(n_el), rng.permutation(n_el)[:17], [9, 4, 8], [3],
+                []):
+        want = loop_patch_groups(fine, ids)
+        calls.clear()
+        monkeypatch.setattr(mesh.FineMesh, "patch_shape", counted)
+        groups = finefem.patch_groups(fine, ids)
+        monkeypatch.undo()
+        assert sum(np.ndim(c) > 0 for c in calls) == 1
+        assert len(calls) <= 1 + len(groups)
+        assert [(int(g.template.label.split()[1]), g.elements.tolist())
+                for g in groups] == want
+        for g in groups:
+            assert np.array_equal(g.origins, fine.element_origin(g.elements))
+
+
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
 def test_batched_regularity_matches_loop(kind):
     coarse = mesh.build_coarse(kind, 5, 4, (0.0, 3.0, 0.0, 1.0))
