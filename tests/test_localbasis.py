@@ -440,6 +440,42 @@ def test_shared_window_fields_match_each_patch_alone(kind, monkeypatch):
             table.reference[vids].tobytes()
 
 
+@pytest.mark.parametrize("load", ["constant", "seeded"])
+def test_periodic_sweep_solves_only_distinct_rows(load, monkeypatch):
+    # a small twin of the many-element resonance config (H = eps): the 256
+    # members share one window and pose 12 distinct traces, 9 bubble loads
+    # and one load f (constant) or one each (a seeded smooth load, so a
+    # row routed to the wrong member would show); the sweep solves each
+    # once, and every member's fields and load solve are bitwise those of
+    # its patch solved alone
+    coarse = mesh.build_coarse("quad", 16, 16)
+    fine = mesh.refine_to_fine(coarse, 8)
+    A = finefem.periodic_benchmark(1 / 16)
+    rng = np.random.default_rng(5)
+    c0, c1, p1, p2 = rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.4), \
+        *rng.uniform(0.0, 2 * np.pi, 2)
+    f = (finefem.constant_rhs(-1.0) if load == "constant" else
+         finefem.RhsField("seeded", lambda x, y: -(c0 + c1 * np.sin(
+             3 * np.pi * x + p1) * np.sin(2 * np.pi * y + p2))))
+    degrees = mesh.DegreeAssignment.uniform(coarse, 3, 2)
+    swept = eliminated_windows(monkeypatch)
+    table = localbasis.compute_all(coarse, fine, A, degrees, f=f)
+    rows = 12 + 9 + (1 if load == "constant" else 256)
+    assert sum(w for w, _, _ in swept) == 1
+    assert sum(w * r for w, r, _ in swept) == rows
+    assert distinct_fields(table, fine, A) == rows
+    assert sum(rep for *_, rep in swept) == 0
+    for K in range(coarse.n_elements):
+        alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
+                                       support_of=(BUBBLE, K, 1))
+        for d in np.unique(alone.dof):
+            assert table_fields(alone, d)[K].tobytes() == \
+                table_fields(table, d)[K].tobytes()
+        vids = fine.element_vertex_ids(K)
+        assert alone.reference[vids].tobytes() == \
+            table.reference[vids].tobytes()
+
+
 def test_edge_chains_must_be_translates(A_osc):
     # element 5 lists its edges in another order than its template
     coarse = mesh.build_coarse("quad", 3, 3)
