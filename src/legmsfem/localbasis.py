@@ -246,9 +246,15 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
     t = group.template
     at_origin = finefem.PatchGroup(fine, t, group.elements[reps],
                                    np.zeros(len(reps), dtype=int))
-    lw = _load_weights(coarse, at_origin, M[reps], bases, n_b, None,
-                       fine.vertices[0] + local[reps])
-    return cls, finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[..., slots]
+    offsets = fine.vertices[0] + local[reps]
+    loads = np.empty((len(reps), n_b, len(slots)))
+    # Per class: the centroids, areas, reference points and polynomial
+    # values of its triangles, and its box loads.
+    for sl, sub in at_origin.chunks((3 * n_b + 16) * math.prod(t.grid)):
+        lw = _load_weights(coarse, sub, M[reps[sl]], bases, n_b, None,
+                           offsets[sl])
+        loads[sl] = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[..., slots]
+    return cls, loads
 
 
 def _distinct_windows(group: finefem.PatchGroup, AW: np.ndarray,
@@ -364,7 +370,9 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     f_key = np.zeros(E, dtype=int)
     if f is not None:
         seen: dict = {}
-        for sl, sub in group.chunks(3 * box):
+        # Per member: the centroids, areas, load values and shares of its
+        # triangles, and its box load.
+        for sl, sub in group.chunks(16 * box):
             lw = _load_weights(coarse, sub, 0 * M[sl], bases, 0, f)
             Q = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[..., slots]
             f_key[sl] = _load_keys(Q[:, 0], wid[sl], shared[sl], seen,
