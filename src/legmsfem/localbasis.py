@@ -10,30 +10,30 @@ offline work is grouped by patch shape: every trace and every bubble load
 on a patch is a right-hand side, the patches of one shape are lattice
 translates of one template (finefem.patch_groups), and patches whose
 coefficient windows are bitwise equal (a periodic coefficient, H a whole
-number of periods) share one system.  Within a window, requests with
-equal right-hand sides share one row: a trace by its row of the
-template's trace table, a bubble load by its class of affine maps (the
-loads of a class are formed once, on the template), a load f by its
-bytes, so each distinct local problem is formed, solved and stored once,
-and the DOF table points every patch that poses it at that row.  One direct block-tridiagonal sweep over
-the template's fine-lattice rows solves a chunk of windows with equally
-many distinct rows in place in the field stack (a P1 stiffness on the
-structured lattice couples only adjacent rows).  The sweep's blocks come
-from the stencils of the chunk, formed by the lattice formula in one pass
-(finefem.PatchGroup.stencil), through the template's finefem.RowBlocks,
-the block layout the coarsest multigrid level uses too; the same stencils
-give a trace row's right-hand side -K X and then each window's Gram
-block a(X_i, X_j) of its solved rows (finefem.patch_grams), kept beside
-the field stack for the coarse assembly.  The bubble loads are box
-arrays from the lattice formula too (finefem.box_loads).  Given the
-problem's load f, the sweep also solves the zero-trace problem with load
-f of every patch, once per distinct load row of a window; glued over the
-mesh, these solves are the bubble part of the fine reference solution
-(the error report's bubble reference), solved beside the field stack in
-an array of their own, so every distinct window is eliminated once per
-run.  The sweep's matrices carry a leading window axis, and every window
-and every row is its own LAPACK or BLAS call, so a field comes out
-bitwise the same whatever is solved with it.
+number of periods) share one system.  Within a window, requests with equal
+right-hand sides share one row: a trace by its row of the template's trace
+table, a bubble load by its class of affine maps (the loads of a class are
+formed once, on the template), a load f by its bytes, so each distinct
+local problem is formed, solved and stored once, and the DOF table points
+every patch that poses it at that row.  One direct block-tridiagonal sweep
+over the template's fine-lattice rows solves a chunk of windows with
+equally many distinct rows in place in the field stack (a P1 stiffness on
+the structured lattice couples only adjacent rows).  The sweep's blocks
+come from the stencils of the chunk, formed by the lattice formula in one
+pass (finefem.PatchGroup.stencil), through the template's
+finefem.RowBlocks, the block layout the coarsest multigrid level uses too;
+the same stencils give a trace row's right-hand side -K X and then each
+window's Gram block a(X_i, X_j) of its solved rows (finefem.patch_grams),
+kept beside the field stack for the coarse assembly.  The bubble loads are
+box arrays from the lattice formula too (finefem.box_loads).  Given the
+problem's load f, the sweep also solves the zero-trace problem with load f
+of every patch, once per distinct load row of a window; glued over the
+mesh, these solves are the bubble part of the fine reference solution (the
+error report's bubble reference), solved beside the field stack in an
+array of their own, so every distinct window is eliminated once per run.
+The sweep's matrices carry a leading window axis, and every window and
+every row is its own LAPACK or BLAS call, so a field comes out bitwise the
+same whatever is solved with it.
 Traces on coarse edges are sampled at the fine vertices of the edge chain,
 always through the edge's own orientation (v0 to v1) and from one
 evaluation per (n_sub, degree), so the two adjacent patches impose
@@ -317,23 +317,23 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     Member e asks for the trace of each of its codes codes[e] (see
     _trace_table; -1 for none), zero on the rest of the boundary, then for
     the zero-trace solve with load P_i for each P_i of its bulk basis
-    bases[M[e]] (none for M[e] = 0).  Members whose coefficient windows
-    are bitwise equal (_distinct_windows) share one system, and the
-    requests of the members of one window share one row where their
-    right-hand sides are equal: a trace by its table row, a bubble load by
-    its class (_bubble_loads, formed once per class on the template), an f
-    load by its bytes (a window of one member skips that keying).  The stack lists
-    the windows by their counts of trace, load and f rows, then by
-    window, each window's distinct rows traces first, by table row; a
-    chunk of windows of equal counts is one block of it, solved in place
-    by one block sweep over the template's lattice rows together with the
-    same block of the f solves (kept out of the stack), so the sweep
-    solves each distinct right-hand side once and no row is padding.
-    Each row comes out the same whatever other rows and windows are
-    solved with it, so a member's fields are bitwise those of its patch
-    solved alone.  The stencils the sweep eliminates then give each
-    window's Gram block of its rows (finefem.patch_grams), so the coarse
-    assembly forms no fine product.
+    bases[M[e]] (none for M[e] = 0).  Members whose coefficient windows are
+    bitwise equal (_distinct_windows) share one system, and the requests
+    of the members of one window share one row where their right-hand
+    sides are equal: a trace by its table row, a bubble load by its class
+    (_bubble_loads, formed once per class on the template), an f load by
+    its bytes (a window of one member skips that keying).  The stack lists
+    the windows by their counts of trace, load and f rows, then by window,
+    each window's distinct rows traces first, by table row; a chunk of
+    windows of equal counts is one block of it, solved in place by one
+    block sweep over the template's lattice rows together with the same
+    block of the f solves (kept out of the stack), so the sweep solves
+    each distinct right-hand side once and no row is padding.  Each row
+    comes out the same whatever other rows and windows are solved with it,
+    so a member's fields are bitwise those of its patch solved alone.  The
+    stencils the sweep eliminates then give each window's Gram block of
+    its rows (finefem.patch_grams), so the coarse assembly forms no fine
+    product.
     """
     t = group.template
     E, n = len(group.elements), t.n_vertices
@@ -366,9 +366,10 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
         key[:, n_tr:] = np.where(np.arange(n_b) < dims[:, None], len(table)
                                  + cls[:, None] * n_b + np.arange(n_b), -1)
     loads = loads.reshape(len(loads) * n_b, len(free))
-    f_loads: list = []
-    f_key = np.zeros(E, dtype=int)
+    fw = np.zeros(0, dtype=int)
     if f is not None:
+        f_loads: list = []
+        f_key = np.zeros(E, dtype=int)
         seen: dict = {}
         # Per member: the centroids, areas, load values and shares of its
         # triangles, and its box load.
@@ -377,6 +378,8 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
             Q = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[..., slots]
             f_key[sl] = _load_keys(Q[:, 0], wid[sl], shared[sl], seen,
                                    f_loads)
+        f_first, f_inverse = _first_of_each(wid * len(f_loads) + f_key)
+        fw = wid[f_first]
     # The distinct (window, key) pairs, window by window, and their counts
     # in each window: traces, loads, f loads.
     n_key = len(table) + len(loads)
@@ -384,16 +387,14 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     pair = (wid[:, None] * n_key + key)[asked]
     first, inverse = _first_of_each(pair)
     pw, pk = np.divmod(pair[first], n_key)
-    f_first, f_inverse = _first_of_each(wid * len(f_loads) + f_key)
-    fw = wid[f_first] if f is not None else f_first[:0]
     counts = np.array([np.bincount(pw[pk < len(table)], minlength=W),
                        np.bincount(pw[pk >= len(table)], minlength=W),
                        np.bincount(fw, minlength=W)])
     worder = np.lexsort((np.arange(W),) + tuple(counts[::-1]))
     rank = np.empty(W, dtype=int)
     rank[worder] = np.arange(W)
-    rows = counts[0] + counts[1]
-    r_max = int(rows.max(initial=0))
+    n_rows = counts[0] + counts[1]
+    r_max = int(n_rows.max(initial=0))
 
     def placed(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # (the first stack row of each window, the position of each row
@@ -403,7 +404,7 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
         start[worder] = np.cumsum(c[worder]) - c[worder]
         return start, np.arange(len(w)) - (np.cumsum(c) - c)[w]
 
-    start, local = placed(pw, rows)
+    start, local = placed(pw, n_rows)
     row = np.full(key.shape, -1)
     gram = np.full(key.shape, -1)
     row[asked] = (start[pw] + local)[inverse]
@@ -417,8 +418,9 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
         f_start, f_local = placed(fw, counts[2])
         f_row = (f_start[fw] + f_local)[f_inverse]
         L = np.zeros((len(fw), n))
-        f_stack_key = np.empty(len(fw), dtype=int)
-        f_stack_key[f_start[fw] + f_local] = f_key[f_first]
+        f_rows = np.empty((len(fw), len(free)))
+        f_rows[f_start[fw] + f_local] = [f_loads[q] for q in
+                                         f_key[f_first].tolist()]
     windows = group.take(rep[worder])
     runs = np.flatnonzero((np.diff(counts[:, worder], axis=1, prepend=-1,
                                    append=-1) != 0).any(axis=0)).tolist()
@@ -448,16 +450,15 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
             if c_f:
                 a = f_start[w0]
                 U = L[a:a + k * c_f].reshape(k, c_f, n)
-                for j in range(c_f):
-                    U[:, j, free] = [f_loads[q] for q in
-                                     f_stack_key[a + j:a + k * c_f:c_f]
-                                     .tolist()]
+                U[..., free] = f_rows[a:a + k * c_f].reshape(k, c_f, -1)
                 R.append(U)
             blocks.eliminate(st, *R)
             if r:
                 G[rank[w0]:rank[w0] + k, :r, :r] = finefem.patch_grams(
                     t, st, V)
     return X, G.reshape(W * r_max, r_max), row, gram, L, f_row
+
+
 def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.CoefficientField, elements: np.ndarray,
                   codes: np.ndarray, stride: int, M: np.ndarray,
