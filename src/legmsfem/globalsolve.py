@@ -336,10 +336,7 @@ def _project_load(group: finefem.PatchGroup, iface: _Fields, bub: _Fields,
     n_i = iface.dofs.shape[1]
     rows = np.concatenate([np.where(p.dofs >= 0, p.rows, -1)
                            for p in (iface, bub)], axis=1)
-    order = np.lexsort(rows.T)
-    new = np.diff(rows[order], axis=0, prepend=-2).any(axis=1)
-    kind = np.empty(len(rows), dtype=int)
-    kind[order] = np.cumsum(new) - 1
+    kind = localbasis._row_classes(rows)
     counts = np.bincount(kind)
     order = np.lexsort((kind, counts[kind]))
     first = order[np.flatnonzero(np.diff(kind[order], prepend=-1))]

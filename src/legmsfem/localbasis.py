@@ -237,11 +237,7 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
     local = coarse.offsets[group.elements] - group.fine.vertices[group.origins]
     keys = np.column_stack([M, coarse.Binv[group.elements].reshape(E, -1)
                             .view(np.int64), local.view(np.int64)])
-    order = np.lexsort(keys.T)
-    new = np.ones(E, dtype=bool)
-    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
-    cls = np.empty(E, dtype=int)
-    cls[order] = np.cumsum(new) - 1
+    cls = _row_classes(keys)
     reps, _ = _first_of_each(cls)
     t = group.template
     at_origin = finefem.PatchGroup(fine, t, group.elements[reps],
@@ -281,6 +277,17 @@ def _first_of_each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(keys), dtype=int)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
+
+
+def _row_classes(keys: np.ndarray) -> np.ndarray:
+    """The class of each row of an integer array (items, k), numbered from
+    0: equal rows share one."""
+    order = np.lexsort(keys.T)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    cls = np.empty(len(keys), dtype=int)
+    cls[order] = np.cumsum(new) - 1
+    return cls
 
 
 def _load_keys(R: np.ndarray, wid: np.ndarray, shared: np.ndarray,
