@@ -224,13 +224,13 @@ def _stiffness_entries(g: np.ndarray, w: np.ndarray) -> tuple:
 # (di, dj) of the cell di rows down and dj columns left of the position,
 # its lower (t = 0: SW, SE, NE) or upper (t = 1: SW, NE, NW) triangle, and
 # the vertex's slot s in it; in the order a scatter over the triangles adds
-# them there, triangle by triangle (cells in row-major order, lower first)
-# or slot by slot (all first vertices, then all second and all third ones,
-# as load_vector adds its shares).
+# them there, triangle by triangle (cells in row-major order, lower first),
+# the one order of every stiffness and load sum at a vertex.  The terms of
+# the cell row below a vertex (di = 1) all come first, so blocks of cell
+# rows added one after another, in ascending order, give the sums of the
+# whole box bitwise.
 BY_TRIANGLE = ((1, 1, 0, 2), (1, 1, 1, 1), (1, 0, 1, 2), (0, 1, 0, 1),
                (0, 0, 0, 0), (0, 0, 1, 0))
-BY_SLOT = ((0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1), (0, 1, 0, 1),
-           (1, 1, 0, 2), (1, 0, 1, 2))
 
 
 def _add_at_corners(out: np.ndarray, terms) -> np.ndarray:
@@ -243,32 +243,25 @@ def _add_at_corners(out: np.ndarray, terms) -> np.ndarray:
     return out
 
 
-def box_loads(geom: TriGeometry, shares: np.ndarray,
-              order: tuple = BY_SLOT) -> np.ndarray:
+def _add_shares(out: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Add the per-cell shares S (..., rows - 1, columns - 1, 2) of the
+    lower and the upper triangle of each cell to the lattice array out
+    (..., rows, columns) at each of the triangle's vertices, in place, in
+    BY_TRIANGLE order."""
+    return _add_at_corners(out, [(di, dj, S[..., t])
+                                 for di, dj, t, _ in BY_TRIANGLE])
+
+
+def box_loads(geom: TriGeometry, shares: np.ndarray) -> np.ndarray:
     """P1 load vectors on the vertex box of geom, (..., box positions),
     from the share (..., nt) of each triangle at each of its vertices
     (area * value / 3 by the centroid rule), each position adding those
-    of its triangles in the given order (BY_SLOT or BY_TRIANGLE)."""
+    of its triangles in BY_TRIANGLE order."""
     rows, cols = geom.grid
     lead = shares.shape[:-1]
     S = geom.to_cells(shares).reshape(lead + (rows - 1, cols - 1, 2))
-    out = np.zeros(lead + (rows, cols))
-    _add_rows(out, S, 0, 0, rows, order)
+    out = _add_shares(np.zeros(lead + (rows, cols)), S)
     return out.reshape(lead + (rows * cols,))
-
-
-def _add_rows(out: np.ndarray, S: np.ndarray, s0: int, v0: int, v1: int,
-              order: tuple) -> None:
-    """Add to the vertex rows v0 to v1 (exclusive) of the lattice arrays
-    out (..., rows, columns) the per-cell shares S (..., cell rows,
-    columns - 1, 2) of the cell rows from s0 on, term (di, dj, t) of order
-    by term, in place: vertex (i, j) takes S[..., i - di, j - dj, t] where
-    that cell row is in S."""
-    cx = out.shape[-1] - 1
-    for di, dj, t, _ in order:
-        a, b = max(v0, s0 + di), min(v1, s0 + S.shape[-3] + di)
-        if a < b:
-            out[..., a:b, dj:dj + cx] += S[..., a - di - s0:b - di - s0, :, t]
 
 
 def lattice_cells(x: np.ndarray, y: np.ndarray,
@@ -783,14 +776,14 @@ def load_vector(geom: TriGeometry, f) -> np.ndarray:
     for, compared by identity like the coefficient, so the assembly of a
     fine system and the energies of its solution make one triangle pass.
     The pass runs over blocks of cell rows, f evaluated once at the
-    centroids of each, and every vertex adds its shares in the order of
-    box_loads (BY_SLOT): a vertex row waits for the block above it."""
+    centroids of each, and each block adds its shares to its vertex rows
+    (box_loads), the blocks in ascending order: every vertex adds its
+    shares in BY_TRIANGLE order, as box_loads over the whole box."""
     if geom._load[0] is not f:
         geom._load[:] = [None, None]
         rows, cols = geom.grid
         out = np.zeros((rows, cols))
         step = cache_rows(cols - 1)
-        S = np.zeros((0, cols - 1, 2))
         for lo in range(0, rows - 1, step):
             hi = min(lo + step, rows - 1)
             areas, centroids = geom.cells(lo, hi)
@@ -802,10 +795,7 @@ def load_vector(geom: TriGeometry, f) -> np.ndarray:
             else:
                 shares = np.zeros(areas.shape)
                 shares[m] = areas[m] * fv / 3.0
-            # The last cell row of the block before, and this block's.
-            S = np.concatenate([S[-1:], shares])
-            _add_rows(out, S, lo - (lo > 0), lo,
-                      hi if hi < rows - 1 else rows, BY_SLOT)
+            _add_shares(out[lo:hi + 1], shares)
         b = geom.from_box(out.ravel())
         b.flags.writeable = False
         geom._load[:] = [f, b]

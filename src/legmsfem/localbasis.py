@@ -249,7 +249,7 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
     for sl, sub in at_origin.chunks((3 * n_b + 16) * math.prod(t.grid)):
         lw = _load_weights(coarse, sub, M[reps[sl]], bases, n_b, None,
                            offsets[sl])
-        loads[sl] = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[..., slots]
+        loads[sl] = finefem.box_loads(t, lw.T)[..., slots]
     return cls, loads
 
 
@@ -382,7 +382,7 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
         # triangles, and its box load.
         for sl, sub in group.chunks(16 * box):
             lw = _load_weights(coarse, sub, 0 * M[sl], bases, 0, f)
-            Q = finefem.box_loads(t, lw.T, finefem.BY_TRIANGLE)[..., slots]
+            Q = finefem.box_loads(t, lw.T)[..., slots]
             f_key[sl] = _load_keys(Q[:, 0], wid[sl], shared[sl], seen,
                                    f_loads)
         f_first, f_inverse = _first_of_each(wid * len(f_loads) + f_key)

@@ -473,13 +473,11 @@ def stiffness(g, AW) -> np.ndarray:
 
 def scatter(tris, contrib, n) -> np.ndarray:
     """Add contrib (E, nt) to the three vertices of each triangle of tris
-    (nt, 3): (E, n), summed vertex slot by vertex slot in triangle order
-    (finefem._scatter, the load vectors' scatter)."""
+    (nt, 3): (E, n), each vertex summing its triangles in triangle order
+    (scatter_rows), the order of every fine load (finefem.box_loads)."""
     E, nt = contrib.shape
-    idx = np.arange(E)[:, None, None] * n + tris.T
-    w = np.broadcast_to(contrib[:, None, :], (E, 3, nt))
-    return np.bincount(idx.ravel(), weights=w.ravel(),
-                       minlength=E * n).reshape(E, n)
+    return scatter_rows(np.broadcast_to(contrib.T[:, None, None],
+                                        (nt, 3, 1, E)), tris, n)[:, 0]
 
 
 def scatter_rows(W, tris, n) -> np.ndarray:
@@ -512,7 +510,7 @@ def trace_loads(Kt, X, tris) -> np.ndarray:
 
 def reference_load_vector(geom, f) -> np.ndarray:
     """P1 load vector of f by the centroid rule, scattered from the
-    triangles (finefem.load_vector before box_loads)."""
+    triangles in triangle order (scatter)."""
     areas, centroids = triangle_cells(geom)
     fv = np.asarray(f(centroids[:, 0], centroids[:, 1]), dtype=float)
     return scatter(local_triangles(geom), (areas * fv / 3.0)[None],

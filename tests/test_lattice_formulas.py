@@ -157,8 +157,8 @@ def test_multigrid_level_stencils(fine, A, which):
 
 def test_loads(fine):
     # the load vector of the global mesh and of every patch, alone and
-    # for a patch stack, slot by slot; the offline bubble loads triangle
-    # by triangle: bitwise at any spacing
+    # for a patch stack, and the offline bubble loads, each vertex adding
+    # its triangles in triangle order: bitwise at any spacing
     f = finefem.gaussian_rhs()
     geom = finefem.global_geometry(fine)
     assert np.array_equal(finefem.load_vector(geom, f),
@@ -179,7 +179,7 @@ def test_loads(fine):
                               scatter(tris, shares, t.n_vertices))
         M = np.arange(len(g.elements)) % 3
         w = localbasis._load_weights(coarse, g, M, bases, bases[2].dim, f)
-        got = t.from_box(finefem.box_loads(t, w.T, finefem.BY_TRIANGLE))
+        got = t.from_box(finefem.box_loads(t, w.T))
         want = scatter_rows(np.broadcast_to(w[:, None], (len(tris), 3)
                                             + w.shape[1:]),
                             tris, t.n_vertices)
@@ -189,8 +189,8 @@ def test_loads(fine):
 @pytest.mark.parametrize("kind", ["quad", "triangle"])
 def test_loads_by_blocks_of_cell_rows(kind):
     # load_vector runs over blocks of cell rows (three on this 96-cell
-    # lattice), a vertex row waiting for the block above it: bitwise the
-    # shares of all triangles at once, added slot by slot (box_loads),
+    # lattice), added one after another: bitwise the shares of all
+    # triangles at once, added in triangle order (box_loads),
     # on the global mesh and on every patch; and the window formula of a
     # patch stack is bitwise the masked windows of the global areas and
     # centroids
