@@ -130,7 +130,7 @@ def _f_norms(fine: FineMesh, f: finefem.RhsField | None, ell: np.ndarray
     step = finefem.cache_rows(fine.nfx)
     for lo in range(0, fine.nfy, step):
         hi = min(lo + step, fine.nfy)
-        areas, centroids = geom.cells(lo, hi)
+        area, centroids = geom.cells(lo, hi)
         x, y = centroids.reshape(-1, 2).T
         fv = np.asarray(f(x, y), dtype=float)
         # The element of each fine triangle: that of its coarse cell, for
@@ -140,12 +140,11 @@ def _f_norms(fine: FineMesh, f: finefem.RhsField | None, ell: np.ndarray
         tags = (np.repeat(cell, 2, axis=-1) if fine.coarse.kind == "quad"
                 else 2 * cell + fine.shape_pattern(1)[2][cy % ns, cx % ns]
                 ).ravel()
-        areas = areas.ravel()
-        np.add.at(l2sq, tags, areas * fv**2)
+        np.add.at(l2sq, tags, area * fv**2)
         if ell.any():
             gx, gy = f.grad(x, y)
-            np.add.at(h1sq, tags, areas * (np.asarray(gx)**2
-                                           + np.asarray(gy)**2))
+            np.add.at(h1sq, tags, area * (np.asarray(gx)**2
+                                          + np.asarray(gy)**2))
     f_l2 = np.sqrt(l2sq)
     if not ell.any():
         return f_l2, f_l2
@@ -173,13 +172,13 @@ def _bubble_residuals(u_H: globalsolve.CoarseSolution, M: np.ndarray
         C[K[at], i[at] - 1] = u_H.coeffs[bubble][at]
         for group in finefem.patch_groups(fine, np.flatnonzero(M == m)):
             K0 = group.elements[0]
-            areas, c = group.cells()
+            area, c = group.cells()
             P = basis.eval_ref((c[0] - coarse.offsets[K0]) @ coarse.Binv[K0].T)
             pts = c.reshape(-1, 2)
             fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-            r = fv.reshape(areas.shape) - C[group.elements] @ P.T
+            r = fv.reshape(c.shape[:-1]) - C[group.elements] @ P.T
             resid[group.elements] = np.sqrt(
-                np.einsum("et,et->e", areas, r * r))
+                area * np.einsum("et,et->e", r, r))
     return resid
 
 

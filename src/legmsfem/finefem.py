@@ -265,32 +265,23 @@ def box_loads(geom: TriGeometry, shares: np.ndarray) -> np.ndarray:
 
 
 def lattice_cells(x: np.ndarray, y: np.ndarray,
-                  spacing: tuple[float, float]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(areas, centroids) of the lower and the upper triangle of every cell
+                  spacing: tuple[float, float]) -> tuple[float, np.ndarray]:
+    """(area, centroids) of the lower and the upper triangle of every cell
     of the lattice with the vertex coordinate vectors x (..., columns) and
-    y (..., rows) and cells of the given (width, height), shapes (...,
-    rows - 1, columns - 1, 2) and (..., rows - 1, columns - 1, 2, 2),
-    leading axes broadcast: the areas of lattice_areas and centroid =
-    (p0 + p1 + p2) / 3, bitwise the formula of a triangle from its
+    y (..., rows) and cells of the given (width, height): the one area,
+    hx * hy / 2, of every triangle, so cells a whole number of periods
+    apart weigh a periodic coefficient bitwise alike whatever the spacing
+    (where the spacing is a power of two it is the formula of a triangle
+    from its corners, elsewhere the two differ by rounding), and the
+    centroids (..., rows - 1, columns - 1, 2, 2), leading axes broadcast,
+    each (p0 + p1 + p2) / 3, bitwise the formula of a triangle from its
     corners."""
     x0, x1, y0, y1 = x[..., :-1], x[..., 1:], y[..., :-1], y[..., 1:]
     cx = np.stack([x0 + x1 + x1, x0 + x1 + x0], -1)
     cy = np.stack([y0 + y0 + y1, y0 + y1 + y1], -1)
     centroids = np.stack(np.broadcast_arrays(cx[..., None, :, :],
                                              cy[..., :, None, :]), -1) / 3.0
-    return lattice_areas(spacing, centroids.shape[:-1]), centroids
-
-
-def lattice_areas(spacing: tuple[float, float], shape: tuple) -> np.ndarray:
-    """The area of every triangle of a lattice of cells of the given
-    (width, height), an array of the given shape: one value, hx * hy / 2,
-    for the whole lattice, so cells a whole number of periods apart weigh
-    a periodic coefficient bitwise alike whatever the spacing.  Where the
-    spacing is a power of two it is the formula of a triangle from its
-    corners (the coordinate differences are exact); elsewhere the two
-    differ by rounding."""
-    return np.full(shape, 0.5 * (spacing[0] * spacing[1]))
+    return 0.5 * (spacing[0] * spacing[1]), centroids
 
 
 class TriGeometry:
@@ -300,9 +291,8 @@ class TriGeometry:
     lower (SW, SE, NE) before upper (SW, NE, NW), that the boolean mask
     (rows - 1, columns - 1, 2) holds, all where it is None.  Nothing is
     stored per triangle but the area-weighted coefficient: centroids come
-    from the box's coordinate vectors x and y, areas from the spacing
-    (cells), and
-    a geometry that fills its box, given None for vids and its box
+    from the box's coordinate vectors x and y, the one area from the
+    spacing (cells), and a geometry that fills its box, given None for vids and its box
     positions (the whole fine mesh), keeps no index array either.
 
     A patch geometry knows the whole-lattice geometry it is cut from
@@ -371,7 +361,7 @@ class TriGeometry:
                            else slots)
 
     def cells(self, lo: int = 0, hi: int | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
+              ) -> tuple[float, np.ndarray]:
         """lattice_cells of the box cell rows lo to hi (exclusive; all by
         default), the mask not applied."""
         return lattice_cells(self.x, self.y[lo:None if hi is None else hi + 1],
@@ -427,7 +417,7 @@ class TriGeometry:
         (period_cells), each cell taking the value of its lattice cell
         index modulo the period, so cells a whole number of periods apart
         carry bitwise equal values; any other in one call at all
-        centroids.  The area is the lattice's one value (lattice_areas)
+        centroids.  The area is the lattice's one value (lattice_cells)
         either way."""
         if self._weights[0] is not A:
             self._weights[:] = [None, None, None]
@@ -441,7 +431,8 @@ class TriGeometry:
                 a = self.on_mask(tile[
                     (r + np.arange(rows - 1))[:, None] % tile.shape[0],
                     (c + np.arange(cols - 1)) % tile.shape[1]])
-            self._weights[:] = [A, lattice_areas(self.spacing, ()) * a, None]
+            hx, hy = self.spacing
+            self._weights[:] = [A, 0.5 * (hx * hy) * a, None]
         return self._weights[1]
 
     def stencil(self, A: CoefficientField) -> Stencil:
@@ -696,21 +687,20 @@ class PatchGroup:
             W[:, ~self.template.mask] = 0.0
         return W
 
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(areas, centroids) of the triangles of every member, (E, nt) and
-        (E, nt, 2), in the template's order: lattice_cells of its window of
+    def cells(self) -> tuple[float, np.ndarray]:
+        """(area, centroids) of the triangles of every member, the centroids
+        (E, nt, 2) in the template's order: lattice_cells of its window of
         the global box's coordinate vectors, masked."""
         glob = global_geometry(self.fine)
         row, col = self._corners()
         at = np.arange(self.fine.n_sub + 1)
-        areas, centroids = lattice_cells(glob.x[col[:, None] + at],
-                                         glob.y[row[:, None] + at],
-                                         glob.spacing)
+        area, centroids = lattice_cells(glob.x[col[:, None] + at],
+                                        glob.y[row[:, None] + at],
+                                        glob.spacing)
         mask = self.template.mask
         if mask is None:
-            return (areas.reshape(len(areas), -1),
-                    centroids.reshape(len(areas), -1, 2))
-        return areas[:, mask], centroids[:, mask]
+            return area, centroids.reshape(len(centroids), -1, 2)
+        return area, centroids[:, mask]
 
     def stencil(self, A: CoefficientField) -> Stencil:
         """The stencils of A on every member, coef (E, 3, box positions),
@@ -722,11 +712,11 @@ class PatchGroup:
 
     def load_vectors(self, f) -> np.ndarray:
         """P1 load vector of f on every member, (E, n), as load_vector."""
-        areas, centroids = self.cells()
+        area, centroids = self.cells()
         pts = centroids.reshape(-1, 2)
         fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
         return self.template.from_box(box_loads(
-            self.template, areas * fv.reshape(areas.shape) / 3.0))
+            self.template, area * fv.reshape(centroids.shape[:-1]) / 3.0))
 
 
 def patch_groups(fine, elem_ids) -> list[PatchGroup]:
@@ -786,15 +776,15 @@ def load_vector(geom: TriGeometry, f) -> np.ndarray:
         step = cache_rows(cols - 1)
         for lo in range(0, rows - 1, step):
             hi = min(lo + step, rows - 1)
-            areas, centroids = geom.cells(lo, hi)
+            area, centroids = geom.cells(lo, hi)
             m = None if geom.mask is None else geom.mask[lo:hi]
             pts = centroids.reshape(-1, 2) if m is None else centroids[m]
             fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
             if m is None:
-                shares = areas * fv.reshape(areas.shape) / 3.0
+                shares = area * fv.reshape(centroids.shape[:-1]) / 3.0
             else:
-                shares = np.zeros(areas.shape)
-                shares[m] = areas[m] * fv / 3.0
+                shares = np.zeros(m.shape)
+                shares[m] = area * fv / 3.0
             _add_shares(out[lo:hi + 1], shares)
         b = geom.from_box(out.ravel())
         b.flags.writeable = False

@@ -200,10 +200,11 @@ def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
     polynomials are evaluated once for all members of one degree, at
     reference points stacked from the coarse mesh's affine maps, each
     with the offset offsets[e] if given, else that of its element."""
-    areas, centroids = sub.cells()
+    area, centroids = sub.cells()
     if offsets is None:
         offsets = coarse.offsets[sub.elements]
-    out = np.zeros((areas.shape[1], n_b + (f is not None), len(areas)))
+    out = np.zeros((centroids.shape[1], n_b + (f is not None),
+                    len(centroids)))
     for m in _sorted_unique(M[M > 0]).tolist():
         es = np.flatnonzero(M == m)
         basis = bases[m]
@@ -211,12 +212,11 @@ def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
                         coarse.Binv[sub.elements[es]].transpose(0, 2, 1))
         P = basis.eval_ref(ref.reshape(-1, 2)).reshape(len(es), -1,
                                                        basis.dim)
-        out[:, :basis.dim, es] = (areas[es][..., None] * P
-                                  / 3.0).transpose(1, 2, 0)
+        out[:, :basis.dim, es] = (area * P / 3.0).transpose(1, 2, 0)
     if f is not None:
         pts = centroids.reshape(-1, 2)
         fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        out[:, -1] = (areas * fv.reshape(areas.shape) / 3.0).T
+        out[:, -1] = (area * fv.reshape(centroids.shape[:-1]) / 3.0).T
     return out
 
 

@@ -121,9 +121,10 @@ def space_fields(space, dof) -> dict:
 
 def triangle_cells(geom) -> tuple[np.ndarray, np.ndarray]:
     """(areas, centroids) of the triangles of geom, (nt,) and (nt, 2),
-    formed from its lattice cells."""
-    areas, centroids = geom.cells()
-    return geom.on_mask(areas), geom.on_mask(centroids)
+    formed from its lattice cells: the one area of the lattice at each."""
+    area, centroids = geom.cells()
+    centroids = geom.on_mask(centroids)
+    return np.full(len(centroids), area), centroids
 
 
 def free_vertices(geom) -> np.ndarray:

@@ -206,8 +206,9 @@ def test_loads_by_blocks_of_cell_rows(kind):
         assert finefem.load_vector(g, f).tobytes() == whole.tobytes()
     glob_areas, glob_centroids = triangle_cells(geom)
     for grp in finefem.patch_groups(fine, range(fine.coarse.n_elements)):
-        areas, centroids = grp.cells()
-        assert areas.tobytes() == gather(grp, glob_areas).tobytes()
+        area, centroids = grp.cells()
+        assert np.full(centroids.shape[:-1], area).tobytes() == gather(
+            grp, glob_areas).tobytes()
         assert centroids.tobytes() == gather(grp, glob_centroids).tobytes()
 
 
