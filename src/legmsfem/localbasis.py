@@ -191,20 +191,18 @@ def _trace_table(coarse: CoarseMesh, fine: FineMesh,
 
 def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
                   M: np.ndarray, bases: dict, n_b: int,
-                  f: finefem.RhsField | None,
                   offsets: np.ndarray | None = None) -> np.ndarray:
-    """The P1 loads of the members of sub by the centroid rule, as the
-    share area * value / 3 of each triangle, (nt, n_b + (f given),
-    elements): the bulk polynomials P_1..P_dim of each member's bulk degree
-    M (the basis bases[M], none for 0; zero rows after), then f.  The
-    polynomials are evaluated once for all members of one degree, at
-    reference points stacked from the coarse mesh's affine maps, each
-    with the offset offsets[e] if given, else that of its element."""
+    """The bubble loads of the members of sub by the centroid rule, as the
+    share area * P_i / 3 of each triangle, (nt, n_b, elements): the bulk
+    polynomials P_1..P_dim of each member's bulk degree M (the basis
+    bases[M], none for 0; zero rows after).  The polynomials are evaluated
+    once for all members of one degree, at reference points stacked from
+    the coarse mesh's affine maps, each with the offset offsets[e] if
+    given, else that of its element."""
     area, centroids = sub.cells()
     if offsets is None:
         offsets = coarse.offsets[sub.elements]
-    out = np.zeros((centroids.shape[1], n_b + (f is not None),
-                    len(centroids)))
+    out = np.zeros((centroids.shape[1], n_b, len(centroids)))
     for m in _sorted_unique(M[M > 0]).tolist():
         es = np.flatnonzero(M == m)
         basis = bases[m]
@@ -213,10 +211,6 @@ def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
         P = basis.eval_ref(ref.reshape(-1, 2)).reshape(len(es), -1,
                                                        basis.dim)
         out[:, :basis.dim, es] = (area * P / 3.0).transpose(1, 2, 0)
-    if f is not None:
-        pts = centroids.reshape(-1, 2)
-        fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        out[:, -1] = (area * fv.reshape(centroids.shape[:-1]) / 3.0).T
     return out
 
 
@@ -247,7 +241,7 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
     # Per class: the centroids, areas, reference points and polynomial
     # values of its triangles, and its box loads.
     for sl, sub in at_origin.chunks((3 * n_b + 16) * math.prod(t.grid)):
-        lw = _load_weights(coarse, sub, M[reps[sl]], bases, n_b, None,
+        lw = _load_weights(coarse, sub, M[reps[sl]], bases, n_b,
                            offsets[sl])
         loads[sl] = finefem.box_loads(t, lw.T)[..., slots]
     return cls, loads
@@ -378,13 +372,12 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
         f_loads: list = []
         f_key = np.zeros(E, dtype=int)
         seen: dict = {}
-        # Per member: the centroids, areas, load values and shares of its
-        # triangles, and its box load.
+        # Per member: the centroids, load values and shares of its
+        # triangles, and its box load: the load the coarse assembly
+        # projects on the member's fields.
         for sl, sub in group.chunks(16 * box):
-            lw = _load_weights(coarse, sub, 0 * M[sl], bases, 0, f)
-            Q = finefem.box_loads(t, lw.T)[..., slots]
-            f_key[sl] = _load_keys(Q[:, 0], wid[sl], shared[sl], seen,
-                                   f_loads)
+            f_key[sl] = _load_keys(sub.load_vectors(f)[:, free], wid[sl],
+                                   shared[sl], seen, f_loads)
         f_first, f_inverse = _first_of_each(wid * len(f_loads) + f_key)
         fw = wid[f_first]
     # The distinct (window, key) pairs, window by window, and their counts

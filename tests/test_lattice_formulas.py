@@ -178,7 +178,7 @@ def test_loads(fine):
         assert np.array_equal(g.load_vectors(f),
                               scatter(tris, shares, t.n_vertices))
         M = np.arange(len(g.elements)) % 3
-        w = localbasis._load_weights(coarse, g, M, bases, bases[2].dim, f)
+        w = localbasis._load_weights(coarse, g, M, bases, bases[2].dim)
         got = t.from_box(finefem.box_loads(t, w.T))
         want = scatter_rows(np.broadcast_to(w[:, None], (len(tris), 3)
                                             + w.shape[1:]),

@@ -476,6 +476,37 @@ def test_periodic_sweep_solves_only_distinct_rows(load, monkeypatch):
             table.reference[vids].tobytes()
 
 
+@pytest.mark.parametrize("kind,n,n_sub", [("quad", 6, 16),
+                                           ("triangle", 8, 12)])
+def test_sweep_solves_the_load_the_assembly_projects(kind, n, n_sub,
+                                                     monkeypatch):
+    # h = 1/96, a spacing that is not a power of two, and a load that
+    # varies from member to member: the load rows the offline sweep
+    # solves are bitwise PatchGroup.load_vectors(f), the loads the coarse
+    # assembly projects on the fields, at each member's free vertices
+    coarse = mesh.build_coarse(kind, n, n)
+    fine = mesh.refine_to_fine(coarse, n_sub)
+    A, f = finefem.periodic_benchmark(1 / 12), finefem.gaussian_rhs()
+    solved = set()
+    real = finefem.RowBlocks.eliminate
+
+    def recorded(self, st, *R):
+        for r in R:
+            free = np.concatenate([r[..., b] for b in self.blocks], axis=-1)
+            solved.update(v.tobytes() for v in free.reshape(-1, free.shape[-1]))
+        real(self, st, *R)
+
+    monkeypatch.setattr(finefem.RowBlocks, "eliminate", recorded)
+    localbasis.compute_all(coarse, fine, A,
+                           mesh.DegreeAssignment.uniform(coarse, 2, 1), f=f)
+    for group in finefem.patch_groups(fine, range(coarse.n_elements)):
+        free = np.setdiff1d(np.arange(group.template.n_vertices),
+                            group.template.boundary_local)
+        loads = group.load_vectors(f)[:, free]
+        assert len({v.tobytes() for v in loads}) == len(loads)
+        assert all(v.tobytes() in solved for v in loads)
+
+
 def test_edge_chains_must_be_translates(A_osc):
     # element 5 lists its edges in another order than its template
     coarse = mesh.build_coarse("quad", 3, 3)
@@ -622,25 +653,18 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
     degrees = mesh.DegreeAssignment.uniform(coarse, 2, 2)
     degrees.M[[0, 3, 4]] = [1, 3, 0]
     _, _, M, bases = requests_of(coarse, degrees)
-    f = finefem.gaussian_rhs()
-    areas, centroids = triangle_cells(finefem.global_geometry(fine))
     for group in finefem.patch_groups(fine, range(coarse.n_elements)):
         Mg = M[group.elements]
         n_b = max(bases[m].dim for m in Mg.tolist() if m)
-        got = localbasis._load_weights(coarse, group, Mg, bases, n_b, f)
-        assert np.array_equal(got[:, :n_b],
-                              loop_load_weights(coarse, group, Mg, bases,
-                                                n_b))
-        tri_ids = member_triangle_ids(group)
-        pts = centroids[tri_ids]
-        fv = f(pts[..., 0], pts[..., 1])
-        assert np.array_equal(got[:, n_b], (areas[tri_ids] * fv / 3.0).T)
+        got = localbasis._load_weights(coarse, group, Mg, bases, n_b)
+        assert np.array_equal(got, loop_load_weights(coarse, group, Mg,
+                                                     bases, n_b))
     runs = []
     for loop in (False, True):
         if loop:
             monkeypatch.setattr(
                 localbasis, "_load_weights",
-                lambda coarse, sub, M, bases, n_b, f, offsets=None:
+                lambda coarse, sub, M, bases, n_b, offsets=None:
                 loop_load_weights(coarse, sub, M, bases, n_b, offsets))
         table = localbasis.compute_all(coarse, fine, A, degrees,
                                        bubbles_only=True)
