@@ -10,10 +10,12 @@ matter of one calibrated constant while trends and localization are exact.
 
 Every term is an array pass over all elements or all interior edges, with
 no loop over either: p_e is a min-reduction over the coarse side tables
-(CoarseMesh.element_edge_ids and edge_element_ids), ||f|| comes from f at
-the fine centroids summed per element, block of cell rows by block, the
-bubble residuals take one bulk-basis evaluation per degree and patch
-shape, and the jumps take one lookup of the fine segments of all edges.
+(CoarseMesh.element_edge_ids and edge_element_ids); f enters through one
+pass per patch group over its members' fine centroids, chunk by chunk,
+which gives every element's ||f||, the H^1 term of its smoothness and its
+bubble residual ||f - sum_i c_i P_i||, with one bulk-basis evaluation per
+degree and chunk; and the jumps take one lookup of the fine segments of
+all edges.
 
 The divergence of the discrete bubble part is evaluated through the
 defining property of the bubble functions (their negative flux divergence
@@ -109,77 +111,57 @@ def _jump_norms(fine: FineMesh, edge_ids, v: finefem.FineFunction,
     return np.sqrt(acc).tolist()
 
 
-def _f_norms(fine: FineMesh, f: finefem.RhsField | None, ell: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """(||f||_{L2(K)}, ||f||_{H^ell(K)}) of every element K, ell in {0, 1}
-    per element (1 needs f.grad): f at the fine centroids of the global
-    lattice, block of cell rows by block (the cache-sized blocks of
-    finefem.load_vector), each triangle's terms added to its element's in
-    the order of the fine mesh, as one bincount over all of them would."""
-    n = fine.coarse.n_elements
+def _load_terms(u_H: globalsolve.CoarseSolution, ell: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(||f||_{L2(K)}, ||f||_{H^ell(K)}, ||f - sum_i c_i P_i||_{L2(K)}) of
+    every element K by fine quadrature, ell in {0, 1} per element (1 needs
+    f.grad) and the c_i the bubble coefficients of K, so the last is
+    ||f|| where M = 0; zero without a load.  One pass per patch group over
+    f at its members' fine centroids (PatchGroup.cells), chunk by chunk:
+    each element's squares add up triangle by triangle in the template's
+    order, which is the order of the fine mesh, and the bulk basis of each
+    degree is evaluated once per chunk, at the reference centroids of the
+    chunk's first member, which every member of the chunk shares."""
+    space, f = u_H.space, u_H.f
+    coarse, fine, M = space.coarse, space.fine, space.degrees.M
+    n = coarse.n_elements
     if f is None:
-        return np.zeros(n), np.zeros(n)
+        return np.zeros(n), np.zeros(n), np.zeros(n)
     bad = (ell != 0) & ((ell != 1) | (f.grad is None))
     if bad.any():
         if ell[np.argmax(bad)] != 1:
             raise ValueError("f smoothness above 1 is not supported")
         raise ValueError("smoothness 1 declared but f has no gradient")
-    geom = finefem.global_geometry(fine)
-    ns = fine.n_sub
-    l2sq, h1sq = np.zeros(n), np.zeros(n)
-    step = finefem.cache_rows(fine.nfx)
-    for lo in range(0, fine.nfy, step):
-        hi = min(lo + step, fine.nfy)
-        area, centroids = geom.cells(lo, hi)
-        x, y = centroids.reshape(-1, 2).T
-        fv = np.asarray(f(x, y), dtype=float)
-        # The element of each fine triangle: that of its coarse cell, for
-        # triangles the upper one where the upper shape's cell mask holds.
-        cy, cx = np.ogrid[lo:hi, :fine.nfx]
-        cell = ((cy // ns) * fine.coarse.nx + cx // ns)[..., None]
-        tags = (np.repeat(cell, 2, axis=-1) if fine.coarse.kind == "quad"
-                else 2 * cell + fine.shape_pattern(1)[2][cy % ns, cx % ns]
-                ).ravel()
-        np.add.at(l2sq, tags, area * fv**2)
-        if ell.any():
-            gx, gy = f.grad(x, y)
-            np.add.at(h1sq, tags, area * (np.asarray(gx)**2
-                                          + np.asarray(gy)**2))
-    f_l2 = np.sqrt(l2sq)
-    if not ell.any():
-        return f_l2, f_l2
-    return f_l2, np.where(ell == 1, np.sqrt(l2sq + h1sq), f_l2)
-
-
-def _bubble_residuals(u_H: globalsolve.CoarseSolution, M: np.ndarray
-                      ) -> np.ndarray:
-    """||f - sum_i c_i P_i||_{L2(K)} by fine quadrature, of every element
-    K with M >= 1 (zero elsewhere), the c_i its bubble coefficients, from
-    f at the fine centroids of each patch window, per bulk degree and patch
-    shape: the bulk basis is evaluated once at the reference centroids of
-    the group's first member, which every member shares, and the squares
-    are summed per element."""
-    coarse, fine, f = u_H.space.coarse, u_H.space.fine, u_H.f
-    dofs = u_H.space.dofs
-    bubble = dofs.kind == localbasis.BUBBLE
-    K, i = dofs.key[bubble].T
-    resid = np.zeros(len(M))
-    for m in sorted(set(M[M >= 1].tolist())):
-        basis = polybasis.BulkPolyBasis(coarse.kind, m)
-        # The bubble coefficients of the elements of degree m, by (K, i).
-        C = np.zeros((len(M), basis.dim))
-        at = M[K] == m
-        C[K[at], i[at] - 1] = u_H.coeffs[bubble][at]
-        for group in finefem.patch_groups(fine, np.flatnonzero(M == m)):
-            K0 = group.elements[0]
-            area, c = group.cells()
-            P = basis.eval_ref((c[0] - coarse.offsets[K0]) @ coarse.Binv[K0].T)
+    bubble = space.dofs.kind == localbasis.BUBBLE
+    K, i = space.dofs.key[bubble].T
+    C = np.zeros((n, i.max(initial=0)))  # the bubble coefficients by (K, i)
+    C[K, i - 1] = u_H.coeffs[bubble]
+    bases = {m: polybasis.BulkPolyBasis(coarse.kind, m)
+             for m in sorted(set(M[M >= 1].tolist()))}
+    l2sq, h1sq, rsq = np.zeros(n), np.zeros(n), np.zeros(n)
+    for group in finefem.patch_groups(fine, np.arange(n)):
+        for _, sub in group.chunks(24 * group.template.n_vertices):
+            E = sub.elements
+            area, c = sub.cells()
             pts = c.reshape(-1, 2)
             fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-            r = fv.reshape(c.shape[:-1]) - C[group.elements] @ P.T
-            resid[group.elements] = np.sqrt(
-                area * np.einsum("et,et->e", r, r))
-    return resid
+            member = np.repeat(np.arange(len(E)), c.shape[1])
+            l2sq[E] = np.bincount(member, area * fv**2, len(E))
+            if ell[E].any():
+                gx, gy = f.grad(pts[:, 0], pts[:, 1])
+                h1sq[E] = np.bincount(member, area * (np.asarray(gx)**2
+                                                      + np.asarray(gy)**2),
+                                      len(E))
+            ref = (c[0] - coarse.offsets[E[0]]) @ coarse.Binv[E[0]].T
+            fv = fv.reshape(c.shape[:-1])
+            for m in sorted(set(M[E].tolist()) & set(bases)):
+                at = M[E] == m
+                P = bases[m].eval_ref(ref)
+                r = fv[at] - C[E[at], :P.shape[1]] @ P.T
+                rsq[E[at]] = area * np.einsum("et,et->e", r, r)
+    f_l2 = np.sqrt(l2sq)
+    return (f_l2, np.where(ell == 1, np.sqrt(l2sq + h1sq), f_l2),
+            np.where(M >= 1, np.sqrt(rsq), f_l2))
 
 
 def global_estimate(u_H: globalsolve.CoarseSolution, eta: float = 0.0,
@@ -194,7 +176,7 @@ def global_estimate(u_H: globalsolve.CoarseSolution, eta: float = 0.0,
     """
     space = u_H.space
     coarse, fine, A = space.coarse, space.fine, space.A
-    f, degrees = u_H.f, space.degrees
+    degrees = space.degrees
     n = coarse.n_elements
     M = degrees.M
     if isinstance(ell, dict):
@@ -210,12 +192,9 @@ def global_estimate(u_H: globalsolve.CoarseSolution, eta: float = 0.0,
     # Residual terms: with bubbles H^2 (H^min(l, M+1) / M^l) r ||f||_{H^l},
     # without H^2 ||f||^2.
     bubbly = M >= 1
-    f_l2, f_sob = _f_norms(fine, f, np.where(bubbly, ell_K, 0))
-    residuals = f_l2.copy()
+    f_l2, f_sob, residuals = _load_terms(u_H, np.where(bubbly, ell_K, 0))
     bubble_terms = H**2 * f_l2**2
     if bubbly.any():
-        if f is not None:
-            residuals[bubbly] = _bubble_residuals(u_H, M)[bubbly]
         Hb, Mb, lb = H[bubbly], M[bubbly], ell_K[bubbly]
         ratio = Hb ** np.minimum(lb, Mb + 1) / Mb.astype(float) ** lb
         bubble_terms[bubbly] = (Hb**2 * ratio * residuals[bubbly]

@@ -584,6 +584,33 @@ def test_estimate_matches_loops(name):
         assert not np.delete(mine, list(ref)).any(), key
 
 
+@pytest.mark.parametrize("kind,n", [("quad", 7), ("triangle", 9)])
+def test_estimate_over_several_chunks_matches_loops(kind, n, monkeypatch):
+    # 49 or 81 members of a shape on patches of 16 x 16 cells: the
+    # estimator's pass over each patch group takes them in more than one
+    # chunk, with mixed bulk degrees and a load that varies, so each chunk
+    # must evaluate the bulk basis at the reference centroids of its own
+    # members
+    sol = solved(kind, n, n, 16, 2, lambda K: 1 + K % 2)
+    chunks = []
+    real = finefem.PatchGroup.chunks
+
+    def counted(self, doubles_per_element):
+        parts = list(real(self, doubles_per_element))
+        chunks.append(len(parts))
+        return iter(parts)
+
+    monkeypatch.setattr(finefem.PatchGroup, "chunks", counted)
+    got = estimator.global_estimate(sol, 0.1, 1)
+    monkeypatch.undo()
+    assert max(chunks) >= 2
+    value, _, dicts = loop_estimate(sol, sol.f, sol.space.degrees, 0.1, 1)
+    assert close(got.value, value)
+    for key in ("element_residuals", "bubble_terms", "element_terms"):
+        ref = dicts[key]
+        assert all(close(getattr(got, key)[K], ref[K]) for K in ref), key
+
+
 def test_estimate_without_load_matches_loops():
     # no load at all: every smoothness declaration is accepted
     sol = solved("quad", 2, 2, 8, 2, 1)
