@@ -227,6 +227,7 @@ class RunConfig:
         if not _integer(ell) or ell < 0:
             raise ConfigError("config.ell: must be a non-negative integer")
         c.ell = ell
+        _check_ell(c.ell, c.M, c.rhs)
         c.strict = d.get("strict", c.strict)
         if not isinstance(c.strict, bool):
             raise ConfigError("config.strict: must be true or false")
@@ -322,6 +323,22 @@ def _rhs_field(spec: dict) -> finefem.RhsField:
         fn = _expression(spec["expr"], "config.rhs.expr")
         return finefem.RhsField(f"expression({spec['expr']})", fn)
     raise ConfigError(f"config.rhs.type: unknown {t!r}")
+
+
+def _check_ell(ell: int, M: int | dict, rhs: dict) -> None:
+    """ConfigError unless the estimator can use the declared smoothness ell
+    of the load rhs with the bulk degrees M: on an element with bubbles it
+    takes 0, or 1 with a load that has a gradient (an expression has
+    none); elsewhere it ignores ell."""
+    if ell == 0 or _column_degree(M) == 0:
+        return
+    if ell > 1:
+        raise ConfigError(f"config.ell: smoothness {ell} of the load is not "
+                          "supported with bubbles (M >= 1); use 0 or 1")
+    if _rhs_field(rhs).grad is None:
+        raise ConfigError("config.ell: smoothness 1 with bubbles (M >= 1) "
+                          "needs a load with a gradient; an expression load "
+                          "has none")
 
 
 def _degrees_of(config: RunConfig, coarse: mesh.CoarseMesh
@@ -505,6 +522,8 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
         lo = 1 if axis == "N" else 0
         if any(not float(v).is_integer() or v < lo for v in values):
             raise ConfigError(f"sweep {axis} values must be integers >= {lo}")
+    if axis == "M":
+        _check_ell(config.ell, int(max(values)), config.rhs)
     if axis == "eps":
         if config.coefficient.get("type") != "periodic_benchmark":
             raise ConfigError("eps sweep needs the periodic_benchmark "

@@ -316,6 +316,65 @@ def test_non_finite_load_ends_every_sweep(axis, values, tmp_path, capsys):
     assert not out.exists()
 
 
+EXPRESSION_LOAD = {"type": "expression", "expr": "-1 - x * y"}
+
+
+@pytest.mark.parametrize("patch,ok", [
+    ({"ell": 2, "M": 1}, False),
+    ({"ell": 3, "M": {"default": 0, "overrides": {"5": 2}}}, False),
+    ({"ell": 1, "M": 1, "rhs": EXPRESSION_LOAD}, False),
+    ({"ell": 1, "M": 1}, True),
+    ({"ell": 1, "M": 1, "rhs": {"type": "gaussian_benchmark"}}, True),
+    ({"ell": 2, "M": 0}, True),
+    ({"ell": 1, "M": 0, "rhs": EXPRESSION_LOAD}, True)],
+    ids=["2-bubbles", "3-override", "1-expression", "1-constant",
+         "1-gaussian", "2-no-bubbles", "1-expression-no-bubbles"])
+def test_ell_the_estimator_cannot_use_exits_2_at_load(tmp_path, capsys,
+                                                      monkeypatch, patch,
+                                                      ok):
+    # where an element has bubbles the estimator takes ell 0, or 1 with a
+    # load that has a gradient; anything else exits 2 before any solve,
+    # not 3 after all of them
+    calls = []
+    monkeypatch.setattr(cli, "run_single",
+                        lambda *args, **kw: calls.append(args))
+    if ok:
+        cli.RunConfig.from_dict(cfg_dict(**patch))
+        return
+    path = write_cfg(tmp_path, **patch)
+    out = tmp_path / "row.csv"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert "config.ell" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("patch", [{"ell": 2},
+                                   {"ell": 1, "rhs": EXPRESSION_LOAD}])
+def test_M_sweep_checks_ell_before_the_first_row(tmp_path, capsys,
+                                                 monkeypatch, patch):
+    # the M = 0 row alone would run; the M = 1 row could not be estimated,
+    # so the sweep exits 2 with no rows, as for any bad value; a sweep
+    # whose values are all 0 runs
+    calls = []
+    real = cli.run_single
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, "run_single", counted)
+    path = write_cfg(tmp_path, N=1, **patch)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", path, "--axis", "M",
+                     "--values", "0,1", "--out", str(out)]) == 2
+    assert "config.ell" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    assert cli.main(["sweep", "--config", path, "--axis", "M",
+                     "--values", "0", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert "nan" not in out.read_text().splitlines()[1]
+
+
 def test_exit_codes(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"
