@@ -15,10 +15,14 @@ value from the lattice spacing (`lattice_cells`).  The coefficient is
 a scalar field, a(x) I, so its stiffness is a 5-point stencil (centre,
 E/W, N/S) on its box, and its P1 loads are box arrays, both summed from
 per-cell arrays in shifted slices (`Stencil.of`, `box_loads`, also for a
-stack of congruent patches): the lower (SW, SE, NE) and upper
-(SW, NE, NW) triangle of a cell have two constant gradient patterns
+stack of congruent patches), every vertex adding its triangles' terms in
+one order (`BY_TRIANGLE`): the lower (SW, SE, NE) and upper (SW, NE, NW)
+triangle of a cell have two constant gradient patterns
 (`cell_gradients`), and a triangle off the geometry a zero coefficient and
-load.  The stencil is the one form of every fine stiffness: `assemble`
+load.  A load f is evaluated at the fine centroids by `load_vector` (one
+geometry, block of cell rows by block) and `PatchGroup.load_vectors`
+(a stack of patches: the loads the offline sweep solves and the coarse
+assembly projects), and, for its norms, by the estimator.  The stencil is the one form of every fine stiffness: `assemble`
 masks the boundary vertices out of it for the iterative solves (the fine
 reference), and `RowBlocks`, the one block layout of K_ff over lattice
 rows, gathers from it the blocks of the direct block-tridiagonal

@@ -27,10 +27,12 @@ window's Gram block a(X_i, X_j) of its solved rows (finefem.patch_grams),
 kept beside the field stack for the coarse assembly.  The bubble loads are
 box arrays from the lattice formula too (finefem.box_loads).  Given the
 problem's load f, the sweep also solves the zero-trace problem with load f
-of every patch, once per distinct load row of a window; glued over the
-mesh, these solves are the bubble part of the fine reference solution (the
-error report's bubble reference), solved beside the field stack in an
-array of their own, so every distinct window is eliminated once per run.
+of every patch, its load the one the coarse assembly projects on the
+fields (finefem.PatchGroup.load_vectors), once per distinct load row of a
+window; glued over the mesh, these solves are the bubble part of the fine
+reference solution (the error report's bubble reference), solved beside
+the field stack in an array of their own, so every distinct window is
+eliminated once per run.
 The sweep's matrices carry a leading window axis, and every window and
 every row is its own LAPACK or BLAS call, so a field comes out bitwise the
 same whatever is solved with it.
@@ -223,7 +225,8 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
     Binv and equal offset of the affine map from the window origin (each a
     translate of the others, its map the translate of theirs): loads[c,
     i] holds the load of P_i of class c at the box positions slots,
-    (classes, n_b, slots), and class[e] the class of member e.  A member's
+    (classes, n_b, slots), the shares of _load_weights summed by
+    finefem.box_loads, and class[e] the class of member e.  A member's
     loads are then those of the template placed at its origin, whatever
     other members are solved with it; they differ from the loads at the
     member's own centroids by rounding only."""

@@ -23,7 +23,9 @@ and the peak after, so a return of what the change removed fails here:
   2.2 since;
 - the error report, 7.9 MB with six energy rows stacked, 3.2 one row at
   a time; the estimator, 4.2 MB with f and the element tags over all fine
-  triangles at once, 2.2 block of cell rows by block;
+  triangles at once, 2.2 block of cell rows by block, and 2.2 since f is
+  one pass per patch group over chunks of 24 n_vertices doubles a member
+  (3.4 with chunks of 8 n_vertices);
 - the whole run, 22.6 MB, then 14.4 with the tensor coefficient, 10.5
   since: at most 12 MB above its start;
 - mesh.refine_to_fine plus finefem.global_geometry, 17.9 MB while the
