@@ -22,12 +22,13 @@ triangle of a cell have two constant gradient patterns
 load.  A load f is evaluated at the fine centroids by `load_vector` (one
 geometry, block of cell rows by block) and `PatchGroup.load_vectors`
 (a stack of patches: the loads the offline sweep solves and the coarse
-assembly projects), and, for its norms, by the estimator.  The stencil is the one form of every fine stiffness: `assemble`
-masks the boundary vertices out of it for the iterative solves (the fine
-reference), and `RowBlocks`, the one block layout of K_ff over lattice
-rows, gathers from it the blocks of the direct block-tridiagonal
-elimination that the offline patch solves in `localbasis` and the coarsest
-multigrid level run, with one coupling between adjacent lattice rows.
+assembly projects), and, for its norms, by the estimator.  The stencil is
+the one form of every fine stiffness: `assemble` masks the boundary
+vertices out of it for the iterative solves (the fine reference), and
+`RowBlocks`, the one block layout of K_ff over lattice rows, gathers from
+it the blocks of the direct block-tridiagonal elimination that the offline
+patch solves in `localbasis` and the coarsest multigrid level run, with
+one coupling between adjacent lattice rows.
 Per triangle a geometry stores only one value, the area-weighted
 coefficient of the last coefficient object it was asked for (keyed by
 identity, never by name), so a run evaluates the coefficient on the fine
@@ -296,8 +297,9 @@ class TriGeometry:
     (rows - 1, columns - 1, 2) holds, all where it is None.  Nothing is
     stored per triangle but the area-weighted coefficient: centroids come
     from the box's coordinate vectors x and y, the one area from the
-    spacing (cells), and a geometry that fills its box, given None for vids and its box
-    positions (the whole fine mesh), keeps no index array either.
+    spacing (cells), and a geometry that fills its box, given None for
+    vids and its box positions (the whole fine mesh), keeps no index array
+    either.
 
     A patch geometry knows the whole-lattice geometry it is cut from
     (root) and the lattice cell of its box's SW corner (corner), so that
