@@ -277,7 +277,7 @@ class RunConfig:
         return None
 
 
-def _coefficient_field(spec: dict) -> finefem.CoefficientField:
+def _coefficient_field(spec: dict) -> finefem.Field:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("config.coefficient: needs a type")
     t = spec["type"]
@@ -301,12 +301,12 @@ def _coefficient_field(spec: dict) -> finefem.CoefficientField:
             raise ConfigError("config.coefficient: need 0 < alpha_min "
                               "<= alpha_max")
         fn = _expression(spec["expr"], "config.coefficient.expr")
-        return finefem.CoefficientField(f"expression({spec['expr']})",
-                                        float(lo), float(hi), fn)
+        return finefem.Field(f"expression({spec['expr']})", fn,
+                             (float(lo), float(hi)))
     raise ConfigError(f"config.coefficient.type: unknown {t!r}")
 
 
-def _rhs_field(spec: dict) -> finefem.RhsField:
+def _rhs_field(spec: dict) -> finefem.Field:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("config.rhs: needs a type")
     t = spec["type"]
@@ -321,7 +321,7 @@ def _rhs_field(spec: dict) -> finefem.RhsField:
     if t == "expression":
         _check_keys(spec, {"type", "expr"}, {"type", "expr"}, "config.rhs")
         fn = _expression(spec["expr"], "config.rhs.expr")
-        return finefem.RhsField(f"expression({spec['expr']})", fn)
+        return finefem.Field(f"expression({spec['expr']})", fn)
     raise ConfigError(f"config.rhs.type: unknown {t!r}")
 
 
@@ -381,8 +381,8 @@ class Problem:
 
     coarse: mesh.CoarseMesh
     fine: mesh.FineMesh
-    A: finefem.CoefficientField
-    f: finefem.RhsField
+    A: finefem.Field
+    f: finefem.Field
     degrees: mesh.DegreeAssignment
     gamma: float
 
@@ -544,8 +544,9 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
     # An H row builds its own meshes, so a ConfigError there (an H that
     # does not tile the domain, an override the new mesh lacks) is the
     # row's; on the other axes the meshes are the config's own.  A load
-    # value that is not finite is never the row's own: every axis evaluates
-    # the load at the same fine centroids, so it ends the sweep.
+    # value that is not finite is never the row's own: every row of every
+    # axis evaluates the load on the same fine lattice, so it ends the
+    # sweep.
     failures = (finefem.SolverDivergenceError, np.linalg.LinAlgError,
                 ValueError) + ((ConfigError,) if axis == "H" else ())
     rows = [CSV_HEADER]

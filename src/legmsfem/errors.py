@@ -42,8 +42,8 @@ class ErrorReport:
     decomposition_residual: float | None = None
 
 
-def reference_solve(fine: FineMesh, A: finefem.CoefficientField,
-                    f: finefem.RhsField, rel_tol: float = 1e-12,
+def reference_solve(fine: FineMesh, A: finefem.Field,
+                    f: finefem.Field, rel_tol: float = 1e-12,
                     eps: float | None = None,
                     strict: bool = False) -> tuple[finefem.FineFunction, float]:
     """Fine solve of the full problem and its energy E*, by
@@ -71,8 +71,8 @@ def relative_from_energies(E_num: float, E_star: float) -> float:
     return float(np.sqrt(max(E_num - E_star, 0.0) / (-E_star)))
 
 
-def bubble_reference(fine: FineMesh, A: finefem.CoefficientField,
-                     f: finefem.RhsField) -> finefem.FineFunction:
+def bubble_reference(fine: FineMesh, A: finefem.Field,
+                     f: finefem.Field) -> finefem.FineFunction:
     """The bubble part of the reference solution: the fine solution with
     every fine vertex of the coarse skeleton held at zero.  The skeleton
     cuts that system into independent element blocks, so it is the

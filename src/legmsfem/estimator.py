@@ -11,11 +11,11 @@ matter of one calibrated constant while trends and localization are exact.
 Every term is an array pass over all elements or all interior edges, with
 no loop over either: p_e is a min-reduction over the coarse side tables
 (CoarseMesh.element_edge_ids and edge_element_ids); f enters through one
-pass per patch group over its members' fine centroids, chunk by chunk,
-which gives every element's ||f||, the H^1 term of its smoothness and its
-bubble residual ||f - sum_i c_i P_i||, with one bulk-basis evaluation per
-degree and chunk; and the jumps take one lookup of the fine segments of
-all edges.
+pass per patch group over its members' windows of the run's one
+evaluation of f, chunk by chunk, which gives every element's ||f||, the
+H^1 term of its smoothness and its bubble residual ||f - sum_i c_i P_i||,
+with one bulk-basis evaluation per degree and chunk; and the jumps take
+one lookup of the fine segments of all edges.
 
 The divergence of the discrete bubble part is evaluated through the
 defining property of the bubble functions (their negative flux divergence
@@ -71,14 +71,14 @@ def _p_values(coarse: CoarseMesh, edge_ids, degrees: DegreeAssignment
 
 
 def jump_norm(fine: FineMesh, edge_id: int, v: finefem.FineFunction,
-              A: finefem.CoefficientField) -> float:
+              A: finefem.Field) -> float:
     """L2 norm over the edge of the normal-flux jump of a fine P1 field;
     ValueError unless v is on the global fine mesh and the edge interior."""
     return _jump_norms(fine, [edge_id], v, A)[0]
 
 
 def _jump_norms(fine: FineMesh, edge_ids, v: finefem.FineFunction,
-                A: finefem.CoefficientField) -> list[float]:
+                A: finefem.Field) -> list[float]:
     """jump_norm for each of edge_ids in one array pass.
 
     Per fine segment the gradient is constant on each side, from the
@@ -117,11 +117,13 @@ def _load_terms(u_H: globalsolve.CoarseSolution, ell: np.ndarray
     every element K by fine quadrature, ell in {0, 1} per element (1 needs
     f.grad) and the c_i the bubble coefficients of K, so the last is
     ||f|| where M = 0; zero without a load.  One pass per patch group over
-    f at its members' fine centroids (PatchGroup.cells), chunk by chunk:
-    each element's squares add up triangle by triangle in the template's
-    order, which is the order of the fine mesh, and the bulk basis of each
-    degree is evaluated once per chunk, at the reference centroids of the
-    chunk's first member, which every member of the chunk shares."""
+    its members' windows of the one evaluation of f (PatchGroup.windows),
+    chunk by chunk: each element's squares add up triangle by triangle in
+    the template's order, which is the order of the fine mesh.  f.grad is
+    evaluated at the chunk's centroids (PatchGroup.cells) where ell = 1
+    asks for it, and the bulk basis of each degree once per chunk, at the
+    reference centroids of the chunk's first member alone, which every
+    member of the chunk shares."""
     space, f = u_H.space, u_H.f
     coarse, fine, M = space.coarse, space.fine, space.degrees.M
     n = coarse.n_elements
@@ -139,21 +141,23 @@ def _load_terms(u_H: globalsolve.CoarseSolution, ell: np.ndarray
     bases = {m: polybasis.BulkPolyBasis(coarse.kind, m)
              for m in sorted(set(M[M >= 1].tolist()))}
     l2sq, h1sq, rsq = np.zeros(n), np.zeros(n), np.zeros(n)
+    area = 0.5 * (fine.hx * fine.hy)
     for group in finefem.patch_groups(fine, np.arange(n)):
+        mask = group.template.mask
         for _, sub in group.chunks(24 * group.template.n_vertices):
             E = sub.elements
-            area, c = sub.cells()
-            pts = c.reshape(-1, 2)
-            fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-            member = np.repeat(np.arange(len(E)), c.shape[1])
-            l2sq[E] = np.bincount(member, area * fv**2, len(E))
+            W = sub.windows(f)
+            fv = W.reshape(len(E), -1) if mask is None else W[:, mask]
+            member = np.repeat(np.arange(len(E)), fv.shape[1])
+            l2sq[E] = np.bincount(member, area * fv.ravel()**2, len(E))
             if ell[E].any():
+                pts = sub.cells()[1].reshape(-1, 2)
                 gx, gy = f.grad(pts[:, 0], pts[:, 1])
                 h1sq[E] = np.bincount(member, area * (np.asarray(gx)**2
                                                       + np.asarray(gy)**2),
                                       len(E))
+            _, c = sub.take(slice(1)).cells()
             ref = (c[0] - coarse.offsets[E[0]]) @ coarse.Binv[E[0]].T
-            fv = fv.reshape(c.shape[:-1])
             for m in sorted(set(M[E].tolist()) & set(bases)):
                 at = M[E] == m
                 P = bases[m].eval_ref(ref)

@@ -19,24 +19,27 @@ stack of congruent patches), every vertex adding its triangles' terms in
 one order (`BY_TRIANGLE`): the lower (SW, SE, NE) and upper (SW, NE, NW)
 triangle of a cell have two constant gradient patterns
 (`cell_gradients`), and a triangle off the geometry a zero coefficient and
-load.  A load f is evaluated at the fine centroids by `load_vector` (one
-geometry, block of cell rows by block) and `PatchGroup.load_vectors`
-(a stack of patches: the loads the offline sweep solves and the coarse
-assembly projects), and, for its norms, by the estimator.  The stencil is
+load.  The coefficient and the load are one kind of `Field`, and a fine
+mesh evaluates each once, at first use (`TriGeometry.held`): on one cell
+for a constant, on the cells of one period for a field whose period spans
+a whole number of cells, else on every cell, in blocks of cell rows.
+Every consumer reads windows of that evaluation, a cell taking the value
+of its lattice cell index modulo its shape, so cells a whole number of
+periods apart carry bitwise equal values: the area-weighted coefficient
+of a geometry and the stencils of a stack of patches, `load_vector` and
+`PatchGroup.load_vectors` (the loads the offline sweep solves and the
+coarse assembly projects), and the estimator's norms of f.  The stencil is
 the one form of every fine stiffness: `assemble` masks the boundary
 vertices out of it for the iterative solves (the fine reference), and
 `RowBlocks`, the one block layout of K_ff over lattice rows, gathers from
 it the blocks of the direct block-tridiagonal elimination that the offline
 patch solves in `localbasis` and the coarsest multigrid level run, with
 one coupling between adjacent lattice rows.
-Per triangle a geometry stores only one value, the area-weighted
-coefficient of the last coefficient object it was asked for (keyed by
-identity, never by name), so a run evaluates the coefficient on the fine
-triangles once and two coefficient fields never share a matrix.  A
-coefficient whose period spans a whole number of fine cells is evaluated
-on the cells of one period only, once per fine mesh, and every geometry
-cut from the mesh tiles that evaluation, so cells a whole number of
-periods apart carry bitwise equal values.  Only numpy is needed.
+Per triangle a geometry stores only the area-weighted coefficient of the
+last coefficient object it was asked for, and the whole-lattice geometry
+the evaluations of the last coefficient and of the last load, one slot
+each, all keyed by identity, never by name, so two fields never share a
+matrix or a load.  Only numpy is needed.
 
 `solve_spd` preconditions CG with one geometric multigrid V-cycle
 (`Multigrid`), both on box arrays that vanish off the free vertices (the
@@ -52,9 +55,9 @@ factor, runs Jacobi-PCG.  The online interface CG stays Jacobi.
 Element patches of one shape are lattice translates of each other, so
 `localbasis` and the coarse assembly work on a whole `PatchGroup` at once:
 each member is the lattice window at its origin, the template's box and
-cell mask serve every member, a member's coefficient is its window of the
-global geometry's, and its centroids are the lattice formula on its
-window.  Members whose windows are bitwise equal (a whole number of
+cell mask serve every member, a member's coefficient and load are its
+windows of their evaluations, and its centroids are the lattice formula on
+its window.  Members whose windows are bitwise equal (a whole number of
 periods apart) have bitwise equal stencils, so the offline sweep
 eliminates one of them for all.
 
@@ -95,42 +98,55 @@ class LoadValueError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# coefficient and right-hand-side fields
+# fields on the fine lattice
 
 @dataclass(frozen=True)
-class CoefficientField:
-    """Scalar diffusion coefficient a(x, y) I, from vectorized fn(x, y),
-    with its period (px, py) in x and y where it has one."""
+class Field:
+    """A scalar field from vectorized fn(x, y): the diffusion coefficient
+    a(x, y) I, with its declared bounds (lo, hi), or a load f, bounds None,
+    with its analytic gradient grad where it has one (the estimator's
+    Sobolev norm of f).  period is (px, py) where the field repeats in x
+    and y, a period 0 where it does not vary along that direction, so a
+    constant has period (0, 0).  A fine mesh evaluates a field once
+    (TriGeometry.held)."""
 
     name: str
-    alpha_min: float
-    alpha_max: float
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bounds: tuple[float, float] | None = None
     period: tuple[float, float] | None = None
+    grad: Callable | None = None
 
-    def at(self, points: np.ndarray) -> np.ndarray:
-        """a at each row of points, shape (n,), a constant fn broadcast.
-        Raises CoefficientBoundsError unless each value is finite and in
-        [alpha_min, alpha_max] (to rounding); NaN and inf fail the
-        comparisons."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        v = np.broadcast_to(np.asarray(self.fn(pts[:, 0], pts[:, 1]),
-                                       dtype=float), len(pts))
-        lo, hi = self.alpha_min, self.alpha_max
-        ok = (v >= lo - 1e-12 * hi) & (v <= hi * (1 + 1e-12))
+    def at(self, points) -> np.ndarray:
+        """The field at the points (..., 2), shape (...,), (1,) for one
+        point, a constant fn broadcast.  Raises CoefficientBoundsError for
+        a coefficient unless each value is finite and in its bounds (to
+        rounding; NaN and inf fail the comparisons), LoadValueError for a
+        load where a value is not finite, naming the first such point."""
+        pts = np.asarray(points, dtype=float)
+        pts = pts[None] if pts.ndim == 1 else pts
+        v = np.broadcast_to(np.asarray(self.fn(pts[..., 0], pts[..., 1]),
+                                       dtype=float), pts.shape[:-1])
+        if self.bounds is None:
+            ok = np.isfinite(v)
+        else:
+            lo, hi = self.bounds
+            ok = (v >= lo - 1e-12 * hi) & (v <= hi * (1 + 1e-12))
         if not ok.all():
-            x, y = pts[np.argmin(ok)]
+            x, y = pts.reshape(-1, 2)[np.argmin(ok)]
+            if self.bounds is None:
+                raise LoadValueError(f"load {self.name} at ({x:.6g}, "
+                                     f"{y:.6g}) is not finite")
             raise CoefficientBoundsError(
                 f"coefficient {self.name} at ({x:.6g}, {y:.6g}) is not "
                 f"finite or leaves its declared bounds [{lo:g}, {hi:g}]")
         return v
 
 
-def identity_field() -> CoefficientField:
-    return CoefficientField("identity", 1.0, 1.0, lambda x, y: np.ones_like(x))
+def identity_field() -> Field:
+    return Field("identity", lambda x, y: 1.0, (1.0, 1.0), (0.0, 0.0))
 
 
-def periodic_benchmark(eps: float) -> CoefficientField:
+def periodic_benchmark(eps: float) -> Field:
     """The oscillating scalar coefficient a(x/eps, y/eps)*I with
     a(x,y) = (2+1.8 sin 2pi x)/(2+1.8 cos 2pi y) + (2+sin 2pi y)/(2+1.8 sin 2pi x).
 
@@ -145,41 +161,17 @@ def periodic_benchmark(eps: float) -> CoefficientField:
         sx = 2 + 1.8 * np.sin(X)
         return sx / (2 + 1.8 * np.cos(Y)) + (2 + np.sin(Y)) / sx
 
-    return CoefficientField(f"periodic_benchmark(eps={eps:.12g})", 1.2, 20.0,
-                            a, (eps, eps))
+    return Field(f"periodic_benchmark(eps={eps:.12g})", a, (1.2, 20.0),
+                 (eps, eps))
 
 
-@dataclass(frozen=True)
-class RhsField:
-    """Scalar right-hand side with an optional analytic gradient (used only
-    for Sobolev norms of f in the estimator)."""
-
-    name: str
-    fn: Callable
-    grad: Callable | None = None
-
-    def __call__(self, x, y) -> np.ndarray:
-        """f at the points (x, y) as floats.  Raises LoadValueError, naming
-        the first such point, where a value is not finite."""
-        v = np.asarray(self.fn(x, y), dtype=float)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            i = np.argmax(bad)
-            px, py = (float(np.broadcast_to(c, v.shape).flat[i])
-                      for c in (x, y))
-            raise LoadValueError(f"load {self.name} at ({px:.6g}, {py:.6g}) "
-                                 "is not finite")
-        return v
-
-
-def constant_rhs(value: float) -> RhsField:
+def constant_rhs(value: float) -> Field:
     v = float(value)
-    return RhsField(f"constant({v:.12g})",
-                    lambda x, y: np.full_like(np.asarray(x, dtype=float), v),
-                    lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
+    return Field(f"constant({v:.12g})", lambda x, y: v, period=(0.0, 0.0),
+                 grad=lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
 
 
-def gaussian_rhs() -> RhsField:
+def gaussian_rhs() -> Field:
     """f(x,y) = -10 exp(-80((x-1/2)^2 + (y-1/2)^2))."""
 
     def f(x, y):
@@ -189,7 +181,7 @@ def gaussian_rhs() -> RhsField:
         v = f(x, y)
         return (-160.0 * (x - 0.5) * v, -160.0 * (y - 0.5) * v)
 
-    return RhsField("gaussian_benchmark", f, g)
+    return Field("gaussian_benchmark", f, grad=g)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +281,22 @@ def lattice_cells(x: np.ndarray, y: np.ndarray,
     return 0.5 * (spacing[0] * spacing[1]), centroids
 
 
+def _window(V: np.ndarray, r, c, rows: int, cols: int) -> np.ndarray:
+    """The values of cells (r + i, c + j), i < rows, j < cols, of the
+    lattice from the cells V (p, q, ...) that repeat over it, entry
+    ((r + i) mod p, (c + j) mod q); r and c are ints or arrays of a
+    leading axis (then (..., rows, cols, ...)), and a view where one int
+    window does not wrap."""
+    p, q = V.shape[:2]
+    r, c = np.mod(r, p), np.mod(c, q)
+    if np.ndim(r) == 0 and r + rows <= p and c + cols <= q:
+        return V[r:r + rows, c:c + cols]
+    i = (np.asarray(r)[..., None] + np.arange(rows)) % p
+    j = (np.asarray(c)[..., None] + np.arange(cols)) % q
+    return np.take(V.reshape(p * q, -1), i[..., :, None] * q + j[..., None, :],
+                   axis=0)
+
+
 class TriGeometry:
     """P1 data for a set of fine triangles: a patch of one coarse element or
     the whole fine mesh.  Vertex indexing is local; vids maps back to global
@@ -343,13 +351,13 @@ class TriGeometry:
             self.x, self.y = np.zeros(cols), np.zeros(rows)
             self.x[slots % cols], self.y[slots // cols] = points.T
         # [coefficient, AW, stencil or None] of the last coefficient asked
-        # for, [load, load vector] of the last load and [coefficient, its
-        # values on one period or None] (period_cells); lists, so a
-        # shallow copy (another fixed set on the same triangles) shares
-        # them.
+        # for, [load, load vector] of the last load, and, on a whole
+        # lattice, [field, values, (rows, columns)] of the last coefficient
+        # and of the last load held (held); lists, so a shallow copy
+        # (another fixed set on the same triangles) shares them.
         self._weights: list = [None, None, None]
         self._load: list = [None, None]
-        self._period: list = [None, None]
+        self._held: list = [[None] * 3, [None] * 3]
 
     @property
     def n_vertices(self) -> int:
@@ -365,13 +373,6 @@ class TriGeometry:
         slots = self._slots
         return self.grid, (np.arange(math.prod(self.grid)) if slots is None
                            else slots)
-
-    def cells(self, lo: int = 0, hi: int | None = None
-              ) -> tuple[float, np.ndarray]:
-        """lattice_cells of the box cell rows lo to hi (exclusive; all by
-        default), the mask not applied."""
-        return lattice_cells(self.x, self.y[lo:None if hi is None else hi + 1],
-                             self.spacing)
 
     def on_mask(self, C: np.ndarray) -> np.ndarray:
         """Per-cell values C (box cells, 2, ...) of all box cells on the
@@ -390,58 +391,68 @@ class TriGeometry:
         out[..., self.mask.ravel()] = V
         return out
 
-    def period_cells(self, A: CoefficientField) -> np.ndarray | None:
-        """A at the centroids of the cells of one period at the lattice
-        origin, (p_y, p_x, 2), in one call, where A has a period that spans
-        a whole number p of cells in each direction (to 1e-12 relative) and
-        fits in the lattice; else None.  Kept on the whole-lattice
-        geometry, under the same identity key as area_weighted, for every
-        geometry cut from it."""
+    def held(self, F: Field) -> np.ndarray:
+        """F at the centroids of the cells at the origin of the whole
+        lattice this geometry is cut from (root), (rows, columns, 2), lower
+        triangle first: one cell where F is a constant, the cells of one
+        period where each period of F is 0 or spans a whole number of cells
+        (to 1e-12 relative) that fits in the lattice, else every cell of
+        it, evaluated in blocks of cell rows.  Evaluated at first use and
+        kept on the root, the values flat as one per triangle, keyed by
+        identity, never by name, in one slot for a coefficient and one for
+        a load, so two fields never share values and A and f do not evict
+        each other.  Lattice cell (i, j) takes entry (i mod rows, j mod
+        columns) (window), so cells a whole number of periods apart carry
+        bitwise equal values."""
         root = self._root or self
-        if root._period[0] is not A:
-            root._period[:] = [A, None]
-            if A.period is not None and root.lattice is not None:
-                counts = [round(p / h) for p, h in zip(A.period,
-                                                       root.spacing)]
-                if all(1 <= c <= n and abs(p / h - c) <= 1e-12 * c
-                       for p, h, c, n in zip(A.period, root.spacing,
-                                             counts, root.lattice)):
-                    px, py = counts
-                    _, centroids = lattice_cells(root.x[:px + 1],
-                                                 root.y[:py + 1],
-                                                 root.spacing)
-                    root._period[1] = A.at(
-                        centroids.reshape(-1, 2)).reshape(py, px, 2)
-        return root._period[1]
+        slot = root._held[F.bounds is None]
+        if slot[0] is not F:
+            slot[:] = [None] * 3
+            n = (root.grid[1] - 1, root.grid[0] - 1)
+            counts = n
+            if F.period is not None:
+                c = [1 if p == 0 else round(p / h)
+                     for p, h in zip(F.period, root.spacing)]
+                if all(p == 0 or (1 <= k <= m and abs(p / h - k) <= 1e-12 * k)
+                       for p, h, k, m in zip(F.period, root.spacing, c, n)):
+                    counts = c
+            cols, rows = counts
+            V = np.empty((rows, cols, 2))
+            step = cache_rows(cols)
+            for lo in range(0, rows, step):
+                hi = min(lo + step, rows)
+                _, centroids = lattice_cells(root.x[:cols + 1],
+                                             root.y[lo:hi + 1], root.spacing)
+                V[lo:hi] = F.at(centroids.reshape(-1, 2)).reshape(
+                    centroids.shape[:-1])
+            slot[:] = [F, V.reshape(-1), (rows, cols)]
+        return slot[1].reshape(slot[2] + (2,))
 
-    def area_weighted(self, A: CoefficientField) -> np.ndarray:
+    def window(self, F: Field, lo: int = 0, hi: int | None = None
+               ) -> np.ndarray:
+        """F on the box cells of cell rows lo to hi (exclusive; all by
+        default), (rows, columns, 2), the mask not applied: the values held
+        for F (held) at each cell's lattice cell index modulo their shape,
+        a view where no index wraps."""
+        r, c = self.corner
+        rows = (self.grid[0] - 1 if hi is None else hi) - lo
+        return _window(self.held(F), r + lo, c, rows, self.grid[1] - 1)
+
+    def area_weighted(self, A: Field) -> np.ndarray:
         """Per-triangle area times the coefficient at the centroid, shape
-        (nt,), evaluated once per coefficient object: kept until another
+        (nt,), formed once per coefficient object from the geometry's
+        window of the one evaluation of A (held): kept until another
         coefficient replaces it, the key comparing the coefficient by
         identity, never by name, so two coefficient fields never share a
-        matrix.  A periodic coefficient is evaluated once per fine mesh
-        (period_cells), each cell taking the value of its lattice cell
-        index modulo the period, so cells a whole number of periods apart
-        carry bitwise equal values; any other in one call at all
-        centroids.  The area is the lattice's one value (lattice_cells)
-        either way."""
+        matrix.  The area is the lattice's one value (lattice_cells)."""
         if self._weights[0] is not A:
             self._weights[:] = [None, None, None]
-            tile = self.period_cells(A)
-            if tile is None:
-                _, centroids = self.cells()
-                a = A.at(self.on_mask(centroids))
-                del centroids
-            else:
-                (rows, cols), (r, c) = self.grid, self.corner
-                a = self.on_mask(tile[
-                    (r + np.arange(rows - 1))[:, None] % tile.shape[0],
-                    (c + np.arange(cols - 1)) % tile.shape[1]])
             hx, hy = self.spacing
-            self._weights[:] = [A, 0.5 * (hx * hy) * a, None]
+            self._weights[:] = [A, 0.5 * (hx * hy) * self.on_mask(
+                self.window(A)), None]
         return self._weights[1]
 
-    def stencil(self, A: CoefficientField) -> Stencil:
+    def stencil(self, A: Field) -> Stencil:
         """The Stencil of the full stiffness of A (no vertex fixed), kept
         next to area_weighted(A) under the same key, so assembly and every
         energy product of one coefficient share one stencil."""
@@ -653,10 +664,10 @@ class PatchGroup:
     the fine lattice window at its origin, and the template, whose local
     vertices, boundary and cell mask serve every member, is the shape's
     patch at origin 0, so a member's fine vertex ids are template.vids +
-    its origin.  A member's per-cell data is its window of the global
-    geometry's (windows), its centroids the lattice formula on its window
-    of the global coordinate vectors (cells), bitwise what its own patch
-    geometry holds."""
+    its origin.  A member's field values are its window of their
+    evaluation on the fine mesh (windows), its centroids the lattice
+    formula on its window of the global coordinate vectors (cells),
+    bitwise what its own patch geometry reads."""
 
     fine: object
     template: TriGeometry
@@ -680,18 +691,39 @@ class PatchGroup:
         """The lattice row and column of every member's SW window corner."""
         return np.divmod(self.origins, self.fine.nfx + 1)
 
-    def windows(self, V: np.ndarray) -> np.ndarray:
-        """Per-triangle values V (nt,) of the global geometry on the box
-        cells of every member, (E, n_sub, n_sub, 2), zero on the triangles
-        off the template's mask: each member's window, the block of its
-        coarse cell in the per-cell layout of V, copied once."""
-        fine, ns = self.fine, self.fine.n_sub
-        blocks = V.reshape(fine.coarse.ny, ns, fine.coarse.nx, ns, 2)
+    def _positions(self, F: Field) -> tuple[np.ndarray, np.ndarray]:
+        """first_of_each of the position of every member's corner in the
+        values held for F (TriGeometry.held), its cell index modulo their
+        shape: members at one position have bitwise equal windows."""
+        V = global_geometry(self.fine).held(F)
         row, col = self._corners()
-        W = blocks[row // ns, :, col // ns]
+        return first_of_each(row % V.shape[0] * V.shape[1] + col % V.shape[1])
+
+    def windows(self, F: Field) -> np.ndarray:
+        """F on the box cells of every member, (E, n_sub, n_sub, 2), zero
+        on the triangles off the template's mask: each member's window of
+        the one evaluation of F (TriGeometry.held), copied once."""
+        row, col = self._corners()
+        ns = self.fine.n_sub
+        W = _window(global_geometry(self.fine).held(F), row, col, ns, ns)
         if self.template.mask is not None:
-            W[:, ~self.template.mask] = 0.0
+            np.copyto(W, 0.0, where=~self.template.mask)
         return W
+
+    def window_ids(self, F: Field, step: int) -> np.ndarray:
+        """The distinct window of F of each member, numbered from 0:
+        members whose windows (windows) are bitwise equal share one.
+        Members at one position of the values held for F share it without
+        a comparison; one member of each position is keyed by the bytes of
+        its window, chunk by chunk (chunks(step)), so two fields never
+        share a window."""
+        first, inverse = self._positions(F)
+        seen: dict[bytes, int] = {}
+        wid = np.empty(len(first), dtype=int)
+        for sl, sub in self.take(first).chunks(step):
+            wid[sl] = [seen.setdefault(w.tobytes(), len(seen))
+                       for w in sub.windows(F)]
+        return wid[inverse]
 
     def cells(self) -> tuple[float, np.ndarray]:
         """(area, centroids) of the triangles of every member, the centroids
@@ -708,21 +740,34 @@ class PatchGroup:
             return area, centroids.reshape(len(centroids), -1, 2)
         return area, centroids[:, mask]
 
-    def stencil(self, A: CoefficientField) -> Stencil:
+    def stencil(self, A: Field) -> Stencil:
         """The stencils of A on every member, coef (E, 3, box positions),
-        from the windows of the global geometry's area-weighted
-        coefficient (Stencil.of_cells)."""
-        AW = global_geometry(self.fine).area_weighted(A)
-        W = self.windows(AW).reshape(len(self.elements), -1)
+        from the area-weighted windows of A (Stencil.of_cells)."""
+        hx, hy = self.template.spacing
+        W = 0.5 * (hx * hy) * self.windows(A).reshape(len(self.elements), -1)
         return Stencil.of_cells(self.template.grid, W, self.template.spacing)
 
-    def load_vectors(self, f) -> np.ndarray:
-        """P1 load vector of f on every member, (E, n), as load_vector."""
-        area, centroids = self.cells()
-        pts = centroids.reshape(-1, 2)
-        fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-        return self.template.from_box(box_loads(
-            self.template, area * fv.reshape(centroids.shape[:-1]) / 3.0))
+    def load_vectors(self, f: Field) -> np.ndarray:
+        """P1 load vector of f on every member, (E, n), as load_vector, from
+        its window of f (windows), formed once for the members at one
+        position of the values held for f."""
+        first, inverse = self._positions(f)
+        t = self.template
+        hx, hy = t.spacing
+        shares = 0.5 * (hx * hy) * self.take(first).windows(f) / 3.0
+        out = _add_shares(np.zeros((len(first),) + t.grid), shares)
+        return t.from_box(out.reshape(len(first), -1))[inverse]
+
+
+def first_of_each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of nonnegative integer keys: the position of the
+    first item of each distinct key, keys ascending, and the number of
+    each item's key among them."""
+    order = np.argsort(keys, kind="stable")
+    new = np.diff(keys[order], prepend=-1) != 0
+    inverse = np.empty(len(keys), dtype=int)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def patch_groups(fine, elem_ids) -> list[PatchGroup]:
@@ -771,26 +816,22 @@ def load_vector(geom: TriGeometry, f) -> np.ndarray:
     read-only.  geom keeps the vector of the last load object it was asked
     for, compared by identity like the coefficient, so the assembly of a
     fine system and the energies of its solution make one triangle pass.
-    The pass runs over blocks of cell rows, f evaluated once at the
-    centroids of each, and each block adds its shares to its vertex rows
-    (box_loads), the blocks in ascending order: every vertex adds its
-    shares in BY_TRIANGLE order, as box_loads over the whole box."""
+    The pass runs over blocks of cell rows of the geometry's window of the
+    one evaluation of f (held), and each block adds its shares to its
+    vertex rows (box_loads), the blocks in ascending order: every vertex
+    adds its shares in BY_TRIANGLE order, as box_loads over the whole
+    box."""
     if geom._load[0] is not f:
         geom._load[:] = [None, None]
         rows, cols = geom.grid
+        area = 0.5 * (geom.spacing[0] * geom.spacing[1])
         out = np.zeros((rows, cols))
         step = cache_rows(cols - 1)
         for lo in range(0, rows - 1, step):
             hi = min(lo + step, rows - 1)
-            area, centroids = geom.cells(lo, hi)
-            m = None if geom.mask is None else geom.mask[lo:hi]
-            pts = centroids.reshape(-1, 2) if m is None else centroids[m]
-            fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
-            if m is None:
-                shares = area * fv.reshape(centroids.shape[:-1]) / 3.0
-            else:
-                shares = np.zeros(m.shape)
-                shares[m] = area * fv / 3.0
+            shares = area * geom.window(f, lo, hi) / 3.0
+            if geom.mask is not None:
+                shares = np.where(geom.mask[lo:hi], shares, 0.0)
             _add_shares(out[lo:hi + 1], shares)
         b = geom.from_box(out.ravel())
         b.flags.writeable = False
@@ -798,7 +839,7 @@ def load_vector(geom: TriGeometry, f) -> np.ndarray:
     return geom._load[1]
 
 
-def assemble(geom: TriGeometry, A: CoefficientField, f=None
+def assemble(geom: TriGeometry, A: Field, f=None
              ) -> SparseSpdSystem:
     """Assemble the system on a patch or the global mesh with zero values
     at geom.boundary_local.  The stencil is geom.stencil, so a second
@@ -1289,7 +1330,7 @@ def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray,
     return M if W is not None else 0.5 * (M + M.transpose(0, 2, 1))
 
 
-def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
+def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: Field,
                         diagonal: bool = False) -> np.ndarray:
     """Gram matrix a(V_i, V_j) = V_i^T K V_j of nodal-value rows over one
     geometry, with the stencil K = geom.stencil(A) that assembly shares,
@@ -1313,7 +1354,7 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: CoefficientField,
     return 0.5 * (M + M.T)
 
 
-def energy(v: FineFunction, A: CoefficientField, f=None) -> float:
+def energy(v: FineFunction, A: Field, f=None) -> float:
     """E(v) = 1/2 a(v,v) - integral of f v, same quadrature and stencil as
     assemble, every sum in a fixed order (dot)."""
     e = 0.5 * float(energy_inner_matrix(v.values[None, :], v.geom, A,

@@ -42,10 +42,10 @@ class EnrichedSpace:
 
     coarse: CoarseMesh
     fine: FineMesh
-    A: finefem.CoefficientField
+    A: finefem.Field
     degrees: DegreeAssignment
     dofs: localbasis.DofTable
-    f: finefem.RhsField | None = None
+    f: finefem.Field | None = None
 
     @cached_property
     def bubble_reference(self) -> finefem.FineFunction | None:
@@ -209,10 +209,10 @@ def expected_dof_count(coarse: CoarseMesh, degrees: DegreeAssignment,
     return n_if, n_b
 
 
-def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
+def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
                 degrees: DegreeAssignment,
                 interface_from: EnrichedSpace | None = None,
-                f: finefem.RhsField | None = None) -> EnrichedSpace:
+                f: finefem.Field | None = None) -> EnrichedSpace:
     """Run the offline solves and build the DOF table.
 
     interface_from reuses the interface part of an existing space built on
@@ -313,7 +313,7 @@ class CoarseSystems:
     """Assembled decoupled systems plus the data needed to solve them."""
 
     space: EnrichedSpace
-    f: finefem.RhsField | None
+    f: finefem.Field | None
     interface_K: InterfaceOperator
     interface_rhs: np.ndarray
     bubble_blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -321,7 +321,7 @@ class CoarseSystems:
 
 
 def _project_load(group: finefem.PatchGroup, iface: _Fields, bub: _Fields,
-                  f: finefem.RhsField, out: np.ndarray) -> None:
+                  f: finefem.Field, out: np.ndarray) -> None:
     """The load vector of f on each member of group times each of its
     interface, then bubble fields, into out (E, d), zero at padding.
 
@@ -329,7 +329,8 @@ def _project_load(group: finefem.PatchGroup, iface: _Fields, bub: _Fields,
     share one (d, n) block of them, gathered once: the members are taken
     by how many share their rows, then by rows, so the members of a chunk
     of such blocks, each of equally many members, are one block of them,
-    with their loads (PatchGroup.load_vectors).  Each member's products
+    with their loads (PatchGroup.load_vectors, formed once for the
+    members at one position of the evaluation of f).  Each member's products
     are one matrix-vector product of its block with its load, as for a
     copy of its own fields, so they do not depend on which members share
     a block."""
@@ -359,8 +360,8 @@ def _project_load(group: finefem.PatchGroup, iface: _Fields, bub: _Fields,
             a += k * c
 
 
-def assemble_coarse(space: EnrichedSpace, A: finefem.CoefficientField,
-                    f: finefem.RhsField | None, with_cross: bool = False
+def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
+                    f: finefem.Field | None, with_cross: bool = False
                     ) -> CoarseSystems:
     """Galerkin assembly in the enriched space, batched over patches of one
     shape.
@@ -423,7 +424,7 @@ class CoarseSolution:
     """Coefficients of the discrete solution in DOF order."""
 
     space: EnrichedSpace
-    f: finefem.RhsField | None
+    f: finefem.Field | None
     coeffs: np.ndarray
     cg_iters: int
 

@@ -13,26 +13,27 @@ coefficient windows are bitwise equal (a periodic coefficient, H a whole
 number of periods) share one system.  Within a window, requests with equal
 right-hand sides share one row: a trace by its row of the template's trace
 table, a bubble load by its class of affine maps (the loads of a class are
-formed once, on the template), a load f by its bytes, so each distinct
-local problem is formed, solved and stored once, and the DOF table points
-every patch that poses it at that row.  One direct block-tridiagonal sweep
-over the template's fine-lattice rows solves a chunk of windows with
-equally many distinct rows in place in the field stack (a P1 stiffness on
-the structured lattice couples only adjacent rows).  The sweep's blocks
-come from the stencils of the chunk, formed by the lattice formula in one
-pass (finefem.PatchGroup.stencil), through the template's
-finefem.RowBlocks, the block layout the coarsest multigrid level uses too;
-the same stencils give a trace row's right-hand side -K X and then each
+formed once, on the template), a load f by its window of f, told apart as
+the coefficient's windows are (finefem.PatchGroup.window_ids), so each
+distinct local problem is formed, solved and stored once, and the DOF
+table points every patch that poses it at that row.  One direct
+block-tridiagonal sweep over the template's fine-lattice rows solves a
+chunk of windows with equally many distinct rows in place in the field
+stack (a P1 stiffness on the structured lattice couples only adjacent
+rows).  The sweep's blocks come from the stencils of the chunk, formed by
+the lattice formula in one pass (finefem.PatchGroup.stencil), through the
+template's finefem.RowBlocks, the block layout the coarsest multigrid
+level uses too; the same stencils give a trace row's right-hand side -K X and then each
 window's Gram block a(X_i, X_j) of its solved rows (finefem.patch_grams),
 kept beside the field stack for the coarse assembly.  The bubble loads are
 box arrays from the lattice formula too (finefem.box_loads).  Given the
 problem's load f, the sweep also solves the zero-trace problem with load f
 of every patch, its load the one the coarse assembly projects on the
-fields (finefem.PatchGroup.load_vectors), once per distinct load row of a
-window; glued over the mesh, these solves are the bubble part of the fine
-reference solution (the error report's bubble reference), solved beside
-the field stack in an array of their own, so every distinct window is
-eliminated once per run.
+fields (finefem.PatchGroup.load_vectors), once per distinct pair of
+coefficient window and f window; glued over the mesh, these solves are the
+bubble part of the fine reference solution (the error report's bubble
+reference), solved beside the field stack in an array of their own, so
+every distinct window is eliminated once per run.
 The sweep's matrices carry a leading window axis, and every window and
 every row is its own LAPACK or BLAS call, so a field comes out bitwise the
 same whatever is solved with it.
@@ -235,7 +236,7 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
     keys = np.column_stack([M, coarse.Binv[group.elements].reshape(E, -1)
                             .view(np.int64), local.view(np.int64)])
     cls = _row_classes(keys)
-    reps, _ = _first_of_each(cls)
+    reps, _ = finefem.first_of_each(cls)
     t = group.template
     at_origin = finefem.PatchGroup(fine, t, group.elements[reps],
                                    np.zeros(len(reps), dtype=int))
@@ -250,32 +251,6 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
     return cls, loads
 
 
-def _distinct_windows(group: finefem.PatchGroup, AW: np.ndarray,
-                      step: int) -> np.ndarray:
-    """The distinct window of each member of group, numbered in order of
-    first appearance: members whose windows of the global area-weighted
-    coefficient AW (PatchGroup.windows) are bitwise equal share one.  The
-    bytes of each window are the key, so two coefficients never share a
-    window, taken chunk by chunk (chunks(step))."""
-    seen: dict[bytes, int] = {}
-    wid = np.empty(len(group.elements), dtype=int)
-    for sl, sub in group.chunks(step):
-        wid[sl] = [seen.setdefault(w.tobytes(), len(seen))
-                   for w in sub.windows(AW)]
-    return wid
-
-
-def _first_of_each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of nonnegative integer keys: the position of the
-    first item of each distinct key, keys ascending, and the number of
-    each item's key among them."""
-    order = np.argsort(keys, kind="stable")
-    new = np.diff(keys[order], prepend=-1) != 0
-    inverse = np.empty(len(keys), dtype=int)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
 def _row_classes(keys: np.ndarray) -> np.ndarray:
     """The class of each row of an integer array (items, k), numbered from
     0: equal rows share one."""
@@ -287,27 +262,10 @@ def _row_classes(keys: np.ndarray) -> np.ndarray:
     return cls
 
 
-def _load_keys(R: np.ndarray, wid: np.ndarray, shared: np.ndarray,
-               seen: dict, store: list) -> list:
-    """The number of each load row R[j] (rows, free vertices), of a member
-    of window wid[j], among the distinct load rows store, appending a copy
-    of each new one: a row of a window that several members share
-    (shared[j]) is keyed by its window and its bytes in seen, any other
-    row is new."""
-    keys = []
-    for j, (w, s) in enumerate(zip(wid.tolist(), shared.tolist())):
-        k = (seen.setdefault((w, R[j].tobytes()), len(store)) if s
-             else len(store))
-        if k == len(store):
-            store.append(R[j].copy())
-        keys.append(k)
-    return keys
-
-
 def _group_fields(coarse: CoarseMesh, fine: FineMesh,
-                  A: finefem.CoefficientField, group: finefem.PatchGroup,
+                  A: finefem.Field, group: finefem.PatchGroup,
                   codes: np.ndarray, stride: int, M: np.ndarray,
-                  bases: dict, f: finefem.RhsField | None = None
+                  bases: dict, f: finefem.Field | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                              np.ndarray | None, np.ndarray | None]:
     """The requested fields on the patches of one group, each distinct
@@ -322,11 +280,11 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     _trace_table; -1 for none), zero on the rest of the boundary, then for
     the zero-trace solve with load P_i for each P_i of its bulk basis
     bases[M[e]] (none for M[e] = 0).  Members whose coefficient windows are
-    bitwise equal (_distinct_windows) share one system, and the requests
-    of the members of one window share one row where their right-hand
-    sides are equal: a trace by its table row, a bubble load by its class
-    (_bubble_loads, formed once per class on the template), an f load by
-    its bytes (a window of one member skips that keying).  The stack lists
+    bitwise equal (PatchGroup.window_ids) share one system, and the
+    requests of the members of one window share one row where their
+    right-hand sides are equal: a trace by its table row, a bubble load by
+    its class (_bubble_loads, formed once per class on the template), an f
+    load by its window of f, told apart the same way.  The stack lists
     the windows by their counts of trace, load and f rows, then by window,
     each window's distinct rows traces first, by table row; a chunk of
     windows of equal counts is one block of it, solved in place by one
@@ -352,16 +310,12 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     slots = t.box[1][free]
     blocks = finefem.RowBlocks(slots, t.grid, free)
     box = math.prod(t.grid)
-    wid = _distinct_windows(
-        group, finefem.global_geometry(fine).area_weighted(A),
-        max(2 * box, blocks.size))
-    rep, _ = _first_of_each(wid)
+    wid = group.window_ids(A, max(2 * box, blocks.size))
+    rep, _ = finefem.first_of_each(wid)
     W = len(rep)
-    shared = np.bincount(wid)[wid] > 1
     table, tix = _trace_table(coarse, fine, group, codes, stride)
     # The key of each request of each member: the table row of a trace,
-    # then len(table) + class * n_b + i for load P_i of its bubble class;
-    # and the number of each member's f load among the distinct ones.
+    # then len(table) + class * n_b + i for load P_i of its bubble class.
     key = np.full((E, n_tr + n_b), -1)
     key[:, :n_tr] = np.where(codes >= 0, tix, -1)
     loads = np.zeros((0, n_b, len(free)))
@@ -372,23 +326,16 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     loads = loads.reshape(len(loads) * n_b, len(free))
     fw = np.zeros(0, dtype=int)
     if f is not None:
-        f_loads: list = []
-        f_key = np.zeros(E, dtype=int)
-        seen: dict = {}
-        # Per member: the centroids, load values and shares of its
-        # triangles, and its box load: the load the coarse assembly
-        # projects on the member's fields.
-        for sl, sub in group.chunks(16 * box):
-            f_key[sl] = _load_keys(sub.load_vectors(f)[:, free], wid[sl],
-                                   shared[sl], seen, f_loads)
-        f_first, f_inverse = _first_of_each(wid * len(f_loads) + f_key)
+        # A member's f load is that of its (coefficient window, f window).
+        fid = group.window_ids(f, 2 * box)
+        f_first, f_inverse = finefem.first_of_each(wid * E + fid)
         fw = wid[f_first]
     # The distinct (window, key) pairs, window by window, and their counts
     # in each window: traces, loads, f loads.
     n_key = len(table) + len(loads)
     asked = key >= 0
     pair = (wid[:, None] * n_key + key)[asked]
-    first, inverse = _first_of_each(pair)
+    first, inverse = finefem.first_of_each(pair)
     pw, pk = np.divmod(pair[first], n_key)
     counts = np.array([np.bincount(pw[pk < len(table)], minlength=W),
                        np.bincount(pw[pk >= len(table)], minlength=W),
@@ -419,11 +366,14 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     L = f_row = None
     if f is not None:
         f_start, f_local = placed(fw, counts[2])
-        f_row = (f_start[fw] + f_local)[f_inverse]
+        at = f_start[fw] + f_local
+        f_row = at[f_inverse]
         L = np.zeros((len(fw), n))
         f_rows = np.empty((len(fw), len(free)))
-        f_rows[f_start[fw] + f_local] = [f_loads[q] for q in
-                                         f_key[f_first].tolist()]
+        # Per pair: the load of its first member's window of f, the load
+        # the coarse assembly projects on the member's fields.
+        for sl, sub in group.take(f_first).chunks(16 * box):
+            f_rows[at[sl]] = sub.load_vectors(f)[:, free]
     windows = group.take(rep[worder])
     runs = np.flatnonzero((np.diff(counts[:, worder], axis=1, prepend=-1,
                                    append=-1) != 0).any(axis=0)).tolist()
@@ -463,9 +413,9 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
 
 
 def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
-                  A: finefem.CoefficientField, elements: np.ndarray,
+                  A: finefem.Field, elements: np.ndarray,
                   codes: np.ndarray, stride: int, M: np.ndarray,
-                  bases: dict, f: finefem.RhsField | None = None
+                  bases: dict, f: finefem.Field | None = None
                   ) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray,
                              np.ndarray | None]:
     """The stacks and Gram blocks of _group_fields for the given elements,
@@ -503,9 +453,9 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
     return stacks, grams, stack, row, gram, glued
 
 
-def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.CoefficientField,
+def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
                 degrees: DegreeAssignment, bubbles_only: bool = False,
-                f: finefem.RhsField | None = None,
+                f: finefem.Field | None = None,
                 support_of: tuple[int, int, int] | None = None) -> DofTable:
     """The DOF table of the enrichment (see DofTable for its order), with
     the offline solves of its fields.

@@ -122,7 +122,7 @@ def space_fields(space, dof) -> dict:
 def triangle_cells(geom) -> tuple[np.ndarray, np.ndarray]:
     """(areas, centroids) of the triangles of geom, (nt,) and (nt, 2),
     formed from its lattice cells: the one area of the lattice at each."""
-    area, centroids = geom.cells()
+    area, centroids = finefem.lattice_cells(geom.x, geom.y, geom.spacing)
     centroids = geom.on_mask(centroids)
     return np.full(len(centroids), area), centroids
 
@@ -200,7 +200,7 @@ def bubble_residual(fine, elem_id, f, coeffs, basis) -> float:
     reference."""
     geom = finefem.element_geometry(fine, elem_id)
     w, pts = triangle_cells(geom)
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+    fv = f.at(pts)
     if basis is not None and len(coeffs):
         fv = fv - (basis.eval_ref(to_ref(fine.coarse, elem_id, pts))
                    @ np.asarray(coeffs))
@@ -236,7 +236,7 @@ def contrast_field():
         even = (np.floor(5 * x) + np.floor(3 * y)) % 2 == 0
         return np.where(even, 100.0, 1.0)
 
-    return finefem.CoefficientField("contrast", 1.0, 100.0, fn)
+    return finefem.Field("contrast", fn, (1.0, 100.0))
 
 
 def tensor(w) -> np.ndarray:
@@ -513,7 +513,7 @@ def reference_load_vector(geom, f) -> np.ndarray:
     """P1 load vector of f by the centroid rule, scattered from the
     triangles in triangle order (scatter)."""
     areas, centroids = triangle_cells(geom)
-    fv = np.asarray(f(centroids[:, 0], centroids[:, 1]), dtype=float)
+    fv = f.at(centroids)
     return scatter(local_triangles(geom), (areas * fv / 3.0)[None],
                    geom.n_vertices)[0]
 
@@ -632,7 +632,7 @@ def l2_project_element(f, coarse, elem_id, geom, M: int,
     basis = polybasis.BulkPolyBasis(coarse.kind, M)
     pts, w = quad_points(geom, quad_order)
     P = basis.eval_ref(to_ref(coarse, elem_id, pts))
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+    fv = f.at(pts)
     G = P.T @ (w[:, None] * P)
     b = P.T @ (w * fv)
     try:

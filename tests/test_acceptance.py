@@ -328,7 +328,7 @@ def test_criterion_10_projection_and_quadrature_kernel():
     D = np.diag([2.0 / (2 * k + 1) for k in range(9)])
     assert np.abs(G - D).max() < 1e-12
 
-    f = lambda x, y: np.sin(2 * np.pi * x)
+    f = finefem.Field("sin(2 pi x)", lambda x, y: np.sin(2 * np.pi * x))
     ratios = []
     for M in (0, 1, 2):
         errs = []
@@ -341,7 +341,7 @@ def test_criterion_10_projection_and_quadrature_kernel():
                 c, basis = l2_project_element(f, coarse, K, geom, M,
                                               quad_order=3)
                 pts, wts = quad_points(geom, 3)
-                resid = f(pts[:, 0], pts[:, 1]) \
+                resid = f.at(pts) \
                     - basis.eval_ref(to_ref(coarse, K, pts)) @ c
                 total += float(wts @ resid**2)
             errs.append(math.sqrt(total))

@@ -112,7 +112,7 @@ def loop_f_norms(fine, K, f, ell):
     if f is None:
         return 0.0, 0.0
     w, pts = triangle_cells(finefem.element_geometry(fine, K))
-    fv = np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+    fv = f.at(pts)
     l2sq = float(w @ fv**2)
     if ell == 0:
         return math.sqrt(l2sq), math.sqrt(l2sq)

@@ -127,7 +127,7 @@ def test_expression_fields():
     pts = np.array([[0.2, 0.7]])
     got = problem.A.at(pts)[0]
     assert abs(got - (1 + 0.5 * math.sin(0.2) * math.sin(0.7))) < 1e-15
-    assert abs(problem.f(0.2, 0.7) - math.exp(-0.14)) < 1e-15
+    assert abs(problem.f.at(pts)[0] - math.exp(-0.14)) < 1e-15
 
 
 def test_expression_rejects_unknown_names():
@@ -296,7 +296,7 @@ def test_non_finite_load_exits_2_naming_a_point(tmp_path, capsys):
     f = cli._rhs_field({"type": "expression", "expr": "1 / (x - y)"})
     with pytest.raises(finefem.LoadValueError, match=r"at \(0.5, 0.5\)"), \
             np.errstate(divide="ignore"):
-        f(np.array([0.25, 0.5]), np.array([0.5, 0.5]))
+        f.at(np.array([[0.25, 0.5], [0.5, 0.5]]))
 
 
 @pytest.mark.parametrize("axis, values", [
@@ -837,23 +837,26 @@ def test_sweep_N_rows_run_no_patch_elimination(monkeypatch, tmp_path):
     assert len(swept) == 2
 
 
-def fine_coefficient_calls(monkeypatch, tmp_path, **cfg):
+def fine_field_calls(monkeypatch, tmp_path, load=False, args=("solve",),
+                     **cfg):
     """(the global fine centroids of the BASE mesh, the points of every
-    CoefficientField.at call of a solve of the config, and how many of
-    each call's points are fine centroids)."""
+    Field.at call of the coefficient, or given load of the load, in a run
+    of the CLI command args on the config, and how many of each call's
+    points are fine centroids)."""
     fine = mesh.refine_to_fine(mesh.build_coarse("quad", 4, 4), 8)
     _, centroids = triangle_cells(finefem.global_geometry(fine))
     known = set(map(tuple, centroids.tolist()))
     calls = []
-    real = finefem.CoefficientField.at
+    real = finefem.Field.at
 
     def counted(self, points):
-        calls.append(np.array(points))
+        if (self.bounds is None) == load:
+            calls.append(np.array(points))
         return real(self, points)
 
-    monkeypatch.setattr(finefem.CoefficientField, "at", counted)
+    monkeypatch.setattr(finefem.Field, "at", counted)
     path = write_cfg(tmp_path, M=1, **cfg)
-    assert cli.main(["solve", "--config", path,
+    assert cli.main([*args, "--config", path,
                      "--out", str(tmp_path / "row.csv")]) == 0
     return centroids, calls, [sum(p in known for p in map(tuple, c.tolist()))
                               for c in calls]
@@ -865,7 +868,7 @@ def test_solve_evaluates_the_coefficient_once_on_the_fine_triangles(
     # assembly and the error report all read one evaluation at the global
     # fine centroids of a coefficient without a period; the estimator's
     # edge midpoints are no centroids
-    centroids, calls, at = fine_coefficient_calls(
+    centroids, calls, at = fine_field_calls(
         monkeypatch, tmp_path, coefficient={
             "type": "expression", "expr": "2 + sin(7*x)*cos(5*y)",
             "alpha_min": 1, "alpha_max": 3})
@@ -878,10 +881,34 @@ def test_solve_evaluates_a_periodic_coefficient_once_on_one_period(
     # the periodic coefficient of BASE (eps = 8 fine cells) is evaluated in
     # one call at the centroids of the 8 x 8 cells of one period at the
     # lattice origin, which every geometry tiles; no other fine centroid
-    centroids, calls, at = fine_coefficient_calls(monkeypatch, tmp_path)
+    centroids, calls, at = fine_field_calls(monkeypatch, tmp_path)
     period = centroids.reshape(32, 32, 2, 2)[:8, :8].reshape(-1, 2)
     assert sorted(at) == [0] * (len(at) - 1) + [2 * 8 * 8]
     assert np.array_equal(calls[at.index(2 * 8 * 8)], period)
+
+
+@pytest.mark.parametrize("rhs,args", [
+    ({"type": "constant", "value": -1.0}, ("solve",)),
+    ({"type": "gaussian_benchmark"}, ("solve",)),
+    ({"type": "expression", "expr": "-(1 + x * y)"}, ("solve",)),
+    ({"type": "gaussian_benchmark"},
+     ("sweep", "--axis", "N", "--values", "1,2,3"))],
+    ids=["constant", "gaussian", "expression", "gaussian-N-sweep"])
+def test_a_run_evaluates_the_load_once_on_the_fine_centroids(
+        monkeypatch, tmp_path, rhs, args):
+    # the reference assembly and energy, the offline sweep, the coarse
+    # assembly, the error report and the estimator all read one evaluation
+    # of the load: on the two triangles of the first fine cell for the
+    # constant load, which has every period, else in one pass over the
+    # fine centroids, which all rows of an N sweep share; an expression's
+    # two-point probe at config load is no evaluation of the field
+    centroids, calls, at = fine_field_calls(monkeypatch, tmp_path, load=True,
+                                            args=args, rhs=rhs)
+    if rhs["type"] == "constant":
+        assert at == [2] and np.array_equal(calls[0], centroids[:2])
+    else:
+        assert sum(at) == len(centroids)
+        assert np.array_equal(np.concatenate(calls), centroids)
 
 
 def test_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

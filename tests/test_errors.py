@@ -95,9 +95,9 @@ BUBBLE_IDS = ["quad-N2", "triangle-N3", "quad-N2-M2", "triangle-N1-M1",
 def bubble_problem(kind, nx, ny, n_sub):
     coarse = mesh.build_coarse(kind, nx, ny, (0.0, 1.0, 0.0, 0.8))
     fine = mesh.refine_to_fine(coarse, n_sub)
-    A = finefem.CoefficientField(
-        "rough", 1.0, 3.0,
-        lambda x, y: 2.0 + np.sin(9.0 * x) * np.cos(7.0 * y))
+    A = finefem.Field(
+        "rough", lambda x, y: 2.0 + np.sin(9.0 * x) * np.cos(7.0 * y),
+        (1.0, 3.0))
     return coarse, fine, A, finefem.gaussian_rhs()
 
 
@@ -325,10 +325,9 @@ def test_same_name_coefficients_never_share_a_matrix():
     coarse = mesh.build_coarse("quad", 4, 4)
     fine = mesh.refine_to_fine(coarse, 4)
     f = finefem.constant_rhs(-1.0)
-    one = finefem.CoefficientField("a", 1.0, 1.0,
-                                   lambda x, y: np.ones_like(x))
-    ten = finefem.CoefficientField("a", 10.0, 10.0,
-                                   lambda x, y: np.full_like(x, 10.0))
+    one = finefem.Field("a", lambda x, y: np.ones_like(x), (1.0, 1.0))
+    ten = finefem.Field("a", lambda x, y: np.full_like(x, 10.0),
+                        (10.0, 10.0))
     errors.reference_solve(fine, one, f)
     _, E_ten = errors.reference_solve(fine, ten, f)
     _, E_fresh = errors.reference_solve(mesh.refine_to_fine(coarse, 4), ten, f)

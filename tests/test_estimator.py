@@ -80,8 +80,8 @@ def test_jump_norm_manufactured_kink():
     fine = mesh.refine_to_fine(coarse, 4)
     geom = finefem.global_geometry(fine)
     v = finefem.FineFunction(geom, 3.0 * np.minimum(geom.points[:, 1], 0.5))
-    two = finefem.CoefficientField("two", 2.0, 2.0,
-                                   lambda x, y: np.full_like(x, 2.0))
+    two = finefem.Field("two", lambda x, y: np.full_like(x, 2.0),
+                        (2.0, 2.0))
     (mid,) = coarse.interior_edge_ids
     v0, v1 = coarse.edge_ends[mid]
     assert v1 - v0 == 1  # horizontal
@@ -147,7 +147,7 @@ def test_bubble_residual_vs_tensor_gauss(quad44, fine_quad44):
     gy = lo_y + hy * (x + 1) / 2
     X, Y = np.meshgrid(gx, gy)
     W = np.outer(w, w) * (hx * hy / 4)
-    exact = math.sqrt(float((W * f(X, Y) ** 2).sum()))
+    exact = math.sqrt(float((W * f.at(np.stack([X, Y], -1)) ** 2).sum()))
     assert abs(got - exact) < 1e-2 * exact
 
 
@@ -200,7 +200,7 @@ def test_ell_declarations(small_bench_bubbles):
         assert mixed.bubble_terms[K] == base.bubble_terms[K]
     with pytest.raises(ValueError, match="not supported"):
         estimator.global_estimate(sol, ell=2)
-    no_grad = finefem.RhsField("plain", lambda x, y: np.ones_like(x))
+    no_grad = finefem.Field("plain", lambda x, y: np.ones_like(x))
     with pytest.raises(ValueError, match="no gradient"):
         estimator.global_estimate(dataclasses.replace(sol, f=no_grad),
                                   ell=1)

@@ -35,7 +35,7 @@ def test_identity_field():
     assert np.array_equal(a, [1.0, 1.0])
     assert np.array_equal(A.at([0.3, 0.4]), [1.0])
     # a function that returns one constant gives one value per point too
-    two = finefem.CoefficientField("two", 2.0, 2.0, lambda x, y: 2.0)
+    two = finefem.Field("two", lambda x, y: 2.0, (2.0, 2.0))
     assert np.array_equal(two.at(np.zeros((3, 2))), [2.0, 2.0, 2.0])
 
 
@@ -44,7 +44,7 @@ def test_periodic_benchmark(rng):
     pts = rng.random((500, 2))
     vals = A.at(pts)
     assert vals.shape == (500,)
-    assert np.all(vals >= A.alpha_min) and np.all(vals <= A.alpha_max)
+    assert np.all(vals >= A.bounds[0]) and np.all(vals <= A.bounds[1])
     assert "0.125" in A.name
     with pytest.raises(ValueError):
         finefem.periodic_benchmark(0.0)
@@ -63,7 +63,7 @@ def test_periodic_coefficient_is_evaluated_on_one_period(kind, n, n_sub,
     fine = mesh.refine_to_fine(mesh.build_coarse(kind, n, n), n_sub)
     A = finefem.periodic_benchmark(eps)
     geom = finefem.global_geometry(fine)
-    tile = geom.period_cells(A)
+    tile = geom.held(A)
     assert tile.shape == (8, 8, 2)
     areas, centroids = triangle_cells(geom)
     a = tile[np.arange(fine.nfy)[:, None] % 8, np.arange(fine.nfx) % 8]
@@ -79,7 +79,7 @@ def test_periodic_coefficient_is_evaluated_on_one_period(kind, n, n_sub,
     # cells are bitwise those of the global geometry
     for K in (0, 2 * n + 3):
         egeom = finefem.element_geometry(fine, K)
-        assert egeom.period_cells(A) is tile
+        assert egeom.held(A).base is tile.base
         g, = finefem.patch_groups(fine, [K])
         assert np.array_equal(egeom.area_weighted(A),
                               AW[member_triangle_ids(g)[0]])
@@ -93,16 +93,14 @@ def test_period_off_the_lattice_is_evaluated_per_triangle():
     fine = mesh.refine_to_fine(mesh.build_coarse("triangle", 3, 3), 6)
     geom = finefem.global_geometry(fine)
     areas, centroids = triangle_cells(geom)
-    assert geom.period_cells(finefem.periodic_benchmark(1 / 9)).shape == \
-        (2, 2, 2)
+    assert geom.held(finefem.periodic_benchmark(1 / 9)).shape == (2, 2, 2)
     for eps in (0.125, (1 + 1e-11) / 9, 2.0):
         A = finefem.periodic_benchmark(eps)
-        assert geom.period_cells(A) is None
+        assert geom.held(A).shape == (fine.nfy, fine.nfx, 2)
         assert geom.area_weighted(A).tobytes() == \
             (areas * A.at(centroids)).tobytes()
     # the bounds check covers every value of one evaluation
-    A = finefem.CoefficientField("low", 2.0, 3.0, lambda x, y: 1.0 + x,
-                                 (1 / 6, 1 / 6))
+    A = finefem.Field("low", lambda x, y: 1.0 + x, (2.0, 3.0), (1 / 6, 1 / 6))
     with pytest.raises(finefem.CoefficientBoundsError, match="low at"):
         geom.area_weighted(A)
 
@@ -111,15 +109,15 @@ def test_coefficient_bounds_checked():
     pts = np.array([[0.25, 0.5], [0.75, 0.5]])
     # the values 1 and 3, each at one bound, and each once out of bounds
     step = lambda x, y: np.where(x < 0.5, 1.0, 3.0)
-    ok = finefem.CoefficientField("step", 1.0, 3.0, step)
+    ok = finefem.Field("step", step, (1.0, 3.0))
     assert np.array_equal(ok.at(pts), [1.0, 3.0])
     for lo, hi, x in ((1.5, 3.0, "0.25"), (1.0, 2.5, "0.75")):
         with pytest.raises(finefem.CoefficientBoundsError,
                            match=f"step at \\({x}"):
-            finefem.CoefficientField("step", lo, hi, step).at(pts)
+            finefem.Field("step", step, (lo, hi)).at(pts)
     for bad in (np.nan, np.inf):
-        field = finefem.CoefficientField(
-            "bad", 0.5, 2.0, lambda x, y: np.where(x > 0.5, bad, 1.0))
+        field = finefem.Field(
+            "bad", lambda x, y: np.where(x > 0.5, bad, 1.0), (0.5, 2.0))
         with pytest.raises(finefem.CoefficientBoundsError, match="0.75"):
             field.at(pts)
     assert issubclass(finefem.CoefficientBoundsError, ValueError)
@@ -128,13 +126,13 @@ def test_coefficient_bounds_checked():
 def test_rhs_fields(rng):
     f = finefem.constant_rhs(-1.0)
     x = rng.random(10)
-    assert np.array_equal(f(x, x), np.full(10, -1.0))
+    assert np.array_equal(f.at(np.column_stack([x, x])), np.full(10, -1.0))
     g = finefem.gaussian_rhs()
     pts = rng.random((50, 2))
     h = 1e-6
     gx, gy = g.grad(pts[:, 0], pts[:, 1])
-    fdx = (g(pts[:, 0] + h, pts[:, 1]) - g(pts[:, 0] - h, pts[:, 1])) / (2 * h)
-    fdy = (g(pts[:, 0], pts[:, 1] + h) - g(pts[:, 0], pts[:, 1] - h)) / (2 * h)
+    fdx = (g.at(pts + [h, 0]) - g.at(pts - [h, 0])) / (2 * h)
+    fdy = (g.at(pts + [0, h]) - g.at(pts - [0, h])) / (2 * h)
     scale = 1.0 + np.abs(gx).max()
     assert np.abs(gx - fdx).max() < 1e-5 * scale
     assert np.abs(gy - fdy).max() < 1e-5 * scale
@@ -763,8 +761,8 @@ def test_same_name_coefficients_get_their_own_operators():
     fine = mesh.refine_to_fine(mesh.build_coarse("quad", 2, 2), 8)
     geom = finefem.global_geometry(fine)
     f = finefem.constant_rhs(-1.0)
-    A1 = finefem.CoefficientField("twin", 1.0, 2.0, lambda x, y: 1.0 + x)
-    A2 = finefem.CoefficientField("twin", 1.0, 2.0, lambda x, y: 2.0 - x)
+    A1 = finefem.Field("twin", lambda x, y: 1.0 + x, (1.0, 2.0))
+    A2 = finefem.Field("twin", lambda x, y: 2.0 - x, (1.0, 2.0))
     s1, s2 = finefem.assemble(geom, A1, f), finefem.assemble(geom, A2, f)
     assert not np.array_equal(s1.K.diagonal(), s2.K.diagonal())
     u1, u2 = finefem.solve_spd(s1), finefem.solve_spd(s2)

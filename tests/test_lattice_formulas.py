@@ -174,7 +174,7 @@ def test_loads(fine):
                                   reference_load_vector(egeom, f))
         tri_ids, tris = member_triangle_ids(g), local_triangles(t)
         pts = centroids[tri_ids]
-        shares = areas[tri_ids] * f(pts[..., 0], pts[..., 1]) / 3.0
+        shares = areas[tri_ids] * f.at(pts) / 3.0
         assert np.array_equal(g.load_vectors(f),
                               scatter(tris, shares, t.n_vertices))
         M = np.arange(len(g.elements)) % 3
@@ -195,14 +195,14 @@ def test_loads_by_blocks_of_cell_rows(kind):
     # patch stack is bitwise the masked windows of the global areas and
     # centroids
     fine = mesh.refine_to_fine(mesh.build_coarse(kind, 4, 4), 24)
-    f = finefem.RhsField("seeded", lambda x, y: -(0.9 + 0.4 * np.sin(
+    f = finefem.Field("seeded", lambda x, y: -(0.9 + 0.4 * np.sin(
         3 * np.pi * x + 0.7) * np.sin(2 * np.pi * y + 2.1)))
     geom = finefem.global_geometry(fine)
     assert 2 < fine.nfy / finefem.cache_rows(fine.nfx) <= 3
     for g in [geom] + [finefem.element_geometry(fine, K) for K in (0, 1)]:
         w, pts = triangle_cells(g)
         whole = g.from_box(finefem.box_loads(
-            g, w * f(pts[:, 0], pts[:, 1]) / 3.0))
+            g, w * f.at(pts) / 3.0))
         assert finefem.load_vector(g, f).tobytes() == whole.tobytes()
     glob_areas, glob_centroids = triangle_cells(geom)
     for grp in finefem.patch_groups(fine, range(fine.coarse.n_elements)):

@@ -181,7 +181,7 @@ def test_bubble_galerkin_identity(quad44, fine_quad44, A_osc, rng):
         pts = np.column_stack([np.ravel(x), np.ravel(y)])
         return basis.eval_ref(to_ref(quad44, elem_id, pts))[:, i - 1]
 
-    rhs = finefem.load_vector(geom, P_i) @ w
+    rhs = finefem.load_vector(geom, finefem.Field("P_i", P_i)) @ w
     assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), abs(rhs))
 
 
@@ -277,7 +277,8 @@ def test_compute_all_matches_iterative_reference(kind, A_osc):
                     pts = np.column_stack([np.ravel(x), np.ravel(y)])
                     return basis.eval_ref(to_ref(coarse, K, pts))[:, i - 1]
 
-                system = finefem.assemble(geom, A_osc, load)
+                system = finefem.assemble(geom, A_osc,
+                                          finefem.Field("P_i", load))
                 ref = finefem.solve_spd(system, 1e-13).values
             else:
                 # the trace lifted: right-hand side -K_fc times it, and
@@ -342,12 +343,11 @@ def distinct_fields(table, fine, A) -> int:
     sweep can solve: those of its (element, DOF) pairs and, given a load,
     the load solve of every element, told apart by the patch shape and
     the coefficient window of their element and by their bytes."""
-    AW = finefem.global_geometry(fine).area_weighted(A)
     solved = (np.arange(fine.coarse.n_elements) if table.reference is not None
               else np.unique(table.element))
     window = {}
     for group in finefem.patch_groups(fine, solved):
-        for K, w in zip(group.elements.tolist(), group.windows(AW)):
+        for K, w in zip(group.elements.tolist(), group.windows(A)):
             window[K] = (group.template.label, w.tobytes())
     rows = {(window[K], table.stacks[s][r].tobytes()) for K, s, r in zip(
         table.element.tolist(), table.stack.tolist(), table.row.tolist())}
@@ -371,9 +371,9 @@ def test_each_distinct_window_is_eliminated_once(coefficient, windows,
     coarse = mesh.build_coarse("quad", 4, 4)
     fine = mesh.refine_to_fine(coarse, 64)
     A = (finefem.periodic_benchmark(1 / 32) if coefficient == "periodic"
-         else finefem.CoefficientField(
-             "2 + sin(7x) cos(5y)", 1.0, 3.0,
-             lambda x, y: 2 + np.sin(7 * x) * np.cos(5 * y)))
+         else finefem.Field(
+             "2 + sin(7x) cos(5y)",
+             lambda x, y: 2 + np.sin(7 * x) * np.cos(5 * y), (1.0, 3.0)))
     swept = eliminated_windows(monkeypatch)
     table = localbasis.compute_all(coarse, fine, A,
                                    mesh.DegreeAssignment.uniform(coarse, 1, 0),
@@ -392,10 +392,10 @@ def test_mixed_shares_solve_each_row_once(monkeypatch):
     # and a member's fields are still those of its patch alone
     coarse = mesh.build_coarse("quad", 8, 8)
     fine = mesh.refine_to_fine(coarse, 8)
-    A = finefem.CoefficientField(
-        "1 + 0.5 [x < 1/4] [y < 1/4] sin(40x) sin(40y)", 0.5, 1.5,
+    A = finefem.Field(
+        "1 + 0.5 [x < 1/4] [y < 1/4] sin(40x) sin(40y)",
         lambda x, y: 1 + 0.5 * (x < 0.25) * (y < 0.25)
-        * np.sin(40 * x) * np.sin(40 * y))
+        * np.sin(40 * x) * np.sin(40 * y), (0.5, 1.5))
     f = finefem.gaussian_rhs()
     degrees = mesh.DegreeAssignment.uniform(coarse, 2, 1)
     swept = eliminated_windows(monkeypatch)
@@ -455,7 +455,7 @@ def test_periodic_sweep_solves_only_distinct_rows(load, monkeypatch):
     c0, c1, p1, p2 = rng.uniform(0.5, 1.5), rng.uniform(0.1, 0.4), \
         *rng.uniform(0.0, 2 * np.pi, 2)
     f = (finefem.constant_rhs(-1.0) if load == "constant" else
-         finefem.RhsField("seeded", lambda x, y: -(c0 + c1 * np.sin(
+         finefem.Field("seeded", lambda x, y: -(c0 + c1 * np.sin(
              3 * np.pi * x + p1) * np.sin(2 * np.pi * y + p2))))
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 2)
     swept = eliminated_windows(monkeypatch)

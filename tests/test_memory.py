@@ -42,6 +42,7 @@ and the peak after, so a return of what the change removed fails here:
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from conftest import triangle_cells
 from legmsfem import (cli, errors, estimator, finefem, globalsolve,
@@ -127,19 +128,26 @@ def held_arrays(obj, seen=None):
             for path, a in held_arrays(v, seen)]
 
 
-def test_global_geometry_holds_no_per_triangle_array_but_AW():
+@pytest.mark.parametrize("rhs,load", [
+    ({"type": "constant", "value": -1.0}, []),
+    ({"type": "gaussian_benchmark"}, ["._held.1.1"])],
+    ids=["constant", "gaussian"])
+def test_global_geometry_holds_no_per_triangle_array_but_AW(rhs, load):
     # after a run's fine solve and offline sweep, the global geometry holds
-    # the area-weighted coefficient of its triangles and per-vertex
+    # the area-weighted coefficient of its triangles, the values of a load
+    # without a period (one per triangle, while the constant load and the
+    # periodic coefficient hold one cell or one period) and per-vertex
     # arrays: no areas or centroids per triangle, and, since it fills its
     # box, no index array over its vertices
-    config = cli.RunConfig.from_dict(FINE_CONFIG)
+    config = cli.RunConfig.from_dict(dict(FINE_CONFIG, rhs=rhs))
     p = cli.build_problem(config)
     errors.reference_solve(p.fine, p.A, p.f, config.rel_tol)
     globalsolve.build_space(p.coarse, p.fine, p.A, p.degrees, f=p.f)
     geom = finefem.global_geometry(p.fine)
     nt, n = 2 * p.fine.nfx * p.fine.nfy, geom.n_vertices
     held = held_arrays(geom)
-    assert [path for path, a in held if nt in a.shape] == ["._weights.1"]
+    assert [path for path, a in held if nt in a.shape] == \
+        ["._weights.1"] + load
     assert geom._weights[1] is geom.area_weighted(p.A)
     assert not [path for path, a in held
                 if a.dtype.kind in "iu" and a.size >= n]

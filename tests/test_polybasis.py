@@ -207,23 +207,25 @@ def test_bulk_basis_validation():
 
 def test_l2_project_element_orthogonality(quad44, fine_quad44):
     geom = finefem.element_geometry(fine_quad44, 5)
-    f = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
+    f = finefem.Field("sin(3x) cos(2y)",
+                      lambda x, y: np.sin(3 * x) * np.cos(2 * y))
     c, basis = l2_project_element(f, quad44, 5, geom, 2)
     pts, w = quad_points(geom, 1)
     P = basis.eval_ref(to_ref(quad44, 5, pts))
-    resid = f(pts[:, 0], pts[:, 1]) - P @ c
-    scale = np.abs(w * f(pts[:, 0], pts[:, 1])).sum()
+    resid = f.at(pts) - P @ c
+    scale = np.abs(w * f.at(pts)).sum()
     assert np.abs(P.T @ (w * resid)).max() < 1e-12 * scale
 
 
 def test_l2_project_element_reproduces_polys(quad44, fine_quad44):
     # a function already in the space projects onto itself
     geom = finefem.element_geometry(fine_quad44, 5)
-    f = lambda x, y: 1.0 + 2.0 * x - 3.0 * y + x * y
+    f = finefem.Field("1 + 2x - 3y + xy",
+                      lambda x, y: 1.0 + 2.0 * x - 3.0 * y + x * y)
     c, basis = l2_project_element(f, quad44, 5, geom, 1)
     pts, _ = quad_points(geom, 1)
     P = basis.eval_ref(to_ref(quad44, 5, pts))
-    assert np.abs(P @ c - f(pts[:, 0], pts[:, 1])).max() < 1e-11
+    assert np.abs(P @ c - f.at(pts)).max() < 1e-11
 
 
 def test_l2_project_edge_zero():
