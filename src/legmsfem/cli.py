@@ -592,7 +592,7 @@ def _on_lattice(shared: dict, fine: mesh.FineMesh) -> dict:
         return shared
     u = shared["u_ref"]
     return dict(shared, u_ref=finefem.FineFunction(
-        finefem.global_geometry(fine), u.values, u.cg_iters))
+        finefem.global_geometry(fine), u.values))
 
 
 def _h_config(config: RunConfig, H: float) -> RunConfig:

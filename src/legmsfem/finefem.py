@@ -26,20 +26,22 @@ a whole number of cells, else on every cell, in blocks of cell rows.
 Every consumer reads windows of that evaluation, a cell taking the value
 of its lattice cell index modulo its shape, so cells a whole number of
 periods apart carry bitwise equal values: the area-weighted coefficient
-of a geometry and the stencils of a stack of patches, `load_vector` and
-`PatchGroup.load_vectors` (the loads the offline sweep solves and the
-coarse assembly projects), and the estimator's norms of f.  The stencil is
+of a geometry and the stencils of a stack of patches, `load_vector` (the
+whole lattice's, the loads of the fine reference and of the offline
+sweep), `PatchGroup.load_vectors` (the loads the coarse assembly
+projects), and the estimator's norms of f.  The stencil is
 the one form of every fine stiffness: `assemble` masks the boundary
 vertices out of it for the iterative solves (the fine reference), and
 `RowBlocks`, the one block layout of K_ff over lattice rows, gathers from
 it the blocks of the direct block-tridiagonal elimination that the offline
 patch solves in `localbasis` and the coarsest multigrid level run, with
 one coupling between adjacent lattice rows.
-Per triangle a geometry stores only the area-weighted coefficient of the
-last coefficient object it was asked for, and the whole-lattice geometry
-the evaluations of the last coefficient and of the last load, one slot
-each, all keyed by identity, never by name, so two fields never share a
-matrix or a load.  Only numpy is needed.
+A geometry keeps what it derives from a field in one store, one product
+per key, of the last field asked for: its stencil and its load vector,
+and on the whole lattice the evaluations of a coefficient and of a load,
+the only arrays it keeps per triangle.  The fields are compared by
+identity, never by name, so two fields never share a matrix or a load.
+Only numpy is needed.
 
 `solve_spd` preconditions CG with one geometric multigrid V-cycle
 (`Multigrid`), both on box arrays that vanish off the free vertices (the
@@ -303,16 +305,18 @@ class TriGeometry:
     fine vertex ids.  The triangles are those of the box cells, row-major,
     lower (SW, SE, NE) before upper (SW, NE, NW), that the boolean mask
     (rows - 1, columns - 1, 2) holds, all where it is None.  Nothing is
-    stored per triangle but the area-weighted coefficient: centroids come
-    from the box's coordinate vectors x and y, the one area from the
-    spacing (cells), and a geometry that fills its box, given None for
-    vids and its box positions (the whole fine mesh), keeps no index array
-    either.
+    stored per triangle but, on the whole lattice, the held evaluations of
+    a coefficient and of a load (held): centroids come from the box's
+    coordinate vectors x and y, the one area from the spacing (cells), and
+    a geometry that fills its box, given None for vids and its box
+    positions (the whole fine mesh), keeps no index array either.  What a
+    geometry derives from a field, its stencil and its load vector, it
+    keeps in one store, one product per key (_kept).
 
     A patch geometry knows the whole-lattice geometry it is cut from
     (root) and the lattice cell of its box's SW corner (corner), so that
-    all geometries of one fine mesh read the one evaluation of a periodic
-    coefficient there (area_weighted)."""
+    all geometries of one fine mesh read the one evaluation of a field
+    there (window)."""
 
     def __init__(self, points: np.ndarray, vids: np.ndarray | None,
                  boundary_local: np.ndarray, label: str,
@@ -350,14 +354,9 @@ class TriGeometry:
         else:
             self.x, self.y = np.zeros(cols), np.zeros(rows)
             self.x[slots % cols], self.y[slots // cols] = points.T
-        # [coefficient, AW, stencil or None] of the last coefficient asked
-        # for, [load, load vector] of the last load, and, on a whole
-        # lattice, [field, values, (rows, columns)] of the last coefficient
-        # and of the last load held (held); lists, so a shallow copy
-        # (another fixed set on the same triangles) shares them.
-        self._weights: list = [None, None, None]
-        self._load: list = [None, None]
-        self._held: list = [[None] * 3, [None] * 3]
+        # What the geometry derives from a field (_kept).  A dict, so a
+        # shallow copy (another fixed set on the same triangles) shares it.
+        self._store: dict = {}
 
     @property
     def n_vertices(self) -> int:
@@ -391,42 +390,52 @@ class TriGeometry:
         out[..., self.mask.ravel()] = V
         return out
 
+    def _kept(self, key: str, F: Field, make: Callable[[], object]):
+        """The product key of the field F, make() at first use: kept until
+        another field asks for the key, the field compared by identity,
+        never by name, so two fields never share a product.  The old value
+        is dropped before the new one is made."""
+        if self._store.get(key, (None,))[0] is not F:
+            self._store.pop(key, None)
+            self._store[key] = (F, make())
+        return self._store[key][1]
+
     def held(self, F: Field) -> np.ndarray:
         """F at the centroids of the cells at the origin of the whole
         lattice this geometry is cut from (root), (rows, columns, 2), lower
         triangle first: one cell where F is a constant, the cells of one
         period where each period of F is 0 or spans a whole number of cells
         (to 1e-12 relative) that fits in the lattice, else every cell of
-        it, evaluated in blocks of cell rows.  Evaluated at first use and
-        kept on the root, the values flat as one per triangle, keyed by
-        identity, never by name, in one slot for a coefficient and one for
-        a load, so two fields never share values and A and f do not evict
-        each other.  Lattice cell (i, j) takes entry (i mod rows, j mod
+        it, evaluated in blocks of cell rows.  Kept on the root (_kept),
+        the values flat as one per triangle, under one key for a
+        coefficient and one for a load, so A and f do not evict each
+        other.  Lattice cell (i, j) takes entry (i mod rows, j mod
         columns) (window), so cells a whole number of periods apart carry
         bitwise equal values."""
         root = self._root or self
-        slot = root._held[F.bounds is None]
-        if slot[0] is not F:
-            slot[:] = [None] * 3
-            n = (root.grid[1] - 1, root.grid[0] - 1)
-            counts = n
-            if F.period is not None:
-                c = [1 if p == 0 else round(p / h)
-                     for p, h in zip(F.period, root.spacing)]
-                if all(p == 0 or (1 <= k <= m and abs(p / h - k) <= 1e-12 * k)
-                       for p, h, k, m in zip(F.period, root.spacing, c, n)):
-                    counts = c
-            cols, rows = counts
-            V = np.empty((rows, cols, 2))
-            step = cache_rows(cols)
-            for lo in range(0, rows, step):
-                hi = min(lo + step, rows)
-                _, centroids = lattice_cells(root.x[:cols + 1],
-                                             root.y[lo:hi + 1], root.spacing)
-                V[lo:hi] = F.at(centroids.reshape(-1, 2)).reshape(
-                    centroids.shape[:-1])
-            slot[:] = [F, V.reshape(-1), (rows, cols)]
-        return slot[1].reshape(slot[2] + (2,))
+        return root._kept("held f" if F.bounds is None else "held A", F,
+                         lambda: root._evaluate(F))
+
+    def _evaluate(self, F: Field) -> np.ndarray:
+        """The values of held on this whole lattice."""
+        n = (self.grid[1] - 1, self.grid[0] - 1)
+        counts = n
+        if F.period is not None:
+            c = [1 if p == 0 else round(p / h)
+                 for p, h in zip(F.period, self.spacing)]
+            if all(p == 0 or (1 <= k <= m and abs(p / h - k) <= 1e-12 * k)
+                   for p, h, k, m in zip(F.period, self.spacing, c, n)):
+                counts = c
+        cols, rows = counts
+        V = np.empty(rows * cols * 2).reshape(rows, cols, 2)
+        step = cache_rows(cols)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            _, centroids = lattice_cells(self.x[:cols + 1],
+                                         self.y[lo:hi + 1], self.spacing)
+            V[lo:hi] = F.at(centroids.reshape(-1, 2)).reshape(
+                centroids.shape[:-1])
+        return V
 
     def window(self, F: Field, lo: int = 0, hi: int | None = None
                ) -> np.ndarray:
@@ -440,26 +449,19 @@ class TriGeometry:
 
     def area_weighted(self, A: Field) -> np.ndarray:
         """Per-triangle area times the coefficient at the centroid, shape
-        (nt,), formed once per coefficient object from the geometry's
-        window of the one evaluation of A (held): kept until another
-        coefficient replaces it, the key comparing the coefficient by
-        identity, never by name, so two coefficient fields never share a
-        matrix.  The area is the lattice's one value (lattice_cells)."""
-        if self._weights[0] is not A:
-            self._weights[:] = [None, None, None]
-            hx, hy = self.spacing
-            self._weights[:] = [A, 0.5 * (hx * hy) * self.on_mask(
-                self.window(A)), None]
-        return self._weights[1]
+        (nt,), formed from the geometry's window of the one evaluation of
+        A (held), not kept: assemble forms it for the system whose
+        multigrid coarsens it.  The area is the lattice's one value
+        (lattice_cells)."""
+        hx, hy = self.spacing
+        return 0.5 * (hx * hy) * self.on_mask(self.window(A))
 
     def stencil(self, A: Field) -> Stencil:
         """The Stencil of the full stiffness of A (no vertex fixed), kept
-        next to area_weighted(A) under the same key, so assembly and every
-        energy product of one coefficient share one stencil."""
-        AW = self.area_weighted(A)
-        if self._weights[2] is None:
-            self._weights[2] = Stencil.of(self, AW)
-        return self._weights[2]
+        (_kept), so assembly and every energy product of one coefficient
+        share one stencil."""
+        return self._kept("stencil", A,
+                         lambda: Stencil.of(self, self.area_weighted(A)))
 
     def to_box(self, V: np.ndarray) -> np.ndarray:
         """Nodal values V (..., n) on the flat positions of the vertex box,
@@ -750,7 +752,10 @@ class PatchGroup:
     def load_vectors(self, f: Field) -> np.ndarray:
         """P1 load vector of f on every member, (E, n), as load_vector, from
         its window of f (windows), formed once for the members at one
-        position of the values held for f."""
+        position of the values held for f.  The coarse projection needs
+        these, the patch's own partial sums at its boundary; at the
+        interior vertices they are bitwise the whole lattice's
+        load_vector, which the offline sweep solves."""
         first, inverse = self._positions(f)
         t = self.template
         hx, hy = t.spacing
@@ -760,11 +765,16 @@ class PatchGroup:
 
 
 def first_of_each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of nonnegative integer keys: the position of the
-    first item of each distinct key, keys ascending, and the number of
-    each item's key among them."""
-    order = np.argsort(keys, kind="stable")
-    new = np.diff(keys[order], prepend=-1) != 0
+    """(first, inverse) of integer keys, 1-D, or the rows of a 2-D array,
+    each compared whole: the position of the first item of each distinct
+    key, keys ascending (rows lexicographically), and the number of each
+    item's key among them.  By hand, not np.unique, which imports numpy.ma
+    (about 17 ms) on every run."""
+    rows = np.atleast_2d(keys.T).T
+    order = np.lexsort(rows.T[::-1])
+    s = rows[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]).any(axis=1)
     inverse = np.empty(len(keys), dtype=int)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
@@ -796,14 +806,14 @@ class FineFunction:
 
     geom: TriGeometry
     values: np.ndarray
-    cg_iters: int = 0
 
 
 @dataclass
 class SparseSpdSystem:
     """SPD system of the vertices off geom.boundary_local: their stiffness
     as a lattice stencil, their load, and the per-triangle area-weighted
-    coefficient K is built from (multigrid coarsens it)."""
+    coefficient K is built from (multigrid coarsens it), which no geometry
+    keeps: it goes with the system after the solve."""
 
     K: LatticeOperator
     rhs: np.ndarray
@@ -813,16 +823,17 @@ class SparseSpdSystem:
 
 def load_vector(geom: TriGeometry, f) -> np.ndarray:
     """P1 load vector of f by the centroid rule, full local length,
-    read-only.  geom keeps the vector of the last load object it was asked
-    for, compared by identity like the coefficient, so the assembly of a
-    fine system and the energies of its solution make one triangle pass.
-    The pass runs over blocks of cell rows of the geometry's window of the
-    one evaluation of f (held), and each block adds its shares to its
-    vertex rows (box_loads), the blocks in ascending order: every vertex
-    adds its shares in BY_TRIANGLE order, as box_loads over the whole
-    box."""
-    if geom._load[0] is not f:
-        geom._load[:] = [None, None]
+    read-only, kept on geom (TriGeometry._kept), so the assembly of a fine
+    system, the energies of its solution and, on the whole lattice, the
+    offline sweep's load rows make one triangle pass.  The pass runs over
+    blocks of cell rows of the geometry's window of the one evaluation of
+    f (held), and each block adds its shares to its vertex rows
+    (box_loads), the blocks in ascending order: every vertex adds its
+    shares in BY_TRIANGLE order, as box_loads over the whole box, so at
+    the interior vertices of a patch the whole lattice's vector is
+    bitwise the patch's."""
+
+    def make():
         rows, cols = geom.grid
         area = 0.5 * (geom.spacing[0] * geom.spacing[1])
         out = np.zeros((rows, cols))
@@ -835,8 +846,9 @@ def load_vector(geom: TriGeometry, f) -> np.ndarray:
             _add_shares(out[lo:hi + 1], shares)
         b = geom.from_box(out.ravel())
         b.flags.writeable = False
-        geom._load[:] = [f, b]
-    return geom._load[1]
+        return b
+
+    return geom._kept("load vector", f, make)
 
 
 def assemble(geom: TriGeometry, A: Field, f=None
@@ -845,12 +857,16 @@ def assemble(geom: TriGeometry, A: Field, f=None
     at geom.boundary_local.  The stencil is geom.stencil, so a second
     system of the same coefficient object on the same triangles (another
     fixed set) and every energy product share it; the fixed vertices are
-    masked out of it."""
+    masked out of it.  The area-weighted coefficient is formed here, once,
+    for the system's multigrid; where geom has no stencil of A yet it is
+    built from the same array."""
     free = np.ones(geom.n_vertices, dtype=bool)
     free[geom.boundary_local] = False
     b = load_vector(geom, f) if f is not None else np.zeros(geom.n_vertices)
-    return SparseSpdSystem(LatticeOperator(geom.stencil(A), geom.to_box(free)),
-                           b[free], geom, geom.area_weighted(A))
+    AW = geom.area_weighted(A)
+    st = geom._kept("stencil", A, lambda: Stencil.of(geom, AW))
+    return SparseSpdSystem(LatticeOperator(st, geom.to_box(free)), b[free],
+                           geom, AW)
 
 
 def dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
@@ -1307,10 +1323,10 @@ def solve_spd(system: SparseSpdSystem, rel_tol: float = 1e-12) -> FineFunction:
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
     K, geom = system.K, system.geom
-    x, iters = pcg(K, K.box(system.rhs), rel_tol, Multigrid(system))
+    x, _ = pcg(K, K.box(system.rhs), rel_tol, Multigrid(system))
     values = geom.from_box(x)
     values[geom.boundary_local] = 0.0
-    return FineFunction(geom, values, iters)
+    return FineFunction(geom, values)
 
 
 def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray,

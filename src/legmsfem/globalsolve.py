@@ -199,14 +199,11 @@ def check_degrees(fine: FineMesh, degrees: DegreeAssignment) -> None:
             f"{free} interior fine vertices")
 
 
-def expected_dof_count(coarse: CoarseMesh, degrees: DegreeAssignment,
-                       bulk_dim) -> tuple[int, int]:
-    """(interface, bubble) DOF counts implied by the degree assignment."""
-    n_if = len(coarse.interior_vertex_ids)
-    n_if += int((degrees.N[coarse.interior_edge_ids] - 1).sum())
-    M = degrees.M
-    n_b = sum(bulk_dim(m) * int((M == m).sum()) for m in set(M[M > 0].tolist()))
-    return n_if, n_b
+def expected_dof_count(coarse: CoarseMesh, degrees: DegreeAssignment
+                       ) -> int:
+    """The interface DOF count implied by the degree assignment."""
+    return len(coarse.interior_vertex_ids) + int(
+        (degrees.N[coarse.interior_edge_ids] - 1).sum())
 
 
 def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
@@ -242,7 +239,7 @@ def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
     keep = d.kind != localbasis.BUBBLE
     edge = d.kind == localbasis.EDGE
     keep[edge] = d.key[edge, 1] <= degrees.N[d.key[edge, 0]]
-    n_if, _ = expected_dof_count(coarse, degrees, lambda M: 0)
+    n_if = expected_dof_count(coarse, degrees)
     if np.count_nonzero(keep) != n_if:
         raise ValueError("donor space is missing requested edge degrees")
     inherited = f is not None and donor.f is f
@@ -337,7 +334,7 @@ def _project_load(group: finefem.PatchGroup, iface: _Fields, bub: _Fields,
     n_i = iface.dofs.shape[1]
     rows = np.concatenate([np.where(p.dofs >= 0, p.rows, -1)
                            for p in (iface, bub)], axis=1)
-    kind = localbasis._row_classes(rows)
+    _, kind = finefem.first_of_each(rows)
     counts = np.bincount(kind)
     order = np.lexsort((kind, counts[kind]))
     first = order[np.flatnonzero(np.diff(kind[order], prepend=-1))]

@@ -28,9 +28,10 @@ window's Gram block a(X_i, X_j) of its solved rows (finefem.patch_grams),
 kept beside the field stack for the coarse assembly.  The bubble loads are
 box arrays from the lattice formula too (finefem.box_loads).  Given the
 problem's load f, the sweep also solves the zero-trace problem with load f
-of every patch, its load the one the coarse assembly projects on the
-fields (finefem.PatchGroup.load_vectors), once per distinct pair of
-coefficient window and f window; glued over the mesh, these solves are the
+of every patch, once per distinct pair of coefficient window and f window,
+its load read from the whole lattice's load vector (finefem.load_vector,
+the one the fine reference solves) at the patch's free vertices, where it
+is bitwise the patch's own; glued over the mesh, these solves are the
 bubble part of the fine reference solution (the error report's bubble
 reference), solved beside the field stack in an array of their own, so
 every distinct window is eliminated once per run.
@@ -127,14 +128,6 @@ def _eta_trace(n: int, k: int) -> np.ndarray:
         k, -1.0 + 2.0 * _edge_parameters(n)))
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The distinct values of an array of nonnegative integers, ascending.
-    By hand, not np.unique: called without return arrays it asks
-    np.ma.is_masked, which imports numpy.ma (about 17 ms) on every run."""
-    s = np.sort(a, axis=None)
-    return s[np.diff(s, prepend=-1) != 0]
-
-
 def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
                     sides: np.ndarray) -> np.ndarray:
     """Template-local indices of each edge chain, in element_edge_ids
@@ -151,8 +144,9 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
                          "chains are not a translate of those of element "
                          f"{group.elements[0]}")
     loc = np.minimum(np.searchsorted(t.vids, chains[0]), len(t.vids) - 1)
+    covered = loc.ravel()[finefem.first_of_each(loc.ravel())[0]]
     if (not np.array_equal(t.vids[loc], chains[0])
-            or not np.array_equal(_sorted_unique(loc), t.boundary_local)):
+            or not np.array_equal(covered, t.boundary_local)):
         raise ValueError(f"{t.label}: edge chains do not cover exactly "
                          "the patch boundary")
     return loc
@@ -169,9 +163,10 @@ def _trace_table(coarse: CoarseMesh, fine: FineMesh,
     order (corner values agree), so a member's trace rows are table rows."""
     sides = coarse.element_edge_ids[group.elements]
     pos = _edge_positions(fine, group, sides)
-    corner_ids = _sorted_unique(pos[:, [0, -1]])
+    ends = pos[:, [0, -1]]
+    corner_ids = ends.ravel()[finefem.first_of_each(ends.ravel())[0]]
     # The hat row of the start and of the end of each side's chain.
-    hat_row = np.searchsorted(corner_ids, pos[:, [0, -1]])
+    hat_row = np.searchsorted(corner_ids, ends)
     n_hat = len(corner_ids)
     table = np.zeros((n_hat + len(pos) * stride + 1,
                       group.template.n_vertices))
@@ -194,19 +189,17 @@ def _trace_table(coarse: CoarseMesh, fine: FineMesh,
 
 def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
                   M: np.ndarray, bases: dict, n_b: int,
-                  offsets: np.ndarray | None = None) -> np.ndarray:
+                  offsets: np.ndarray) -> np.ndarray:
     """The bubble loads of the members of sub by the centroid rule, as the
     share area * P_i / 3 of each triangle, (nt, n_b, elements): the bulk
     polynomials P_1..P_dim of each member's bulk degree M (the basis
     bases[M], none for 0; zero rows after).  The polynomials are evaluated
     once for all members of one degree, at reference points stacked from
-    the coarse mesh's affine maps, each with the offset offsets[e] if
-    given, else that of its element."""
+    the coarse mesh's affine maps, member e's with the offset
+    offsets[e]."""
     area, centroids = sub.cells()
-    if offsets is None:
-        offsets = coarse.offsets[sub.elements]
     out = np.zeros((centroids.shape[1], n_b, len(centroids)))
-    for m in _sorted_unique(M[M > 0]).tolist():
+    for m in sorted(set(M[M > 0].tolist())):
         es = np.flatnonzero(M == m)
         basis = bases[m]
         ref = np.matmul(centroids[es] - offsets[es][:, None],
@@ -235,8 +228,7 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
     local = coarse.offsets[group.elements] - group.fine.vertices[group.origins]
     keys = np.column_stack([M, coarse.Binv[group.elements].reshape(E, -1)
                             .view(np.int64), local.view(np.int64)])
-    cls = _row_classes(keys)
-    reps, _ = finefem.first_of_each(cls)
+    reps, cls = finefem.first_of_each(keys)
     t = group.template
     at_origin = finefem.PatchGroup(fine, t, group.elements[reps],
                                    np.zeros(len(reps), dtype=int))
@@ -249,17 +241,6 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
                            offsets[sl])
         loads[sl] = finefem.box_loads(t, lw.T)[..., slots]
     return cls, loads
-
-
-def _row_classes(keys: np.ndarray) -> np.ndarray:
-    """The class of each row of an integer array (items, k), numbered from
-    0: equal rows share one."""
-    order = np.lexsort(keys.T)
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
-    cls = np.empty(len(keys), dtype=int)
-    cls[order] = np.cumsum(new) - 1
-    return cls
 
 
 def _group_fields(coarse: CoarseMesh, fine: FineMesh,
@@ -284,7 +265,10 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     requests of the members of one window share one row where their
     right-hand sides are equal: a trace by its table row, a bubble load by
     its class (_bubble_loads, formed once per class on the template), an f
-    load by its window of f, told apart the same way.  The stack lists
+    load by its window of f, told apart the same way and read from the
+    whole lattice's load vector (finefem.load_vector) at the free vertices
+    of the pair's first member, bitwise that member's own load, so the
+    sweep forms no patch load of f.  The stack lists
     the windows by their counts of trace, load and f rows, then by window,
     each window's distinct rows traces first, by table row; a chunk of
     windows of equal counts is one block of it, solved in place by one
@@ -369,11 +353,11 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
         at = f_start[fw] + f_local
         f_row = at[f_inverse]
         L = np.zeros((len(fw), n))
+        # Per pair: the whole lattice's load at its first member's free
+        # vertices, bitwise that member's own load there.
+        b = finefem.load_vector(finefem.global_geometry(fine), f)
         f_rows = np.empty((len(fw), len(free)))
-        # Per pair: the load of its first member's window of f, the load
-        # the coarse assembly projects on the member's fields.
-        for sl, sub in group.take(f_first).chunks(16 * box):
-            f_rows[at[sl]] = sub.load_vectors(f)[:, free]
+        f_rows[at] = b[t.vids[free] + group.origins[f_first, None]]
     windows = group.take(rep[worder])
     runs = np.flatnonzero((np.diff(counts[:, worder], axis=1, prepend=-1,
                                    append=-1) != 0).any(axis=0)).tolist()
@@ -480,7 +464,7 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
         verts, inner = coarse.interior_vertex_ids, coarse.interior_edge_ids
         n_eta[inner] = degrees.N[inner] - 1
     bases = {m: polybasis.BulkPolyBasis(coarse.kind, m)
-             for m in _sorted_unique(M[M > 0]).tolist()}
+             for m in sorted(set(M[M > 0].tolist()))}
     n_b = np.zeros(n_el, dtype=int)
     for m, basis in bases.items():
         n_b[M == m] = basis.dim

@@ -57,6 +57,23 @@ def rng():
     return np.random.default_rng(20260819)
 
 
+@pytest.fixture
+def pcg_iters(monkeypatch):
+    """The iteration count of every finefem.pcg call the test makes, in
+    order, read from pcg's return value (as perfbench/traced.py reads it),
+    so also those of the calls inside finefem.solve_spd."""
+    iters = []
+    real = finefem.pcg
+
+    def recorded(*args, **kw):
+        x, it = real(*args, **kw)
+        iters.append(it)
+        return x, it
+
+    monkeypatch.setattr(finefem, "pcg", recorded)
+    return iters
+
+
 def dense(op) -> np.ndarray:
     """A matrix-free operator (a fine lattice stencil or the interface
     operator) as a dense matrix, one product per unit column."""
@@ -66,8 +83,8 @@ def dense(op) -> np.ndarray:
 def skeleton_geometry(fine) -> finefem.TriGeometry:
     """The global fine mesh with every fine vertex of the coarse skeleton
     (all coarse edges, the domain boundary included) fixed: a shallow copy
-    of the global geometry, sharing its arrays and its area-weighted
-    coefficient.  Its one fine solve is the bubble reference as first
+    of the global geometry, sharing its arrays and its store (the held
+    evaluations, the stencil and the load vector).  Its one fine solve is the bubble reference as first
     defined; the multigrid tests use it for a fixed set off the domain
     boundary."""
     geom = copy.copy(finefem.global_geometry(fine))

@@ -507,6 +507,26 @@ def test_sweep_solves_the_load_the_assembly_projects(kind, n, n_sub,
         assert all(v.tobytes() in solved for v in loads)
 
 
+def test_sweep_forms_no_patch_load(monkeypatch):
+    # the offline sweep reads its load rows from the whole lattice's load
+    # vector (the one the fine reference solves), so it forms no patch
+    # load of its own: PatchGroup.load_vectors is the coarse projection's
+    coarse = mesh.build_coarse("triangle", 4, 4)
+    fine = mesh.refine_to_fine(coarse, 6)
+    calls = []
+    real = finefem.PatchGroup.load_vectors
+
+    def counted(self, f):
+        calls.append(f)
+        return real(self, f)
+
+    monkeypatch.setattr(finefem.PatchGroup, "load_vectors", counted)
+    table = localbasis.compute_all(
+        coarse, fine, finefem.periodic_benchmark(1 / 6),
+        mesh.DegreeAssignment.uniform(coarse, 2, 1), f=finefem.gaussian_rhs())
+    assert calls == [] and table.reference.any()
+
+
 def test_edge_chains_must_be_translates(A_osc):
     # element 5 lists its edges in another order than its template
     coarse = mesh.build_coarse("quad", 3, 3)
@@ -656,7 +676,8 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
     for group in finefem.patch_groups(fine, range(coarse.n_elements)):
         Mg = M[group.elements]
         n_b = max(bases[m].dim for m in Mg.tolist() if m)
-        got = localbasis._load_weights(coarse, group, Mg, bases, n_b)
+        got = localbasis._load_weights(coarse, group, Mg, bases, n_b,
+                                       coarse.offsets[group.elements])
         assert np.array_equal(got, loop_load_weights(coarse, group, Mg,
                                                      bases, n_b))
     runs = []
@@ -664,7 +685,7 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
         if loop:
             monkeypatch.setattr(
                 localbasis, "_load_weights",
-                lambda coarse, sub, M, bases, n_b, offsets=None:
+                lambda coarse, sub, M, bases, n_b, offsets:
                 loop_load_weights(coarse, sub, M, bases, n_b, offsets))
         table = localbasis.compute_all(coarse, fine, A, degrees,
                                        bubbles_only=True)
