@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import errno
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -126,11 +128,18 @@ def _number(v) -> bool:
         return False
 
 
+def _fits(v: int, where: str) -> int:
+    """v, unless the int64 degree arrays cannot hold it."""
+    if v > np.iinfo(np.int64).max:
+        raise ConfigError(f"{where}: {v} does not fit in a 64-bit integer")
+    return v
+
+
 def _degrees_field(raw, where: str, minimum: int):
     if _integer(raw):
         if raw < minimum:
             raise ConfigError(f"{where}: must be >= {minimum}, got {raw}")
-        return raw
+        return _fits(raw, where)
     if isinstance(raw, dict):
         _check_keys(raw, {"default", "overrides"}, {"default"}, where)
         default = raw["default"]
@@ -140,7 +149,8 @@ def _degrees_field(raw, where: str, minimum: int):
         if not _integer(default) or default < minimum:
             raise ConfigError(f"{where}.default: must be an integer "
                               f">= {minimum}")
-        table = {"default": default, "overrides": {}}
+        table = {"default": _fits(default, f"{where}.default"),
+                 "overrides": {}}
         for k, v in overrides.items():
             try:
                 key = int(k)
@@ -150,7 +160,7 @@ def _degrees_field(raw, where: str, minimum: int):
             if not _integer(v) or v < minimum:
                 raise ConfigError(f"{where}.overrides[{k}]: must be an "
                                   f"integer >= {minimum}")
-            table["overrides"][key] = v
+            table["overrides"][key] = _fits(v, f"{where}.overrides[{k}]")
         return table
     raise ConfigError(f"{where}: expected integer or "
                       "{default, overrides} table")
@@ -443,12 +453,12 @@ def _fmt(x: float) -> str:
 def run_single(config: RunConfig, problem: Problem | None = None,
                shared: dict | None = None) -> RunResult:
     """Offline build, online solve, error report and estimator for one
-    config.  shared may carry u_ref/E_star/space_donor from a previous run
-    on the same meshes and fields.
+    config.  shared may carry u_ref/E_star from a previous run on the same
+    fine lattice, coefficient and load.
 
     The bubble reference comes out of the offline sweep (build_space with
-    the load): it is asked for where E_rel_gamma needs it, a bubble-free
-    space, and taken wherever the donor already carries it."""
+    the load), asked for exactly where E_rel_gamma needs it: a bubble-free
+    space."""
     t0 = time.perf_counter()
     if problem is None:
         problem = build_problem(config)
@@ -463,12 +473,9 @@ def run_single(config: RunConfig, problem: Problem | None = None,
         u_ref, E_star = errors.reference_solve(
             problem.fine, problem.A, problem.f, config.rel_tol,
             eps=config.eps, strict=config.strict)
-    donor = shared.get("space_donor")
-    with_reference = (_bubble_free(problem.degrees)
-                      or (donor is not None and donor.f is problem.f))
     space = globalsolve.build_space(
         problem.coarse, problem.fine, problem.A, problem.degrees,
-        interface_from=donor, f=problem.f if with_reference else None)
+        f=None if problem.degrees.M.any() else problem.f)
     systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
     solution = globalsolve.solve_coarse(systems, config.rel_tol)
     u_B_ref = space.bubble_reference
@@ -479,17 +486,16 @@ def run_single(config: RunConfig, problem: Problem | None = None,
                      u_B_ref, ms)
 
 
-def _bubble_free(degrees: mesh.DegreeAssignment) -> bool:
-    return not degrees.M.any()
-
-
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"{out}: {exc.strerror}") from None
 
 
 def cmd_solve(config: RunConfig, out: str | None = None,
@@ -509,10 +515,11 @@ def _failed_row(config: RunConfig, exc: Exception,
 
 def cmd_sweep(config: RunConfig, axis: str, values: list[float],
               out: str | None = None, timing: bool = False) -> int:
-    """One row per value along the axis; offline work shared where the
-    meshes and coefficient stay fixed, and the fine reference of the first
-    good row on every axis but eps (an H row keeps the fine lattice).  The
-    values are checked before any row runs; failed rows are recorded and
+    """One row per value along the axis, each row building its own space;
+    the meshes are shared where they stay fixed, and the fine reference of
+    the first good row on every axis but eps (an H row keeps the fine
+    lattice).  The values are checked before any row runs, an N sweep's
+    largest N against the fine lattice too; failed rows are recorded and
     the sweep continues."""
     if axis not in ("H", "N", "M", "eps"):
         raise ConfigError(f"sweep axis must be H, N, M or eps, got {axis!r}")
@@ -535,11 +542,8 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
     if axis in ("N", "M"):
         problem = build_problem(config)
         if axis == "N":
-            cfg0 = _with(config, N=int(max(values)), M=0)
-            shared["space_donor"] = globalsolve.build_space(
-                problem.coarse, problem.fine, problem.A,
-                _degrees_of(cfg0, problem.coarse),
-                f=problem.f if _bubble_free(problem.degrees) else None)
+            globalsolve.check_degrees(problem.fine, _degrees_of(
+                _with(config, N=int(max(values)), M=0), problem.coarse))
 
     # An H row builds its own meshes, so a ConfigError there (an H that
     # does not tile the domain, an override the new mesh lacks) is the
@@ -569,8 +573,6 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
             else:
                 res = run_single(cfg, _reprob(
                     problem, _degrees_of(cfg, problem.coarse)), shared)
-                if axis == "M" and "space_donor" not in shared:
-                    shared["space_donor"] = res.solution.space
             if axis != "eps":
                 shared.setdefault("u_ref", res.u_ref)
                 shared.setdefault("E_star", res.E_star)
@@ -778,6 +780,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("--eta must be in [0, 0.5)")
             config.eta = args.eta
         out = args.out if args.out is not None else config.out
+        # Checked before any solve, so a run does not end in a path it
+        # cannot write (the file itself is made only once the run is done).
+        if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"{out}: {os.strerror(errno.ENOENT)}")
         if args.command == "solve":
             return cmd_solve(config, out, args.timing)
         if args.command == "sweep":

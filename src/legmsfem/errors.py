@@ -10,11 +10,11 @@ The interface variant subtracts the bubble-reference energy first, since
 the full reference splits energy-orthogonally into bubble and interface
 parts.  The fine reference is one multigrid-preconditioned CG solve; the
 bubble reference is the zero-trace solve with the load on every element,
-which the offline patch sweep produces next to the basis
-(globalsolve.build_space with the load) and `bubble_reference` runs
-alone.  `evaluate` is the one place that scores a solution: it also
-reports the direct norm quotient, a cross-check on the identity, and the
-residual of the error split.
+which the offline patch sweep of a space produces next to its basis
+(globalsolve.build_space with the load), and `bubble_reference` next to
+the nodal basis alone.  `evaluate` is the one place that scores a
+solution: it also reports the direct norm quotient, a cross-check on the
+identity, and the residual of the error split.
 """
 
 from __future__ import annotations
@@ -77,13 +77,13 @@ def bubble_reference(fine: FineMesh, A: finefem.Field,
     every fine vertex of the coarse skeleton held at zero.  The skeleton
     cuts that system into independent element blocks, so it is the
     zero-trace solve with load f on every element patch, glued into one
-    global field.  Those are the load rows of the offline block sweep
-    (localbasis.compute_all with the load and no DOFs) run alone, so the
-    field is bitwise the one globalsolve.build_space keeps for the same
-    load."""
+    global field.  Those are the load rows of the offline block sweep, here
+    beside the nodal rows (localbasis.compute_all with the load at N = 1,
+    M = 0); each row is its own LAPACK call, so the field is bitwise the
+    one globalsolve.build_space keeps for the same load with any degrees."""
     table = localbasis.compute_all(fine.coarse, fine, A,
                                    DegreeAssignment.uniform(fine.coarse, 1, 0),
-                                   bubbles_only=True, f=f)
+                                   f=f)
     return finefem.FineFunction(finefem.global_geometry(fine),
                                 table.reference)
 

@@ -946,8 +946,9 @@ def _matvecs(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
     A BLAS matrix-matrix product can round a column differently depending
     on how many columns ride along; one product per field keeps every basis
-    function bitwise independent of what else its patch solves, so sweeps
-    that reuse a donor space match fresh runs exactly."""
+    function bitwise independent of what else its patch solves: window
+    sharing gives each patch the rows of a window solved with other rows,
+    and basis-dump solves only the rows on one DOF's support."""
     return np.matmul(M[:, None], V[..., None])[..., 0]
 
 
@@ -1329,21 +1330,22 @@ def solve_spd(system: SparseSpdSystem, rel_tol: float = 1e-12) -> FineFunction:
     return FineFunction(geom, values)
 
 
-def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray,
-                W: np.ndarray | None = None) -> np.ndarray:
-    """Gram blocks a(V_i, W_j) = V_i^T K W_j of a stack of congruent
-    patches with the triangulation of geom: V (E, b, n) and W (E, c, n)
-    are nodal values on its local vertices and stencil holds the members'
-    stencils (PatchGroup.stencil).  Each member's stencil applies
-    to its fields in one pass (Stencil.apply_full), and einsum, without
-    BLAS, sums each entry over the vertices in one fixed order whatever
-    other fields and members ride along, so a donor space's blocks are
-    bitwise those of a fresh sweep.  Returns (E, b, c), exactly symmetric
-    when W is None."""
+def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray
+                ) -> np.ndarray:
+    """Gram blocks a(V_i, V_j) = V_i^T K V_j of a stack of congruent
+    patches with the triangulation of geom: V (E, b, n) holds nodal values
+    on its local vertices and stencil the members' stencils
+    (PatchGroup.stencil).  Each member's stencil applies to its fields in
+    one pass (Stencil.apply_full), and einsum, without BLAS, sums each
+    entry over the vertices in one fixed order whatever other fields and
+    members ride along, so a window's blocks do not depend on how a sweep
+    chunks its windows: window sharing, the load rows of a sweep given a
+    load and basis-dump's solve on one DOF's support each chunk them
+    their own way.  Returns (E, b, b), exactly symmetric."""
     member = Stencil(stencil.grid, stencil.coef[:, None])
-    KW = geom.from_box(member.apply_full(geom.to_box(V if W is None else W)))
-    M = np.einsum("eik,ejk->eij", V, KW)
-    return M if W is not None else 0.5 * (M + M.transpose(0, 2, 1))
+    KV = geom.from_box(member.apply_full(geom.to_box(V)))
+    M = np.einsum("eik,ejk->eij", V, KV)
+    return 0.5 * (M + M.transpose(0, 2, 1))
 
 
 def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: Field,

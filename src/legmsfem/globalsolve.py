@@ -36,8 +36,8 @@ class EnrichedSpace:
     DOF order is that of localbasis.DofTable: interface functions first
     (nodal by vertex, then edge by (edge, k)), bubbles after (by element,
     then index); the table holds the offline field stacks its rows index
-    and their Gram blocks.  A space built for a load f keeps it, and its
-    table the bubble reference.
+    and their Gram blocks, and for a space built with a load the bubble
+    reference of that load.
     """
 
     coarse: CoarseMesh
@@ -45,7 +45,6 @@ class EnrichedSpace:
     A: finefem.Field
     degrees: DegreeAssignment
     dofs: localbasis.DofTable
-    f: finefem.Field | None = None
 
     @cached_property
     def bubble_reference(self) -> finefem.FineFunction | None:
@@ -113,8 +112,8 @@ class _Fields:
            count: np.ndarray, n: int) -> _Fields:
         """The fields of pairs first[e] .. first[e] + count[e] - 1 of member
         e, pair j being DOF P[j] in row R[j] of stack S[j] of the space,
-        with row Q[j] of its Gram blocks; all fields of a part of a patch
-        shape come from one stack."""
+        with row Q[j] of its Gram blocks; all fields of a patch shape come
+        from one stack, that of its sweep."""
         d = int(count.max(initial=0))
         mask = np.arange(d) < count[:, None]
         if not mask.any():
@@ -122,22 +121,18 @@ class _Fields:
             return cls(np.full(mask.shape, -1), np.zeros((1, n)), zero, zero,
                        np.zeros((1, 1)))
         j = np.where(mask, first[:, None] + np.arange(d), 0)
-        sid = S[j[mask]]
-        if sid.min() != sid.max():
-            raise ValueError("fields of one patch shape span several stacks")
-        return cls(np.where(mask, P[j], -1), space.dofs.stacks[sid[0]],
+        sid = S[j[mask][0]]
+        return cls(np.where(mask, P[j], -1), space.dofs.stacks[sid],
                    np.where(mask, R[j], 0), np.where(mask, Q[j], 0),
-                   space.dofs.grams[sid[0]])
+                   space.dofs.grams[sid])
 
-    def gram(self, other: _Fields | None = None) -> np.ndarray | None:
+    def gram(self, other: _Fields | None = None) -> np.ndarray:
         """a(field i, field j of other) on each member, (E, d, d of
         other), zero at padding, gathered from the Gram blocks of the
-        offline sweep; other defaults to these fields.  None when the two
-        parts come from different stacks, whose sweep formed no product of
-        the two (a donor's interface against fresh bubbles)."""
+        offline sweep, which formed every product of the fields of one
+        patch shape; other, fields of the same members, defaults to these
+        fields."""
         other = self if other is None else other
-        if other.stack is not self.stack:
-            return None
         G = self.grams[self.gram_rows[:, :, None],
                        other.gram_rows[:, None, :] % self.grams.shape[1]]
         G[(self.dofs[:, :, None] < 0) | (other.dofs[:, None, :] < 0)] = 0.0
@@ -173,7 +168,8 @@ def check_degrees(fine: FineMesh, degrees: DegreeAssignment) -> None:
     bounds, and UnresolvedDegreeError unless the fine lattice resolves
     every degree: edge degree N puts N - 1 enrichments on the n_sub - 1
     interior fine vertices of an edge, and an element's bubbles may not
-    outnumber its interior fine vertices either."""
+    outnumber its interior fine vertices either, nor a triangle's bulk
+    degree pass polybasis.MAX_TRIANGLE_DEGREE."""
     degrees.validate(fine.coarse)
     inner = fine.coarse.interior_edge_ids
     N = degrees.N[inner]
@@ -181,17 +177,22 @@ def check_degrees(fine: FineMesh, degrees: DegreeAssignment) -> None:
         e = int(np.argmax(N > fine.n_sub))
         raise UnresolvedDegreeError(
             f"edge {inner[e]}: degree N={N[e]} exceeds n_sub={fine.n_sub}")
-    M = degrees.M
-    dims = np.zeros(M.max(initial=0) + 1, dtype=int)
-    for m in set(M[M > 0].tolist()):
-        dims[m] = polybasis.BulkPolyBasis(fine.coarse.kind, m).dim
+    M, kind = degrees.M, fine.coarse.kind
+    cap = polybasis.MAX_TRIANGLE_DEGREE
+    if kind == "triangle" and (M > cap).any():
+        K = int(np.argmax(M > cap))
+        raise UnresolvedDegreeError(
+            f"element {K}: bubble degree M={M[K]}, but the triangle bulk "
+            f"degree is capped at {cap}")
     # The interior fine vertices of each element with bubbles, counted once
     # per patch shape from its vertex and boundary patterns.
     K = np.flatnonzero(M)
     shape = fine.patch_shape(K)
     free = np.array([len(ids) - len(bnd) for ids, bnd, _ in map(
         fine.shape_pattern, range(shape.max(initial=0) + 1))])[shape]
-    bad = np.flatnonzero(dims[M[K]] > free)
+    # The bulk dimensions in floats, which no degree overflows: exact up
+    # to 2^53, far beyond any count of fine vertices.
+    bad = np.flatnonzero(polybasis.bulk_dim(kind, M[K].astype(float)) > free)
     if len(bad):
         K, free = K[bad[0]], free[bad[0]]
         raise UnresolvedDegreeError(
@@ -199,66 +200,19 @@ def check_degrees(fine: FineMesh, degrees: DegreeAssignment) -> None:
             f"{free} interior fine vertices")
 
 
-def expected_dof_count(coarse: CoarseMesh, degrees: DegreeAssignment
-                       ) -> int:
-    """The interface DOF count implied by the degree assignment."""
-    return len(coarse.interior_vertex_ids) + int(
-        (degrees.N[coarse.interior_edge_ids] - 1).sum())
-
-
 def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
-                degrees: DegreeAssignment,
-                interface_from: EnrichedSpace | None = None,
-                f: finefem.Field | None = None) -> EnrichedSpace:
-    """Run the offline solves and build the DOF table.
-
-    interface_from reuses the interface part of an existing space built on
-    the same meshes and the same coefficient object with edgewise degrees at
-    least as large, its fields and their Gram blocks; only bubbles are
-    recomputed.  Degrees beyond the donor
-    raise, and so do degrees the fine lattice cannot resolve.
+                degrees: DegreeAssignment, f: finefem.Field | None = None
+                ) -> EnrichedSpace:
+    """Run the offline solves and build the DOF table, every space its
+    own sweep; degrees the fine lattice cannot resolve raise.
 
     Given the load f, the space also carries the bubble reference of f:
-    the donor's when the donor was built for the same load object (compared
-    by identity, like the coefficient), else the load solves of the
-    offline sweep, one row per distinct load row of a coefficient window,
-    so every window is still eliminated once.
+    the load solves of the same sweep, one row per distinct load row of a
+    coefficient window, so every window is still eliminated once.
     """
     check_degrees(fine, degrees)
-    if interface_from is None:
-        return EnrichedSpace(coarse, fine, A, degrees,
-                             localbasis.compute_all(coarse, fine, A, degrees,
-                                                    f=f), f)
-    donor = interface_from
-    if donor.coarse is not coarse or donor.fine is not fine:
-        raise ValueError("interface reuse requires the same mesh pair")
-    if donor.A is not A:
-        raise ValueError("interface reuse requires the same coefficient")
-    # The donor's interface DOFs that the degrees still ask for, in order.
-    d = donor.dofs
-    keep = d.kind != localbasis.BUBBLE
-    edge = d.kind == localbasis.EDGE
-    keep[edge] = d.key[edge, 1] <= degrees.N[d.key[edge, 0]]
-    n_if = expected_dof_count(coarse, degrees)
-    if np.count_nonzero(keep) != n_if:
-        raise ValueError("donor space is missing requested edge degrees")
-    inherited = f is not None and donor.f is f
-    bubbles = localbasis.compute_all(coarse, fine, A, degrees,
-                                     bubbles_only=True,
-                                     f=None if inherited else f)
-    position = np.cumsum(keep) - 1
-    pair = keep[d.dof]
-    dofs = localbasis.DofTable(
-        np.concatenate([d.kind[keep], bubbles.kind]),
-        np.concatenate([d.key[keep], bubbles.key]),
-        np.concatenate([d.element[pair], bubbles.element]),
-        np.concatenate([position[d.dof[pair]], bubbles.dof + n_if]),
-        np.concatenate([d.stack[pair], bubbles.stack + len(d.stacks)]),
-        np.concatenate([d.row[pair], bubbles.row]),
-        np.concatenate([d.gram[pair], bubbles.gram]),
-        d.stacks + bubbles.stacks, d.grams + bubbles.grams,
-        d.reference if inherited else bubbles.reference)
-    return EnrichedSpace(coarse, fine, A, degrees, dofs, f)
+    return EnrichedSpace(coarse, fine, A, degrees, localbasis.compute_all(
+        coarse, fine, A, degrees, f=f))
 
 
 class InterfaceOperator:
@@ -366,15 +320,13 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
     Each element contributes the Gram block of its interface DOFs and that
     of its bubble DOFs, each padded with zero rows to the longest in its
     group, gathered from the Gram blocks of the offline sweep through the
-    DOF table (a donor lends its interface blocks), so no fine product is
-    formed; the load right-hand side is the one pass over the fields, each
-    block of fields that members share gathered once (_project_load).  The
-    interface blocks make the InterfaceOperator, unassembled.  with_cross
-    also accumulates the bubble-interface energy Gram block, which is zero
-    up to solver tolerance; it exists for diagnostics only.  Where the two
-    parts come from different sweeps (bubbles on a donor's interface) it
-    is formed with the patch stencils (finefem.patch_grams).  A must be
-    the space's coefficient object.
+    DOF table, so no fine product is formed; the load right-hand side is
+    the one pass over the fields, each block of fields that members share
+    gathered once (_project_load).  The interface blocks make the
+    InterfaceOperator, unassembled.  with_cross also gathers the
+    bubble-interface energy Gram block from the same sweep's blocks; it is
+    zero up to solver tolerance and exists for diagnostics only.  A must
+    be the space's coefficient object.
     """
     if A is not space.A:
         raise ValueError("assemble_coarse: A is not the space's coefficient")
@@ -386,7 +338,7 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
     cross = np.zeros((space.n_dofs - n_if, n_if)) if with_cross else None
     for group, iface_fields, bub_fields in space._fields:
         iface, bub = iface_fields.dofs, bub_fields.dofs
-        n_i, n = iface.shape[1], group.template.n_vertices
+        n_i = iface.shape[1]
         if_ids.append(iface)
         if_blocks.append(iface_fields.gram())
         Vb = np.zeros((len(iface), n_i + bub.shape[1]))
@@ -400,13 +352,6 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
                 blocks[K] = (bub[e, :b], G_b[e, :b, :b], Vb[e, n_i:n_i + b])
         if with_cross:
             G_x = bub_fields.gram(iface_fields)
-            if G_x is None:
-                t = group.template
-                G_x = np.zeros(bub.shape + (n_i,))
-                for sl, sub in group.chunks(3 * Vb.shape[1] * n):
-                    G_x[sl] = finefem.patch_grams(
-                        t, sub.stencil(A), bub_fields.gather(sl),
-                        iface_fields.gather(sl))
             pair = (bub[:, :, None] >= 0) & (iface[:, None, :] >= 0)
             np.add.at(cross, (
                 np.broadcast_to(bub[:, :, None], pair.shape)[pair] - n_if,

@@ -438,31 +438,27 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
 
 
 def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
-                degrees: DegreeAssignment, bubbles_only: bool = False,
-                f: finefem.Field | None = None,
+                degrees: DegreeAssignment, f: finefem.Field | None = None,
                 support_of: tuple[int, int, int] | None = None) -> DofTable:
     """The DOF table of the enrichment (see DofTable for its order), with
     the offline solves of its fields.
 
-    bubbles_only leaves out the interface DOFs (sweeps reuse the interface
-    part across bubble degrees).  Each distinct local problem of a patch
-    shape is solved once (_group_fields), all of them in batches, one
-    field stack of distinct fields per patch shape solved.  support_of,
-    a (kind, id, k) key, restricts the solves to the elements of that DOF:
-    every DOF stays listed, but only the pairs on those elements are (none
-    if there is no such DOF).  Given the load f, every patch also solves the
+    Each distinct local problem of a patch shape is solved once
+    (_group_fields), all of them in batches, one field stack of distinct
+    fields per patch shape solved.  support_of, a (kind, id, k) key,
+    restricts the solves to the elements of that DOF: every DOF stays
+    listed, but only the pairs on those elements are (none if there is no
+    such DOF).  Given the load f, every patch also solves the
     zero-trace problem with load f in the same sweep, and the table's
     reference glues those solves into one global fine field.
     """
     degrees.validate(coarse)
     ev, sides = coarse.element_vertices, coarse.element_edge_ids
     n_el = len(ev)
-    verts = np.zeros(0, dtype=int)
+    verts, inner = coarse.interior_vertex_ids, coarse.interior_edge_ids
     n_eta = np.zeros(coarse.n_edges, dtype=int)
+    n_eta[inner] = degrees.N[inner] - 1
     M = degrees.M
-    if not bubbles_only:
-        verts, inner = coarse.interior_vertex_ids, coarse.interior_edge_ids
-        n_eta[inner] = degrees.N[inner] - 1
     bases = {m: polybasis.BulkPolyBasis(coarse.kind, m)
              for m in sorted(set(M[M > 0].tolist()))}
     n_b = np.zeros(n_el, dtype=int)

@@ -145,6 +145,13 @@ def _tri_orthonormalizer(pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
 MAX_TRIANGLE_DEGREE = 8
 
 
+def bulk_dim(kind: str, M):
+    """The dimension of the bulk basis of degree M without building the
+    basis: (M+1)^2 on quads, (M+1)(M+2)/2 on triangles, exact for a Python
+    int and elementwise for an array."""
+    return (M + 1) ** 2 if kind == "quad" else (M + 1) * (M + 2) // 2
+
+
 class BulkPolyBasis:
     """Bubble right-hand-side basis {P_i} on the reference element.
 
@@ -162,14 +169,13 @@ class BulkPolyBasis:
             raise ValueError(f"unknown element kind {kind!r}")
         self.kind = kind
         self.M = int(M)
+        self.dim = bulk_dim(kind, self.M)
         if kind == "quad":
-            self.dim = (M + 1) ** 2
             # M+1 Lagrange nodes per direction; M=0 degenerates to the constant.
             self._nodes = gauss_lobatto(M + 1).nodes if M >= 1 else np.array([0.0])
         else:
             if M > MAX_TRIANGLE_DEGREE:
                 raise ValueError(f"triangle bulk degree capped at {MAX_TRIANGLE_DEGREE}")
-            self.dim = (M + 1) * (M + 2) // 2
             self._pairs = [(d - q, q) for d in range(M + 1) for q in range(d + 1)]
             self._C = _tri_orthonormalizer(tuple(self._pairs))
 

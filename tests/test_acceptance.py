@@ -62,8 +62,6 @@ def resonance():
     res4 = cli.run_single(cfg4)
     out[(16, 4)] = res4
     shared["u_ref"], shared["E_star"] = res4.u_ref, res4.E_star
-    shared["u_B_ref"] = res4.u_B_ref
-    shared["space_donor"] = res4.solution.space
     out[(16, 1)] = cli.run_single(_cfg(nx=16, ny=16, n_sub=8, N=1),
                                   _with_degrees(res4.problem, 1, 0),
                                   shared=shared)
@@ -87,8 +85,6 @@ def estimator_grid():
             if problem is None:
                 problem = res.problem
                 shared["u_ref"], shared["E_star"] = res.u_ref, res.E_star
-                shared["u_B_ref"] = res.u_B_ref
-                shared["space_donor"] = res.solution.space
             grid[(nx, N)] = res
     return grid
 

@@ -426,8 +426,9 @@ def rel_close(got, want, scale=None):
 def test_stencil_products_match_gram_blocks(kind, coefficient, rng):
     # every energy product u^T K v on the stencil against the triangle
     # gradients of gram_blocks: the patch Gram blocks of fields that are
-    # nonzero on the patch boundary, of one stack and of two, and the
-    # global energy_inner_matrix
+    # nonzero on the patch boundary, of one stack and, as the off-diagonal
+    # block of the pair stacked into one, of two stacks against each other,
+    # and the global energy_inner_matrix
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, 6)
     A = (finefem.periodic_benchmark(0.25) if coefficient == "periodic"
@@ -446,7 +447,8 @@ def test_stencil_products_match_gram_blocks(kind, coefficient, rng):
         got = finefem.patch_grams(t, st, V)
         assert np.array_equal(got, got.transpose(0, 2, 1))
         assert rel_close(got, gram_blocks(V, tris, grads, AW))
-        assert rel_close(finefem.patch_grams(t, st, V, W),
+        stacked = finefem.patch_grams(t, st, np.concatenate([V, W], axis=1))
+        assert rel_close(stacked[:, :5, 5:],
                          gram_blocks(V, tris, grads, AW, W))
     geom = finefem.global_geometry(fine)
     V = rng.standard_normal((4, geom.n_vertices))
@@ -681,14 +683,10 @@ def test_reconstruct_matches_loop(kind):
     coarse = mesh.build_coarse(kind, 3, 2)
     fine = mesh.refine_to_fine(coarse, 8)
     A, f = finefem.periodic_benchmark(0.25), finefem.gaussian_rhs()
-    donor = globalsolve.build_space(
-        coarse, fine, A, mesh.DegreeAssignment.uniform(coarse, 3, 0))
     degrees = mesh.DegreeAssignment(1 + np.arange(coarse.n_edges) % 3,
                                     np.arange(coarse.n_elements) % 3)
-    spaces = [globalsolve.build_space(coarse, fine, A, degrees),
-              globalsolve.build_space(coarse, fine, A, degrees,
-                                      interface_from=donor)]
-    spaces.append(with_copied_fields(spaces[0]))
+    space = globalsolve.build_space(coarse, fine, A, degrees)
+    spaces = [space, with_copied_fields(space)]
     for space in spaces:
         systems = globalsolve.assemble_coarse(space, A, f)
         sol = globalsolve.solve_coarse(systems)
@@ -697,7 +695,7 @@ def test_reconstruct_matches_loop(kind):
             assert bitwise(got, loop_reconstruct(sol, which)), which
     # the copied fields assemble the same systems bitwise
     a, b = (globalsolve.assemble_coarse(s, A, f, with_cross=True)
-            for s in (spaces[0], spaces[2]))
+            for s in spaces)
     assert bitwise(a.interface_K._blocks, b.interface_K._blocks)
     assert bitwise(a.interface_rhs, b.interface_rhs)
     assert bitwise(a.cross_gram, b.cross_gram)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -430,8 +431,8 @@ def test_unresolved_degrees_are_config_errors(tmp_path, capsys):
                          **patch)
         assert cli.main(["solve", "--config", path]) == 2
         assert needle in capsys.readouterr().err
-    # an N sweep builds its donor space at the largest N before any row;
-    # an M sweep marks the unresolved row failed and goes on
+    # an N sweep checks its largest N before any row; an M sweep marks the
+    # unresolved row failed and goes on
     path = write_cfg(tmp_path, n_sub=2, N=1, coefficient={"type": "identity"})
     assert cli.main(["sweep", "--config", path, "--axis", "N",
                      "--values", "1,2,3"]) == 2
@@ -440,6 +441,57 @@ def test_unresolved_degrees_are_config_errors(tmp_path, capsys):
                      "--values", "0,1", "--out", str(out)]) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [r[6] == "nan" for r in rows] == [False, True]
+    # so does a triangle row above the bulk degree cap
+    cfg = cli.RunConfig.from_dict(cfg_dict(kind="triangle", nx=2, ny=2,
+                                           n_sub=32))
+    assert cli.cmd_sweep(cfg, "M", [0, 9], str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[6] == "nan" for r in rows] == [False, True]
+
+
+@pytest.mark.parametrize("patch, needle", [
+    ({"kind": "triangle", "nx": 2, "ny": 2, "n_sub": 32, "M": 9},
+     "capped at 8"),
+    ({"N": 10 ** 20}, "config.N: 100000000000000000000 does not fit"),
+    ({"M": {"default": 0, "overrides": {"0": 10 ** 20}}},
+     "config.M.overrides[0]: 100000000000000000000 does not fit"),
+    ({"nx": 2, "ny": 2, "n_sub": 4, "M": 20000},
+     "bubble degree M=20000 needs more than its 9 interior")],
+    ids=["triangle-M9", "N-1e20", "M-override-1e20", "M20000"])
+def test_unusable_degrees_exit_2_at_once(patch, needle, tmp_path, capsys):
+    # each fails before any solve with its message: the triangle cap and
+    # the int64 range are config errors like an unresolved degree, and the
+    # bulk dimension of M = 20000 comes from its formula, with no basis
+    # or quadrature rule built
+    path = write_cfg(tmp_path, **patch)
+    t0 = time.perf_counter()
+    assert cli.main(["solve", "--config", path]) == 2
+    assert time.perf_counter() - t0 < 2.0
+    assert needle in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
+    # an output directory that does not exist fails before any solve, from
+    # --out or from the config's out, and leaves no file; a path that
+    # cannot be written fails at the write, with its reason
+    def solve(*args, **kw):
+        raise AssertionError("a solve ran before the output path was checked")
+
+    monkeypatch.setattr(errors, "reference_solve", solve)
+    missing = tmp_path / "missing" / "x.csv"
+    for args, out in (
+            (["solve"], str(missing)),
+            (["solve", "--out", str(missing)], None),
+            (["sweep", "--axis", "N", "--values", "1,2", "--out",
+              str(missing)], None)):
+        path = write_cfg(tmp_path, out=out)
+        assert cli.main([*args, "--config", path]) == 2
+        assert f"error: {missing}: " in capsys.readouterr().err
+    assert not missing.parent.exists()
+    monkeypatch.undo()
+    path = write_cfg(tmp_path)
+    assert cli.main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+    assert f"error: {tmp_path}: " in capsys.readouterr().err
 
 
 def test_coefficient_bounds_checked(tmp_path):
@@ -463,16 +515,21 @@ def test_coefficient_bounds_checked(tmp_path):
     assert all(r.split(",")[5:9] == ["0", "nan", "nan", "nan"] for r in rows)
 
 
-@pytest.mark.parametrize("axis, values", [
-    ("N", [1, 2, 3]), ("M", [0, 1, 2]), ("H", [0.5, 0.25, 0.125])],
-    ids=["N", "M", "H"])
-def test_sweep_reuse_matches_fresh_runs(axis, values, tmp_path,
+@pytest.mark.parametrize("axis, values, load", [
+    (axis, values, load)
+    for load in (None, {"type": "gaussian_benchmark"})
+    for axis, values in (("N", [1, 2, 3]), ("M", [0, 1, 2]),
+                         ("H", [0.5, 0.25, 0.125]))],
+    ids=["N", "M", "H", "N-gaussian", "M-gaussian", "H-gaussian"])
+def test_sweep_reuse_matches_fresh_runs(axis, values, load, tmp_path,
                                        monkeypatch):
-    # every row that shares work (a donor's interface fields, the fine
-    # reference) equals a fresh run of its own config byte for byte; an
-    # H row keeps the 32 fine cells per side, so the sweep solves the fine
-    # reference once on every axis
-    cfg = cli.RunConfig.from_dict(cfg_dict())
+    # every row that shares work (the meshes, the fine reference) equals a
+    # fresh run of its own config byte for byte, also under a load that
+    # varies, where each bubble-free row solves its own bubble reference;
+    # an H row keeps the 32 fine cells per side, so the sweep solves the
+    # fine reference once on every axis
+    rhs = {"rhs": load} if load else {}
+    cfg = cli.RunConfig.from_dict(cfg_dict(**rhs))
     out = tmp_path / "sweep.csv"
     solves = []
     real = errors.reference_solve
@@ -489,7 +546,8 @@ def test_sweep_reuse_matches_fresh_runs(axis, values, tmp_path,
     for v, line in zip(values, lines[1:]):
         own = ({"nx": round(1 / v), "ny": round(1 / v), "n_sub": round(32 * v)}
                if axis == "H" else {axis: v})
-        fresh = cli.run_single(cli.RunConfig.from_dict(cfg_dict(**own)))
+        fresh = cli.run_single(cli.RunConfig.from_dict(cfg_dict(**own,
+                                                                **rhs)))
         assert line == fresh.row()
 
 
@@ -815,8 +873,9 @@ def test_bubble_free_solve_runs_one_fine_solve(monkeypatch):
 
 
 def test_sweep_N_rows_run_no_patch_elimination(monkeypatch, tmp_path):
-    # the rows of an N sweep take their basis and their bubble reference
-    # from the donor space, so the donor's sweep is the only elimination
+    # every row of an N sweep builds its own space, its basis and bubble
+    # reference in one sweep: each row eliminates each triangle patch
+    # shape once
     swept = []
     real = localbasis._group_fields
 
@@ -828,7 +887,7 @@ def test_sweep_N_rows_run_no_patch_elimination(monkeypatch, tmp_path):
     cfg = cli.RunConfig.from_dict(cfg_dict(kind="triangle"))
     assert cli.cmd_sweep(cfg, "N", [1, 2, 3], str(tmp_path / "s.csv")) == 0
     assert len(tmp_path.joinpath("s.csv").read_text().splitlines()) == 4
-    assert len(swept) == 2  # the two triangle patch shapes, once
+    assert len(swept) == 6  # the two triangle patch shapes, once a row
     problem = cli.build_problem(cli.RunConfig.from_dict(
         cfg_dict(kind="triangle", N=3)))
     swept.clear()

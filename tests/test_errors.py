@@ -112,7 +112,6 @@ def test_offline_bubble_reference_is_the_standalone_one(kind, nx, ny, n_sub,
                                     mesh.DegreeAssignment.uniform(coarse, N,
                                                                   M), f=f)
     assert (space.n_dofs == 0) == (nx * ny == 1)
-    assert space.f is f
     alone = errors.bubble_reference(fine, A, f)
     assert space.bubble_reference.geom is alone.geom
     assert space.bubble_reference.geom is finefem.global_geometry(fine)
@@ -133,26 +132,6 @@ def test_bubble_reference_is_the_skeleton_solve(kind, nx, ny, n_sub, N, M):
     assert G[0, 0] <= 1e-20 * G[1, 1]
     E_old, E_new = finefem.energy(old, A, f), finefem.energy(new, A, f)
     assert abs(E_new - E_old) <= 1e-10 * abs(E_old)
-
-
-def test_built_space_keeps_the_donor_reference():
-    # the same load object takes the donor's reference and solves nothing;
-    # another load object, or none, gets its own
-    coarse, fine, A, f = bubble_problem("quad", 3, 2, 6)
-    donor = globalsolve.build_space(
-        coarse, fine, A, mesh.DegreeAssignment.uniform(coarse, 3, 0), f=f)
-    low = mesh.DegreeAssignment.uniform(coarse, 1, 0)
-    reused = globalsolve.build_space(coarse, fine, A, low,
-                                     interface_from=donor, f=f)
-    assert reused.bubble_reference.values is donor.bubble_reference.values
-    g = finefem.constant_rhs(-1.0)
-    other = globalsolve.build_space(coarse, fine, A, low,
-                                    interface_from=donor, f=g)
-    assert other.f is g
-    assert np.array_equal(other.bubble_reference.values,
-                          errors.bubble_reference(fine, A, g).values)
-    none = globalsolve.build_space(coarse, fine, A, low, interface_from=donor)
-    assert none.f is None and none.bubble_reference is None
 
 
 @pytest.mark.parametrize("run", ["small_bench", "small_bench_bubbles"])
@@ -332,12 +311,6 @@ def test_same_name_coefficients_never_share_a_matrix():
     _, E_ten = errors.reference_solve(fine, ten, f)
     _, E_fresh = errors.reference_solve(mesh.refine_to_fine(coarse, 4), ten, f)
     assert E_ten == E_fresh
-    degrees = mesh.DegreeAssignment.uniform(coarse, 2, 1)
-    donor = globalsolve.build_space(coarse, fine, one,
-                                    mesh.DegreeAssignment.uniform(coarse, 2, 0))
-    with pytest.raises(ValueError, match="same coefficient"):
-        globalsolve.build_space(coarse, fine, ten, degrees,
-                                interface_from=donor)
 
 
 def run_config(kind, nx, n_sub, N, M, eps=2.0):

@@ -220,15 +220,18 @@ def test_compute_all_order_and_counts(quad44, fine_quad44, A_osc):
 
 
 def test_compute_all_which_split(quad44, fine_quad44, A_osc):
-    # bubbles only, and the interface only from degrees without bubbles
+    # the interface only from degrees without bubbles; with bubbles, the
+    # same interface DOFs first and the bubbles after
     degrees = mesh.DegreeAssignment.uniform(quad44, 2, 1)
     iface = localbasis.compute_all(quad44, fine_quad44, A_osc,
                                    mesh.DegreeAssignment.uniform(quad44, 2, 0))
-    bub = localbasis.compute_all(quad44, fine_quad44, A_osc, degrees,
-                                 bubbles_only=True)
+    full = localbasis.compute_all(quad44, fine_quad44, A_osc, degrees)
+    n = len(iface)
     assert (iface.kind != BUBBLE).all()
-    assert (bub.kind == BUBBLE).all()
-    assert len(iface) + len(bub) == 9 + 24 + 64
+    assert np.array_equal(full.kind[:n], iface.kind)
+    assert np.array_equal(full.key[:n], iface.key)
+    assert (full.kind[n:] == BUBBLE).all()
+    assert len(full) == 9 + 24 + 64
 
 
 def reference_trace(coarse, fine, elem_id, kind, key):
@@ -687,13 +690,12 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
                 localbasis, "_load_weights",
                 lambda coarse, sub, M, bases, n_b, offsets:
                 loop_load_weights(coarse, sub, M, bases, n_b, offsets))
-        table = localbasis.compute_all(coarse, fine, A, degrees,
-                                       bubbles_only=True)
+        table = localbasis.compute_all(coarse, fine, A, degrees)
         runs.append((table, [table_fields(table, d)
                              for d in range(len(table))]))
     (batched, a), (looped, b) = runs
     assert np.array_equal(batched.key, looped.key)
-    assert len(batched) == sum(
+    assert np.count_nonzero(batched.kind == BUBBLE) == sum(
         polybasis.BulkPolyBasis(kind, M).dim for M in degrees.M.tolist() if M)
     for x, y in zip(a, b):
         assert list(x) == list(y)
