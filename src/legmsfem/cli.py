@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,6 +210,8 @@ class RunConfig:
             if not _integer(val) or val < 1:
                 raise ConfigError(f"config.{key}: must be a positive integer")
             setattr(c, key, val)
+        if c.n_sub < 2:
+            raise ConfigError("config.n_sub: must be at least 2")
         dom = d.get("domain", list(c.domain))
         if (not isinstance(dom, (list, tuple)) or len(dom) != 4
                 or not all(_number(v) for v in dom)):
@@ -218,6 +220,16 @@ class RunConfig:
         c.domain = tuple(float(v) for v in dom)
         if not (c.domain[0] < c.domain[1] and c.domain[2] < c.domain[3]):
             raise ConfigError("config.domain: must be increasing per axis")
+        # The fine lattice must represent the domain: finite sides, and a
+        # fine cell area hx * hy that is a normal float.
+        Lx, Ly = c.domain[1] - c.domain[0], c.domain[3] - c.domain[2]
+        if not (math.isfinite(Lx) and math.isfinite(Ly)):
+            raise ConfigError("config.domain: x1 - x0 and y1 - y0 must be "
+                              "finite")
+        area = Lx / (c.nx * c.n_sub) * (Ly / (c.ny * c.n_sub))
+        if area < np.finfo(float).tiny:
+            raise ConfigError(f"config.domain: the fine cell area {area!r} "
+                              "is below the smallest normal float")
         c.coefficient = d.get("coefficient", c.coefficient)
         c.rhs = d.get("rhs", c.rhs)
         _coefficient_field(c.coefficient)
@@ -394,7 +406,6 @@ class Problem:
     A: finefem.Field
     f: finefem.Field
     degrees: mesh.DegreeAssignment
-    gamma: float
 
 
 def build_problem(config: RunConfig) -> Problem:
@@ -404,12 +415,12 @@ def build_problem(config: RunConfig) -> Problem:
     A = _coefficient_field(config.coefficient)
     f = _rhs_field(config.rhs)
     degrees = _degrees_of(config, coarse)
-    gamma = mesh.check_regularity(coarse)
-    bad = mesh.check_degree_compat(coarse, degrees, gamma)
+    bad = mesh.check_degree_compat(coarse, degrees,
+                                   mesh.check_regularity(coarse))
     if bad:
         print(f"warning: {len(bad)} edge pairs violate the degree "
               "comparability condition", file=sys.stderr)
-    return Problem(coarse, fine, A, f, degrees, gamma)
+    return Problem(coarse, fine, A, f, degrees)
 
 
 @dataclass
@@ -571,8 +582,8 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
             elif problem is None:
                 res = run_single(cfg)
             else:
-                res = run_single(cfg, _reprob(
-                    problem, _degrees_of(cfg, problem.coarse)), shared)
+                res = run_single(cfg, replace(
+                    problem, degrees=_degrees_of(cfg, problem.coarse)), shared)
             if axis != "eps":
                 shared.setdefault("u_ref", res.u_ref)
                 shared.setdefault("E_star", res.E_star)
@@ -611,21 +622,13 @@ def _h_config(config: RunConfig, H: float) -> RunConfig:
                           f"{fine_cells} cells per side")
     if ny * (fine_cells // nx) != config.ny * config.n_sub:
         raise ConfigError(f"H={H!r} cannot keep the fine grid on both axes")
-    cfg = _with(config, nx=nx, ny=ny, n_sub=fine_cells // nx)
-    if cfg.n_sub < 2:
-        raise ConfigError(f"H={H!r} leaves fewer than 2 subdivisions")
-    return cfg
+    return _with(config, nx=nx, ny=ny, n_sub=fine_cells // nx)
 
 
 def _with(config: RunConfig, **kw) -> RunConfig:
     d = config.to_dict()
     d.update(kw)
     return RunConfig.from_dict(d)
-
-
-def _reprob(problem: Problem, degrees: mesh.DegreeAssignment) -> Problem:
-    return Problem(problem.coarse, problem.fine, problem.A, problem.f,
-                   degrees, problem.gamma)
 
 
 def cmd_errmap(config: RunConfig, out: str | None = None) -> int:

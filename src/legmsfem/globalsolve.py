@@ -11,11 +11,12 @@ element blocks from those through the DOF table and reads the fields
 only for the load right-hand side; the interface system is kept as the
 blocks and applied element by element.
 
-Assembly and reconstruction see the basis fields of each patch shape as
-an (elements, DOFs) table of rows of the offline field stacks, built once
-per space from its DOF table (localbasis.DofTable); they index those
-stacks, and their Gram blocks, in place.  A reconstruction is then a few
-array passes per shape and one scatter into the global field.
+Assembly, the load projection and reconstruction read the basis fields
+of each patch group as the offline sweep left them in the DOF table
+(localbasis.DofTable): per part, an (elements, DOFs) table of rows of the
+group's field stack and of its Gram blocks, indexed in place.  A
+reconstruction is then a few array passes per group and one scatter into
+the global field.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ class EnrichedSpace:
 
     DOF order is that of localbasis.DofTable: interface functions first
     (nodal by vertex, then edge by (edge, k)), bubbles after (by element,
-    then index); the table holds the offline field stacks its rows index
-    and their Gram blocks, and for a space built with a load the bubble
-    reference of that load.
+    then index); the table holds the fields of each patch group, its
+    field stack and Gram blocks indexed per part (localbasis.Fields), and
+    for a space built with a load the bubble reference of that load.
     """
 
     coarse: CoarseMesh
@@ -66,96 +67,6 @@ class EnrichedSpace:
     @property
     def n_bubble(self) -> int:
         return self.n_dofs - self.n_interface
-
-    @cached_property
-    def _fields(self) -> list[tuple[finefem.PatchGroup, _Fields, _Fields]]:
-        """(group, interface fields, bubble fields) for each patch shape,
-        over the elements that carry DOFs, indexing the field stacks."""
-        t = self.dofs
-        # Every (element, DOF) pair sorted by element, then DOF.
-        order = np.lexsort((t.dof, t.element))
-        K, P = t.element[order], t.dof[order]
-        S, R, Q = t.stack[order], t.row[order], t.gram[order]
-        n_el = self.coarse.n_elements
-        count = np.bincount(K, minlength=n_el)
-        first = np.cumsum(count) - count
-        n_if = np.bincount(K[P < self.n_interface], minlength=n_el)
-        out = []
-        for group in finefem.patch_groups(self.fine, np.flatnonzero(count)):
-            E, n = group.elements, group.template.n_vertices
-            out.append((group,
-                        _Fields.of(self, S, R, Q, P, first[E], n_if[E], n),
-                        _Fields.of(self, S, R, Q, P, first[E] + n_if[E],
-                                   count[E] - n_if[E], n)))
-        return out
-
-
-@dataclass(frozen=True)
-class _Fields:
-    """The fields of one part of the DOFs on the members of a patch group:
-    dofs (E, d) holds each member's DOFs in ascending order, padded with
-    -1, and field i of member e is row rows[e, i] of stack (row 0 at
-    padding), a stack of distinct fields that members may share, and row
-    gram_rows[e, i] of the Gram blocks grams of its window, stacked in
-    blocks of r rows (row 0 at padding), where it is column
-    gram_rows[e, i] % r."""
-
-    dofs: np.ndarray
-    stack: np.ndarray
-    rows: np.ndarray
-    gram_rows: np.ndarray
-    grams: np.ndarray
-
-    @classmethod
-    def of(cls, space: EnrichedSpace, S: np.ndarray, R: np.ndarray,
-           Q: np.ndarray, P: np.ndarray, first: np.ndarray,
-           count: np.ndarray, n: int) -> _Fields:
-        """The fields of pairs first[e] .. first[e] + count[e] - 1 of member
-        e, pair j being DOF P[j] in row R[j] of stack S[j] of the space,
-        with row Q[j] of its Gram blocks; all fields of a patch shape come
-        from one stack, that of its sweep."""
-        d = int(count.max(initial=0))
-        mask = np.arange(d) < count[:, None]
-        if not mask.any():
-            zero = np.zeros(mask.shape, dtype=int)
-            return cls(np.full(mask.shape, -1), np.zeros((1, n)), zero, zero,
-                       np.zeros((1, 1)))
-        j = np.where(mask, first[:, None] + np.arange(d), 0)
-        sid = S[j[mask][0]]
-        return cls(np.where(mask, P[j], -1), space.dofs.stacks[sid],
-                   np.where(mask, R[j], 0), np.where(mask, Q[j], 0),
-                   space.dofs.grams[sid])
-
-    def gram(self, other: _Fields | None = None) -> np.ndarray:
-        """a(field i, field j of other) on each member, (E, d, d of
-        other), zero at padding, gathered from the Gram blocks of the
-        offline sweep, which formed every product of the fields of one
-        patch shape; other, fields of the same members, defaults to these
-        fields."""
-        other = self if other is None else other
-        G = self.grams[self.gram_rows[:, :, None],
-                       other.gram_rows[:, None, :] % self.grams.shape[1]]
-        G[(self.dofs[:, :, None] < 0) | (other.dofs[:, None, :] < 0)] = 0.0
-        return G
-
-    def gather(self, sl: slice = slice(None), out: np.ndarray | None = None
-               ) -> np.ndarray:
-        """The fields of members sl, (E, d, n), zero rows at padding, into
-        out if given (the rows are in range; with mode "raise" numpy would
-        write through a copy of out)."""
-        V = np.take(self.stack, self.rows[sl], axis=0, out=out, mode="clip")
-        V[self.dofs[sl] < 0] = 0.0
-        return V
-
-    def combine(self, coeffs: np.ndarray) -> np.ndarray:
-        """sum_i coeffs[dofs[e, i]] * field i of each member e, (E, n),
-        added up field by field in DOF order as a loop over the fields of
-        one element would (padding adds zeros)."""
-        c = np.append(coeffs, 0.0)[self.dofs]
-        acc = np.zeros((len(self.dofs), self.stack.shape[1]))
-        for i in range(self.dofs.shape[1]):
-            acc += c[:, i, None] * self.stack[self.rows[:, i]]
-        return acc
 
 
 class UnresolvedDegreeError(ValueError):
@@ -271,13 +182,15 @@ class CoarseSystems:
     cross_gram: np.ndarray | None = None
 
 
-def _project_load(group: finefem.PatchGroup, iface: _Fields, bub: _Fields,
-                  f: finefem.Field, out: np.ndarray) -> None:
+def _project_load(group: finefem.PatchGroup, iface: localbasis.Fields,
+                  bub: localbasis.Fields, f: finefem.Field,
+                  out: np.ndarray) -> None:
     """The load vector of f on each member of group times each of its
     interface, then bubble fields, into out (E, d), zero at padding.
 
-    Members whose fields are the same stack rows (a periodic coefficient)
-    share one (d, n) block of them, gathered once: the members are taken
+    Members whose fields are the same rows of the group's stack (a
+    periodic coefficient), their padding alike, share one (d, n) block of
+    them, gathered once: the members are taken
     by how many share their rows, then by rows, so the members of a chunk
     of such blocks, each of equally many members, are one block of them,
     with their loads (PatchGroup.load_vectors, formed once for the
@@ -286,8 +199,7 @@ def _project_load(group: finefem.PatchGroup, iface: _Fields, bub: _Fields,
     copy of its own fields, so they do not depend on which members share
     a block."""
     n_i = iface.dofs.shape[1]
-    rows = np.concatenate([np.where(p.dofs >= 0, p.rows, -1)
-                           for p in (iface, bub)], axis=1)
+    rows = np.concatenate([iface.rows, bub.rows], axis=1)
     _, kind = finefem.first_of_each(rows)
     counts = np.bincount(kind)
     order = np.lexsort((kind, counts[kind]))
@@ -336,7 +248,7 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
     rhs = np.zeros(n_if)
     blocks = {}
     cross = np.zeros((space.n_dofs - n_if, n_if)) if with_cross else None
-    for group, iface_fields, bub_fields in space._fields:
+    for group, iface_fields, bub_fields in space.dofs.groups:
         iface, bub = iface_fields.dofs, bub_fields.dofs
         n_i = iface.shape[1]
         if_ids.append(iface)
@@ -405,7 +317,7 @@ def reconstruct(solution: CoarseSolution, which: str = "total"
         raise ValueError(f"unknown part {which!r}")
     space = solution.space
     values = np.zeros(space.fine.n_vertices)
-    for group, *parts in space._fields:
+    for group, *parts in space.dofs.groups:
         # Edge traces are edge-canonical and every element sums its fields
         # in DOF order, so both writes of a shared fine vertex produce the
         # same float and plain assignment is safe.

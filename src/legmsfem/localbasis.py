@@ -4,9 +4,10 @@ enrichments with internal Legendre traces, and per-element bubbles.
 Every DOF is fixed by its kind and key (a vertex, an (edge, k) or an
 (element, i)) and has one fine nodal field per support element, on the
 shared fine mesh restricted to that element.  DofTable lists the DOFs as
-int arrays and points each (element, DOF) pair at a row of a field stack,
-the only store of the fields; no Python object is built per DOF.  The
-offline work is grouped by patch shape: every trace and every bubble load
+int arrays and, for each patch group the sweep solved, points every DOF
+of every member at a row of the group's field stack, the only store of
+the fields; no Python object is built per DOF.  The offline work is
+grouped by patch shape: every trace and every bubble load
 on a patch is a right-hand side, the patches of one shape are lattice
 translates of one template (finefem.patch_groups), and patches whose
 coefficient windows are bitwise equal (a periodic coefficient, H a whole
@@ -60,6 +61,55 @@ NODAL, EDGE, BUBBLE = 0, 1, 2  # the kind codes of DofTable
 
 
 @dataclass(frozen=True)
+class Fields:
+    """The fields of one part of the DOFs, interface or bubble, on the
+    members of a patch group: dofs (E, d) holds each member's DOFs in
+    ascending order, padded with -1 at the end, and field i of member e is
+    row rows[e, i] of stack, the group's stack of distinct fields, which
+    members may share, and row gram_rows[e, i] of grams, the Gram blocks
+    a(X_i, X_j) of the group's windows, each over its rows, stacked in
+    blocks of r rows, where it is column gram_rows[e, i] % r.  rows and
+    gram_rows are -1 at padding, which every reader masks."""
+
+    dofs: np.ndarray
+    stack: np.ndarray
+    rows: np.ndarray
+    gram_rows: np.ndarray
+    grams: np.ndarray
+
+    def gram(self, other: Fields | None = None) -> np.ndarray:
+        """a(field i, field j of other) on each member, (E, d, d of
+        other), zero at padding, gathered from the Gram blocks of the
+        offline sweep, which formed every product of the fields of one
+        patch shape; other, fields of the same members, defaults to these
+        fields."""
+        other = self if other is None else other
+        G = self.grams[self.gram_rows[:, :, None],
+                       other.gram_rows[:, None, :] % self.grams.shape[1]]
+        G[(self.dofs[:, :, None] < 0) | (other.dofs[:, None, :] < 0)] = 0.0
+        return G
+
+    def gather(self, sl: slice = slice(None), out: np.ndarray | None = None
+               ) -> np.ndarray:
+        """The fields of members sl, (E, d, n), zero rows at padding, into
+        out if given (the rows are in range; with mode "raise" numpy would
+        write through a copy of out)."""
+        V = np.take(self.stack, self.rows[sl], axis=0, out=out, mode="clip")
+        V[self.dofs[sl] < 0] = 0.0
+        return V
+
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_i coeffs[dofs[e, i]] * field i of each member e, (E, n),
+        added up field by field in DOF order as a loop over the fields of
+        one element would (padding adds zeros)."""
+        c = np.append(coeffs, 0.0)[self.dofs]
+        acc = np.zeros((len(self.dofs), self.stack.shape[1]))
+        for i in range(self.dofs.shape[1]):
+            acc += c[:, i, None] * self.stack[self.rows[:, i]]
+        return acc
+
+
+@dataclass(frozen=True)
 class DofTable:
     """The DOFs of an enriched space and the field stack rows that hold
     their fields: the one description of a space's basis.
@@ -67,27 +117,18 @@ class DofTable:
     DOF d is of kind[d] with key[d] = (vertex, 0) for NODAL, (edge, k) with
     2 <= k <= N_e for EDGE, or (element, i) with i from 1 for BUBBLE; the
     nodal functions come first by vertex, then the edge enrichments by
-    (edge, k), then the bubbles by (element, i).  Pair j puts DOF dof[j] on
-    element element[j], where its field is row row[j] of field stack
-    stack[j], over the element patch's fine vertices in ascending order.
-    The pairs come in no particular order.  Stack s holds the distinct
-    fields of one patch shape, each once, however many pairs share it:
-    the rows of each distinct coefficient window in turn.  grams[s] holds
-    one Gram block a(X_i, X_j) per window over its rows, the blocks
-    stacked in rows of r (windows * r, r); the field of pair j is row
-    gram[j] there, column gram[j] % r of its block.  reference glues the
-    zero-trace solves with the load into one fine field, the bubble
-    reference (None without a load)."""
+    (edge, k), then the bubbles by (element, i).  groups holds (group,
+    interface fields, bubble fields) for each patch group the offline
+    sweep solved (Fields), the two parts of a group indexing its one stack
+    of distinct fields, over the patch's fine vertices in ascending order,
+    and its Gram blocks.  A member may carry no DOF (given a load, every
+    element is solved).  reference glues the zero-trace solves with the
+    load into one fine field, the bubble reference (None without a
+    load)."""
 
     kind: np.ndarray
     key: np.ndarray
-    element: np.ndarray
-    dof: np.ndarray
-    stack: np.ndarray
-    row: np.ndarray
-    gram: np.ndarray
-    stacks: list[np.ndarray]
-    grams: list[np.ndarray]
+    groups: list[tuple[finefem.PatchGroup, Fields, Fields]]
     reference: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -398,25 +439,21 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
 
 def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
                   A: finefem.Field, elements: np.ndarray,
-                  codes: np.ndarray, stride: int, M: np.ndarray,
-                  bases: dict, f: finefem.Field | None = None
-                  ) -> tuple[list, list, np.ndarray, np.ndarray, np.ndarray,
+                  codes: np.ndarray, dofs: np.ndarray, stride: int,
+                  M: np.ndarray, bases: dict, f: finefem.Field | None = None
+                  ) -> tuple[list[tuple[finefem.PatchGroup, Fields, Fields]],
                              np.ndarray | None]:
-    """The stacks and Gram blocks of _group_fields for the given elements,
-    with the requests codes and M of every element of the mesh; the stack
-    of each element, -1 where it is not solved; the stack row and the Gram
-    row of each of its requests, (elements, codes + largest bulk basis),
-    its traces first, then its bubbles, -1 where it asks for none; and,
-    given the load f (every element must then be solved), the zero-trace
-    solves with load f glued into one global field, else None.  The codes
-    of a group are cut to its members' longest list, so no group solves a
-    row that none of them asks for."""
-    stacks, grams = [], []
+    """(group, interface fields, bubble fields) of each patch group of the
+    given elements, from one sweep of _group_fields, with the requests
+    codes and M of every element of the mesh and dofs, the DOF of each of
+    its requests, (elements, codes + largest bulk basis), its traces first,
+    in ascending DOF order, then its bubbles, -1 where it asks for none;
+    and, given the load f (every element must then be solved), the
+    zero-trace solves with load f glued into one global field, else None.
+    The codes of a group are cut to its members' longest list, so no group
+    solves a row that none of them asks for."""
+    groups = []
     n_tr = codes.shape[1]
-    n_b = max([b.dim for b in bases.values()], default=0)
-    stack = np.full(len(codes), -1)
-    row = np.full((len(codes), n_tr + n_b), -1)
-    gram = row.copy()
     glued = None if f is None else np.zeros(fine.n_vertices)
     for group in finefem.patch_groups(fine, elements):
         E = group.elements
@@ -424,17 +461,14 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
         X, G, r, g, loads, at = _group_fields(coarse, fine, A, group,
                                               codes[E, :n], stride, M[E],
                                               bases, f)
-        stack[E] = len(stacks)
-        cols = np.r_[:n, n_tr:n_tr + r.shape[1] - n]
-        row[E[:, None], cols] = r
-        gram[E[:, None], cols] = g
-        stacks.append(X)
-        grams.append(G)
+        d = dofs[E][:, np.r_[:n, n_tr:n_tr + r.shape[1] - n]]
+        groups.append((group, *(Fields(d[:, p], X, r[:, p], g[:, p], G)
+                                for p in (np.s_[:n], np.s_[n:]))))
         if loads is not None:
             # Every member's solve is zero on its boundary, so the shared
             # skeleton vertices get zero whichever member writes last.
             glued[group.template.vids + group.origins[:, None]] = loads[at]
-    return stacks, grams, stack, row, gram, glued
+    return groups, glued
 
 
 def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
@@ -445,9 +479,9 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
 
     Each distinct local problem of a patch shape is solved once
     (_group_fields), all of them in batches, one field stack of distinct
-    fields per patch shape solved.  support_of, a (kind, id, k) key,
+    fields per patch group solved.  support_of, a (kind, id, k) key,
     restricts the solves to the elements of that DOF: every DOF stays
-    listed, but only the pairs on those elements are (none if there is no
+    listed, but the groups hold only those elements (none if there is no
     such DOF).  Given the load f, every patch also solves the
     zero-trace problem with load f in the same sweep, and the table's
     reference glues those solves into one global fine field.
@@ -471,9 +505,9 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
     kinds = np.repeat([NODAL, EDGE, BUBBLE], [len(verts), len(k), len(i)])
     keys = np.column_stack([np.concatenate([verts, edge, bubble_el]),
                             np.concatenate([0 * verts, k + 2, i + 1])])
-    # The DOF of each row of each element: first its trace codes (see
+    # The DOF of each request of each element: first its trace codes (see
     # _trace_table), the hats of its interior corners and eta_k on its
-    # sides, moved to the front in code order, then its bubbles.
+    # sides, moved to the front in DOF order, then its bubbles.
     nodal_at = np.full(coarse.n_vertices, -1)
     nodal_at[verts] = np.arange(len(verts))
     stride = int(n_eta.max(initial=0))
@@ -482,7 +516,7 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
     dof = np.concatenate([nodal_at[ev], np.where(
         step < n_eta[sides][..., None], eta_at[sides][..., None] + step,
         -1).reshape(n_el, -1)], axis=1)
-    codes = np.argsort(dof < 0, axis=1, kind="stable")
+    codes = np.argsort(np.where(dof < 0, len(kinds), dof), axis=1)
     n_tr = int((dof >= 0).sum(axis=1).max(initial=0))
     dof = np.take_along_axis(dof, codes[:, :n_tr], axis=1)
     step = np.arange(n_b.max(initial=0))
@@ -493,12 +527,10 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
     if support_of is not None:
         d = _find(kinds, keys, support_of)
         solve &= (slots == d).any(axis=1) & (d >= 0)
-    stacks, grams, stack, row, gram, glued = _patch_fields(
+    groups, glued = _patch_fields(
         coarse, fine, A, np.flatnonzero(solve),
-        np.where(dof >= 0, codes[:, :n_tr], -1), stride, M, bases, f)
-    K, col = np.nonzero((slots >= 0) & solve[:, None])
-    return DofTable(kinds, keys, K, slots[K, col], stack[K], row[K, col],
-                    gram[K, col], stacks, grams, glued)
+        np.where(dof >= 0, codes[:, :n_tr], -1), slots, stride, M, bases, f)
+    return DofTable(kinds, keys, groups, glued)
 
 
 def dump_points(table: DofTable, dof: int, fine: FineMesh) -> np.ndarray:
@@ -506,9 +538,11 @@ def dump_points(table: DofTable, dof: int, fine: FineMesh) -> np.ndarray:
     vertex, by vertex id."""
     values = np.zeros(fine.n_vertices)
     on = np.zeros(fine.n_vertices, dtype=bool)
-    for j in np.flatnonzero(table.dof == dof).tolist():
-        vids = fine.element_vertex_ids(table.element[j])
-        values[vids] = table.stacks[table.stack[j]][table.row[j]]
-        on[vids] = True
+    for group, *parts in table.groups:
+        for part in parts:
+            e, i = np.nonzero(part.dofs == dof)
+            vids = group.template.vids + group.origins[e, None]
+            values[vids] = part.stack[part.rows[e, i]]
+            on[vids] = True
     ids = np.flatnonzero(on)
     return np.column_stack([fine.vertices[ids], values[ids]])

@@ -124,11 +124,25 @@ def edge_vertex_chain(fine, edge_id) -> np.ndarray:
                      + ax * ns + t * (bx - ax) for t in range(ns + 1)])
 
 
+def table_pairs(table) -> list[tuple[int, int, np.ndarray]]:
+    """(element, DOF, field) of every (element, DOF) pair of a
+    localbasis.DofTable, sorted by element, then DOF, read from the field
+    stack of the element's patch group."""
+    return sorted(((K, d, part.stack[part.rows[e, i]])
+                   for group, *parts in table.groups for part in parts
+                   for e, K in enumerate(group.elements.tolist())
+                   for i, d in enumerate(part.dofs[e].tolist()) if d >= 0),
+                  key=lambda pair: pair[:2])
+
+
 def table_fields(table, dof) -> dict:
     """{element: field} of one DOF of a localbasis.DofTable, by element."""
-    at = np.flatnonzero(table.dof == dof)
-    return {int(table.element[j]): table.stacks[table.stack[j]][table.row[j]]
-            for j in at[np.argsort(table.element[at])]}
+    fields = {}
+    for group, *parts in table.groups:
+        for part in parts:
+            for e, i in zip(*np.nonzero(part.dofs == dof)):
+                fields[int(group.elements[e])] = part.stack[part.rows[e, i]]
+    return dict(sorted(fields.items()))
 
 
 def space_fields(space, dof) -> dict:
@@ -155,8 +169,7 @@ def free_vertices(geom) -> np.ndarray:
 def element_dofs(space) -> list[list[int]]:
     """The DOFs of each element of a space, ascending."""
     dofs = [[] for _ in range(space.coarse.n_elements)]
-    for K, d in sorted(zip(space.dofs.element.tolist(),
-                           space.dofs.dof.tolist())):
+    for K, d, _ in table_pairs(space.dofs):
         dofs[K].append(d)
     return dofs
 

@@ -40,7 +40,7 @@ def _with_degrees(problem, N, M):
     """Same meshes and fields, fresh uniform degree assignment."""
     deg = mesh.DegreeAssignment.uniform(problem.coarse, N, M)
     return cli.Problem(problem.coarse, problem.fine, problem.A, problem.f,
-                       deg, problem.gamma)
+                       deg)
 
 
 @pytest.fixture(scope="module")

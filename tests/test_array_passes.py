@@ -478,7 +478,7 @@ def test_space_grams_match_gram_blocks(kind):
     degrees.M[0] = 0
     space = globalsolve.build_space(coarse, fine, A, degrees)
     padded = []
-    for group, iface, bub in space._fields:
+    for group, iface, bub in space.dofs.groups:
         tris = conftest.local_triangles(group.template)
         grads, AW = conftest.group_weights(group, A)
         want = [gram_blocks(p.gather(), tris, grads, AW) for p in (iface, bub)]
@@ -669,11 +669,15 @@ def test_errmap_bytes_repeat(tmp_path):
 
 
 def with_copied_fields(space):
-    """The same space with copies of its offline stacks and their Gram
-    blocks."""
-    t = space.dofs
-    dofs = dataclasses.replace(t, stacks=[st.copy() for st in t.stacks],
-                               grams=[g.copy() for g in t.grams])
+    """The same space with copies of the field stack and the Gram blocks
+    of each patch group, one copy shared by the group's two parts."""
+    groups = []
+    for group, *parts in space.dofs.groups:
+        stack, grams = parts[0].stack.copy(), parts[0].grams.copy()
+        groups.append((group, *(dataclasses.replace(p, stack=stack,
+                                                    grams=grams)
+                                for p in parts)))
+    dofs = dataclasses.replace(space.dofs, groups=groups)
     return globalsolve.EnrichedSpace(space.coarse, space.fine, space.A,
                                      space.degrees, dofs)
 
@@ -705,10 +709,12 @@ def test_reconstruct_matches_loop(kind):
 
 def test_fields_index_the_offline_stacks():
     sol = solved("triangle", 3, 2, 4, 2, 1)
-    for group, *parts in sol.space._fields:
-        for part in parts:
-            # the offline stack itself, not a copy
-            assert any(part.stack is st for st in sol.space.dofs.stacks)
+    for group, iface, bub in sol.space.dofs.groups:
+        # one stack and one store of Gram blocks per group, not a copy
+        # per part, and every row of the stack is some member's field
+        assert iface.stack is bub.stack and iface.grams is bub.grams
+        rows = np.concatenate([p.rows[p.dofs >= 0] for p in (iface, bub)])
+        assert np.array_equal(np.unique(rows), np.arange(len(iface.stack)))
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,41 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, patch, needle):
     assert needle in capsys.readouterr().err
 
 
+def test_n_sub_below_2_exits_2_at_load(tmp_path, capsys):
+    # n_sub 1 used to pass config load and exit 3 from build_problem
+    path = write_cfg(tmp_path, n_sub=1)
+    assert cli.main(["solve", "--config", path]) == 2
+    assert "error: config.n_sub: must be at least 2" in \
+        capsys.readouterr().err
+    # an H row that leaves one subdivision is still a failed row
+    out = tmp_path / "h.csv"
+    cfg = cli.RunConfig.from_dict(cfg_dict(N=1))
+    assert cli.cmd_sweep(cfg, "H", [1 / 32], str(out)) == 0
+    assert out.read_text().splitlines()[1].split(",")[5:7] == ["0", "nan"]
+    assert "row failed: config.n_sub: must be at least 2" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch,needle", [
+    ({"domain": [0, 1e-320, 0, 1]},
+     "the fine cell area 1e-323 is below the smallest normal float"),
+    ({"domain": [-1e308, 1e308, 0, 1]}, "x1 - x0 and y1 - y0 must be finite"),
+    ({"domain": [0, 1e-198, 0, 1e-198], "nx": 2, "ny": 2, "n_sub": 4},
+     "the fine cell area 0.0 is below the smallest normal float")],
+    ids=["subnormal-side", "infinite-side", "underflowing-area"])
+def test_domain_the_fine_lattice_cannot_represent_exits_2(tmp_path, capsys,
+                                                          patch, needle):
+    # these used to exit 1 with a traceback (an infinite fine spacing),
+    # or 3 from an SVD or a degenerate element
+    path = write_cfg(tmp_path, **patch)
+    assert cli.main(["solve", "--config", path]) == 2
+    assert f"error: config.domain: {needle}" in capsys.readouterr().err
+    # a domain that is merely extreme still runs, to a numerical failure
+    path = write_cfg(tmp_path, domain=[0, 1, 0, 1e-160])
+    assert cli.main(["solve", "--config", path]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_non_finite_load_exits_2_naming_a_point(tmp_path, capsys):
     # a load that is NaN on part of the domain fails where it is
     # evaluated, as the coefficient does, before any solve iterates on it
@@ -374,6 +409,65 @@ def test_M_sweep_checks_ell_before_the_first_row(tmp_path, capsys,
                      "--values", "0", "--out", str(out)]) == 0
     assert len(calls) == 1
     assert "nan" not in out.read_text().splitlines()[1]
+
+
+def same_cells(got: str, want: str) -> bool:
+    """Two CSV rows agree: integer and word cells exactly, every other
+    number within 1e-9 relative."""
+    def near(x: str, y: str) -> bool:
+        if y.lstrip("-").isdigit():
+            return False
+        try:
+            return abs(float(x) - float(y)) <= 1e-9 * abs(float(y))
+        except ValueError:
+            return False
+
+    a, b = got.split(","), want.split(",")
+    return len(a) == len(b) and all(x == y or near(x, y)
+                                    for x, y in zip(a, b))
+
+
+@pytest.mark.filterwarnings("ignore:fine cell size")
+@pytest.mark.parametrize("patch,row,edges", [
+    ({"nx": 1, "ny": 1, "N": 1},
+     "0.25,1,quad,1,0,0,1,nan,0,0,0", []),
+    ({"kind": "triangle", "nx": 1, "ny": 1, "N": 2},
+     "0.25,1,triangle,2,0,1,0.5674803065350239,0.1324532357065045,"
+     "0.9008528991753797,0,1",
+     ["2,0,0,1,1,0.13245323570650441,0.9008528991753797,"
+      "-0.83259130839128093"]),
+    ({"nx": 1, "ny": 3, "N": 2},
+     "0.25,1,quad,2,0,2,0.45383161097257368,0.023253590725816106,"
+     "0.61136008668246056,0,2",
+     ["3,0,0.33333333333333331,1,0.33333333333333331,0.017321842065783348,"
+      "0.42878622280720169,-1.3936467481877108",
+      "6,0,0.66666666666666663,1,0.66666666666666663,0.015513970126670511,"
+      "0.43577922244999073,-1.4485435688029928"]),
+    ({"nx": 1, "ny": 1, "N": 1, "M": 1},
+     "0.25,1,quad,1,1,4,0,nan,7.3282027905596249e-08,0,0", None),
+    ({"nx": 2, "ny": 2, "N": {"default": 1, "overrides": {"3": 3}},
+      "M": {"default": 0, "overrides": {"2": 1}}},
+     "0.25,0.5,quad,3,1,7,0.53558520707081103,nan,1.0200124122016321,0,3",
+     None)],
+    ids=["1x1-quads", "1x1-triangles-N2", "1x3-quads-N2", "1x1-quads-M1",
+         "2x2-quads-overrides"])
+def test_groups_with_members_without_dofs(tmp_path, patch, row, edges):
+    # given a load every element is solved, so a patch group of the
+    # offline sweep can hold members with no DOF (1x1 quads hold none at
+    # all), or a part of zero width: solve and errmap (M = 0 only) still
+    # give their frozen rows
+    path = write_cfg(tmp_path, n_sub=4, **patch)
+    out = tmp_path / "out.csv"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == cli.CSV_HEADER and len(lines) == 2
+    assert same_cells(lines[1], row), lines[1]
+    if edges is None:
+        return
+    assert cli.main(["errmap", "--config", path, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == cli.ERRMAP_HEADER and len(lines) == 1 + len(edges)
+    assert all(same_cells(a, b) for a, b in zip(lines[1:], edges)), lines
 
 
 def test_exit_codes(tmp_path):

@@ -1,10 +1,52 @@
 import numpy as np
 import pytest
 
-from conftest import (dense, edge_elements, edge_vertex_chain, element_dofs,
-                      space_fields, vertex_elements)
+from conftest import (dense, edge_vertex_chain, element_dofs,
+                      is_boundary_edge, space_fields)
 from legmsfem import finefem, globalsolve, mesh, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
+
+
+def mesh_dofs(space, K) -> list[int]:
+    """The DOFs of element K from the mesh and the degrees alone: the
+    nodal DOFs of its interior corners, eta_k for k = 2..N_e on its
+    interior sides and its bubbles, each found by kind and key."""
+    coarse, t, deg = space.coarse, space.dofs, space.degrees
+    M = int(deg.M[K])
+    keys = ([(NODAL, v, 0) for v in coarse.element_vertices[K].tolist()
+             if not coarse.boundary_vertex_mask[v]]
+            + [(EDGE, e, k) for e in coarse.element_edge_ids[K].tolist()
+               if not is_boundary_edge(coarse, e)
+               for k in range(2, int(deg.N[e]) + 1)]
+            + [(BUBBLE, K, i) for i in range(
+                1, polybasis.bulk_dim(coarse.kind, M) + 1 if M else 1)])
+    return [t.find(*key) for key in keys]
+
+
+def check_groups_against_mesh(space):
+    """Each element's DOFs from the mesh are the union of the two parts
+    of its patch group, each part ascending, with no duplicate and its
+    padding last; every DOF sits on some element."""
+    seen, on = set(), set()
+    for group, iface, bub in space.dofs.groups:
+        for e, K in enumerate(group.elements.tolist()):
+            assert K not in seen
+            seen.add(K)
+            got = []
+            for part, interface in ((iface, True), (bub, False)):
+                row = part.dofs[e].tolist()
+                n = sum(d >= 0 for d in row)
+                assert row[n:] == [-1] * (len(row) - n)
+                assert row[:n] == sorted(set(row[:n]))
+                assert all((d < space.n_interface) == interface
+                           for d in row[:n])
+                got += row[:n]
+            want = mesh_dofs(space, K)
+            assert -1 not in want and sorted(got) == sorted(want)
+            on.update(got)
+    assert all(not mesh_dofs(space, K)
+               for K in set(range(space.coarse.n_elements)) - seen)
+    assert on == set(range(space.n_dofs))
 
 
 def test_dof_bookkeeping(small_bench_bubbles):
@@ -16,16 +58,18 @@ def test_dof_bookkeeping(small_bench_bubbles):
         (space.degrees.N[space.coarse.interior_edge_ids] - 1).sum())
     n_b = sum((M + 1) ** 2 for M in space.degrees.M.tolist() if M)
     assert (n_if, n_b) == (33, 64)
-    # every DOF sits on exactly the elements of its support, once each
-    coarse, t = space.coarse, space.dofs
-    pairs = list(zip(t.element.tolist(), t.dof.tolist()))
-    assert len(set(pairs)) == len(pairs)
-    for K, p in pairs:
-        kind, i = t.kind[p], int(t.key[p, 0])
-        support = {NODAL: vertex_elements(coarse, i), BUBBLE: [i],
-                   EDGE: edge_elements(coarse, i)}[kind]
-        assert K in support
-    assert set(t.dof.tolist()) == set(range(97))
+    # every DOF sits on exactly the elements of its support, once each,
+    # on quads and on triangles with N and M overrides too
+    check_groups_against_mesh(space)
+    A = finefem.periodic_benchmark(0.25)
+    for kind in ("quad", "triangle"):
+        coarse = mesh.build_coarse(kind, 3, 3)
+        degrees = mesh.DegreeAssignment.uniform(coarse, 2, 1)
+        degrees.N[coarse.interior_edge_ids[[0, 3]]] = [4, 1]
+        degrees.M[[0, 4]] = [0, 2]
+        space = globalsolve.build_space(
+            coarse, mesh.refine_to_fine(coarse, 6), A, degrees)
+        check_groups_against_mesh(space)
 
 
 def test_interface_matrix_spd(small_bench):
@@ -122,7 +166,7 @@ def test_space_grams_match_element_energies(quad44, fine_quad44):
     for N, M in ((3, 1), (2, 2)):
         degrees = mesh.DegreeAssignment.uniform(quad44, N, M)
         space = globalsolve.build_space(quad44, fine_quad44, A, degrees)
-        for group, iface, bub in space._fields:
+        for group, iface, bub in space.dofs.groups:
             for part in (iface, bub):
                 G, V = part.gram(), part.gather()
                 for e, K in enumerate(group.elements.tolist()):

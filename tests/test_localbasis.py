@@ -8,8 +8,9 @@ from conftest import (check_against_dense, contrast_field,
                       element_boundary_vertex_ids, energy_products,
                       group_weights, is_boundary_edge, local_triangles,
                       member_triangle_ids, pattern_gradients, split,
-                      stiffness, table_fields, to_ref, trace_loads,
-                      triangle_cells, vertex_edges, vertex_elements)
+                      stiffness, table_fields, table_pairs, to_ref,
+                      trace_loads, triangle_cells, vertex_edges,
+                      vertex_elements)
 from legmsfem import finefem, localbasis, mesh, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
@@ -31,10 +32,14 @@ def first_field(coarse, fine, A, support, codes, stride=0, M=None,
     are given."""
     n_el = coarse.n_elements
     M = np.zeros(n_el, dtype=int) if M is None else M
-    stacks, _, stack, row, _, _ = localbasis._patch_fields(
-        coarse, fine, A, np.array(support), codes, stride, M, bases or {})
-    col = codes.shape[1] if bases else 0
-    return {K: stacks[stack[K]][row[K, col]] for K in support}
+    asked = np.column_stack([codes >= 0] + ([M > 0] if bases else []))
+    groups, _ = localbasis._patch_fields(
+        coarse, fine, A, np.array(support), codes, np.where(asked, 0, -1),
+        stride, M, bases or {})
+    fields = {K: part.stack[part.rows[e, 0]]
+              for group, *parts in groups for part in parts if part.dofs.size
+              for e, K in enumerate(group.elements.tolist())}
+    return {K: fields[K] for K in support}
 
 
 def compute_nodal(vertex, coarse, fine, A):
@@ -205,7 +210,7 @@ def test_compute_all_order_and_counts(quad44, fine_quad44, A_osc):
     assert table.key[33:41].tolist() == \
         [[0, 1], [0, 2], [0, 3], [0, 4], [1, 1], [1, 2], [1, 3], [1, 4]]
     # every DOF on each of its support elements, once
-    pairs = sorted(zip(table.dof.tolist(), table.element.tolist()))
+    pairs = [(d, K) for K, d, _ in table_pairs(table)]
     assert len(set(pairs)) == len(pairs) == 9 * 4 + 24 * 2 + 64
     for d, K in pairs:
         kind, (i, _) = table.kind[d], table.key[d]
@@ -346,14 +351,14 @@ def distinct_fields(table, fine, A) -> int:
     sweep can solve: those of its (element, DOF) pairs and, given a load,
     the load solve of every element, told apart by the patch shape and
     the coefficient window of their element and by their bytes."""
+    pairs = table_pairs(table)
     solved = (np.arange(fine.coarse.n_elements) if table.reference is not None
-              else np.unique(table.element))
+              else np.unique([K for K, _, _ in pairs]))
     window = {}
     for group in finefem.patch_groups(fine, solved):
         for K, w in zip(group.elements.tolist(), group.windows(A)):
             window[K] = (group.template.label, w.tobytes())
-    rows = {(window[K], table.stacks[s][r].tobytes()) for K, s, r in zip(
-        table.element.tolist(), table.stack.tolist(), table.row.tolist())}
+    rows = {(window[K], field.tobytes()) for K, _, field in pairs}
     if table.reference is not None:
         rows |= {(window[K], "load",
                   table.reference[fine.element_vertex_ids(K)].tobytes())
@@ -385,7 +390,7 @@ def test_each_distinct_window_is_eliminated_once(coefficient, windows,
     assert sum(w * r for w, r, _ in swept) == (5 if windows == 1 else 36 + 16)
     assert sum(w * r for w, r, _ in swept) == distinct_fields(table, fine, A)
     assert sum(rep for *_, rep in swept) == 0
-    assert len(table.element) == 4 * 9
+    assert len(table_pairs(table)) == 4 * 9
 
 
 def test_mixed_shares_solve_each_row_once(monkeypatch):
@@ -409,7 +414,7 @@ def test_mixed_shares_solve_each_row_once(monkeypatch):
     for K in (0, 9, 10, 63):  # distinct, distinct, shared, shared
         alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
                                        support_of=(BUBBLE, K, 1))
-        for d in np.unique(alone.dof):
+        for d in sorted({d for _, d, _ in table_pairs(alone)}):
             assert table_fields(alone, d)[K].tobytes() == \
                 table_fields(table, d)[K].tobytes()
         vids = fine.element_vertex_ids(K)
@@ -434,8 +439,8 @@ def test_shared_window_fields_match_each_patch_alone(kind, monkeypatch):
     for K in range(coarse.n_elements):
         alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
                                        support_of=(BUBBLE, K, 1))
-        assert len(alone.stacks) == 1
-        for d in np.unique(alone.dof):
+        assert len(alone.groups) == 1
+        for d in sorted({d for _, d, _ in table_pairs(alone)}):
             assert table_fields(alone, d)[K].tobytes() == \
                 table_fields(table, d)[K].tobytes()
         vids = fine.element_vertex_ids(K)
@@ -471,7 +476,7 @@ def test_periodic_sweep_solves_only_distinct_rows(load, monkeypatch):
     for K in range(coarse.n_elements):
         alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
                                        support_of=(BUBBLE, K, 1))
-        for d in np.unique(alone.dof):
+        for d in sorted({d for _, d, _ in table_pairs(alone)}):
             assert table_fields(alone, d)[K].tobytes() == \
                 table_fields(table, d)[K].tobytes()
         vids = fine.element_vertex_ids(K)
