@@ -212,6 +212,9 @@ class RunConfig:
             setattr(c, key, val)
         if c.n_sub < 2:
             raise ConfigError("config.n_sub: must be at least 2")
+        if (c.nx * c.n_sub + 1) * (c.ny * c.n_sub + 1) >= 2**63:
+            raise ConfigError("config: the fine lattice has more vertices "
+                              "than a 64-bit integer can index")
         dom = d.get("domain", list(c.domain))
         if (not isinstance(dom, (list, tuple)) or len(dom) != 4
                 or not all(_number(v) for v in dom)):
@@ -281,7 +284,8 @@ class RunConfig:
         return d
 
     @classmethod
-    def load(cls, path: str) -> "RunConfig":
+    def load(cls, path: str, **overrides) -> "RunConfig":
+        """The JSON config at path, with every override that is not None."""
         try:
             with open(path) as fh:
                 d = json.load(fh)
@@ -290,7 +294,8 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: "
                               f"{exc.msg}") from None
-        return cls.from_dict(d)
+        given = {k: v for k, v in overrides.items() if v is not None}
+        return cls.from_dict({**d, **given} if isinstance(d, dict) else d)
 
     @property
     def eps(self) -> float | None:
@@ -771,17 +776,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "selftest":
         return cmd_selftest()
     try:
-        config = RunConfig.load(args.config)
-        if args.strict:
-            config.strict = True
-        if args.rel_tol is not None:
-            if not 0 < args.rel_tol < 1:
-                raise ConfigError("--rel-tol must be in (0, 1)")
-            config.rel_tol = args.rel_tol
-        if args.eta is not None:
-            if not 0 <= args.eta < 0.5:
-                raise ConfigError("--eta must be in [0, 0.5)")
-            config.eta = args.eta
+        config = RunConfig.load(args.config, strict=args.strict or None,
+                                rel_tol=args.rel_tol, eta=args.eta)
         out = args.out if args.out is not None else config.out
         # Checked before any solve, so a run does not end in a path it
         # cannot write (the file itself is made only once the run is done).
@@ -801,6 +797,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, finefem.CoefficientBoundsError,
             finefem.LoadValueError, globalsolve.UnresolvedDegreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (finefem.SolverDivergenceError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

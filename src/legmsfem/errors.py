@@ -97,14 +97,15 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
 
     Element error energies are split evenly among the element's interior
     edges; the relative map divides by the interface reference energy norm.
-    The element energies of the error and of the interface reference come
-    from one Gram block per element, taken for a chunk of same-shape
-    patches at once with the chunk's patch stencils
+    The element energies of the error of the solution's interface part
+    (CoarseSolution.interface) and of the interface reference come from
+    one Gram block per element, taken for a chunk of same-shape patches at
+    once with the chunk's patch stencils
     (finefem.patch_groups and finefem.patch_grams).
     """
     space = u_H.space
     coarse = space.coarse
-    u_G = globalsolve.reconstruct(u_H, "interface")
+    u_G = u_H.interface
     ref_G = u_ref.values - u_B_ref.values
     d_G = ref_G - u_G.values
     energies = np.zeros((coarse.n_elements, 2))
@@ -131,10 +132,10 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
 def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
              u_ref: finefem.FineFunction,
              u_B_ref: finefem.FineFunction | None = None) -> ErrorReport:
-    """Full error report for one run from one reconstruction of each part,
-    the energies of the rows below, one row at a time, and one load
-    vector, every sum over the
-    fine vertices in a fixed order (finefem.energy_inner_matrix and
+    """Full error report for one run from the parts the solution keeps
+    (CoarseSolution.interface and .bubble), the energies of the rows
+    below, one row at a time, and one load vector, every sum over the fine
+    vertices in a fixed order (finefem.energy_inner_matrix and
     finefem.dot), so the report does not depend on the BLAS thread count.
 
     The rows u, u_ref - u and u_ref give E_num, E_rel from the energy
@@ -147,8 +148,7 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
     element) E_rel_gamma stays None.
     """
     space = u_H.space
-    u_B = globalsolve.reconstruct(u_H, "bubble")
-    u_G = globalsolve.reconstruct(u_H, "interface")
+    u_B, u_G = u_H.bubble, u_H.interface
     geom = u_B.geom
     if any(r is not None and r.geom is not geom for r in (u_ref, u_B_ref)):
         raise ValueError("reference and reconstruction live on different "

@@ -176,7 +176,7 @@ def global_estimate(u_H: globalsolve.CoarseSolution, eta: float = 0.0,
     at once.
 
     ell declares the smoothness of f per element (int for uniform, dict
-    with default 0).
+    with default 0).  The jumps are those of CoarseSolution.interface.
     """
     space = u_H.space
     coarse, fine, A = space.coarse, space.fine, space.A
@@ -191,7 +191,7 @@ def global_estimate(u_H: globalsolve.CoarseSolution, eta: float = 0.0,
 
     edges = coarse.interior_edge_ids
     p = _p_values(coarse, edges, degrees)
-    u_G = globalsolve.reconstruct(u_H, "interface")
+    u_G = u_H.interface
 
     # Residual terms: with bubbles H^2 (H^min(l, M+1) / M^l) r ||f||_{H^l},
     # without H^2 ||f||^2.

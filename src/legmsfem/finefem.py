@@ -132,7 +132,7 @@ class Field:
             ok = np.isfinite(v)
         else:
             lo, hi = self.bounds
-            ok = (v >= lo - 1e-12 * hi) & (v <= hi * (1 + 1e-12))
+            ok = (v >= lo * (1 - 1e-12)) & (v <= hi * (1 + 1e-12))
         if not ok.all():
             x, y = pts.reshape(-1, 2)[np.argmin(ok)]
             if self.bounds is None:

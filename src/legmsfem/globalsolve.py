@@ -172,14 +172,23 @@ class InterfaceOperator:
 
 @dataclass
 class CoarseSystems:
-    """Assembled decoupled systems plus the data needed to solve them."""
+    """Assembled decoupled systems plus the data needed to solve them; the
+    bubble systems are stacks (ids (k, b), blocks (k, b, b), rhs (k, b)),
+    one per bubble count b."""
 
     space: EnrichedSpace
     f: finefem.Field | None
     interface_K: InterfaceOperator
     interface_rhs: np.ndarray
-    bubble_blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    bubbles: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     cross_gram: np.ndarray | None = None
+
+    @property
+    def bubble_blocks(self) -> list[tuple]:
+        """Each element's (ids, block, rhs) views, in element order; kept
+        for perfbench/traced.py until it reads a run trace."""
+        return sorted((t for s in self.bubbles for t in zip(*s)),
+                      key=lambda t: t[0][0])
 
 
 def _project_load(group: finefem.PatchGroup, iface: localbasis.Fields,
@@ -235,7 +244,8 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
     DOF table, so no fine product is formed; the load right-hand side is
     the one pass over the fields, each block of fields that members share
     gathered once (_project_load).  The interface blocks make the
-    InterfaceOperator, unassembled.  with_cross also gathers the
+    InterfaceOperator, unassembled; the bubble blocks are stacked by
+    bubble count (CoarseSystems.bubbles).  with_cross also gathers the
     bubble-interface energy Gram block from the same sweep's blocks; it is
     zero up to solver tolerance and exists for diagnostics only.  A must
     be the space's coefficient object.
@@ -246,7 +256,7 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
     if_ids: list[np.ndarray] = []
     if_blocks: list[np.ndarray] = []
     rhs = np.zeros(n_if)
-    blocks = {}
+    parts = []  # (ids, blocks, rhs) of a group's members of one bubble count
     cross = np.zeros((space.n_dofs - n_if, n_if)) if with_cross else None
     for group, iface_fields, bub_fields in space.dofs.groups:
         iface, bub = iface_fields.dofs, bub_fields.dofs
@@ -257,11 +267,10 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
         if f is not None and Vb.shape[1]:
             _project_load(group, iface_fields, bub_fields, f, Vb)
         np.add.at(rhs, iface[iface >= 0], Vb[:, :n_i][iface >= 0])
-        G_b = bub_fields.gram()
-        for e, (K, b) in enumerate(zip(group.elements.tolist(),
-                                       (bub >= 0).sum(axis=1).tolist())):
-            if b:
-                blocks[K] = (bub[e, :b], G_b[e, :b, :b], Vb[e, n_i:n_i + b])
+        G_b, count = bub_fields.gram(), (bub >= 0).sum(axis=1)
+        for b in set(count.tolist()) - {0}:
+            at = count == b
+            parts.append((bub[at, :b], G_b[at, :b, :b], Vb[at, n_i:n_i + b]))
         if with_cross:
             G_x = bub_fields.gram(iface_fields)
             pair = (bub[:, :, None] >= 0) & (iface[:, None, :] >= 0)
@@ -269,24 +278,32 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
                 np.broadcast_to(bub[:, :, None], pair.shape)[pair] - n_if,
                 np.broadcast_to(iface[:, None, :], pair.shape)[pair]),
                 G_x[pair])
+    bubbles = [tuple(map(np.concatenate, zip(*[p for p in parts
+                                                if p[0].shape[1] == b])))
+               for b in sorted({p[0].shape[1] for p in parts})]
     return CoarseSystems(space, f, InterfaceOperator(n_if, if_ids, if_blocks),
-                         rhs, [blocks[K] for K in sorted(blocks)], cross)
+                         rhs, bubbles, cross)
 
 
 @dataclass
 class CoarseSolution:
-    """Coefficients of the discrete solution in DOF order."""
+    """Coefficients of the discrete solution in DOF order, and the fine
+    field of each part, reconstructed once, at first use."""
 
     space: EnrichedSpace
     f: finefem.Field | None
     coeffs: np.ndarray
     cg_iters: int
 
+    interface = cached_property(lambda self: reconstruct(self, "interface"))
+    bubble = cached_property(lambda self: reconstruct(self, "bubble"))
+
 
 def solve_coarse(systems: CoarseSystems, rel_tol: float = 1e-12
                  ) -> CoarseSolution:
-    """Solve the decoupled systems: Jacobi-PCG on the interface block, dense
-    Cholesky-sized solves per bubble block."""
+    """Solve the decoupled systems: Jacobi-PCG on the interface block, one
+    dense solve per bubble stack, bitwise a loop over its elements (numpy
+    calls LAPACK once per matrix)."""
     space = systems.space
     coeffs = np.zeros(space.n_dofs)
     iters = 0
@@ -294,15 +311,16 @@ def solve_coarse(systems: CoarseSystems, rel_tol: float = 1e-12
         x, iters = finefem.pcg(systems.interface_K, systems.interface_rhs,
                                rel_tol)
         coeffs[:space.n_interface] = x
-    for ids, Mb, bb in systems.bubble_blocks:
-        coeffs[ids] = np.linalg.solve(Mb, bb)
+    for ids, blocks, rhs in systems.bubbles:
+        # rhs as a stack of columns: numpy 2 reads a 2-D b as a matrix.
+        coeffs[ids] = np.linalg.solve(blocks, rhs[..., None])[..., 0]
     return CoarseSolution(space, systems.f, coeffs, iters)
 
 
 def reconstruct(solution: CoarseSolution, which: str = "total"
                 ) -> finefem.FineFunction:
     """Fine nodal field of the solution part: "interface", "bubble" or
-    "total" (the exact nodal sum of the two).
+    "total" (the exact nodal sum of the two parts the solution keeps).
 
     For each patch shape, every member element sums coefficient times
     field over its DOFs of the part, DOF slot by DOF slot for all members
@@ -310,8 +328,7 @@ def reconstruct(solution: CoarseSolution, which: str = "total"
     stacks in place.  The sums are then scattered into the global field.
     Bitwise the same as a loop over the elements and their DOFs."""
     if which == "total":
-        u_b = reconstruct(solution, "bubble")
-        u_g = reconstruct(solution, "interface")
+        u_b, u_g = solution.bubble, solution.interface
         return finefem.FineFunction(u_b.geom, u_b.values + u_g.values)
     if which not in ("interface", "bubble"):
         raise ValueError(f"unknown part {which!r}")

@@ -208,12 +208,6 @@ class FineMesh:
     def _vid(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
         return iy * (self.nfx + 1) + ix
 
-    def element_vertex_ids(self, elem_id: int) -> np.ndarray:
-        """Sorted global fine vertex ids of the closed element patch: its
-        shape's pattern at the element's origin."""
-        return (self.shape_pattern(self.patch_shape(elem_id))[0]
-                + self.element_origin(elem_id))
-
     def patch_shape(self, elem_ids):
         """Shape of element patches (an id or an array of ids): 0 for every
         quad, 0 (lower) or 1 (upper) for triangles.  Patches of one shape

@@ -195,6 +195,13 @@ def is_boundary_edge(coarse, edge_id) -> bool:
     return bool(coarse.edge_element_ids[edge_id, 1] < 0)
 
 
+def element_vertex_ids(fine, elem_id) -> np.ndarray:
+    """Sorted global fine vertex ids of the closed element patch: its
+    shape's pattern at the element's origin."""
+    return (fine.shape_pattern(fine.patch_shape(elem_id))[0]
+            + fine.element_origin(elem_id))
+
+
 def element_boundary_vertex_ids(fine, elem_id) -> np.ndarray:
     """Fine vertices on the boundary of an element patch, sorted: its
     shape's boundary pattern at the element's origin."""

@@ -16,8 +16,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import (element_boundary_vertex_ids, l2_project_element,
-                      local_triangles, quad_points, to_ref, vertex_elements)
+from conftest import (element_boundary_vertex_ids, element_vertex_ids,
+                      l2_project_element, local_triangles, quad_points,
+                      to_ref, vertex_elements)
 from legmsfem import (cli, errors, estimator, finefem, globalsolve,
                       localbasis, mesh, polybasis)
 
@@ -218,7 +219,7 @@ def test_criterion_07_linear_msfem_equivalence():
     for v in coarse.interior_vertex_ids:
         field = np.zeros(n)
         for K_el in vertex_elements(coarse, int(v)):
-            patch = fine.element_vertex_ids(K_el)
+            patch = element_vertex_ids(fine, K_el)
             bnd = element_boundary_vertex_ids(fine, K_el)
             inner = np.setdiff1d(patch, bnd)
             ref = to_ref(coarse, K_el, pts[bnd])
@@ -274,7 +275,7 @@ def test_criterion_08_identity_triangle_degeneracy():
     geom = finefem.global_geometry(fine)
     u_p1 = np.zeros(len(geom.points))
     for K, vids in enumerate(coarse.element_vertices):
-        patch = fine.element_vertex_ids(K)
+        patch = element_vertex_ids(fine, K)
         lam = to_ref(coarse, K, fine.vertices[patch])
         corner_vals = vals[vids]
         u_p1[patch] = (corner_vals[0] * (1 - lam[:, 0] - lam[:, 1])

@@ -609,6 +609,58 @@ def test_coefficient_bounds_checked(tmp_path):
     assert all(r.split(",")[5:9] == ["0", "nan", "nan", "nan"] for r in rows)
 
 
+@pytest.mark.parametrize("patch", [
+    dict(nx=4, ny=4, n_sub=16, N=2, rhs={"type": "gaussian_benchmark"},
+         coefficient={"type": "expression",
+                      "expr": "sin(40*x)*sin(40*x) - 0.01",
+                      "alpha_min": 1e-6, "alpha_max": 1e12}),
+    dict(nx=2, ny=3, n_sub=5, N=1,
+         coefficient={"type": "expression", "expr": "1/(x-0.5)",
+                      "alpha_min": 1, "alpha_max": 2e20})],
+    ids=["negative-bands", "pole"])
+def test_lower_bound_checked_against_itself(tmp_path, capsys, patch):
+    # values far below alpha_min but within 1e-12 * alpha_max of it used
+    # to pass: the first ran to exit 0 on a fine system that is not SPD,
+    # the second to a CG breakdown (exit 3)
+    path = write_cfg(tmp_path, **patch)
+    out = tmp_path / "row.csv"
+    assert cli.main(["solve", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert " at (" in err and "leaves its declared bounds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("patch", [{"nx": 2**63}, {"ny": 2**62, "n_sub": 2},
+                                   {"nx": 2**31, "ny": 2**31, "n_sub": 2}])
+def test_lattice_int64_cannot_index_exits_2(tmp_path, capsys, patch):
+    # nx = 2^63 used to exit 1 with an OverflowError traceback; every
+    # such lattice is rejected at config load, before any allocation
+    assert cli.main(["solve", "--config", write_cfg(tmp_path, **patch)]) == 2
+    assert ("error: config: the fine lattice has more vertices than a "
+            "64-bit integer can index") in capsys.readouterr().err
+    cli.RunConfig.from_dict(cfg_dict(nx=2**30, ny=2**30, n_sub=2))
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def no_memory(config):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(cli, "build_problem", no_memory)
+    assert cli.main(["solve", "--config", write_cfg(tmp_path)]) == 2
+    assert "error: out of memory: Unable to allocate 8.00 TiB" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--rel-tol", "nan", "config.rel_tol"),
+    ("--rel-tol", "0", "config.rel_tol"), ("--eta", "-0.1", "config.eta")])
+def test_flag_overrides_are_checked_as_config_keys(tmp_path, capsys, flag,
+                                                   value, key):
+    path = write_cfg(tmp_path)
+    assert cli.main(["solve", "--config", path, flag, value]) == 2
+    assert f"error: {key}: must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("axis, values, load", [
     (axis, values, load)
     for load in (None, {"type": "gaussian_benchmark"})

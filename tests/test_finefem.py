@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 from conftest import (check_against_dense, coarsen, contrast_field, dense,
                       dense_couplings, element_boundary_vertex_ids,
-                      element_triangle_ids, energy_inner, energy_products,
+                      element_triangle_ids, element_vertex_ids,
+                      energy_inner, energy_products,
                       fourier_poisson_center, free_vertices, group_weights,
                       local_triangles, member_triangle_ids, quad_points,
                       skeleton_geometry, split, stiffness, sw_ne_couplings,
@@ -305,7 +306,7 @@ def test_patch_groups_broadcast_the_template(kind):
         t = g.template
         for K, origin, tri_ids in zip(g.elements, g.origins,
                                       member_triangle_ids(g)):
-            vids = fine.element_vertex_ids(int(K))
+            vids = element_vertex_ids(fine, int(K))
             bnd = element_boundary_vertex_ids(fine, int(K))
             assert np.array_equal(t.vids + origin, vids)
             assert np.array_equal(t.vids[t.boundary_local] + origin, bnd)

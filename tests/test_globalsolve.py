@@ -3,7 +3,7 @@ import pytest
 
 from conftest import (dense, edge_vertex_chain, element_dofs,
                       is_boundary_edge, space_fields)
-from legmsfem import finefem, globalsolve, mesh, polybasis
+from legmsfem import cli, finefem, globalsolve, localbasis, mesh, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
 
@@ -263,3 +263,81 @@ def test_check_resolved_builds_one_basis_per_degree(monkeypatch, tri44,
     globalsolve.check_degrees(fine_tri44, degrees)
     assert built == []
 
+
+def counting(monkeypatch, owner, name) -> list:
+    """The arguments of every call of owner.name from now on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# Mixed bubble degrees, so several bubble stacks: the solve-quad-enriched
+# workload under the Gaussian load (stacks of 4, 9 and 16 bubbles), and
+# 12x12 triangles, whose two patch shapes make two patch groups (3 and 6).
+MIXED = {
+    "mixq": (dict(kind="quad", nx=8, ny=8, n_sub=16, N=3,
+                  coefficient={"type": "periodic_benchmark", "eps": 0.0625},
+                  rhs={"type": "gaussian_benchmark"},
+                  M={"default": 2,
+                     "overrides": {"0": 0, "5": 1, "9": 3, "20": 1}}),
+             1, [4, 9, 16]),
+    "mixt": (dict(kind="triangle", nx=12, ny=12, n_sub=8, N=2,
+                  coefficient={"type": "periodic_benchmark", "eps": 1 / 12},
+                  M={"default": 1, "overrides": {"0": 0, "3": 2, "100": 2}}),
+             2, [3, 6]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED))
+def test_bubble_stacks_solve_bitwise_as_an_element_loop(name, monkeypatch):
+    config, n_groups, sizes = MIXED[name]
+    problem = cli.build_problem(cli.RunConfig.from_dict(config))
+    space = globalsolve.build_space(problem.coarse, problem.fine, problem.A,
+                                    problem.degrees)
+    assert len(space.dofs.groups) == n_groups
+    systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
+    assert [ids.shape[1] for ids, _, _ in systems.bubbles] == sizes
+    # each stack row is one element, and every bubble DOF sits in one row
+    for ids, blocks, rhs in systems.bubbles:
+        assert blocks.shape == ids.shape + ids.shape[1:]
+        assert rhs.shape == ids.shape
+    rows = np.concatenate([ids.ravel() for ids, _, _ in systems.bubbles])
+    assert np.array_equal(np.sort(rows),
+                          np.arange(space.n_interface, space.n_dofs))
+    # the per-element views, in element order
+    blocks = systems.bubble_blocks
+    assert len(blocks) == np.count_nonzero(space.degrees.M)
+    assert np.all(np.diff([ids[0] for ids, _, _ in blocks]) > 0)
+    solves = counting(monkeypatch, np.linalg, "solve")
+    sol = globalsolve.solve_coarse(systems)
+    assert len(solves) == len(sizes)
+    monkeypatch.undo()
+    loop = np.zeros(space.n_dofs)
+    for ids, Mb, bb in blocks:
+        loop[ids] = np.linalg.solve(Mb, bb)
+    assert sol.coeffs[space.n_interface:].tobytes() == \
+        loop[space.n_interface:].tobytes()
+
+
+def test_each_part_reconstructed_once_per_run(monkeypatch, tmp_path):
+    parts = counting(monkeypatch, globalsolve, "reconstruct")
+    combines = counting(monkeypatch, localbasis.Fields, "combine")
+    result = cli.run_single(cli.RunConfig.from_dict(MIXED["mixt"][0]))
+    assert sorted(which for _, which in parts) == ["bubble", "interface"]
+    assert len(combines) == 2 * len(result.solution.space.dofs.groups)
+    # the total and each part again read the kept parts
+    total = globalsolve.reconstruct(result.solution)
+    assert np.array_equal(total.values, result.solution.bubble.values
+                          + result.solution.interface.values)
+    assert len(parts) == 3 and len(combines) == 4
+    # so does an errmap run, which also scores the interface part
+    parts.clear()
+    config = cli.RunConfig.from_dict(dict(MIXED["mixt"][0], M=0))
+    assert cli.cmd_errmap(config, str(tmp_path / "map.csv")) == 0
+    assert sorted(which for _, which in parts) == ["bubble", "interface"]

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import (check_against_dense, contrast_field,
                       dense_couplings, edge_elements, edge_vertex_chain,
-                      element_boundary_vertex_ids, energy_products,
-                      group_weights, is_boundary_edge, local_triangles,
+                      element_boundary_vertex_ids, element_vertex_ids,
+                      energy_products, group_weights, is_boundary_edge,
+                      local_triangles,
                       member_triangle_ids, pattern_gradients, split,
                       stiffness, table_fields, table_pairs, to_ref,
                       trace_loads, triangle_cells, vertex_edges,
@@ -361,7 +362,7 @@ def distinct_fields(table, fine, A) -> int:
     rows = {(window[K], field.tobytes()) for K, _, field in pairs}
     if table.reference is not None:
         rows |= {(window[K], "load",
-                  table.reference[fine.element_vertex_ids(K)].tobytes())
+                  table.reference[element_vertex_ids(fine, K)].tobytes())
                  for K in window}
     return len(rows)
 
@@ -417,7 +418,7 @@ def test_mixed_shares_solve_each_row_once(monkeypatch):
         for d in sorted({d for _, d, _ in table_pairs(alone)}):
             assert table_fields(alone, d)[K].tobytes() == \
                 table_fields(table, d)[K].tobytes()
-        vids = fine.element_vertex_ids(K)
+        vids = element_vertex_ids(fine, K)
         assert alone.reference[vids].tobytes() == \
             table.reference[vids].tobytes()
 
@@ -443,7 +444,7 @@ def test_shared_window_fields_match_each_patch_alone(kind, monkeypatch):
         for d in sorted({d for _, d, _ in table_pairs(alone)}):
             assert table_fields(alone, d)[K].tobytes() == \
                 table_fields(table, d)[K].tobytes()
-        vids = fine.element_vertex_ids(K)
+        vids = element_vertex_ids(fine, K)
         assert alone.reference[vids].tobytes() == \
             table.reference[vids].tobytes()
 
@@ -479,7 +480,7 @@ def test_periodic_sweep_solves_only_distinct_rows(load, monkeypatch):
         for d in sorted({d for _, d, _ in table_pairs(alone)}):
             assert table_fields(alone, d)[K].tobytes() == \
                 table_fields(table, d)[K].tobytes()
-        vids = fine.element_vertex_ids(K)
+        vids = element_vertex_ids(fine, K)
         assert alone.reference[vids].tobytes() == \
             table.reference[vids].tobytes()
 
@@ -556,7 +557,7 @@ def test_dump_points(quad44, fine_quad44, A_osc):
     rows = localbasis.dump_points(table, table.find(NODAL, v, 0),
                                   fine_quad44)
     assert rows.shape == (len(np.unique(np.concatenate([
-        fine_quad44.element_vertex_ids(K)
+        element_vertex_ids(fine_quad44, K)
         for K in vertex_elements(quad44, v)]))), 3)
     # the vertex itself appears with value one
     at_v = np.flatnonzero((rows[:, 0] == quad44.vertices[v][0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import space_fields
+from conftest import element_vertex_ids, space_fields
 from legmsfem import cli, globalsolve, mesh
 
 
@@ -76,8 +76,8 @@ def test_error_report_invariants(config):
     for p in range(space.n_dofs):
         fields = space_fields(space, p)
         for K1, K2 in itertools.combinations(fields, 2):
-            _, i1, i2 = np.intersect1d(fine.element_vertex_ids(K1),
-                                       fine.element_vertex_ids(K2),
+            _, i1, i2 = np.intersect1d(element_vertex_ids(fine, K1),
+                                       element_vertex_ids(fine, K2),
                                        return_indices=True)
             assert np.array_equal(fields[K1][i1], fields[K2][i2])
     # bubbles are energy-orthogonal to the interface part
