@@ -8,8 +8,9 @@ problems, reconstructs the solution on the shared fine mesh, and evaluates
 energy errors and a residual-type a posteriori estimator.
 """
 
-from . import mesh, polybasis, finefem, localbasis, globalsolve, errors, estimator
+from . import (mesh, polybasis, finefem, multigrid, localbasis, globalsolve,
+               errors, estimator)
 
-__all__ = ["mesh", "polybasis", "finefem", "localbasis", "globalsolve",
-           "errors", "estimator"]
+__all__ = ["mesh", "polybasis", "finefem", "multigrid", "localbasis",
+           "globalsolve", "errors", "estimator"]
 __version__ = "0.1.0"

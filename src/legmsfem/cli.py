@@ -439,7 +439,6 @@ class RunResult:
     E_star: float
     report: errors.ErrorReport
     est: estimator.EstimatorReport
-    u_B_ref: finefem.FineFunction | None
     runtime_ms: int
 
     def row(self, timing: bool = False) -> str:
@@ -494,12 +493,11 @@ def run_single(config: RunConfig, problem: Problem | None = None,
         f=None if problem.degrees.M.any() else problem.f)
     systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
     solution = globalsolve.solve_coarse(systems, config.rel_tol)
-    u_B_ref = space.bubble_reference
-    report = errors.evaluate(solution, E_star, u_ref, u_B_ref)
+    report = errors.evaluate(solution, E_star, u_ref, space.bubble_reference)
     est = estimator.global_estimate(solution, config.eta, config.ell)
     ms = int(round(1000 * (time.perf_counter() - t0)))
     return RunResult(config, problem, solution, u_ref, E_star, report, est,
-                     u_B_ref, ms)
+                     ms)
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -645,8 +643,9 @@ def cmd_errmap(config: RunConfig, out: str | None = None) -> int:
     coarse = result.problem.coarse
     est_map = estimator.localize(result.est, coarse)
     try:
-        err_map, _ = errors.interface_error_map(result.solution, result.u_ref,
-                                                result.u_B_ref)
+        err_map, _ = errors.interface_error_map(
+            result.solution, result.u_ref,
+            result.solution.space.bubble_reference)
     except ValueError:
         err_map = np.zeros(len(est_map))
     ratios, _ = estimator.effectivity_map(est_map, err_map)

@@ -23,7 +23,7 @@ chunk of windows with equally many distinct rows in place in the field
 stack (a P1 stiffness on the structured lattice couples only adjacent
 rows).  The sweep's blocks come from the stencils of the chunk, formed by
 the lattice formula in one pass (finefem.PatchGroup.stencil), through the
-template's finefem.RowBlocks, the block layout the coarsest multigrid
+template's multigrid.RowBlocks, the block layout the coarsest multigrid
 level uses too; the same stencils give a trace row's right-hand side -K X and then each
 window's Gram block a(X_i, X_j) of its solved rows (finefem.patch_grams),
 kept beside the field stack for the coarse assembly.  The bubble loads are
@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import finefem, polybasis
+from . import finefem, multigrid, polybasis
 from .mesh import CoarseMesh, DegreeAssignment, FineMesh
 
 
@@ -333,7 +333,7 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     is_free[t.boundary_local] = False
     free = np.flatnonzero(is_free)
     slots = t.box[1][free]
-    blocks = finefem.RowBlocks(slots, t.grid, free)
+    blocks = multigrid.RowBlocks(slots, t.grid, free)
     box = math.prod(t.grid)
     wid = group.window_ids(A, max(2 * box, blocks.size))
     rep, _ = finefem.first_of_each(wid)

@@ -9,7 +9,7 @@ import copy
 import numpy as np
 import pytest
 
-from legmsfem import cli, finefem, localbasis, mesh, polybasis
+from legmsfem import cli, finefem, localbasis, mesh, multigrid, polybasis
 
 
 @pytest.fixture(scope="session")
@@ -285,7 +285,7 @@ def tensor(w) -> np.ndarray:
 
 def dense_factor(D, E):
     """Block elimination with dense sub-diagonal blocks E[i] (elements, w,
-    p), every product a matmul: the elimination of finefem.RowBlocks
+    p), every product a matmul: the elimination of multigrid.RowBlocks
     before its blocks became stencil couplings, kept as reference."""
     nb = len(D)
     S_inv, G = [None] * nb, [None] * nb
@@ -302,19 +302,19 @@ def dense_substitute(factor, E, R):
     """The substitution that went with dense_factor, R[i] (elements,
     fields, w_i), kept as reference."""
     S_inv, G = factor
-    g = [finefem._matvecs(S_inv[0], R[0])]
+    g = [multigrid._matvecs(S_inv[0], R[0])]
     for i in range(1, len(S_inv)):
-        g.append(finefem._matvecs(S_inv[i],
-                                  R[i] - finefem._matvecs(E[i], g[-1])))
+        g.append(multigrid._matvecs(S_inv[i],
+                                    R[i] - multigrid._matvecs(E[i], g[-1])))
     x = [g[-1]]
     for i in range(len(S_inv) - 2, -1, -1):
-        x.append(g[i] - finefem._matvecs(G[i], x[-1]))
+        x.append(g[i] - multigrid._matvecs(G[i], x[-1]))
     return x[::-1]
 
 
 def split(blocks, st):
     """(D, C) of a stencil or a stack of them on the row blocks of
-    finefem.RowBlocks: D[i] couples block i with itself, C[i] holds the
+    multigrid.RowBlocks: D[i] couples block i with itself, C[i] holds the
     couplings of block i with block i - 1 (those of C[0] are zero), each
     with a leading element axis (RowBlocks.split before the elimination
     gathered each diagonal block when it reached it)."""
@@ -338,7 +338,7 @@ def dense_couplings(C, widths):
 
 
 def check_against_dense(blocks, factored, D, E):
-    """The elimination factored = blocks.factor(st) of finefem.RowBlocks
+    """The elimination factored = blocks.factor(st) of multigrid.RowBlocks
     against dense_factor and dense_substitute of the dense blocks (D, E)
     of st, solving three random right-hand sides per element.  With its
     one coupling per row, S_inv and the solutions are bitwise those of the
@@ -617,7 +617,7 @@ def restricted(st, m) -> finefem.Stencil:
 def coarsen(geom, AW):
     """The next coarser level of a lattice geometry with area-weighted
     coefficient AW (tensors) as a geometry of its own, (geometry, AW), or
-    None: finefem._coarsen before its levels became lattice arrays."""
+    None: multigrid._coarsen before its levels became lattice arrays."""
     if geom.lattice is None or geom.lattice[0] % 2 or geom.lattice[1] % 2:
         return None
     nx, ny = geom.lattice
@@ -625,8 +625,8 @@ def coarsen(geom, AW):
     fixed[geom.boundary_local] = True
     fixed = fixed.reshape(ny + 1, nx + 1)
     free_c = ~fixed[::2, ::2]
-    if not free_c.any() or finefem._prolong(
-            free_c.astype(float))[fixed].any():
+    if not free_c.any() or multigrid._prolong(
+            free_c.astype(float), np.zeros(fixed.shape))[fixed].any():
         return None
     nxc, nyc = nx // 2, ny // 2
     points = geom.points.reshape(ny + 1, nx + 1, 2)[::2, ::2].reshape(-1, 2)

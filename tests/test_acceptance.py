@@ -302,8 +302,8 @@ def test_criterion_09_estimator_trends(estimator_grid):
         total = (loc * loc).sum() + rep.leftover_element_terms.sum()
         worst_local = max(worst_local,
                           abs(total - rep.value_gamma**2) / rep.value_gamma**2)
-        _, abs_err = errors.interface_error_map(res.solution, res.u_ref,
-                                                res.u_B_ref)
+        _, abs_err = errors.interface_error_map(
+            res.solution, res.u_ref, res.solution.space.bubble_reference)
         min_ratio = min(min_ratio, rep.value_gamma / abs_err)
     assert worst_local <= 1e-10
     c = 5.0
@@ -372,3 +372,56 @@ def test_criterion_11_sweep_determinism(tmp_path):
     assert outs[0].split(b"\n")[0].decode() == cli.CSV_HEADER
     _pass(11, "repeated sweep invocations are byte-identical "
               f"({len(outs[0])} bytes)")
+
+
+# The paper's regime: H from 16 eps down to eps on one 256^2 lattice
+# (quads 2x2, n_sub 128, eps = 1/32, M = 0), frozen from the first
+# validated run.  Per H: (E_rel, E_post).
+PAPER_REGIME_H = (0.5, 0.25, 0.125, 0.0625, 0.03125)
+PAPER_REGIME = {
+    1: ((0.58015507016662793, 0.88272594158106676),
+        (0.31280519114432981, 0.55096035583456571),
+        (0.19837357402196237, 0.31462694707867916),
+        (0.19861285933195125, 0.19080763069078827),
+        (0.2586043605012695, 0.13557361282953642)),
+    3: ((0.50312872333988479, 0.33454745596342772),
+        (0.26448795097617539, 0.21056002534578744),
+        (0.1761167486028877, 0.12509909033388272),
+        (0.18244663490805288, 0.082918967937453597),
+        (0.11934155963538538, 0.051688720609605589))}
+
+
+def test_criterion_12_paper_regime(tmp_path):
+    # an H sweep through the CLI at N = 1 and N = 3: every H row solves on
+    # the shared fine reference, rebound to the row's own mesh
+    t0 = time.perf_counter()
+    rows = {}
+    for N in PAPER_REGIME:
+        path = tmp_path / f"N{N}.json"
+        path.write_text(json.dumps({
+            "schema": 1, "kind": "quad", "nx": 2, "ny": 2, "n_sub": 128,
+            "coefficient": {"type": "periodic_benchmark", "eps": 1 / 32},
+            "rhs": {"type": "constant", "value": -1.0}, "N": N, "M": 0}))
+        out = tmp_path / f"N{N}.csv"
+        assert cli.main(["sweep", "--config", str(path), "--axis", "H",
+                         "--values", ",".join(map(str, PAPER_REGIME_H)),
+                         "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == cli.CSV_HEADER
+        head = lines[0].split(",")
+        rows[N] = [dict(zip(head, line.split(","))) for line in lines[1:]]
+        assert [float(r["H"]) for r in rows[N]] == list(PAPER_REGIME_H)
+    col = lambda N, name: [float(r[name]) for r in rows[N]]
+    for N, frozen in PAPER_REGIME.items():
+        for got, ref in zip(zip(col(N, "E_rel"), col(N, "E_post")), frozen):
+            assert all(abs(g - r) <= 1e-6 * r for g, r in zip(got, ref))
+    # enrichment lowers the error at every H, and on the interface too
+    for name in ("E_rel", "E_rel_gamma"):
+        assert all(e3 < e1 for e1, e3 in zip(col(1, name), col(3, name)))
+    # the resonance: plain MsFEM's error rises again as H nears eps
+    e1 = col(1, "E_rel")
+    assert e1[-1] > min(e1)
+    _pass(12, f"H sweep from 16 eps to eps: N=1 E_rel {min(e1):.4f} at its "
+              f"minimum, {e1[-1]:.4f} at H = eps; N=3 "
+              f"{col(3, 'E_rel')[-1]:.4f} there, in "
+              f"{time.perf_counter() - t0:.1f}s")

@@ -649,8 +649,9 @@ def test_interface_error_map_matches_loop():
         "rhs": {"type": "gaussian_benchmark"},
         "N": {"default": 2, "overrides": {4: 1}}, "M": 0})
     res = cli.run_single(cfg)
-    got = errors.interface_error_map(res.solution, res.u_ref, res.u_B_ref)
-    ref = loop_interface_error_map(res.solution, res.u_ref, res.u_B_ref)
+    u_B_ref = res.solution.space.bubble_reference
+    got = errors.interface_error_map(res.solution, res.u_ref, u_B_ref)
+    ref = loop_interface_error_map(res.solution, res.u_ref, u_B_ref)
     assert got[0].tolist() == list(ref[0].values())
     assert list(ref[0]) == res.problem.coarse.interior_edge_ids.tolist()
     assert got[1] == ref[1]

@@ -7,7 +7,7 @@ import pytest
 from conftest import (dense, edge_elements, edge_vertex_chain,
                       fourier_poisson_integral, free_vertices,
                       is_boundary_edge, skeleton_geometry)
-from legmsfem import cli, errors, finefem, globalsolve, mesh
+from legmsfem import cli, errors, finefem, globalsolve, mesh, multigrid
 
 
 def test_relative_from_energies():
@@ -53,7 +53,7 @@ def test_report_shape(small_bench, small_bench_bubbles):
 
 
 def test_bubble_reference_vanishes_on_skeleton(small_bench):
-    u_B = small_bench.u_B_ref
+    u_B = small_bench.solution.space.bubble_reference
     fine = small_bench.problem.fine
     for eid in range(small_bench.problem.coarse.n_edges):
         assert not u_B.values[edge_vertex_chain(fine, eid)].any()
@@ -264,15 +264,16 @@ def test_zero_solution_has_unit_error(small_bench):
 def test_interface_error_map_consistency(small_bench):
     res = small_bench
     space = res.solution.space
+    u_B_ref = space.bubble_reference
     edge_map, abs_err = errors.interface_error_map(res.solution, res.u_ref,
-                                                   res.u_B_ref)
+                                                   u_B_ref)
     assert edge_map.shape == space.coarse.interior_edge_ids.shape
     sum_sq = float((edge_map * edge_map).sum())
     # the localized pieces reassemble the global relative interface error
     assert abs(math.sqrt(sum_sq) - res.report.E_rel_gamma) \
         < 1e-6 * res.report.E_rel_gamma
     # and abs_err / sqrt(sum_sq) is the interface reference norm
-    ref_G = res.u_ref.values - res.u_B_ref.values
+    ref_G = res.u_ref.values - u_B_ref.values
     M = finefem.energy_inner_matrix(ref_G[None, :], res.u_ref.geom, space.A)
     assert abs(abs_err / math.sqrt(sum_sq) - math.sqrt(M[0, 0])) \
         < 1e-10 * math.sqrt(M[0, 0])
@@ -329,9 +330,10 @@ def test_interface_error_map_matches_per_element_grams(kind, nx, n_sub):
     res = run_config(kind, nx, n_sub, 2, 0)
     space = res.solution.space
     coarse = space.coarse
+    u_B_ref = space.bubble_reference
     edge_map, abs_err = errors.interface_error_map(res.solution, res.u_ref,
-                                                   res.u_B_ref)
-    ref_G = res.u_ref.values - res.u_B_ref.values
+                                                   u_B_ref)
+    ref_G = res.u_ref.values - u_B_ref.values
     d_G = ref_G - globalsolve.reconstruct(res.solution, "interface").values
     err2 = np.zeros(coarse.n_elements)
     denom2 = 0.0
@@ -364,6 +366,6 @@ def test_space_as_large_as_fine_space_reproduces_reference(kind, n_sub, N):
         - len(fine.boundary_vertex_ids())
     system = finefem.assemble(finefem.global_geometry(fine), space.A,
                               f=res.problem.f)
-    assert len(finefem.Multigrid(system).levels) > 1
+    assert len(multigrid.Multigrid(system).levels) > 1
     report = res.report
     assert abs(report.E_num - report.E_star) <= 1e-12 * abs(report.E_star)

@@ -13,7 +13,7 @@ from conftest import (check_against_dense, coarsen, contrast_field, dense,
                       local_triangles, member_triangle_ids, quad_points,
                       skeleton_geometry, split, stiffness, sw_ne_couplings,
                       tensor, triangle_cells, triangle_gradients)
-from legmsfem import errors, finefem, localbasis, mesh
+from legmsfem import errors, finefem, localbasis, mesh, multigrid
 
 
 def dense_stiffness(geom, A):
@@ -547,7 +547,7 @@ def test_coarse_operators_are_galerkin_products(kind, fixed):
     geom = (finefem.global_geometry(fine) if fixed == "boundary"
             else skeleton_geometry(fine))
     system = finefem.assemble(geom, finefem.periodic_benchmark(0.25))
-    mg = finefem.Multigrid(system)
+    mg = multigrid.Multigrid(system)
     geoms = hierarchy_geometries(geom, tensor(system.AW))
     assert len(mg.levels) == len(geoms) >= 3
     for lev_f, lev_c, gf, gc in zip(mg.levels, mg.levels[1:], geoms,
@@ -558,11 +558,12 @@ def test_coarse_operators_are_galerkin_products(kind, fixed):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # and the hierarchy's own transfer is that interpolation
         xc = np.random.default_rng(3).standard_normal(len(lev_c.free))
-        Uf = finefem._prolong(on_lattice(lev_c, xc)).ravel()
+        Uf = multigrid._prolong(on_lattice(lev_c, xc),
+                                np.zeros(lev_f.shape)).ravel()
         assert np.abs(Uf[lev_f.free] - P @ xc).max() <= 1e-15
         assert not Uf[np.setdiff1d(np.arange(gf.n_vertices), lev_f.free)].any()
         rf = np.random.default_rng(4).standard_normal(len(lev_f.free))
-        rc = finefem._restrict(on_lattice(lev_f, rf)).ravel()[lev_c.free]
+        rc = multigrid._restrict(on_lattice(lev_f, rf)).ravel()[lev_c.free]
         assert np.abs(rc - P.T @ rf).max() <= 1e-14
 
 
@@ -579,7 +580,7 @@ def test_coarsening_stops(kind, nx, n_sub, boundary_levels, skeleton_levels):
     A = finefem.identity_field()
     for geom, levels in ((finefem.global_geometry(fine), boundary_levels),
                          (skeleton_geometry(fine), skeleton_levels)):
-        mg = finefem.Multigrid(finefem.assemble(geom, A))
+        mg = multigrid.Multigrid(finefem.assemble(geom, A))
         assert len(mg.levels) == levels
 
 
@@ -591,7 +592,8 @@ def test_prolongation_reproduces_linear_functions():
     for gf, gc in zip(geoms, geoms[1:]):
         lin = lambda p: 2.0 * p[:, 0] + 3.0 * p[:, 1] - 1.0
         ncx, ncy = gc.lattice
-        Uf = finefem._prolong(lin(gc.points).reshape(ncy + 1, ncx + 1))
+        Uf = multigrid._prolong(lin(gc.points).reshape(ncy + 1, ncx + 1),
+                                np.zeros((2 * ncy + 1, 2 * ncx + 1)))
         assert np.array_equal(Uf.ravel(), lin(gf.points))
 
 
@@ -609,7 +611,7 @@ def test_lattice_that_cannot_coarsen_runs_jacobi_pcg(skeleton, nx, n_sub,
             else finefem.global_geometry(fine))
     system = finefem.assemble(geom, finefem.periodic_benchmark(0.25),
                               f=finefem.constant_rhs(-1.0))
-    mg = finefem.Multigrid(system)
+    mg = multigrid.Multigrid(system)
     assert len(mg.levels) == 1
     K, b = system.K, system.K.box(system.rhs)
     dinv = K.box(1.0 / K.diagonal())
@@ -637,7 +639,7 @@ def test_coarsest_level_is_solved_exactly(kind, nx, n_sub, skeleton, levels,
     A = (finefem.periodic_benchmark(0.5) if A == "periodic"
          else contrast_field())
     system = finefem.assemble(geom, A, f=finefem.gaussian_rhs())
-    mg = finefem.Multigrid(system)
+    mg = multigrid.Multigrid(system)
     assert len(mg.levels) == levels
     bottom = mg.levels[-1]
     r = np.random.default_rng(5).standard_normal(len(bottom.free))
@@ -648,7 +650,7 @@ def test_coarsest_level_is_solved_exactly(kind, nx, n_sub, skeleton, levels,
 
 def row_loop_bottom_blocks(K):
     """(D, E) of the coarsest level K built lattice row by lattice row, as
-    Multigrid did before its blocks came from finefem.RowBlocks; kept as
+    Multigrid did before its blocks came from multigrid.RowBlocks; kept as
     reference."""
     st, cols, slots = K.stencil, K.stencil.grid[1], K.slots
     rows = slots // cols
@@ -685,14 +687,14 @@ def test_bottom_blocks_match_the_row_loop(kind, nx, n_sub, skeleton, A):
             else finefem.global_geometry(fine))
     A = (finefem.periodic_benchmark(0.5) if A == "periodic"
          else contrast_field())
-    mg = finefem.Multigrid(finefem.assemble(geom, A))
+    mg = multigrid.Multigrid(finefem.assemble(geom, A))
     assert len(mg.levels) > 1
     K = mg.levels[-1].K
     rows = np.unique(K.slots // K.stencil.grid[1])
     if nx == 2 and n_sub == 4:
         assert len(rows) < rows[-1] - rows[0] + 1
     D0, E0 = row_loop_bottom_blocks(K)
-    blocks = finefem.RowBlocks(K.slots, K.stencil.grid)
+    blocks = multigrid.RowBlocks(K.slots, K.stencil.grid)
     D, C = split(blocks, K.stencil)
     E = dense_couplings(C, blocks.widths)
     assert len(D) == len(D0) == len(rows)
@@ -712,7 +714,7 @@ def test_multigrid_pcg_matches_jacobi_pcg():
     A = finefem.periodic_benchmark(0.125)
     system = finefem.assemble(finefem.global_geometry(fine), A,
                               f=finefem.constant_rhs(-1.0))
-    mg = finefem.Multigrid(system)
+    mg = multigrid.Multigrid(system)
     assert len(mg.levels) == 6
     K = system.K
     x_mg, it_mg = finefem.pcg(K, K.box(system.rhs), 1e-12, mg)
@@ -779,7 +781,7 @@ def test_multigrid_levels_match_element_csr(kind, n_sub, fixed):
     geom = (finefem.global_geometry(fine) if fixed == "boundary"
             else skeleton_geometry(fine))
     system = finefem.assemble(geom, contrast_field())
-    mg = finefem.Multigrid(system)
+    mg = multigrid.Multigrid(system)
     assert len(mg.levels) >= 3
     AW = tensor(system.AW)
     for l, lev in enumerate(mg.levels):

@@ -26,7 +26,8 @@ from conftest import (coarsen, contrast_field, corner_areas_centroids,
                       reference_stencil, restricted, scatter, scatter_rows,
                       skeleton_geometry, tensor, triangle_cells,
                       triangle_elements, triangle_gradients)
-from legmsfem import estimator, finefem, localbasis, mesh, polybasis
+from legmsfem import (estimator, finefem, localbasis, mesh, multigrid,
+                      polybasis)
 
 # (kind, coarse cells per side, n_sub): h = 1/32 and h = 1/96.
 MESHES = [("quad", 2, 16), ("triangle", 2, 16), ("quad", 3, 32),
@@ -142,7 +143,7 @@ def test_multigrid_level_stencils(fine, A, which):
     # triangles on a lattice geometry of their own, scattered
     geom = (finefem.global_geometry(fine) if which == "global"
             else skeleton_geometry(fine))
-    mg = finefem.Multigrid(finefem.assemble(geom, A))
+    mg = multigrid.Multigrid(finefem.assemble(geom, A))
     AW = tensor(geom.area_weighted(A))
     assert len(mg.levels) >= 2
     for l, lev in enumerate(mg.levels):

@@ -12,7 +12,7 @@ from conftest import (check_against_dense, contrast_field,
                       stiffness, table_fields, table_pairs, to_ref,
                       trace_loads, triangle_cells, vertex_edges,
                       vertex_elements)
-from legmsfem import finefem, localbasis, mesh, polybasis
+from legmsfem import finefem, localbasis, mesh, multigrid, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
 
 
@@ -335,7 +335,7 @@ def eliminated_windows(monkeypatch) -> list:
     whose right-hand side is bitwise that of another row of their window
     in the sweep, each solved once more than needed."""
     swept = []
-    real = finefem.RowBlocks.eliminate
+    real = multigrid.RowBlocks.eliminate
 
     def counted(self, st, *R):
         rows = np.concatenate(R, axis=1) if R else np.zeros((len(st.coef), 0))
@@ -343,7 +343,7 @@ def eliminated_windows(monkeypatch) -> list:
         swept.append((len(st.coef), rows.shape[1], repeats))
         real(self, st, *R)
 
-    monkeypatch.setattr(finefem.RowBlocks, "eliminate", counted)
+    monkeypatch.setattr(multigrid.RowBlocks, "eliminate", counted)
     return swept
 
 
@@ -497,7 +497,7 @@ def test_sweep_solves_the_load_the_assembly_projects(kind, n, n_sub,
     fine = mesh.refine_to_fine(coarse, n_sub)
     A, f = finefem.periodic_benchmark(1 / 12), finefem.gaussian_rhs()
     solved = set()
-    real = finefem.RowBlocks.eliminate
+    real = multigrid.RowBlocks.eliminate
 
     def recorded(self, st, *R):
         for r in R:
@@ -505,7 +505,7 @@ def test_sweep_solves_the_load_the_assembly_projects(kind, n, n_sub,
             solved.update(v.tobytes() for v in free.reshape(-1, free.shape[-1]))
         real(self, st, *R)
 
-    monkeypatch.setattr(finefem.RowBlocks, "eliminate", recorded)
+    monkeypatch.setattr(multigrid.RowBlocks, "eliminate", recorded)
     localbasis.compute_all(coarse, fine, A,
                            mesh.DegreeAssignment.uniform(coarse, 2, 1), f=f)
     for group in finefem.patch_groups(fine, range(coarse.n_elements)):
@@ -716,7 +716,7 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
 class ElementRowBlocks:
     """K_ff of a template patch as dense lattice-row blocks, packed from
     per-triangle matrices: the layout the offline sweep built before its
-    blocks came from the stencil (finefem.RowBlocks), kept as reference.
+    blocks came from the stencil (multigrid.RowBlocks), kept as reference.
 
     Free vertices are in local order, which is lattice-row-major because
     vids are sorted; widths[i] is the number of free vertices in block i
@@ -798,7 +798,7 @@ def test_row_blocks_match_the_element_matrix_layout(kind, n_sub):
         is_free[t.boundary_local] = False
         AW = group_weights(g, A)[1]
         grads = np.broadcast_to(pattern_gradients(t), AW.shape[:2] + (3, 2))
-        blocks = finefem.RowBlocks(t.box[1][is_free], t.box[0])
+        blocks = multigrid.RowBlocks(t.box[1][is_free], t.box[0])
         want = element_row_blocks(fine, t, is_free)
         assert np.array_equal(blocks.widths, want.widths)
         assert [b.stop for b in blocks.blocks] == \
@@ -827,7 +827,7 @@ def test_coupling_elimination_matches_dense(kind, nx, n_sub, coefficient):
         t = g.template
         is_free = np.ones(t.n_vertices, dtype=bool)
         is_free[t.boundary_local] = False
-        blocks = finefem.RowBlocks(t.box[1][is_free], t.box[0])
+        blocks = multigrid.RowBlocks(t.box[1][is_free], t.box[0])
         assert len(set(blocks.widths.tolist())) == (1 if kind == "quad"
                                                     else len(blocks.widths))
         st = g.stencil(A)

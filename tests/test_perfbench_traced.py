@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from legmsfem import finefem, globalsolve, localbasis
+from legmsfem import finefem, globalsolve, localbasis, multigrid
 
 TRACED_PY = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
@@ -40,7 +40,7 @@ def test_traced_info_reads_fine_and_interface_operators(small_bench_bubbles):
     system = finefem.assemble(finefem.global_geometry(space.fine), space.A,
                               res.problem.f)
     args = (system.K, system.K.box(system.rhs), 1e-10,
-            finefem.Multigrid(system))
+            multigrid.Multigrid(system))
     out = finefem.pcg(*args)
     assert info(args, out) == {"iters": out[1], "nnz": system.K.nnz}
     assert system.K.nnz > system.K.shape[0] > 0
