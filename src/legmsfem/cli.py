@@ -436,7 +436,6 @@ class RunResult:
     problem: Problem
     solution: globalsolve.CoarseSolution
     u_ref: finefem.FineFunction
-    E_star: float
     report: errors.ErrorReport
     est: estimator.EstimatorReport
     runtime_ms: int
@@ -466,10 +465,11 @@ def _fmt(x: float) -> str:
 
 
 def run_single(config: RunConfig, problem: Problem | None = None,
-               shared: dict | None = None) -> RunResult:
+               u_ref: finefem.FineFunction | None = None) -> RunResult:
     """Offline build, online solve, error report and estimator for one
-    config.  shared may carry u_ref/E_star from a previous run on the same
-    fine lattice, coefficient and load.
+    config.  u_ref may carry the fine reference of a previous run on the
+    same fine lattice, coefficient and load, bound to the global geometry
+    of this run's fine mesh.
 
     The bubble reference comes out of the offline sweep (build_space with
     the load), asked for exactly where E_rel_gamma needs it: a bubble-free
@@ -477,15 +477,12 @@ def run_single(config: RunConfig, problem: Problem | None = None,
     t0 = time.perf_counter()
     if problem is None:
         problem = build_problem(config)
-    shared = shared or {}
     # The fine reference goes first, while nothing else is held: its
     # assembly sets the peak memory of a run.  Degrees are checked before
     # it, so a config the lattice cannot resolve fails without it.
     globalsolve.check_degrees(problem.fine, problem.degrees)
-    if "u_ref" in shared:
-        u_ref, E_star = shared["u_ref"], shared["E_star"]
-    else:
-        u_ref, E_star = errors.reference_solve(
+    if u_ref is None:
+        u_ref = errors.reference_solve(
             problem.fine, problem.A, problem.f, config.rel_tol,
             eps=config.eps, strict=config.strict)
     space = globalsolve.build_space(
@@ -493,11 +490,10 @@ def run_single(config: RunConfig, problem: Problem | None = None,
         f=None if problem.degrees.M.any() else problem.f)
     systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
     solution = globalsolve.solve_coarse(systems, config.rel_tol)
-    report = errors.evaluate(solution, E_star, u_ref, space.bubble_reference)
+    report = errors.evaluate(solution, u_ref, space.bubble_reference)
     est = estimator.global_estimate(solution, config.eta, config.ell)
     ms = int(round(1000 * (time.perf_counter() - t0)))
-    return RunResult(config, problem, solution, u_ref, E_star, report, est,
-                     ms)
+    return RunResult(config, problem, solution, u_ref, report, est, ms)
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -552,7 +548,7 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
         if not all(v > 0 for v in values):
             raise ConfigError("eps values must be positive")
 
-    problem, shared = None, {}
+    problem = u_ref = None
     if axis in ("N", "M"):
         problem = build_problem(config)
         if axis == "N":
@@ -578,18 +574,18 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
                                                  "eps": float(v)})
             else:
                 cfg = _with(config, **{axis: int(v)})
-            if axis == "H":
-                row_problem = build_problem(cfg)
-                res = run_single(cfg, row_problem,
-                                 _on_lattice(shared, row_problem.fine))
-            elif problem is None:
-                res = run_single(cfg)
-            else:
-                res = run_single(cfg, replace(
-                    problem, degrees=_degrees_of(cfg, problem.coarse)), shared)
+            row_problem = (build_problem(cfg) if problem is None else replace(
+                problem, degrees=_degrees_of(cfg, problem.coarse)))
+            if u_ref is not None:
+                # The reference depends on the fine lattice, the
+                # coefficient and the load only; errors.evaluate and the
+                # estimator check its geometry by identity, so it is
+                # bound to the row's own.
+                u_ref = finefem.FineFunction(
+                    finefem.global_geometry(row_problem.fine), u_ref.values)
+            res = run_single(cfg, row_problem, u_ref)
             if axis != "eps":
-                shared.setdefault("u_ref", res.u_ref)
-                shared.setdefault("E_star", res.E_star)
+                u_ref = res.u_ref
             rows.append(res.row(timing))
         except finefem.LoadValueError:
             raise
@@ -597,18 +593,6 @@ def cmd_sweep(config: RunConfig, axis: str, values: list[float],
             rows.append(_failed_row(cfg, exc, H=v if axis == "H" else None))
     _emit(rows, out)
     return 0
-
-
-def _on_lattice(shared: dict, fine: mesh.FineMesh) -> dict:
-    """shared with its fine reference put on the global geometry of fine,
-    another mesh over the same fine lattice (the reference depends on the
-    lattice, the coefficient and the load only, and errors.evaluate and
-    the estimator check the geometry by identity)."""
-    if "u_ref" not in shared:
-        return shared
-    u = shared["u_ref"]
-    return dict(shared, u_ref=finefem.FineFunction(
-        finefem.global_geometry(fine), u.values))
 
 
 def _h_config(config: RunConfig, H: float) -> RunConfig:
@@ -642,12 +626,11 @@ def cmd_errmap(config: RunConfig, out: str | None = None) -> int:
     result = run_single(config)
     coarse = result.problem.coarse
     est_map = estimator.localize(result.est, coarse)
-    try:
+    err_map = np.zeros(0)
+    if coarse.interior_edge_ids.size:  # one element has no interface
         err_map, _ = errors.interface_error_map(
             result.solution, result.u_ref,
             result.solution.space.bubble_reference)
-    except ValueError:
-        err_map = np.zeros(len(est_map))
     ratios, _ = estimator.effectivity_map(est_map, err_map)
     rows = [ERRMAP_HEADER]
     with np.errstate(divide="ignore"):

@@ -13,8 +13,10 @@ bubble reference is the zero-trace solve with the load on every element,
 which the offline patch sweep of a space produces next to its basis
 (globalsolve.build_space with the load), and `bubble_reference` next to
 the nodal basis alone.  `evaluate` is the one place that scores a
-solution: it also reports the direct norm quotient, a cross-check on the
-identity, and the residual of the error split.
+solution: it forms E* from the reference field it is given, so a field
+never meets the energy of another lattice or load, and it also reports
+the direct norm quotient, a cross-check on the identity, and the residual
+of the error split.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import finefem, globalsolve, localbasis
+from . import finefem, globalsolve, localbasis, multigrid
 from .mesh import DegreeAssignment, FineMesh
 
 
@@ -45,9 +47,9 @@ class ErrorReport:
 def reference_solve(fine: FineMesh, A: finefem.Field,
                     f: finefem.Field, rel_tol: float = 1e-12,
                     eps: float | None = None,
-                    strict: bool = False) -> tuple[finefem.FineFunction, float]:
-    """Fine solve of the full problem and its energy E*, by
-    multigrid-preconditioned CG (finefem.solve_spd) to rel_tol.
+                    strict: bool = False) -> finefem.FineFunction:
+    """Fine solve of the full problem by multigrid-preconditioned CG
+    (multigrid.solve_spd) to rel_tol.
 
     For an oscillatory coefficient with period eps the fine lattice must
     resolve it: cell size <= eps/8, else warn (or raise under strict).
@@ -60,8 +62,7 @@ def reference_solve(fine: FineMesh, A: finefem.Field,
             raise ValueError(msg)
         warnings.warn(msg)
     geom = finefem.global_geometry(fine)
-    u = finefem.solve_spd(finefem.assemble(geom, A, f), rel_tol)
-    return u, finefem.energy(u, A, f)
+    return multigrid.solve_spd(finefem.assemble(geom, A, f), rel_tol)
 
 
 def relative_from_energies(E_num: float, E_star: float) -> float:
@@ -129,7 +130,7 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
     return np.sqrt(acc / denom2), float(np.sqrt(err2.sum()))
 
 
-def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
+def evaluate(u_H: globalsolve.CoarseSolution,
              u_ref: finefem.FineFunction,
              u_B_ref: finefem.FineFunction | None = None) -> ErrorReport:
     """Full error report for one run from the parts the solution keeps
@@ -138,14 +139,15 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
     vertices in a fixed order (finefem.energy_inner_matrix and
     finefem.dot), so the report does not depend on the BLAS thread count.
 
-    The rows u, u_ref - u and u_ref give E_num, E_rel from the energy
-    identity and the direct quotient ||u_ref - u||_E / ||u_ref||_E.  With
-    the bubble reference u_B_ref, the rows u_B_ref, d_B = u_B_ref - u_B and
-    d_G = (u_ref - u_B_ref) - u_G add the relative residual of the error
-    split a(d, d) = a(d_B, d_B) + a(d_G, d_G) and, for a bubble-free space,
-    the interface error against E* - E(u_B_ref).  That interface reference
-    energy must be negative; when it is not (no interface part, as on one
-    element) E_rel_gamma stays None.
+    The rows u, u_ref - u and u_ref give E_num, E* = E(u_ref), E_rel from
+    the energy identity and the direct quotient ||u_ref - u||_E /
+    ||u_ref||_E.  With the bubble reference u_B_ref, the rows u_B_ref,
+    d_B = u_B_ref - u_B and d_G = (u_ref - u_B_ref) - u_G add the relative
+    residual of the error split a(d, d) = a(d_B, d_B) + a(d_G, d_G) and,
+    for a bubble-free space, the interface error against
+    E* - E(u_B_ref).  That interface reference energy must be negative;
+    when it is not (no interface part, as on one element) E_rel_gamma
+    stays None.
     """
     space = u_H.space
     u_B, u_G = u_H.bubble, u_H.interface
@@ -166,6 +168,7 @@ def evaluate(u_H: globalsolve.CoarseSolution, E_star: float,
                                     diagonal=True).tolist()
     b = finefem.load_vector(geom, u_H.f)
     E_num = 0.5 * a[0] - finefem.dot(b, u)
+    E_star = 0.5 * a[2] - finefem.dot(b, u_ref.values)
     E_rel = relative_from_energies(E_num, E_star)
     direct = float(np.sqrt(a[1] / a[2]))
     gamma = None

@@ -4,7 +4,7 @@ Stiffness and load assembly against an SPD coefficient field, with the
 boundary vertices held at zero, a deterministic preconditioned CG, and the
 energies everything downstream is phrased in.  Coefficient-weighted
 integrals use the centroid rule over the fine triangles, and energies use
-the same rule as assembly, so the Galerkin identity energy(u) = -1/2 rhs.u
+the same rule as assembly, so the Galerkin identity E(u) = -1/2 rhs.u
 holds at solver accuracy.
 
 Every geometry here is a set of triangles of the SW-NE fine lattice: a box
@@ -40,11 +40,11 @@ the only arrays it keeps per triangle.  The fields are compared by
 identity, never by name, so two fields never share a matrix or a load.
 Only numpy is needed.
 
-`solve_spd` runs `pcg` preconditioned by one V-cycle of
-`multigrid.Multigrid` on box arrays that vanish off the free vertices
-(the stencil with a mask); the lattice solvers, the row elimination and
-the multigrid hierarchy, are described in `multigrid`.  The online
-interface CG stays Jacobi.
+The fine reference solve, `pcg` preconditioned by one multigrid V-cycle
+(`multigrid.solve_spd`), iterates on box arrays that vanish off the free
+vertices (the stencil with a mask); the lattice solvers, the row
+elimination and the multigrid hierarchy, are described in `multigrid`.
+The online interface CG stays Jacobi.
 
 Element patches of one shape are lattice translates of each other, so
 `localbasis` and the coarse assembly work on a whole `PatchGroup` at once:
@@ -56,9 +56,9 @@ periods apart) have bitwise equal stencils, so the offline sweep
 eliminates one of them for all.
 
 Every coefficient-weighted inner product a(u, v) is u^T (K v) with the
-stencil of its geometry (`Stencil.apply_full`): `energy_inner_matrix` and
-`energy` with the one stencil a geometry keeps per coefficient, the same
-one `assemble` uses, and `patch_grams` with the stencils of a chunk of
+stencil of its geometry (`Stencil.apply_full`): `energy_inner_matrix`
+with the one stencil a geometry keeps per coefficient, the same one
+`assemble` uses, and `patch_grams` with the stencils of a chunk of
 patches, which the offline sweep forms for its elimination anyway.  The
 sums over the fine vertices that reach an output run in a fixed order
 (`dot`, einsum without BLAS), so no result depends on the BLAS thread
@@ -73,8 +73,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-
-from . import multigrid
 
 
 class SolverDivergenceError(RuntimeError):
@@ -937,19 +935,6 @@ def _jacobi(K) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: dinv * r
 
 
-def solve_spd(system: SparseSpdSystem, rel_tol: float = 1e-12) -> FineFunction:
-    """Solve the eliminated system by pcg with one multigrid V-cycle as the
-    preconditioner, both on box arrays, and return the full nodal
-    field."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
-    K, geom = system.K, system.geom
-    x, _ = pcg(K, K.box(system.rhs), rel_tol, multigrid.Multigrid(system))
-    values = geom.from_box(x)
-    values[geom.boundary_local] = 0.0
-    return FineFunction(geom, values)
-
-
 def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray
                 ) -> np.ndarray:
     """Gram blocks a(V_i, V_j) = V_i^T K V_j of a stack of congruent
@@ -976,10 +961,10 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: Field,
     a(V_i, V_i), (rows,), bitwise the diagonal of the matrix, and V may be
     any iterable of rows, which are then taken one at a time.
 
-    Scalar energies and the error report call it.  K applies to one row
-    at a time, so a stack of global fields needs no temporaries of its
-    size, and each entry sums over the vertices in a fixed order (dot),
-    so it does not depend on the BLAS thread count.  Exactly symmetric.
+    The error report calls it.  K applies to one row at a time, so a
+    stack of global fields needs no temporaries of its size, and each
+    entry sums over the vertices in a fixed order (dot), so it does not
+    depend on the BLAS thread count.  Exactly symmetric.
     """
     st = geom.stencil(A)
     if isinstance(V, np.ndarray):
@@ -991,12 +976,3 @@ def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: Field,
     M = np.array([[dot(v, Kw) for v in V] for Kw in KV]).T
     return 0.5 * (M + M.T)
 
-
-def energy(v: FineFunction, A: Field, f=None) -> float:
-    """E(v) = 1/2 a(v,v) - integral of f v, same quadrature and stencil as
-    assemble, every sum in a fixed order (dot)."""
-    e = 0.5 * float(energy_inner_matrix(v.values[None, :], v.geom, A,
-                                        diagonal=True)[0])
-    if f is not None:
-        e -= dot(load_vector(v.geom, f), v.values)
-    return e

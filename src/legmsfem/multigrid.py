@@ -11,8 +11,10 @@ offline patch solves in `localbasis` eliminate with it (`eliminate`), and
 the coarsest multigrid level keeps its factor (`factor`, `solve`); both
 run one forward-then-back substitution loop.
 
-`finefem.solve_spd` preconditions CG with one V-cycle of `Multigrid`, both
-on box arrays that vanish off the free vertices (the stencil with a mask).
+`solve_spd`, the fine reference solve, preconditions CG with one V-cycle
+of `Multigrid`, both on box arrays that vanish off the free vertices (the
+stencil with a mask); it calls the CG as `finefem.pcg`, through the
+module, so a wrapper of that attribute (perfbench/traced.py) sees it.
 The fine lattice is nested: coarsening it every other vertex gives the
 lattice whose red refinement it is, with the same SW-NE diagonals, so each
 coarse operator is the same lattice formula on the coarse lattice, with
@@ -21,13 +23,6 @@ children.  The coarsest level is factored by the block elimination over
 lattice rows.  A system that cannot coarsen (an odd number of cells, or a
 patch), or whose coarsest level has rows too wide to factor, runs
 Jacobi-PCG.  The online interface CG stays Jacobi.
-
-This module and finefem import each other as modules, and each reads the
-other's names at call time: the levels here are finefem's lattice
-formulas (`Stencil`, `LatticeOperator`), and `finefem.solve_spd` builds a
-`Multigrid`.  That one use backwards goes away when `solve_spd` moves
-here, which waits until perfbench reads the program's own trace instead
-of wrapping `finefem.pcg`, the CG that `solve_spd` calls, by attribute.
 """
 
 from __future__ import annotations
@@ -399,3 +394,17 @@ class Multigrid:
         for _ in range(SMOOTHING_SWEEPS):
             lev.smooth(X, R)
         return X
+
+
+def solve_spd(system: finefem.SparseSpdSystem,
+              rel_tol: float = 1e-12) -> finefem.FineFunction:
+    """Solve the eliminated system by finefem.pcg with one multigrid
+    V-cycle as the preconditioner, both on box arrays, and return the full
+    nodal field."""
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError("rel_tol must lie in (0, 1)")
+    K, geom = system.K, system.geom
+    x, _ = finefem.pcg(K, K.box(system.rhs), rel_tol, Multigrid(system))
+    values = geom.from_box(x)
+    values[geom.boundary_local] = 0.0
+    return finefem.FineFunction(geom, values)

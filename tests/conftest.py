@@ -61,7 +61,7 @@ def rng():
 def pcg_iters(monkeypatch):
     """The iteration count of every finefem.pcg call the test makes, in
     order, read from pcg's return value (as perfbench/traced.py reads it),
-    so also those of the calls inside finefem.solve_spd."""
+    so also those of the calls inside multigrid.solve_spd."""
     iters = []
     real = finefem.pcg
 
@@ -72,6 +72,17 @@ def pcg_iters(monkeypatch):
 
     monkeypatch.setattr(finefem, "pcg", recorded)
     return iters
+
+
+def energy(v: finefem.FineFunction, A: finefem.Field, f=None) -> float:
+    """E(v) = 1/2 a(v, v) - (b, v), by the formula errors.evaluate forms
+    E* and E_num with: the stencil and load vector of v's geometry, every
+    sum in a fixed order."""
+    e = 0.5 * float(finefem.energy_inner_matrix(v.values[None, :], v.geom, A,
+                                                diagonal=True)[0])
+    if f is not None:
+        e -= finefem.dot(finefem.load_vector(v.geom, f), v.values)
+    return e
 
 
 def dense(op) -> np.ndarray:

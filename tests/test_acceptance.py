@@ -58,14 +58,12 @@ def resonance():
     t0 = time.perf_counter()
     out = {}
     out[(8, 1)] = cli.run_single(_cfg(N=1))
-    shared = {}
     cfg4 = _cfg(nx=16, ny=16, n_sub=8, N=4)
     res4 = cli.run_single(cfg4)
     out[(16, 4)] = res4
-    shared["u_ref"], shared["E_star"] = res4.u_ref, res4.E_star
     out[(16, 1)] = cli.run_single(_cfg(nx=16, ny=16, n_sub=8, N=1),
                                   _with_degrees(res4.problem, 1, 0),
-                                  shared=shared)
+                                  u_ref=res4.u_ref)
     return out, time.perf_counter() - t0
 
 
@@ -75,17 +73,15 @@ def estimator_grid():
     128-cell fine lattice."""
     grid = {}
     for nx in (4, 8, 16):
-        shared = {}
-        problem = None
+        problem = u_ref = None
         for N in (4, 2, 1):
             cfg = _cfg(nx=nx, ny=nx, n_sub=128 // nx, N=N,
                        rhs={"type": "gaussian_benchmark"})
             res = cli.run_single(
                 cfg, _with_degrees(problem, N, 0) if problem else None,
-                shared=shared)
+                u_ref=u_ref)
             if problem is None:
-                problem = res.problem
-                shared["u_ref"], shared["E_star"] = res.u_ref, res.E_star
+                problem, u_ref = res.problem, res.u_ref
             grid[(nx, N)] = res
     return grid
 
@@ -108,7 +104,7 @@ def test_criterion_02_error_splitting(run_c1):
     res, _ = run_c1
     space = res.solution.space
     u_B_ref = errors.bubble_reference(space.fine, space.A, res.problem.f)
-    resid = errors.evaluate(res.solution, res.E_star, res.u_ref,
+    resid = errors.evaluate(res.solution, res.u_ref,
                             u_B_ref).decomposition_residual
     assert resid <= 1e-8
     _pass(2, f"error-splitting residual {resid:.2e} <= 1e-8")

@@ -12,7 +12,7 @@ import pytest
 from conftest import (edge_elements, is_boundary_edge, to_ref,
                       triangle_cells, vertex_elements)
 from legmsfem import (cli, errors, estimator, finefem, globalsolve,
-                      localbasis, mesh)
+                      localbasis, mesh, multigrid)
 
 BASE = {"schema": 1, "kind": "quad", "nx": 4, "ny": 4, "n_sub": 8,
         "coefficient": {"type": "periodic_benchmark", "eps": 0.25},
@@ -233,7 +233,7 @@ def test_frozen_benchmark_row():
         nx=8, ny=8, n_sub=16,
         coefficient={"type": "periodic_benchmark", "eps": 0.0625}))
     res = cli.run_single(cfg)
-    assert abs(res.E_star - (-0.0048243820406852463)) < 1e-9 * 0.0048
+    assert abs(res.report.E_star - (-0.0048243820406852463)) < 1e-9 * 0.0048
     assert abs(res.report.E_rel - 0.21212916840267085) < 1e-9
     assert abs(res.report.E_rel_gamma - 0.17193563767120948) < 1e-9
 
@@ -777,7 +777,7 @@ def test_sweep_H_preserves_fine_lattice(tmp_path):
     r2 = cli.run_single(cli.RunConfig.from_dict(cfg_dict(nx=2, ny=2,
                                                          n_sub=16, N=1)))
     r4 = cli.run_single(cli.RunConfig.from_dict(cfg_dict(N=1)))
-    assert r2.E_star == r4.E_star
+    assert r2.report.E_star == r4.report.E_star
 
 
 def test_sweep_byte_determinism(tmp_path):
@@ -820,6 +820,21 @@ def test_errmap_symmetry(tmp_path):
 def test_errmap_rejects_bubbles(tmp_path):
     path = write_cfg(tmp_path, M=1)
     assert cli.main(["errmap", "--config", path]) == 2
+
+
+def test_errmap_fault_is_not_a_map_of_zeros(tmp_path, monkeypatch, capsys):
+    # a mesh with an interior edge always has an interface error map, so a
+    # ValueError from it is a fault: a numerical failure that writes no
+    # file, not a map of zeros
+    def broken(*args, **kw):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(errors, "interface_error_map", broken)
+    path = write_cfg(tmp_path, nx=2, ny=2, n_sub=16)
+    out = tmp_path / "map.csv"
+    assert cli.main(["errmap", "--config", path, "--out", str(out)]) == 3
+    assert "could not be broadcast" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_errmap_localization_consistency(tmp_path, small_bench):
@@ -1005,13 +1020,13 @@ def test_bubble_free_solve_runs_one_fine_solve(monkeypatch):
     # the fine reference is the only iterative fine solve; the bubble
     # reference comes out of the offline sweep
     calls = []
-    real = finefem.solve_spd
+    real = multigrid.solve_spd
 
     def counted(system, *args, **kw):
         calls.append(system.geom.label)
         return real(system, *args, **kw)
 
-    monkeypatch.setattr(finefem, "solve_spd", counted)
+    monkeypatch.setattr(multigrid, "solve_spd", counted)
     res = cli.run_single(cli.RunConfig.from_dict(cfg_dict(N=2, M=0)))
     assert calls == ["global fine mesh"]
     assert res.report.E_rel_gamma is not None

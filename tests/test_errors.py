@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (dense, edge_elements, edge_vertex_chain,
+from conftest import (dense, edge_elements, edge_vertex_chain, energy,
                       fourier_poisson_integral, free_vertices,
                       is_boundary_edge, skeleton_geometry)
 from legmsfem import cli, errors, finefem, globalsolve, mesh, multigrid
@@ -125,12 +125,13 @@ def test_bubble_reference_is_the_skeleton_solve(kind, nx, ny, n_sub, N, M):
     # its first definition: one global fine solve with every fine vertex of
     # the coarse skeleton held at zero, solved by multigrid CG here
     coarse, fine, A, f = bubble_problem(kind, nx, ny, n_sub)
-    old = finefem.solve_spd(finefem.assemble(skeleton_geometry(fine), A, f))
+    old = multigrid.solve_spd(finefem.assemble(skeleton_geometry(fine), A,
+                                               f))
     new = errors.bubble_reference(fine, A, f)
     d = new.values - old.values
     G = finefem.energy_inner_matrix(np.stack([d, old.values]), new.geom, A)
     assert G[0, 0] <= 1e-20 * G[1, 1]
-    E_old, E_new = finefem.energy(old, A, f), finefem.energy(new, A, f)
+    E_old, E_new = energy(old, A, f), energy(new, A, f)
     assert abs(E_new - E_old) <= 1e-10 * abs(E_old)
 
 
@@ -140,11 +141,14 @@ def test_evaluate_matches_separate_formulas(run, request):
     # replaces, each on its own reconstruction and energy call
     res = request.getfixturevalue(run)
     sol, A, f = res.solution, res.solution.space.A, res.problem.f
-    u_ref, E_star = res.u_ref, res.E_star
+    u_ref = res.u_ref
     u_B_ref = errors.bubble_reference(res.problem.fine, A, f)
-    report = errors.evaluate(sol, E_star, u_ref, u_B_ref)
+    report = errors.evaluate(sol, u_ref, u_B_ref)
+    # E* is formed from the reference's own energy row, bitwise the formula
+    E_star = energy(u_ref, A, f)
+    assert report.E_star == E_star
     u = globalsolve.reconstruct(sol, "total")
-    E_num = finefem.energy(u, A, f)
+    E_num = energy(u, A, f)
     E_rel = errors.relative_from_energies(E_num, E_star)
     M = finefem.energy_inner_matrix(
         np.stack([u_ref.values - u.values, u_ref.values]), u.geom, A)
@@ -163,11 +167,11 @@ def test_evaluate_matches_separate_formulas(run, request):
         assert report.E_rel_gamma is None
     else:
         gamma = errors.relative_from_energies(
-            E_num, E_star - finefem.energy(u_B_ref, A, f))
+            E_num, E_star - energy(u_B_ref, A, f))
         assert abs(report.E_rel_gamma - gamma) <= 1e-12 * gamma
 
 
-def full_matrix_evaluate(u_H, E_star, u_ref, u_B_ref=None):
+def full_matrix_evaluate(u_H, u_ref, u_B_ref=None):
     """errors.evaluate as it was before it formed only the energies it
     reads: the whole symmetric Gram matrix of its rows, of which it read
     the diagonal."""
@@ -183,6 +187,7 @@ def full_matrix_evaluate(u_H, E_star, u_ref, u_B_ref=None):
     M = finefem.energy_inner_matrix(np.stack(rows), geom, space.A)
     b = finefem.load_vector(geom, u_H.f)
     E_num = 0.5 * float(M[0, 0]) - finefem.dot(b, u)
+    E_star = 0.5 * float(M[2, 2]) - finefem.dot(b, u_ref.values)
     E_rel = errors.relative_from_energies(E_num, E_star)
     direct = float(np.sqrt(M[1, 1] / M[2, 2]))
     gamma = None
@@ -207,8 +212,8 @@ def test_evaluate_is_the_full_matrix_report_bitwise(run, request,
     sol, A, f = res.solution, res.solution.space.A, res.problem.f
     u_B_ref = (errors.bubble_reference(res.problem.fine, A, f)
                if with_bubble_reference else None)
-    got = errors.evaluate(sol, res.E_star, res.u_ref, u_B_ref)
-    assert got == full_matrix_evaluate(sol, res.E_star, res.u_ref, u_B_ref)
+    got = errors.evaluate(sol, res.u_ref, u_B_ref)
+    assert got == full_matrix_evaluate(sol, res.u_ref, u_B_ref)
     assert (got.decomposition_residual is None) != with_bubble_reference
     assert (got.E_rel_gamma is not None) == (
         with_bubble_reference and not sol.space.n_bubble)
@@ -224,9 +229,9 @@ def test_interface_error_degenerate_denominator():
     space = globalsolve.build_space(coarse, fine, A, degrees)
     assert space.n_dofs == 0
     sol = globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
-    u_ref, E_star = errors.reference_solve(fine, A, f)
+    u_ref = errors.reference_solve(fine, A, f)
     u_B_ref = errors.bubble_reference(fine, A, f)
-    report = errors.evaluate(sol, E_star, u_ref, u_B_ref)
+    report = errors.evaluate(sol, u_ref, u_B_ref)
     assert report.E_rel_gamma is None
     assert report.E_rel == 1.0
 
@@ -245,7 +250,7 @@ def test_decomposition_exact_with_loose_tolerance(small_bench_bubbles):
     cross = np.abs(systems.cross_gram / np.sqrt(np.outer(d_b, d_if))).max()
     assert cross <= 1e-12
     sol = globalsolve.solve_coarse(systems)
-    resid = errors.evaluate(sol, res.E_star, res.u_ref,
+    resid = errors.evaluate(sol, res.u_ref,
                             errors.bubble_reference(
                                 space.fine, space.A, res.problem.f)
                             ).decomposition_residual
@@ -256,7 +261,7 @@ def test_zero_solution_has_unit_error(small_bench):
     space = small_bench.solution.space
     zero = globalsolve.CoarseSolution(space, small_bench.problem.f,
                                       np.zeros(space.n_dofs), 0)
-    report = errors.evaluate(zero, small_bench.E_star, small_bench.u_ref)
+    report = errors.evaluate(zero, small_bench.u_ref)
     assert report.E_rel == 1.0
     assert abs(report.E_rel_direct - 1.0) < 1e-14
 
@@ -285,7 +290,7 @@ def test_direct_error_rejects_foreign_reference(small_bench):
     geom = finefem.global_geometry(other)
     fake = finefem.FineFunction(geom, np.zeros(geom.n_vertices))
     with pytest.raises(ValueError, match="different"):
-        errors.evaluate(small_bench.solution, small_bench.E_star, fake)
+        errors.evaluate(small_bench.solution, fake)
 
 
 def test_reference_energy_vs_series():
@@ -293,8 +298,8 @@ def test_reference_energy_vs_series():
     # positive Poisson solution
     coarse = mesh.build_coarse("quad", 4, 4)
     fine = mesh.refine_to_fine(coarse, 16)  # h = 1/64
-    _, E_star = errors.reference_solve(fine, finefem.identity_field(),
-                                       finefem.constant_rhs(-1.0))
+    A, f = finefem.identity_field(), finefem.constant_rhs(-1.0)
+    E_star = energy(errors.reference_solve(fine, A, f), A, f)
     exact = -0.5 * fourier_poisson_integral()
     assert abs(E_star - exact) < 5e-3 * abs(exact)
 
@@ -309,8 +314,9 @@ def test_same_name_coefficients_never_share_a_matrix():
     ten = finefem.Field("a", lambda x, y: np.full_like(x, 10.0),
                         (10.0, 10.0))
     errors.reference_solve(fine, one, f)
-    _, E_ten = errors.reference_solve(fine, ten, f)
-    _, E_fresh = errors.reference_solve(mesh.refine_to_fine(coarse, 4), ten, f)
+    E_ten = energy(errors.reference_solve(fine, ten, f), ten, f)
+    E_fresh = energy(errors.reference_solve(mesh.refine_to_fine(coarse, 4),
+                                            ten, f), ten, f)
     assert E_ten == E_fresh
 
 

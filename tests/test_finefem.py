@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from conftest import (check_against_dense, coarsen, contrast_field, dense,
                       dense_couplings, element_boundary_vertex_ids,
                       element_triangle_ids, element_vertex_ids,
-                      energy_inner, energy_products,
+                      energy, energy_inner, energy_products,
                       fourier_poisson_center, free_vertices, group_weights,
                       local_triangles, member_triangle_ids, quad_points,
                       skeleton_geometry, split, stiffness, sw_ne_couplings,
@@ -320,7 +320,7 @@ def test_pcg_matches_direct(fine_quad44, pcg_iters):
     A = finefem.periodic_benchmark(0.25)
     geom = finefem.global_geometry(fine_quad44)
     sys_ = finefem.assemble(geom, A, f=finefem.constant_rhs(-1.0))
-    u = finefem.solve_spd(sys_, rel_tol=1e-13)
+    u = multigrid.solve_spd(sys_, rel_tol=1e-13)
     x_direct = np.linalg.solve(dense(sys_.K), sys_.rhs)
     rel = (np.abs(u.values[free_vertices(geom)] - x_direct).max()
            / np.abs(x_direct).max())
@@ -397,15 +397,15 @@ def test_solve_spd_tol_validation(fine_quad44):
     sys_ = finefem.assemble(finefem.element_geometry(fine_quad44, 0), A)
     for bad in (0.0, 1.0, -1e-3):
         with pytest.raises(ValueError):
-            finefem.solve_spd(sys_, rel_tol=bad)
+            multigrid.solve_spd(sys_, rel_tol=bad)
 
 
 def test_cg_deterministic(fine_quad44, pcg_iters):
     A = finefem.periodic_benchmark(0.25)
     geom = finefem.global_geometry(fine_quad44)
     sys_ = finefem.assemble(geom, A, f=finefem.constant_rhs(-1.0))
-    u1 = finefem.solve_spd(sys_)
-    u2 = finefem.solve_spd(sys_)
+    u1 = multigrid.solve_spd(sys_)
+    u2 = multigrid.solve_spd(sys_)
     assert np.array_equal(u1.values, u2.values)
     assert len(pcg_iters) == 2 and pcg_iters[0] == pcg_iters[1]
 
@@ -421,9 +421,9 @@ def test_energy_galerkin_identity(fine_quad44):
     A = finefem.periodic_benchmark(0.25)
     f = finefem.constant_rhs(-1.0)
     geom = finefem.global_geometry(fine_quad44)
-    u = finefem.solve_spd(finefem.assemble(geom, A, f=f), rel_tol=1e-13)
+    u = multigrid.solve_spd(finefem.assemble(geom, A, f=f), rel_tol=1e-13)
     a_uu = energy_inner(u, u, A)
-    E = finefem.energy(u, A, f=f)
+    E = energy(u, A, f=f)
     assert abs(E + 0.5 * a_uu) < 1e-10 * abs(a_uu)
 
 
@@ -433,9 +433,9 @@ def test_energy_is_minus_half_the_load_work(fine_quad44):
     A = finefem.periodic_benchmark(0.25)
     f = finefem.gaussian_rhs()
     geom = finefem.global_geometry(fine_quad44)
-    u = finefem.solve_spd(finefem.assemble(geom, A, f=f), rel_tol=1e-13)
+    u = multigrid.solve_spd(finefem.assemble(geom, A, f=f), rel_tol=1e-13)
     b_u = finefem.dot(finefem.load_vector(geom, f), u.values)
-    assert abs(finefem.energy(u, A, f=f) + 0.5 * b_u) < 1e-11 * abs(b_u)
+    assert abs(energy(u, A, f=f) + 0.5 * b_u) < 1e-11 * abs(b_u)
 
 
 def test_energy_inner_matrix_pairwise(fine_quad44, rng):
@@ -485,7 +485,7 @@ def test_poisson_center_value_vs_series():
     coarse = mesh.build_coarse("quad", 4, 4)
     fine = mesh.refine_to_fine(coarse, 16)  # h = 1/64
     geom = finefem.global_geometry(fine)
-    u = finefem.solve_spd(
+    u = multigrid.solve_spd(
         finefem.assemble(geom, finefem.identity_field(),
                          f=finefem.constant_rhs(1.0)))
     center = int(np.flatnonzero(
@@ -619,7 +619,7 @@ def test_lattice_that_cannot_coarsen_runs_jacobi_pcg(skeleton, nx, n_sub,
     x_j, it_j = finefem.pcg(K, b, 1e-12, lambda r: dinv * r)
     assert it_mg == it_j > 1
     assert np.array_equal(x_mg, x_j) and not x_j[~K.mask].any()
-    u = finefem.solve_spd(system)
+    u = multigrid.solve_spd(system)
     assert pcg_iters[-1] == it_j
     assert np.array_equal(u.values[free_vertices(geom)], x_j[K.mask])
 
@@ -801,7 +801,7 @@ def test_same_name_coefficients_get_their_own_operators():
     A2 = finefem.Field("twin", lambda x, y: 2.0 - x, (1.0, 2.0))
     s1, s2 = finefem.assemble(geom, A1, f), finefem.assemble(geom, A2, f)
     assert not np.array_equal(s1.K.diagonal(), s2.K.diagonal())
-    u1, u2 = finefem.solve_spd(s1), finefem.solve_spd(s2)
+    u1, u2 = multigrid.solve_spd(s1), multigrid.solve_spd(s2)
     assert np.abs(u1.values - u2.values).max() > 1e-3 * np.abs(u1.values).max()
     # back to A1 after A2: rebuilt, not stale
     assert np.array_equal(finefem.assemble(geom, A1, f).K.diagonal(),
@@ -827,11 +827,11 @@ def test_same_name_coefficients_get_their_own_operators():
     # the cached references answer as on a fresh mesh
     fresh = mesh.refine_to_fine(mesh.build_coarse("quad", 2, 2), 8)
     for A in (A1, A2):
-        E = errors.reference_solve(fine, A, f)[1]
-        assert E == errors.reference_solve(fresh, A, f)[1]
+        E = energy(errors.reference_solve(fine, A, f), A, f)
+        assert E == energy(errors.reference_solve(fresh, A, f), A, f)
         assert np.array_equal(errors.bubble_reference(fine, A, f).values,
                               errors.bubble_reference(fresh, A, f).values)
     # A2 is A1 mirrored about x = 1/2, so the two reference energies agree
     # up to rounding, and the solutions are mirror images
-    assert not np.array_equal(errors.reference_solve(fine, A1, f)[0].values,
-                              errors.reference_solve(fine, A2, f)[0].values)
+    assert not np.array_equal(errors.reference_solve(fine, A1, f).values,
+                              errors.reference_solve(fine, A2, f).values)

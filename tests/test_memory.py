@@ -84,7 +84,7 @@ def traced_peak_mb(fn, *args, **kw):
 def test_fine_layer_traced_peaks(pcg_iters):
     config = cli.RunConfig.from_dict(FINE_CONFIG)
     p = cli.build_problem(config)
-    (u_ref, E_star), ref_mb = traced_peak_mb(
+    u_ref, ref_mb = traced_peak_mb(
         errors.reference_solve, p.fine, p.A, p.f, config.rel_tol,
         eps=config.eps)
     assert ref_mb <= REFERENCE_PEAK_MB
@@ -95,11 +95,11 @@ def test_fine_layer_traced_peaks(pcg_iters):
     systems, coarse_mb = traced_peak_mb(globalsolve.assemble_coarse, space,
                                         p.A, p.f)
     assert coarse_mb <= ASSEMBLE_COARSE_PEAK_MB
-    assert len(ref_iters) == 1 and ref_iters[0] > 0 and E_star < 0
+    assert len(ref_iters) == 1 and ref_iters[0] > 0
     solution = globalsolve.solve_coarse(systems, config.rel_tol)
-    report, evaluate_mb = traced_peak_mb(errors.evaluate, solution, E_star,
-                                         u_ref, space.bubble_reference)
-    assert evaluate_mb <= EVALUATE_PEAK_MB
+    report, evaluate_mb = traced_peak_mb(errors.evaluate, solution, u_ref,
+                                         space.bubble_reference)
+    assert evaluate_mb <= EVALUATE_PEAK_MB and report.E_star < 0
     est, estimate_mb = traced_peak_mb(estimator.global_estimate, solution,
                                       config.eta, config.ell)
     assert estimate_mb <= ESTIMATE_PEAK_MB

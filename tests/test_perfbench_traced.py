@@ -4,6 +4,7 @@ must still exist where it looks for it, and what it reads must work on
 the operators the solves now use."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -66,3 +67,37 @@ def test_traced_info_counts_the_dofs_of_compute_all(small_bench_bubbles):
                                    space.degrees)
     info = traced.INFO["localbasis.compute_all"]((), table)
     assert info == {"functions": space.n_dofs} == {"functions": 97}
+
+
+def test_traced_run_sees_the_reference_cg(tmp_path, monkeypatch):
+    # the harness wraps finefem.pcg by attribute, so the reference solve
+    # must call it through the module wherever it lives: a traced solve
+    # records a pcg span under errors.reference_solve, and its iterations
+    traced = load_traced()
+    tracer = traced.Tracer("test")
+    originals = [(owner, attr, owner.__dict__[attr])
+                 for owner, attr, _ in traced.TRACED]
+    for (owner, attr, name), (_, _, fn) in zip(traced.TRACED, originals):
+        monkeypatch.setattr(owner, attr, fn)  # so undo puts fn back
+        tracer.wrap(owner, attr, name)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "schema": 1, "kind": "quad", "nx": 2, "ny": 2, "n_sub": 16,
+        "coefficient": {"type": "periodic_benchmark", "eps": 0.25},
+        "rhs": {"type": "constant", "value": -1.0}, "N": 2, "M": 0}))
+    assert traced.cli.main(["solve", "--config", str(path), "--out",
+                            str(tmp_path / "row.csv")]) == 0
+    tracer.recording = False
+    spans = tracer.spans
+
+    def ancestors(span):
+        while span[3] is not None:
+            span = spans[span[3]]
+            yield span[0]
+
+    assert any("errors.reference_solve" in ancestors(s)
+               for s in spans if s[0] == "finefem.pcg")
+    assert traced.layer_metrics(spans)["errors.reference_iters"] > 0
+    assert len(tracer.results) == 1
+    monkeypatch.undo()
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
