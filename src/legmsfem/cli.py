@@ -299,6 +299,10 @@ class RunConfig:
 
     @property
     def eps(self) -> float | None:
+        """The period of a periodic_benchmark coefficient, None for the
+        others: the CSV's eps column, written as 0 for None.  The
+        resolution check reads the coefficient's own period
+        (errors.reference_solve)."""
         if self.coefficient.get("type") == "periodic_benchmark":
             return float(self.coefficient["eps"])
         return None
@@ -404,13 +408,17 @@ def _column_degree(raw) -> int:
 
 @dataclass
 class Problem:
-    """Meshes and fields instantiated from a config."""
+    """Meshes and fields instantiated from a config; the coarse mesh is
+    the fine mesh's."""
 
-    coarse: mesh.CoarseMesh
     fine: mesh.FineMesh
     A: finefem.Field
     f: finefem.Field
     degrees: mesh.DegreeAssignment
+
+    @property
+    def coarse(self) -> mesh.CoarseMesh:
+        return self.fine.coarse
 
 
 def build_problem(config: RunConfig) -> Problem:
@@ -425,7 +433,7 @@ def build_problem(config: RunConfig) -> Problem:
     if bad:
         print(f"warning: {len(bad)} edge pairs violate the degree "
               "comparability condition", file=sys.stderr)
-    return Problem(coarse, fine, A, f, degrees)
+    return Problem(fine, A, f, degrees)
 
 
 @dataclass
@@ -482,11 +490,10 @@ def run_single(config: RunConfig, problem: Problem | None = None,
     # it, so a config the lattice cannot resolve fails without it.
     globalsolve.check_degrees(problem.fine, problem.degrees)
     if u_ref is None:
-        u_ref = errors.reference_solve(
-            problem.fine, problem.A, problem.f, config.rel_tol,
-            eps=config.eps, strict=config.strict)
+        u_ref = errors.reference_solve(problem.fine, problem.A, problem.f,
+                                       config.rel_tol, strict=config.strict)
     space = globalsolve.build_space(
-        problem.coarse, problem.fine, problem.A, problem.degrees,
+        problem.fine, problem.A, problem.degrees,
         f=None if problem.degrees.M.any() else problem.f)
     systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
     solution = globalsolve.solve_coarse(systems, config.rel_tol)
@@ -628,9 +635,8 @@ def cmd_errmap(config: RunConfig, out: str | None = None) -> int:
     est_map = estimator.localize(result.est, coarse)
     err_map = np.zeros(0)
     if coarse.interior_edge_ids.size:  # one element has no interface
-        err_map, _ = errors.interface_error_map(
-            result.solution, result.u_ref,
-            result.solution.space.bubble_reference)
+        err_map, _ = errors.interface_error_map(result.solution,
+                                                result.u_ref)
     ratios, _ = estimator.effectivity_map(est_map, err_map)
     rows = [ERRMAP_HEADER]
     with np.errstate(divide="ignore"):
@@ -662,8 +668,8 @@ def cmd_basis_dump(config: RunConfig, selector: str,
                           "indices must be integers") from None
     problem = build_problem(config)
     globalsolve.check_degrees(problem.fine, problem.degrees)
-    table = localbasis.compute_all(problem.coarse, problem.fine, problem.A,
-                                   problem.degrees, support_of=select)
+    table = localbasis.compute_all(problem.fine, problem.A, problem.degrees,
+                                   support_of=select)
     dof = table.find(*select)
     if dof < 0:
         raise ConfigError(f"selector {selector!r} matches no basis function "

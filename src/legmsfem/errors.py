@@ -12,7 +12,8 @@ parts.  The fine reference is one multigrid-preconditioned CG solve; the
 bubble reference is the zero-trace solve with the load on every element,
 which the offline patch sweep of a space produces next to its basis
 (globalsolve.build_space with the load), and `bubble_reference` next to
-the nodal basis alone.  `evaluate` is the one place that scores a
+the nodal basis alone; the per-edge error map reads the one of the
+solution's own space.  `evaluate` is the one place that scores a
 solution: it forms E* from the reference field it is given, so a field
 never meets the energy of another lattice or load, and it also reports
 the direct norm quotient, a cross-check on the identity, and the residual
@@ -44,17 +45,19 @@ class ErrorReport:
     decomposition_residual: float | None = None
 
 
-def reference_solve(fine: FineMesh, A: finefem.Field,
-                    f: finefem.Field, rel_tol: float = 1e-12,
-                    eps: float | None = None,
-                    strict: bool = False) -> finefem.FineFunction:
+def reference_solve(fine: FineMesh, A: finefem.Field, f: finefem.Field,
+                    rel_tol: float = 1e-12, strict: bool = False
+                    ) -> finefem.FineFunction:
     """Fine solve of the full problem by multigrid-preconditioned CG
     (multigrid.solve_spd) to rel_tol.
 
-    For an oscillatory coefficient with period eps the fine lattice must
-    resolve it: cell size <= eps/8, else warn (or raise under strict).
+    The fine lattice must resolve the period of A: cell size <= eps/8,
+    eps the smallest positive entry of A.period, else warn (or raise under
+    strict).  A coefficient with no period, or with no positive entry (one
+    constant along both axes, as the identity), is not checked.
     """
     h = max(fine.hx, fine.hy)
+    eps = min((p for p in A.period or () if p > 0), default=None)
     if eps is not None and h > eps / 8 * (1 + 1e-12):
         msg = (f"fine cell size h={h:.3e} does not resolve the "
                f"coefficient period eps={eps:.3e} (need h <= eps/8)")
@@ -82,19 +85,21 @@ def bubble_reference(fine: FineMesh, A: finefem.Field,
     beside the nodal rows (localbasis.compute_all with the load at N = 1,
     M = 0); each row is its own LAPACK call, so the field is bitwise the
     one globalsolve.build_space keeps for the same load with any degrees."""
-    table = localbasis.compute_all(fine.coarse, fine, A,
-                                   DegreeAssignment.uniform(fine.coarse, 1, 0),
-                                   f=f)
+    table = localbasis.compute_all(fine, A, DegreeAssignment.uniform(
+        fine.coarse, 1, 0), f=f)
     return finefem.FineFunction(finefem.global_geometry(fine),
                                 table.reference)
 
 
 def interface_error_map(u_H: globalsolve.CoarseSolution,
-                        u_ref: finefem.FineFunction,
-                        u_B_ref: finefem.FineFunction
+                        u_ref: finefem.FineFunction
                         ) -> tuple[np.ndarray, float]:
     """Per-edge localized relative interface error over the interior edges
-    (in interior_edge_ids order) and the global absolute interface error.
+    (in interior_edge_ids order) and the global absolute interface error,
+    against the interface part u_ref - u_B_ref of the reference, u_B_ref
+    the bubble reference of the solution's space.  Raises ValueError where
+    the space has none (it was built without the load) or u_ref lives on
+    another fine geometry.
 
     Element error energies are split evenly among the element's interior
     edges; the relative map divides by the interface reference energy norm.
@@ -105,7 +110,13 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
     (finefem.patch_groups and finefem.patch_grams).
     """
     space = u_H.space
-    coarse = space.coarse
+    coarse, u_B_ref = space.coarse, space.bubble_reference
+    if u_B_ref is None:
+        raise ValueError("interface_error_map: the space has no bubble "
+                         "reference (build it with the load)")
+    if u_ref.geom is not u_B_ref.geom:
+        raise ValueError("reference and reconstruction live on different "
+                         "fine meshes")
     u_G = u_H.interface
     ref_G = u_ref.values - u_B_ref.values
     d_G = ref_G - u_G.values
@@ -164,8 +175,7 @@ def evaluate(u_H: globalsolve.CoarseSolution,
             yield u_B_ref.values - u_B.values
             yield (u_ref.values - u_B_ref.values) - u_G.values
 
-    a = finefem.energy_inner_matrix(rows(), geom, space.A,
-                                    diagonal=True).tolist()
+    a = finefem.energy_inner_matrix(rows(), geom, space.A).tolist()
     b = finefem.load_vector(geom, u_H.f)
     E_num = 0.5 * a[0] - finefem.dot(b, u)
     E_star = 0.5 * a[2] - finefem.dot(b, u_ref.values)

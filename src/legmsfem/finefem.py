@@ -70,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -953,26 +953,18 @@ def patch_grams(geom: TriGeometry, stencil: Stencil, V: np.ndarray
     return 0.5 * (M + M.transpose(0, 2, 1))
 
 
-def energy_inner_matrix(V: np.ndarray, geom: TriGeometry, A: Field,
-                        diagonal: bool = False) -> np.ndarray:
-    """Gram matrix a(V_i, V_j) = V_i^T K V_j of nodal-value rows over one
-    geometry, with the stencil K = geom.stencil(A) that assembly shares,
-    applied by Stencil.apply_full; with diagonal, only the energies
-    a(V_i, V_i), (rows,), bitwise the diagonal of the matrix, and V may be
-    any iterable of rows, which are then taken one at a time.
+def energy_inner_matrix(rows: Iterable[np.ndarray], geom: TriGeometry,
+                        A: Field) -> np.ndarray:
+    """The energies a(v, v) = v^T K v, (rows,), of an iterable of
+    nodal-value rows over one geometry, with the stencil K =
+    geom.stencil(A) that assembly shares, applied by Stencil.apply_full.
 
-    The error report calls it.  K applies to one row at a time, so a
+    The error report calls it.  The rows are taken one at a time, so a
     stack of global fields needs no temporaries of its size, and each
-    entry sums over the vertices in a fixed order (dot), so it does not
-    depend on the BLAS thread count.  Exactly symmetric.
+    energy sums over the vertices in a fixed order (dot), so it does not
+    depend on the BLAS thread count.
     """
     st = geom.stencil(A)
-    if isinstance(V, np.ndarray):
-        V = np.atleast_2d(V)
-    if diagonal:
-        return np.array([dot(v, geom.from_box(st.apply_full(geom.to_box(v))))
-                         for v in V])
-    KV = (geom.from_box(st.apply_full(geom.to_box(v))) for v in V)
-    M = np.array([[dot(v, Kw) for v in V] for Kw in KV]).T
-    return 0.5 * (M + M.T)
+    return np.array([dot(v, geom.from_box(st.apply_full(geom.to_box(v))))
+                     for v in rows])
 

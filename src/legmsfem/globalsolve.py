@@ -38,14 +38,20 @@ class EnrichedSpace:
     (nodal by vertex, then edge by (edge, k)), bubbles after (by element,
     then index); the table holds the fields of each patch group, its
     field stack and Gram blocks indexed per part (localbasis.Fields), and
-    for a space built with a load the bubble reference of that load.
+    for a space built with a load the bubble reference of that load.  f
+    is that load (None without one), the only load the space solves
+    (assemble_coarse).
     """
 
-    coarse: CoarseMesh
     fine: FineMesh
     A: finefem.Field
     degrees: DegreeAssignment
     dofs: localbasis.DofTable
+    f: finefem.Field | None
+
+    @property
+    def coarse(self) -> CoarseMesh:
+        return self.fine.coarse
 
     @cached_property
     def bubble_reference(self) -> finefem.FineFunction | None:
@@ -111,19 +117,19 @@ def check_degrees(fine: FineMesh, degrees: DegreeAssignment) -> None:
             f"{free} interior fine vertices")
 
 
-def build_space(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
-                degrees: DegreeAssignment, f: finefem.Field | None = None
-                ) -> EnrichedSpace:
-    """Run the offline solves and build the DOF table, every space its
-    own sweep; degrees the fine lattice cannot resolve raise.
+def build_space(fine: FineMesh, A: finefem.Field, degrees: DegreeAssignment,
+                f: finefem.Field | None = None) -> EnrichedSpace:
+    """Run the offline solves on the elements of fine.coarse and build the
+    DOF table, every space its own sweep; degrees the fine lattice cannot
+    resolve raise.
 
-    Given the load f, the space also carries the bubble reference of f:
-    the load solves of the same sweep, one row per distinct load row of a
-    coefficient window, so every window is still eliminated once.
+    Given the load f, the space keeps it and carries the bubble reference
+    of f: the load solves of the same sweep, one row per distinct load row
+    of a coefficient window, so every window is still eliminated once.
     """
     check_degrees(fine, degrees)
-    return EnrichedSpace(coarse, fine, A, degrees, localbasis.compute_all(
-        coarse, fine, A, degrees, f=f))
+    return EnrichedSpace(fine, A, degrees, localbasis.compute_all(
+        fine, A, degrees, f=f), f)
 
 
 class InterfaceOperator:
@@ -248,10 +254,13 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
     bubble count (CoarseSystems.bubbles).  with_cross also gathers the
     bubble-interface energy Gram block from the same sweep's blocks; it is
     zero up to solver tolerance and exists for diagnostics only.  A must
-    be the space's coefficient object.
+    be the space's coefficient object, and f the space's load where it was
+    built with one: its bubble reference is the solve of that load.
     """
     if A is not space.A:
         raise ValueError("assemble_coarse: A is not the space's coefficient")
+    if space.f is not None and f is not space.f:
+        raise ValueError("assemble_coarse: f is not the space's load")
     n_if = space.n_interface
     if_ids: list[np.ndarray] = []
     if_blocks: list[np.ndarray] = []

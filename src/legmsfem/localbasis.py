@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import finefem, multigrid, polybasis
-from .mesh import CoarseMesh, DegreeAssignment, FineMesh
+from .mesh import DegreeAssignment, FineMesh
 
 
 NODAL, EDGE, BUBBLE = 0, 1, 2  # the kind codes of DofTable
@@ -169,8 +169,8 @@ def _eta_trace(n: int, k: int) -> np.ndarray:
         k, -1.0 + 2.0 * _edge_parameters(n)))
 
 
-def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
-                    sides: np.ndarray) -> np.ndarray:
+def _edge_positions(group: finefem.PatchGroup, sides: np.ndarray
+                    ) -> np.ndarray:
     """Template-local indices of each edge chain, in element_edge_ids
     order (sides holds each member's edge ids), shape (sides, n_sub + 1).
 
@@ -178,7 +178,8 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
     from them is complete Dirichlet data, and every member's chains must be
     the template's shifted by the member's origin."""
     t = group.template
-    chains = fine.edge_vertex_chains(sides) - group.origins[:, None, None]
+    chains = (group.fine.edge_vertex_chains(sides)
+              - group.origins[:, None, None])
     same = (chains == chains[0]).all((1, 2))
     if not same.all():
         raise ValueError(f"element {group.elements[np.argmin(same)]}: edge "
@@ -193,8 +194,7 @@ def _edge_positions(fine: FineMesh, group: finefem.PatchGroup,
     return loc
 
 
-def _trace_table(coarse: CoarseMesh, fine: FineMesh,
-                 group: finefem.PatchGroup, codes: np.ndarray, stride: int
+def _trace_table(group: finefem.PatchGroup, codes: np.ndarray, stride: int
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The Dirichlet rows of a group, (table rows, n), and the table row of
     each trace code of each member, (elements, codes), the zero row (the
@@ -202,8 +202,9 @@ def _trace_table(coarse: CoarseMesh, fine: FineMesh,
     the element, code corners + j * stride + k - 2 is eta_k on its side j.
     The table is written on the template, edge by edge in element_edge_ids
     order (corner values agree), so a member's trace rows are table rows."""
+    n_sub, coarse = group.fine.n_sub, group.fine.coarse
     sides = coarse.element_edge_ids[group.elements]
-    pos = _edge_positions(fine, group, sides)
+    pos = _edge_positions(group, sides)
     ends = pos[:, [0, -1]]
     corner_ids = ends.ravel()[finefem.first_of_each(ends.ravel())[0]]
     # The hat row of the start and of the end of each side's chain.
@@ -211,12 +212,12 @@ def _trace_table(coarse: CoarseMesh, fine: FineMesh,
     n_hat = len(corner_ids)
     table = np.zeros((n_hat + len(pos) * stride + 1,
                       group.template.n_vertices))
-    t = _edge_parameters(fine.n_sub)
+    t = _edge_parameters(n_sub)
     for j, loc in enumerate(pos):
         table[hat_row[j, 0], loc] = 1.0 - t
         table[hat_row[j, 1], loc] = t
         for k in range(2, stride + 2):
-            table[n_hat + j * stride + k - 2, loc] = _eta_trace(fine.n_sub, k)
+            table[n_hat + j * stride + k - 2, loc] = _eta_trace(n_sub, k)
     # The table row of each code of each member, the zero row last; a
     # corner is the start or the end of one of the member's sides.
     ends = coarse.edge_ends[sides].reshape(len(sides), 1, -1)
@@ -228,16 +229,16 @@ def _trace_table(coarse: CoarseMesh, fine: FineMesh,
     return table, np.take_along_axis(row, codes, axis=1)
 
 
-def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
-                  M: np.ndarray, bases: dict, n_b: int,
-                  offsets: np.ndarray) -> np.ndarray:
+def _load_weights(sub: finefem.PatchGroup, M: np.ndarray, bases: dict,
+                  n_b: int, offsets: np.ndarray) -> np.ndarray:
     """The bubble loads of the members of sub by the centroid rule, as the
     share area * P_i / 3 of each triangle, (nt, n_b, elements): the bulk
     polynomials P_1..P_dim of each member's bulk degree M (the basis
     bases[M], none for 0; zero rows after).  The polynomials are evaluated
     once for all members of one degree, at reference points stacked from
-    the coarse mesh's affine maps, member e's with the offset
+    the affine maps of sub.fine.coarse, member e's with the offset
     offsets[e]."""
+    coarse = sub.fine.coarse
     area, centroids = sub.cells()
     out = np.zeros((centroids.shape[1], n_b, len(centroids)))
     for m in sorted(set(M[M > 0].tolist())):
@@ -251,8 +252,7 @@ def _load_weights(coarse: CoarseMesh, sub: finefem.PatchGroup,
     return out
 
 
-def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
-                  group: finefem.PatchGroup, M: np.ndarray, bases: dict,
+def _bubble_loads(group: finefem.PatchGroup, M: np.ndarray, bases: dict,
                   n_b: int, slots: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(class, loads): the bubble loads of the members of group, formed on
@@ -265,8 +265,9 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
     loads are then those of the template placed at its origin, whatever
     other members are solved with it; they differ from the loads at the
     member's own centroids by rounding only."""
-    E = len(group.elements)
-    local = coarse.offsets[group.elements] - group.fine.vertices[group.origins]
+    E, fine = len(group.elements), group.fine
+    coarse = fine.coarse
+    local = coarse.offsets[group.elements] - fine.vertices[group.origins]
     keys = np.column_stack([M, coarse.Binv[group.elements].reshape(E, -1)
                             .view(np.int64), local.view(np.int64)])
     reps, cls = finefem.first_of_each(keys)
@@ -278,14 +279,12 @@ def _bubble_loads(coarse: CoarseMesh, fine: FineMesh,
     # Per class: the centroids, areas, reference points and polynomial
     # values of its triangles, and its box loads.
     for sl, sub in at_origin.chunks((3 * n_b + 16) * math.prod(t.grid)):
-        lw = _load_weights(coarse, sub, M[reps[sl]], bases, n_b,
-                           offsets[sl])
+        lw = _load_weights(sub, M[reps[sl]], bases, n_b, offsets[sl])
         loads[sl] = finefem.box_loads(t, lw.T)[..., slots]
     return cls, loads
 
 
-def _group_fields(coarse: CoarseMesh, fine: FineMesh,
-                  A: finefem.Field, group: finefem.PatchGroup,
+def _group_fields(A: finefem.Field, group: finefem.PatchGroup,
                   codes: np.ndarray, stride: int, M: np.ndarray,
                   bases: dict, f: finefem.Field | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
@@ -338,14 +337,14 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     wid = group.window_ids(A, max(2 * box, blocks.size))
     rep, _ = finefem.first_of_each(wid)
     W = len(rep)
-    table, tix = _trace_table(coarse, fine, group, codes, stride)
+    table, tix = _trace_table(group, codes, stride)
     # The key of each request of each member: the table row of a trace,
     # then len(table) + class * n_b + i for load P_i of its bubble class.
     key = np.full((E, n_tr + n_b), -1)
     key[:, :n_tr] = np.where(codes >= 0, tix, -1)
     loads = np.zeros((0, n_b, len(free)))
     if n_b:
-        cls, loads = _bubble_loads(coarse, fine, group, M, bases, n_b, slots)
+        cls, loads = _bubble_loads(group, M, bases, n_b, slots)
         key[:, n_tr:] = np.where(np.arange(n_b) < dims[:, None], len(table)
                                  + cls[:, None] * n_b + np.arange(n_b), -1)
     loads = loads.reshape(len(loads) * n_b, len(free))
@@ -396,7 +395,7 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
         L = np.zeros((len(fw), n))
         # Per pair: the whole lattice's load at its first member's free
         # vertices, bitwise that member's own load there.
-        b = finefem.load_vector(finefem.global_geometry(fine), f)
+        b = finefem.load_vector(finefem.global_geometry(group.fine), f)
         f_rows = np.empty((len(fw), len(free)))
         f_rows[at] = b[t.vids[free] + group.origins[f_first, None]]
     windows = group.take(rep[worder])
@@ -437,17 +436,17 @@ def _group_fields(coarse: CoarseMesh, fine: FineMesh,
     return X, G.reshape(W * r_max, r_max), row, gram, L, f_row
 
 
-def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
-                  A: finefem.Field, elements: np.ndarray,
+def _patch_fields(fine: FineMesh, A: finefem.Field, elements: np.ndarray,
                   codes: np.ndarray, dofs: np.ndarray, stride: int,
                   M: np.ndarray, bases: dict, f: finefem.Field | None = None
                   ) -> tuple[list[tuple[finefem.PatchGroup, Fields, Fields]],
                              np.ndarray | None]:
     """(group, interface fields, bubble fields) of each patch group of the
-    given elements, from one sweep of _group_fields, with the requests
-    codes and M of every element of the mesh and dofs, the DOF of each of
-    its requests, (elements, codes + largest bulk basis), its traces first,
-    in ascending DOF order, then its bubbles, -1 where it asks for none;
+    given elements of fine.coarse, from one sweep of _group_fields, with
+    the requests codes and M of every element of the mesh and dofs, the
+    DOF of each of its requests, (elements, codes + largest bulk basis),
+    its traces first, in ascending DOF order, then its bubbles, -1 where
+    it asks for none;
     and, given the load f (every element must then be solved), the
     zero-trace solves with load f glued into one global field, else None.
     The codes of a group are cut to its members' longest list, so no group
@@ -458,9 +457,8 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
     for group in finefem.patch_groups(fine, elements):
         E = group.elements
         n = int((codes[E] >= 0).sum(axis=1).max(initial=0))
-        X, G, r, g, loads, at = _group_fields(coarse, fine, A, group,
-                                              codes[E, :n], stride, M[E],
-                                              bases, f)
+        X, G, r, g, loads, at = _group_fields(A, group, codes[E, :n],
+                                              stride, M[E], bases, f)
         d = dofs[E][:, np.r_[:n, n_tr:n_tr + r.shape[1] - n]]
         groups.append((group, *(Fields(d[:, p], X, r[:, p], g[:, p], G)
                                 for p in (np.s_[:n], np.s_[n:]))))
@@ -471,11 +469,11 @@ def _patch_fields(coarse: CoarseMesh, fine: FineMesh,
     return groups, glued
 
 
-def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
-                degrees: DegreeAssignment, f: finefem.Field | None = None,
+def compute_all(fine: FineMesh, A: finefem.Field, degrees: DegreeAssignment,
+                f: finefem.Field | None = None,
                 support_of: tuple[int, int, int] | None = None) -> DofTable:
-    """The DOF table of the enrichment (see DofTable for its order), with
-    the offline solves of its fields.
+    """The DOF table of the enrichment of fine.coarse (see DofTable for its
+    order), with the offline solves of its fields.
 
     Each distinct local problem of a patch shape is solved once
     (_group_fields), all of them in batches, one field stack of distinct
@@ -486,6 +484,7 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
     zero-trace problem with load f in the same sweep, and the table's
     reference glues those solves into one global fine field.
     """
+    coarse = fine.coarse
     degrees.validate(coarse)
     ev, sides = coarse.element_vertices, coarse.element_edge_ids
     n_el = len(ev)
@@ -528,7 +527,7 @@ def compute_all(coarse: CoarseMesh, fine: FineMesh, A: finefem.Field,
         d = _find(kinds, keys, support_of)
         solve &= (slots == d).any(axis=1) & (d >= 0)
     groups, glued = _patch_fields(
-        coarse, fine, A, np.flatnonzero(solve),
+        fine, A, np.flatnonzero(solve),
         np.where(dof >= 0, codes[:, :n_tr], -1), slots, stride, M, bases, f)
     return DofTable(kinds, keys, groups, glued)
 

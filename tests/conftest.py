@@ -78,8 +78,7 @@ def energy(v: finefem.FineFunction, A: finefem.Field, f=None) -> float:
     """E(v) = 1/2 a(v, v) - (b, v), by the formula errors.evaluate forms
     E* and E_num with: the stencil and load vector of v's geometry, every
     sum in a fixed order."""
-    e = 0.5 * float(finefem.energy_inner_matrix(v.values[None, :], v.geom, A,
-                                                diagonal=True)[0])
+    e = 0.5 * float(finefem.energy_inner_matrix([v.values], v.geom, A)[0])
     if f is not None:
         e -= finefem.dot(finefem.load_vector(v.geom, f), v.values)
     return e
@@ -230,6 +229,15 @@ def energy_products(V, geom, A, W) -> np.ndarray:
           for w in np.atleast_2d(W)]
     return np.array([[finefem.dot(v, Kw) for v in np.atleast_2d(V)]
                      for Kw in KW]).T
+
+
+def energy_gram(V, geom, A) -> np.ndarray:
+    """The Gram matrix a(V_i, V_j) of a stack of nodal-value rows over one
+    geometry, exactly symmetric: the full form finefem.energy_inner_matrix
+    had, kept as reference.  Its diagonal is bitwise the energies
+    finefem.energy_inner_matrix takes."""
+    M = energy_products(V, geom, A, V)
+    return 0.5 * (M + M.T)
 
 
 def energy_inner(v, w, A) -> float:

@@ -936,8 +936,7 @@ def test_basis_dump_bytes_match_the_full_table(tmp_path):
     # table built for every element and degree, byte for byte
     path = write_cfg(tmp_path, **DUMP_CFG)
     problem = cli.build_problem(cli.RunConfig.load(path))
-    space = globalsolve.build_space(problem.coarse, problem.fine, problem.A,
-                                    problem.degrees)
+    space = globalsolve.build_space(problem.fine, problem.A, problem.degrees)
     kinds = {"nodal": localbasis.NODAL, "edge": localbasis.EDGE,
              "bubble": localbasis.BUBBLE}
     for sel in DUMP_SELECTORS:
@@ -959,9 +958,9 @@ def test_basis_dump_solves_only_the_support(tmp_path, monkeypatch):
     seen = []
     real = localbasis._group_fields
 
-    def counted(coarse, fine, A, group, *args, **kw):
+    def counted(A, group, *args, **kw):
         seen.extend(group.elements.tolist())
-        return real(coarse, fine, A, group, *args, **kw)
+        return real(A, group, *args, **kw)
 
     monkeypatch.setattr(localbasis, "_group_fields", counted)
     support = {"nodal:5": vertex_elements(coarse, 5),
@@ -1040,7 +1039,7 @@ def test_sweep_N_rows_run_no_patch_elimination(monkeypatch, tmp_path):
     real = localbasis._group_fields
 
     def counted(*args, **kw):
-        swept.append(args[3].template.label)
+        swept.append(args[1].template.label)
         return real(*args, **kw)
 
     monkeypatch.setattr(localbasis, "_group_fields", counted)
@@ -1051,8 +1050,8 @@ def test_sweep_N_rows_run_no_patch_elimination(monkeypatch, tmp_path):
     problem = cli.build_problem(cli.RunConfig.from_dict(
         cfg_dict(kind="triangle", N=3)))
     swept.clear()
-    globalsolve.build_space(problem.coarse, problem.fine, problem.A,
-                            problem.degrees, f=problem.f)
+    globalsolve.build_space(problem.fine, problem.A, problem.degrees,
+                            f=problem.f)
     assert len(swept) == 2
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (dense, edge_elements, edge_vertex_chain, energy,
-                      fourier_poisson_integral, free_vertices,
+                      energy_gram, fourier_poisson_integral, free_vertices,
                       is_boundary_edge, skeleton_geometry)
 from legmsfem import cli, errors, finefem, globalsolve, mesh, multigrid
 
@@ -21,18 +21,31 @@ def test_relative_from_energies():
 
 
 def test_reference_solve_resolution_check():
+    # each coefficient carries the period the fine lattice must resolve
     coarse = mesh.build_coarse("quad", 2, 2)
     fine = mesh.refine_to_fine(coarse, 2)  # cell 1/4
-    A = finefem.periodic_benchmark(0.25)
     f = finefem.constant_rhs(-1.0)
     with pytest.warns(UserWarning, match="does not resolve"):
-        errors.reference_solve(fine, A, f, eps=0.25)
+        errors.reference_solve(fine, finefem.periodic_benchmark(0.25), f)
     with pytest.raises(ValueError, match="does not resolve"):
-        errors.reference_solve(fine, A, f, eps=0.25, strict=True)
-    # exactly at the threshold no warning fires
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        errors.reference_solve(fine, A, f, eps=2.0)
+        errors.reference_solve(fine, finefem.periodic_benchmark(0.25), f,
+                               strict=True)
+    # eps is the smallest positive period; a period 0 (no variation along
+    # that axis) is skipped
+    for period in ((0.0, 0.25), (2.0, 0.25)):
+        stripes = finefem.Field(
+            "stripes", lambda x, y: 2 + np.sin(8 * np.pi * y), (1.0, 3.0),
+            period)
+        with pytest.warns(UserWarning, match=r"eps=2\.500e-01"):
+            errors.reference_solve(fine, stripes, f)
+    # exactly at the threshold no warning fires, and a coefficient with no
+    # period, or none but zeros, is not checked
+    ramp = finefem.Field("ramp", lambda x, y: 1 + x, (1.0, 2.0))
+    for A in (finefem.periodic_benchmark(2.0), finefem.identity_field(),
+              ramp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors.reference_solve(fine, A, f, strict=True)
 
 
 def test_energy_trick_matches_direct(small_bench, small_bench_bubbles):
@@ -108,9 +121,8 @@ def test_offline_bubble_reference_is_the_standalone_one(kind, nx, ny, n_sub,
     # the load rows ride along with the basis rows of the offline sweep,
     # and come out bitwise as when they are solved alone
     coarse, fine, A, f = bubble_problem(kind, nx, ny, n_sub)
-    space = globalsolve.build_space(coarse, fine, A,
-                                    mesh.DegreeAssignment.uniform(coarse, N,
-                                                                  M), f=f)
+    space = globalsolve.build_space(
+        fine, A, mesh.DegreeAssignment.uniform(coarse, N, M), f=f)
     assert (space.n_dofs == 0) == (nx * ny == 1)
     alone = errors.bubble_reference(fine, A, f)
     assert space.bubble_reference.geom is alone.geom
@@ -129,7 +141,7 @@ def test_bubble_reference_is_the_skeleton_solve(kind, nx, ny, n_sub, N, M):
                                                f))
     new = errors.bubble_reference(fine, A, f)
     d = new.values - old.values
-    G = finefem.energy_inner_matrix(np.stack([d, old.values]), new.geom, A)
+    G = energy_gram(np.stack([d, old.values]), new.geom, A)
     assert G[0, 0] <= 1e-20 * G[1, 1]
     E_old, E_new = energy(old, A, f), energy(new, A, f)
     assert abs(E_new - E_old) <= 1e-10 * abs(E_old)
@@ -150,14 +162,14 @@ def test_evaluate_matches_separate_formulas(run, request):
     u = globalsolve.reconstruct(sol, "total")
     E_num = energy(u, A, f)
     E_rel = errors.relative_from_energies(E_num, E_star)
-    M = finefem.energy_inner_matrix(
-        np.stack([u_ref.values - u.values, u_ref.values]), u.geom, A)
+    M = energy_gram(np.stack([u_ref.values - u.values, u_ref.values]),
+                    u.geom, A)
     direct = math.sqrt(M[0, 0] / M[1, 1])
     d_B = u_B_ref.values - globalsolve.reconstruct(sol, "bubble").values
     d_G = (u_ref.values - u_B_ref.values) \
         - globalsolve.reconstruct(sol, "interface").values
-    M = finefem.energy_inner_matrix(
-        np.stack([u_ref.values - u.values, d_B, d_G]), u.geom, A)
+    M = energy_gram(np.stack([u_ref.values - u.values, d_B, d_G]), u.geom,
+                    A)
     resid = abs(M[0, 0] - (M[1, 1] + M[2, 2])) / M[0, 0]
     for got, want in ((report.E_num, E_num), (report.E_rel, E_rel),
                       (report.E_rel_direct, direct)):
@@ -184,7 +196,7 @@ def full_matrix_evaluate(u_H, u_ref, u_B_ref=None):
     if u_B_ref is not None:
         rows += [u_B_ref.values, u_B_ref.values - u_B.values,
                  (u_ref.values - u_B_ref.values) - u_G.values]
-    M = finefem.energy_inner_matrix(np.stack(rows), geom, space.A)
+    M = energy_gram(np.stack(rows), geom, space.A)
     b = finefem.load_vector(geom, u_H.f)
     E_num = 0.5 * float(M[0, 0]) - finefem.dot(b, u)
     E_star = 0.5 * float(M[2, 2]) - finefem.dot(b, u_ref.values)
@@ -226,7 +238,7 @@ def test_interface_error_degenerate_denominator():
     A = finefem.identity_field()
     f = finefem.constant_rhs(-1.0)
     degrees = mesh.DegreeAssignment.uniform(coarse, 1, 0)
-    space = globalsolve.build_space(coarse, fine, A, degrees)
+    space = globalsolve.build_space(fine, A, degrees)
     assert space.n_dofs == 0
     sol = globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
     u_ref = errors.reference_solve(fine, A, f)
@@ -241,8 +253,7 @@ def test_decomposition_exact_with_loose_tolerance(small_bench_bubbles):
     # bubble/interface orthogonality and the error split hold to rounding
     res = small_bench_bubbles
     space = res.solution.space
-    loose = globalsolve.build_space(space.coarse, space.fine, space.A,
-                                    space.degrees)
+    loose = globalsolve.build_space(space.fine, space.A, space.degrees)
     systems = globalsolve.assemble_coarse(loose, space.A, res.problem.f,
                                           with_cross=True)
     d_if = systems.interface_K.diagonal()
@@ -270,8 +281,7 @@ def test_interface_error_map_consistency(small_bench):
     res = small_bench
     space = res.solution.space
     u_B_ref = space.bubble_reference
-    edge_map, abs_err = errors.interface_error_map(res.solution, res.u_ref,
-                                                   u_B_ref)
+    edge_map, abs_err = errors.interface_error_map(res.solution, res.u_ref)
     assert edge_map.shape == space.coarse.interior_edge_ids.shape
     sum_sq = float((edge_map * edge_map).sum())
     # the localized pieces reassemble the global relative interface error
@@ -279,9 +289,26 @@ def test_interface_error_map_consistency(small_bench):
         < 1e-6 * res.report.E_rel_gamma
     # and abs_err / sqrt(sum_sq) is the interface reference norm
     ref_G = res.u_ref.values - u_B_ref.values
-    M = finefem.energy_inner_matrix(ref_G[None, :], res.u_ref.geom, space.A)
+    M = energy_gram(ref_G[None, :], res.u_ref.geom, space.A)
     assert abs(abs_err / math.sqrt(sum_sq) - math.sqrt(M[0, 0])) \
         < 1e-10 * math.sqrt(M[0, 0])
+
+
+def test_interface_error_map_needs_the_space_reference(small_bench):
+    # the map scores against the space's own bubble reference, so u_ref
+    # must live on the space's fine mesh, and the space must carry one
+    res = small_bench
+    space = res.solution.space
+    fine = mesh.refine_to_fine(space.coarse, space.fine.n_sub)
+    other = finefem.FineFunction(finefem.global_geometry(fine),
+                                 res.u_ref.values)
+    with pytest.raises(ValueError, match="different fine meshes"):
+        errors.interface_error_map(res.solution, other)
+    bare = globalsolve.build_space(space.fine, space.A, space.degrees)
+    sol = globalsolve.solve_coarse(globalsolve.assemble_coarse(
+        bare, space.A, res.problem.f))
+    with pytest.raises(ValueError, match="no bubble reference"):
+        errors.interface_error_map(sol, res.u_ref)
 
 
 def test_direct_error_rejects_foreign_reference(small_bench):
@@ -330,23 +357,22 @@ def run_config(kind, nx, n_sub, N, M, eps=2.0):
 @pytest.mark.parametrize("kind,nx,n_sub", [("quad", 5, 32),
                                            ("triangle", 3, 4)])
 def test_interface_error_map_matches_per_element_grams(kind, nx, n_sub):
-    # the batched element energies against one energy_inner_matrix call
+    # the batched element energies against one Gram matrix (energy_gram)
     # per element patch geometry, split over the edges as documented; the
     # 25 quads go in two chunks, the triangles in two shapes
     res = run_config(kind, nx, n_sub, 2, 0)
     space = res.solution.space
     coarse = space.coarse
     u_B_ref = space.bubble_reference
-    edge_map, abs_err = errors.interface_error_map(res.solution, res.u_ref,
-                                                   u_B_ref)
+    edge_map, abs_err = errors.interface_error_map(res.solution, res.u_ref)
     ref_G = res.u_ref.values - u_B_ref.values
     d_G = ref_G - globalsolve.reconstruct(res.solution, "interface").values
     err2 = np.zeros(coarse.n_elements)
     denom2 = 0.0
     for K in range(coarse.n_elements):
         egeom = finefem.element_geometry(space.fine, K)
-        M = finefem.energy_inner_matrix(
-            np.stack([d_G[egeom.vids], ref_G[egeom.vids]]), egeom, space.A)
+        M = energy_gram(np.stack([d_G[egeom.vids], ref_G[egeom.vids]]),
+                        egeom, space.A)
         err2[K] = M[0, 0]
         denom2 += M[1, 1]
     assert edge_map.shape == coarse.interior_edge_ids.shape

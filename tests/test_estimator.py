@@ -25,7 +25,7 @@ def solve_identity(nx, n_sub, N=1, M=0, kind="quad"):
     A = finefem.identity_field()
     f = finefem.constant_rhs(-1.0)
     degrees = mesh.DegreeAssignment.uniform(coarse, N, M)
-    space = globalsolve.build_space(coarse, fine, A, degrees)
+    space = globalsolve.build_space(fine, A, degrees)
     return globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
 
 
@@ -154,7 +154,7 @@ def test_bubble_residual_vs_tensor_gauss(quad44, fine_quad44):
 def test_global_estimate_zero_problem(quad44, fine_quad44):
     A = finefem.identity_field()
     degrees = mesh.DegreeAssignment.uniform(quad44, 1, 0)
-    space = globalsolve.build_space(quad44, fine_quad44, A, degrees)
+    space = globalsolve.build_space(fine_quad44, A, degrees)
     sol = globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, None))
     rep = estimator.global_estimate(sol)
     assert rep.value == 0.0 and rep.value_gamma == 0.0

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from conftest import (check_against_dense, coarsen, contrast_field, dense,
                       dense_couplings, element_boundary_vertex_ids,
                       element_triangle_ids, element_vertex_ids,
-                      energy, energy_inner, energy_products,
+                      energy, energy_gram, energy_inner, energy_products,
                       fourier_poisson_center, free_vertices, group_weights,
                       local_triangles, member_triangle_ids, quad_points,
                       skeleton_geometry, split, stiffness, sw_ne_couplings,
@@ -288,7 +288,7 @@ def test_sweep_rejects_a_mislabelled_patch_shape(tri44):
     fine.patch_shape = lambda K: 0 * K
     with pytest.raises(ValueError, match="element 1: edge chains are not a "
                                          "translate of those of element 0"):
-        localbasis.compute_all(tri44, fine, finefem.identity_field(),
+        localbasis.compute_all(fine, finefem.identity_field(),
                                mesh.DegreeAssignment.uniform(tri44, 1, 0))
 
 
@@ -442,8 +442,10 @@ def test_energy_inner_matrix_pairwise(fine_quad44, rng):
     A = finefem.periodic_benchmark(0.25)
     geom = finefem.element_geometry(fine_quad44, 7)
     V = rng.standard_normal((3, geom.n_vertices))
-    M = finefem.energy_inner_matrix(V, geom, A)
+    M = energy_gram(V, geom, A)
     assert np.array_equal(M, M.T)
+    assert np.array_equal(np.diagonal(M), finefem.energy_inner_matrix(
+        V, geom, A))
     for i in range(3):
         for j in range(3):
             vi = finefem.FineFunction(geom, V[i])
@@ -464,8 +466,10 @@ def test_energy_inner_matrix_blocks_match_one_pass(fine_quad44, rng):
     grads, tris = triangle_gradients(geom), local_triangles(geom)
     gV = np.einsum("bti,tid->btd", V[:, tris], grads)
     gW = np.einsum("bti,tid->btd", W[:, tris], grads)
-    for got, want in ((finefem.energy_inner_matrix(V, geom, A),
+    for got, want in ((energy_gram(V, geom, A),
                        np.einsum("btd,tde,cte->bc", gV, AW, gV)),
+                      (finefem.energy_inner_matrix(V, geom, A),
+                       np.einsum("btd,tde,btd->b", gV, AW, gV)),
                       (energy_products(V, geom, A, W),
                        np.einsum("btd,tde,cte->bc", gV, AW, gW))):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (dense, edge_vertex_chain, element_dofs,
+from conftest import (dense, edge_vertex_chain, element_dofs, energy_gram,
                       is_boundary_edge, space_fields)
 from legmsfem import cli, finefem, globalsolve, localbasis, mesh, polybasis
 from legmsfem.localbasis import BUBBLE, EDGE, NODAL
@@ -67,8 +67,8 @@ def test_dof_bookkeeping(small_bench_bubbles):
         degrees = mesh.DegreeAssignment.uniform(coarse, 2, 1)
         degrees.N[coarse.interior_edge_ids[[0, 3]]] = [4, 1]
         degrees.M[[0, 4]] = [0, 2]
-        space = globalsolve.build_space(
-            coarse, mesh.refine_to_fine(coarse, 6), A, degrees)
+        space = globalsolve.build_space(mesh.refine_to_fine(coarse, 6), A,
+                                        degrees)
         check_groups_against_mesh(space)
 
 
@@ -109,7 +109,7 @@ def test_decoupled_matches_monolithic(small_bench_bubbles):
         geom = finefem.element_geometry(space.fine, e)
         dofs = np.array(element_dofs(space)[e])
         V = np.stack([space_fields(space, p)[e] for p in dofs])
-        K[np.ix_(dofs, dofs)] += finefem.energy_inner_matrix(V, geom, space.A)
+        K[np.ix_(dofs, dofs)] += energy_gram(V, geom, space.A)
         b[dofs] += V @ finefem.load_vector(geom, f)
     mono = np.linalg.solve(K, b)
     got = small_bench_bubbles.solution.coeffs
@@ -152,7 +152,7 @@ def test_bubble_reconstruct_vanishes_on_skeleton(small_bench_bubbles):
 def test_zero_rhs_gives_zero_solution(quad44, fine_quad44):
     A = finefem.periodic_benchmark(0.25)
     degrees = mesh.DegreeAssignment.uniform(quad44, 2, 1)
-    space = globalsolve.build_space(quad44, fine_quad44, A, degrees)
+    space = globalsolve.build_space(fine_quad44, A, degrees)
     systems = globalsolve.assemble_coarse(space, A, None)
     sol = globalsolve.solve_coarse(systems)
     assert not sol.coeffs.any()
@@ -165,13 +165,13 @@ def test_space_grams_match_element_energies(quad44, fine_quad44):
     A = finefem.periodic_benchmark(0.25)
     for N, M in ((3, 1), (2, 2)):
         degrees = mesh.DegreeAssignment.uniform(quad44, N, M)
-        space = globalsolve.build_space(quad44, fine_quad44, A, degrees)
+        space = globalsolve.build_space(fine_quad44, A, degrees)
         for group, iface, bub in space.dofs.groups:
             for part in (iface, bub):
                 G, V = part.gram(), part.gather()
                 for e, K in enumerate(group.elements.tolist()):
                     geom = finefem.element_geometry(fine_quad44, K)
-                    want = finefem.energy_inner_matrix(V[e], geom, A)
+                    want = energy_gram(V[e], geom, A)
                     assert np.abs(G[e] - want).max() <= \
                         1e-13 * np.abs(want).max()
 
@@ -179,16 +179,34 @@ def test_space_grams_match_element_energies(quad44, fine_quad44):
 def test_assembly_needs_the_space_coefficient(quad44, fine_quad44):
     A = finefem.periodic_benchmark(0.25)
     space = globalsolve.build_space(
-        quad44, fine_quad44, A, mesh.DegreeAssignment.uniform(quad44, 2, 0))
+        fine_quad44, A, mesh.DegreeAssignment.uniform(quad44, 2, 0))
     with pytest.raises(ValueError, match="not the space's coefficient"):
         globalsolve.assemble_coarse(space, finefem.periodic_benchmark(0.25),
                                     None)
 
 
+def test_assembly_needs_the_space_load(quad44, fine_quad44):
+    # a space built with a load carries that load's bubble reference, so
+    # it assembles that load object only; a space built without one
+    # assembles any load
+    A, f = finefem.periodic_benchmark(0.25), finefem.constant_rhs(-1.0)
+    degrees = mesh.DegreeAssignment.uniform(quad44, 2, 0)
+    space = globalsolve.build_space(fine_quad44, A, degrees, f=f)
+    assert space.f is f
+    for other in (finefem.gaussian_rhs(), finefem.constant_rhs(-1.0), None):
+        with pytest.raises(ValueError, match="not the space's load"):
+            globalsolve.assemble_coarse(space, A, other)
+    assert globalsolve.assemble_coarse(space, A, f).f is f
+    bare = globalsolve.build_space(fine_quad44, A, degrees)
+    assert bare.f is None
+    g = finefem.gaussian_rhs()
+    assert globalsolve.assemble_coarse(bare, A, g).f is g
+
+
 def test_triangle_space_smoke(tri44, fine_tri44):
     A = finefem.identity_field()
     degrees = mesh.DegreeAssignment.uniform(tri44, 1, 1)
-    space = globalsolve.build_space(tri44, fine_tri44, A, degrees)
+    space = globalsolve.build_space(fine_tri44, A, degrees)
     # dim of degree-1 triangle bulk space is 3
     assert space.n_bubble == 32 * 3
     systems = globalsolve.assemble_coarse(space, A, finefem.constant_rhs(-1.0))
@@ -211,7 +229,7 @@ def test_batched_assembly_matches_per_element_grams(kind, n, n_sub):
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
     degrees.M[0] = 0
     degrees.N[int(coarse.interior_edge_ids[0])] = 4
-    space = globalsolve.build_space(coarse, fine, A, degrees)
+    space = globalsolve.build_space(fine, A, degrees)
     systems = globalsolve.assemble_coarse(space, A, f, with_cross=True)
     n_if = space.n_interface
     K = np.zeros((space.n_dofs, space.n_dofs))
@@ -220,7 +238,7 @@ def test_batched_assembly_matches_per_element_grams(kind, n, n_sub):
         geom = finefem.element_geometry(fine, e)
         dofs = np.array(element_dofs(space)[e])
         V = np.stack([space_fields(space, p)[e] for p in dofs])
-        K[np.ix_(dofs, dofs)] += finefem.energy_inner_matrix(V, geom, A)
+        K[np.ix_(dofs, dofs)] += energy_gram(V, geom, A)
         b[dofs] += V @ finefem.load_vector(geom, f)
 
     def close(got, want, scale=None):
@@ -298,8 +316,7 @@ MIXED = {
 def test_bubble_stacks_solve_bitwise_as_an_element_loop(name, monkeypatch):
     config, n_groups, sizes = MIXED[name]
     problem = cli.build_problem(cli.RunConfig.from_dict(config))
-    space = globalsolve.build_space(problem.coarse, problem.fine, problem.A,
-                                    problem.degrees)
+    space = globalsolve.build_space(problem.fine, problem.A, problem.degrees)
     assert len(space.dofs.groups) == n_groups
     systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
     assert [ids.shape[1] for ids, _, _ in systems.bubbles] == sizes

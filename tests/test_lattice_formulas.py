@@ -179,7 +179,7 @@ def test_loads(fine):
         assert np.array_equal(g.load_vectors(f),
                               scatter(tris, shares, t.n_vertices))
         M = np.arange(len(g.elements)) % 3
-        w = localbasis._load_weights(coarse, g, M, bases, bases[2].dim,
+        w = localbasis._load_weights(g, M, bases, bases[2].dim,
                                      coarse.offsets[g.elements])
         got = t.from_box(finefem.box_loads(t, w.T))
         want = scatter_rows(np.broadcast_to(w[:, None], (len(tris), 3)

@@ -35,8 +35,8 @@ def first_field(coarse, fine, A, support, codes, stride=0, M=None,
     M = np.zeros(n_el, dtype=int) if M is None else M
     asked = np.column_stack([codes >= 0] + ([M > 0] if bases else []))
     groups, _ = localbasis._patch_fields(
-        coarse, fine, A, np.array(support), codes, np.where(asked, 0, -1),
-        stride, M, bases or {})
+        fine, A, np.array(support), codes, np.where(asked, 0, -1), stride, M,
+        bases or {})
     fields = {K: part.stack[part.rows[e, 0]]
               for group, *parts in groups for part in parts if part.dofs.size
               for e, K in enumerate(group.elements.tolist())}
@@ -201,7 +201,7 @@ def test_bubble_zero_trace(quad44, fine_quad44, A_osc):
 
 def test_compute_all_order_and_counts(quad44, fine_quad44, A_osc):
     degrees = mesh.DegreeAssignment.uniform(quad44, 2, 1)
-    table = localbasis.compute_all(quad44, fine_quad44, A_osc, degrees)
+    table = localbasis.compute_all(fine_quad44, A_osc, degrees)
     assert len(table) == 9 + 24 + 16 * 4
     assert table.kind.tolist() == [NODAL] * 9 + [EDGE] * 24 + [BUBBLE] * 64
     assert table.key[:9].tolist() == \
@@ -229,9 +229,9 @@ def test_compute_all_which_split(quad44, fine_quad44, A_osc):
     # the interface only from degrees without bubbles; with bubbles, the
     # same interface DOFs first and the bubbles after
     degrees = mesh.DegreeAssignment.uniform(quad44, 2, 1)
-    iface = localbasis.compute_all(quad44, fine_quad44, A_osc,
+    iface = localbasis.compute_all(fine_quad44, A_osc,
                                    mesh.DegreeAssignment.uniform(quad44, 2, 0))
-    full = localbasis.compute_all(quad44, fine_quad44, A_osc, degrees)
+    full = localbasis.compute_all(fine_quad44, A_osc, degrees)
     n = len(iface)
     assert (iface.kind != BUBBLE).all()
     assert np.array_equal(full.kind[:n], iface.kind)
@@ -269,7 +269,7 @@ def test_compute_all_matches_iterative_reference(kind, A_osc):
     fine = mesh.refine_to_fine(coarse, 8)
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 2)
     basis = polybasis.BulkPolyBasis(kind, 2)
-    table = localbasis.compute_all(coarse, fine, A_osc, degrees)
+    table = localbasis.compute_all(fine, A_osc, degrees)
     assert len(table) == (len(coarse.interior_vertex_ids)
                           + 2 * len(coarse.interior_edge_ids)
                           + coarse.n_elements * basis.dim)
@@ -316,7 +316,7 @@ def test_batched_catalog_matches_entry_points(kind, n, n_sub, A_osc,
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
     basis = polybasis.BulkPolyBasis(kind, 1)
     swept = eliminated_windows(monkeypatch)
-    table = localbasis.compute_all(coarse, fine, A_osc, degrees)
+    table = localbasis.compute_all(fine, A_osc, degrees)
     assert sum(w for w, _, _ in swept) == (18 if kind == "triangle" else 1)
     assert sum(w * r for w, r, _ in swept) == distinct_fields(table, fine,
                                                               A_osc)
@@ -384,7 +384,7 @@ def test_each_distinct_window_is_eliminated_once(coefficient, windows,
              "2 + sin(7x) cos(5y)",
              lambda x, y: 2 + np.sin(7 * x) * np.cos(5 * y), (1.0, 3.0)))
     swept = eliminated_windows(monkeypatch)
-    table = localbasis.compute_all(coarse, fine, A,
+    table = localbasis.compute_all(fine, A,
                                    mesh.DegreeAssignment.uniform(coarse, 1, 0),
                                    f=finefem.constant_rhs(-1.0))
     assert sum(w for w, _, _ in swept) == windows
@@ -408,12 +408,12 @@ def test_mixed_shares_solve_each_row_once(monkeypatch):
     f = finefem.gaussian_rhs()
     degrees = mesh.DegreeAssignment.uniform(coarse, 2, 1)
     swept = eliminated_windows(monkeypatch)
-    table = localbasis.compute_all(coarse, fine, A, degrees, f=f)
+    table = localbasis.compute_all(fine, A, degrees, f=f)
     assert sum(w for w, _, _ in swept) == 5
     assert sum(w * r for w, r, _ in swept) == distinct_fields(table, fine, A)
     assert sum(rep for *_, rep in swept) == 0
     for K in (0, 9, 10, 63):  # distinct, distinct, shared, shared
-        alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
+        alone = localbasis.compute_all(fine, A, degrees, f=f,
                                        support_of=(BUBBLE, K, 1))
         for d in sorted({d for _, d, _ in table_pairs(alone)}):
             assert table_fields(alone, d)[K].tobytes() == \
@@ -434,11 +434,11 @@ def test_shared_window_fields_match_each_patch_alone(kind, monkeypatch):
     A, f = finefem.periodic_benchmark(1 / 4), finefem.gaussian_rhs()
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
     swept = eliminated_windows(monkeypatch)
-    table = localbasis.compute_all(coarse, fine, A, degrees, f=f)
+    table = localbasis.compute_all(fine, A, degrees, f=f)
     assert [w for w, _, _ in swept] == [1] * (2 if kind == "triangle" else 1)
     assert sum(rep for *_, rep in swept) == 0
     for K in range(coarse.n_elements):
-        alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
+        alone = localbasis.compute_all(fine, A, degrees, f=f,
                                        support_of=(BUBBLE, K, 1))
         assert len(alone.groups) == 1
         for d in sorted({d for _, d, _ in table_pairs(alone)}):
@@ -468,14 +468,14 @@ def test_periodic_sweep_solves_only_distinct_rows(load, monkeypatch):
              3 * np.pi * x + p1) * np.sin(2 * np.pi * y + p2))))
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 2)
     swept = eliminated_windows(monkeypatch)
-    table = localbasis.compute_all(coarse, fine, A, degrees, f=f)
+    table = localbasis.compute_all(fine, A, degrees, f=f)
     rows = 12 + 9 + (1 if load == "constant" else 256)
     assert sum(w for w, _, _ in swept) == 1
     assert sum(w * r for w, r, _ in swept) == rows
     assert distinct_fields(table, fine, A) == rows
     assert sum(rep for *_, rep in swept) == 0
     for K in range(coarse.n_elements):
-        alone = localbasis.compute_all(coarse, fine, A, degrees, f=f,
+        alone = localbasis.compute_all(fine, A, degrees, f=f,
                                        support_of=(BUBBLE, K, 1))
         for d in sorted({d for _, d, _ in table_pairs(alone)}):
             assert table_fields(alone, d)[K].tobytes() == \
@@ -506,7 +506,7 @@ def test_sweep_solves_the_load_the_assembly_projects(kind, n, n_sub,
         real(self, st, *R)
 
     monkeypatch.setattr(multigrid.RowBlocks, "eliminate", recorded)
-    localbasis.compute_all(coarse, fine, A,
+    localbasis.compute_all(fine, A,
                            mesh.DegreeAssignment.uniform(coarse, 2, 1), f=f)
     for group in finefem.patch_groups(fine, range(coarse.n_elements)):
         free = np.setdiff1d(np.arange(group.template.n_vertices),
@@ -531,7 +531,7 @@ def test_sweep_forms_no_patch_load(monkeypatch):
 
     monkeypatch.setattr(finefem.PatchGroup, "load_vectors", counted)
     table = localbasis.compute_all(
-        coarse, fine, finefem.periodic_benchmark(1 / 6),
+        fine, finefem.periodic_benchmark(1 / 6),
         mesh.DegreeAssignment.uniform(coarse, 2, 1), f=finefem.gaussian_rhs())
     assert calls == [] and table.reference.any()
 
@@ -545,13 +545,13 @@ def test_edge_chains_must_be_translates(A_osc):
     coarse.element_edge_ids = sides
     with pytest.raises(ValueError, match="element 5: edge chains are not a "
                                          "translate of those of element 0"):
-        localbasis.compute_all(coarse, fine, A_osc,
+        localbasis.compute_all(fine, A_osc,
                                mesh.DegreeAssignment.uniform(coarse, 2, 0))
 
 
 def test_dump_points(quad44, fine_quad44, A_osc):
     v = int(quad44.interior_vertex_ids[0])
-    table = localbasis.compute_all(quad44, fine_quad44, A_osc,
+    table = localbasis.compute_all(fine_quad44, A_osc,
                                    mesh.DegreeAssignment.uniform(quad44, 2, 0),
                                    support_of=(NODAL, v, 0))
     rows = localbasis.dump_points(table, table.find(NODAL, v, 0),
@@ -634,8 +634,8 @@ def test_boundary_trace_loads_match_all_triangles(kind, n_sub, N):
         coarse, mesh.DegreeAssignment.uniform(coarse, N, 0))
     for group in finefem.patch_groups(fine, range(coarse.n_elements)):
         t = group.template
-        table, index = localbasis._trace_table(coarse, fine, group,
-                                               codes[group.elements], stride)
+        table, index = localbasis._trace_table(group, codes[group.elements],
+                                               stride)
         X = table[index]
         Kt = stiffness(*group_weights(group, A))
         tris = local_triangles(t)
@@ -685,7 +685,7 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
     for group in finefem.patch_groups(fine, range(coarse.n_elements)):
         Mg = M[group.elements]
         n_b = max(bases[m].dim for m in Mg.tolist() if m)
-        got = localbasis._load_weights(coarse, group, Mg, bases, n_b,
+        got = localbasis._load_weights(group, Mg, bases, n_b,
                                        coarse.offsets[group.elements])
         assert np.array_equal(got, loop_load_weights(coarse, group, Mg,
                                                      bases, n_b))
@@ -694,9 +694,9 @@ def test_batched_bubble_loads_match_element_loop(kind, monkeypatch):
         if loop:
             monkeypatch.setattr(
                 localbasis, "_load_weights",
-                lambda coarse, sub, M, bases, n_b, offsets:
+                lambda sub, M, bases, n_b, offsets:
                 loop_load_weights(coarse, sub, M, bases, n_b, offsets))
-        table = localbasis.compute_all(coarse, fine, A, degrees)
+        table = localbasis.compute_all(fine, A, degrees)
         runs.append((table, [table_fields(table, d)
                              for d in range(len(table))]))
     (batched, a), (looped, b) = runs

@@ -85,12 +85,11 @@ def test_fine_layer_traced_peaks(pcg_iters):
     config = cli.RunConfig.from_dict(FINE_CONFIG)
     p = cli.build_problem(config)
     u_ref, ref_mb = traced_peak_mb(
-        errors.reference_solve, p.fine, p.A, p.f, config.rel_tol,
-        eps=config.eps)
+        errors.reference_solve, p.fine, p.A, p.f, config.rel_tol)
     assert ref_mb <= REFERENCE_PEAK_MB
     ref_iters = list(pcg_iters)
-    space, space_mb = traced_peak_mb(globalsolve.build_space, p.coarse,
-                                     p.fine, p.A, p.degrees, f=p.f)
+    space, space_mb = traced_peak_mb(globalsolve.build_space, p.fine, p.A,
+                                     p.degrees, f=p.f)
     assert space_mb <= BUILD_SPACE_PEAK_MB
     systems, coarse_mb = traced_peak_mb(globalsolve.assemble_coarse, space,
                                         p.A, p.f)
@@ -151,7 +150,7 @@ def test_global_geometry_holds_no_per_triangle_array_but_a_load_evaluation(
     config = cli.RunConfig.from_dict(dict(FINE_CONFIG, rhs=rhs))
     p = cli.build_problem(config)
     errors.reference_solve(p.fine, p.A, p.f, config.rel_tol)
-    globalsolve.build_space(p.coarse, p.fine, p.A, p.degrees, f=p.f)
+    globalsolve.build_space(p.fine, p.A, p.degrees, f=p.f)
     geom = finefem.global_geometry(p.fine)
     nt, n = 2 * p.fine.nfx * p.fine.nfy, geom.n_vertices
     held = held_arrays(geom)
@@ -179,7 +178,7 @@ def test_wide_patch_sweep_traced_peak():
     coarse = mesh.build_coarse("quad", 2, 2)
     fine = mesh.refine_to_fine(coarse, 128)
     A = finefem.periodic_benchmark(1 / 32)
-    dofs, mb = traced_peak_mb(localbasis.compute_all, coarse, fine, A,
+    dofs, mb = traced_peak_mb(localbasis.compute_all, fine, A,
                               mesh.DegreeAssignment.uniform(coarse, 1, 0))
     assert mb <= WIDE_PATCH_SWEEP_PEAK_MB
     assert len(dofs) == 1

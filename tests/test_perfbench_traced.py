@@ -63,8 +63,7 @@ def test_traced_info_counts_the_dofs_of_compute_all(small_bench_bubbles):
     # compute_all returns: the localbasis.functions metric
     traced = load_traced()
     space = small_bench_bubbles.solution.space
-    table = localbasis.compute_all(space.coarse, space.fine, space.A,
-                                   space.degrees)
+    table = localbasis.compute_all(space.fine, space.A, space.degrees)
     info = traced.INFO["localbasis.compute_all"]((), table)
     assert info == {"functions": space.n_dofs} == {"functions": 97}
 
