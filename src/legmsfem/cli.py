@@ -184,12 +184,11 @@ class RunConfig:
     eta: float = 0.0
     ell: int = 0
     strict: bool = False
-    seed: int = 0
     out: str | None = None
 
     _ALLOWED = {"schema", "kind", "nx", "ny", "n_sub", "domain",
                 "coefficient", "rhs", "N", "M", "rel_tol", "eta", "ell",
-                "strict", "seed", "out"}
+                "strict", "out"}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -256,10 +255,6 @@ class RunConfig:
         c.strict = d.get("strict", c.strict)
         if not isinstance(c.strict, bool):
             raise ConfigError("config.strict: must be true or false")
-        seed = d.get("seed", c.seed)
-        if not _integer(seed):
-            raise ConfigError("config.seed: must be an integer")
-        c.seed = seed
         out = d.get("out", c.out)
         if out is not None and not isinstance(out, str):
             raise ConfigError("config.out: must be a path string")
@@ -277,8 +272,7 @@ class RunConfig:
              "n_sub": self.n_sub, "domain": list(self.domain),
              "coefficient": self.coefficient, "rhs": self.rhs,
              "N": deg(self.N), "M": deg(self.M), "rel_tol": self.rel_tol,
-             "eta": self.eta, "ell": self.ell, "strict": self.strict,
-             "seed": self.seed}
+             "eta": self.eta, "ell": self.ell, "strict": self.strict}
         if self.out is not None:
             d["out"] = self.out
         return d
@@ -479,9 +473,9 @@ def run_single(config: RunConfig, problem: Problem | None = None,
     same fine lattice, coefficient and load, bound to the global geometry
     of this run's fine mesh.
 
-    The bubble reference comes out of the offline sweep (build_space with
-    the load), asked for exactly where E_rel_gamma needs it: a bubble-free
-    space."""
+    The space keeps the load, and its offline sweep solves the bubble
+    reference of that load, which the error report splits the error
+    against."""
     t0 = time.perf_counter()
     if problem is None:
         problem = build_problem(config)
@@ -492,12 +486,11 @@ def run_single(config: RunConfig, problem: Problem | None = None,
     if u_ref is None:
         u_ref = errors.reference_solve(problem.fine, problem.A, problem.f,
                                        config.rel_tol, strict=config.strict)
-    space = globalsolve.build_space(
-        problem.fine, problem.A, problem.degrees,
-        f=None if problem.degrees.M.any() else problem.f)
+    space = globalsolve.build_space(problem.fine, problem.A, problem.degrees,
+                                    problem.f)
     systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
     solution = globalsolve.solve_coarse(systems, config.rel_tol)
-    report = errors.evaluate(solution, u_ref, space.bubble_reference)
+    report = errors.evaluate(solution, u_ref)
     est = estimator.global_estimate(solution, config.eta, config.ell)
     ms = int(round(1000 * (time.perf_counter() - t0)))
     return RunResult(config, problem, solution, u_ref, report, est, ms)

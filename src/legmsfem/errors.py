@@ -10,14 +10,14 @@ The interface variant subtracts the bubble-reference energy first, since
 the full reference splits energy-orthogonally into bubble and interface
 parts.  The fine reference is one multigrid-preconditioned CG solve; the
 bubble reference is the zero-trace solve with the load on every element,
-which the offline patch sweep of a space produces next to its basis
-(globalsolve.build_space with the load), and `bubble_reference` next to
-the nodal basis alone; the per-edge error map reads the one of the
+which the offline patch sweep of every space produces next to its basis
+(globalsolve.build_space), and `bubble_reference` is that of the nodal
+space; the report and the per-edge error map read the one of the
 solution's own space.  `evaluate` is the one place that scores a
-solution: it forms E* from the reference field it is given, so a field
-never meets the energy of another lattice or load, and it also reports
-the direct norm quotient, a cross-check on the identity, and the residual
-of the error split.
+solution: it forms E* from the reference field it is given and the
+space's load, so a field never meets the energy of another lattice or
+load, and it also reports the direct norm quotient, a cross-check on the
+identity, and the residual of the error split.
 """
 
 from __future__ import annotations
@@ -27,22 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import finefem, globalsolve, localbasis, multigrid
+from . import finefem, globalsolve, multigrid
 from .mesh import DegreeAssignment, FineMesh
 
 
 @dataclass
 class ErrorReport:
-    """Error numbers for one run.  The decomposition residual needs the
-    bubble reference; E_rel_gamma also needs a bubble-free space and a
-    nonvanishing interface part."""
+    """Error numbers for one run.  E_rel_gamma needs a bubble-free space
+    and a nonvanishing interface part, None otherwise."""
 
     E_star: float
     E_num: float
     E_rel: float
     E_rel_direct: float
-    E_rel_gamma: float | None = None
-    decomposition_residual: float | None = None
+    E_rel_gamma: float | None
+    decomposition_residual: float
 
 
 def reference_solve(fine: FineMesh, A: finefem.Field, f: finefem.Field,
@@ -81,14 +80,12 @@ def bubble_reference(fine: FineMesh, A: finefem.Field,
     every fine vertex of the coarse skeleton held at zero.  The skeleton
     cuts that system into independent element blocks, so it is the
     zero-trace solve with load f on every element patch, glued into one
-    global field.  Those are the load rows of the offline block sweep, here
-    beside the nodal rows (localbasis.compute_all with the load at N = 1,
-    M = 0); each row is its own LAPACK call, so the field is bitwise the
-    one globalsolve.build_space keeps for the same load with any degrees."""
-    table = localbasis.compute_all(fine, A, DegreeAssignment.uniform(
-        fine.coarse, 1, 0), f=f)
-    return finefem.FineFunction(finefem.global_geometry(fine),
-                                table.reference)
+    global field: the bubble reference of the nodal space (N = 1, M = 0).
+    Each row of the offline sweep is its own LAPACK call, so the field is
+    bitwise the one globalsolve.build_space keeps for the same load with
+    any degrees."""
+    return globalsolve.build_space(fine, A, DegreeAssignment.uniform(
+        fine.coarse, 1, 0), f).bubble_reference
 
 
 def interface_error_map(u_H: globalsolve.CoarseSolution,
@@ -98,8 +95,7 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
     (in interior_edge_ids order) and the global absolute interface error,
     against the interface part u_ref - u_B_ref of the reference, u_B_ref
     the bubble reference of the solution's space.  Raises ValueError where
-    the space has none (it was built without the load) or u_ref lives on
-    another fine geometry.
+    u_ref lives on another fine geometry.
 
     Element error energies are split evenly among the element's interior
     edges; the relative map divides by the interface reference energy norm.
@@ -111,9 +107,6 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
     """
     space = u_H.space
     coarse, u_B_ref = space.coarse, space.bubble_reference
-    if u_B_ref is None:
-        raise ValueError("interface_error_map: the space has no bubble "
-                         "reference (build it with the load)")
     if u_ref.geom is not u_B_ref.geom:
         raise ValueError("reference and reconstruction live on different "
                          "fine meshes")
@@ -142,17 +135,17 @@ def interface_error_map(u_H: globalsolve.CoarseSolution,
 
 
 def evaluate(u_H: globalsolve.CoarseSolution,
-             u_ref: finefem.FineFunction,
-             u_B_ref: finefem.FineFunction | None = None) -> ErrorReport:
+             u_ref: finefem.FineFunction) -> ErrorReport:
     """Full error report for one run from the parts the solution keeps
-    (CoarseSolution.interface and .bubble), the energies of the rows
-    below, one row at a time, and one load vector, every sum over the fine
-    vertices in a fixed order (finefem.energy_inner_matrix and
-    finefem.dot), so the report does not depend on the BLAS thread count.
+    (CoarseSolution.interface and .bubble), the bubble reference and the
+    load of its space, the energies of the rows below, one row at a time,
+    and one load vector, every sum over the fine vertices in a fixed order
+    (finefem.energy_inner_matrix and finefem.dot), so the report does not
+    depend on the BLAS thread count.
 
     The rows u, u_ref - u and u_ref give E_num, E* = E(u_ref), E_rel from
     the energy identity and the direct quotient ||u_ref - u||_E /
-    ||u_ref||_E.  With the bubble reference u_B_ref, the rows u_B_ref,
+    ||u_ref||_E.  The space's bubble reference u_B_ref and the rows
     d_B = u_B_ref - u_B and d_G = (u_ref - u_B_ref) - u_G add the relative
     residual of the error split a(d, d) = a(d_B, d_B) + a(d_G, d_G) and,
     for a bubble-free space, the interface error against
@@ -162,31 +155,27 @@ def evaluate(u_H: globalsolve.CoarseSolution,
     """
     space = u_H.space
     u_B, u_G = u_H.bubble, u_H.interface
+    u_B_ref = space.bubble_reference
     geom = u_B.geom
-    if any(r is not None and r.geom is not geom for r in (u_ref, u_B_ref)):
+    if u_ref.geom is not geom:
         raise ValueError("reference and reconstruction live on different "
                          "fine meshes")
     u = u_B.values + u_G.values
 
     def rows():  # each formed when its energy is taken
-        yield from (u, u_ref.values - u, u_ref.values)
-        if u_B_ref is not None:
-            yield u_B_ref.values
-            yield u_B_ref.values - u_B.values
-            yield (u_ref.values - u_B_ref.values) - u_G.values
+        yield from (u, u_ref.values - u, u_ref.values, u_B_ref.values)
+        yield u_B_ref.values - u_B.values
+        yield (u_ref.values - u_B_ref.values) - u_G.values
 
     a = finefem.energy_inner_matrix(rows(), geom, space.A).tolist()
-    b = finefem.load_vector(geom, u_H.f)
+    b = finefem.load_vector(geom, space.f)
     E_num = 0.5 * a[0] - finefem.dot(b, u)
     E_star = 0.5 * a[2] - finefem.dot(b, u_ref.values)
     E_rel = relative_from_energies(E_num, E_star)
     direct = float(np.sqrt(a[1] / a[2]))
+    resid = 0.0 if a[1] <= 0 else abs(a[1] - (a[4] + a[5])) / a[1]
+    E_gamma_star = E_star - (0.5 * a[3] - finefem.dot(b, u_B_ref.values))
     gamma = None
-    resid = None
-    if u_B_ref is not None:
-        resid = 0.0 if a[1] <= 0 else abs(a[1] - (a[4] + a[5])) / a[1]
-        E_gamma_star = E_star - (0.5 * a[3]
-                                 - finefem.dot(b, u_B_ref.values))
-        if not space.n_bubble and E_gamma_star < -1e-15 * abs(E_star):
-            gamma = relative_from_energies(E_num, E_gamma_star)
+    if not space.n_bubble and E_gamma_star < -1e-15 * abs(E_star):
+        gamma = relative_from_energies(E_num, E_gamma_star)
     return ErrorReport(E_star, E_num, E_rel, direct, gamma, resid)

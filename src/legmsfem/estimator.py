@@ -115,20 +115,18 @@ def _load_terms(u_H: globalsolve.CoarseSolution, ell: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(||f||_{L2(K)}, ||f||_{H^ell(K)}, ||f - sum_i c_i P_i||_{L2(K)}) of
     every element K by fine quadrature, ell in {0, 1} per element (1 needs
-    f.grad) and the c_i the bubble coefficients of K, so the last is
-    ||f|| where M = 0; zero without a load.  One pass per patch group over
-    its members' windows of the one evaluation of f (PatchGroup.windows),
-    chunk by chunk: each element's squares add up triangle by triangle in
-    the template's order, which is the order of the fine mesh.  f.grad is
-    evaluated at the chunk's centroids (PatchGroup.cells) where ell = 1
-    asks for it, and the bulk basis of each degree once per chunk, at the
-    reference centroids of the chunk's first member alone, which every
-    member of the chunk shares."""
-    space, f = u_H.space, u_H.f
-    coarse, fine, M = space.coarse, space.fine, space.degrees.M
+    f.grad), f the load of the solution's space and the c_i the bubble
+    coefficients of K, so the last is ||f|| where M = 0.  One pass per
+    patch group over its members' windows of the one evaluation of f
+    (PatchGroup.windows), chunk by chunk: each element's squares add up
+    triangle by triangle in the template's order, which is the order of
+    the fine mesh.  f.grad is evaluated at the chunk's centroids
+    (PatchGroup.cells) where ell = 1 asks for it, and the bulk basis of
+    each degree once per chunk, at the reference centroids of the chunk's
+    first member alone, which every member of the chunk shares."""
+    space = u_H.space
+    coarse, fine, M, f = space.coarse, space.fine, space.degrees.M, space.f
     n = coarse.n_elements
-    if f is None:
-        return np.zeros(n), np.zeros(n), np.zeros(n)
     bad = (ell != 0) & ((ell != 1) | (f.grad is None))
     if bad.any():
         if ell[np.argmax(bad)] != 1:

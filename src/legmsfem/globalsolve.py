@@ -38,29 +38,27 @@ class EnrichedSpace:
     (nodal by vertex, then edge by (edge, k)), bubbles after (by element,
     then index); the table holds the fields of each patch group, its
     field stack and Gram blocks indexed per part (localbasis.Fields), and
-    for a space built with a load the bubble reference of that load.  f
-    is that load (None without one), the only load the space solves
-    (assemble_coarse).
+    the bubble reference of the load f.  f is the one load of the space:
+    assemble_coarse projects it, errors.evaluate and the estimator read
+    it.
     """
 
     fine: FineMesh
     A: finefem.Field
     degrees: DegreeAssignment
     dofs: localbasis.DofTable
-    f: finefem.Field | None
+    f: finefem.Field
 
     @property
     def coarse(self) -> CoarseMesh:
         return self.fine.coarse
 
     @cached_property
-    def bubble_reference(self) -> finefem.FineFunction | None:
-        """The zero-trace solves with load f glued over the mesh, None
-        without a load (errors.evaluate scores the interface error against
-        it)."""
-        glued = self.dofs.reference
-        return glued if glued is None else finefem.FineFunction(
-            finefem.global_geometry(self.fine), glued)
+    def bubble_reference(self) -> finefem.FineFunction:
+        """The zero-trace solves with load f glued over the mesh
+        (errors.evaluate splits the error of a solution against it)."""
+        return finefem.FineFunction(finefem.global_geometry(self.fine),
+                                    self.dofs.reference)
 
     @property
     def n_dofs(self) -> int:
@@ -118,14 +116,14 @@ def check_degrees(fine: FineMesh, degrees: DegreeAssignment) -> None:
 
 
 def build_space(fine: FineMesh, A: finefem.Field, degrees: DegreeAssignment,
-                f: finefem.Field | None = None) -> EnrichedSpace:
+                f: finefem.Field) -> EnrichedSpace:
     """Run the offline solves on the elements of fine.coarse and build the
     DOF table, every space its own sweep; degrees the fine lattice cannot
     resolve raise.
 
-    Given the load f, the space keeps it and carries the bubble reference
-    of f: the load solves of the same sweep, one row per distinct load row
-    of a coefficient window, so every window is still eliminated once.
+    The space keeps its load f and carries the bubble reference of f: the
+    load solves of the same sweep, one row per distinct load row of a
+    coefficient window, so every window is still eliminated once.
     """
     check_degrees(fine, degrees)
     return EnrichedSpace(fine, A, degrees, localbasis.compute_all(
@@ -183,7 +181,6 @@ class CoarseSystems:
     one per bubble count b."""
 
     space: EnrichedSpace
-    f: finefem.Field | None
     interface_K: InterfaceOperator
     interface_rhs: np.ndarray
     bubbles: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -239,7 +236,7 @@ def _project_load(group: finefem.PatchGroup, iface: localbasis.Fields,
 
 
 def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
-                    f: finefem.Field | None, with_cross: bool = False
+                    f: finefem.Field, with_cross: bool = False
                     ) -> CoarseSystems:
     """Galerkin assembly in the enriched space, batched over patches of one
     shape.
@@ -254,12 +251,12 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
     bubble count (CoarseSystems.bubbles).  with_cross also gathers the
     bubble-interface energy Gram block from the same sweep's blocks; it is
     zero up to solver tolerance and exists for diagnostics only.  A must
-    be the space's coefficient object, and f the space's load where it was
-    built with one: its bubble reference is the solve of that load.
+    be the space's coefficient object and f its load: its bubble
+    reference is the solve of that load.
     """
     if A is not space.A:
         raise ValueError("assemble_coarse: A is not the space's coefficient")
-    if space.f is not None and f is not space.f:
+    if f is not space.f:
         raise ValueError("assemble_coarse: f is not the space's load")
     n_if = space.n_interface
     if_ids: list[np.ndarray] = []
@@ -273,7 +270,7 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
         if_ids.append(iface)
         if_blocks.append(iface_fields.gram())
         Vb = np.zeros((len(iface), n_i + bub.shape[1]))
-        if f is not None and Vb.shape[1]:
+        if Vb.shape[1]:
             _project_load(group, iface_fields, bub_fields, f, Vb)
         np.add.at(rhs, iface[iface >= 0], Vb[:, :n_i][iface >= 0])
         G_b, count = bub_fields.gram(), (bub >= 0).sum(axis=1)
@@ -290,7 +287,7 @@ def assemble_coarse(space: EnrichedSpace, A: finefem.Field,
     bubbles = [tuple(map(np.concatenate, zip(*[p for p in parts
                                                 if p[0].shape[1] == b])))
                for b in sorted({p[0].shape[1] for p in parts})]
-    return CoarseSystems(space, f, InterfaceOperator(n_if, if_ids, if_blocks),
+    return CoarseSystems(space, InterfaceOperator(n_if, if_ids, if_blocks),
                          rhs, bubbles, cross)
 
 
@@ -300,7 +297,6 @@ class CoarseSolution:
     field of each part, reconstructed once, at first use."""
 
     space: EnrichedSpace
-    f: finefem.Field | None
     coeffs: np.ndarray
     cg_iters: int
 
@@ -323,7 +319,7 @@ def solve_coarse(systems: CoarseSystems, rel_tol: float = 1e-12
     for ids, blocks, rhs in systems.bubbles:
         # rhs as a stack of columns: numpy 2 reads a 2-D b as a matrix.
         coeffs[ids] = np.linalg.solve(blocks, rhs[..., None])[..., 0]
-    return CoarseSolution(space, systems.f, coeffs, iters)
+    return CoarseSolution(space, coeffs, iters)
 
 
 def reconstruct(solution: CoarseSolution, which: str = "total"

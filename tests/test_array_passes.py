@@ -110,8 +110,6 @@ def loop_p_e(coarse, edge_id, degrees):
 
 
 def loop_f_norms(fine, K, f, ell):
-    if f is None:
-        return 0.0, 0.0
     w, pts = triangle_cells(finefem.element_geometry(fine, K))
     fv = f.at(pts)
     l2sq = float(w @ fv**2)
@@ -122,11 +120,11 @@ def loop_f_norms(fine, K, f, ell):
     return math.sqrt(l2sq), math.sqrt(h1sq)
 
 
-def loop_estimate(u_H, f, degrees, eta, ell):
+def loop_estimate(u_H, eta, ell):
     """global_estimate element by element and edge by edge; the jump norms
     are checked against jump_norm elsewhere and taken edge by edge here."""
     space = u_H.space
-    coarse, fine = space.coarse, space.fine
+    coarse, fine, f, degrees = space.coarse, space.fine, space.f, space.degrees
     ell_of = (lambda K: ell.get(K, 0)) if isinstance(ell, dict) \
         else (lambda K: int(ell or 0))
     p_table = {int(e): loop_p_e(coarse, int(e), degrees)
@@ -140,7 +138,7 @@ def loop_estimate(u_H, f, degrees, eta, ell):
         if M >= 1:
             basis = polybasis.BulkPolyBasis(coarse.kind, M)
             resid = bubble_residual(fine, K, f, bubble_coeffs(u_H, K),
-                                    basis) if f is not None else 0.0
+                                    basis)
             ratio = diameter ** min(lK, M + 1) / M ** lK
             bubble_terms[K] = diameter**2 * ratio * resid * f_sob
         else:
@@ -479,7 +477,8 @@ def test_space_grams_match_gram_blocks(kind):
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
     degrees.N[int(coarse.interior_edge_ids[0])] = 4
     degrees.M[0] = 0
-    space = globalsolve.build_space(fine, A, degrees)
+    space = globalsolve.build_space(fine, A, degrees,
+                                    finefem.constant_rhs(-1.0))
     padded = []
     for group, iface, bub in space.dofs.groups:
         tris = conftest.local_triangles(group.template)
@@ -538,7 +537,7 @@ def solved(kind, nx, ny, n_sub, N, M, f=None, A=None, eps=0.25):
                   for e in range(coarse.n_edges)]),
         np.array([M(K) if callable(M) else M
                   for K in range(coarse.n_elements)]))
-    space = globalsolve.build_space(fine, A, deg)
+    space = globalsolve.build_space(fine, A, deg, f)
     return globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
 
 
@@ -565,10 +564,8 @@ ESTIMATES = {
 def test_estimate_matches_loops(name):
     args, kw = ESTIMATES[name]
     sol = solved(*args)
-    f, degrees = sol.f, sol.space.degrees
     got = estimator.global_estimate(sol, kw["eta"], kw["ell"])
-    value, value_gamma, dicts = loop_estimate(sol, f, degrees, kw["eta"],
-                                              kw["ell"])
+    value, value_gamma, dicts = loop_estimate(sol, kw["eta"], kw["ell"])
     assert close(got.value, value)
     assert (got.value_gamma is None) == (value_gamma is None)
     if value_gamma is not None:
@@ -609,22 +606,11 @@ def test_estimate_over_several_chunks_matches_loops(kind, n, monkeypatch):
     got = estimator.global_estimate(sol, 0.1, 1)
     monkeypatch.undo()
     assert max(chunks) >= 2
-    value, _, dicts = loop_estimate(sol, sol.f, sol.space.degrees, 0.1, 1)
+    value, _, dicts = loop_estimate(sol, 0.1, 1)
     assert close(got.value, value)
     for key in ("element_residuals", "bubble_terms", "element_terms"):
         ref = dicts[key]
         assert all(close(getattr(got, key)[K], ref[K]) for K in ref), key
-
-
-def test_estimate_without_load_matches_loops():
-    # no load at all: every smoothness declaration is accepted
-    sol = solved("quad", 2, 2, 8, 2, 1)
-    sol.f = None
-    got = estimator.global_estimate(sol, eta=0.1, ell=2)
-    value, _, dicts = loop_estimate(sol, None, sol.space.degrees, 0.1, 2)
-    assert close(got.value, value)
-    assert got.bubble_terms.tolist() == list(dicts["bubble_terms"].values())
-    assert not got.bubble_terms.any()
 
 
 def test_localize_matches_loop():
@@ -693,7 +679,7 @@ def test_reconstruct_matches_loop(kind):
     A, f = finefem.periodic_benchmark(0.25), finefem.gaussian_rhs()
     degrees = mesh.DegreeAssignment(1 + np.arange(coarse.n_edges) % 3,
                                     np.arange(coarse.n_elements) % 3)
-    space = globalsolve.build_space(fine, A, degrees)
+    space = globalsolve.build_space(fine, A, degrees, f)
     spaces = [space, with_copied_fields(space)]
     for space in spaces:
         systems = globalsolve.assemble_coarse(space, A, f)

@@ -52,7 +52,7 @@ def test_roundtrip_idempotent():
     ({"rel_tol": 1.0}, "config.rel_tol"),
     ({"eta": 0.5}, "config.eta"),
     ({"ell": -1}, "config.ell"),
-    ({"seed": "x"}, "config.seed"),
+    ({"seed": 0}, "unknown keys"),
     ({"schema": 2}, "config.schema"),
     ({"bogus": 1}, "unknown keys"),
     ({"N": 0}, "config.N"),
@@ -107,6 +107,14 @@ def test_config_values_of_the_wrong_json_type(tmp_path, capsys, patch,
     path = write_cfg(tmp_path, **patch)
     assert cli.main(["solve", "--config", path]) == 2
     assert needle in capsys.readouterr().err
+
+
+def test_seed_key_exits_2_as_unknown(tmp_path, capsys):
+    # no command draws random numbers, so the config has no seed: a config
+    # that sets one exits 2 before any solve
+    path = write_cfg(tmp_path, seed=0)
+    assert cli.main(["solve", "--config", path]) == 2
+    assert "unknown keys ['seed']" in capsys.readouterr().err
 
 
 def test_load_reports_json_position(tmp_path):
@@ -936,7 +944,8 @@ def test_basis_dump_bytes_match_the_full_table(tmp_path):
     # table built for every element and degree, byte for byte
     path = write_cfg(tmp_path, **DUMP_CFG)
     problem = cli.build_problem(cli.RunConfig.load(path))
-    space = globalsolve.build_space(problem.fine, problem.A, problem.degrees)
+    space = globalsolve.build_space(problem.fine, problem.A, problem.degrees,
+                                    problem.f)
     kinds = {"nodal": localbasis.NODAL, "edge": localbasis.EDGE,
              "bubble": localbasis.BUBBLE}
     for sel in DUMP_SELECTORS:
@@ -1051,7 +1060,7 @@ def test_sweep_N_rows_run_no_patch_elimination(monkeypatch, tmp_path):
         cfg_dict(kind="triangle", N=3)))
     swept.clear()
     globalsolve.build_space(problem.fine, problem.A, problem.degrees,
-                            f=problem.f)
+                            problem.f)
     assert len(swept) == 2
 
 

@@ -122,7 +122,7 @@ def test_offline_bubble_reference_is_the_standalone_one(kind, nx, ny, n_sub,
     # and come out bitwise as when they are solved alone
     coarse, fine, A, f = bubble_problem(kind, nx, ny, n_sub)
     space = globalsolve.build_space(
-        fine, A, mesh.DegreeAssignment.uniform(coarse, N, M), f=f)
+        fine, A, mesh.DegreeAssignment.uniform(coarse, N, M), f)
     assert (space.n_dofs == 0) == (nx * ny == 1)
     alone = errors.bubble_reference(fine, A, f)
     assert space.bubble_reference.geom is alone.geom
@@ -154,8 +154,8 @@ def test_evaluate_matches_separate_formulas(run, request):
     res = request.getfixturevalue(run)
     sol, A, f = res.solution, res.solution.space.A, res.problem.f
     u_ref = res.u_ref
-    u_B_ref = errors.bubble_reference(res.problem.fine, A, f)
-    report = errors.evaluate(sol, u_ref, u_B_ref)
+    u_B_ref = sol.space.bubble_reference
+    report = errors.evaluate(sol, u_ref)
     # E* is formed from the reference's own energy row, bitwise the formula
     E_star = energy(u_ref, A, f)
     assert report.E_star == E_star
@@ -183,52 +183,57 @@ def test_evaluate_matches_separate_formulas(run, request):
         assert abs(report.E_rel_gamma - gamma) <= 1e-12 * gamma
 
 
-def full_matrix_evaluate(u_H, u_ref, u_B_ref=None):
+def full_matrix_evaluate(u_H, u_ref):
     """errors.evaluate as it was before it formed only the energies it
     reads: the whole symmetric Gram matrix of its rows, of which it read
     the diagonal."""
     space = u_H.space
+    u_B_ref = space.bubble_reference
     u_B = globalsolve.reconstruct(u_H, "bubble")
     u_G = globalsolve.reconstruct(u_H, "interface")
     geom = u_B.geom
     u = u_B.values + u_G.values
-    rows = [u, u_ref.values - u, u_ref.values]
-    if u_B_ref is not None:
-        rows += [u_B_ref.values, u_B_ref.values - u_B.values,
-                 (u_ref.values - u_B_ref.values) - u_G.values]
+    rows = [u, u_ref.values - u, u_ref.values, u_B_ref.values,
+            u_B_ref.values - u_B.values,
+            (u_ref.values - u_B_ref.values) - u_G.values]
     M = energy_gram(np.stack(rows), geom, space.A)
-    b = finefem.load_vector(geom, u_H.f)
+    b = finefem.load_vector(geom, space.f)
     E_num = 0.5 * float(M[0, 0]) - finefem.dot(b, u)
     E_star = 0.5 * float(M[2, 2]) - finefem.dot(b, u_ref.values)
     E_rel = errors.relative_from_energies(E_num, E_star)
     direct = float(np.sqrt(M[1, 1] / M[2, 2]))
     gamma = None
-    resid = None
-    if u_B_ref is not None:
-        resid = 0.0 if M[1, 1] <= 0 else \
-            float(abs(M[1, 1] - (M[4, 4] + M[5, 5])) / M[1, 1])
-        E_gamma_star = E_star - (0.5 * float(M[3, 3])
-                                 - finefem.dot(b, u_B_ref.values))
-        if not space.n_bubble and E_gamma_star < -1e-15 * abs(E_star):
-            gamma = errors.relative_from_energies(E_num, E_gamma_star)
+    resid = 0.0 if M[1, 1] <= 0 else \
+        float(abs(M[1, 1] - (M[4, 4] + M[5, 5])) / M[1, 1])
+    E_gamma_star = E_star - (0.5 * float(M[3, 3])
+                             - finefem.dot(b, u_B_ref.values))
+    if not space.n_bubble and E_gamma_star < -1e-15 * abs(E_star):
+        gamma = errors.relative_from_energies(E_num, E_gamma_star)
     return errors.ErrorReport(E_star, E_num, E_rel, direct, gamma, resid)
 
 
 @pytest.mark.parametrize("run", ["small_bench", "small_bench_bubbles"])
-@pytest.mark.parametrize("with_bubble_reference", [False, True])
-def test_evaluate_is_the_full_matrix_report_bitwise(run, request,
-                                                    with_bubble_reference):
+def test_evaluate_is_the_full_matrix_report_bitwise(run, request):
     # each diagonal entry of the symmetrised matrix is the one dot product
     # a(r_i, r_i), so forming only the six energies changes no digit
     res = request.getfixturevalue(run)
-    sol, A, f = res.solution, res.solution.space.A, res.problem.f
-    u_B_ref = (errors.bubble_reference(res.problem.fine, A, f)
-               if with_bubble_reference else None)
-    got = errors.evaluate(sol, res.u_ref, u_B_ref)
-    assert got == full_matrix_evaluate(sol, res.u_ref, u_B_ref)
-    assert (got.decomposition_residual is None) != with_bubble_reference
-    assert (got.E_rel_gamma is not None) == (
-        with_bubble_reference and not sol.space.n_bubble)
+    sol = res.solution
+    got = errors.evaluate(sol, res.u_ref)
+    assert got == full_matrix_evaluate(sol, res.u_ref)
+    assert isinstance(got.decomposition_residual, float)
+    assert (got.E_rel_gamma is not None) == (not sol.space.n_bubble)
+
+
+def test_space_with_bubbles_carries_the_reference_of_its_load(
+        small_bench_bubbles):
+    # every space solves the bubble reference of its own load, bubbles or
+    # not, so the run scores the error split of a space with bubbles too
+    res = small_bench_bubbles
+    space = res.solution.space
+    assert space.n_bubble and space.f is res.problem.f
+    alone = errors.bubble_reference(res.problem.fine, space.A, space.f)
+    assert np.array_equal(space.bubble_reference.values, alone.values)
+    assert res.report.decomposition_residual <= 1e-12
 
 
 def test_interface_error_degenerate_denominator():
@@ -238,12 +243,11 @@ def test_interface_error_degenerate_denominator():
     A = finefem.identity_field()
     f = finefem.constant_rhs(-1.0)
     degrees = mesh.DegreeAssignment.uniform(coarse, 1, 0)
-    space = globalsolve.build_space(fine, A, degrees)
+    space = globalsolve.build_space(fine, A, degrees, f)
     assert space.n_dofs == 0
     sol = globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
     u_ref = errors.reference_solve(fine, A, f)
-    u_B_ref = errors.bubble_reference(fine, A, f)
-    report = errors.evaluate(sol, u_ref, u_B_ref)
+    report = errors.evaluate(sol, u_ref)
     assert report.E_rel_gamma is None
     assert report.E_rel == 1.0
 
@@ -253,7 +257,8 @@ def test_decomposition_exact_with_loose_tolerance(small_bench_bubbles):
     # bubble/interface orthogonality and the error split hold to rounding
     res = small_bench_bubbles
     space = res.solution.space
-    loose = globalsolve.build_space(space.fine, space.A, space.degrees)
+    loose = globalsolve.build_space(space.fine, space.A, space.degrees,
+                                    res.problem.f)
     systems = globalsolve.assemble_coarse(loose, space.A, res.problem.f,
                                           with_cross=True)
     d_if = systems.interface_K.diagonal()
@@ -261,17 +266,13 @@ def test_decomposition_exact_with_loose_tolerance(small_bench_bubbles):
     cross = np.abs(systems.cross_gram / np.sqrt(np.outer(d_b, d_if))).max()
     assert cross <= 1e-12
     sol = globalsolve.solve_coarse(systems)
-    resid = errors.evaluate(sol, res.u_ref,
-                            errors.bubble_reference(
-                                space.fine, space.A, res.problem.f)
-                            ).decomposition_residual
+    resid = errors.evaluate(sol, res.u_ref).decomposition_residual
     assert resid <= 1e-12
 
 
 def test_zero_solution_has_unit_error(small_bench):
     space = small_bench.solution.space
-    zero = globalsolve.CoarseSolution(space, small_bench.problem.f,
-                                      np.zeros(space.n_dofs), 0)
+    zero = globalsolve.CoarseSolution(space, np.zeros(space.n_dofs), 0)
     report = errors.evaluate(zero, small_bench.u_ref)
     assert report.E_rel == 1.0
     assert abs(report.E_rel_direct - 1.0) < 1e-14
@@ -296,7 +297,7 @@ def test_interface_error_map_consistency(small_bench):
 
 def test_interface_error_map_needs_the_space_reference(small_bench):
     # the map scores against the space's own bubble reference, so u_ref
-    # must live on the space's fine mesh, and the space must carry one
+    # must live on the space's fine mesh
     res = small_bench
     space = res.solution.space
     fine = mesh.refine_to_fine(space.coarse, space.fine.n_sub)
@@ -304,11 +305,6 @@ def test_interface_error_map_needs_the_space_reference(small_bench):
                                  res.u_ref.values)
     with pytest.raises(ValueError, match="different fine meshes"):
         errors.interface_error_map(res.solution, other)
-    bare = globalsolve.build_space(space.fine, space.A, space.degrees)
-    sol = globalsolve.solve_coarse(globalsolve.assemble_coarse(
-        bare, space.A, res.problem.f))
-    with pytest.raises(ValueError, match="no bubble reference"):
-        errors.interface_error_map(sol, res.u_ref)
 
 
 def test_direct_error_rejects_foreign_reference(small_bench):

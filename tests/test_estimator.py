@@ -25,7 +25,7 @@ def solve_identity(nx, n_sub, N=1, M=0, kind="quad"):
     A = finefem.identity_field()
     f = finefem.constant_rhs(-1.0)
     degrees = mesh.DegreeAssignment.uniform(coarse, N, M)
-    space = globalsolve.build_space(fine, A, degrees)
+    space = globalsolve.build_space(fine, A, degrees, f)
     return globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
 
 
@@ -152,10 +152,10 @@ def test_bubble_residual_vs_tensor_gauss(quad44, fine_quad44):
 
 
 def test_global_estimate_zero_problem(quad44, fine_quad44):
-    A = finefem.identity_field()
+    A, f = finefem.identity_field(), finefem.constant_rhs(0.0)
     degrees = mesh.DegreeAssignment.uniform(quad44, 1, 0)
-    space = globalsolve.build_space(fine_quad44, A, degrees)
-    sol = globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, None))
+    space = globalsolve.build_space(fine_quad44, A, degrees, f)
+    sol = globalsolve.solve_coarse(globalsolve.assemble_coarse(space, A, f))
     rep = estimator.global_estimate(sol)
     assert rep.value == 0.0 and rep.value_gamma == 0.0
 
@@ -202,8 +202,8 @@ def test_ell_declarations(small_bench_bubbles):
         estimator.global_estimate(sol, ell=2)
     no_grad = finefem.Field("plain", lambda x, y: np.ones_like(x))
     with pytest.raises(ValueError, match="no gradient"):
-        estimator.global_estimate(dataclasses.replace(sol, f=no_grad),
-                                  ell=1)
+        estimator.global_estimate(dataclasses.replace(
+            sol, space=dataclasses.replace(sol.space, f=no_grad)), ell=1)
 
 
 def test_localize_exact_split(small_bench):

@@ -61,14 +61,14 @@ def test_dof_bookkeeping(small_bench_bubbles):
     # every DOF sits on exactly the elements of its support, once each,
     # on quads and on triangles with N and M overrides too
     check_groups_against_mesh(space)
-    A = finefem.periodic_benchmark(0.25)
+    A, f = finefem.periodic_benchmark(0.25), finefem.constant_rhs(-1.0)
     for kind in ("quad", "triangle"):
         coarse = mesh.build_coarse(kind, 3, 3)
         degrees = mesh.DegreeAssignment.uniform(coarse, 2, 1)
         degrees.N[coarse.interior_edge_ids[[0, 3]]] = [4, 1]
         degrees.M[[0, 4]] = [0, 2]
         space = globalsolve.build_space(mesh.refine_to_fine(coarse, 6), A,
-                                        degrees)
+                                        degrees, f)
         check_groups_against_mesh(space)
 
 
@@ -150,10 +150,10 @@ def test_bubble_reconstruct_vanishes_on_skeleton(small_bench_bubbles):
 
 
 def test_zero_rhs_gives_zero_solution(quad44, fine_quad44):
-    A = finefem.periodic_benchmark(0.25)
+    A, f = finefem.periodic_benchmark(0.25), finefem.constant_rhs(0.0)
     degrees = mesh.DegreeAssignment.uniform(quad44, 2, 1)
-    space = globalsolve.build_space(fine_quad44, A, degrees)
-    systems = globalsolve.assemble_coarse(space, A, None)
+    space = globalsolve.build_space(fine_quad44, A, degrees, f)
+    systems = globalsolve.assemble_coarse(space, A, f)
     sol = globalsolve.solve_coarse(systems)
     assert not sol.coeffs.any()
     assert sol.cg_iters == 0
@@ -162,10 +162,10 @@ def test_zero_rhs_gives_zero_solution(quad44, fine_quad44):
 def test_space_grams_match_element_energies(quad44, fine_quad44):
     # the Gram blocks a space gathers from its sweep against
     # energy_inner_matrix of each element's fields on its patch
-    A = finefem.periodic_benchmark(0.25)
+    A, f = finefem.periodic_benchmark(0.25), finefem.constant_rhs(-1.0)
     for N, M in ((3, 1), (2, 2)):
         degrees = mesh.DegreeAssignment.uniform(quad44, N, M)
-        space = globalsolve.build_space(fine_quad44, A, degrees)
+        space = globalsolve.build_space(fine_quad44, A, degrees, f)
         for group, iface, bub in space.dofs.groups:
             for part in (iface, bub):
                 G, V = part.gram(), part.gather()
@@ -177,39 +177,34 @@ def test_space_grams_match_element_energies(quad44, fine_quad44):
 
 
 def test_assembly_needs_the_space_coefficient(quad44, fine_quad44):
-    A = finefem.periodic_benchmark(0.25)
+    A, f = finefem.periodic_benchmark(0.25), finefem.constant_rhs(-1.0)
     space = globalsolve.build_space(
-        fine_quad44, A, mesh.DegreeAssignment.uniform(quad44, 2, 0))
+        fine_quad44, A, mesh.DegreeAssignment.uniform(quad44, 2, 0), f)
     with pytest.raises(ValueError, match="not the space's coefficient"):
         globalsolve.assemble_coarse(space, finefem.periodic_benchmark(0.25),
-                                    None)
+                                    f)
 
 
 def test_assembly_needs_the_space_load(quad44, fine_quad44):
-    # a space built with a load carries that load's bubble reference, so
-    # it assembles that load object only; a space built without one
-    # assembles any load
+    # a space carries its load's bubble reference, so it assembles that
+    # load object only
     A, f = finefem.periodic_benchmark(0.25), finefem.constant_rhs(-1.0)
     degrees = mesh.DegreeAssignment.uniform(quad44, 2, 0)
-    space = globalsolve.build_space(fine_quad44, A, degrees, f=f)
+    space = globalsolve.build_space(fine_quad44, A, degrees, f)
     assert space.f is f
     for other in (finefem.gaussian_rhs(), finefem.constant_rhs(-1.0), None):
         with pytest.raises(ValueError, match="not the space's load"):
             globalsolve.assemble_coarse(space, A, other)
-    assert globalsolve.assemble_coarse(space, A, f).f is f
-    bare = globalsolve.build_space(fine_quad44, A, degrees)
-    assert bare.f is None
-    g = finefem.gaussian_rhs()
-    assert globalsolve.assemble_coarse(bare, A, g).f is g
+    assert globalsolve.assemble_coarse(space, A, f).space.f is f
 
 
 def test_triangle_space_smoke(tri44, fine_tri44):
-    A = finefem.identity_field()
+    A, f = finefem.identity_field(), finefem.constant_rhs(-1.0)
     degrees = mesh.DegreeAssignment.uniform(tri44, 1, 1)
-    space = globalsolve.build_space(fine_tri44, A, degrees)
+    space = globalsolve.build_space(fine_tri44, A, degrees, f)
     # dim of degree-1 triangle bulk space is 3
     assert space.n_bubble == 32 * 3
-    systems = globalsolve.assemble_coarse(space, A, finefem.constant_rhs(-1.0))
+    systems = globalsolve.assemble_coarse(space, A, f)
     sol = globalsolve.solve_coarse(systems)
     u = globalsolve.reconstruct(sol)
     assert np.isfinite(u.values).all() and np.abs(u.values).max() > 0
@@ -229,7 +224,7 @@ def test_batched_assembly_matches_per_element_grams(kind, n, n_sub):
     degrees = mesh.DegreeAssignment.uniform(coarse, 3, 1)
     degrees.M[0] = 0
     degrees.N[int(coarse.interior_edge_ids[0])] = 4
-    space = globalsolve.build_space(fine, A, degrees)
+    space = globalsolve.build_space(fine, A, degrees, f)
     systems = globalsolve.assemble_coarse(space, A, f, with_cross=True)
     n_if = space.n_interface
     K = np.zeros((space.n_dofs, space.n_dofs))
@@ -316,7 +311,8 @@ MIXED = {
 def test_bubble_stacks_solve_bitwise_as_an_element_loop(name, monkeypatch):
     config, n_groups, sizes = MIXED[name]
     problem = cli.build_problem(cli.RunConfig.from_dict(config))
-    space = globalsolve.build_space(problem.fine, problem.A, problem.degrees)
+    space = globalsolve.build_space(problem.fine, problem.A, problem.degrees,
+                                    problem.f)
     assert len(space.dofs.groups) == n_groups
     systems = globalsolve.assemble_coarse(space, problem.A, problem.f)
     assert [ids.shape[1] for ids, _, _ in systems.bubbles] == sizes

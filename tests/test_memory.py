@@ -89,15 +89,14 @@ def test_fine_layer_traced_peaks(pcg_iters):
     assert ref_mb <= REFERENCE_PEAK_MB
     ref_iters = list(pcg_iters)
     space, space_mb = traced_peak_mb(globalsolve.build_space, p.fine, p.A,
-                                     p.degrees, f=p.f)
+                                     p.degrees, p.f)
     assert space_mb <= BUILD_SPACE_PEAK_MB
     systems, coarse_mb = traced_peak_mb(globalsolve.assemble_coarse, space,
                                         p.A, p.f)
     assert coarse_mb <= ASSEMBLE_COARSE_PEAK_MB
     assert len(ref_iters) == 1 and ref_iters[0] > 0
     solution = globalsolve.solve_coarse(systems, config.rel_tol)
-    report, evaluate_mb = traced_peak_mb(errors.evaluate, solution, u_ref,
-                                         space.bubble_reference)
+    report, evaluate_mb = traced_peak_mb(errors.evaluate, solution, u_ref)
     assert evaluate_mb <= EVALUATE_PEAK_MB and report.E_star < 0
     est, estimate_mb = traced_peak_mb(estimator.global_estimate, solution,
                                       config.eta, config.ell)
@@ -150,7 +149,7 @@ def test_global_geometry_holds_no_per_triangle_array_but_a_load_evaluation(
     config = cli.RunConfig.from_dict(dict(FINE_CONFIG, rhs=rhs))
     p = cli.build_problem(config)
     errors.reference_solve(p.fine, p.A, p.f, config.rel_tol)
-    globalsolve.build_space(p.fine, p.A, p.degrees, f=p.f)
+    globalsolve.build_space(p.fine, p.A, p.degrees, p.f)
     geom = finefem.global_geometry(p.fine)
     nt, n = 2 * p.fine.nfx * p.fine.nfy, geom.n_vertices
     held = held_arrays(geom)
