@@ -183,12 +183,14 @@ def test_evaluate_matches_separate_formulas(run, request):
         assert abs(report.E_rel_gamma - gamma) <= 1e-12 * gamma
 
 
-def full_matrix_evaluate(u_H, u_ref):
+def full_matrix_evaluate(u_H, u_ref, u_B_ref=None):
     """errors.evaluate as it was before it formed only the energies it
     reads: the whole symmetric Gram matrix of its rows, of which it read
-    the diagonal."""
+    the diagonal.  The bubble reference is the space's own unless one is
+    given."""
     space = u_H.space
-    u_B_ref = space.bubble_reference
+    if u_B_ref is None:
+        u_B_ref = space.bubble_reference
     u_B = globalsolve.reconstruct(u_H, "bubble")
     u_G = globalsolve.reconstruct(u_H, "interface")
     geom = u_B.geom
@@ -213,13 +215,20 @@ def full_matrix_evaluate(u_H, u_ref):
 
 
 @pytest.mark.parametrize("run", ["small_bench", "small_bench_bubbles"])
-def test_evaluate_is_the_full_matrix_report_bitwise(run, request):
+@pytest.mark.parametrize("with_bubble_reference", [False, True])
+def test_evaluate_is_the_full_matrix_report_bitwise(run, request,
+                                                    with_bubble_reference):
     # each diagonal entry of the symmetrised matrix is the one dot product
-    # a(r_i, r_i), so forming only the six energies changes no digit
+    # a(r_i, r_i), so forming only the six energies changes no digit; and
+    # the bubble reference the space solved offline is bitwise the one
+    # solved alone, so the report does not change when the full-matrix
+    # formula is given the standalone solve instead of the space's own
     res = request.getfixturevalue(run)
-    sol = res.solution
+    sol, A, f = res.solution, res.solution.space.A, res.problem.f
+    u_B_ref = (errors.bubble_reference(res.problem.fine, A, f)
+               if with_bubble_reference else None)
     got = errors.evaluate(sol, res.u_ref)
-    assert got == full_matrix_evaluate(sol, res.u_ref)
+    assert got == full_matrix_evaluate(sol, res.u_ref, u_B_ref)
     assert isinstance(got.decomposition_residual, float)
     assert (got.E_rel_gamma is not None) == (not sol.space.n_bubble)
 
